@@ -9,7 +9,10 @@ missing: the wire itself.  It models what a real hop does to a frame —
   accounting :class:`repro.perfmodel.linkmodel.LinkModel` uses;
 * **propagation**: a constant one-way delay;
 * **bounded queueing**: drop-tail when more than ``queue_capacity`` frames
-  are in the output queue (``None`` = unbounded);
+  are in the output queue (``None`` = unbounded).  The depth is derived,
+  not event-driven: the link remembers when each queued frame finishes
+  serialising and counts the ones the simulator has not passed yet, so a
+  traversal costs one event (the delivery), not two;
 * **seeded impairments**: loss and reordering drawn from a deterministic
   :class:`repro.perfmodel.linkmodel.ImpairmentModel`, so replays are
   exactly reproducible.
@@ -21,9 +24,11 @@ delay), which the metrics registry folds into the replay report.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from math import inf
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import ReplayError
@@ -110,11 +115,14 @@ class EmulatedLink:
         impairments: Optional[ImpairmentModel] = None,
         record_delays: bool = True,
     ):
-        if bandwidth_bps <= 0:
-            raise ReplayError(f"bandwidth must be positive, got {bandwidth_bps}")
-        if propagation_delay < 0:
+        if not 0 < bandwidth_bps < inf:
             raise ReplayError(
-                f"propagation delay cannot be negative, got {propagation_delay}"
+                f"bandwidth must be positive and finite, got {bandwidth_bps}"
+            )
+        if not 0 <= propagation_delay < inf:
+            raise ReplayError(
+                "propagation delay must be finite and non-negative, "
+                f"got {propagation_delay}"
             )
         if queue_capacity is not None and queue_capacity <= 0:
             raise ReplayError(
@@ -130,9 +138,11 @@ class EmulatedLink:
         self.stats = LinkStats()
         self._sink = sink
         self._busy_until = 0.0
-        self._queue_depth = 0
-        # Event descriptions are constant; format them once, not per frame.
-        self._serialised_label = f"{name}:serialised"
+        # Keys ``(done, 0, sequence)`` of the frames still queued or being
+        # serialised, oldest first: where an explicit serialisation-done
+        # event scheduled at send time would sit in the simulator's order.
+        self._serialising: Deque[Tuple[float, int, int]] = deque()
+        # The event description is constant; format it once, not per frame.
         self._deliver_label = f"{name}:deliver"
 
     # -- wiring ---------------------------------------------------------------
@@ -145,8 +155,22 @@ class EmulatedLink:
 
     @property
     def queue_depth(self) -> int:
-        """Frames currently queued or being serialised."""
-        return self._queue_depth
+        """Frames currently queued or being serialised.
+
+        A frame has left the queue once the simulator's position
+        (:attr:`~repro.sim.simulator.Simulator.current_key`) is past the
+        frame's serialisation-done key — ties included: a send executing at
+        exactly a completion time still sees the frame iff the send's event
+        was scheduled before the frame entered the link.  The simulator's
+        position decides, never ``send()``'s ``time`` argument, so frames
+        offered ahead of an idle clock accumulate.
+        """
+        serialising = self._serialising
+        if serialising:
+            position = self.simulator.current_key
+            while serialising and serialising[0] < position:
+                serialising.popleft()
+        return len(serialising)
 
     # -- data path ------------------------------------------------------------
 
@@ -170,16 +194,14 @@ class EmulatedLink:
                     "link.drop", self.name, args={"reason": "loss"}, ts=now
                 )
             return
-        if (
-            self.queue_capacity is not None
-            and self._queue_depth >= self.queue_capacity
-        ):
+        depth = self.queue_depth
+        if self.queue_capacity is not None and depth >= self.queue_capacity:
             self.stats.dropped_queue += 1
             if tracer.enabled:
                 tracer.instant(
                     "link.drop",
                     self.name,
-                    args={"reason": "queue", "depth": self._queue_depth},
+                    args={"reason": "queue", "depth": depth},
                     ts=now,
                 )
             return
@@ -189,8 +211,9 @@ class EmulatedLink:
         done = start + serialisation
         self.stats.busy_time += serialisation
         self._busy_until = done
-        self._queue_depth += 1
-        self.stats.max_queue_depth = max(self.stats.max_queue_depth, self._queue_depth)
+        self._serialising.append((done, 0, self.simulator.next_sequence()))
+        if depth >= self.stats.max_queue_depth:
+            self.stats.max_queue_depth = depth + 1
         if self.record_delays:
             self.stats.queueing_delays.append(start - now)
 
@@ -201,11 +224,6 @@ class EmulatedLink:
                 self.stats.reordered += 1
         deliver_at = done + self.propagation_delay + penalty
 
-        self.simulator.schedule_at(
-            done,
-            self._serialisation_done,
-            description=self._serialised_label,
-        )
         if tracer.enabled:
             # One span per wire stage, plus a context capture so the
             # delivery event (and everything the sink does synchronously —
@@ -249,9 +267,6 @@ class EmulatedLink:
             self._deliver(frame, deliver_at)
         finally:
             tracer.restore_context(saved)
-
-    def _serialisation_done(self) -> None:
-        self._queue_depth -= 1
 
     # -- derived measures -------------------------------------------------------
 

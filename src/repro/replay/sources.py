@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from repro.exceptions import ReplayError
+from repro.exceptions import PacketError, ReplayError
 from repro.net.ethernet import EthernetFrame, frame_wire_bytes
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapReader
@@ -302,14 +302,19 @@ class WorkloadTraceSource(TraceSource):
             if self.num_chunks is None
             else self.workload.iter_chunks(self.num_chunks)
         )
+        # Every frame of the stream shares one Ethernet header: build and
+        # validate it once, then prefix it to each chunk.
+        header = EthernetFrame(
+            destination=self._destination,
+            source=self._source,
+            ethertype=ETHERTYPE_RAW_CHUNK,
+        ).to_bytes()
         for index, chunk in enumerate(chunks):
-            frame = EthernetFrame(
-                destination=self._destination,
-                source=self._source,
-                ethertype=ETHERTYPE_RAW_CHUNK,
-                payload=chunk,
-            )
-            yield TimedFrame(recorded_time=index * interval, data=frame.to_bytes())
+            if not isinstance(chunk, (bytes, bytearray)):
+                raise PacketError(
+                    f"payload must be bytes, got {type(chunk).__name__}"
+                )
+            yield TimedFrame(recorded_time=index * interval, data=header + chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ the model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from math import inf
+from typing import Any, Callable
 
 from repro.exceptions import SimulationError
 
@@ -26,25 +26,45 @@ MILLISECONDS = 1e-3
 MICROSECONDS = 1e-6
 NANOSECONDS = 1e-9
 
-_sequence = itertools.count()
+#: Draws the next insertion sequence number.  One process-wide stream, so
+#: numbers are unique across simulators and a key never compares equal to
+#: another.
+next_sequence = itertools.count().__next__
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Events order by ``(time, priority, sequence)`` so that simultaneous
-    events run in a deterministic order: lower priority value first, then
-    insertion order.  The callback and its description are excluded from the
-    ordering comparison.
+    Events run in ``(time, priority, sequence)`` order, so simultaneous
+    events are deterministic: lower priority value first, then insertion
+    order.  The event itself is never compared — the simulator's heap holds
+    ``(time, priority, sequence, event)`` tuples, and because ``sequence``
+    is unique the tuple comparison is decided before it reaches the event.
     """
 
-    time: float
-    priority: int
-    sequence: int = field(compare=True)
-    callback: Callable[[], Any] = field(compare=False)
-    description: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "priority", "sequence", "callback", "description", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        sequence: int,
+        callback: Callable[[], Any],
+        description: str = "",
+    ):
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.description = description
+        self.cancelled = False
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, priority={self.priority!r}, "
+            f"sequence={self.sequence!r}, description={self.description!r}, "
+            f"cancelled={self.cancelled!r})"
+        )
 
     @classmethod
     def create(
@@ -55,17 +75,13 @@ class Event:
         description: str = "",
     ) -> "Event":
         """Build an event with an automatically assigned sequence number."""
-        if time < 0:
-            raise SimulationError(f"event time must be non-negative, got {time}")
+        if not 0 <= time < inf:
+            raise SimulationError(
+                f"event time must be finite and non-negative, got {time}"
+            )
         if not callable(callback):
             raise SimulationError("event callback must be callable")
-        return cls(
-            time=time,
-            priority=priority,
-            sequence=next(_sequence),
-            callback=callback,
-            description=description,
-        )
+        return cls(time, priority, next_sequence(), callback, description)
 
 
 class EventHandle:
@@ -75,6 +91,8 @@ class EventHandle:
     Cancellation is lazy: the event stays in the heap but is skipped when it
     reaches the front.
     """
+
+    __slots__ = ("_event",)
 
     def __init__(self, event: Event):
         self._event = event

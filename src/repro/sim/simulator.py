@@ -10,14 +10,18 @@ reproducible and independent of wall-clock speed.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from heapq import heappop, heappush
+from math import inf
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import SimulationError
-from repro.sim.events import Event, EventHandle
+from repro.sim.events import Event, EventHandle, next_sequence
 
 __all__ = ["Simulator"]
+
+#: ``(time, priority, sequence)`` — how events order.
+EventKey = Tuple[float, float, int]
 
 
 class Simulator:
@@ -28,16 +32,30 @@ class Simulator:
         sim = Simulator()
         sim.schedule_in(1.77e-3, lambda: install_mapping(...))
         sim.run()
+
+    Events run in ``(time, priority, insertion)`` order.  The heap holds
+    ``(time, priority, sequence, event)`` tuples whose unique ``sequence``
+    decides every tie, so ordering never calls back into Python.
     """
 
     def __init__(self, start_time: float = 0.0):
-        if start_time < 0:
-            raise SimulationError(f"start time must be non-negative, got {start_time}")
-        self._now = start_time
-        self._queue: List[Event] = []
+        if not 0 <= start_time < inf:
+            raise SimulationError(
+                f"start time must be finite and non-negative, got {start_time}"
+            )
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._executed_events = 0
         self._running = False
         self._observers: List[Callable[[Event], Any]] = []
+        self._settle(start_time, before=True)
+
+    def _settle(self, time: float, before: bool) -> None:
+        """Put the idle clock at ``time``: ordered ``before`` every event
+        scheduled at that instant, or after all of them."""
+        self._now = time
+        # ``step`` stores the heap entry it is executing here, so this is
+        # any tuple that *orders* like a key; ``current_key`` trims it.
+        self._position = (time, -inf if before else inf, 0)
 
     # -- clock -------------------------------------------------------------
 
@@ -45,6 +63,30 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def current_key(self) -> EventKey:
+        """Where the simulator is in the ``(time, priority, sequence)`` order.
+
+        Inside a callback this is the key of the event being executed;
+        between events it is the key of the last one executed, or the idle
+        position :meth:`run`, :meth:`advance_to` and :meth:`reset` left.
+        Every event whose key orders before it has already run — which lets
+        a component decide whether something it *would* have scheduled has
+        happened yet without spending an event on it
+        (:class:`repro.replay.link.EmulatedLink` derives its queue depth
+        this way).
+        """
+        return self._position[:3]
+
+    def next_sequence(self) -> int:
+        """Take the sequence number the next scheduled event would get.
+
+        With it a component can form the key ``(time, priority, sequence)``
+        an event scheduled right now would have, and compare that against
+        :attr:`current_key` later.
+        """
+        return next_sequence()
 
     @property
     def executed_events(self) -> int:
@@ -66,13 +108,19 @@ class Simulator:
         description: str = "",
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.9f}s, which is before the "
-                f"current time {self._now:.9f}s"
-            )
-        event = Event.create(time, callback, priority=priority, description=description)
-        heapq.heappush(self._queue, event)
+        # One chained comparison rejects the past, NaN and +inf together.
+        if not self._now <= time < inf:
+            if time < self._now:
+                raise SimulationError(
+                    f"cannot schedule event at {time:.9f}s, which is before the "
+                    f"current time {self._now:.9f}s"
+                )
+            raise SimulationError(f"event time must be finite, got {time}")
+        if not callable(callback):
+            raise SimulationError("event callback must be callable")
+        sequence = next_sequence()
+        event = Event(time, priority, sequence, callback, description)
+        heappush(self._queue, (time, priority, sequence, event))
         return EventHandle(event)
 
     def schedule_in(
@@ -83,7 +131,7 @@ class Simulator:
         description: str = "",
     ) -> EventHandle:
         """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(
             self._now + delay, callback, priority=priority, description=description
@@ -120,16 +168,20 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event.  Returns ``False`` if none remain."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            entry = heappop(queue)
+            event = entry[3]
             if event.cancelled:
                 continue
-            if event.time < self._now:
+            time = entry[0]
+            if time < self._now:
                 raise SimulationError(
                     f"event {event.description!r} scheduled in the past "
-                    f"({event.time:.9f}s < {self._now:.9f}s)"
+                    f"({time:.9f}s < {self._now:.9f}s)"
                 )
-            self._now = event.time
+            self._now = time
+            self._position = entry
             event.callback()
             self._executed_events += 1
             tracer = _obs.TRACER
@@ -138,7 +190,7 @@ class Simulator:
                     "sim.event",
                     "sim",
                     args={"desc": event.description} if event.description else None,
-                    ts=event.time,
+                    ts=time,
                 )
             if self._observers:
                 for observer in self._observers:
@@ -151,44 +203,56 @@ class Simulator:
 
         Returns the number of events executed by this call.  ``until`` is an
         absolute simulated time; events scheduled exactly at ``until`` still
-        run.  ``max_events`` guards against runaway self-rescheduling loops.
+        run, and the clock then rests at ``until`` — unless ``max_events``
+        stopped the run first, in which case it stays at the last event
+        executed, with the rest still pending.  ``max_events`` guards
+        against runaway self-rescheduling loops; it is a guard, not a unit
+        of progress: how far a given budget gets in simulated time depends
+        on how many events the components spend per packet.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         executed = 0
         try:
-            while self._queue:
+            if until is None and max_events is None:
+                queue = self._queue
+                while queue:
+                    if self.step():
+                        executed += 1
+                return executed
+            while True:
                 next_event = self._peek()
-                if next_event is None:
-                    break
-                if until is not None and next_event.time > until:
+                if next_event is None or (
+                    until is not None and next_event.time > until
+                ):
+                    if until is not None and self._now <= until:
+                        self._settle(until, before=False)
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 if self.step():
                     executed += 1
-            if until is not None and self._now < until:
-                self._now = until
         finally:
             self._running = False
         return executed
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` simulated seconds from the current time."""
-        if duration < 0:
+        if not duration >= 0:
             raise SimulationError(f"duration must be non-negative, got {duration}")
         return self.run(until=self._now + duration, max_events=max_events)
 
     def _peek(self) -> Optional[Event]:
         """The next non-cancelled event without removing it, or ``None``."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heappop(queue)
+        return queue[0][3] if queue else None
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward without executing events (testing helper)."""
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot move the clock backwards ({time:.9f}s < {self._now:.9f}s)"
             )
@@ -197,10 +261,10 @@ class Simulator:
             raise SimulationError(
                 "cannot advance past pending events; run() them instead"
             )
-        self._now = time
+        self._settle(time, before=True)
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         self._queue.clear()
-        self._now = 0.0
         self._executed_events = 0
+        self._settle(0.0, before=True)

@@ -16,6 +16,7 @@ mode, which is what most unit tests use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
@@ -85,6 +86,8 @@ class TofinoSwitch:
         self._port_stats: Dict[int, PortStats] = {
             port: PortStats() for port in range(port_count)
         }
+        # Transmit-event descriptions, formatted once per port, not per frame.
+        self._tx_labels = [f"{name}:tx:{port}" for port in range(port_count)]
 
     # -- wiring ---------------------------------------------------------------
 
@@ -104,11 +107,14 @@ class TofinoSwitch:
         self._check_port(port)
         self._sinks.pop(port, None)
 
+    def _port_error(self, port: int) -> PipelineError:
+        return PipelineError(
+            f"{self.name}: port {port} out of range [0, {self.port_count})"
+        )
+
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.port_count:
-            raise PipelineError(
-                f"{self.name}: port {port} out of range [0, {self.port_count})"
-            )
+            raise self._port_error(port)
 
     # -- data path ----------------------------------------------------------------
 
@@ -119,8 +125,9 @@ class TofinoSwitch:
         produced, and delivers the output frame to the attached sink (after
         the pipeline latency when a simulator is attached).
         """
-        self._check_port(ingress_port)
-        stats = self._port_stats[ingress_port]
+        stats = self._port_stats.get(ingress_port)
+        if stats is None:
+            raise self._port_error(ingress_port)
         stats.rx_packets += 1
         stats.rx_bytes += len(frame)
 
@@ -130,7 +137,7 @@ class TofinoSwitch:
             self.digest_engine.emit(digest_type, data)
 
         if result.egress_port is not None and result.frame is not None:
-            self._transmit(result.egress_port, result.frame, result.latency)
+            self.transmit(result.egress_port, result.frame, result.latency)
         return result
 
     def record_rx(self, ingress_port: int, frame_length: int) -> None:
@@ -139,18 +146,21 @@ class TofinoSwitch:
         Compiled program fast paths that bypass the generic pipeline call
         this so port counters stay identical to the interpreted path.
         """
-        self._check_port(ingress_port)
-        stats = self._port_stats[ingress_port]
+        stats = self._port_stats.get(ingress_port)
+        if stats is None:
+            raise self._port_error(ingress_port)
         stats.rx_packets += 1
         stats.rx_bytes += frame_length
 
     def transmit(self, port: int, frame: bytes, latency: float) -> None:
-        """Deliver ``frame`` on ``port`` after ``latency`` (public fast-path hook)."""
-        self._transmit(port, frame, latency)
+        """Deliver ``frame`` on ``port`` after ``latency``.
 
-    def _transmit(self, port: int, frame: bytes, latency: float) -> None:
-        self._check_port(port)
-        stats = self._port_stats[port]
+        The interpreted :meth:`receive` and the compiled program fast paths
+        both end here.
+        """
+        stats = self._port_stats.get(port)
+        if stats is None:
+            raise self._port_error(port)
         stats.tx_packets += 1
         stats.tx_bytes += len(frame)
         sink = self._sinks.get(port)
@@ -160,29 +170,31 @@ class TofinoSwitch:
             sink(frame, 0.0)
             return
         deliver_at = self.simulator.now + latency
-
         tracer = _obs.TRACER
         if tracer.enabled:
             # Carry the current chunk identity across the deferred delivery
             # so everything downstream of this switch (next link, decoder,
             # sink) stays attributed to the frame that traversed it.
-            context = tracer.context
-
-            def deliver(frame=frame, deliver_at=deliver_at, context=context) -> None:
-                inner = _obs.TRACER
-                saved = inner.context
-                inner.restore_context(context)
-                try:
-                    sink(frame, deliver_at)
-                finally:
-                    inner.restore_context(saved)
-
+            deliver = partial(
+                self._deliver_traced, sink, frame, deliver_at, tracer.context
+            )
         else:
+            deliver = partial(sink, frame, deliver_at)
+        # A negative latency puts ``deliver_at`` in the past, which
+        # ``schedule_at`` rejects.
+        self.simulator.schedule_at(
+            deliver_at, deliver, description=self._tx_labels[port]
+        )
 
-            def deliver(frame=frame, deliver_at=deliver_at) -> None:
-                sink(frame, deliver_at)
-
-        self.simulator.schedule_in(latency, deliver, description=f"{self.name}:tx:{port}")
+    @staticmethod
+    def _deliver_traced(sink: PortSink, frame: bytes, deliver_at: float, context) -> None:
+        tracer = _obs.TRACER
+        saved = tracer.context
+        tracer.restore_context(context)
+        try:
+            sink(frame, deliver_at)
+        finally:
+            tracer.restore_context(saved)
 
     # -- statistics -----------------------------------------------------------------
 

@@ -228,8 +228,9 @@ class _StreamingFlowAccount:
 
 
 class _FlowState:
-    """Runtime bookkeeping of one flow: scheduling identity plus volume
-    counters, with verification delegated to a pluggable account."""
+    """Runtime state of one flow: scheduling identity, the injection pump
+    and volume counters, with verification delegated to a pluggable
+    account."""
 
     def __init__(
         self,
@@ -287,6 +288,55 @@ class _FlowState:
     def record_arrival(self, frame_bytes: bytes, time: float) -> None:
         self.delivered += 1
         self.account.record_arrival(frame_bytes, time)
+
+    # -- injection -------------------------------------------------------------
+
+    def start(self, simulator: Simulator, host: HostNode) -> None:
+        """Begin one-pending-frame streaming injection, as in the harness.
+
+        Exactly one frame per flow is ever scheduled, so its bytes live in
+        one slot and one method serves every injection event.
+        """
+        self.pacing.reset()
+        self._simulator = simulator
+        self._host = host
+        self._frames = self.source.frames()
+        self._index = 0
+        self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        timed = next(self._frames, None)
+        if timed is None:
+            return
+        data = self._pending = timed.data
+        at = self.pacing.inject_at(self._index, timed.recorded_time, len(data))
+        now = self._simulator.now
+        self._simulator.schedule_at(
+            at if at > now else now,
+            self._inject_pending,
+            description="replay:inject",
+        )
+
+    def _inject_pending(self) -> None:
+        frame = self.frame_for_injection(self._pending)
+        now = self._simulator.now
+        self.record_injection(frame, now)
+        index = self._index
+        self._index = index + 1
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            # Everything the injection triggers synchronously — switch
+            # encode, link admission — inherits this chunk's identity; the
+            # link re-establishes it for the delivery side of the wire.
+            tracer.set_context(self.spec.name, index)
+            tracer.instant("flow.inject", self.spec.source)
+            try:
+                self._host.inject(frame, now)
+            finally:
+                tracer.clear_context()
+        else:
+            self._host.inject(frame, now)
+        self._schedule_next()
 
 
 @dataclass
@@ -509,13 +559,6 @@ class TopologyEngine:
         (false).  ``None`` (default) qualifies exactly when the engine
         builds more than one control plane; shard workers receive the
         full-spec answer so shard-local reports merge without colliding.
-    batch_drain:
-        Whether ZipLine nodes defer frames arriving at the same simulated
-        timestamp into one drain event and hand them to the switch's
-        ``receive_batch`` (sharing a single batched CRC/parity pass).
-        ``None`` (default) follows the spec's ``batch_drain`` field.
-        Emitted frames, counters and reports are identical either way;
-        only the wall-clock cost of the run changes.
     """
 
     def __init__(
@@ -525,7 +568,6 @@ class TopologyEngine:
         metrics_mode: str = "exact",
         tap_fallback: bool = True,
         qualify_controlplane: Optional[bool] = None,
-        batch_drain: Optional[bool] = None,
     ):
         if metrics_mode not in METRICS_MODES:
             raise TopologyError(
@@ -538,9 +580,6 @@ class TopologyEngine:
         self._streaming = metrics_mode == "streaming"
         self.tap_fallback = tap_fallback
         self._qualify_controlplane = qualify_controlplane
-        self.batch_drain = (
-            getattr(spec, "batch_drain", False) if batch_drain is None else batch_drain
-        )
         self.simulator = Simulator()
         self.transform = GDTransform(order=spec.order)
         self.graph = TopologyGraph(self.simulator)
@@ -617,7 +656,6 @@ class TopologyEngine:
                 digest_engine = DigestEngine(self.simulator)
                 node = ZipLineEncoderNode(
                     node_spec.name,
-                    batch_drain=self.batch_drain,
                     transform=self.transform,
                     identifier_bits=self.spec.identifier_bits,
                     simulator=self.simulator,
@@ -631,7 +669,6 @@ class TopologyEngine:
             elif node_spec.kind == "decoder":
                 node = ZipLineDecoderNode(
                     node_spec.name,
-                    batch_drain=self.batch_drain,
                     transform=self.transform,
                     identifier_bits=self.spec.identifier_bits,
                     simulator=self.simulator,
@@ -952,45 +989,6 @@ class TopologyEngine:
 
     # -- execution ---------------------------------------------------------------
 
-    def _schedule_flow(self, state: _FlowState) -> None:
-        """One-pending-frame streaming injection, as in the harness."""
-        state.pacing.reset()
-        iterator = state.source.frames()
-        host = self._host_nodes[state.spec.source]
-        counter = {"index": 0}
-
-        def schedule_next() -> None:
-            timed = next(iterator, None)
-            if timed is None:
-                return
-            index = counter["index"]
-            counter["index"] = index + 1
-            at = state.pacing.inject_at(index, timed.recorded_time, len(timed.data))
-            at = max(at, self.simulator.now)
-
-            def fire(data=timed.data, idx=index) -> None:
-                frame = state.frame_for_injection(data)
-                state.record_injection(frame, self.simulator.now)
-                tracer = _obs.TRACER
-                if tracer.enabled:
-                    # Everything the injection triggers synchronously —
-                    # switch encode, link admission — inherits this chunk's
-                    # identity; the link re-establishes it for the delivery
-                    # side of the wire.
-                    tracer.set_context(state.spec.name, idx)
-                    tracer.instant("flow.inject", state.spec.source)
-                    try:
-                        host.inject(frame, self.simulator.now)
-                    finally:
-                        tracer.clear_context()
-                else:
-                    host.inject(frame, self.simulator.now)
-                schedule_next()
-
-            self.simulator.schedule_at(at, fire, description="replay:inject")
-
-        schedule_next()
-
     def _restart_decoder(self, node_name: str) -> None:
         """Crash-restart one decoder: wipe its table, then resynchronise.
 
@@ -1052,7 +1050,7 @@ class TopologyEngine:
         """Schedule every flow, run the simulation, and build the report."""
         self._schedule_faults()
         for state in self._flows:
-            self._schedule_flow(state)
+            state.start(self.simulator, self._host_nodes[state.spec.source])
         self.simulator.run(until=until, max_events=max_events)
         if self._snapshotter is not None:
             self._snapshotter.flush()

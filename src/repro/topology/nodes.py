@@ -95,58 +95,20 @@ def _guard_reattach(node: Node, attached: set, port: int) -> None:
 
 
 class _ZipLineSwitchNode(Node):
-    """Shared graph-adapter logic for the two ZipLine switch nodes.
+    """Shared graph-adapter logic for the two ZipLine switch nodes."""
 
-    With ``batch_drain`` enabled (and a simulator-backed switch), frames
-    arriving at the same simulated timestamp are queued and handed to the
-    switch's :meth:`receive_batch` from a single drain event scheduled at
-    the current time, so co-resident packets share one batched CRC /
-    parity pass.  Drain telemetry lives in plain attributes
-    (``drained_batches`` / ``drained_frames``) rather than
-    :meth:`counters` so enabling it never changes a collected report.
-    """
-
-    def __init__(self, name: str, switch=None, batch_drain: bool = False, **switch_kwargs):
+    def __init__(self, name: str, switch=None, **switch_kwargs):
         super().__init__(name)
         if switch is None:
             switch = self._make_switch(name, **switch_kwargs)
         self.switch = switch
         self._attached_ports: set = set()
-        simulator = getattr(switch, "simulator", None)
-        self.batch_drain = bool(batch_drain) and simulator is not None
-        self.drained_batches = 0
-        self.drained_frames = 0
-        self._pending: List[Tuple[bytes, int]] = []
-        self._drain_scheduled = False
 
     def _make_switch(self, name: str, **switch_kwargs):
         raise NotImplementedError
 
     def receive(self, frame_bytes: bytes, port: int, time: float) -> None:
-        if not self.batch_drain:
-            self.switch.receive(frame_bytes, port)
-            return
-        self._pending.append((frame_bytes, port))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            # Priority 1 runs the drain after every same-time priority-0
-            # delivery, so all frames co-resident at this timestamp land in
-            # one batch instead of one drain per frame.
-            self.switch.simulator.schedule_now(
-                self._drain, priority=1, description=f"{self.name}:drain"
-            )
-
-    def _drain(self) -> None:
-        self._drain_scheduled = False
-        pending, self._pending = self._pending, []
-        start = 0
-        for index in range(1, len(pending) + 1):
-            if index == len(pending) or pending[index][1] != pending[start][1]:
-                frames = [frame for frame, _port in pending[start:index]]
-                self.switch.receive_batch(frames, pending[start][1])
-                self.drained_batches += 1
-                self.drained_frames += len(frames)
-                start = index
+        self.switch.receive(frame_bytes, port)
 
     def attach(self, port: int, sink: LinkSink) -> None:
         _guard_reattach(self, self._attached_ports, port)

@@ -429,7 +429,6 @@ class TopologySpec:
         control_rate: Optional[float] = None,
         control_queue: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
-        batch_drain: bool = False,
     ):
         where = "topology"
         self.name = _require_string(where, "name", name)
@@ -467,11 +466,6 @@ class TopologySpec:
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_dict(faults)
         self.faults = faults
-        if not isinstance(batch_drain, bool):
-            raise _where_error(
-                where, f"batch_drain must be a boolean, got {batch_drain!r}"
-            )
-        self.batch_drain = batch_drain
         self.nodes: List[NodeSpec] = list(nodes)
         self.links: List[LinkSpec] = list(links)
         self.flows: List[FlowSpec] = list(flows)
@@ -672,7 +666,7 @@ class TopologySpec:
                 "name", "scenario", "order", "identifier_bits", "seed",
                 "entry_ttl", "control", "control_bandwidth_gbps",
                 "control_propagation_us", "control_rate", "control_queue",
-                "faults", "nodes", "links", "flows", "batch_drain",
+                "faults", "nodes", "links", "flows",
             ),
         )
         return cls(
@@ -695,7 +689,6 @@ class TopologySpec:
                 if data.get("faults") is not None
                 else None
             ),
-            batch_drain=data.get("batch_drain", False),
         )
 
     @classmethod
@@ -734,8 +727,6 @@ class TopologySpec:
             data["control_queue"] = self.control_queue
         if self.faults is not None and self.faults.active:
             data["faults"] = self.faults.as_dict()
-        if self.batch_drain:
-            data["batch_drain"] = True
         return data
 
 

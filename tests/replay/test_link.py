@@ -1,10 +1,14 @@
 """Tests for the emulated link: serialisation, queueing, loss, reordering."""
 
+import random
+from functools import partial
+
 import pytest
 
 from repro.exceptions import ReplayError
-from repro.perfmodel.linkmodel import ImpairmentModel
+from repro.perfmodel.linkmodel import ImpairmentModel, LinkModel
 from repro.replay import EmulatedLink
+from repro.replay.link import LinkStats
 from repro.sim.simulator import Simulator
 
 
@@ -122,3 +126,250 @@ class TestImpairments:
         link = EmulatedLink(Simulator())
         with pytest.raises(ReplayError):
             link.send(b"\x00" * 60, 0.0)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bandwidth(self, bad):
+        with pytest.raises(ReplayError):
+            EmulatedLink(Simulator(), bandwidth_bps=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-6])
+    def test_rejects_propagation_delay(self, bad):
+        with pytest.raises(ReplayError):
+            EmulatedLink(Simulator(), propagation_delay=bad)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with an explicit serialisation-done event
+# ---------------------------------------------------------------------------
+
+
+class ReferenceLink:
+    """The link model with its queue depth driven by an explicit event.
+
+    Every admitted frame schedules a serialisation-done event that
+    decrements the depth — one event more per traversal than
+    :class:`EmulatedLink`, whose derived depth must agree with this one in
+    every statistic, delivery and drop decision.
+    """
+
+    def __init__(self, simulator, bandwidth_bps, propagation_delay,
+                 queue_capacity=None, impairments=None):
+        self.simulator = simulator
+        self.model = LinkModel(speed_bps=bandwidth_bps)
+        self.propagation_delay = propagation_delay
+        self.queue_capacity = queue_capacity
+        self.impairments = impairments
+        self.stats = LinkStats()
+        self.queue_depth = 0
+        self._busy_until = 0.0
+
+    def attach(self, sink):
+        self.sink = sink
+
+    def send(self, frame, time):
+        stats = self.stats
+        now = max(self.simulator.now, time)
+        stats.offered += 1
+        stats.offered_bytes += len(frame)
+        if self.impairments is not None and self.impairments.should_drop():
+            stats.dropped_loss += 1
+            return
+        if self.queue_capacity is not None and self.queue_depth >= self.queue_capacity:
+            stats.dropped_queue += 1
+            return
+        serialisation = self.model.serialisation_delay(len(frame))
+        start = max(now, self._busy_until)
+        done = self._busy_until = start + serialisation
+        stats.busy_time += serialisation
+        self.queue_depth += 1
+        stats.max_queue_depth = max(stats.max_queue_depth, self.queue_depth)
+        stats.queueing_delays.append(start - now)
+        penalty = 0.0
+        if self.impairments is not None:
+            penalty = self.impairments.reorder_penalty()
+            stats.reordered += penalty > 0.0
+        deliver_at = done + self.propagation_delay + penalty
+        self.simulator.schedule_at(done, self._serialised)
+        self.simulator.schedule_at(deliver_at, lambda: self._deliver(frame, deliver_at))
+
+    def _serialised(self):
+        self.queue_depth -= 1
+
+    def _deliver(self, frame, deliver_at):
+        self.stats.delivered += 1
+        self.stats.delivered_bytes += len(frame)
+        self.sink(frame, deliver_at)
+
+
+#: 992 wire bits per second: a 100-byte frame serialises in exactly 1 s and
+#: a 224-byte frame in exactly 2 s, so sends on a half-second grid land on
+#: completion times to the last bit.
+GRID_BANDWIDTH = 992.0
+FRAMES = (bytes(100), bytes(224))
+
+
+class Pair:
+    """One scenario built twice: on the reference and on the real link."""
+
+    def __init__(self, propagation_delay=0.5, queue_capacity=None, impairments=None,
+                 echo_every=0):
+        self.sides = []
+        for kind in (ReferenceLink, EmulatedLink):
+            simulator = Simulator()
+            arrivals = []
+            link = kind(
+                simulator,
+                bandwidth_bps=GRID_BANDWIDTH,
+                propagation_delay=propagation_delay,
+                queue_capacity=queue_capacity,
+                impairments=None if impairments is None else ImpairmentModel(**impairments),
+            )
+
+            def sink(frame, time, link=link, arrivals=arrivals):
+                arrivals.append((time, frame))
+                # Feedback: some deliveries re-enter the link at that instant.
+                if echo_every and len(arrivals) % echo_every == 0:
+                    link.send(frame, time)
+
+            link.attach(sink)
+            self.sides.append((simulator, link, arrivals))
+
+    def each(self, action):
+        """Apply ``action(simulator, link)`` to both sides."""
+        for simulator, link, _arrivals in self.sides:
+            action(simulator, link)
+
+    def assert_equal(self):
+        (_, reference, expected), (_, link, arrivals) = self.sides
+        assert arrivals == expected
+        assert link.stats.as_dict() == reference.stats.as_dict()
+        assert link.stats.queueing_delays == reference.stats.queueing_delays
+        assert link.queue_depth == reference.queue_depth
+
+    def run_to(self, until=None):
+        self.each(lambda simulator, _link: simulator.run(until=until))
+        self.assert_equal()
+
+
+def schedule_sends(pattern):
+    """Schedule ``(time, frame)`` sends as events, in the given order."""
+    def action(simulator, link):
+        for time, frame in pattern:
+            simulator.schedule_at(time, partial(link.send, frame, time))
+    return action
+
+
+class TestMatchesExplicitCompletionEvent:
+    def test_burst_fills_the_queue_and_drains(self):
+        pair = Pair(queue_capacity=3)
+        pair.each(schedule_sends([(0.0, FRAMES[0])] * 6 + [(2.0, FRAMES[1])] * 3))
+        for until in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 7.0, None):
+            pair.run_to(until)
+        (_, reference, _), _ = pair.sides
+        # Three of the first six fit; at t = 2 only the completion at 1 s
+        # has passed (the sends tie with the one at 2 s and predate it).
+        assert reference.stats.dropped_queue == 5
+        assert reference.stats.max_queue_depth == 3
+        assert reference.stats.delivered == 4
+
+    def test_send_at_a_completion_time_scheduled_before_the_frame_entered(self):
+        """The second send's event predates the first frame's admission, so
+        at the tie it runs *before* the completion and finds the queue full."""
+        pair = Pair(queue_capacity=1)
+        pair.each(schedule_sends([(0.0, FRAMES[0]), (1.0, FRAMES[0])]))
+        pair.run_to()
+        (_, reference, _), _ = pair.sides
+        assert reference.stats.dropped_queue == 1
+
+    def test_send_at_a_completion_time_scheduled_after_the_frame_entered(self):
+        """Scheduled from inside the first send's event, the second send
+        orders *after* the completion and finds the queue empty."""
+        pair = Pair(queue_capacity=1)
+
+        def action(simulator, link):
+            def first():
+                link.send(FRAMES[0], 0.0)
+                simulator.schedule_at(1.0, partial(link.send, FRAMES[0], 1.0))
+            simulator.schedule_at(0.0, first)
+
+        pair.each(action)
+        pair.run_to()
+        (_, reference, _), _ = pair.sides
+        assert reference.stats.dropped_queue == 0
+        assert reference.stats.delivered == 2
+
+    def test_priority_decides_a_tie_before_insertion_order(self):
+        """A later-scheduled but more urgent send still precedes the
+        completion it ties with; a less urgent earlier one follows it."""
+        for priority, dropped in ((-1, 1), (1, 0)):
+            pair = Pair(queue_capacity=1)
+
+            def action(simulator, link, priority=priority):
+                def first():
+                    link.send(FRAMES[0], 0.0)
+                    simulator.schedule_at(
+                        1.0, partial(link.send, FRAMES[0], 1.0), priority=priority
+                    )
+                simulator.schedule_at(0.0, first)
+
+            pair.each(action)
+            pair.run_to()
+            (_, reference, _), _ = pair.sides
+            assert reference.stats.dropped_queue == dropped
+
+    def test_future_sends_on_an_idle_clock_accumulate(self):
+        """Nothing runs between the sends, so no completion has passed —
+        whatever ``time`` the caller stamps on them."""
+        pair = Pair(queue_capacity=4)
+
+        def action(_simulator, link):
+            for index in range(6):
+                link.send(FRAMES[0], 10.0 * index)
+
+        pair.each(action)
+        pair.assert_equal()
+        (_, reference, _), (_, link, _) = pair.sides
+        assert link.queue_depth == 4
+        assert reference.stats.dropped_queue == 2
+        for until in (1.0, 11.0, 30.5, None):
+            pair.run_to(until)
+        assert link.queue_depth == 0
+
+    def test_depth_read_between_events_and_at_completion_instants(self):
+        pair = Pair(propagation_delay=0.0)
+        pair.each(schedule_sends([(0.0, FRAMES[1]), (0.0, FRAMES[0]), (3.0, FRAMES[0])]))
+        depths = []
+        for until in (0.0, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0):
+            pair.run_to(until)
+            depths.append(pair.sides[1][1].queue_depth)
+        # Completions at 2, 3 and 4 s; ``run(until)`` includes its instant.
+        assert depths == [2, 2, 1, 1, 1, 1, 0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("propagation_delay", [0.0, 0.5])
+    def test_seeded_patterns_with_loss_reordering_and_feedback(
+        self, seed, propagation_delay
+    ):
+        rng = random.Random(seed)
+        pattern = [
+            (rng.randrange(0, 240) / 2.0, rng.choice(FRAMES)) for _ in range(80)
+        ]  # insertion order ≠ time order
+        pair = Pair(
+            propagation_delay=propagation_delay,
+            queue_capacity=rng.choice([1, 2, 5, None]),
+            impairments=dict(
+                loss_probability=0.1, reorder_probability=0.2, reorder_delay=1.5,
+                seed=seed,
+            ),
+            echo_every=5,
+        )
+        pair.each(schedule_sends(pattern))
+        for until in sorted(rng.randrange(0, 300) / 2.0 for _ in range(25)):
+            pair.run_to(until)
+        pair.run_to()
+        (_, reference, expected), _ = pair.sides
+        assert reference.stats.dropped_loss and reference.stats.reordered
+        assert reference.stats.offered > 80  # the echoes went in
+        assert len(expected) == reference.stats.delivered > 20

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.exceptions import ReplayError
+from repro.exceptions import PacketError, ReplayError
 from repro.net.ethernet import EthernetFrame
+from repro.net.mac import MacAddress
 from repro.net.pcap import PcapPacket, write_pcap
 from repro.replay import (
     BackToBackPacing,
@@ -146,3 +147,30 @@ class TestWorkloadTraceSource:
     def test_requires_iter_chunks(self):
         with pytest.raises(ReplayError):
             WorkloadTraceSource(object())
+
+    def test_frames_are_the_bytes_an_ethernet_frame_per_chunk_would_give(self):
+        class Chunks:
+            def iter_chunks(self):
+                return iter([b"\x01" * 32, bytearray(b"\x02" * 32), b""])
+
+        source_mac, sink_mac = MacAddress(0x02_00_00_01_00_07), MacAddress(9)
+        source = WorkloadTraceSource(Chunks(), source=source_mac, destination=sink_mac)
+        frames = [timed.data for timed in source.frames()]
+        assert frames == [
+            EthernetFrame(
+                destination=sink_mac, source=source_mac,
+                ethertype=ETHERTYPE_RAW_CHUNK, payload=chunk,
+            ).to_bytes()
+            for chunk in Chunks().iter_chunks()
+        ]
+        assert all(type(frame) is bytes for frame in frames)
+
+    def test_non_bytes_chunk_is_a_named_error(self):
+        class Chunks:
+            def iter_chunks(self):
+                return iter([b"\x01" * 32, "not bytes"])
+
+        frames = WorkloadTraceSource(Chunks()).frames()
+        next(frames)
+        with pytest.raises(PacketError, match="payload must be bytes, got str"):
+            next(frames)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ControlPlaneError, PipelineError
+from repro.exceptions import ControlPlaneError, PipelineError, SimulationError
 from repro.sim import Simulator
 from repro.tofino.digest import DigestEngine
 from repro.tofino.parser import Deparser, HeaderType, Parser, ParserState
@@ -175,6 +175,38 @@ class TestTofinoSwitch:
             TofinoSwitch("bad", forwarding_pipeline(), port_count=0)
         with pytest.raises(PipelineError):
             TofinoSwitch("bad", forwarding_pipeline(), port_speed=0)
+
+    def test_transmit_and_record_rx_name_a_bad_port(self):
+        switch = TofinoSwitch("sw", forwarding_pipeline(), port_count=4)
+        for bad in (4, -1, None):
+            with pytest.raises(PipelineError, match="sw: port .* out of range"):
+                switch.transmit(bad, frame(), 0.0)
+            with pytest.raises(PipelineError, match="sw: port .* out of range"):
+                switch.record_rx(bad, 60)
+        assert switch.total_tx_packets() == switch.total_rx_packets() == 0
+
+    def test_transmit_schedules_one_labelled_event_per_frame(self):
+        simulator = Simulator()
+        delivered = []
+        switch = TofinoSwitch("sw", forwarding_pipeline(), simulator=simulator)
+        switch.attach_port(3, lambda data, time: delivered.append((data, time)))
+        labels = []
+        simulator.add_observer(lambda event: labels.append(event.description))
+        switch.transmit(3, frame(), 2e-6)
+        assert simulator.pending_events == 1
+        simulator.run()
+        assert delivered == [(frame(), 2e-6)]
+        assert labels == ["sw:tx:3"]
+
+    def test_transmit_rejects_a_negative_or_nan_latency(self):
+        simulator = Simulator()
+        switch = TofinoSwitch("sw", forwarding_pipeline(), simulator=simulator)
+        switch.attach_port(1, lambda data, time: None)
+        simulator.advance_to(1.0)
+        for bad in (-1e-6, float("nan")):
+            with pytest.raises(SimulationError):
+                switch.transmit(1, frame(), bad)
+        assert simulator.pending_events == 0
 
     def test_detach_port(self):
         delivered = []

@@ -36,49 +36,6 @@ class TestFanIn:
 
         assert run() == run()
 
-    def test_batch_drain_report_is_byte_identical(self):
-        """Draining co-resident frames as one switch batch must not change
-        a single byte of the report — only the wall-clock cost."""
-
-        def run(**kwargs):
-            return TopologyEngine(
-                fan_in_topology(
-                    senders=4, chunks=300, bases=4, pacing="back-to-back"
-                ),
-                **kwargs,
-            )
-
-        base = run()
-        batched = run(batch_drain=True)
-        assert base.run().json_text() == batched.run().json_text()
-        drained = sum(
-            node.drained_batches
-            for node in list(batched._encoder_nodes.values())
-            + list(batched._decoder_nodes.values())
-        )
-        frames = sum(
-            node.drained_frames
-            for node in list(batched._encoder_nodes.values())
-            + list(batched._decoder_nodes.values())
-        )
-        assert drained > 0
-        assert frames > drained  # at least one true multi-frame batch
-
-    def test_batch_drain_spec_field_round_trips(self):
-        spec = fan_in_topology(senders=2, chunks=50, batch_drain=True)
-        assert spec.batch_drain
-        data = spec.as_dict()
-        assert data["batch_drain"] is True
-        assert TopologySpec.from_dict(data).batch_drain
-        # Default-off specs stay silent about the knob.
-        assert "batch_drain" not in fan_in_topology(senders=2, chunks=50).as_dict()
-
-    def test_batch_drain_engine_kwarg_follows_spec_default(self):
-        spec = fan_in_topology(senders=2, chunks=50, batch_drain=True)
-        assert TopologyEngine(spec).batch_drain
-        assert not TopologyEngine(spec, batch_drain=False).batch_drain
-        assert not TopologyEngine(fan_in_topology(senders=2, chunks=50)).batch_drain
-
     def test_flows_have_distinct_derived_seeds_and_workloads(self):
         spec = fan_in_topology(senders=4, chunks=300, bases=4, scenario="dynamic")
         report = TopologyEngine(spec).run()

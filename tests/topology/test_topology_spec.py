@@ -94,6 +94,12 @@ class TestValidationNamesOffender:
         with pytest.raises(TopologyError, match=r"link 'in'.*bandwith_gbps"):
             TopologySpec.from_dict(data)
 
+    def test_removed_batch_drain_key_is_an_unknown_key(self):
+        data = _minimal_dict()
+        data["batch_drain"] = True
+        with pytest.raises(TopologyError, match=r"batch_drain"):
+            TopologySpec.from_dict(data)
+
     def test_two_measured_links_are_accepted_and_enumerated(self):
         # Multi-rack topologies tap one wire per rack: several measured
         # links are legal, and measured_links lists them in order.
