@@ -75,10 +75,19 @@ HARNESS_CASES = {
     "decoder-only-no_table": dict(topology="decoder-only", scenario="no_table"),
     "decoder-only-static": dict(topology="decoder-only", scenario="static"),
     "decoder-only-dynamic": dict(topology="decoder-only", scenario="dynamic"),
+    "chain-dynamic-hops2": dict(scenario="dynamic", hops=2),
     "chain-dynamic-hops3": dict(scenario="dynamic", hops=3),
     "chain-dynamic-lossy": dict(
         scenario="dynamic",
         impairments=dict(loss_probability=0.04, reorder_probability=0.03, seed=7),
+    ),
+    "chain-dynamic-lossy-seed0": dict(
+        scenario="dynamic",
+        impairments=dict(loss_probability=0.04, reorder_probability=0.03, seed=0),
+    ),
+    "chain-dynamic-lossy-seed99": dict(
+        scenario="dynamic",
+        impairments=dict(loss_probability=0.04, reorder_probability=0.03, seed=99),
     ),
     "chain-no_table-hops3-lossy": dict(
         scenario="no_table",
@@ -98,8 +107,11 @@ HARNESS_GOLDEN = {
     "decoder-only-no_table": "fa24b5fe526ebee79a078ac181b00038",
     "decoder-only-static": "80e0c61c95d79a4e409243de8681649a",
     "decoder-only-dynamic": "7b807bb09084e6d884e60b16cba67232",
+    "chain-dynamic-hops2": "a1091f12feee3e9bff336168adcfe270",
     "chain-dynamic-hops3": "bbae06800ef343a40158efe186691339",
     "chain-dynamic-lossy": "bfb2a6c1c5235c287673ce422c277b7c",
+    "chain-dynamic-lossy-seed0": "d5ea4ca300201974d7a41924c3a933f8",
+    "chain-dynamic-lossy-seed99": "2e8fe0e5bdb8d904e0be33780b14dbe2",
     "chain-no_table-hops3-lossy": "c18ba6e1c000f6130bd8e9ef6234f8c0",
     "chain-dynamic-counters-only": "aa46fe012cc3bce8e5b8d3dc500eaff3",
 }
