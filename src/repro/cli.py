@@ -51,15 +51,8 @@ from repro.analysis.statistics import summarize
 from repro.core.engine import DEFAULT_BLOCK_SIZE, compress_file, decompress_file
 from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
-from repro.perfmodel.linkmodel import ImpairmentModel
 from repro.experiments import ExperimentSpec, MatrixRunner
-from repro.replay import (
-    PcapTraceSource,
-    ReplayHarness,
-    ReplayTopology,
-    pacing_from_name,
-    stream_distinct_bases,
-)
+from repro.replay import ReplayTopology
 from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
 from repro.zipline import DeploymentScenario, ZipLineDeployment
 
@@ -550,7 +543,7 @@ def _obs_enable(args: argparse.Namespace):
 
     Returns the tracer (so the caller can pull the recorded events out of
     its sink) or ``None`` when tracing stays disabled.  Must be called
-    *before* the harness/engine is built: construction binds the tracer
+    *before* the engine is built: construction binds the tracer
     clock to the run's simulator.
     """
     if args.snapshot_interval is not None:
@@ -580,6 +573,8 @@ def _obs_write(args: argparse.Namespace, tracer) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.topology import TopologyEngine, linear_topology
+
     if (args.input is None) == (args.trace is None):
         raise ReproError("give the trace exactly once: positionally or via --trace")
     trace_path = args.trace if args.trace is not None else args.input
@@ -593,37 +588,29 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             f"{error} (graph topologies such as fan-in run via "
             "'repro topology --preset')"
         ) from None
-    scenario = DeploymentScenario.from_name(args.scenario)
-    static_bases = None
-    if scenario is DeploymentScenario.STATIC:
-        static_bases = stream_distinct_bases(trace_path)
-
-    impairments = None
-    if args.loss != 0 or args.reorder != 0:
-        # ImpairmentModel validates the probabilities, so a negative typo
-        # fails loudly instead of silently running an ideal link.
-        impairments = ImpairmentModel(
-            loss_probability=args.loss,
-            reorder_probability=args.reorder,
-            seed=args.seed,
-        )
+    # Every input of this command is spec-expressible: the pcap is the
+    # flow's trace (the static scenario preloads its distinct bases), and
+    # --seed seeds both the link impairments and the control plane.
+    spec = linear_topology(
+        name=topology.value,
+        shape=topology.value,
+        scenario=args.scenario,
+        hops=args.hops,
+        trace=str(trace_path),
+        pacing=args.pacing,
+        packet_rate=args.packet_rate,
+        speedup=args.speedup,
+        bandwidth_gbps=args.bandwidth_gbps,
+        propagation_us=args.propagation_us,
+        queue_capacity=args.queue_capacity,
+        loss=args.loss,
+        reorder=args.reorder,
+        link_seed=args.seed,
+        seed=args.seed,
+    )
     tracer = _obs_enable(args)
     try:
-        harness = ReplayHarness(
-            topology=topology,
-            scenario=scenario,
-            static_bases=static_bases,
-            hops=args.hops,
-            bandwidth_bps=args.bandwidth_gbps * 1e9,
-            propagation_delay=args.propagation_us * 1e-6,
-            queue_capacity=args.queue_capacity or None,
-            impairments=impairments,
-            seed=args.seed,
-        )
-        pacing = pacing_from_name(
-            args.pacing, packet_rate=args.packet_rate, speedup=args.speedup
-        )
-        report = harness.run(PcapTraceSource(trace_path), pacing)
+        report = TopologyEngine(spec).run().as_replay_report(topology.value)
     finally:
         if tracer is not None:
             obs.disable()
@@ -641,7 +628,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 1 if unknown > 0 else 0
     # An impaired or queue-bounded link loses or reorders chunks by design;
     # those are counted failure modes.  Corruption is never acceptable.
-    if impairments is None and not args.queue_capacity:
+    if not (args.loss or args.reorder or args.queue_capacity):
         return 0 if report.integrity.lossless_in_order else 1
     return 0 if report.integrity.intact else 1
 

@@ -1,12 +1,12 @@
 """Sharded execution of an experiment matrix and aggregation of its reports.
 
 :func:`run_scenario` turns one :class:`~repro.experiments.spec.Scenario`
-into a :class:`~repro.replay.harness.ReplayHarness` run and captures the
-full :class:`~repro.replay.metrics.ReplayReport` as plain data.  It is a
+into a :class:`~repro.topology.spec.TopologySpec`, runs it through the
+topology engine and captures the full report as plain data.  It is a
 module-level function on purpose: worker processes must be able to pickle
-it, and it builds *everything* (workload, impairments, harness) from the
-scenario's own parameters and seed, so where it runs — main process, forked
-worker, spawned worker — cannot change the result.
+it, and the spec carries *everything* (workload, impairments, seeds) from
+the scenario's own parameters and seed, so where it runs — main process,
+forked worker, spawned worker — cannot change the result.
 
 :class:`MatrixRunner` fans the scenarios of a spec out across worker
 processes with :mod:`multiprocessing` and reassembles the results in
@@ -35,23 +35,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.experiment import ExperimentResult, summarize_groups
 from repro.analysis.reporting import format_table, save_results_json
-from repro.core.transform import GDTransform
 from repro.exceptions import ReproError
 from repro.experiments.spec import ExperimentSpec, Scenario
-from repro.perfmodel.linkmodel import ImpairmentModel
-from repro.replay.harness import ReplayHarness
-from repro.replay.sources import (
-    PcapTraceSource,
-    TraceSource,
-    WorkloadTraceSource,
-    pacing_from_name,
-    stream_distinct_bases,
-)
-from repro.workloads import (
-    DictionaryThrashWorkload,
-    DnsQueryWorkload,
-    SyntheticSensorWorkload,
-)
+from repro.topology import fan_in_topology, linear_topology, run_topology
+from repro.topology.faults import FaultPlan, validate_spec_faults
 
 __all__ = [
     "ScenarioResult",
@@ -102,51 +89,6 @@ def scenario_metric(report: Mapping[str, Any], metric: str) -> Optional[float]:
     return float(node)
 
 
-def _build_source(scenario: Scenario) -> "tuple[TraceSource, Optional[list]]":
-    """The scenario's traffic source plus its distinct bases (for static)."""
-    params = scenario.params
-    order = params["order"]
-    if params.get("trace"):
-        source: TraceSource = PcapTraceSource(params["trace"])
-        bases = (
-            stream_distinct_bases(params["trace"], order=order)
-            if params["scenario"] == "static"
-            else None
-        )
-        return source, bases
-    if params["workload"] == "synthetic":
-        workload = SyntheticSensorWorkload(
-            num_chunks=params["chunks"],
-            distinct_bases=params["bases"],
-            order=order,
-            seed=params["seed"],
-        )
-        bases = workload.bases() if params["scenario"] == "static" else None
-        return WorkloadTraceSource(workload), bases
-    if params["workload"] == "thrash":
-        # Same phase geometry as the topology engine's thrash flows, so a
-        # linear sweep and a fan-in sweep stress the dictionary identically.
-        workload = DictionaryThrashWorkload(
-            num_chunks=params["chunks"],
-            distinct_bases=params["bases"],
-            order=order,
-            phase_chunks=max(1, params["chunks"] // 4),
-            phase_shift=max(1, params["bases"] // 4),
-            seed=params["seed"],
-        )
-        bases = workload.bases() if params["scenario"] == "static" else None
-        return WorkloadTraceSource(workload), bases
-    workload = DnsQueryWorkload(
-        num_queries=params["chunks"],
-        distinct_names=params["names"],
-        seed=params["seed"],
-    )
-    bases = (
-        workload.bases(order=order) if params["scenario"] == "static" else None
-    )
-    return WorkloadTraceSource(workload), bases
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """One executed scenario: its identity plus the serialised report."""
@@ -172,20 +114,20 @@ class ScenarioResult:
         }
 
 
-def _run_fan_in_scenario(scenario: Scenario) -> ScenarioResult:
-    """Execute a fan-in topology scenario through the topology engine.
+def _scenario_spec(scenario: Scenario):
+    """The scenario's parameters as a :class:`~repro.topology.spec.TopologySpec`.
 
-    ``senders`` concurrent flows share one ZipLine encoder; each flow gets
-    its own workload stream seeded from the spec/flow identity (the same
-    CRC-32 scheme as scenario seeds), so the result is independent of flow
-    scheduling order and of how the sweep is sharded.
+    ``fan-in`` becomes ``senders`` concurrent flows sharing one ZipLine
+    encoder, each with its own workload stream seeded from the spec/flow
+    identity (the same CRC-32 scheme as scenario seeds), so the result is
+    independent of flow scheduling order and of how the sweep is sharded.
+    Every other topology is a one-flow linear chain of that shape, whose
+    workload is seeded by the ``seed`` axis and whose link impairments and
+    control plane by the scenario's derived seed.
     """
-    from repro.topology import fan_in_topology, run_topology
-
     params = scenario.params
-    spec = fan_in_topology(
+    shared = dict(
         name=scenario.scenario_id,
-        senders=params["senders"],
         scenario=params["scenario"],
         hops=params["hops"],
         workload=params["workload"],
@@ -204,25 +146,24 @@ def _run_fan_in_scenario(scenario: Scenario) -> ScenarioResult:
         seed=scenario.seed,
         order=params["order"],
         identifier_bits=params["identifier_bits"],
+    )
+    if params["topology"] != "fan-in":
+        return linear_topology(
+            shape=params["topology"],
+            flow_seed=params["seed"],
+            link_seed=scenario.seed,
+            **shared,
+        )
+    spec = fan_in_topology(
+        senders=params["senders"],
         control=params["control"],
         control_rate=params["control_rate"] or None,
+        **shared,
     )
     if params["control_loss"]:
-        from repro.topology.faults import FaultPlan, validate_spec_faults
-
         spec.faults = FaultPlan(control_loss=params["control_loss"])
         validate_spec_faults(spec)
-    # Route through the sharded path at workers=1: scenario workers are
-    # already processes, so the win here is the shared partition/merge
-    # code — whose single-shard report is byte-identical to the engine's.
-    report = run_topology(spec, workers=1)
-    return ScenarioResult(
-        index=scenario.index,
-        scenario_id=scenario.scenario_id,
-        axes=dict(scenario.axes),
-        seed=scenario.seed,
-        report=report.as_dict(),
-    )
+    return spec
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
@@ -230,41 +171,18 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     Everything is rebuilt from the scenario's parameters and derived seed,
     so the result is a pure function of the scenario — the invariant that
-    makes sharded and sequential sweeps byte-identical.  Linear topologies
-    run through :class:`~repro.replay.harness.ReplayHarness`; the
-    ``fan-in`` topology runs through the sharded
-    :func:`~repro.topology.sharding.run_topology` path.
+    makes sharded and sequential sweeps byte-identical.  Every topology
+    runs as a spec through the topology engine; a linear chain's report is
+    exported in its one-flow :class:`~repro.replay.metrics.ReplayReport`
+    form.
     """
-    params = scenario.params
-    if params["topology"] == "fan-in":
-        return _run_fan_in_scenario(scenario)
-    source, bases = _build_source(scenario)
-    impairments = None
-    if params["loss"] or params["reorder"]:
-        impairments = ImpairmentModel(
-            loss_probability=params["loss"],
-            reorder_probability=params["reorder"],
-            seed=scenario.seed,
-        )
-    harness = ReplayHarness(
-        topology=params["topology"],
-        scenario=params["scenario"],
-        transform=GDTransform(order=params["order"]),
-        identifier_bits=params["identifier_bits"],
-        static_bases=bases,
-        hops=params["hops"],
-        bandwidth_bps=params["bandwidth_gbps"] * 1e9,
-        propagation_delay=params["propagation_us"] * 1e-6,
-        queue_capacity=params["queue_capacity"] or None,
-        impairments=impairments,
-        seed=scenario.seed,
-    )
-    pacing = pacing_from_name(
-        params["pacing"],
-        packet_rate=params["packet_rate"],
-        speedup=params["speedup"],
-    )
-    report = harness.run(source, pacing)
+    # The sharded path at workers=1: scenario workers are already
+    # processes, so the win is the shared partition/merge code — whose
+    # single-shard report is byte-identical to the engine's.
+    report = run_topology(_scenario_spec(scenario), workers=1)
+    topology = scenario.params["topology"]
+    if topology != "fan-in":
+        report = report.as_replay_report(topology)
     return ScenarioResult(
         index=scenario.index,
         scenario_id=scenario.scenario_id,

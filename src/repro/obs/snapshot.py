@@ -4,7 +4,7 @@
 time-series: every N *simulated* seconds it calls a sampler (a plain
 callable returning ``{series_name: value}``) and emits the result as a
 ``C`` (counter) trace event, so a long ``fan-in-stress`` run can be
-watched converging — compression ratio climbing as dictionaries warm up,
+watched converging — compression ratio falling as dictionaries warm up,
 queue depths breathing, packet rate settling.
 
 Determinism is the design constraint here.  The obvious implementation —

@@ -6,7 +6,7 @@ Two tracer classes share one interface:
   event to the configured sink: counters (``C``), instant events (``i``)
   and complete spans (``X``), the three Chrome ``trace_event`` phases the
   exporters understand.  Timestamps are *simulated* seconds read from a
-  pluggable ``clock`` (the engine and harness bind it to their
+  pluggable ``clock`` (the topology engine binds it to its
   :class:`~repro.sim.simulator.Simulator`), so traces line up with the
   report's latency numbers, not with wall-clock noise.
 * :class:`NullTracer` — the permanently-disabled tracer.  Every method is
@@ -21,7 +21,7 @@ off-mode byte-identity and the ≤2 % hot-path budget trivially safe.
 
 **Chunk correlation.**  The tracer carries an optional *context*: the
 ``(flow, chunk)`` identity of the packet currently being processed.  The
-topology engine (and the linear harness) set it around each injection;
+topology engine sets it around each injection;
 because the simulator is single-threaded and encoding happens
 synchronously inside the injection call, every span emitted downstream —
 switch encode, link enqueue/serialise/propagate — inherits the identity
@@ -59,16 +59,16 @@ class Tracer:
         :mod:`repro.obs.sinks`).
     clock:
         Zero-argument callable returning the current simulated time in
-        seconds.  Defaults to a constant ``0.0``; the engine/harness bind
-        it to their simulator as soon as one exists.
+        seconds.  Defaults to a constant ``0.0``; the topology engine binds
+        it to its simulator as soon as one exists.
     shard:
         Shard index stamped on every event of a sharded worker run, the
         secondary key of the documented merge order ``(ts, shard, seq)``.
         ``None`` (in-process runs) is stamped as shard ``0``.
     snapshot_interval:
         Simulated seconds between :class:`~repro.obs.snapshot.PeriodicSnapshotter`
-        samples.  Carried on the tracer so whichever engine/harness the
-        run builds can attach the snapshotter without extra plumbing.
+        samples.  Carried on the tracer so the engine the run builds can
+        attach the snapshotter without extra plumbing.
     """
 
     enabled = True

@@ -1,75 +1,40 @@
-"""The end-to-end *linear* replay harness.
+"""The end-to-end *linear* replay harness: a spec builder for the engine.
 
-:class:`ReplayHarness` assembles the paper's chain-shaped experiment from
-the existing components — ZipLine encoder/decoder switches, the control
-plane, the discrete-event simulator — plus the
-:class:`~repro.replay.link.EmulatedLink` and
-:class:`~repro.replay.sources.TraceSource` layers::
+:class:`ReplayHarness` keeps the single-flow API of the paper's
+chain-shaped experiment::
 
     source ──> [encoder switch] ──tap──> link₀ ─ … ─ linkₙ ──> [decoder switch] ──> sink
 
-Since the :mod:`repro.topology` generalisation the harness is a thin
-builder of *linear* topologies: nodes, the multi-hop link chain and all
-wiring come from :class:`~repro.topology.graph.TopologyGraph` /
-:func:`~repro.topology.graph.build_link_chain`, the same machinery
-arbitrary graph topologies (fan-in, forwarding meshes) are built from.
-Arbitrary shapes and concurrent flows live in
-:class:`~repro.topology.engine.TopologyEngine`; this class keeps the
-original single-flow public API and behaviour, byte for byte.
+It owns no run loop.  The constructor describes the chain as a
+:func:`~repro.topology.spec.linear_topology` spec and hands it to
+:class:`~repro.topology.engine.TopologyEngine`, which builds the
+simulator, the switches, the control plane and the links; :meth:`run`
+passes the caller's in-memory source and pacing to the engine and adapts
+its report into the :class:`~repro.replay.metrics.ReplayReport` linear
+callers read.
 
 Three topologies are supported (:class:`ReplayTopology`):
 
 * ``encoder-link-decoder`` — the paper's testbed; ``hops`` > 1 chains
   several emulated links into a multi-hop path;
 * ``encoder-only`` — the sink receives the processed (type-2/3) packets,
-  for wire-format and byte-accounting experiments without decoding;
+  for wire-format and byte-accounting experiments without decoding (no
+  decoder, so the report's ``integrity`` is ``None``);
 * ``decoder-only`` — the source feeds the link directly; raw frames pass
   through the decoder untouched, processed frames are decoded (requires
   preinstalled mappings via ``static_bases``).
-
-The harness verifies **end-to-end payload integrity** by content-matching
-every delivered raw chunk against the multiset of injected chunks (in FIFO
-order per distinct content), which stays meaningful under loss, reordering
-and duplicate chunks: losses become *counted* ``missing`` chunks, never
-silent corruption.  All component counters, link statistics and the
-end-to-end latency distribution land in one
-:class:`~repro.replay.metrics.MetricsRegistry`, returned as a
-:class:`~repro.replay.metrics.ReplayReport`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
-from repro.net.packets import PacketKind
-
-from repro import obs as _obs
-from repro.controlplane.manager import ControlPlaneTimings, ZipLineControlPlane
-from repro.core.transform import GDTransform
-from repro.exceptions import ReplayError
-from repro.obs.snapshot import PeriodicSnapshotter
+from repro.exceptions import ReplayError, TopologyError
 from repro.perfmodel.linkmodel import ImpairmentModel
-from repro.replay.link import EmulatedLink
-from repro.replay.metrics import (
-    IntegrityResult,
-    MetricsRegistry,
-    ReplayReport,
-    collect_link_metrics,
-    collect_switch_metrics,
-    collect_wire_metrics,
-)
+from repro.replay.metrics import ReplayReport
 from repro.replay.sources import FixedRatePacing, Pacing, TraceSource
-from repro.sim.simulator import Simulator
-from repro.tofino.digest import DEFAULT_DELIVERY_LATENCY, DigestEngine
-from repro.topology.graph import TopologyGraph, build_link_chain
-from repro.topology.nodes import HostNode, ZipLineDecoderNode, ZipLineEncoderNode
-from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.deployment import DeploymentScenario
-from repro.zipline.encoder_switch import ZipLineEncoderSwitch
-from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES, raw_chunk_payload
-from repro.zipline.stats import LinkTap
 
 __all__ = ["ReplayTopology", "ReplayHarness"]
 
@@ -96,7 +61,7 @@ class ReplayTopology(Enum):
 
 
 class ReplayHarness:
-    """Drive a trace through an emulated ZipLine topology and measure it.
+    """Drive a trace through an emulated ZipLine chain and measure it.
 
     Parameters
     ----------
@@ -105,8 +70,8 @@ class ReplayHarness:
     scenario:
         Dictionary scenario, as in
         :class:`~repro.zipline.deployment.ZipLineDeployment`.
-    transform / identifier_bits:
-        GD configuration shared by both switches.
+    identifier_bits:
+        Identifier width shared by both switches.
     static_bases:
         Bases to preload (required for the ``static`` scenario and for
         decoding processed traces in ``decoder-only`` topologies).
@@ -117,26 +82,26 @@ class ReplayHarness:
     impairments:
         Seeded loss/reorder model; each hop receives an independent
         deterministic fork, so runs are exactly reproducible.
-    digest_latency / timings / entry_ttl / seed:
-        Learning-path configuration, as in the deployment.
+    seed:
+        Seed of the control plane's latency jitter.
     verify_integrity:
         When true (the default), every injected chunk and every delivered
         frame is retained for the end-to-end integrity check and latency
         percentiles — O(trace) memory.  Set false for counters-only runs
         of very large traces; injection then stays in bounded memory and
         the report's ``integrity`` is ``None``.
-    """
 
-    SENDER_PORT = 0
-    WIRE_PORT = 1
-    DECODER_IN_PORT = 0
-    SINK_PORT = 1
+    After construction ``encoder`` / ``decoder`` (the switches, ``None``
+    when the topology has none), ``control_plane``, ``links``, ``link_tap``
+    and ``transform`` are the engine's live components; ``sink`` exposes the
+    delivered frames as ``arrivals`` (``(time, frame)`` pairs, retained only
+    when verifying) and the ``delivered`` count.
+    """
 
     def __init__(
         self,
         topology: "str | ReplayTopology" = ReplayTopology.ENCODER_LINK_DECODER,
         scenario: "str | DeploymentScenario" = DeploymentScenario.DYNAMIC,
-        transform: Optional[GDTransform] = None,
         identifier_bits: int = 15,
         static_bases: Optional[Iterable[int]] = None,
         hops: int = 1,
@@ -144,217 +109,53 @@ class ReplayHarness:
         propagation_delay: float = 0.5e-6,
         queue_capacity: Optional[int] = None,
         impairments: Optional[ImpairmentModel] = None,
-        digest_latency: float = DEFAULT_DELIVERY_LATENCY,
-        timings: Optional[ControlPlaneTimings] = None,
-        entry_ttl: Optional[float] = None,
-        seed: Optional[int] = 0,
+        seed: int = 0,
         verify_integrity: bool = True,
     ):
-        if hops <= 0:
-            raise ReplayError(f"hops must be positive, got {hops}")
+        # repro.topology is built from this package's links, metrics and
+        # sources, so it can only be imported once repro.replay is loaded.
+        from repro.topology.engine import TopologyEngine
+        from repro.topology.spec import linear_topology
+
         self.topology = ReplayTopology.from_name(topology)
         self.scenario = DeploymentScenario.from_name(scenario)
-        self.transform = transform or GDTransform(order=8)
-        self.identifier_bits = identifier_bits
-        self.simulator = Simulator()
-        self.link_tap = LinkTap(store_records=verify_integrity)
-        self.verify_integrity = verify_integrity
-        self.sink = HostNode("sink", store=verify_integrity)
-        self.impairments = impairments
-
-        has_encoder = self.topology is not ReplayTopology.DECODER_ONLY
-        has_decoder = self.topology is not ReplayTopology.ENCODER_ONLY
-
-        digest_engine = DigestEngine(self.simulator, delivery_latency=digest_latency)
-        self.encoder: Optional[ZipLineEncoderSwitch] = None
-        if has_encoder:
-            self.encoder = ZipLineEncoderSwitch(
-                name="encoder",
-                transform=self.transform,
-                identifier_bits=identifier_bits,
-                simulator=self.simulator,
-                forwarding={self.SENDER_PORT: self.WIRE_PORT},
-                default_egress_port=self.WIRE_PORT,
-                entry_ttl=entry_ttl,
-                digest_engine=digest_engine,
-            )
-        self.decoder: Optional[ZipLineDecoderSwitch] = None
-        if has_decoder:
-            self.decoder = ZipLineDecoderSwitch(
-                name="decoder",
-                transform=self.transform,
-                identifier_bits=identifier_bits,
-                simulator=self.simulator,
-                forwarding={self.DECODER_IN_PORT: self.SINK_PORT},
-                default_egress_port=self.SINK_PORT,
-            )
-
-        # The chain and all wiring come from the topology layer: the harness
-        # is a builder of linear graphs, not a second wiring implementation.
-        self.links: List[EmulatedLink] = build_link_chain(
-            self.simulator,
-            names=[f"link{index}" for index in range(hops)],
-            bandwidth_bps=bandwidth_bps,
-            propagation_delay=propagation_delay,
-            queue_capacity=queue_capacity,
-            impairments=impairments,
-            record_delays=verify_integrity,
-        )
-        self._build_graph()
-
-        self.control_plane: Optional[ZipLineControlPlane] = None
-        if self.scenario is not DeploymentScenario.NO_TABLE and (
-            has_encoder or static_bases is not None
-        ):
-            self.control_plane = ZipLineControlPlane(
-                digest_engine=digest_engine,
-                encoder_switch=self.encoder,
-                decoder_switch=self.decoder,
-                simulator=self.simulator,
-                identifier_bits=identifier_bits,
-                entry_ttl=entry_ttl,
-                timings=timings,
+        if self.scenario is DeploymentScenario.STATIC and static_bases is None:
+            raise ReplayError("the static scenario requires static_bases")
+        # The spec carries loss, reorder and seed; the hold-back delay is
+        # handed to the built links below.
+        model = impairments or ImpairmentModel()
+        try:
+            spec = linear_topology(
+                name=self.topology.value,
+                shape=self.topology.value,
+                scenario=self.scenario.value,
+                hops=hops,
+                bandwidth_gbps=bandwidth_bps / 1e9,
+                propagation_us=propagation_delay * 1e6,
+                queue_capacity=queue_capacity or 0,
+                loss=model.loss_probability,
+                reorder=model.reorder_probability,
+                link_seed=model.seed,
                 seed=seed,
+                identifier_bits=identifier_bits,
             )
-        if self.scenario is DeploymentScenario.STATIC:
-            if static_bases is None:
-                raise ReplayError("the static scenario requires static_bases")
-            self.control_plane.preload_static_mappings(static_bases)
-        elif static_bases is not None:
-            if self.control_plane is not None:
-                # Decoder-only runs decode processed traces with preinstalled
-                # mappings regardless of the scenario name.
-                self.control_plane.preload_static_mappings(static_bases)
-            elif self.decoder is not None and self.encoder is None:
-                # no_table + decoder-only: install the reverse mappings
-                # directly, in the same sequential identifier order the
-                # control plane's pool would assign.
-                for identifier, basis in enumerate(static_bases):
-                    self.decoder.install_identifier_mapping(identifier, basis)
-            else:
-                # An explicit argument must never be silently ignored: with
-                # an encoder present, no_table means "no mappings, ever".
-                raise ReplayError(
-                    "static_bases conflicts with the no_table scenario; use "
-                    "the static or dynamic scenario instead"
-                )
-
-        # Injection-side accounting; the per-chunk state only exists when
-        # the integrity check is enabled (it is O(trace) memory).
-        self._chunks_sent = 0
-        self._chunk_bytes_sent = 0
-        self._sent_chunks: List[bytes] = []
-        self._sent_times: List[float] = []
-        self._pending_by_content: Dict[bytes, Deque[int]] = {}
-        self._frames_sent = 0
-        self._source_description = ""
-
-        self._snapshotter = None
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            # Same binding the topology engine performs: trace timestamps
-            # are this harness's simulated clock.
-            tracer.clock = lambda: self.simulator.now
-            if tracer.snapshot_interval:
-                self._snapshotter = PeriodicSnapshotter(
-                    tracer.snapshot_interval, tracer, self._snapshot_sample
-                )
-                self.simulator.add_observer(self._snapshotter.on_event)
-
-    # -- wiring ------------------------------------------------------------------
-
-    def _build_graph(self) -> None:
-        """Assemble the linear graph: source → [encoder] → chain → [decoder] → sink."""
-        graph = TopologyGraph(self.simulator)
-        self._source_host = graph.add_node(HostNode("source", store=False))
-        if self.encoder is not None:
-            graph.add_node(ZipLineEncoderNode("encoder", switch=self.encoder))
-        if self.decoder is not None:
-            graph.add_node(ZipLineDecoderNode("decoder", switch=self.decoder))
-
-        chain_source, chain_port = "source", 0
-        if self.encoder is not None:
-            graph.add_edge("source", 0, "encoder", self.SENDER_PORT)
-            chain_source, chain_port = "encoder", self.WIRE_PORT
-        if self.decoder is not None:
-            graph.add_edge(
-                chain_source, chain_port, "decoder", self.DECODER_IN_PORT,
-                links=self.links, tap=self.link_tap,
+            self.engine = TopologyEngine(
+                spec, verify_integrity=verify_integrity, static_bases=static_bases
             )
-            graph.add_edge("decoder", self.SINK_PORT, self._deliver_to_sink)
-        else:
-            graph.add_edge(
-                chain_source, chain_port, self._deliver_to_sink,
-                links=self.links, tap=self.link_tap,
-            )
-        graph.wire()
-        self.graph = graph
-
-    def _deliver_to_sink(self, frame_bytes: bytes, time: float) -> None:
-        """Sink delivery, annotated so a chunk's lifecycle ends in the trace."""
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            tracer.instant(
-                "flow.arrive", "sink", args={"outcome": "delivered"}, ts=time
-            )
-        self.sink.deliver(frame_bytes, time)
-
-    # -- injection ----------------------------------------------------------------
-
-    def _inject(self, frame_bytes: bytes) -> None:
-        self._frames_sent += 1
-        # Same layout test as raw_chunk_payload(); the payload itself is
-        # only sliced out when the integrity check retains it, so the
-        # counters-only path does no per-packet payload allocation.
-        if frame_bytes[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
-            self._chunks_sent += 1
-            self._chunk_bytes_sent += len(frame_bytes) - 14
-            if self.verify_integrity:
-                payload = frame_bytes[14:]
-                index = len(self._sent_chunks)
-                self._sent_chunks.append(payload)
-                self._sent_times.append(self.simulator.now)
-                self._pending_by_content.setdefault(payload, deque()).append(index)
-        self._source_host.inject(frame_bytes, self.simulator.now)
-
-    def _schedule_source(self, source: TraceSource, pacing: Pacing) -> None:
-        """Pull frames from the source one at a time.
-
-        Injection itself is streaming — only one pending frame is ever
-        scheduled; total memory is bounded unless ``verify_integrity``
-        retains per-chunk state for the end-to-end check.
-        """
-        pacing.reset()
-        iterator = source.frames()
-        counter = {"index": 0}
-
-        def schedule_next() -> None:
-            timed = next(iterator, None)
-            if timed is None:
-                return
-            index = counter["index"]
-            counter["index"] = index + 1
-            at = pacing.inject_at(index, timed.recorded_time, len(timed.data))
-            at = max(at, self.simulator.now)
-
-            def fire(data=timed.data, idx=index) -> None:
-                tracer = _obs.TRACER
-                if tracer.enabled:
-                    tracer.set_context("replay", idx)
-                    tracer.instant("flow.inject", "source")
-                    try:
-                        self._inject(data)
-                    finally:
-                        tracer.clear_context()
-                else:
-                    self._inject(data)
-                schedule_next()
-
-            self.simulator.schedule_at(at, fire, description="replay:inject")
-
-        schedule_next()
-
-    # -- execution ----------------------------------------------------------------
+        except TopologyError as error:
+            raise ReplayError(str(error)) from None
+        nodes = self.engine.graph.nodes
+        self.encoder = nodes["encoder"].switch if "encoder" in nodes else None
+        self.decoder = nodes["decoder"].switch if "decoder" in nodes else None
+        self.control_plane = next(iter(self.engine.control_planes.values()), None)
+        self.links = self.engine.graph.links
+        self.link_tap = self.engine.measured_tap
+        self.transform = self.engine.transform
+        # The one flow's state carries what callers read off the sink.
+        self.sink = self.engine.flow_states[0]
+        for link in self.links:
+            if link.impairments is not None:
+                link.impairments.reorder_delay = model.reorder_delay
 
     def run(
         self,
@@ -369,106 +170,9 @@ class ReplayHarness:
         replays at).  ``until``/``max_events`` bound the simulation for
         open-ended sources.
         """
-        self._source_description = source.description
-        self._schedule_source(source, pacing or FixedRatePacing(packet_rate=1e6))
-        self.simulator.run(until=until, max_events=max_events)
-        if self._snapshotter is not None:
-            self._snapshotter.flush()
-            self.simulator.remove_observer(self._snapshotter.on_event)
-            self._snapshotter = None
-        return self.report()
-
-    def _snapshot_sample(self) -> Dict[str, float]:
-        """Live series for the periodic snapshotter (O(links) per sample)."""
-        now = self.simulator.now
-        wire_bytes = self.link_tap.total_payload_bytes()
-        return {
-            "chunks_sent": float(self._chunks_sent),
-            "payload_bytes_sent": float(self._chunk_bytes_sent),
-            "wire_payload_bytes": float(wire_bytes),
-            "ratio": (self._chunk_bytes_sent / wire_bytes) if wire_bytes else 0.0,
-            "queue_depth": float(sum(link.queue_depth for link in self.links)),
-            "pkt_per_s": (self._frames_sent / now) if now > 0 else 0.0,
-            "dictionary_entries": float(
-                len(self.encoder.known_bases()) if self.encoder is not None else 0
-            ),
-        }
-
-    # -- results ------------------------------------------------------------------
-
-    def _check_integrity(
-        self, metrics: MetricsRegistry
-    ) -> Optional[IntegrityResult]:
-        """Match delivered raw chunks against injected ones by content."""
-        if not self.verify_integrity or self.decoder is None or not self._sent_chunks:
-            return None
-        pending = {
-            content: deque(indices)
-            for content, indices in self._pending_by_content.items()
-        }
-        latency = metrics.distribution("endtoend.latency")
-        matched = corrupted = out_of_order = 0
-        received = 0
-        highest_index = -1
-        for time, frame_bytes in self.sink.arrivals:
-            payload = raw_chunk_payload(frame_bytes)
-            if payload is None:
-                continue
-            received += 1
-            queue = pending.get(payload)
-            if not queue:
-                corrupted += 1
-                continue
-            index = queue.popleft()
-            matched += 1
-            if index < highest_index:
-                out_of_order += 1
-            highest_index = max(highest_index, index)
-            latency.add(time - self._sent_times[index])
-        missing = len(self._sent_chunks) - matched
-        return IntegrityResult(
-            sent=len(self._sent_chunks),
-            received=received,
-            matched=matched,
-            corrupted=corrupted,
-            missing=missing,
-            out_of_order=out_of_order,
+        report = self.engine.run(
+            until=until,
+            max_events=max_events,
+            sources={"flow0": (source, pacing or FixedRatePacing(packet_rate=1e6))},
         )
-
-    def _collect_metrics(self) -> MetricsRegistry:
-        metrics = MetricsRegistry()
-        collect_switch_metrics(metrics, encoder=self.encoder, decoder=self.decoder)
-        collect_link_metrics(metrics, self.links)
-        if self.control_plane is not None:
-            metrics.merge_counters("controlplane", self.control_plane.stats.as_dict())
-        collect_wire_metrics(metrics, self.link_tap)
-        return metrics
-
-    def learning_time(self) -> Optional[float]:
-        """Gap between the first type-2 and type-3 frame on the wire."""
-        first_uncompressed = self.link_tap.first_time_of_kind(
-            PacketKind.PROCESSED_UNCOMPRESSED
-        )
-        first_compressed = self.link_tap.first_time_of_kind(
-            PacketKind.PROCESSED_COMPRESSED
-        )
-        if first_uncompressed is None or first_compressed is None:
-            return None
-        return max(0.0, first_compressed - first_uncompressed)
-
-    def report(self) -> ReplayReport:
-        """Build the replay report from everything measured so far."""
-        metrics = self._collect_metrics()
-        integrity = self._check_integrity(metrics)
-        return ReplayReport(
-            topology=self.topology.value,
-            scenario=self.scenario.value,
-            source=self._source_description,
-            chunks_sent=self._chunks_sent,
-            payload_bytes_sent=self._chunk_bytes_sent,
-            wire_payload_bytes=self.link_tap.total_payload_bytes(),
-            duration=self.simulator.now,
-            integrity=integrity,
-            metrics=metrics,
-            learning_time=self.learning_time(),
-        )
+        return report.as_replay_report(self.topology.value)

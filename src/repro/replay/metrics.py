@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.reporting import format_table
 from repro.exceptions import ReplayError
@@ -27,6 +27,7 @@ __all__ = [
     "Distribution",
     "MetricsRegistry",
     "IntegrityResult",
+    "HeadlineNumbers",
     "ReplayReport",
     "collect_switch_metrics",
     "collect_link_metrics",
@@ -440,6 +441,20 @@ class MetricsRegistry:
         """All registered distributions by name."""
         return dict(self._distributions)
 
+    def select(self, keep: Callable[[str], bool]) -> "MetricsRegistry":
+        """A registry of the entries whose name ``keep`` accepts.
+
+        Distributions are shared with this registry, not copied.
+        """
+        selected = MetricsRegistry(self._bounded_distributions, self._relative_error)
+        for source, target in (
+            (self._counters, selected._counters),
+            (self._gauges, selected._gauges),
+            (self._distributions, selected._distributions),
+        ):
+            target.update((name, value) for name, value in source.items() if keep(name))
+        return selected
+
     # -- export -----------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
@@ -491,11 +506,9 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 #
 # Every replayed topology folds the same component families into a registry:
-# ZipLine switches, emulated links, the measured-link tap.  These collectors
-# are the one implementation both the linear ReplayHarness and the topology
-# engine use, so per-link and per-flow attribution cannot drift between the
-# two.  All arguments are duck-typed — the collectors only touch the narrow
-# counter interfaces the components already expose.
+# ZipLine switches, emulated links, the measured-link tap.  All arguments are
+# duck-typed — the collectors only touch the narrow counter interfaces the
+# components already expose.
 
 
 def collect_switch_metrics(
@@ -505,7 +518,14 @@ def collect_switch_metrics(
     encoder_prefix: str = "encoder",
     decoder_prefix: str = "decoder",
 ) -> None:
-    """Fold ZipLine encoder/decoder switch counters into the registry."""
+    """Fold ZipLine encoder/decoder switch counters into the registry.
+
+    Frames a switch's parser rejected (runts, malformed headers) appear as
+    ``<switch>.parse_errors``, only when there were any.
+    """
+    for switch, prefix in ((encoder, encoder_prefix), (decoder, decoder_prefix)):
+        if switch is not None and switch.pipeline.parse_errors:
+            metrics.increment(f"{prefix}.parse_errors", switch.pipeline.parse_errors)
     if encoder is not None:
         for label, sample in encoder.counters.as_dict().items():
             metrics.increment(f"{encoder_prefix}.{label}", sample.packets)
@@ -619,24 +639,9 @@ class IntegrityResult:
         }
 
 
-@dataclass
-class ReplayReport:
-    """Everything one replay run produced.
-
-    ``metrics`` holds the raw registry; the named fields are the headline
-    numbers every experiment wants without digging through it.
-    """
-
-    topology: str
-    scenario: str
-    source: str
-    chunks_sent: int
-    payload_bytes_sent: int
-    wire_payload_bytes: int
-    duration: float
-    integrity: Optional[IntegrityResult]
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    learning_time: Optional[float] = None
+class HeadlineNumbers:
+    """The derived numbers every report kind shares, computed from its
+    ``payload_bytes_sent``, ``wire_payload_bytes`` and ``metrics`` fields."""
 
     @property
     def compression_ratio(self) -> Optional[float]:
@@ -663,6 +668,26 @@ class ReplayReport:
         if dist is None or dist.empty:
             return {}
         return dist.summary()
+
+
+@dataclass
+class ReplayReport(HeadlineNumbers):
+    """Everything one replay run produced.
+
+    ``metrics`` holds the raw registry; the named fields are the headline
+    numbers every experiment wants without digging through it.
+    """
+
+    topology: str
+    scenario: str
+    source: str
+    chunks_sent: int
+    payload_bytes_sent: int
+    wire_payload_bytes: int
+    duration: float
+    integrity: Optional[IntegrityResult]
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    learning_time: Optional[float] = None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view of the whole report."""

@@ -10,16 +10,23 @@ single shared :class:`~repro.sim.simulator.Simulator`:
   link through :func:`~repro.topology.spec.derive_seed`);
 * every flow spec becomes a concurrently-scheduled traffic stream with its
   own :class:`~repro.replay.sources.TraceSource`, pacing, source MAC and
-  derived seed, injected at its source host exactly the way the linear
-  harness injects (one pending frame per flow, bounded memory);
+  derived seed, injected at its source host one pending frame at a time
+  (bounded memory);
 * each encoder's control plane either writes decoder mappings directly
-  (``control: direct``, the harness behaviour) or ships them as
-  in-network control messages over a dedicated emulated link with real
-  latency (``control: in-network``).
+  (``control: direct``) or ships them as in-network control messages over
+  a dedicated emulated link with real latency (``control: in-network``).
 
-Per-flow end-to-end integrity uses the same FIFO content matching as the
-harness; arrivals are attributed to flows by their source MAC, which the
-ZipLine encode/decode path preserves.  The resulting
+This is the repository's one run loop: the linear builders
+(:class:`~repro.replay.harness.ReplayHarness`,
+:class:`~repro.zipline.deployment.ZipLineDeployment`), ``repro replay`` and
+the experiment matrix all hand a spec to this engine.  The two inputs a
+spec cannot carry — a pre-built in-memory source per flow and explicit
+static bases — are arguments of :meth:`TopologyEngine.run` and the
+constructor.
+
+Per-flow end-to-end integrity is FIFO content matching; arrivals are
+attributed to flows by their source MAC, which the ZipLine encode/decode
+path preserves.  The resulting
 :class:`TopologyReport` carries per-flow, per-link and per-node metrics
 and is a deterministic function of (spec, seed): running the same spec
 twice yields byte-identical :meth:`TopologyReport.json_text` output.
@@ -30,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs as _obs
 from repro.controlplane.manager import ZipLineControlPlane
@@ -42,6 +49,7 @@ from repro.perfmodel.linkmodel import ImpairmentModel
 from repro.replay.link import EmulatedLink
 from repro.replay.metrics import (
     Distribution,
+    HeadlineNumbers,
     IntegrityResult,
     MetricsRegistry,
     ReplayReport,
@@ -55,6 +63,7 @@ from repro.replay.sources import (
     TraceSource,
     WorkloadTraceSource,
     pacing_from_name,
+    stream_distinct_bases,
 )
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
@@ -71,7 +80,7 @@ from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES, raw_chunk_payload
 from repro.zipline.stats import LinkTap
 from repro.net.packets import PacketKind
 
-__all__ = ["FlowResult", "TopologyReport", "TopologyEngine"]
+__all__ = ["FlowResult", "TopologyReport", "TopologyEngine", "learning_delay"]
 
 
 def _flow_source_mac(index: int) -> MacAddress:
@@ -111,7 +120,7 @@ class _NullFlowAccount:
 
 
 class _ExactFlowAccount:
-    """Batch FIFO content matching, identical to the harness's algorithm.
+    """Batch FIFO content matching.
 
     Retains every injected chunk payload and every arrival frame —
     O(traffic) memory, folded into the integrity verdict and the exact
@@ -238,29 +247,43 @@ class _FlowState:
         seed: int,
         source: TraceSource,
         pacing: Pacing,
+        static_bases: Callable[[], Iterable[int]],
         source_mac: MacAddress,
         sink_mac: MacAddress,
         account,
+        verifiable: bool,
     ):
         self.spec = spec
         self.seed = seed
-        self.source = source
-        self.pacing = pacing
+        self.static_bases = static_bases
         self.source_mac_bytes = bytes(source_mac)
+        self._own_addresses = bytes(sink_mac) + self.source_mac_bytes
         self.account = account
-        # Trace-driven flows carry whatever addresses the capture recorded;
-        # rewrite the Ethernet addresses to the flow's own identity so
-        # arrival attribution by source MAC works for every source kind.
-        # (Workload sources already frame with these addresses.)
-        self._mac_rewrite: Optional[bytes] = (
-            bytes(sink_mac) + self.source_mac_bytes
-            if spec.trace is not None
-            else None
-        )
+        #: False when no decoder can restore this flow's chunks, so there
+        #: is nothing to verify end to end.
+        self.verifiable = verifiable
+        # Workload sources already frame with the flow's addresses.
+        self.use_source(source, pacing, rewrite_addresses=spec.trace is not None)
         self.frames_sent = 0
         self.chunks_sent = 0
         self.chunk_bytes_sent = 0
         self.delivered = 0
+
+    def use_source(
+        self, source: TraceSource, pacing: Pacing, rewrite_addresses: bool = True
+    ) -> None:
+        """Take frames from ``source``, paced by ``pacing``.
+
+        Captures and caller-built sources carry whatever addresses they
+        were made with; their Ethernet addresses are rewritten to the
+        flow's own identity so arrival attribution by source MAC works for
+        every source kind.
+        """
+        self.source = source
+        self.pacing = pacing
+        self._mac_rewrite: Optional[bytes] = (
+            self._own_addresses if rewrite_addresses else None
+        )
 
     @property
     def sent_chunks(self) -> List[bytes]:
@@ -292,7 +315,7 @@ class _FlowState:
     # -- injection -------------------------------------------------------------
 
     def start(self, simulator: Simulator, host: HostNode) -> None:
-        """Begin one-pending-frame streaming injection, as in the harness.
+        """Begin one-pending-frame streaming injection.
 
         Exactly one frame per flow is ever scheduled, so its bytes live in
         one slot and one method serves every injection event.
@@ -369,7 +392,7 @@ class FlowResult:
 
 
 @dataclass
-class TopologyReport:
+class TopologyReport(HeadlineNumbers):
     """Everything one topology run produced.
 
     The top-level shape mirrors :class:`~repro.replay.metrics.ReplayReport`
@@ -391,21 +414,6 @@ class TopologyReport:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     learning_time: Optional[float] = None
 
-    @property
-    def compression_ratio(self) -> Optional[float]:
-        """Measured-link payload bytes over injected payload bytes."""
-        if self.payload_bytes_sent == 0:
-            return None
-        return self.wire_payload_bytes / self.payload_bytes_sent
-
-    @property
-    def savings_percent(self) -> Optional[float]:
-        """Percentage of payload bytes the compression removed (or ``None``)."""
-        ratio = self.compression_ratio
-        if ratio is None:
-            return None
-        return 100.0 * (1.0 - ratio)
-
     def flow(self, name: str) -> FlowResult:
         """Look up one flow's result by name."""
         for result in self.flows:
@@ -413,13 +421,6 @@ class TopologyReport:
                 return result
         known = ", ".join(result.name for result in self.flows) or "none"
         raise TopologyError(f"unknown flow {name!r}; flows: {known}")
-
-    def latency_summary(self) -> Dict[str, float]:
-        """All-flow end-to-end latency percentiles (empty dict when unknown)."""
-        dist = self.metrics.distributions().get("endtoend.latency")
-        if dist is None or dist.empty:
-            return {}
-        return dist.summary()
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly view of the whole report."""
@@ -438,6 +439,32 @@ class TopologyReport:
             "flows": [flow.as_dict() for flow in self.flows],
             "metrics": self.metrics.as_dict(),
         }
+
+    def as_replay_report(self, topology: str) -> ReplayReport:
+        """A one-flow linear run as the :class:`ReplayReport` its callers read.
+
+        The registry loses the per-flow ``flow.*`` attribution namespace
+        (there is one flow, so it repeats the totals), and the end-to-end
+        latency distribution appears only when integrity was verified.
+        ``topology`` names the linear shape that ran.
+        """
+        verified = self.integrity is not None
+        metrics = self.metrics.select(
+            lambda name: not name.startswith("flow.")
+            and (verified or name != "endtoend.latency")
+        )
+        return ReplayReport(
+            topology=topology,
+            scenario=self.scenario,
+            source=self.flows[0].source,
+            chunks_sent=self.chunks_sent,
+            payload_bytes_sent=self.payload_bytes_sent,
+            wire_payload_bytes=self.wire_payload_bytes,
+            duration=self.duration,
+            integrity=self.integrity,
+            metrics=metrics,
+            learning_time=self.learning_time,
+        )
 
     def json_text(self) -> str:
         """Canonical JSON — the determinism witness (same spec ⇒ same bytes)."""
@@ -523,6 +550,24 @@ class TopologyReport:
         return "\n\n".join(parts)
 
 
+def learning_delay(
+    first_times: Iterable[Tuple[Optional[float], Optional[float]]],
+) -> Optional[float]:
+    """The paper's dynamic-learning measurement over measured links.
+
+    ``first_times`` holds one ``(first type-2, first type-3)`` arrival-time
+    pair per measured link (or per shard); the delay is the gap between
+    the earliest type-2 and the earliest type-3 frame, ``None`` when either
+    packet type never appeared.
+    """
+    pairs = list(first_times)
+    uncompressed = min((u for u, _c in pairs if u is not None), default=None)
+    compressed = min((c for _u, c in pairs if c is not None), default=None)
+    if uncompressed is None or compressed is None:
+        return None
+    return max(0.0, compressed - uncompressed)
+
+
 class TopologyEngine:
     """Build and run one :class:`~repro.topology.spec.TopologySpec`.
 
@@ -532,9 +577,10 @@ class TopologyEngine:
         The validated topology description.
     verify_integrity:
         When true (default) every flow is checked end to end and gets
-        latency percentiles.  False skips verification entirely and
-        reports ``integrity: None``, like the harness's counters-only
-        mode.
+        latency percentiles.  False skips verification entirely —
+        counters only, ``integrity: None``.  A flow with no decoder on its
+        side of the graph reports ``integrity: None`` either way: nothing
+        restores its chunks, so there is nothing to verify.
     metrics_mode:
         How per-flow metrics are kept.  ``"exact"`` (default) retains
         every chunk, arrival and latency sample — O(traffic) memory, the
@@ -559,6 +605,12 @@ class TopologyEngine:
         (false).  ``None`` (default) qualifies exactly when the engine
         builds more than one control plane; shard workers receive the
         full-spec answer so shard-local reports merge without colliding.
+    static_bases:
+        Bases to preload instead of the ones the flows' workloads or
+        traces would yield (the spec cannot carry them).  With a control
+        plane they are preloaded whatever the scenario; on a ``no_table``
+        graph without encoders they are written straight into the
+        decoders; ``no_table`` with an encoder rejects them.
     """
 
     def __init__(
@@ -568,6 +620,7 @@ class TopologyEngine:
         metrics_mode: str = "exact",
         tap_fallback: bool = True,
         qualify_controlplane: Optional[bool] = None,
+        static_bases: Optional[Iterable[int]] = None,
     ):
         if metrics_mode not in METRICS_MODES:
             raise TopologyError(
@@ -595,16 +648,17 @@ class TopologyEngine:
         self._decoder_nodes: Dict[str, ZipLineDecoderNode] = {}
         self._host_nodes: Dict[str, HostNode] = {}
         self._forward_nodes: Dict[str, ForwardNode] = {}
-        self._flows: List[_FlowState] = []
+        self.flow_states: List[_FlowState] = []
         self._flows_by_mac: Dict[bytes, _FlowState] = {}
         self._unattributed = 0
         self._misdelivered = 0
+        self._static_bases = None if static_bases is None else list(static_bases)
         self._build_nodes()
         self._build_links()
         self.graph.wire()
         self._build_control_planes()
         self._build_flows()
-        if spec.scenario == "static":
+        if spec.scenario == "static" or self._static_bases is not None:
             self._preload_static_bases()
         self._snapshotter = None
         tracer = _obs.TRACER
@@ -812,24 +866,39 @@ class TopologyEngine:
         # Restart/storm fault events resolve their control plane through
         # this pairing (decoder name -> owning encoder name).
         self._decoder_owner = paired
+        if not self._encoder_nodes and (
+            self.spec.scenario == "static" or self._static_bases is not None
+        ):
+            # An encoder-less graph still takes its static table through a
+            # control plane, one per decoder.
+            for name, node in self._decoder_nodes.items():
+                self.control_planes[name] = ZipLineControlPlane(
+                    digest_engine=DigestEngine(self.simulator),
+                    decoder_switch=node.switch,
+                    simulator=self.simulator,
+                    identifier_bits=self.spec.identifier_bits,
+                    entry_ttl=self.spec.entry_ttl,
+                    seed=self.spec.seed,
+                )
 
-    def _build_flow_source(
-        self, flow: FlowSpec, seed: int, source_mac: MacAddress, sink_mac: MacAddress
-    ) -> TraceSource:
-        if flow.trace is not None:
-            return PcapTraceSource(flow.trace)
+    def _flow_workload(self, flow: FlowSpec, seed: int):
+        """A workload flow's generator and its ``bases()`` callable — the
+        one place a spec's workload name becomes a workload object."""
+        from repro.workloads import (
+            DictionaryThrashWorkload,
+            DnsQueryWorkload,
+            SyntheticSensorWorkload,
+        )
+
         if flow.workload == "synthetic":
-            from repro.workloads import SyntheticSensorWorkload
-
             workload = SyntheticSensorWorkload(
                 num_chunks=flow.chunks,
                 distinct_bases=flow.bases,
                 order=self.spec.order,
                 seed=seed,
             )
-        elif flow.workload == "thrash":
-            from repro.workloads import DictionaryThrashWorkload
-
+            return workload, workload.bases
+        if flow.workload == "thrash":
             workload = DictionaryThrashWorkload(
                 num_chunks=flow.chunks,
                 distinct_bases=flow.bases,
@@ -840,17 +909,13 @@ class TopologyEngine:
                 phase_shift=max(1, flow.bases // 4),
                 seed=seed,
             )
-        else:
-            from repro.workloads import DnsQueryWorkload
-
-            workload = DnsQueryWorkload(
-                num_queries=flow.chunks,
-                distinct_names=flow.names,
-                seed=seed,
-            )
-        return WorkloadTraceSource(
-            workload, source=source_mac, destination=sink_mac
+            return workload, workload.bases
+        workload = DnsQueryWorkload(
+            num_queries=flow.chunks,
+            distinct_names=flow.names,
+            seed=seed,
         )
+        return workload, partial(workload.bases, order=self.spec.order)
 
     def _build_flow_pacing(self, flow: FlowSpec) -> Pacing:
         return pacing_from_name(
@@ -870,20 +935,34 @@ class TopologyEngine:
         return _ExactFlowAccount()
 
     def _build_flows(self) -> None:
+        component_of = self.spec.node_components()
+        decoder_components = {component_of[name] for name in self._decoder_nodes}
         for index, flow in enumerate(self.spec.flows):
             seed = self.spec.flow_seed(flow)
             source_mac = _flow_source_mac(index)
             sink_mac = self._host_macs[flow.sink]
+            if flow.trace is not None:
+                source: TraceSource = PcapTraceSource(flow.trace)
+                static_bases = partial(
+                    stream_distinct_bases, flow.trace, order=self.spec.order
+                )
+            else:
+                workload, static_bases = self._flow_workload(flow, seed)
+                source = WorkloadTraceSource(
+                    workload, source=source_mac, destination=sink_mac
+                )
             state = _FlowState(
                 spec=flow,
                 seed=seed,
-                source=self._build_flow_source(flow, seed, source_mac, sink_mac),
+                source=source,
                 pacing=self._build_flow_pacing(flow),
+                static_bases=static_bases,
                 source_mac=source_mac,
                 sink_mac=sink_mac,
                 account=self._make_account(flow),
+                verifiable=component_of[flow.source] in decoder_components,
             )
-            self._flows.append(state)
+            self.flow_states.append(state)
             self._flows_by_mac[state.source_mac_bytes] = state
         for name, host in self._host_nodes.items():
             host.on_deliver = partial(self._dispatch_arrival, name)
@@ -924,68 +1003,47 @@ class TopologyEngine:
 
     def _preload_static_bases(self) -> None:
         """Install each component's flows' bases into that component's
-        tables, in flow-declaration order.
+        tables, in flow-declaration order (or the caller's explicit bases
+        into every table).
 
         Scoping the preload per connected component keeps a multi-encoder
         spec's dictionaries identical whether the spec runs monolithically
         or partitioned into per-encoder shards; on a single-component spec
-        this is exactly the historical global union.
+        this is exactly the global union.
         """
         component_of = self.spec.node_components()
         bases_by_component: Dict[int, Dict[int, None]] = {}
-        for state in self._flows:
-            bucket = bases_by_component.setdefault(
-                component_of[state.spec.source], {}
-            )
-            for basis in self._flow_bases(state):
-                bucket.setdefault(basis, None)
+        if self._static_bases is not None:
+            everywhere = dict.fromkeys(self._static_bases)
+            bases_by_component = dict.fromkeys(component_of.values(), everywhere)
+        else:
+            for state in self.flow_states:
+                bucket = bases_by_component.setdefault(
+                    component_of[state.spec.source], {}
+                )
+                for basis in state.static_bases():
+                    bucket.setdefault(basis, None)
         if self.control_planes:
             for name, control_plane in self.control_planes.items():
                 bucket = bases_by_component.get(component_of[name])
                 if bucket:
                     control_plane.preload_static_mappings(list(bucket))
+        elif self._encoder_nodes:
+            # An explicit argument must never be silently ignored: with an
+            # encoder present, no_table means "no mappings, ever".
+            raise TopologyError(
+                "static_bases conflicts with the no_table scenario; use "
+                "the static or dynamic scenario instead"
+            )
         else:
             for name, decoder_node in self._decoder_nodes.items():
                 bucket = bases_by_component.get(component_of[name])
                 if not bucket:
                     continue
+                # The sequential identifier order a control plane's pool
+                # would assign.
                 for identifier, basis in enumerate(bucket):
                     decoder_node.switch.install_identifier_mapping(identifier, basis)
-
-    def _flow_bases(self, state: _FlowState) -> Iterator[int]:
-        flow = state.spec
-        if flow.trace is not None:
-            from repro.replay.sources import stream_distinct_bases
-
-            yield from stream_distinct_bases(flow.trace, order=self.spec.order)
-            return
-        if flow.workload == "synthetic":
-            from repro.workloads import SyntheticSensorWorkload
-
-            yield from SyntheticSensorWorkload(
-                num_chunks=flow.chunks,
-                distinct_bases=flow.bases,
-                order=self.spec.order,
-                seed=state.seed,
-            ).bases()
-            return
-        if flow.workload == "thrash":
-            from repro.workloads import DictionaryThrashWorkload
-
-            yield from DictionaryThrashWorkload(
-                num_chunks=flow.chunks,
-                distinct_bases=flow.bases,
-                order=self.spec.order,
-                phase_chunks=max(1, flow.chunks // 4),
-                phase_shift=max(1, flow.bases // 4),
-                seed=state.seed,
-            ).bases()
-            return
-        from repro.workloads import DnsQueryWorkload
-
-        yield from DnsQueryWorkload(
-            num_queries=flow.chunks, distinct_names=flow.names, seed=state.seed
-        ).bases(order=self.spec.order)
 
     # -- execution ---------------------------------------------------------------
 
@@ -1046,10 +1104,25 @@ class TopologyEngine:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
+        sources: Optional[Mapping[str, Tuple[TraceSource, Pacing]]] = None,
     ) -> TopologyReport:
-        """Schedule every flow, run the simulation, and build the report."""
+        """Schedule every flow, run the simulation, and build the report.
+
+        ``sources`` maps flow names to pre-built ``(source, pacing)`` pairs
+        that replace what the flow spec describes — how in-memory traces,
+        which a spec cannot carry, enter a run.  ``until``/``max_events``
+        bound the simulation for open-ended sources.
+        """
+        by_name = {state.spec.name: state for state in self.flow_states}
+        for name, (source, pacing) in (sources or {}).items():
+            if name not in by_name:
+                raise TopologyError(
+                    f"source given for unknown flow {name!r}; "
+                    f"flows: {', '.join(by_name) or 'none'}"
+                )
+            by_name[name].use_source(source, pacing)
         self._schedule_faults()
-        for state in self._flows:
+        for state in self.flow_states:
             state.start(self.simulator, self._host_nodes[state.spec.source])
         self.simulator.run(until=until, max_events=max_events)
         if self._snapshotter is not None:
@@ -1065,18 +1138,19 @@ class TopologyEngine:
         sampling is O(nodes + links) and never touches the event queue.
         """
         now = self.simulator.now
-        sent_bytes = sum(state.chunk_bytes_sent for state in self._flows)
+        sent_bytes = sum(state.chunk_bytes_sent for state in self.flow_states)
         wire_bytes = sum(
             tap.total_payload_bytes() for _name, tap in self.measured_taps
         )
         wire_frames = sum(tap.total_frames() for _name, tap in self.measured_taps)
         sample = {
             "chunks_sent": float(
-                sum(state.chunks_sent for state in self._flows)
+                sum(state.chunks_sent for state in self.flow_states)
             ),
             "payload_bytes_sent": float(sent_bytes),
             "wire_payload_bytes": float(wire_bytes),
-            "ratio": (sent_bytes / wire_bytes) if wire_bytes else 0.0,
+            # Same definition as the report's compression_ratio.
+            "ratio": (wire_bytes / sent_bytes) if sent_bytes else 0.0,
             "queue_depth": float(
                 sum(link.queue_depth for link in self.graph.links)
             ),
@@ -1092,31 +1166,19 @@ class TopologyEngine:
 
     # -- results -----------------------------------------------------------------
 
-    def wire_first_times(self) -> Tuple[Optional[float], Optional[float]]:
-        """Earliest type-2 and type-3 frame times across every measured tap."""
-        first_uncompressed: Optional[float] = None
-        first_compressed: Optional[float] = None
-        for _name, tap in self.measured_taps:
-            uncompressed = tap.first_time_of_kind(
-                PacketKind.PROCESSED_UNCOMPRESSED
+    def wire_first_times(self) -> List[Tuple[Optional[float], Optional[float]]]:
+        """First type-2 and type-3 frame time on each measured tap."""
+        return [
+            (
+                tap.first_time_of_kind(PacketKind.PROCESSED_UNCOMPRESSED),
+                tap.first_time_of_kind(PacketKind.PROCESSED_COMPRESSED),
             )
-            compressed = tap.first_time_of_kind(PacketKind.PROCESSED_COMPRESSED)
-            if uncompressed is not None and (
-                first_uncompressed is None or uncompressed < first_uncompressed
-            ):
-                first_uncompressed = uncompressed
-            if compressed is not None and (
-                first_compressed is None or compressed < first_compressed
-            ):
-                first_compressed = compressed
-        return first_uncompressed, first_compressed
+            for _name, tap in self.measured_taps
+        ]
 
     def learning_time(self) -> Optional[float]:
         """Gap between the first type-2 and type-3 frame on the measured links."""
-        first_uncompressed, first_compressed = self.wire_first_times()
-        if first_uncompressed is None or first_compressed is None:
-            return None
-        return max(0.0, first_compressed - first_uncompressed)
+        return learning_delay(self.wire_first_times())
 
     def _collect_metrics(self) -> MetricsRegistry:
         metrics = MetricsRegistry(bounded_distributions=self._streaming)
@@ -1166,17 +1228,17 @@ class TopologyEngine:
         totals = {"sent": 0, "received": 0, "matched": 0, "corrupted": 0,
                   "missing": 0, "out_of_order": 0}
         any_integrity = False
-        # Same name the linear harness uses, so a one-flow linear topology
-        # produces the identical end-to-end latency distribution key.
         endtoend = metrics.distribution("endtoend.latency")
-        for state in self._flows:
+        for state in self.flow_states:
             if state.account.latency is not None:
                 # Streaming accounts own their (bounded) latency sketch;
                 # adopt it so the registry reports it under the flow key.
                 latency = metrics.add_distribution(state.account.latency)
             else:
                 latency = metrics.distribution(f"flow.{state.spec.name}.latency")
-            integrity = state.account.fold_into(latency)
+            integrity = (
+                state.account.fold_into(latency) if state.verifiable else None
+            )
             # Fold per-flow latencies into the all-flow distribution in
             # flow-declaration order — the exact order the shard merge
             # replays, so the float fold is byte-identical either way.
@@ -1216,8 +1278,8 @@ class TopologyEngine:
         return TopologyReport(
             topology=self.spec.name,
             scenario=self.spec.scenario,
-            chunks_sent=sum(state.chunks_sent for state in self._flows),
-            payload_bytes_sent=sum(state.chunk_bytes_sent for state in self._flows),
+            chunks_sent=sum(state.chunks_sent for state in self.flow_states),
+            payload_bytes_sent=sum(state.chunk_bytes_sent for state in self.flow_states),
             wire_payload_bytes=sum(
                 tap.total_payload_bytes() for _name, tap in self.measured_taps
             ),

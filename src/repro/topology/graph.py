@@ -10,26 +10,13 @@ shared simulator).  An edge may carry a
 — the measurement point the Figure 3 byte accounting reads.
 
 The graph only *describes and wires*; traffic generation, flow bookkeeping
-and reporting live in :class:`~repro.topology.engine.TopologyEngine`, and
-the linear special case keeps living behind
-:class:`~repro.replay.harness.ReplayHarness`, which builds its chain
-through :func:`build_link_chain` and a small graph instead of ad hoc
-wiring.
+and reporting live in :class:`~repro.topology.engine.TopologyEngine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TopologyError
 from repro.sim.simulator import Simulator
@@ -80,23 +67,19 @@ class TopologyEdge:
     ``links`` is the serial chain of emulated hops the edge traverses — an
     empty tuple means a direct synchronous attachment.  ``tap`` observes
     every frame entering the edge (before the first hop), exactly where the
-    replay harness and the paper's testbed place their measurement tap.
-    ``target`` may also be a bare ``(frame_bytes, time)`` callable for
-    terminal sinks that are not nodes (e.g. the deployment's receiver
-    host).
+    paper's testbed places its measurement tap.
     """
 
     source: str
     source_port: int
-    target: Union[str, LinkSink]
+    target: str
     target_port: int = 0
     links: Tuple["EmulatedLink", ...] = ()
     tap: Optional["LinkTap"] = None
 
     def describe(self) -> str:
         """``encoder:1 -> decoder:0`` style label for error messages."""
-        target = self.target if isinstance(self.target, str) else "<sink>"
-        return f"{self.source}:{self.source_port} -> {target}:{self.target_port}"
+        return f"{self.source}:{self.source_port} -> {self.target}:{self.target_port}"
 
 
 class TopologyGraph:
@@ -137,7 +120,7 @@ class TopologyGraph:
         self,
         source: str,
         source_port: int,
-        target: Union[str, LinkSink],
+        target: str,
         target_port: int = 0,
         links: Sequence["EmulatedLink"] = (),
         tap: Optional["LinkTap"] = None,
@@ -147,15 +130,9 @@ class TopologyGraph:
             raise TopologyError(
                 f"edge references unknown source node {source!r}"
             )
-        if isinstance(target, str):
-            if target not in self.nodes:
-                raise TopologyError(
-                    f"edge references unknown target node {target!r}"
-                )
-        elif not callable(target):
+        if target not in self.nodes:
             raise TopologyError(
-                f"edge target must be a node name or a callable sink, "
-                f"got {target!r}"
+                f"edge references unknown target node {target!r}"
             )
         edge = TopologyEdge(
             source=source,
@@ -171,8 +148,6 @@ class TopologyGraph:
     # -- wiring --------------------------------------------------------------
 
     def _terminal_sink(self, edge: TopologyEdge) -> LinkSink:
-        if callable(edge.target):
-            return edge.target
         node = self.nodes[edge.target]
         port = edge.target_port
 
@@ -230,8 +205,7 @@ def build_link_chain(
     One link per entry of ``names``; when an impairment model is given,
     every hop receives an independent deterministic ``fork(index)`` so
     multi-hop loss streams stay exactly reproducible.  This is the one
-    place multi-hop paths are constructed — the replay harness's ``--hops``
-    and spec-built topologies both route through it.
+    place multi-hop paths are constructed.
     """
     from repro.replay.link import EmulatedLink
 

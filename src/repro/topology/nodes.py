@@ -97,11 +97,9 @@ def _guard_reattach(node: Node, attached: set, port: int) -> None:
 class _ZipLineSwitchNode(Node):
     """Shared graph-adapter logic for the two ZipLine switch nodes."""
 
-    def __init__(self, name: str, switch=None, **switch_kwargs):
+    def __init__(self, name: str, **switch_kwargs):
         super().__init__(name)
-        if switch is None:
-            switch = self._make_switch(name, **switch_kwargs)
-        self.switch = switch
+        self.switch = self._make_switch(name, **switch_kwargs)
         self._attached_ports: set = set()
 
     def _make_switch(self, name: str, **switch_kwargs):
@@ -116,12 +114,7 @@ class _ZipLineSwitchNode(Node):
 
 
 class ZipLineEncoderNode(_ZipLineSwitchNode):
-    """Graph adapter around a :class:`ZipLineEncoderSwitch`.
-
-    Pass a prebuilt ``switch`` (the replay harness does, to keep its public
-    ``harness.encoder`` attribute the switch itself) or the keyword
-    arguments to build one.
-    """
+    """Graph adapter around a :class:`ZipLineEncoderSwitch`."""
 
     def _make_switch(self, name: str, **switch_kwargs):
         from repro.zipline.encoder_switch import ZipLineEncoderSwitch

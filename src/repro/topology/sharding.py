@@ -52,6 +52,7 @@ from repro.topology.engine import (
     FlowResult,
     TopologyEngine,
     TopologyReport,
+    learning_delay,
 )
 from repro.topology.spec import TopologySpec
 
@@ -113,8 +114,7 @@ class _ShardOutcome:
     name: str
     duration: float
     wire_payload_bytes: int
-    first_uncompressed: Optional[float]
-    first_compressed: Optional[float]
+    first_times: List[Tuple[Optional[float], Optional[float]]]
     registry_state: Dict[str, Any]
     flows: List[Dict[str, Any]]
     failure: Optional[str] = None
@@ -265,14 +265,12 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
             qualify_controlplane=task.qualify_controlplane,
         )
         report = engine.run()
-        first_uncompressed, first_compressed = engine.wire_first_times()
         return _ShardOutcome(
             index=shard.index,
             name=shard.name,
             duration=report.duration,
             wire_payload_bytes=report.wire_payload_bytes,
-            first_uncompressed=first_uncompressed,
-            first_compressed=first_compressed,
+            first_times=engine.wire_first_times(),
             registry_state=report.metrics.export_state(),
             flows=[flow.as_dict() for flow in report.flows],
         )
@@ -282,8 +280,7 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
             name=shard.name,
             duration=0.0,
             wire_payload_bytes=0,
-            first_uncompressed=None,
-            first_compressed=None,
+            first_times=[],
             registry_state={"counters": {}, "gauges": {}, "distributions": {}},
             flows=[],
             failure=traceback.format_exc(),
@@ -364,27 +361,6 @@ def _merge_outcomes(
             )
         )
 
-    first_uncompressed = min(
-        (
-            outcome.first_uncompressed
-            for outcome in outcomes
-            if outcome.first_uncompressed is not None
-        ),
-        default=None,
-    )
-    first_compressed = min(
-        (
-            outcome.first_compressed
-            for outcome in outcomes
-            if outcome.first_compressed is not None
-        ),
-        default=None,
-    )
-    learning_time = (
-        None
-        if first_uncompressed is None or first_compressed is None
-        else max(0.0, first_compressed - first_uncompressed)
-    )
     return TopologyReport(
         topology=spec.name,
         scenario=spec.scenario,
@@ -399,7 +375,9 @@ def _merge_outcomes(
         integrity=IntegrityResult(**totals) if any_integrity else None,
         flows=flow_results,
         metrics=metrics,
-        learning_time=learning_time,
+        learning_time=learning_delay(
+            pair for outcome in outcomes for pair in outcome.first_times
+        ),
     )
 
 
@@ -449,7 +427,13 @@ def run_topology(
             spec, verify_integrity=verify_integrity, metrics_mode=metrics_mode
         ).run()
 
-    qualify = sum(1 for node in spec.nodes if node.kind == "encoder") > 1
+    # One control plane per encoder — or, on an encoder-less static graph,
+    # per decoder.
+    kinds = [node.kind for node in spec.nodes]
+    control_planes = kinds.count("encoder")
+    if not control_planes and spec.scenario == "static":
+        control_planes = kinds.count("decoder")
+    qualify = control_planes > 1
     # With tracing on, every shard — regardless of worker count — writes a
     # JSON-lines segment into a private temp dir; the segments are merged
     # below on (ts, shard, seq), a key independent of process scheduling,

@@ -21,7 +21,7 @@ error — a sweep over hundreds of generated specs must fail with "link
 'uplink': unknown target node 'decdoer'", not a bare KeyError.
 
 :data:`TOPOLOGY_PRESETS` registers the shapes users reach for by name:
-``linear`` (the replay harness chain), ``fan-in`` (K senders sharing one
+``linear`` (the paper's chain, optionally one switch short), ``fan-in`` (K senders sharing one
 encoder — the dictionary-contention scenario a single-flow harness cannot
 express) and ``paper-testbed`` (the two-switch deployment).
 """
@@ -59,6 +59,8 @@ WORKLOADS = ("synthetic", "dns", "thrash")
 PACINGS = ("recorded", "rate", "back-to-back")
 SCENARIOS = ("no_table", "static", "dynamic")
 CONTROL_MODES = ("direct", "in-network")
+#: What :func:`linear_topology` can put between the sender and the sink.
+LINEAR_SHAPES = ("encoder-link-decoder", "encoder-only", "decoder-only")
 
 
 def derive_seed(name: str, seed: int, entity_id: str) -> int:
@@ -297,8 +299,8 @@ class LinkSpec:
         """Names of the serial hops this link expands into.
 
         A single-hop link keeps its own name; a multi-hop link numbers its
-        hops ``<name>0 .. <name>N-1`` (the convention the replay harness
-        established with ``link0``, ``link1``, …).
+        hops ``<name>0 .. <name>N-1`` (``link0``, ``link1``, … on the
+        linear chain).
         """
         if self.hops == 1:
             return [self.name]
@@ -757,47 +759,64 @@ def linear_topology(
     link_seed: Optional[int] = None,
     order: int = 8,
     identifier_bits: int = 15,
+    shape: str = "encoder-link-decoder",
     **overrides: Any,
 ) -> TopologySpec:
-    """The replay harness's chain as a spec: sender → encoder → link(s) → decoder → sink.
+    """The paper's chain as a spec: sender → encoder → link(s) → decoder → sink.
 
-    The wire keeps the harness's hop naming (``link0``, ``link1``, …) so a
-    one-flow linear topology reports the exact counter names the harness
-    reports — the equivalence the test suite asserts byte for byte.
+    ``shape`` drops one switch from the chain: ``encoder-only`` delivers the
+    processed (type-2/3) frames to the sink, ``decoder-only`` feeds the
+    sender's frames straight onto the wire.  Either way the measured link is
+    the emulated chain, whose hops are named ``link0``, ``link1``, ….
     """
+    where = f"topology {name!r}"
+    _require_choice(where, "shape", shape, LINEAR_SHAPES)
+    _require_positive_int(where, "hops", hops)
+    has_encoder = shape != "decoder-only"
+    has_decoder = shape != "encoder-only"
+    ports = dict(forwarding={0: 1}, default_egress_port=1)
+    nodes = [NodeSpec(name="sender", kind="host")]
+    links = []
+    if has_encoder:
+        nodes.append(
+            NodeSpec(name="encoder", kind="encoder",
+                     decoder="decoder" if has_decoder else None, **ports)
+        )
+        links.append(
+            LinkSpec(name="ingress", source=("sender", 0), target=("encoder", 0),
+                     direct=True)
+        )
+    if has_decoder:
+        nodes.append(NodeSpec(name="decoder", kind="decoder", **ports))
+    nodes.append(NodeSpec(name="sink", kind="host"))
+    links.append(
+        LinkSpec(
+            name="link0" if hops == 1 else "link",
+            source=("encoder", 1) if has_encoder else ("sender", 0),
+            target=("decoder", 0) if has_decoder else ("sink", 0),
+            bandwidth_gbps=bandwidth_gbps,
+            propagation_us=propagation_us,
+            queue_capacity=queue_capacity,
+            loss=loss,
+            reorder=reorder,
+            hops=hops,
+            measured=True,
+            seed=link_seed,
+        )
+    )
+    if has_decoder:
+        links.append(
+            LinkSpec(name="egress", source=("decoder", 1), target=("sink", 0),
+                     direct=True)
+        )
     return TopologySpec(
         name=name,
         scenario=scenario,
         order=order,
         identifier_bits=identifier_bits,
         seed=seed,
-        nodes=[
-            NodeSpec(name="sender", kind="host"),
-            NodeSpec(name="encoder", kind="encoder", forwarding={0: 1},
-                     default_egress_port=1, decoder="decoder"),
-            NodeSpec(name="decoder", kind="decoder", forwarding={0: 1},
-                     default_egress_port=1),
-            NodeSpec(name="sink", kind="host"),
-        ],
-        links=[
-            LinkSpec(name="ingress", source=("sender", 0), target=("encoder", 0),
-                     direct=True),
-            LinkSpec(
-                name="link0" if hops == 1 else "link",
-                source=("encoder", 1),
-                target=("decoder", 0),
-                bandwidth_gbps=bandwidth_gbps,
-                propagation_us=propagation_us,
-                queue_capacity=queue_capacity,
-                loss=loss,
-                reorder=reorder,
-                hops=hops,
-                measured=True,
-                seed=link_seed,
-            ),
-            LinkSpec(name="egress", source=("decoder", 1), target=("sink", 0),
-                     direct=True),
-        ],
+        nodes=nodes,
+        links=links,
         flows=[
             FlowSpec(
                 name="flow0", source="sender", sink="sink", workload=workload,

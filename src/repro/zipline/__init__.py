@@ -1,11 +1,7 @@
 """The deployed ZipLine system: encoder/decoder switch programs and topology."""
 
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
-from repro.zipline.deployment import (
-    DeploymentScenario,
-    ReceiverHost,
-    ZipLineDeployment,
-)
+from repro.zipline.deployment import DeploymentScenario, ZipLineDeployment
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK, ZipLineHeaderSet
 from repro.zipline.stats import CompressionSummary, LinkTap, LinkTapRecord
@@ -13,7 +9,6 @@ from repro.zipline.stats import CompressionSummary, LinkTap, LinkTapRecord
 __all__ = [
     "ZipLineDecoderSwitch",
     "DeploymentScenario",
-    "ReceiverHost",
     "ZipLineDeployment",
     "ZipLineEncoderSwitch",
     "ETHERTYPE_RAW_CHUNK",

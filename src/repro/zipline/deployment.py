@@ -11,12 +11,11 @@ the Figure 3 byte accounting and the dynamic-learning timing can be read
 off directly.  The control plane is attached to the encoder's digest engine
 and writes mappings into both switches with the configured latencies.
 
-The deployment is the ``paper-testbed`` preset of the general topology
-layer: its hosts, switches and the tapped inter-switch hop are wired
-through a :class:`~repro.topology.graph.TopologyGraph` (with *direct*
-edges — no link emulation, exactly the original synchronous wiring), so
-the two-switch testbed and arbitrary graph topologies share one wiring
-implementation.
+:class:`ZipLineDeployment` owns no run loop: it is the ``paper-testbed``
+preset (:func:`~repro.topology.spec.paper_testbed_topology`, a *direct*
+tapped hop — no link emulation) handed to
+:class:`~repro.topology.engine.TopologyEngine`, plus the chunk-list
+convenience API the Figure 3 and learning-delay experiments use.
 
 Three scenarios map onto the paper's Figure 3 bars:
 
@@ -29,24 +28,14 @@ Three scenarios map onto the paper's Figure 3 bars:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
-from repro.controlplane.manager import ControlPlaneTimings, ZipLineControlPlane
-from repro.core.transform import GDTransform
 from repro.exceptions import ReproError
-from repro.net.ethernet import EthernetFrame
-from repro.net.mac import MacAddress
-from repro.net.packets import PacketKind, classify_frame
-from repro.sim.simulator import Simulator
-from repro.tofino.digest import DEFAULT_DELIVERY_LATENCY, DigestEngine
-from repro.zipline.decoder_switch import ZipLineDecoderSwitch
-from repro.zipline.encoder_switch import ZipLineEncoderSwitch
-from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
-from repro.zipline.stats import CompressionSummary, LinkTap
+from repro.zipline.headers import raw_chunk_payload
+from repro.zipline.stats import CompressionSummary
 
-__all__ = ["DeploymentScenario", "ReceiverHost", "ZipLineDeployment"]
+__all__ = ["DeploymentScenario", "ZipLineDeployment"]
 
 
 class DeploymentScenario(Enum):
@@ -70,42 +59,6 @@ class DeploymentScenario(Enum):
             ) from None
 
 
-@dataclass
-class ReceivedFrame:
-    """A frame delivered to the receiver host."""
-
-    time: float
-    frame: EthernetFrame
-    kind: PacketKind
-
-
-class ReceiverHost:
-    """The destination server: collects delivered frames and their payloads."""
-
-    def __init__(self, name: str = "receiver"):
-        self.name = name
-        self.frames: List[ReceivedFrame] = []
-
-    def deliver(self, frame_bytes: bytes, time: float) -> None:
-        """Port-sink callback attached to the decoder's host-facing port."""
-        frame = EthernetFrame.from_bytes(frame_bytes)
-        self.frames.append(
-            ReceivedFrame(time=time, frame=frame, kind=classify_frame(frame))
-        )
-
-    def received_chunks(self) -> List[bytes]:
-        """Payloads of every received raw-chunk frame, in arrival order."""
-        return [
-            record.frame.payload
-            for record in self.frames
-            if record.frame.ethertype == ETHERTYPE_RAW_CHUNK
-        ]
-
-    def clear(self) -> None:
-        """Forget every delivered frame."""
-        self.frames.clear()
-
-
 class ZipLineDeployment:
     """Two ZipLine switches, a control plane and a pair of hosts.
 
@@ -113,137 +66,51 @@ class ZipLineDeployment:
     ----------
     scenario:
         ``no_table``, ``static`` or ``dynamic``.
-    transform:
-        GD transform (defaults to the paper's ``m = 8`` / 256-bit chunks).
     identifier_bits:
         Identifier width (15 in the paper).
     static_bases:
         Bases to preload when the scenario is ``static``.
-    digest_latency / timings:
-        Latency model of the learning path; the defaults reproduce the
-        paper's 1.77 ms.
-    entry_ttl:
-        Idle TTL for encoder entries (``None`` disables expiry-based
-        recycling; LRU recycling on pool exhaustion still applies).
-    """
+    seed:
+        Seed of the control plane's latency jitter.
 
-    SENDER_PORT = 0          # encoder port facing the sender host
-    INTER_SWITCH_PORT = 1    # encoder port facing the decoder switch
-    DECODER_IN_PORT = 0      # decoder port facing the encoder switch
-    RECEIVER_PORT = 1        # decoder port facing the receiver host
+    ``encoder``, ``decoder``, ``control_plane`` (``None`` under
+    ``no_table``), ``link_tap`` and ``transform`` are the engine's live
+    components.
+    """
 
     def __init__(
         self,
         scenario: "str | DeploymentScenario" = DeploymentScenario.DYNAMIC,
-        transform: Optional[GDTransform] = None,
         identifier_bits: int = 15,
         static_bases: Optional[Iterable[int]] = None,
-        digest_latency: float = DEFAULT_DELIVERY_LATENCY,
-        timings: Optional[ControlPlaneTimings] = None,
-        entry_ttl: Optional[float] = None,
-        seed: Optional[int] = 0,
+        seed: int = 0,
     ):
+        # repro.topology sits above this package (it wraps the switches),
+        # so it can only be imported once repro.zipline is loaded.
+        from repro.topology.engine import TopologyEngine
+        from repro.topology.spec import paper_testbed_topology
+
         self.scenario = DeploymentScenario.from_name(scenario)
-        self.transform = transform or GDTransform(order=8)
-        self.identifier_bits = identifier_bits
-        self.simulator = Simulator()
-
-        self.sender_mac = MacAddress("02:00:00:00:00:01")
-        self.receiver_mac = MacAddress("02:00:00:00:00:02")
-
-        digest_engine = DigestEngine(self.simulator, delivery_latency=digest_latency)
-        self.encoder = ZipLineEncoderSwitch(
-            name="encoder",
-            transform=self.transform,
-            identifier_bits=identifier_bits,
-            simulator=self.simulator,
-            forwarding={self.SENDER_PORT: self.INTER_SWITCH_PORT},
-            default_egress_port=self.INTER_SWITCH_PORT,
-            entry_ttl=entry_ttl,
-            digest_engine=digest_engine,
-        )
-        self.decoder = ZipLineDecoderSwitch(
-            name="decoder",
-            transform=self.transform,
-            identifier_bits=identifier_bits,
-            simulator=self.simulator,
-            forwarding={self.DECODER_IN_PORT: self.RECEIVER_PORT},
-            default_egress_port=self.RECEIVER_PORT,
-        )
-
-        self.link_tap = LinkTap()
-        self.receiver = ReceiverHost()
-        self._wire_topology()
-
-        self.control_plane: Optional[ZipLineControlPlane] = None
-        if self.scenario is not DeploymentScenario.NO_TABLE:
-            self.control_plane = ZipLineControlPlane(
-                digest_engine=digest_engine,
-                encoder_switch=self.encoder,
-                decoder_switch=self.decoder,
-                simulator=self.simulator,
+        if self.scenario is DeploymentScenario.STATIC and static_bases is None:
+            raise ReproError("the static scenario requires static_bases")
+        self.engine = TopologyEngine(
+            paper_testbed_topology(
+                scenario=self.scenario.value,
                 identifier_bits=identifier_bits,
-                entry_ttl=entry_ttl,
-                timings=timings,
                 seed=seed,
-            )
-        if self.scenario is DeploymentScenario.STATIC:
-            if static_bases is None:
-                raise ReproError("the static scenario requires static_bases")
-            self.control_plane.preload_static_mappings(static_bases)
-
-        self._chunks_sent = 0
-        self._payload_bytes_sent = 0
-
-    # -- wiring ------------------------------------------------------------------
-
-    def _wire_topology(self) -> None:
-        """Build the two-switch testbed as a (direct-edged) topology graph."""
-        # Imported lazily: repro.topology pulls in repro.replay, whose
-        # harness imports this module for DeploymentScenario.
-        from repro.topology.graph import TopologyGraph
-        from repro.topology.nodes import ZipLineDecoderNode, ZipLineEncoderNode
-
-        graph = TopologyGraph(self.simulator)
-        graph.add_node(ZipLineEncoderNode("encoder", switch=self.encoder))
-        graph.add_node(ZipLineDecoderNode("decoder", switch=self.decoder))
-        graph.add_edge(
-            "encoder", self.INTER_SWITCH_PORT, "decoder", self.DECODER_IN_PORT,
-            tap=self.link_tap,
+            ),
+            static_bases=static_bases,
         )
-        graph.add_edge("decoder", self.RECEIVER_PORT, self.receiver.deliver)
-        graph.wire()
-        self.graph = graph
+        nodes = self.engine.graph.nodes
+        self.encoder = nodes["encoder"].switch
+        self.decoder = nodes["decoder"].switch
+        self.control_plane = self.engine.control_planes.get("encoder")
+        self.link_tap = self.engine.measured_tap
+        self.transform = self.engine.transform
+        self._flow = self.engine.flow_states[0]
+        self._traffic = None
 
-    # -- traffic injection -----------------------------------------------------------
-
-    def build_chunk_frame(self, chunk: bytes) -> EthernetFrame:
-        """Wrap a chunk payload into a raw-chunk Ethernet frame."""
-        if len(chunk) != self.transform.chunk_bytes:
-            raise ReproError(
-                f"chunk of {len(chunk)} bytes does not match the configured "
-                f"{self.transform.chunk_bytes}-byte chunks"
-            )
-        return EthernetFrame(
-            destination=self.receiver_mac,
-            source=self.sender_mac,
-            ethertype=ETHERTYPE_RAW_CHUNK,
-            payload=chunk,
-        )
-
-    def send_chunk(self, chunk: bytes, at_time: Optional[float] = None) -> None:
-        """Schedule the injection of one chunk at ``at_time`` (now by default)."""
-        frame_bytes = self.build_chunk_frame(chunk).to_bytes()
-        self._chunks_sent += 1
-        self._payload_bytes_sent += len(chunk)
-
-        def inject(frame_bytes=frame_bytes) -> None:
-            self.encoder.receive(frame_bytes, self.SENDER_PORT)
-
-        if at_time is None or at_time <= self.simulator.now:
-            self.simulator.schedule_now(inject, description="inject chunk")
-        else:
-            self.simulator.schedule_at(at_time, inject, description="inject chunk")
+    # -- traffic ---------------------------------------------------------------------
 
     def replay_chunks(
         self,
@@ -251,18 +118,33 @@ class ZipLineDeployment:
         packet_rate: float,
         start_time: float = 0.0,
     ) -> None:
-        """Schedule a constant-rate replay of ``chunks`` (packets per second)."""
-        if packet_rate <= 0:
-            raise ReproError(f"packet rate must be positive, got {packet_rate}")
-        interval = 1.0 / packet_rate
-        for index, chunk in enumerate(chunks):
-            self.send_chunk(chunk, at_time=start_time + index * interval)
+        """Queue a constant-rate replay of ``chunks`` (packets per second).
+
+        Chunk ``i`` is injected at ``start_time + i / packet_rate`` once
+        :meth:`run` is called.
+        """
+        # repro.replay imports this module for DeploymentScenario.
+        from repro.replay.sources import ChunkTraceSource, RecordedPacing
+        from repro.workloads.traces import ChunkTrace
+
+        trace = ChunkTrace(chunks)
+        if trace.chunk_bytes != self.transform.chunk_bytes:
+            raise ReproError(
+                f"chunks of {trace.chunk_bytes} bytes do not match the configured "
+                f"{self.transform.chunk_bytes}-byte chunks"
+            )
+        self._traffic = (
+            ChunkTraceSource(trace, recorded_rate=packet_rate),
+            RecordedPacing(start=start_time),
+        )
 
     # -- execution ---------------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run the simulation until the event queue drains (or ``until``)."""
-        self.simulator.run(until=until)
+        """Run the queued replay until the event queue drains (or ``until``)."""
+        if self._traffic is None:
+            raise ReproError("nothing to replay; call replay_chunks() first")
+        self.engine.run(until=until, sources={"flow0": self._traffic})
 
     def replay_and_run(
         self,
@@ -280,7 +162,7 @@ class ZipLineDeployment:
         """Figure-3 style summary of everything sent so far."""
         summary = CompressionSummary.from_link_tap(
             self.link_tap,
-            original_payload_bytes=self._payload_bytes_sent,
+            original_payload_bytes=self._flow.chunk_bytes_sent,
             dataset=dataset,
             scenario=self.scenario.value,
         )
@@ -293,26 +175,15 @@ class ZipLineDeployment:
         This is exactly the paper's dynamic-learning measurement; ``None``
         when one of the two packet types never appeared.
         """
-        first_uncompressed = self.link_tap.first_time_of_kind(
-            PacketKind.PROCESSED_UNCOMPRESSED
-        )
-        first_compressed = self.link_tap.first_time_of_kind(
-            PacketKind.PROCESSED_COMPRESSED
-        )
-        if first_uncompressed is None or first_compressed is None:
-            return None
-        return max(0.0, first_compressed - first_uncompressed)
+        return self.engine.learning_time()
 
     def verify_lossless(self, original_chunks: Sequence[bytes]) -> bool:
         """True when the receiver got every chunk back, bit exact and in order."""
-        received = self.receiver.received_chunks()
-        if len(received) != len(original_chunks):
-            return False
-        return all(got == sent for got, sent in zip(received, original_chunks))
-
-    def reset_traffic(self) -> None:
-        """Clear taps, receiver state and counters, keeping learned mappings."""
-        self.link_tap.clear()
-        self.receiver.clear()
-        self._chunks_sent = 0
-        self._payload_bytes_sent = 0
+        received = [
+            payload
+            for payload in (
+                raw_chunk_payload(frame) for _time, frame in self._flow.arrivals
+            )
+            if payload is not None
+        ]
+        return received == list(original_chunks)

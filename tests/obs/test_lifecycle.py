@@ -117,6 +117,35 @@ class TestOffModeInvariance:
         assert any(e["ph"] == "C" for e in sampled)
 
 
+class TestSnapshotSeries:
+    @pytest.mark.parametrize("scenario", ["static", "dynamic"])
+    def test_final_ratio_is_the_reports_compression_ratio(self, scenario):
+        """``ratio`` is wire bytes over payload bytes, like every other
+        compression ratio in the repo — not its inverse."""
+        from repro.replay import ChunkTraceSource, ReplayHarness
+        from repro.workloads import SyntheticSensorWorkload
+
+        workload = SyntheticSensorWorkload(num_chunks=2500, distinct_bases=4, seed=3)
+        tracer = obs.enable(snapshot_interval=1e-4)
+        try:
+            harness = ReplayHarness(scenario=scenario, static_bases=workload.bases())
+            report = harness.run(ChunkTraceSource(workload.trace()))
+        finally:
+            obs.disable()
+        samples = [e["args"] for e in tracer.sink.events if e["ph"] == "C"]
+        assert len(samples) > 2
+        final = samples[-1]
+        assert report.compression_ratio < 1.0
+        assert final["ratio"] == report.compression_ratio
+        assert final["wire_payload_bytes"] == report.wire_payload_bytes
+        # pkt_per_s counts frames on the measured link, not injected ones.
+        wire_frames = sum(
+            report.metrics.counter(f"wire.{kind}_packets")
+            for kind in ("raw", "uncompressed", "compressed")
+        )
+        assert final["pkt_per_s"] == wire_frames / report.duration
+
+
 class TestShardedTraces:
     def test_merged_trace_is_worker_count_independent(self):
         _report, sequential = _traced_run(workers=1, snapshot_interval=1e-5)

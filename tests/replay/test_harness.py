@@ -329,6 +329,44 @@ class TestPcapDriven:
         assert report.chunks_sent == len(trace)
         assert report.source.startswith("pcap:")
 
+    def test_runt_frames_are_counted_as_parse_errors(self, tmp_path):
+        """Malformed frames must not vanish: 22 frames go in, the encoder
+        processes 20, and ``encoder.parse_errors`` accounts for the rest."""
+        from repro.net.pcap import PcapPacket, write_pcap
+        from repro.topology import TopologyEngine, linear_topology
+
+        chunks = SyntheticSensorWorkload(num_chunks=20, distinct_bases=2, seed=4)
+        frames = [
+            frame.data for frame in ChunkTraceSource(chunks.trace()).frames()
+        ]
+        frames.insert(5, b"\x01\x02\x03\x04\x05")
+        frames.insert(11, b"\xaa" * 13)
+        path = tmp_path / "runts.pcap"
+        write_pcap(
+            path,
+            (PcapPacket(index * 1e-6, data) for index, data in enumerate(frames)),
+            nanosecond=True,
+        )
+
+        harness = ReplayHarness(scenario="no_table")
+        linear = harness.run(PcapTraceSource(path))
+        engine = TopologyEngine(
+            linear_topology(scenario="no_table", trace=str(path))
+        )
+        graph = engine.run()
+        assert harness.sink.frames_sent == 22
+        assert graph.flow("flow0").frames_sent == 22
+        for report in (linear, graph):
+            assert report.chunks_sent == 20
+            assert report.metrics.counter("encoder.raw_to_uncompressed") == 20
+            assert report.metrics.counter("encoder.parse_errors") == 2
+            assert report.integrity.lossless_in_order
+
+    def test_parse_errors_counter_is_absent_from_clean_runs(self, trace):
+        report = ReplayHarness(scenario="no_table").run(ChunkTraceSource(trace))
+        counters = report.as_dict()["metrics"]["counters"]
+        assert not [name for name in counters if name.endswith("parse_errors")]
+
 
 class TestCountersOnlyMode:
     def test_verify_integrity_false_keeps_no_per_chunk_state(self, trace):
@@ -345,7 +383,7 @@ class TestCountersOnlyMode:
         # No retained payloads or frames.
         assert harness.sink.arrivals == []
         assert harness.sink.delivered == len(trace)
-        assert harness._sent_chunks == []
+        assert harness.sink.sent_chunks == []
 
 
 class TestDnsWorkloadSource:

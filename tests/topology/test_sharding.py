@@ -347,7 +347,7 @@ class TestStreamingMemoryBounds:
         assert report.wire_payload_bytes > 0
         # Flow accounts match online: after a lossless run the pending
         # table has drained and no sent/arrival lists were ever kept.
-        for state in engine._flows:
+        for state in engine.flow_states:
             assert state.account.pending == {}
             assert not hasattr(state.account, "arrivals")
         # Every distribution is a fixed-size sketch: asking for raw

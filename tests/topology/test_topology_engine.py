@@ -172,7 +172,7 @@ class TestCountersOnlyMode:
             assert flow.integrity is None
             assert flow.latency == {}
             assert flow.delivered == 300
-        for state in engine._flows:
+        for state in engine.flow_states:
             assert state.sent_chunks == []
             assert state.arrivals == []
 

@@ -78,7 +78,7 @@ class TestPlumbing:
     def test_chunk_size_validation(self):
         deployment = ZipLineDeployment(scenario="no_table")
         with pytest.raises(ReproError):
-            deployment.send_chunk(b"\x00" * 31)
+            deployment.replay_chunks([b"\x00" * 31], packet_rate=1e6)
 
     def test_packet_rate_validation(self, shared_chunks):
         _, chunks = shared_chunks
@@ -99,15 +99,6 @@ class TestPlumbing:
         deployment = ZipLineDeployment(scenario="no_table")
         deployment.replay_and_run(chunks[:10], packet_rate=1e6)
         assert deployment.learning_time() is None
-
-    def test_reset_traffic_keeps_mappings(self, shared_chunks):
-        bases, chunks = shared_chunks
-        deployment = ZipLineDeployment(scenario="static", static_bases=bases)
-        deployment.replay_and_run(chunks[:20], packet_rate=1e6)
-        deployment.reset_traffic()
-        assert deployment.link_tap.total_frames() == 0
-        summary = deployment.replay_and_run(chunks[:20], packet_rate=1e6)
-        assert summary.compressed_packets == 20
 
     def test_verify_lossless_detects_mismatch(self, shared_chunks):
         _, chunks = shared_chunks
