@@ -17,7 +17,7 @@ Python, so this benchmark reproduces the figure in two parts:
 
 import random
 
-from repro.analysis.experiment import ExperimentRunner
+from repro.analysis.experiment import PAPER_REPETITIONS
 from repro.analysis.reporting import format_table, save_results_json
 from repro.analysis.statistics import summarize
 from repro.core.transform import GDTransform
@@ -51,7 +51,6 @@ def test_figure4_throughput_series(benchmark):
     ]
 
     model = ThroughputModel(measurement_noise=0.01, seed=2020)
-    runner = ExperimentRunner(repetitions=10)
 
     rows = []
     # Absolute numbers are machine-bound; note the environment in the JSON
@@ -59,30 +58,30 @@ def test_figure4_throughput_series(benchmark):
     results = {"environment": environment_info()}
     for operation in operations:
         for frame_bytes in (64, 1500, 9000):
-            gbps_result = runner.run(
-                f"{operation.name}/{frame_bytes}B/gbps",
-                lambda _i, op=operation, fb=frame_bytes: model.measure(
-                    op, fb, noisy=True
-                ).throughput_gbps,
-                unit="Gbit/s",
+            gbps = summarize(
+                [
+                    model.measure(operation, frame_bytes, noisy=True).throughput_gbps
+                    for _ in range(PAPER_REPETITIONS)
+                ]
             )
-            mpps_samples = [
-                model.measure(operation, frame_bytes, noisy=True).packet_rate_mpps
-                for _ in range(10)
-            ]
-            mpps = summarize(mpps_samples)
+            mpps = summarize(
+                [
+                    model.measure(operation, frame_bytes, noisy=True).packet_rate_mpps
+                    for _ in range(PAPER_REPETITIONS)
+                ]
+            )
             rows.append(
                 [
                     operation.name,
                     frame_bytes,
-                    gbps_result.summary.format("Gbit/s"),
+                    gbps.format("Gbit/s"),
                     mpps.format("Mpkt/s"),
                     f"{PAPER_GBPS[frame_bytes]:.1f} / {PAPER_MPPS[frame_bytes]:.1f}",
                     model.measure(operation, frame_bytes).bottleneck,
                 ]
             )
             results[f"{operation.name}_{frame_bytes}"] = {
-                "throughput_gbps": gbps_result.summary.mean,
+                "throughput_gbps": gbps.mean,
                 "packet_rate_mpps": mpps.mean,
             }
 

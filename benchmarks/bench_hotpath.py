@@ -18,19 +18,21 @@ Measured stages:
 
 1. *transform microbench* — ``split_batch_fields`` (lane-fused) vs the
    reference per-chunk ``split`` (the pre-PR hot loop);
-2. *codec end to end* — ``GDCodec.compress``/``decompress_records`` over
-   the synthetic sensor workload, with a round-trip assertion;
-3. *switch encode* — the Figure 4 functional scenario (raw-chunk frames
+2. *switch encode* — the Figure 4 functional scenario (raw-chunk frames
    through ``ZipLineEncoderSwitch``), compiled fast path vs interpreted
    pipeline, with byte-identical output asserted;
-4. *backend matrix* — every available codec backend (``pure``, ``numpy``
+3. *backend matrix* — every available codec backend (``pure``, ``numpy``
    when installed) over the same corpus: whole-buffer field split,
    columnar batch split, bulk parity, batch join, whole-buffer batch CRC
-   (``crc_batch``) and the batched container pipeline
-   (``codec_compress_batch`` / ``codec_decompress_batch``).  Each
-   backend's output is asserted bit-identical to ``pure`` before it is
-   timed, and the numpy-vs-pure batch speedups are guarded by hard floors
-   plus the committed same-backend generations in ``BENCH_hotpath.json``.
+   (``crc_batch``), the container pipeline (``codec_compress_batch`` /
+   ``codec_decompress_batch``) and the streaming engine over 64 KiB
+   blocks (``stream_compress`` / ``stream_decompress``).  Each backend's
+   output is asserted bit-identical to ``pure`` — and the container to
+   the per-record ``to_bytes`` layout oracle — before it is timed; the
+   numpy-vs-pure batch speedups and the stream-vs-container ratios (one
+   record pipeline serves both, so they must stay close) are guarded by
+   hard floors plus the committed same-backend generations in
+   ``BENCH_hotpath.json``.
 
 ``REPRO_BENCH_BACKENDS`` (comma-separated names) restricts the backend
 matrix — ``repro bench --suite hotpath --backend numpy`` sets it.  The
@@ -42,7 +44,6 @@ guards only ever compare generations recorded for the same backend.
 checks and the regression guards hold in both modes.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -52,6 +53,7 @@ from pathlib import Path
 from repro.analysis.reporting import format_table, save_results_json
 from repro.core import backends as codec_backends
 from repro.core.codec import GDCodec
+from repro.core.engine import DEFAULT_BLOCK_SIZE, GDStreamCompressor
 from repro.core.transform import GDTransform
 from repro.net.ethernet import EthernetFrame
 from repro.net.mac import MacAddress
@@ -164,14 +166,6 @@ def _selected_backends():
     return selected
 
 
-def _join_batch(transform, prefixes, bases, deviations):
-    """Batch join through the transform's backend (decode direction)."""
-    backend = transform.backend_impl
-    if backend.accelerated and backend.supports_join(transform):
-        return backend.join_batch_to_bytes(transform, prefixes, bases, deviations)
-    return transform._join_batch_to_bytes_local(prefixes, bases, deviations)
-
-
 def _guard(label, current, baseline_value):
     """Fail when ``current`` regressed >30 % below the committed baseline."""
     if baseline_value is None:
@@ -231,26 +225,7 @@ def test_hotpath_trajectory():
     )
     join_fast_mbps = total_bytes / join_fast_seconds / 1e6
 
-    # -- 2. codec end to end ----------------------------------------------
-    codec = GDCodec(order=8, identifier_bits=15)
-    compress_seconds = _best_seconds(
-        lambda: GDCodec(order=8, identifier_bits=15).compress(data), repeats=REPEATS
-    )
-    result = codec.compress(data)
-    decoder_codec = codec.clone()
-    decompress_seconds = _best_seconds(
-        lambda: codec.clone().decompress_records(
-            result.records, original_bytes=total_bytes
-        )
-    )
-    restored = decoder_codec.decompress_records(
-        result.records, original_bytes=total_bytes
-    )
-    assert restored == data, "codec round trip is not bit-identical"
-    codec_compress_mbps = total_bytes / compress_seconds / 1e6
-    codec_decompress_mbps = total_bytes / decompress_seconds / 1e6
-
-    # -- 3. switch encode (the Figure 4 functional scenario) ---------------
+    # -- 2. switch encode (the Figure 4 functional scenario) ---------------
     frames = _chunk_frames(fast_transform, FRAMES)
 
     def run_switch(fast):
@@ -272,7 +247,7 @@ def test_hotpath_trajectory():
     assert fast_outputs == reference_outputs, "switch fast path diverged"
     switch_speedup = switch_fast_pps / switch_reference_pps
 
-    # -- 4. backend matrix --------------------------------------------------
+    # -- 3. backend matrix --------------------------------------------------
     backend_names = _selected_backends()
     backend_results = {}
     pure_bases = [basis for _, basis, _ in fast_fields]
@@ -283,13 +258,22 @@ def test_hotpath_trajectory():
     pure_crcs = fast_transform.code.crc_engine.compute_batch_pure(
         data, crc_record_bits
     )
-    # Batched container reference: the eager per-record serialisation —
-    # every backend's batch pipeline must produce these exact bytes.
-    eager_codec = GDCodec(order=8, identifier_bits=15, backend="pure")
-    eager_result = eager_codec.compress(data)
-    eager_container = eager_codec.to_container(
-        dataclasses.replace(eager_result, records=tuple(eager_result.records))
+    # Container reference: every record's own ``to_bytes`` behind its tag
+    # byte — every backend's pipeline must produce these exact bytes.
+    oracle_codec = GDCodec(order=8, identifier_bits=15, backend="pure")
+    oracle_records = oracle_codec.compress(data).records
+    oracle_container = (
+        oracle_codec.container_header(record_count=len(oracle_records))
+        + total_bytes.to_bytes(8, "big")
+        + b"".join(
+            bytes([int(record.record_type)]) + record.to_bytes()
+            for record in oracle_records
+        )
     )
+    blocks = [
+        data[offset : offset + DEFAULT_BLOCK_SIZE]
+        for offset in range(0, total_bytes, DEFAULT_BLOCK_SIZE)
+    ]
     for name in backend_names:
         transform = GDTransform(order=8, backend=name)
         # correctness before timing: every backend must reproduce the
@@ -308,7 +292,7 @@ def test_hotpath_trajectory():
             )
         )
         assert parities == pure_parities, f"backend {name!r} parities diverged"
-        joined = _join_batch(transform, prefixes, pure_bases, deviations)
+        joined = transform.join_batch_to_bytes(prefixes, pure_bases, deviations)
         assert joined == data, f"backend {name!r} batch join is not bit-identical"
 
         fields_seconds = _best_seconds(lambda: transform.split_batch_fields(data))
@@ -319,7 +303,7 @@ def test_hotpath_trajectory():
             )
         )
         join_seconds = _best_seconds(
-            lambda: _join_batch(transform, prefixes, pure_bases, deviations)
+            lambda: transform.join_batch_to_bytes(prefixes, pure_bases, deviations)
         )
 
         # batch CRC: one whole-buffer call, bit-identical to the pure fold.
@@ -335,9 +319,9 @@ def test_hotpath_trajectory():
         # columnar container decode, all equality-asserted before timing.
         codec = GDCodec(order=8, identifier_bits=15, backend=name)
         blob = codec.to_container(codec.compress(data))
-        assert blob == eager_container, (
-            f"backend {name!r} batched container diverged from the "
-            "per-record serialisation"
+        assert blob == oracle_container, (
+            f"backend {name!r} container diverged from the per-record "
+            "serialisation"
         )
         assert (
             GDCodec(order=8, identifier_bits=15, backend=name).decompress_container(
@@ -354,6 +338,25 @@ def test_hotpath_trajectory():
             ).decompress_container(blob)
         )
 
+        # streaming engine: the same record pipeline behind 64 KiB blocks.
+        def compressor():
+            return GDStreamCompressor(order=8, identifier_bits=15, backend=name)
+
+        stream = b"".join(compressor().compress_stream(blocks))
+        assert b"".join(compressor().decompress_stream([stream])) == data, (
+            f"backend {name!r} stream round trip failed"
+        )
+        stream_blocks = [
+            stream[offset : offset + DEFAULT_BLOCK_SIZE]
+            for offset in range(0, len(stream), DEFAULT_BLOCK_SIZE)
+        ]
+        stream_compress_seconds = _best_seconds(
+            lambda: b"".join(compressor().compress_stream(blocks))
+        )
+        stream_decompress_seconds = _best_seconds(
+            lambda: b"".join(compressor().decompress_stream(stream_blocks))
+        )
+
         backend_results[name] = {
             "transform_fields_mbps": total_bytes / fields_seconds / 1e6,
             "transform_batch_mbps": total_bytes / batch_seconds / 1e6,
@@ -364,6 +367,8 @@ def test_hotpath_trajectory():
             "codec_decompress_batch_mbps": (
                 total_bytes / decompress_batch_seconds / 1e6
             ),
+            "stream_compress_mbps": total_bytes / stream_compress_seconds / 1e6,
+            "stream_decompress_mbps": total_bytes / stream_decompress_seconds / 1e6,
         }
     pure_batch_mbps = backend_results["pure"]["transform_batch_mbps"]
     pure_metrics = backend_results["pure"]
@@ -382,6 +387,13 @@ def test_hotpath_trajectory():
             metrics["codec_decompress_batch_mbps"]
             / pure_metrics["codec_decompress_batch_mbps"]
         )
+        metrics["stream_compress_vs_container"] = (
+            metrics["stream_compress_mbps"] / metrics["codec_compress_batch_mbps"]
+        )
+        metrics["stream_decompress_vs_container"] = (
+            metrics["stream_decompress_mbps"]
+            / metrics["codec_decompress_batch_mbps"]
+        )
 
     # -- report -------------------------------------------------------------
     results = {
@@ -392,8 +404,6 @@ def test_hotpath_trajectory():
         "transform_reference_mbps": transform_reference_mbps,
         "transform_speedup": transform_speedup,
         "join_fast_mbps": join_fast_mbps,
-        "codec_compress_mbps": codec_compress_mbps,
-        "codec_decompress_mbps": codec_decompress_mbps,
         "switch_fast_pps": switch_fast_pps,
         "switch_reference_pps": switch_reference_pps,
         "switch_speedup": switch_speedup,
@@ -404,8 +414,6 @@ def test_hotpath_trajectory():
          f"{transform_speedup:.1f}x vs reference"],
         ["transform split (reference)", f"{transform_reference_mbps:.1f} MB/s", "1.0x"],
         ["transform join (fused)", f"{join_fast_mbps:.1f} MB/s", ""],
-        ["codec compress", f"{codec_compress_mbps:.1f} MB/s", ""],
-        ["codec decompress", f"{codec_decompress_mbps:.1f} MB/s", ""],
         ["switch encode (compiled)", f"{switch_fast_pps:,.0f} pkt/s",
          f"{switch_speedup:.1f}x vs interpreted"],
         ["switch encode (interpreted)", f"{switch_reference_pps:,.0f} pkt/s", "1.0x"],
@@ -432,6 +440,12 @@ def test_hotpath_trajectory():
                 [f"[{name}] codec decompress batch",
                  f"{metrics['codec_decompress_batch_mbps']:.1f} MB/s",
                  f"{metrics['decompress_batch_speedup_vs_pure']:.1f}x vs pure"],
+                [f"[{name}] stream compress",
+                 f"{metrics['stream_compress_mbps']:.1f} MB/s",
+                 f"{metrics['stream_compress_vs_container']:.2f}x vs container"],
+                [f"[{name}] stream decompress",
+                 f"{metrics['stream_decompress_mbps']:.1f} MB/s",
+                 f"{metrics['stream_decompress_vs_container']:.2f}x vs container"],
             ]
         )
     table = format_table(
@@ -487,6 +501,8 @@ def test_hotpath_trajectory():
             ("crc_batch_vs_pure", "crc_batch_speedup_vs_pure"),
             ("compress_batch_vs_pure", "compress_batch_speedup_vs_pure"),
             ("decompress_batch_vs_pure", "decompress_batch_speedup_vs_pure"),
+            ("stream_compress_vs_container", "stream_compress_vs_container"),
+            ("stream_decompress_vs_container", "stream_decompress_vs_container"),
         ):
             _guard(
                 f"{name} {committed_key.replace('_', ' ')}",

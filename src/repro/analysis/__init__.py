@@ -2,7 +2,6 @@
 
 from repro.analysis.experiment import (
     ExperimentResult,
-    ExperimentRunner,
     PAPER_REPETITIONS,
     summarize_groups,
 )
@@ -23,7 +22,6 @@ from repro.analysis.statistics import (
 
 __all__ = [
     "ExperimentResult",
-    "ExperimentRunner",
     "PAPER_REPETITIONS",
     "summarize_groups",
     "ComparisonRow",

@@ -1,20 +1,12 @@
-"""Experiment summarisation: repeated measurements and matrix group-bys.
+"""Experiment summarisation: matrix group-bys with the paper's statistics.
 
 The evaluation methodology of the paper is uniform: "each measurement is
 repeated 10 times, and we show the average and the 95 % confidence
-interval".  This module packages that methodology for both ways the
-repository produces samples:
-
-* :class:`ExperimentRunner` — the repeated-measurement loop: run a callable
-  ``repetitions`` times (optionally with a per-repetition seed), collect
-  one scalar per run, and summarise;
-* :func:`summarize_groups` — the matrix side: fold labelled samples (one
-  per scenario of a :class:`~repro.experiments.runner.MatrixResult` sweep)
-  into per-group mean ± 95 % CI summaries, preserving first-seen group
-  order so sweep tables are deterministic.
-
-Both paths produce :class:`ExperimentResult` objects, so a sweep's per-axis
-group-bys render exactly like a repeated benchmark measurement:
+interval".  :func:`summarize_groups` applies it to an experiment matrix:
+it folds labelled samples (one per scenario of a
+:class:`~repro.experiments.runner.MatrixResult` sweep) into per-group
+mean ± 95 % CI :class:`ExperimentResult` summaries, preserving first-seen
+group order so sweep tables are deterministic:
 
 >>> results = summarize_groups(
 ...     [("static", 0.09), ("static", 0.10), ("dynamic", 0.11)]
@@ -25,13 +17,12 @@ group-bys render exactly like a repeated benchmark measurement:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.analysis.statistics import MeasurementSummary, summarize
-from repro.exceptions import ReproError
 
-__all__ = ["ExperimentResult", "ExperimentRunner", "summarize_groups"]
+__all__ = ["ExperimentResult", "summarize_groups"]
 
 #: The paper's repetition count.
 PAPER_REPETITIONS = 10
@@ -49,50 +40,6 @@ class ExperimentResult:
     def format(self, precision: int = 2) -> str:
         """Paper-style one-line rendering."""
         return f"{self.name}: {self.summary.format(self.unit, precision)}"
-
-
-class ExperimentRunner:
-    """Run measurements the way the paper's evaluation does.
-
-    Parameters
-    ----------
-    repetitions:
-        Number of repetitions per measurement (10 in the paper).
-    """
-
-    def __init__(self, repetitions: int = PAPER_REPETITIONS):
-        if repetitions <= 0:
-            raise ReproError("repetitions must be positive")
-        self.repetitions = repetitions
-        self.results: List[ExperimentResult] = []
-
-    def run(
-        self,
-        name: str,
-        measurement: Callable[[int], float],
-        unit: str = "",
-    ) -> ExperimentResult:
-        """Run ``measurement(repetition_index)`` repeatedly and summarise it."""
-        if not callable(measurement):
-            raise ReproError("measurement must be callable")
-        samples = [float(measurement(index)) for index in range(self.repetitions)]
-        result = ExperimentResult(
-            name=name, samples=tuple(samples), summary=summarize(samples), unit=unit
-        )
-        self.results.append(result)
-        return result
-
-    def run_scenarios(
-        self,
-        measurements: Dict[str, Callable[[int], float]],
-        unit: str = "",
-    ) -> List[ExperimentResult]:
-        """Run a set of named measurements with identical methodology."""
-        return [self.run(name, func, unit) for name, func in measurements.items()]
-
-    def report(self, precision: int = 2) -> str:
-        """Multi-line report of every result recorded so far."""
-        return "\n".join(result.format(precision) for result in self.results)
 
 
 def summarize_groups(

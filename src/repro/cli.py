@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     codecs.add_argument(
         "--backends", action="store_true",
-        help="list the codec backends (pure/numpy/native) with availability "
+        help="list the codec backends (pure/numpy) with availability "
              "and selection status instead of the compressors",
     )
 

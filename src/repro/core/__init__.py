@@ -9,7 +9,9 @@ This subpackage is the paper's primary contribution in library form:
 * :mod:`repro.core.hamming` — Hamming codes driven by CRC arithmetic;
 * :mod:`repro.core.transform` — the chunk ⇄ (prefix, basis, deviation) split;
 * :mod:`repro.core.dictionary` — the bounded basis ↔ identifier mapping;
-* :mod:`repro.core.encoder` / :mod:`repro.core.decoder` — record-level GD;
+* :mod:`repro.core.encoder` / :mod:`repro.core.decoder` — record-level GD:
+  the one encode loop and the one resolve loop + join;
+* :mod:`repro.core.wire` — the GDZ1 record packer and incremental parser;
 * :mod:`repro.core.codec` — the one-call byte-stream compressor;
 * :mod:`repro.core.engine` — the streaming :class:`Compressor` protocol
   unifying the GD codec and every baseline (see also :mod:`repro.registry`).

@@ -9,7 +9,7 @@ datapath (LiteEth unrolls the LFSR across a word and emits one XOR network
 per output bit; the ``numpy`` backend unrolls it across the whole trace and
 emits a handful of ndarray gathers).
 
-Three backends are registered:
+Two backends are registered:
 
 ``pure``
     The existing fused byte-lane path.  Always available, and the
@@ -20,9 +20,6 @@ Three backends are registered:
     split/join over a single ``np.frombuffer`` view, vectorized deviation
     extraction.  Available only when :mod:`numpy` is importable (the
     ``fast`` optional dependency).
-``native``
-    A stub slot reserved for a future Cython/C extension; registering a
-    real implementation replaces the stub (see ``docs/backends.md``).
 
 Selection precedence (first match wins):
 
@@ -51,6 +48,7 @@ __all__ = [
     "CodecBackend",
     "available_backend_names",
     "backend_names",
+    "batch_backend",
     "backend_status",
     "default_backend",
     "get_backend",
@@ -84,21 +82,17 @@ class BatchSplit:
     suite asserts across backends.
     """
 
-    __slots__ = ("count", "backend", "_materialize", "_fields", "_columns", "_cols")
+    __slots__ = ("count", "backend", "_fields", "_columns", "_cols")
 
     def __init__(
         self,
         count: int,
         backend: str,
-        materialize: Callable[[], List[Tuple[int, int, int]]],
+        columns: Optional[Callable[[], Tuple[List[int], List[int], List[int]]]],
         fields: Optional[List[Tuple[int, int, int]]] = None,
-        columns: Optional[
-            Callable[[], Tuple[List[int], List[int], List[int]]]
-        ] = None,
     ):
         self.count = count
         self.backend = backend
-        self._materialize = materialize
         self._fields = fields
         self._columns = columns
         self._cols: Optional[Tuple[List[int], List[int], List[int]]] = None
@@ -108,29 +102,25 @@ class BatchSplit:
         cls, fields: List[Tuple[int, int, int]], backend: str
     ) -> "BatchSplit":
         """Wrap an eagerly computed field list (the pure representation)."""
-        return cls(len(fields), backend, lambda: fields, fields)
+        return cls(len(fields), backend, None, fields)
 
     def fields(self) -> List[Tuple[int, int, int]]:
         """The split as ``(prefix, basis, deviation)`` tuples (cached)."""
         if self._fields is None:
-            if self._cols is not None:
-                prefixes, bases, deviations = self._cols
-                self._fields = list(zip(prefixes, bases, deviations))
-            else:
-                self._fields = self._materialize()
+            self._fields = list(zip(*self.columns()))
         return self._fields
 
     def columns(self) -> Tuple[List[int], List[int], List[int]]:
         """The split as three parallel columns (cached).
 
-        Accelerated backends provide a native column thunk that skips the
+        Accelerated backends provide a column thunk that skips the
         per-chunk tuple zip entirely — the batched encoder consumes the
         basis column alone, which is several times cheaper than the full
         field list.
         """
         if self._cols is None:
-            if self._fields is not None or self._columns is None:
-                fields = self.fields()
+            fields = self._fields
+            if fields is not None:
                 self._cols = (
                     [prefix for prefix, _, _ in fields],
                     [basis for _, basis, _ in fields],
@@ -167,14 +157,14 @@ class BatchSplit:
 class CodecBackend:
     """Interface every codec backend implements.
 
-    A backend accelerates the four batch entry points the replay harness,
-    topology engine and CLI funnel through: forward split
-    (:meth:`split_batch_fields` / :meth:`split_batch_columns`), bulk parity
-    recovery (:meth:`parities_of_bases`) and the whole-batch inverse
-    (:meth:`join_batch_to_bytes`).  The ``supports_*`` predicates gate each
-    operation per configuration (order, prefix width); ineligible
-    configurations transparently stay on the pure path, so a backend never
-    has to cover the full parameter space to be useful.
+    A backend accelerates the batch kernels the record pipeline funnels
+    through: forward split (:meth:`split_batch_columns`), bulk parity
+    recovery (:meth:`parities_of_bases`), the whole-batch inverse
+    (:meth:`join_batch_to_bytes`) and batch CRC (:meth:`crc_batch`).  The
+    ``supports_*`` predicates gate each operation per configuration
+    (order, prefix width); ineligible configurations transparently stay on
+    the pure path, so a backend never has to cover the full parameter
+    space to be useful.
 
     Equivalence contract: for every configuration a backend claims support
     for, its outputs must be **bit-identical** to the reference path —
@@ -227,10 +217,6 @@ class CodecBackend:
 
     # -- operations -------------------------------------------------------
 
-    def split_batch_fields(self, transform, data) -> List[Tuple[int, int, int]]:
-        """Buffer of whole chunks → ``(prefix, basis, deviation)`` list."""
-        raise NotImplementedError
-
     def split_batch_columns(self, transform, data) -> BatchSplit:
         """Buffer of whole chunks → columnar :class:`BatchSplit`."""
         raise NotImplementedError
@@ -267,7 +253,7 @@ def register_backend(backend: CodecBackend, replace: bool = False) -> None:
     """Register a backend instance under its :attr:`~CodecBackend.name`.
 
     Re-registering an existing name raises unless ``replace`` is true —
-    the hook a real ``native`` extension uses to take over the stub slot.
+    the hook an out-of-tree implementation uses to take over a name.
     """
     name = (backend.name or "").lower()
     if not name:
@@ -342,6 +328,31 @@ def resolve_backend(
     return backend
 
 
+def batch_backend(
+    backend: CodecBackend,
+    count: int,
+    supports: Callable[[object], bool],
+    subject: object,
+    forced: bool = False,
+) -> CodecBackend:
+    """The backend that serves one batch: ``backend`` or ``pure``.
+
+    The single eligibility gate of every batch entry point: ``backend``
+    runs when it is accelerated, the batch holds at least
+    :data:`MIN_BATCH_CHUNKS` items (``forced`` waives the size floor for a
+    backend the caller named explicitly) and its ``supports`` predicate —
+    one of the bound ``backend.supports_*`` methods — accepts ``subject``.
+    Everything else stays on the ``pure`` backend.
+    """
+    if (
+        backend.accelerated
+        and (forced or count >= MIN_BATCH_CHUNKS)
+        and supports(subject)
+    ):
+        return backend
+    return _BACKENDS["pure"]
+
+
 def backend_status() -> List[Dict[str, object]]:
     """One status row per registered backend (the ``codecs --backends`` view).
 
@@ -373,10 +384,8 @@ def backend_status() -> List[Dict[str, object]]:
 
 # -- built-ins -----------------------------------------------------------------
 
-from repro.core.backends.native import NativeBackend  # noqa: E402
 from repro.core.backends.numpy_backend import NumpyBackend  # noqa: E402
 from repro.core.backends.pure import PureBackend  # noqa: E402
 
 register_backend(PureBackend())
 register_backend(NumpyBackend())
-register_backend(NativeBackend())

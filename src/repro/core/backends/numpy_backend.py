@@ -211,6 +211,26 @@ class _ParityState:
         self.parity_bytes = (code.n + 7) // 8
         self.fold = _build_fold(np, code.crc_parameter, code.m, self.parity_bytes)
 
+    def rows(self, np, m: int, bases: Sequence[int]):
+        """``basis * x**m`` of every basis as ``(count, parity_bytes)`` rows.
+
+        Real traces repeat a small working set of bases, so an int-keyed
+        dict collapses most serialisations to one probe.
+        """
+        parity_bytes = self.parity_bytes
+        cache: Dict[int, bytes] = {}
+        get = cache.get
+        pieces: List[bytes] = []
+        append = pieces.append
+        for basis in bases:
+            piece = get(basis)
+            if piece is None:
+                piece = cache[basis] = (basis << m).to_bytes(parity_bytes, "big")
+            append(piece)
+        return np.frombuffer(b"".join(pieces), dtype=np.uint8).reshape(
+            len(bases), parity_bytes
+        )
+
 
 def _materialize_bases(
     count: int, basis_buffer: bytes, basis_bytes: int
@@ -243,16 +263,6 @@ def _materialize_columns(
     deviation_list = deviations.tolist()
     bases = _materialize_bases(count, basis_buffer, basis_bytes)
     return prefix_list, bases, deviation_list
-
-
-def _materialize_fields(
-    count: int, prefixes, deviations, basis_buffer: bytes, basis_bytes: int
-) -> List[Tuple[int, int, int]]:
-    """Columns → the classic ``(prefix, basis, deviation)`` tuple list."""
-    prefix_list, bases, deviation_list = _materialize_columns(
-        count, prefixes, deviations, basis_buffer, basis_bytes
-    )
-    return list(zip(prefix_list, bases, deviation_list))
 
 
 class _CrcBatchState:
@@ -434,14 +444,6 @@ class NumpyBackend(CodecBackend):
 
     # -- operations -------------------------------------------------------
 
-    def split_batch_fields(self, transform, data) -> List[Tuple[int, int, int]]:
-        np = _numpy()[0]
-        state = self._split_state(np, transform)
-        prefixes, deviations, basis_buffer = state.split(np, transform, data)
-        return _materialize_fields(
-            len(deviations), prefixes, deviations, basis_buffer, state.basis_bytes
-        )
-
     def split_batch_columns(self, transform, data) -> BatchSplit:
         np = _numpy()[0]
         state = self._split_state(np, transform)
@@ -451,10 +453,7 @@ class NumpyBackend(CodecBackend):
         return BatchSplit(
             count,
             self.name,
-            lambda: _materialize_fields(
-                count, prefixes, deviations, basis_buffer, basis_bytes
-            ),
-            columns=lambda: _materialize_columns(
+            lambda: _materialize_columns(
                 count, prefixes, deviations, basis_buffer, basis_bytes
             ),
         )
@@ -472,21 +471,7 @@ class NumpyBackend(CodecBackend):
             return b""
         np = _numpy()[0]
         state = self._parity_state(np, code)
-        parity_bytes = state.parity_bytes
-        m = code.m
-        cache: Dict[int, bytes] = {}
-        get = cache.get
-        pieces: List[bytes] = []
-        append = pieces.append
-        for basis in bases:
-            piece = get(basis)
-            if piece is None:
-                piece = cache[basis] = (basis << m).to_bytes(parity_bytes, "big")
-            append(piece)
-        rows = np.frombuffer(b"".join(pieces), dtype=np.uint8).reshape(
-            len(bases), parity_bytes
-        )
-        return _fold_rows(np, rows, state.fold).tobytes()
+        return _fold_rows(np, state.rows(np, code.m, bases), state.fold).tobytes()
 
     def join_batch_to_bytes(
         self,
@@ -503,20 +488,8 @@ class NumpyBackend(CodecBackend):
         parity_state = self._parity_state(np, transform.code)
         length = state.chunk_bytes
         parity_bytes = parity_state.parity_bytes
-        m = state.m
         n = state.n
-        cache: Dict[int, bytes] = {}
-        get = cache.get
-        pieces: List[bytes] = []
-        append = pieces.append
-        for basis in bases:
-            piece = get(basis)
-            if piece is None:
-                piece = cache[basis] = (basis << m).to_bytes(parity_bytes, "big")
-            append(piece)
-        rows = np.frombuffer(b"".join(pieces), dtype=np.uint8).reshape(
-            count, parity_bytes
-        )
+        rows = parity_state.rows(np, state.m, bases)
         # Parity bits are the remainder of basis * x**m — the same fold as
         # the forward syndrome, applied to the zero-padded basis rows.
         parities = _fold_rows(np, rows, parity_state.fold)

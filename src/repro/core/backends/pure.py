@@ -1,12 +1,10 @@
 """The ``pure`` codec backend: the fused byte-lane path, always available.
 
-This backend is a thin adapter over the in-process fast paths that already
-live on :class:`~repro.core.transform.GDTransform` and
-:class:`~repro.core.hamming.HammingCode` — ``bytes.translate`` lane
-reduction for syndromes/parities, big-integer XOR folds, one table lookup
-per chunk.  It exists so every batch entry point has a uniform backend
-object to dispatch through and so the other backends have a reference to
-fall back to (and be property-tested against).
+The pure-Python batch kernels of the GD transformation live here —
+``bytes.translate`` lane reduction for syndromes/parities, big-integer XOR
+folds, one table lookup per chunk.  Every batch entry point dispatches to
+this backend unless :func:`~repro.core.backends.batch_backend` selects an
+accelerated one, and the other backends are property-tested against it.
 """
 
 from __future__ import annotations
@@ -14,8 +12,15 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
+from repro.core.crc import lane_tables, prefix_syndrome_table
+from repro.exceptions import ChunkSizeError
 
 __all__ = ["PureBackend"]
+
+#: Largest prefix width for which the per-prefix syndrome-correction table
+#: is used (2**bits entries).  Wider prefixes — far beyond anything the
+#: paper's framing uses — re-serialise the body instead.
+_MAX_PREFIX_TABLE_BITS = 12
 
 
 class PureBackend(CodecBackend):
@@ -28,13 +33,91 @@ class PureBackend(CodecBackend):
     def availability_detail(self) -> str:
         return "pure-Python fused byte-lane path (always available)"
 
-    def split_batch_fields(self, transform, data) -> List[Tuple[int, int, int]]:
-        return transform._split_batch_fields_local(data)
-
     def split_batch_columns(self, transform, data) -> BatchSplit:
-        return BatchSplit.from_fields(
-            transform._split_batch_fields_local(data), backend=self.name
-        )
+        """Buffer of whole chunks → field triples, one fused pass per chunk.
+
+        ``int.from_bytes`` for the value, the syndrome of the chunk's own
+        bytes (corrected for the prefix bits by one lookup), one XOR-mask
+        lookup for the codeword — with zero per-chunk object allocation.
+        ``data`` is sliced through a :class:`memoryview`, so callers can
+        pass views of larger buffers without copying.
+        """
+        chunk_bytes = transform.chunk_bytes
+        total = len(data)
+        code = transform.code
+        n = code.n
+        m = code.m
+        chunk_bits = transform.chunk_bits
+        body_mask = (1 << n) - 1
+        from_bytes = int.from_bytes
+        aligned = chunk_bits == chunk_bytes * 8
+        view = memoryview(data)
+        fields: List[Tuple[int, int, int]] = []
+        append = fields.append
+        masks = code.error_masks
+        # A whole chunk's remainder splits linearly as ``syndrome(chunk) =
+        # syndrome(body) ^ syndrome(prefix << n)``, so reducing the chunk's
+        # own bytes plus one table lookup recovers the body syndrome without
+        # isolating (re-serialising) the body.
+        prefix_bits = transform.prefix_bits
+        prefix_syndromes = None
+        if 0 < prefix_bits <= _MAX_PREFIX_TABLE_BITS:
+            prefix_syndromes = prefix_syndrome_table(
+                code.full_polynomial, n, prefix_bits
+            )
+        lane_eligible = m <= 8 and (prefix_bits == 0 or prefix_syndromes is not None)
+        if lane_eligible and total:
+            # Bulk lane pass: every chunk's raw-buffer syndrome at once, at
+            # C speed — slice the buffer into its byte lanes, translate each
+            # lane through its contribution table, XOR the lanes as big
+            # integers.  The per-chunk Python work then collapses to one
+            # ``int.from_bytes`` plus a handful of arithmetic ops.
+            buf = data if isinstance(data, (bytes, bytearray)) else bytes(view)
+            accumulator = 0
+            for position, lane_table in enumerate(
+                lane_tables(code.crc_parameter, m, chunk_bytes)
+            ):
+                accumulator ^= from_bytes(
+                    buf[position::chunk_bytes].translate(lane_table), "big"
+                )
+            raw_syndromes = accumulator.to_bytes(total // chunk_bytes, "big")
+            index = 0
+            for offset in range(0, total, chunk_bytes):
+                value = from_bytes(buf[offset : offset + chunk_bytes], "big")
+                if not aligned and value >> chunk_bits:
+                    raise ChunkSizeError(
+                        f"chunk value does not fit in {chunk_bits} bits"
+                    )
+                prefix = value >> n
+                deviation = raw_syndromes[index]
+                index += 1
+                if prefix:
+                    # syndrome(chunk) = syndrome(body) ^ syndrome(prefix<<n)
+                    deviation ^= prefix_syndromes[prefix]
+                append(
+                    (prefix, ((value & body_mask) ^ masks[deviation]) >> m, deviation)
+                )
+            return BatchSplit.from_fields(fields, backend=self.name)
+
+        remainder = code.byte_remainder
+        body_bytes = (n + 7) // 8
+        for offset in range(0, total, chunk_bytes):
+            piece = view[offset : offset + chunk_bytes]
+            value = from_bytes(piece, "big")
+            if not aligned and value >> chunk_bits:
+                raise ChunkSizeError(
+                    f"chunk value does not fit in {chunk_bits} bits"
+                )
+            prefix = value >> n
+            body = value & body_mask
+            if prefix_syndromes is not None:
+                deviation = remainder(piece) ^ prefix_syndromes[prefix]
+            elif prefix:
+                deviation = remainder(body.to_bytes(body_bytes, "big"))
+            else:
+                deviation = remainder(piece)
+            append((prefix, (body ^ masks[deviation]) >> m, deviation))
+        return BatchSplit.from_fields(fields, backend=self.name)
 
     def parities_of_bases(self, code, bases: Sequence[int]) -> Sequence[int]:
         return code.parities_of_bases(bases)
@@ -46,4 +129,25 @@ class PureBackend(CodecBackend):
         bases: Sequence[int],
         deviations: Sequence[int],
     ) -> bytes:
-        return transform._join_batch_to_bytes_local(prefixes, bases, deviations)
+        """Resolved field columns → concatenated chunks.
+
+        Parity bits for the whole batch through the bulk lane reduction,
+        then one combine + ``to_bytes`` per chunk.  Callers guarantee the
+        field widths (the decoder validates records once per batch).
+        """
+        chunk_bytes = transform.chunk_bytes
+        code = transform.code
+        parities = code.parities_of_bases(bases)
+        masks = code.error_masks
+        m = code.m
+        n = code.n
+        pieces: List[bytes] = []
+        append = pieces.append
+        for index in range(len(bases)):
+            codeword = (bases[index] << m) | parities[index]
+            append(
+                (
+                    (prefixes[index] << n) | (codeword ^ masks[deviations[index]])
+                ).to_bytes(chunk_bytes, "big")
+            )
+        return b"".join(pieces)

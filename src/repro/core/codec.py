@@ -26,17 +26,12 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro import obs as _obs
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.decoder import GDDecoder
 from repro.core.encoder import EncodedBatch, EncoderMode, GDEncoder
-from repro.core.records import (
-    CompressedRecord,
-    GDRecord,
-    RecordType,
-    UncompressedRecord,
-)
+from repro.core.records import GDRecord, RecordType
 from repro.core.transform import GDTransform
+from repro.core.wire import check_container_end, parse_records
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = [
@@ -45,6 +40,7 @@ __all__ = [
     "CONTAINER_MAGIC",
     "CONTAINER_HEADER",
     "FLAG_STREAMED",
+    "unpack_container_header",
 ]
 
 _MAGIC = b"GDZ1"
@@ -61,6 +57,20 @@ CONTAINER_HEADER = _HEADER
 #: end-of-stream tag (0x00) followed by the 8-byte original length — the
 #: layout the incremental container writer produces.
 FLAG_STREAMED = 0x01
+
+
+def unpack_container_header(data, offset: int = 0) -> Tuple[int, ...]:
+    """Validate and unpack a ``GDZ1`` header found at ``data[offset:]``.
+
+    Returns ``(order, chunk_bits, identifier_bits, flags, record_count,
+    alignment_padding_bits)``.
+    """
+    if len(data) - offset < _HEADER.size:
+        raise CodingError("container too short to hold a header")
+    magic, *fields = _HEADER.unpack_from(data, offset)
+    if magic != _MAGIC:
+        raise CodingError(f"bad container magic {magic!r}")
+    return tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -275,15 +285,11 @@ class GDCodec:
         """Compress a byte string into GD records.
 
         The records come back as a lazily materialised
-        :class:`~repro.core.encoder.EncodedBatch` when possible (tracing
-        forces the eager per-record path); both shapes compare equal and
-        serialise identically.
+        :class:`~repro.core.encoder.EncodedBatch`, which compares equal to
+        the record tuple it describes.
         """
         padded_bits_before = self._encoder.stats.output_padded_bits
-        buffer = self._padded(data, pad)
-        records = self._encoder.encode_buffer_batch(buffer)
-        if records is None:
-            records = tuple(self._encoder.encode_buffer(buffer))
+        records = self._encoder.encode_buffer_batch(self._padded(data, pad))
         # Padded record payloads are byte aligned, so the wire volume is the
         # encoder's padded-bit delta — no per-record property walk needed.
         payload_bytes = (
@@ -303,7 +309,7 @@ class GDCodec:
         self, records: Iterable[GDRecord], original_bytes: Optional[int] = None
     ) -> bytes:
         """Decode records back into the original byte string."""
-        data = self._decoder.decode_to_bytes(records)
+        data = self._decoder.decode_batch_to_bytes(records)
         if original_bytes is not None:
             data = data[:original_bytes]
         return data
@@ -324,20 +330,11 @@ class GDCodec:
 
     def to_container(self, result: CompressionResult) -> bytes:
         """Serialise a compression result into the ``GDZ1`` container format."""
-        header = self.container_header(record_count=len(result.records))
-        records = result.records
-        if isinstance(records, EncodedBatch):
-            # Columnar batch: the body is packed straight from the field
-            # columns (vectorized when numpy is present), byte-identical to
-            # the per-record loop below.
-            return (
-                header + struct.pack(">Q", result.original_bytes) + records.pack_stream()
-            )
-        parts: List[bytes] = [header, struct.pack(">Q", result.original_bytes)]
-        for record in records:
-            parts.append(bytes([int(record.record_type)]))
-            parts.append(record.to_bytes())
-        return b"".join(parts)
+        return (
+            self.container_header(record_count=len(result.records))
+            + struct.pack(">Q", result.original_bytes)
+            + result.records.pack_stream()
+        )
 
     def clone(self) -> "GDCodec":
         """A new codec with the same parameters and empty dictionaries."""
@@ -368,13 +365,9 @@ class GDCodec:
     @classmethod
     def from_container_header(cls, blob: bytes) -> "GDCodec":
         """Build a codec matching the parameters stored in a container."""
-        if len(blob) < _HEADER.size:
-            raise CodingError("container too short to hold a header")
-        magic, order, chunk_bits, identifier_bits, _flags, _count, padding = (
-            _HEADER.unpack(blob[: _HEADER.size])
+        order, chunk_bits, identifier_bits, _flags, _count, padding = (
+            unpack_container_header(blob)
         )
-        if magic != _MAGIC:
-            raise CodingError(f"bad container magic {magic!r}")
         return cls(
             order=order,
             chunk_bits=chunk_bits,
@@ -385,13 +378,9 @@ class GDCodec:
 
     def decompress_container(self, blob: bytes) -> bytes:
         """Parse a ``GDZ1`` container and reconstruct the original bytes."""
-        if len(blob) < _HEADER.size + 8:
-            raise CodingError("container too short")
-        magic, order, chunk_bits, identifier_bits, flags, count, padding = (
-            _HEADER.unpack(blob[: _HEADER.size])
+        order, chunk_bits, identifier_bits, flags, count, padding = (
+            unpack_container_header(blob)
         )
-        if magic != _MAGIC:
-            raise CodingError(f"bad container magic {magic!r}")
         if flags & FLAG_STREAMED:
             raise CodingError(
                 "streamed container: decode it with "
@@ -416,160 +405,43 @@ class GDCodec:
                 f"codec padding {self._alignment_padding_bits}"
             )
         offset = _HEADER.size
+        if len(blob) < offset + 8:
+            raise CodingError("container truncated: missing original length")
         (original_bytes,) = struct.unpack_from(">Q", blob, offset)
-        offset += 8
+        tags, prefixes, keys, deviations, offset = parse_records(
+            self._encoder.layout, blob, offset + 8, limit=count
+        )
+        if len(tags) < count:
+            raise CodingError(
+                f"container truncated: {len(tags)} of {count} records present"
+            )
         # Containers are self-contained: decode with a fresh dictionary so
         # that identifiers resolve exactly as the producing encoder assigned
         # them, independent of anything this codec decoded before.
-        fresh = self.clone()
-        if count and not _obs.TRACER.enabled:
-            # Columnar fast path: unpack the tagged records straight into
-            # field columns and decode without materialising record
-            # objects.  Tracing needs the per-record path for its events.
-            return fresh._decompress_container_columns(
-                blob, offset, count, original_bytes
-            )
-        records: List[GDRecord] = []
-        for _ in range(count):
-            record, offset = self.parse_record(blob, offset)
-            records.append(record)
-        return fresh.decompress_records(records, original_bytes=original_bytes)
-
-    def _decompress_container_columns(
-        self, blob: bytes, offset: int, count: int, original_bytes: int
-    ) -> bytes:
-        """Container body → field columns → bytes, skipping record objects.
-
-        Parses exactly like repeated :meth:`parse_record` calls (including
-        every truncation error) but keeps the fields columnar, then hands
-        them to :meth:`GDDecoder.decode_columns_to_bytes` for the batched
-        resolve + vectorized join.
-        """
-        transform = self._transform
-        deviation_bits = transform.deviation_bits
-        deviation_mask = (1 << deviation_bits) - 1
-        basis_bits = transform.basis_bits
-        basis_mask = (1 << basis_bits) - 1
-        identifier_bits = self._identifier_bits
-        identifier_mask = (1 << identifier_bits) - 1
-        prefix_bits = transform.prefix_bits
-        prefix_mask = (1 << prefix_bits) - 1
-        size2 = self.record_wire_size(int(RecordType.UNCOMPRESSED))
-        size3 = self.record_wire_size(int(RecordType.COMPRESSED))
-        total = len(blob)
-        from_bytes = int.from_bytes
-        tags = bytearray(count)
-        prefixes = [0] * count
-        keys = [0] * count
-        deviations = [0] * count
-        for index in range(count):
-            if offset >= total:
-                raise CodingError("container truncated: missing record tag")
-            tag = blob[offset]
-            offset += 1
-            if tag == 3:
-                payload = blob[offset : offset + size3]
-                if len(payload) != size3:
-                    raise CodingError("container truncated: short type-3 record")
-                value = from_bytes(payload, "big")
-                deviations[index] = value & deviation_mask
-                value >>= deviation_bits
-                keys[index] = value & identifier_mask
-                if prefix_bits:
-                    prefixes[index] = (value >> identifier_bits) & prefix_mask
-                tags[index] = 3
-                offset += size3
-            elif tag == 2:
-                payload = blob[offset : offset + size2]
-                if len(payload) != size2:
-                    raise CodingError("container truncated: short type-2 record")
-                value = from_bytes(payload, "big")
-                deviations[index] = value & deviation_mask
-                value >>= deviation_bits
-                keys[index] = value & basis_mask
-                if prefix_bits:
-                    prefixes[index] = (value >> basis_bits) & prefix_mask
-                tags[index] = 2
-                offset += size2
-            else:
-                raise CodingError(f"unknown record tag {tag} at offset {offset - 1}")
-        data = self._decoder.decode_columns_to_bytes(tags, prefixes, keys, deviations)
+        data = self.clone().decoder.decode_columns_to_bytes(
+            tags, prefixes, keys, deviations
+        )
+        check_container_end(
+            original_bytes, len(data), self.chunk_bytes, len(blob) - offset
+        )
         return data[:original_bytes]
 
     def parse_record(self, blob: bytes, offset: int) -> Tuple[GDRecord, int]:
         """Parse one tagged record from a container blob.
 
         Returns ``(record, next_offset)``; raises :class:`CodingError` when
-        the blob is truncated.  The streaming container reader in
-        :mod:`repro.core.engine` uses this with its own buffering, checking
-        :meth:`record_wire_size` first so a short buffer means "wait for
-        more bytes" rather than an error.
+        the blob is truncated.
         """
-        if offset >= len(blob):
-            raise CodingError("container truncated: missing record tag")
-        tag = blob[offset]
-        offset += 1
-        transform = self._transform
-        if tag == int(RecordType.UNCOMPRESSED):
-            size = self.record_wire_size(tag)
-            payload = blob[offset : offset + size]
-            if len(payload) != size:
-                raise CodingError("container truncated: short type-2 record")
-            value = int.from_bytes(payload, "big")
-            deviation = value & ((1 << transform.deviation_bits) - 1)
-            value >>= transform.deviation_bits
-            basis = value & ((1 << transform.basis_bits) - 1)
-            value >>= transform.basis_bits
-            prefix = value & ((1 << transform.prefix_bits) - 1) if transform.prefix_bits else 0
-            record: GDRecord = UncompressedRecord(
-                prefix=prefix,
-                basis=basis,
-                deviation=deviation,
-                prefix_bits=transform.prefix_bits,
-                basis_bits=transform.basis_bits,
-                deviation_bits=transform.deviation_bits,
-                alignment_padding_bits=self._encoder.alignment_padding_bits,
-            )
-            return record, offset + size
-        if tag == int(RecordType.COMPRESSED):
-            size = self.record_wire_size(tag)
-            payload = blob[offset : offset + size]
-            if len(payload) != size:
-                raise CodingError("container truncated: short type-3 record")
-            value = int.from_bytes(payload, "big")
-            deviation = value & ((1 << transform.deviation_bits) - 1)
-            value >>= transform.deviation_bits
-            identifier = value & ((1 << self._identifier_bits) - 1)
-            value >>= self._identifier_bits
-            prefix = value & ((1 << transform.prefix_bits) - 1) if transform.prefix_bits else 0
-            record = CompressedRecord(
-                prefix=prefix,
-                identifier=identifier,
-                deviation=deviation,
-                prefix_bits=transform.prefix_bits,
-                identifier_bits=self._identifier_bits,
-                deviation_bits=transform.deviation_bits,
-            )
-            return record, offset + size
-        raise CodingError(f"unknown record tag {tag} at offset {offset - 1}")
-
-    def record_wire_size(self, tag: int) -> int:
-        """Payload bytes that follow a record tag in the container encoding."""
-        transform = self._transform
-        if tag == int(RecordType.UNCOMPRESSED):
-            total_bits = (
-                transform.prefix_bits
-                + transform.basis_bits
-                + transform.deviation_bits
-                + self._encoder.alignment_padding_bits
-            )
-        elif tag == int(RecordType.COMPRESSED):
-            total_bits = (
-                transform.prefix_bits + self._identifier_bits + transform.deviation_bits
-            )
-        else:
-            raise CodingError(f"unknown record tag {tag}")
-        return (total_bits + 7) // 8
+        layout = self._encoder.layout
+        tags, prefixes, keys, deviations, next_offset = parse_records(
+            layout, blob, offset, limit=1
+        )
+        if not tags:
+            raise CodingError(f"container truncated: no record at offset {offset}")
+        # ``keys`` serves as both the identifier and the basis column: a
+        # one-record batch reads only the one its tag selects.
+        batch = EncodedBatch(layout, bytes(tags), keys, prefixes, keys, deviations)
+        return batch[0], next_offset
 
     def roundtrip(self, data: bytes, pad: bool = True) -> bytes:
         """Compress then decompress ``data`` (used heavily by tests)."""

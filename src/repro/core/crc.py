@@ -826,12 +826,15 @@ class CrcEngine:
             return []
         registry = _backends()
         resolved = registry.resolve_backend(backend)
-        if (
-            resolved.accelerated
-            and (backend is not None or count >= registry.MIN_BATCH_CHUNKS)
-            and resolved.supports_crc_batch(self._parameters)
-        ):
-            return resolved.crc_batch(self, data, record_bits)
+        chosen = registry.batch_backend(
+            resolved,
+            count,
+            resolved.supports_crc_batch,
+            self._parameters,
+            forced=backend is not None,
+        )
+        if chosen.accelerated:
+            return chosen.crc_batch(self, data, record_bits)
         return self.compute_batch_pure(data, record_bits)
 
     def compute_batch_pure(self, data, record_bits: int) -> List[int]:

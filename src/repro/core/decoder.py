@@ -12,16 +12,14 @@ paper), which the :mod:`repro.controlplane` package models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.core.backends import MIN_BATCH_CHUNKS
 from repro.core.dictionary import BasisDictionary
 from repro.core.records import (
     CompressedRecord,
     GDRecord,
     RawRecord,
-    RecordType,
     UncompressedRecord,
 )
 from repro.core.transform import GDTransform
@@ -98,365 +96,165 @@ class GDDecoder:
 
     def decode_record(self, record: GDRecord) -> int:
         """Decode one record into the original chunk value."""
-        self.stats.records += 1
-        if isinstance(record, RawRecord):
-            self.stats.raw_records += 1
-            self.stats.output_bits += record.chunk_bits
-            return record.chunk
-        if isinstance(record, UncompressedRecord):
-            return self._decode_uncompressed(record)
-        if isinstance(record, CompressedRecord):
-            return self._decode_compressed(record)
-        raise CodingError(f"unsupported record type {type(record).__name__}")
+        return self.decode_batch((record,))[0]
 
     def decode_record_to_bytes(self, record: GDRecord) -> bytes:
         """Decode one record and serialise the chunk to bytes."""
-        chunk = self.decode_record(record)
-        return self._transform.chunk_to_bytes(chunk)
-
-    def decode_stream(self, records: Iterable[GDRecord]) -> Iterator[int]:
-        """Lazily decode an iterable of records."""
-        for record in records:
-            yield self.decode_record(record)
-
-    def decode_all(self, records: Iterable[GDRecord]) -> List[int]:
-        """Eagerly decode an iterable of records."""
-        return self.decode_batch(records)
-
-    def decode_to_bytes(self, records: Iterable[GDRecord]) -> bytes:
-        """Decode an iterable of records and concatenate the chunk bytes."""
-        return self.decode_batch_to_bytes(records)
+        return self.decode_batch_to_bytes((record,))
 
     def decode_batch(self, records: Iterable[GDRecord]) -> List[int]:
-        """Decode many records with the per-record accounting amortized.
+        """Decode record objects into the original chunk values."""
+        data = self.decode_batch_to_bytes(records)
+        chunk_bytes = self._transform.chunk_bytes
+        return [
+            int.from_bytes(data[offset : offset + chunk_bytes], "big")
+            for offset in range(0, len(data), chunk_bytes)
+        ]
 
-        Produces exactly the chunks (and final statistics) of repeated
-        :meth:`decode_record` calls, but runs in two fused passes: the
-        first resolves every record to ``(prefix, basis, deviation)`` in
-        order (dictionary learning and identifier resolution are strictly
-        sequential — a type-3 record may reference a basis introduced by
-        an earlier type-2 record in the same batch), the second rebuilds
-        all chunks at once, recovering the parity bits of the whole batch
-        through the bulk lane reduction — routed through the transform's
-        codec backend, which folds large batches as ndarray gathers when
-        accelerated — instead of one CRC pass per record.
+    def decode_batch_to_bytes(self, records: Iterable[GDRecord]) -> bytes:
+        """Decode record objects and concatenate the serialised chunks.
+
+        Adapts the records to field columns — validating their widths
+        against the transform once per batch — and decodes them through
+        :meth:`decode_columns_to_bytes`.
         """
-        chunks, slots, prefixes, bases, deviations = self._resolve_batch(records)
-        self._join_resolved(chunks, slots, prefixes, bases, deviations)
-        return chunks
+        return self.decode_columns_to_bytes(*self._record_columns(records))
 
-    def _resolve_batch(self, records: Iterable[GDRecord]):
-        """Pass 1: resolve records to field columns, in strict order.
+    def decode_columns_to_bytes(
+        self,
+        tags: "bytes | bytearray",
+        prefixes: Sequence[int],
+        keys: Sequence[int],
+        deviations: Sequence[int],
+    ) -> bytes:
+        """Decode record columns into the original bytes (the decode kernel).
 
-        Returns ``(chunks, slots, prefixes, bases, deviations)`` where
-        ``chunks`` already holds raw-record values (coded slots are zero
-        placeholders listed in ``slots``).  All dictionary learning,
-        tracing and statistics happen here, so every join strategy over
-        the columns observes identical state.
+        ``tags[i]`` is the record type of position ``i``; ``keys[i]``
+        carries the identifier for type-3 positions and the basis for
+        type-2 and raw (type-1) positions — a raw chunk rides the batch as
+        its own split, which the dictionary ignores and the join, being a
+        bijection, restores verbatim.  The resolve loop below is strictly
+        sequential — a type-3 record may reference a basis a type-2 record
+        introduced earlier in the same batch — and does all dictionary
+        learning, identifier resolution and ``gd.decode`` tracing; the
+        chunks are then rebuilt in one
+        :meth:`GDTransform.join_batch_to_bytes` call.  Callers guarantee
+        the fields fit the transform's widths (the container parser masks
+        them, :meth:`decode_batch_to_bytes` checks the records), so only
+        dictionary-supplied bases are re-checked.
         """
         stats = self.stats
         transform = self._transform
         dictionary = self._dictionary
-        learn = self._learn
-        chunk_bits = transform.chunk_bits
-        prefix_width = transform.prefix_bits
+        if dictionary is None and 3 in tags:
+            raise DictionaryError(
+                "cannot decode a compressed record without a dictionary"
+            )
+        # Recency tracking keeps the decoder's eviction order aligned with
+        # the encoder's, so both sides evict the same entries under pressure.
+        learn = self._learn and dictionary is not None
         basis_width = transform.basis_bits
-        deviation_width = transform.deviation_bits
         # Hoisted tracing guard: one attribute lookup per batch when disabled.
         tracer = _obs.TRACER
         traced = tracer.enabled
 
-        chunks: List[int] = []
-        append = chunks.append
-        slots: List[int] = []
-        prefixes: List[int] = []
-        bases: List[int] = []
-        deviations: List[int] = []
-        count = 0
-        raw = 0
-        raw_bits = 0
-        for record in records:
-            count += 1
-            if isinstance(record, UncompressedRecord):
-                stats.uncompressed_records += 1
-                if (
-                    record.prefix_bits != prefix_width
-                    or record.basis_bits != basis_width
-                    or record.deviation_bits != deviation_width
-                ):
-                    self._check_widths(
-                        record.prefix_bits, record.basis_bits, record.deviation_bits
-                    )
-                basis = record.basis
-                if learn and dictionary is not None:
-                    if traced:
-                        learned_id, evicted = dictionary.insert(basis)
-                        learn_args = {
-                            "outcome": "uncompressed",
-                            "learned_identifier": learned_id,
-                        }
-                        if evicted is not None:
-                            learn_args["evicted_basis"] = evicted
-                        tracer.instant("gd.decode", "gd-decoder", args=learn_args)
-                    else:
-                        dictionary.insert(basis)
-                elif traced:
-                    tracer.instant(
-                        "gd.decode", "gd-decoder", args={"outcome": "uncompressed"}
-                    )
-                stats.output_bits += chunk_bits
-                slots.append(len(chunks))
-                prefixes.append(record.prefix)
-                bases.append(basis)
-                deviations.append(record.deviation)
-                append(0)
-            elif isinstance(record, CompressedRecord):
-                stats.compressed_records += 1
-                if dictionary is None:
-                    raise DictionaryError(
-                        "cannot decode a compressed record without a dictionary"
-                    )
-                basis = dictionary.reverse_lookup(record.identifier)
+        bases = list(keys)
+        for position, tag in enumerate(tags):
+            if tag == 3:
+                identifier = keys[position]
+                basis = dictionary.reverse_lookup(identifier)
                 if basis is None:
                     stats.unknown_identifiers += 1
                     if traced:
                         tracer.instant(
                             "gd.decode",
                             "gd-decoder",
-                            args={
-                                "outcome": "unknown",
-                                "identifier": record.identifier,
-                            },
+                            args={"outcome": "unknown", "identifier": identifier},
                         )
                     raise DictionaryError(
-                        f"identifier {record.identifier} is not mapped to any basis"
+                        f"identifier {identifier} is not mapped to any basis"
                     )
                 if traced:
                     tracer.instant(
                         "gd.decode",
                         "gd-decoder",
-                        args={"outcome": "hit", "identifier": record.identifier},
+                        args={"outcome": "hit", "identifier": identifier},
                     )
                 if learn:
                     dictionary.touch(basis)
-                if (
-                    record.prefix_bits != prefix_width
-                    or record.deviation_bits != deviation_width
-                ):
-                    self._check_widths(record.prefix_bits, None, record.deviation_bits)
+                # The basis came from the dictionary, which external
+                # installs can feed — keep the width guard.
                 if not isinstance(basis, int) or basis < 0 or basis >> basis_width:
                     raise CodingError(
                         f"basis {basis!r} does not fit in {basis_width} bits"
                     )
-                stats.output_bits += chunk_bits
-                slots.append(len(chunks))
-                prefixes.append(record.prefix)
-                bases.append(basis)
-                deviations.append(record.deviation)
-                append(0)
-            elif isinstance(record, RawRecord):
-                raw += 1
-                raw_bits += record.chunk_bits
-                append(record.chunk)
-            else:
-                stats.records += count
-                stats.raw_records += raw
-                stats.output_bits += raw_bits
-                raise CodingError(
-                    f"unsupported record type {type(record).__name__}"
-                )
+                bases[position] = basis
+            elif tag == 2:
+                if learn:
+                    learned_identifier, evicted = dictionary.insert(keys[position])
+                if traced:
+                    args = {"outcome": "uncompressed"}
+                    if learn:
+                        args["learned_identifier"] = learned_identifier
+                        if evicted is not None:
+                            args["evicted_basis"] = evicted
+                    tracer.instant("gd.decode", "gd-decoder", args=args)
+        count = len(tags)
+        raw = tags.count(1)
+        uncompressed = tags.count(2)
         stats.records += count
         stats.raw_records += raw
-        stats.output_bits += raw_bits
-        return chunks, slots, prefixes, bases, deviations
-
-    def _join_resolved(
-        self,
-        chunks: List[int],
-        slots: List[int],
-        prefixes: List[int],
-        bases: List[int],
-        deviations: List[int],
-    ) -> None:
-        """Pass 2: rebuild every coded chunk from the resolved columns."""
-        if not slots:
-            return
-        transform = self._transform
-        code = transform.code
-        if transform.fast:
-            parities = code.parities_of_bases(
-                bases, backend=transform.backend_impl
-            )
-            masks = code.error_masks
-            m = code.m
-            n = code.n
-            for position, slot in enumerate(slots):
-                codeword = (bases[position] << m) | parities[position]
-                chunks[slot] = (prefixes[position] << n) | (
-                    codeword ^ masks[deviations[position]]
-                )
-        else:
-            join = transform.join_fields_fast  # reference path when fast=False
-            for position, slot in enumerate(slots):
-                chunks[slot] = join(
-                    prefixes[position], bases[position], deviations[position]
-                )
-
-    def decode_batch_to_bytes(self, records: Iterable[GDRecord]) -> bytes:
-        """Decode a record batch and concatenate the serialised chunks.
-
-        Statistics, dictionary learning and output bytes equal
-        :meth:`decode_batch` followed by per-chunk serialisation, but when
-        an accelerated codec backend supports the configuration the coded
-        chunks of the batch are rebuilt and serialised in one vectorized
-        pass (bulk parity fold, deviation scatter, prefix embed, single
-        ``tobytes``) instead of materialising per-chunk integers.
-        """
-        transform = self._transform
-        chunks, slots, prefixes, bases, deviations = self._resolve_batch(records)
-        aligned = transform.chunk_bits % 8 == 0
-        chunk_bytes = transform.chunk_bytes
-        backend = transform.backend_impl
-        if (
-            aligned
-            and transform.fast
-            and backend.accelerated
-            and len(slots) >= MIN_BATCH_CHUNKS
-            and backend.supports_join(transform)
-        ):
-            joined = backend.join_batch_to_bytes(
-                transform, prefixes, bases, deviations
-            )
-            if len(slots) == len(chunks):
-                return joined
-            pieces = [chunk.to_bytes(chunk_bytes, "big") for chunk in chunks]
-            for position, slot in enumerate(slots):
-                offset = position * chunk_bytes
-                pieces[slot] = joined[offset : offset + chunk_bytes]
-            return b"".join(pieces)
-        self._join_resolved(chunks, slots, prefixes, bases, deviations)
-        if aligned:
-            return b"".join(chunk.to_bytes(chunk_bytes, "big") for chunk in chunks)
-        return b"".join(transform.chunk_to_bytes(chunk) for chunk in chunks)
-
-    def decode_columns_to_bytes(
-        self,
-        tags: "bytes | bytearray",
-        prefixes: List[int],
-        keys: List[int],
-        deviations: List[int],
-    ) -> bytes:
-        """Decode already-parsed record columns into the original bytes.
-
-        ``tags[i]`` is the record type (2 or 3) of position ``i``;
-        ``keys[i]`` carries the basis for type-2 positions and the
-        identifier for type-3 positions.  Statistics, dictionary learning
-        and exception behaviour match feeding the equivalent record objects
-        through :meth:`decode_batch_to_bytes`; the resolve loop stays
-        strictly sequential (a type-3 record may reference a basis a
-        type-2 record introduced earlier in the same batch) while the join
-        runs through the vectorized backend when eligible.  Callers
-        guarantee the fields already fit the transform's widths (the
-        container parser masks them), so only dictionary-supplied bases
-        are re-checked.
-        """
-        stats = self.stats
-        transform = self._transform
-        dictionary = self._dictionary
-        learn = self._learn
-        chunk_bits = transform.chunk_bits
-        basis_width = transform.basis_bits
-        count = len(tags)
-        bases: List[int] = [0] * count
-        for position in range(count):
-            if tags[position] == 2:
-                stats.uncompressed_records += 1
-                basis = keys[position]
-                if learn and dictionary is not None:
-                    dictionary.insert(basis)
-                stats.output_bits += chunk_bits
-                bases[position] = basis
-            else:
-                stats.compressed_records += 1
-                if dictionary is None:
-                    raise DictionaryError(
-                        "cannot decode a compressed record without a dictionary"
-                    )
-                basis = dictionary.reverse_lookup(keys[position])
-                if basis is None:
-                    stats.unknown_identifiers += 1
-                    raise DictionaryError(
-                        f"identifier {keys[position]} is not mapped to any basis"
-                    )
-                if learn:
-                    dictionary.touch(basis)
-                if not isinstance(basis, int) or basis < 0 or basis >> basis_width:
-                    raise CodingError(
-                        f"basis {basis!r} does not fit in {basis_width} bits"
-                    )
-                stats.output_bits += chunk_bits
-                bases[position] = basis
-        stats.records += count
-        if count == 0:
-            return b""
-        aligned = chunk_bits % 8 == 0
-        chunk_bytes = transform.chunk_bytes
-        backend = transform.backend_impl
-        if (
-            aligned
-            and transform.fast
-            and backend.accelerated
-            and count >= MIN_BATCH_CHUNKS
-            and backend.supports_join(transform)
-        ):
-            return backend.join_batch_to_bytes(transform, prefixes, bases, deviations)
-        chunks: List[int] = [0] * count
-        self._join_resolved(chunks, list(range(count)), prefixes, bases, deviations)
-        if aligned:
-            return b"".join(chunk.to_bytes(chunk_bytes, "big") for chunk in chunks)
-        return b"".join(transform.chunk_to_bytes(chunk) for chunk in chunks)
+        stats.uncompressed_records += uncompressed
+        stats.compressed_records += count - raw - uncompressed
+        stats.output_bits += count * transform.chunk_bits
+        return transform.join_batch_to_bytes(prefixes, bases, deviations)
 
     # -- internals ------------------------------------------------------------
 
-    def _decode_uncompressed(self, record: UncompressedRecord) -> int:
-        self.stats.uncompressed_records += 1
-        self._check_widths(record.prefix_bits, record.basis_bits, record.deviation_bits)
-        if self._learn and self._dictionary is not None:
-            self._dictionary.insert(record.dedup_key)
-        # Record fields are width-validated at construction and the widths
-        # match the transform (checked above), so the fused join is safe.
-        chunk = self._transform.join_fields_fast(
-            record.prefix, record.basis, record.deviation
-        )
-        self.stats.output_bits += self._transform.chunk_bits
-        return chunk
-
-    def _decode_compressed(self, record: CompressedRecord) -> int:
-        self.stats.compressed_records += 1
-        if self._dictionary is None:
-            raise DictionaryError(
-                "cannot decode a compressed record without a dictionary"
-            )
-        basis = self._dictionary.reverse_lookup(record.identifier)
-        if basis is None:
-            self.stats.unknown_identifiers += 1
-            raise DictionaryError(
-                f"identifier {record.identifier} is not mapped to any basis"
-            )
-        if self._learn:
-            # Keep the decoder's recency order aligned with the encoder's so
-            # both sides evict the same entries under dictionary pressure.
-            self._dictionary.touch(basis)
-        self._check_widths(record.prefix_bits, None, record.deviation_bits)
-        # The basis came from the dictionary, which external installs can
-        # feed — keep the width guard the checked join used to provide.
-        if not isinstance(basis, int) or basis < 0 or basis >> self._transform.basis_bits:
-            raise CodingError(
-                f"basis {basis!r} does not fit in {self._transform.basis_bits} bits"
-            )
-        chunk = self._transform.join_fields_fast(record.prefix, basis, record.deviation)
-        self.stats.output_bits += self._transform.chunk_bits
-        return chunk
+    def _record_columns(
+        self, records: Iterable[GDRecord]
+    ) -> Tuple[bytearray, List[int], List[int], List[int]]:
+        """Record objects → ``(tags, prefixes, keys, deviations)`` columns."""
+        chunk_bits = self._transform.chunk_bits
+        split_fields = self._transform.split_fields
+        tags = bytearray()
+        prefixes: List[int] = []
+        keys: List[int] = []
+        deviations: List[int] = []
+        widths = set()
+        for record in records:
+            if isinstance(record, CompressedRecord):
+                tags.append(3)
+                keys.append(record.identifier)
+                widths.add((record.prefix_bits, None, record.deviation_bits))
+            elif isinstance(record, UncompressedRecord):
+                tags.append(2)
+                keys.append(record.basis)
+                widths.add(
+                    (record.prefix_bits, record.basis_bits, record.deviation_bits)
+                )
+            elif isinstance(record, RawRecord):
+                if record.chunk_bits != chunk_bits:
+                    raise CodingError(
+                        f"raw record width {record.chunk_bits} does not match "
+                        f"chunk width {chunk_bits}"
+                    )
+                # Passes through as its own split: the join restores it.
+                prefix, basis, deviation = split_fields(record.chunk)
+                tags.append(1)
+                prefixes.append(prefix)
+                keys.append(basis)
+                deviations.append(deviation)
+                continue
+            else:
+                raise CodingError(
+                    f"unsupported record type {type(record).__name__}"
+                )
+            prefixes.append(record.prefix)
+            deviations.append(record.deviation)
+        for record_widths in widths:
+            self._check_widths(*record_widths)
+        return tags, prefixes, keys, deviations
 
     def _check_widths(
         self,
@@ -494,17 +292,7 @@ class GDDecoder:
         Configuration (transform, learning flag) is not captured; restore
         requires an identically configured decoder.
         """
-        stats = self.stats
-        state: Dict[str, object] = {
-            "stats": {
-                "records": stats.records,
-                "raw_records": stats.raw_records,
-                "uncompressed_records": stats.uncompressed_records,
-                "compressed_records": stats.compressed_records,
-                "output_bits": stats.output_bits,
-                "unknown_identifiers": stats.unknown_identifiers,
-            },
-        }
+        state: Dict[str, object] = {"stats": self.stats.as_dict()}
         if self._dictionary is not None:
             state["dictionary"] = self._dictionary.snapshot_state()
         return state

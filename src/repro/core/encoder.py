@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs as _obs
-from repro.core.bits import align_up, int_to_bytes
+from repro.core.backends import BatchSplit
 from repro.core.dictionary import (
     BasisDictionary,
     EvictionPolicy,
@@ -30,7 +30,8 @@ from repro.core.dictionary import (
     encode_snapshot_key,
 )
 from repro.core.records import CompressedRecord, GDRecord, RecordType, UncompressedRecord
-from repro.core.transform import ChunkLike, GDFields, GDTransform
+from repro.core.transform import ChunkLike, GDTransform
+from repro.core.wire import RecordLayout, pack_records
 from repro.exceptions import CodingError, DictionaryError
 
 __all__ = ["EncodedBatch", "EncoderMode", "EncoderStats", "GDEncoder"]
@@ -124,62 +125,41 @@ class EncoderStats:
 
 
 class EncodedBatch:
-    """Columnar result of :meth:`GDEncoder.encode_buffer_batch`.
+    """Columnar result of the encoder's dictionary loop.
 
     Holds one type tag per chunk plus the field columns, and behaves like
-    the record tuple the eager encoder would have produced: length,
-    iteration, indexing and equality all go through :meth:`materialize`,
-    which builds the exact :class:`CompressedRecord` /
-    :class:`UncompressedRecord` objects on first use.  The hot consumers
-    never materialise — :meth:`pack_stream` serialises the container body
-    straight from the columns (vectorized over the type-3 runs when numpy
-    is available), which is where the batched codec pipeline gets its
-    throughput.
+    the record tuple they describe: length, iteration, indexing and
+    equality all go through :meth:`materialize`, which builds the
+    :class:`CompressedRecord` / :class:`UncompressedRecord` objects on
+    first use.  The hot consumers never materialise — :meth:`pack_stream`
+    serialises the container body straight from the columns.
     """
 
     __slots__ = (
+        "_layout",
         "_tags",
         "_identifiers",
         "_prefixes",
         "_bases",
         "_deviations",
-        "_prefix_bits",
-        "_basis_bits",
-        "_deviation_bits",
-        "_identifier_bits",
-        "_padding",
-        "_t2_padded",
-        "_t3_padded",
         "_records",
     )
 
     def __init__(
         self,
+        layout: RecordLayout,
         tags: bytes,
         identifiers: List[int],
         prefixes: List[int],
         bases: List[int],
         deviations: List[int],
-        prefix_bits: int,
-        basis_bits: int,
-        deviation_bits: int,
-        identifier_bits: int,
-        padding: int,
-        t2_padded: int,
-        t3_padded: int,
     ):
+        self._layout = layout
         self._tags = tags
         self._identifiers = identifiers
         self._prefixes = prefixes
         self._bases = bases
         self._deviations = deviations
-        self._prefix_bits = prefix_bits
-        self._basis_bits = basis_bits
-        self._deviation_bits = deviation_bits
-        self._identifier_bits = identifier_bits
-        self._padding = padding
-        self._t2_padded = t2_padded
-        self._t3_padded = t3_padded
         self._records: Optional[Tuple[GDRecord, ...]] = None
 
     def __len__(self) -> int:
@@ -211,11 +191,9 @@ class EncodedBatch:
             prefixes = self._prefixes
             deviations = self._deviations
             bases = self._bases
-            prefix_bits = self._prefix_bits
-            basis_bits = self._basis_bits
-            deviation_bits = self._deviation_bits
-            identifier_bits = self._identifier_bits
-            padding = self._padding
+            layout = self._layout
+            prefix_bits = layout.prefix_bits
+            deviation_bits = layout.deviation_bits
             next_identifier = iter(self._identifiers).__next__
             out: List[GDRecord] = []
             append = out.append
@@ -227,7 +205,7 @@ class EncodedBatch:
                             identifier=next_identifier(),
                             deviation=deviations[position],
                             prefix_bits=prefix_bits,
-                            identifier_bits=identifier_bits,
+                            identifier_bits=layout.identifier_bits,
                             deviation_bits=deviation_bits,
                             alignment_padding_bits=0,
                         )
@@ -239,95 +217,24 @@ class EncodedBatch:
                             basis=bases[position],
                             deviation=deviations[position],
                             prefix_bits=prefix_bits,
-                            basis_bits=basis_bits,
+                            basis_bits=layout.basis_bits,
                             deviation_bits=deviation_bits,
-                            alignment_padding_bits=padding,
+                            alignment_padding_bits=layout.padding_bits,
                         )
                     )
             records = self._records = tuple(out)
         return records
 
     def pack_stream(self) -> bytes:
-        """The container body: one tag byte plus the payload per record.
-
-        Byte-identical to concatenating ``bytes([tag]) + record.to_bytes()``
-        over :meth:`materialize`, but built from the columns.  When numpy
-        is available and the type-3 payload fits a ``uint64``, all type-3
-        rows are packed as one ``(count, 1 + size)`` byte matrix and the
-        (rare) type-2 records are spliced between the runs.
-        """
-        tags = self._tags
-        count = len(tags)
-        if count == 0:
-            return b""
-        identifier_bits = self._identifier_bits
-        basis_bits = self._basis_bits
-        deviation_bits = self._deviation_bits
-        prefixes = self._prefixes
-        bases = self._bases
-        deviations = self._deviations
-        t2_padded = self._t2_padded
-        t3_padded = self._t3_padded
-        t3_size = t3_padded // 8
-        np = None
-        if self._identifiers and t3_size <= 8:
-            from repro.core.backends.numpy_backend import _numpy
-
-            np = _numpy()[0]
-        if np is None:
-            next_identifier = iter(self._identifiers).__next__
-            parts: List[bytes] = []
-            append = parts.append
-            for position in range(count):
-                if tags[position] == 3:
-                    value = (
-                        ((prefixes[position] << identifier_bits) | next_identifier())
-                        << deviation_bits
-                    ) | deviations[position]
-                    append(b"\x03" + int_to_bytes(value, t3_padded))
-                else:
-                    value = (
-                        ((prefixes[position] << basis_bits) | bases[position])
-                        << deviation_bits
-                    ) | deviations[position]
-                    append(b"\x02" + int_to_bytes(value, t2_padded))
-            return b"".join(parts)
-        tags_np = np.frombuffer(tags, dtype=np.uint8)
-        indices = np.flatnonzero(tags_np == 3)
-        values = np.asarray(self._identifiers, dtype=np.uint64) << np.uint64(
-            deviation_bits
+        """The container body: one tag byte plus the payload per record."""
+        return pack_records(
+            self._layout,
+            self._tags,
+            self._identifiers,
+            self._prefixes,
+            self._bases,
+            self._deviations,
         )
-        if self._prefix_bits:
-            values = values | (
-                np.asarray(prefixes, dtype=np.uint64)[indices]
-                << np.uint64(deviation_bits + identifier_bits)
-            )
-        values = values | np.asarray(deviations, dtype=np.uint64)[indices]
-        row = 1 + t3_size
-        matrix = np.empty((len(indices), row), dtype=np.uint8)
-        matrix[:, 0] = 3
-        for column in range(t3_size):
-            matrix[:, 1 + column] = (
-                values >> np.uint64(8 * (t3_size - 1 - column))
-            ).astype(np.uint8)
-        block = matrix.tobytes()
-        if len(indices) == count:
-            return block
-        parts = []
-        append = parts.append
-        consumed = 0
-        for rank, position in enumerate(np.flatnonzero(tags_np == 2).tolist()):
-            preceding = position - rank  # type-3 rows before this type-2
-            if preceding > consumed:
-                append(block[consumed * row : preceding * row])
-            value = (
-                ((prefixes[position] << basis_bits) | bases[position])
-                << deviation_bits
-            ) | deviations[position]
-            append(b"\x02" + int_to_bytes(value, t2_padded))
-            consumed = preceding
-        append(block[consumed * row :])
-        return b"".join(parts)
 
 
 class GDEncoder:
@@ -383,7 +290,6 @@ class GDEncoder:
         self._identifier_bits = identifier_bits
         if alignment_padding_bits < 0:
             raise CodingError("alignment padding cannot be negative")
-        self._alignment_padding_bits = alignment_padding_bits
         if learning_delay_chunks < 0:
             raise CodingError("learning delay cannot be negative")
         self._learning_delay_chunks = learning_delay_chunks
@@ -391,12 +297,13 @@ class GDEncoder:
         self._pending_activation: Dict[object, int] = {}
         # Per-type payload sizes are constants of the configuration; the
         # batch loop accumulates them instead of asking every record.
-        t2_bits = transform.prefix_bits + transform.basis_bits + transform.deviation_bits
-        self._t2_bits = t2_bits
-        self._t2_padded = align_up(t2_bits + alignment_padding_bits, 8)
-        t3_bits = transform.prefix_bits + identifier_bits + transform.deviation_bits
-        self._t3_bits = t3_bits
-        self._t3_padded = align_up(t3_bits, 8)
+        self._layout = RecordLayout(
+            transform.prefix_bits,
+            transform.basis_bits,
+            identifier_bits,
+            transform.deviation_bits,
+            alignment_padding_bits,
+        )
         self.stats = EncoderStats()
 
     # -- accessors ---------------------------------------------------------
@@ -424,150 +331,69 @@ class GDEncoder:
     @property
     def alignment_padding_bits(self) -> int:
         """Padding added to type-2 payloads for container alignment."""
-        return self._alignment_padding_bits
+        return self._layout.padding_bits
+
+    @property
+    def layout(self) -> RecordLayout:
+        """Wire layout of the records this encoder emits."""
+        return self._layout
 
     # -- encoding ---------------------------------------------------------------
 
     def encode_chunk(self, chunk: ChunkLike) -> GDRecord:
         """Encode one chunk into a type-2 or type-3 record."""
-        return self._encode_fields([self._transform.split_fields(chunk)])[0]
-
-    def encode_stream(self, chunks: Iterable[ChunkLike]) -> Iterator[GDRecord]:
-        """Lazily encode an iterable of chunks."""
-        for chunk in chunks:
-            yield self.encode_chunk(chunk)
-
-    def encode_all(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
-        """Eagerly encode an iterable of chunks into a list of records."""
-        return self.encode_batch(chunks)
+        return self.encode_batch((chunk,))[0]
 
     def encode_batch(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
-        """Encode many chunks with the per-chunk accounting amortized.
+        """Encode an iterable of chunks (ints, byte strings, bit vectors).
 
-        Produces exactly the records (and final statistics) of repeated
-        :meth:`encode_chunk` calls, but updates :attr:`stats` once at the
-        end instead of six counter writes per chunk.
+        Each chunk is validated and split on its own, then the whole batch
+        runs through the dictionary loop of :meth:`encode_buffer_batch`.
         """
-        return self._encode_fields(map(self._transform.split_fields, chunks))
-
-    def encode_buffer(self, data: "bytes | bytearray | memoryview") -> List[GDRecord]:
-        """Encode a contiguous buffer of whole chunks (the fastest path).
-
-        Combines :meth:`GDTransform.split_batch_fields` with the amortized
-        record loop; this is what :meth:`GDCodec.compress` feeds whole
-        payloads through.
-        """
-        return self._encode_fields(self._transform.split_batch_fields(data))
+        split = BatchSplit.from_fields(
+            list(map(self._transform.split_fields, chunks)), backend="pure"
+        )
+        return list(self._encode_columns(*split.columns()))
 
     def encode_chunks(
         self, chunks: "bytes | bytearray | memoryview | Iterable[ChunkLike]"
     ) -> List[GDRecord]:
-        """Batch entry point for either framing of *many chunks*.
+        """Record-list entry point for either framing of *many chunks*.
 
-        A contiguous bytes-like buffer takes the fused zero-copy batch path
-        (identical to :meth:`encode_buffer`); any other iterable is encoded
-        chunk by chunk through the same amortized record loop.  Streaming
-        codecs and the replay tooling call this instead of dispatching one
-        chunk at a time.
+        A contiguous bytes-like buffer goes through
+        :meth:`encode_buffer_batch`; any other iterable through
+        :meth:`encode_batch`.
         """
         if isinstance(chunks, (bytes, bytearray, memoryview)):
-            return self._encode_fields(self._transform.split_batch_fields(chunks))
+            return list(self.encode_buffer_batch(chunks))
         return self.encode_batch(chunks)
 
     def encode_buffer_batch(
         self, data: "bytes | bytearray | memoryview"
-    ) -> Optional[EncodedBatch]:
+    ) -> EncodedBatch:
         """Encode a buffer of whole chunks into a columnar batch.
 
-        Runs the same dictionary loop as :meth:`encode_buffer` — identical
-        hit/miss decisions, learning-delay handling and statistics — but
-        over the backend's column output, skipping per-chunk record
-        construction entirely.  The returned :class:`EncodedBatch` compares
-        (and materialises) equal to :meth:`encode_buffer`'s record list.
-
-        Returns ``None`` when lifecycle tracing is active: the per-record
-        trace events require the eager loop, so callers fall back to it.
+        The production path: the backend's batch split feeds the one
+        dictionary loop, and no per-chunk record object is built unless the
+        caller iterates the returned :class:`EncodedBatch`.
         """
-        if _obs.TRACER.enabled:
-            return None
-        transform = self._transform
-        split = transform.split_batch_columns(data)
-        prefixes, bases, deviations = split.columns()
-        stats = self.stats
-        dictionary = self._dictionary
-        no_table = self._mode is EncoderMode.NO_TABLE or dictionary is None
-        dynamic = self._mode is EncoderMode.DYNAMIC
-        lookup = None if no_table else dictionary.lookup
-        insert = None if no_table else dictionary.insert
-        learning_delay = self._learning_delay_chunks
-        pending = self._pending_activation
-        is_active = self._is_active
-
-        count = split.count
-        tags = bytearray(count)
-        identifiers: List[int] = []
-        append_identifier = identifiers.append
-        index = stats.chunks
-        compressed = 0
-        position = 0
-        for basis in bases:
-            identifier = None if no_table else lookup(basis)
-            if identifier is not None and (not pending or is_active(basis, index)):
-                tags[position] = 3
-                append_identifier(identifier)
-                compressed += 1
-            else:
-                if identifier is None and dynamic:
-                    insert(basis)
-                    if learning_delay:
-                        pending[basis] = index + 1 + learning_delay
-                tags[position] = 2
-            index += 1
-            position += 1
-        uncompressed = count - compressed
-        stats.chunks = index
-        stats.input_bits += count * transform.chunk_bits
-        stats.output_bits += compressed * self._t3_bits + uncompressed * self._t2_bits
-        stats.output_padded_bits += (
-            compressed * self._t3_padded + uncompressed * self._t2_padded
-        )
-        stats.compressed_records += compressed
-        stats.uncompressed_records += uncompressed
-        return EncodedBatch(
-            bytes(tags),
-            identifiers,
-            prefixes,
-            bases,
-            deviations,
-            prefix_bits=transform.prefix_bits,
-            basis_bits=transform.basis_bits,
-            deviation_bits=transform.deviation_bits,
-            identifier_bits=self._identifier_bits,
-            padding=self._alignment_padding_bits,
-            t2_padded=self._t2_padded,
-            t3_padded=self._t3_padded,
+        return self._encode_columns(
+            *self._transform.split_batch_columns(data).columns()
         )
 
     # -- internals -----------------------------------------------------------------
 
-    def _encode_fields(self, fields_iterable: Iterable[GDFields]) -> List[GDRecord]:
-        """Record-building loop shared by the batch entry points.
+    def _encode_columns(
+        self, prefixes: List[int], bases: List[int], deviations: List[int]
+    ) -> EncodedBatch:
+        """The dictionary loop: every encode entry point ends up here.
 
-        Operates on plain ``(prefix, basis, deviation)`` triples, with the
-        dictionary probe, mode dispatch and per-type payload sizes bound
-        into locals — one pass, no intermediate part objects.
+        Decides hit / miss / pending per basis, learns in dynamic mode,
+        emits one ``gd.encode`` trace instant per chunk when tracing is on
+        and accounts the batch in :attr:`stats` once at the end.
         """
         stats = self.stats
-        transform = self._transform
-        prefix_bits = transform.prefix_bits
-        basis_bits = transform.basis_bits
-        deviation_bits = transform.deviation_bits
-        identifier_bits = self._identifier_bits
-        padding = self._alignment_padding_bits
-        t2_bits = self._t2_bits
-        t2_padded = self._t2_padded
-        t3_bits = self._t3_bits
-        t3_padded = self._t3_padded
+        layout = self._layout
         dictionary = self._dictionary
         no_table = self._mode is EncoderMode.NO_TABLE or dictionary is None
         dynamic = self._mode is EncoderMode.DYNAMIC
@@ -577,91 +403,66 @@ class GDEncoder:
         pending = self._pending_activation
         is_active = self._is_active
         # Tracing guard hoisted out of the loop: when disabled this costs
-        # one attribute lookup per *batch*, not per chunk.
+        # one attribute lookup per *batch* and one local test per chunk.
         tracer = _obs.TRACER
         traced = tracer.enabled
 
+        count = len(bases)
+        tags = bytearray(count)
+        identifiers: List[int] = []
+        append_identifier = identifiers.append
         index = stats.chunks
-        compressed = 0
-        output_bits = 0
-        output_padded_bits = 0
-        records: List[GDRecord] = []
-        append = records.append
-        for prefix, basis, deviation in fields_iterable:
+        position = 0
+        for basis in bases:
             identifier = None if no_table else lookup(basis)
             if identifier is not None and (not pending or is_active(basis, index)):
-                append(
-                    CompressedRecord(
-                        prefix=prefix,
-                        identifier=identifier,
-                        deviation=deviation,
-                        prefix_bits=prefix_bits,
-                        identifier_bits=identifier_bits,
-                        deviation_bits=deviation_bits,
-                        alignment_padding_bits=0,
-                    )
-                )
-                compressed += 1
-                output_bits += t3_bits
-                output_padded_bits += t3_padded
+                tags[position] = 3
+                append_identifier(identifier)
                 if traced:
-                    tracer.instant(
-                        "gd.encode",
-                        "gd-encoder",
-                        args={
-                            "outcome": "hit",
-                            "identifier": identifier,
-                            "chunk_index": index,
-                        },
-                    )
+                    args = {
+                        "outcome": "hit",
+                        "identifier": identifier,
+                        "chunk_index": index,
+                    }
             else:
+                tags[position] = 2
                 if identifier is None and dynamic:
-                    learned_id, evicted = insert(basis)
+                    learned_identifier, evicted = insert(basis)
                     if learning_delay:
                         # ``index`` counts the chunks *before* this one; the
                         # mapping becomes usable after the current chunk plus
                         # the configured number of delayed chunks.
                         pending[basis] = index + 1 + learning_delay
                     if traced:
-                        miss_args = {
+                        args = {
                             "outcome": "miss",
-                            "learned_identifier": learned_id,
+                            "learned_identifier": learned_identifier,
                             "chunk_index": index,
                         }
                         if evicted is not None:
-                            miss_args["evicted_basis"] = evicted
-                        tracer.instant("gd.encode", "gd-encoder", args=miss_args)
+                            args["evicted_basis"] = evicted
                 elif traced:
-                    tracer.instant(
-                        "gd.encode",
-                        "gd-encoder",
-                        args={
-                            "outcome": "pending" if identifier is not None else "miss",
-                            "chunk_index": index,
-                        },
-                    )
-                append(
-                    UncompressedRecord(
-                        prefix=prefix,
-                        basis=basis,
-                        deviation=deviation,
-                        prefix_bits=prefix_bits,
-                        basis_bits=basis_bits,
-                        deviation_bits=deviation_bits,
-                        alignment_padding_bits=padding,
-                    )
-                )
-                output_bits += t2_bits
-                output_padded_bits += t2_padded
+                    args = {
+                        "outcome": "pending" if identifier is not None else "miss",
+                        "chunk_index": index,
+                    }
+            if traced:
+                tracer.instant("gd.encode", "gd-encoder", args=args)
             index += 1
-        count = index - stats.chunks
+            position += 1
+        compressed = len(identifiers)
+        uncompressed = count - compressed
         stats.chunks = index
-        stats.input_bits += count * transform.chunk_bits
-        stats.output_bits += output_bits
-        stats.output_padded_bits += output_padded_bits
+        stats.input_bits += count * self._transform.chunk_bits
+        stats.output_bits += compressed * layout.t3_bits + uncompressed * layout.t2_bits
+        stats.output_padded_bits += (
+            compressed * layout.t3_padded + uncompressed * layout.t2_padded
+        )
         stats.compressed_records += compressed
-        stats.uncompressed_records += count - compressed
-        return records
+        stats.uncompressed_records += uncompressed
+        return EncodedBatch(
+            layout, bytes(tags), identifiers, prefixes, bases, deviations
+        )
 
     def _is_active(self, key: object, chunk_index: int) -> bool:
         """True when a learned mapping has passed its activation delay."""

@@ -35,17 +35,27 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
-    List,
     Optional,
     Protocol,
     Tuple,
     runtime_checkable,
 )
 
-from repro.core.codec import CONTAINER_HEADER, CONTAINER_MAGIC, FLAG_STREAMED, GDCodec
+from repro.core.codec import (
+    CONTAINER_HEADER,
+    CONTAINER_MAGIC,
+    FLAG_STREAMED,
+    GDCodec,
+    unpack_container_header,
+)
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.encoder import EncoderMode
-from repro.core.records import GDRecord
+from repro.core.wire import (
+    check_container_end,
+    pack_trailer,
+    parse_records,
+    parse_trailer,
+)
 from repro.exceptions import CodingError, ReproError
 
 __all__ = [
@@ -65,10 +75,6 @@ __all__ = [
 #: Default read size for file streaming (a comfortable multiple of every
 #: supported chunk size).
 DEFAULT_BLOCK_SIZE = 64 * 1024
-
-#: Record tag terminating a streamed GDZ1 container (followed by ``>Q``
-#: original byte count).  0 can never collide with a record tag (types 1-3).
-_END_TAG = 0x00
 
 
 class _IncrementalBuffer:
@@ -277,12 +283,6 @@ class GDStreamCompressor:
         """A fresh codec configured with this compressor's parameters."""
         return GDCodec(**self._codec_kwargs)
 
-    @staticmethod
-    def _serialise(records: List[GDRecord]) -> bytes:
-        return b"".join(
-            bytes([int(record.record_type)]) + record.to_bytes() for record in records
-        )
-
     def compress_stream(self, blocks: Iterable[bytes]) -> Iterator[bytes]:
         """Re-chunk, GD-encode and frame a block stream incrementally."""
         codec = self.codec()
@@ -298,13 +298,13 @@ class GDStreamCompressor:
             pending += block
             usable = len(pending) - len(pending) % chunk_size
             if usable:
-                records = encoder.encode_chunks(bytes(pending[:usable]))
+                batch = encoder.encode_buffer_batch(bytes(pending[:usable]))
                 del pending[:usable]
-                yield self._serialise(records)
+                yield batch.pack_stream()
         if pending:
             pending += b"\x00" * (chunk_size - len(pending))
-            yield self._serialise(encoder.encode_chunks(bytes(pending)))
-        yield bytes([_END_TAG]) + struct.pack(">Q", total)
+            yield encoder.encode_buffer_batch(bytes(pending)).pack_stream()
+        yield pack_trailer(total)
 
     def decompress_stream(self, blocks: Iterable[bytes]) -> Iterator[bytes]:
         """Incrementally parse and decode a GDZ1 container stream.
@@ -321,34 +321,32 @@ class GDStreamCompressor:
         """
         buffer = _IncrementalBuffer()
         codec: Optional[GDCodec] = None
-        decoder = None
-        chunk_size = 0
         streamed = False
         remaining: Optional[int] = None  # legacy layout: records still expected
         original_bytes: Optional[int] = None
         holdback = b""
         emitted = 0
         finished = False
-
-        def drain() -> Iterator[bytes]:
-            """Parse and decode everything currently complete in the buffer."""
-            nonlocal codec, decoder, chunk_size
-            nonlocal streamed, remaining, original_bytes, finished, holdback, emitted
+        for block in blocks:
+            if not block:
+                continue
+            buffer.feed(block)
+            # Parse and decode everything currently complete in the buffer.
             while True:
                 if finished:
-                    if buffer.available:
-                        raise CodingError(
-                            f"{buffer.available} trailing bytes after container end"
-                        )
-                    return
+                    check_container_end(
+                        original_bytes,
+                        emitted + len(holdback),
+                        codec.chunk_bytes,
+                        buffer.available,
+                    )
+                    break
                 if codec is None:
                     if buffer.available < CONTAINER_HEADER.size:
                         break
-                    magic, order, chunk_bits, identifier_bits, flags, count, padding = (
-                        CONTAINER_HEADER.unpack_from(buffer.data, buffer.position)
+                    order, chunk_bits, identifier_bits, flags, count, padding = (
+                        unpack_container_header(buffer.data, buffer.position)
                     )
-                    if magic != CONTAINER_MAGIC:
-                        raise CodingError(f"bad container magic {magic!r}")
                     kwargs = dict(self._codec_kwargs)
                     kwargs.update(
                         order=order,
@@ -357,8 +355,6 @@ class GDStreamCompressor:
                         alignment_padding_bits=padding,
                     )
                     codec = GDCodec(**kwargs)
-                    decoder = codec.decoder
-                    chunk_size = codec.chunk_bytes
                     streamed = bool(flags & FLAG_STREAMED)
                     remaining = None if streamed else count
                     buffer.position += CONTAINER_HEADER.size
@@ -376,64 +372,38 @@ class GDStreamCompressor:
                 if remaining == 0:
                     finished = True
                     continue
-                if buffer.available < 1:
-                    break
-                tag = buffer.data[buffer.position]
-                if streamed and tag == _END_TAG:
-                    if buffer.available < 9:
-                        break
-                    (original_bytes,) = struct.unpack_from(
-                        ">Q", buffer.data, buffer.position + 1
+                tags, prefixes, keys, deviations, buffer.position = parse_records(
+                    codec.encoder.layout,
+                    buffer.data,
+                    buffer.position,
+                    limit=remaining,
+                    streamed=streamed,
+                )
+                if not tags:
+                    trailer = (
+                        parse_trailer(buffer.data, buffer.position)
+                        if streamed
+                        else None
                     )
-                    buffer.position += 9
+                    if trailer is None:
+                        break
+                    original_bytes, buffer.position = trailer
                     finished = True
                     continue
-                # Collect every complete record currently buffered, then
-                # decode them as one batch.
-                records: List[GDRecord] = []
-                while True:
-                    if buffer.available < 1:
-                        break
-                    tag = buffer.data[buffer.position]
-                    if streamed and tag == _END_TAG:
-                        break
-                    if remaining is not None and remaining == 0:
-                        break
-                    size = codec.record_wire_size(tag)
-                    if buffer.available < 1 + size:
-                        break
-                    record, buffer.position = codec.parse_record(
-                        buffer.data, buffer.position
-                    )
-                    records.append(record)
-                    if remaining is not None:
-                        remaining -= 1
-                if not records:
-                    break
-                decoded = decoder.decode_batch_to_bytes(records)
-                combined = holdback + decoded
-                if len(combined) > chunk_size:
-                    out = combined[:-chunk_size]
-                    holdback = combined[-chunk_size:]
+                if remaining is not None:
+                    remaining -= len(tags)
+                combined = holdback + codec.decoder.decode_columns_to_bytes(
+                    tags, prefixes, keys, deviations
+                )
+                holdback = combined[-codec.chunk_bytes :]
+                out = combined[: -codec.chunk_bytes]
+                if out:
                     emitted += len(out)
                     yield out
-                else:
-                    holdback = combined
             buffer.compact()
-
-        for block in blocks:
-            if not block:
-                continue
-            buffer.feed(block)
-            yield from drain()
-        if not finished or original_bytes is None:
+        if not finished:
             raise CodingError("truncated GDZ1 stream")
         keep = original_bytes - emitted
-        if keep < 0 or keep > len(holdback):
-            raise CodingError(
-                f"container length {original_bytes} inconsistent with "
-                f"{emitted + len(holdback)} decoded bytes"
-            )
         if keep:
             yield holdback[:keep]
 

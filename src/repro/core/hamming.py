@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.backends import MIN_BATCH_CHUNKS as _MIN_BACKEND_BASES
+from repro.core.backends import batch_backend
 from repro.core.bits import BitVector, mask
 from repro.core.crc import (
     CrcEngine,
@@ -251,13 +251,10 @@ class HammingCode:
         transform's); large batches it supports then fold through ndarray
         gathers instead of the byte-lane loop, bit-identically.
         """
-        if (
-            backend is not None
-            and backend.accelerated
-            and len(bases) >= _MIN_BACKEND_BASES
-            and backend.supports_parity(self)
-        ):
-            return backend.parities_of_bases(self, bases)
+        if backend is not None:
+            backend = batch_backend(backend, len(bases), backend.supports_parity, self)
+            if backend.accelerated:
+                return backend.parities_of_bases(self, bases)
         if self._m > 8:
             fast = self.parity_of_basis_fast
             return [fast(basis) for basis in bases]

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.backends import (
-    MIN_BATCH_CHUNKS,
     BatchSplit,
     CodecBackend,
+    batch_backend,
     resolve_backend,
 )
 from repro.core.bits import (
@@ -33,7 +33,6 @@ from repro.core.bits import (
     mask,
     padding_bits_for_alignment,
 )
-from repro.core.crc import lane_tables, prefix_syndrome_table
 from repro.core.hamming import HammingCode
 from repro.exceptions import ChunkSizeError, CodingError
 
@@ -50,11 +49,6 @@ GDFields = Tuple[int, int, int]
 #: suspected fast-path bug.  Any other value (or absence) keeps the fused
 #: table-driven path on.
 _FAST_ENV = "REPRO_GD_FAST"
-
-#: Largest prefix width for which the per-prefix syndrome-correction table
-#: is precomputed (2**bits entries).  Wider prefixes — far beyond anything
-#: the paper's framing uses — fall back to re-serialising the body.
-_MAX_PREFIX_TABLE_BITS = 12
 
 
 def fast_path_default() -> bool:
@@ -149,7 +143,7 @@ class GDTransform:
         variable (see :func:`fast_path_default`).
     backend:
         Codec backend for the batch entry points: a registered name
-        (``"pure"``, ``"numpy"``, ``"native"``), a
+        (``"pure"``, ``"numpy"``), a
         :class:`~repro.core.backends.CodecBackend` instance, or ``None``
         to follow the documented precedence (``REPRO_GD_BACKEND``, then
         the best available).  Accelerated backends only engage on the
@@ -177,21 +171,11 @@ class GDTransform:
         self._prefix_bits = chunk_bits - n
         self._fast = fast_path_default() if fast is None else bool(fast)
         self._backend = resolve_backend(backend)
-        # Fused-path constants, bound once: the shared byte→remainder
-        # closure, the syndrome→XOR-mask array, and the per-prefix syndrome
-        # correction.  A whole chunk's remainder splits linearly as
-        # ``syndrome(chunk) = syndrome(body) ^ syndrome(prefix << n)``, so
-        # reducing the chunk's own bytes plus one table lookup recovers the
-        # body syndrome without isolating (re-serialising) the body.
+        # Fused per-chunk constants, bound once: the shared byte→remainder
+        # closure and the syndrome→XOR-mask array.
         self._body_mask = mask(n)
         self._remainder = self._code.byte_remainder
         self._error_masks = self._code.error_masks
-        self._prefix_syndromes: Optional[Tuple[int, ...]] = None
-        if self._fast and 0 < self._prefix_bits <= _MAX_PREFIX_TABLE_BITS:
-            self._prefix_syndromes = prefix_syndrome_table(
-                self._code.full_polynomial, n, self._prefix_bits
-            )
-        self._lanes: Optional[Tuple[bytes, ...]] = None  # built on first batch
 
     # -- accessors -----------------------------------------------------------
 
@@ -299,7 +283,10 @@ class GDTransform:
     def split(self, chunk: ChunkLike) -> GDParts:
         """Apply the GD transformation to one chunk (Figure 1, steps ➊–➎)."""
         value = self._chunk_to_int(chunk)
-        prefix, basis, deviation = self._split_value(value)
+        return self._parts(*self._split_value(value))
+
+    def _parts(self, prefix: int, basis: int, deviation: int) -> GDParts:
+        """Field values wrapped (and width-validated) as :class:`GDParts`."""
         return GDParts(
             prefix=prefix,
             basis=basis,
@@ -339,15 +326,7 @@ class GDTransform:
 
     def join_fields(self, prefix: int, basis: int, deviation: int) -> int:
         """Invert the transformation from raw field values."""
-        parts = GDParts(
-            prefix=prefix,
-            basis=basis,
-            deviation=deviation,
-            prefix_bits=self._prefix_bits,
-            basis_bits=self._code.k,
-            deviation_bits=self._code.m,
-        )
-        return self.join(parts)
+        return self.join(self._parts(prefix, basis, deviation))
 
     def join_fields_fast(self, prefix: int, basis: int, deviation: int) -> int:
         """Fused, unchecked inverse: callers guarantee the field widths.
@@ -369,101 +348,40 @@ class GDTransform:
         """Invert the transformation and serialise the chunk to bytes."""
         return int_to_bytes(self.join(parts), self._chunk_bits)
 
-    def split_bytes(self, data: bytes) -> List[GDParts]:
-        """Split a byte string into consecutive chunks and transform each.
-
-        The data length must be an exact multiple of :attr:`chunk_bytes`;
-        callers that need tail padding handle it at the framing layer (the
-        trace generators always emit whole chunks, as in the paper).
-        """
-        return self.split_batch(data)
-
     def split_batch(self, data: "bytes | bytearray | memoryview") -> List[GDParts]:
         """Transform a contiguous buffer of whole chunks in one pass.
 
         Semantically equal to calling :meth:`split` on every
-        :attr:`chunk_bytes`-sized slice, but running the fused field loop
-        of :meth:`split_batch_fields` and wrapping each result once.
+        :attr:`chunk_bytes`-sized slice, but running the batch kernel of
+        :meth:`split_batch_columns` and wrapping each result once.
         """
-        prefix_bits = self._prefix_bits
-        k = self._code.k
-        m = self._code.m
-        return [
-            GDParts(
-                prefix=prefix,
-                basis=basis,
-                deviation=deviation,
-                prefix_bits=prefix_bits,
-                basis_bits=k,
-                deviation_bits=m,
-            )
-            for prefix, basis, deviation in self.split_batch_fields(data)
-        ]
+        parts = self._parts
+        return [parts(*fields) for fields in self.split_batch_fields(data)]
 
     def split_batch_fields(
         self, data: "bytes | bytearray | memoryview"
     ) -> List[GDFields]:
-        """The batch hot entry point: buffer of whole chunks → field triples.
+        """Buffer of whole chunks → ``(prefix, basis, deviation)`` triples.
 
-        Dispatches to the configured codec backend: an accelerated backend
-        (``numpy``) computes the whole buffer's syndromes, bases and
-        deviations as ndarray operations; otherwise the fused pure loop of
-        :meth:`_split_batch_fields_local` runs.  Batches shorter than
-        :data:`~repro.core.backends.MIN_BATCH_CHUNKS`, configurations the
-        backend does not support, and ``fast=False`` transforms always use
-        the pure path.  Every backend is bit-identical, so callers never
-        observe which one ran.
+        The tuple-list view of :meth:`split_batch_columns`.
         """
-        backend = self._backend
-        if (
-            backend.accelerated
-            and self._fast
-            and len(data) >= self.chunk_bytes * MIN_BATCH_CHUNKS
-            and backend.supports_transform(self)
-        ):
-            return backend.split_batch_fields(self, data)
-        return self._split_batch_fields_local(data)
+        return self.split_batch_columns(data).fields()
 
     def split_batch_columns(
         self, data: "bytes | bytearray | memoryview"
     ) -> BatchSplit:
-        """Whole-buffer split in the backend's columnar representation.
+        """The batch split kernel: buffer of whole chunks → field columns.
 
-        Same dispatch rules as :meth:`split_batch_fields`, but the result
-        stays in the producing backend's natural shape — for ``numpy``,
-        parallel prefix/deviation arrays and a basis byte matrix — and the
-        classic tuple list is materialised lazily via
-        :meth:`BatchSplit.fields`.  This is the cheapest way to consume a
-        whole trace when only column-level access is needed, and the shape
-        the hot-path benchmark times per backend.
-        """
-        backend = self._backend
-        if (
-            backend.accelerated
-            and self._fast
-            and len(data) >= self.chunk_bytes * MIN_BATCH_CHUNKS
-            and backend.supports_transform(self)
-        ):
-            return backend.split_batch_columns(self, data)
-        return BatchSplit.from_fields(
-            self._split_batch_fields_local(data), backend="pure"
-        )
-
-    def _split_batch_fields_local(
-        self, data: "bytes | bytearray | memoryview"
-    ) -> List[GDFields]:
-        """The fused pure loop: buffer of whole chunks → list of field triples.
-
-        One table-driven pass per chunk — ``int.from_bytes`` for the value,
-        the shared CRC byte loop over the chunk's own bytes for the
-        syndrome (corrected for the prefix bits by one lookup), one
-        XOR-mask lookup for the codeword — with zero per-chunk object
-        allocation.  ``data`` is sliced through a :class:`memoryview`, so
-        callers can pass views of larger buffers without copying.
-
-        With ``fast=False`` every chunk instead goes through the reference
-        :meth:`~repro.core.hamming.HammingCode.chunk_to_basis` layer; the
-        property suite asserts both paths agree bit for bit.
+        Dispatches through :func:`~repro.core.backends.batch_backend`: an
+        accelerated backend (``numpy``) computes the whole buffer's
+        syndromes, bases and deviations as ndarray operations when the
+        batch is large enough and the configuration supported; otherwise
+        the fused ``pure`` loop runs.  The result stays in the producing
+        backend's natural shape and the columns or the classic tuple list
+        are materialised lazily (see :class:`BatchSplit`).  Every backend
+        is bit-identical, so callers never observe which one ran.  With
+        ``fast=False`` every chunk instead goes through the bit-serial
+        reference; the property suite asserts both agree bit for bit.
         """
         chunk_bytes = self.chunk_bytes
         total = len(data)
@@ -472,133 +390,45 @@ class GDTransform:
                 f"data length {total} is not a multiple of the chunk size "
                 f"{chunk_bytes}"
             )
-        code = self._code
-        n = code.n
-        m = code.m
-        chunk_bits = self._chunk_bits
-        body_mask = self._body_mask
-        from_bytes = int.from_bytes
-        aligned = chunk_bits == chunk_bytes * 8
+        if self._fast:
+            backend = self._backend
+            return batch_backend(
+                backend, total // chunk_bytes, backend.supports_transform, self
+            ).split_batch_columns(self, data)
         view = memoryview(data)
-        fields: List[GDFields] = []
-        append = fields.append
-
-        if not self._fast:
-            chunk_to_basis = code.chunk_to_basis
-            for offset in range(0, total, chunk_bytes):
-                value = from_bytes(view[offset : offset + chunk_bytes], "big")
-                if not aligned and value >> chunk_bits:
-                    raise ChunkSizeError(
-                        f"chunk value does not fit in {chunk_bits} bits"
-                    )
-                basis, deviation = chunk_to_basis(value & body_mask)
-                append((value >> n, basis, deviation))
-            return fields
-
-        masks = self._error_masks
-        prefix_syndromes = self._prefix_syndromes
-        lane_eligible = m <= 8 and (
-            self._prefix_bits == 0 or prefix_syndromes is not None
+        return BatchSplit.from_fields(
+            [
+                self.split_fields(view[offset : offset + chunk_bytes])
+                for offset in range(0, total, chunk_bytes)
+            ],
+            backend="pure",
         )
-        if lane_eligible and total:
-            # Bulk lane pass: every chunk's raw-buffer syndrome at once, at
-            # C speed — slice the buffer into its byte lanes, translate each
-            # lane through its contribution table, XOR the lanes as big
-            # integers.  The per-chunk Python work then collapses to one
-            # ``int.from_bytes`` plus a handful of arithmetic ops.
-            buf = data if isinstance(data, (bytes, bytearray)) else bytes(view)
-            lanes = self._lanes
-            if lanes is None:
-                lanes = self._lanes = tuple(
-                    lane_tables(self._code.crc_parameter, m, chunk_bytes)
-                )
-            accumulator = 0
-            for position, lane_table in enumerate(lanes):
-                accumulator ^= from_bytes(
-                    buf[position::chunk_bytes].translate(lane_table), "big"
-                )
-            raw_syndromes = accumulator.to_bytes(total // chunk_bytes, "big")
-            index = 0
-            for offset in range(0, total, chunk_bytes):
-                value = from_bytes(buf[offset : offset + chunk_bytes], "big")
-                if not aligned and value >> chunk_bits:
-                    raise ChunkSizeError(
-                        f"chunk value does not fit in {chunk_bits} bits"
-                    )
-                prefix = value >> n
-                deviation = raw_syndromes[index]
-                index += 1
-                if prefix:
-                    # syndrome(chunk) = syndrome(body) ^ syndrome(prefix<<n)
-                    deviation ^= prefix_syndromes[prefix]
-                append(
-                    (prefix, ((value & body_mask) ^ masks[deviation]) >> m, deviation)
-                )
-            return fields
 
-        remainder = self._remainder
-        body_bytes = (n + 7) // 8
-        for offset in range(0, total, chunk_bytes):
-            piece = view[offset : offset + chunk_bytes]
-            value = from_bytes(piece, "big")
-            if not aligned and value >> chunk_bits:
-                raise ChunkSizeError(
-                    f"chunk value does not fit in {chunk_bits} bits"
-                )
-            prefix = value >> n
-            body = value & body_mask
-            if prefix_syndromes is not None:
-                deviation = remainder(piece) ^ prefix_syndromes[prefix]
-            elif prefix:
-                deviation = remainder(body.to_bytes(body_bytes, "big"))
-            else:
-                deviation = remainder(piece)
-            append((prefix, (body ^ masks[deviation]) >> m, deviation))
-        return fields
-
-    def _join_batch_to_bytes_local(
+    def join_batch_to_bytes(
         self,
-        prefixes: "List[int]",
-        bases: "List[int]",
-        deviations: "List[int]",
+        prefixes: Sequence[int],
+        bases: Sequence[int],
+        deviations: Sequence[int],
     ) -> bytes:
-        """Pure bulk inverse: resolved field columns → concatenated chunks.
+        """The batch join kernel: field columns → concatenated chunk bytes.
 
-        The decode-direction twin of :meth:`_split_batch_fields_local`:
-        parity bits for the whole batch through the bulk lane reduction,
-        then one combine + ``to_bytes`` per chunk.  Callers guarantee the
-        field widths (the decoder validates records once per batch) and a
-        byte-aligned ``chunk_bits``.
+        The inverse of :meth:`split_batch_columns`, with the same dispatch.
+        Callers guarantee the field widths (the decoder validates them once
+        per batch); :meth:`join_fields` remains the checked entry point.
         """
+        if self._fast:
+            backend = self._backend
+            return batch_backend(
+                backend, len(bases), backend.supports_join, self
+            ).join_batch_to_bytes(self, prefixes, bases, deviations)
         chunk_bytes = self.chunk_bytes
-        code = self._code
-        if not self._fast:
-            join = self.join_fields_fast  # reference layer when fast=False
-            return b"".join(
-                join(prefixes[index], bases[index], deviations[index]).to_bytes(
-                    chunk_bytes, "big"
-                )
-                for index in range(len(bases))
+        join = self.join_fields_fast  # the bit-serial reference when not fast
+        return b"".join(
+            join(prefixes[index], bases[index], deviations[index]).to_bytes(
+                chunk_bytes, "big"
             )
-        parities = code.parities_of_bases(bases)
-        masks = self._error_masks
-        m = code.m
-        n = code.n
-        pieces: List[bytes] = []
-        append = pieces.append
-        for index in range(len(bases)):
-            codeword = (bases[index] << m) | parities[index]
-            append(
-                (
-                    (prefixes[index] << n) | (codeword ^ masks[deviations[index]])
-                ).to_bytes(chunk_bytes, "big")
-            )
-        return b"".join(pieces)
-
-    def iter_split(self, chunks: Iterable[ChunkLike]) -> Iterator[GDParts]:
-        """Lazily transform an iterable of chunks."""
-        for chunk in chunks:
-            yield self.split(chunk)
+            for index in range(len(bases))
+        )
 
     def chunk_to_bytes(self, chunk: int) -> bytes:
         """Serialise an integer chunk into its byte representation."""

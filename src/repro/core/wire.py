@@ -1,0 +1,254 @@
+"""The GDZ1 record wire format: one packer, one incremental parser.
+
+A container body is a run of tagged records: one tag byte (2 = processed
+but uncompressed, 3 = compressed) followed by the byte-aligned payload
+``prefix | basis-or-identifier | deviation``, big-endian, left-padded.  A
+streamed container ends its run with a trailer: :data:`END_TAG` plus the
+original byte count.  Everything that writes or reads that layout — the
+container codec, the streaming engine, the one-record
+:meth:`~repro.core.codec.GDCodec.parse_record` — goes through
+:func:`pack_records` / :func:`pack_trailer` and :func:`parse_records` /
+:func:`parse_trailer`, on field columns;
+:mod:`repro.core.records` keeps the per-object ``to_bytes`` the tests use
+as the layout oracle.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import List, Optional, Sequence, Tuple
+
+from repro.core.bits import align_up, int_to_bytes
+from repro.exceptions import CodingError
+
+__all__ = [
+    "END_TAG",
+    "RecordLayout",
+    "check_container_end",
+    "pack_records",
+    "pack_trailer",
+    "parse_records",
+    "parse_trailer",
+]
+
+#: Record tag terminating a streamed GDZ1 container (followed by ``>Q``
+#: original byte count).  0 can never collide with a record tag (types 1-3).
+END_TAG = 0x00
+_TRAILER = struct.Struct(">BQ")
+
+
+class RecordLayout:
+    """Field widths and payload sizes of one codec configuration's records.
+
+    ``t2_bits``/``t3_bits`` are the unpadded payload sizes, ``t2_padded``/
+    ``t3_padded`` the byte-aligned wire sizes (type-2 payloads carry the
+    extra ``padding_bits`` that model the Tofino container alignment).
+    """
+
+    __slots__ = (
+        "prefix_bits",
+        "basis_bits",
+        "identifier_bits",
+        "deviation_bits",
+        "padding_bits",
+        "t2_bits",
+        "t2_padded",
+        "t3_bits",
+        "t3_padded",
+    )
+
+    def __init__(
+        self,
+        prefix_bits: int,
+        basis_bits: int,
+        identifier_bits: int,
+        deviation_bits: int,
+        padding_bits: int,
+    ):
+        self.prefix_bits = prefix_bits
+        self.basis_bits = basis_bits
+        self.identifier_bits = identifier_bits
+        self.deviation_bits = deviation_bits
+        self.padding_bits = padding_bits
+        self.t2_bits = prefix_bits + basis_bits + deviation_bits
+        self.t2_padded = align_up(self.t2_bits + padding_bits, 8)
+        self.t3_bits = prefix_bits + identifier_bits + deviation_bits
+        self.t3_padded = align_up(self.t3_bits, 8)
+
+
+def pack_records(
+    layout: RecordLayout,
+    tags: bytes,
+    identifiers: Sequence[int],
+    prefixes: Sequence[int],
+    bases: Sequence[int],
+    deviations: Sequence[int],
+) -> bytes:
+    """Field columns → container body (one tag byte plus payload per record).
+
+    ``prefixes``, ``bases`` and ``deviations`` hold one entry per record;
+    ``identifiers`` one per type-3 record, in order.  Byte-identical to
+    concatenating ``bytes([tag]) + record.to_bytes()`` over the equivalent
+    record objects.  When numpy is available and the type-3 payload fits a
+    ``uint64``, all type-3 rows are packed as one ``(count, 1 + size)``
+    byte matrix and the (rare) type-2 records are spliced between the runs.
+    """
+    count = len(tags)
+    if count == 0:
+        return b""
+    identifier_bits = layout.identifier_bits
+    basis_bits = layout.basis_bits
+    deviation_bits = layout.deviation_bits
+    t2_padded = layout.t2_padded
+    t3_padded = layout.t3_padded
+    t3_size = t3_padded // 8
+
+    def type2(position: int) -> bytes:
+        value = (
+            ((prefixes[position] << basis_bits) | bases[position]) << deviation_bits
+        ) | deviations[position]
+        return b"\x02" + int_to_bytes(value, t2_padded)
+
+    np = None
+    if identifiers and t3_size <= 8:
+        from repro.core.backends.numpy_backend import _numpy
+
+        np = _numpy()[0]
+    if np is None:
+        next_identifier = iter(identifiers).__next__
+        parts: List[bytes] = []
+        append = parts.append
+        for position in range(count):
+            if tags[position] == 3:
+                value = (
+                    ((prefixes[position] << identifier_bits) | next_identifier())
+                    << deviation_bits
+                ) | deviations[position]
+                append(b"\x03" + int_to_bytes(value, t3_padded))
+            else:
+                append(type2(position))
+        return b"".join(parts)
+    tags_np = np.frombuffer(tags, dtype=np.uint8)
+    indices = np.flatnonzero(tags_np == 3)
+    values = np.asarray(identifiers, dtype=np.uint64) << np.uint64(deviation_bits)
+    if layout.prefix_bits:
+        values = values | (
+            np.asarray(prefixes, dtype=np.uint64)[indices]
+            << np.uint64(deviation_bits + identifier_bits)
+        )
+    values = values | np.asarray(deviations, dtype=np.uint64)[indices]
+    row = 1 + t3_size
+    matrix = np.empty((len(indices), row), dtype=np.uint8)
+    matrix[:, 0] = 3
+    for column in range(t3_size):
+        matrix[:, 1 + column] = (
+            values >> np.uint64(8 * (t3_size - 1 - column))
+        ).astype(np.uint8)
+    block = matrix.tobytes()
+    if len(indices) == count:
+        return block
+    parts = []
+    append = parts.append
+    consumed = 0
+    for rank, position in enumerate(np.flatnonzero(tags_np == 2).tolist()):
+        preceding = position - rank  # type-3 rows before this type-2
+        if preceding > consumed:
+            append(block[consumed * row : preceding * row])
+        append(type2(position))
+        consumed = preceding
+    append(block[consumed * row :])
+    return b"".join(parts)
+
+
+def parse_records(
+    layout: RecordLayout,
+    data: "bytes | bytearray | memoryview",
+    offset: int,
+    limit: Optional[int] = None,
+    streamed: bool = False,
+) -> Tuple[bytearray, List[int], List[int], List[int], int]:
+    """Container body → field columns, as far as ``data`` allows.
+
+    Parses complete records from ``data[offset:]`` until ``limit`` records
+    are read, the buffer ends or holds only part of the next record ("need
+    more bytes": the caller decides whether more can arrive), or — in a
+    ``streamed`` container — :data:`END_TAG` is next.  Returns ``(tags,
+    prefixes, keys, deviations, next_offset)``; ``keys[i]`` is the basis of
+    a type-2 record and the identifier of a type-3 record.  Fields are
+    masked to the layout's widths.  An unknown tag raises
+    :class:`~repro.exceptions.CodingError`.
+    """
+    deviation_bits = layout.deviation_bits
+    deviation_mask = (1 << deviation_bits) - 1
+    basis_bits = layout.basis_bits
+    basis_mask = (1 << basis_bits) - 1
+    identifier_bits = layout.identifier_bits
+    identifier_mask = (1 << identifier_bits) - 1
+    prefix_bits = layout.prefix_bits
+    prefix_mask = (1 << prefix_bits) - 1
+    size2 = layout.t2_padded // 8
+    size3 = layout.t3_padded // 8
+    total = len(data)
+    from_bytes = int.from_bytes
+    tags = bytearray()
+    prefixes: List[int] = []
+    keys: List[int] = []
+    deviations: List[int] = []
+    while offset < total and (limit is None or len(tags) < limit):
+        tag = data[offset]
+        if tag == 3:
+            end = offset + 1 + size3
+            key_bits, key_mask = identifier_bits, identifier_mask
+        elif tag == 2:
+            end = offset + 1 + size2
+            key_bits, key_mask = basis_bits, basis_mask
+        elif tag == END_TAG and streamed:
+            break
+        else:
+            raise CodingError(f"unknown record tag {tag} at offset {offset}")
+        if end > total:
+            break
+        value = from_bytes(data[offset + 1 : end], "big")
+        tags.append(tag)
+        deviations.append(value & deviation_mask)
+        value >>= deviation_bits
+        keys.append(value & key_mask)
+        prefixes.append((value >> key_bits) & prefix_mask)
+        offset = end
+    return tags, prefixes, keys, deviations, offset
+
+
+def pack_trailer(original_bytes: int) -> bytes:
+    """The trailer that ends a streamed container's record run."""
+    return _TRAILER.pack(END_TAG, original_bytes)
+
+
+def parse_trailer(
+    data: "bytes | bytearray | memoryview", offset: int
+) -> Optional[Tuple[int, int]]:
+    """``(original_bytes, next_offset)`` of the trailer at ``data[offset:]``.
+
+    ``None`` when no complete trailer starts there (where
+    :func:`parse_records` stopped short of one, more bytes are needed).
+    """
+    if len(data) - offset < _TRAILER.size or data[offset] != END_TAG:
+        return None
+    return _TRAILER.unpack_from(data, offset)[1], offset + _TRAILER.size
+
+
+def check_container_end(
+    original_bytes: int, decoded_bytes: int, chunk_bytes: int, trailing_bytes: int
+) -> None:
+    """The end-of-container check every GDZ1 reader applies.
+
+    The recorded original length must lie within the final chunk of the
+    decoded output (at most one chunk of zero padding), and nothing may
+    follow the last record (or, streamed, the trailer).
+    """
+    if trailing_bytes:
+        raise CodingError(f"{trailing_bytes} trailing bytes after container end")
+    if not 0 <= decoded_bytes - original_bytes <= chunk_bytes:
+        raise CodingError(
+            f"container length {original_bytes} inconsistent with "
+            f"{decoded_bytes} decoded bytes"
+        )

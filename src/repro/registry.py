@@ -18,8 +18,8 @@ The registry ships with the four built-ins (``gd``, ``gzip``, ``dedup``,
 ``null``); downstream code can :func:`register` additional factories.
 
 Next to the compressor registry lives the **codec-backend** registry
-(re-exported from :mod:`repro.core.backends`): the ``pure``/``numpy``/
-``native`` implementations of the GD batch hot paths.  Backends are
+(re-exported from :mod:`repro.core.backends`): the ``pure`` and ``numpy``
+implementations of the GD batch hot paths.  Backends are
 orthogonal to codecs — every codec built here accepts ``backend=...`` —
 and bit-identical to one another, so they select performance, never
 format::
@@ -30,7 +30,7 @@ format::
 >>> registry.names()
 ['dedup', 'gd', 'gzip', 'null']
 >>> registry.backend_names()
-['native', 'numpy', 'pure']
+['numpy', 'pure']
 >>> registry.sniff(registry.magic_for("gd") + b"...")
 'gd'
 >>> blocks = registry.get("null").compress_stream([b"payload"])

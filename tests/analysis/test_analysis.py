@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.experiment import ExperimentRunner
 from repro.analysis.reporting import (
     ComparisonRow,
     comparison_table,
@@ -61,30 +60,6 @@ class TestStatistics:
         assert summary.as_dict()["count"] == 5
         assert summary.minimum == 1.7
         assert summary.maximum == 1.85
-
-
-class TestExperimentRunner:
-    def test_runs_the_paper_repetition_count(self):
-        runner = ExperimentRunner()
-        result = runner.run("probe", lambda index: float(index), unit="s")
-        assert result.summary.count == 10
-        assert len(result.samples) == 10
-        assert "probe" in result.format()
-
-    def test_run_scenarios_and_report(self):
-        runner = ExperimentRunner(repetitions=3)
-        results = runner.run_scenarios(
-            {"a": lambda i: 1.0, "b": lambda i: 2.0}, unit="Gbit/s"
-        )
-        assert [r.name for r in results] == ["a", "b"]
-        report = runner.report()
-        assert "a:" in report and "b:" in report
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            ExperimentRunner(repetitions=0)
-        with pytest.raises(ReproError):
-            ExperimentRunner().run("bad", "not callable")
 
 
 class TestReporting:

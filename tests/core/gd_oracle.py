@@ -1,0 +1,144 @@
+"""The bit-serial oracle of the GD record pipeline.
+
+One chunk at a time, one checked layer per step: ``GDTransform(fast=False)``
+per-chunk ``split``/``join``, a dictionary consulted and updated once per
+chunk, record objects built through their validating constructors,
+accounting through ``EncoderStats.record`` and container bytes through each
+record's own ``to_bytes``.  Nothing here batches, caches or vectorises, so
+the production pipeline (columnar loops, backend kernels, the GDZ1 packer)
+can be compared against it bit for bit.
+"""
+
+import struct
+
+from repro.core.bits import int_to_bytes
+from repro.core.codec import CONTAINER_HEADER, CONTAINER_MAGIC
+from repro.core.dictionary import BasisDictionary
+from repro.core.encoder import EncoderStats
+from repro.core.records import CompressedRecord, UncompressedRecord
+from repro.core.transform import GDParts, GDTransform
+
+
+class OracleCodec:
+    """Naive encoder and decoder with the parameters of a ``GDCodec``."""
+
+    def __init__(
+        self,
+        order=8,
+        chunk_bits=None,
+        identifier_bits=15,
+        mode="dynamic",
+        eviction_policy="lru",
+        alignment_padding_bits=0,
+        static_bases=None,
+        learning_delay_chunks=0,
+        eviction_seed=None,
+        backend=None,  # accepted so GDCodec keyword sets can be reused
+    ):
+        self.transform = GDTransform(
+            order=order, chunk_bits=chunk_bits, fast=False, backend="pure"
+        )
+        self.identifier_bits = identifier_bits
+        self.mode = mode
+        self.padding = alignment_padding_bits
+        self.delay = learning_delay_chunks
+        self.encoder_dictionary = self.decoder_dictionary = None
+        if mode != "no_table":
+            capacity = 1 << identifier_bits
+            self.encoder_dictionary = BasisDictionary(
+                capacity, eviction_policy, seed=eviction_seed
+            )
+            self.decoder_dictionary = BasisDictionary(
+                capacity, eviction_policy, seed=eviction_seed
+            )
+            if mode == "static":
+                self.encoder_dictionary.preload(iter(static_bases))
+                self.decoder_dictionary.preload(iter(static_bases))
+        self.activation = {}  # basis -> first chunk index allowed to hit
+        self.stats = EncoderStats()
+
+    def chunks(self, data):
+        size = self.transform.chunk_bytes
+        return [data[offset : offset + size] for offset in range(0, len(data), size)]
+
+    def encode(self, data):
+        """Whole chunks → record list, continuing from earlier calls."""
+        transform = self.transform
+        dictionary = self.encoder_dictionary
+        records = []
+        for chunk in self.chunks(data):
+            index = self.stats.chunks
+            parts = transform.split(chunk)
+            identifier = None
+            if dictionary is not None:
+                identifier = dictionary.lookup(parts.basis)
+            if identifier is not None and index >= self.activation.get(parts.basis, 0):
+                record = CompressedRecord(
+                    prefix=parts.prefix,
+                    identifier=identifier,
+                    deviation=parts.deviation,
+                    prefix_bits=parts.prefix_bits,
+                    identifier_bits=self.identifier_bits,
+                    deviation_bits=parts.deviation_bits,
+                )
+            else:
+                if identifier is None and self.mode == "dynamic":
+                    dictionary.insert(parts.basis)
+                    self.activation[parts.basis] = index + 1 + self.delay
+                record = UncompressedRecord(
+                    prefix=parts.prefix,
+                    basis=parts.basis,
+                    deviation=parts.deviation,
+                    prefix_bits=parts.prefix_bits,
+                    basis_bits=parts.basis_bits,
+                    deviation_bits=parts.deviation_bits,
+                    alignment_padding_bits=self.padding,
+                )
+            self.stats.record(record, transform.chunk_bits)
+            records.append(record)
+        return records
+
+    def body(self, records):
+        """Container body: each record's tag byte and own serialisation."""
+        return b"".join(
+            bytes([int(record.record_type)]) + record.to_bytes() for record in records
+        )
+
+    def container(self, records, original_bytes):
+        """The legacy whole-buffer ``GDZ1`` container of ``records``."""
+        header = CONTAINER_HEADER.pack(
+            CONTAINER_MAGIC,
+            self.transform.order,
+            self.transform.chunk_bits,
+            self.identifier_bits,
+            0,
+            len(records),
+            self.padding,
+        )
+        return header + struct.pack(">Q", original_bytes) + self.body(records)
+
+    def decode(self, records):
+        """Record list → chunk bytes, learning like the codec's decoder."""
+        transform = self.transform
+        dictionary = self.decoder_dictionary
+        out = []
+        for record in records:
+            if isinstance(record, UncompressedRecord):
+                basis = record.basis
+                if dictionary is not None:
+                    dictionary.insert(basis)
+            else:
+                basis = dictionary.reverse_lookup(record.identifier)
+                dictionary.touch(basis)
+            chunk = transform.join(
+                GDParts(
+                    prefix=record.prefix,
+                    basis=basis,
+                    deviation=record.deviation,
+                    prefix_bits=transform.prefix_bits,
+                    basis_bits=transform.basis_bits,
+                    deviation_bits=transform.deviation_bits,
+                )
+            )
+            out.append(int_to_bytes(chunk, transform.chunk_bits))
+        return b"".join(out)

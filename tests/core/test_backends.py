@@ -60,9 +60,8 @@ def _random_buffer(transform, count, rng, clustered=False):
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"pure", "numpy", "native"} <= set(backends.backend_names())
+        assert backends.backend_names() == ["numpy", "pure"]
         assert "pure" in AVAILABLE
-        assert "native" not in AVAILABLE  # stub slot, never available
 
     def test_pure_is_always_available(self):
         assert backends.get_backend("pure").available()
@@ -72,15 +71,6 @@ class TestRegistry:
             backends.get_backend("simd")
         with pytest.raises(BackendError, match="pure"):
             backends.resolve_backend("simd")
-
-    def test_native_stub_is_unavailable_with_actionable_detail(self):
-        native = backends.get_backend("native")
-        assert not native.available()
-        assert "docs/backends.md" in native.availability_detail()
-        with pytest.raises(BackendError, match="not available"):
-            backends.resolve_backend("native")
-        with pytest.raises(BackendError):
-            native.split_batch_fields(GDTransform(order=3, backend="pure"), b"")
 
     def test_duplicate_registration_requires_replace(self, monkeypatch):
         monkeypatch.setattr(backends, "_BACKENDS", dict(backends._BACKENDS))
@@ -96,7 +86,6 @@ class TestRegistry:
     def test_backend_status_rows(self):
         rows = {row["name"]: row for row in backends.backend_status()}
         assert rows["pure"]["available"] is True
-        assert rows["native"]["available"] is False
         assert sum(1 for row in rows.values() if row["default"]) == 1
 
     def test_registry_module_reexports_backend_registry(self):
@@ -108,7 +97,7 @@ class TestRegistry:
 
 class TestSelection:
     def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GD_BACKEND", "native")
+        monkeypatch.setenv("REPRO_GD_BACKEND", "simd")  # never consulted
         assert GDTransform(order=8, backend="pure").backend == "pure"
 
     def test_environment_selects_backend(self, monkeypatch):
@@ -124,11 +113,6 @@ class TestSelection:
         assert GDTransform(order=8).backend == expected
         assert GDTransform(order=8, backend="auto").backend == expected
 
-    def test_environment_naming_unavailable_backend_errors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GD_BACKEND", "native")
-        with pytest.raises(BackendError, match="REPRO_GD_BACKEND"):
-            GDTransform(order=8)
-
     def test_numpy_selection_errors_clearly_without_numpy(self, monkeypatch):
         """``REPRO_GD_BACKEND=numpy`` on a numpy-less interpreter must fail
         with a message naming the backend and the missing dependency."""
@@ -143,6 +127,7 @@ class TestSelection:
             GDTransform(order=8)
         message = str(excinfo.value)
         assert "numpy" in message
+        assert "named by REPRO_GD_BACKEND" in message
         assert "not available" in message
         assert "fast" in message
 

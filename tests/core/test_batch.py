@@ -1,9 +1,10 @@
-"""Batch APIs: split_batch / encode_batch / decode_batch match the unit paths.
+"""Batch APIs: split_batch / encode_batch / decode_batch match the oracle.
 
-The batch entry points exist purely for speed (amortized accounting and
-hoisted lookups); these tests pin down that they are observationally
-identical to the one-chunk-at-a-time paths — same records, same stats, same
-dictionary evolution, including the dynamic-learning activation delay.
+Every encode and decode entry point runs the same columnar loop; these
+tests pin down that the loop is observationally identical to the bit-serial
+oracle walking one chunk at a time — same records, same stats, same
+dictionary evolution, including the dynamic-learning activation delay —
+and that batches compose with the state earlier batches left behind.
 """
 
 import random
@@ -17,6 +18,8 @@ from repro.core.encoder import EncoderMode, GDEncoder
 from repro.core.records import RawRecord
 from repro.core.transform import GDTransform
 from repro.exceptions import ChunkSizeError
+
+from gd_oracle import OracleCodec
 
 
 def clustered_chunks(count: int, seed: int = 3, bases: int = 6) -> list:
@@ -35,11 +38,6 @@ class TestSplitBatch:
         chunks = clustered_chunks(50)
         expected = [transform.split(chunk) for chunk in chunks]
         assert transform.split_batch(b"".join(chunks)) == expected
-
-    def test_split_bytes_delegates(self):
-        transform = GDTransform(order=4)
-        data = bytes(range(transform.chunk_bytes * 3))
-        assert transform.split_bytes(data) == transform.split_batch(data)
 
     def test_rejects_ragged_buffer(self):
         transform = GDTransform(order=8)
@@ -69,21 +67,21 @@ def _fresh_encoder(mode=EncoderMode.DYNAMIC, learning_delay_chunks=0):
 
 class TestEncodeBatch:
     @pytest.mark.parametrize("delay", [0, 7])
-    def test_matches_encode_chunk_sequence(self, delay):
+    @pytest.mark.parametrize("entry", ["encode_batch", "encode_chunk", "encode_chunks"])
+    def test_matches_oracle(self, entry, delay):
         chunks = clustered_chunks(300)
-        unit = _fresh_encoder(learning_delay_chunks=delay)
-        batch = _fresh_encoder(learning_delay_chunks=delay)
-        expected = [unit.encode_chunk(chunk) for chunk in chunks]
-        assert batch.encode_batch(chunks) == expected
-        assert batch.stats.as_dict() == unit.stats.as_dict()
-        assert batch.dictionary.snapshot() == unit.dictionary.snapshot()
-
-    def test_encode_buffer_matches_chunk_list(self):
-        chunks = clustered_chunks(120)
-        unit = _fresh_encoder()
-        batch = _fresh_encoder()
-        expected = unit.encode_all(chunks)
-        assert batch.encode_buffer(b"".join(chunks)) == expected
+        oracle = OracleCodec(alignment_padding_bits=8, learning_delay_chunks=delay)
+        expected = oracle.encode(b"".join(chunks))
+        encoder = _fresh_encoder(learning_delay_chunks=delay)
+        if entry == "encode_batch":
+            records = encoder.encode_batch(chunks)
+        elif entry == "encode_chunk":
+            records = [encoder.encode_chunk(chunk) for chunk in chunks]
+        else:
+            records = encoder.encode_chunks(b"".join(chunks))
+        assert records == expected
+        assert encoder.stats.as_dict() == oracle.stats.as_dict()
+        assert encoder.dictionary.snapshot() == oracle.encoder_dictionary.snapshot()
 
     def test_batches_compose_with_state(self):
         """Two consecutive batches equal one batch over the concatenation."""
@@ -115,6 +113,11 @@ class TestDecodeBatch:
         expected = [unit.decode_record(record) for record in records]
         assert batch.decode_batch(records) == expected
         assert batch.stats.as_dict() == unit.stats.as_dict()
+        oracle = OracleCodec()
+        assert b"".join(chunk.to_bytes(32, "big") for chunk in expected) == (
+            oracle.decode(records)
+        )
+        assert batch.dictionary.snapshot() == oracle.decoder_dictionary.snapshot()
 
     def test_raw_records_pass_through(self):
         transform = GDTransform(order=8)

@@ -1,20 +1,22 @@
-"""Batched codec pipeline equivalence: EncodedBatch vs the per-record path.
+"""Batched codec pipeline equivalence: the columnar path vs the oracle.
 
-`GDCodec.compress` returns a lazily materialised `EncodedBatch`; the
-container it serialises, the dictionary state it leaves behind and the
-stats it accumulates must all be byte-for-byte / field-for-field identical
-to the eager per-record path.  Likewise `decompress_container`'s columnar
-decode must return the same bytes — and the same decoder stats — as
-materialising every record.
+`GDCodec.compress` returns a lazily materialised `EncodedBatch`; the records
+it describes, the container it serialises, the dictionary state it leaves
+behind and the stats it accumulates must all be byte-for-byte /
+field-for-field identical to the bit-serial oracle (`gd_oracle`).  Likewise
+`decompress_container`'s columnar decode must return the same bytes — and
+the same decoder stats and dictionary — as the oracle decoding the records
+one by one.
 """
 
-import dataclasses
 import random
 
 import pytest
 
 from repro.core.codec import GDCodec
 from repro.core.encoder import EncodedBatch
+
+from gd_oracle import OracleCodec
 
 
 def clustered_data(codec, bases, count, rng):
@@ -44,50 +46,34 @@ def _sample(codec, count=120, seed=11):
     return clustered_data(codec, bases, count, rng)
 
 
-def _force_eager(codec, monkeypatch):
-    """Disable the batch encode so compress() takes the per-record path."""
-    monkeypatch.setattr(
-        codec.encoder, "encode_buffer_batch", lambda buffer: None
-    )
-
-
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 class TestCompressBatchEquivalence:
-    def test_records_stats_and_container_match_eager_path(self, config, monkeypatch):
-        batch_codec = GDCodec(**CONFIGS[config])
-        eager_codec = GDCodec(**CONFIGS[config])
-        _force_eager(eager_codec, monkeypatch)
-        data = _sample(batch_codec)
+    def test_records_stats_and_container_match_oracle(self, config):
+        codec = GDCodec(**CONFIGS[config])
+        oracle = OracleCodec(**CONFIGS[config])
+        data = _sample(codec)
 
-        batch_result = batch_codec.compress(data)
-        eager_result = eager_codec.compress(data)
+        result = codec.compress(data)
+        expected = oracle.encode(data)
 
-        assert isinstance(batch_result.records, EncodedBatch)
-        assert not isinstance(eager_result.records, EncodedBatch)
-        assert list(batch_result.records) == list(eager_result.records)
-        assert batch_result.records == tuple(eager_result.records)
-        assert batch_codec.encoder.stats.as_dict() == eager_codec.encoder.stats.as_dict()
-        assert dataclasses.replace(batch_result, records=()) == dataclasses.replace(
-            eager_result, records=()
-        )
-        assert batch_codec.to_container(batch_result) == eager_codec.to_container(
-            eager_result
-        )
+        assert isinstance(result.records, EncodedBatch)
+        assert list(result.records) == expected
+        assert codec.encoder.stats.as_dict() == oracle.stats.as_dict()
+        assert result.payload_bytes == sum(r.payload_bytes for r in expected)
+        assert codec.to_container(result) == oracle.container(expected, len(data))
+        assert result.container_bytes == len(codec.to_container(result))
 
-    def test_batches_compose_with_dictionary_state(self, config, monkeypatch):
+    def test_batches_compose_with_dictionary_state(self, config):
         """Back-to-back compress calls see the dictionary the previous batch
-        left behind, exactly like the per-record path."""
-        batch_codec = GDCodec(**CONFIGS[config])
-        eager_codec = GDCodec(**CONFIGS[config])
-        _force_eager(eager_codec, monkeypatch)
+        left behind, exactly like the oracle's chunk-at-a-time walk."""
+        codec = GDCodec(**CONFIGS[config])
+        oracle = OracleCodec(**CONFIGS[config])
         rng = random.Random(3)
         for count in (40, 40, 40):
-            data = _sample(batch_codec, count=count, seed=rng.randrange(1 << 30))
-            assert list(batch_codec.compress(data).records) == list(
-                eager_codec.compress(data).records
-            )
+            data = _sample(codec, count=count, seed=rng.randrange(1 << 30))
+            assert list(codec.compress(data).records) == oracle.encode(data)
 
-    def test_container_roundtrip(self, config, monkeypatch):
+    def test_container_roundtrip(self, config):
         codec = GDCodec(**CONFIGS[config])
         data = _sample(codec)
         blob = codec.to_container(codec.compress(data))
@@ -95,45 +81,20 @@ class TestCompressBatchEquivalence:
 
 
 class TestColumnarDecompress:
-    def test_matches_record_path_bytes_and_stats(self, monkeypatch):
+    def test_container_decodes_to_the_oracle_bytes(self):
         codec = GDCodec()
         data = _sample(codec, count=200)
-        blob = codec.to_container(codec.compress(data))
-
-        columnar_codec = codec.clone()
-        record_codec = codec.clone()
-        # Starve the record path of the columnar shortcut so it exercises
-        # parse_record + decode_to_bytes.
-        monkeypatch.setattr(
-            type(record_codec),
-            "_decompress_container_columns",
-            lambda self, blob, offset, count, original_bytes: (_ for _ in ()).throw(
-                AssertionError("columnar path should be disabled")
-            ),
-            raising=True,
+        result = codec.compress(data)
+        assert codec.decompress_container(codec.to_container(result)) == (
+            OracleCodec().decode(result.records)
         )
 
-        def forced_records(self, blob, offset, count, original_bytes):
-            records = []
-            for _ in range(count):
-                record, offset = self.parse_record(blob, offset)
-                records.append(record)
-            return self.decompress_records(records, original_bytes=original_bytes)
-
-        monkeypatch.setattr(
-            type(record_codec), "_decompress_container_columns", forced_records
-        )
-        assert columnar_codec.decompress_container(blob) == data
-        assert record_codec.decompress_container(blob) == data
-
-    def test_decode_columns_matches_record_path_bytes_and_stats(self):
-        codec = GDCodec()
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_decode_columns_matches_oracle_bytes_stats_and_dictionary(self, config):
+        codec = GDCodec(**CONFIGS[config])
+        oracle = OracleCodec(**CONFIGS[config])
         data = _sample(codec, count=150)
-        records = list(codec.compress(data).records)
-        assert any(record.record_type == 3 for record in records)
-
-        record_codec = codec.clone()
-        record_bytes = record_codec.decoder.decode_to_bytes(records)
+        records = oracle.encode(data)
 
         tags = bytearray()
         prefixes, keys, deviations = [], [], []
@@ -144,15 +105,19 @@ class TestColumnarDecompress:
                 record.identifier if int(record.record_type) == 3 else record.basis
             )
             deviations.append(record.deviation)
-        columnar_codec = codec.clone()
-        columnar_bytes = columnar_codec.decoder.decode_columns_to_bytes(
+        decoder = codec.decoder
+        assert decoder.decode_columns_to_bytes(
             bytes(tags), prefixes, keys, deviations
-        )
-        assert columnar_bytes == record_bytes
-        assert (
-            columnar_codec.decoder.stats.as_dict()
-            == record_codec.decoder.stats.as_dict()
-        )
+        ) == oracle.decode(records)
+        stats = decoder.stats
+        assert stats.records == len(records)
+        assert stats.compressed_records == oracle.stats.compressed_records
+        assert stats.uncompressed_records == oracle.stats.uncompressed_records
+        assert stats.output_bits == oracle.stats.input_bits
+        if decoder.dictionary is not None:
+            assert decoder.dictionary.snapshot() == (
+                oracle.decoder_dictionary.snapshot()
+            )
 
     def test_empty_payload_roundtrips(self):
         codec = GDCodec()
@@ -166,8 +131,18 @@ class TestEncodedBatchContainer:
         data = _sample(codec, count=90)
         result = codec.compress(data)
         assert isinstance(result.records, EncodedBatch)
-        eager = dataclasses.replace(result, records=tuple(result.records))
-        assert codec.to_container(result) == codec.to_container(eager)
+        assert result.records.pack_stream() == OracleCodec().body(result.records)
+
+    def test_parse_record_inverts_the_per_record_serialisation(self):
+        codec = GDCodec(alignment_padding_bits=8)
+        data = _sample(codec, count=40)
+        records = list(codec.compress(data).records)
+        blob = OracleCodec().body(records)
+        offset = 0
+        for record in records:
+            parsed, offset = codec.parse_record(blob, offset)
+            assert parsed == record
+        assert offset == len(blob)
 
     def test_sequence_protocol(self):
         codec = GDCodec()

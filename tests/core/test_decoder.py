@@ -18,7 +18,7 @@ def transform():
 def encoded_stream(transform, chunks):
     """Encode chunks with a fresh dynamic encoder, returning the records."""
     encoder = GDEncoder(transform, BasisDictionary(64), mode="dynamic")
-    return encoder.encode_all(chunks)
+    return encoder.encode_batch(chunks)
 
 
 class TestDecodeRecords:
@@ -96,17 +96,17 @@ class TestEncoderDecoderPairing:
         decoder = GDDecoder(transform, BasisDictionary(64))
         restored = [
             value.to_bytes(transform.chunk_bytes, "big")
-            for value in decoder.decode_all(records)
+            for value in decoder.decode_batch(records)
         ]
         assert restored == chunks
         assert decoder.stats.records == 200
         assert decoder.stats.compressed_records > 0
 
-    def test_decode_to_bytes_concatenates(self, transform):
+    def test_decode_batch_to_bytes_concatenates(self, transform):
         chunks = [b"\x12\x34", b"\x12\x34", b"\x56\x78"]
         records = encoded_stream(transform, chunks)
         decoder = GDDecoder(transform, BasisDictionary(64))
-        assert decoder.decode_to_bytes(records) == b"".join(chunks)
+        assert decoder.decode_batch_to_bytes(records) == b"".join(chunks)
 
     def test_shared_dictionary_zero_latency_model(self, transform):
         # Encoder and decoder sharing one dictionary models the original
@@ -115,8 +115,8 @@ class TestEncoderDecoderPairing:
         encoder = GDEncoder(transform, shared, mode="dynamic")
         decoder = GDDecoder(transform, shared, learn_from_uncompressed=False)
         chunks = [b"\xAA\x55"] * 4
-        records = encoder.encode_all(chunks)
-        assert decoder.decode_to_bytes(records) == b"".join(chunks)
+        records = encoder.encode_batch(chunks)
+        assert decoder.decode_batch_to_bytes(records) == b"".join(chunks)
 
     def test_eviction_stays_consistent_between_sides(self, transform, rng):
         # A tiny dictionary forces evictions; decoder recency tracking must
@@ -130,9 +130,9 @@ class TestEncoderDecoderPairing:
             chunks.append(codeword.to_bytes(2, "big"))
         encoder = GDEncoder(transform, BasisDictionary(4), mode="dynamic")
         decoder = GDDecoder(transform, BasisDictionary(4))
-        records = encoder.encode_all(chunks)
+        records = encoder.encode_batch(chunks)
         restored = [
-            value.to_bytes(2, "big") for value in decoder.decode_all(records)
+            value.to_bytes(2, "big") for value in decoder.decode_batch(records)
         ]
         assert restored == chunks
         assert encoder.dictionary.stats.evictions > 0
@@ -140,6 +140,6 @@ class TestEncoderDecoderPairing:
     def test_stats_reset(self, transform):
         decoder = GDDecoder(transform, BasisDictionary(8))
         records = encoded_stream(transform, [b"\x01\x02"])
-        decoder.decode_all(records)
+        decoder.decode_batch(records)
         decoder.reset_stats()
         assert decoder.stats.records == 0

@@ -34,7 +34,7 @@ class TestModes:
 
     def test_no_table_mode_never_compresses(self, transform):
         encoder = GDEncoder(transform, mode="no_table", alignment_padding_bits=0)
-        records = encoder.encode_all([b"\x00\x01", b"\x00\x01", b"\x00\x01"])
+        records = encoder.encode_batch([b"\x00\x01", b"\x00\x01", b"\x00\x01"])
         assert all(isinstance(r, UncompressedRecord) for r in records)
         assert encoder.stats.compressed_records == 0
 
@@ -152,16 +152,7 @@ class TestStats:
         assert encoder.stats.unpadded_ratio == 0.0
 
 
-class TestStreaming:
-    def test_encode_stream_is_lazy(self, transform):
-        dictionary = BasisDictionary(16)
-        encoder = GDEncoder(transform, dictionary)
-        stream = encoder.encode_stream(iter([b"\x12\x34", b"\x12\x34"]))
-        first = next(stream)
-        assert encoder.stats.chunks == 1
-        assert isinstance(first, UncompressedRecord)
-        assert isinstance(next(stream), CompressedRecord)
-
+class TestSharedBasis:
     def test_chunks_sharing_a_basis_share_an_identifier(self, transform, rng):
         code = transform.code
         basis = rng.getrandbits(code.k)
@@ -172,7 +163,7 @@ class TestStreaming:
         ]
         dictionary = BasisDictionary(16)
         encoder = GDEncoder(transform, dictionary)
-        records = encoder.encode_all(chunks)
+        records = encoder.encode_batch(chunks)
         identifiers = {
             record.identifier
             for record in records

@@ -138,7 +138,7 @@ class TestCodecEquivalence:
             alignment_padding_bits=0,
         )
         fast_result = fast_codec.compress(data)
-        reference_records = reference_encoder.encode_buffer(data)
+        reference_records = reference_encoder.encode_chunks(data)
         assert list(fast_result.records) == reference_records
         assert (
             fast_codec.encoder.stats.as_dict() == reference_encoder.stats.as_dict()

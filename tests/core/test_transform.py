@@ -91,21 +91,12 @@ class TestSplitJoin:
             == value
         )
 
-    def test_split_bytes_multi_chunk(self, paper_transform, rng):
+    def test_split_batch_multi_chunk(self, paper_transform, rng):
         data = rng.getrandbits(256 * 5).to_bytes(32 * 5, "big")
-        parts = paper_transform.split_bytes(data)
+        parts = paper_transform.split_batch(data)
         assert len(parts) == 5
         restored = b"".join(paper_transform.join_to_bytes(p) for p in parts)
         assert restored == data
-
-    def test_split_bytes_rejects_partial_chunks(self, paper_transform):
-        with pytest.raises(ChunkSizeError):
-            paper_transform.split_bytes(b"\x00" * 33)
-
-    def test_iter_split(self, small_transform, rng):
-        chunks = [rng.getrandbits(16) for _ in range(10)]
-        parts = list(small_transform.iter_split(chunks))
-        assert [small_transform.join(p) for p in parts] == chunks
 
 
 class TestValidation:
