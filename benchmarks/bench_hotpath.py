@@ -4,9 +4,10 @@ The paper's whole pitch is compression *at line speed*; this benchmark is
 the reproduction's speedometer.  It measures the layers the fused fast path
 rebuilt and asserts both directions of the contract:
 
-* **correctness** — the fast path is bit-identical to the reference path
-  (``GDTransform(fast=False)`` / the interpreted switch pipeline) on every
-  workload it times;
+* **correctness** — the fast path is bit-identical to the reference,
+  called by name (``HammingCode.chunk_to_basis`` per chunk / the
+  interpreted switch pipeline, ``switch.switch.receive``) on every workload
+  it times;
 * **performance** — machine-independent *speedup ratios* (fast vs reference
   on the same machine, same run) must not regress.  Absolute numbers go
   into the results JSON next to the machine/Python metadata; the committed
@@ -17,10 +18,10 @@ rebuilt and asserts both directions of the contract:
 Measured stages:
 
 1. *transform microbench* — ``split_batch_fields`` (lane-fused) vs the
-   reference per-chunk ``split`` (the pre-PR hot loop);
+   reference per-chunk ``chunk_to_basis`` (the pre-PR hot loop);
 2. *switch encode* — the Figure 4 functional scenario (raw-chunk frames
-   through ``ZipLineEncoderSwitch``), compiled fast path vs interpreted
-   pipeline, with byte-identical output asserted;
+   through ``ZipLineEncoderSwitch``), compiled ``receive`` vs the
+   interpreted pipeline, with byte-identical output asserted;
 3. *backend matrix* — every available codec backend (``pure``, ``numpy``
    when installed) over the same corpus: whole-buffer field split,
    columnar batch split, bulk parity, batch join, whole-buffer batch CRC
@@ -184,26 +185,26 @@ def test_hotpath_trajectory():
     # The legacy stages are pinned to the pure backend: their committed
     # baseline ratios predate the backend registry and were measured on
     # the fused pure-Python path, so that is what they keep guarding.
-    fast_transform = GDTransform(order=8, fast=True, backend="pure")
-    reference_transform = GDTransform(order=8, fast=False, backend="pure")
+    fast_transform = GDTransform(order=8, backend="pure")
     chunk_bytes = fast_transform.chunk_bytes
+    code = fast_transform.code
+    body_mask = (1 << code.n) - 1
+
+    def reference_split():
+        """Every chunk through the checked ``HammingCode`` layer, by name."""
+        fields = []
+        for offset in range(0, total_bytes, chunk_bytes):
+            value = int.from_bytes(data[offset : offset + chunk_bytes], "big")
+            basis, deviation = code.chunk_to_basis(value & body_mask)
+            fields.append((value >> code.n, basis, deviation))
+        return fields
 
     # -- 1. transform microbench (encode direction) ------------------------
     fast_fields = fast_transform.split_batch_fields(data)
-    reference_fields = [
-        reference_transform.split_fields(data[offset : offset + chunk_bytes])
-        for offset in range(0, total_bytes, chunk_bytes)
-    ]
-    assert fast_fields == reference_fields, "fast transform diverged from reference"
+    assert fast_fields == reference_split(), "fast transform diverged from reference"
 
     fast_seconds = _best_seconds(lambda: fast_transform.split_batch_fields(data))
-    reference_seconds = _best_seconds(
-        lambda: [
-            reference_transform.split_fields(data[offset : offset + chunk_bytes])
-            for offset in range(0, total_bytes, chunk_bytes)
-        ],
-        repeats=1 if SMOKE else 2,
-    )
+    reference_seconds = _best_seconds(reference_split, repeats=1 if SMOKE else 2)
     transform_fast_mbps = total_bytes / fast_seconds / 1e6
     transform_reference_mbps = total_bytes / reference_seconds / 1e6
     transform_speedup = transform_fast_mbps / transform_reference_mbps
@@ -228,16 +229,15 @@ def test_hotpath_trajectory():
     # -- 2. switch encode (the Figure 4 functional scenario) ---------------
     frames = _chunk_frames(fast_transform, FRAMES)
 
-    def run_switch(fast):
-        switch = ZipLineEncoderSwitch(
-            transform=GDTransform(order=8), forwarding={0: 1}, fast=fast
-        )
+    def run_switch(compiled):
+        switch = ZipLineEncoderSwitch(transform=GDTransform(order=8), forwarding={0: 1})
         outputs = []
         switch.switch.attach_port(1, lambda frame, _time: outputs.append(frame))
+        receive = switch.receive if compiled else switch.switch.receive
 
         def push_all():
             for frame in frames:
-                switch.receive(frame, ingress_port=0)
+                receive(frame, ingress_port=0)
 
         seconds = _best_seconds(push_all, repeats=FRAME_ROUNDS) / 1  # per round
         return outputs[: len(frames)], len(frames) / seconds

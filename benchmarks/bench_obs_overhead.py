@@ -38,7 +38,7 @@ REPEATS = 3 if SMOKE else 5
 GUARD_SAMPLES = 200_000 if SMOKE else 1_000_000
 
 #: Guard evaluations per frame on the functional-mode encoder fast path:
-#: one ``_obs.TRACER``/``.enabled`` pair in ``_fast_receive``.  (The switch
+#: one ``_obs.TRACER``/``.enabled`` pair in ``_compiled_ingress``.  (The switch
 #: transmit guard is behind the simulator check and the link/simulator
 #: guards are not on this path.)
 GUARDS_PER_FRAME = 1

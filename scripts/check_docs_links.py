@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that every relative markdown link in the repo resolves.
+"""Check that the docs point at things that exist.
 
 Scans the tracked ``*.md`` files (repo root and ``docs/``) for inline links
 ``[text](target)`` and verifies that every *relative* target exists on
@@ -7,7 +7,11 @@ disk, resolved against the linking file's directory.  External links
 (``http://``, ``https://``, ``mailto:``) and pure in-page anchors (``#...``)
 are skipped — no network access, so CI stays hermetic.
 
-    python scripts/check_docs_links.py            # exit 1 on any broken link
+Also checks that every ``REPRO_*`` environment variable the user-facing
+docs (``README.md``, ``docs/*.md``) name is one some code still reads, so
+a removed knob cannot stay documented.
+
+    python scripts/check_docs_links.py            # exit 1 on any stale reference
     python scripts/check_docs_links.py --verbose  # also list every checked link
 """
 
@@ -17,7 +21,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +32,16 @@ _LINK = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Schemes that are not filesystem paths.
 _EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+
+
+#: An environment variable of this project, wherever it is spelled.
+_ENV_VAR = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
+
+#: Where the code that reads environment variables lives.  The frozen
+#: whole-stack harness is left out: it copies the environment into its
+#: provenance record without acting on it, and has its own README.
+_ENV_READERS = ("src", "benchmarks")
+_ENV_READERS_EXCLUDED = ("benchmarks/stack",)
 
 
 def markdown_files() -> List[Path]:
@@ -51,8 +65,41 @@ def iter_links(path: Path) -> Iterator[Tuple[int, str]]:
             yield number, match.group(1)
 
 
+def user_doc_files() -> List[Path]:
+    """The user-facing documentation: ``README.md`` and ``docs/*.md``."""
+    return [REPO_ROOT / "README.md"] + sorted(REPO_ROOT.glob("docs/*.md"))
+
+
+def environment_variables_read() -> Set[str]:
+    """Every ``REPRO_*`` name spelled in the code that can read it."""
+    excluded = [REPO_ROOT / path for path in _ENV_READERS_EXCLUDED]
+    names: Set[str] = set()
+    for root in _ENV_READERS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if any(parent in path.parents for parent in excluded):
+                continue
+            names.update(_ENV_VAR.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
+def stale_environment_variables() -> List[str]:
+    """``file:line`` findings for documented variables no code reads."""
+    read = environment_variables_read()
+    findings: List[str] = []
+    for path in user_doc_files():
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for name in sorted(set(_ENV_VAR.findall(line)) - read):
+                findings.append(
+                    f"{path.relative_to(REPO_ROOT)}:{number}: documents {name}, "
+                    f"which nothing under {' or '.join(_ENV_READERS)}/ reads"
+                )
+    return findings
+
+
 def check(verbose: bool = False) -> int:
-    broken: List[str] = []
+    broken: List[str] = stale_environment_variables()
     checked = 0
     for path in markdown_files():
         for line_number, target in iter_links(path):
@@ -73,9 +120,13 @@ def check(verbose: bool = False) -> int:
                 )
     if broken:
         print("\n".join(broken))
-        print(f"\n{len(broken)} broken link(s) out of {checked} checked")
+        print(f"\n{len(broken)} stale reference(s); {checked} links checked")
         return 1
     print(f"all {checked} relative links resolve across {len(markdown_files())} files")
+    print(
+        f"every REPRO_* variable in {len(user_doc_files())} user-facing docs is read "
+        "by code"
+    )
     return 0
 
 

@@ -12,15 +12,10 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
-from repro.core.crc import lane_tables, prefix_syndrome_table
+from repro.core.crc import lane_tables
 from repro.exceptions import ChunkSizeError
 
 __all__ = ["PureBackend"]
-
-#: Largest prefix width for which the per-prefix syndrome-correction table
-#: is used (2**bits entries).  Wider prefixes — far beyond anything the
-#: paper's framing uses — re-serialise the body instead.
-_MAX_PREFIX_TABLE_BITS = 12
 
 
 class PureBackend(CodecBackend):
@@ -57,16 +52,11 @@ class PureBackend(CodecBackend):
         masks = code.error_masks
         # A whole chunk's remainder splits linearly as ``syndrome(chunk) =
         # syndrome(body) ^ syndrome(prefix << n)``, so reducing the chunk's
-        # own bytes plus one table lookup recovers the body syndrome without
-        # isolating (re-serialising) the body.
-        prefix_bits = transform.prefix_bits
-        prefix_syndromes = None
-        if 0 < prefix_bits <= _MAX_PREFIX_TABLE_BITS:
-            prefix_syndromes = prefix_syndrome_table(
-                code.full_polynomial, n, prefix_bits
-            )
-        lane_eligible = m <= 8 and (prefix_bits == 0 or prefix_syndromes is not None)
-        if lane_eligible and total:
+        # own bytes and cancelling the prefix term recovers the body
+        # syndrome without isolating (re-serialising) the body.  That term
+        # is the prefix itself unless it is wider than the syndrome.
+        prefix_syndrome = code.prefix_syndrome
+        if m <= 8 and total:
             # Bulk lane pass: every chunk's raw-buffer syndrome at once, at
             # C speed — slice the buffer into its byte lanes, translate each
             # lane through its contribution table, XOR the lanes as big
@@ -92,15 +82,13 @@ class PureBackend(CodecBackend):
                 deviation = raw_syndromes[index]
                 index += 1
                 if prefix:
-                    # syndrome(chunk) = syndrome(body) ^ syndrome(prefix<<n)
-                    deviation ^= prefix_syndromes[prefix]
+                    deviation ^= prefix_syndrome(prefix) if prefix >> m else prefix
                 append(
                     (prefix, ((value & body_mask) ^ masks[deviation]) >> m, deviation)
                 )
             return BatchSplit.from_fields(fields, backend=self.name)
 
         remainder = code.byte_remainder
-        body_bytes = (n + 7) // 8
         for offset in range(0, total, chunk_bytes):
             piece = view[offset : offset + chunk_bytes]
             value = from_bytes(piece, "big")
@@ -109,14 +97,12 @@ class PureBackend(CodecBackend):
                     f"chunk value does not fit in {chunk_bits} bits"
                 )
             prefix = value >> n
-            body = value & body_mask
-            if prefix_syndromes is not None:
-                deviation = remainder(piece) ^ prefix_syndromes[prefix]
-            elif prefix:
-                deviation = remainder(body.to_bytes(body_bytes, "big"))
-            else:
-                deviation = remainder(piece)
-            append((prefix, (body ^ masks[deviation]) >> m, deviation))
+            deviation = remainder(piece)
+            if prefix:
+                deviation ^= prefix_syndrome(prefix) if prefix >> m else prefix
+            append(
+                (prefix, ((value & body_mask) ^ masks[deviation]) >> m, deviation)
+            )
         return BatchSplit.from_fields(fields, backend=self.name)
 
     def parities_of_bases(self, code, bases: Sequence[int]) -> Sequence[int]:

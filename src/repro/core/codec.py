@@ -220,7 +220,11 @@ class GDCodec:
         self._decoder = GDDecoder(
             self._transform,
             self._decoder_dictionary,
-            learn_from_uncompressed=self._mode is not EncoderMode.NO_TABLE,
+            # Mirror the encoder: only a dynamic encoder inserts the bases it
+            # sends uncompressed, so only then may the decoder learn them (a
+            # static decoder that learned would evict preloaded entries the
+            # encoder still references).
+            learn_from_uncompressed=self._mode is EncoderMode.DYNAMIC,
         )
 
     # -- accessors -------------------------------------------------------------

@@ -54,7 +54,6 @@ __all__ = [
     "lane_tables",
     "slice_table",
     "slice_tables",
-    "prefix_syndrome_table",
     "CRC32_ETHERNET",
     "CRC16_CCITT",
     "CRC8_ATM",
@@ -419,34 +418,6 @@ def lane_tables(polynomial: int, width: int, length: int) -> Sequence[bytes]:
         # slice registry (a width ≤ 8 remainder always fits one byte).
         tables.append(bytes(slice_table(polynomial, width, 8 * len(tables))))
     return [tables[length - 1 - position] for position in range(length)]
-
-
-#: (full polynomial, body length, prefix width) -> per-prefix syndrome
-#: corrections, shared by every transform/switch built on the same code.
-_PREFIX_SYNDROME_REGISTRY: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
-
-
-def prefix_syndrome_table(
-    full_polynomial: int, body_bits: int, prefix_bits: int
-) -> Tuple[int, ...]:
-    """Syndrome contribution of every prefix value sitting above the body.
-
-    Entry ``p`` equals ``(p * x**body_bits) mod g(x)``.  Because syndromes
-    are linear, ``syndrome(chunk) = syndrome(body) ^ table[prefix]`` — the
-    fast paths reduce a chunk's raw bytes (prefix included) and cancel the
-    prefix contribution with this one lookup.  Cached process-wide.
-    """
-    if prefix_bits < 0:
-        raise CodingError(f"prefix width must be non-negative, got {prefix_bits}")
-    key = (full_polynomial, body_bits, prefix_bits)
-    table = _PREFIX_SYNDROME_REGISTRY.get(key)
-    if table is None:
-        table = tuple(
-            poly_mod(prefix << body_bits, full_polynomial)
-            for prefix in range(1 << prefix_bits)
-        )
-        _PREFIX_SYNDROME_REGISTRY[key] = table
-    return table
 
 
 def byte_remainder_function(polynomial: int, width: int):

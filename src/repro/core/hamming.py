@@ -226,6 +226,20 @@ class HammingCode:
         """
         return self._byte_remainder
 
+    def prefix_syndrome(self, prefix: int) -> int:
+        """Remainder contribution of ``prefix`` sitting above the n-bit body.
+
+        Syndromes are linear, so ``byte_remainder(whole chunk) ==
+        syndrome(body) ^ (prefix * x**n) mod g``; and because ``g`` is
+        primitive of order ``n``, ``x**n ≡ 1`` and the correction is just
+        ``prefix mod g`` — the prefix itself whenever it fits in ``m`` bits.
+        """
+        if not prefix >> self._m:
+            return prefix
+        return self._byte_remainder(
+            prefix.to_bytes((prefix.bit_length() + 7) // 8, "big")
+        )
+
     def parity_of_basis_fast(self, basis: int) -> int:
         """Unchecked :meth:`parity_of_basis` (decode-direction hot path).
 

@@ -16,9 +16,8 @@ reassembles them exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.core.backends import (
     BatchSplit,
@@ -36,25 +35,13 @@ from repro.core.bits import (
 from repro.core.hamming import HammingCode
 from repro.exceptions import ChunkSizeError, CodingError
 
-__all__ = ["GDParts", "GDTransform", "ChunkLike", "GDFields", "fast_path_default"]
+__all__ = ["GDParts", "GDTransform", "ChunkLike", "GDFields"]
 
 ChunkLike = Union[int, bytes, bytearray, memoryview, BitVector]
 
 #: The allocation-free representation the fast path works in:
 #: ``(prefix, basis, deviation)`` as plain integers.
 GDFields = Tuple[int, int, int]
-
-#: Environment switch: set ``REPRO_GD_FAST=0`` to force the reference
-#: (checked, layer-by-layer) transform everywhere, e.g. while bisecting a
-#: suspected fast-path bug.  Any other value (or absence) keeps the fused
-#: table-driven path on.
-_FAST_ENV = "REPRO_GD_FAST"
-
-
-def fast_path_default() -> bool:
-    """The process-wide fast-path default (``REPRO_GD_FAST``, on unless 0)."""
-    return os.environ.get(_FAST_ENV, "1").strip().lower() not in ("0", "false", "no")
-
 
 @dataclass(frozen=True)
 class GDParts:
@@ -135,20 +122,21 @@ class GDTransform:
     polynomial:
         Optional generator polynomial override (full form, with leading
         term).  Defaults to the Table 1 entry for the order.
-    fast:
-        Selects the fused, table-driven fast path (the default).  Pass
-        ``False`` to force the reference implementation — one checked layer
-        per step — which the property tests compare the fast path against
-        bit for bit.  ``None`` defers to the ``REPRO_GD_FAST`` environment
-        variable (see :func:`fast_path_default`).
     backend:
         Codec backend for the batch entry points: a registered name
         (``"pure"``, ``"numpy"``), a
         :class:`~repro.core.backends.CodecBackend` instance, or ``None``
         to follow the documented precedence (``REPRO_GD_BACKEND``, then
-        the best available).  Accelerated backends only engage on the
-        fast path and for configurations they support; everything else
-        stays on the fused pure loop.  All backends are bit-identical.
+        the best available).  Accelerated backends only engage for
+        configurations they support; everything else stays on the fused
+        pure loop.  All backends are bit-identical.
+
+    The split and the unchecked join run fused and table-driven.  The
+    bit-serial reference they are property-tested against is the layer
+    below — :meth:`HammingCode.chunk_to_basis
+    <repro.core.hamming.HammingCode.chunk_to_basis>` /
+    :meth:`~repro.core.hamming.HammingCode.basis_to_chunk`, which
+    :meth:`join` also goes through.
     """
 
     def __init__(
@@ -156,7 +144,6 @@ class GDTransform:
         order: int = 8,
         chunk_bits: int | None = None,
         polynomial: int | None = None,
-        fast: Optional[bool] = None,
         backend: "str | CodecBackend | None" = None,
     ):
         self._code = HammingCode(order, polynomial)
@@ -169,7 +156,6 @@ class GDTransform:
             )
         self._chunk_bits = chunk_bits
         self._prefix_bits = chunk_bits - n
-        self._fast = fast_path_default() if fast is None else bool(fast)
         self._backend = resolve_backend(backend)
         # Fused per-chunk constants, bound once: the shared byte→remainder
         # closure and the syndrome→XOR-mask array.
@@ -213,11 +199,6 @@ class GDTransform:
     def deviation_bits(self) -> int:
         """Deviation (syndrome) width ``m`` in bits."""
         return self._code.m
-
-    @property
-    def fast(self) -> bool:
-        """True when the fused table-driven fast path is active."""
-        return self._fast
 
     @property
     def backend(self) -> str:
@@ -306,12 +287,9 @@ class GDTransform:
         return self._split_value(self._chunk_to_int(chunk))
 
     def _split_value(self, value: int) -> GDFields:
-        """Fused (or reference) split of an already-validated chunk value."""
+        """Fused split of an already-validated chunk value."""
         n = self._code.n
         body = value & self._body_mask
-        if not self._fast:
-            basis, deviation = self._code.chunk_to_basis(body)
-            return value >> n, basis, deviation
         deviation = self._remainder(
             body.to_bytes((n + 7) // 8, "big")
         )
@@ -334,13 +312,10 @@ class GDTransform:
         The decode-direction hot path: parity bits through the shared CRC
         byte loop, one XOR-mask lookup to flip the deviated bit back.  Used
         by the batch decoder after it has validated record widths once per
-        run; :meth:`join_fields` remains the checked entry point.  With
-        ``fast=False`` it goes through the reference
-        :meth:`~repro.core.hamming.HammingCode.basis_to_chunk` layer.
+        run; :meth:`join_fields` remains the checked entry point, through
+        the reference :meth:`~repro.core.hamming.HammingCode.basis_to_chunk`.
         """
         code = self._code
-        if not self._fast:
-            return (prefix << code.n) | code.basis_to_chunk(basis, deviation)
         codeword = (basis << code.m) | code.parity_of_basis_fast(basis)
         return (prefix << code.n) | (codeword ^ self._error_masks[deviation])
 
@@ -379,9 +354,7 @@ class GDTransform:
         the fused ``pure`` loop runs.  The result stays in the producing
         backend's natural shape and the columns or the classic tuple list
         are materialised lazily (see :class:`BatchSplit`).  Every backend
-        is bit-identical, so callers never observe which one ran.  With
-        ``fast=False`` every chunk instead goes through the bit-serial
-        reference; the property suite asserts both agree bit for bit.
+        is bit-identical, so callers never observe which one ran.
         """
         chunk_bytes = self.chunk_bytes
         total = len(data)
@@ -390,19 +363,10 @@ class GDTransform:
                 f"data length {total} is not a multiple of the chunk size "
                 f"{chunk_bytes}"
             )
-        if self._fast:
-            backend = self._backend
-            return batch_backend(
-                backend, total // chunk_bytes, backend.supports_transform, self
-            ).split_batch_columns(self, data)
-        view = memoryview(data)
-        return BatchSplit.from_fields(
-            [
-                self.split_fields(view[offset : offset + chunk_bytes])
-                for offset in range(0, total, chunk_bytes)
-            ],
-            backend="pure",
-        )
+        backend = self._backend
+        return batch_backend(
+            backend, total // chunk_bytes, backend.supports_transform, self
+        ).split_batch_columns(self, data)
 
     def join_batch_to_bytes(
         self,
@@ -416,19 +380,10 @@ class GDTransform:
         Callers guarantee the field widths (the decoder validates them once
         per batch); :meth:`join_fields` remains the checked entry point.
         """
-        if self._fast:
-            backend = self._backend
-            return batch_backend(
-                backend, len(bases), backend.supports_join, self
-            ).join_batch_to_bytes(self, prefixes, bases, deviations)
-        chunk_bytes = self.chunk_bytes
-        join = self.join_fields_fast  # the bit-serial reference when not fast
-        return b"".join(
-            join(prefixes[index], bases[index], deviations[index]).to_bytes(
-                chunk_bytes, "big"
-            )
-            for index in range(len(bases))
-        )
+        backend = self._backend
+        return batch_backend(
+            backend, len(bases), backend.supports_join, self
+        ).join_batch_to_bytes(self, prefixes, bases, deviations)
 
     def chunk_to_bytes(self, chunk: int) -> bytes:
         """Serialise an integer chunk into its byte representation."""

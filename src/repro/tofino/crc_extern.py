@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple, Union
 
 from repro.core.bits import BitVector
-from repro.core.crc import CrcEngine, CrcParameters, crc_table, slice_tables
+from repro.core.crc import CrcEngine, CrcParameters, crc_table
 from repro.exceptions import CodingError
 
 __all__ = ["CrcPolynomial", "CrcExtern"]
@@ -89,29 +89,15 @@ class CrcExtern:
         params = self._polynomial.parameters
         return crc_table(params.polynomial, params.width)
 
-    def slice_tables(self, record_bytes: int) -> "list[tuple[int, ...]]":
-        """The widened slice-by-N fold tables for ``record_bytes``-byte words.
-
-        One table per byte lane, drawn from the process-wide slice
-        registry — the same tables :meth:`get_batch` (and the backend CRC
-        kernels) fold with, so the extern model never duplicates a table
-        the engine already built.
-        """
-        params = self._polynomial.parameters
-        shift = params.width if params.augment else 0
-        return slice_tables(
-            params.polynomial, params.width, record_bytes, shift=shift
-        )
-
     @property
     def invocations(self) -> int:
         """How many times the extern has been invoked (for pipeline accounting)."""
         return self._invocations
 
     def record_invocation(self) -> None:
-        """Count one invocation performed by a compiled fast path.
+        """Count one invocation performed by a compiled program.
 
-        The ZipLine switch fast paths compute the same CRC through the
+        The compiled ZipLine programs compute the same CRC through the
         fused byte loop; calling this keeps the extern's accounting
         identical to the interpreted pipeline.
         """
@@ -155,19 +141,6 @@ class CrcExtern:
             total_width += field_width
         self._invocations += 1
         return self._engine.compute_bits(value, total_width)
-
-    def get_batch(
-        self, data: "bytes | bytearray | memoryview", record_bits: int, backend=None
-    ) -> "list[int]":
-        """Hash every ``record_bits``-wide record in ``data`` in one call.
-
-        The batch counterpart of :meth:`get` for the drain-queue fast
-        paths: one invocation is accounted per record, so pipeline
-        accounting is identical to calling :meth:`get` per chunk.
-        """
-        results = self._engine.compute_batch(data, record_bits, backend=backend)
-        self._invocations += len(results)
-        return results
 
     @staticmethod
     def _normalise(

@@ -1,0 +1,344 @@
+"""What the two ZipLine programs share: one chassis, one parser, one receive.
+
+The encoding and the decoding switch are the same P4 skeleton around a
+different ingress control: the same four headers and parse graph, the same
+CRC extern and const syndrome → XOR-mask table, the same static forwarding
+and the same way of turning a frame into a :class:`PipelineResult`.
+:class:`ZipLineSwitchBase` holds that skeleton once.
+
+Each program exists in two forms.  The *interpreted* form is the paper's
+program spelled out over the Tofino model — parser states, header objects,
+table dispatch, deparser — and carries the resource accounting; tests drive
+it directly through ``switch.switch.receive(frame, port)``.  The *compiled*
+form is the same program reduced to integer arithmetic over the frame
+bytes, which is what the P4 compiler does for the ASIC; it keeps every
+counter, table hit-metadata update and digest bit-identical and is what
+:meth:`ZipLineSwitchBase.receive` runs.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro import obs as _obs
+from repro.core.transform import GDTransform
+from repro.exceptions import PipelineError
+from repro.net.ethernet import EtherType
+from repro.sim.simulator import Simulator
+from repro.tofino.constraints import ResourceUsage
+from repro.tofino.counters import NamedCounterSet
+from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
+from repro.tofino.digest import DigestEngine
+from repro.tofino.parser import ACCEPT, Deparser, Header, Parser, ParserState
+from repro.tofino.pipeline import PacketContext, Pipeline, PipelineResult
+from repro.tofino.switch import TofinoSwitch
+from repro.tofino.tables import ActionSpec, MatchActionTable
+from repro.zipline.headers import (
+    ETHERTYPE_RAW_CHUNK,
+    RAW_CHUNK_ETHERTYPE_BYTES,
+    ZipLineHeaderSet,
+)
+
+__all__ = [
+    "ZipLineSwitchBase",
+    "ETH_RAW",
+    "ETH_TYPE2",
+    "ETH_TYPE3",
+    "ETHERNET_BYTES",
+    "Digests",
+]
+
+#: The three ZipLine EtherTypes as the two wire bytes the compiled programs
+#: compare ``frame[12:14]`` against.
+ETH_RAW = RAW_CHUNK_ETHERTYPE_BYTES
+ETH_TYPE2 = int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big")
+ETH_TYPE3 = int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big")
+
+#: Size of the Ethernet header every frame starts with.
+ETHERNET_BYTES = 14
+
+Digests = Tuple[Tuple[str, Dict[str, int]], ...]
+
+
+class ZipLineSwitchBase:
+    """Chassis, parser, shared tables and the receive path of both programs.
+
+    Subclasses add their control-plane-managed table (through
+    :meth:`_add_mapping_table`) and the two forms of their ingress control:
+    :meth:`_apply` (interpreted) and :meth:`_compiled_ingress`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        counter_labels: Sequence[str],
+        transform: Optional[GDTransform],
+        identifier_bits: int,
+        simulator: Optional[Simulator],
+        forwarding: Optional[Dict[int, int]],
+        default_egress_port: Optional[int],
+        digest_engine: Optional[DigestEngine],
+        port_count: Optional[int],
+    ):
+        self._transform = transform or GDTransform(order=8)
+        self._identifier_bits = identifier_bits
+        self._headers = headers = ZipLineHeaderSet.build(
+            self._transform, identifier_bits
+        )
+        self._simulator = simulator
+
+        code = self._transform.code
+        self._syndrome_bits = code.m
+        # CRC extern programmed with the Hamming generator polynomial.
+        self._crc = CrcExtern(CrcPolynomial(coeff=code.crc_parameter, width=code.m))
+        self._syndrome_table = self._build_syndrome_table()
+        self.counters = NamedCounterSet(counter_labels, name=f"{name}-counters")
+
+        pipeline = Pipeline(
+            name=f"{name}-pipeline",
+            parser=self._build_parser(),
+            ingress=self._ingress,
+            # At most one of the three ZipLine headers is valid on egress.
+            deparser=Deparser(["ethernet", "chunk", "type2", "type3"]),
+        )
+        pipeline.resources.register(
+            ResourceUsage(
+                name="syndrome_mask",
+                stage=1,
+                sram_blocks=pipeline.resources.sram_blocks_for_table(
+                    entries=1 << code.m,
+                    key_bits=code.m,
+                    action_bits=min(code.n, 256),
+                ),
+                entries=1 << code.m,
+            )
+        )
+        switch_kwargs = {} if port_count is None else {"port_count": port_count}
+        self.switch = TofinoSwitch(
+            name=name,
+            pipeline=pipeline,
+            simulator=simulator,
+            digest_engine=digest_engine or DigestEngine(simulator),
+            **switch_kwargs,
+        )
+
+        self._forwarding: Dict[int, int] = {}
+        for ingress_port, egress_port in (forwarding or {}).items():
+            self.set_forwarding(ingress_port, egress_port)
+        if default_egress_port is not None:
+            self._check_port(default_egress_port)
+        self._default_egress_port = default_egress_port
+
+        # Compiled-program constants: the const table as flat sequences and
+        # the shortest frame each EtherType's header fits in.  A shorter
+        # frame is a parser error, which only the interpreted parser counts.
+        self._syndrome_entries = [
+            self._syndrome_table.get_entry(syndrome)
+            for syndrome in range(1 << code.m)
+        ]
+        self._flip_masks = code.error_masks
+        self._min_frame_bytes = {
+            ETH_RAW: ETHERNET_BYTES + headers.chunk.total_bytes,
+            ETH_TYPE2: ETHERNET_BYTES + headers.type2.total_bytes,
+            ETH_TYPE3: ETHERNET_BYTES + headers.type3.total_bytes,
+        }
+
+    # -- program construction ---------------------------------------------------
+
+    def _build_parser(self) -> Parser:
+        headers = self._headers
+        states = [
+            ParserState(
+                name="start",
+                extract=("ethernet", headers.ethernet),
+                select_field=("ethernet", "ether_type"),
+                transitions={
+                    ETHERTYPE_RAW_CHUNK: "parse_chunk",
+                    EtherType.ZIPLINE_UNCOMPRESSED: "parse_type2",
+                    EtherType.ZIPLINE_COMPRESSED: "parse_type3",
+                },
+                default=ACCEPT,
+            ),
+            ParserState(name="parse_chunk", extract=("chunk", headers.chunk)),
+            ParserState(name="parse_type2", extract=("type2", headers.type2)),
+            ParserState(name="parse_type3", extract=("type3", headers.type3)),
+        ]
+        return Parser(states, start="start")
+
+    def _build_syndrome_table(self) -> MatchActionTable:
+        """The const-entry syndrome → XOR-mask table (Figure 1 ➌, Figure 2 ➎).
+
+        A perfect Hamming code has an entry for every syndrome: 0 maps to
+        the empty mask and each other value to exactly one bit position.
+        """
+        code = self._transform.code
+        table = MatchActionTable(
+            name="syndrome_mask",
+            key_bits=code.m,
+            size=1 << code.m,
+            actions=[ActionSpec("set_mask", ("flip_mask",)), ActionSpec("NoAction")],
+            default_action="NoAction",
+        )
+        table.add_const_entries(
+            (syndrome, "set_mask", {"flip_mask": code.error_mask(syndrome)})
+            for syndrome in range(1 << code.m)
+        )
+        return table
+
+    def _add_mapping_table(
+        self, table: MatchActionTable, action_bits: int
+    ) -> MatchActionTable:
+        """Account the control-plane-managed table against the Tofino budget."""
+        tracker = self.switch.pipeline.resources
+        tracker.register(
+            ResourceUsage(
+                name=table.name,
+                stage=3,
+                sram_blocks=min(
+                    tracker.profile.sram_blocks_per_stage,
+                    tracker.sram_blocks_for_table(
+                        entries=table.size,
+                        key_bits=table.key_bits,
+                        action_bits=action_bits,
+                    ),
+                ),
+                entries=table.size,
+            )
+        )
+        return table
+
+    # -- the interpreted ingress control block ------------------------------------
+
+    def _ingress(self, context: PacketContext) -> None:
+        packet = context.packet
+        frame_bytes = ETHERNET_BYTES + sum(
+            header.header_type.total_bytes
+            for header in packet.headers.values()
+            if header.valid and header.header_type.name != "ethernet_h"
+        ) + len(packet.payload)
+        self._apply(context, packet.header("ethernet"), self._now(), frame_bytes)
+        if not context.drop_flag:
+            context.send_to_port(
+                self._forwarding.get(context.ingress_port, self._default_egress_port)
+            )
+
+    def _apply(
+        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
+    ) -> None:
+        """The program's ingress control over the parsed headers."""
+        raise NotImplementedError
+
+    def _compiled_ingress(
+        self, frame: bytes, ethertype: bytes, length: int, now: float
+    ) -> Tuple[Optional[bytes], Digests]:
+        """The same control over the frame bytes: ``(output or None, digests)``.
+
+        Only called with a frame long enough for the header its EtherType
+        announces.  ``None`` drops the packet.
+        """
+        raise NotImplementedError
+
+    def _now(self) -> float:
+        return self._simulator.now if self._simulator is not None else 0.0
+
+    def _span(self, name: str, now: float, args: Dict[str, object]) -> None:
+        """Trace one pass through the program (callers check ``enabled``)."""
+        _obs.TRACER.span(
+            name,
+            self.switch.name,
+            now,
+            now + self.switch.pipeline.pipeline_latency,
+            args=args,
+        )
+
+    # -- control-plane interface ---------------------------------------------------
+
+    def _check_field(self, what: str, value: object, bits: int) -> None:
+        """Reject a table write the data plane could not put on the wire.
+
+        Table writes arrive deserialised from control frames, so they are
+        validated here once rather than on every packet that hits them.
+        """
+        if not isinstance(value, int) or not 0 <= value < 1 << bits:
+            raise PipelineError(
+                f"{self.switch.name}: {what} {value!r} is not a {bits}-bit "
+                "unsigned integer"
+            )
+
+    def _check_port(self, port: int) -> None:
+        if not isinstance(port, int) or not 0 <= port < self.switch.port_count:
+            raise PipelineError(
+                f"{self.switch.name}: port {port!r} out of range "
+                f"[0, {self.switch.port_count})"
+            )
+
+    def set_forwarding(self, ingress_port: int, egress_port: int) -> None:
+        """Add or change a static forwarding entry."""
+        self._check_port(ingress_port)
+        self._check_port(egress_port)
+        self._forwarding[ingress_port] = egress_port
+
+    # -- convenience -----------------------------------------------------------------
+
+    @property
+    def transform(self) -> GDTransform:
+        """The GD transform the program was built with."""
+        return self._transform
+
+    @property
+    def headers(self) -> ZipLineHeaderSet:
+        """The header set (payload sizes) of the program."""
+        return self._headers
+
+    @property
+    def pipeline(self) -> Pipeline:
+        """The underlying pipeline."""
+        return self.switch.pipeline
+
+    @property
+    def simulator(self) -> Optional[Simulator]:
+        """The shared simulator this switch schedules against (if any)."""
+        return self._simulator
+
+    # -- data path ---------------------------------------------------------------------
+
+    def receive(self, frame: bytes, ingress_port: int) -> PipelineResult:
+        """Process one frame through the compiled program.
+
+        A frame too short for the header its EtherType announces is left to
+        the interpreted :meth:`TofinoSwitch.receive`, whose parser counts it
+        in ``parse_errors`` and drops it.  An ingress port the chassis does
+        not have raises the same :class:`PipelineError` on either path,
+        before anything is counted.
+        """
+        switch = self.switch
+        length = len(frame)
+        ethertype = frame[12:14]
+        if length < self._min_frame_bytes.get(ethertype, ETHERNET_BYTES):
+            return switch.receive(frame, ingress_port)
+        switch.record_rx(ingress_port, length)
+        simulator = self._simulator
+        now = simulator.now if simulator is not None else 0.0
+        pipeline = switch.pipeline
+        pipeline.packets_processed += 1
+        pipeline.parser.packets_parsed += 1
+        out, digests = self._compiled_ingress(frame, ethertype, length, now)
+        latency = pipeline.pipeline_latency
+        if out is None:
+            pipeline.packets_dropped += 1
+            return PipelineResult(
+                egress_port=None, frame=None, digests=digests, latency=latency
+            )
+        for digest_type, data in digests:
+            switch.digest_engine.emit(digest_type, data)
+        egress = self._forwarding.get(ingress_port, self._default_egress_port)
+        switch.transmit(egress, out, latency)
+        return PipelineResult(
+            egress_port=egress, frame=out, digests=digests, latency=latency
+        )
+
+    def receive_batch(
+        self, frames: List[bytes], ingress_port: int
+    ) -> List[PipelineResult]:
+        """Process frames in arrival order, one :meth:`receive` each."""
+        return [self.receive(frame, ingress_port) for frame in frames]

@@ -19,23 +19,25 @@ Frames that are neither type 2 nor type 3 are forwarded untouched.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro import obs as _obs
 from repro.core.bits import mask
 from repro.core.transform import GDTransform
-from repro.exceptions import PipelineError
-from repro.net.ethernet import EtherType
 from repro.sim.simulator import Simulator
-from repro.tofino.constraints import ResourceUsage
-from repro.tofino.counters import NamedCounterSet
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
 from repro.tofino.digest import DigestEngine
-from repro.tofino.parser import ACCEPT, Deparser, Header, Parser, ParserState
-from repro.tofino.pipeline import PacketContext, Pipeline, PipelineResult
-from repro.tofino.switch import TofinoSwitch
+from repro.tofino.parser import Header
+from repro.tofino.pipeline import PacketContext
 from repro.tofino.tables import ActionSpec, MatchActionTable
-from repro.zipline.headers import ETHERTYPE_RAW_CHUNK, ZipLineHeaderSet
+from repro.zipline._program import (
+    ETH_RAW,
+    ETH_TYPE2,
+    ETH_TYPE3,
+    ETHERNET_BYTES,
+    Digests,
+    ZipLineSwitchBase,
+)
+from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = ["ZipLineDecoderSwitch"]
 
@@ -48,7 +50,7 @@ COUNTER_LABELS = [
 ]
 
 
-class ZipLineDecoderSwitch:
+class ZipLineDecoderSwitch(ZipLineSwitchBase):
     """A Tofino switch running the ZipLine decoding program.
 
     The constructor parameters mirror :class:`ZipLineEncoderSwitch`; the
@@ -65,178 +67,53 @@ class ZipLineDecoderSwitch:
         forwarding: Optional[Dict[int, int]] = None,
         default_egress_port: int = 1,
         digest_engine: Optional[DigestEngine] = None,
-        fast: Optional[bool] = None,
         port_count: Optional[int] = None,
     ):
-        self._transform = transform or GDTransform(order=8)
-        self._identifier_bits = identifier_bits
-        self._headers = ZipLineHeaderSet.build(self._transform, identifier_bits)
-        self._forwarding = dict(forwarding or {})
-        self._default_egress_port = default_egress_port
-        self._simulator = simulator
-
-        code = self._transform.code
-        self._syndrome_bits = code.m
-        self._crc = CrcExtern(CrcPolynomial(coeff=code.crc_parameter, width=code.m))
-
-        self._syndrome_table = self._build_syndrome_table()
-        self._identifier_table = self._build_identifier_table()
-        self.counters = NamedCounterSet(COUNTER_LABELS, name=f"{name}-counters")
-
-        pipeline = Pipeline(
-            name=f"{name}-pipeline",
-            parser=self._build_parser(),
-            ingress=self._ingress,
-            deparser=Deparser(["ethernet", "chunk", "type3", "type2"]),
+        super().__init__(
+            name,
+            COUNTER_LABELS,
+            transform,
+            identifier_bits,
+            simulator,
+            forwarding,
+            default_egress_port,
+            digest_engine,
+            port_count,
         )
-        self._register_resources(pipeline)
-        switch_kwargs = {} if port_count is None else {"port_count": port_count}
-        self.switch = TofinoSwitch(
-            name=name,
-            pipeline=pipeline,
-            simulator=simulator,
-            digest_engine=digest_engine or DigestEngine(simulator),
-            **switch_kwargs,
-        )
-        self._build_fast_path(fast)
-
-    def _build_fast_path(self, fast: Optional[bool]) -> None:
-        """Precompute the compiled decode fast path (see the encoder twin)."""
-        transform = self._transform
-        code = transform.code
-        if fast is None:
-            fast = transform.fast
-        headers = self._headers
-        syndrome_entries = [
-            self._syndrome_table.get_entry(syndrome)
-            for syndrome in range(1 << code.m)
-        ]
-        self._fast_enabled = bool(
-            fast
-            and transform.prefix_bits <= 8
-            and all(entry is not None for entry in syndrome_entries)
-        )
-        if not self._fast_enabled:
-            return
-        self._fast_syndrome_entries = syndrome_entries
-        self._fast_flip_masks = tuple(
-            entry.params.get("flip_mask", 0) for entry in syndrome_entries
-        )
-        self._fast_eth_raw = ETHERTYPE_RAW_CHUNK.to_bytes(2, "big")
-        self._fast_eth_type2 = int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big")
-        self._fast_eth_type3 = int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big")
-        self._fast_chunk_bytes = headers.chunk.total_bytes
-        self._fast_type2_bytes = headers.type2.total_bytes
-        self._fast_type3_bytes = headers.type3.total_bytes
-        self._fast_type2_pad = headers.type2_padding_bits
-        self._fast_type3_pad = headers.type3_padding_bits
-        self._fast_syndrome_mask = mask(code.m)
-        self._fast_basis_mask = mask(code.k)
-        self._fast_identifier_mask = mask(self._identifier_bits)
-
-    # -- program construction ---------------------------------------------------
-
-    def _build_parser(self) -> Parser:
-        headers = self._headers
-        states = [
-            ParserState(
-                name="start",
-                extract=("ethernet", headers.ethernet),
-                select_field=("ethernet", "ether_type"),
-                transitions={
-                    EtherType.ZIPLINE_UNCOMPRESSED: "parse_type2",
-                    EtherType.ZIPLINE_COMPRESSED: "parse_type3",
-                    ETHERTYPE_RAW_CHUNK: "parse_chunk",
-                },
-                default=ACCEPT,
-            ),
-            ParserState(name="parse_type2", extract=("type2", headers.type2)),
-            ParserState(name="parse_type3", extract=("type3", headers.type3)),
-            ParserState(name="parse_chunk", extract=("chunk", headers.chunk)),
-        ]
-        return Parser(states, start="start")
-
-    def _build_syndrome_table(self) -> MatchActionTable:
-        """Const-entry syndrome → XOR-mask table (shared shape with the encoder)."""
-        code = self._transform.code
-        table = MatchActionTable(
-            name="syndrome_mask",
-            key_bits=code.m,
-            size=1 << code.m,
-            actions=[ActionSpec("set_mask", ("flip_mask",)), ActionSpec("NoAction")],
-            default_action="NoAction",
-        )
-        rows = (
-            (syndrome, "set_mask", {"flip_mask": code.error_mask(syndrome)})
-            for syndrome in range(1 << code.m)
-            if syndrome == 0 or code.error_position(syndrome) is not None
-        )
-        table.add_const_entries(rows)
-        return table
-
-    def _build_identifier_table(self) -> MatchActionTable:
-        """The identifier → basis exact-match table written by the control plane."""
-        return MatchActionTable(
-            name="id_to_basis",
-            key_bits=self._identifier_bits,
-            size=1 << self._identifier_bits,
-            actions=[ActionSpec("set_basis", ("basis",)), ActionSpec("miss")],
-            default_action="miss",
-        )
-
-    def _register_resources(self, pipeline: Pipeline) -> None:
-        tracker = pipeline.resources
-        tracker.register(
-            ResourceUsage(
-                name="syndrome_mask",
-                stage=1,
-                sram_blocks=tracker.sram_blocks_for_table(
-                    entries=1 << self._syndrome_bits,
-                    key_bits=self._syndrome_bits,
-                    action_bits=min(self._transform.code.n, 256),
-                ),
-                entries=1 << self._syndrome_bits,
-            )
-        )
-        tracker.register(
-            ResourceUsage(
+        # The identifier → basis exact-match table written by the control plane.
+        self._identifier_table = self._add_mapping_table(
+            MatchActionTable(
                 name="id_to_basis",
-                stage=3,
-                sram_blocks=min(
-                    tracker.profile.sram_blocks_per_stage,
-                    tracker.sram_blocks_for_table(
-                        entries=1 << self._identifier_bits,
-                        key_bits=self._identifier_bits,
-                        action_bits=self._transform.basis_bits,
-                    ),
-                ),
-                entries=1 << self._identifier_bits,
-            )
+                key_bits=identifier_bits,
+                size=1 << identifier_bits,
+                actions=[ActionSpec("set_basis", ("basis",)), ActionSpec("miss")],
+                default_action="miss",
+            ),
+            action_bits=self._transform.basis_bits,
         )
+        code = self._transform.code
+        headers = self._headers
+        self._chunk_bytes = headers.chunk.total_bytes
+        self._type2_end = ETHERNET_BYTES + headers.type2.total_bytes
+        self._type3_end = ETHERNET_BYTES + headers.type3.total_bytes
+        self._type2_pad = headers.type2_padding_bits
+        self._type3_pad = headers.type3_padding_bits
+        self._syndrome_mask = mask(code.m)
+        self._basis_mask = mask(code.k)
+        self._identifier_mask = mask(identifier_bits)
 
     # -- the ingress control block ------------------------------------------------------
 
-    def _ingress(self, context: PacketContext) -> None:
+    def _apply(
+        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
+    ) -> None:
         packet = context.packet
-        now = self._simulator.now if self._simulator is not None else 0.0
-        ethernet = packet.header("ethernet")
-        frame_bytes = 14 + sum(
-            header.header_type.total_bytes
-            for header in packet.headers.values()
-            if header.valid and header.header_type.name != "ethernet_h"
-        ) + len(packet.payload)
-
         if packet.has_valid("type3"):
             self._decode_compressed(context, ethernet, now, frame_bytes)
         elif packet.has_valid("type2"):
-            self._decode_uncompressed(context, ethernet, frame_bytes)
+            self._decode_uncompressed(context, ethernet, now, frame_bytes)
         else:
             self.counters.count("passthrough_other", frame_bytes)
-
-        if not context.drop_flag:
-            context.send_to_port(
-                self._forwarding.get(context.ingress_port, self._default_egress_port)
-            )
 
     def _decode_compressed(
         self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
@@ -248,35 +125,21 @@ class ZipLineDecoderSwitch:
         prefix = type3["prefix"] if self._transform.prefix_bits else 0
 
         lookup = self._identifier_table.lookup(identifier, now=now)
-        tracer = _obs.TRACER
         if not lookup.hit or lookup.action != "set_basis":
             # A compressed packet whose mapping is unknown cannot be restored;
             # the control plane's install ordering should make this impossible.
-            self.counters.count("unknown_identifier", frame_bytes)
-            if tracer.enabled:
-                tracer.instant(
-                    "decode.drop",
-                    self.switch.name,
-                    args={"outcome": "unknown", "identifier": identifier},
-                    ts=now,
-                )
+            self._count_unknown(identifier, now, frame_bytes)
             context.drop()
             return
         basis = lookup.params["basis"]
         type3.valid = False
         self._emit_chunk(packet, ethernet, prefix, basis, syndrome)
         self.counters.count("compressed_to_raw", frame_bytes)
-        if tracer.enabled:
-            tracer.span(
-                "decode",
-                self.switch.name,
-                now,
-                now + self.switch.pipeline.pipeline_latency,
-                args={"outcome": "hit", "identifier": identifier},
-            )
+        if _obs.TRACER.enabled:
+            self._span("decode", now, {"outcome": "hit", "identifier": identifier})
 
     def _decode_uncompressed(
-        self, context: PacketContext, ethernet: Header, frame_bytes: int
+        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
     ) -> None:
         packet = context.packet
         type2 = packet.header("type2")
@@ -286,15 +149,18 @@ class ZipLineDecoderSwitch:
         type2.valid = False
         self._emit_chunk(packet, ethernet, prefix, basis, syndrome)
         self.counters.count("uncompressed_to_raw", frame_bytes)
+        if _obs.TRACER.enabled:
+            self._span("decode", now, {"outcome": "uncompressed"})
+
+    def _count_unknown(self, identifier: int, now: float, frame_bytes: int) -> None:
+        self.counters.count("unknown_identifier", frame_bytes)
         tracer = _obs.TRACER
         if tracer.enabled:
-            now = self._simulator.now if self._simulator is not None else 0.0
-            tracer.span(
-                "decode",
+            tracer.instant(
+                "decode.drop",
                 self.switch.name,
-                now,
-                now + self.switch.pipeline.pipeline_latency,
-                args={"outcome": "uncompressed"},
+                args={"outcome": "unknown", "identifier": identifier},
+                ts=now,
             )
 
     def _emit_chunk(
@@ -324,10 +190,71 @@ class ZipLineDecoderSwitch:
         packet.headers["chunk"] = chunk
         ethernet["ether_type"] = ETHERTYPE_RAW_CHUNK
 
+    def _compiled_ingress(
+        self, frame: bytes, ethertype: bytes, length: int, now: float
+    ) -> Tuple[Optional[bytes], Digests]:
+        code = self._transform.code
+        m = code.m
+        if ethertype == ETH_TYPE3:
+            header_end = self._type3_end
+            value = (
+                int.from_bytes(frame[ETHERNET_BYTES:header_end], "big")
+                >> self._type3_pad
+            )
+            identifier = (value >> m) & self._identifier_mask
+            entry = self._identifier_table.lookup_ref(identifier, now=now)
+            if entry is None or entry.action != "set_basis":
+                self._count_unknown(identifier, now, length)
+                return None, ()
+            basis = entry.params["basis"]
+            prefix = value >> (m + self._identifier_bits)
+            self.counters.count("compressed_to_raw", length)
+            if _obs.TRACER.enabled:
+                self._span("decode", now, {"outcome": "hit", "identifier": identifier})
+        elif ethertype == ETH_TYPE2:
+            header_end = self._type2_end
+            value = (
+                int.from_bytes(frame[ETHERNET_BYTES:header_end], "big")
+                >> self._type2_pad
+            )
+            basis = (value >> m) & self._basis_mask
+            prefix = value >> (m + code.k)
+            self.counters.count("uncompressed_to_raw", length)
+            if _obs.TRACER.enabled:
+                self._span("decode", now, {"outcome": "uncompressed"})
+        else:
+            self.counters.count("passthrough_other", length)
+            return frame, ()
+
+        # Fused Figure 2 ➌–➐.  Steps ➌/➍: parity through the same CRC unit
+        # (fused byte loop), keeping the extern's accounting.
+        codeword = (basis << m) | code.parity_of_basis_fast(basis)
+        self._crc.record_invocation()
+        # Steps ➎/➏: syndrome table metadata + the XOR mask.  The interpreted
+        # program looks this table up without a timestamp
+        # (``lookup(syndrome)``), so the compiled one records the same 0.0.
+        syndrome = value & self._syndrome_mask
+        syndrome_table = self._syndrome_table
+        syndrome_table.lookups += 1
+        syndrome_table.hits += 1
+        syndrome_entry = self._syndrome_entries[syndrome]
+        syndrome_entry.last_hit = 0.0
+        syndrome_entry.hit_count += 1
+        chunk_value = (prefix << code.n) | (codeword ^ self._flip_masks[syndrome])
+        out = (
+            frame[:12]
+            + ETH_RAW
+            + chunk_value.to_bytes(self._chunk_bytes, "big")
+            + frame[header_end:]
+        )
+        return out, ()
+
     # -- control-plane interface --------------------------------------------------------
 
-    def install_identifier_mapping(self, identifier: int, basis: Hashable) -> None:
+    def install_identifier_mapping(self, identifier: int, basis: int) -> None:
         """Install (or replace) an identifier → basis entry."""
+        self._check_field("identifier", identifier, self._identifier_bits)
+        self._check_field("basis", basis, self._transform.basis_bits)
         existing = self._identifier_table.get_entry(identifier)
         if existing is not None:
             self._identifier_table.modify_entry(identifier, "set_basis", {"basis": basis})
@@ -342,278 +269,6 @@ class ZipLineDecoderSwitch:
     # -- convenience ----------------------------------------------------------------------
 
     @property
-    def transform(self) -> GDTransform:
-        """The GD transform the program was built with."""
-        return self._transform
-
-    @property
-    def headers(self) -> ZipLineHeaderSet:
-        """The header set (payload sizes) of the program."""
-        return self._headers
-
-    @property
     def identifier_table(self) -> MatchActionTable:
         """The identifier → basis table (for tests and telemetry)."""
         return self._identifier_table
-
-    @property
-    def pipeline(self) -> Pipeline:
-        """The underlying pipeline."""
-        return self.switch.pipeline
-
-    @property
-    def simulator(self) -> Optional[Simulator]:
-        """The shared simulator this switch schedules against (if any)."""
-        return self._simulator
-
-    def set_forwarding(self, ingress_port: int, egress_port: int) -> None:
-        """Add or change a static forwarding entry."""
-        if ingress_port < 0 or egress_port < 0:
-            raise PipelineError("ports must be non-negative")
-        self._forwarding[ingress_port] = egress_port
-
-    def receive(self, frame: bytes, ingress_port: int):
-        """Process one frame.
-
-        Well-formed type-2/type-3 frames go through the compiled fast path
-        (fused integer decode, identical counters/table metadata); anything
-        else falls back to the interpreted pipeline.
-        """
-        if self._fast_enabled:
-            result = self._fast_receive(frame, ingress_port)
-            if result is not None:
-                return result
-        return self.switch.receive(frame, ingress_port)
-
-    def receive_batch(self, frames: List[bytes], ingress_port: int) -> List[object]:
-        """Process co-resident frames, batching the parity recovery.
-
-        A pure pre-pass peeks the basis each decodable frame will rebuild
-        its chunk from; all those parities are then recovered in **one**
-        :meth:`CrcExtern.get_batch` call and the frames are finished
-        strictly in arrival order.  Counters, table metadata, drops and
-        emitted frames are identical to per-frame :meth:`receive` calls;
-        frames that would take the interpreted path still do.
-        """
-        switch = self.switch
-        if (
-            not self._fast_enabled
-            or not 0 <= ingress_port < switch.port_count
-            or len(frames) < 2
-        ):
-            return [self.receive(frame, ingress_port) for frame in frames]
-        code = self._transform.code
-        m = code.m
-        parity_bytes = (code.n + 7) // 8
-        bases: Dict[int, int] = {}
-        for index, frame in enumerate(frames):
-            basis = self._peek_basis(frame)
-            if basis is not None:
-                bases[index] = basis
-        parities: Dict[int, int] = {}
-        if len(bases) >= 2:
-            buffer = b"".join(
-                (basis << m).to_bytes(parity_bytes, "big")
-                for basis in bases.values()
-            )
-            parities = dict(
-                zip(bases.keys(), self._crc.get_batch(buffer, 8 * parity_bytes))
-            )
-        results = []
-        append = results.append
-        for index, frame in enumerate(frames):
-            parity = parities.get(index)
-            if parity is not None:
-                append(self._fast_receive(frame, ingress_port, parity=parity))
-            else:
-                append(self.receive(frame, ingress_port))
-        return results
-
-    def _peek_basis(self, frame: bytes) -> Optional[int]:
-        """Pure pre-pass: the basis this frame's chunk would be rebuilt from.
-
-        Returns ``None`` when the frame would not reach the fused chunk
-        emit (wrong EtherType, short frame, unknown or oddly-typed
-        identifier mapping) — those frames keep their per-frame path.
-        Reads table state without touching counters or hit metadata.
-        """
-        if len(frame) < 14:
-            return None
-        ethertype = frame[12:14]
-        code = self._transform.code
-        m = code.m
-        if ethertype == self._fast_eth_type3:
-            header_end = 14 + self._fast_type3_bytes
-            if len(frame) < header_end:
-                return None
-            value = int.from_bytes(frame[14:header_end], "big") >> self._fast_type3_pad
-            identifier = (value >> m) & self._fast_identifier_mask
-            entry = self._identifier_table.get_entry(identifier)
-            if entry is None or entry.action != "set_basis":
-                return None
-            basis = entry.params["basis"]
-            if not isinstance(basis, int) or basis < 0 or basis >> code.k:
-                return None
-            return basis
-        if ethertype == self._fast_eth_type2:
-            header_end = 14 + self._fast_type2_bytes
-            if len(frame) < header_end:
-                return None
-            value = int.from_bytes(frame[14:header_end], "big") >> self._fast_type2_pad
-            return (value >> m) & self._fast_basis_mask
-        return None
-
-    def _fast_receive(
-        self, frame: bytes, ingress_port: int, parity: Optional[int] = None
-    ):
-        """Compiled per-frame path; returns ``None`` to defer to the pipeline."""
-        switch = self.switch
-        if not 0 <= ingress_port < switch.port_count:
-            return None
-        length = len(frame)
-        if length < 14:
-            return None
-        ethertype = frame[12:14]
-        pipeline = switch.pipeline
-        simulator = self._simulator
-        now = simulator.now if simulator is not None else 0.0
-        transform = self._transform
-        code = transform.code
-        m = code.m
-
-        if ethertype == self._fast_eth_type3:
-            header_end = 14 + self._fast_type3_bytes
-            if length < header_end:
-                return None
-            value = int.from_bytes(frame[14:header_end], "big") >> self._fast_type3_pad
-            syndrome = value & self._fast_syndrome_mask
-            identifier = (value >> m) & self._fast_identifier_mask
-            prefix = (
-                value >> (m + self._identifier_bits) if transform.prefix_bits else 0
-            )
-            # Peek without counters first: if the installed basis is not a
-            # plain in-range int, the frame must take the interpreted path,
-            # and bailing out after a counting lookup would double-count
-            # this frame's table metadata.
-            table = self._identifier_table
-            entry = table.get_entry(identifier)
-            if entry is not None and entry.action == "set_basis":
-                basis = entry.params["basis"]
-                if not isinstance(basis, int) or basis < 0 or basis >> code.k:
-                    return None  # oddly-typed install: interpreted path
-            table.lookups += 1
-            if entry is None or entry.action != "set_basis":
-                if entry is not None:
-                    table.hits += 1
-                    entry.last_hit = now
-                    entry.hit_count += 1
-                self.counters.count("unknown_identifier", length)
-                tracer = _obs.TRACER
-                if tracer.enabled:
-                    tracer.instant(
-                        "decode.drop",
-                        switch.name,
-                        args={"outcome": "unknown", "identifier": identifier},
-                        ts=now,
-                    )
-                switch.record_rx(ingress_port, length)
-                pipeline.packets_processed += 1
-                pipeline.parser.packets_parsed += 1
-                pipeline.packets_dropped += 1
-                return PipelineResult(
-                    egress_port=None,
-                    frame=None,
-                    digests=(),
-                    latency=pipeline.pipeline_latency,
-                )
-            table.hits += 1
-            entry.last_hit = now
-            entry.hit_count += 1
-            out = self._fast_emit_chunk(
-                frame, header_end, prefix, basis, syndrome, parity=parity
-            )
-            self.counters.count("compressed_to_raw", length)
-            tracer = _obs.TRACER
-            if tracer.enabled:
-                tracer.span(
-                    "decode",
-                    switch.name,
-                    now,
-                    now + pipeline.pipeline_latency,
-                    args={"outcome": "hit", "identifier": identifier},
-                )
-        elif ethertype == self._fast_eth_type2:
-            header_end = 14 + self._fast_type2_bytes
-            if length < header_end:
-                return None
-            value = int.from_bytes(frame[14:header_end], "big") >> self._fast_type2_pad
-            syndrome = value & self._fast_syndrome_mask
-            basis = (value >> m) & self._fast_basis_mask
-            prefix = value >> (m + code.k) if transform.prefix_bits else 0
-            out = self._fast_emit_chunk(
-                frame, header_end, prefix, basis, syndrome, parity=parity
-            )
-            self.counters.count("uncompressed_to_raw", length)
-            tracer = _obs.TRACER
-            if tracer.enabled:
-                tracer.span(
-                    "decode",
-                    switch.name,
-                    now,
-                    now + pipeline.pipeline_latency,
-                    args={"outcome": "uncompressed"},
-                )
-        elif ethertype == self._fast_eth_raw:
-            if length < 14 + self._fast_chunk_bytes:
-                return None
-            out = frame
-            self.counters.count("passthrough_other", length)
-        else:
-            out = frame
-            self.counters.count("passthrough_other", length)
-
-        switch.record_rx(ingress_port, length)
-        pipeline.packets_processed += 1
-        pipeline.parser.packets_parsed += 1
-        egress = self._forwarding.get(ingress_port, self._default_egress_port)
-        latency = pipeline.pipeline_latency
-        switch.transmit(egress, out, latency)
-        return PipelineResult(
-            egress_port=egress, frame=out, digests=(), latency=latency
-        )
-
-    def _fast_emit_chunk(
-        self,
-        frame: bytes,
-        header_end: int,
-        prefix: int,
-        basis: int,
-        syndrome: int,
-        parity: Optional[int] = None,
-    ) -> bytes:
-        """Fused Figure 2 ➌–➐: rebuild the raw chunk frame bytes."""
-        code = self._transform.code
-        # Steps ➌/➍: parity through the same CRC unit (fused byte loop).  A
-        # batched caller passes the precomputed parity — already counted by
-        # the extern's batch call.
-        if parity is None:
-            parity = code.parity_of_basis_fast(basis)
-            self._crc.record_invocation()
-        codeword = (basis << code.m) | parity
-        # Steps ➎/➏: syndrome table metadata + the XOR mask.  The
-        # interpreted program looks this table up without a timestamp
-        # (``lookup(syndrome)``), so the fast path records the same 0.0.
-        syndrome_table = self._syndrome_table
-        syndrome_table.lookups += 1
-        syndrome_table.hits += 1
-        entry = self._fast_syndrome_entries[syndrome]
-        entry.last_hit = 0.0
-        entry.hit_count += 1
-        body = codeword ^ self._fast_flip_masks[syndrome]
-        chunk_value = (prefix << code.n) | body
-        return (
-            frame[:12]
-            + self._fast_eth_raw
-            + chunk_value.to_bytes(self._fast_chunk_bytes, "big")
-            + frame[header_end:]
-        )

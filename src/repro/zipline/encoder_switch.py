@@ -25,25 +25,26 @@ drives, plus the per-packet-type counters the paper's statistics rely on.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.controlplane.manager import LEARN_DIGEST
 from repro.core.bits import mask
-from repro.core.crc import prefix_syndrome_table
 from repro.core.transform import GDTransform
-from repro.exceptions import PipelineError
 from repro.net.ethernet import EtherType
 from repro.sim.simulator import Simulator
-from repro.tofino.constraints import ResourceUsage
-from repro.tofino.counters import NamedCounterSet
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
 from repro.tofino.digest import DigestEngine
-from repro.tofino.parser import ACCEPT, Deparser, Header, Parser, ParserState
-from repro.tofino.pipeline import PacketContext, Pipeline, PipelineResult
-from repro.tofino.switch import TofinoSwitch
+from repro.tofino.parser import Header
+from repro.tofino.pipeline import PacketContext
 from repro.tofino.tables import ActionSpec, MatchActionTable
-from repro.zipline.headers import ETHERTYPE_RAW_CHUNK, ZipLineHeaderSet
+from repro.zipline._program import (
+    ETH_RAW,
+    ETH_TYPE2,
+    ETH_TYPE3,
+    ETHERNET_BYTES,
+    Digests,
+    ZipLineSwitchBase,
+)
 
 __all__ = ["ZipLineEncoderSwitch"]
 
@@ -56,7 +57,7 @@ COUNTER_LABELS = [
 ]
 
 
-class ZipLineEncoderSwitch:
+class ZipLineEncoderSwitch(ZipLineSwitchBase):
     """A Tofino switch running the ZipLine encoding program.
 
     Parameters
@@ -88,211 +89,57 @@ class ZipLineEncoderSwitch:
         default_egress_port: int = 1,
         entry_ttl: Optional[float] = None,
         digest_engine: Optional[DigestEngine] = None,
-        fast: Optional[bool] = None,
         port_count: Optional[int] = None,
     ):
-        self._transform = transform or GDTransform(order=8)
-        self._identifier_bits = identifier_bits
-        self._headers = ZipLineHeaderSet.build(self._transform, identifier_bits)
-        self._forwarding = dict(forwarding or {})
-        self._default_egress_port = default_egress_port
+        super().__init__(
+            name,
+            COUNTER_LABELS,
+            transform,
+            identifier_bits,
+            simulator,
+            forwarding,
+            default_egress_port,
+            digest_engine,
+            port_count,
+        )
         self._entry_ttl = entry_ttl
-        self._simulator = simulator
-
-        code = self._transform.code
-        self._syndrome_bits = code.m
-        self._basis_shift = code.m
-        self._body_mask = mask(code.n)
-
-        # CRC extern programmed with the Hamming generator polynomial.
-        self._crc = CrcExtern(
-            CrcPolynomial(coeff=code.crc_parameter, width=code.m)
-        )
-
-        self._syndrome_table = self._build_syndrome_table()
-        self._basis_table = self._build_basis_table()
-        self.counters = NamedCounterSet(COUNTER_LABELS, name=f"{name}-counters")
-
-        pipeline = Pipeline(
-            name=f"{name}-pipeline",
-            parser=self._build_parser(),
-            ingress=self._ingress,
-            deparser=Deparser(
-                ["ethernet", "type3", "type2", "chunk"]
-            ),
-        )
-        self._register_resources(pipeline)
-        switch_kwargs = {} if port_count is None else {"port_count": port_count}
-        self.switch = TofinoSwitch(
-            name=name,
-            pipeline=pipeline,
-            simulator=simulator,
-            digest_engine=digest_engine or DigestEngine(simulator),
-            **switch_kwargs,
-        )
-        self._build_fast_path(fast)
-
-    def _build_fast_path(self, fast: Optional[bool]) -> None:
-        """Precompute the compiled per-frame fast path (the XOR-network view).
-
-        The generic pipeline interprets the program packet by packet:
-        parser state machine, header objects, table dispatch, deparser.
-        The fast path is the same program *compiled down to integer
-        arithmetic over the frame bytes* — exactly what the P4 compiler
-        does for the ASIC — with every counter, table hit-metadata update
-        and digest emission kept bit-identical (the equivalence is property
-        tested).  Defaults to the transform's ``fast`` flag, so
-        ``GDTransform(fast=False)`` or ``REPRO_GD_FAST=0`` selects the
-        interpreted reference path everywhere.
-        """
-        transform = self._transform
-        code = transform.code
-        if fast is None:
-            fast = transform.fast
-        headers = self._headers
-        chunk_bytes = headers.chunk.total_bytes
-        prefix_bits = transform.prefix_bits
-        # Per-prefix syndrome correction: syndrome(chunk) = syndrome(body)
-        # ^ syndrome(prefix << n); prefixes wider than a byte never occur
-        # in a byte-aligned header set but stay on the interpreted path.
-        # Shared with GDTransform through the process-wide registry.
-        self._fast_prefix_syndromes: Optional[tuple] = None
-        if fast and prefix_bits <= 8:
-            self._fast_prefix_syndromes = prefix_syndrome_table(
-                code.full_polynomial, code.n, prefix_bits
-            )
-        syndrome_entries = [
-            self._syndrome_table.get_entry(syndrome)
-            for syndrome in range(1 << code.m)
-        ]
-        self._fast_enabled = bool(
-            fast
-            and self._fast_prefix_syndromes is not None
-            and all(entry is not None for entry in syndrome_entries)
-        )
-        if not self._fast_enabled:
-            return
-        self._fast_syndrome_entries = syndrome_entries
-        self._fast_flip_masks = tuple(
-            entry.params.get("flip_mask", 0) for entry in syndrome_entries
-        )
-        self._fast_remainder = code.byte_remainder
-        self._fast_chunk_header_bytes = chunk_bytes
-        self._fast_min_chunk_frame = 14 + chunk_bytes
-        self._fast_eth_raw = ETHERTYPE_RAW_CHUNK.to_bytes(2, "big")
-        self._fast_eth_type2 = int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big")
-        self._fast_eth_type3 = int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big")
-        self._fast_type2_bytes = headers.type2.total_bytes
-        self._fast_type3_bytes = headers.type3.total_bytes
-        self._fast_type2_pad = headers.type2_padding_bits
-        self._fast_type3_pad = headers.type3_padding_bits
-        self._fast_min_type2_frame = 14 + self._fast_type2_bytes
-        self._fast_min_type3_frame = 14 + self._fast_type3_bytes
-
-    # -- program construction ---------------------------------------------------
-
-    def _build_parser(self) -> Parser:
-        headers = self._headers
-        states = [
-            ParserState(
-                name="start",
-                extract=("ethernet", headers.ethernet),
-                select_field=("ethernet", "ether_type"),
-                transitions={
-                    ETHERTYPE_RAW_CHUNK: "parse_chunk",
-                    EtherType.ZIPLINE_UNCOMPRESSED: "parse_type2",
-                    EtherType.ZIPLINE_COMPRESSED: "parse_type3",
-                },
-                default=ACCEPT,
-            ),
-            ParserState(name="parse_chunk", extract=("chunk", headers.chunk)),
-            ParserState(name="parse_type2", extract=("type2", headers.type2)),
-            ParserState(name="parse_type3", extract=("type3", headers.type3)),
-        ]
-        return Parser(states, start="start")
-
-    def _build_syndrome_table(self) -> MatchActionTable:
-        """The const-entry syndrome → XOR-mask table (step ➌ of Figure 1)."""
-        code = self._transform.code
-        table = MatchActionTable(
-            name="syndrome_mask",
-            key_bits=code.m,
-            size=1 << code.m,
-            actions=[ActionSpec("set_mask", ("flip_mask",)), ActionSpec("NoAction")],
-            default_action="NoAction",
-        )
-        rows = (
-            (syndrome, "set_mask", {"flip_mask": code.error_mask(syndrome)})
-            for syndrome in range(1 << code.m)
-            if syndrome == 0 or code.error_position(syndrome) is not None
-        )
-        table.add_const_entries(rows)
-        return table
-
-    def _build_basis_table(self) -> MatchActionTable:
-        """The basis → identifier exact-match table managed by the control plane."""
-        return MatchActionTable(
-            name="basis_to_id",
-            key_bits=self._transform.basis_bits,
-            size=1 << self._identifier_bits,
-            actions=[ActionSpec("set_identifier", ("identifier",)), ActionSpec("learn")],
-            default_action="learn",
-            support_idle_timeout=True,
-        )
-
-    def _register_resources(self, pipeline: Pipeline) -> None:
-        """Account the program's tables against the Tofino resource budget."""
-        tracker = pipeline.resources
-        tracker.register(
-            ResourceUsage(
-                name="syndrome_mask",
-                stage=1,
-                sram_blocks=tracker.sram_blocks_for_table(
-                    entries=1 << self._syndrome_bits,
-                    key_bits=self._syndrome_bits,
-                    action_bits=min(self._transform.code.n, 256),
-                ),
-                entries=1 << self._syndrome_bits,
-            )
-        )
-        tracker.register(
-            ResourceUsage(
+        # The basis → identifier exact-match table managed by the control plane.
+        self._basis_table = self._add_mapping_table(
+            MatchActionTable(
                 name="basis_to_id",
-                stage=3,
-                sram_blocks=min(
-                    tracker.profile.sram_blocks_per_stage,
-                    tracker.sram_blocks_for_table(
-                        entries=1 << self._identifier_bits,
-                        key_bits=self._transform.basis_bits,
-                        action_bits=self._identifier_bits,
-                    ),
-                ),
-                entries=1 << self._identifier_bits,
-            )
+                key_bits=self._transform.basis_bits,
+                size=1 << identifier_bits,
+                actions=[
+                    ActionSpec("set_identifier", ("identifier",)),
+                    ActionSpec("learn"),
+                ],
+                default_action="learn",
+                support_idle_timeout=True,
+            ),
+            action_bits=identifier_bits,
         )
+        code = self._transform.code
+        headers = self._headers
+        self._body_mask = mask(code.n)
+        self._remainder = code.byte_remainder
+        self._chunk_end = ETHERNET_BYTES + headers.chunk.total_bytes
+        self._type2_bytes = headers.type2.total_bytes
+        self._type3_bytes = headers.type3.total_bytes
+        self._type2_pad = headers.type2_padding_bits
+        self._type3_pad = headers.type3_padding_bits
 
     # -- the ingress control block -----------------------------------------------------
 
-    def _ingress(self, context: PacketContext) -> None:
+    def _apply(
+        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
+    ) -> None:
         packet = context.packet
-        now = self._simulator.now if self._simulator is not None else 0.0
-        ethernet = packet.header("ethernet")
-        frame_bytes = 14 + sum(
-            header.header_type.total_bytes
-            for header in packet.headers.values()
-            if header.valid and header.header_type.name != "ethernet_h"
-        ) + len(packet.payload)
-
         if packet.has_valid("chunk"):
             self._encode_chunk(context, ethernet, now, frame_bytes)
         elif packet.has_valid("type2") or packet.has_valid("type3"):
             self.counters.count("passthrough_processed", frame_bytes)
         else:
             self.counters.count("passthrough_other", frame_bytes)
-
-        context.send_to_port(
-            self._forwarding.get(context.ingress_port, self._default_egress_port)
-        )
 
     def _encode_chunk(
         self,
@@ -313,7 +160,7 @@ class ZipLineEncoderSwitch:
         flip_mask = result.params.get("flip_mask", 0)
         codeword = body ^ flip_mask
         # Step ➎: the basis is the message part of the codeword.
-        basis = codeword >> self._basis_shift
+        basis = codeword >> self._syndrome_bits
 
         chunk.valid = False
         lookup = self._basis_table.lookup(basis, now=now)
@@ -328,14 +175,11 @@ class ZipLineEncoderSwitch:
             packet.headers["type3"] = type3
             ethernet["ether_type"] = EtherType.ZIPLINE_COMPRESSED
             self.counters.count("raw_to_compressed", frame_bytes)
-            tracer = _obs.TRACER
-            if tracer.enabled:
-                tracer.span(
+            if _obs.TRACER.enabled:
+                self._span(
                     "encode",
-                    self.switch.name,
                     now,
-                    now + self.switch.pipeline.pipeline_latency,
-                    args={"outcome": "hit", "identifier": identifier, "basis": basis},
+                    {"outcome": "hit", "identifier": identifier, "basis": basis},
                 )
         else:
             type2 = Header(self._headers.type2)
@@ -348,23 +192,80 @@ class ZipLineEncoderSwitch:
             ethernet["ether_type"] = EtherType.ZIPLINE_UNCOMPRESSED
             context.emit_digest(LEARN_DIGEST, {"basis": basis})
             self.counters.count("raw_to_uncompressed", frame_bytes)
-            tracer = _obs.TRACER
-            if tracer.enabled:
-                tracer.span(
+            if _obs.TRACER.enabled:
+                self._span("encode", now, {"outcome": "miss", "basis": basis})
+
+    def _compiled_ingress(
+        self, frame: bytes, ethertype: bytes, length: int, now: float
+    ) -> Tuple[bytes, Digests]:
+        if ethertype != ETH_RAW:
+            if ethertype == ETH_TYPE2 or ethertype == ETH_TYPE3:
+                self.counters.count("passthrough_processed", length)
+            else:
+                self.counters.count("passthrough_other", length)
+            return frame, ()
+        chunk_end = self._chunk_end
+        chunk_slice = frame[ETHERNET_BYTES:chunk_end]
+        code = self._transform.code
+        m = self._syndrome_bits
+        chunk_value = int.from_bytes(chunk_slice, "big")
+        prefix = chunk_value >> code.n
+        # Step ➋: syndrome through the shared CRC byte loop (same unit the
+        # extern reduces with), keeping the extern's accounting.  The
+        # remainder of the chunk's own bytes is syndrome(body) ^ (prefix *
+        # x**n mod g), and x**n ≡ 1 (mod g) for a primitive g of order n.
+        syndrome = self._remainder(chunk_slice) ^ (
+            code.prefix_syndrome(prefix) if prefix >> m else prefix
+        )
+        self._crc.record_invocation()
+        # Step ➌: const syndrome→mask table, with hit metadata.
+        syndrome_table = self._syndrome_table
+        syndrome_table.lookups += 1
+        syndrome_table.hits += 1
+        entry = self._syndrome_entries[syndrome]
+        entry.last_hit = now
+        entry.hit_count += 1
+        # Steps ➍/➎: flip the deviated bit, keep the message bits.
+        basis = ((chunk_value & self._body_mask) ^ self._flip_masks[syndrome]) >> m
+
+        lookup = self._basis_table.lookup_ref(basis, now=now)
+        if lookup is not None and lookup.action == "set_identifier":
+            identifier = lookup.params["identifier"]
+            value = (((prefix << self._identifier_bits) | identifier) << m) | syndrome
+            out = (
+                frame[:12]
+                + ETH_TYPE3
+                + (value << self._type3_pad).to_bytes(self._type3_bytes, "big")
+                + frame[chunk_end:]
+            )
+            self.counters.count("raw_to_compressed", length)
+            if _obs.TRACER.enabled:
+                self._span(
                     "encode",
-                    self.switch.name,
                     now,
-                    now + self.switch.pipeline.pipeline_latency,
-                    args={"outcome": "miss", "basis": basis},
+                    {"outcome": "hit", "identifier": identifier, "basis": basis},
                 )
+            return out, ()
+        value = (((prefix << code.k) | basis) << m) | syndrome
+        out = (
+            frame[:12]
+            + ETH_TYPE2
+            + (value << self._type2_pad).to_bytes(self._type2_bytes, "big")
+            + frame[chunk_end:]
+        )
+        self.counters.count("raw_to_uncompressed", length)
+        if _obs.TRACER.enabled:
+            self._span("encode", now, {"outcome": "miss", "basis": basis})
+        return out, ((LEARN_DIGEST, {"basis": basis}),)
 
     # -- control-plane interface ------------------------------------------------------
 
     def install_basis_mapping(
-        self, basis: Hashable, identifier: int, ttl: Optional[float] = None
+        self, basis: int, identifier: int, ttl: Optional[float] = None
     ) -> None:
         """Install (or refresh) a basis → identifier entry."""
-        now = self._simulator.now if self._simulator is not None else 0.0
+        self._check_field("basis", basis, self._transform.basis_bits)
+        self._check_field("identifier", identifier, self._identifier_bits)
         existing = self._basis_table.get_entry(basis)
         if existing is not None:
             self._basis_table.modify_entry(
@@ -376,29 +277,23 @@ class ZipLineEncoderSwitch:
             "set_identifier",
             {"identifier": identifier},
             ttl=ttl if ttl is not None else self._entry_ttl,
-            now=now,
+            now=self._now(),
         )
 
-    def remove_basis_mapping(self, basis: Hashable) -> None:
+    def remove_basis_mapping(self, basis: int) -> None:
         """Remove a basis → identifier entry (no-op when absent)."""
         if self._basis_table.get_entry(basis) is not None:
             self._basis_table.delete_entry(basis)
 
-    def expired_bases(self, now: float) -> List[Hashable]:
+    def expired_bases(self, now: float) -> List[int]:
         """Bases whose entries report an idle timeout."""
         return [entry.key for entry in self._basis_table.expired_entries(now)]
 
+    def known_bases(self) -> List[int]:
+        """Bases currently present in the basis → identifier table."""
+        return [entry.key for entry in self._basis_table.entries()]
+
     # -- convenience -----------------------------------------------------------------
-
-    @property
-    def transform(self) -> GDTransform:
-        """The GD transform the program was built with."""
-        return self._transform
-
-    @property
-    def headers(self) -> ZipLineHeaderSet:
-        """The header set (payload sizes) of the program."""
-        return self._headers
 
     @property
     def basis_table(self) -> MatchActionTable:
@@ -409,209 +304,3 @@ class ZipLineEncoderSwitch:
     def digest_engine(self) -> DigestEngine:
         """The digest engine of the underlying switch."""
         return self.switch.digest_engine
-
-    @property
-    def pipeline(self) -> Pipeline:
-        """The underlying pipeline."""
-        return self.switch.pipeline
-
-    @property
-    def simulator(self) -> Optional[Simulator]:
-        """The shared simulator this switch schedules against (if any)."""
-        return self._simulator
-
-    def set_forwarding(self, ingress_port: int, egress_port: int) -> None:
-        """Add or change a static forwarding entry."""
-        if ingress_port < 0 or egress_port < 0:
-            raise PipelineError("ports must be non-negative")
-        self._forwarding[ingress_port] = egress_port
-
-    def receive(self, frame: bytes, ingress_port: int):
-        """Process one frame.
-
-        Frames matching the compiled fast path's preconditions go through
-        the fused integer path; everything else (short frames, disabled
-        fast path) falls back to the interpreted pipeline.  Both paths
-        produce identical frames, counters, table metadata and digests.
-        """
-        if self._fast_enabled:
-            result = self._fast_receive(frame, ingress_port)
-            if result is not None:
-                return result
-        return self.switch.receive(frame, ingress_port)
-
-    def receive_batch(self, frames: List[bytes], ingress_port: int) -> List[object]:
-        """Process co-resident frames, batching the per-chunk CRC work.
-
-        Every raw-chunk frame long enough for the fast path contributes its
-        chunk to **one** whole-buffer syndrome computation
-        (:meth:`CrcExtern.get_batch`, vectorized under an accelerated
-        backend); the frames are then finished strictly in arrival order
-        with the precomputed remainders, so counters, table metadata,
-        digest emission and transmit order — and every emitted frame — are
-        identical to calling :meth:`receive` once per frame.  Ineligible
-        frames transparently take the per-frame path.
-        """
-        switch = self.switch
-        if (
-            not self._fast_enabled
-            or not 0 <= ingress_port < switch.port_count
-            or len(frames) < 2
-        ):
-            return [self.receive(frame, ingress_port) for frame in frames]
-        eth_raw = self._fast_eth_raw
-        min_chunk = self._fast_min_chunk_frame
-        chunk_bytes = self._fast_chunk_header_bytes
-        eligible = [
-            index
-            for index, frame in enumerate(frames)
-            if len(frame) >= min_chunk and frame[12:14] == eth_raw
-        ]
-        remainders: Dict[int, int] = {}
-        if len(eligible) >= 2:
-            buffer = b"".join(
-                frames[index][14 : 14 + chunk_bytes] for index in eligible
-            )
-            remainders = dict(
-                zip(eligible, self._crc.get_batch(buffer, 8 * chunk_bytes))
-            )
-        results = []
-        append = results.append
-        for index, frame in enumerate(frames):
-            remainder = remainders.get(index)
-            if remainder is not None:
-                append(self._fast_receive(frame, ingress_port, remainder=remainder))
-            else:
-                append(self.receive(frame, ingress_port))
-        return results
-
-    def _fast_receive(
-        self, frame: bytes, ingress_port: int, remainder: Optional[int] = None
-    ):
-        """Compiled per-frame path; returns ``None`` to defer to the pipeline."""
-        switch = self.switch
-        if not 0 <= ingress_port < switch.port_count:
-            return None
-        length = len(frame)
-        if length < 14:
-            return None
-        ethertype = frame[12:14]
-        pipeline = switch.pipeline
-        simulator = self._simulator
-        now = simulator.now if simulator is not None else 0.0
-
-        if ethertype == self._fast_eth_raw:
-            if length < self._fast_min_chunk_frame:
-                # Too short for the chunk header: let the interpreted parser
-                # produce its exact error/drop accounting.
-                return None
-            chunk_end = self._fast_min_chunk_frame
-            chunk_slice = frame[14:chunk_end]
-            transform = self._transform
-            code = transform.code
-            n = code.n
-            chunk_value = int.from_bytes(chunk_slice, "big")
-            prefix = chunk_value >> n
-            body = chunk_value & self._body_mask
-            # Step ➋: syndrome through the shared CRC byte loop (same unit
-            # the extern reduces with); keep the extern's accounting.  A
-            # batched caller passes the precomputed remainder — already
-            # counted by the extern's batch call.
-            if remainder is None:
-                remainder = self._fast_remainder(chunk_slice)
-                self._crc.record_invocation()
-            syndrome = remainder ^ self._fast_prefix_syndromes[prefix]
-            # Step ➌: const syndrome→mask table, with hit metadata.
-            syndrome_table = self._syndrome_table
-            syndrome_table.lookups += 1
-            syndrome_table.hits += 1
-            entry = self._fast_syndrome_entries[syndrome]
-            entry.last_hit = now
-            entry.hit_count += 1
-            # Steps ➍/➎: flip the deviated bit, keep the message bits.
-            basis = (body ^ self._fast_flip_masks[syndrome]) >> self._basis_shift
-
-            lookup = self._basis_table.lookup_ref(basis, now=now)
-            digests = ()
-            tracer = _obs.TRACER
-            if lookup is not None and lookup.action == "set_identifier":
-                value = (
-                    ((prefix << self._identifier_bits) | lookup.params["identifier"])
-                    << self._syndrome_bits
-                ) | syndrome
-                out = (
-                    frame[:12]
-                    + self._fast_eth_type3
-                    + (value << self._fast_type3_pad).to_bytes(
-                        self._fast_type3_bytes, "big"
-                    )
-                    + frame[chunk_end:]
-                )
-                self.counters.count("raw_to_compressed", length)
-                if tracer.enabled:
-                    tracer.span(
-                        "encode",
-                        switch.name,
-                        now,
-                        now + pipeline.pipeline_latency,
-                        args={
-                            "outcome": "hit",
-                            "identifier": lookup.params["identifier"],
-                            "basis": basis,
-                        },
-                    )
-            else:
-                value = (
-                    ((prefix << self._transform.basis_bits) | basis)
-                    << self._syndrome_bits
-                ) | syndrome
-                out = (
-                    frame[:12]
-                    + self._fast_eth_type2
-                    + (value << self._fast_type2_pad).to_bytes(
-                        self._fast_type2_bytes, "big"
-                    )
-                    + frame[chunk_end:]
-                )
-                digests = ((LEARN_DIGEST, {"basis": basis}),)
-                self.counters.count("raw_to_uncompressed", length)
-                if tracer.enabled:
-                    tracer.span(
-                        "encode",
-                        switch.name,
-                        now,
-                        now + pipeline.pipeline_latency,
-                        args={"outcome": "miss", "basis": basis},
-                    )
-        elif ethertype == self._fast_eth_type2:
-            if length < self._fast_min_type2_frame:
-                return None
-            out = frame
-            digests = ()
-            self.counters.count("passthrough_processed", length)
-        elif ethertype == self._fast_eth_type3:
-            if length < self._fast_min_type3_frame:
-                return None
-            out = frame
-            digests = ()
-            self.counters.count("passthrough_processed", length)
-        else:
-            out = frame
-            digests = ()
-            self.counters.count("passthrough_other", length)
-
-        switch.record_rx(ingress_port, length)
-        pipeline.packets_processed += 1
-        pipeline.parser.packets_parsed += 1
-        for digest_type, data in digests:
-            switch.digest_engine.emit(digest_type, data)
-        egress = self._forwarding.get(ingress_port, self._default_egress_port)
-        latency = pipeline.pipeline_latency
-        switch.transmit(egress, out, latency)
-        return PipelineResult(
-            egress_port=egress, frame=out, digests=digests, latency=latency
-        )
-
-    def known_bases(self) -> List[Hashable]:
-        """Bases currently present in the basis → identifier table."""
-        return [entry.key for entry in self._basis_table.entries()]

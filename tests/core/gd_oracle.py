@@ -1,12 +1,13 @@
 """The bit-serial oracle of the GD record pipeline.
 
-One chunk at a time, one checked layer per step: ``GDTransform(fast=False)``
-per-chunk ``split``/``join``, a dictionary consulted and updated once per
-chunk, record objects built through their validating constructors,
-accounting through ``EncoderStats.record`` and container bytes through each
-record's own ``to_bytes``.  Nothing here batches, caches or vectorises, so
-the production pipeline (columnar loops, backend kernels, the GDZ1 packer)
-can be compared against it bit for bit.
+One chunk at a time, one checked layer per step: the ``HammingCode`` layer
+(``chunk_to_basis`` / ``basis_to_chunk``) called by name for the split and
+the join, a dictionary consulted and updated once per chunk, record objects
+built through their validating constructors, accounting through
+``EncoderStats.record`` and container bytes through each record's own
+``to_bytes``.  Nothing here batches, caches or vectorises, so the
+production pipeline (fused split, columnar loops, backend kernels, the GDZ1
+packer) can be compared against it bit for bit.
 """
 
 import struct
@@ -17,6 +18,30 @@ from repro.core.dictionary import BasisDictionary
 from repro.core.encoder import EncoderStats
 from repro.core.records import CompressedRecord, UncompressedRecord
 from repro.core.transform import GDParts, GDTransform
+
+
+def reference_split(transform, chunk):
+    """``(prefix, basis, deviation)`` of one chunk through the checked layers."""
+    code = transform.code
+    value = int.from_bytes(chunk, "big")
+    basis, deviation = code.chunk_to_basis(value & ((1 << code.n) - 1))
+    return value >> code.n, basis, deviation
+
+
+def reference_split_buffer(transform, data):
+    """:func:`reference_split` of every chunk of a contiguous buffer."""
+    size = transform.chunk_bytes
+    view = memoryview(data)
+    return [
+        reference_split(transform, view[offset : offset + size])
+        for offset in range(0, len(data), size)
+    ]
+
+
+def reference_join(transform, prefix, basis, deviation):
+    """The chunk value rebuilt through ``HammingCode.basis_to_chunk``."""
+    code = transform.code
+    return (prefix << code.n) | code.basis_to_chunk(basis, deviation)
 
 
 class OracleCodec:
@@ -35,9 +60,7 @@ class OracleCodec:
         eviction_seed=None,
         backend=None,  # accepted so GDCodec keyword sets can be reused
     ):
-        self.transform = GDTransform(
-            order=order, chunk_bits=chunk_bits, fast=False, backend="pure"
-        )
+        self.transform = GDTransform(order=order, chunk_bits=chunk_bits, backend="pure")
         self.identifier_bits = identifier_bits
         self.mode = mode
         self.padding = alignment_padding_bits
@@ -68,30 +91,30 @@ class OracleCodec:
         records = []
         for chunk in self.chunks(data):
             index = self.stats.chunks
-            parts = transform.split(chunk)
+            prefix, basis, deviation = reference_split(transform, chunk)
             identifier = None
             if dictionary is not None:
-                identifier = dictionary.lookup(parts.basis)
-            if identifier is not None and index >= self.activation.get(parts.basis, 0):
+                identifier = dictionary.lookup(basis)
+            if identifier is not None and index >= self.activation.get(basis, 0):
                 record = CompressedRecord(
-                    prefix=parts.prefix,
+                    prefix=prefix,
                     identifier=identifier,
-                    deviation=parts.deviation,
-                    prefix_bits=parts.prefix_bits,
+                    deviation=deviation,
+                    prefix_bits=transform.prefix_bits,
                     identifier_bits=self.identifier_bits,
-                    deviation_bits=parts.deviation_bits,
+                    deviation_bits=transform.deviation_bits,
                 )
             else:
                 if identifier is None and self.mode == "dynamic":
-                    dictionary.insert(parts.basis)
-                    self.activation[parts.basis] = index + 1 + self.delay
+                    dictionary.insert(basis)
+                    self.activation[basis] = index + 1 + self.delay
                 record = UncompressedRecord(
-                    prefix=parts.prefix,
-                    basis=parts.basis,
-                    deviation=parts.deviation,
-                    prefix_bits=parts.prefix_bits,
-                    basis_bits=parts.basis_bits,
-                    deviation_bits=parts.deviation_bits,
+                    prefix=prefix,
+                    basis=basis,
+                    deviation=deviation,
+                    prefix_bits=transform.prefix_bits,
+                    basis_bits=transform.basis_bits,
+                    deviation_bits=transform.deviation_bits,
                     alignment_padding_bits=self.padding,
                 )
             self.stats.record(record, transform.chunk_bits)
@@ -125,7 +148,7 @@ class OracleCodec:
         for record in records:
             if isinstance(record, UncompressedRecord):
                 basis = record.basis
-                if dictionary is not None:
+                if self.mode == "dynamic":
                     dictionary.insert(basis)
             else:
                 basis = dictionary.reverse_lookup(record.identifier)

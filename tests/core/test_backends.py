@@ -1,9 +1,10 @@
 """Property tests: every codec backend is bit-identical to the reference.
 
-The backend matrix sweeps Hamming orders 3..8 × prefix widths ×
-``REPRO_GD_FAST`` ∈ {0, 1} × every available backend and requires exact
-equality of splits, columns, joins, batch decodes, container bytes and
-dictionary state under eviction pressure.  The selection tests pin the
+The backend matrix sweeps Hamming orders 3..8 × prefix widths × every
+available backend and requires exact equality with the bit-serial
+reference (``gd_oracle``, the ``HammingCode`` layer called by name) of
+splits, columns, joins, batch decodes, container bytes and dictionary
+state under eviction pressure.  The selection tests pin the
 documented precedence (argument > ``REPRO_GD_BACKEND`` > best available)
 and the error behaviour when a named backend is not importable — the
 numpy-less case is simulated by monkeypatching the lazy probe, so the
@@ -25,13 +26,15 @@ from repro.core.backends import (
 from repro.core.codec import GDCodec
 from repro.core.decoder import GDDecoder
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
-from repro.core.records import RawRecord
+from repro.core.records import RawRecord, UncompressedRecord
 from repro.core.transform import GDTransform
 from repro.exceptions import BackendError, ChunkSizeError
 from repro.workloads import SyntheticSensorWorkload
 
+from gd_oracle import reference_join, reference_split_buffer
+
 ORDERS = range(3, 9)
-PREFIX_EXTRAS = (0, 1, 3, 7, 8, 13)
+PREFIX_EXTRAS = (0, 1, 3, 7, 8, 9, 13, 17)
 
 AVAILABLE = backends.available_backend_names()
 ACCELERATED = [
@@ -137,8 +140,9 @@ class TestSelection:
         transform = GDTransform(order=8)
         assert transform.backend == "pure"
         data = _random_buffer(transform, 40, random.Random(1))
-        reference = GDTransform(order=8, fast=False, backend="pure")
-        assert transform.split_batch_fields(data) == reference.split_batch_fields(data)
+        assert transform.split_batch_fields(data) == reference_split_buffer(
+            transform, data
+        )
 
     def test_codec_and_compressor_registry_accept_backend(self):
         for name in AVAILABLE:
@@ -164,28 +168,39 @@ class TestBatchSplitApi:
         assert "BatchSplit" in repr(split)
 
 
-@pytest.mark.parametrize("fast_env", ["0", "1"])
+def _reference_decode(transform, records, capacity):
+    """Chunk values of ``records`` through the named reference join."""
+    dictionary = BasisDictionary(capacity)
+    chunks = []
+    for record in records:
+        if isinstance(record, RawRecord):
+            chunks.append(record.chunk)
+            continue
+        if isinstance(record, UncompressedRecord):
+            basis = record.basis
+            dictionary.insert(basis)
+        else:
+            basis = dictionary.reverse_lookup(record.identifier)
+            dictionary.touch(basis)
+        chunks.append(reference_join(transform, record.prefix, basis, record.deviation))
+    return chunks
+
+
 @pytest.mark.parametrize("order", ORDERS)
 class TestEquivalenceMatrix:
-    """orders × prefix widths × REPRO_GD_FAST × available backends."""
+    """orders × prefix widths × available backends."""
 
-    def test_splits_columns_and_joins_match_reference(
-        self, order, fast_env, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_GD_FAST", fast_env)
-        rng = random.Random(order * 13 + int(fast_env))
+    def test_splits_columns_and_joins_match_reference(self, order):
+        rng = random.Random(order * 13)
         n = (1 << order) - 1
         for extra_bits in PREFIX_EXTRAS:
             chunk_bits = n + extra_bits
-            reference = GDTransform(
-                order=order, chunk_bits=chunk_bits, fast=False, backend="pure"
-            )
             transforms = {
                 name: GDTransform(order=order, chunk_bits=chunk_bits, backend=name)
                 for name in AVAILABLE
             }
             data = _random_buffer(transforms["pure"], 72, rng)
-            expected = reference.split_batch_fields(data)
+            expected = reference_split_buffer(transforms["pure"], data)
             for name, transform in transforms.items():
                 assert transform.split_batch_fields(data) == expected, (
                     name,
@@ -209,9 +224,8 @@ class TestEquivalenceMatrix:
                         == data
                     ), (name, order, extra_bits)
 
-    def test_batch_decode_matches_reference(self, order, fast_env, monkeypatch):
-        monkeypatch.setenv("REPRO_GD_FAST", fast_env)
-        rng = random.Random(order * 17 + int(fast_env))
+    def test_batch_decode_matches_reference(self, order):
+        rng = random.Random(order * 17)
         for name in AVAILABLE:
             codec = GDCodec(order=order, identifier_bits=5, backend=name)
             data = _random_buffer(codec.transform, 90, rng, clustered=True)
@@ -219,37 +233,28 @@ class TestEquivalenceMatrix:
             # interleave raw records to exercise the mixed decode path
             raw = RawRecord(chunk=0, chunk_bits=codec.transform.chunk_bits)
             mixed = records[:3] + [raw] + records[3:] + [raw]
+            expected = _reference_decode(codec.transform, mixed, 1 << 5)
+            size = codec.transform.chunk_bytes
 
             backend_decoder = GDDecoder(
                 GDTransform(order=order, backend=name), BasisDictionary(1 << 5)
             )
-            reference_decoder = GDDecoder(
-                GDTransform(order=order, fast=False, backend="pure"),
-                BasisDictionary(1 << 5),
+            pure_decoder = GDDecoder(
+                GDTransform(order=order, backend="pure"), BasisDictionary(1 << 5)
             )
-            chunks = backend_decoder.decode_batch(mixed)
-            assert chunks == reference_decoder.decode_batch(mixed)
-            assert (
-                backend_decoder.stats.as_dict() == reference_decoder.stats.as_dict()
-            )
+            assert backend_decoder.decode_batch(mixed) == expected
+            assert pure_decoder.decode_batch(mixed) == expected
+            assert backend_decoder.stats.as_dict() == pure_decoder.stats.as_dict()
 
             bytes_decoder = GDDecoder(
                 GDTransform(order=order, backend=name), BasisDictionary(1 << 5)
             )
-            reference_bytes_decoder = GDDecoder(
-                GDTransform(order=order, fast=False, backend="pure"),
-                BasisDictionary(1 << 5),
+            assert bytes_decoder.decode_batch_to_bytes(mixed) == b"".join(
+                chunk.to_bytes(size, "big") for chunk in expected
             )
-            assert bytes_decoder.decode_batch_to_bytes(
-                mixed
-            ) == reference_bytes_decoder.decode_batch_to_bytes(mixed)
-            assert (
-                bytes_decoder.stats.as_dict()
-                == reference_bytes_decoder.stats.as_dict()
-            )
+            assert bytes_decoder.stats.as_dict() == pure_decoder.stats.as_dict()
 
-    def test_bulk_parities_match_reference(self, order, fast_env, monkeypatch):
-        monkeypatch.setenv("REPRO_GD_FAST", fast_env)
+    def test_bulk_parities_match_reference(self, order):
         rng = random.Random(order * 19)
         code = GDTransform(order=order, backend="pure").code
         bases = [rng.getrandbits(code.k) for _ in range(60)] + [0, (1 << code.k) - 1]
@@ -319,12 +324,11 @@ class TestDispatchBoundaries:
     @pytest.mark.parametrize("backend_name", ACCELERATED)
     def test_small_batches_stay_correct(self, backend_name):
         transform = GDTransform(order=8, backend=backend_name)
-        reference = GDTransform(order=8, fast=False, backend="pure")
         rng = random.Random(3)
         for count in (0, 1, MIN_BATCH_CHUNKS - 1, MIN_BATCH_CHUNKS):
             data = _random_buffer(transform, count, rng)
-            assert transform.split_batch_fields(data) == reference.split_batch_fields(
-                data
+            assert transform.split_batch_fields(data) == reference_split_buffer(
+                transform, data
             )
 
     @pytest.mark.parametrize("backend_name", ACCELERATED)
@@ -364,8 +368,7 @@ class TestDispatchBoundaries:
         the dispatch must quietly run the pure loop."""
         for name in AVAILABLE:
             transform = GDTransform(order=9, backend=name)
-            reference = GDTransform(order=9, fast=False, backend="pure")
             data = _random_buffer(transform, MIN_BATCH_CHUNKS + 8, random.Random(7))
-            assert transform.split_batch_fields(data) == reference.split_batch_fields(
-                data
+            assert transform.split_batch_fields(data) == reference_split_buffer(
+                transform, data
             )

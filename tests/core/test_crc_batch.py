@@ -30,7 +30,6 @@ from repro.core.crc import (
     slice_tables,
 )
 from repro.exceptions import CodingError
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
 
 BACKENDS = available_backend_names()
 
@@ -173,30 +172,8 @@ class TestSliceTableRegistry:
         again = slice_tables(CRC16_CCITT.polynomial, 16, 4)
         assert all(a is b for a, b in zip(tables, again))
 
-    def test_engine_and_extern_share_slice_tables(self):
-        """The Tofino CRC extern and CrcEngine must resolve the *same* table
-        objects from the registry — no duplicate table builds."""
-        extern = CrcExtern(CrcPolynomial(coeff=0x1D, width=8))
-        engine = extern._engine
-        record_bytes = 4
-        extern_tables = extern.slice_tables(record_bytes)
-        _rb, engine_tables, _init, _head = engine._batch_state(8 * record_bytes)
-        assert len(extern_tables) == len(engine_tables) == record_bytes
-        for ours, theirs in zip(extern_tables, engine_tables):
-            assert ours is theirs
 
-
-class TestCrcExternBatch:
-    def test_get_batch_matches_get_and_counts_invocations(self):
-        extern = CrcExtern(CrcPolynomial(coeff=0x1D, width=8))
-        rng = random.Random(5)
-        record_bits = 24
-        buffer, values = _record_buffer(rng, record_bits, 20)
-        before = extern.invocations
-        got = extern.get_batch(buffer, record_bits)
-        assert extern.invocations == before + 20
-        assert got == [extern.get([(value, record_bits)]) for value in values]
-
+class TestBackendStatus:
     def test_backend_status_reports_crc_batch(self):
         rows = backend_status()
         assert rows, "backend registry is empty"

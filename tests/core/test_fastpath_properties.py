@@ -1,13 +1,12 @@
-"""Property tests: the fused fast path is bit-identical to the reference path.
+"""Property tests: the fused transform is bit-identical to the reference layers.
 
-The fast path (``GDTransform(fast=True)``, the default) rebuilds the GD hot
-loop out of lane tables, prefix-syndrome corrections and bulk big-int XORs;
-the reference path (``fast=False``) walks the original checked layers one
-step at a time.  These tests drive both over randomized inputs — every
-Hamming order in 3..8, a sweep of prefix widths, dictionary pressure,
+``GDTransform`` rebuilds the GD hot loop out of lane tables, the prefix
+identity ``x**n ≡ 1 (mod g)`` and bulk big-int XORs; the reference —
+reached by name through ``gd_oracle`` — walks the checked ``HammingCode``
+layers one step at a time.  These tests drive both over randomized inputs —
+every Hamming order in 3..8, a sweep of prefix widths, dictionary pressure,
 batch and chunk-at-a-time APIs — and require exact equality of outputs
-*and* statistics.  ``REPRO_GD_FAST=0`` turns the same fast path off
-process-wide; the last test pins that wiring.
+*and* statistics.
 """
 
 import random
@@ -16,11 +15,15 @@ import pytest
 
 from repro.core.bits import HAS_INT_BIT_COUNT, popcount, popcount_portable
 from repro.core.codec import GDCodec
+from repro.core.crc import is_primitive_polynomial, poly_mod
 from repro.core.decoder import GDDecoder
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.encoder import GDEncoder
-from repro.core.transform import GDTransform, fast_path_default
+from repro.core.hamming import HammingCode
+from repro.core.transform import GDTransform
 from repro.workloads import SyntheticSensorWorkload
+
+from gd_oracle import OracleCodec, reference_join, reference_split_buffer
 
 ORDERS = range(3, 9)
 
@@ -49,26 +52,47 @@ class TestTransformEquivalence:
     def test_split_and_join_match_reference_across_prefix_widths(self, order):
         rng = random.Random(order)
         n = (1 << order) - 1
-        for extra_bits in (0, 1, 2, 3, 7, 8, 13):
+        for extra_bits in (0, 1, 2, 3, 7, 8, 9, 13, 17):
             chunk_bits = n + extra_bits
-            fast = GDTransform(order=order, chunk_bits=chunk_bits, fast=True)
-            reference = GDTransform(order=order, chunk_bits=chunk_bits, fast=False)
-            assert fast.fast and not reference.fast
-            data = _random_buffer(fast, 40, rng)
-            fast_fields = fast.split_batch_fields(data)
-            reference_fields = reference.split_batch_fields(data)
-            assert fast_fields == reference_fields
-            size = fast.chunk_bytes
-            for index, (prefix, basis, deviation) in enumerate(fast_fields):
+            transform = GDTransform(order=order, chunk_bits=chunk_bits)
+            data = _random_buffer(transform, 40, rng)
+            fields = transform.split_batch_fields(data)
+            assert fields == reference_split_buffer(transform, data)
+            size = transform.chunk_bytes
+            for index, (prefix, basis, deviation) in enumerate(fields):
                 piece = data[index * size : (index + 1) * size]
-                assert fast.split_fields(piece) == (prefix, basis, deviation)
-                assert reference.split_fields(piece) == (prefix, basis, deviation)
-                rebuilt_fast = fast.join_fields_fast(prefix, basis, deviation)
-                rebuilt_reference = reference.join_fields_fast(
-                    prefix, basis, deviation
-                )
-                assert rebuilt_fast == rebuilt_reference
-                assert rebuilt_fast.to_bytes(size, "big") == piece
+                assert transform.split_fields(piece) == (prefix, basis, deviation)
+                rebuilt = transform.join_fields_fast(prefix, basis, deviation)
+                assert rebuilt == reference_join(transform, prefix, basis, deviation)
+                assert rebuilt.to_bytes(size, "big") == piece
+
+    @pytest.mark.parametrize("order", range(3, 11))
+    def test_prefix_above_the_body_reduces_to_the_prefix_itself(self, order):
+        """``(p * x**n) mod g == p mod g``: a primitive ``g`` has order ``n``.
+
+        The identity the fused split cancels the prefix bits with instead
+        of a per-prefix table, for the Table 1 generators and a custom
+        primitive polynomial alike.
+        """
+        codes = [HammingCode(order)]
+        if order == 8:
+            custom = 0b101100011  # x^8+x^6+x^5+x+1, not the Table 1 entry
+            assert custom != codes[0].full_polynomial
+            assert is_primitive_polynomial(custom)
+            codes.append(HammingCode(order, custom))
+        n = (1 << order) - 1
+        rng = random.Random(order)
+        for code in codes:
+            generator = code.full_polynomial
+            for prefix_bits in (1, 5, 8, 9, 12, 17):
+                for prefix in {0, 1, (1 << prefix_bits) - 1} | {
+                    rng.getrandbits(prefix_bits) for _ in range(40)
+                }:
+                    expected = poly_mod(prefix << n, generator)
+                    assert expected == poly_mod(prefix, generator)
+                    if prefix_bits <= order:
+                        assert expected == prefix
+                    assert code.prefix_syndrome(prefix) == expected
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_split_batch_parts_match_per_chunk_split(self, order):
@@ -119,86 +143,67 @@ class TestPopcount:
 
 
 class TestCodecEquivalence:
-    """Fast and reference codecs must emit identical records and bytes."""
+    """The codec must emit the records and bytes of the bit-serial oracle."""
 
     @pytest.mark.parametrize("mode", ["dynamic", "no_table"])
     @pytest.mark.parametrize("order", [3, 5, 8])
     def test_roundtrip_and_container_bit_identical(self, order, mode):
         rng = random.Random(order * 31)
-        fast_codec = GDCodec(order=order, identifier_bits=6, mode=mode)
-        data = _random_buffer(fast_codec.transform, 120, rng, clustered=True)
+        codec = GDCodec(order=order, identifier_bits=6, mode=mode)
+        oracle = OracleCodec(order=order, identifier_bits=6, mode=mode)
+        data = _random_buffer(codec.transform, 120, rng, clustered=True)
 
-        # reference: same parameters, reference transform wired through
-        reference_transform = GDTransform(order=order, fast=False)
-        reference_encoder = GDEncoder(
-            reference_transform,
-            BasisDictionary(1 << 6) if mode != "no_table" else None,
-            mode=mode,
-            identifier_bits=6,
-            alignment_padding_bits=0,
-        )
-        fast_result = fast_codec.compress(data)
-        reference_records = reference_encoder.encode_chunks(data)
-        assert list(fast_result.records) == reference_records
-        assert (
-            fast_codec.encoder.stats.as_dict() == reference_encoder.stats.as_dict()
-        )
+        result = codec.compress(data)
+        reference_records = oracle.encode(data)
+        assert list(result.records) == reference_records
+        assert codec.encoder.stats.as_dict() == oracle.stats.as_dict()
 
-        container = fast_codec.clone().compress_to_container(data)
-        restored = fast_codec.clone().decompress_container(container)
-        assert restored == data
+        container = codec.clone().compress_to_container(data)
+        assert container == oracle.container(reference_records, len(data))
+        assert codec.clone().decompress_container(container) == data
 
-        reference_decoder = GDDecoder(
-            reference_transform,
-            BasisDictionary(1 << 6) if mode != "no_table" else None,
-        )
-        fast_decoder_codec = fast_codec.clone()
-        fast_chunks = fast_decoder_codec.decoder.decode_batch(fast_result.records)
-        reference_chunks = reference_decoder.decode_batch(fast_result.records)
-        assert fast_chunks == reference_chunks
-        assert (
-            fast_decoder_codec.decoder.stats.as_dict()
-            == reference_decoder.stats.as_dict()
+        decoder_codec = codec.clone()
+        chunks = decoder_codec.decoder.decode_batch(result.records)
+        size = codec.transform.chunk_bytes
+        assert b"".join(chunk.to_bytes(size, "big") for chunk in chunks) == (
+            oracle.decode(reference_records)
         )
 
-    def test_under_eviction_pressure_with_random_policy(self, monkeypatch):
-        """Tiny dictionary + seeded random eviction: both paths stay lossless
-        and produce byte-identical containers."""
+    def test_under_eviction_pressure_with_random_policy(self):
+        """Tiny dictionary + seeded random eviction: lossless, and the
+        container is the oracle's byte for byte."""
         data = b"".join(
             SyntheticSensorWorkload(
                 num_chunks=600, distinct_bases=40, seed=9
             ).chunks()
         )
-        containers = {}
-        for fast in (True, False):
-            monkeypatch.setenv("REPRO_GD_FAST", "1" if fast else "0")
-            codec = GDCodec(
-                order=8,
-                identifier_bits=4,
-                eviction_policy=EvictionPolicy.RANDOM,
-                eviction_seed=1234,
-            )
-            assert codec.transform.fast is fast
-            assert codec.roundtrip(data) == data
-            containers[fast] = codec.compress_to_container(data)
-        assert containers[True] == containers[False]
+        parameters = dict(
+            order=8,
+            identifier_bits=4,
+            eviction_policy=EvictionPolicy.RANDOM,
+            eviction_seed=1234,
+        )
+        codec = GDCodec(**parameters)
+        assert codec.roundtrip(data) == data
+        oracle = OracleCodec(**parameters)
+        assert codec.compress_to_container(data) == oracle.container(
+            oracle.encode(data), len(data)
+        )
 
-    def test_static_mode_matches_reference(self, monkeypatch):
+    def test_static_mode_matches_reference(self):
         workload = SyntheticSensorWorkload(num_chunks=300, distinct_bases=12, seed=4)
         data = b"".join(workload.chunks())
         preload = GDCodec(order=8, identifier_bits=8)
         bases = sorted(
             {basis for _p, basis, _d in preload.transform.split_batch_fields(data)}
         )
-        containers = {}
-        for fast in (True, False):
-            monkeypatch.setenv("REPRO_GD_FAST", "1" if fast else "0")
-            codec = GDCodec(
-                order=8, identifier_bits=8, mode="static", static_bases=bases
-            )
-            assert codec.roundtrip(data) == data
-            containers[fast] = codec.compress_to_container(data)
-        assert containers[True] == containers[False]
+        parameters = dict(order=8, identifier_bits=8, mode="static", static_bases=bases)
+        codec = GDCodec(**parameters)
+        assert codec.roundtrip(data) == data
+        oracle = OracleCodec(**parameters)
+        assert codec.compress_to_container(data) == oracle.container(
+            oracle.encode(data), len(data)
+        )
 
 
 class TestBatchApiEquivalence:
@@ -328,15 +333,3 @@ class TestDictionaryHotCache:
         )
         codec = GDCodec(order=8, identifier_bits=4)  # 16 slots for 30 bases
         assert codec.roundtrip(data) == data
-
-
-class TestEnvironmentGate:
-    def test_env_var_disables_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GD_FAST", "0")
-        assert fast_path_default() is False
-        assert GDTransform(order=8).fast is False
-        monkeypatch.setenv("REPRO_GD_FAST", "1")
-        assert fast_path_default() is True
-        assert GDTransform(order=8).fast is True
-        monkeypatch.delenv("REPRO_GD_FAST")
-        assert fast_path_default() is True

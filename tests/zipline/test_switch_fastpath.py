@@ -1,12 +1,16 @@
-"""The compiled switch fast path is indistinguishable from the interpreted one.
+"""The compiled switch programs are indistinguishable from the interpreted ones.
 
+``receive`` runs the compiled program — the paper's P4 reduced to integer
+arithmetic over the frame bytes.  The interpreted program (parser state
+machine, header objects, table dispatch, deparser) stays in ``src/`` as the
+oracle and is reached by name: ``switch.switch.receive(frame, port)``.
 Every observable of the switch models — output frames, per-type counters,
 pipeline summaries, CRC extern invocations, match-action table hit counters
 and entry metadata, digest emission, port statistics, return values — must
-be identical whether a frame went through the compiled integer path or the
-interpreted parser/pipeline/deparser.  These tests drive both variants with
-the same randomized frame mix (raw chunks, type 2/3, foreign EtherTypes,
-truncated frames) and diff everything.
+be identical between a switch driven through ``receive`` and a twin driven
+through the interpreted entry.  These tests feed both the same randomized
+frame mix (raw chunks, type 2/3, foreign EtherTypes, truncated frames) over
+every order and prefix width the header set accepts and diff everything.
 """
 
 import random
@@ -14,8 +18,10 @@ import random
 import pytest
 
 from repro.core.transform import GDTransform
+from repro.exceptions import PipelineError
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
+from repro.topology.control import apply_switch_command
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
@@ -36,9 +42,40 @@ DECODER_COUNTERS = [
     "passthrough_other",
 ]
 
+#: ``n = 2**m - 1`` is 7 mod 8 for every order, so a byte-aligned chunk
+#: header carries a prefix of 1, 9, 17, ... bits: narrower than, equal to
+#: and wider than the syndrome, and wider than a byte.
+CONFIGS = [
+    pytest.param(order, prefix_bits, id=f"m{order}-p{prefix_bits}")
+    for order in (3, 5, 8)
+    for prefix_bits in (1, 9, 17)
+]
+
+
+def _transform(order, prefix_bits):
+    return GDTransform(order=order, chunk_bits=(1 << order) - 1 + prefix_bits)
+
+
+def _count_process_calls(switch):
+    """Count the frames that reach the interpreted pipeline of ``switch``."""
+    pipeline = switch.pipeline
+    process = pipeline.process
+    calls = []
+
+    def counting(frame, ingress_port):
+        calls.append(frame)
+        return process(frame, ingress_port)
+
+    pipeline.process = counting
+    return calls
+
 
 def _frame_mix(transform, headers, rng, count):
-    """A randomized mix of every frame shape the programs can see."""
+    """A randomized mix of every frame shape the programs can see.
+
+    Returns ``(frame, well_formed)`` pairs; a frame is malformed when it is
+    too short for the header its EtherType announces.
+    """
     code = transform.code
     frames = []
     for _ in range(count):
@@ -55,209 +92,272 @@ def _frame_mix(transform, headers, rng, count):
             payload = value.to_bytes(headers.chunk.total_bytes, "big")
             if rng.random() < 0.2:  # trailing payload after the chunk
                 payload += bytes(rng.getrandbits(8) for _ in range(rng.randrange(1, 9)))
-            frames.append(
-                EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, payload).to_bytes()
-            )
+            frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, payload)
         elif roll < 0.6:  # type 2
             value = rng.getrandbits(headers.type2.total_bits)
-            frames.append(
-                EthernetFrame(
-                    DST, SRC, EtherType.ZIPLINE_UNCOMPRESSED,
-                    value.to_bytes(headers.type2.total_bytes, "big"),
-                ).to_bytes()
+            frame = EthernetFrame(
+                DST, SRC, EtherType.ZIPLINE_UNCOMPRESSED,
+                value.to_bytes(headers.type2.total_bytes, "big"),
             )
         elif roll < 0.75:  # type 3 (identifiers both mapped and unmapped)
             syndrome = rng.getrandbits(code.m)
             identifier = rng.randrange(0, 64)
-            prefix = rng.getrandbits(max(transform.prefix_bits, 1)) if transform.prefix_bits else 0
+            prefix = rng.getrandbits(transform.prefix_bits)
             value = (
                 ((prefix << headers.identifier_bits) | identifier) << code.m
             ) | syndrome
             value <<= headers.type3_padding_bits
-            frames.append(
-                EthernetFrame(
-                    DST, SRC, EtherType.ZIPLINE_COMPRESSED,
-                    value.to_bytes(headers.type3.total_bytes, "big"),
-                ).to_bytes()
+            frame = EthernetFrame(
+                DST, SRC, EtherType.ZIPLINE_COMPRESSED,
+                value.to_bytes(headers.type3.total_bytes, "big"),
             )
         elif roll < 0.9:  # unrelated traffic
-            frames.append(
-                EthernetFrame(
-                    DST, SRC, EtherType.IPV4,
-                    bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 60))),
-                ).to_bytes()
+            frame = EthernetFrame(
+                DST, SRC, EtherType.IPV4,
+                bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 60))),
             )
         else:  # truncated ZipLine frames (parser error path)
-            ethertype = rng.choice(
-                [ETHERTYPE_RAW_CHUNK, int(EtherType.ZIPLINE_UNCOMPRESSED),
-                 int(EtherType.ZIPLINE_COMPRESSED)]
+            ethertype, header = rng.choice(
+                [
+                    (ETHERTYPE_RAW_CHUNK, headers.chunk),
+                    (int(EtherType.ZIPLINE_UNCOMPRESSED), headers.type2),
+                    (int(EtherType.ZIPLINE_COMPRESSED), headers.type3),
+                ]
             )
-            frames.append(
-                EthernetFrame(
-                    DST, SRC, ethertype,
-                    bytes(rng.randrange(0, 8)),
-                ).to_bytes()
+            frame = EthernetFrame(
+                DST, SRC, ethertype, bytes(rng.randrange(0, header.total_bytes))
             )
+            frames.append((frame.to_bytes(), False))
+            continue
+        frames.append((frame.to_bytes(), True))
     return frames
 
 
-def _diff_counters(fast, slow, labels):
+def _diff_counters(compiled, interpreted, labels):
     for label in labels:
-        fast_sample = fast.counters.read(label)
-        slow_sample = slow.counters.read(label)
-        assert (fast_sample.packets, fast_sample.bytes) == (
-            slow_sample.packets,
-            slow_sample.bytes,
+        compiled_sample = compiled.counters.read(label)
+        interpreted_sample = interpreted.counters.read(label)
+        assert (compiled_sample.packets, compiled_sample.bytes) == (
+            interpreted_sample.packets,
+            interpreted_sample.bytes,
         ), label
 
 
+def _table_state(table):
+    """Counters plus per-entry hit metadata of a match-action table."""
+    return (
+        table.lookups,
+        table.hits,
+        sorted(
+            (entry.key, entry.action, entry.hit_count, entry.last_hit)
+            for entry in table.entries()
+        ),
+    )
+
+
+def _drive_twins(compiled, interpreted, frames, counter_labels, mapping_table):
+    """Feed ``frames`` to both twins and diff every observable.
+
+    ``compiled`` goes through ``receive``; ``interpreted`` through the
+    underlying ``TofinoSwitch.receive``.  Also asserts which of the two
+    implementations each frame of the compiled switch executed.
+    """
+    compiled_sink, interpreted_sink = [], []
+    compiled.switch.attach_port(1, lambda frame, _t: compiled_sink.append(frame))
+    interpreted.switch.attach_port(1, lambda frame, _t: interpreted_sink.append(frame))
+    reached_pipeline = _count_process_calls(compiled)
+    for frame, _well_formed in frames:
+        got = compiled.receive(frame, 0)
+        want = interpreted.switch.receive(frame, 0)
+        assert got.frame == want.frame
+        assert got.egress_port == want.egress_port
+        assert got.digests == want.digests
+        assert got.latency == want.latency
+    assert compiled_sink == interpreted_sink
+    _diff_counters(compiled, interpreted, counter_labels)
+    assert compiled.pipeline.summary() == interpreted.pipeline.summary()
+    assert compiled._crc.invocations == interpreted._crc.invocations
+    assert compiled.switch.summary() == interpreted.switch.summary()
+    assert (
+        compiled.switch.digest_engine.emitted
+        == interpreted.switch.digest_engine.emitted
+    )
+    for table in ("_syndrome_table", mapping_table):
+        assert _table_state(getattr(compiled, table)) == _table_state(
+            getattr(interpreted, table)
+        ), table
+    # Well-formed frames never reach the interpreted pipeline; a frame too
+    # short for its announced header always does (parser error accounting).
+    malformed = [frame for frame, well_formed in frames if not well_formed]
+    assert malformed and len(malformed) < len(frames)
+    assert reached_pipeline == malformed
+    assert compiled.pipeline.parse_errors == len(malformed)
+
+
+def _encoder(transform=None):
+    switch = ZipLineEncoderSwitch(
+        transform=transform or GDTransform(order=8), forwarding={0: 1}
+    )
+    # install a few mappings so the compressed branch runs too
+    mapping_rng = random.Random(1)
+    for identifier in range(12):
+        switch.install_basis_mapping(mapping_rng.getrandbits(3), identifier)
+    return switch
+
+
+def _decoder(transform=None):
+    switch = ZipLineDecoderSwitch(
+        transform=transform or GDTransform(order=8), forwarding={0: 1}
+    )
+    mapping_rng = random.Random(8)
+    for identifier in range(40):
+        switch.install_identifier_mapping(
+            identifier, mapping_rng.getrandbits(switch.transform.code.k)
+        )
+    return switch
+
+
 class TestEncoderSwitchFastPath:
-    def _build(self, fast):
-        switch = ZipLineEncoderSwitch(
-            transform=GDTransform(order=8), forwarding={0: 1}, fast=fast
-        )
-        delivered = []
-        switch.switch.attach_port(1, lambda frame, _time: delivered.append(frame))
-        return switch, delivered
-
-    def test_equivalent_over_randomized_frame_mix(self):
-        fast_switch, fast_out = self._build(True)
-        slow_switch, slow_out = self._build(False)
-        assert fast_switch._fast_enabled
-        assert not slow_switch._fast_enabled
-        rng = random.Random(2020)
+    @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
+    def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits):
+        compiled = _encoder(_transform(order, prefix_bits))
+        interpreted = _encoder(_transform(order, prefix_bits))
         frames = _frame_mix(
-            fast_switch.transform, fast_switch.headers, rng, 500
+            compiled.transform, compiled.headers, random.Random(2020), 500
         )
-        # install a few mappings so the compressed branch runs too
-        mapping_rng = random.Random(1)
-        for identifier in range(12):
-            basis = mapping_rng.getrandbits(3)
-            fast_switch.install_basis_mapping(basis, identifier)
-            slow_switch.install_basis_mapping(basis, identifier)
-
-        for frame in frames:
-            fast_result = fast_switch.receive(frame, 0)
-            slow_result = slow_switch.receive(frame, 0)
-            assert fast_result.frame == slow_result.frame
-            assert fast_result.egress_port == slow_result.egress_port
-            assert fast_result.digests == slow_result.digests
-            assert fast_result.latency == slow_result.latency
-        assert fast_out == slow_out
-        _diff_counters(fast_switch, slow_switch, ENCODER_COUNTERS)
-        assert fast_switch.pipeline.summary() == slow_switch.pipeline.summary()
-        assert fast_switch._crc.invocations == slow_switch._crc.invocations
-        assert fast_switch.basis_table.lookups == slow_switch.basis_table.lookups
-        assert fast_switch.basis_table.hits == slow_switch.basis_table.hits
-        assert (
-            fast_switch.switch.summary() == slow_switch.switch.summary()
-        )
+        _drive_twins(compiled, interpreted, frames, ENCODER_COUNTERS, "_basis_table")
 
     def test_basis_table_entry_metadata_matches(self):
-        fast_switch, _ = self._build(True)
-        slow_switch, _ = self._build(False)
-        code = fast_switch.transform.code
+        compiled = _encoder()
+        interpreted = _encoder()
+        code = compiled.transform.code
         basis = 5
-        fast_switch.install_basis_mapping(basis, 0)
-        slow_switch.install_basis_mapping(basis, 0)
+        compiled.install_basis_mapping(basis, 0)
+        interpreted.install_basis_mapping(basis, 0)
         body = code.encode(basis)
         frame = EthernetFrame(
             DST, SRC, ETHERTYPE_RAW_CHUNK, body.to_bytes(32, "big")
         ).to_bytes()
         for _ in range(3):
-            fast_switch.receive(frame, 0)
-            slow_switch.receive(frame, 0)
-        fast_entry = fast_switch.basis_table.get_entry(basis)
-        slow_entry = slow_switch.basis_table.get_entry(basis)
-        assert fast_entry.hit_count == slow_entry.hit_count
-        assert fast_entry.last_hit == slow_entry.last_hit
+            compiled.receive(frame, 0)
+            interpreted.switch.receive(frame, 0)
+        compiled_entry = compiled.basis_table.get_entry(basis)
+        interpreted_entry = interpreted.basis_table.get_entry(basis)
+        assert compiled_entry.hit_count == interpreted_entry.hit_count == 3
+        assert compiled_entry.last_hit == interpreted_entry.last_hit
 
-    def test_reference_transform_disables_fast_path(self):
-        switch = ZipLineEncoderSwitch(transform=GDTransform(order=8, fast=False))
-        assert not switch._fast_enabled
+    def test_unknown_ingress_port_raises_before_anything_is_counted(self):
+        compiled = _encoder()
+        interpreted = _encoder()
+        frame = _frame_mix(
+            compiled.transform, compiled.headers, random.Random(4), 1
+        )[0][0]
+        with pytest.raises(PipelineError) as compiled_error:
+            compiled.receive(frame, 32)
+        with pytest.raises(PipelineError) as interpreted_error:
+            interpreted.switch.receive(frame, 32)
+        assert str(compiled_error.value) == str(interpreted_error.value)
+        assert compiled.pipeline.summary() == interpreted.pipeline.summary()
+        assert compiled.switch.summary() == interpreted.switch.summary()
+        _diff_counters(compiled, interpreted, ENCODER_COUNTERS)
 
-    def test_env_var_gates_the_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GD_FAST", "0")
-        switch = ZipLineEncoderSwitch(transform=GDTransform(order=8))
-        assert not switch._fast_enabled
+    @pytest.mark.parametrize(
+        "basis, identifier",
+        [(3, 999), (3, "i"), ("x", 1), (3, -1), (-3, 1), (1 << 300, 1), (3, 1.0)],
+    )
+    def test_install_rejects_what_the_wire_cannot_carry(self, basis, identifier):
+        switch = ZipLineEncoderSwitch(identifier_bits=6)
+        with pytest.raises(PipelineError):
+            switch.install_basis_mapping(basis, identifier)
+        assert switch.known_bases() == []
+        switch.install_basis_mapping(3, 63)
+        assert switch.known_bases() == [3]
 
 
 class TestDecoderSwitchFastPath:
-    def _build(self, fast):
-        switch = ZipLineDecoderSwitch(
-            transform=GDTransform(order=8), forwarding={0: 1}, fast=fast
+    @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
+    def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits):
+        compiled = _decoder(_transform(order, prefix_bits))
+        interpreted = _decoder(_transform(order, prefix_bits))
+        frames = _frame_mix(compiled.transform, compiled.headers, random.Random(7), 500)
+        _drive_twins(
+            compiled, interpreted, frames, DECODER_COUNTERS, "_identifier_table"
         )
-        delivered = []
-        switch.switch.attach_port(1, lambda frame, _time: delivered.append(frame))
-        mapping_rng = random.Random(8)
-        for identifier in range(40):
-            switch.install_identifier_mapping(
-                identifier, mapping_rng.getrandbits(switch.transform.code.k)
-            )
-        return switch, delivered
 
-    def test_equivalent_over_randomized_frame_mix(self):
-        fast_switch, fast_out = self._build(True)
-        slow_switch, slow_out = self._build(False)
-        assert fast_switch._fast_enabled
-        assert not slow_switch._fast_enabled
-        rng = random.Random(7)
-        frames = _frame_mix(fast_switch.transform, fast_switch.headers, rng, 500)
-        for frame in frames:
-            fast_result = fast_switch.receive(frame, 0)
-            slow_result = slow_switch.receive(frame, 0)
-            assert fast_result.frame == slow_result.frame
-            assert fast_result.egress_port == slow_result.egress_port
-        assert fast_out == slow_out
-        _diff_counters(fast_switch, slow_switch, DECODER_COUNTERS)
-        assert fast_switch.pipeline.summary() == slow_switch.pipeline.summary()
-        assert fast_switch._crc.invocations == slow_switch._crc.invocations
-        assert (
-            fast_switch.identifier_table.lookups
-            == slow_switch.identifier_table.lookups
-        )
-        assert fast_switch.identifier_table.hits == slow_switch.identifier_table.hits
-        assert fast_switch.switch.summary() == slow_switch.switch.summary()
+    @pytest.mark.parametrize(
+        "identifier, basis",
+        [(1, "x"), (1, -5), (1, 1 << 300), (999, 3), (-1, 3), ("i", 3), (1, 2.0)],
+    )
+    def test_install_rejects_what_the_wire_cannot_carry(self, identifier, basis):
+        """Table writes are validated once at install, not per packet."""
+        switch = ZipLineDecoderSwitch(identifier_bits=6)
+        with pytest.raises(PipelineError):
+            switch.install_identifier_mapping(identifier, basis)
+        assert list(switch.identifier_table.entries()) == []
+        switch.install_identifier_mapping(63, (1 << switch.transform.code.k) - 1)
+        assert switch.identifier_table.get_entry(63) is not None
 
-    def test_odd_basis_install_falls_back_without_double_counting(self):
-        """Regression: a non-int installed basis defers to the interpreted
-        path; the identifier table must be counted exactly once per frame."""
-        switch, _delivered = self._build(True)
-        switch.install_identifier_mapping(50, "not-an-int")
-        headers = switch.headers
-        code = switch.transform.code
-        value = ((0 << headers.identifier_bits) | 50) << code.m
-        value <<= headers.type3_padding_bits
-        frame = EthernetFrame(
-            DST, SRC, EtherType.ZIPLINE_COMPRESSED,
-            value.to_bytes(headers.type3.total_bytes, "big"),
-        ).to_bytes()
-        before_lookups = switch.identifier_table.lookups
-        with pytest.raises(Exception):
-            switch.receive(frame, 0)  # interpreted path rejects the basis
-        assert switch.identifier_table.lookups == before_lookups + 1
-        entry = switch.identifier_table.get_entry(50)
-        assert entry.hit_count == 1
+    @pytest.mark.parametrize(
+        "make_switch, command",
+        [
+            (
+                ZipLineDecoderSwitch,
+                {"op": "install_identifier", "identifier": 1, "basis": "not-an-int"},
+            ),
+            (
+                ZipLineDecoderSwitch,
+                {"op": "install_identifier", "identifier": 1 << 15, "basis": 3},
+            ),
+            (
+                ZipLineEncoderSwitch,
+                {"op": "install_basis", "basis": 3, "identifier": 1 << 15},
+            ),
+            (
+                ZipLineEncoderSwitch,
+                {"op": "install_basis", "basis": None, "identifier": 3},
+            ),
+        ],
+    )
+    def test_malformed_control_command_is_rejected_on_arrival(
+        self, make_switch, command
+    ):
+        switch = make_switch()
+        with pytest.raises(PipelineError):
+            apply_switch_command(switch, command)
+        if isinstance(switch, ZipLineDecoderSwitch):
+            table = switch.identifier_table
+        else:
+            table = switch.basis_table
+        assert list(table.entries()) == []
 
-    def test_encode_then_decode_restores_chunks_on_both_paths(self):
-        """Full loop: encoder output through the decoder, fast vs reference."""
+    @pytest.mark.parametrize("chunk_bits", [256, 264, 272])
+    def test_encode_then_decode_restores_chunks_on_both_paths(self, chunk_bits):
+        """Full loop: encoder output through the decoder, compiled vs interpreted.
+
+        A prefix wider than a byte (264, 272) runs the compiled programs
+        like any other: no frame of the loop reaches ``Pipeline.process``.
+        """
         rng = random.Random(99)
-        transform = GDTransform(order=8)
+        transform = GDTransform(order=8, chunk_bits=chunk_bits)
         code = transform.code
         chunks = []
         for _ in range(60):
             basis = rng.getrandbits(4)
             body = code.encode(basis) ^ (1 << rng.randrange(code.n))
             chunks.append(
-                ((rng.getrandbits(1) << code.n) | body).to_bytes(32, "big")
+                ((rng.getrandbits(transform.prefix_bits) << code.n) | body).to_bytes(
+                    transform.chunk_bytes, "big"
+                )
             )
-        for fast in (True, False):
-            encoder = ZipLineEncoderSwitch(
-                transform=GDTransform(order=8), forwarding={0: 1}, fast=fast
+        wires = []
+        for compiled in (True, False):
+            encoder = ZipLineEncoderSwitch(transform=transform, forwarding={0: 1})
+            decoder = ZipLineDecoderSwitch(transform=transform, forwarding={0: 1})
+            reached_pipeline = _count_process_calls(encoder) + _count_process_calls(
+                decoder
             )
-            decoder = ZipLineDecoderSwitch(
-                transform=GDTransform(order=8), forwarding={0: 1}, fast=fast
-            )
+            encode = encoder.receive if compiled else encoder.switch.receive
+            decode = decoder.receive if compiled else decoder.switch.receive
             wire = []
             encoder.switch.attach_port(1, lambda frame, _t: wire.append(frame))
             restored = []
@@ -267,98 +367,68 @@ class TestDecoderSwitchFastPath:
             seen = {}
             for chunk in chunks:
                 frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, chunk).to_bytes()
-                prefix, basis, _dev = encoder.transform.split_fields(chunk)
+                _prefix, basis, _dev = transform.split_fields(chunk)
                 if basis not in seen:
                     identifier = len(seen)
                     seen[basis] = identifier
                     encoder.install_basis_mapping(basis, identifier)
                     decoder.install_identifier_mapping(identifier, basis)
-                encoder.receive(frame, 0)
+                encode(frame, 0)
             for frame in wire:
-                decoder.receive(frame, 0)
-            payloads = [frame[14 : 14 + 32] for frame in restored]
-            assert payloads == chunks, f"fast={fast}"
+                decode(frame, 0)
+            payloads = [frame[14 : 14 + transform.chunk_bytes] for frame in restored]
+            assert payloads == chunks, f"compiled={compiled}"
+            if compiled:
+                assert reached_pipeline == []
+            wires.append(wire)
+        assert wires[0] == wires[1]
+
+
+class TestForwardingValidation:
+    """A bad egress port is a configuration error, not a first-packet error."""
+
+    @pytest.mark.parametrize("make_switch", [ZipLineEncoderSwitch, ZipLineDecoderSwitch])
+    def test_out_of_range_ports_are_rejected_when_configured(self, make_switch):
+        with pytest.raises(PipelineError):
+            make_switch(forwarding={0: 999})
+        with pytest.raises(PipelineError):
+            make_switch(forwarding={0: 4}, port_count=4)
+        with pytest.raises(PipelineError):
+            make_switch(default_egress_port=32)
+        switch = make_switch(forwarding={0: 1})
+        for ingress, egress in [(0, 999), (0, -1), (999, 1), (0, "1")]:
+            with pytest.raises(PipelineError):
+                switch.set_forwarding(ingress, egress)
+        assert switch.pipeline.summary()["packets_processed"] == 0
+        assert switch.switch.digest_engine.emitted == 0
+
+    def test_rejected_reconfiguration_leaves_forwarding_intact(self):
+        switch = ZipLineEncoderSwitch(forwarding={0: 1})
+        delivered = {1: [], 2: []}
+        for port, sink in delivered.items():
+            switch.switch.attach_port(port, lambda frame, _t, sink=sink: sink.append(frame))
+        frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, bytes(32)).to_bytes()
+        with pytest.raises(PipelineError):
+            switch.set_forwarding(0, 999)
+        assert switch.receive(frame, 0).egress_port == 1
+        switch.set_forwarding(0, 2)
+        assert switch.receive(frame, 0).egress_port == 2
+        assert [len(delivered[1]), len(delivered[2])] == [1, 1]
+        assert switch.switch.digest_engine.emitted == 2
+        assert switch.switch.port_stats(2).tx_packets == 1
 
 
 class TestReceiveBatch:
-    """Batched ingest is indistinguishable from per-frame receive calls.
-
-    ``receive_batch`` shares one CRC-extern batch call across co-resident
-    frames; every observable — emitted frames, counters, pipeline
-    summaries, table metadata, CRC invocation counts — must match the
-    per-frame path exactly, for both switch models.
-    """
-
-    def _chunked(self, frames, rng):
-        groups = []
-        index = 0
-        while index < len(frames):
-            size = rng.choice([1, 2, 3, 5, 8, 17])
-            groups.append(frames[index : index + size])
-            index += size
-        return groups
-
-    def _build_encoder(self):
-        switch = ZipLineEncoderSwitch(
-            transform=GDTransform(order=8), forwarding={0: 1}, fast=True
-        )
-        delivered = []
-        switch.switch.attach_port(1, lambda frame, _t: delivered.append(frame))
-        mapping_rng = random.Random(1)
-        for identifier in range(12):
-            switch.install_basis_mapping(mapping_rng.getrandbits(3), identifier)
-        return switch, delivered
-
-    def _build_decoder(self):
-        switch = ZipLineDecoderSwitch(
-            transform=GDTransform(order=8), forwarding={0: 1}, fast=True
-        )
-        delivered = []
-        switch.switch.attach_port(1, lambda frame, _t: delivered.append(frame))
-        mapping_rng = random.Random(8)
-        for identifier in range(40):
-            switch.install_identifier_mapping(
-                identifier, mapping_rng.getrandbits(switch.transform.code.k)
+    def test_frames_are_processed_in_arrival_order(self):
+        """``receive_batch`` is ``receive`` once per frame, in order."""
+        one_by_one, batched = _encoder(), _encoder()
+        frames = [
+            frame
+            for frame, _ in _frame_mix(
+                batched.transform, batched.headers, random.Random(7), 200
             )
-        return switch, delivered
-
-    @pytest.mark.parametrize("kind", ["encoder", "decoder"])
-    def test_equivalent_over_randomized_frame_mix(self, kind):
-        build = self._build_encoder if kind == "encoder" else self._build_decoder
-        base_switch, base_out = build()
-        batch_switch, batch_out = build()
-        rng = random.Random(7)
-        frames = _frame_mix(base_switch.transform, base_switch.headers, rng, 600)
-        base_results = [base_switch.receive(frame, 0) for frame in frames]
-        batch_results = []
-        for group in self._chunked(frames, random.Random(3)):
-            batch_results.extend(batch_switch.receive_batch(group, 0))
-        assert len(base_results) == len(batch_results)
-        for base, batch in zip(base_results, batch_results):
-            assert base.frame == batch.frame
-            assert base.egress_port == batch.egress_port
-            assert base.digests == batch.digests
-            assert base.latency == batch.latency
-        assert base_out == batch_out
-        labels = ENCODER_COUNTERS if kind == "encoder" else DECODER_COUNTERS
-        _diff_counters(base_switch, batch_switch, labels)
-        assert base_switch.pipeline.summary() == batch_switch.pipeline.summary()
-        assert base_switch._crc.invocations == batch_switch._crc.invocations
-        assert base_switch.switch.summary() == batch_switch.switch.summary()
-        table = "basis_table" if kind == "encoder" else "identifier_table"
-        assert getattr(base_switch, table).lookups == getattr(batch_switch, table).lookups
-        assert getattr(base_switch, table).hits == getattr(batch_switch, table).hits
-
-    def test_single_frame_batches_delegate(self):
-        switch, _ = self._build_encoder()
-        frames = _frame_mix(switch.transform, switch.headers, random.Random(5), 10)
-        results = switch.receive_batch(frames[:1], 0)
-        assert len(results) == 1
-
-    def test_interpreted_switch_falls_back_per_frame(self):
-        switch = ZipLineEncoderSwitch(
-            transform=GDTransform(order=8, fast=False), forwarding={0: 1}
-        )
-        frames = _frame_mix(switch.transform, switch.headers, random.Random(5), 20)
-        results = switch.receive_batch(frames, 0)
-        assert len(results) == len(frames)
+        ]
+        expected = [one_by_one.receive(frame, 0) for frame in frames]
+        assert batched.receive_batch(frames, 0) == expected
+        assert batched.switch.summary() == one_by_one.switch.summary()
+        assert batched.receive_batch([], 0) == []
