@@ -3,11 +3,11 @@
 The whole software reproduction leans on one inner loop: the polynomial
 remainder that turns a chunk into its Hamming syndrome (and, in the decode
 direction, a basis into its parity bits).  This microbenchmark pins down the
-speedup of the shared 256-entry lookup tables (:func:`repro.core.crc.crc_table`)
-over the two slow references — direct GF(2) division (``poly_mod``, the old
-``compute_bits`` path) and the bit-serial Rocksoft loop — on the chunk sizes
-the paper uses (255-bit for order 8, 511-bit for order 9), plus the plain
-CRC-32 of a 1500-byte frame.
+speedup of ``CrcEngine.compute`` — the byte loop over the shared 256-entry
+table, :func:`repro.core.crc.remainder_table` at ``distance == width`` — over
+the two slow references, direct GF(2) division (``poly_mod``) and the
+bit-serial Rocksoft loop, on the chunk sizes the paper uses (255-bit for
+order 8, 511-bit for order 9), plus the plain CRC-32 of a 1500-byte frame.
 
 Results land in ``benchmarks/results/crc_fastpath.json`` so the performance
 trajectory of the hot path is tracked PR over PR.  Set
@@ -24,7 +24,6 @@ from repro.core.crc import (
     CRC32_ETHERNET,
     CrcEngine,
     poly_mod,
-    poly_mod_table,
     syndrome_crc,
 )
 from repro.core.polynomials import polynomial_for_order
@@ -63,12 +62,11 @@ def _syndrome_case(order, chunk_bits, rng):
     # bit-serial reference (spot checked, the reference is very slow).
     for value in values[: CHUNKS // 10]:
         expected = poly_mod(value, full)
-        assert poly_mod_table(value, parameter, order) == expected
-        assert engine.compute_bits(value, chunk_bits) == expected
+        assert engine.compute(value, chunk_bits) == expected
         assert engine.compute_bits_reference(value, chunk_bits) == expected
 
     bitwise = _time_best(lambda v: poly_mod(v, full), values)
-    table = _time_best(lambda v: poly_mod_table(v, parameter, order), values)
+    table = _time_best(lambda v: engine.compute(v, chunk_bits), values)
     return {
         "order": order,
         "chunk_bits": chunk_bits,
@@ -105,7 +103,7 @@ def test_crc_fastpath_speedup(benchmark):
     frames = [rng.getrandbits(1500 * 8).to_bytes(1500, "big") for _ in range(64)]
     for frame in frames[:4]:
         value = int.from_bytes(frame, "big")
-        assert engine.compute_bytes(frame) == engine.compute_bits_reference(
+        assert engine.compute(frame) == engine.compute_bits_reference(
             value, len(frame) * 8
         )
     serial = _time_best(
@@ -113,7 +111,7 @@ def test_crc_fastpath_speedup(benchmark):
         frames,
         repeats=1,
     )
-    table32 = _time_best(engine.compute_bytes, frames)
+    table32 = _time_best(engine.compute, frames)
     results["crc32_1500B"] = {
         "serial_us_per_frame": serial * 1e6 / len(frames),
         "table_us_per_frame": table32 * 1e6 / len(frames),
@@ -139,9 +137,9 @@ def test_crc_fastpath_speedup(benchmark):
     save_results_json(RESULTS_DIR / "crc_fastpath.json", results)
 
     # The benchmarked hot path: one 255-bit syndrome via the table.
-    parameter = polynomial_for_order(8).crc_parameter
+    engine = syndrome_crc(polynomial_for_order(8).crc_parameter, 8)
     value = rng.getrandbits(255)
-    benchmark(lambda: poly_mod_table(value, parameter, 8))
+    benchmark(lambda: engine.compute(value, 255))
 
     speedup_255 = results["syndrome_m8_255b"]["speedup"]
     assert speedup_255 >= MIN_SPEEDUP_255, (

@@ -255,8 +255,8 @@ def test_hotpath_trajectory():
     # Whole-buffer batch CRC reference: the switch fast path's chunk CRC
     # (plain remainder over one chunk width), pure fold.
     crc_record_bits = 8 * chunk_bytes
-    pure_crcs = fast_transform.code.crc_engine.compute_batch_pure(
-        data, crc_record_bits
+    pure_crcs = fast_transform.code.crc_engine.compute_batch(
+        data, crc_record_bits, backend="pure"
     )
     # Container reference: every record's own ``to_bytes`` behind its tag
     # byte — every backend's pipeline must produce these exact bytes.

@@ -26,7 +26,7 @@ def test_table2_equivalence(benchmark):
     for error_position in range(7):
         sequence = 1 << error_position
         hamming_syndrome = code_7_4.syndrome_of_error_position(error_position)
-        crc_value = crc3.compute_bits(sequence, 7)
+        crc_value = crc3.compute(sequence, 7)
         rows.append(
             [
                 error_position,
@@ -70,7 +70,7 @@ def test_syndrome_matches_crc_for_paper_order(benchmark):
 
     def check_all_positions():
         for position in range(code.n):
-            assert code.syndrome_of_error_position(position) == crc8.compute_bits(
+            assert code.syndrome_of_error_position(position) == crc8.compute(
                 1 << position, code.n
             )
         return code.n

@@ -9,7 +9,9 @@ are skipped — no network access, so CI stays hermetic.
 
 Also checks that every ``REPRO_*`` environment variable the user-facing
 docs (``README.md``, ``docs/*.md``) name is one some code still reads, so
-a removed knob cannot stay documented.
+a removed knob cannot stay documented, and that every backticked
+``repro.<dotted.name>`` they spell resolves by import + ``getattr``, so a
+removed function cannot either.
 
     python scripts/check_docs_links.py            # exit 1 on any stale reference
     python scripts/check_docs_links.py --verbose  # also list every checked link
@@ -18,6 +20,7 @@ a removed knob cannot stay documented.
 from __future__ import annotations
 
 import argparse
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -42,6 +45,10 @@ _ENV_VAR = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
 #: provenance record without acting on it, and has its own README.
 _ENV_READERS = ("src", "benchmarks")
 _ENV_READERS_EXCLUDED = ("benchmarks/stack",)
+
+#: A dotted name of this package right after a backtick: the name ends where
+#: the identifier characters do, so a call's argument list may follow it.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 
 def markdown_files() -> List[Path]:
@@ -82,24 +89,48 @@ def environment_variables_read() -> Set[str]:
     return names
 
 
-def stale_environment_variables() -> List[str]:
-    """``file:line`` findings for documented variables no code reads."""
-    read = environment_variables_read()
-    findings: List[str] = []
+def user_doc_lines() -> Iterator[Tuple[str, str]]:
+    """``(file:line, text)`` for every line of the user-facing docs."""
     for path in user_doc_files():
         for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
-            for name in sorted(set(_ENV_VAR.findall(line)) - read):
-                findings.append(
-                    f"{path.relative_to(REPO_ROOT)}:{number}: documents {name}, "
-                    f"which nothing under {' or '.join(_ENV_READERS)}/ reads"
-                )
-    return findings
+            yield f"{path.relative_to(REPO_ROOT)}:{number}", line
+
+
+def stale_environment_variables() -> List[str]:
+    """``file:line`` findings for documented variables no code reads."""
+    read = environment_variables_read()
+    return [
+        f"{where}: documents {name}, "
+        f"which nothing under {' or '.join(_ENV_READERS)}/ reads"
+        for where, line in user_doc_lines()
+        for name in sorted(set(_ENV_VAR.findall(line)) - read)
+    ]
+
+
+def resolves(name: str) -> bool:
+    """True when ``name`` is a module, or an attribute chain off one."""
+    try:
+        pkgutil.resolve_name(name)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def stale_dotted_names() -> List[str]:
+    """``file:line`` findings for documented ``repro.*`` names that are gone."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    return [
+        f"{where}: names `{name}`, which does not resolve"
+        for where, line in user_doc_lines()
+        for name in sorted(set(_DOTTED_NAME.findall(line)))
+        if not resolves(name)
+    ]
 
 
 def check(verbose: bool = False) -> int:
-    broken: List[str] = stale_environment_variables()
+    broken: List[str] = stale_environment_variables() + stale_dotted_names()
     checked = 0
     for path in markdown_files():
         for line_number, target in iter_links(path):
@@ -125,7 +156,7 @@ def check(verbose: bool = False) -> int:
     print(f"all {checked} relative links resolve across {len(markdown_files())} files")
     print(
         f"every REPRO_* variable in {len(user_doc_files())} user-facing docs is read "
-        "by code"
+        "by code, every `repro.*` name resolves"
     )
     return 0
 

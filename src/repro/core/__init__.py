@@ -25,8 +25,7 @@ from repro.core.crc import (
     CRC32_ETHERNET,
     CrcEngine,
     CrcParameters,
-    crc_table,
-    poly_mod_table,
+    remainder_table,
     syndrome_crc,
 )
 from repro.core.engine import (
@@ -70,8 +69,7 @@ __all__ = [
     "CRC32_ETHERNET",
     "CrcEngine",
     "CrcParameters",
-    "crc_table",
-    "poly_mod_table",
+    "remainder_table",
     "syndrome_crc",
     "Compressor",
     "DedupStreamCompressor",

@@ -210,7 +210,7 @@ class CodecBackend:
 
         ``parameters`` is a :class:`repro.core.crc.CrcParameters`.  The
         default is ``False``: batch CRC support is opt-in per backend, and
-        :meth:`CrcEngine.compute_batch` falls back to its pure slice-by-N
+        :meth:`CrcEngine.compute_batch` falls back to its pure per-byte
         fold for backends that decline.
         """
         return False
@@ -236,8 +236,9 @@ class CodecBackend:
         raise NotImplementedError
 
     def crc_batch(self, engine, data, record_bits: int) -> List[int]:
-        """CRC of every fixed-size record in ``data`` (see
-        :meth:`repro.core.crc.CrcEngine.compute_batch`)."""
+        """CRC of every fixed-size record in ``data``: a non-empty whole
+        number of records, as :meth:`repro.core.crc.CrcEngine.compute_batch`
+        (the caller) has already checked."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

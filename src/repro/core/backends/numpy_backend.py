@@ -10,8 +10,8 @@ networks become ndarray gathers through precomputed byte-lane fold tables.
 The batch split runs entirely on ``(count, chunk_bytes)`` views of the
 input buffer:
 
-1. **Syndromes** — the per-byte-lane contribution tables from
-   :func:`repro.core.crc.lane_tables` are paired into 65536-entry
+1. **Syndromes** — the per-byte-position tables from
+   :func:`repro.core.crc.record_tables` are paired into 65536-entry
    ``uint16``-indexed tables (two byte lanes per gather), and the body
    syndrome of every chunk is the XOR-fold of the gathered lanes.  The
    prefix bits are masked off *before* the fold, so no per-prefix syndrome
@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
-from repro.core.crc import lane_tables, reflect_bits
+from repro.core.crc import record_tables, reflect_bits
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = ["NumpyBackend"]
@@ -73,37 +73,36 @@ def _numpy() -> Tuple[Optional[object], str]:
     return _PROBE
 
 
-def _build_fold(np, polynomial: int, width: int, length: int):
-    """Gather tables folding ``length``-byte rows to their remainders.
+def _gather_tables(np, tables, width: int):
+    """Gather tables folding rows of ``len(tables)`` bytes to remainders.
 
-    Returns ``("pairs", tables)`` — 65536-entry tables indexed by a
-    big-endian ``uint16`` view, two byte lanes per gather — when the row
-    length is even, else ``("bytes", tables)`` with one 256-entry table
-    per byte lane.
+    ``tables`` are the per-position :func:`~repro.core.crc.record_tables`
+    of a ``width``-bit CRC, re-packed as ndarrays at the dtype the width
+    needs.  Returns ``(paired, arrays)``: when the row length is even and
+    the CRC fits 16 bits, adjacent byte lanes are paired into 65536-entry
+    tables indexed by a big-endian ``uint16`` view (two lanes per gather);
+    otherwise one 256-entry table per byte lane.
     """
-    lanes = lane_tables(polynomial, width, length)
-    if length % 2 == 0:
-        tables = []
-        for index in range(0, length, 2):
-            high = np.frombuffer(lanes[index], dtype=np.uint8)
-            low = np.frombuffer(lanes[index + 1], dtype=np.uint8)
-            tables.append(np.bitwise_xor(high[:, None], low[None, :]).reshape(-1))
-        return ("pairs", tables)
-    return ("bytes", [np.frombuffer(table, dtype=np.uint8) for table in lanes])
+    dtype = np.min_scalar_type((1 << width) - 1)
+    arrays = [np.fromiter(table, dtype=dtype, count=256) for table in tables]
+    if len(arrays) % 2 or width > 16:
+        return (False, arrays)
+    return (
+        True,
+        [
+            np.bitwise_xor(high[:, None], low[None, :]).reshape(-1)
+            for high, low in zip(arrays[0::2], arrays[1::2])
+        ],
+    )
 
 
-def _fold_rows(np, rows, fold):
-    """XOR-fold ``(count, length)`` uint8 rows to per-row remainders."""
-    mode, tables = fold
-    if mode == "pairs":
-        columns = rows.view(">u2")
-        accumulator = tables[0][columns[:, 0]]
-        for index in range(1, len(tables)):
-            accumulator = accumulator ^ tables[index][columns[:, index]]
-        return accumulator
-    accumulator = tables[0][rows[:, 0]]
+def _fold_rows(rows, fold):
+    """XOR-fold contiguous ``(count, length)`` uint8 rows to remainders."""
+    paired, tables = fold
+    columns = rows.view(">u2") if paired else rows
+    accumulator = tables[0][columns[:, 0]]
     for index in range(1, len(tables)):
-        accumulator = accumulator ^ tables[index][rows[:, index]]
+        accumulator = accumulator ^ tables[index][columns[:, index]]
     return accumulator
 
 
@@ -149,7 +148,9 @@ class _SplitState:
             elif low_bit < n:
                 keep[column] = (1 << (n - low_bit)) - 1
         self.keep_mask = keep
-        self.fold = _build_fold(np, code.crc_parameter, m, length)
+        self.fold = _gather_tables(
+            np, record_tables(code.crc_parameter, m, length), m
+        )
         positions = np.full(1 << m, -1, dtype=np.int16)
         for syndrome, position in enumerate(code.syndrome_table.positions):
             if position is not None:
@@ -176,7 +177,7 @@ class _SplitState:
                 f"chunk value does not fit in {self.chunk_bits} bits"
             )
         rows = raw & self.keep_mask
-        deviations = _fold_rows(np, rows, self.fold)
+        deviations = _fold_rows(rows, self.fold)
         if self.prefix_bits:
             head = raw[:, 0].astype(np.uint32)
             for column in range(1, self.head_bytes):
@@ -209,7 +210,9 @@ class _ParityState:
 
     def __init__(self, np, code):
         self.parity_bytes = (code.n + 7) // 8
-        self.fold = _build_fold(np, code.crc_parameter, code.m, self.parity_bytes)
+        self.fold = _gather_tables(
+            np, record_tables(code.crc_parameter, code.m, self.parity_bytes), code.m
+        )
 
     def rows(self, np, m: int, bases: Sequence[int]):
         """``basis * x**m`` of every basis as ``(count, parity_bytes)`` rows.
@@ -268,12 +271,8 @@ def _materialize_columns(
 class _CrcBatchState:
     """Per-(parameters, record width) constants for the whole-batch CRC fold.
 
-    The per-position tables come from the engine's own batch state — the
-    shared :func:`repro.core.crc.slice_table` registry — re-packed as
-    ndarray gather tables: adjacent byte lanes are paired into 65536-entry
-    ``uint16``-indexed tables when the CRC fits 16 bits (two lanes per
-    gather, the transform-split trick), wider CRCs gather one 256-entry
-    table per lane at the matching dtype.
+    The per-position tables come from the engine's own batch state, folded
+    through the same gather tables as the transform split.
     """
 
     __slots__ = (
@@ -284,8 +283,7 @@ class _CrcBatchState:
         "reflect_in",
         "reflect_out",
         "xor_out",
-        "fold_mode",
-        "fold_tables",
+        "fold",
         "reflect_table",
     )
 
@@ -301,26 +299,7 @@ class _CrcBatchState:
         self.reflect_in = params.reflect_in
         self.reflect_out = params.reflect_out
         self.xor_out = params.xor_out
-        if self.width <= 8:
-            dtype = np.uint8
-        elif self.width <= 16:
-            dtype = np.uint16
-        elif self.width <= 32:
-            dtype = np.uint32
-        else:
-            dtype = np.uint64
-        arrays = [np.array(table, dtype=dtype) for table in tables]
-        if record_bytes >= 2 and record_bytes % 2 == 0 and self.width <= 16:
-            self.fold_mode = "pairs"
-            self.fold_tables = [
-                np.bitwise_xor(
-                    arrays[index][:, None], arrays[index + 1][None, :]
-                ).reshape(-1)
-                for index in range(0, record_bytes, 2)
-            ]
-        else:
-            self.fold_mode = "bytes"
-            self.fold_tables = arrays
+        self.fold = _gather_tables(np, tables, self.width)
         byte_reflect = [reflect_bits(value, 8) for value in range(256)]
         self.reflect_table = (
             np.array(byte_reflect, dtype=np.uint8) if params.reflect_in else None,
@@ -328,18 +307,7 @@ class _CrcBatchState:
         )
 
     def compute(self, np, data, record_bits: int) -> List[int]:
-        buf = bytes(data)
-        total = len(buf)
-        record_bytes = self.record_bytes
-        if total % record_bytes:
-            raise CodingError(
-                f"buffer of {total} bytes is not a whole number of "
-                f"{record_bytes}-byte records"
-            )
-        count = total // record_bytes
-        if count == 0:
-            return []
-        rows = np.frombuffer(buf, dtype=np.uint8).reshape(count, record_bytes)
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, self.record_bytes)
         if self.extra:
             bad = rows[:, 0] >> (8 - self.extra)
             if bad.any():
@@ -349,18 +317,7 @@ class _CrcBatchState:
                 )
         if self.reflect_in:
             rows = self.reflect_table[0][rows]
-        tables = self.fold_tables
-        if self.fold_mode == "pairs":
-            columns = rows.view(">u2") if rows.flags["C_CONTIGUOUS"] else (
-                np.ascontiguousarray(rows).view(">u2")
-            )
-            accumulator = tables[0][columns[:, 0]]
-            for index in range(1, len(tables)):
-                accumulator = accumulator ^ tables[index][columns[:, index]]
-        else:
-            accumulator = tables[0][rows[:, 0]]
-            for index in range(1, len(tables)):
-                accumulator = accumulator ^ tables[index][rows[:, index]]
+        accumulator = _fold_rows(rows, self.fold)
         if self.init_term:
             accumulator = accumulator ^ accumulator.dtype.type(self.init_term)
         if self.reflect_out:
@@ -471,7 +428,7 @@ class NumpyBackend(CodecBackend):
             return b""
         np = _numpy()[0]
         state = self._parity_state(np, code)
-        return _fold_rows(np, state.rows(np, code.m, bases), state.fold).tobytes()
+        return _fold_rows(state.rows(np, code.m, bases), state.fold).tobytes()
 
     def join_batch_to_bytes(
         self,
@@ -492,7 +449,7 @@ class NumpyBackend(CodecBackend):
         rows = parity_state.rows(np, state.m, bases)
         # Parity bits are the remainder of basis * x**m — the same fold as
         # the forward syndrome, applied to the zero-padded basis rows.
-        parities = _fold_rows(np, rows, parity_state.fold)
+        parities = _fold_rows(rows, parity_state.fold)
         if parity_bytes == length:
             chunks = rows.copy()
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
-from repro.core.crc import lane_tables
+from repro.core.crc import lane_remainders, record_tables
 from repro.exceptions import ChunkSizeError
 
 __all__ = ["PureBackend"]
@@ -56,48 +56,28 @@ class PureBackend(CodecBackend):
         # syndrome without isolating (re-serialising) the body.  That term
         # is the prefix itself unless it is wider than the syndrome.
         prefix_syndrome = code.prefix_syndrome
-        if m <= 8 and total:
+        offsets = range(0, total, chunk_bytes)
+        if m <= 8:
             # Bulk lane pass: every chunk's raw-buffer syndrome at once, at
-            # C speed — slice the buffer into its byte lanes, translate each
-            # lane through its contribution table, XOR the lanes as big
-            # integers.  The per-chunk Python work then collapses to one
+            # C speed.  The per-chunk Python work then collapses to one
             # ``int.from_bytes`` plus a handful of arithmetic ops.
             buf = data if isinstance(data, (bytes, bytearray)) else bytes(view)
-            accumulator = 0
-            for position, lane_table in enumerate(
-                lane_tables(code.crc_parameter, m, chunk_bytes)
-            ):
-                accumulator ^= from_bytes(
-                    buf[position::chunk_bytes].translate(lane_table), "big"
-                )
-            raw_syndromes = accumulator.to_bytes(total // chunk_bytes, "big")
-            index = 0
-            for offset in range(0, total, chunk_bytes):
-                value = from_bytes(buf[offset : offset + chunk_bytes], "big")
-                if not aligned and value >> chunk_bits:
-                    raise ChunkSizeError(
-                        f"chunk value does not fit in {chunk_bits} bits"
-                    )
-                prefix = value >> n
-                deviation = raw_syndromes[index]
-                index += 1
-                if prefix:
-                    deviation ^= prefix_syndrome(prefix) if prefix >> m else prefix
-                append(
-                    (prefix, ((value & body_mask) ^ masks[deviation]) >> m, deviation)
-                )
-            return BatchSplit.from_fields(fields, backend=self.name)
-
-        remainder = code.byte_remainder
-        for offset in range(0, total, chunk_bytes):
-            piece = view[offset : offset + chunk_bytes]
-            value = from_bytes(piece, "big")
+            raw_syndromes = lane_remainders(
+                record_tables(code.crc_parameter, m, chunk_bytes), buf
+            )
+        else:
+            buf = view
+            remainder = code.byte_remainder
+            raw_syndromes = [
+                remainder(view[offset : offset + chunk_bytes]) for offset in offsets
+            ]
+        for offset, deviation in zip(offsets, raw_syndromes):
+            value = from_bytes(buf[offset : offset + chunk_bytes], "big")
             if not aligned and value >> chunk_bits:
                 raise ChunkSizeError(
                     f"chunk value does not fit in {chunk_bits} bits"
                 )
             prefix = value >> n
-            deviation = remainder(piece)
             if prefix:
                 deviation ^= prefix_syndrome(prefix) if prefix >> m else prefix
             append(

@@ -12,25 +12,26 @@ This module provides:
 * :class:`CrcParameters` — the full parameter set of a CRC (polynomial,
   width, init, reflect-in/out, xor-out, augmentation), mirroring what the
   Tofino CRC extern exposes to P4 programs;
-* :class:`CrcEngine` — a table-driven, byte-at-a-time fast path (the
-  software analogue of the per-word XOR networks in hardware CRC engines),
-  a bit-serial Rocksoft-model reference implementation, and direct GF(2)
-  division for short messages;
-* :func:`crc_table` / :func:`poly_mod_table` — the process-wide registry of
-  256-entry lookup tables, keyed by polynomial parameters and shared between
-  every engine instance (including the Tofino CRC extern model);
+* :class:`CrcEngine` — the bit-serial Rocksoft-model reference
+  (``compute_bits_reference``), one record through the byte loop
+  (``compute``) and a whole buffer of records (``compute_batch``);
+* :func:`remainder_table` — the one derivation every lookup table is read
+  from, cached process-wide; the byte table, the per-position
+  :func:`record_tables` and the byte lanes of :func:`lane_remainders` are
+  that function at different distances;
 * :func:`syndrome_crc` — the convenience constructor used by the GD code
   (plain remainder mode).
 
-The different code paths are cross-checked in the test suite, including
-property-based tests of CRC linearity (``crc(a ^ b) == crc(a) ^ crc(b)`` in
-the linear modes) and table-vs-bitwise equivalence across random
-polynomials and non-byte-aligned message widths.
+The table-driven paths are cross-checked in the test suite against the
+bit-serial reference and :func:`poly_mod`, neither of which touches the
+table derivation, across random polynomials, non-byte-aligned message
+widths and the full Rocksoft variant space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bits import BitVector, mask
@@ -48,12 +49,10 @@ __all__ = [
     "poly_mulmod",
     "poly_gcd",
     "is_primitive_polynomial",
-    "crc_table",
-    "poly_mod_table",
+    "remainder_table",
+    "record_tables",
+    "lane_remainders",
     "byte_remainder_function",
-    "lane_tables",
-    "slice_table",
-    "slice_tables",
     "CRC32_ETHERNET",
     "CRC16_CCITT",
     "CRC8_ATM",
@@ -181,243 +180,101 @@ def _prime_factors(value: int) -> List[int]:
     return factors
 
 
-# -- table-driven fast path ---------------------------------------------------
+# -- table derivation ----------------------------------------------------------
 #
 # A hardware CRC engine (the Tofino extern, the LiteEth/MiSoC MAC cores)
-# reduces a full data word per clock through a precomputed XOR network.  The
-# software equivalent is byte-at-a-time reduction through a 256-entry lookup
-# table: entry ``i`` holds ``(i * x**width) mod g(x)``, so absorbing one
-# message byte costs one table lookup instead of eight shift/XOR steps.
-# Tables are cached process-wide, keyed by the polynomial parameters, and
-# shared by every consumer (Hamming codes, the codec, the Tofino extern
-# model) — building one costs 256 polynomial divisions, using it is O(1).
+# unrolls the LFSR across a whole data word: a message bit with ``i`` bits
+# following it contributes the constant ``x**i mod g`` to the remainder.
+# The software form is a 256-entry table per message byte: with ``distance``
+# bits following the byte, its bit ``j`` contributes the column
+# ``x**(distance + j) mod g`` and entry ``b`` is the XOR of the columns
+# ``b`` selects.  Every table in the code base is that one function of
+# ``(polynomial, width, distance)``; consumers differ only in the distances
+# they read.
 
-#: Process-wide table registry: (polynomial-without-leading-term, width) ->
-#: 256-entry tuple.
-_TABLE_REGISTRY: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-#: Bit-reversal of every byte value, used by the reflected input/output modes.
-_BYTE_REFLECT: Tuple[int, ...] = tuple(
-    sum(((i >> bit) & 1) << (7 - bit) for bit in range(8)) for i in range(256)
-)
-
-#: The same reversal as a ``bytes.translate`` table (whole-buffer reflection).
-_BYTE_REFLECT_BYTES: bytes = bytes(_BYTE_REFLECT)
-
-#: Lazily-imported backend registry module (importing it eagerly would be a
-#: cycle: the backends import this module for the shared tables).
-_BACKENDS_MODULE = None
+#: Bit-reversal of every byte value as a ``bytes.translate`` table, used by
+#: the reflected input/output modes.
+_BYTE_REFLECT: bytes = bytes(reflect_bits(value, 8) for value in range(256))
 
 
-def _backends():
-    global _BACKENDS_MODULE
-    if _BACKENDS_MODULE is None:
-        from repro.core import backends
+def _columns(full_polynomial: int, start: int, count: int):
+    """Yield ``x**i mod g`` for ``i = start .. start + count - 1``.
 
-        _BACKENDS_MODULE = backends
-    return _BACKENDS_MODULE
+    The first column comes from square-and-multiply, the rest from stepping
+    the LFSR: multiply by ``x`` and cancel the leading term with ``g``.
+    """
+    column = _poly_pow_x(start, full_polynomial)
+    top_bit = 1 << polynomial_degree(full_polynomial)
+    for _ in range(count):
+        yield column
+        column <<= 1
+        if column & top_bit:
+            column ^= full_polynomial
 
-#: Messages shorter than this stay on the direct-division path: for a couple
-#: of bytes the table set-up (``int.to_bytes`` plus loop overhead) costs more
-#: than it saves.
-_TABLE_MIN_BITS = 16
 
-
-def crc_table(polynomial: int, width: int) -> Tuple[int, ...]:
-    """The shared 256-entry lookup table for a CRC polynomial.
+@cache
+def remainder_table(polynomial: int, width: int, distance: int) -> Sequence[int]:
+    """The shared 256-entry table ``table[b] == (b * x**distance) mod g(x)``.
 
     ``polynomial`` is given without the implicit leading ``x**width`` term
-    (the Table 1 convention).  Entry ``i`` equals
-    ``(i << width) mod full_polynomial`` — the remainder contributed by a
-    message byte ``i`` that still has ``width`` bits following it.  Tables
-    are built once per parameter pair and shared process-wide, exactly like
-    the single CRC unit that all ZipLine pipeline stages share on the ASIC.
+    (the Table 1 convention).  Entry ``b`` is what a message byte ``b``
+    adds to the remainder when ``distance`` more bits follow it:
+    ``distance == width`` is the classic byte-at-a-time CRC table,
+    ``distance == 8 * d`` the lane of a byte followed by ``d`` whole bytes.
+    Built as the XOR-span of eight columns; a ``bytes`` object when
+    ``width <= 8``, so it indexes *and* drives ``bytes.translate``.
+
+    This cache is the only table store in the code base: every consumer
+    shares one table per key, exactly like the single CRC unit all ZipLine
+    pipeline stages share on the ASIC.
     """
-    key = (polynomial, width)
-    table = _TABLE_REGISTRY.get(key)
-    if table is None:
-        if width <= 0:
-            raise CodingError(f"CRC width must be positive, got {width}")
-        if polynomial <= 0 or polynomial >> width:
-            raise CodingError(
-                f"polynomial {polynomial:#x} must be non-zero and fit in "
-                f"{width} bits (leading term is implicit)"
-            )
-        full = (1 << width) | polynomial
-        table = tuple(poly_mod(index << width, full) for index in range(256))
-        _TABLE_REGISTRY[key] = table
-    return table
-
-
-def _table_remainder(value: int, table: Sequence[int], width: int) -> int:
-    """GF(2) remainder of ``value`` via byte-wise table reduction.
-
-    Equivalent to ``poly_mod(value, (1 << width) | polynomial)`` for the
-    table built by :func:`crc_table`.  Handles non-byte-aligned messages for
-    free: leading zero bits contribute nothing to the remainder, so the
-    integer is simply serialised from its own most significant byte (a
-    255-bit chunk becomes 32 bytes whose top bit is zero).
-    """
-    if value <= 0:
-        if value == 0:
-            return 0
-        raise CodingError(f"value must be non-negative, got {value}")
-    data = value.to_bytes((value.bit_length() + 7) // 8, "big")
-    register = 0
-    if width == 8:
-        # The GD hot path (order-8 Hamming syndromes): the generic recurrence
-        # collapses to a single lookup per byte.
-        for byte in data:
-            register = table[register] ^ byte
-        return register
-    reg_mask = mask(width)
-    for byte in data:
-        shifted = (register << 8) ^ byte
-        register = table[shifted >> width] ^ (shifted & reg_mask)
-    return register
-
-
-def poly_mod_table(value: int, polynomial: int, width: int) -> int:
-    """Table-accelerated GF(2) remainder modulo ``(1 << width) | polynomial``.
-
-    Drop-in replacement for ``poly_mod(value, full_polynomial)`` on hot
-    paths; the Hamming decode direction uses it to recover parity bits from
-    a 247-bit basis in 31 table lookups instead of ~250 shift/XOR rounds.
-    """
-    return _table_remainder(value, crc_table(polynomial, width), width)
-
-
-#: Widened slice-by-N tables: (polynomial, width) -> {bit distance -> 256-entry
-#: tuple}.  Entry ``b`` of the distance-``D`` table is ``(b * x**D) mod g(x)``:
-#: the remainder contribution of a message byte with ``D`` bits following it.
-#: This generalises the classic table (distance = ``width``) and the byte
-#: lanes (distance = ``8*d``) into one registry, so the batch CRC engine, the
-#: Hamming lane path and the Tofino CRC extern model all share one build per
-#: polynomial.  The distance-``width`` entry *is* the :func:`crc_table` tuple.
-_SLICE_REGISTRY: Dict[Tuple[int, int], Dict[int, Tuple[int, ...]]] = {}
-
-
-def slice_table(polynomial: int, width: int, distance: int) -> Tuple[int, ...]:
-    """The shared 256-entry contribution table at a given bit ``distance``.
-
-    ``table[b] == (b * x**distance) mod g(x)`` — what a message byte ``b``
-    adds to the remainder when ``distance`` more bits follow it.  This is
-    the LiteEthMACCRCEngine construction in table form: the parallel
-    next-state network for a whole word is the XOR of one such table per
-    byte lane.  Tables are derived incrementally (one byte-table step per
-    8 bits of distance) and cached process-wide; ``distance == width``
-    aliases the exact :func:`crc_table` tuple, so no consumer ever builds
-    a duplicate table for the same polynomial.
-    """
+    if width <= 0:
+        raise CodingError(f"CRC width must be positive, got {width}")
+    if polynomial <= 0 or polynomial >> width:
+        raise CodingError(
+            f"polynomial {polynomial:#x} must be non-zero and fit in "
+            f"{width} bits (leading term is implicit)"
+        )
     if distance < 0:
         raise CodingError(f"bit distance must be non-negative, got {distance}")
-    key = (polynomial, width)
-    tables = _SLICE_REGISTRY.get(key)
-    if tables is None:
-        tables = _SLICE_REGISTRY[key] = {}
-    table = tables.get(distance)
-    if table is not None:
-        return table
-    if distance == width:
-        table = crc_table(polynomial, width)
-        tables[distance] = table
-        return table
-    byte_table = crc_table(polynomial, width)  # validates the parameters
-    full = (1 << width) | polynomial
-    if distance < 8:
-        table = tuple(poly_mod(byte << distance, full) for byte in range(256))
-        tables[distance] = table
-        return table
-    # Walk down the distance ladder to the nearest cached ancestor (same
-    # residue class mod 8), then step back up: multiplying a residue by
-    # x**8 is one round of the shared byte table.
-    start = distance
-    while start >= 8 and start not in tables:
-        start -= 8
-    if start not in tables:
-        if start == width:
-            tables[start] = crc_table(polynomial, width)
-        else:
-            tables[start] = tuple(
-                poly_mod(byte << start, full) for byte in range(256)
-            )
-    reg_mask = mask(width)
-    current = tables[start]
-    while start < distance:
-        start += 8
-        step = tables.get(start)
-        if step is None:
-            step = tuple(
-                byte_table[(residue << 8) >> width] ^ ((residue << 8) & reg_mask)
-                for residue in current
-            )
-            tables[start] = step
-        current = step
-    return current
+    entries = [0]
+    for column in _columns((1 << width) | polynomial, distance, 8):
+        entries += [entry ^ column for entry in entries]
+    return bytes(entries) if width <= 8 else tuple(entries)
 
 
-def slice_tables(
+def record_tables(
     polynomial: int, width: int, length: int, shift: int = 0
-) -> List[Tuple[int, ...]]:
-    """Per-position slice tables for ``length``-byte records.
+) -> List[Sequence[int]]:
+    """The table of every byte position of a ``length``-byte record.
 
     Position ``p`` of an ``L``-byte record sits ``8*(L-1-p)`` bits above the
     end of the message; ``shift`` adds the ``x**width`` pre-multiplication of
     augmented CRCs.  The remainder of a whole record is then the XOR of one
-    table lookup per byte — the slice-by-8/16 fold widened to the full
-    record, exactly how a hardware engine absorbs a whole word per clock.
+    table lookup per byte, exactly how a hardware engine absorbs a whole
+    word per clock.
     """
-    if length <= 0:
-        raise CodingError(f"record length must be positive, got {length}")
     return [
-        slice_table(polynomial, width, 8 * (length - 1 - position) + shift)
+        remainder_table(polynomial, width, 8 * (length - 1 - position) + shift)
         for position in range(length)
     ]
 
 
-#: Per-byte-lane contribution tables: (polynomial, width) -> list where entry
-#: ``d`` is a 256-byte translation table mapping a message byte to its
-#: remainder contribution when ``d`` whole bytes follow it in the message.
-#: Grown lazily as longer messages are seen; the *values* come from the
-#: shared :func:`slice_table` registry (re-packed as ``bytes`` so they can
-#: drive ``bytes.translate``), so both registries build each table once.
-_LANE_REGISTRY: Dict[Tuple[int, int], List[bytes]] = {}
+def lane_remainders(tables: Sequence[bytes], buffer: bytes) -> bytes:
+    """Remainder of every ``len(tables)``-byte record in ``buffer``, in bulk.
 
-
-def lane_tables(polynomial: int, width: int, length: int) -> Sequence[bytes]:
-    """Per-position byte→remainder translation tables for bulk reduction.
-
-    For a CRC of ``width`` ≤ 8 bits, the remainder of every fixed-size
-    record in a large buffer can be computed with C-speed primitives only:
-    slice the buffer into its byte lanes (``buf[p::record_len]``), map each
-    lane through the matching translation table (``bytes.translate``), and
-    XOR the mapped lanes together as big integers.  Lane ``p`` of an
-    ``L``-byte record uses table ``lane_tables(poly, width, L)[p]`` — entry
-    ``d = L - 1 - p`` of the registry, the contribution of a byte followed
-    by ``d`` more bytes:  ``table_d[b] = (b * x**(8*d)) mod g(x)``.
-
-    This is the software shape of the per-lane XOR networks hardware CRC
-    engines reduce whole words with; the GD batch fast path uses it to
-    compute the syndromes of every chunk in a buffer in one pass.  Only
-    widths up to 8 are supported (the remainder must fit one byte so it can
-    live in a ``bytes`` lane); wider CRCs stay on
-    :func:`byte_remainder_function`.
+    ``tables`` are the :func:`record_tables` of a CRC of width ≤ 8 (the
+    remainder must fit one byte so it can live in a ``bytes`` lane).  C-speed
+    primitives only: slice the buffer into its byte lanes (``buffer[p::L]``),
+    ``bytes.translate`` each lane through its table and XOR the mapped lanes
+    as big integers; byte ``i`` of the result belongs to record ``i``.
     """
-    if not 1 <= width <= 8:
-        raise CodingError(
-            f"lane tables require a CRC width in 1..8, got {width}"
-        )
-    if length <= 0:
-        raise CodingError(f"message length must be positive, got {length}")
-    key = (polynomial, width)
-    tables = _LANE_REGISTRY.get(key)
-    if tables is None:
-        tables = _LANE_REGISTRY[key] = []
-    while len(tables) < length:
-        # One byte table per 8 bits of distance, from the shared widened
-        # slice registry (a width ≤ 8 remainder always fits one byte).
-        tables.append(bytes(slice_table(polynomial, width, 8 * len(tables))))
-    return [tables[length - 1 - position] for position in range(length)]
+    length = len(tables)
+    accumulator = 0
+    from_bytes = int.from_bytes
+    for position, table in enumerate(tables):
+        accumulator ^= from_bytes(buffer[position::length].translate(table), "big")
+    return accumulator.to_bytes(len(buffer) // length, "big")
 
 
 def byte_remainder_function(polynomial: int, width: int):
@@ -426,17 +283,19 @@ def byte_remainder_function(polynomial: int, width: int):
     The returned callable computes the plain GF(2) remainder of a
     bytes-like message (``bytes``/``bytearray``/``memoryview``) modulo
     ``(1 << width) | polynomial`` — the Hamming-syndrome mode — with the
-    shared 256-entry table bound into the closure, so per-call cost is one
-    tight loop with zero attribute lookups or integer re-serialisation.
-    This is the entry point the fused GD fast path (transform batch split,
-    switch models) reduces chunks through; equivalence with
-    :func:`poly_mod_table` over the serialised integer is property-tested.
+    shared byte table (:func:`remainder_table` at ``distance == width``)
+    bound into the closure, so per-call cost is one tight loop with zero
+    attribute lookups or integer re-serialisation.  This is the only byte
+    loop: :meth:`CrcEngine.compute` and the fused GD fast path (transform
+    batch split, switch models) reduce through it.
 
     Leading zero bytes contribute nothing to a remainder, so feeding whole
     byte-aligned buffers of non-aligned messages (a 255-bit chunk in 32
     bytes) is exact.
     """
-    table = crc_table(polynomial, width)
+    # A tuple even when the cached table is ``bytes``: CPython specialises
+    # ``tuple[int]`` subscripts, ``bytes[int]`` costs ~40 % more per byte.
+    table = tuple(remainder_table(polynomial, width, width))
     if width == 8:
         # The GD hot path (order-8 syndromes): one lookup + XOR per byte.
         def remainder8(data) -> int:
@@ -574,26 +433,36 @@ CRC8_ATM = CrcParameters(
 )
 
 
+def _check_message(value: int, width: int) -> None:
+    """Reject a message that is not a non-negative ``width``-bit integer."""
+    if width < 0:
+        raise CodingError(f"message width must be non-negative, got {width}")
+    if value < 0:
+        raise CodingError(f"value must be non-negative, got {value}")
+    if value >> width:
+        raise CodingError(f"value {value:#x} does not fit in {width} bits")
+
+
 class CrcEngine:
     """CRC computation engine for arbitrary-width messages.
 
-    Three code paths, cross-validated by the test suite:
+    Three entry points, cross-validated by the test suite:
 
-    * the **table fast path** (:meth:`compute_bits_table`) reduces the
-      message byte-at-a-time through the shared 256-entry table registry —
-      it handles arbitrary, non byte-aligned widths (255/511-bit chunks) and
-      the full Rocksoft parameter model, and is what :meth:`compute_bits`
-      dispatches to for anything longer than a couple of bytes;
-    * short messages use direct GF(2) polynomial division over Python
-      integers, where table set-up overhead would dominate;
-    * the bit-serial Rocksoft reference (:meth:`compute_bits_reference`)
-      exists purely for cross-validation.
+    * :meth:`compute_bits_reference` — the bit-serial Rocksoft model, kept
+      free of every table so tests can use it as the oracle;
+    * :meth:`compute` — one record (integer, :class:`BitVector` or bytes)
+      through the shared byte loop; handles arbitrary, non byte-aligned
+      widths (255/511-bit chunks) and the full Rocksoft parameter model;
+    * :meth:`compute_batch` — every fixed-size record of a buffer in one
+      call, one table lookup per byte, on the selected codec backend.
     """
 
     def __init__(self, parameters: CrcParameters):
         self._parameters = parameters
-        self._table: Optional[Tuple[int, ...]] = None
-        self._batch_states: Dict[int, Tuple[int, List[Tuple[int, ...]], int, int]] = {}
+        self._remainder = byte_remainder_function(
+            parameters.polynomial, parameters.width
+        )
+        self._batch_states: Dict[int, Tuple[int, List[Sequence[int]], int, int]] = {}
 
     @property
     def parameters(self) -> CrcParameters:
@@ -616,19 +485,12 @@ class CrcEngine:
         constructor guarantees they have no init/reflect/xorout).
         """
         params = self._parameters
-        if value < 0:
-            raise CodingError(f"value must be non-negative, got {value}")
-        if value >> width:
-            raise CodingError(f"value {value:#x} does not fit in {width} bits")
+        _check_message(value, width)
 
         if not params.augment:
             return poly_mod(value, params.full_polynomial)
 
         if params.reflect_in:
-            if width % 8:
-                raise CodingError(
-                    f"reflect_in requires byte-aligned input (got width {width})"
-                )
             value = self._reflect_bytes(value, width)
 
         register = params.init
@@ -648,88 +510,48 @@ class CrcEngine:
     @staticmethod
     def _reflect_bytes(value: int, width: int) -> int:
         """Reflect each byte of a byte-aligned message independently."""
+        if width % 8:
+            raise CodingError(
+                f"reflect_in requires byte-aligned input (got width {width})"
+            )
         data = value.to_bytes(width // 8, "big")
-        reflected = bytes(_BYTE_REFLECT[byte] for byte in data)
-        return int.from_bytes(reflected, "big")
+        return int.from_bytes(data.translate(_BYTE_REFLECT), "big")
 
-    # -- fast paths -----------------------------------------------------------
+    # -- one record -----------------------------------------------------------
 
-    @property
-    def lookup_table(self) -> Tuple[int, ...]:
-        """The shared 256-entry table for this engine's polynomial.
+    def compute(
+        self, message: "BitVector | bytes | int", width: Optional[int] = None
+    ) -> int:
+        """CRC of one record: a BitVector, a bytes-like, or an int + ``width``.
 
-        Comes from the process-wide registry, so every engine (and the
-        Tofino CRC extern model) built with the same polynomial parameters
-        sees the exact same tuple.
-        """
-        if self._table is None:
-            self._table = crc_table(self._parameters.polynomial, self._parameters.width)
-        return self._table
-
-    def compute_bits(self, value: int, width: int) -> int:
-        """CRC of a ``width``-bit message given as an integer (MSB first).
-
-        This is the path the GD transformation uses (e.g. 255-bit chunks);
-        it supports arbitrary, non byte-aligned widths.  Messages of
-        ``_TABLE_MIN_BITS`` bits or more go through the byte-wise lookup
-        table; shorter ones use direct division or the bit-serial reference.
-        """
-        params = self._parameters
-        if value < 0:
-            raise CodingError(f"value must be non-negative, got {value}")
-        if value >> width:
-            raise CodingError(f"value {value:#x} does not fit in {width} bits")
-
-        if width >= _TABLE_MIN_BITS and not (params.reflect_in and width % 8):
-            return self.compute_bits_table(value, width)
-
-        if params.reflect_in or params.reflect_out or params.init or params.xor_out:
-            return self.compute_bits_reference(value, width)
-
-        if params.augment:
-            return poly_mod(value << params.width, params.full_polynomial)
-        return poly_mod(value, params.full_polynomial)
-
-    def compute_bits_table(self, value: int, width: int) -> int:
-        """Table-driven CRC of a ``width``-bit message (full parameter model).
-
+        This is the path the GD transformation uses (e.g. 255-bit chunks).
         Bit-identical to :meth:`compute_bits_reference` for every parameter
         set.  The Rocksoft register model reduces to one plain polynomial
         remainder: running the LFSR with initial register ``I`` over a
         ``W``-bit message ``M`` computes ``(M * x**m  ^  I * x**W) mod g``,
-        so the init term is folded into the message before a single
-        table-driven division, and reflection/xorout are cheap pre/post
-        steps.  Non-byte-aligned widths need no special casing because
-        leading zero bits do not change a remainder.
+        so the init term is folded into the message before a single pass of
+        the byte loop, and reflection/xorout are cheap pre/post steps.
+        Non-byte-aligned widths need no special casing because leading zero
+        bits do not change a remainder.
         """
+        if isinstance(message, int):
+            if width is None:
+                raise CodingError("width is required when message is an int")
+        elif isinstance(message, BitVector):
+            message, width = message.value, message.width
+        elif isinstance(message, (bytes, bytearray, memoryview)):
+            message, width = int.from_bytes(message, "big"), len(message) * 8
+        else:
+            raise CodingError(f"unsupported message type {type(message).__name__}")
         params = self._parameters
-        if value < 0:
-            raise CodingError(f"value must be non-negative, got {value}")
-        if value >> width:
-            raise CodingError(f"value {value:#x} does not fit in {width} bits")
-        if params.reflect_in:
-            if width % 8:
-                raise CodingError(
-                    f"reflect_in requires byte-aligned input (got width {width})"
-                )
-            value = self._reflect_bytes(value, width)
+        _check_message(message, width)
+        value = self._reflect_bytes(message, width) if params.reflect_in else message
         if params.augment:
             value = (value << params.width) ^ (params.init << width)
-        register = _table_remainder(value, self.lookup_table, params.width)
+        register = self._remainder(value.to_bytes((value.bit_length() + 7) // 8, "big"))
         if params.reflect_out:
             register = reflect_bits(register, params.width)
         return register ^ params.xor_out
-
-    def compute_bytes(self, data: bytes) -> int:
-        """CRC of a byte string (message width = ``len(data) * 8``).
-
-        Always table-driven: byte strings are byte aligned by construction,
-        so every parameter variant (including the reflected Ethernet FCS)
-        takes the fast path.
-        """
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        return self.compute_bits_table(int.from_bytes(data, "big"), len(data) * 8)
 
     # -- batch path -----------------------------------------------------------
 
@@ -747,12 +569,9 @@ class CrcEngine:
                     f"reflect_in requires byte-aligned input (got width {record_bits})"
                 )
             record_bytes = (record_bits + 7) // 8
-            tables = slice_tables(
-                params.polynomial,
-                params.width,
-                record_bytes,
-                shift=params.width if params.augment else 0,
-            )
+            shift = params.width if params.augment else 0
+            tables = record_tables(params.polynomial, params.width, record_bytes, shift)
+            tables = [tuple(table) for table in tables]  # see byte_remainder_function
             init_term = (
                 poly_mod(params.init << record_bits, params.full_polynomial)
                 if params.init
@@ -771,21 +590,23 @@ class CrcEngine:
         each occupying ``(record_bits + 7) // 8`` bytes with the value in
         the low ``record_bits`` bits (big-endian, leading pad bits zero) —
         the layout of a chunk buffer or a sliced frame batch.  Returns one
-        CRC per record, bit-identical to ``compute_bits(value, record_bits)``
-        for every record, for every parameter set (augmented, reflected,
-        init/xorout, non-byte-aligned widths).
+        CRC per record, bit-identical to ``compute(value, record_bits)``
+        for every parameter set and non-byte-aligned widths.
 
         Dispatch goes through the codec backend registry: an accelerated
         backend that reports :meth:`~repro.core.backends.CodecBackend.
         supports_crc_batch` folds the whole buffer with table-gather XORs
-        over a single ``frombuffer`` view; otherwise the pure slice-by-N
-        fold of :meth:`compute_batch_pure` runs.  An explicitly named
+        over a single ``frombuffer`` view; otherwise (``backend="pure"``)
+        each record costs one :func:`record_tables` lookup and XOR per byte
+        with no shifting register — the software shape of the
+        ``LiteEthMACCRCEngine`` parallel next-state network.  A named
         ``backend`` is honoured for any batch size; automatic selection
         requires ``MIN_BATCH_CHUNKS`` records, like the transform paths.
         """
-        record_bytes, _tables, _init_term, _head_limit = self._batch_state(
-            record_bits
-        )
+        from repro.core import backends  # deferred: the backends import this module
+
+        params = self._parameters
+        record_bytes, tables, init_term, head_limit = self._batch_state(record_bits)
         total = len(data)
         if total % record_bytes:
             raise CodingError(
@@ -795,46 +616,26 @@ class CrcEngine:
         count = total // record_bytes
         if count == 0:
             return []
-        registry = _backends()
-        resolved = registry.resolve_backend(backend)
-        chosen = registry.batch_backend(
+        resolved = backends.resolve_backend(backend)
+        chosen = backends.batch_backend(
             resolved,
             count,
             resolved.supports_crc_batch,
-            self._parameters,
+            params,
             forced=backend is not None,
         )
         if chosen.accelerated:
             return chosen.crc_batch(self, data, record_bits)
-        return self.compute_batch_pure(data, record_bits)
-
-    def compute_batch_pure(self, data, record_bits: int) -> List[int]:
-        """Pure-Python batch CRC: the slice-by-N fold, one table per lane.
-
-        Widens the classic slice-by-8/16 folding to the whole record: byte
-        lane ``p`` is absorbed through the shared
-        :func:`slice_table` at its bit distance, so each record costs one
-        XOR per byte with no shifting register — the software shape of the
-        ``LiteEthMACCRCEngine`` parallel next-state network.
-        """
-        params = self._parameters
-        record_bytes, tables, init_term, head_limit = self._batch_state(record_bits)
         buf = bytes(data)
-        total = len(buf)
-        if total % record_bytes:
-            raise CodingError(
-                f"buffer of {total} bytes is not a whole number of "
-                f"{record_bytes}-byte records"
-            )
         if params.reflect_in:
-            buf = buf.translate(_BYTE_REFLECT_BYTES)
+            buf = buf.translate(_BYTE_REFLECT)
         reflect_out = params.reflect_out
         xor_out = params.xor_out
         width = params.width
         results: List[int] = []
         append = results.append
         offset = 0
-        for index in range(total // record_bytes):
+        for index in range(count):
             record = buf[offset : offset + record_bytes]
             if record[0] >= head_limit:
                 raise CodingError(
@@ -848,47 +649,6 @@ class CrcEngine:
             append(register ^ xor_out)
             offset += record_bytes
         return results
-
-    def compute(
-        self, message: "BitVector | bytes | int", width: Optional[int] = None
-    ) -> int:
-        """Polymorphic entry point accepting BitVector, bytes, or int."""
-        if isinstance(message, BitVector):
-            return self.compute_bits(message.value, message.width)
-        if isinstance(message, (bytes, bytearray, memoryview)):
-            return self.compute_bits(
-                int.from_bytes(bytes(message), "big"), len(message) * 8
-            )
-        if isinstance(message, int):
-            if width is None:
-                raise CodingError("width is required when message is an int")
-            return self.compute_bits(message, width)
-        raise CodingError(f"unsupported message type {type(message).__name__}")
-
-    # -- linearity helpers ------------------------------------------------------
-
-    def unit_crcs(self, width: int) -> List[int]:
-        """CRC of every single-bit message of length ``width``.
-
-        Index ``i`` of the returned list holds ``CRC(x**i)`` — the columns of
-        the parity-check matrix ``H`` in the paper's notation, and the raw
-        material of Table 2b.
-        """
-        return [self.compute_bits(1 << position, width) for position in range(width)]
-
-    def verify_linearity(self, samples: Sequence[int], width: int) -> bool:
-        """Check ``crc(a ^ b) == crc(a) ^ crc(b)`` over the given samples.
-
-        Only guaranteed for linear parameter sets (``is_linear``); used in
-        tests and sanity checks.
-        """
-        for left in samples:
-            for right in samples:
-                combined = self.compute_bits(left ^ right, width)
-                split = self.compute_bits(left, width) ^ self.compute_bits(right, width)
-                if combined != split:
-                    return False
-        return True
 
 
 def syndrome_crc(polynomial: int, width: int, name: str = "") -> CrcEngine:

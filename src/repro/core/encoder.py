@@ -29,7 +29,7 @@ from repro.core.dictionary import (
     decode_snapshot_key,
     encode_snapshot_key,
 )
-from repro.core.records import CompressedRecord, GDRecord, RecordType, UncompressedRecord
+from repro.core.records import CompressedRecord, GDRecord, UncompressedRecord
 from repro.core.transform import ChunkLike, GDTransform
 from repro.core.wire import RecordLayout, pack_records
 from repro.exceptions import CodingError, DictionaryError
@@ -74,17 +74,6 @@ class EncoderStats:
     input_bits: int = 0
     output_bits: int = 0
     output_padded_bits: int = 0
-
-    def record(self, record: GDRecord, input_bits: int) -> None:
-        """Account for one emitted record."""
-        self.chunks += 1
-        self.input_bits += input_bits
-        self.output_bits += record.payload_bits
-        self.output_padded_bits += record.padded_bits
-        if record.record_type is RecordType.COMPRESSED:
-            self.compressed_records += 1
-        else:
-            self.uncompressed_records += 1
 
     @property
     def compression_ratio(self) -> float:

@@ -34,9 +34,9 @@ from repro.core.bits import BitVector, mask
 from repro.core.crc import (
     CrcEngine,
     byte_remainder_function,
-    lane_tables,
+    lane_remainders,
     poly_mod,
-    poly_mod_table,
+    record_tables,
     syndrome_crc,
 )
 from repro.core.polynomials import HammingPolynomial, polynomial_for_order
@@ -128,17 +128,21 @@ class HammingCode:
         self._k = k
         self._full_polynomial = polynomial
         self._table_entry = entry
-        self._crc = syndrome_crc(polynomial ^ (1 << m), m)
+        parameter = polynomial ^ (1 << m)  # leading term stripped (Table 1)
+        self._crc = syndrome_crc(parameter, m)
         self._syndrome_table = self._build_syndrome_table()
         # Precomputed hot-path state: the error-mask array indexed directly
-        # by syndrome and a fused bytes→remainder closure over the shared
-        # 256-entry CRC table.  The GD fast path (transform batch split and
+        # by syndrome, a fused bytes→remainder closure over the shared
+        # 256-entry CRC table and (orders up to 8) the byte-lane tables of a
+        # serialised codeword.  The GD fast path (transform batch split and
         # the switch models) reduces whole chunks through these without
         # re-entering the checked CrcEngine/SyndromeTable layers.
         self._error_masks: Tuple[int, ...] = self._syndrome_table.masks
-        self._byte_remainder = byte_remainder_function(polynomial ^ (1 << m), m)
+        self._byte_remainder = byte_remainder_function(parameter, m)
         self._parity_bytes = (n + 7) // 8
-        self._parity_lanes: Optional[List[bytes]] = None  # built on first bulk use
+        self._parity_lanes = (
+            record_tables(parameter, m, self._parity_bytes) if m <= 8 else None
+        )
 
     # -- construction -----------------------------------------------------
 
@@ -269,26 +273,13 @@ class HammingCode:
             backend = batch_backend(backend, len(bases), backend.supports_parity, self)
             if backend.accelerated:
                 return backend.parities_of_bases(self, bases)
-        if self._m > 8:
+        if self._parity_lanes is None:
             fast = self.parity_of_basis_fast
             return [fast(basis) for basis in bases]
-        if not bases:
-            return b""
         length = self._parity_bytes
         m = self._m
         buffer = b"".join((basis << m).to_bytes(length, "big") for basis in bases)
-        lanes = self._parity_lanes
-        if lanes is None:
-            lanes = self._parity_lanes = list(
-                lane_tables(self.crc_parameter, m, length)
-            )
-        accumulator = 0
-        from_bytes = int.from_bytes
-        for position, lane_table in enumerate(lanes):
-            accumulator ^= from_bytes(
-                buffer[position::length].translate(lane_table), "big"
-            )
-        return accumulator.to_bytes(len(bases), "big")
+        return lane_remainders(self._parity_lanes, buffer)
 
     def __repr__(self) -> str:
         return (
@@ -301,7 +292,7 @@ class HammingCode:
     def syndrome(self, chunk: int) -> int:
         """Syndrome of an ``n``-bit chunk (step ➋ of Figure 1)."""
         self._check_chunk(chunk)
-        return self._crc.compute_bits(chunk, self._n)
+        return self._crc.compute(chunk, self._n)
 
     def syndrome_of_error_position(self, position: int) -> int:
         """Syndrome produced by a single-bit error at ``position``."""
@@ -309,7 +300,7 @@ class HammingCode:
             raise CodingError(
                 f"error position {position} out of range for n={self._n}"
             )
-        return self._crc.compute_bits(1 << position, self._n)
+        return self._crc.compute(1 << position, self._n)
 
     def error_position(self, syndrome: int) -> Optional[int]:
         """Bit position matching ``syndrome``, or ``None`` for syndrome 0."""
@@ -329,7 +320,7 @@ class HammingCode:
         bits of that codeword as the basis and the syndrome as the deviation.
         """
         self._check_chunk(chunk)
-        syndrome = self._crc.compute_bits(chunk, self._n)
+        syndrome = self._crc.compute(chunk, self._n)
         codeword = chunk ^ self._syndrome_table.mask_for(syndrome)
         basis = codeword >> self._m
         return basis, syndrome
@@ -352,12 +343,12 @@ class HammingCode:
 
         Equals the augmented CRC of the basis — i.e. the remainder of
         ``basis(x) * x**m`` — which is what feeding the zero-padded basis
-        through the switch CRC unit computes.  Uses the shared lookup table
+        through the switch CRC unit computes.  Uses the shared byte loop
         (this is the decode-direction hot path, a 247-bit division per
         chunk for the paper's parameters).
         """
         self._check_basis(basis)
-        return poly_mod_table(basis << self._m, self.crc_parameter, self._m)
+        return self.parity_of_basis_fast(basis)
 
     # -- classic codeword operations ------------------------------------------
 
@@ -369,7 +360,7 @@ class HammingCode:
     def is_codeword(self, value: int) -> bool:
         """True when ``value`` is a codeword (zero syndrome)."""
         self._check_chunk(value)
-        return self._crc.compute_bits(value, self._n) == 0
+        return self._crc.compute(value, self._n) == 0
 
     def correct(self, received: int) -> Tuple[int, Optional[int]]:
         """Correct at most one bit error in ``received``.
@@ -379,7 +370,7 @@ class HammingCode:
         itself but exercised by the test suite to validate the code algebra.
         """
         self._check_chunk(received)
-        syndrome = self._crc.compute_bits(received, self._n)
+        syndrome = self._crc.compute(received, self._n)
         if syndrome == 0:
             return received, None
         position = self._syndrome_table.position_for(syndrome)

@@ -20,7 +20,7 @@ _FCS_ENGINE = CrcEngine(CRC32_ETHERNET)
 
 def ethernet_fcs(frame_without_fcs: bytes) -> int:
     """CRC-32 frame check sequence of an Ethernet frame (header + payload)."""
-    return _FCS_ENGINE.compute_bytes(frame_without_fcs)
+    return _FCS_ENGINE.compute(frame_without_fcs)
 
 
 def verify_ethernet_fcs(frame_without_fcs: bytes, fcs: int) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple, Union
 
 from repro.core.bits import BitVector
-from repro.core.crc import CrcEngine, CrcParameters, crc_table
+from repro.core.crc import CrcEngine, CrcParameters
 from repro.exceptions import CodingError
 
 __all__ = ["CrcPolynomial", "CrcExtern"]
@@ -79,17 +79,6 @@ class CrcExtern:
         return self._polynomial.width
 
     @property
-    def lookup_table(self) -> "tuple[int, ...]":
-        """The byte-wise XOR-network table this extern reduces words with.
-
-        Drawn from the same process-wide registry as every
-        :class:`~repro.core.crc.CrcEngine`, so the software model shares one
-        table per polynomial exactly like the ASIC shares one CRC unit.
-        """
-        params = self._polynomial.parameters
-        return crc_table(params.polynomial, params.width)
-
-    @property
     def invocations(self) -> int:
         """How many times the extern has been invoked (for pipeline accounting)."""
         return self._invocations
@@ -126,7 +115,7 @@ class CrcExtern:
                     f"field value {value:#x} does not fit in {width} bits"
                 )
             self._invocations += 1
-            return self._engine.compute_bits(value, width)
+            return self._engine.compute(value, width)
         normalised = self._normalise(fields)
         value = 0
         total_width = 0
@@ -140,7 +129,7 @@ class CrcExtern:
             value = (value << field_width) | field_value
             total_width += field_width
         self._invocations += 1
-        return self._engine.compute_bits(value, total_width)
+        return self._engine.compute(value, total_width)
 
     @staticmethod
     def _normalise(

@@ -3,8 +3,8 @@
 One chunk at a time, one checked layer per step: the ``HammingCode`` layer
 (``chunk_to_basis`` / ``basis_to_chunk``) called by name for the split and
 the join, a dictionary consulted and updated once per chunk, record objects
-built through their validating constructors, accounting through
-``EncoderStats.record`` and container bytes through each record's own
+built through their validating constructors, accounting one record at a
+time (``account``) and container bytes through each record's own
 ``to_bytes``.  Nothing here batches, caches or vectorises, so the
 production pipeline (fused split, columnar loops, backend kernels, the GDZ1
 packer) can be compared against it bit for bit.
@@ -16,7 +16,7 @@ from repro.core.bits import int_to_bytes
 from repro.core.codec import CONTAINER_HEADER, CONTAINER_MAGIC
 from repro.core.dictionary import BasisDictionary
 from repro.core.encoder import EncoderStats
-from repro.core.records import CompressedRecord, UncompressedRecord
+from repro.core.records import CompressedRecord, RecordType, UncompressedRecord
 from repro.core.transform import GDParts, GDTransform
 
 
@@ -42,6 +42,18 @@ def reference_join(transform, prefix, basis, deviation):
     """The chunk value rebuilt through ``HammingCode.basis_to_chunk``."""
     code = transform.code
     return (prefix << code.n) | code.basis_to_chunk(basis, deviation)
+
+
+def account(stats, record, input_bits):
+    """Add one emitted record to an ``EncoderStats``."""
+    stats.chunks += 1
+    stats.input_bits += input_bits
+    stats.output_bits += record.payload_bits
+    stats.output_padded_bits += record.padded_bits
+    if record.record_type is RecordType.COMPRESSED:
+        stats.compressed_records += 1
+    else:
+        stats.uncompressed_records += 1
 
 
 class OracleCodec:
@@ -117,7 +129,7 @@ class OracleCodec:
                     deviation_bits=transform.deviation_bits,
                     alignment_padding_bits=self.padding,
                 )
-            self.stats.record(record, transform.chunk_bits)
+            account(self.stats, record, transform.chunk_bits)
             records.append(record)
         return records
 

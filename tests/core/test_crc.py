@@ -117,25 +117,29 @@ class TestSyndromeCrc:
     def test_table_2b_values(self):
         engine = syndrome_crc(0x3, 3)
         for sequence, expected in self.TABLE_2B.items():
-            assert engine.compute_bits(sequence, 7) == expected
+            assert engine.compute(sequence, 7) == expected
 
     def test_zero_message_has_zero_crc(self):
         engine = syndrome_crc(0x3, 3)
-        assert engine.compute_bits(0, 7) == 0
+        assert engine.compute(0, 7) == 0
 
     def test_linearity(self):
         engine = syndrome_crc(0x3, 3)
         samples = [0b0000001, 0b0010000, 0b1010101, 0b1111111, 0]
-        assert engine.verify_linearity(samples, 7)
+        for left in samples:
+            for right in samples:
+                assert engine.compute(left ^ right, 7) == (
+                    engine.compute(left, 7) ^ engine.compute(right, 7)
+                )
 
     def test_unit_crcs_are_table_2b(self):
         engine = syndrome_crc(0x3, 3)
-        units = engine.unit_crcs(7)
+        units = [engine.compute(1 << position, 7) for position in range(7)]
         assert units == [0b001, 0b010, 0b100, 0b011, 0b110, 0b111, 0b101]
 
     def test_unit_crcs_distinct_for_primitive_polynomial(self):
         engine = syndrome_crc(0x1D, 8)
-        units = engine.unit_crcs(255)
+        units = [engine.compute(1 << position, 255) for position in range(255)]
         assert len(set(units)) == 255
         assert 0 not in units
 
@@ -144,7 +148,7 @@ class TestSyndromeCrc:
 
         engine = syndrome_crc(0x3, 3)
         assert engine.compute(BitVector(0b0001000, 7)) == 0b011
-        assert engine.compute(b"\x01") == engine.compute_bits(1, 8)
+        assert engine.compute(b"\x01") == engine.compute(1, 8)
         assert engine.compute(0b0001000, width=7) == 0b011
         with pytest.raises(CodingError):
             engine.compute(5)  # int without a width
@@ -152,7 +156,17 @@ class TestSyndromeCrc:
     def test_rejects_oversized_message(self):
         engine = syndrome_crc(0x3, 3)
         with pytest.raises(CodingError):
-            engine.compute_bits(1 << 7, 7)
+            engine.compute(1 << 7, 7)
+
+    @pytest.mark.parametrize("engine", [syndrome_crc(0x3, 3), CrcEngine(CRC8_ATM)])
+    def test_negative_width_is_a_coding_error(self, engine):
+        """A negative width used to escape as ``ValueError: negative shift count``."""
+        with pytest.raises(CodingError, match="width"):
+            engine.compute(0, -1)
+        with pytest.raises(CodingError, match="width"):
+            engine.compute_bits_reference(0, -1)
+        with pytest.raises(CodingError, match="width"):
+            engine.compute_batch(b"", -1)
 
 
 class TestProtocolCrcs:
@@ -161,25 +175,25 @@ class TestProtocolCrcs:
     CHECK_INPUT = b"123456789"
 
     def test_crc32_ethernet_check_value(self):
-        assert CrcEngine(CRC32_ETHERNET).compute_bytes(self.CHECK_INPUT) == 0xCBF43926
+        assert CrcEngine(CRC32_ETHERNET).compute(self.CHECK_INPUT) == 0xCBF43926
 
     def test_crc16_ccitt_check_value(self):
-        assert CrcEngine(CRC16_CCITT).compute_bytes(self.CHECK_INPUT) == 0x29B1
+        assert CrcEngine(CRC16_CCITT).compute(self.CHECK_INPUT) == 0x29B1
 
     def test_crc8_atm_check_value(self):
-        assert CrcEngine(CRC8_ATM).compute_bytes(self.CHECK_INPUT) == 0xF4
+        assert CrcEngine(CRC8_ATM).compute(self.CHECK_INPUT) == 0xF4
 
     def test_table_and_reference_paths_agree(self):
         engine = CrcEngine(CRC8_ATM)
         data = bytes(range(40))
-        table_result = engine.compute_bytes(data)
+        table_result = engine.compute(data)
         reference = engine.compute_bits_reference(int.from_bytes(data, "big"), len(data) * 8)
         assert table_result == reference
 
     def test_compute_bits_matches_bytes_path_for_augmented_crc(self):
         engine = CrcEngine(CRC16_CCITT)
         data = b"\x01\x02\x03\x04"
-        assert engine.compute_bytes(data) == engine.compute_bits_reference(
+        assert engine.compute(data) == engine.compute_bits_reference(
             int.from_bytes(data, "big"), 32
         )
 

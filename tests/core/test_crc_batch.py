@@ -3,16 +3,15 @@
 `CrcEngine.compute_batch` must be bit-identical to the bit-serial Rocksoft
 reference for every record, for arbitrary polynomials, non-byte-aligned
 record widths and batch sizes (including empty and single-record buffers),
-on every available backend.  These are the property tests that pin that
-contract, plus the slice-table registry-sharing guarantees the batch path
-is built on.
+on every available backend.  These are the seeded matrix tests that pin
+that contract; the table derivation the batch path reads from has its own
+property tests in ``test_crc_kernel.py``.
 """
 
 import random
 
 import pytest
 
-from repro.core import crc as crc_module
 from repro.core.backends import (
     MIN_BATCH_CHUNKS,
     available_backend_names,
@@ -25,9 +24,6 @@ from repro.core.crc import (
     CRC32_ETHERNET,
     CrcEngine,
     CrcParameters,
-    crc_table,
-    slice_table,
-    slice_tables,
 )
 from repro.exceptions import CodingError
 
@@ -93,14 +89,14 @@ class TestBatchMatchesReference:
                 buffer, values = _record_buffer(rng, record_bits, 21)
                 got = engine.compute_batch(buffer, record_bits, backend=backend)
                 assert got == [
-                    engine.compute_bits(value, record_bits) for value in values
+                    engine.compute(value, record_bits) for value in values
                 ]
 
     def test_empty_and_single_record(self, backend):
         engine = CrcEngine(CRC16_CCITT)
         assert engine.compute_batch(b"", 12, backend=backend) == []
         assert engine.compute_batch(b"\x0f\xa5", 12, backend=backend) == [
-            engine.compute_bits(0xFA5, 12)
+            engine.compute(0xFA5, 12)
         ]
 
     def test_overlong_record_named_in_error(self, backend):
@@ -149,28 +145,8 @@ class TestBatchValidation:
                 )
         buffer, values = _record_buffer(random.Random(1), 8, MIN_BATCH_CHUNKS - 1)
         assert engine.compute_batch(buffer, 8) == [
-            engine.compute_bits(value, 8) for value in values
+            engine.compute(value, 8) for value in values
         ]
-
-
-class TestSliceTableRegistry:
-    def test_distance_equal_width_aliases_the_byte_table(self):
-        table = slice_table(CRC32_ETHERNET.polynomial, 32, 32)
-        assert table is crc_table(CRC32_ETHERNET.polynomial, 32)
-
-    def test_repeated_lookups_share_one_object(self):
-        first = slice_table(CRC16_CCITT.polynomial, 16, 40)
-        second = slice_table(CRC16_CCITT.polynomial, 16, 40)
-        assert first is second
-
-    def test_slice_tables_positions_alias_registry_entries(self):
-        tables = slice_tables(CRC16_CCITT.polynomial, 16, 4)
-        for position, table in enumerate(tables):
-            distance = 8 * (len(tables) - 1 - position)
-            assert table is slice_table(CRC16_CCITT.polynomial, 16, distance)
-        # A second ask resolves the very same objects, not rebuilt copies.
-        again = slice_tables(CRC16_CCITT.polynomial, 16, 4)
-        assert all(a is b for a, b in zip(tables, again))
 
 
 class TestBackendStatus:

@@ -1,7 +1,7 @@
-"""Table-driven CRC fast path: equivalence with the bitwise references.
+"""Table-driven CRC path: equivalence with the bitwise references.
 
-The acceptance bar for the fast path is bit-identical results everywhere the
-slow paths are defined: random polynomials, message widths 1-512 including
+The acceptance bar for ``CrcEngine.compute`` is bit-identical results
+everywhere the slow paths are defined: random polynomials, message widths 1-512 including
 non-byte-aligned ones (255/511-bit chunks), and the full Rocksoft variant
 space (init / reflect-in / reflect-out / xor-out, augmented and plain).
 """
@@ -18,14 +18,11 @@ from repro.core.crc import (
     CRC32_ETHERNET,
     CrcEngine,
     CrcParameters,
-    crc_table,
     poly_mod,
-    poly_mod_table,
+    remainder_table,
     syndrome_crc,
 )
-from repro.core.hamming import HammingCode
 from repro.exceptions import CodingError
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
 
 
 @st.composite
@@ -49,9 +46,10 @@ class TestPlainRemainderEquivalence:
     @given(case=polynomial_and_message())
     @settings(max_examples=300, deadline=None)
     def test_table_matches_bitwise_division(self, case):
-        width, polynomial, _message_bits, message = case
+        width, polynomial, message_bits, message = case
         full = (1 << width) | polynomial
-        assert poly_mod_table(message, polynomial, width) == poly_mod(message, full)
+        engine = syndrome_crc(polynomial, width)
+        assert engine.compute(message, message_bits) == poly_mod(message, full)
 
     @given(case=polynomial_and_message())
     @settings(max_examples=150, deadline=None)
@@ -59,8 +57,7 @@ class TestPlainRemainderEquivalence:
         width, polynomial, message_bits, message = case
         engine = syndrome_crc(polynomial, width)
         expected = engine.compute_bits_reference(message, message_bits)
-        assert engine.compute_bits(message, message_bits) == expected
-        assert engine.compute_bits_table(message, message_bits) == expected
+        assert engine.compute(message, message_bits) == expected
 
     def test_non_byte_aligned_chunk_widths(self):
         """The paper's chunk sizes: 255 bits (order 8) and 511 bits (order 9)."""
@@ -70,7 +67,7 @@ class TestPlainRemainderEquivalence:
             full = (1 << width) | polynomial
             for _ in range(200):
                 value = rng.getrandbits(chunk_bits)
-                assert engine.compute_bits(value, chunk_bits) == poly_mod(value, full)
+                assert engine.compute(value, chunk_bits) == poly_mod(value, full)
 
     def test_every_width_1_through_512(self):
         """Sweep every message width once (catches tail-handling bugs)."""
@@ -78,7 +75,7 @@ class TestPlainRemainderEquivalence:
         engine = syndrome_crc(0x1D, 8)
         for width in range(1, 513):
             value = rng.getrandbits(width)
-            assert engine.compute_bits_table(value, width) == poly_mod(value, 0x11D)
+            assert engine.compute(value, width) == poly_mod(value, 0x11D)
 
 
 class TestRocksoftVariantEquivalence:
@@ -108,9 +105,8 @@ class TestRocksoftVariantEquivalence:
         value = int.from_bytes(message_bytes, "big")
         bits = len(message_bytes) * 8
         expected = engine.compute_bits_reference(value, bits)
-        assert engine.compute_bits_table(value, bits) == expected
-        assert engine.compute_bits(value, bits) == expected
-        assert engine.compute_bytes(message_bytes) == expected
+        assert engine.compute(value, bits) == expected
+        assert engine.compute(message_bytes) == expected
 
     @pytest.mark.parametrize(
         "parameters,check",
@@ -123,41 +119,37 @@ class TestRocksoftVariantEquivalence:
     def test_known_check_values(self, parameters, check):
         """The canonical '123456789' check values survive the fast path."""
         engine = CrcEngine(parameters)
-        assert engine.compute_bytes(b"123456789") == check
+        assert engine.compute(b"123456789") == check
 
     def test_reflect_in_still_requires_byte_alignment(self):
         engine = CrcEngine(CRC32_ETHERNET)
         with pytest.raises(CodingError):
-            engine.compute_bits_table(0, 7)
+            engine.compute(0, 7)
         with pytest.raises(CodingError):
-            engine.compute_bits(0, 31)
+            engine.compute(0, 31)
 
 
 class TestTableRegistrySharing:
     def test_tables_are_cached_per_polynomial(self):
-        assert crc_table(0x1D, 8) is crc_table(0x1D, 8)
-        assert crc_table(0x1D, 8) is not crc_table(0x11, 9)
-
-    def test_hamming_and_extern_share_one_table(self):
-        """core and tofino layers reduce through the same table object."""
-        code = HammingCode(8)
-        extern = CrcExtern(CrcPolynomial(coeff=code.crc_parameter, width=code.m))
-        assert code.crc_engine.lookup_table is extern.lookup_table
+        assert remainder_table(0x1D, 8, 8) is remainder_table(0x1D, 8, 8)
+        assert remainder_table(0x1D, 8, 8) is not remainder_table(0x11, 9, 9)
 
     def test_table_entries_are_remainders(self):
-        table = crc_table(0x1D, 8)
+        table = remainder_table(0x1D, 8, 8)
         assert len(table) == 256
         for index in (0, 1, 2, 128, 255):
             assert table[index] == poly_mod(index << 8, 0x11D)
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(CodingError):
-            crc_table(0x1D, 0)
+            remainder_table(0x1D, 0, 0)
         with pytest.raises(CodingError):
-            crc_table(0x100, 8)
+            remainder_table(0x100, 8, 8)
         with pytest.raises(CodingError):
-            crc_table(0, 8)
+            remainder_table(0, 8, 8)
+        with pytest.raises(CodingError):
+            remainder_table(0x1D, 8, -8)
 
     def test_value_must_be_non_negative(self):
         with pytest.raises(CodingError):
-            poly_mod_table(-1, 0x1D, 8)
+            syndrome_crc(0x1D, 8).compute(-1, 8)

@@ -38,14 +38,14 @@ class TestCrcProperties:
     @settings(max_examples=60, deadline=None)
     def test_syndrome_crc_is_linear(self, left, right):
         engine = _CODE_BY_ORDER[8].crc_engine
-        combined = engine.compute_bits(left ^ right, 255)
-        assert combined == engine.compute_bits(left, 255) ^ engine.compute_bits(right, 255)
+        combined = engine.compute(left ^ right, 255)
+        assert combined == engine.compute(left, 255) ^ engine.compute(right, 255)
 
     @given(value=st.integers(min_value=0, max_value=(1 << 127) - 1))
     @settings(max_examples=60, deadline=None)
     def test_syndrome_width_bounded(self, value):
         engine = syndrome_crc(0x09, 7)
-        syndrome = engine.compute_bits(value, 127)
+        syndrome = engine.compute(value, 127)
         assert 0 <= syndrome < (1 << 7)
 
     @given(value=st.integers(min_value=0, max_value=(1 << 63) - 1))
@@ -55,12 +55,12 @@ class TestCrcProperties:
         # of the columns selected by its set bits.
         engine = syndrome_crc(0x03, 6)
         width = 63
-        units = engine.unit_crcs(width)
+        units = [engine.compute(1 << position, width) for position in range(width)]
         expected = 0
         for position in range(width):
             if (value >> position) & 1:
                 expected ^= units[position]
-        assert engine.compute_bits(value, width) == expected
+        assert engine.compute(value, width) == expected
 
 
 class TestHammingProperties:
