@@ -53,8 +53,9 @@ from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
 from repro.experiments import ExperimentSpec, MatrixRunner
 from repro.replay import ReplayTopology
+from repro.topology.spec import CONTROL_MODES, LINEAR_SHAPES, PACINGS, SCENARIOS
 from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
-from repro.zipline import DeploymentScenario, ZipLineDeployment
+from repro.zipline import ZipLineDeployment
 
 __all__ = ["build_parser", "main"]
 
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="encoder-link-decoder",
         metavar="NAME",
         help="linear replay topology: "
-             + ", ".join(topology.value for topology in ReplayTopology)
+             + ", ".join(LINEAR_SHAPES)
              + " (default: encoder-link-decoder; graph shapes live under "
              "'repro topology')",
     )
@@ -155,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--scenario",
-        choices=[scenario.value for scenario in DeploymentScenario],
+        choices=SCENARIOS,
         default="dynamic",
         help="dictionary scenario (default: dynamic)",
     )
     replay.add_argument(
         "--pacing",
-        choices=("recorded", "rate", "back-to-back"),
+        choices=PACINGS,
         default="rate",
         help="injection pacing: as-recorded timestamps, fixed rate, or "
              "back-to-back (default: rate)",
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topology.add_argument(
         "--scenario",
-        choices=[scenario.value for scenario in DeploymentScenario],
+        choices=SCENARIOS,
         default="dynamic",
         help="dictionary scenario for presets (default: dynamic)",
     )
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topology.add_argument(
         "--control",
-        choices=("direct", "in-network"),
+        choices=CONTROL_MODES,
         default=None,
         help="override how mapping installs reach the decoder: direct calls "
              "or in-network control messages over an emulated link",

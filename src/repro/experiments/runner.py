@@ -27,8 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
@@ -39,6 +37,7 @@ from repro.exceptions import ReproError
 from repro.experiments.spec import ExperimentSpec, Scenario
 from repro.topology import fan_in_topology, linear_topology, run_topology
 from repro.topology.faults import FaultPlan, validate_spec_faults
+from repro.topology.sharding import map_across_workers
 
 __all__ = [
     "ScenarioResult",
@@ -380,27 +379,9 @@ class MatrixRunner:
         scenarios = self.spec.expand()
         if not scenarios:
             raise ReproError(f"spec {self.spec.name!r} expands to no scenarios")
-        workers = min(self.workers, len(scenarios))
-        if workers <= 1:
-            results = []
-            for scenario in scenarios:
-                result = run_scenario(scenario)
-                if progress is not None:
-                    progress(result)
-                results.append(result)
-            return MatrixResult(self.spec, results)
-        # fork shares the already-imported interpreter state and is the fast
-        # path, but it is only reliable on Linux (macOS frameworks can
-        # deadlock in forked children, which is why CPython's default there
-        # is spawn).  Everywhere else the platform default is used; that
-        # works because run_scenario is module-level and scenarios are
-        # plain picklable data.
-        method = "fork" if sys.platform == "linux" else None
-        context = multiprocessing.get_context(method)
-        with context.Pool(processes=workers) as pool:
-            results = []
-            for result in pool.imap_unordered(run_scenario, scenarios, chunksize=1):
-                if progress is not None:
-                    progress(result)
-                results.append(result)
+        results = []
+        for result in map_across_workers(run_scenario, scenarios, self.workers):
+            if progress is not None:
+                progress(result)
+            results.append(result)
         return MatrixResult(self.spec, results)

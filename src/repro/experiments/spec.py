@@ -41,13 +41,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
-from repro.replay.harness import ReplayTopology
-from repro.topology.spec import derive_seed
-from repro.zipline.deployment import DeploymentScenario
+from repro.topology.spec import (
+    CONTROL_MODES,
+    LINEAR_SHAPES,
+    MAX_HOPS,
+    MAX_PORT,
+    PACINGS,
+    SCENARIOS,
+    WORKLOADS,
+    derive_seed,
+)
+from repro.validation import Validator
 
 __all__ = [
     "ExperimentSpecError",
@@ -63,68 +72,17 @@ class ExperimentSpecError(ReproError):
     """An experiment spec failed validation."""
 
 
-def _positive_int(name: str, value: Any) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ExperimentSpecError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _non_negative_int(name: str, value: Any) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ExperimentSpecError(
-            f"{name} must be a non-negative integer, got {value!r}"
-        )
-    return value
-
-
-def _positive_number(name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ExperimentSpecError(f"{name} must be a positive number, got {value!r}")
-    return float(value)
-
-
-def _non_negative_number(name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise ExperimentSpecError(
-            f"{name} must be a non-negative number, got {value!r}"
-        )
-    return float(value)
-
-
-def _probability(name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExperimentSpecError(f"{name} must be a number in [0, 1], got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ExperimentSpecError(f"{name} must be within [0, 1], got {value!r}")
-    return float(value)
+_check = Validator(ExperimentSpecError)
 
 
 def _choice(options: Sequence[str]):
-    def validate(name: str, value: Any) -> str:
-        if not isinstance(value, str) or value not in options:
-            raise ExperimentSpecError(
-                f"{name} must be one of {', '.join(options)}; got {value!r}"
-            )
-        return value
-
-    return validate
-
-
-def _string(name: str, value: Any) -> str:
-    if not isinstance(value, str) or not value:
-        raise ExperimentSpecError(f"{name} must be a non-empty string, got {value!r}")
-    return value
-
-
-def _seed(name: str, value: Any) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ExperimentSpecError(f"{name} must be an integer, got {value!r}")
-    return value
+    return partial(_check.choice, options=options)
 
 
 @dataclass(frozen=True)
 class ParameterSpec:
-    """One known scenario parameter: its validator and its default."""
+    """One known scenario parameter: its validator — called as
+    ``validate(where, name, value)`` — and its default."""
 
     name: str
     validate: Any
@@ -138,57 +96,60 @@ PARAMETERS: Dict[str, ParameterSpec] = {
     spec.name: spec
     for spec in (
         ParameterSpec(
-            "workload", _choice(("synthetic", "dns", "thrash")), "synthetic",
+            "workload", _choice(WORKLOADS), "synthetic",
             "trace generator (ignored when `trace` points at a pcap)",
         ),
-        ParameterSpec("trace", _string, None, "pcap file to replay instead of a workload"),
-        ParameterSpec("chunks", _positive_int, 1000, "chunks (synthetic) or queries (dns) per scenario"),
-        ParameterSpec("bases", _positive_int, 16, "distinct bases of the synthetic workload"),
-        ParameterSpec("names", _positive_int, 300, "distinct names of the dns workload"),
+        ParameterSpec("trace", _check.string, None, "pcap file to replay instead of a workload"),
+        ParameterSpec("chunks", _check.positive_int, 1000, "chunks (synthetic) or queries (dns) per scenario"),
+        ParameterSpec("bases", _check.positive_int, 16, "distinct bases of the synthetic workload"),
+        ParameterSpec("names", _check.positive_int, 300, "distinct names of the dns workload"),
         ParameterSpec(
             "scenario",
-            _choice(tuple(s.value for s in DeploymentScenario)),
+            _choice(SCENARIOS),
             "dynamic",
             "dictionary scenario",
         ),
         ParameterSpec(
             "topology",
-            _choice(tuple(t.value for t in ReplayTopology) + ("fan-in",)),
+            _choice(LINEAR_SHAPES + ("fan-in",)),
             "encoder-link-decoder",
             "replay topology (linear chains, or the fan-in graph preset)",
         ),
         ParameterSpec(
-            "senders", _positive_int, 4,
+            "senders", partial(_check.positive_int, maximum=MAX_PORT), 4,
             "concurrent senders sharing the encoder (topology=fan-in)",
         ),
-        ParameterSpec("hops", _positive_int, 1, "emulated links in series"),
         ParameterSpec(
-            "pacing", _choice(("recorded", "rate", "back-to-back")), "rate",
+            "hops", partial(_check.positive_int, maximum=MAX_HOPS), 1,
+            "emulated links in series",
+        ),
+        ParameterSpec(
+            "pacing", _choice(PACINGS), "rate",
             "injection pacing policy",
         ),
-        ParameterSpec("packet_rate", _positive_number, 1e6, "replay rate in packets/s (pacing=rate)"),
-        ParameterSpec("speedup", _positive_number, 1.0, "time compression for pacing=recorded"),
-        ParameterSpec("bandwidth_gbps", _positive_number, 100.0, "per-hop link bandwidth in Gbit/s"),
-        ParameterSpec("propagation_us", _non_negative_number, 0.5, "per-hop propagation delay in µs"),
-        ParameterSpec("queue_capacity", _non_negative_int, 0, "bounded link queue in frames (0 = unbounded)"),
-        ParameterSpec("loss", _probability, 0.0, "per-packet loss probability per hop"),
-        ParameterSpec("reorder", _probability, 0.0, "per-packet reorder probability per hop"),
-        ParameterSpec("identifier_bits", _positive_int, 15, "identifier width t (table size 2^t)"),
-        ParameterSpec("order", _positive_int, 8, "Hamming order m (chunk size)"),
+        ParameterSpec("packet_rate", _check.positive_number, 1e6, "replay rate in packets/s (pacing=rate)"),
+        ParameterSpec("speedup", _check.positive_number, 1.0, "time compression for pacing=recorded"),
+        ParameterSpec("bandwidth_gbps", _check.positive_number, 100.0, "per-hop link bandwidth in Gbit/s"),
+        ParameterSpec("propagation_us", _check.non_negative_number, 0.5, "per-hop propagation delay in µs"),
+        ParameterSpec("queue_capacity", _check.non_negative_int, 0, "bounded link queue in frames (0 = unbounded)"),
+        ParameterSpec("loss", _check.probability, 0.0, "per-packet loss probability per hop"),
+        ParameterSpec("reorder", _check.probability, 0.0, "per-packet reorder probability per hop"),
+        ParameterSpec("identifier_bits", _check.positive_int, 15, "identifier width t (table size 2^t)"),
+        ParameterSpec("order", _check.positive_int, 8, "Hamming order m (chunk size)"),
         ParameterSpec(
-            "control", _choice(("direct", "in-network")), "direct",
+            "control", _choice(CONTROL_MODES), "direct",
             "how installs reach the decoder (topology=fan-in)",
         ),
         ParameterSpec(
-            "control_loss", _probability, 0.0,
+            "control_loss", _check.probability, 0.0,
             "control-frame loss probability (control=in-network)",
         ),
         ParameterSpec(
-            "control_rate", _non_negative_number, 0,
+            "control_rate", _check.non_negative_number, 0,
             "control-channel pacing in commands/s (0 = unlimited; "
             "control=in-network)",
         ),
-        ParameterSpec("seed", _seed, 0, "spec-level seed every scenario seed derives from"),
+        ParameterSpec("seed", _check.integer, 0, "spec-level seed every scenario seed derives from"),
     )
 }
 
@@ -202,10 +163,8 @@ def _validate_parameters(
     mapping: Mapping[str, Any], where: str
 ) -> Dict[str, Any]:
     """Validate a parameter mapping, returning normalised values."""
-    if not isinstance(mapping, Mapping):
-        raise ExperimentSpecError(f"{where} must be a mapping, got {mapping!r}")
     validated: Dict[str, Any] = {}
-    for name, value in mapping.items():
+    for name, value in _check.mapping("spec", where, mapping).items():
         if name not in PARAMETERS:
             known = ", ".join(sorted(PARAMETERS))
             raise ExperimentSpecError(
@@ -214,20 +173,8 @@ def _validate_parameters(
         if name == "trace" and value is None:
             validated[name] = None
             continue
-        validated[name] = PARAMETERS[name].validate(name, value)
+        validated[name] = PARAMETERS[name].validate(where, name, value)
     return validated
-
-
-def _scenario_seed(spec_name: str, spec_seed: int, scenario_id: str) -> int:
-    """Stable per-scenario seed: spec seed mixed with the scenario identity.
-
-    Delegates to the repository-wide CRC-32 scheme
-    (:func:`repro.topology.spec.derive_seed` — stable across processes,
-    platforms and Python versions, so sharded workers derive the same seed
-    the sequential runner does; per-flow seeds inside a fan-in scenario
-    derive from the same function).
-    """
-    return derive_seed(spec_name, spec_seed, scenario_id)
 
 
 @dataclass(frozen=True)
@@ -282,10 +229,10 @@ class ExperimentSpec:
         axes: Optional[Mapping[str, Sequence[Any]]] = None,
         overrides: Optional[Iterable[Mapping[str, Any]]] = None,
     ):
-        self.name = _string("spec name", name)
+        self.name = _check.string("spec", "name", name)
         self.base = _validate_parameters(base or {}, "base")
         self.axes: Dict[str, List[Any]] = {}
-        for axis, values in (axes or {}).items():
+        for axis, values in _check.mapping("spec", "axes", axes or {}).items():
             if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
                 raise ExperimentSpecError(
                     f"axis {axis!r} must map to a list of values, got {values!r}"
@@ -302,7 +249,7 @@ class ExperimentSpec:
             validated_values = []
             seen = set()
             for value in values:
-                validated = PARAMETERS[axis].validate(axis, value)
+                validated = PARAMETERS[axis].validate("axes", axis, value)
                 key = repr(validated)
                 if key in seen:
                     raise ExperimentSpecError(
@@ -312,7 +259,9 @@ class ExperimentSpec:
                 validated_values.append(validated)
             self.axes[axis] = validated_values
         self.overrides: List[_Override] = []
-        for index, entry in enumerate(overrides or []):
+        for index, entry in enumerate(
+            _check.sequence("spec", "overrides", overrides or [])
+        ):
             if not isinstance(entry, Mapping) or set(entry) - {"when", "set"}:
                 raise ExperimentSpecError(
                     f"override {index} must be a mapping with 'when' and 'set' keys"
@@ -333,14 +282,8 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         """Build a spec from a plain dictionary (the JSON/TOML document)."""
-        if not isinstance(data, Mapping):
-            raise ExperimentSpecError(f"spec must be a mapping, got {data!r}")
-        unknown = set(data) - {"name", "base", "axes", "overrides"}
-        if unknown:
-            raise ExperimentSpecError(
-                f"unknown spec keys: {', '.join(sorted(unknown))} "
-                "(expected name, base, axes, overrides)"
-            )
+        data = _check.mapping("spec", "document", data)
+        _check.known_keys("spec", data, ("name", "base", "axes", "overrides"))
         return cls(
             name=data.get("name", "experiment"),
             base=data.get("base"),
@@ -369,7 +312,7 @@ class ExperimentSpec:
         else:
             try:
                 document = json.loads(text)
-            except json.JSONDecodeError as error:
+            except ValueError as error:  # JSONDecodeError, or an integer past the digit limit
                 raise ExperimentSpecError(f"invalid JSON in {target}: {error}") from None
         return cls.from_dict(document)
 
@@ -424,7 +367,9 @@ class ExperimentSpec:
                     scenario_id=scenario_id,
                     axes=axes,
                     params=params,
-                    seed=_scenario_seed(self.name, spec_seed, scenario_id),
+                    # The repository-wide CRC-32 scheme: stable across
+                    # processes, so sharded workers derive the same seed.
+                    seed=derive_seed(self.name, spec_seed, scenario_id),
                 )
             )
         return scenarios

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.reporting import format_table
 from repro.exceptions import ReplayError
@@ -311,58 +311,6 @@ class Distribution:
             result[key] = self.percentile(p)
         return result
 
-    # -- state transport -------------------------------------------------------
-
-    def to_state(self) -> Dict[str, Any]:
-        """A picklable snapshot that :meth:`from_state` restores exactly.
-
-        This is how sharded topology workers ship their distributions back
-        to the parent: exact mode carries the sample list (insertion
-        order preserved, so downstream folds are byte-identical to an
-        in-process run), bounded mode carries the sketch.
-        """
-        if not self._bounded:
-            return {"mode": "exact", "samples": list(self._samples)}
-        return {
-            "mode": "bounded",
-            "relative_error": self._relative_error,
-            "max_buckets": self._max_buckets,
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-            "zero": self._zero,
-            "positive": dict(self._positive),
-            "negative": dict(self._negative),
-        }
-
-    @classmethod
-    def from_state(cls, name: str, state: Mapping[str, Any]) -> "Distribution":
-        """Rebuild a distribution from a :meth:`to_state` snapshot."""
-        mode = state.get("mode")
-        if mode == "exact":
-            dist = cls(name)
-            dist._samples = list(state["samples"])
-            return dist
-        if mode != "bounded":
-            raise ReplayError(
-                f"distribution {name!r}: unknown state mode {mode!r}"
-            )
-        dist = cls(
-            name,
-            bounded=True,
-            relative_error=state["relative_error"],
-            max_buckets=state["max_buckets"],
-        )
-        dist._count = state["count"]
-        dist._sum = state["sum"]
-        dist._min = state["min"]
-        dist._max = state["max"]
-        dist._zero = state["zero"]
-        dist._positive = dict(state["positive"])
-        dist._negative = dict(state["negative"])
-        return dist
-
 
 class MetricsRegistry:
     """Namespaced counters, gauges and distributions from many components.
@@ -455,6 +403,15 @@ class MetricsRegistry:
             target.update((name, value) for name, value in source.items() if keep(name))
         return selected
 
+    def absorb(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` in: counters add, gauges overwrite, distributions
+        are adopted (shared, not copied; a name held twice is an error)."""
+        for name, value in other._counters.items():
+            self.increment(name, value)
+        self._gauges.update(other._gauges)
+        for dist in other._distributions.values():
+            self.add_distribution(dist)
+
     # -- export -----------------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
@@ -465,22 +422,6 @@ class MetricsRegistry:
             "distributions": {
                 name: dist.summary()
                 for name, dist in sorted(self._distributions.items())
-            },
-        }
-
-    def export_state(self) -> Dict[str, object]:
-        """A picklable snapshot (insertion order preserved) for shard merge.
-
-        Unlike :meth:`as_dict`, distributions are carried as full
-        :meth:`Distribution.to_state` snapshots, not summaries, so the
-        parent process can fold them exactly.
-        """
-        return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
-            "distributions": {
-                name: dist.to_state()
-                for name, dist in self._distributions.items()
             },
         }
 
@@ -669,6 +610,47 @@ class HeadlineNumbers:
             return {}
         return dist.summary()
 
+    def headline_dict(self) -> Dict[str, object]:
+        """The JSON keys both report kinds carry (same names, same meaning —
+        the experiment matrix's dotted metric paths resolve on either)."""
+        return {
+            "topology": self.topology,
+            "scenario": self.scenario,
+            "chunks_sent": self.chunks_sent,
+            "payload_bytes_sent": self.payload_bytes_sent,
+            "wire_payload_bytes": self.wire_payload_bytes,
+            "compression_ratio": self.compression_ratio,
+            "savings_percent": self.savings_percent,
+            "duration": self.duration,
+            "learning_time": self.learning_time,
+            "integrity": None if self.integrity is None else self.integrity.as_dict(),
+            "latency": self.latency_summary(),
+            "metrics": self.metrics.as_dict(),
+        }
+
+    def ratio_rows(self) -> List[List[object]]:
+        """The compression-ratio and savings rows of a rendered headline."""
+        ratio, savings = self.compression_ratio, self.savings_percent
+        return [
+            ["compression ratio", "n/a" if ratio is None else f"{ratio:.4f}"],
+            ["savings", "n/a" if savings is None else f"{savings:.1f} %"],
+        ]
+
+    def learning_row(self) -> List[object]:
+        """The learning-delay row of a rendered headline."""
+        learning = self.learning_time
+        return [
+            "learning delay",
+            "n/a" if learning is None else f"{learning * 1e3:.3f} ms",
+        ]
+
+    def counter_tables(self) -> List[str]:
+        """The rendered counter breakdown (no table when nothing counted)."""
+        rows = self.metrics.counter_rows()
+        if not rows:
+            return []
+        return [format_table(["counter", "value"], rows, title="counter breakdown")]
+
 
 @dataclass
 class ReplayReport(HeadlineNumbers):
@@ -691,21 +673,7 @@ class ReplayReport(HeadlineNumbers):
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view of the whole report."""
-        return {
-            "topology": self.topology,
-            "scenario": self.scenario,
-            "source": self.source,
-            "chunks_sent": self.chunks_sent,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "wire_payload_bytes": self.wire_payload_bytes,
-            "compression_ratio": self.compression_ratio,
-            "savings_percent": self.savings_percent,
-            "duration": self.duration,
-            "learning_time": self.learning_time,
-            "integrity": None if self.integrity is None else self.integrity.as_dict(),
-            "latency": self.latency_summary(),
-            "metrics": self.metrics.as_dict(),
-        }
+        return {**self.headline_dict(), "source": self.source}
 
     def headline_rows(self) -> List[List[object]]:
         """The summary rows the CLI prints (metric, value pairs)."""
@@ -716,25 +684,9 @@ class ReplayReport(HeadlineNumbers):
             ["chunks sent", f"{self.chunks_sent:,}"],
             ["payload bytes sent", f"{self.payload_bytes_sent:,}"],
             ["bytes on the wire hop", f"{self.wire_payload_bytes:,}"],
-            [
-                "compression ratio",
-                "n/a"
-                if self.compression_ratio is None
-                else f"{self.compression_ratio:.4f}",
-            ],
-            [
-                "savings",
-                "n/a"
-                if self.savings_percent is None
-                else f"{self.savings_percent:.1f} %",
-            ],
+            *self.ratio_rows(),
             ["replay duration", f"{self.duration * 1e3:.3f} ms"],
-            [
-                "learning delay",
-                "n/a"
-                if self.learning_time is None
-                else f"{self.learning_time * 1e3:.3f} ms",
-            ],
+            self.learning_row(),
         ]
         latency = self.latency_summary()
         if latency:
@@ -763,11 +715,5 @@ class ReplayReport(HeadlineNumbers):
             )
         ]
         if include_counters:
-            counter_rows = self.metrics.counter_rows()
-            if counter_rows:
-                parts.append(
-                    format_table(
-                        ["counter", "value"], counter_rows, title="counter breakdown"
-                    )
-                )
+            parts += self.counter_tables()
         return "\n\n".join(parts)

@@ -8,17 +8,21 @@ engine:
 * :mod:`repro.topology.nodes` — hosts, ZipLine encoder/decoder adapters,
   plain forwarders;
 * :mod:`repro.topology.spec` — the declarative :class:`TopologySpec`
-  (JSON/dict: nodes, links, flows) plus the ``linear`` / ``fan-in`` /
-  ``paper-testbed`` presets and the shared CRC-32 seed derivation;
+  (JSON/dict: nodes, links, flows), its validation and the shared CRC-32
+  seed derivation; :mod:`repro.topology.presets` — the named shapes
+  (``linear``, ``fan-in``, ``rack-fan-in``, ``paper-testbed``, …);
 * :mod:`repro.topology.control` — in-network control messages (table
   installs that cross an emulated link instead of a method call), with
   optional token-bucket pacing and a bounded install queue;
 * :mod:`repro.topology.faults` — the declarative :class:`FaultPlan`
   (control-link loss/reorder, scheduled node restarts, eviction storms)
   a spec can carry for deterministic fault injection;
-* :mod:`repro.topology.engine` — :class:`TopologyEngine`, which runs N
-  concurrent flows over one spec and returns a :class:`TopologyReport`
-  with per-flow and per-link attribution;
+* :mod:`repro.topology.engine` — :class:`TopologyEngine`, which builds
+  one spec and runs its N concurrent flows;
+  :mod:`repro.topology.flows` — the per-flow runtime (injection pump,
+  arrival attribution, the one FIFO content matcher);
+  :mod:`repro.topology.report` — :class:`TopologyReport` with per-flow
+  and per-link attribution, and the one fold that builds it;
 * :mod:`repro.topology.sharding` — :func:`run_topology`, which splits a
   spec into independent per-encoder shards, simulates them across a
   process pool, and merges one byte-identical report at any worker count.

@@ -24,20 +24,19 @@ spec cannot carry — a pre-built in-memory source per flow and explicit
 static bases — are arguments of :meth:`TopologyEngine.run` and the
 constructor.
 
-Per-flow end-to-end integrity is FIFO content matching; arrivals are
-attributed to flows by their source MAC, which the ZipLine encode/decode
-path preserves.  The resulting
-:class:`TopologyReport` carries per-flow, per-link and per-node metrics
-and is a deterministic function of (spec, seed): running the same spec
-twice yields byte-identical :meth:`TopologyReport.json_text` output.
+This module is build + run.  The per-flow runtime — injection pump,
+arrival attribution, the one FIFO content matcher — lives in
+:mod:`repro.topology.flows`; the report classes and the one fold that
+builds them in :mod:`repro.topology.report` (re-exported here).  The
+resulting :class:`TopologyReport` carries per-flow, per-link and per-node
+metrics and is a deterministic function of (spec, seed): running the same
+spec twice yields byte-identical :meth:`TopologyReport.json_text` output.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs as _obs
 from repro.controlplane.manager import ZipLineControlPlane
@@ -49,25 +48,21 @@ from repro.perfmodel.linkmodel import ImpairmentModel
 from repro.replay.link import EmulatedLink
 from repro.replay.metrics import (
     Distribution,
-    HeadlineNumbers,
-    IntegrityResult,
     MetricsRegistry,
-    ReplayReport,
     collect_link_metrics,
     collect_switch_metrics,
     collect_wire_metrics,
 )
-from repro.replay.sources import (
-    Pacing,
-    PcapTraceSource,
-    TraceSource,
-    WorkloadTraceSource,
-    pacing_from_name,
-    stream_distinct_bases,
-)
+from repro.replay.sources import Pacing, TraceSource, pacing_from_name
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
 from repro.topology.control import ControlChannel
+from repro.topology.flows import (
+    FlowArrivals,
+    FlowState,
+    flow_source,
+    flow_source_mac,
+)
 from repro.topology.graph import TopologyGraph, build_link_chain
 from repro.topology.nodes import (
     ForwardNode,
@@ -75,22 +70,17 @@ from repro.topology.nodes import (
     ZipLineDecoderNode,
     ZipLineEncoderNode,
 )
-from repro.topology.spec import FlowSpec, LinkSpec, TopologySpec, derive_seed
-from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES, raw_chunk_payload
+from repro.topology.report import (
+    FlowResult,
+    TopologyReport,
+    fold_report,
+    learning_delay,
+)
+from repro.topology.spec import LinkSpec, TopologySpec, _check, derive_seed
 from repro.zipline.stats import LinkTap
 from repro.net.packets import PacketKind
 
 __all__ = ["FlowResult", "TopologyReport", "TopologyEngine", "learning_delay"]
-
-
-def _flow_source_mac(index: int) -> MacAddress:
-    """Unique locally-administered source MAC for flow ``index``.
-
-    Flows live under ``02:00:00:01:xx:xx``, hosts under ``02:00:00:00:xx:xx``
-    — disjoint ranges, so per-flow arrival attribution by source MAC can
-    never collide with a host address.
-    """
-    return MacAddress(0x02_00_00_01_00_00 + index + 1)
 
 
 def _host_mac(index: int) -> MacAddress:
@@ -98,474 +88,12 @@ def _host_mac(index: int) -> MacAddress:
     return MacAddress(0x02_00_00_00_00_00 + index + 1)
 
 
-#: How the engine folds per-flow metrics (see :class:`TopologyEngine`).
+#: How the engine keeps per-flow metrics (see :class:`TopologyEngine`).
 METRICS_MODES = ("exact", "streaming")
 
 
-class _NullFlowAccount:
-    """No verification, no retention — the counters-only mode."""
-
-    #: Streaming accounts own their latency sketch; batch/null modes get a
-    #: registry-created distribution at fold time instead.
-    latency: Optional[Distribution] = None
-
-    def record_sent(self, frame_bytes: bytes, now: float) -> None:
-        pass
-
-    def record_arrival(self, frame_bytes: bytes, time: float) -> None:
-        pass
-
-    def fold_into(self, latency: Distribution) -> Optional[IntegrityResult]:
-        return None
-
-
-class _ExactFlowAccount:
-    """Batch FIFO content matching.
-
-    Retains every injected chunk payload and every arrival frame —
-    O(traffic) memory, folded into the integrity verdict and the exact
-    latency distribution at report time.
-    """
-
-    latency: Optional[Distribution] = None
-
-    def __init__(self) -> None:
-        self.sent_chunks: List[bytes] = []
-        self.sent_times: List[float] = []
-        self.pending_by_content: Dict[bytes, Deque[int]] = {}
-        self.arrivals: List[Tuple[float, bytes]] = []
-
-    def record_sent(self, frame_bytes: bytes, now: float) -> None:
-        payload = frame_bytes[14:]
-        index = len(self.sent_chunks)
-        self.sent_chunks.append(payload)
-        self.sent_times.append(now)
-        self.pending_by_content.setdefault(payload, deque()).append(index)
-
-    def record_arrival(self, frame_bytes: bytes, time: float) -> None:
-        self.arrivals.append((time, frame_bytes))
-
-    def fold_into(self, latency: Distribution) -> Optional[IntegrityResult]:
-        if not self.sent_chunks:
-            return None
-        pending = {
-            content: deque(indices)
-            for content, indices in self.pending_by_content.items()
-        }
-        matched = corrupted = out_of_order = received = 0
-        highest_index = -1
-        for time, frame_bytes in self.arrivals:
-            payload = raw_chunk_payload(frame_bytes)
-            if payload is None:
-                continue
-            received += 1
-            queue = pending.get(payload)
-            if not queue:
-                corrupted += 1
-                continue
-            index = queue.popleft()
-            matched += 1
-            if index < highest_index:
-                out_of_order += 1
-            highest_index = max(highest_index, index)
-            latency.add(time - self.sent_times[index])
-        return IntegrityResult(
-            sent=len(self.sent_chunks),
-            received=received,
-            matched=matched,
-            corrupted=corrupted,
-            missing=len(self.sent_chunks) - matched,
-            out_of_order=out_of_order,
-        )
-
-
-class _StreamingFlowAccount:
-    """Online FIFO content matching with a bounded latency sketch.
-
-    Matches each arrival the moment it happens, so memory holds only the
-    chunks currently in flight (plus lost ones), never the whole stream.
-    Equivalent to the batch matcher: the link model never duplicates
-    frames, so an arrival can never need a copy sent *after* it — eager
-    matching pops exactly the index the batch pass would.
-    """
-
-    def __init__(self, latency: Distribution) -> None:
-        self.latency = latency
-        self.sent = 0
-        self.received = 0
-        self.matched = 0
-        self.corrupted = 0
-        self.out_of_order = 0
-        self.highest_index = -1
-        self.pending: Dict[bytes, Deque[Tuple[int, float]]] = {}
-
-    def record_sent(self, frame_bytes: bytes, now: float) -> None:
-        self.pending.setdefault(frame_bytes[14:], deque()).append(
-            (self.sent, now)
-        )
-        self.sent += 1
-
-    def record_arrival(self, frame_bytes: bytes, time: float) -> None:
-        payload = raw_chunk_payload(frame_bytes)
-        if payload is None:
-            return
-        self.received += 1
-        queue = self.pending.get(payload)
-        if not queue:
-            self.corrupted += 1
-            return
-        index, sent_time = queue.popleft()
-        if not queue:
-            del self.pending[payload]
-        self.matched += 1
-        if index < self.highest_index:
-            self.out_of_order += 1
-        self.highest_index = max(self.highest_index, index)
-        self.latency.add(time - sent_time)
-
-    def fold_into(self, latency: Distribution) -> Optional[IntegrityResult]:
-        if not self.sent:
-            return None
-        return IntegrityResult(
-            sent=self.sent,
-            received=self.received,
-            matched=self.matched,
-            corrupted=self.corrupted,
-            missing=self.sent - self.matched,
-            out_of_order=self.out_of_order,
-        )
-
-
-class _FlowState:
-    """Runtime state of one flow: scheduling identity, the injection pump
-    and volume counters, with verification delegated to a pluggable
-    account."""
-
-    def __init__(
-        self,
-        spec: FlowSpec,
-        seed: int,
-        source: TraceSource,
-        pacing: Pacing,
-        static_bases: Callable[[], Iterable[int]],
-        source_mac: MacAddress,
-        sink_mac: MacAddress,
-        account,
-        verifiable: bool,
-    ):
-        self.spec = spec
-        self.seed = seed
-        self.static_bases = static_bases
-        self.source_mac_bytes = bytes(source_mac)
-        self._own_addresses = bytes(sink_mac) + self.source_mac_bytes
-        self.account = account
-        #: False when no decoder can restore this flow's chunks, so there
-        #: is nothing to verify end to end.
-        self.verifiable = verifiable
-        # Workload sources already frame with the flow's addresses.
-        self.use_source(source, pacing, rewrite_addresses=spec.trace is not None)
-        self.frames_sent = 0
-        self.chunks_sent = 0
-        self.chunk_bytes_sent = 0
-        self.delivered = 0
-
-    def use_source(
-        self, source: TraceSource, pacing: Pacing, rewrite_addresses: bool = True
-    ) -> None:
-        """Take frames from ``source``, paced by ``pacing``.
-
-        Captures and caller-built sources carry whatever addresses they
-        were made with; their Ethernet addresses are rewritten to the
-        flow's own identity so arrival attribution by source MAC works for
-        every source kind.
-        """
-        self.source = source
-        self.pacing = pacing
-        self._mac_rewrite: Optional[bytes] = (
-            self._own_addresses if rewrite_addresses else None
-        )
-
-    @property
-    def sent_chunks(self) -> List[bytes]:
-        """Retained chunk payloads (empty outside the exact account)."""
-        return getattr(self.account, "sent_chunks", [])
-
-    @property
-    def arrivals(self) -> List[Tuple[float, bytes]]:
-        """Retained arrival frames (empty outside the exact account)."""
-        return getattr(self.account, "arrivals", [])
-
-    def frame_for_injection(self, frame_bytes: bytes) -> bytes:
-        """The frame as this flow puts it on the wire (flow-owned MACs)."""
-        if self._mac_rewrite is None:
-            return frame_bytes
-        return self._mac_rewrite + frame_bytes[12:]
-
-    def record_injection(self, frame_bytes: bytes, now: float) -> None:
-        self.frames_sent += 1
-        if frame_bytes[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
-            self.chunks_sent += 1
-            self.chunk_bytes_sent += len(frame_bytes) - 14
-            self.account.record_sent(frame_bytes, now)
-
-    def record_arrival(self, frame_bytes: bytes, time: float) -> None:
-        self.delivered += 1
-        self.account.record_arrival(frame_bytes, time)
-
-    # -- injection -------------------------------------------------------------
-
-    def start(self, simulator: Simulator, host: HostNode) -> None:
-        """Begin one-pending-frame streaming injection.
-
-        Exactly one frame per flow is ever scheduled, so its bytes live in
-        one slot and one method serves every injection event.
-        """
-        self.pacing.reset()
-        self._simulator = simulator
-        self._host = host
-        self._frames = self.source.frames()
-        self._index = 0
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        timed = next(self._frames, None)
-        if timed is None:
-            return
-        data = self._pending = timed.data
-        at = self.pacing.inject_at(self._index, timed.recorded_time, len(data))
-        now = self._simulator.now
-        self._simulator.schedule_at(
-            at if at > now else now,
-            self._inject_pending,
-            description="replay:inject",
-        )
-
-    def _inject_pending(self) -> None:
-        frame = self.frame_for_injection(self._pending)
-        now = self._simulator.now
-        self.record_injection(frame, now)
-        index = self._index
-        self._index = index + 1
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            # Everything the injection triggers synchronously — switch
-            # encode, link admission — inherits this chunk's identity; the
-            # link re-establishes it for the delivery side of the wire.
-            tracer.set_context(self.spec.name, index)
-            tracer.instant("flow.inject", self.spec.source)
-            try:
-                self._host.inject(frame, now)
-            finally:
-                tracer.clear_context()
-        else:
-            self._host.inject(frame, now)
-        self._schedule_next()
-
-
-@dataclass
-class FlowResult:
-    """One flow's outcome: identity, volumes, integrity, latency."""
-
-    name: str
-    source: str
-    seed: int
-    chunks_sent: int
-    payload_bytes_sent: int
-    frames_sent: int
-    delivered: int
-    integrity: Optional[IntegrityResult]
-    latency: Dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly view (one entry of the report's ``flows`` list)."""
-        return {
-            "name": self.name,
-            "source": self.source,
-            "seed": self.seed,
-            "chunks_sent": self.chunks_sent,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "frames_sent": self.frames_sent,
-            "delivered": self.delivered,
-            "integrity": None if self.integrity is None else self.integrity.as_dict(),
-            "latency": dict(self.latency),
-        }
-
-
-@dataclass
-class TopologyReport(HeadlineNumbers):
-    """Everything one topology run produced.
-
-    The top-level shape mirrors :class:`~repro.replay.metrics.ReplayReport`
-    (``compression_ratio``, ``integrity``, ``metrics.counters...``) so the
-    experiment matrix's dotted metric paths resolve on either report kind;
-    ``flows`` adds the per-flow breakdown and ``metrics`` carries per-link
-    and per-flow attribution (``flow.<name>.*`` counters and latency
-    distributions).
-    """
-
-    topology: str
-    scenario: str
-    chunks_sent: int
-    payload_bytes_sent: int
-    wire_payload_bytes: int
-    duration: float
-    integrity: Optional[IntegrityResult]
-    flows: List[FlowResult] = field(default_factory=list)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    learning_time: Optional[float] = None
-
-    def flow(self, name: str) -> FlowResult:
-        """Look up one flow's result by name."""
-        for result in self.flows:
-            if result.name == name:
-                return result
-        known = ", ".join(result.name for result in self.flows) or "none"
-        raise TopologyError(f"unknown flow {name!r}; flows: {known}")
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly view of the whole report."""
-        return {
-            "topology": self.topology,
-            "scenario": self.scenario,
-            "chunks_sent": self.chunks_sent,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "wire_payload_bytes": self.wire_payload_bytes,
-            "compression_ratio": self.compression_ratio,
-            "savings_percent": self.savings_percent,
-            "duration": self.duration,
-            "learning_time": self.learning_time,
-            "integrity": None if self.integrity is None else self.integrity.as_dict(),
-            "latency": self.latency_summary(),
-            "flows": [flow.as_dict() for flow in self.flows],
-            "metrics": self.metrics.as_dict(),
-        }
-
-    def as_replay_report(self, topology: str) -> ReplayReport:
-        """A one-flow linear run as the :class:`ReplayReport` its callers read.
-
-        The registry loses the per-flow ``flow.*`` attribution namespace
-        (there is one flow, so it repeats the totals), and the end-to-end
-        latency distribution appears only when integrity was verified.
-        ``topology`` names the linear shape that ran.
-        """
-        verified = self.integrity is not None
-        metrics = self.metrics.select(
-            lambda name: not name.startswith("flow.")
-            and (verified or name != "endtoend.latency")
-        )
-        return ReplayReport(
-            topology=topology,
-            scenario=self.scenario,
-            source=self.flows[0].source,
-            chunks_sent=self.chunks_sent,
-            payload_bytes_sent=self.payload_bytes_sent,
-            wire_payload_bytes=self.wire_payload_bytes,
-            duration=self.duration,
-            integrity=self.integrity,
-            metrics=metrics,
-            learning_time=self.learning_time,
-        )
-
-    def json_text(self) -> str:
-        """Canonical JSON — the determinism witness (same spec ⇒ same bytes)."""
-        import json
-
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True, default=str)
-
-    def render(self, include_counters: bool = False) -> str:
-        """Human-readable report: headline, per-flow table, counters."""
-        from repro.analysis.reporting import format_table
-
-        headline: List[List[object]] = [
-            ["topology", self.topology],
-            ["scenario", self.scenario],
-            ["flows", len(self.flows)],
-            ["chunks sent", f"{self.chunks_sent:,}"],
-            ["payload bytes sent", f"{self.payload_bytes_sent:,}"],
-            ["bytes on the measured link", f"{self.wire_payload_bytes:,}"],
-            [
-                "compression ratio",
-                "n/a"
-                if self.compression_ratio is None
-                else f"{self.compression_ratio:.4f}",
-            ],
-            [
-                "savings",
-                "n/a"
-                if self.savings_percent is None
-                else f"{self.savings_percent:.1f} %",
-            ],
-            ["duration", f"{self.duration * 1e3:.3f} ms"],
-            [
-                "learning delay",
-                "n/a"
-                if self.learning_time is None
-                else f"{self.learning_time * 1e3:.3f} ms",
-            ],
-        ]
-        if self.integrity is not None:
-            headline.append(
-                ["integrity intact", "yes" if self.integrity.intact else "NO"]
-            )
-            headline.append(["chunks lost", f"{self.integrity.missing:,}"])
-            headline.append(["chunks corrupted", f"{self.integrity.corrupted:,}"])
-        parts = [
-            format_table(
-                ["metric", "value"],
-                headline,
-                title=f"topology {self.topology} ({self.scenario})",
-            )
-        ]
-        if self.flows:
-            rows = []
-            for flow in self.flows:
-                integrity = flow.integrity
-                rows.append(
-                    [
-                        flow.name,
-                        f"{flow.chunks_sent:,}",
-                        f"{flow.delivered:,}",
-                        "n/a" if integrity is None else f"{integrity.missing:,}",
-                        "n/a" if integrity is None else f"{integrity.corrupted:,}",
-                        "n/a"
-                        if not flow.latency
-                        else f"{flow.latency.get('p50', 0.0) * 1e6:.2f}",
-                    ]
-                )
-            parts.append(
-                format_table(
-                    ["flow", "chunks", "delivered", "lost", "corrupted", "p50_us"],
-                    rows,
-                    title="per-flow breakdown",
-                )
-            )
-        if include_counters:
-            counter_rows = self.metrics.counter_rows()
-            if counter_rows:
-                parts.append(
-                    format_table(
-                        ["counter", "value"], counter_rows, title="counter breakdown"
-                    )
-                )
-        return "\n\n".join(parts)
-
-
-def learning_delay(
-    first_times: Iterable[Tuple[Optional[float], Optional[float]]],
-) -> Optional[float]:
-    """The paper's dynamic-learning measurement over measured links.
-
-    ``first_times`` holds one ``(first type-2, first type-3)`` arrival-time
-    pair per measured link (or per shard); the delay is the gap between
-    the earliest type-2 and the earliest type-3 frame, ``None`` when either
-    packet type never appeared.
-    """
-    pairs = list(first_times)
-    uncompressed = min((u for u, _c in pairs if u is not None), default=None)
-    compressed = min((c for _u, c in pairs if c is not None), default=None)
-    if uncompressed is None or compressed is None:
-        return None
-    return max(0.0, compressed - uncompressed)
+def check_metrics_mode(metrics_mode: str) -> None:
+    _check.choice("topology run", "metrics_mode", metrics_mode, METRICS_MODES)
 
 
 class TopologyEngine:
@@ -582,17 +110,16 @@ class TopologyEngine:
         side of the graph reports ``integrity: None`` either way: nothing
         restores its chunks, so there is nothing to verify.
     metrics_mode:
-        How per-flow metrics are kept.  ``"exact"`` (default) retains
-        every chunk, arrival and latency sample — O(traffic) memory, the
-        historical behaviour.  ``"streaming"`` matches arrivals online and
-        folds latencies into fixed-size sketches
-        (:class:`~repro.replay.metrics.Distribution` bounded mode), keeps
-        link taps counters-only and skips per-sample queueing-delay
-        retention — bounded memory at any scale, with identical counters,
-        gauges and integrity verdicts; only latency percentiles become
-        sketch estimates (and per-link queueing-delay distributions are
-        empty).  The mode never changes what the simulation *does*, so a
-        run's counters are byte-identical across modes.
+        What the run *keeps* — never what it does.  Both modes run the one
+        online matcher (:class:`~repro.topology.flows.FlowAccount`) and the
+        one report fold, so counters, gauges and integrity verdicts are
+        byte-identical across modes.  ``"exact"`` (default) retains every
+        latency sample, arrival frame, tap record and link queueing-delay
+        sample — O(traffic) memory, exact percentiles.  ``"streaming"``
+        retains none of them: latencies fold into fixed-size sketches
+        (:class:`~repro.replay.metrics.Distribution` bounded mode), so
+        memory is bounded at any scale, latency percentiles become sketch
+        estimates and per-link queueing-delay distributions are empty.
     tap_fallback:
         When no link is explicitly ``measured: true``, whether to tap the
         spec's fallback measured link (default true).  Sharded sub-spec
@@ -622,15 +149,14 @@ class TopologyEngine:
         qualify_controlplane: Optional[bool] = None,
         static_bases: Optional[Iterable[int]] = None,
     ):
-        if metrics_mode not in METRICS_MODES:
-            raise TopologyError(
-                f"metrics_mode must be one of {', '.join(METRICS_MODES)}; "
-                f"got {metrics_mode!r}"
-            )
+        check_metrics_mode(metrics_mode)
         self.spec = spec
         self.verify_integrity = verify_integrity
         self.metrics_mode = metrics_mode
         self._streaming = metrics_mode == "streaming"
+        #: Exact mode's O(traffic) retention: arrival frames on each flow,
+        #: per-frame tap records, per-sample link queueing delays.
+        self._retain = verify_integrity and not self._streaming
         self.tap_fallback = tap_fallback
         self._qualify_controlplane = qualify_controlplane
         self.simulator = Simulator()
@@ -648,10 +174,8 @@ class TopologyEngine:
         self._decoder_nodes: Dict[str, ZipLineDecoderNode] = {}
         self._host_nodes: Dict[str, HostNode] = {}
         self._forward_nodes: Dict[str, ForwardNode] = {}
-        self.flow_states: List[_FlowState] = []
-        self._flows_by_mac: Dict[bytes, _FlowState] = {}
-        self._unattributed = 0
-        self._misdelivered = 0
+        self.flow_states: List[FlowState] = []
+        self._arrivals = FlowArrivals()
         self._static_bases = None if static_bases is None else list(static_bases)
         self._build_nodes()
         self._build_links()
@@ -696,28 +220,26 @@ class TopologyEngine:
         return None if highest < 32 else highest + 1
 
     def _build_nodes(self) -> None:
-        host_index = 0
         self._host_macs: Dict[str, MacAddress] = {}
         for node_spec in self.spec.nodes:
+            routing = dict(
+                forwarding=dict(node_spec.forwarding),
+                default_egress_port=node_spec.default_egress_port,
+            )
             if node_spec.kind == "host":
-                # Frames are retained per flow (for the integrity check),
-                # never a second time at the host.
-                node = HostNode(node_spec.name, store=False)
+                node = HostNode(node_spec.name)
                 self._host_nodes[node_spec.name] = node
-                self._host_macs[node_spec.name] = _host_mac(host_index)
-                host_index += 1
+                self._host_macs[node_spec.name] = _host_mac(len(self._host_macs))
             elif node_spec.kind == "encoder":
-                digest_engine = DigestEngine(self.simulator)
                 node = ZipLineEncoderNode(
                     node_spec.name,
                     transform=self.transform,
                     identifier_bits=self.spec.identifier_bits,
                     simulator=self.simulator,
-                    forwarding=dict(node_spec.forwarding),
-                    default_egress_port=node_spec.default_egress_port,
                     entry_ttl=self.spec.entry_ttl,
-                    digest_engine=digest_engine,
+                    digest_engine=DigestEngine(self.simulator),
                     port_count=self._switch_port_count(node_spec),
+                    **routing,
                 )
                 self._encoder_nodes[node_spec.name] = node
             elif node_spec.kind == "decoder":
@@ -726,17 +248,12 @@ class TopologyEngine:
                     transform=self.transform,
                     identifier_bits=self.spec.identifier_bits,
                     simulator=self.simulator,
-                    forwarding=dict(node_spec.forwarding),
-                    default_egress_port=node_spec.default_egress_port,
                     port_count=self._switch_port_count(node_spec),
+                    **routing,
                 )
                 self._decoder_nodes[node_spec.name] = node
             else:  # forward
-                node = ForwardNode(
-                    node_spec.name,
-                    forwarding=dict(node_spec.forwarding),
-                    default_egress_port=node_spec.default_egress_port,
-                )
+                node = ForwardNode(node_spec.name, **routing)
                 self._forward_nodes[node_spec.name] = node
             self.graph.add_node(node)
 
@@ -758,21 +275,20 @@ class TopologyEngine:
             propagation_delay=link.propagation_us * 1e-6,
             queue_capacity=link.queue_capacity or None,
             impairments=impairments,
-            record_delays=self.verify_integrity and not self._streaming,
+            record_delays=self._retain,
         )
 
     def _build_links(self) -> None:
-        measured_names = {link.name for link in self.spec.links if link.measured}
-        if not measured_names and self.tap_fallback:
-            fallback = self.spec.measured_link
-            if fallback is not None:
-                measured_names = {fallback.name}
+        measured = (
+            self.spec.measured_links
+            if self.tap_fallback
+            else [link for link in self.spec.links if link.measured]
+        )
+        measured_names = {link.name for link in measured}
         for link in self.spec.links:
             tap = None
             if link.name in measured_names:
-                tap = LinkTap(
-                    store_records=self.verify_integrity and not self._streaming
-                )
+                tap = LinkTap(store_records=self._retain)
                 self.measured_taps.append((link.name, tap))
                 if self.measured_tap is None:
                     self.measured_tap = tap
@@ -881,125 +397,42 @@ class TopologyEngine:
                     seed=self.spec.seed,
                 )
 
-    def _flow_workload(self, flow: FlowSpec, seed: int):
-        """A workload flow's generator and its ``bases()`` callable — the
-        one place a spec's workload name becomes a workload object."""
-        from repro.workloads import (
-            DictionaryThrashWorkload,
-            DnsQueryWorkload,
-            SyntheticSensorWorkload,
-        )
-
-        if flow.workload == "synthetic":
-            workload = SyntheticSensorWorkload(
-                num_chunks=flow.chunks,
-                distinct_bases=flow.bases,
-                order=self.spec.order,
-                seed=seed,
-            )
-            return workload, workload.bases
-        if flow.workload == "thrash":
-            workload = DictionaryThrashWorkload(
-                num_chunks=flow.chunks,
-                distinct_bases=flow.bases,
-                order=self.spec.order,
-                # A quarter-trace phase with a working-set migration keeps
-                # the control plane installing for the whole run.
-                phase_chunks=max(1, flow.chunks // 4),
-                phase_shift=max(1, flow.bases // 4),
-                seed=seed,
-            )
-            return workload, workload.bases
-        workload = DnsQueryWorkload(
-            num_queries=flow.chunks,
-            distinct_names=flow.names,
-            seed=seed,
-        )
-        return workload, partial(workload.bases, order=self.spec.order)
-
-    def _build_flow_pacing(self, flow: FlowSpec) -> Pacing:
-        return pacing_from_name(
-            flow.pacing,
-            packet_rate=flow.packet_rate,
-            speedup=flow.speedup,
-            start=flow.start,
-        )
-
-    def _make_account(self, flow: FlowSpec):
-        if not self.verify_integrity:
-            return _NullFlowAccount()
-        if self._streaming:
-            return _StreamingFlowAccount(
-                Distribution(f"flow.{flow.name}.latency", bounded=True)
-            )
-        return _ExactFlowAccount()
-
     def _build_flows(self) -> None:
         component_of = self.spec.node_components()
         decoder_components = {component_of[name] for name in self._decoder_nodes}
         for index, flow in enumerate(self.spec.flows):
             seed = self.spec.flow_seed(flow)
-            source_mac = _flow_source_mac(index)
+            source_mac = flow_source_mac(index)
             sink_mac = self._host_macs[flow.sink]
-            if flow.trace is not None:
-                source: TraceSource = PcapTraceSource(flow.trace)
-                static_bases = partial(
-                    stream_distinct_bases, flow.trace, order=self.spec.order
-                )
-            else:
-                workload, static_bases = self._flow_workload(flow, seed)
-                source = WorkloadTraceSource(
-                    workload, source=source_mac, destination=sink_mac
-                )
-            state = _FlowState(
+            source, static_bases = flow_source(
+                flow, seed, self.spec.order, source_mac, sink_mac
+            )
+            state = FlowState(
                 spec=flow,
                 seed=seed,
                 source=source,
-                pacing=self._build_flow_pacing(flow),
+                pacing=pacing_from_name(
+                    flow.pacing,
+                    packet_rate=flow.packet_rate,
+                    speedup=flow.speedup,
+                    start=flow.start,
+                ),
                 static_bases=static_bases,
                 source_mac=source_mac,
                 sink_mac=sink_mac,
-                account=self._make_account(flow),
-                verifiable=component_of[flow.source] in decoder_components,
+                latency=Distribution(
+                    f"flow.{flow.name}.latency", bounded=self._streaming
+                ),
+                # A flow with no decoder on its side of the graph has
+                # nothing restoring its chunks, so nothing to verify.
+                verified=self.verify_integrity
+                and component_of[flow.source] in decoder_components,
+                retain_arrivals=self._retain,
             )
             self.flow_states.append(state)
-            self._flows_by_mac[state.source_mac_bytes] = state
+            self._arrivals.register(state)
         for name, host in self._host_nodes.items():
-            host.on_deliver = partial(self._dispatch_arrival, name)
-
-    def _dispatch_arrival(
-        self, host_name: str, frame_bytes: bytes, time: float
-    ) -> None:
-        flow = self._flows_by_mac.get(frame_bytes[6:12])
-        tracer = _obs.TRACER
-        if flow is None:
-            self._unattributed += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "flow.arrive",
-                    host_name,
-                    args={"outcome": "unattributed"},
-                    ts=time,
-                )
-            return
-        if flow.spec.sink != host_name:
-            # A flow's frame delivered to the wrong host is a routing bug,
-            # not a successful arrival: count it, and let the flow's
-            # integrity report the chunk as missing.
-            self._misdelivered += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "flow.arrive",
-                    host_name,
-                    args={"outcome": "misdelivered", "flow": flow.spec.name},
-                    ts=time,
-                )
-            return
-        flow.record_arrival(frame_bytes, time)
-        if tracer.enabled:
-            tracer.instant(
-                "flow.arrive", host_name, args={"outcome": "delivered"}, ts=time
-            )
+            host.on_deliver = partial(self._arrivals.deliver, name)
 
     def _preload_static_bases(self) -> None:
         """Install each component's flows' bases into that component's
@@ -1143,7 +576,7 @@ class TopologyEngine:
             tap.total_payload_bytes() for _name, tap in self.measured_taps
         )
         wire_frames = sum(tap.total_frames() for _name, tap in self.measured_taps)
-        sample = {
+        return {
             "chunks_sent": float(
                 sum(state.chunks_sent for state in self.flow_states)
             ),
@@ -1162,7 +595,6 @@ class TopologyEngine:
                 )
             ),
         }
-        return sample
 
     # -- results -----------------------------------------------------------------
 
@@ -1215,77 +647,26 @@ class TopologyEngine:
             )
         for _name, tap in self.measured_taps:
             collect_wire_metrics(metrics, tap)
-        if self._unattributed:
-            metrics.increment("flows.unattributed_frames", self._unattributed)
-        if self._misdelivered:
-            metrics.increment("flows.misdelivered_frames", self._misdelivered)
+        if self._arrivals.unattributed:
+            metrics.increment(
+                "flows.unattributed_frames", self._arrivals.unattributed
+            )
+        if self._arrivals.misdelivered:
+            metrics.increment(
+                "flows.misdelivered_frames", self._arrivals.misdelivered
+            )
         return metrics
 
     def report(self) -> TopologyReport:
         """Fold everything measured so far into a :class:`TopologyReport`."""
         metrics = self._collect_metrics()
-        flow_results: List[FlowResult] = []
-        totals = {"sent": 0, "received": 0, "matched": 0, "corrupted": 0,
-                  "missing": 0, "out_of_order": 0}
-        any_integrity = False
-        endtoend = metrics.distribution("endtoend.latency")
-        for state in self.flow_states:
-            if state.account.latency is not None:
-                # Streaming accounts own their (bounded) latency sketch;
-                # adopt it so the registry reports it under the flow key.
-                latency = metrics.add_distribution(state.account.latency)
-            else:
-                latency = metrics.distribution(f"flow.{state.spec.name}.latency")
-            integrity = (
-                state.account.fold_into(latency) if state.verifiable else None
-            )
-            # Fold per-flow latencies into the all-flow distribution in
-            # flow-declaration order — the exact order the shard merge
-            # replays, so the float fold is byte-identical either way.
-            if self._streaming:
-                endtoend.merge(latency)
-            else:
-                endtoend.extend(latency.samples)
-            metrics.increment(f"flow.{state.spec.name}.chunks_sent", state.chunks_sent)
-            metrics.increment(
-                f"flow.{state.spec.name}.payload_bytes_sent", state.chunk_bytes_sent
-            )
-            metrics.increment(f"flow.{state.spec.name}.delivered", state.delivered)
-            if integrity is not None:
-                any_integrity = True
-                for key in totals:
-                    totals[key] += getattr(integrity, key)
-                metrics.increment(
-                    f"flow.{state.spec.name}.missing", integrity.missing
-                )
-                metrics.increment(
-                    f"flow.{state.spec.name}.corrupted", integrity.corrupted
-                )
-            flow_results.append(
-                FlowResult(
-                    name=state.spec.name,
-                    source=state.source.description,
-                    seed=state.seed,
-                    chunks_sent=state.chunks_sent,
-                    payload_bytes_sent=state.chunk_bytes_sent,
-                    frames_sent=state.frames_sent,
-                    delivered=state.delivered,
-                    integrity=integrity,
-                    latency={} if latency.empty else latency.summary(),
-                )
-            )
-        aggregate = IntegrityResult(**totals) if any_integrity else None
-        return TopologyReport(
-            topology=self.spec.name,
-            scenario=self.spec.scenario,
-            chunks_sent=sum(state.chunks_sent for state in self.flow_states),
-            payload_bytes_sent=sum(state.chunk_bytes_sent for state in self.flow_states),
+        return fold_report(
+            self.spec,
+            metrics,
+            [state.result(metrics) for state in self.flow_states],
             wire_payload_bytes=sum(
                 tap.total_payload_bytes() for _name, tap in self.measured_taps
             ),
             duration=self.simulator.now,
-            integrity=aggregate,
-            flows=flow_results,
-            metrics=metrics,
-            learning_time=self.learning_time(),
+            first_times=self.wire_first_times(),
         )

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.exceptions import TopologyError
+from repro.validation import Validator
 
 __all__ = [
     "NodeRestart",
@@ -39,36 +40,7 @@ __all__ = [
 ]
 
 
-def _require_probability(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TopologyError(f"{where} must be a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise TopologyError(f"{where} must be within [0, 1], got {value}")
-    return float(value)
-
-
-def _require_time(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TopologyError(f"{where} must be a number, got {value!r}")
-    if value < 0:
-        raise TopologyError(f"{where} cannot be negative, got {value}")
-    return float(value)
-
-
-def _require_node(value: Any, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise TopologyError(f"{where} must be a non-empty node name, got {value!r}")
-    return value
-
-
-def _reject_unknown_keys(
-    mapping: Mapping[str, Any], known: Tuple[str, ...], where: str
-) -> None:
-    unknown = sorted(set(mapping) - set(known))
-    if unknown:
-        raise TopologyError(
-            f"{where} has unknown keys {unknown}; known keys: {sorted(known)}"
-        )
+_check = Validator(TopologyError)
 
 
 @dataclass(frozen=True)
@@ -88,12 +60,10 @@ class NodeRestart:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], where: str) -> "NodeRestart":
-        _reject_unknown_keys(data, ("node", "time"), where)
-        if "node" not in data or "time" not in data:
-            raise TopologyError(f"{where} requires 'node' and 'time' keys")
+        data = _check.record(where, data, cls)
         return cls(
-            node=_require_node(data["node"], f"{where}.node"),
-            time=_require_time(data["time"], f"{where}.time"),
+            node=_check.string(where, "node", data["node"]),
+            time=_check.non_negative_number(where, "time", data["time"]),
         )
 
 
@@ -110,17 +80,11 @@ class EvictionStorm:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], where: str) -> "EvictionStorm":
-        _reject_unknown_keys(data, ("node", "time", "count"), where)
-        for key in ("node", "time", "count"):
-            if key not in data:
-                raise TopologyError(f"{where} requires 'node', 'time' and 'count' keys")
-        count = data["count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
-            raise TopologyError(f"{where}.count must be a positive integer, got {count!r}")
+        data = _check.record(where, data, cls)
         return cls(
-            node=_require_node(data["node"], f"{where}.node"),
-            time=_require_time(data["time"], f"{where}.time"),
-            count=count,
+            node=_check.string(where, "node", data["node"]),
+            time=_check.non_negative_number(where, "time", data["time"]),
+            count=_check.positive_int(where, "count", data["count"]),
         )
 
 
@@ -134,8 +98,9 @@ class FaultPlan:
     storms: Tuple[EvictionStorm, ...] = ()
 
     def __post_init__(self) -> None:
-        _require_probability(self.control_loss, "faults.control_loss")
-        _require_probability(self.control_reorder, "faults.control_reorder")
+        for name in ("control_loss", "control_reorder"):
+            value = _check.probability("faults", name, getattr(self, name))
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "restarts", tuple(self.restarts))
         object.__setattr__(self, "storms", tuple(self.storms))
 
@@ -175,28 +140,21 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], where: str = "faults") -> "FaultPlan":
-        if not isinstance(data, Mapping):
-            raise TopologyError(f"{where} must be an object, got {data!r}")
-        _reject_unknown_keys(
-            data, ("control_loss", "control_reorder", "restarts", "storms"), where
-        )
-        restarts = tuple(
-            NodeRestart.from_dict(entry, f"{where}.restarts[{index}]")
-            for index, entry in enumerate(data.get("restarts", ()))
-        )
-        storms = tuple(
-            EvictionStorm.from_dict(entry, f"{where}.storms[{index}]")
-            for index, entry in enumerate(data.get("storms", ()))
-        )
+        data = _check.record(where, data, cls)
+        restarts = _check.sequence(where, "restarts", data.get("restarts", ()))
+        storms = _check.sequence(where, "storms", data.get("storms", ()))
         return cls(
-            control_loss=_require_probability(
-                data.get("control_loss", 0.0), f"{where}.control_loss"
+            # Both probabilities are checked by __post_init__.
+            control_loss=data.get("control_loss", 0.0),
+            control_reorder=data.get("control_reorder", 0.0),
+            restarts=tuple(
+                NodeRestart.from_dict(entry, f"{where}.restarts[{index}]")
+                for index, entry in enumerate(restarts)
             ),
-            control_reorder=_require_probability(
-                data.get("control_reorder", 0.0), f"{where}.control_reorder"
+            storms=tuple(
+                EvictionStorm.from_dict(entry, f"{where}.storms[{index}]")
+                for index, entry in enumerate(storms)
             ),
-            restarts=restarts,
-            storms=storms,
         )
 
 
@@ -235,28 +193,23 @@ def validate_spec_faults(spec: Any) -> None:
                 "faults.control_loss/control_reorder require control='in-network' "
                 "(a direct control plane has no channel to impair)"
             )
-        for restart in faults.restarts:
-            node = nodes.get(restart.node)
-            if node is None:
-                raise TopologyError(
-                    f"faults.restarts references unknown node {restart.node!r}"
-                )
-            if node.kind != "decoder":
-                raise TopologyError(
-                    f"faults.restarts node {restart.node!r} is a {node.kind!r} node; "
-                    "restarts are modelled for decoder nodes"
-                )
-        for storm in faults.storms:
-            node = nodes.get(storm.node)
-            if node is None:
-                raise TopologyError(
-                    f"faults.storms references unknown node {storm.node!r}"
-                )
-            if node.kind != "encoder":
-                raise TopologyError(
-                    f"faults.storms node {storm.node!r} is a {node.kind!r} node; "
-                    "storms are triggered on encoder nodes"
-                )
+        for key, events, kind, why in (
+            ("restarts", faults.restarts, "decoder",
+             "restarts are modelled for decoder nodes"),
+            ("storms", faults.storms, "encoder",
+             "storms are triggered on encoder nodes"),
+        ):
+            for event in events:
+                node = nodes.get(event.node)
+                if node is None:
+                    raise TopologyError(
+                        f"faults.{key} references unknown node {event.node!r}"
+                    )
+                if node.kind != kind:
+                    raise TopologyError(
+                        f"faults.{key} node {event.node!r} is a {node.kind!r} "
+                        f"node; {why}"
+                    )
     if spec.control_rate is not None and spec.control != "in-network":
         raise TopologyError(
             "control_rate requires control='in-network' (pacing applies to the "

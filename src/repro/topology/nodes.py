@@ -16,7 +16,7 @@ Four node kinds cover every topology the reproduction builds:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import TopologyError
 from repro.topology.graph import LinkSink, Node
@@ -32,18 +32,16 @@ __all__ = [
 class HostNode(Node):
     """A traffic endpoint: the place flows start and end.
 
-    As a *sink*, the host counts — and when ``store`` is true, retains —
-    every delivered frame, and forwards each delivery to an optional
-    ``on_deliver`` hook (the engine uses it for per-flow attribution).  As
-    a *source*, :meth:`inject` transmits a frame into whatever the graph
-    attached to the host's egress port.
+    As a *sink*, the host counts every delivered frame and forwards each
+    delivery to an optional ``on_deliver`` hook (the engine uses it for
+    per-flow attribution; frames are retained per flow, never at the
+    host).  As a *source*, :meth:`inject` transmits a frame into whatever
+    the graph attached to the host's egress port.
     """
 
-    def __init__(self, name: str = "host", store: bool = True):
+    def __init__(self, name: str = "host"):
         super().__init__(name)
-        self.store = store
         self.delivered = 0
-        self.arrivals: List[Tuple[float, bytes]] = []
         self._egress: Dict[int, LinkSink] = {}
         self.on_deliver: Optional[Callable[[bytes, float], None]] = None
 
@@ -55,8 +53,6 @@ class HostNode(Node):
     def deliver(self, frame_bytes: bytes, time: float) -> None:
         """Port-sink entry point (same shape as a switch port sink)."""
         self.delivered += 1
-        if self.store:
-            self.arrivals.append((time, frame_bytes))
         if self.on_deliver is not None:
             self.on_deliver(frame_bytes, time)
 

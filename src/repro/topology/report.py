@@ -1,0 +1,238 @@
+"""What a topology run reports, and the one fold that builds it.
+
+:class:`TopologyReport` (with its per-flow :class:`FlowResult` entries) is
+the single object everything the paper's evaluation reads leaves the
+simulator through.  :func:`fold_report` is the only code that builds one:
+it folds per-flow results into the all-flow integrity totals and the
+``endtoend.latency`` distribution, sums the volumes and measures the
+learning delay.  The monolithic engine calls it on its own flows and the
+shard merge calls it on the concatenated shard results, so "monolithic ≡
+one shard ≡ N shards" holds by construction, not by two code paths
+agreeing.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.exceptions import TopologyError
+from repro.replay.metrics import (
+    HeadlineNumbers,
+    IntegrityResult,
+    MetricsRegistry,
+    ReplayReport,
+)
+from repro.topology.spec import TopologySpec
+
+__all__ = ["FlowResult", "TopologyReport", "learning_delay", "fold_report"]
+
+
+@dataclass
+class FlowResult:
+    """One flow's outcome: identity, volumes, integrity, latency."""
+
+    name: str
+    source: str
+    seed: int
+    chunks_sent: int
+    payload_bytes_sent: int
+    frames_sent: int
+    delivered: int
+    integrity: Optional[IntegrityResult]
+    latency: Dict[str, float] = field(default_factory=dict)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-friendly view (one entry of the report's ``flows`` list)."""
+        return {
+            **vars(self),
+            "integrity": None if self.integrity is None else self.integrity.as_dict(),
+            "latency": dict(self.latency),
+        }
+
+
+@dataclass
+class TopologyReport(HeadlineNumbers):
+    """Everything one topology run produced.
+
+    The top-level shape mirrors :class:`~repro.replay.metrics.ReplayReport`
+    (``compression_ratio``, ``integrity``, ``metrics.counters...``) so the
+    experiment matrix's dotted metric paths resolve on either report kind;
+    ``flows`` adds the per-flow breakdown and ``metrics`` carries per-link
+    and per-flow attribution (``flow.<name>.*`` counters and latency
+    distributions).
+    """
+
+    topology: str
+    scenario: str
+    chunks_sent: int
+    payload_bytes_sent: int
+    wire_payload_bytes: int
+    duration: float
+    integrity: Optional[IntegrityResult]
+    flows: List[FlowResult] = field(default_factory=list)
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    learning_time: Optional[float] = None
+
+    def flow(self, name: str) -> FlowResult:
+        """Look up one flow's result by name."""
+        for result in self.flows:
+            if result.name == name:
+                return result
+        known = ", ".join(result.name for result in self.flows) or "none"
+        raise TopologyError(f"unknown flow {name!r}; flows: {known}")
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-friendly view of the whole report."""
+        return {
+            **self.headline_dict(),
+            "flows": [flow.as_dict() for flow in self.flows],
+        }
+
+    def as_replay_report(self, topology: str) -> ReplayReport:
+        """A one-flow linear run as the :class:`ReplayReport` its callers read.
+
+        The registry loses the per-flow ``flow.*`` attribution namespace
+        (there is one flow, so it repeats the totals), and the end-to-end
+        latency distribution appears only when integrity was verified.
+        ``topology`` names the linear shape that ran.
+        """
+        verified = self.integrity is not None
+        metrics = self.metrics.select(
+            lambda name: not name.startswith("flow.")
+            and (verified or name != "endtoend.latency")
+        )
+        return ReplayReport(
+            topology=topology,
+            scenario=self.scenario,
+            source=self.flows[0].source,
+            chunks_sent=self.chunks_sent,
+            payload_bytes_sent=self.payload_bytes_sent,
+            wire_payload_bytes=self.wire_payload_bytes,
+            duration=self.duration,
+            integrity=self.integrity,
+            metrics=metrics,
+            learning_time=self.learning_time,
+        )
+
+    def json_text(self) -> str:
+        """Canonical JSON — the determinism witness (same spec ⇒ same bytes)."""
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True, default=str)
+
+    def render(self, include_counters: bool = False) -> str:
+        """Human-readable report: headline, per-flow table, counters."""
+        from repro.analysis.reporting import format_table
+
+        headline: List[List[object]] = [
+            ["topology", self.topology],
+            ["scenario", self.scenario],
+            ["flows", len(self.flows)],
+            ["chunks sent", f"{self.chunks_sent:,}"],
+            ["payload bytes sent", f"{self.payload_bytes_sent:,}"],
+            ["bytes on the measured link", f"{self.wire_payload_bytes:,}"],
+            *self.ratio_rows(),
+            ["duration", f"{self.duration * 1e3:.3f} ms"],
+            self.learning_row(),
+        ]
+        if self.integrity is not None:
+            headline.append(
+                ["integrity intact", "yes" if self.integrity.intact else "NO"]
+            )
+            headline.append(["chunks lost", f"{self.integrity.missing:,}"])
+            headline.append(["chunks corrupted", f"{self.integrity.corrupted:,}"])
+        parts = [
+            format_table(
+                ["metric", "value"],
+                headline,
+                title=f"topology {self.topology} ({self.scenario})",
+            )
+        ]
+        if self.flows:
+            rows = []
+            for flow in self.flows:
+                integrity = flow.integrity
+                rows.append(
+                    [
+                        flow.name,
+                        f"{flow.chunks_sent:,}",
+                        f"{flow.delivered:,}",
+                        "n/a" if integrity is None else f"{integrity.missing:,}",
+                        "n/a" if integrity is None else f"{integrity.corrupted:,}",
+                        "n/a"
+                        if not flow.latency
+                        else f"{flow.latency.get('p50', 0.0) * 1e6:.2f}",
+                    ]
+                )
+            parts.append(
+                format_table(
+                    ["flow", "chunks", "delivered", "lost", "corrupted", "p50_us"],
+                    rows,
+                    title="per-flow breakdown",
+                )
+            )
+        if include_counters:
+            parts += self.counter_tables()
+        return "\n\n".join(parts)
+
+
+def learning_delay(
+    first_times: Iterable[Tuple[Optional[float], Optional[float]]],
+) -> Optional[float]:
+    """The paper's dynamic-learning measurement over measured links.
+
+    ``first_times`` holds one ``(first type-2, first type-3)`` arrival-time
+    pair per measured link (or per shard); the delay is the gap between
+    the earliest type-2 and the earliest type-3 frame, ``None`` when either
+    packet type never appeared.
+    """
+    pairs = list(first_times)
+    uncompressed = min((u for u, _c in pairs if u is not None), default=None)
+    compressed = min((c for _u, c in pairs if c is not None), default=None)
+    if uncompressed is None or compressed is None:
+        return None
+    return max(0.0, compressed - uncompressed)
+
+
+def fold_report(
+    spec: TopologySpec,
+    metrics: MetricsRegistry,
+    flows: Iterable[FlowResult],
+    wire_payload_bytes: int,
+    duration: float,
+    first_times: Iterable[Tuple[Optional[float], Optional[float]]],
+) -> TopologyReport:
+    """Fold per-flow results and collected metrics into the run's report.
+
+    ``metrics`` holds everything collected so far — component counters and
+    each flow's ``flow.<name>.*`` counters and latency distribution — but
+    no ``endtoend.latency`` yet.  ``flows`` may arrive in any order (shards
+    finish in any order): they are folded in the flow-declaration order of
+    ``spec``, so the float sums inside ``endtoend.latency`` come out
+    bit-identical however the run was partitioned.  ``first_times`` holds a
+    ``(first type-2, first type-3)`` pair per measured link.
+    """
+    by_name = {flow.name: flow for flow in flows}
+    ordered = [by_name[flow.name] for flow in spec.flows]
+    distributions = metrics.distributions()
+    endtoend = metrics.distribution("endtoend.latency")
+    totals = dict.fromkeys((entry.name for entry in fields(IntegrityResult)), 0)
+    verified = False
+    for flow in ordered:
+        endtoend.merge(distributions[f"flow.{flow.name}.latency"])
+        if flow.integrity is not None:
+            verified = True
+            for key in totals:
+                totals[key] += getattr(flow.integrity, key)
+    return TopologyReport(
+        topology=spec.name,
+        scenario=spec.scenario,
+        chunks_sent=sum(flow.chunks_sent for flow in ordered),
+        payload_bytes_sent=sum(flow.payload_bytes_sent for flow in ordered),
+        wire_payload_bytes=wire_payload_bytes,
+        duration=duration,
+        integrity=IntegrityResult(**totals) if verified else None,
+        flows=ordered,
+        metrics=metrics,
+        learning_time=learning_delay(first_times),
+    )

@@ -15,9 +15,10 @@ byte-identical report JSON at any worker count.**  It holds because
   identical whether it runs in the monolithic engine or a shard;
 * shards are disjoint connected components — no event in one shard can
   observe another shard's clock, queue or dictionary;
-* the merge folds per-flow latency into ``endtoend.latency`` in
-  flow-declaration order of the *full* spec, the exact order the
-  monolithic engine uses, so even float summation is bit-identical;
+* the merge and the monolithic engine build their report with the same
+  function (:func:`~repro.topology.report.fold_report`), which folds
+  per-flow latency into ``endtoend.latency`` in flow-declaration order of
+  the *full* spec, so even float summation is bit-identical;
 * counters/gauges land in sorted-key JSON, and every shard's namespaces
   are disjoint by construction (control-plane counters are qualified per
   encoder whenever the full spec has several encoders).
@@ -35,38 +36,29 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import TopologyError
 from repro.obs.sinks import JsonLinesSink, merge_segments
 from repro.obs.tracer import Tracer
-from repro.replay.metrics import Distribution, IntegrityResult, MetricsRegistry
-from repro.topology.engine import (
-    METRICS_MODES,
-    FlowResult,
-    TopologyEngine,
-    TopologyReport,
-    learning_delay,
-)
-from repro.topology.spec import TopologySpec
+from repro.replay.metrics import MetricsRegistry
+from repro.topology.engine import TopologyEngine, check_metrics_mode
+from repro.topology.report import TopologyReport, fold_report
+from repro.topology.spec import SPEC_SETTINGS, TopologySpec
 
 __all__ = [
     "PartitionError",
     "TopologyShard",
+    "map_across_workers",
     "partition_spec",
     "run_topology",
 ]
-
-_INTEGRITY_FIELDS = (
-    "sent", "received", "matched", "corrupted", "missing", "out_of_order"
-)
-
 
 class PartitionError(TopologyError):
     """The spec cannot be split into independent per-encoder subgraphs."""
@@ -108,22 +100,19 @@ class _ShardTask:
 
 @dataclass
 class _ShardOutcome:
-    """A picklable shard result the parent folds into the merged report."""
+    """What a shard hands back: the objects it already has, which pickle.
+
+    ``report`` is the shard engine's own :class:`TopologyReport`,
+    ``first_times`` its per-tap ``(first type-2, first type-3)`` pairs
+    (the one thing the learning delay needs that a report does not carry).
+    A crashed shard has ``failure`` (the traceback) and no report.
+    """
 
     index: int
     name: str
-    duration: float
-    wire_payload_bytes: int
-    first_times: List[Tuple[Optional[float], Optional[float]]]
-    registry_state: Dict[str, Any]
-    flows: List[Dict[str, Any]]
+    report: Optional[TopologyReport] = None
+    first_times: Sequence[Tuple[Optional[float], Optional[float]]] = ()
     failure: Optional[str] = None
-
-
-def _shard_name(component: List[str], encoders: List[str]) -> str:
-    if len(encoders) == 1:
-        return encoders[0]
-    return component[0]
 
 
 def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
@@ -200,20 +189,9 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
         ]
         flows = [flow for flow in spec.flows if flow.source in members]
         sub_spec = TopologySpec(
-            name=spec.name,
             nodes=nodes,
             links=links,
             flows=flows,
-            scenario=spec.scenario,
-            order=spec.order,
-            identifier_bits=spec.identifier_bits,
-            seed=spec.seed,
-            entry_ttl=spec.entry_ttl,
-            control=spec.control,
-            control_bandwidth_gbps=spec.control_bandwidth_gbps,
-            control_propagation_us=spec.control_propagation_us,
-            control_rate=spec.control_rate,
-            control_queue=spec.control_queue,
             # Restart/storm events follow their node into its shard; the
             # global control-link impairment probabilities stay (each
             # control link draws from its own derived-seed stream).
@@ -222,16 +200,40 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
                 if spec.faults is not None
                 else None
             ),
+            # Name, seed and every other setting are the parent's, so each
+            # derived seed matches the monolithic run.
+            **{key: getattr(spec, key) for key in SPEC_SETTINGS},
         )
         encoders = [name for name in component if kind_of[name] == "encoder"]
         shards.append(
             TopologyShard(
                 index=index,
-                name=_shard_name(component, encoders),
+                name=encoders[0] if len(encoders) == 1 else component[0],
                 spec=sub_spec,
             )
         )
     return shards
+
+
+def map_across_workers(
+    function: Callable[[Any], Any], tasks: Sequence[Any], workers: int
+) -> Iterator[Any]:
+    """Yield ``function(task)`` for every task, as each one finishes.
+
+    One worker runs the tasks lazily, in order, in this process; more fan
+    them across a process pool and yield in completion order.  The pool
+    forks on Linux (a measured 5x+ startup win) and uses the platform
+    default elsewhere (macOS frameworks can deadlock in forked children) —
+    spawn-safe as long as ``function`` is module-level and tasks and
+    results pickle.  ``chunksize=1`` keeps the tasks spread across the pool.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        yield from map(function, tasks)
+        return
+    method = "fork" if sys.platform == "linux" else None
+    with multiprocessing.get_context(method).Pool(processes=workers) as pool:
+        yield from pool.imap_unordered(function, tasks, chunksize=1)
 
 
 def _run_shard(task: _ShardTask) -> _ShardOutcome:
@@ -266,24 +268,11 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
         )
         report = engine.run()
         return _ShardOutcome(
-            index=shard.index,
-            name=shard.name,
-            duration=report.duration,
-            wire_payload_bytes=report.wire_payload_bytes,
-            first_times=engine.wire_first_times(),
-            registry_state=report.metrics.export_state(),
-            flows=[flow.as_dict() for flow in report.flows],
+            shard.index, shard.name, report, engine.wire_first_times()
         )
     except Exception:  # noqa: BLE001 — reported by name in the parent
         return _ShardOutcome(
-            index=shard.index,
-            name=shard.name,
-            duration=0.0,
-            wire_payload_bytes=0,
-            first_times=[],
-            registry_state={"counters": {}, "gauges": {}, "distributions": {}},
-            flows=[],
-            failure=traceback.format_exc(),
+            shard.index, shard.name, failure=traceback.format_exc()
         )
     finally:
         if segment_sink is not None:
@@ -291,103 +280,37 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
             _obs.TRACER = saved_tracer
 
 
-def _integrity_from_dict(
-    data: Optional[Mapping[str, Any]],
-) -> Optional[IntegrityResult]:
-    if data is None:
-        return None
-    return IntegrityResult(**{key: data[key] for key in _INTEGRITY_FIELDS})
-
-
 def _merge_outcomes(
     spec: TopologySpec,
     outcomes: List[_ShardOutcome],
     metrics_mode: str,
 ) -> TopologyReport:
-    """Fold per-shard outcomes into one report, byte-identical to 1 worker.
+    """Fold per-shard reports into one, byte-identical to the monolithic run.
 
-    Counters and gauges are re-imported in shard-index order (they are
-    disjoint across shards, so order only matters for insertion, and the
-    JSON export sorts keys anyway); per-flow latency distributions are
-    restored from their full state and folded into ``endtoend.latency``
-    in flow-declaration order of the *full* spec — the same left-fold the
-    monolithic engine performs, so float sums match exactly.
+    Shard registries are disjoint by construction (control-plane counters
+    are qualified per encoder whenever the full spec has several), so their
+    union in shard-index order is the registry a monolithic engine would
+    have collected — minus each shard's own ``endtoend.latency``, which
+    :func:`~repro.topology.report.fold_report` rebuilds over *all* flows in
+    the full spec's declaration order, exactly as it does for one engine.
     """
-    streaming = metrics_mode == "streaming"
     outcomes = sorted(outcomes, key=lambda outcome: outcome.index)
-    metrics = MetricsRegistry(bounded_distributions=streaming)
-    for outcome in outcomes:
-        for name, value in outcome.registry_state["counters"].items():
-            metrics.increment(name, value)
-        for name, value in outcome.registry_state["gauges"].items():
-            metrics.set_gauge(name, value)
-        for name, state in outcome.registry_state["distributions"].items():
-            if name == "endtoend.latency":
-                continue  # rebuilt below in full-spec flow order
-            metrics.add_distribution(Distribution.from_state(name, state))
-
-    endtoend = metrics.distribution("endtoend.latency")
-    flow_data = {
-        data["name"]: data for outcome in outcomes for data in outcome.flows
-    }
-    distributions = metrics.distributions()
-    flow_results: List[FlowResult] = []
-    totals = {key: 0 for key in _INTEGRITY_FIELDS}
-    any_integrity = False
-    for flow_spec in spec.flows:
-        data = flow_data[flow_spec.name]
-        latency = distributions.get(f"flow.{flow_spec.name}.latency")
-        if latency is not None and not latency.empty:
-            if streaming:
-                endtoend.merge(latency)
-            else:
-                endtoend.extend(latency.samples)
-        integrity = _integrity_from_dict(data["integrity"])
-        if integrity is not None:
-            any_integrity = True
-            for key in totals:
-                totals[key] += getattr(integrity, key)
-        flow_results.append(
-            FlowResult(
-                name=data["name"],
-                source=data["source"],
-                seed=data["seed"],
-                chunks_sent=data["chunks_sent"],
-                payload_bytes_sent=data["payload_bytes_sent"],
-                frames_sent=data["frames_sent"],
-                delivered=data["delivered"],
-                integrity=integrity,
-                latency=dict(data["latency"]),
-            )
+    reports = [outcome.report for outcome in outcomes]
+    metrics = MetricsRegistry(bounded_distributions=metrics_mode == "streaming")
+    for report in reports:
+        metrics.absorb(
+            report.metrics.select(lambda name: name != "endtoend.latency")
         )
-
-    return TopologyReport(
-        topology=spec.name,
-        scenario=spec.scenario,
-        chunks_sent=sum(result.chunks_sent for result in flow_results),
-        payload_bytes_sent=sum(
-            result.payload_bytes_sent for result in flow_results
-        ),
-        wire_payload_bytes=sum(
-            outcome.wire_payload_bytes for outcome in outcomes
-        ),
-        duration=max((outcome.duration for outcome in outcomes), default=0.0),
-        integrity=IntegrityResult(**totals) if any_integrity else None,
-        flows=flow_results,
-        metrics=metrics,
-        learning_time=learning_delay(
+    return fold_report(
+        spec,
+        metrics,
+        (flow for report in reports for flow in report.flows),
+        wire_payload_bytes=sum(report.wire_payload_bytes for report in reports),
+        duration=max((report.duration for report in reports), default=0.0),
+        first_times=[
             pair for outcome in outcomes for pair in outcome.first_times
-        ),
+        ],
     )
-
-
-def _raise_on_failure(outcome: _ShardOutcome) -> _ShardOutcome:
-    if outcome.failure is not None:
-        raise TopologyError(
-            f"shard {outcome.name!r} (index {outcome.index}) failed:\n"
-            f"{outcome.failure}"
-        )
-    return outcome
 
 
 def run_topology(
@@ -400,10 +323,10 @@ def run_topology(
     """Partition ``spec``, simulate the shards, and merge one report.
 
     ``workers=1`` runs the shards sequentially in-process; ``workers>1``
-    fans them across a process pool (``fork`` start method on Linux, the
-    platform default elsewhere — spawn-safe because the worker rebuilds
-    everything from the picklable shard spec).  Either way the merged
-    report is byte-identical: the worker count only changes wall-clock.
+    fans them across a process pool (:func:`map_across_workers`; the worker
+    rebuilds everything from the picklable shard spec).  Either way the
+    merged report is byte-identical: the worker count only changes
+    wall-clock.
 
     A spec that cannot be partitioned (multiple encoders in one
     component) still runs at ``workers=1`` — it falls back to the
@@ -411,11 +334,7 @@ def run_topology(
     raises :class:`PartitionError` for ``workers > 1``, because no process
     boundary can honor a shared dictionary.
     """
-    if metrics_mode not in METRICS_MODES:
-        raise TopologyError(
-            f"metrics_mode must be one of {', '.join(METRICS_MODES)}; "
-            f"got {metrics_mode!r}"
-        )
+    check_metrics_mode(metrics_mode)
     if workers < 1:
         raise TopologyError(f"workers must be a positive integer, got {workers}")
     try:
@@ -434,68 +353,54 @@ def run_topology(
     if not control_planes and spec.scenario == "static":
         control_planes = kinds.count("decoder")
     qualify = control_planes > 1
-    # With tracing on, every shard — regardless of worker count — writes a
-    # JSON-lines segment into a private temp dir; the segments are merged
-    # below on (ts, shard, seq), a key independent of process scheduling,
-    # so the final trace matches at any worker count.
-    parent_tracer = _obs.TRACER
-    trace_dir: Optional[str] = None
-    segment_paths: List[str] = []
-    if parent_tracer.enabled:
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
-        segment_paths = [
-            os.path.join(trace_dir, f"shard-{shard.index}.jsonl")
-            for shard in shards
+    with ExitStack() as cleanup:
+        # With tracing on, every shard — regardless of worker count —
+        # writes a JSON-lines segment into a private temp dir; the segments
+        # are merged below on (ts, shard, seq), a key independent of
+        # process scheduling, so the final trace matches at any worker
+        # count.
+        parent_tracer = _obs.TRACER
+        segment_paths: List[Optional[str]] = [None] * len(shards)
+        if parent_tracer.enabled:
+            trace_dir = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-trace-")
+            )
+            segment_paths = [
+                os.path.join(trace_dir, f"shard-{shard.index}.jsonl")
+                for shard in shards
+            ]
+        tasks = [
+            _ShardTask(
+                shard=shard,
+                verify_integrity=verify_integrity,
+                metrics_mode=metrics_mode,
+                qualify_controlplane=qualify,
+                trace_segment=segment,
+                snapshot_interval=(
+                    parent_tracer.snapshot_interval if parent_tracer.enabled else None
+                ),
+            )
+            for shard, segment in zip(shards, segment_paths)
         ]
-    tasks = [
-        _ShardTask(
-            shard=shard,
-            verify_integrity=verify_integrity,
-            metrics_mode=metrics_mode,
-            qualify_controlplane=qualify,
-            trace_segment=segment_paths[position] if segment_paths else None,
-            snapshot_interval=(
-                parent_tracer.snapshot_interval if parent_tracer.enabled else None
-            ),
-        )
-        for position, shard in enumerate(shards)
-    ]
-
-    try:
-        processes = min(workers, len(tasks))
         outcomes: List[_ShardOutcome] = []
-        if processes <= 1:
-            for done, task in enumerate(tasks, start=1):
-                outcome = _raise_on_failure(_run_shard(task))
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(
-                        f"[{done}/{len(tasks)}] shard {outcome.name}: "
-                        f"{outcome.duration * 1e3:.3f} ms simulated"
-                    )
-        else:
-            # PR 3 hardening, mirrored: fork is a measured 5x+ startup win on
-            # Linux; everywhere else the platform default avoids macOS fork
-            # unsafety.  chunksize=1 keeps shards spread across the pool.
-            method = "fork" if sys.platform == "linux" else None
-            context = multiprocessing.get_context(method)
-            with context.Pool(processes=processes) as pool:
-                for done, outcome in enumerate(
-                    pool.imap_unordered(_run_shard, tasks, chunksize=1), start=1
-                ):
-                    _raise_on_failure(outcome)
-                    outcomes.append(outcome)
-                    if progress is not None:
-                        progress(
-                            f"[{done}/{len(tasks)}] shard {outcome.name}: "
-                            f"{outcome.duration * 1e3:.3f} ms simulated"
-                        )
+        results = map_across_workers(_run_shard, tasks, workers)
+        # On a failure the pool must be gone before the trace dir is.
+        cleanup.callback(results.close)
+        for done, outcome in enumerate(results, start=1):
+            if outcome.failure is not None:
+                raise TopologyError(
+                    f"shard {outcome.name!r} (index {outcome.index}) failed:\n"
+                    f"{outcome.failure}"
+                )
+            outcomes.append(outcome)
+            if progress is not None:
+                progress(
+                    f"[{done}/{len(tasks)}] shard {outcome.name}: "
+                    f"{outcome.report.duration * 1e3:.3f} ms simulated"
+                )
         report = _merge_outcomes(spec, outcomes, metrics_mode)
-        if segment_paths:
-            written = [path for path in segment_paths if os.path.exists(path)]
-            for event in merge_segments(written):
-                parent_tracer.emit_raw(event)
+        for event in merge_segments(
+            [path for path in segment_paths if path and os.path.exists(path)]
+        ):
+            parent_tracer.emit_raw(event)
         return report
-    finally:
-        if trace_dir is not None:
-            shutil.rmtree(trace_dir, ignore_errors=True)

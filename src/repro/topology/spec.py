@@ -1,4 +1,4 @@
-"""Declarative topology descriptions: nodes, links, flows — and presets.
+"""Declarative topology descriptions: nodes, links, flows.
 
 A :class:`TopologySpec` is the JSON/dict form of a topology experiment:
 
@@ -18,12 +18,14 @@ A :class:`TopologySpec` is the JSON/dict form of a topology experiment:
 
 Validation is strict and *names the offending node, link or flow* in every
 error — a sweep over hundreds of generated specs must fail with "link
-'uplink': unknown target node 'decdoer'", not a bare KeyError.
+'uplink': unknown target node 'decdoer'", not a bare KeyError.  Every field
+goes through the repository's one :class:`~repro.validation.Validator`, so
+an untrusted document can only ever raise :class:`TopologyError`; hop and
+port counts are capped (:data:`MAX_HOPS`, :data:`MAX_PORT`) because the
+engine allocates per hop and per port.
 
-:data:`TOPOLOGY_PRESETS` registers the shapes users reach for by name:
-``linear`` (the paper's chain, optionally one switch short), ``fan-in`` (K senders sharing one
-encoder — the dictionary-contention scenario a single-flow harness cannot
-express) and ``paper-testbed`` (the two-switch deployment).
+The named shapes (``linear``, ``fan-in``, ``rack-fan-in``, …) live in
+:mod:`repro.topology.presets` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import TopologyError
-from repro.topology.faults import FaultPlan, NodeRestart, validate_spec_faults
+from repro.topology.faults import FaultPlan, validate_spec_faults
+from repro.validation import Validator
 
 __all__ = [
     "NodeSpec",
@@ -61,6 +65,15 @@ SCENARIOS = ("no_table", "static", "dynamic")
 CONTROL_MODES = ("direct", "in-network")
 #: What :func:`linear_topology` can put between the sender and the sink.
 LINEAR_SHAPES = ("encoder-link-decoder", "encoder-only", "decoder-only")
+
+#: Load-time ceilings.  The engine builds one emulated link per hop and
+#: sizes every switch for its highest referenced port, so both are capped
+#: where the spec is validated rather than found by running out of memory.
+#: ``fan-in-stress`` at thousands of senders sits far below the port cap.
+MAX_HOPS = 1024
+MAX_PORT = 65535
+
+_check = Validator(TopologyError)
 
 
 def derive_seed(name: str, seed: int, entity_id: str) -> int:
@@ -89,80 +102,49 @@ def derive_flow_seed(spec_name: str, spec_seed: int, flow_name: str) -> int:
     return derive_seed(spec_name, spec_seed, f"flow:{flow_name}")
 
 
-def _where_error(where: str, message: str) -> TopologyError:
-    return TopologyError(f"{where}: {message}")
+def _optional(check: Callable[[str, str, Any], Any], where: str, name: str, value: Any):
+    """``check`` applied to a field that may be absent (``None``)."""
+    return None if value is None else check(where, name, value)
 
 
-def _require_string(where: str, name: str, value: Any) -> str:
-    if not isinstance(value, str) or not value:
-        raise _where_error(where, f"{name} must be a non-empty string, got {value!r}")
+def _decimal(value: Any) -> Any:
+    """A short plain-ASCII-digit string as the integer it spells.
+
+    Anything else comes back unchanged for the integer check that follows
+    to reject by name: ``int()`` alone would also take ``"1_0"``, ``" 1"``
+    or a million-digit string.  The :data:`MAX_PORT` ceiling itself is
+    checked with the other cross-field rules in ``TopologySpec._validate``.
+    """
+    if isinstance(value, str) and value.isascii() and value.isdigit() and len(value) <= 9:
+        return int(value)
     return value
-
-
-def _require_choice(where: str, name: str, value: Any, options: Sequence[str]) -> str:
-    if not isinstance(value, str) or value not in options:
-        raise _where_error(
-            where, f"{name} must be one of {', '.join(options)}; got {value!r}"
-        )
-    return value
-
-
-def _require_positive_int(where: str, name: str, value: Any) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise _where_error(where, f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _require_non_negative_number(where: str, name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise _where_error(
-            where, f"{name} must be a non-negative number, got {value!r}"
-        )
-    return float(value)
-
-
-def _require_positive_number(where: str, name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise _where_error(where, f"{name} must be a positive number, got {value!r}")
-    return float(value)
-
-
-def _require_probability(where: str, name: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _where_error(where, f"{name} must be a number in [0, 1], got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise _where_error(where, f"{name} must be within [0, 1], got {value!r}")
-    return float(value)
-
-
-def _reject_unknown_keys(where: str, data: Mapping[str, Any], known: Sequence[str]) -> None:
-    unknown = set(data) - set(known)
-    if unknown:
-        raise _where_error(
-            where,
-            f"unknown keys: {', '.join(sorted(unknown))} "
-            f"(expected {', '.join(known)})",
-        )
 
 
 def _parse_port_ref(where: str, name: str, value: Any) -> Tuple[str, int]:
     """Parse a ``"node:port"`` endpoint reference."""
-    if not isinstance(value, str) or ":" not in value:
-        raise _where_error(
-            where, f"{name} must be a 'node:port' string, got {value!r}"
-        )
-    node, _, port_text = value.rpartition(":")
+    node, _, port_text = value.rpartition(":") if isinstance(value, str) else ("",) * 3
     if not node:
-        raise _where_error(where, f"{name} names no node in {value!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise _where_error(
-            where, f"{name} has a non-integer port in {value!r}"
-        ) from None
-    if port < 0:
-        raise _where_error(where, f"{name} port must be non-negative, got {port}")
-    return node, port
+        raise _check.rejected(where, name, "a 'node:port' string", value)
+    return node, _check.non_negative_int(where, f"{name} port", _decimal(port_text))
+
+
+def _checked(
+    cls: type, checks: Mapping[str, Callable], where: str, data: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """Every field of ``checks`` validated; one the document leaves out
+    takes the dataclass default (``None`` when the field has none)."""
+    return {
+        key: check(where, key, data.get(key, getattr(cls, key, None)))
+        for key, check in checks.items()
+    }
+
+
+def _entry(kind: str, cls: type, data: Any) -> Tuple[str, Mapping[str, Any]]:
+    """The common head of every entry parser: the document form of ``cls``,
+    with a name.  Returns the ``where`` label built from it and the data."""
+    name = _check.mapping(kind, "entry", data).get("name")
+    where = f"{kind} {_check.string(kind, 'name', name)!r}"
+    return where, _check.record(where, data, cls)
 
 
 @dataclass(frozen=True)
@@ -177,47 +159,24 @@ class NodeSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "NodeSpec":
-        if not isinstance(data, Mapping):
-            raise TopologyError(f"node entries must be mappings, got {data!r}")
-        name = _require_string("node", "name", data.get("name"))
-        where = f"node {name!r}"
-        _reject_unknown_keys(
-            where, data, ("name", "kind", "forwarding", "default_egress_port", "decoder")
-        )
-        kind = _require_choice(where, "kind", data.get("kind"), NODE_KINDS)
+        where, data = _entry("node", cls, data)
+        values = _checked(cls, _NODE_CHECKS, where, data)
+        if values["decoder"] is not None and values["kind"] != "encoder":
+            raise _check.failure(where, "only encoder nodes take a 'decoder' pairing")
         forwarding: Dict[int, int] = {}
-        for ingress, egress in (data.get("forwarding") or {}).items():
-            try:
-                forwarding[int(ingress)] = int(egress)
-            except (TypeError, ValueError):
-                raise _where_error(
-                    where, f"forwarding entries must be integer ports, got "
-                    f"{ingress!r}: {egress!r}"
-                ) from None
-        default_egress = data.get("default_egress_port")
-        if default_egress is not None:
-            if (
-                isinstance(default_egress, bool)
-                or not isinstance(default_egress, int)
-                or default_egress < 0
-            ):
-                raise _where_error(
-                    where,
-                    f"default_egress_port must be a non-negative integer, "
-                    f"got {default_egress!r}",
+        entries = data.get("forwarding")
+        if entries is not None:
+            entries = _check.mapping(where, "forwarding", entries)
+            for key, egress in entries.items():
+                # JSON object keys are strings; the egress must be a real
+                # integer (1.9 is not port 1).
+                ingress = _check.non_negative_int(
+                    where, "forwarding ingress port", _decimal(key)
                 )
-        decoder = data.get("decoder")
-        if decoder is not None:
-            decoder = _require_string(where, "decoder", decoder)
-            if kind != "encoder":
-                raise _where_error(where, "only encoder nodes take a 'decoder' pairing")
-        return cls(
-            name=name,
-            kind=kind,
-            forwarding=forwarding,
-            default_egress_port=default_egress,
-            decoder=decoder,
-        )
+                forwarding[ingress] = _check.non_negative_int(
+                    where, f"forwarding[{ingress}] egress port", egress
+                )
+        return cls(name=data["name"], forwarding=forwarding, **values)
 
     def as_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"name": self.name, "kind": self.kind}
@@ -228,6 +187,14 @@ class NodeSpec:
         if self.decoder is not None:
             data["decoder"] = self.decoder
         return data
+
+
+#: What each field a node document may set must pass (see ``_checked``).
+_NODE_CHECKS = {
+    "kind": partial(_check.choice, options=NODE_KINDS),
+    "default_egress_port": partial(_optional, _check.non_negative_int),
+    "decoder": partial(_optional, _check.string),
+}
 
 
 @dataclass(frozen=True)
@@ -249,50 +216,15 @@ class LinkSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LinkSpec":
-        if not isinstance(data, Mapping):
-            raise TopologyError(f"link entries must be mappings, got {data!r}")
-        name = _require_string("link", "name", data.get("name"))
-        where = f"link {name!r}"
-        _reject_unknown_keys(
-            where,
-            data,
-            (
-                "name", "source", "target", "bandwidth_gbps", "propagation_us",
-                "queue_capacity", "loss", "reorder", "hops", "direct", "measured",
-                "seed",
-            ),
-        )
-        seed = data.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-            raise _where_error(where, f"seed must be an integer, got {seed!r}")
-        direct = bool(data.get("direct", False))
-        hops = _require_positive_int(where, "hops", data.get("hops", 1))
-        if direct and hops != 1:
-            raise _where_error(where, "a direct link cannot have multiple hops")
-        queue_capacity = data.get("queue_capacity", 0)
-        if not isinstance(queue_capacity, int) or isinstance(queue_capacity, bool) or queue_capacity < 0:
-            raise _where_error(
-                where,
-                f"queue_capacity must be a non-negative integer (0 = unbounded), "
-                f"got {queue_capacity!r}",
-            )
+        where, data = _entry("link", cls, data)
+        values = _checked(cls, _LINK_CHECKS, where, data)
+        if values["direct"] and values["hops"] != 1:
+            raise _check.failure(where, "a direct link cannot have multiple hops")
         return cls(
-            name=name,
+            name=data["name"],
             source=_parse_port_ref(where, "source", data.get("source")),
             target=_parse_port_ref(where, "target", data.get("target")),
-            bandwidth_gbps=_require_positive_number(
-                where, "bandwidth_gbps", data.get("bandwidth_gbps", 100.0)
-            ),
-            propagation_us=_require_non_negative_number(
-                where, "propagation_us", data.get("propagation_us", 0.5)
-            ),
-            queue_capacity=queue_capacity,
-            loss=_require_probability(where, "loss", data.get("loss", 0.0)),
-            reorder=_require_probability(where, "reorder", data.get("reorder", 0.0)),
-            hops=hops,
-            direct=direct,
-            measured=bool(data.get("measured", False)),
-            seed=seed,
+            **values,
         )
 
     def hop_names(self) -> List[str]:
@@ -325,6 +257,19 @@ class LinkSpec:
         return data
 
 
+_LINK_CHECKS = {
+    "bandwidth_gbps": _check.positive_number,
+    "propagation_us": _check.non_negative_number,
+    "queue_capacity": _check.non_negative_int,  # 0 = unbounded
+    "loss": _check.probability,
+    "reorder": _check.probability,
+    "hops": _check.positive_int,
+    "direct": _check.boolean,
+    "measured": _check.boolean,
+    "seed": partial(_optional, _check.integer),
+}
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """One concurrent traffic stream of the declarative topology."""
@@ -345,45 +290,8 @@ class FlowSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FlowSpec":
-        if not isinstance(data, Mapping):
-            raise TopologyError(f"flow entries must be mappings, got {data!r}")
-        name = _require_string("flow", "name", data.get("name"))
-        where = f"flow {name!r}"
-        _reject_unknown_keys(
-            where,
-            data,
-            (
-                "name", "source", "sink", "workload", "chunks", "bases", "names",
-                "trace", "pacing", "packet_rate", "speedup", "start", "seed",
-            ),
-        )
-        seed = data.get("seed")
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-            raise _where_error(where, f"seed must be an integer, got {seed!r}")
-        trace = data.get("trace")
-        if trace is not None:
-            trace = _require_string(where, "trace", trace)
-        return cls(
-            name=name,
-            source=_require_string(where, "source", data.get("source")),
-            sink=_require_string(where, "sink", data.get("sink")),
-            workload=_require_choice(
-                where, "workload", data.get("workload", "synthetic"), WORKLOADS
-            ),
-            chunks=_require_positive_int(where, "chunks", data.get("chunks", 1000)),
-            bases=_require_positive_int(where, "bases", data.get("bases", 16)),
-            names=_require_positive_int(where, "names", data.get("names", 300)),
-            trace=trace,
-            pacing=_require_choice(where, "pacing", data.get("pacing", "rate"), PACINGS),
-            packet_rate=_require_positive_number(
-                where, "packet_rate", data.get("packet_rate", 1e6)
-            ),
-            speedup=_require_positive_number(
-                where, "speedup", data.get("speedup", 1.0)
-            ),
-            start=_require_non_negative_number(where, "start", data.get("start", 0.0)),
-            seed=seed,
-        )
+        where, data = _entry("flow", cls, data)
+        return cls(name=data["name"], **_checked(cls, _FLOW_CHECKS, where, data))
 
     def as_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -404,6 +312,32 @@ class FlowSpec:
         if self.seed is not None:
             data["seed"] = self.seed
         return data
+
+
+_FLOW_CHECKS = {
+    "source": _check.string,
+    "sink": _check.string,
+    "workload": partial(_check.choice, options=WORKLOADS),
+    "chunks": _check.positive_int,
+    "bases": _check.positive_int,
+    "names": _check.positive_int,
+    "trace": partial(_optional, _check.string),
+    "pacing": partial(_check.choice, options=PACINGS),
+    "packet_rate": _check.positive_number,
+    "speedup": _check.positive_number,
+    "start": _check.non_negative_number,
+    "seed": partial(_optional, _check.integer),
+}
+
+
+#: A spec's scalar settings: constructor arguments (which own the
+#: defaults), attributes and JSON keys of the same name.
+SPEC_SETTINGS = (
+    "name", "scenario", "order", "identifier_bits", "seed", "entry_ttl",
+    "control", "control_bandwidth_gbps", "control_propagation_us",
+    "control_rate", "control_queue",
+)
+_SPEC_KEYS = SPEC_SETTINGS + ("faults", "nodes", "links", "flows")
 
 
 class TopologySpec:
@@ -432,38 +366,29 @@ class TopologySpec:
         control_queue: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
     ):
-        where = "topology"
-        self.name = _require_string(where, "name", name)
+        self.name = _check.string("topology", "name", name)
         where = f"topology {self.name!r}"
-        self.scenario = _require_choice(where, "scenario", scenario, SCENARIOS)
-        self.order = _require_positive_int(where, "order", order)
-        self.identifier_bits = _require_positive_int(
+        self.scenario = _check.choice(where, "scenario", scenario, SCENARIOS)
+        self.order = _check.positive_int(where, "order", order)
+        self.identifier_bits = _check.positive_int(
             where, "identifier_bits", identifier_bits
         )
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise _where_error(where, f"seed must be an integer, got {seed!r}")
-        self.seed = seed
-        self.entry_ttl = (
-            None
-            if entry_ttl is None
-            else _require_positive_number(where, "entry_ttl", entry_ttl)
+        self.seed = _check.integer(where, "seed", seed)
+        self.entry_ttl = _optional(
+            _check.positive_number, where, "entry_ttl", entry_ttl
         )
-        self.control = _require_choice(where, "control", control, CONTROL_MODES)
-        self.control_bandwidth_gbps = _require_positive_number(
+        self.control = _check.choice(where, "control", control, CONTROL_MODES)
+        self.control_bandwidth_gbps = _check.positive_number(
             where, "control_bandwidth_gbps", control_bandwidth_gbps
         )
-        self.control_propagation_us = _require_non_negative_number(
+        self.control_propagation_us = _check.non_negative_number(
             where, "control_propagation_us", control_propagation_us
         )
-        self.control_rate = (
-            None
-            if control_rate is None
-            else _require_positive_number(where, "control_rate", control_rate)
+        self.control_rate = _optional(
+            _check.positive_number, where, "control_rate", control_rate
         )
-        self.control_queue = (
-            None
-            if control_queue is None
-            else _require_positive_int(where, "control_queue", control_queue)
+        self.control_queue = _optional(
+            _check.positive_int, where, "control_queue", control_queue
         )
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_dict(faults)
@@ -478,22 +403,27 @@ class TopologySpec:
 
     def _validate(self) -> None:
         if not self.nodes:
-            raise _where_error(f"topology {self.name!r}", "has no nodes")
+            raise _check.failure(f"topology {self.name!r}", "has no nodes")
         by_name: Dict[str, NodeSpec] = {}
         for node in self.nodes:
+            where = f"node {node.name!r}"
             if node.name in by_name:
-                raise _where_error(
-                    f"node {node.name!r}", "is declared more than once"
-                )
+                raise _check.failure(where, "is declared more than once")
             by_name[node.name] = node
+            for port in (*node.forwarding, *node.forwarding.values()):
+                _check.non_negative_int(where, "forwarding port", port, MAX_PORT)
+            if node.default_egress_port is not None:
+                _check.non_negative_int(
+                    where, "default_egress_port", node.default_egress_port, MAX_PORT
+                )
         for node in self.nodes:
             if node.decoder is not None and node.decoder not in by_name:
-                raise _where_error(
+                raise _check.failure(
                     f"node {node.name!r}",
                     f"pairs with unknown decoder node {node.decoder!r}",
                 )
             if node.decoder is not None and by_name[node.decoder].kind != "decoder":
-                raise _where_error(
+                raise _check.failure(
                     f"node {node.name!r}",
                     f"pairs with {node.decoder!r}, which is not a decoder node",
                 )
@@ -504,18 +434,20 @@ class TopologySpec:
         for link in self.links:
             where = f"link {link.name!r}"
             if link.name in seen_links:
-                raise _where_error(where, "is declared more than once")
+                raise _check.failure(where, "is declared more than once")
             seen_links[link.name] = link
-            for label, (node, _port) in (("source", link.source), ("target", link.target)):
+            _check.positive_int(where, "hops", link.hops, MAX_HOPS)
+            for label, (node, port) in (("source", link.source), ("target", link.target)):
                 if node not in by_name:
-                    raise _where_error(
+                    raise _check.failure(
                         where, f"references unknown {label} node {node!r}"
                     )
+                _check.non_negative_int(where, f"{label} port", port, MAX_PORT)
             # Expanded hop names are metric namespaces; a collision would
             # silently sum two different links' counters under one key.
             for hop_name in link.hop_names():
                 if hop_name in seen_hop_names:
-                    raise _where_error(
+                    raise _check.failure(
                         where,
                         f"hop name {hop_name!r} collides with link "
                         f"{seen_hop_names[hop_name]!r}",
@@ -524,7 +456,7 @@ class TopologySpec:
             # One egress port feeds one edge; a second edge from the same
             # port would silently overwrite the first at wiring time.
             if link.source in seen_sources:
-                raise _where_error(
+                raise _check.failure(
                     where,
                     f"source {link.source[0]}:{link.source[1]} is already "
                     f"used by link {seen_sources[link.source]!r}",
@@ -535,15 +467,15 @@ class TopologySpec:
         for flow in self.flows:
             where = f"flow {flow.name!r}"
             if flow.name in seen_flows:
-                raise _where_error(where, "is declared more than once")
+                raise _check.failure(where, "is declared more than once")
             seen_flows[flow.name] = flow
             for label, node_name in (("source", flow.source), ("sink", flow.sink)):
                 if node_name not in by_name:
-                    raise _where_error(
+                    raise _check.failure(
                         where, f"references unknown {label} node {node_name!r}"
                     )
                 if by_name[node_name].kind != "host":
-                    raise _where_error(
+                    raise _check.failure(
                         where,
                         f"{label} node {node_name!r} is a "
                         f"{by_name[node_name].kind} node, not a host",
@@ -659,39 +591,15 @@ class TopologySpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
         """Build and validate a spec from a plain dictionary."""
-        if not isinstance(data, Mapping):
-            raise TopologyError(f"topology spec must be a mapping, got {data!r}")
-        _reject_unknown_keys(
-            "topology spec",
-            data,
-            (
-                "name", "scenario", "order", "identifier_bits", "seed",
-                "entry_ttl", "control", "control_bandwidth_gbps",
-                "control_propagation_us", "control_rate", "control_queue",
-                "faults", "nodes", "links", "flows",
-            ),
-        )
-        return cls(
-            name=data.get("name", "topology"),
-            nodes=[NodeSpec.from_dict(entry) for entry in data.get("nodes", [])],
-            links=[LinkSpec.from_dict(entry) for entry in data.get("links", [])],
-            flows=[FlowSpec.from_dict(entry) for entry in data.get("flows", [])],
-            scenario=data.get("scenario", "dynamic"),
-            order=data.get("order", 8),
-            identifier_bits=data.get("identifier_bits", 15),
-            seed=data.get("seed", 0),
-            entry_ttl=data.get("entry_ttl"),
-            control=data.get("control", "direct"),
-            control_bandwidth_gbps=data.get("control_bandwidth_gbps", 10.0),
-            control_propagation_us=data.get("control_propagation_us", 5.0),
-            control_rate=data.get("control_rate"),
-            control_queue=data.get("control_queue"),
-            faults=(
-                FaultPlan.from_dict(data["faults"])
-                if data.get("faults") is not None
-                else None
-            ),
-        )
+        where = "topology spec"
+        data = _check.mapping(where, "document", data)
+        _check.known_keys(where, data, _SPEC_KEYS)
+        options = {key: data[key] for key in _SPEC_KEYS if key in data}
+        options.setdefault("name", "topology")
+        for key, kind in (("nodes", NodeSpec), ("links", LinkSpec), ("flows", FlowSpec)):
+            entries = _check.sequence(where, key, data.get(key, []))
+            options[key] = [kind.from_dict(entry) for entry in entries]
+        return cls(**options)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "TopologySpec":
@@ -701,7 +609,7 @@ class TopologySpec:
             raise TopologyError(f"topology spec file {target} does not exist")
         try:
             document = json.loads(target.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # JSONDecodeError, or an integer past the digit limit
             raise TopologyError(f"invalid JSON in {target}: {error}") from None
         return cls.from_dict(document)
 
@@ -732,454 +640,15 @@ class TopologySpec:
         return data
 
 
-# ---------------------------------------------------------------------------
-# presets
-# ---------------------------------------------------------------------------
-
-
-def linear_topology(
-    name: str = "linear",
-    scenario: str = "dynamic",
-    hops: int = 1,
-    workload: str = "synthetic",
-    chunks: int = 1000,
-    bases: int = 16,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    bandwidth_gbps: float = 100.0,
-    propagation_us: float = 0.5,
-    queue_capacity: int = 0,
-    loss: float = 0.0,
-    reorder: float = 0.0,
-    seed: int = 0,
-    flow_seed: Optional[int] = None,
-    link_seed: Optional[int] = None,
-    order: int = 8,
-    identifier_bits: int = 15,
-    shape: str = "encoder-link-decoder",
-    **overrides: Any,
-) -> TopologySpec:
-    """The paper's chain as a spec: sender → encoder → link(s) → decoder → sink.
-
-    ``shape`` drops one switch from the chain: ``encoder-only`` delivers the
-    processed (type-2/3) frames to the sink, ``decoder-only`` feeds the
-    sender's frames straight onto the wire.  Either way the measured link is
-    the emulated chain, whose hops are named ``link0``, ``link1``, ….
-    """
-    where = f"topology {name!r}"
-    _require_choice(where, "shape", shape, LINEAR_SHAPES)
-    _require_positive_int(where, "hops", hops)
-    has_encoder = shape != "decoder-only"
-    has_decoder = shape != "encoder-only"
-    ports = dict(forwarding={0: 1}, default_egress_port=1)
-    nodes = [NodeSpec(name="sender", kind="host")]
-    links = []
-    if has_encoder:
-        nodes.append(
-            NodeSpec(name="encoder", kind="encoder",
-                     decoder="decoder" if has_decoder else None, **ports)
-        )
-        links.append(
-            LinkSpec(name="ingress", source=("sender", 0), target=("encoder", 0),
-                     direct=True)
-        )
-    if has_decoder:
-        nodes.append(NodeSpec(name="decoder", kind="decoder", **ports))
-    nodes.append(NodeSpec(name="sink", kind="host"))
-    links.append(
-        LinkSpec(
-            name="link0" if hops == 1 else "link",
-            source=("encoder", 1) if has_encoder else ("sender", 0),
-            target=("decoder", 0) if has_decoder else ("sink", 0),
-            bandwidth_gbps=bandwidth_gbps,
-            propagation_us=propagation_us,
-            queue_capacity=queue_capacity,
-            loss=loss,
-            reorder=reorder,
-            hops=hops,
-            measured=True,
-            seed=link_seed,
-        )
-    )
-    if has_decoder:
-        links.append(
-            LinkSpec(name="egress", source=("decoder", 1), target=("sink", 0),
-                     direct=True)
-        )
-    return TopologySpec(
-        name=name,
-        scenario=scenario,
-        order=order,
-        identifier_bits=identifier_bits,
-        seed=seed,
-        nodes=nodes,
-        links=links,
-        flows=[
-            FlowSpec(
-                name="flow0", source="sender", sink="sink", workload=workload,
-                chunks=chunks, bases=bases, names=names, trace=trace,
-                pacing=pacing, packet_rate=packet_rate, speedup=speedup,
-                seed=flow_seed,
-            )
-        ],
-        **overrides,
-    )
-
-
-def fan_in_topology(
-    name: str = "fan-in",
-    senders: int = 4,
-    scenario: str = "dynamic",
-    hops: int = 1,
-    workload: str = "synthetic",
-    chunks: int = 1000,
-    bases: int = 16,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    bandwidth_gbps: float = 100.0,
-    propagation_us: float = 0.5,
-    queue_capacity: int = 0,
-    loss: float = 0.0,
-    reorder: float = 0.0,
-    seed: int = 0,
-    order: int = 8,
-    identifier_bits: int = 15,
-    **overrides: Any,
-) -> TopologySpec:
-    """K senders fan in through one shared ZipLine encoder.
-
-    Every sender drives its own flow (own workload stream, own derived
-    seed) into a dedicated encoder ingress port; the shared encoder, the
-    measured inter-switch link and the decoder serve all of them — the
-    dictionary-contention scenario a single-flow chain cannot express.
-    """
-    if senders < 1:
-        raise TopologyError(f"fan-in needs at least one sender, got {senders}")
-    nodes = [NodeSpec(name=f"sender{index}", kind="host") for index in range(senders)]
-    wire_port = senders  # encoder egress sits after the K ingress ports
-    nodes.extend(
-        [
-            NodeSpec(
-                name="encoder",
-                kind="encoder",
-                forwarding={index: wire_port for index in range(senders)},
-                default_egress_port=wire_port,
-                decoder="decoder",
-            ),
-            NodeSpec(name="decoder", kind="decoder", forwarding={0: 1},
-                     default_egress_port=1),
-            NodeSpec(name="sink", kind="host"),
-        ]
-    )
-    links = [
-        LinkSpec(
-            name=f"ingress{index}",
-            source=(f"sender{index}", 0),
-            target=("encoder", index),
-            direct=True,
-        )
-        for index in range(senders)
-    ]
-    links.append(
-        LinkSpec(
-            name="shared",
-            source=("encoder", wire_port),
-            target=("decoder", 0),
-            bandwidth_gbps=bandwidth_gbps,
-            propagation_us=propagation_us,
-            queue_capacity=queue_capacity,
-            loss=loss,
-            reorder=reorder,
-            hops=hops,
-            measured=True,
-        )
-    )
-    links.append(
-        LinkSpec(name="egress", source=("decoder", 1), target=("sink", 0),
-                 direct=True)
-    )
-    flows = [
-        FlowSpec(
-            name=f"flow{index}",
-            source=f"sender{index}",
-            sink="sink",
-            workload=workload,
-            chunks=chunks,
-            bases=bases,
-            names=names,
-            trace=trace,
-            pacing=pacing,
-            packet_rate=packet_rate,
-            speedup=speedup,
-            # Stagger starts by one inter-packet gap so simultaneous-arrival
-            # ties never depend on flow declaration order.
-            start=index / (packet_rate * max(1, senders)),
-        )
-        for index in range(senders)
-    ]
-    return TopologySpec(
-        name=name,
-        scenario=scenario,
-        order=order,
-        identifier_bits=identifier_bits,
-        seed=seed,
-        nodes=nodes,
-        links=links,
-        flows=flows,
-        **overrides,
-    )
-
-
-def rack_fan_in_topology(
-    name: str = "rack-fan-in",
-    racks: int = 4,
-    senders: int = 8,
-    scenario: str = "dynamic",
-    hops: int = 1,
-    workload: str = "synthetic",
-    chunks: int = 500,
-    bases: int = 8,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    bandwidth_gbps: float = 100.0,
-    propagation_us: float = 0.5,
-    queue_capacity: int = 0,
-    loss: float = 0.0,
-    reorder: float = 0.0,
-    seed: int = 0,
-    order: int = 8,
-    identifier_bits: int = 15,
-    **overrides: Any,
-) -> TopologySpec:
-    """R independent racks, each a K-sender fan-in behind its own encoder.
-
-    The datacenter deployment at scale: every rack has its own encoder,
-    measured rack wire and decoder, and nothing crosses rack boundaries —
-    exactly the shape the shard partitioner splits into R independent
-    subgraphs, so ``--workers N`` gets genuine parallelism here where the
-    single-encoder ``fan-in`` preset collapses to one shard.
-    """
-    if racks < 1:
-        raise TopologyError(f"rack-fan-in needs at least one rack, got {racks}")
-    if senders < 1:
-        raise TopologyError(
-            f"rack-fan-in needs at least one sender per rack, got {senders}"
-        )
-    nodes: List[NodeSpec] = []
-    links: List[LinkSpec] = []
-    flows: List[FlowSpec] = []
-    wire_port = senders  # each encoder's egress sits after its K ingress ports
-    for rack in range(racks):
-        nodes.extend(
-            NodeSpec(name=f"sender{rack}_{index}", kind="host")
-            for index in range(senders)
-        )
-        nodes.extend(
-            [
-                NodeSpec(
-                    name=f"encoder{rack}",
-                    kind="encoder",
-                    forwarding={index: wire_port for index in range(senders)},
-                    default_egress_port=wire_port,
-                    decoder=f"decoder{rack}",
-                ),
-                NodeSpec(name=f"decoder{rack}", kind="decoder",
-                         forwarding={0: 1}, default_egress_port=1),
-                NodeSpec(name=f"sink{rack}", kind="host"),
-            ]
-        )
-        links.extend(
-            LinkSpec(
-                name=f"ingress{rack}_{index}",
-                source=(f"sender{rack}_{index}", 0),
-                target=(f"encoder{rack}", index),
-                direct=True,
-            )
-            for index in range(senders)
-        )
-        links.append(
-            LinkSpec(
-                name=f"wire{rack}",
-                source=(f"encoder{rack}", wire_port),
-                target=(f"decoder{rack}", 0),
-                bandwidth_gbps=bandwidth_gbps,
-                propagation_us=propagation_us,
-                queue_capacity=queue_capacity,
-                loss=loss,
-                reorder=reorder,
-                hops=hops,
-                measured=True,
-            )
-        )
-        links.append(
-            LinkSpec(name=f"egress{rack}", source=(f"decoder{rack}", 1),
-                     target=(f"sink{rack}", 0), direct=True)
-        )
-        flows.extend(
-            FlowSpec(
-                name=f"flow{rack}_{index}",
-                source=f"sender{rack}_{index}",
-                sink=f"sink{rack}",
-                workload=workload,
-                chunks=chunks,
-                bases=bases,
-                names=names,
-                trace=trace,
-                pacing=pacing,
-                packet_rate=packet_rate,
-                speedup=speedup,
-                # Same per-rack stagger rule as the fan-in preset so ties
-                # never depend on flow declaration order.
-                start=index / (packet_rate * max(1, senders)),
-            )
-            for index in range(senders)
-        )
-    return TopologySpec(
-        name=name,
-        scenario=scenario,
-        order=order,
-        identifier_bits=identifier_bits,
-        seed=seed,
-        nodes=nodes,
-        links=links,
-        flows=flows,
-        **overrides,
-    )
-
-
-def fan_in_stress_topology(
-    name: str = "fan-in-stress",
-    senders: int = 1000,
-    chunks: int = 100,
-    bases: int = 8,
-    **kwargs: Any,
-) -> TopologySpec:
-    """The ``senders=1000+`` stress shape: the fan-in preset at rack scale.
-
-    Defaults trade per-flow depth (``chunks=100``) for breadth so a stress
-    run finishes in minutes; pass ``senders=``/``chunks=`` to push further.
-    """
-    return fan_in_topology(
-        name=name, senders=senders, chunks=chunks, bases=bases, **kwargs
-    )
-
-
-def paper_testbed_topology(
-    name: str = "paper-testbed",
-    scenario: str = "dynamic",
-    workload: str = "synthetic",
-    chunks: int = 1000,
-    bases: int = 16,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    seed: int = 0,
-    order: int = 8,
-    identifier_bits: int = 15,
-    **overrides: Any,
-) -> TopologySpec:
-    """The paper's two-switch testbed: a direct, tapped inter-switch hop."""
-    spec = linear_topology(
-        name=name,
-        scenario=scenario,
-        workload=workload,
-        chunks=chunks,
-        bases=bases,
-        names=names,
-        trace=trace,
-        pacing=pacing,
-        packet_rate=packet_rate,
-        speedup=speedup,
-        seed=seed,
-        order=order,
-        identifier_bits=identifier_bits,
-        **overrides,
-    )
-    # Replace the emulated hop with the deployment's synchronous tapped wire.
-    spec.links = [
-        link if not link.measured else LinkSpec(
-            name=link.name, source=link.source, target=link.target,
-            direct=True, measured=True,
-        )
-        for link in spec.links
-    ]
-    return spec
-
-
-def fault_storm_topology(
-    name: str = "fault-storm",
-    senders: int = 4,
-    chunks: int = 600,
-    bases: int = 6,
-    control_loss: float = 0.10,
-    control_rate: Optional[float] = None,
-    restart_at: Optional[float] = None,
-    packet_rate: float = 1e5,
-    **kwargs: Any,
-) -> TopologySpec:
-    """The chaos-smoke shape: fan-in + lossy control channel + decoder restart.
-
-    An in-network control plane loses ``control_loss`` of its frames, and
-    the decoder crashes mid-trace (halfway through the nominal send window
-    by default), wiping its identifier table.  The run must still finish
-    with zero corruption: lost installs surface as ``control.dropped`` and
-    ``decoder.unknown_identifier`` misses, and the post-restart resync
-    restores every surviving binding.  CI runs this preset with
-    ``--workers 2`` and asserts nonzero recovery counters.
-    """
-    if restart_at is None:
-        # Halfway through the nominal send window of one flow.  The default
-        # packet rate keeps that window well past the control plane's
-        # learning latency (digest + table writes ≈ 1.8 ms), so the wiped
-        # table is non-empty and the resync actually has work to do.
-        restart_at = chunks / (2.0 * packet_rate)
-    spec = fan_in_topology(
-        name=name,
-        senders=senders,
-        chunks=chunks,
-        bases=bases,
-        packet_rate=packet_rate,
-        control="in-network",
-        control_rate=control_rate,
-        **kwargs,
-    )
-    spec.faults = FaultPlan(
-        control_loss=control_loss,
-        restarts=(NodeRestart(node="decoder", time=restart_at),),
-    )
-    validate_spec_faults(spec)
-    return spec
-
-
-#: Named topology shapes ``repro topology --preset`` and the experiment
-#: matrix can reach without writing a spec file.
-TOPOLOGY_PRESETS: Dict[str, Callable[..., TopologySpec]] = {
-    "linear": linear_topology,
-    "fan-in": fan_in_topology,
-    "fan-in-stress": fan_in_stress_topology,
-    "rack-fan-in": rack_fan_in_topology,
-    "fault-storm": fault_storm_topology,
-    "paper-testbed": paper_testbed_topology,
-}
-
-
-def preset_topology(name: str, **kwargs: Any) -> TopologySpec:
-    """Build a preset topology by name; unknown names list the valid ones."""
-    builder = TOPOLOGY_PRESETS.get(name)
-    if builder is None:
-        valid = ", ".join(sorted(TOPOLOGY_PRESETS))
-        raise TopologyError(
-            f"unknown topology preset {name!r}; valid presets: {valid}"
-        )
-    return builder(**kwargs)
+# The named shapes moved to their own module; they stay importable from
+# here.  (Imported last: presets builds on the classes above.)
+from repro.topology.presets import (  # noqa: E402
+    TOPOLOGY_PRESETS,
+    fan_in_stress_topology,
+    fan_in_topology,
+    fault_storm_topology,
+    linear_topology,
+    paper_testbed_topology,
+    preset_topology,
+    rack_fan_in_topology,
+)

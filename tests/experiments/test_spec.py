@@ -168,7 +168,7 @@ class TestValidation:
             _spec(axes={"loss": 0.02})
 
     def test_unknown_spec_key_rejected(self):
-        with pytest.raises(ExperimentSpecError, match="unknown spec keys"):
+        with pytest.raises(ExperimentSpecError, match="spec: unknown keys: axis"):
             ExperimentSpec.from_dict({"name": "x", "axis": {}})
 
     def test_spec_must_be_mapping(self):

@@ -383,7 +383,7 @@ class TestCountersOnlyMode:
         # No retained payloads or frames.
         assert harness.sink.arrivals == []
         assert harness.sink.delivered == len(trace)
-        assert harness.sink.sent_chunks == []
+        assert harness.sink.account is None
 
 
 class TestDnsWorkloadSource:

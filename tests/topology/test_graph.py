@@ -45,9 +45,11 @@ def test_direct_edge_delivers_synchronously():
     b = graph.add_node(HostNode("b"))
     graph.add_edge("a", 0, "b", 0)
     graph.wire()
+    arrivals = []
+    b.on_deliver = lambda frame, time: arrivals.append((time, frame))
     a.inject(b"x" * 64, 0.0)
     assert b.delivered == 1
-    assert b.arrivals[0][1] == b"x" * 64
+    assert arrivals == [(0.0, b"x" * 64)]
 
 
 def test_forward_node_routes_and_counts():

@@ -8,6 +8,7 @@ crashes named after the failing shard.
 
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,8 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from test_report_golden import GOLDEN, PRESETS
+
 from repro.exceptions import TopologyError
 from repro.topology import (
+    METRICS_MODES,
     FlowSpec,
     LinkSpec,
     NodeSpec,
@@ -25,6 +29,7 @@ from repro.topology import (
     TopologySpec,
     fan_in_topology,
     partition_spec,
+    preset_topology,
     rack_fan_in_topology,
     run_topology,
 )
@@ -90,6 +95,43 @@ class TestWorkerCountEquivalence:
         second = run_topology(spec, workers=2)
         assert first.integrity.missing > 0
         assert_reports_identical(first, second)
+
+
+class TestOneFoldIdentity:
+    """Monolithic ≡ one shard ≡ N shards, for every golden preset and mode.
+
+    All three build their report with ``fold_report``; the monolithic run
+    of ``rack-fan-in`` is the multi-encoder case, where one engine folds
+    what the sharded run folds from two shard reports.
+    """
+
+    @pytest.mark.parametrize("metrics_mode", METRICS_MODES)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_engine_one_shard_and_two_workers_give_one_json(
+        self, preset, metrics_mode
+    ):
+        spec = preset_topology(preset, **PRESETS[preset])
+        monolithic = TopologyEngine(spec, metrics_mode=metrics_mode).run()
+        one = run_topology(spec, workers=1, metrics_mode=metrics_mode)
+        two = run_topology(spec, workers=2, metrics_mode=metrics_mode)
+        assert_reports_identical(monolithic, one)
+        assert_reports_identical(one, two)
+        digest = hashlib.md5(monolithic.json_text().encode("utf-8")).hexdigest()
+        assert digest == GOLDEN[(preset, metrics_mode)]
+
+    @pytest.mark.parametrize("metrics_mode", METRICS_MODES)
+    def test_report_pickles_to_the_same_bytes(self, metrics_mode):
+        # Shards hand their TopologyReport back as itself; what crosses the
+        # process boundary must fold exactly like the original.
+        spec = preset_topology("fan-in", **PRESETS["fan-in"])
+        report = TopologyEngine(spec, metrics_mode=metrics_mode).run()
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone.json_text() == report.json_text()
+        for name, dist in report.metrics.distributions().items():
+            twin = clone.metrics.distributions()[name]
+            assert twin.bounded == dist.bounded
+            if not dist.bounded:
+                assert twin.samples == dist.samples, name
 
 
 class TestHashSeedDeterminism:
@@ -349,7 +391,7 @@ class TestStreamingMemoryBounds:
         # table has drained and no sent/arrival lists were ever kept.
         for state in engine.flow_states:
             assert state.account.pending == {}
-            assert not hasattr(state.account, "arrivals")
+            assert state.arrivals == []
         # Every distribution is a fixed-size sketch: asking for raw
         # samples is an error by design.
         latency = report.metrics.distributions()["endtoend.latency"]

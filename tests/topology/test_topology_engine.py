@@ -173,8 +173,8 @@ class TestCountersOnlyMode:
             assert flow.latency == {}
             assert flow.delivered == 300
         for state in engine.flow_states:
-            assert state.sent_chunks == []
             assert state.arrivals == []
+            assert state.account is None
 
 
 class TestDnsFlows:

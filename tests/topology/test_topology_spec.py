@@ -197,7 +197,7 @@ class TestPresets:
         assert spec.measured_link.name == "shared"
 
     def test_fan_in_needs_a_sender(self):
-        with pytest.raises(TopologyError, match="at least one sender"):
+        with pytest.raises(TopologyError, match="senders must be a positive integer"):
             fan_in_topology(senders=0)
 
     def test_paper_testbed_hop_is_direct_and_measured(self):
