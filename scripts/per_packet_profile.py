@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Per-function Python calls and bytecodes per chunk on the per-packet path.
+
+Builds a topology preset's engine first, then counts, during
+``TopologyEngine.run()`` only, every Python-level ``call`` event and every
+bytecode executed (``sys.settrace`` opcode events), per function.  Both
+counts are deterministic — the same spec gives the same table on any host —
+so they size per-packet work where wall time cannot: on a shared machine
+whose speed changes from second to second.  They say nothing about the
+cost of one bytecode or of the C calls it makes; use them to find and rank
+interpreter overhead, then confirm with ``benchmarks/stack``.
+
+    python scripts/per_packet_profile.py --preset rack-fan-in          # 32,000 chunks, minutes
+    python scripts/per_packet_profile.py --preset rack-fan-in --quick  # 2,000 chunks, seconds
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+from types import CodeType
+from typing import Dict, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+#: preset -> (full-size arguments, ``--quick`` arguments), all static and
+#: streaming.  ``rack-fan-in`` at full size is the benchmark's
+#: ``rack-static-hit`` shape; its quick size is the one
+#: ``tests/topology/test_per_packet_budget.py`` guards.
+SIZES: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {
+    "rack-fan-in": (
+        dict(racks=2, senders=16, chunks=1000, bases=8),
+        dict(racks=2, senders=4, chunks=250, bases=8),
+    ),
+}
+
+
+def profile_run(engine) -> Tuple[Counter, Counter]:
+    """``engine.run()`` under an opcode tracer: (calls, bytecodes) per code."""
+    calls: Counter = Counter()
+    bytecodes: Counter = Counter()
+
+    def local_trace(frame, event, _arg):
+        if event == "opcode":
+            bytecodes[frame.f_code] += 1
+        return local_trace
+
+    def global_trace(frame, _event, _arg):
+        calls[frame.f_code] += 1
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local_trace
+
+    sys.settrace(global_trace)
+    try:
+        engine.run()
+    finally:
+        sys.settrace(None)
+    return calls, bytecodes
+
+
+def function_name(code: CodeType) -> str:
+    path = Path(code.co_filename)
+    try:
+        module = path.relative_to(REPO_ROOT / "src").with_suffix("").as_posix()
+    except ValueError:
+        module = path.name
+    qualname = getattr(code, "co_qualname", code.co_name)  # 3.11+
+    return f"{module.replace('/', '.')}:{qualname}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--preset", choices=sorted(SIZES), default="rack-fan-in")
+    parser.add_argument("--quick", action="store_true", help="small inputs")
+    parser.add_argument("--top", type=int, default=40, help="rows to print")
+    args = parser.parse_args()
+
+    from repro.topology import TopologyEngine, preset_topology
+
+    spec = preset_topology(
+        args.preset, scenario="static", seed=2020, **SIZES[args.preset][args.quick]
+    )
+    engine = TopologyEngine(spec, metrics_mode="streaming")
+    calls, bytecodes = profile_run(engine)
+    chunks = sum(state.chunks_sent for state in engine.flow_states)
+    if not chunks:
+        print("the run sent no chunks", file=sys.stderr)
+        return 1
+
+    print(
+        f"# {args.preset}: {chunks} chunks, "
+        f"{engine.simulator.executed_events / chunks:.3f} events per chunk"
+    )
+    print(f"{'calls/chunk':>12} {'bytecodes/chunk':>16}  function")
+    for code, count in bytecodes.most_common(args.top):
+        print(
+            f"{calls[code] / chunks:12.3f} {count / chunks:16.1f}  "
+            f"{function_name(code)}"
+        )
+    print(
+        f"{sum(calls.values()) / chunks:12.3f} "
+        f"{sum(bytecodes.values()) / chunks:16.1f}  total "
+        f"({len(bytecodes)} functions)"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

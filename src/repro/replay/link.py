@@ -144,6 +144,9 @@ class EmulatedLink:
         self._serialising: Deque[Tuple[float, int, int]] = deque()
         # The event description is constant; format it once, not per frame.
         self._deliver_label = f"{name}:deliver"
+        # frame length -> serialisation delay: traffic has a handful of
+        # frame sizes, each worked out (padding, overheads, a division) once.
+        self._serialisation: Dict[int, float] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -182,13 +185,19 @@ class EmulatedLink:
         """
         if self._sink is None:
             raise ReplayError(f"link {self.name!r} has no sink attached")
-        now = max(self.simulator.now, time)
+        simulator = self.simulator
+        now = simulator.now
+        if time > now:
+            now = time
         tracer = _obs.TRACER
-        self.stats.offered += 1
-        self.stats.offered_bytes += len(frame)
+        stats = self.stats
+        length = len(frame)
+        stats.offered += 1
+        stats.offered_bytes += length
 
-        if self.impairments is not None and self.impairments.should_drop():
-            self.stats.dropped_loss += 1
+        impairments = self.impairments
+        if impairments is not None and impairments.should_drop():
+            stats.dropped_loss += 1
             if tracer.enabled:
                 tracer.instant(
                     "link.drop", self.name, args={"reason": "loss"}, ts=now
@@ -196,7 +205,7 @@ class EmulatedLink:
             return
         depth = self.queue_depth
         if self.queue_capacity is not None and depth >= self.queue_capacity:
-            self.stats.dropped_queue += 1
+            stats.dropped_queue += 1
             if tracer.enabled:
                 tracer.instant(
                     "link.drop",
@@ -206,22 +215,28 @@ class EmulatedLink:
                 )
             return
 
-        serialisation = self.model.serialisation_delay(len(frame))
-        start = max(now, self._busy_until)
+        serialisation = self._serialisation.get(length)
+        if serialisation is None:
+            serialisation = self._serialisation[length] = (
+                self.model.serialisation_delay(length)
+            )
+        start = self._busy_until
+        if now > start:
+            start = now
         done = start + serialisation
-        self.stats.busy_time += serialisation
+        stats.busy_time += serialisation
         self._busy_until = done
-        self._serialising.append((done, 0, self.simulator.next_sequence()))
-        if depth >= self.stats.max_queue_depth:
-            self.stats.max_queue_depth = depth + 1
+        self._serialising.append((done, 0, simulator.next_sequence()))
+        if depth >= stats.max_queue_depth:
+            stats.max_queue_depth = depth + 1
         if self.record_delays:
-            self.stats.queueing_delays.append(start - now)
+            stats.queueing_delays.append(start - now)
 
         penalty = 0.0
-        if self.impairments is not None:
-            penalty = self.impairments.reorder_penalty()
+        if impairments is not None:
+            penalty = impairments.reorder_penalty()
             if penalty > 0.0:
-                self.stats.reordered += 1
+                stats.reordered += 1
         deliver_at = done + self.propagation_delay + penalty
 
         if tracer.enabled:

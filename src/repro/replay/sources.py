@@ -21,9 +21,8 @@ pacing, and the harness only ever sees ``(inject_at, frame_bytes)`` pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from repro.exceptions import PacketError, ReplayError
 from repro.net.ethernet import EthernetFrame, frame_wire_bytes
@@ -50,9 +49,11 @@ _DEFAULT_SOURCE_MAC = MacAddress("02:00:00:00:00:01")
 _DEFAULT_DESTINATION_MAC = MacAddress("02:00:00:00:00:02")
 
 
-@dataclass(frozen=True)
-class TimedFrame:
-    """One frame of a trace: raw bytes plus its recorded timestamp."""
+class TimedFrame(NamedTuple):
+    """One frame of a trace: raw bytes plus its recorded timestamp.
+
+    Immutable; a named tuple because a source builds one per frame.
+    """
 
     recorded_time: float
     data: bytes

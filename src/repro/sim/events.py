@@ -33,13 +33,17 @@ next_sequence = itertools.count().__next__
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and the handle to cancel it.
 
     Events run in ``(time, priority, sequence)`` order, so simultaneous
     events are deterministic: lower priority value first, then insertion
     order.  The event itself is never compared — the simulator's heap holds
     ``(time, priority, sequence, event)`` tuples, and because ``sequence``
     is unique the tuple comparison is decided before it reaches the event.
+
+    The simulator's ``schedule`` methods return the event itself: ``time``,
+    ``description`` and ``cancelled`` are readable on it and :meth:`cancel`
+    withdraws it without digging into the event queue.
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "description", "cancelled")
@@ -83,35 +87,15 @@ class Event:
             raise SimulationError("event callback must be callable")
         return cls(time, priority, next_sequence(), callback, description)
 
-
-class EventHandle:
-    """Handle returned by the simulator's ``schedule`` methods.
-
-    Allows cancelling a pending event without digging into the event queue.
-    Cancellation is lazy: the event stays in the heap but is skipped when it
-    reaches the front.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event):
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Scheduled execution time in seconds."""
-        return self._event.time
-
-    @property
-    def description(self) -> str:
-        """Human-readable description of the event."""
-        return self._event.description
-
-    @property
-    def cancelled(self) -> bool:
-        """True when the event has been cancelled."""
-        return self._event.cancelled
-
     def cancel(self) -> None:
-        """Prevent the event from running (idempotent)."""
-        self._event.cancelled = True
+        """Prevent the event from running (idempotent).
+
+        Cancellation is lazy: the event stays in the heap but is skipped
+        when it reaches the front.
+        """
+        self.cancelled = True
+
+
+#: What the ``schedule`` methods return.  An event is its own handle; the
+#: name stays for annotations and imports.
+EventHandle = Event

@@ -36,6 +36,10 @@ class Simulator:
     Events run in ``(time, priority, insertion)`` order.  The heap holds
     ``(time, priority, sequence, event)`` tuples whose unique ``sequence``
     decides every tie, so ordering never calls back into Python.
+
+    ``now`` is the current simulated time in seconds.  It is a plain
+    attribute because every component reads it several times per packet;
+    only the simulator writes it.
     """
 
     def __init__(self, start_time: float = 0.0):
@@ -52,17 +56,12 @@ class Simulator:
     def _settle(self, time: float, before: bool) -> None:
         """Put the idle clock at ``time``: ordered ``before`` every event
         scheduled at that instant, or after all of them."""
-        self._now = time
+        self.now = time
         # ``step`` stores the heap entry it is executing here, so this is
         # any tuple that *orders* like a key; ``current_key`` trims it.
         self._position = (time, -inf if before else inf, 0)
 
     # -- clock -------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def current_key(self) -> EventKey:
@@ -79,14 +78,12 @@ class Simulator:
         """
         return self._position[:3]
 
-    def next_sequence(self) -> int:
-        """Take the sequence number the next scheduled event would get.
-
-        With it a component can form the key ``(time, priority, sequence)``
-        an event scheduled right now would have, and compare that against
-        :attr:`current_key` later.
-        """
-        return next_sequence()
+    #: ``next_sequence()`` takes the sequence number the next scheduled
+    #: event would get.  With it a component can form the key ``(time,
+    #: priority, sequence)`` an event scheduled right now would have, and
+    #: compare that against :attr:`current_key` later.  The draw itself,
+    #: not a method around it: the link takes one per frame.
+    next_sequence = staticmethod(next_sequence)
 
     @property
     def executed_events(self) -> int:
@@ -109,11 +106,11 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulated ``time``."""
         # One chained comparison rejects the past, NaN and +inf together.
-        if not self._now <= time < inf:
-            if time < self._now:
+        if not self.now <= time < inf:
+            if time < self.now:
                 raise SimulationError(
                     f"cannot schedule event at {time:.9f}s, which is before the "
-                    f"current time {self._now:.9f}s"
+                    f"current time {self.now:.9f}s"
                 )
             raise SimulationError(f"event time must be finite, got {time}")
         if not callable(callback):
@@ -121,7 +118,7 @@ class Simulator:
         sequence = next_sequence()
         event = Event(time, priority, sequence, callback, description)
         heappush(self._queue, (time, priority, sequence, event))
-        return EventHandle(event)
+        return event
 
     def schedule_in(
         self,
@@ -134,7 +131,7 @@ class Simulator:
         if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(
-            self._now + delay, callback, priority=priority, description=description
+            self.now + delay, callback, priority=priority, description=description
         )
 
     def schedule_now(
@@ -142,7 +139,7 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback`` at the current time (runs after current event)."""
         return self.schedule_at(
-            self._now, callback, priority=priority, description=description
+            self.now, callback, priority=priority, description=description
         )
 
     # -- observers ----------------------------------------------------------
@@ -175,12 +172,12 @@ class Simulator:
             if event.cancelled:
                 continue
             time = entry[0]
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError(
                     f"event {event.description!r} scheduled in the past "
-                    f"({time:.9f}s < {self._now:.9f}s)"
+                    f"({time:.9f}s < {self.now:.9f}s)"
                 )
-            self._now = time
+            self.now = time
             self._position = entry
             event.callback()
             self._executed_events += 1
@@ -226,7 +223,7 @@ class Simulator:
                 if next_event is None or (
                     until is not None and next_event.time > until
                 ):
-                    if until is not None and self._now <= until:
+                    if until is not None and self.now <= until:
                         self._settle(until, before=False)
                     break
                 if max_events is not None and executed >= max_events:
@@ -241,7 +238,7 @@ class Simulator:
         """Run for ``duration`` simulated seconds from the current time."""
         if not duration >= 0:
             raise SimulationError(f"duration must be non-negative, got {duration}")
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self.now + duration, max_events=max_events)
 
     def _peek(self) -> Optional[Event]:
         """The next non-cancelled event without removing it, or ``None``."""
@@ -252,9 +249,9 @@ class Simulator:
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward without executing events (testing helper)."""
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot move the clock backwards ({time:.9f}s < {self._now:.9f}s)"
+                f"cannot move the clock backwards ({time:.9f}s < {self.now:.9f}s)"
             )
         next_event = self._peek()
         if next_event is not None and next_event.time < time:

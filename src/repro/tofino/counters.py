@@ -42,6 +42,9 @@ class Counter:
             raise ReproError(f"counter size must be positive, got {size}")
         self._size = size
         self._type = counter_type
+        # Which arrays one ``count`` touches, decided here once.
+        self._counts_packets = counter_type is not CounterType.BYTES
+        self._counts_bytes = counter_type is not CounterType.PACKETS
         self._packets = [0] * size
         self._bytes = [0] * size
         self.name = name or "counter"
@@ -65,9 +68,9 @@ class Counter:
         self._check_index(index)
         if packet_bytes < 0:
             raise ReproError(f"packet size must be non-negative, got {packet_bytes}")
-        if self._type in (CounterType.PACKETS, CounterType.PACKETS_AND_BYTES):
+        if self._counts_packets:
             self._packets[index] += 1
-        if self._type in (CounterType.BYTES, CounterType.PACKETS_AND_BYTES):
+        if self._counts_bytes:
             self._bytes[index] += packet_bytes
 
     def read(self, index: int) -> CounterSample:
@@ -80,9 +83,12 @@ class Counter:
         return [CounterSample(p, b) for p, b in zip(self._packets, self._bytes)]
 
     def clear(self) -> None:
-        """Zero every cell (control-plane access)."""
-        self._packets = [0] * self._size
-        self._bytes = [0] * self._size
+        """Zero every cell (control-plane access).
+
+        In place: :class:`NamedCounterSet` holds on to the two arrays.
+        """
+        self._packets[:] = [0] * self._size
+        self._bytes[:] = [0] * self._size
 
 
 class NamedCounterSet:
@@ -100,6 +106,10 @@ class NamedCounterSet:
         self._labels = list(labels)
         self._indices = {label: index for index, label in enumerate(labels)}
         self._counter = Counter(len(labels), CounterType.PACKETS_AND_BYTES, name=name)
+        # The counter's own cells, so the per-packet ``count`` is one label
+        # probe and two increments.
+        self._packets = self._counter._packets
+        self._bytes = self._counter._bytes
 
     @property
     def labels(self) -> List[str]:
@@ -108,11 +118,13 @@ class NamedCounterSet:
 
     def count(self, label: str, packet_bytes: int = 0) -> None:
         """Account one packet under ``label``."""
-        try:
-            index = self._indices[label]
-        except KeyError:
-            raise ReproError(f"unknown counter label {label!r}") from None
-        self._counter.count(index, packet_bytes)
+        index = self._indices.get(label)
+        if index is None:
+            raise ReproError(f"unknown counter label {label!r}")
+        if packet_bytes < 0:
+            raise ReproError(f"packet size must be non-negative, got {packet_bytes}")
+        self._packets[index] += 1
+        self._bytes[index] += packet_bytes
 
     def read(self, label: str) -> CounterSample:
         """Read the sample for ``label``."""

@@ -16,6 +16,7 @@ learning delay, so the model makes it explicit and configurable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ControlPlaneError
@@ -68,6 +69,8 @@ class DigestEngine:
         self._delivery_latency = delivery_latency
         self._queue_depth = queue_depth
         self._subscribers: Dict[str, List[Callable[[DigestMessage], None]]] = {}
+        # Delivery-event descriptions, formatted once per digest type.
+        self._labels: Dict[str, str] = {}
         self._in_flight = 0
         self.emitted = 0
         self.delivered = 0
@@ -103,7 +106,8 @@ class DigestEngine:
         if self._in_flight >= self._queue_depth:
             self.dropped += 1
             return False
-        now = self._simulator.now if self._simulator is not None else 0.0
+        simulator = self._simulator
+        now = simulator.now if simulator is not None else 0.0
         message = DigestMessage(
             digest_type=digest_type,
             data=dict(data),
@@ -111,14 +115,17 @@ class DigestEngine:
             delivered_at=now + self._delivery_latency,
         )
         self._in_flight += 1
-        if self._simulator is None:
+        if simulator is None:
             self._deliver(message)
-        else:
-            self._simulator.schedule_in(
-                self._delivery_latency,
-                lambda message=message: self._deliver(message),
-                description=f"digest:{digest_type}",
-            )
+            return True
+        label = self._labels.get(digest_type)
+        if label is None:
+            label = self._labels[digest_type] = f"digest:{digest_type}"
+        simulator.schedule_in(
+            self._delivery_latency,
+            partial(self._deliver, message),
+            description=label,
+        )
         return True
 
     # -- delivery ------------------------------------------------------------------

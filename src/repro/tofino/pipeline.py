@@ -21,7 +21,7 @@ header vector and intrinsic metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import PipelineError
 from repro.tofino.constraints import ResourceTracker, TofinoResourceProfile
@@ -65,9 +65,11 @@ class PacketContext:
         self.digests.append((digest_type, dict(data)))
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """Outcome of pushing one packet through the pipeline."""
+class PipelineResult(NamedTuple):
+    """Outcome of pushing one packet through the pipeline.
+
+    Immutable; a named tuple because one is built per packet.
+    """
 
     egress_port: Optional[int]
     frame: Optional[bytes]

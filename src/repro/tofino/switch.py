@@ -166,10 +166,11 @@ class TofinoSwitch:
         sink = self._sinks.get(port)
         if sink is None:
             return
-        if self.simulator is None:
+        simulator = self.simulator
+        if simulator is None:
             sink(frame, 0.0)
             return
-        deliver_at = self.simulator.now + latency
+        deliver_at = simulator.now + latency
         tracer = _obs.TRACER
         if tracer.enabled:
             # Carry the current chunk identity across the deferred delivery
@@ -182,9 +183,7 @@ class TofinoSwitch:
             deliver = partial(sink, frame, deliver_at)
         # A negative latency puts ``deliver_at`` in the past, which
         # ``schedule_at`` rejects.
-        self.simulator.schedule_at(
-            deliver_at, deliver, description=self._tx_labels[port]
-        )
+        simulator.schedule_at(deliver_at, deliver, description=self._tx_labels[port])
 
     @staticmethod
     def _deliver_traced(sink: PortSink, frame: bytes, deliver_at: float, context) -> None:

@@ -135,6 +135,7 @@ class MatchActionTable:
         self.key_bits = key_bits
         self.size = size
         self.match_kind = match_kind
+        self._exact = match_kind is MatchKind.EXACT
         self.support_idle_timeout = support_idle_timeout
         self._actions: Dict[str, ActionSpec] = {spec.name: spec for spec in actions}
         if "NoAction" not in self._actions:
@@ -315,7 +316,8 @@ class MatchActionTable:
         ``entry.params[...]`` directly and must not mutate it.
         """
         self.lookups += 1
-        entry = self._find(key)
+        # An exact table is its dictionary; read per call, ``clear`` rebinds it.
+        entry = self._entries.get(key) if self._exact else self._find(key)
         if entry is None:
             return None
         self.hits += 1

@@ -36,10 +36,10 @@ LinkSink = Callable[[bytes, float], None]
 class Node:
     """One vertex of the topology graph.
 
-    Every node has a unique ``name``, receives frames on numbered ingress
-    ports via :meth:`receive`, and exposes numbered egress ports the graph
-    attaches sinks to via :meth:`attach`.  Concrete nodes live in
-    :mod:`repro.topology.nodes`.
+    Every node has a unique ``name``, answers :meth:`ingress` with the sink
+    that takes the frames of one numbered ingress port, and exposes
+    numbered egress ports the graph attaches sinks to via :meth:`attach`.
+    Concrete nodes live in :mod:`repro.topology.nodes`.
     """
 
     def __init__(self, name: str):
@@ -47,9 +47,21 @@ class Node:
             raise TopologyError(f"node name must be a non-empty string, got {name!r}")
         self.name = name
 
+    def ingress(self, port: int) -> LinkSink:
+        """The sink ``(frame_bytes, time)`` for frames arriving on ``port``.
+
+        :meth:`TopologyGraph.wire` asks once per edge and hands the answer
+        to the upstream link or node, so a frame enters the node without
+        an adapter call in between.  Whatever a node decides per port it
+        decides here; what may change after wiring (a host's
+        ``on_deliver``, a switch's forwarding and egress sinks) the
+        returned sink must read per frame.
+        """
+        raise NotImplementedError
+
     def receive(self, frame_bytes: bytes, port: int, time: float) -> None:
         """Handle one frame arriving on ingress ``port`` at ``time``."""
-        raise NotImplementedError
+        self.ingress(port)(frame_bytes, time)
 
     def attach(self, port: int, sink: LinkSink) -> None:
         """Attach the sink that egress ``port`` transmits into."""
@@ -147,22 +159,13 @@ class TopologyGraph:
 
     # -- wiring --------------------------------------------------------------
 
-    def _terminal_sink(self, edge: TopologyEdge) -> LinkSink:
-        node = self.nodes[edge.target]
-        port = edge.target_port
-
-        def into_node(frame_bytes: bytes, time: float) -> None:
-            node.receive(frame_bytes, port, time)
-
-        return into_node
-
     def wire(self) -> None:
         """Attach every edge: chain its links and connect both endpoints."""
         if self._wired:
             raise TopologyError("topology graph is already wired")
         self._wired = True
         for edge in self.edges:
-            sink = self._terminal_sink(edge)
+            sink = self.nodes[edge.target].ingress(edge.target_port)
             if edge.links:
                 for upstream, downstream in zip(edge.links, edge.links[1:]):
                     upstream.attach(downstream.send)

@@ -16,6 +16,7 @@ Four node kinds cover every topology the reproduction builds:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.exceptions import TopologyError
@@ -47,8 +48,8 @@ class HostNode(Node):
 
     # -- sink side -----------------------------------------------------------
 
-    def receive(self, frame_bytes: bytes, port: int, time: float) -> None:
-        self.deliver(frame_bytes, time)
+    def ingress(self, port: int) -> LinkSink:
+        return self.deliver
 
     def deliver(self, frame_bytes: bytes, time: float) -> None:
         """Port-sink entry point (same shape as a switch port sink)."""
@@ -101,8 +102,15 @@ class _ZipLineSwitchNode(Node):
     def _make_switch(self, name: str, **switch_kwargs):
         raise NotImplementedError
 
-    def receive(self, frame_bytes: bytes, port: int, time: float) -> None:
-        self.switch.receive(frame_bytes, port)
+    def ingress(self, port: int) -> LinkSink:
+        # Bound once per edge.  The switch reads the time off the simulator,
+        # so the sink's ``time`` stops here.
+        receive = self.switch.receive
+
+        def switch_ingress(frame_bytes: bytes, time: float) -> None:
+            receive(frame_bytes, port)
+
+        return switch_ingress
 
     def attach(self, port: int, sink: LinkSink) -> None:
         _guard_reattach(self, self._attached_ports, port)
@@ -157,7 +165,10 @@ class ForwardNode(Node):
             )
         self._sinks[port] = sink
 
-    def receive(self, frame_bytes: bytes, port: int, time: float) -> None:
+    def ingress(self, port: int) -> LinkSink:
+        return partial(self._forward, port)
+
+    def _forward(self, port: int, frame_bytes: bytes, time: float) -> None:
         egress = self.forwarding.get(port, self.default_egress_port)
         sink = None if egress is None else self._sinks.get(egress)
         if sink is None:

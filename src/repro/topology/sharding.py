@@ -215,6 +215,15 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
     return shards
 
 
+#: Total chunks from which a process pool reliably pays for itself.
+#: Measured on the ``rack-static-hit`` spec (2 shards) on a shared 2-core
+#: host: below it ``workers=2`` read *slower* than ``workers=1`` in some
+#: series (0.7-0.9x when the two short-lived workers end up on one core,
+#: 1.1-1.5x when they do not); at 8,000 it won three series of four, from
+#: 16,000 up every one, 1.6-1.8x (docs/performance.md, "Whole-stack budget").
+WORKERS_PAY_OFF_CHUNKS = 8000
+
+
 def map_across_workers(
     function: Callable[[Any], Any], tasks: Sequence[Any], workers: int
 ) -> Iterator[Any]:
@@ -333,6 +342,10 @@ def run_topology(
     monolithic engine, whose report this path reproduces exactly — but
     raises :class:`PartitionError` for ``workers > 1``, because no process
     boundary can honor a shared dictionary.
+
+    A pool only reliably pays for itself from :data:`WORKERS_PAY_OFF_CHUNKS`
+    up; below it ``progress`` is told so, once, and the run goes ahead as
+    asked.
     """
     check_metrics_mode(metrics_mode)
     if workers < 1:
@@ -382,6 +395,19 @@ def run_topology(
             )
             for shard, segment in zip(shards, segment_paths)
         ]
+        chunks = sum(flow.chunks for flow in spec.flows)
+        if (
+            progress is not None
+            and min(workers, len(tasks)) > 1
+            and chunks < WORKERS_PAY_OFF_CHUNKS
+            # A capture's length is not in the spec.
+            and all(flow.trace is None for flow in spec.flows)
+        ):
+            progress(
+                f"note: {chunks:,} chunks is below the ~{WORKERS_PAY_OFF_CHUNKS:,} "
+                f"from which a process pool reliably pays for itself; workers=1 "
+                f"may be faster than workers={workers} here (same report either way)"
+            )
         outcomes: List[_ShardOutcome] = []
         results = map_across_workers(_run_shard, tasks, workers)
         # On a failure the pool must be gone before the trace dir is.

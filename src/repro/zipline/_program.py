@@ -129,9 +129,16 @@ class ZipLineSwitchBase:
             self._check_port(default_egress_port)
         self._default_egress_port = default_egress_port
 
-        # Compiled-program constants: the const table as flat sequences and
+        # Compiled-program constants, read once here instead of through
+        # property chains per frame: the code's widths, the pipeline's
+        # parser and fixed latency, the const table as flat sequences and
         # the shortest frame each EtherType's header fits in.  A shorter
         # frame is a parser error, which only the interpreted parser counts.
+        self._code_bits = code.n
+        self._basis_bits = code.k
+        self._pipeline = pipeline
+        self._parser = pipeline.parser
+        self._latency = pipeline.pipeline_latency
         self._syndrome_entries = [
             self._syndrome_table.get_entry(syndrome)
             for syndrome in range(1 << code.m)
@@ -244,11 +251,7 @@ class ZipLineSwitchBase:
     def _span(self, name: str, now: float, args: Dict[str, object]) -> None:
         """Trace one pass through the program (callers check ``enabled``)."""
         _obs.TRACER.span(
-            name,
-            self.switch.name,
-            now,
-            now + self.switch.pipeline.pipeline_latency,
-            args=args,
+            name, self.switch.name, now, now + self._latency, args=args
         )
 
     # -- control-plane interface ---------------------------------------------------
@@ -293,7 +296,7 @@ class ZipLineSwitchBase:
     @property
     def pipeline(self) -> Pipeline:
         """The underlying pipeline."""
-        return self.switch.pipeline
+        return self._pipeline
 
     @property
     def simulator(self) -> Optional[Simulator]:
@@ -319,23 +322,21 @@ class ZipLineSwitchBase:
         switch.record_rx(ingress_port, length)
         simulator = self._simulator
         now = simulator.now if simulator is not None else 0.0
-        pipeline = switch.pipeline
+        pipeline = self._pipeline
         pipeline.packets_processed += 1
-        pipeline.parser.packets_parsed += 1
+        self._parser.packets_parsed += 1
         out, digests = self._compiled_ingress(frame, ethertype, length, now)
-        latency = pipeline.pipeline_latency
+        latency = self._latency
         if out is None:
             pipeline.packets_dropped += 1
-            return PipelineResult(
-                egress_port=None, frame=None, digests=digests, latency=latency
-            )
+            return PipelineResult(None, None, digests, latency)
         for digest_type, data in digests:
             switch.digest_engine.emit(digest_type, data)
+        # Forwarding and the egress sink stay late-bound: ``set_forwarding``,
+        # ``attach_port`` and ``detach_port`` apply to the next frame.
         egress = self._forwarding.get(ingress_port, self._default_egress_port)
         switch.transmit(egress, out, latency)
-        return PipelineResult(
-            egress_port=egress, frame=out, digests=digests, latency=latency
-        )
+        return PipelineResult(egress, out, digests, latency)
 
     def receive_batch(
         self, frames: List[bytes], ingress_port: int

@@ -101,6 +101,13 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         self._syndrome_mask = mask(code.m)
         self._basis_mask = mask(code.k)
         self._identifier_mask = mask(identifier_bits)
+        self._parity_of_basis = code.parity_of_basis_fast
+        # basis -> (basis << m) | parity.  Keyed by the basis *value*, so it
+        # is a pure-function memo no table write, ``clear()`` or recycled
+        # identifier can make stale; at most one entry per identifier the
+        # table can hold, dropped wholesale when more distinct bases than
+        # that come by.
+        self._codewords: Dict[int, int] = {}
 
     # -- the ingress control block ------------------------------------------------------
 
@@ -193,8 +200,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
     ) -> Tuple[Optional[bytes], Digests]:
-        code = self._transform.code
-        m = code.m
+        m = self._syndrome_bits
         if ethertype == ETH_TYPE3:
             header_end = self._type3_end
             value = (
@@ -218,7 +224,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
                 >> self._type2_pad
             )
             basis = (value >> m) & self._basis_mask
-            prefix = value >> (m + code.k)
+            prefix = value >> (m + self._basis_bits)
             self.counters.count("uncompressed_to_raw", length)
             if _obs.TRACER.enabled:
                 self._span("decode", now, {"outcome": "uncompressed"})
@@ -227,8 +233,14 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             return frame, ()
 
         # Fused Figure 2 ➌–➐.  Steps ➌/➍: parity through the same CRC unit
-        # (fused byte loop), keeping the extern's accounting.
-        codeword = (basis << m) | code.parity_of_basis_fast(basis)
+        # (fused byte loop, once per distinct basis), keeping the extern's
+        # per-frame accounting.
+        codewords = self._codewords
+        codeword = codewords.get(basis)
+        if codeword is None:
+            if len(codewords) >= self._identifier_table.size:
+                codewords.clear()
+            codeword = codewords[basis] = (basis << m) | self._parity_of_basis(basis)
         self._crc.record_invocation()
         # Steps ➎/➏: syndrome table metadata + the XOR mask.  The interpreted
         # program looks this table up without a timestamp
@@ -240,7 +252,9 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         syndrome_entry = self._syndrome_entries[syndrome]
         syndrome_entry.last_hit = 0.0
         syndrome_entry.hit_count += 1
-        chunk_value = (prefix << code.n) | (codeword ^ self._flip_masks[syndrome])
+        chunk_value = (prefix << self._code_bits) | (
+            codeword ^ self._flip_masks[syndrome]
+        )
         out = (
             frame[:12]
             + ETH_RAW

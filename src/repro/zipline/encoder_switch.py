@@ -206,16 +206,15 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
             return frame, ()
         chunk_end = self._chunk_end
         chunk_slice = frame[ETHERNET_BYTES:chunk_end]
-        code = self._transform.code
         m = self._syndrome_bits
         chunk_value = int.from_bytes(chunk_slice, "big")
-        prefix = chunk_value >> code.n
+        prefix = chunk_value >> self._code_bits
         # Step ➋: syndrome through the shared CRC byte loop (same unit the
         # extern reduces with), keeping the extern's accounting.  The
         # remainder of the chunk's own bytes is syndrome(body) ^ (prefix *
         # x**n mod g), and x**n ≡ 1 (mod g) for a primitive g of order n.
         syndrome = self._remainder(chunk_slice) ^ (
-            code.prefix_syndrome(prefix) if prefix >> m else prefix
+            self._transform.code.prefix_syndrome(prefix) if prefix >> m else prefix
         )
         self._crc.record_invocation()
         # Step ➌: const syndrome→mask table, with hit metadata.
@@ -246,7 +245,7 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
                     {"outcome": "hit", "identifier": identifier, "basis": basis},
                 )
             return out, ()
-        value = (((prefix << code.k) | basis) << m) | syndrome
+        value = (((prefix << self._basis_bits) | basis) << m) | syndrome
         out = (
             frame[:12]
             + ETH_TYPE2

@@ -53,6 +53,23 @@ class TestSerialisation:
         assert link.stats.busy_time == pytest.approx(4 * 992 / 1e9)
         assert link.utilisation(link.stats.busy_time * 2) == pytest.approx(0.5)
 
+    def test_every_frame_length_gets_its_own_serialisation_delay(self):
+        """The per-length memo returns what the link model computes, for
+        lengths seen before and lengths seen for the first time alike."""
+        sim = Simulator()
+        link, arrivals = make_link(sim, bandwidth_bps=1e9, propagation_delay=0.0)
+        lengths = [60, 1500, 60, 46, 9000, 1500, 61, 60]
+        for index, length in enumerate(lengths):
+            link.send(bytes(length), index * 1e-3)  # far apart: no queueing
+        sim.run()
+        model = LinkModel(speed_bps=1e9)
+        assert [time for time, _ in arrivals] == [
+            index * 1e-3 + model.serialisation_delay(length)
+            for index, length in enumerate(lengths)
+        ]
+        assert link.stats.busy_time == sum(
+            model.serialisation_delay(length) for length in lengths
+        )
 
 class TestBoundedQueue:
     def test_drop_tail_when_queue_full(self):

@@ -91,6 +91,25 @@ class TestCancellation:
         assert handle.time == 3.0
         assert handle.description == "probe"
 
+    def test_the_handle_is_the_event_itself(self):
+        """No wrapper object per scheduled event: what ``schedule_*`` returns
+        is what observers are shown, and ``EventHandle`` names that class."""
+        from repro.sim import EventHandle
+
+        assert EventHandle is Event
+        simulator = Simulator()
+        seen = []
+        simulator.add_observer(seen.append)
+        handles = [
+            simulator.schedule_at(1.0, lambda: None),
+            simulator.schedule_in(2.0, lambda: None),
+            simulator.schedule_now(lambda: None),
+        ]
+        assert all(type(handle) is Event for handle in handles)
+        handles[1].cancel()
+        simulator.run()
+        assert seen == [handles[2], handles[0]]
+
 
 class TestRunControl:
     def test_run_until_stops_before_later_events(self):

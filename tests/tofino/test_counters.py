@@ -64,6 +64,19 @@ class TestNamedCounterSet:
         counters.clear()
         assert counters.read("a").packets == 0
 
+    def test_counts_again_after_clear_and_rejects_a_negative_size(self):
+        """``count`` writes the counter's own cells, which ``clear`` zeroes
+        in place; a bad size is refused before either cell moves."""
+        counters = NamedCounterSet(["a", "b"])
+        counters.count("b", packet_bytes=7)
+        counters.clear()
+        counters.count("b", packet_bytes=5)
+        with pytest.raises(ReproError):
+            counters.count("b", packet_bytes=-1)
+        assert counters.read("b") == counters.as_dict()["b"]
+        assert (counters.read("b").packets, counters.read("b").bytes) == (1, 5)
+        assert counters.read("a").packets == 0
+
     def test_unknown_label(self):
         counters = NamedCounterSet(["a"])
         with pytest.raises(ReproError):

@@ -1,5 +1,7 @@
 """Tests for the pipeline, digest engine and switch chassis."""
 
+from functools import partial
+
 import pytest
 
 from repro.exceptions import ControlPlaneError, PipelineError, SimulationError
@@ -107,6 +109,32 @@ class TestDigestEngine:
         assert times == []  # not yet delivered
         simulator.run()
         assert times == [pytest.approx(0.5e-3)]
+
+    def test_delivery_events_share_one_label_per_digest_type(self):
+        """The per-digest event carries a bound-method partial and a label
+        formatted once per digest type, not a closure and an f-string each."""
+        simulator = Simulator()
+        engine = DigestEngine(simulator)
+        got = []
+        engine.subscribe("learn", got.append)
+        engine.subscribe("other", got.append)
+        scheduled = []
+        schedule_in = simulator.schedule_in
+
+        def recording(delay, callback, **kwargs):
+            scheduled.append((callback, kwargs["description"]))
+            return schedule_in(delay, callback, **kwargs)
+
+        simulator.schedule_in = recording
+        for digest_type in ("learn", "other", "learn"):
+            engine.emit(digest_type, {"basis": len(scheduled)})
+        simulator.run()
+        labels = [label for _callback, label in scheduled]
+        assert labels == ["digest:learn", "digest:other", "digest:learn"]
+        assert labels[0] is labels[2]
+        assert all(type(callback) is partial for callback, _label in scheduled)
+        assert [message.data["basis"] for message in got] == [0, 1, 2]
+        assert engine.delivered == 3 and engine.in_flight == 0
 
     def test_queue_overflow_drops(self):
         simulator = Simulator()

@@ -131,3 +131,92 @@ def test_forward_and_switch_nodes_refuse_egress_overwrite():
     node.attach(1, lambda frame, time: None)
     with pytest.raises(TopologyError, match="already attached"):
         node.attach(1, lambda frame, time: None)
+
+
+# -- Node.ingress: the wire-time binding --------------------------------------
+
+
+def _raw_chunk_frame(fill: int) -> bytes:
+    from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES
+
+    return bytes(6) + bytes([2, 0, 0, 1, 0, 1]) + RAW_CHUNK_ETHERTYPE_BYTES + bytes(
+        [fill]
+    ) * 32
+
+
+def _observed_node(kind: str):
+    """A fresh node of ``kind`` plus a callable returning all it did so far."""
+    from repro.topology import ZipLineDecoderNode, ZipLineEncoderNode
+
+    out = []
+    if kind == "host":
+        node = HostNode("h")
+        node.on_deliver = lambda frame, time: out.append((frame, time))
+        return node, lambda: (out, node.delivered)
+    if kind == "forward":
+        node = ForwardNode("f", forwarding={0: 1}, default_egress_port=2)
+        node.attach(1, lambda frame, time: out.append((1, frame, time)))
+        node.attach(2, lambda frame, time: out.append((2, frame, time)))
+        return node, lambda: (out, node.counters())
+    make = ZipLineEncoderNode if kind == "encoder" else ZipLineDecoderNode
+    node = make(kind, forwarding={0: 1, 3: 2}, default_egress_port=1)
+    node.attach(1, lambda frame, time: out.append((1, frame, time)))
+    node.attach(2, lambda frame, time: out.append((2, frame, time)))
+    return node, lambda: (
+        out,
+        node.switch.switch.summary(),
+        node.switch.counters.as_dict(),
+        [node.switch.switch.port_stats(port) for port in range(4)],
+    )
+
+
+@pytest.mark.parametrize("kind", ["host", "encoder", "decoder", "forward"])
+def test_receive_is_ingress_applied(kind):
+    """``receive(f, p, t)`` and ``ingress(p)(f, t)`` are one code path."""
+    by_receive, receive_state = _observed_node(kind)
+    by_ingress, ingress_state = _observed_node(kind)
+    sinks = {port: by_ingress.ingress(port) for port in (0, 3)}
+    for index, port in enumerate([0, 3, 0, 0, 3]):
+        frame = _raw_chunk_frame(index)
+        by_receive.receive(frame, port, index * 1e-6)
+        sinks[port](frame, index * 1e-6)
+        assert receive_state() == ingress_state()
+    assert receive_state()[0]  # frames did come out
+
+
+def test_switch_ingress_reports_a_bad_port_like_receive_does():
+    from repro.exceptions import PipelineError
+    from repro.topology import ZipLineEncoderNode
+
+    node = ZipLineEncoderNode("enc", port_count=4)
+    with pytest.raises(PipelineError):
+        node.ingress(4)(_raw_chunk_frame(0), 0.0)
+    with pytest.raises(PipelineError):
+        node.receive(_raw_chunk_frame(0), None, 0.0)
+    assert node.switch.switch.summary()["rx_packets"] == 0
+    assert node.switch.pipeline.summary()["packets_processed"] == 0
+
+
+def test_on_deliver_assigned_after_wiring_sees_every_delivery():
+    """The engine sets ``on_deliver`` in ``_build_flows``, after ``wire()``:
+    the sink a host hands out at wire time must read the hook per frame."""
+    simulator = Simulator()
+    graph = TopologyGraph(simulator)
+    a = graph.add_node(HostNode("a"))
+    graph.add_node(ForwardNode("fwd", forwarding={0: 1}))
+    b = graph.add_node(HostNode("b"))
+    graph.add_edge("a", 0, "fwd", 0)
+    graph.add_edge("fwd", 1, "b", 0, links=build_link_chain(simulator, ["hop"]))
+    graph.wire()
+    a.inject(b"before", 0.0)
+    simulator.run()
+    first, second = [], []
+    b.on_deliver = lambda frame, time: first.append(frame)
+    a.inject(b"one", simulator.now)
+    simulator.run()
+    b.on_deliver = lambda frame, time: second.append(frame)
+    a.inject(b"two", simulator.now)
+    a.inject(b"three", simulator.now)
+    simulator.run()
+    assert (first, second) == ([b"one"], [b"two", b"three"])
+    assert b.delivered == 4

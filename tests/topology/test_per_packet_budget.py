@@ -1,0 +1,54 @@
+"""A guard on the per-packet path: Python calls and events per chunk.
+
+Wall time on a shared host cannot guard the per-packet budget; these two
+counts can, because they repeat exactly on any machine.  The engine is
+built first, so only ``TopologyEngine.run()`` is counted: injection, both
+compiled switch programs, the emulated rack wire, host delivery and flow
+accounting, with everything the graph and the constructors resolve once
+already resolved.
+
+History of ``calls per chunk`` on this exact spec (``scripts/
+per_packet_profile.py --preset rack-fan-in --quick`` prints the same
+number with a per-function table): 90.575 before the path was bound at
+wire/construction time (three adapter hops, an ``EventHandle`` per event,
+a three-call counter chain, ~15 property reads, a CRC loop per decoded
+chunk), 54.637 after.
+"""
+
+import sys
+
+from repro.topology import TopologyEngine, rack_fan_in_topology
+
+#: Python-level ``call`` events per chunk the run may spend.  Just above
+#: today's count: a new per-frame call is a decision, not an accident.
+MAX_CALLS_PER_CHUNK = 55.0
+
+
+def _count_python_calls(function) -> int:
+    calls = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_static_rack_fan_in_stays_within_its_per_chunk_budget():
+    spec = rack_fan_in_topology(
+        racks=2, senders=4, chunks=250, bases=8, scenario="static", seed=2020
+    )
+    engine = TopologyEngine(spec, metrics_mode="streaming")
+    calls = _count_python_calls(engine.run)
+    chunks = sum(state.chunks_sent for state in engine.flow_states)
+    assert chunks == 2 * 4 * 250
+    # Inject, switch transmit, link delivery, switch transmit: one event
+    # per hop, none spent on bookkeeping.
+    assert engine.simulator.executed_events / chunks == 4.0
+    assert calls / chunks <= MAX_CALLS_PER_CHUNK, calls / chunks

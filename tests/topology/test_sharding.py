@@ -33,6 +33,7 @@ from repro.topology import (
     rack_fan_in_topology,
     run_topology,
 )
+from repro.topology.sharding import WORKERS_PAY_OFF_CHUNKS
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -372,6 +373,35 @@ class TestRunTopologyValidation:
         run_topology(spec, workers=1, progress=lines.append)
         assert len(lines) == 3
         assert any("encoder2" in line for line in lines)
+
+    def test_a_pool_below_its_pay_off_size_is_said_once_and_still_used(self):
+        """``--workers`` never slows a run down silently: below the measured
+        crossover the progress callback is told, once, before the shards
+        run — and the run goes ahead as asked, with the same report."""
+        small = rack_fan_in_topology(racks=2, senders=2, chunks=30, scenario="static")
+        assert sum(flow.chunks for flow in small.flows) < WORKERS_PAY_OFF_CHUNKS
+        lines = []
+        pooled = run_topology(small, workers=2, progress=lines.append)
+        assert lines[0].startswith("note: 120 chunks is below")
+        assert "workers=1 may be faster than workers=2" in lines[0]
+        assert [line.startswith("note:") for line in lines] == [True, False, False]
+        quiet = []
+        assert run_topology(small, workers=1, progress=quiet.append).json_text() == (
+            pooled.json_text()
+        )
+        assert not any(line.startswith("note:") for line in quiet)
+        # One shard never starts a pool, whatever ``workers`` says.
+        lines = []
+        run_topology(fan_in_topology(senders=2, chunks=10), workers=2,
+                     progress=lines.append)
+        assert len(lines) == 1 and not lines[0].startswith("note:")
+        # At or above the crossover there is nothing to say.
+        big = rack_fan_in_topology(
+            racks=2, senders=2, chunks=WORKERS_PAY_OFF_CHUNKS // 4, scenario="static"
+        )
+        lines = []
+        run_topology(big, workers=2, metrics_mode="streaming", progress=lines.append)
+        assert len(lines) == 2 and not any(line.startswith("note:") for line in lines)
 
 
 class TestStreamingMemoryBounds:

@@ -16,6 +16,8 @@ every order and prefix width the header set accepts and diff everything.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.transform import GDTransform
 from repro.exceptions import PipelineError
@@ -416,6 +418,157 @@ class TestForwardingValidation:
         assert [len(delivered[1]), len(delivered[2])] == [1, 1]
         assert switch.switch.digest_engine.emitted == 2
         assert switch.switch.port_stats(2).tx_packets == 1
+
+    @pytest.mark.parametrize("make_switch", [ZipLineEncoderSwitch, ZipLineDecoderSwitch])
+    def test_rewiring_after_the_first_packet_applies_to_the_next(self, make_switch):
+        """What ``receive`` resolved at construction never includes the
+        forwarding entry or the egress sink: both are read per frame."""
+        switch = make_switch(forwarding={0: 1})
+        first, second, third = [], [], []
+        switch.switch.attach_port(1, lambda frame, _t: first.append(frame))
+        switch.switch.attach_port(2, lambda frame, _t: second.append(frame))
+        frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, bytes(32)).to_bytes()
+        assert switch.receive(frame, 0).egress_port == 1
+        switch.set_forwarding(0, 2)
+        assert switch.receive(frame, 0).egress_port == 2
+        switch.switch.detach_port(2)
+        # Still forwarded to port 2 and counted there; nobody is listening.
+        assert switch.receive(frame, 0).egress_port == 2
+        switch.switch.attach_port(2, lambda frame, _t: third.append(frame))
+        assert switch.receive(frame, 0).egress_port == 2
+        assert [len(first), len(second), len(third)] == [1, 1, 1]
+        assert switch.switch.port_stats(1).tx_packets == 1
+        assert switch.switch.port_stats(2).tx_packets == 3
+        assert switch.switch.port_stats(0).rx_packets == 4
+
+
+class TestDecoderCodewordMemo:
+    """The decoder's ``basis -> codeword`` memo against the interpreted twin.
+
+    ``identifier_bits=2`` bounds the memo at four entries; seven distinct
+    bases overflow it again and again while the identifier table is
+    installed into, replaced, removed from, written directly (the way the
+    fault plan's decoder restart does) and cleared between frames.  A memo
+    keyed by anything but the basis value would hand a recycled identifier
+    its previous basis's codeword somewhere in here.
+    """
+
+    TRANSFORM = GDTransform(order=8)
+    BASES = [random.Random(index).getrandbits(247) for index in range(7)]
+
+    identifiers = st.integers(0, 3)
+    bases = st.integers(0, len(BASES) - 1)
+    syndromes = st.integers(0, 255)
+    operations = st.lists(
+        st.one_of(
+            st.tuples(st.just("install"), identifiers, bases),
+            st.tuples(st.just("remove"), identifiers),
+            st.tuples(st.just("write"), identifiers, bases),
+            st.tuples(st.just("clear")),
+            st.tuples(st.just("type3"), identifiers, syndromes, st.integers(0, 1)),
+            st.tuples(st.just("type2"), bases, syndromes, st.integers(0, 1)),
+        ),
+        max_size=80,
+    )
+
+    def _frame(self, ethertype, fields, padding_bits, total_bytes):
+        value = 0
+        for field_value, width in fields:
+            value = (value << width) | field_value
+        return EthernetFrame(
+            DST, SRC, ethertype, (value << padding_bits).to_bytes(total_bytes, "big")
+        ).to_bytes()
+
+    def _apply(self, switch, receive, operation):
+        table = switch.identifier_table
+        kind = operation[0]
+        if kind == "install":
+            switch.install_identifier_mapping(operation[1], self.BASES[operation[2]])
+        elif kind == "remove":
+            switch.remove_identifier_mapping(operation[1])
+        elif kind == "write":
+            params = {"basis": self.BASES[operation[2]]}
+            if table.get_entry(operation[1]) is None:
+                table.add_entry(operation[1], "set_basis", params)
+            else:
+                table.modify_entry(operation[1], "set_basis", params)
+        elif kind == "clear":
+            table.clear()
+        else:
+            headers = switch.headers
+            code = switch.transform.code
+            if kind == "type3":
+                frame = self._frame(
+                    EtherType.ZIPLINE_COMPRESSED,
+                    [(operation[3], 1), (operation[1], 2), (operation[2], code.m)],
+                    headers.type3_padding_bits, headers.type3.total_bytes,
+                )
+            else:
+                frame = self._frame(
+                    EtherType.ZIPLINE_UNCOMPRESSED,
+                    [(operation[3], 1), (self.BASES[operation[1]], code.k),
+                     (operation[2], code.m)],
+                    headers.type2_padding_bits, headers.type2.total_bytes,
+                )
+            return receive(frame, 0)
+        return None
+
+    @settings(max_examples=60, deadline=None)
+    @given(operations=operations)
+    def test_memo_never_outlives_what_it_was_computed_from(self, operations):
+        twins = []
+        for _ in range(2):
+            switch = ZipLineDecoderSwitch(
+                transform=self.TRANSFORM, identifier_bits=2, forwarding={0: 1}
+            )
+            sink = []
+            switch.switch.attach_port(1, lambda frame, _t, sink=sink: sink.append(frame))
+            twins.append((switch, sink))
+        (compiled, compiled_sink), (interpreted, interpreted_sink) = twins
+        reached_pipeline = _count_process_calls(compiled)
+        for operation in operations:
+            got = self._apply(compiled, compiled.receive, operation)
+            want = self._apply(interpreted, interpreted.switch.receive, operation)
+            assert got == want
+            assert compiled_sink == interpreted_sink
+            assert compiled._crc.invocations == interpreted._crc.invocations
+            for table in ("_syndrome_table", "_identifier_table"):
+                assert _table_state(getattr(compiled, table)) == _table_state(
+                    getattr(interpreted, table)
+                ), table
+            assert len(compiled._codewords) <= 4
+        _diff_counters(compiled, interpreted, DECODER_COUNTERS)
+        assert compiled.switch.summary() == interpreted.switch.summary()
+        assert reached_pipeline == []
+
+    def test_memo_overflow_and_recycled_identifier(self):
+        """The deterministic core of the property above, spelled out."""
+        compiled = ZipLineDecoderSwitch(
+            transform=self.TRANSFORM, identifier_bits=2, forwarding={0: 1}
+        )
+        out = []
+        compiled.switch.attach_port(1, lambda frame, _t: out.append(frame))
+        code = self.TRANSFORM.code
+
+        def type3(identifier):
+            headers = compiled.headers
+            return self._frame(
+                EtherType.ZIPLINE_COMPRESSED,
+                [(0, 1), (identifier, 2), (0, code.m)],
+                headers.type3_padding_bits, headers.type3.total_bytes,
+            )
+
+        for round_index, basis in enumerate(self.BASES):
+            # One identifier, recycled through seven bases: more than the
+            # memo holds, so it is dropped on the way.
+            compiled.install_identifier_mapping(1, basis)
+            compiled.receive(type3(1), 0)
+            assert out[-1][14:46] == code.encode(basis).to_bytes(32, "big")
+            assert len(compiled._codewords) <= 4
+            assert compiled._crc.invocations == round_index + 1
+        compiled.identifier_table.clear()
+        assert compiled.receive(type3(1), 0).dropped
+        assert compiled.counters.read("unknown_identifier").packets == 1
 
 
 class TestReceiveBatch:
