@@ -8,9 +8,11 @@ This subpackage is the paper's primary contribution in library form:
 * :mod:`repro.core.polynomials` — Table 1 of the paper as a registry;
 * :mod:`repro.core.hamming` — Hamming codes driven by CRC arithmetic;
 * :mod:`repro.core.transform` — the chunk ⇄ (prefix, basis, deviation) split;
-* :mod:`repro.core.dictionary` — the bounded basis ↔ identifier mapping;
+* :mod:`repro.core.dictionary` — the bounded basis ↔ identifier mapping,
+  per key and per batch (``probe_batch`` / ``resolve_batch``);
 * :mod:`repro.core.encoder` / :mod:`repro.core.decoder` — record-level GD:
-  the one encode loop and the one resolve loop + join;
+  the one encode stage and the one resolve stage + join, one dictionary
+  call per batch each;
 * :mod:`repro.core.wire` — the GDZ1 record packer and incremental parser;
 * :mod:`repro.core.codec` — the one-call byte-stream compressor;
 * :mod:`repro.core.engine` — the streaming :class:`Compressor` protocol

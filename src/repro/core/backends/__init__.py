@@ -30,6 +30,9 @@ Selection precedence (first match wins):
 Requesting a backend that is not available raises
 :class:`~repro.exceptions.BackendError` with the probe's reason, so a
 misconfigured deployment fails loudly instead of silently running slow.
+Steps 1 and 2 are settled when a ``GDTransform`` is constructed; step 3
+probes every backend (it imports numpy), so the transform leaves it to its
+first batch call.
 The registry is re-exported through :mod:`repro.registry` next to the
 compressor registry.
 """
@@ -52,6 +55,7 @@ __all__ = [
     "backend_status",
     "default_backend",
     "get_backend",
+    "named_backend",
     "register_backend",
     "resolve_backend",
 ]
@@ -298,25 +302,25 @@ def default_backend() -> CodecBackend:
     return best
 
 
-def resolve_backend(
+def named_backend(
     selection: Union[None, str, CodecBackend] = None
-) -> CodecBackend:
-    """Resolve a backend following the documented precedence.
+) -> Optional[CodecBackend]:
+    """The backend a caller or the environment *names*, else ``None``.
 
     ``selection`` is a per-call override (name or instance).  When it is
-    ``None``, the ``REPRO_GD_BACKEND`` environment variable is consulted;
-    when that is unset (or ``auto``), the best available backend wins.
+    ``None``, the ``REPRO_GD_BACKEND`` environment variable is consulted.
+    ``None`` comes back for the unnamed default — nothing selected, or
+    ``auto`` — which is :func:`default_backend`'s to decide; answering
+    that probes every backend (it imports numpy), naming one does not.
     Naming a registered-but-unavailable backend raises
     :class:`~repro.exceptions.BackendError` carrying the probe's reason.
     """
     source = "requested"
     if selection is None:
-        env_value = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if env_value:
-            selection = env_value
-            source = f"named by {BACKEND_ENV}"
+        selection = os.environ.get(BACKEND_ENV, "").strip().lower() or None
+        source = f"named by {BACKEND_ENV}"
     if selection is None or selection == "auto":
-        return default_backend()
+        return None
     if isinstance(selection, CodecBackend):
         backend = selection
     else:
@@ -327,6 +331,14 @@ def resolve_backend(
             f"{backend.availability_detail()}"
         )
     return backend
+
+
+def resolve_backend(
+    selection: Union[None, str, CodecBackend] = None
+) -> CodecBackend:
+    """Resolve a backend following the documented precedence: the one
+    :func:`named_backend` finds, else the best available."""
+    return named_backend(selection) or default_backend()
 
 
 def batch_backend(

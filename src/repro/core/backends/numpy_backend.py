@@ -43,6 +43,7 @@ import error preserved, when numpy is missing.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
@@ -235,27 +236,19 @@ class _ParityState:
         )
 
 
-def _materialize_bases(
-    count: int, basis_buffer: bytes, basis_bytes: int
-) -> List[int]:
+def _materialize_bases(basis_buffer: bytes, basis_bytes: int) -> List[int]:
     """Basis byte rows → basis integers.
 
-    Per-chunk ``int.from_bytes`` is the floor of this conversion; real
-    traces repeat a small working set of bases (that is the whole premise
-    of GD), so a bytes-keyed dict collapses most rows to one dict probe.
+    One ``int.from_bytes`` per row, the rows cut by ``struct.iter_unpack``.
+    Converting ``k`` bits costs less than hashing them: collapsing repeated
+    rows through a dict first measured slower even on a trace of 64 bases
+    (docs/performance.md, "tried, not taken").
     """
-    cache: Dict[bytes, int] = {}
-    get = cache.get
     from_bytes = int.from_bytes
-    bases: List[int] = []
-    append = bases.append
-    for offset in range(0, count * basis_bytes, basis_bytes):
-        key = basis_buffer[offset : offset + basis_bytes]
-        value = get(key)
-        if value is None:
-            value = cache[key] = from_bytes(key, "big")
-        append(value)
-    return bases
+    return [
+        from_bytes(row, "big")
+        for (row,) in struct.iter_unpack(f"{basis_bytes}s", basis_buffer)
+    ]
 
 
 def _materialize_columns(
@@ -264,7 +257,7 @@ def _materialize_columns(
     """Arrays → the three plain column lists, without any per-chunk tuples."""
     prefix_list = prefixes.tolist() if prefixes is not None else [0] * count
     deviation_list = deviations.tolist()
-    bases = _materialize_bases(count, basis_buffer, basis_bytes)
+    bases = _materialize_bases(basis_buffer, basis_bytes)
     return prefix_list, bases, deviation_list
 
 

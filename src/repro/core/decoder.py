@@ -133,11 +133,12 @@ class GDDecoder:
         carries the identifier for type-3 positions and the basis for
         type-2 and raw (type-1) positions — a raw chunk rides the batch as
         its own split, which the dictionary ignores and the join, being a
-        bijection, restores verbatim.  The resolve loop below is strictly
-        sequential — a type-3 record may reference a basis a type-2 record
-        introduced earlier in the same batch — and does all dictionary
-        learning, identifier resolution and ``gd.decode`` tracing; the
-        chunks are then rebuilt in one
+        bijection, restores verbatim.  One
+        :meth:`BasisDictionary.resolve_batch` call does all dictionary
+        learning and identifier resolution, strictly in order — a type-3
+        record may reference a basis a type-2 record introduced earlier in
+        the same batch; the ``gd.decode`` instants are derived from what it
+        returned and the chunks rebuilt in one
         :meth:`GDTransform.join_batch_to_bytes` call.  Callers guarantee
         the fields fit the transform's widths (the container parser masks
         them, :meth:`decode_batch_to_bytes` checks the records), so only
@@ -146,60 +147,44 @@ class GDDecoder:
         stats = self.stats
         transform = self._transform
         dictionary = self._dictionary
-        if dictionary is None and 3 in tags:
+        count = len(tags)
+        bases = list(keys)
+        learned, unmapped = [], None
+        if dictionary is not None:
+            # Learning and recency tracking keep this dictionary's eviction
+            # order aligned with the encoder's, so both sides evict the
+            # same entries under pressure.
+            learned, unmapped = dictionary.resolve_batch(
+                tags, keys, self._learn, bases
+            )
+        elif 3 in tags:
             raise DictionaryError(
                 "cannot decode a compressed record without a dictionary"
             )
-        # Recency tracking keeps the decoder's eviction order aligned with
-        # the encoder's, so both sides evict the same entries under pressure.
-        learn = self._learn and dictionary is not None
-        basis_width = transform.basis_bits
-        # Hoisted tracing guard: one attribute lookup per batch when disabled.
+        resolved = count if unmapped is None else unmapped
+        misfit = self._first_misfit(tags, bases, resolved)
         tracer = _obs.TRACER
-        traced = tracer.enabled
-
-        bases = list(keys)
-        for position, tag in enumerate(tags):
-            if tag == 3:
-                identifier = keys[position]
-                basis = dictionary.reverse_lookup(identifier)
-                if basis is None:
-                    stats.unknown_identifiers += 1
-                    if traced:
-                        tracer.instant(
-                            "gd.decode",
-                            "gd-decoder",
-                            args={"outcome": "unknown", "identifier": identifier},
-                        )
-                    raise DictionaryError(
-                        f"identifier {identifier} is not mapped to any basis"
-                    )
-                if traced:
-                    tracer.instant(
-                        "gd.decode",
-                        "gd-decoder",
-                        args={"outcome": "hit", "identifier": identifier},
-                    )
-                if learn:
-                    dictionary.touch(basis)
-                # The basis came from the dictionary, which external
-                # installs can feed — keep the width guard.
-                if not isinstance(basis, int) or basis < 0 or basis >> basis_width:
-                    raise CodingError(
-                        f"basis {basis!r} does not fit in {basis_width} bits"
-                    )
-                bases[position] = basis
-            elif tag == 2:
-                if learn:
-                    learned_identifier, evicted = dictionary.insert(keys[position])
-                if traced:
-                    args = {"outcome": "uncompressed"}
-                    if learn:
-                        args["learned_identifier"] = learned_identifier
-                        if evicted is not None:
-                            args["evicted_basis"] = evicted
-                    tracer.instant("gd.decode", "gd-decoder", args=args)
-        count = len(tags)
+        if tracer.enabled:
+            self._trace_batch(
+                tracer, tags, keys, learned, resolved if misfit is None else misfit + 1
+            )
+        if misfit is not None:
+            raise CodingError(
+                f"basis {bases[misfit]!r} does not fit in "
+                f"{transform.basis_bits} bits"
+            )
+        if unmapped is not None:
+            identifier = keys[unmapped]
+            stats.unknown_identifiers += 1
+            if tracer.enabled:
+                tracer.instant(
+                    "gd.decode",
+                    "gd-decoder",
+                    args={"outcome": "unknown", "identifier": identifier},
+                )
+            raise DictionaryError(
+                f"identifier {identifier} is not mapped to any basis"
+            )
         raw = tags.count(1)
         uncompressed = tags.count(2)
         stats.records += count
@@ -210,6 +195,56 @@ class GDDecoder:
         return transform.join_batch_to_bytes(prefixes, bases, deviations)
 
     # -- internals ------------------------------------------------------------
+
+    def _first_misfit(
+        self, tags: "bytes | bytearray", bases: List[int], resolved: int
+    ) -> Optional[int]:
+        """Position of the first dictionary-supplied basis that does not fit.
+
+        External installs can feed the dictionary, so what it resolved (the
+        type-3 positions below ``resolved``) is re-checked against the basis
+        width — once per batch: when the whole column is plain ``int``
+        within ``[0, 2**k)``, three C-speed passes, no position can be a
+        misfit; only otherwise are they looked at one by one.
+        """
+        basis_width = self._transform.basis_bits
+        if not bases or (
+            set(map(type, bases)) == {int}
+            and min(bases) >= 0
+            and not max(bases) >> basis_width
+        ):
+            return None
+        for position in range(resolved):
+            if tags[position] == 3:
+                basis = bases[position]
+                if not isinstance(basis, int) or basis < 0 or basis >> basis_width:
+                    return position
+        return None
+
+    @staticmethod
+    def _trace_batch(
+        tracer,
+        tags: "bytes | bytearray",
+        keys: Sequence[int],
+        learned: List[Tuple[int, int, Optional[int]]],
+        stop: int,
+    ) -> None:
+        """One ``gd.decode`` instant per record before position ``stop``."""
+        learned_at = {position: rest for position, *rest in learned}
+        for position in range(stop):
+            tag = tags[position]
+            if tag == 3:
+                args = {"outcome": "hit", "identifier": keys[position]}
+            elif tag == 2:
+                args = {"outcome": "uncompressed"}
+                if position in learned_at:
+                    learned_identifier, evicted = learned_at[position]
+                    args["learned_identifier"] = learned_identifier
+                    if evicted is not None:
+                        args["evicted_basis"] = evicted
+            else:
+                continue
+            tracer.instant("gd.decode", "gd-decoder", args=args)
 
     def _record_columns(
         self, records: Iterable[GDRecord]

@@ -22,7 +22,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DictionaryError
 
@@ -274,6 +274,108 @@ class BasisDictionary:
                 f"identifier {identifier} out of range [0, {self._capacity})"
             )
 
+    # -- batch verbs -----------------------------------------------------------
+    #
+    # Both verbs keep the hot entry in locals while they loop.  ``insert``
+    # reads and replaces it (``_evict`` may invalidate it), so it is written
+    # back before and re-read after every call, and written back on every
+    # way out — return, early return, exception.
+
+    def probe_batch(
+        self, keys: Iterable[Hashable], learn: bool
+    ) -> Tuple[List[int], List[Tuple[int, Optional[int], Optional[Hashable]]]]:
+        """Look every key up in order, inserting on a miss when ``learn``.
+
+        The encode direction's whole dictionary stage in one call: state
+        and counters end up exactly as after ``lookup(key)``, then
+        ``insert(key)`` on a learning miss, for every key in turn.  Returns
+        ``(identifiers, misses)``: the hit identifiers in key order, and one
+        ``(position, learned_identifier, evicted_key)`` per miss
+        (``learned_identifier`` is ``None`` when nothing was learned).
+        """
+        get = self._key_to_id.get
+        move_to_end = self._key_to_id.move_to_end
+        lru = self._policy is EvictionPolicy.LRU
+        hot_key, hot_id = self._hot_key, self._hot_id
+        identifiers: List[int] = []
+        hit = identifiers.append
+        misses = []
+        try:
+            for key in keys:
+                if key == hot_key:
+                    hit(hot_id)
+                    continue
+                identifier = get(key)
+                if identifier is not None:
+                    if lru:
+                        move_to_end(key)
+                    hot_key, hot_id = key, identifier
+                    hit(identifier)
+                    continue
+                learned = (None, None)
+                if learn:
+                    self._hot_key, self._hot_id = hot_key, hot_id
+                    learned = self.insert(key)
+                    hot_key, hot_id = self._hot_key, self._hot_id
+                misses.append((len(identifiers) + len(misses), *learned))
+        finally:
+            self._hot_key, self._hot_id = hot_key, hot_id
+            stats = self.stats
+            stats.lookups += len(identifiers) + len(misses)
+            stats.hits += len(identifiers)
+            stats.misses += len(misses)
+        return identifiers, misses
+
+    def resolve_batch(
+        self, tags: bytes, keys: Sequence[Hashable], learn: bool, out: List[Hashable]
+    ) -> Tuple[List[Tuple[int, int, Optional[Hashable]]], Optional[int]]:
+        """Resolve a batch of decoder records in order.
+
+        The decode direction's whole dictionary stage in one call.
+        ``tags[i]`` is the record type of position ``i``: for a type-3
+        record ``keys[i]`` is an identifier, resolved into ``out[i]`` and,
+        when ``learn``, touched (this dictionary's recency order stays in
+        lock-step with the encoder's); for a type-2 record ``keys[i]`` is a
+        key, inserted when ``learn``; any other tag is skipped.  State ends
+        up exactly as after ``reverse_lookup`` + ``touch`` / ``insert`` on
+        every record in turn.
+
+        Returns ``(learned, unmapped)``: one ``(position,
+        learned_identifier, evicted_key)`` per inserted key, and the
+        position of the first identifier that maps to nothing — where the
+        batch stopped, the records before it applied — or ``None``.  An
+        identifier outside ``[0, capacity)`` raises
+        :class:`~repro.exceptions.DictionaryError` at the same point.
+        """
+        resolve = self._id_to_key.get
+        move_to_end = self._key_to_id.move_to_end
+        touching = learn and self._policy is EvictionPolicy.LRU
+        hot_key, hot_id = self._hot_key, self._hot_id
+        learned = []
+        try:
+            for position, tag in enumerate(tags):
+                if tag == 3:
+                    identifier = keys[position]
+                    key = resolve(identifier)
+                    if key is None:
+                        # Only identifiers in range are ever mapped, so the
+                        # range check can wait for the failure path.
+                        self._check_identifier(identifier)
+                        return learned, position
+                    if touching and key != hot_key:
+                        # touch(): both maps hold every entry, so the key is
+                        # there to move and sits under this identifier.
+                        move_to_end(key)
+                        hot_key, hot_id = key, identifier
+                    out[position] = key
+                elif tag == 2 and learn:
+                    self._hot_key, self._hot_id = hot_key, hot_id
+                    learned.append((position, *self.insert(keys[position])))
+                    hot_key, hot_id = self._hot_key, self._hot_id
+        finally:
+            self._hot_key, self._hot_id = hot_key, hot_id
+        return learned, None
+
     # -- insertion / eviction --------------------------------------------------
 
     def insert(self, key: Hashable) -> Tuple[int, Optional[Hashable]]:
@@ -473,6 +575,12 @@ class BasisDictionary:
             self._check_identifier(identifier)
             key_to_id[key] = identifier
             id_to_key[identifier] = key
+        # Every other method keeps the two maps a bijection, and
+        # :meth:`resolve_batch` moves a resolved key without probing for it.
+        if not len(key_to_id) == len(id_to_key) == len(state["entries"]):
+            raise DictionaryError(
+                "snapshot entries repeat a key or an identifier"
+            )
         self._key_to_id = key_to_id
         self._id_to_key = id_to_key
         self._freed_ids = list(state["freed_ids"])

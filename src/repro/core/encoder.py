@@ -114,7 +114,7 @@ class EncoderStats:
 
 
 class EncodedBatch:
-    """Columnar result of the encoder's dictionary loop.
+    """Columnar result of the encoder's dictionary stage.
 
     Holds one type tag per chunk plus the field columns, and behaves like
     the record tuple they describe: length, iteration, indexing and
@@ -337,7 +337,7 @@ class GDEncoder:
         """Encode an iterable of chunks (ints, byte strings, bit vectors).
 
         Each chunk is validated and split on its own, then the whole batch
-        runs through the dictionary loop of :meth:`encode_buffer_batch`.
+        runs through the dictionary stage of :meth:`encode_buffer_batch`.
         """
         split = BatchSplit.from_fields(
             list(map(self._transform.split_fields, chunks)), backend="pure"
@@ -363,7 +363,7 @@ class GDEncoder:
         """Encode a buffer of whole chunks into a columnar batch.
 
         The production path: the backend's batch split feeds the one
-        dictionary loop, and no per-chunk record object is built unless the
+        dictionary stage, and no per-chunk record object is built unless the
         caller iterates the returned :class:`EncodedBatch`.
         """
         return self._encode_columns(
@@ -375,73 +375,38 @@ class GDEncoder:
     def _encode_columns(
         self, prefixes: List[int], bases: List[int], deviations: List[int]
     ) -> EncodedBatch:
-        """The dictionary loop: every encode entry point ends up here.
+        """The dictionary stage: every encode entry point ends up here.
 
-        Decides hit / miss / pending per basis, learns in dynamic mode,
-        emits one ``gd.encode`` trace instant per chunk when tracing is on
-        and accounts the batch in :attr:`stats` once at the end.
+        One :meth:`BasisDictionary.probe_batch` call decides hit or miss per
+        basis and learns in dynamic mode; the tags, the identifier column,
+        the learning-delay ledger and one ``gd.encode`` trace instant per
+        chunk (when tracing is on) are derived from what it returned, and
+        the batch is accounted in :attr:`stats` once at the end.
         """
         stats = self.stats
         layout = self._layout
-        dictionary = self._dictionary
-        no_table = self._mode is EncoderMode.NO_TABLE or dictionary is None
-        dynamic = self._mode is EncoderMode.DYNAMIC
-        lookup = None if no_table else dictionary.lookup
-        insert = None if no_table else dictionary.insert
-        learning_delay = self._learning_delay_chunks
-        pending = self._pending_activation
-        is_active = self._is_active
-        # Tracing guard hoisted out of the loop: when disabled this costs
-        # one attribute lookup per *batch* and one local test per chunk.
-        tracer = _obs.TRACER
-        traced = tracer.enabled
-
         count = len(bases)
-        tags = bytearray(count)
-        identifiers: List[int] = []
-        append_identifier = identifiers.append
-        index = stats.chunks
-        position = 0
-        for basis in bases:
-            identifier = None if no_table else lookup(basis)
-            if identifier is not None and (not pending or is_active(basis, index)):
-                tags[position] = 3
-                append_identifier(identifier)
-                if traced:
-                    args = {
-                        "outcome": "hit",
-                        "identifier": identifier,
-                        "chunk_index": index,
-                    }
-            else:
-                tags[position] = 2
-                if identifier is None and dynamic:
-                    learned_identifier, evicted = insert(basis)
-                    if learning_delay:
-                        # ``index`` counts the chunks *before* this one; the
-                        # mapping becomes usable after the current chunk plus
-                        # the configured number of delayed chunks.
-                        pending[basis] = index + 1 + learning_delay
-                    if traced:
-                        args = {
-                            "outcome": "miss",
-                            "learned_identifier": learned_identifier,
-                            "chunk_index": index,
-                        }
-                        if evicted is not None:
-                            args["evicted_basis"] = evicted
-                elif traced:
-                    args = {
-                        "outcome": "pending" if identifier is not None else "miss",
-                        "chunk_index": index,
-                    }
-            if traced:
-                tracer.instant("gd.encode", "gd-encoder", args=args)
-            index += 1
-            position += 1
+        first_index = stats.chunks
+        if self._mode is EncoderMode.NO_TABLE or self._dictionary is None:
+            identifiers: List[int] = []
+            misses = [(position, None, None) for position in range(count)]
+        else:
+            identifiers, misses = self._dictionary.probe_batch(
+                bases, self._mode is EncoderMode.DYNAMIC
+            )
+        tags = bytearray(b"\x03") * count
+        for miss in misses:
+            tags[miss[0]] = 2
+        if self._learning_delay_chunks or self._pending_activation:
+            identifiers = self._hold_back_pending(
+                first_index, bases, tags, identifiers, misses
+            )
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            self._trace_batch(tracer, first_index, tags, identifiers, misses)
         compressed = len(identifiers)
         uncompressed = count - compressed
-        stats.chunks = index
+        stats.chunks = first_index + count
         stats.input_bits += count * self._transform.chunk_bits
         stats.output_bits += compressed * layout.t3_bits + uncompressed * layout.t2_bits
         stats.output_padded_bits += (
@@ -453,15 +418,83 @@ class GDEncoder:
             layout, bytes(tags), identifiers, prefixes, bases, deviations
         )
 
-    def _is_active(self, key: object, chunk_index: int) -> bool:
-        """True when a learned mapping has passed its activation delay."""
-        activation = self._pending_activation.get(key)
-        if activation is None:
-            return True
-        if chunk_index >= activation:
-            del self._pending_activation[key]
-            return True
-        return False
+    def _hold_back_pending(
+        self,
+        first_index: int,
+        bases: List[int],
+        tags: bytearray,
+        identifiers: List[int],
+        misses: List[Tuple[int, Optional[int], Optional[int]]],
+    ) -> List[int]:
+        """Apply the learning delay to a probed batch.
+
+        A basis learned at chunk ``i`` only compresses from chunk
+        ``i + 1 + learning_delay_chunks`` on; until then its dictionary hits
+        are sent uncompressed.  Walks the batch against the activation
+        ledger, retags the held-back hits as type 2 and returns the
+        identifiers of the hits that stand.
+        """
+        learning_delay = self._learning_delay_chunks
+        pending = self._pending_activation
+        learned = {
+            position
+            for position, learned_identifier, _evicted in misses
+            if learned_identifier is not None
+        }
+        next_identifier = iter(identifiers).__next__
+        standing: List[int] = []
+        for position, basis in enumerate(bases):
+            if tags[position] == 3:
+                identifier = next_identifier()
+                activation = pending.get(basis)
+                if activation is not None:
+                    if first_index + position < activation:
+                        tags[position] = 2
+                        continue
+                    del pending[basis]
+                standing.append(identifier)
+            elif learning_delay and position in learned:
+                pending[basis] = first_index + position + 1 + learning_delay
+        return standing
+
+    @staticmethod
+    def _trace_batch(
+        tracer,
+        first_index: int,
+        tags: bytearray,
+        identifiers: List[int],
+        misses: List[Tuple[int, Optional[int], Optional[int]]],
+    ) -> None:
+        """One ``gd.encode`` instant per chunk of an encoded batch.
+
+        A type-2 position the dictionary did not report as a miss is a hit
+        held back by the learning delay (``pending``).
+        """
+        missed = {position: rest for position, *rest in misses}
+        next_identifier = iter(identifiers).__next__
+        for position, tag in enumerate(tags):
+            chunk_index = first_index + position
+            if tag == 3:
+                args = {
+                    "outcome": "hit",
+                    "identifier": next_identifier(),
+                    "chunk_index": chunk_index,
+                }
+            elif position not in missed:
+                args = {"outcome": "pending", "chunk_index": chunk_index}
+            else:
+                learned_identifier, evicted = missed[position]
+                if learned_identifier is None:
+                    args = {"outcome": "miss", "chunk_index": chunk_index}
+                else:
+                    args = {
+                        "outcome": "miss",
+                        "learned_identifier": learned_identifier,
+                        "chunk_index": chunk_index,
+                    }
+                    if evicted is not None:
+                        args["evicted_basis"] = evicted
+            tracer.instant("gd.encode", "gd-encoder", args=args)
 
     def reset_stats(self) -> None:
         """Zero the accounting counters without touching the dictionary."""

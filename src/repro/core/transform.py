@@ -23,7 +23,8 @@ from repro.core.backends import (
     BatchSplit,
     CodecBackend,
     batch_backend,
-    resolve_backend,
+    default_backend,
+    named_backend,
 )
 from repro.core.bits import (
     BitVector,
@@ -127,9 +128,13 @@ class GDTransform:
         (``"pure"``, ``"numpy"``), a
         :class:`~repro.core.backends.CodecBackend` instance, or ``None``
         to follow the documented precedence (``REPRO_GD_BACKEND``, then
-        the best available).  Accelerated backends only engage for
-        configurations they support; everything else stays on the fused
-        pure loop.  All backends are bit-identical.
+        the best available).  A backend named either way is checked at
+        construction; "the best available" is decided by the first batch
+        call or :attr:`backend` / :attr:`backend_impl` read, so a
+        transform that only ever splits single chunks never imports
+        numpy.  Accelerated backends only engage for configurations they
+        support; everything else stays on the fused pure loop.  All
+        backends are bit-identical.
 
     The split and the unchecked join run fused and table-driven.  The
     bit-serial reference they are property-tested against is the layer
@@ -156,7 +161,10 @@ class GDTransform:
             )
         self._chunk_bits = chunk_bits
         self._prefix_bits = chunk_bits - n
-        self._backend = resolve_backend(backend)
+        # A named backend is checked now.  The unnamed default is whichever
+        # is best *available*, and finding out imports numpy: that waits for
+        # the first batch call — a simulator run never makes one.
+        self._backend = named_backend(backend)
         # Fused per-chunk constants, bound once: the shared byte→remainder
         # closure and the syndrome→XOR-mask array.
         self._body_mask = mask(n)
@@ -203,12 +211,15 @@ class GDTransform:
     @property
     def backend(self) -> str:
         """Name of the resolved codec backend (``pure``/``numpy``/...)."""
-        return self._backend.name
+        return self.backend_impl.name
 
     @property
     def backend_impl(self) -> CodecBackend:
         """The resolved backend instance the batch entry points dispatch to."""
-        return self._backend
+        backend = self._backend
+        if backend is None:
+            backend = self._backend = default_backend()
+        return backend
 
     @property
     def uncompressed_bits(self) -> int:
@@ -363,7 +374,7 @@ class GDTransform:
                 f"data length {total} is not a multiple of the chunk size "
                 f"{chunk_bytes}"
             )
-        backend = self._backend
+        backend = self.backend_impl
         return batch_backend(
             backend, total // chunk_bytes, backend.supports_transform, self
         ).split_batch_columns(self, data)
@@ -380,7 +391,7 @@ class GDTransform:
         Callers guarantee the field widths (the decoder validates them once
         per batch); :meth:`join_fields` remains the checked entry point.
         """
-        backend = self._backend
+        backend = self.backend_impl
         return batch_backend(
             backend, len(bases), backend.supports_join, self
         ).join_batch_to_bytes(self, prefixes, bases, deviations)

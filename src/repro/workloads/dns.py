@@ -27,7 +27,9 @@ from __future__ import annotations
 import random
 import string
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import WorkloadError
@@ -54,8 +56,15 @@ _QUERY_FLAGS = 0x0100
 _TARGET_QNAME_ENCODED_BYTES = 18
 
 
+@lru_cache(maxsize=1024)
 def _encode_qname(name: str) -> bytes:
-    """DNS label encoding of a dotted name."""
+    """DNS label encoding of a dotted name.
+
+    Memoised: a workload asks for the same few hundred names per query,
+    and of a larger Zipf-skewed pool the head is what repeats — 1,024
+    entries hold it in ~0.25 MB (a cache of every name of a 20,000-name
+    pool showed as +3 MB of peak RSS).
+    """
     encoded = bytearray()
     for label in name.split("."):
         if not label or len(label) > 63:
@@ -236,15 +245,8 @@ class DnsQueryWorkload:
         """Draw one name according to the Zipf distribution."""
         cumulative = self._zipf_cumulative()
         names = self.names()
-        value = rng.random()
-        low, high = 0, len(cumulative) - 1
-        while low < high:
-            middle = (low + high) // 2
-            if cumulative[middle] < value:
-                low = middle + 1
-            else:
-                high = middle
-        return names[low]
+        # The last entry is the catch-all: the search stops one short of it.
+        return names[bisect_left(cumulative, rng.random(), 0, len(cumulative) - 1)]
 
     # -- query generation ------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List, Optional
 
 from repro.core.hamming import HammingCode
@@ -118,7 +119,7 @@ class DictionaryThrashWorkload:
         self.seed = seed
         self._transform = GDTransform(order=order)
         self._states: Optional[List[_BasisState]] = None
-        self._weights: Optional[List[float]] = None
+        self._cum_weights: Optional[List[float]] = None
 
     # -- accessors ---------------------------------------------------------------
 
@@ -175,14 +176,21 @@ class DictionaryThrashWorkload:
         self._states = states
         return states
 
-    def _rank_weights(self) -> List[float]:
-        """Zipf-like weight for each popularity rank (rank 0 is hottest)."""
-        if self._weights is None:
-            self._weights = [
-                1.0 / (rank + 1.0) ** self.zipf_exponent
-                for rank in range(self.distinct_bases)
-            ]
-        return self._weights
+    def _rank_cum_weights(self) -> List[float]:
+        """Running sum of the Zipf-like rank weights (rank 0 is hottest).
+
+        Exactly the list ``random.choices(weights=...)`` would accumulate
+        again on every call; handing it over as ``cum_weights=`` draws the
+        same ranks from the same RNG stream.
+        """
+        if self._cum_weights is None:
+            self._cum_weights = list(
+                accumulate(
+                    1.0 / (rank + 1.0) ** self.zipf_exponent
+                    for rank in range(self.distinct_bases)
+                )
+            )
+        return self._cum_weights
 
     def bases(self) -> List[int]:
         """The distinct bases of the workload (for static preloading)."""
@@ -195,11 +203,12 @@ class DictionaryThrashWorkload:
             raise WorkloadError(f"chunk count must be positive, got {count}")
         rng = random.Random(self.seed + 1)
         states = self._basis_states()
-        weights = self._rank_weights()
+        cum_weights = self._rank_cum_weights()
         code = self._transform.code
         chunk_bytes = self.chunk_bytes
         n = code.n
         population = len(states)
+        ranks = range(population)
 
         rotation = 0
         for index in range(count):
@@ -211,7 +220,7 @@ class DictionaryThrashWorkload:
                 # Flash crowd: the popularity ranking rotates, so a slice
                 # of the cold tail suddenly becomes the hot head.
                 rotation = (rotation + self.phase_shift) % population
-            rank = rng.choices(range(population), weights=weights)[0]
+            rank = rng.choices(ranks, cum_weights=cum_weights)[0]
             state = states[(rank + rotation) % population]
             body = state.codeword
             if rng.random() < self.deviation_probability:

@@ -5,7 +5,10 @@ One chunk at a time, one checked layer per step: the ``HammingCode`` layer
 the join, a dictionary consulted and updated once per chunk, record objects
 built through their validating constructors, accounting one record at a
 time (``account``) and container bytes through each record's own
-``to_bytes``.  Nothing here batches, caches or vectorises, so the
+``to_bytes``.  ``probe_loop`` / ``resolve_loop`` are the per-key
+dictionary loops the encoder and decoder ran before
+``BasisDictionary.probe_batch`` / ``resolve_batch`` took them over, kept
+as the model those verbs are checked against.  Nothing here batches, caches or vectorises, so the
 production pipeline (fused split, columnar loops, backend kernels, the GDZ1
 packer) can be compared against it bit for bit.
 """
@@ -42,6 +45,38 @@ def reference_join(transform, prefix, basis, deviation):
     """The chunk value rebuilt through ``HammingCode.basis_to_chunk``."""
     code = transform.code
     return (prefix << code.n) | code.basis_to_chunk(basis, deviation)
+
+
+def probe_loop(dictionary, keys, learn):
+    """``BasisDictionary.probe_batch`` one key at a time: the encoder's
+    dictionary loop as it stood before the batch verbs."""
+    identifiers, misses = [], []
+    for position, key in enumerate(keys):
+        identifier = dictionary.lookup(key)
+        if identifier is not None:
+            identifiers.append(identifier)
+        elif learn:
+            misses.append((position, *dictionary.insert(key)))
+        else:
+            misses.append((position, None, None))
+    return identifiers, misses
+
+
+def resolve_loop(dictionary, tags, keys, learn, out):
+    """``BasisDictionary.resolve_batch`` one record at a time: the
+    decoder's resolve loop as it stood before the batch verbs."""
+    learned = []
+    for position, tag in enumerate(tags):
+        if tag == 3:
+            key = dictionary.reverse_lookup(keys[position])
+            if key is None:
+                return learned, position
+            if learn:
+                dictionary.touch(key)
+            out[position] = key
+        elif tag == 2 and learn:
+            learned.append((position, *dictionary.insert(keys[position])))
+    return learned, None
 
 
 def account(stats, record, input_bits):

@@ -11,7 +11,11 @@ numpy-less case is simulated by monkeypatching the lazy probe, so the
 test runs in every environment.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,62 @@ class TestSelection:
             assert codec.clone().transform.backend == name
             compressor = registry.get("gd", backend=name)
             assert compressor.codec().transform.backend == name
+
+
+_NO_NUMPY_AFTER_A_TOPOLOGY_RUN = """
+import sys
+from repro.topology import rack_fan_in_topology, run_topology
+spec = rack_fan_in_topology(
+    racks=2, senders=2, chunks=40, bases=4, scenario="static", seed=7
+)
+assert run_topology(spec, workers=1).integrity.intact
+print("numpy" in sys.modules)
+from repro import registry
+b"".join(registry.get("gd").compress_stream([bytes(4096)]))
+print("numpy" in sys.modules)
+"""
+
+
+class TestLazyDefault:
+    """Only the *unnamed* default waits for the first batch call: finding
+    the best available backend imports numpy, and a simulator run — single
+    chunks through the switches — never needs to know."""
+
+    def test_topology_run_does_not_import_numpy(self):
+        environment = {
+            key: value for key, value in os.environ.items() if key != "REPRO_GD_BACKEND"
+        }
+        source = str(Path(backends.__file__).resolve().parents[3])
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, environment.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_AFTER_A_TOPOLOGY_RUN],
+            env=environment, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        # The first batch kernel call settles the default — on numpy, here.
+        assert done.stdout.split() == ["False", str("numpy" in AVAILABLE)]
+
+    def test_unnamed_default_probes_on_first_use_only(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GD_BACKEND", raising=False)
+        monkeypatch.setattr(numpy_backend, "_PROBE", None)
+        transform = GDTransform(order=8)
+        assert transform.split_fields(bytes(32)) == (0, 0, 0)
+        assert numpy_backend._PROBE is None
+        assert transform.backend == backends.default_backend().name
+        assert numpy_backend._PROBE is not None
+
+    def test_named_backend_is_still_checked_at_construction(self, monkeypatch):
+        monkeypatch.setattr(numpy_backend, "_PROBE", (None, "numpy is not installed"))
+        monkeypatch.delenv("REPRO_GD_BACKEND", raising=False)
+        with pytest.raises(BackendError, match="requested.*not available"):
+            GDTransform(order=8, backend="numpy")
+        with pytest.raises(BackendError, match="unknown codec backend"):
+            GDTransform(order=8, backend="simd")
+        monkeypatch.setenv("REPRO_GD_BACKEND", "simd")
+        with pytest.raises(BackendError, match="unknown codec backend"):
+            GDTransform(order=8)
 
 
 class TestBatchSplitApi:

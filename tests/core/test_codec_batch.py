@@ -13,10 +13,13 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core.codec import GDCodec
 from repro.core.encoder import EncodedBatch
+from repro.core.records import CompressedRecord
+from repro.exceptions import DictionaryError
 
-from gd_oracle import OracleCodec
+from gd_oracle import OracleCodec, resolve_loop
 
 
 def clustered_data(codec, bases, count, rng):
@@ -44,6 +47,18 @@ def _sample(codec, count=120, seed=11):
     rng = random.Random(seed)
     bases = [rng.getrandbits(codec.transform.code.k) for _ in range(8)]
     return clustered_data(codec, bases, count, rng)
+
+
+def _record_columns(records):
+    """Record objects → the decoder's ``(tags, prefixes, keys, deviations)``."""
+    tags = bytearray()
+    prefixes, keys, deviations = [], [], []
+    for record in records:
+        tags.append(int(record.record_type))
+        prefixes.append(record.prefix)
+        keys.append(record.identifier if tags[-1] == 3 else record.basis)
+        deviations.append(record.deviation)
+    return bytes(tags), prefixes, keys, deviations
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -96,18 +111,9 @@ class TestColumnarDecompress:
         data = _sample(codec, count=150)
         records = oracle.encode(data)
 
-        tags = bytearray()
-        prefixes, keys, deviations = [], [], []
-        for record in records:
-            tags.append(int(record.record_type))
-            prefixes.append(record.prefix)
-            keys.append(
-                record.identifier if int(record.record_type) == 3 else record.basis
-            )
-            deviations.append(record.deviation)
         decoder = codec.decoder
         assert decoder.decode_columns_to_bytes(
-            bytes(tags), prefixes, keys, deviations
+            *_record_columns(records)
         ) == oracle.decode(records)
         stats = decoder.stats
         assert stats.records == len(records)
@@ -153,3 +159,104 @@ class TestEncodedBatchContainer:
         assert records[0] == list(records)[0]
         assert records[-1] == list(records)[-1]
         assert records == tuple(records)
+
+
+#: Small dictionaries on purpose: every policy evicts inside the sample.
+CUT_CONFIGS = {
+    "lru": dict(identifier_bits=2),
+    "fifo": dict(identifier_bits=2, eviction_policy="fifo"),
+    "random": dict(identifier_bits=2, eviction_policy="random", eviction_seed=9),
+    "static": dict(identifier_bits=3, mode="static", static_bases=[3, 5, 7]),
+    "delay1": dict(identifier_bits=2, learning_delay_chunks=1),
+    "delay3": dict(identifier_bits=2, learning_delay_chunks=3),
+}
+
+
+@pytest.mark.parametrize("config", sorted(CUT_CONFIGS))
+class TestBatchCuts:
+    """The dictionary verbs see one batch per call; where a stream is cut
+    into batches must not show in any byte or any state."""
+
+    def _data(self, codec):
+        rng = random.Random(21)
+        return clustered_data(codec, [3, 5, 7, 11, 13, 17], 90, rng)
+
+    def _encode_cut(self, config, size):
+        codec = GDCodec(order=4, **CUT_CONFIGS[config])
+        data = self._data(codec)
+        step = size * codec.chunk_bytes
+        body = b"".join(
+            codec.encoder.encode_buffer_batch(data[offset : offset + step]).pack_stream()
+            for offset in range(0, len(data), step)
+        )
+        return codec, data, body
+
+    def test_encoder_cut_into_1_7_and_all_at_once(self, config):
+        whole, data, body = self._encode_cut(config, 90)
+        oracle = OracleCodec(order=4, **CUT_CONFIGS[config])
+        assert body == oracle.body(oracle.encode(data))
+        for size in (1, 7):
+            cut, _data, cut_body = self._encode_cut(config, size)
+            assert cut_body == body
+            assert cut.encoder.snapshot_state() == whole.encoder.snapshot_state()
+
+    def test_decoder_cut_into_1_7_and_all_at_once(self, config):
+        whole, data, _body = self._encode_cut(config, 90)
+        records = list(whole.clone().compress(data).records)
+        snapshots = []
+        for size in (1, 7, 90):
+            decoder = whole.clone().decoder
+            restored = b"".join(
+                decoder.decode_columns_to_bytes(
+                    *_record_columns(records[offset : offset + size])
+                )
+                for offset in range(0, len(records), size)
+            )
+            assert restored == data
+            snapshots.append(decoder.snapshot_state())
+        assert snapshots[0] == snapshots[1] == snapshots[2]
+
+
+class TestUnmappedIdentifierMidBatch:
+    def _records(self):
+        codec = GDCodec(order=4, identifier_bits=4)
+        rng = random.Random(4)
+        data = clustered_data(codec, [3, 5], 6, rng)  # miss miss hit hit hit hit
+        records = list(codec.compress(data).records)
+        assert [int(r.record_type) for r in records] == [2, 2, 3, 3, 3, 3]
+        # Identifier 9 was never learned: the fifth record cannot resolve.
+        records[4] = CompressedRecord(
+            prefix=0, identifier=9, deviation=0,
+            prefix_bits=records[4].prefix_bits,
+            identifier_bits=4,
+            deviation_bits=records[4].deviation_bits,
+        )
+        return codec, records
+
+    def test_state_stats_instants_and_message_equal_the_loop(self):
+        codec, records = self._records()
+        decoder = codec.clone().decoder
+        tracer = obs.enable()
+        try:
+            with pytest.raises(DictionaryError) as raised:
+                decoder.decode_batch(records)
+        finally:
+            obs.disable()
+        assert str(raised.value) == "identifier 9 is not mapped to any basis"
+        assert decoder.stats.unknown_identifiers == 1
+        assert decoder.stats.records == 0
+        assert [
+            event["args"] for event in tracer.sink.events if event["name"] == "gd.decode"
+        ] == [
+            {"outcome": "uncompressed", "learned_identifier": 0},
+            {"outcome": "uncompressed", "learned_identifier": 1},
+            {"outcome": "hit", "identifier": 0},
+            {"outcome": "hit", "identifier": 1},
+            {"outcome": "unknown", "identifier": 9},
+        ]
+        # The dictionary is where the per-record loop left it: the four
+        # records before the unmapped one applied, the one after it did not.
+        looped = codec.clone().decoder.dictionary
+        tags, _prefixes, keys, _deviations = _record_columns(records)
+        assert resolve_loop(looped, tags, keys, True, list(keys))[1] == 4
+        assert decoder.dictionary.snapshot_state() == looped.snapshot_state()

@@ -143,3 +143,52 @@ class TestEncoderDecoderPairing:
         decoder.decode_batch(records)
         decoder.reset_stats()
         assert decoder.stats.records == 0
+
+
+class TestInstalledBasisGuard:
+    """External installs can put anything under an identifier; what the
+    dictionary resolves is re-checked against the basis width, once per
+    batch, and the error names the first misfit in record order."""
+
+    def _records(self, transform, identifiers):
+        return [
+            CompressedRecord(
+                prefix=0, identifier=identifier, deviation=0,
+                prefix_bits=transform.prefix_bits, identifier_bits=6,
+                deviation_bits=transform.deviation_bits,
+            )
+            for identifier in identifiers
+        ]
+
+    @pytest.mark.parametrize(
+        "misfit", [1 << 11, -1, 2.0, b"\x01", (0, 1)], ids=repr
+    )
+    def test_first_misfit_is_named(self, transform, misfit):
+        dictionary = BasisDictionary(64)
+        dictionary.insert_with_identifier(5, 0)
+        dictionary.insert_with_identifier(misfit, 1)
+        dictionary.insert_with_identifier(1 << 12, 2)  # a later, other misfit
+        decoder = GDDecoder(transform, dictionary)
+        with pytest.raises(CodingError) as raised:
+            decoder.decode_batch(self._records(transform, [0, 1, 2, 0]))
+        assert str(raised.value) == f"basis {misfit!r} does not fit in 11 bits"
+        assert decoder.stats.records == 0
+
+    def test_a_bool_is_an_int_that_fits(self, transform):
+        dictionary = BasisDictionary(64)
+        dictionary.insert_with_identifier(True, 0)
+        decoder = GDDecoder(transform, dictionary)
+        assert decoder.decode_batch(self._records(transform, [0])) == [
+            transform.join_fields(0, 1, 0)
+        ]
+
+    def test_misfit_before_an_unmapped_identifier_wins(self, transform):
+        dictionary = BasisDictionary(64)
+        dictionary.insert_with_identifier(1 << 11, 0)
+        decoder = GDDecoder(transform, dictionary)
+        with pytest.raises(CodingError, match="does not fit"):
+            decoder.decode_batch(self._records(transform, [0, 9]))
+        assert decoder.stats.unknown_identifiers == 0
+        with pytest.raises(DictionaryError, match="identifier 9 is not mapped"):
+            decoder.decode_batch(self._records(transform, [9, 0]))
+        assert decoder.stats.unknown_identifiers == 1

@@ -1,9 +1,15 @@
 """Tests for the bounded basis dictionary."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.exceptions import DictionaryError
+
+from gd_oracle import probe_loop, resolve_loop
 
 
 class TestBasicMapping:
@@ -198,3 +204,176 @@ class TestPreloadAndStats:
         dictionary = BasisDictionary(1 << 15)
         assert dictionary.capacity == 32768
         assert dictionary.identifier_width() == 15
+
+
+# -- the batch verbs against the per-key loops they replaced ------------------
+
+KEYS = st.integers(0, 11)
+
+
+def _operations(capacity):
+    identifiers = st.integers(0, capacity - 1)
+    record = st.one_of(
+        st.tuples(st.just(3), identifiers),
+        st.tuples(st.just(2), KEYS),
+        st.tuples(st.just(1), KEYS),
+    )
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("probe"), st.lists(KEYS, max_size=12), st.booleans()),
+            st.tuples(st.just("resolve"), st.lists(record, max_size=12), st.booleans()),
+            st.tuples(st.just("remove"), KEYS),
+            st.tuples(st.just("install"), KEYS, identifiers),
+            st.tuples(st.just("clear")),
+        ),
+        max_size=12,
+    )
+
+
+@st.composite
+def _scenarios(draw):
+    capacity = draw(st.integers(1, 8))
+    policy = draw(st.sampled_from(["lru", "fifo", "random"]))
+    return capacity, policy, draw(st.integers(0, 3)), draw(_operations(capacity))
+
+
+class _HotWatch(BasisDictionary):
+    """Records the hot entry each ``insert`` call finds: the verbs keep it
+    in locals and owe ``insert`` (whose ``_evict`` invalidates it) the
+    current value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.found = []
+
+    def insert(self, key):
+        self.found.append((self._hot_key, self._hot_id))
+        return super().insert(key)
+
+
+def _observable(dictionary):
+    """Everything a later call could tell two dictionaries apart by."""
+    victim = None
+    if len(dictionary):
+        # The copy carries the random policy's RNG state with it.
+        victim = copy.deepcopy(dictionary)._evict()
+    return (
+        dictionary.stats.as_dict(),
+        dictionary.snapshot_state(),
+        victim,
+        (dictionary._hot_key, dictionary._hot_id),
+        dictionary.found,
+    )
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except DictionaryError as error:
+        return str(error)
+
+
+class TestBatchVerbsModel:
+    @settings(max_examples=300, deadline=None)
+    @given(_scenarios())
+    def test_verbs_equal_the_per_key_loops(self, scenario):
+        capacity, policy, seed, operations = scenario
+        batched = _HotWatch(capacity, policy, seed=seed)
+        looped = _HotWatch(capacity, policy, seed=seed)
+        for name, *args in operations:
+            if name == "probe":
+                keys, learn = args
+                assert batched.probe_batch(keys, learn) == probe_loop(
+                    looped, keys, learn
+                )
+            elif name == "resolve":
+                records, learn = args
+                tags = bytes(tag for tag, _ in records)
+                keys = [key for _, key in records]
+                batched_out, looped_out = list(keys), list(keys)
+                assert batched.resolve_batch(
+                    tags, keys, learn, batched_out
+                ) == resolve_loop(looped, tags, keys, learn, looped_out)
+                assert batched_out == looped_out
+            elif name == "remove":
+                assert batched.remove(*args) == looped.remove(*args)
+            elif name == "install":
+                assert _outcome(batched.insert_with_identifier, *args) == _outcome(
+                    looped.insert_with_identifier, *args
+                )
+            else:
+                batched.clear()
+                looped.clear()
+            assert _observable(batched) == _observable(looped)
+
+    def test_a_repeated_static_miss_counts_every_time(self):
+        dictionary = BasisDictionary(4)
+        dictionary.insert("known")
+        identifiers, misses = dictionary.probe_batch(["absent"] * 10 + ["known"], False)
+        assert identifiers == [0]
+        assert misses == [(position, None, None) for position in range(10)]
+        assert (
+            dictionary.stats.lookups,
+            dictionary.stats.hits,
+            dictionary.stats.misses,
+        ) == (11, 1, 10)
+        assert "absent" not in dictionary
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_unmapped_identifier_stops_the_batch_where_the_loop_stopped(self, policy):
+        batched = _HotWatch(4, policy, seed=1)
+        looped = _HotWatch(4, policy, seed=1)
+        tags = bytes([2, 2, 3, 2, 3, 2, 3])
+        keys = ["a", "b", 0, "c", 3, "d", 1]
+        batched_out, looped_out = list(keys), list(keys)
+        result = batched.resolve_batch(tags, keys, True, batched_out)
+        assert result == resolve_loop(looped, tags, keys, True, looped_out)
+        assert result == ([(0, 0, None), (1, 1, None), (3, 2, None)], 4)
+        # The records before the unmapped one applied, nothing after it did.
+        assert batched_out == looped_out == ["a", "b", "a", "c", 3, "d", 1]
+        assert "c" in batched and "d" not in batched
+        # Learning "c" came right after touching "a": ``insert`` must have
+        # found that touch in the hot entry (under LRU, where it moves it).
+        assert batched.found[2] == (("a", 0) if policy == "lru" else ("b", 1))
+        assert _observable(batched) == _observable(looped)
+
+    @pytest.mark.parametrize("identifier", [-1, 4])
+    def test_out_of_range_identifier_raises_where_the_loop_raised(self, identifier):
+        batched = _HotWatch(4)
+        looped = _HotWatch(4)
+        tags = bytes([2, 3, 3, 2])
+        keys = ["a", 0, identifier, "b"]
+        messages = []
+        for dictionary, resolve in (
+            (batched, BasisDictionary.resolve_batch),
+            (looped, resolve_loop),
+        ):
+            with pytest.raises(DictionaryError) as raised:
+                resolve(dictionary, tags, keys, True, list(keys))
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert f"identifier {identifier} out of range" in messages[0]
+        assert _observable(batched) == _observable(looped)
+        # The hot entry survived the exception: a repeat hit still short-cuts.
+        assert batched.probe_batch(["a"], False) == ([0], [])
+
+    def test_hot_entry_is_written_back_around_an_eviction(self):
+        """``insert`` evicts the hot key itself: a stale local copy would
+        answer the next probe of it with a recycled identifier."""
+        dictionary = BasisDictionary(1)
+        assert dictionary.probe_batch(["a", "a", "b", "a", "a"], True) == (
+            [0, 0],
+            [(0, 0, None), (2, 0, "a"), (3, 0, "b")],
+        )
+        assert dictionary.snapshot() == {"a": 0}
+
+
+class TestRestoreState:
+    def test_rejects_entries_that_are_not_one_to_one(self):
+        state = BasisDictionary(4).snapshot_state()
+        for entries in ([["a", 1], ["a", 2]], [["a", 1], ["b", 1]]):
+            dictionary = BasisDictionary(4)
+            dictionary.insert("kept")
+            with pytest.raises(DictionaryError, match="repeat"):
+                dictionary.restore_state(dict(state, entries=entries))
+            assert dictionary.snapshot() == {"kept": 0}

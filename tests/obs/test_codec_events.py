@@ -1,10 +1,11 @@
 """Codec tracing annotates the production pipeline instead of replacing it.
 
-``gd.encode`` / ``gd.decode`` instants come out of the one encode loop and
-the one resolve loop, so a traced run must (a) emit exactly one instant per
-chunk with the documented args, (b) produce the same bytes, stats and
-dictionaries as the untraced run and (c) call the same functions — encode
-loop, resolve loop, backend split and join — the same number of times.
+``gd.encode`` / ``gd.decode`` instants are derived from what the one encode
+stage and the one resolve stage decided, so a traced run must (a) emit
+exactly one instant per chunk with the documented args, (b) produce the same
+bytes, stats and dictionaries as the untraced run and (c) call the same
+functions — encode stage, resolve stage, the dictionary's two batch verbs,
+backend split and join — the same number of times.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from repro import obs
 from repro.core.codec import GDCodec
 from repro.core.decoder import GDDecoder
+from repro.core.dictionary import BasisDictionary
 from repro.core.encoder import GDEncoder
 from repro.core.engine import GDStreamCompressor
 from repro.exceptions import DictionaryError
@@ -166,6 +168,8 @@ class TestObserverEffect:
 
         counted(GDEncoder, "_encode_columns")
         counted(GDDecoder, "decode_columns_to_bytes")
+        counted(BasisDictionary, "probe_batch")
+        counted(BasisDictionary, "resolve_batch")
         backend = type(codec.transform.backend_impl)
         counted(backend, "split_batch_columns")
         counted(backend, "join_batch_to_bytes")
@@ -180,6 +184,8 @@ class TestObserverEffect:
         assert set(calls) == {
             ("GDEncoder", "_encode_columns"),
             ("GDDecoder", "decode_columns_to_bytes"),
+            ("BasisDictionary", "probe_batch"),
+            ("BasisDictionary", "resolve_batch"),
             (backend.__name__, "split_batch_columns"),
             (backend.__name__, "join_batch_to_bytes"),
         }
