@@ -41,6 +41,12 @@ legacy fast-vs-reference stages always run on the ``pure`` backend so
 their ratios stay comparable with the backend-less committed baseline;
 guards only ever compare generations recorded for the same backend.
 
+Every guarded number is a *ratio*, and both sides of a ratio are timed
+interleaved — a, b, a, b, … best of :data:`GUARD_REPEATS` each
+(:func:`_best_interleaved`) — so a noisy neighbour on a shared host slows
+numerator and denominator alike instead of whichever happened to run
+during the burst.
+
 ``REPRO_BENCH_SMOKE=1`` scales the workloads down for CI; the equivalence
 checks and the regression guards hold in both modes.
 """
@@ -68,8 +74,9 @@ from benchmarks.conftest import RESULTS_DIR, emit_result, environment_info
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
 CHUNKS = 4_000 if SMOKE else 20_000
 FRAMES = 200  # the Figure 4 functional batch size
-FRAME_ROUNDS = 3 if SMOKE else 10
 REPEATS = 3
+#: Rounds per side of a guarded ratio (the sides alternate within a round).
+GUARD_REPEATS = 7 if SMOKE else 10
 
 #: Committed speedup trajectory (see docs/performance.md).
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
@@ -99,14 +106,21 @@ DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
 
 
-def _best_seconds(function, repeats=REPEATS):
-    """Best-of-N wall time of ``function()``, in seconds."""
-    best = float("inf")
+def _best_interleaved(sides, repeats=GUARD_REPEATS):
+    """Best-of-N seconds of every ``label: function`` in ``sides``, timed
+    round-robin: each round runs every side once, in order."""
+    best = dict.fromkeys(sides, float("inf"))
     for _ in range(repeats):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
+        for label, function in sides.items():
+            start = time.perf_counter()
+            function()
+            best[label] = min(best[label], time.perf_counter() - start)
     return best
+
+
+def _best_seconds(function, repeats=REPEATS):
+    """Best-of-N wall time of ``function()``, in seconds (unguarded stages)."""
+    return _best_interleaved({"only": function}, repeats)["only"]
 
 
 def _chunk_buffer():
@@ -203,10 +217,14 @@ def test_hotpath_trajectory():
     fast_fields = fast_transform.split_batch_fields(data)
     assert fast_fields == reference_split(), "fast transform diverged from reference"
 
-    fast_seconds = _best_seconds(lambda: fast_transform.split_batch_fields(data))
-    reference_seconds = _best_seconds(reference_split, repeats=1 if SMOKE else 2)
-    transform_fast_mbps = total_bytes / fast_seconds / 1e6
-    transform_reference_mbps = total_bytes / reference_seconds / 1e6
+    seconds = _best_interleaved(
+        {
+            "fast": lambda: fast_transform.split_batch_fields(data),
+            "reference": reference_split,
+        }
+    )
+    transform_fast_mbps = total_bytes / seconds["fast"] / 1e6
+    transform_reference_mbps = total_bytes / seconds["reference"] / 1e6
     transform_speedup = transform_fast_mbps / transform_reference_mbps
 
     # decode direction: join the whole batch back, both paths, and verify
@@ -229,7 +247,7 @@ def test_hotpath_trajectory():
     # -- 2. switch encode (the Figure 4 functional scenario) ---------------
     frames = _chunk_frames(fast_transform, FRAMES)
 
-    def run_switch(compiled):
+    def switch_side(compiled):
         switch = ZipLineEncoderSwitch(transform=GDTransform(order=8), forwarding={0: 1})
         outputs = []
         switch.switch.attach_port(1, lambda frame, _time: outputs.append(frame))
@@ -239,12 +257,16 @@ def test_hotpath_trajectory():
             for frame in frames:
                 receive(frame, ingress_port=0)
 
-        seconds = _best_seconds(push_all, repeats=FRAME_ROUNDS) / 1  # per round
-        return outputs[: len(frames)], len(frames) / seconds
+        return outputs, push_all
 
-    fast_outputs, switch_fast_pps = run_switch(True)
-    reference_outputs, switch_reference_pps = run_switch(False)
+    fast_outputs, push_compiled = switch_side(True)
+    reference_outputs, push_interpreted = switch_side(False)
+    seconds = _best_interleaved(
+        {"compiled": push_compiled, "interpreted": push_interpreted}
+    )
     assert fast_outputs == reference_outputs, "switch fast path diverged"
+    switch_fast_pps = len(frames) / seconds["compiled"]
+    switch_reference_pps = len(frames) / seconds["interpreted"]
     switch_speedup = switch_fast_pps / switch_reference_pps
 
     # -- 3. backend matrix --------------------------------------------------
@@ -274,6 +296,12 @@ def test_hotpath_trajectory():
         data[offset : offset + DEFAULT_BLOCK_SIZE]
         for offset in range(0, total_bytes, DEFAULT_BLOCK_SIZE)
     ]
+    # Guarded stages: ``sides[stage][backend]`` are timed interleaved after
+    # the loop — every ratio below divides two entries of one ``sides`` row
+    # (numpy vs pure) or of the compress / decompress rows (stream vs
+    # container), which share one round-robin.
+    stages = ("transform_batch", "crc_batch", "compress", "decompress")
+    sides = {stage: {} for stage in stages}
     for name in backend_names:
         transform = GDTransform(order=8, backend=name)
         # correctness before timing: every backend must reproduce the
@@ -296,7 +324,9 @@ def test_hotpath_trajectory():
         assert joined == data, f"backend {name!r} batch join is not bit-identical"
 
         fields_seconds = _best_seconds(lambda: transform.split_batch_fields(data))
-        batch_seconds = _best_seconds(lambda: transform.split_batch_columns(data))
+        sides["transform_batch"][name] = (
+            lambda transform=transform: transform.split_batch_columns(data)
+        )
         parity_seconds = _best_seconds(
             lambda: transform.code.parities_of_bases(
                 pure_bases, backend=transform.backend_impl
@@ -310,8 +340,10 @@ def test_hotpath_trajectory():
         crc_engine = transform.code.crc_engine
         batch_crcs = crc_engine.compute_batch(data, crc_record_bits, backend=name)
         assert batch_crcs == pure_crcs, f"backend {name!r} batch CRCs diverged"
-        crc_seconds = _best_seconds(
-            lambda: crc_engine.compute_batch(data, crc_record_bits, backend=name)
+        sides["crc_batch"][name] = (
+            lambda crc_engine=crc_engine, name=name: crc_engine.compute_batch(
+                data, crc_record_bits, backend=name
+            )
         )
 
         # batched codec pipeline: compress (timed like the committed
@@ -329,17 +361,19 @@ def test_hotpath_trajectory():
             )
             == data
         ), f"backend {name!r} batched container round trip failed"
-        compress_batch_seconds = _best_seconds(
-            lambda: GDCodec(order=8, identifier_bits=15, backend=name).compress(data)
+        sides["compress"]["codec_compress_batch", name] = (
+            lambda name=name: GDCodec(
+                order=8, identifier_bits=15, backend=name
+            ).compress(data)
         )
-        decompress_batch_seconds = _best_seconds(
-            lambda: GDCodec(
+        sides["decompress"]["codec_decompress_batch", name] = (
+            lambda name=name, blob=blob: GDCodec(
                 order=8, identifier_bits=15, backend=name
             ).decompress_container(blob)
         )
 
         # streaming engine: the same record pipeline behind 64 KiB blocks.
-        def compressor():
+        def compressor(name=name):
             return GDStreamCompressor(order=8, identifier_bits=15, backend=name)
 
         stream = b"".join(compressor().compress_stream(blocks))
@@ -350,26 +384,28 @@ def test_hotpath_trajectory():
             stream[offset : offset + DEFAULT_BLOCK_SIZE]
             for offset in range(0, len(stream), DEFAULT_BLOCK_SIZE)
         ]
-        stream_compress_seconds = _best_seconds(
-            lambda: b"".join(compressor().compress_stream(blocks))
+        sides["compress"]["stream_compress", name] = (
+            lambda compressor=compressor: b"".join(
+                compressor().compress_stream(blocks)
+            )
         )
-        stream_decompress_seconds = _best_seconds(
-            lambda: b"".join(compressor().decompress_stream(stream_blocks))
+        sides["decompress"]["stream_decompress", name] = (
+            lambda compressor=compressor, stream_blocks=stream_blocks: b"".join(
+                compressor().decompress_stream(stream_blocks)
+            )
         )
 
         backend_results[name] = {
             "transform_fields_mbps": total_bytes / fields_seconds / 1e6,
-            "transform_batch_mbps": total_bytes / batch_seconds / 1e6,
             "parity_batch_mparities_per_s": len(pure_bases) / parity_seconds / 1e6,
             "join_batch_mbps": total_bytes / join_seconds / 1e6,
-            "crc_batch_mbps": total_bytes / crc_seconds / 1e6,
-            "codec_compress_batch_mbps": total_bytes / compress_batch_seconds / 1e6,
-            "codec_decompress_batch_mbps": (
-                total_bytes / decompress_batch_seconds / 1e6
-            ),
-            "stream_compress_mbps": total_bytes / stream_compress_seconds / 1e6,
-            "stream_decompress_mbps": total_bytes / stream_decompress_seconds / 1e6,
         }
+    for stage in ("transform_batch", "crc_batch"):
+        for name, seconds in _best_interleaved(sides[stage]).items():
+            backend_results[name][f"{stage}_mbps"] = total_bytes / seconds / 1e6
+    for direction in ("compress", "decompress"):
+        for (stage, name), seconds in _best_interleaved(sides[direction]).items():
+            backend_results[name][f"{stage}_mbps"] = total_bytes / seconds / 1e6
     pure_batch_mbps = backend_results["pure"]["transform_batch_mbps"]
     pure_metrics = backend_results["pure"]
     for name, metrics in backend_results.items():

@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core import wire
 from repro.exceptions import BackendError
 
 __all__ = [
@@ -86,19 +87,20 @@ class BatchSplit:
     suite asserts across backends.
     """
 
-    __slots__ = ("count", "backend", "_fields", "_columns", "_cols")
+    __slots__ = ("count", "backend", "_fields", "_columns", "_native", "_cols")
 
     def __init__(
         self,
         count: int,
         backend: str,
-        columns: Optional[Callable[[], Tuple[List[int], List[int], List[int]]]],
+        columns: Callable[[], Tuple[Sequence[int], List[int], Sequence[int]]],
         fields: Optional[List[Tuple[int, int, int]]] = None,
     ):
         self.count = count
         self.backend = backend
         self._fields = fields
         self._columns = columns
+        self._native: Optional[Tuple[Sequence[int], List[int], Sequence[int]]] = None
         self._cols: Optional[Tuple[List[int], List[int], List[int]]] = None
 
     @classmethod
@@ -106,7 +108,8 @@ class BatchSplit:
         cls, fields: List[Tuple[int, int, int]], backend: str
     ) -> "BatchSplit":
         """Wrap an eagerly computed field list (the pure representation)."""
-        return cls(len(fields), backend, None, fields)
+        columns = lambda: tuple(map(list, zip(*fields))) or ([], [], [])  # noqa: E731
+        return cls(len(fields), backend, columns, fields)
 
     def fields(self) -> List[Tuple[int, int, int]]:
         """The split as ``(prefix, basis, deviation)`` tuples (cached)."""
@@ -114,24 +117,25 @@ class BatchSplit:
             self._fields = list(zip(*self.columns()))
         return self._fields
 
-    def columns(self) -> Tuple[List[int], List[int], List[int]]:
-        """The split as three parallel columns (cached).
+    def native(self) -> Tuple[Sequence[int], List[int], Sequence[int]]:
+        """The columns as the producing backend's kernels exchange them: the
+        basis column always a ``list`` of ``int`` (the dictionary reads it
+        key by key), the other two lists from ``pure`` and ndarrays from
+        ``numpy`` — those go nowhere but back to a kernel of
+        :attr:`backend`; everyone else reads :meth:`columns`."""
+        if self._native is None:
+            self._native = self._columns()
+            self._columns = None  # the thunk's captured buffers can go
+        return self._native
 
-        Accelerated backends provide a column thunk that skips the
-        per-chunk tuple zip entirely — the batched encoder consumes the
-        basis column alone, which is several times cheaper than the full
-        field list.
-        """
+    def columns(self) -> Tuple[List[int], List[int], List[int]]:
+        """The split as three parallel lists of plain ``int`` (cached),
+        without the per-chunk tuple zip of :meth:`fields`."""
         if self._cols is None:
-            fields = self._fields
-            if fields is not None:
-                self._cols = (
-                    [prefix for prefix, _, _ in fields],
-                    [basis for _, basis, _ in fields],
-                    [deviation for _, _, deviation in fields],
-                )
-            else:
-                self._cols = self._columns()
+            prefixes, bases, deviations = self.native()
+            if not isinstance(deviations, list):
+                prefixes, deviations = prefixes.tolist(), deviations.tolist()
+            self._cols = (prefixes, bases, deviations)
         return self._cols
 
     def prefixes(self) -> List[int]:
@@ -140,7 +144,7 @@ class BatchSplit:
 
     def bases(self) -> List[int]:
         """The basis column (deduplication units)."""
-        return self.columns()[1]
+        return self.native()[1]
 
     def deviations(self) -> List[int]:
         """The deviation (syndrome) column."""
@@ -164,11 +168,11 @@ class CodecBackend:
     A backend accelerates the batch kernels the record pipeline funnels
     through: forward split (:meth:`split_batch_columns`), bulk parity
     recovery (:meth:`parities_of_bases`), the whole-batch inverse
-    (:meth:`join_batch_to_bytes`) and batch CRC (:meth:`crc_batch`).  The
-    ``supports_*`` predicates gate each operation per configuration
-    (order, prefix width); ineligible configurations transparently stay on
-    the pure path, so a backend never has to cover the full parameter
-    space to be useful.
+    (:meth:`join_batch_to_bytes`), batch CRC (:meth:`crc_batch`) and the
+    GDZ1 record packer / parser (``pack_records`` / ``parse_records``).
+    The ``supports_*`` predicates gate each operation per configuration;
+    ineligible configurations transparently stay on the pure path, so a
+    backend never has to cover the full parameter space to be useful.
 
     Equivalence contract: for every configuration a backend claims support
     for, its outputs must be **bit-identical** to the reference path —
@@ -209,6 +213,10 @@ class CodecBackend:
         """True when this backend can batch-join chunks for ``transform``."""
         return True
 
+    def supports_records(self, layout: "wire.RecordLayout") -> bool:
+        """True when this backend packs and parses records of ``layout``."""
+        return True
+
     def supports_crc_batch(self, parameters) -> bool:
         """True when this backend can batch-compute CRCs for ``parameters``.
 
@@ -244,6 +252,17 @@ class CodecBackend:
         number of records, as :meth:`repro.core.crc.CrcEngine.compute_batch`
         (the caller) has already checked."""
         raise NotImplementedError
+
+    #: The GDZ1 record packer and parser serving this backend's batches;
+    #: the defaults are the per-record loops of :mod:`repro.core.wire` (the
+    #: oracle, same signatures).  ``pack_records`` receives the columns of
+    #: a batch this backend split (:meth:`BatchSplit.native`), for a layout
+    #: inside its :meth:`supports_records` envelope only;
+    #: ``parse_records`` always returns ``keys`` as a list of ``int`` and
+    #: may return the prefix and deviation columns in its own
+    #: representation only for a batch whose join it also serves.
+    pack_records = staticmethod(wire.pack_records)
+    parse_records = staticmethod(wire.parse_records)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

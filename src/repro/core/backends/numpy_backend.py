@@ -46,8 +46,9 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.backends import BatchSplit, CodecBackend
+from repro.core.backends import BatchSplit, CodecBackend, batch_backend
 from repro.core.crc import record_tables, reflect_bits
+from repro.core.wire import RecordLayout, pack_type2, parse_records, scan_records
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = ["NumpyBackend"]
@@ -251,16 +252,6 @@ def _materialize_bases(basis_buffer: bytes, basis_bytes: int) -> List[int]:
     ]
 
 
-def _materialize_columns(
-    count: int, prefixes, deviations, basis_buffer: bytes, basis_bytes: int
-) -> Tuple[List[int], List[int], List[int]]:
-    """Arrays → the three plain column lists, without any per-chunk tuples."""
-    prefix_list = prefixes.tolist() if prefixes is not None else [0] * count
-    deviation_list = deviations.tolist()
-    bases = _materialize_bases(basis_buffer, basis_bytes)
-    return prefix_list, bases, deviation_list
-
-
 class _CrcBatchState:
     """Per-(parameters, record width) constants for the whole-batch CRC fold.
 
@@ -370,6 +361,14 @@ class NumpyBackend(CodecBackend):
             and transform.prefix_bits <= 24
         )
 
+    def supports_records(self, layout: RecordLayout) -> bool:
+        # A type-3 payload must fit the uint64 the rows are folded into; the
+        # rest is ``supports_join`` read off the layout (``t2_bits`` is the
+        # chunk width), because parsed array columns go to this join only.
+        if layout.t3_padded > 64 or layout.deviation_bits > 8:
+            return False
+        return self.available() and layout.t2_bits % 8 == 0 and layout.prefix_bits <= 24
+
     def supports_crc_batch(self, parameters) -> bool:
         # uint64 gathers cap the register; every Rocksoft knob (reflect,
         # init, xor_out, augment) is handled inside the fold state.
@@ -399,14 +398,16 @@ class NumpyBackend(CodecBackend):
         state = self._split_state(np, transform)
         prefixes, deviations, basis_buffer = state.split(np, transform, data)
         count = len(deviations)
-        basis_bytes = state.basis_bytes
-        return BatchSplit(
-            count,
-            self.name,
-            lambda: _materialize_columns(
-                count, prefixes, deviations, basis_buffer, basis_bytes
-            ),
-        )
+        if prefixes is None:
+            prefixes = np.zeros(count, dtype=np.uint32)
+
+        # The arrays stay arrays (``pack_records`` below reads them); only
+        # the basis column becomes a list, for the dictionary.
+        def columns():
+            bases = _materialize_bases(basis_buffer, state.basis_bytes)
+            return prefixes, bases, deviations
+
+        return BatchSplit(count, self.name, columns)
 
     def crc_batch(self, engine, data, record_bits: int) -> List[int]:
         np = _numpy()[0]
@@ -462,3 +463,66 @@ class NumpyBackend(CodecBackend):
                     shifted >> np.uint32(8 * step)
                 ).astype(np.uint8)
         return chunks.tobytes()
+
+    def pack_records(self, layout, tags, identifiers, prefixes, bases, deviations):
+        """All type-3 rows as one ``(count, 1 + size)`` byte matrix, the
+        (rare) type-2 records spliced between the runs."""
+        np = _numpy()[0]
+        deviation_bits = layout.deviation_bits
+        size = layout.t3_padded // 8
+        row = 1 + size
+        twos = []
+        if len(identifiers) < len(tags):
+            tags_np = np.frombuffer(tags, dtype=np.uint8)
+            twos = np.flatnonzero(tags_np == 2)
+            threes = np.flatnonzero(tags_np == 3)
+            prefixes2, deviations2 = prefixes[twos].tolist(), deviations[twos].tolist()
+            prefixes, deviations = prefixes[threes], deviations[threes]
+            twos = twos.tolist()
+        values = np.asarray(identifiers, dtype=np.uint64) << np.uint64(deviation_bits)
+        values |= deviations
+        if layout.prefix_bits:
+            values |= prefixes.astype(np.uint64) << np.uint64(
+                deviation_bits + layout.identifier_bits
+            )
+        matrix = np.empty((len(values), row), dtype=np.uint8)
+        matrix[:, 0] = 3
+        big_endian = values.astype(">u8").view(np.uint8).reshape(-1, 8)
+        matrix[:, 1:] = big_endian[:, 8 - size :]
+        block = matrix.tobytes()
+        parts = []
+        consumed = 0
+        for rank, position in enumerate(twos):
+            preceding = position - rank  # type-3 rows before this type-2
+            parts.append(block[consumed * row : preceding * row])
+            consumed = preceding
+            parts.append(
+                pack_type2(layout, prefixes2[rank], bases[position], deviations2[rank])
+            )
+        parts.append(block[consumed * row :])
+        return b"".join(parts)
+
+    def parse_records(self, layout, data, offset, limit=None, streamed=False):
+        """:func:`~repro.core.wire.scan_records`, then all fields but the
+        type-2 bases in one gather.  The prefix and deviation columns are the
+        arrays :meth:`join_batch_to_bytes` reads — unless the batch is one
+        ``batch_backend`` keeps from that join: then the loop's lists."""
+        rows, bases, next_offset = scan_records(layout, data, offset, limit, streamed)
+        np = _numpy()[0]
+        size = layout.t3_padded // 8
+        matrix = np.frombuffer(rows, dtype=np.uint8).reshape(-1, 1 + size)
+        if batch_backend(self, len(matrix), self.supports_records, layout) is not self:
+            return parse_records(layout, data, offset, limit, streamed)
+        padded = np.zeros((len(matrix), 8), dtype=np.uint8)
+        padded[:, 8 - size :] = matrix[:, 1:]
+        values = padded.view(">u8")[:, 0].astype(np.uint64)
+        fields = []
+        for bits in (layout.deviation_bits, layout.identifier_bits, layout.prefix_bits):
+            fields.append(values & np.uint64((1 << bits) - 1))
+            values >>= np.uint64(bits)
+        deviations, keys, prefixes = fields
+        keys = keys.tolist()
+        for position, basis in zip(np.flatnonzero(matrix[:, 0] == 2).tolist(), bases):
+            keys[position] = basis
+        tags = bytearray(matrix[:, 0].tobytes())
+        return tags, prefixes, keys, deviations, next_offset

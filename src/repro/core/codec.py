@@ -24,14 +24,15 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.backends import BatchSplit, batch_backend
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.decoder import GDDecoder
 from repro.core.encoder import EncodedBatch, EncoderMode, GDEncoder
 from repro.core.records import GDRecord, RecordType
 from repro.core.transform import GDTransform
-from repro.core.wire import check_container_end, parse_records
+from repro.core.wire import check_container_end
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = [
@@ -412,8 +413,8 @@ class GDCodec:
         if len(blob) < offset + 8:
             raise CodingError("container truncated: missing original length")
         (original_bytes,) = struct.unpack_from(">Q", blob, offset)
-        tags, prefixes, keys, deviations, offset = parse_records(
-            self._encoder.layout, blob, offset + 8, limit=count
+        tags, prefixes, keys, deviations, offset = self.parse_records(
+            blob, offset + 8, limit=count
         )
         if len(tags) < count:
             raise CodingError(
@@ -430,6 +431,20 @@ class GDCodec:
         )
         return data[:original_bytes]
 
+    def parse_records(
+        self, data, offset: int, limit: Optional[int] = None, streamed: bool = False
+    ) -> Tuple[bytearray, Sequence[int], List[int], Sequence[int], int]:
+        """:func:`repro.core.wire.parse_records` of ``data[offset:]`` (same
+        contract, same return) served by the backend
+        :func:`~repro.core.backends.batch_backend` picks; the columns go to
+        :meth:`GDDecoder.decode_columns_to_bytes` on the same transform."""
+        layout = self._encoder.layout
+        backend = self._transform.backend_impl
+        most = len(data) - offset if limit is None else limit  # records, at most
+        return batch_backend(
+            backend, most, backend.supports_records, layout
+        ).parse_records(layout, data, offset, limit, streamed)
+
     def parse_record(self, blob: bytes, offset: int) -> Tuple[GDRecord, int]:
         """Parse one tagged record from a container blob.
 
@@ -437,15 +452,15 @@ class GDCodec:
         the blob is truncated.
         """
         layout = self._encoder.layout
-        tags, prefixes, keys, deviations, next_offset = parse_records(
-            layout, blob, offset, limit=1
+        tags, prefixes, keys, deviations, next_offset = self.parse_records(
+            blob, offset, limit=1
         )
         if not tags:
             raise CodingError(f"container truncated: no record at offset {offset}")
         # ``keys`` serves as both the identifier and the basis column: a
         # one-record batch reads only the one its tag selects.
-        batch = EncodedBatch(layout, bytes(tags), keys, prefixes, keys, deviations)
-        return batch[0], next_offset
+        split = BatchSplit.from_fields(list(zip(prefixes, keys, deviations)), "pure")
+        return EncodedBatch(layout, bytes(tags), keys, split)[0], next_offset
 
     def roundtrip(self, data: bytes, pad: bool = True) -> bytes:
         """Compress then decompress ``data`` (used heavily by tests)."""

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs as _obs
-from repro.core.backends import BatchSplit
+from repro.core.backends import BatchSplit, get_backend
 from repro.core.dictionary import (
     BasisDictionary,
     EvictionPolicy,
@@ -116,39 +116,28 @@ class EncoderStats:
 class EncodedBatch:
     """Columnar result of the encoder's dictionary stage.
 
-    Holds one type tag per chunk plus the field columns, and behaves like
-    the record tuple they describe: length, iteration, indexing and
-    equality all go through :meth:`materialize`, which builds the
-    :class:`CompressedRecord` / :class:`UncompressedRecord` objects on
-    first use.  The hot consumers never materialise — :meth:`pack_stream`
-    serialises the container body straight from the columns.
+    Holds one type tag per chunk, the identifier column and the
+    :class:`~repro.core.backends.BatchSplit` the fields came from, and
+    behaves like the record tuple they describe: length, iteration,
+    indexing and equality all go through :meth:`materialize`, which builds
+    the record objects from plain-``int`` lists on first use.  The hot
+    consumers never materialise — :meth:`pack_stream` hands the split's
+    native columns back to the backend that produced them.
     """
 
-    __slots__ = (
-        "_layout",
-        "_tags",
-        "_identifiers",
-        "_prefixes",
-        "_bases",
-        "_deviations",
-        "_records",
-    )
+    __slots__ = ("_layout", "_tags", "_identifiers", "_split", "_records")
 
     def __init__(
         self,
         layout: RecordLayout,
         tags: bytes,
         identifiers: List[int],
-        prefixes: List[int],
-        bases: List[int],
-        deviations: List[int],
+        split: BatchSplit,
     ):
         self._layout = layout
         self._tags = tags
         self._identifiers = identifiers
-        self._prefixes = prefixes
-        self._bases = bases
-        self._deviations = deviations
+        self._split = split
         self._records: Optional[Tuple[GDRecord, ...]] = None
 
     def __len__(self) -> int:
@@ -177,9 +166,7 @@ class EncodedBatch:
         """The classic record tuple, built once and cached."""
         records = self._records
         if records is None:
-            prefixes = self._prefixes
-            deviations = self._deviations
-            bases = self._bases
+            prefixes, bases, deviations = self._split.columns()
             layout = self._layout
             prefix_bits = layout.prefix_bits
             deviation_bits = layout.deviation_bits
@@ -216,14 +203,12 @@ class EncodedBatch:
 
     def pack_stream(self) -> bytes:
         """The container body: one tag byte plus the payload per record."""
-        return pack_records(
-            self._layout,
-            self._tags,
-            self._identifiers,
-            self._prefixes,
-            self._bases,
-            self._deviations,
-        )
+        split = self._split
+        backend = get_backend(split.backend)
+        pack, columns = pack_records, split.columns
+        if backend.supports_records(self._layout):
+            pack, columns = backend.pack_records, split.native
+        return pack(self._layout, self._tags, self._identifiers, *columns())
 
 
 class GDEncoder:
@@ -342,7 +327,7 @@ class GDEncoder:
         split = BatchSplit.from_fields(
             list(map(self._transform.split_fields, chunks)), backend="pure"
         )
-        return list(self._encode_columns(*split.columns()))
+        return list(self._encode_columns(split))
 
     def encode_chunks(
         self, chunks: "bytes | bytearray | memoryview | Iterable[ChunkLike]"
@@ -366,17 +351,14 @@ class GDEncoder:
         dictionary stage, and no per-chunk record object is built unless the
         caller iterates the returned :class:`EncodedBatch`.
         """
-        return self._encode_columns(
-            *self._transform.split_batch_columns(data).columns()
-        )
+        return self._encode_columns(self._transform.split_batch_columns(data))
 
     # -- internals -----------------------------------------------------------------
 
-    def _encode_columns(
-        self, prefixes: List[int], bases: List[int], deviations: List[int]
-    ) -> EncodedBatch:
+    def _encode_columns(self, split: BatchSplit) -> EncodedBatch:
         """The dictionary stage: every encode entry point ends up here.
 
+        Only the basis column is read; the other two ride along in ``split``.
         One :meth:`BasisDictionary.probe_batch` call decides hit or miss per
         basis and learns in dynamic mode; the tags, the identifier column,
         the learning-delay ledger and one ``gd.encode`` trace instant per
@@ -385,6 +367,7 @@ class GDEncoder:
         """
         stats = self.stats
         layout = self._layout
+        bases = split.bases()
         count = len(bases)
         first_index = stats.chunks
         if self._mode is EncoderMode.NO_TABLE or self._dictionary is None:
@@ -414,9 +397,7 @@ class GDEncoder:
         )
         stats.compressed_records += compressed
         stats.uncompressed_records += uncompressed
-        return EncodedBatch(
-            layout, bytes(tags), identifiers, prefixes, bases, deviations
-        )
+        return EncodedBatch(layout, bytes(tags), identifiers, split)
 
     def _hold_back_pending(
         self,

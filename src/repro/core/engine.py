@@ -50,12 +50,7 @@ from repro.core.codec import (
 )
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.encoder import EncoderMode
-from repro.core.wire import (
-    check_container_end,
-    pack_trailer,
-    parse_records,
-    parse_trailer,
-)
+from repro.core.wire import check_container_end, pack_trailer, parse_trailer
 from repro.exceptions import CodingError, ReproError
 
 __all__ = [
@@ -372,12 +367,10 @@ class GDStreamCompressor:
                 if remaining == 0:
                     finished = True
                     continue
-                tags, prefixes, keys, deviations, buffer.position = parse_records(
-                    codec.encoder.layout,
-                    buffer.data,
-                    buffer.position,
-                    limit=remaining,
-                    streamed=streamed,
+                tags, prefixes, keys, deviations, buffer.position = (
+                    codec.parse_records(
+                        buffer.data, buffer.position, remaining, streamed
+                    )
                 )
                 if not tags:
                     trailer = (

@@ -11,6 +11,10 @@ container codec, the streaming engine, the one-record
 :func:`parse_trailer`, on field columns;
 :mod:`repro.core.records` keeps the per-object ``to_bytes`` the tests use
 as the layout oracle.
+
+The loops are the ``pure`` codec backend's packer and parser, and the
+oracle; :func:`scan_records` is what an accelerated backend builds its
+parser on.  Nothing here imports outside the standard library.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ __all__ = [
     "check_container_end",
     "pack_records",
     "pack_trailer",
+    "pack_type2",
     "parse_records",
     "parse_trailer",
+    "scan_records",
 ]
 
 #: Record tag terminating a streamed GDZ1 container (followed by ``>Q``
@@ -76,6 +82,12 @@ class RecordLayout:
         self.t3_padded = align_up(self.t3_bits, 8)
 
 
+def pack_type2(layout: RecordLayout, prefix: int, basis: int, deviation: int) -> bytes:
+    """One tagged type-2 record, from plain ``int`` fields."""
+    value = ((prefix << layout.basis_bits | basis) << layout.deviation_bits) | deviation
+    return b"\x02" + int_to_bytes(value, layout.t2_padded)
+
+
 def pack_records(
     layout: RecordLayout,
     tags: bytes,
@@ -89,74 +101,27 @@ def pack_records(
     ``prefixes``, ``bases`` and ``deviations`` hold one entry per record;
     ``identifiers`` one per type-3 record, in order.  Byte-identical to
     concatenating ``bytes([tag]) + record.to_bytes()`` over the equivalent
-    record objects.  When numpy is available and the type-3 payload fits a
-    ``uint64``, all type-3 rows are packed as one ``(count, 1 + size)``
-    byte matrix and the (rare) type-2 records are spliced between the runs.
+    record objects.  The per-record loop: the ``pure`` backend's packer and
+    the reference an accelerated one must match byte for byte.
     """
-    count = len(tags)
-    if count == 0:
-        return b""
     identifier_bits = layout.identifier_bits
-    basis_bits = layout.basis_bits
     deviation_bits = layout.deviation_bits
-    t2_padded = layout.t2_padded
-    t3_padded = layout.t3_padded
-    t3_size = t3_padded // 8
-
-    def type2(position: int) -> bytes:
-        value = (
-            ((prefixes[position] << basis_bits) | bases[position]) << deviation_bits
-        ) | deviations[position]
-        return b"\x02" + int_to_bytes(value, t2_padded)
-
-    np = None
-    if identifiers and t3_size <= 8:
-        from repro.core.backends.numpy_backend import _numpy
-
-        np = _numpy()[0]
-    if np is None:
-        next_identifier = iter(identifiers).__next__
-        parts: List[bytes] = []
-        append = parts.append
-        for position in range(count):
-            if tags[position] == 3:
-                value = (
-                    ((prefixes[position] << identifier_bits) | next_identifier())
-                    << deviation_bits
-                ) | deviations[position]
-                append(b"\x03" + int_to_bytes(value, t3_padded))
-            else:
-                append(type2(position))
-        return b"".join(parts)
-    tags_np = np.frombuffer(tags, dtype=np.uint8)
-    indices = np.flatnonzero(tags_np == 3)
-    values = np.asarray(identifiers, dtype=np.uint64) << np.uint64(deviation_bits)
-    if layout.prefix_bits:
-        values = values | (
-            np.asarray(prefixes, dtype=np.uint64)[indices]
-            << np.uint64(deviation_bits + identifier_bits)
-        )
-    values = values | np.asarray(deviations, dtype=np.uint64)[indices]
-    row = 1 + t3_size
-    matrix = np.empty((len(indices), row), dtype=np.uint8)
-    matrix[:, 0] = 3
-    for column in range(t3_size):
-        matrix[:, 1 + column] = (
-            values >> np.uint64(8 * (t3_size - 1 - column))
-        ).astype(np.uint8)
-    block = matrix.tobytes()
-    if len(indices) == count:
-        return block
-    parts = []
+    size3 = layout.t3_padded // 8
+    next_identifier = iter(identifiers).__next__
+    parts: List[bytes] = []
     append = parts.append
-    consumed = 0
-    for rank, position in enumerate(np.flatnonzero(tags_np == 2).tolist()):
-        preceding = position - rank  # type-3 rows before this type-2
-        if preceding > consumed:
-            append(block[consumed * row : preceding * row])
-        append(type2(position))
-        consumed = preceding
-    append(block[consumed * row :])
+    try:
+        for tag, prefix, basis, deviation in zip(tags, prefixes, bases, deviations):
+            if tag == 3:
+                value = (
+                    ((prefix << identifier_bits) | next_identifier()) << deviation_bits
+                ) | deviation
+                append(b"\x03")
+                append(value.to_bytes(size3, "big"))
+            else:
+                append(pack_type2(layout, prefix, basis, deviation))
+    except OverflowError:
+        raise CodingError(f"type-3 record wider than {layout.t3_padded} bits") from None
     return b"".join(parts)
 
 
@@ -216,6 +181,71 @@ def parse_records(
         prefixes.append((value >> key_bits) & prefix_mask)
         offset = end
     return tags, prefixes, keys, deviations, offset
+
+
+def scan_records(
+    layout: RecordLayout, data, offset: int, limit=None, streamed: bool = False
+) -> Tuple[bytes, List[int], int]:
+    """:func:`parse_records` by *runs* of type-3 records instead of records.
+
+    Same stops, masks and :class:`~repro.exceptions.CodingError` as the
+    loop, but no bytecode per type-3 record: the length of a maximal run
+    comes from strided slices of its tag column (``data[offset::stride]``,
+    galloping) stripped of ``0x03`` at C speed.  Returns ``(rows, bases,
+    next_offset)``: one type-3 sized row per record, back to back, for the
+    caller to take apart in one gather — a type-3 record verbatim; a type-2
+    record as tag 2, its prefix and its deviation around identifier 0, its
+    basis (wider than a machine word: ``int.from_bytes``) in ``bases``.
+    """
+    deviation_bits = layout.deviation_bits
+    deviation_mask = (1 << deviation_bits) - 1
+    basis_mask = (1 << layout.basis_bits) - 1
+    prefix_shift = deviation_bits + layout.basis_bits
+    prefix_mask = (1 << layout.prefix_bits) - 1
+    row_shift = deviation_bits + layout.identifier_bits
+    stride2 = 1 + layout.t2_padded // 8
+    stride3 = 1 + layout.t3_padded // 8
+    tagged = 2 << layout.t3_padded
+    total = len(data)
+    budget = total if limit is None else limit
+    from_bytes = int.from_bytes
+    rows = []
+    bases: List[int] = []
+    while offset < total and budget > 0:
+        tag = data[offset]
+        if tag == 2:
+            end = offset + stride2
+            if end > total:
+                break
+            value = from_bytes(data[offset + 1 : end], "big")
+            bases.append((value >> deviation_bits) & basis_mask)
+            row = tagged | ((value >> prefix_shift) & prefix_mask) << row_shift
+            rows.append((row | value & deviation_mask).to_bytes(stride3, "big"))
+            offset = end
+            budget -= 1
+            continue
+        if tag != 3:
+            if tag == END_TAG and streamed:
+                break
+            raise CodingError(f"unknown record tag {tag} at offset {offset}")
+        room = (total - offset) // stride3
+        room = room if room < budget else budget
+        start = offset
+        look = 16
+        while room:
+            step = look if look < room else room
+            column = bytes(data[offset : offset + step * stride3 : stride3])
+            same = step - len(column.lstrip(b"\x03"))
+            offset += same * stride3
+            if same < step:
+                break
+            room -= same
+            look *= 4
+        if offset == start:
+            break
+        rows.append(data[start:offset])
+        budget -= (offset - start) // stride3
+    return b"".join(rows), bases, offset
 
 
 def pack_trailer(original_bytes: int) -> bytes:

@@ -171,6 +171,18 @@ print("numpy" in sys.modules)
 """
 
 
+_STREAM_ROUND_TRIP = """
+import hashlib, sys
+from repro import registry
+data = b"".join(bytes([value % 7]) * 32 for value in range(300)) + b"tail"
+named = sys.argv[1] or None  # "": left to REPRO_GD_BACKEND
+packed = b"".join(registry.get("gd", backend=named).compress_stream([data]))
+fresh = registry.get("gd", backend=named)
+assert b"".join(fresh.decompress_stream([packed])) == data
+print("numpy" in sys.modules, hashlib.md5(packed).hexdigest())
+"""
+
+
 class TestLazyDefault:
     """Only the *unnamed* default waits for the first batch call: finding
     the best available backend imports numpy, and a simulator run — single
@@ -191,6 +203,39 @@ class TestLazyDefault:
         assert done.returncode == 0, done.stderr
         # The first batch kernel call settles the default — on numpy, here.
         assert done.stdout.split() == ["False", str("numpy" in AVAILABLE)]
+
+    @pytest.mark.parametrize("selector", ("argument", "environment"))
+    def test_a_codec_named_pure_never_imports_numpy(self, selector):
+        """Pack and parse are served by the codec's backend, not by whether
+        numpy happens to be importable: a pure-named stream round trip
+        leaves it unimported, a numpy-named one imports it, same bytes."""
+        source = str(Path(backends.__file__).resolve().parents[3])
+        outputs = {}
+        for name in ("pure", "numpy"):
+            if name not in AVAILABLE:
+                continue
+            environment = {
+                key: value
+                for key, value in os.environ.items()
+                if key != "REPRO_GD_BACKEND"
+            }
+            environment["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source, environment.get("PYTHONPATH")])
+            )
+            argument = name
+            if selector == "environment":
+                environment["REPRO_GD_BACKEND"] = name
+                argument = ""
+            done = subprocess.run(
+                [sys.executable, "-c", _STREAM_ROUND_TRIP, argument],
+                env=environment, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[name] = done.stdout.split()
+        assert outputs["pure"][0] == "False"
+        for name, (imported, digest) in outputs.items():
+            assert imported == str(name == "numpy")
+            assert digest == outputs["pure"][1]
 
     def test_unnamed_default_probes_on_first_use_only(self, monkeypatch):
         monkeypatch.delenv("REPRO_GD_BACKEND", raising=False)
@@ -226,6 +271,85 @@ class TestBatchSplitApi:
         assert split.deviations() == [deviation for _, _, deviation in fields]
         assert split == BatchSplit.from_fields(fields, backend="elsewhere")
         assert "BatchSplit" in repr(split)
+
+
+def _leaves(value):
+    """Every scalar inside nested dicts / lists / tuples / dataclasses."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        yield from _leaves(vars(value))
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("backend_name", ACCELERATED)
+class TestNoArrayScalarEscapes:
+    """Array columns flow from a backend's kernel to its next kernel only:
+    whatever a caller can read off a batch it served is plain ``int``
+    (``numpy.uint32 << 247`` wraps silently, ``json.dumps`` rejects a
+    ``numpy.uint8``)."""
+
+    def _batch(self, backend_name, chunk_bits=264):
+        codec = GDCodec(
+            order=8, chunk_bits=chunk_bits, identifier_bits=4, backend=backend_name
+        )
+        data = _random_buffer(codec.transform, 96, random.Random(11), clustered=True)
+        split = codec.transform.split_batch_columns(data)
+        assert split.backend == backend_name
+        return codec, data, split
+
+    def test_split_and_batch_views_are_plain_ints(self, backend_name):
+        codec, data, split = self._batch(backend_name)
+        prefixes, bases, deviations = split.native()
+        assert type(bases) is list and type(prefixes) is not list
+        views = [
+            split.columns(), split.fields(), split.prefixes(), split.bases(),
+            split.deviations(),
+        ]
+        batch = codec.encoder.encode_buffer_batch(data)
+        assert {record.record_type.value for record in batch} == {2, 3}
+        for record in list(batch) + list(batch.materialize()) + [batch[0], batch[-1]]:
+            views.append(vars(record))
+        assert all(type(leaf) in (int, str) for leaf in _leaves(views))
+        pure = GDCodec(order=8, chunk_bits=264, identifier_bits=4, backend="pure")
+        expected = pure.encoder.encode_buffer_batch(data)
+        assert batch == expected and batch == tuple(expected)
+        assert batch.pack_stream() == expected.pack_stream()
+
+    def test_parsed_records_stats_snapshots_and_trace_args(self, backend_name):
+        import json
+
+        from repro import obs
+
+        codec, data, _split = self._batch(backend_name)
+        tracer = obs.enable()
+        try:
+            container = codec.compress_to_container(data)
+            fresh = GDCodec.from_container_header(container)
+            assert fresh.decompress_container(container) == data
+            result = codec.compress(data)
+            assert codec.decompress_records(result.records) == data
+        finally:
+            obs.disable()
+        views = [event["args"] for event in tracer.sink.events]
+        assert len(views) >= 4 * 96
+        json.dumps(views)
+        offset = 24
+        while offset < len(container):
+            record, offset = codec.parse_record(container, offset)
+            views.append(vars(record))
+        for half in (codec.encoder, codec.decoder):
+            views += [half.stats, half.stats.as_dict(), half.snapshot_state()]
+            json.dumps(half.snapshot_state())
+        assert all(
+            type(leaf) in (int, str, float, bool, type(None)) for leaf in _leaves(views)
+        )
 
 
 def _reference_decode(transform, records, capacity):
