@@ -3,8 +3,8 @@
 A production-quality Python reproduction of *ZipLine: In-Network Compression
 at Line Speed* (CoNEXT 2020).  The library implements generalized
 deduplication (GD) over Hamming codes computed with CRC arithmetic, a
-functional model of the Tofino data plane (match-action tables, registers,
-CRC externs, digests), the ZipLine control plane with LRU identifier
+functional model of the Tofino data plane (match-action tables, CRC
+externs, digests), the ZipLine control plane with LRU identifier
 management, trace workloads, baselines, and the analytical performance
 models needed to regenerate every table and figure of the paper's
 evaluation.

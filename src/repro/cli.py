@@ -573,6 +573,22 @@ def _obs_write(args: argparse.Namespace, tracer) -> None:
         print(f"Perfetto trace ({count:,} records) written to {args.trace_out}")
 
 
+def _integrity_exit_code(integrity, impaired: bool, unknown_identifiers: int) -> int:
+    """The exit-code contract of ``repro replay`` and ``repro topology``.
+
+    Corruption is never acceptable.  A network with configured impairments
+    (loss, reordering, queue bounds) loses or reorders chunks by design —
+    counted failure modes — but on an ideal one every chunk must come back
+    in order: silent total loss must not exit 0.  With no chunk-level
+    integrity verdict (e.g. decoder-only over a processed trace), a decode
+    that dropped packets on unknown identifiers must not report success.
+    """
+    if integrity is None:
+        return 1 if unknown_identifiers > 0 else 0
+    verdict = integrity.intact if impaired else integrity.lossless_in_order
+    return 0 if verdict else 1
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.topology import TopologyEngine, linear_topology
 
@@ -621,17 +637,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.json is not None:
         save_results_json(args.json, report.as_dict())
         print(f"report written to {args.json}")
-    if report.integrity is None:
-        # No chunk-level integrity (e.g. decoder-only over a processed
-        # trace) — but a decode that dropped packets on unknown identifiers
-        # must not report success.
-        unknown = report.metrics.counter("decoder.unknown_identifier")
-        return 1 if unknown > 0 else 0
-    # An impaired or queue-bounded link loses or reorders chunks by design;
-    # those are counted failure modes.  Corruption is never acceptable.
-    if not (args.loss or args.reorder or args.queue_capacity):
-        return 0 if report.integrity.lossless_in_order else 1
-    return 0 if report.integrity.intact else 1
+    return _integrity_exit_code(
+        report.integrity,
+        impaired=bool(args.loss or args.reorder or args.queue_capacity),
+        unknown_identifiers=report.metrics.counter("decoder.unknown_identifier"),
+    )
 
 
 #: ``--metrics auto`` switches to bounded streaming sketches at this many
@@ -720,36 +730,23 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     if args.json is not None:
         save_results_json(args.json, report.as_dict())
         print(f"report written to {args.json}")
-    # Same contract as `repro replay`: corruption is never acceptable, and
-    # on a network with no configured impairments (loss, reordering, queue
-    # bounds) every chunk must come back in order — silent total loss on an
-    # ideal network must not exit 0.  Unresolved identifiers on any decoder
-    # mean dropped traffic and fail the run either way.
-    if report.integrity is not None:
-        impaired = (
+    counters = report.metrics.as_dict()["counters"]
+    return _integrity_exit_code(
+        report.integrity,
+        impaired=(
             any(
                 link.loss or link.reorder or link.queue_capacity
                 for link in spec.links
             )
             or (spec.faults is not None and spec.faults.active)
             or spec.control_rate is not None
-        )
-        verdict = (
-            report.integrity.intact
-            if impaired
-            else report.integrity.lossless_in_order
-        )
-        if not verdict:
-            return 1
-        return 0
-    unknown = sum(
-        value
-        for name, value in report.metrics.as_dict()["counters"].items()
-        if name.endswith(".unknown_identifier")
+        ),
+        unknown_identifiers=sum(
+            value
+            for name, value in counters.items()
+            if name.endswith(".unknown_identifier")
+        ),
     )
-    if unknown > 0:
-        return 1
-    return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

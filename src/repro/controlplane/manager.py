@@ -26,18 +26,17 @@ does not depend on :mod:`repro.zipline`:
 * decoder switch: ``install_identifier_mapping(identifier, basis)``,
   ``remove_identifier_mapping(identifier)``.
 
-Table mutations can optionally travel through a *transport* instead of a
-direct method call: ``decoder_transport`` / ``encoder_transport`` receive
-plain command dictionaries (``{"op": "install_identifier", ...}``) and are
-responsible for applying them — e.g. a
-:class:`repro.topology.control.ControlChannel` that carries them across an
-emulated link with real latency.  Without transports the behaviour is the
-original direct call, unchanged.
+Decoder table mutations can optionally travel through a *transport*
+instead of a direct method call: ``decoder_transport`` receives plain
+command dictionaries (``{"op": "install_identifier", ...}``) plus the
+``on_applied`` / ``on_drop`` callbacks and is responsible for applying them
+— :meth:`repro.topology.control.ControlChannel.transport` carries them
+across an emulated link with real latency.  Without a transport the
+behaviour is the original direct call, unchanged.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Set
@@ -58,22 +57,6 @@ from repro.tofino.digest import DigestEngine, DigestMessage
 
 __all__ = ["ControlPlaneTimings", "ControlPlaneStats", "ZipLineControlPlane"]
 
-
-def _transport_accepts_callbacks(
-    transport: Optional[Callable[..., None]],
-) -> bool:
-    """Whether ``transport`` takes the ``on_applied`` / ``on_drop`` kwargs.
-
-    Plain callables (tests often pass a one-argument lambda) keep working:
-    for them the manager invokes the callbacks itself, inline.
-    """
-    if transport is None:
-        return False
-    try:
-        parameters = inspect.signature(transport).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    return "on_applied" in parameters
 
 #: Digest type emitted by the encoding data plane for unknown bases.
 LEARN_DIGEST = "zipline_learn_basis"
@@ -173,10 +156,11 @@ class ZipLineControlPlane:
         Control-plane latency model.
     seed:
         Seed for the latency jitter.
-    decoder_transport / encoder_transport:
-        Optional callables taking a command dictionary.  When set, table
-        mutations for that switch are handed to the transport (which models
-        an in-network control path) instead of being applied directly.
+    decoder_transport:
+        Optional callable taking a command dictionary and the
+        ``on_applied`` / ``on_drop`` keyword callbacks.  When set, decoder
+        table mutations are handed to the transport (which models an
+        in-network control path) instead of being applied directly.
     """
 
     def __init__(
@@ -189,8 +173,7 @@ class ZipLineControlPlane:
         entry_ttl: Optional[float] = None,
         timings: Optional[ControlPlaneTimings] = None,
         seed: Optional[int] = None,
-        decoder_transport: Optional[Callable[[Mapping[str, Any]], None]] = None,
-        encoder_transport: Optional[Callable[[Mapping[str, Any]], None]] = None,
+        decoder_transport: Optional[Callable[..., None]] = None,
     ):
         if identifier_bits <= 0:
             raise ControlPlaneError("identifier_bits must be positive")
@@ -198,8 +181,6 @@ class ZipLineControlPlane:
         self._encoder_switch = encoder_switch
         self._decoder_switch = decoder_switch
         self._decoder_transport = decoder_transport
-        self._decoder_transport_chains = _transport_accepts_callbacks(decoder_transport)
-        self._encoder_transport = encoder_transport
         self._simulator = simulator
         self._pool = IdentifierPool(1 << identifier_bits)
         self._entry_ttl = entry_ttl
@@ -245,18 +226,13 @@ class ZipLineControlPlane:
         ``on_applied`` runs once the write has completed on the decoder
         (the acked-write model) and ``on_drop`` runs instead when the
         transport reports the write failed — rejected by a bounded
-        install queue or lost on the control wire.  With a direct switch —
-        or a transport that does not take the callbacks — the write is
-        synchronous, so ``on_applied`` runs inline.
+        install queue or lost on the control wire.  With a direct switch
+        the write is synchronous, so ``on_applied`` runs inline.
         """
         if self._decoder_transport is not None:
-            if self._decoder_transport_chains:
-                self._decoder_transport(
-                    command, on_applied=on_applied, on_drop=on_drop
-                )
-                return
-            self._decoder_transport(command)
-        elif command["op"] == "install_identifier":
+            self._decoder_transport(command, on_applied=on_applied, on_drop=on_drop)
+            return
+        if command["op"] == "install_identifier":
             self._decoder_switch.install_identifier_mapping(
                 command["identifier"], command["basis"]
             )
@@ -266,10 +242,8 @@ class ZipLineControlPlane:
             on_applied()
 
     def _encoder_command(self, command: Mapping[str, Any]) -> None:
-        """Apply (or transport) one encoder-side table command."""
-        if self._encoder_transport is not None:
-            self._encoder_transport(command)
-        elif command["op"] == "install_basis":
+        """Apply one encoder-side table command."""
+        if command["op"] == "install_basis":
             self._encoder_switch.install_basis_mapping(
                 command["basis"], command["identifier"], command.get("ttl")
             )
@@ -510,7 +484,7 @@ class ZipLineControlPlane:
                 break
             identifier, basis = binding
             self._pool.release(identifier)
-            if self._encoder_switch is not None or self._encoder_transport is not None:
+            if self._encoder_switch is not None:
                 self._encoder_command({"op": "remove_basis", "basis": basis})
             if self._decoder_switch is not None or self._decoder_transport is not None:
                 self._decoder_command(

@@ -5,26 +5,17 @@ downstream user reaches for when they want the paper's compression algorithm
 without the switch model.  It wires together a transform, an encoder-side
 dictionary and a decoder-side dictionary, offers ``compress`` /
 ``decompress`` over byte strings, and can serialise the compressed stream to
-a simple self-describing container (useful for files, and used by the gzip
-comparison in the Figure 3 benchmark).
-
-The container format is deliberately simple:
-
-* a 16-byte header: magic ``GDZ1``, Hamming order, chunk bits, identifier
-  bits, flags, and the number of records;
-* each record as a 1-byte type tag (2 or 3) followed by the record payload,
-  byte aligned.
-
-Everything needed to decompress is in the header, so a file compressed on
-one machine can be decompressed on another with no shared state.
+the self-describing ``GDZ1`` container (useful for files, and used by the
+gzip comparison in the Figure 3 benchmark).  The container format — header,
+record runs, trailer — belongs to :mod:`repro.core.wire`; this module only
+says which codec a container's header is served by.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, batch_backend
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
@@ -32,46 +23,16 @@ from repro.core.decoder import GDDecoder
 from repro.core.encoder import EncodedBatch, EncoderMode, GDEncoder
 from repro.core.records import GDRecord, RecordType
 from repro.core.transform import GDTransform
-from repro.core.wire import check_container_end
+from repro.core.wire import (
+    FRAMING_BYTES,
+    ContainerHeader,
+    parse_header,
+    read_container,
+    write_container,
+)
 from repro.exceptions import ChunkSizeError, CodingError
 
-__all__ = [
-    "CompressionResult",
-    "GDCodec",
-    "CONTAINER_MAGIC",
-    "CONTAINER_HEADER",
-    "FLAG_STREAMED",
-    "unpack_container_header",
-]
-
-_MAGIC = b"GDZ1"
-# magic, order, chunk_bits, id_bits, flags, records, alignment_padding_bits.
-# The padding byte sits in what used to be reserved-zero space, so headers
-# written by earlier versions (always padding 0) parse identically.
-_HEADER = struct.Struct(">4sBHBBIBxx")
-
-#: Public aliases used by the streaming engine (:mod:`repro.core.engine`).
-CONTAINER_MAGIC = _MAGIC
-CONTAINER_HEADER = _HEADER
-
-#: Header flag: the record count field is 0 and records run until an
-#: end-of-stream tag (0x00) followed by the 8-byte original length — the
-#: layout the incremental container writer produces.
-FLAG_STREAMED = 0x01
-
-
-def unpack_container_header(data, offset: int = 0) -> Tuple[int, ...]:
-    """Validate and unpack a ``GDZ1`` header found at ``data[offset:]``.
-
-    Returns ``(order, chunk_bits, identifier_bits, flags, record_count,
-    alignment_padding_bits)``.
-    """
-    if len(data) - offset < _HEADER.size:
-        raise CodingError("container too short to hold a header")
-    magic, *fields = _HEADER.unpack_from(data, offset)
-    if magic != _MAGIC:
-        raise CodingError(f"bad container magic {magic!r}")
-    return tuple(fields)
+__all__ = ["CompressionResult", "GDCodec"]
 
 
 @dataclass(frozen=True)
@@ -182,9 +143,11 @@ class GDCodec:
             order=order, chunk_bits=chunk_bits, backend=backend
         )
         self._identifier_bits = identifier_bits
+        self._header = ContainerHeader(
+            order, self._transform.chunk_bits, identifier_bits, alignment_padding_bits
+        )
         self._mode = EncoderMode.from_name(mode)
         self._eviction_policy = EvictionPolicy.from_name(eviction_policy)
-        self._alignment_padding_bits = alignment_padding_bits
         self._learning_delay_chunks = learning_delay_chunks
         self._static_bases = list(static_bases) if static_bases is not None else None
         if eviction_seed is None and self._eviction_policy is EvictionPolicy.RANDOM:
@@ -300,14 +263,12 @@ class GDCodec:
         payload_bytes = (
             self._encoder.stats.output_padded_bits - padded_bits_before
         ) // 8
-        # Container layout: fixed header, 8-byte original length, then one
-        # type tag plus the payload per record (see ``to_container``).
-        container_bytes = _HEADER.size + 8 + len(records) + payload_bytes
         return CompressionResult(
             records=records,
             original_bytes=len(data),
             payload_bytes=payload_bytes,
-            container_bytes=container_bytes,
+            # One tag byte per record on top of the payloads and the framing.
+            container_bytes=FRAMING_BYTES + len(records) + payload_bytes,
         )
 
     def decompress_records(
@@ -321,35 +282,22 @@ class GDCodec:
 
     # -- container serialisation ------------------------------------------------------
 
-    def container_header(self, record_count: int = 0, streamed: bool = False) -> bytes:
-        """The 16-byte ``GDZ1`` header for this codec's parameters."""
-        return _HEADER.pack(
-            _MAGIC,
-            self._transform.order,
-            self._transform.chunk_bits,
-            self._identifier_bits,
-            FLAG_STREAMED if streamed else 0,
-            record_count,
-            self._alignment_padding_bits,
-        )
+    def write_container(self, runs: Iterable[Tuple[bytes, int]]) -> Iterator[bytes]:
+        """:func:`repro.core.wire.write_container` of ``runs`` under this
+        codec's parameters."""
+        return write_container(self._header, runs)
 
     def to_container(self, result: CompressionResult) -> bytes:
         """Serialise a compression result into the ``GDZ1`` container format."""
-        return (
-            self.container_header(record_count=len(result.records))
-            + struct.pack(">Q", result.original_bytes)
-            + result.records.pack_stream()
-        )
+        run = (result.records.pack_stream(), result.original_bytes)
+        return b"".join(self.write_container([run]))
 
     def clone(self) -> "GDCodec":
         """A new codec with the same parameters and empty dictionaries."""
         return GDCodec(
-            order=self._transform.order,
-            chunk_bits=self._transform.chunk_bits,
-            identifier_bits=self._identifier_bits,
+            **self._header._asdict(),
             mode=self._mode,
             eviction_policy=self._eviction_policy,
-            alignment_padding_bits=self._alignment_padding_bits,
             static_bases=self._static_bases,
             learning_delay_chunks=self._learning_delay_chunks,
             eviction_seed=self._eviction_seed,
@@ -370,66 +318,37 @@ class GDCodec:
     @classmethod
     def from_container_header(cls, blob: bytes) -> "GDCodec":
         """Build a codec matching the parameters stored in a container."""
-        order, chunk_bits, identifier_bits, _flags, _count, padding = (
-            unpack_container_header(blob)
-        )
-        return cls(
-            order=order,
-            chunk_bits=chunk_bits,
-            identifier_bits=identifier_bits,
-            mode=EncoderMode.DYNAMIC,
-            alignment_padding_bits=padding,
-        )
+        opened = parse_header(blob)
+        if opened is None:
+            raise CodingError("container too short to hold a header")
+        return cls(mode=EncoderMode.DYNAMIC, **opened[0]._asdict())
 
     def decompress_container(self, blob: bytes) -> bytes:
         """Parse a ``GDZ1`` container and reconstruct the original bytes."""
-        order, chunk_bits, identifier_bits, flags, count, padding = (
-            unpack_container_header(blob)
-        )
-        if flags & FLAG_STREAMED:
+        return b"".join(read_container([blob], self._open_container))
+
+    def _open_container(self, header: ContainerHeader) -> "GDCodec":
+        """The codec that decodes a container with ``header``, which must
+        have been produced with this codec's parameters."""
+        mine = self._header
+        if header[:3] != mine[:3]:
             raise CodingError(
-                "streamed container: decode it with "
-                "repro.core.engine.GDStreamCompressor.decompress_stream"
-            )
-        if order != self._transform.order or chunk_bits != self._transform.chunk_bits:
-            raise CodingError(
-                "container was produced with different GD parameters "
-                f"(order {order}, chunk_bits {chunk_bits})"
-            )
-        if identifier_bits != self._identifier_bits:
-            raise CodingError(
-                f"container identifier width {identifier_bits} does not match "
-                f"codec width {self._identifier_bits}"
+                "container was produced with different GD parameters: "
+                f"{header[:3]} (order, chunk bits, identifier bits), not {mine[:3]}"
             )
         # Header padding 0 also covers containers written before the header
         # recorded the padding width (the byte was reserved-zero); those
         # decode with the codec's own setting, exactly as they always did.
-        if padding and padding != self._alignment_padding_bits:
+        padding = header.alignment_padding_bits
+        if padding and padding != mine.alignment_padding_bits:
             raise CodingError(
                 f"container alignment padding {padding} does not match "
-                f"codec padding {self._alignment_padding_bits}"
-            )
-        offset = _HEADER.size
-        if len(blob) < offset + 8:
-            raise CodingError("container truncated: missing original length")
-        (original_bytes,) = struct.unpack_from(">Q", blob, offset)
-        tags, prefixes, keys, deviations, offset = self.parse_records(
-            blob, offset + 8, limit=count
-        )
-        if len(tags) < count:
-            raise CodingError(
-                f"container truncated: {len(tags)} of {count} records present"
+                f"codec padding {mine.alignment_padding_bits}"
             )
         # Containers are self-contained: decode with a fresh dictionary so
         # that identifiers resolve exactly as the producing encoder assigned
         # them, independent of anything this codec decoded before.
-        data = self.clone().decoder.decode_columns_to_bytes(
-            tags, prefixes, keys, deviations
-        )
-        check_container_end(
-            original_bytes, len(data), self.chunk_bytes, len(blob) - offset
-        )
-        return data[:original_bytes]
+        return self.clone()
 
     def parse_records(
         self, data, offset: int, limit: Optional[int] = None, streamed: bool = False

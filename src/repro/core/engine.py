@@ -10,11 +10,8 @@ Every compressor in the project — the GD codec and all comparison baselines
 
 Both directions run in bounded memory: no implementation materialises the
 whole input or output, so a multi-gigabyte trace streams through a constant
-few-chunk working set.  The GD implementation writes an *incremental*
-``GDZ1`` container (the :data:`~repro.core.codec.FLAG_STREAMED` layout:
-records run until an end tag followed by the original length, instead of a
-record count in the header) and its reader also accepts the legacy
-whole-buffer layout produced by :meth:`GDCodec.to_container`.
+few-chunk working set.  The GD implementation frames its records as a
+``GDZ1`` container, written and read by :mod:`repro.core.wire`.
 
 Name-based construction lives in :mod:`repro.registry`; this module holds
 the implementations.
@@ -41,16 +38,10 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.codec import (
-    CONTAINER_HEADER,
-    CONTAINER_MAGIC,
-    FLAG_STREAMED,
-    GDCodec,
-    unpack_container_header,
-)
+from repro.core.codec import GDCodec
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.encoder import EncoderMode
-from repro.core.wire import check_container_end, pack_trailer, parse_trailer
+from repro.core.wire import MAGIC, ContainerHeader, read_container
 from repro.exceptions import CodingError, ReproError
 
 __all__ = [
@@ -246,7 +237,7 @@ class GDStreamCompressor:
     """
 
     name = "gd"
-    magic = CONTAINER_MAGIC
+    magic = MAGIC
 
     def __init__(
         self,
@@ -281,124 +272,42 @@ class GDStreamCompressor:
     def compress_stream(self, blocks: Iterable[bytes]) -> Iterator[bytes]:
         """Re-chunk, GD-encode and frame a block stream incrementally."""
         codec = self.codec()
+        yield from codec.write_container(self._record_runs(codec, blocks))
+
+    @staticmethod
+    def _record_runs(
+        codec: GDCodec, blocks: Iterable[bytes]
+    ) -> Iterator[Tuple[bytes, int]]:
+        """``(packed records, input bytes they encode)`` per block's worth
+        of whole chunks; the final partial chunk is zero padded."""
         encoder = codec.encoder
         chunk_size = codec.chunk_bytes
-        yield codec.container_header(streamed=True)
         pending = bytearray()
-        total = 0
         for block in blocks:
-            if not block:
-                continue
-            total += len(block)
             pending += block
             usable = len(pending) - len(pending) % chunk_size
             if usable:
                 batch = encoder.encode_buffer_batch(bytes(pending[:usable]))
                 del pending[:usable]
-                yield batch.pack_stream()
+                yield batch.pack_stream(), usable
         if pending:
-            pending += b"\x00" * (chunk_size - len(pending))
-            yield encoder.encode_buffer_batch(bytes(pending)).pack_stream()
-        yield pack_trailer(total)
+            tail = len(pending)
+            pending += b"\x00" * (chunk_size - tail)
+            yield encoder.encode_buffer_batch(bytes(pending)).pack_stream(), tail
 
     def decompress_stream(self, blocks: Iterable[bytes]) -> Iterator[bytes]:
         """Incrementally parse and decode a GDZ1 container stream.
 
-        Accepts both the streamed layout this class writes and the legacy
-        whole-buffer layout of :meth:`GDCodec.to_container`.  The wire
-        parameters (order, chunk bits, identifier width, record padding)
-        come from the stream header; the dictionary behaviour (mode,
-        static bases, eviction policy and seed) comes from this instance,
-        so a compressor configured with e.g. a static table or seeded
-        random eviction decodes its own streams.  Holds back one chunk of
-        decoded output so the tail padding can be trimmed once the
-        original length trailer arrives.
+        The wire parameters (order, chunk bits, identifier width, record
+        padding) come from the stream header; the dictionary behaviour
+        (mode, static bases, eviction policy and seed) comes from this
+        instance, so a compressor configured with e.g. a static table or
+        seeded random eviction decodes its own streams.
         """
-        buffer = _IncrementalBuffer()
-        codec: Optional[GDCodec] = None
-        streamed = False
-        remaining: Optional[int] = None  # legacy layout: records still expected
-        original_bytes: Optional[int] = None
-        holdback = b""
-        emitted = 0
-        finished = False
-        for block in blocks:
-            if not block:
-                continue
-            buffer.feed(block)
-            # Parse and decode everything currently complete in the buffer.
-            while True:
-                if finished:
-                    check_container_end(
-                        original_bytes,
-                        emitted + len(holdback),
-                        codec.chunk_bytes,
-                        buffer.available,
-                    )
-                    break
-                if codec is None:
-                    if buffer.available < CONTAINER_HEADER.size:
-                        break
-                    order, chunk_bits, identifier_bits, flags, count, padding = (
-                        unpack_container_header(buffer.data, buffer.position)
-                    )
-                    kwargs = dict(self._codec_kwargs)
-                    kwargs.update(
-                        order=order,
-                        chunk_bits=chunk_bits,
-                        identifier_bits=identifier_bits,
-                        alignment_padding_bits=padding,
-                    )
-                    codec = GDCodec(**kwargs)
-                    streamed = bool(flags & FLAG_STREAMED)
-                    remaining = None if streamed else count
-                    buffer.position += CONTAINER_HEADER.size
-                    continue
-                if not streamed and original_bytes is None:
-                    # Legacy layout: the 8-byte original length precedes the
-                    # records instead of trailing them.
-                    if buffer.available < 8:
-                        break
-                    (original_bytes,) = struct.unpack_from(
-                        ">Q", buffer.data, buffer.position
-                    )
-                    buffer.position += 8
-                    continue
-                if remaining == 0:
-                    finished = True
-                    continue
-                tags, prefixes, keys, deviations, buffer.position = (
-                    codec.parse_records(
-                        buffer.data, buffer.position, remaining, streamed
-                    )
-                )
-                if not tags:
-                    trailer = (
-                        parse_trailer(buffer.data, buffer.position)
-                        if streamed
-                        else None
-                    )
-                    if trailer is None:
-                        break
-                    original_bytes, buffer.position = trailer
-                    finished = True
-                    continue
-                if remaining is not None:
-                    remaining -= len(tags)
-                combined = holdback + codec.decoder.decode_columns_to_bytes(
-                    tags, prefixes, keys, deviations
-                )
-                holdback = combined[-codec.chunk_bytes :]
-                out = combined[: -codec.chunk_bytes]
-                if out:
-                    emitted += len(out)
-                    yield out
-            buffer.compact()
-        if not finished:
-            raise CodingError("truncated GDZ1 stream")
-        keep = original_bytes - emitted
-        if keep:
-            yield holdback[:keep]
+        return read_container(blocks, self._open_container)
+
+    def _open_container(self, header: ContainerHeader) -> GDCodec:
+        return GDCodec(**{**self._codec_kwargs, **header._asdict()})
 
 
 # -- gzip ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""The GDZ1 record wire format: one packer, one incremental parser.
+"""The GDZ1 wire format: one writer and one incremental reader.
 
-A container body is a run of tagged records: one tag byte (2 = processed
-but uncompressed, 3 = compressed) followed by the byte-aligned payload
-``prefix | basis-or-identifier | deviation``, big-endian, left-padded.  A
-streamed container ends its run with a trailer: :data:`END_TAG` plus the
-original byte count.  Everything that writes or reads that layout — the
-container codec, the streaming engine, the one-record
-:meth:`~repro.core.codec.GDCodec.parse_record` — goes through
-:func:`pack_records` / :func:`pack_trailer` and :func:`parse_records` /
-:func:`parse_trailer`, on field columns;
+A container is a 16-byte header (:data:`HEADER`), a run of tagged records
+and a trailer (:data:`END_TAG` plus the original byte count); a record is
+one tag byte (2 = processed but uncompressed, 3 = compressed) and the
+byte-aligned payload ``prefix | basis-or-identifier | deviation``,
+big-endian, left-padded.  :func:`write_container` is the only writer;
+:func:`read_container`, the only reader, also accepts the count-in-header
+layout earlier versions wrote (:data:`FLAG_STREAMED` clear: record count
+in the header, original length right behind it, no trailer).  Records go
+through :func:`pack_records` / :func:`parse_records` on field columns;
 :mod:`repro.core.records` keeps the per-object ``to_bytes`` the tests use
-as the layout oracle.
+as the layout oracle.  :meth:`RecordLayout.for_packets` states, once, the
+payload layout of the type-2 / type-3 *packets*.
 
 The loops are the ``pure`` codec backend's packer and parser, and the
 oracle; :func:`scan_records` is what an accelerated backend builds its
@@ -20,35 +21,54 @@ parser on.  Nothing here imports outside the standard library.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.bits import align_up, int_to_bytes
 from repro.exceptions import CodingError
 
 __all__ = [
     "END_TAG",
+    "FLAG_STREAMED",
+    "FRAMING_BYTES",
+    "HEADER",
+    "MAGIC",
+    "ContainerHeader",
     "RecordLayout",
-    "check_container_end",
     "pack_records",
     "pack_trailer",
     "pack_type2",
+    "parse_header",
     "parse_records",
     "parse_trailer",
+    "read_container",
     "scan_records",
+    "write_container",
 ]
 
-#: Record tag terminating a streamed GDZ1 container (followed by ``>Q``
-#: original byte count).  0 can never collide with a record tag (types 1-3).
+MAGIC = b"GDZ1"
+#: magic, order, chunk_bits, identifier_bits, flags, records, padding_bits.
+#: The padding byte sits in what used to be reserved-zero space, so headers
+#: written before it existed (always padding 0) parse identically.
+HEADER = struct.Struct(">4sBHBBIBxx")
+#: Header flag: the record count field is 0 and the records run until the
+#: trailer.  Clear in the count-in-header layout, which is read, never written.
+FLAG_STREAMED = 0x01
+#: Record tag starting the trailer (followed by the ``>Q`` original byte
+#: count).  0 can never collide with a record tag (types 1-3).
 END_TAG = 0x00
 _TRAILER = struct.Struct(">BQ")
+#: Bytes :func:`write_container` adds around the record runs.
+FRAMING_BYTES = HEADER.size + _TRAILER.size
+_LENGTH = struct.Struct(">Q")
 
 
 class RecordLayout:
     """Field widths and payload sizes of one codec configuration's records.
 
     ``t2_bits``/``t3_bits`` are the unpadded payload sizes, ``t2_padded``/
-    ``t3_padded`` the byte-aligned wire sizes (type-2 payloads carry the
-    extra ``padding_bits`` that model the Tofino container alignment).
+    ``t3_padded`` the byte-aligned wire sizes; ``padding_bits`` is what a
+    type-2 payload carries on top of its fields (the Tofino container
+    alignment), ``t3_padding_bits`` what byte-aligns a type-3 payload.
     """
 
     __slots__ = (
@@ -61,6 +81,7 @@ class RecordLayout:
         "t2_padded",
         "t3_bits",
         "t3_padded",
+        "t3_padding_bits",
     )
 
     def __init__(
@@ -80,6 +101,21 @@ class RecordLayout:
         self.t2_padded = align_up(self.t2_bits + padding_bits, 8)
         self.t3_bits = prefix_bits + identifier_bits + deviation_bits
         self.t3_padded = align_up(self.t3_bits, 8)
+        self.t3_padding_bits = self.t3_padded - self.t3_bits
+
+    @classmethod
+    def for_packets(cls, transform, identifier_bits: int) -> "RecordLayout":
+        """The payload layout of ZipLine type-2 / type-3 packets.
+
+        Type-2 padding is the fewest bits that byte-align the fields, and a
+        whole byte when they already are: the Tofino compiler still needs
+        one spare container byte for the paper's configuration (33-byte
+        payload per 32-byte chunk, the measured 3 % overhead).
+        """
+        prefix_bits, basis_bits = transform.prefix_bits, transform.basis_bits
+        deviation_bits = transform.deviation_bits
+        padding_bits = 8 - (prefix_bits + basis_bits + deviation_bits) % 8
+        return cls(prefix_bits, basis_bits, identifier_bits, deviation_bits, padding_bits)
 
 
 def pack_type2(layout: RecordLayout, prefix: int, basis: int, deviation: int) -> bytes:
@@ -249,7 +285,7 @@ def scan_records(
 
 
 def pack_trailer(original_bytes: int) -> bytes:
-    """The trailer that ends a streamed container's record run."""
+    """The trailer that ends a container's record run."""
     return _TRAILER.pack(END_TAG, original_bytes)
 
 
@@ -266,19 +302,122 @@ def parse_trailer(
     return _TRAILER.unpack_from(data, offset)[1], offset + _TRAILER.size
 
 
-def check_container_end(
-    original_bytes: int, decoded_bytes: int, chunk_bytes: int, trailing_bytes: int
-) -> None:
-    """The end-of-container check every GDZ1 reader applies.
+# -- the container: header, record runs, trailer -------------------------------
 
-    The recorded original length must lie within the final chunk of the
-    decoded output (at most one chunk of zero padding), and nothing may
-    follow the last record (or, streamed, the trailer).
+
+class ContainerHeader(NamedTuple):
+    """The codec parameters a GDZ1 header carries, under the names
+    :class:`~repro.core.codec.GDCodec` takes them by."""
+
+    order: int
+    chunk_bits: int
+    identifier_bits: int
+    alignment_padding_bits: int
+
+
+def parse_header(
+    data,
+) -> Optional[Tuple[ContainerHeader, Optional[int], Optional[int], int]]:
+    """``(header, records, original_bytes, next_offset)`` of the container
+    that starts ``data``, or ``None`` while it is incomplete.
+
+    ``records`` and ``original_bytes`` are ``None`` in the streamed layout
+    (the trailer ends the run and carries the length); the count-in-header
+    layout states the count in the header and the length right behind it.
+    A wrong magic raises :class:`~repro.exceptions.CodingError`.
     """
-    if trailing_bytes:
-        raise CodingError(f"{trailing_bytes} trailing bytes after container end")
-    if not 0 <= decoded_bytes - original_bytes <= chunk_bytes:
-        raise CodingError(
-            f"container length {original_bytes} inconsistent with "
-            f"{decoded_bytes} decoded bytes"
-        )
+    end = HEADER.size
+    if len(data) < end:
+        return None
+    magic, order, chunk_bits, identifier_bits, flags, records, padding_bits = (
+        HEADER.unpack_from(data)
+    )
+    if magic != MAGIC:
+        raise CodingError(f"bad container magic {magic!r}")
+    header = ContainerHeader(order, chunk_bits, identifier_bits, padding_bits)
+    if flags & FLAG_STREAMED:
+        return header, None, None, end
+    if len(data) < end + _LENGTH.size:
+        return None
+    return header, records, _LENGTH.unpack_from(data, end)[0], end + _LENGTH.size
+
+
+def write_container(
+    header: ContainerHeader, runs: Iterable[Tuple[bytes, int]]
+) -> Iterator[bytes]:
+    """The GDZ1 writer: header, each record run as it arrives, trailer.
+
+    ``runs`` yields ``(packed records, original bytes they encode)``.
+    """
+    # order, chunk bits, identifier bits | flags, record count | padding bits
+    yield HEADER.pack(MAGIC, *header[:3], FLAG_STREAMED, 0, header[3])
+    total = 0
+    for body, original_bytes in runs:
+        total += original_bytes
+        yield body
+    yield pack_trailer(total)
+
+
+def read_container(blocks: Iterable[bytes], open_codec) -> Iterator[bytes]:
+    """The GDZ1 reader: container bytes in any fragmentation → decoded bytes.
+
+    ``open_codec(header)`` returns the :class:`~repro.core.codec.GDCodec`
+    that parses and decodes the records (or raises for a header it will not
+    serve).  One chunk of output is held back until the original length is
+    known, so the final chunk's zero padding is never emitted; that length
+    must lie within the held-back chunk and nothing may follow the last
+    record (or, streamed, the trailer).
+    """
+    data = bytearray()
+    codec = None
+    remaining = original_bytes = None  # count-in-header layout: known up front
+    holdback = b""
+    emitted = 0
+    finished = False
+    for block in blocks:
+        data += block
+        position = 0
+        if codec is None:
+            opened = parse_header(data)
+            if opened is None:
+                continue
+            header, remaining, original_bytes, position = opened
+            streamed = remaining is None
+            codec = open_codec(header)
+            chunk_bytes = codec.chunk_bytes
+        if not finished:
+            tags, prefixes, keys, deviations, position = codec.parse_records(
+                data, position, remaining, streamed
+            )
+            if tags:
+                combined = holdback + codec.decoder.decode_columns_to_bytes(
+                    tags, prefixes, keys, deviations
+                )
+                holdback = combined[-chunk_bytes:]
+                out = combined[:-chunk_bytes]
+                if out:
+                    emitted += len(out)
+                    yield out
+            if streamed:
+                trailer = parse_trailer(data, position)
+                if trailer is not None:
+                    original_bytes, position = trailer
+                    finished = True
+            else:
+                remaining -= len(tags)
+                finished = not remaining
+            decoded = emitted + len(holdback)
+            if finished and not 0 <= decoded - original_bytes <= chunk_bytes:
+                raise CodingError(
+                    f"container length {original_bytes} inconsistent with "
+                    f"{decoded} decoded bytes"
+                )
+        if finished and len(data) > position:
+            raise CodingError(
+                f"{len(data) - position} trailing bytes after container end"
+            )
+        del data[:position]  # bounded memory: only an incomplete item stays
+    if not finished:
+        raise CodingError("truncated GDZ1 stream")
+    if original_bytes > emitted:
+        yield holdback[: original_bytes - emitted]

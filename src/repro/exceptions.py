@@ -40,10 +40,6 @@ class TableError(ReproError):
     """Raised for invalid match-action table operations."""
 
 
-class RegisterError(ReproError):
-    """Raised for out-of-bounds or misconfigured register access."""
-
-
 class PipelineError(ReproError):
     """Raised when a pipeline violates a hardware constraint."""
 

@@ -21,13 +21,13 @@ chunk per packet, like the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional, Tuple
+from typing import Tuple
 
-from repro.core.bits import align_up, mask
-from repro.core.records import CompressedRecord, GDRecord, RecordType, UncompressedRecord
+from repro.core.bits import mask
+from repro.core.records import CompressedRecord, GDRecord, UncompressedRecord
 from repro.core.transform import GDTransform
+from repro.core.wire import RecordLayout
 from repro.exceptions import PacketError
 from repro.net.ethernet import EthernetFrame, EtherType
 
@@ -51,22 +51,8 @@ def classify_frame(frame: EthernetFrame) -> PacketKind:
     return PacketKind.RAW
 
 
-@dataclass(frozen=True)
-class _FieldLayout:
-    """Byte-level layout of a ZipLine payload variant."""
-
-    prefix_bits: int
-    body_bits: int
-    deviation_bits: int
-    padding_bits: int
-
-    @property
-    def total_bits(self) -> int:
-        return self.prefix_bits + self.body_bits + self.deviation_bits + self.padding_bits
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_bits // 8
+#: ``(body bits, trailing padding bits, payload bytes)`` of one packet type.
+_Variant = Tuple[int, int, int]
 
 
 class ZipLinePacketCodec:
@@ -78,55 +64,24 @@ class ZipLinePacketCodec:
         The GD transformation in use (provides prefix/basis/deviation widths).
     identifier_bits:
         Identifier width carried in type-3 packets.
-    uncompressed_padding_bits:
-        Explicit padding appended to the type-2 layout so the header is byte
-        aligned on the Tofino target.  Defaults to the minimum needed for
-        byte alignment (8 bits for the paper's 256-bit chunks, matching its
-        reported 3 % overhead).
+
+    Padding and payload sizes are those of
+    :meth:`repro.core.wire.RecordLayout.for_packets` (8 padding bits on
+    type 2 for the paper's 256-bit chunks, matching its reported 3 %
+    overhead); on the wire the padding follows the fields.
     """
 
-    def __init__(
-        self,
-        transform: GDTransform,
-        identifier_bits: int = 15,
-        uncompressed_padding_bits: Optional[int] = None,
-    ):
+    def __init__(self, transform: GDTransform, identifier_bits: int = 15):
         if identifier_bits <= 0:
             raise PacketError(f"identifier_bits must be positive, got {identifier_bits}")
         self._transform = transform
         self._identifier_bits = identifier_bits
-
-        raw_type2_bits = (
-            transform.prefix_bits + transform.basis_bits + transform.deviation_bits
+        layout = RecordLayout.for_packets(transform, identifier_bits)
+        self._type2: _Variant = (
+            layout.basis_bits, layout.padding_bits, layout.t2_padded // 8
         )
-        if uncompressed_padding_bits is None:
-            uncompressed_padding_bits = align_up(raw_type2_bits, 8) - raw_type2_bits
-            if uncompressed_padding_bits == 0:
-                # The Tofino compiler still needs one spare container byte for
-                # the paper's configuration; model the measured behaviour of
-                # one full padding byte when the fields are already aligned.
-                uncompressed_padding_bits = 8
-        if (raw_type2_bits + uncompressed_padding_bits) % 8:
-            raise PacketError(
-                "type-2 layout is not byte aligned: "
-                f"{raw_type2_bits} field bits + {uncompressed_padding_bits} padding bits"
-            )
-        self._type2_layout = _FieldLayout(
-            prefix_bits=transform.prefix_bits,
-            body_bits=transform.basis_bits,
-            deviation_bits=transform.deviation_bits,
-            padding_bits=uncompressed_padding_bits,
-        )
-
-        raw_type3_bits = (
-            transform.prefix_bits + identifier_bits + transform.deviation_bits
-        )
-        type3_padding = align_up(raw_type3_bits, 8) - raw_type3_bits
-        self._type3_layout = _FieldLayout(
-            prefix_bits=transform.prefix_bits,
-            body_bits=identifier_bits,
-            deviation_bits=transform.deviation_bits,
-            padding_bits=type3_padding,
+        self._type3: _Variant = (
+            identifier_bits, layout.t3_padding_bits, layout.t3_padded // 8
         )
 
     # -- accessors -----------------------------------------------------------
@@ -144,12 +99,12 @@ class ZipLinePacketCodec:
     @property
     def uncompressed_payload_bytes(self) -> int:
         """Wire payload size of a type-2 packet carrying one chunk."""
-        return self._type2_layout.total_bytes
+        return self._type2[2]
 
     @property
     def compressed_payload_bytes(self) -> int:
         """Wire payload size of a type-3 packet carrying one chunk."""
-        return self._type3_layout.total_bytes
+        return self._type3[2]
 
     @property
     def raw_payload_bytes(self) -> int:
@@ -159,7 +114,7 @@ class ZipLinePacketCodec:
     @property
     def uncompressed_padding_bits(self) -> int:
         """Alignment padding carried by every type-2 packet."""
-        return self._type2_layout.padding_bits
+        return self._type2[1]
 
     # -- record -> payload -------------------------------------------------------
 
@@ -167,7 +122,7 @@ class ZipLinePacketCodec:
         """Serialise one record into a ZipLine payload."""
         if isinstance(record, UncompressedRecord):
             return self._pack_fields(
-                self._type2_layout, record.prefix, record.basis, record.deviation
+                self._type2, record.prefix, record.basis, record.deviation
             )
         if isinstance(record, CompressedRecord):
             if record.identifier_bits != self._identifier_bits:
@@ -176,7 +131,7 @@ class ZipLinePacketCodec:
                     f"match codec width {self._identifier_bits}"
                 )
             return self._pack_fields(
-                self._type3_layout, record.prefix, record.identifier, record.deviation
+                self._type3, record.prefix, record.identifier, record.deviation
             )
         raise PacketError(
             f"cannot pack record of type {type(record).__name__}; raw chunks travel "
@@ -191,26 +146,29 @@ class ZipLinePacketCodec:
             return EtherType.ZIPLINE_COMPRESSED
         raise PacketError(f"no ZipLine EtherType for {type(record).__name__}")
 
-    @staticmethod
-    def _pack_fields(layout: _FieldLayout, prefix: int, body: int, deviation: int) -> bytes:
+    def _pack_fields(
+        self, variant: _Variant, prefix: int, body: int, deviation: int
+    ) -> bytes:
+        body_bits, padding_bits, total_bytes = variant
+        deviation_bits = self._transform.deviation_bits
         for name, value, bits in (
-            ("prefix", prefix, layout.prefix_bits),
-            ("body", body, layout.body_bits),
-            ("deviation", deviation, layout.deviation_bits),
+            ("prefix", prefix, self._transform.prefix_bits),
+            ("body", body, body_bits),
+            ("deviation", deviation, deviation_bits),
         ):
             if value < 0 or (bits == 0 and value) or (bits and value >> bits):
                 raise PacketError(f"{name} value {value:#x} does not fit in {bits} bits")
         value = prefix
-        value = (value << layout.body_bits) | body
-        value = (value << layout.deviation_bits) | deviation
-        value <<= layout.padding_bits
-        return value.to_bytes(layout.total_bytes, "big")
+        value = (value << body_bits) | body
+        value = (value << deviation_bits) | deviation
+        value <<= padding_bits
+        return value.to_bytes(total_bytes, "big")
 
     # -- payload -> record --------------------------------------------------------
 
     def unpack_uncompressed(self, payload: bytes) -> UncompressedRecord:
         """Parse a type-2 payload into an :class:`UncompressedRecord`."""
-        prefix, basis, deviation = self._unpack_fields(self._type2_layout, payload)
+        prefix, basis, deviation = self._unpack_fields(self._type2, payload)
         return UncompressedRecord(
             prefix=prefix,
             basis=basis,
@@ -218,12 +176,12 @@ class ZipLinePacketCodec:
             prefix_bits=self._transform.prefix_bits,
             basis_bits=self._transform.basis_bits,
             deviation_bits=self._transform.deviation_bits,
-            alignment_padding_bits=self._type2_layout.padding_bits,
+            alignment_padding_bits=self._type2[1],
         )
 
     def unpack_compressed(self, payload: bytes) -> CompressedRecord:
         """Parse a type-3 payload into a :class:`CompressedRecord`."""
-        prefix, identifier, deviation = self._unpack_fields(self._type3_layout, payload)
+        prefix, identifier, deviation = self._unpack_fields(self._type3, payload)
         return CompressedRecord(
             prefix=prefix,
             identifier=identifier,
@@ -246,20 +204,22 @@ class ZipLinePacketCodec:
         )
 
     def _unpack_fields(
-        self, layout: _FieldLayout, payload: bytes
+        self, variant: _Variant, payload: bytes
     ) -> Tuple[int, int, int]:
-        if len(payload) != layout.total_bytes:
+        body_bits, padding_bits, total_bytes = variant
+        if len(payload) != total_bytes:
             raise PacketError(
                 f"payload of {len(payload)} bytes does not match the expected "
-                f"{layout.total_bytes}-byte layout"
+                f"{total_bytes}-byte layout"
             )
         value = int.from_bytes(payload, "big")
-        value >>= layout.padding_bits
-        deviation = value & mask(layout.deviation_bits)
-        value >>= layout.deviation_bits
-        body = value & mask(layout.body_bits)
-        value >>= layout.body_bits
-        prefix = value & mask(layout.prefix_bits) if layout.prefix_bits else 0
+        value >>= padding_bits
+        deviation = value & mask(self._transform.deviation_bits)
+        value >>= self._transform.deviation_bits
+        body = value & mask(body_bits)
+        value >>= body_bits
+        prefix_bits = self._transform.prefix_bits
+        prefix = value & mask(prefix_bits) if prefix_bits else 0
         return prefix, body, deviation
 
     # -- frame helpers ---------------------------------------------------------------

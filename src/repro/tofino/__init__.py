@@ -28,12 +28,10 @@ from repro.tofino.pipeline import (
     Pipeline,
     PipelineResult,
 )
-from repro.tofino.registers import Register, RegisterAction, RegisterArray
 from repro.tofino.switch import PortStats, TofinoSwitch
 from repro.tofino.tables import (
     ActionSpec,
     MatchActionTable,
-    MatchKind,
     MatchResult,
     TableEntry,
 )
@@ -66,14 +64,10 @@ __all__ = [
     "PacketContext",
     "Pipeline",
     "PipelineResult",
-    "Register",
-    "RegisterAction",
-    "RegisterArray",
     "PortStats",
     "TofinoSwitch",
     "ActionSpec",
     "MatchActionTable",
-    "MatchKind",
     "MatchResult",
     "TableEntry",
 ]

@@ -11,32 +11,22 @@ model reproduces:
   on each basis-ID entry; entries that are not hit for that long are
   reported, which is how the LRU recycling decides what to evict.
 
-Only exact matching is needed by ZipLine, but ternary matching is included
-because forwarding tables in the surrounding switch model use it.
+Every table ZipLine builds is exact-match, so that is the only match kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import TableError
 
 __all__ = [
-    "MatchKind",
     "ActionSpec",
     "TableEntry",
     "MatchResult",
     "MatchActionTable",
 ]
-
-
-class MatchKind(Enum):
-    """Supported match kinds."""
-
-    EXACT = "exact"
-    TERNARY = "ternary"
 
 
 @dataclass(frozen=True)
@@ -70,8 +60,6 @@ class TableEntry:
     installed_at: float = 0.0
     last_hit: Optional[float] = None
     hit_count: int = 0
-    mask: Optional[int] = None  # ternary only
-    priority: int = 0  # ternary only
 
     def idle_since(self, now: float) -> float:
         """Seconds since the entry was last hit (or installed, if never hit)."""
@@ -96,7 +84,7 @@ class MatchResult:
 
 
 class MatchActionTable:
-    """A P4 match-action table with control-plane add/modify/delete.
+    """A P4 exact-match table with control-plane add/modify/delete.
 
     Parameters
     ----------
@@ -111,8 +99,6 @@ class MatchActionTable:
         The actions entries may reference.
     default_action:
         Action returned on a miss.
-    match_kind:
-        ``EXACT`` (hash lookup) or ``TERNARY`` (first match in priority order).
     support_idle_timeout:
         Whether entries may carry TTLs (TNA requires declaring this).
     """
@@ -124,7 +110,6 @@ class MatchActionTable:
         size: int,
         actions: List[ActionSpec],
         default_action: str = "NoAction",
-        match_kind: MatchKind = MatchKind.EXACT,
         support_idle_timeout: bool = False,
     ):
         if size <= 0:
@@ -134,8 +119,6 @@ class MatchActionTable:
         self.name = name
         self.key_bits = key_bits
         self.size = size
-        self.match_kind = match_kind
-        self._exact = match_kind is MatchKind.EXACT
         self.support_idle_timeout = support_idle_timeout
         self._actions: Dict[str, ActionSpec] = {spec.name: spec for spec in actions}
         if "NoAction" not in self._actions:
@@ -147,7 +130,6 @@ class MatchActionTable:
         self._default_action = default_action
         self._default_params: Dict[str, Any] = {}
         self._entries: Dict[Hashable, TableEntry] = {}
-        self._ternary_entries: List[TableEntry] = []
         self.lookups = 0
         self.hits = 0
 
@@ -164,8 +146,6 @@ class MatchActionTable:
         return self._default_action
 
     def __len__(self) -> int:
-        if self.match_kind is MatchKind.TERNARY:
-            return len(self._ternary_entries)
         return len(self._entries)
 
     def is_full(self) -> bool:
@@ -174,14 +154,10 @@ class MatchActionTable:
 
     def entries(self) -> Iterator[TableEntry]:
         """Iterate over entries (copy-safe)."""
-        if self.match_kind is MatchKind.TERNARY:
-            return iter(list(self._ternary_entries))
         return iter(list(self._entries.values()))
 
     def get_entry(self, key: Hashable) -> Optional[TableEntry]:
-        """The entry for ``key`` (exact tables only), or ``None``."""
-        if self.match_kind is not MatchKind.EXACT:
-            raise TableError(f"table {self.name!r}: get_entry requires an exact table")
+        """The entry for ``key``, or ``None``."""
         return self._entries.get(key)
 
     # -- control-plane API -----------------------------------------------------
@@ -202,8 +178,6 @@ class MatchActionTable:
         ttl: Optional[float] = None,
         now: float = 0.0,
         is_const: bool = False,
-        mask: Optional[int] = None,
-        priority: int = 0,
     ) -> TableEntry:
         """Install an entry; raises if the table is full or the key exists."""
         spec = self._require_action(action)
@@ -215,23 +189,16 @@ class MatchActionTable:
             )
         if self.is_full():
             raise TableError(f"table {self.name!r} is full ({self.size} entries)")
-        entry = TableEntry(
+        if key in self._entries:
+            raise TableError(f"table {self.name!r}: key {key!r} already present")
+        entry = self._entries[key] = TableEntry(
             key=key,
             action=action,
             params=params,
             ttl=ttl,
             is_const=is_const,
             installed_at=now,
-            mask=mask,
-            priority=priority,
         )
-        if self.match_kind is MatchKind.TERNARY:
-            self._ternary_entries.append(entry)
-            self._ternary_entries.sort(key=lambda e: -e.priority)
-        else:
-            if key in self._entries:
-                raise TableError(f"table {self.name!r}: key {key!r} already present")
-            self._entries[key] = entry
         return entry
 
     def add_const_entries(
@@ -263,10 +230,7 @@ class MatchActionTable:
         entry = self._require_entry(key)
         if entry.is_const:
             raise TableError(f"table {self.name!r}: cannot delete const entry {key!r}")
-        if self.match_kind is MatchKind.TERNARY:
-            self._ternary_entries.remove(entry)
-        else:
-            del self._entries[key]
+        del self._entries[key]
 
     def reset_entry_ttl(self, key: Hashable, now: float) -> None:
         """Refresh an entry's idle timer (BfRt ``entry_tgt`` style poke)."""
@@ -279,25 +243,18 @@ class MatchActionTable:
 
     def clear(self, include_const: bool = False) -> None:
         """Remove entries (optionally the const ones too)."""
-        if self.match_kind is MatchKind.TERNARY:
-            self._ternary_entries = [
-                entry
-                for entry in self._ternary_entries
-                if entry.is_const and not include_const
-            ]
-        else:
-            self._entries = {
-                key: entry
-                for key, entry in self._entries.items()
-                if entry.is_const and not include_const
-            }
+        self._entries = {
+            key: entry
+            for key, entry in self._entries.items()
+            if entry.is_const and not include_const
+        }
 
     # -- data-plane API ------------------------------------------------------------
 
     def lookup(self, key: Hashable, now: float = 0.0) -> MatchResult:
         """Look up ``key``; updates hit metadata on a hit."""
         self.lookups += 1
-        entry = self._find(key)
+        entry = self._entries.get(key)
         if entry is None:
             return MatchResult(
                 hit=False, action=self._default_action, params=dict(self._default_params)
@@ -316,8 +273,8 @@ class MatchActionTable:
         ``entry.params[...]`` directly and must not mutate it.
         """
         self.lookups += 1
-        # An exact table is its dictionary; read per call, ``clear`` rebinds it.
-        entry = self._entries.get(key) if self._exact else self._find(key)
+        # Read the dictionary per call: ``clear`` rebinds it.
+        entry = self._entries.get(key)
         if entry is None:
             return None
         self.hits += 1
@@ -340,23 +297,6 @@ class MatchActionTable:
 
     # -- internals --------------------------------------------------------------------
 
-    def _find(self, key: Hashable) -> Optional[TableEntry]:
-        if self.match_kind is MatchKind.EXACT:
-            return self._entries.get(key)
-        if not isinstance(key, int):
-            raise TableError(
-                f"table {self.name!r}: ternary lookups require integer keys"
-            )
-        for entry in self._ternary_entries:
-            mask = entry.mask if entry.mask is not None else (1 << self.key_bits) - 1
-            if not isinstance(entry.key, int):
-                raise TableError(
-                    f"table {self.name!r}: ternary entries require integer keys"
-                )
-            if (key & mask) == (entry.key & mask):
-                return entry
-        return None
-
     def _require_action(self, action: str) -> ActionSpec:
         try:
             return self._actions[action]
@@ -366,11 +306,6 @@ class MatchActionTable:
             ) from None
 
     def _require_entry(self, key: Hashable) -> TableEntry:
-        if self.match_kind is MatchKind.TERNARY:
-            for entry in self._ternary_entries:
-                if entry.key == key:
-                    return entry
-            raise TableError(f"table {self.name!r}: no entry with key {key!r}")
         try:
             return self._entries[key]
         except KeyError:

@@ -11,9 +11,9 @@ queueing and even loss apply), and applies the command to the target
 switch when the frame arrives.
 
 :class:`~repro.controlplane.manager.ZipLineControlPlane` accepts a channel's
-:meth:`ControlChannel.transport` as its ``decoder_transport`` /
-``encoder_transport``; with no transport configured it keeps the original
-direct-call behaviour, byte for byte.
+:meth:`ControlChannel.transport` as its ``decoder_transport``; with no
+transport configured it keeps the original direct-call behaviour, byte for
+byte.
 """
 
 from __future__ import annotations

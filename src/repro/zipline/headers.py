@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.bits import align_up
 from repro.core.transform import GDTransform
+from repro.core.wire import RecordLayout
 from repro.exceptions import PacketError
 from repro.net.ethernet import EtherType
 from repro.tofino.parser import HeaderType
@@ -77,16 +77,12 @@ class ZipLineHeaderSet:
 
     @classmethod
     def build(
-        cls,
-        transform: GDTransform,
-        identifier_bits: int = 15,
-        type2_padding_bits: Optional[int] = None,
+        cls, transform: GDTransform, identifier_bits: int = 15
     ) -> "ZipLineHeaderSet":
         """Derive the header set from transform parameters.
 
-        ``type2_padding_bits`` defaults to the minimum padding that byte
-        aligns the type-2 header, with the paper's one extra byte when the
-        fields happen to be aligned already (the measured 3 % overhead).
+        Field widths and padding are those of
+        :meth:`repro.core.wire.RecordLayout.for_packets`.
         """
         if identifier_bits <= 0:
             raise PacketError("identifier_bits must be positive")
@@ -95,6 +91,9 @@ class ZipLineHeaderSet:
         body_bits = transform.code.n
         basis_bits = transform.basis_bits
         syndrome_bits = transform.deviation_bits
+        layout = RecordLayout.for_packets(transform, identifier_bits)
+        type2_padding_bits = layout.padding_bits
+        type3_padding_bits = layout.t3_padding_bits
 
         ethernet = HeaderType(
             "ethernet_h",
@@ -107,26 +106,13 @@ class ZipLineHeaderSet:
         chunk_fields.append(("body", body_bits))
         chunk = HeaderType("chunk_h", chunk_fields)
 
-        raw_type2 = prefix_bits + basis_bits + syndrome_bits
-        if type2_padding_bits is None:
-            type2_padding_bits = align_up(raw_type2, 8) - raw_type2
-            if type2_padding_bits == 0:
-                type2_padding_bits = 8
-        if (raw_type2 + type2_padding_bits) % 8:
-            raise PacketError(
-                f"type-2 header of {raw_type2} bits cannot be aligned with "
-                f"{type2_padding_bits} padding bits"
-            )
         type2_fields = []
         if prefix_bits:
             type2_fields.append(("prefix", prefix_bits))
         type2_fields.extend([("basis", basis_bits), ("syndrome", syndrome_bits)])
-        if type2_padding_bits:
-            type2_fields.append(("pad", type2_padding_bits))
+        type2_fields.append(("pad", type2_padding_bits))
         type2 = HeaderType("zipline_type2_h", type2_fields)
 
-        raw_type3 = prefix_bits + identifier_bits + syndrome_bits
-        type3_padding_bits = align_up(raw_type3, 8) - raw_type3
         type3_fields = []
         if prefix_bits:
             type3_fields.append(("prefix", prefix_bits))

@@ -16,11 +16,15 @@ packer) can be compared against it bit for bit.
 import struct
 
 from repro.core.bits import int_to_bytes
-from repro.core.codec import CONTAINER_HEADER, CONTAINER_MAGIC
 from repro.core.dictionary import BasisDictionary
 from repro.core.encoder import EncoderStats
 from repro.core.records import CompressedRecord, RecordType, UncompressedRecord
 from repro.core.transform import GDParts, GDTransform
+
+#: The GDZ1 header, stated independently of ``repro.core.wire``: magic,
+#: order, chunk bits, identifier bits, flags (1 = streamed), record count,
+#: type-2 padding bits, two reserved bytes.
+CONTAINER_HEADER = struct.Struct(">4sBHBBIBxx")
 
 
 def reference_split(transform, chunk):
@@ -174,18 +178,28 @@ class OracleCodec:
             bytes([int(record.record_type)]) + record.to_bytes() for record in records
         )
 
-    def container(self, records, original_bytes):
-        """The legacy whole-buffer ``GDZ1`` container of ``records``."""
-        header = CONTAINER_HEADER.pack(
-            CONTAINER_MAGIC,
+    def _header(self, flags, count):
+        return CONTAINER_HEADER.pack(
+            b"GDZ1",
             self.transform.order,
             self.transform.chunk_bits,
             self.identifier_bits,
-            0,
-            len(records),
+            flags,
+            count,
             self.padding,
         )
-        return header + struct.pack(">Q", original_bytes) + self.body(records)
+
+    def container(self, records, original_bytes):
+        """The ``GDZ1`` container of ``records``: streamed header, body,
+        end tag and original length."""
+        trailer = b"\x00" + struct.pack(">Q", original_bytes)
+        return self._header(1, 0) + self.body(records) + trailer
+
+    def legacy_container(self, records, original_bytes):
+        """The count-in-header layout earlier versions wrote (nothing under
+        ``src/`` writes it any more; every reader must still accept it)."""
+        length = struct.pack(">Q", original_bytes)
+        return self._header(0, len(records)) + length + self.body(records)
 
     def decode(self, records):
         """Record list → chunk bytes, learning like the codec's decoder."""

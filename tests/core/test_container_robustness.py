@@ -1,8 +1,10 @@
-"""Hostile GDZ1 input: both readers fail the same way, quickly and cheaply.
+"""Hostile GDZ1 input: both entry points fail the same way, quickly and cheaply.
 
 ``GDCodec.decompress_container`` and ``GDStreamCompressor.decompress_stream``
-share one record parser and one end-of-container check, so for any legacy
-container — intact or mutated — they must return the same bytes or raise
+call one reader (``repro.core.wire.read_container``), which accepts the
+streamed layout the writer produces and the count-in-header layout earlier
+versions wrote (built here by ``gd_oracle``).  For any container of either
+layout — intact or mutated — the two must return the same bytes or raise
 the same :class:`ReproError` subclass, in bounded time and memory.
 """
 
@@ -13,9 +15,13 @@ import tracemalloc
 
 import pytest
 
-from repro.core.codec import CONTAINER_HEADER, GDCodec
+from repro.core.codec import GDCodec
 from repro.core.engine import GDStreamCompressor
 from repro.exceptions import CodingError, ReproError
+
+from gd_oracle import CONTAINER_HEADER, OracleCodec
+
+LAYOUTS = ("streamed", "legacy")
 
 
 def _payload(chunks=32, seed=13):
@@ -30,14 +36,19 @@ def _payload(chunks=32, seed=13):
     )
 
 
-def _container(data):
-    return GDCodec(identifier_bits=4).compress_to_container(data)
+def _container(data, layout):
+    """``data`` (whole chunks) as a GDZ1 container of ``layout``."""
+    if layout == "streamed":
+        return GDCodec(identifier_bits=4).compress_to_container(data)
+    oracle = OracleCodec(identifier_bits=4)
+    return oracle.legacy_container(oracle.encode(data), len(data))
 
 
 def _with_header(blob, **fields):
     """``blob`` with header fields (count, flags) or the length replaced."""
+    size = CONTAINER_HEADER.size
     magic, order, chunk_bits, id_bits, flags, count, padding = CONTAINER_HEADER.unpack(
-        blob[: CONTAINER_HEADER.size]
+        blob[:size]
     )
     header = CONTAINER_HEADER.pack(
         magic,
@@ -48,11 +59,12 @@ def _with_header(blob, **fields):
         fields.get("count", count),
         padding,
     )
-    size = CONTAINER_HEADER.size
-    length = blob[size : size + 8]
+    body = blob[size:]
     if "length" in fields:
         length = struct.pack(">Q", fields["length"])
-    return header + length + blob[size + 8 :]
+        # Streamed: the length ends the trailer; legacy: it follows the header.
+        body = body[:-8] + length if flags & 1 else length + body[8:]
+    return header + body
 
 
 def _outcome(reader, blob):
@@ -77,7 +89,9 @@ class TestLyingHeaders:
     def test_huge_record_count_fails_without_allocating(self):
         """24 bytes claiming 2**31 records: a clean error, not a MemoryError
         after preallocating per-record columns."""
-        blob = _with_header(_container(b""), count=2**31)
+        intact = _container(b"", "legacy")
+        assert _read_container(intact) == b""  # backend import, outside the window
+        blob = _with_header(intact, count=2**31)
         assert len(blob) == 24
         for reader in (_read_container, _read_stream):
             tracemalloc.start()
@@ -89,49 +103,78 @@ class TestLyingHeaders:
                 tracemalloc.stop()
             assert peak < 1_000_000
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("length", [5, 1024 - 33, 1024 + 1, 2**40])
-    def test_lying_original_length_is_rejected(self, length):
+    def test_lying_original_length_is_rejected(self, length, layout):
         data = _payload(32)  # 1,024 bytes
-        blob = _with_header(_container(data), length=length)
+        blob = _with_header(_container(data, layout), length=length)
         assert _outcome(_read_container, blob) is CodingError
         assert _outcome(_read_stream, blob) is CodingError
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("padding", [0, 1, 31])
-    def test_padding_within_the_last_chunk_is_legal(self, padding):
+    def test_padding_within_the_last_chunk_is_legal(self, padding, layout):
         data = _payload(32)
-        blob = _with_header(_container(data), length=len(data) - padding)
+        blob = _with_header(_container(data, layout), length=len(data) - padding)
         expected = data[: len(data) - padding]
         assert _read_container(blob) == expected
         assert _read_stream(blob) == expected
 
-    def test_trailing_garbage_is_rejected(self):
-        blob = _container(_payload(8)) + b"\x00"
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_trailing_garbage_is_rejected(self, layout):
+        blob = _container(_payload(8), layout) + b"\x00"
         assert _outcome(_read_container, blob) is CodingError
         assert _outcome(_read_stream, blob) is CodingError
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 class TestMutationCorpus:
     def _agree(self, blob):
         assert _outcome(_read_container, blob) == _outcome(_read_stream, blob)
 
-    def test_truncation_at_every_offset(self):
-        blob = _container(_payload(6))
+    def test_truncation_at_every_offset(self, layout):
+        blob = _container(_payload(6), layout)
         for cut in range(len(blob)):
             self._agree(blob[:cut])
+            assert _outcome(_read_stream, blob[:cut]) is CodingError
 
-    def test_every_single_bit_flip(self):
-        blob = _container(_payload(6))
+    def test_every_single_bit_flip(self, layout):
+        blob = _container(_payload(6), layout)
         for position in range(len(blob) * 8):
             mutated = bytearray(blob)
             mutated[position // 8] ^= 0x80 >> (position % 8)
             self._agree(bytes(mutated))
 
-    def test_lying_count_length_and_flags(self):
+    def test_lying_count_length_and_flags(self, layout):
         data = _payload(6)
-        blob = _container(data)
+        blob = _container(data, layout)
         for count in (0, 1, 5, 7, 255, 2**31, 2**32 - 1):
             self._agree(_with_header(blob, count=count))
         for length in (0, 1, len(data) - 32, len(data) + 1, 2**63):
             self._agree(_with_header(blob, length=length))
-        for flags in (0x02, 0x80, 0xFE):
+        for flags in (0x00, 0x01, 0x02, 0x80, 0xFE):
             self._agree(_with_header(blob, flags=flags))
+
+
+class TestBothLayoutsDecodeAlike:
+    """The count-in-header layout is never written any more and must stay
+    readable: for the same input, a legacy and a streamed container decode
+    to the same bytes through both entry points, whole and one byte at a
+    time."""
+
+    @pytest.mark.parametrize("chunks", [0, 1, 2, 33, 200])
+    @pytest.mark.parametrize("padding_bits", [0, 8])
+    def test_same_bytes_through_every_reader(self, chunks, padding_bits):
+        data = _payload(chunks, seed=chunks)
+        codec = GDCodec(identifier_bits=4, alignment_padding_bits=padding_bits)
+        oracle = OracleCodec(identifier_bits=4, alignment_padding_bits=padding_bits)
+        records = oracle.encode(data)
+        streamed = codec.compress_to_container(data)
+        assert streamed == oracle.container(records, len(data))
+        for blob in (streamed, oracle.legacy_container(records, len(data))):
+            assert codec.decompress_container(blob) == data
+            assert _read_stream(blob) == data
+            bytewise = GDStreamCompressor().decompress_stream(
+                bytes([byte]) for byte in blob
+            )
+            assert b"".join(bytewise) == data

@@ -108,17 +108,16 @@ class TestRoundTrips:
 
 
 class TestGDStream:
-    def test_reads_legacy_containers(self):
+    def test_reads_codec_containers(self):
         data = clustered_payload(4096)
-        legacy = GDCodec(order=8, identifier_bits=15).compress_to_container(data)
-        assert decompress_bytes(GDStreamCompressor(), legacy) == data
+        container = GDCodec(order=8, identifier_bits=15).compress_to_container(data)
+        assert decompress_bytes(GDStreamCompressor(), container) == data
 
-    def test_streamed_container_rejected_by_legacy_reader(self):
+    def test_streamed_container_accepted_by_codec_reader(self):
         data = clustered_payload(256)
         blob = compress_bytes(GDStreamCompressor(), data)
         codec = GDCodec.from_container_header(blob)
-        with pytest.raises(CodingError):
-            codec.decompress_container(blob)
+        assert codec.decompress_container(blob) == data
 
     def test_header_carries_parameters(self):
         """A stream written with non-default parameters decodes on its own."""
@@ -140,10 +139,10 @@ class TestGDStream:
         """A hostile GDZ1 header (identifier_bits=255) must fail cleanly,
         not allocate a 2**255-entry identifier pool — dictionary identifier
         allocation is lazy, so capacity costs no memory up front."""
-        from repro.core.codec import CONTAINER_HEADER, FLAG_STREAMED
+        from repro.core.wire import FLAG_STREAMED, HEADER
         from repro.exceptions import ReproError
 
-        header = CONTAINER_HEADER.pack(b"GDZ1", 8, 256, 255, FLAG_STREAMED, 0, 0)
+        header = HEADER.pack(b"GDZ1", 8, 256, 255, FLAG_STREAMED, 0, 0)
         # A type-3 record referencing an identifier that was never mapped.
         record = bytes([3]) + b"\x00" * 33
         with pytest.raises(ReproError):
@@ -187,13 +186,13 @@ class TestGDStream:
         with pytest.raises(ReproError, match="eviction_seed"):
             factory(eviction_policy="random")
 
-    def test_reads_legacy_containers_with_alignment_padding(self):
+    def test_reads_codec_containers_with_alignment_padding(self):
         """The header carries the padding width, so the ZipLine-accounting
         configuration (8 padding bits on type-2 records) round-trips too."""
         data = clustered_payload(4096)
         codec = GDCodec(order=8, identifier_bits=15, alignment_padding_bits=8)
-        legacy = codec.compress_to_container(data)
-        assert decompress_bytes(GDStreamCompressor(), legacy) == data
+        container = codec.compress_to_container(data)
+        assert decompress_bytes(GDStreamCompressor(), container) == data
 
 
 class TestGzipStream:

@@ -35,12 +35,6 @@ class TestLayouts:
         assert small_codec.uncompressed_payload_bytes * 8 >= 16
         assert small_codec.compressed_payload_bytes >= 1
 
-    def test_explicit_padding_must_align(self):
-        with pytest.raises(PacketError):
-            ZipLinePacketCodec(
-                GDTransform(order=8), identifier_bits=15, uncompressed_padding_bits=3
-            )
-
     def test_invalid_identifier_bits(self):
         with pytest.raises(PacketError):
             ZipLinePacketCodec(GDTransform(order=8), identifier_bits=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import TableError
-from repro.tofino.tables import ActionSpec, MatchActionTable, MatchKind
+from repro.tofino.tables import ActionSpec, MatchActionTable
 
 
 def make_table(size=8, idle_timeout=False):
@@ -157,42 +157,3 @@ class TestActionHandlers:
         assert seen == [(42, "context")]
         table.apply(9, ctx="context")  # miss -> NoAction, no handler
         assert len(seen) == 1
-
-
-class TestTernaryMatching:
-    def make_ternary(self):
-        return MatchActionTable(
-            name="forward",
-            key_bits=8,
-            size=4,
-            actions=[ActionSpec("to_port", ("port",))],
-            default_action="NoAction",
-            match_kind=MatchKind.TERNARY,
-        )
-
-    def test_priority_order(self):
-        table = self.make_ternary()
-        table.add_entry(0x10, "to_port", {"port": 1}, mask=0xF0, priority=1)
-        table.add_entry(0x12, "to_port", {"port": 2}, mask=0xFF, priority=10)
-        assert table.lookup(0x12).params["port"] == 2
-        assert table.lookup(0x15).params["port"] == 1
-        assert not table.lookup(0x25).hit
-
-    def test_ternary_requires_integer_keys(self):
-        table = self.make_ternary()
-        table.add_entry(0x10, "to_port", {"port": 1}, mask=0xF0)
-        with pytest.raises(TableError):
-            table.lookup("string-key")
-
-    def test_ternary_delete(self):
-        table = self.make_ternary()
-        table.add_entry(0x10, "to_port", {"port": 1}, mask=0xF0)
-        table.delete_entry(0x10)
-        assert len(table) == 0
-        with pytest.raises(TableError):
-            table.delete_entry(0x10)
-
-    def test_get_entry_requires_exact_table(self):
-        table = self.make_ternary()
-        with pytest.raises(TableError):
-            table.get_entry(1)

@@ -3,8 +3,39 @@
 import pytest
 
 from repro.core.transform import GDTransform
+from repro.core.wire import RecordLayout
 from repro.exceptions import PacketError
+from repro.net.packets import ZipLinePacketCodec
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK, ZipLineHeaderSet
+
+
+@pytest.mark.parametrize(
+    "order, chunk_bits, identifier_bits, type2, type3",
+    [
+        # (payload bytes, padding bits) per packet type.
+        (8, None, 15, (33, 8), (3, 0)),  # the paper: fields aligned, one spare byte
+        (4, None, 6, (3, 8), (2, 5)),
+        # 3 + 26 + 5 = 34 field bits, not aligned: fewest bits that align them.
+        # (No header set: the Tofino target rejects the 34-bit chunk header.)
+        (5, 34, 7, (5, 6), (2, 1)),
+    ],
+)
+def test_one_payload_layout_read_three_ways(
+    order, chunk_bits, identifier_bits, type2, type3
+):
+    """``RecordLayout.for_packets`` states the type-2 / type-3 payload
+    layout once; the header set and the packet codec only read it."""
+    transform = GDTransform(order=order, chunk_bits=chunk_bits)
+    layout = RecordLayout.for_packets(transform, identifier_bits)
+    codec = ZipLinePacketCodec(transform, identifier_bits)
+    assert (layout.t2_padded // 8, layout.padding_bits) == type2
+    assert (layout.t3_padded // 8, layout.t3_padding_bits) == type3
+    assert (codec.uncompressed_payload_bytes, codec.uncompressed_padding_bits) == type2
+    assert codec.compressed_payload_bytes == type3[0]
+    if transform.chunk_bits % 8 == 0:
+        headers = ZipLineHeaderSet.build(transform, identifier_bits)
+        assert (headers.type2_payload_bytes, headers.type2_padding_bits) == type2
+        assert (headers.type3_payload_bytes, headers.type3_padding_bits) == type3
 
 
 class TestPaperHeaderSet:
@@ -49,18 +80,6 @@ class TestOtherOrders:
         # 1 + 6 + 4 = 11 bits -> padded to 16 bits.
         assert headers.type3_payload_bytes == 2
         assert headers.type3_padding_bits == 5
-
-    def test_explicit_type2_padding(self):
-        headers = ZipLineHeaderSet.build(
-            GDTransform(order=8), identifier_bits=15, type2_padding_bits=0
-        )
-        assert headers.type2_payload_bytes == 32
-
-    def test_unalignable_padding_rejected(self):
-        with pytest.raises(PacketError):
-            ZipLineHeaderSet.build(
-                GDTransform(order=8), identifier_bits=15, type2_padding_bits=3
-            )
 
     def test_invalid_identifier_bits(self):
         with pytest.raises(PacketError):
