@@ -11,6 +11,12 @@ it, one that grows past its recorded size fails, and nothing under
 
     python scripts/check_module_sizes.py            # exit 1 on any violation
     python scripts/check_module_sizes.py --verbose  # also print every size
+    python scripts/check_module_sizes.py --packages # code lines per package
+
+``--packages`` reports (no threshold) the figure ROADMAP acceptance lines
+quote "by the PR 14 count": lines that are neither blank nor a ``#``
+comment, per package under ``src/repro`` — the same number as
+``cat <package>/**/*.py | grep -v '^\s*$' | grep -v '^\s*#' | wc -l``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,24 @@ ALLOWED: Dict[str, int] = {
 def line_count(path: Path) -> int:
     with path.open("rb") as handle:
         return sum(1 for _ in handle)
+
+
+def code_line_count(path: Path) -> int:
+    """Lines that are neither blank nor a ``#`` comment (docstrings count)."""
+    with path.open("rb") as handle:
+        return sum(
+            1 for line in handle if line.strip() and not line.lstrip().startswith(b"#")
+        )
+
+
+def package_sizes() -> Dict[str, int]:
+    """Code lines per package; top-level modules are counted under ``repro``."""
+    sizes: Dict[str, int] = {}
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        parts = path.relative_to(SOURCE_ROOT).parts
+        package = f"repro.{parts[0]}" if len(parts) > 1 else "repro"
+        sizes[package] = sizes.get(package, 0) + code_line_count(path)
+    return sizes
 
 
 def violations(verbose: bool = False) -> List[str]:
@@ -78,7 +102,18 @@ def violations(verbose: bool = False) -> List[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="print every size")
+    parser.add_argument(
+        "--packages",
+        action="store_true",
+        help="print non-blank, non-comment lines per package and exit (report only)",
+    )
     args = parser.parse_args()
+    if args.packages:
+        sizes = package_sizes()
+        for package, lines in sizes.items():
+            print(f"{lines:6d}  {package}")
+        print(f"{sum(sizes.values()):6d}  src/repro")
+        return 0
     problems = violations(verbose=args.verbose)
     for problem in problems:
         print(problem, file=sys.stderr)

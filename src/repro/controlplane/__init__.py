@@ -16,6 +16,7 @@ from repro.controlplane.manager import (
     ControlPlaneStats,
     ControlPlaneTimings,
     ZipLineControlPlane,
+    apply_switch_command,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "ControlPlaneStats",
     "ControlPlaneTimings",
     "ZipLineControlPlane",
+    "apply_switch_command",
 ]

@@ -9,8 +9,9 @@ the reverse (decoder-side) mapping is always installed before the forward
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Optional, Type, TypeVar
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Hashable, Iterator, List, Optional, Type, TypeVar
 
 __all__ = [
     "ControlPlaneEvent",
@@ -21,7 +22,14 @@ __all__ = [
     "EncoderMappingInstalled",
     "MappingExpired",
     "EventLog",
+    "MAX_EVENTS",
 ]
+
+#: Events an :class:`EventLog` retains.  The log grows with traffic (about
+#: 0.7 events per chunk on a thrashing trace) and no report reads it, so a
+#: long run keeps the most recent ones and counts the rest; every test,
+#: example and benchmark run records far fewer.
+MAX_EVENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,13 +90,17 @@ EventT = TypeVar("EventT", bound=ControlPlaneEvent)
 
 
 class EventLog:
-    """An append-only, queryable list of control-plane events."""
+    """An append-only, queryable log of the last :data:`MAX_EVENTS` events."""
 
     def __init__(self) -> None:
-        self._events: List[ControlPlaneEvent] = []
+        self._events: Deque[ControlPlaneEvent] = deque(maxlen=MAX_EVENTS)
+        #: Events recorded and since pushed out by newer ones.
+        self.dropped = 0
 
     def append(self, event: ControlPlaneEvent) -> None:
-        """Record one event."""
+        """Record one event (the oldest one makes room when the log is full)."""
+        if len(self._events) == MAX_EVENTS:
+            self.dropped += 1
         self._events.append(event)
 
     def __len__(self) -> int:
@@ -109,3 +121,4 @@ class EventLog:
     def clear(self) -> None:
         """Drop every recorded event."""
         self._events.clear()
+        self.dropped = 0

@@ -1,23 +1,16 @@
-"""Identifier pool management for the ZipLine control plane.
+"""Identifier pool: the control plane's names for the core ``BasisDictionary``.
 
-Section 5 of the paper: "the control plane chooses an identifier to assign
-to the basis.  When there are unused identifiers, the control plane selects
-the least recently used one.  Should all identifiers be in use, an LRU
-policy is applied to evict and recycle an identifier."
-
-:class:`IdentifierPool` implements exactly that allocation discipline for a
-pool of ``2**t`` identifiers.  It tracks which identifiers are free, which
-are bound to a basis, and the recency of every binding (refreshed when the
-data plane reports activity through table idle-timeout polling).
+The paper's rule (Section 5: an unused identifier while there is one, else
+recycle the least recently used binding) is written once, in
+:class:`~repro.core.dictionary.BasisDictionary`.  :class:`IdentifierPool`
+is that dictionary (LRU policy) and keeps no state of its own: ``capacity``,
+``clear``, ``snapshot_state`` and ``restore_state`` are the inherited ones.
 """
 
-from __future__ import annotations
-
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
-from repro.core.dictionary import decode_snapshot_key, encode_snapshot_key
+from repro.core.dictionary import BasisDictionary
 from repro.exceptions import ControlPlaneError
 
 __all__ = ["Allocation", "IdentifierPool"]
@@ -32,160 +25,70 @@ class Allocation:
     recycled: bool
 
 
-class IdentifierPool:
+class IdentifierPool(BasisDictionary):
     """Bounded pool of identifiers with LRU recycling.
 
-    Free identifiers are handed out lowest-first (which also means
-    least-recently-released first, since released identifiers go to the back
-    of the free list).  When none are free the least recently *active* bound
-    identifier is recycled.
+    Nothing in ``src/`` calls :meth:`touch` / :meth:`touch_basis`, so a
+    binding's recency today is its install order, not data-plane activity.
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ControlPlaneError(f"pool capacity must be positive, got {capacity}")
-        self._capacity = capacity
-        self._free: List[int] = list(range(capacity))
-        # identifier -> basis, oldest activity first.
-        self._bound: "OrderedDict[int, Hashable]" = OrderedDict()
-        self._basis_to_id: Dict[Hashable, int] = {}
-        self.allocations = 0
-        self.recycles = 0
+        super().__init__(capacity)
 
-    # -- introspection -----------------------------------------------------
+    def _check_identifier(self, identifier: int) -> None:
+        if not 0 <= identifier < self.capacity:
+            raise ControlPlaneError(f"identifier {identifier} not in [0, {self.capacity})")
 
-    @property
-    def capacity(self) -> int:
-        """Total number of identifiers."""
-        return self._capacity
-
-    @property
-    def free_count(self) -> int:
-        """Identifiers currently unbound."""
-        return len(self._free)
+    #: Identifier currently bound to a basis / basis bound to an identifier
+    #: (``None`` when unbound), and a recency refresh given the basis.
+    identifier_for = BasisDictionary.peek
+    basis_for = BasisDictionary.reverse_lookup
+    touch_basis = BasisDictionary.touch
 
     @property
     def bound_count(self) -> int:
         """Identifiers currently bound to a basis."""
-        return len(self._bound)
+        return len(self)
 
-    def identifier_for(self, basis: Hashable) -> Optional[int]:
-        """Identifier currently bound to ``basis``, or ``None``."""
-        return self._basis_to_id.get(basis)
+    @property
+    def free_count(self) -> int:
+        """Identifiers currently unbound."""
+        return self.capacity - len(self)
 
-    def basis_for(self, identifier: int) -> Optional[Hashable]:
-        """Basis currently bound to ``identifier``, or ``None``."""
-        self._check_identifier(identifier)
-        return self._bound.get(identifier)
+    @property
+    def allocations(self) -> int:
+        """Bindings created so far (re-allocations not counted)."""
+        return self.stats.insertions
+
+    @property
+    def recycles(self) -> int:
+        """Bindings evicted so far to make room for another basis."""
+        return self.stats.evictions
 
     def bindings(self) -> Dict[int, Hashable]:
-        """Copy of the identifier → basis map."""
-        return dict(self._bound)
-
-    def _check_identifier(self, identifier: int) -> None:
-        if not 0 <= identifier < self._capacity:
-            raise ControlPlaneError(
-                f"identifier {identifier} out of range [0, {self._capacity})"
-            )
-
-    # -- allocation ----------------------------------------------------------
-
-    def allocate(self, basis: Hashable) -> Allocation:
-        """Bind ``basis`` to an identifier, recycling the LRU one if needed.
-
-        Re-allocating an already-bound basis refreshes its recency and
-        returns the existing identifier without recycling anything.
-        """
-        existing = self._basis_to_id.get(basis)
-        if existing is not None:
-            self._bound.move_to_end(existing)
-            return Allocation(identifier=existing, evicted_basis=None, recycled=False)
-
-        self.allocations += 1
-        if self._free:
-            identifier = self._free.pop(0)
-            evicted: Optional[Hashable] = None
-            recycled = False
-        else:
-            identifier, evicted = self._bound.popitem(last=False)
-            del self._basis_to_id[evicted]
-            self.recycles += 1
-            recycled = True
-        self._bound[identifier] = basis
-        self._basis_to_id[basis] = identifier
-        return Allocation(identifier=identifier, evicted_basis=evicted, recycled=recycled)
-
-    def touch(self, identifier: int) -> None:
-        """Refresh the recency of a bound identifier (data-plane activity)."""
-        self._check_identifier(identifier)
-        if identifier in self._bound:
-            self._bound.move_to_end(identifier)
-
-    def touch_basis(self, basis: Hashable) -> None:
-        """Refresh recency given the basis instead of the identifier."""
-        identifier = self._basis_to_id.get(basis)
-        if identifier is not None:
-            self._bound.move_to_end(identifier)
-
-    def release(self, identifier: int) -> Optional[Hashable]:
-        """Unbind an identifier and return it to the free list."""
-        self._check_identifier(identifier)
-        basis = self._bound.pop(identifier, None)
-        if basis is None:
-            return None
-        del self._basis_to_id[basis]
-        self._free.append(identifier)
-        return basis
+        """Copy of the identifier → basis map, least recently active first."""
+        return {identifier: basis for basis, identifier in self.items()}
 
     def least_recently_used(self) -> Optional[Tuple[int, Hashable]]:
         """The binding that would be recycled next, or ``None`` when empty."""
-        if not self._bound:
-            return None
-        identifier = next(iter(self._bound))
-        return identifier, self._bound[identifier]
+        for basis, identifier in self._key_to_id.items():
+            return identifier, basis
+        return None
 
-    def clear(self) -> None:
-        """Release every binding."""
-        self._bound.clear()
-        self._basis_to_id.clear()
-        self._free = list(range(self._capacity))
+    def allocate(self, basis: Hashable) -> Allocation:
+        """Bind ``basis`` (an already-bound one just becomes most recent),
+        recycling the least recently active binding when none is free."""
+        identifier, evicted = self.insert(basis)
+        return Allocation(identifier, evicted, recycled=evicted is not None)
 
-    # -- snapshot / restore ---------------------------------------------------
+    def touch(self, identifier: int) -> None:
+        """Refresh the recency of a bound *identifier* (by basis: ``touch_basis``)."""
+        self.touch_basis(self.basis_for(identifier))
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """Canonical, JSON-serialisable snapshot of the pool.
-
-        Bindings are emitted in activity order (least recently active
-        first), so a restored pool makes exactly the recycling decisions
-        the original would have made.
-        """
-        return {
-            "capacity": self._capacity,
-            "free": list(self._free),
-            "bound": [
-                [identifier, encode_snapshot_key(basis)]
-                for identifier, basis in self._bound.items()
-            ],
-            "allocations": self.allocations,
-            "recycles": self.recycles,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Replace this pool's state with a snapshot's (same capacity only)."""
-        if state.get("capacity") != self._capacity:
-            raise ControlPlaneError(
-                f"snapshot capacity {state.get('capacity')} does not match "
-                f"pool capacity {self._capacity}"
-            )
-        bound: "OrderedDict[int, Hashable]" = OrderedDict()
-        basis_to_id: Dict[Hashable, int] = {}
-        for identifier, encoded_basis in state["bound"]:
-            self._check_identifier(identifier)
-            basis = decode_snapshot_key(encoded_basis)
-            bound[identifier] = basis
-            basis_to_id[basis] = identifier
-        self._free = [int(identifier) for identifier in state["free"]]
-        self._bound = bound
-        self._basis_to_id = basis_to_id
-        self.allocations = int(state.get("allocations", 0))
-        self.recycles = int(state.get("recycles", 0))
+    def release(self, identifier: int) -> Optional[Hashable]:
+        """Unbind an identifier; it is handed out again after the unused ones."""
+        basis = self.basis_for(identifier)
+        self.remove(basis)
+        return basis

@@ -26,13 +26,14 @@ does not depend on :mod:`repro.zipline`:
 * decoder switch: ``install_identifier_mapping(identifier, basis)``,
   ``remove_identifier_mapping(identifier)``.
 
-Decoder table mutations can optionally travel through a *transport*
-instead of a direct method call: ``decoder_transport`` receives plain
-command dictionaries (``{"op": "install_identifier", ...}``) plus the
-``on_applied`` / ``on_drop`` callbacks and is responsible for applying them
-— :meth:`repro.topology.control.ControlChannel.transport` carries them
-across an emulated link with real latency.  Without a transport the
-behaviour is the original direct call, unchanged.
+Table mutations are plain command dictionaries (``{"op":
+"install_identifier", ...}``) and :func:`apply_switch_command` is the one
+place that turns one into a method call.  Decoder-side commands travel
+through a *transport*, which receives the command plus the ``on_applied`` /
+``on_drop`` callbacks and is responsible for applying it:
+:meth:`repro.topology.control.ControlChannel.transport` carries it across
+an emulated link with real latency; with no ``decoder_transport`` given the
+transport is the degenerate one — a direct write, acknowledged at once.
 """
 
 from __future__ import annotations
@@ -51,15 +52,39 @@ from repro.controlplane.events import (
     MappingExpired,
 )
 from repro.controlplane.idpool import IdentifierPool
+from repro.core.dictionary import decode_snapshot_key, encode_snapshot_key
 from repro.exceptions import ControlPlaneError
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine, DigestMessage
 
-__all__ = ["ControlPlaneTimings", "ControlPlaneStats", "ZipLineControlPlane"]
+__all__ = [
+    "apply_switch_command",
+    "ControlPlaneTimings",
+    "ControlPlaneStats",
+    "ZipLineControlPlane",
+]
 
 
 #: Digest type emitted by the encoding data plane for unknown bases.
 LEARN_DIGEST = "zipline_learn_basis"
+
+
+def apply_switch_command(switch: Any, command: Mapping[str, Any]) -> None:
+    """Apply one table command to a switch — the only dispatch over ``op``
+    (the control plane's direct writes, and ``ControlChannel`` on arrival)."""
+    operation = command.get("op")
+    if operation == "install_identifier":
+        switch.install_identifier_mapping(command["identifier"], command["basis"])
+    elif operation == "remove_identifier":
+        switch.remove_identifier_mapping(command["identifier"])
+    elif operation == "install_basis":
+        switch.install_basis_mapping(
+            command["basis"], command["identifier"], command.get("ttl")
+        )
+    elif operation == "remove_basis":
+        switch.remove_basis_mapping(command["basis"])
+    else:
+        raise ControlPlaneError(f"unknown control command {operation!r}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +185,8 @@ class ZipLineControlPlane:
         Optional callable taking a command dictionary and the
         ``on_applied`` / ``on_drop`` keyword callbacks.  When set, decoder
         table mutations are handed to the transport (which models an
-        in-network control path) instead of being applied directly.
+        in-network control path) instead of being written to
+        ``decoder_switch`` directly.
     """
 
     def __init__(
@@ -180,6 +206,8 @@ class ZipLineControlPlane:
         self._digest_engine = digest_engine
         self._encoder_switch = encoder_switch
         self._decoder_switch = decoder_switch
+        if decoder_transport is None and decoder_switch is not None:
+            decoder_transport = self._write_decoder
         self._decoder_transport = decoder_transport
         self._simulator = simulator
         self._pool = IdentifierPool(1 << identifier_bits)
@@ -215,40 +243,25 @@ class ZipLineControlPlane:
 
     # -- switch command routing ---------------------------------------------
 
-    def _decoder_command(
-        self,
-        command: Mapping[str, Any],
-        on_applied: Optional[Callable[[], None]] = None,
-        on_drop: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Apply (or transport) one decoder-side table command.
+    def _write_decoder(self, command, on_applied=None, on_drop=None) -> None:
+        """The degenerate decoder transport: a direct, synchronous write.
 
-        ``on_applied`` runs once the write has completed on the decoder
-        (the acked-write model) and ``on_drop`` runs instead when the
-        transport reports the write failed — rejected by a bounded
-        install queue or lost on the control wire.  With a direct switch
-        the write is synchronous, so ``on_applied`` runs inline.
+        A transport runs ``on_applied`` once the decoder has applied the
+        write (the acked-write model), or ``on_drop`` when it was rejected
+        by a full install queue or lost on the wire; this one cannot drop.
         """
-        if self._decoder_transport is not None:
-            self._decoder_transport(command, on_applied=on_applied, on_drop=on_drop)
-            return
-        if command["op"] == "install_identifier":
-            self._decoder_switch.install_identifier_mapping(
-                command["identifier"], command["basis"]
-            )
-        else:
-            self._decoder_switch.remove_identifier_mapping(command["identifier"])
+        apply_switch_command(self._decoder_switch, command)
         if on_applied is not None:
             on_applied()
 
-    def _encoder_command(self, command: Mapping[str, Any]) -> None:
-        """Apply one encoder-side table command."""
-        if command["op"] == "install_basis":
-            self._encoder_switch.install_basis_mapping(
-                command["basis"], command["identifier"], command.get("ttl")
+    def _remove_from_switches(self, identifier: int, basis: Hashable) -> None:
+        """Issue the removes for a binding the pool no longer holds."""
+        if self._encoder_switch is not None:
+            apply_switch_command(
+                self._encoder_switch, {"op": "remove_basis", "basis": basis}
             )
-        else:
-            self._encoder_switch.remove_basis_mapping(command["basis"])
+        if self._decoder_transport is not None:
+            self._decoder_transport({"op": "remove_identifier", "identifier": identifier})
 
     # -- digest handling -----------------------------------------------------
 
@@ -282,7 +295,7 @@ class ZipLineControlPlane:
         """Pick an identifier (recycling if needed) and start the installs."""
         allocation = self._pool.allocate(basis)
         now = self._now()
-        if allocation.recycled and allocation.evicted_basis is not None:
+        if allocation.recycled:
             self.stats.mappings_recycled += 1
             self.events.append(
                 MappingEvicted(
@@ -291,21 +304,10 @@ class ZipLineControlPlane:
                     basis=allocation.evicted_basis,
                 )
             )
-            if self._encoder_switch is not None:
-                self._encoder_command(
-                    {"op": "remove_basis", "basis": allocation.evicted_basis}
-                )
-            if self._decoder_switch is not None:
-                self._decoder_command(
-                    {"op": "remove_identifier", "identifier": allocation.identifier}
-                )
+            self._remove_from_switches(allocation.identifier, allocation.evicted_basis)
 
-        write_latency = self._timings.jittered(
-            self._timings.table_write_latency, self._rng
-        )
-        self._after(
-            write_latency,
-            lambda: self._install_decoder_side(basis, allocation.identifier),
+        self._after_table_write(
+            lambda: self._install_decoder_side(basis, allocation.identifier)
         )
 
     def _abandon_if_stale(self, basis: Hashable, identifier: int) -> bool:
@@ -322,12 +324,16 @@ class ZipLineControlPlane:
         """
         if self._pool.identifier_for(basis) == identifier:
             return False
+        self._abandon(basis, identifier)
+        return True
+
+    def _abandon(self, basis: Hashable, identifier: int) -> None:
+        """Give up on the in-flight install of ``basis`` under ``identifier``."""
         self._pending.discard(basis)
         self.stats.installs_abandoned += 1
         self.events.append(
             MappingEvicted(time=self._now(), identifier=identifier, basis=basis)
         )
-        return True
 
     def _install_decoder_side(self, basis: Hashable, identifier: int) -> None:
         """Install the reverse mapping, then schedule the forward mapping.
@@ -346,12 +352,8 @@ class ZipLineControlPlane:
         now = self._now()
 
         def proceed() -> None:
-            write_latency = self._timings.jittered(
-                self._timings.table_write_latency, self._rng
-            )
-            self._after(
-                write_latency,
-                lambda: self._install_encoder_side(basis, identifier),
+            self._after_table_write(
+                lambda: self._install_encoder_side(basis, identifier)
             )
 
         def dropped() -> None:
@@ -359,14 +361,10 @@ class ZipLineControlPlane:
             # back so a later digest for this basis can retry from scratch.
             if self._pool.identifier_for(basis) == identifier:
                 self._pool.release(identifier)
-            self._pending.discard(basis)
-            self.stats.installs_abandoned += 1
-            self.events.append(
-                MappingEvicted(time=self._now(), identifier=identifier, basis=basis)
-            )
+            self._abandon(basis, identifier)
 
-        if self._decoder_switch is not None:
-            self._decoder_command(
+        if self._decoder_transport is not None:
+            self._decoder_transport(
                 {"op": "install_identifier", "identifier": identifier, "basis": basis},
                 on_applied=proceed,
                 on_drop=dropped,
@@ -383,13 +381,14 @@ class ZipLineControlPlane:
             return
         now = self._now()
         if self._encoder_switch is not None:
-            self._encoder_command(
+            apply_switch_command(
+                self._encoder_switch,
                 {
                     "op": "install_basis",
                     "basis": basis,
                     "identifier": identifier,
                     "ttl": self._entry_ttl,
-                }
+                },
             )
         self._pending.discard(basis)
         self.stats.mappings_learned += 1
@@ -400,8 +399,6 @@ class ZipLineControlPlane:
     # -- idle timeout handling ---------------------------------------------------
 
     def _schedule_idle_poll(self) -> None:
-        if self._simulator is None:
-            return
         self._simulator.schedule_in(
             self._timings.idle_poll_interval,
             self._idle_poll,
@@ -417,11 +414,7 @@ class ZipLineControlPlane:
                 if identifier is None:
                     continue
                 self._pool.release(identifier)
-                self._encoder_command({"op": "remove_basis", "basis": basis})
-                if self._decoder_switch is not None:
-                    self._decoder_command(
-                        {"op": "remove_identifier", "identifier": identifier}
-                    )
+                self._remove_from_switches(identifier, basis)
                 self.stats.mappings_expired += 1
                 self.events.append(
                     MappingExpired(time=now, identifier=identifier, basis=basis)
@@ -436,6 +429,11 @@ class ZipLineControlPlane:
             callback()
         else:
             self._simulator.schedule_in(delay, callback, description="control-plane step")
+
+    def _after_table_write(self, callback) -> None:
+        """Run ``callback`` one (jittered) table-write latency from now."""
+        timings = self._timings
+        self._after(timings.jittered(timings.table_write_latency, self._rng), callback)
 
     # -- crash recovery ---------------------------------------------------------------
 
@@ -453,7 +451,7 @@ class ZipLineControlPlane:
         """
         bindings = self._pool.bindings()
         for identifier, basis in bindings.items():
-            self._decoder_command(
+            self._decoder_transport(
                 {
                     "op": "install_identifier",
                     "identifier": identifier,
@@ -484,12 +482,7 @@ class ZipLineControlPlane:
                 break
             identifier, basis = binding
             self._pool.release(identifier)
-            if self._encoder_switch is not None:
-                self._encoder_command({"op": "remove_basis", "basis": basis})
-            if self._decoder_switch is not None or self._decoder_transport is not None:
-                self._decoder_command(
-                    {"op": "remove_identifier", "identifier": identifier}
-                )
+            self._remove_from_switches(identifier, basis)
             self.stats.storm_evictions += 1
             self.events.append(
                 MappingEvicted(time=now, identifier=identifier, basis=basis)
@@ -502,14 +495,10 @@ class ZipLineControlPlane:
     def snapshot_state(self) -> Dict[str, Any]:
         """Canonical, JSON-serialisable snapshot of the mapping authority.
 
-        Captures the identifier pool (bindings in recency order plus the
-        free list) and the set of bases whose installs are still in flight.
-        Event logs, latency state and counters are deliberately excluded —
-        they describe the past, not the mapping state a restarted control
-        plane needs.
+        The pool (the dictionary's own snapshot) and the bases whose
+        installs are in flight.  Event logs, latency state and counters
+        describe the past, not what a restarted control plane needs.
         """
-        from repro.core.dictionary import encode_snapshot_key
-
         return {
             "pool": self._pool.snapshot_state(),
             "pending": [
@@ -519,13 +508,18 @@ class ZipLineControlPlane:
         }
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Replace the pool and pending-install set with a snapshot's."""
-        from repro.core.dictionary import decode_snapshot_key
-
-        self._pool.restore_state(state["pool"])
-        self._pending = {
-            decode_snapshot_key(basis) for basis in state.get("pending", [])
-        }
+        """Replace the pool and pending-install set with a snapshot's (a
+        malformed one raises a ``ReproError`` subclass and changes nothing)."""
+        try:
+            pool_state = state["pool"]
+            pending = state.get("pending", [])
+            if not isinstance(pending, list):
+                raise TypeError("'pending' must be a list")
+            pending = {decode_snapshot_key(basis) for basis in pending}
+        except (KeyError, TypeError, ValueError) as error:
+            raise ControlPlaneError(f"malformed snapshot: {error!r}") from None
+        self._pool.restore_state(pool_state)
+        self._pending = pending
 
     # -- manual management (static tables) ----------------------------------------------
 

@@ -8,8 +8,9 @@ the least recently used entry is recycled (Section 5 of the paper).
 The same data structure is used in three places:
 
 * inside :class:`~repro.core.codec.GDCodec` for the pure-software codec;
-* by the control plane (:mod:`repro.controlplane`) as the authoritative copy
-  of the mapping that it pushes into the switches' match-action tables;
+* by the control plane: :class:`repro.controlplane.idpool.IdentifierPool`
+  is this class under the control plane's names, the authoritative copy of
+  the mapping it pushes into the switches' match-action tables;
 * by the baselines (classic deduplication uses it with the raw chunk as key).
 
 Eviction policies other than LRU (FIFO, random) are provided for the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -36,6 +37,13 @@ __all__ = [
 
 #: Sentinel marking an empty hot-entry cache (``None`` is a legal key).
 _NO_HOT = object()
+
+#: What :meth:`BasisDictionary.snapshot_state` writes; anything else (the
+#: ``free`` / ``bound`` of the identifier pool's retired format, say) is
+#: rejected by name rather than ignored.
+_SNAPSHOT_KEYS = frozenset(
+    ("capacity", "policy", "entries", "freed_ids", "next_unused_id", "stats")
+)
 
 
 def encode_snapshot_key(key: Hashable) -> object:
@@ -111,25 +119,16 @@ class DictionaryStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view used by the reporting helpers."""
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejected_insertions": self.rejected_insertions,
-            "hit_ratio": self.hit_ratio,
-        }
+        return {**asdict(self), "hit_ratio": self.hit_ratio}
 
 
 class BasisDictionary:
     """Bounded, bidirectional mapping between bases and short identifiers.
 
-    Identifiers are integers in ``[0, capacity)``.  The dictionary hands out
-    the lowest never-used identifier first and only starts recycling once the
-    pool is exhausted, mirroring the control-plane behaviour described in the
-    paper ("when there are unused identifiers, the control plane selects the
-    least recently used one").
+    Identifiers are integers in ``[0, capacity)``, handed out by the paper's
+    control-plane rule (Section 5; :meth:`_allocate_identifier` is its one
+    statement): an unused identifier while there is one, otherwise the
+    entry the eviction policy picks is recycled.
 
     Keys can be any hashable value; ZipLine uses ``(prefix, basis)`` tuples.
 
@@ -158,11 +157,11 @@ class BasisDictionary:
         self._id_to_key: Dict[int, Hashable] = {}
         # Identifier allocation is lazy: never-used identifiers are handed
         # out in increasing order from a counter, and explicitly removed
-        # ones are recycled from a small list.  Memory therefore scales
+        # ones queue up in release order.  Memory therefore scales
         # with the entries actually mapped, not with the capacity — a
         # dictionary sized from an untrusted container header must not
         # allocate ``capacity`` list slots up front.
-        self._freed_ids: List[int] = []
+        self._freed_ids: "OrderedDict[int, None]" = OrderedDict()
         self._next_unused_id = 0
         # Hot-entry cache: the key whose recency metadata is already
         # up to date (the most recently looked-up/inserted/touched key).
@@ -409,20 +408,20 @@ class BasisDictionary:
     def _allocate_identifier(self) -> Optional[int]:
         """Next free identifier, or ``None`` when the pool is exhausted.
 
-        Recycled identifiers are preferred; fresh ones come from the
-        counter in increasing order ("the lowest never-used identifier
-        first").  Identifiers installed externally via
-        :meth:`insert_with_identifier` are skipped in both sources.
+        The paper's rule: "when there are unused identifiers, the control
+        plane selects the least recently used one".  Never-used identifiers
+        come first, in increasing order from the counter; then released
+        ones, oldest release first.  The counter skips identifiers that
+        were installed externally (:meth:`insert_with_identifier`), mapped
+        or since released — those have been used.
         """
-        while self._freed_ids:
-            identifier = self._freed_ids.pop()
-            if identifier not in self._id_to_key:
-                return identifier
         while self._next_unused_id < self._capacity:
             identifier = self._next_unused_id
             self._next_unused_id += 1
-            if identifier not in self._id_to_key:
+            if identifier not in self._id_to_key and identifier not in self._freed_ids:
                 return identifier
+        if self._freed_ids:
+            return self._freed_ids.popitem(last=False)[0]
         return None
 
     def insert_with_identifier(self, key: Hashable, identifier: int) -> None:
@@ -444,6 +443,7 @@ class BasisDictionary:
             if previous_key == self._hot_key:
                 self._hot_key = _NO_HOT
             self.stats.evictions += 1
+        self._freed_ids.pop(identifier, None)
         is_new_key = key not in self._key_to_id
         self._key_to_id[key] = identifier
         self._id_to_key[identifier] = key
@@ -480,14 +480,14 @@ class BasisDictionary:
         del self._id_to_key[identifier]
         if key == self._hot_key:
             self._hot_key = _NO_HOT
-        self._freed_ids.append(identifier)
+        self._freed_ids[identifier] = None
         return identifier
 
     def clear(self) -> None:
         """Forget every mapping and return all identifiers to the pool."""
         self._key_to_id.clear()
         self._id_to_key.clear()
-        self._freed_ids = []
+        self._freed_ids.clear()
         self._next_unused_id = 0
         self._hot_key = _NO_HOT
 
@@ -531,7 +531,6 @@ class BasisDictionary:
         rebuilt cold on restore, which has no observable effect beyond the
         first lookup taking the slow path.
         """
-        stats = self.stats
         return {
             "capacity": self._capacity,
             "policy": self._policy.value,
@@ -541,14 +540,7 @@ class BasisDictionary:
             ],
             "freed_ids": list(self._freed_ids),
             "next_unused_id": self._next_unused_id,
-            "stats": {
-                "lookups": stats.lookups,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "insertions": stats.insertions,
-                "evictions": stats.evictions,
-                "rejected_insertions": stats.rejected_insertions,
-            },
+            "stats": asdict(self.stats),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -556,8 +548,16 @@ class BasisDictionary:
 
         The snapshot must come from a dictionary with the same capacity and
         eviction policy — restoring across configurations would silently
-        change eviction behaviour, so it is rejected instead.
+        change eviction behaviour, so it is rejected instead.  A snapshot is
+        outside input: whatever is wrong with it is a
+        :class:`~repro.exceptions.DictionaryError` and leaves this
+        dictionary as it was.
         """
+        if not isinstance(state, dict):
+            raise DictionaryError(f"a snapshot is a mapping, got {type(state).__name__}")
+        unknown = sorted(map(str, state.keys() - _SNAPSHOT_KEYS))
+        if unknown:
+            raise DictionaryError(f"snapshot has unknown keys {unknown}")
         if state.get("capacity") != self._capacity:
             raise DictionaryError(
                 f"snapshot capacity {state.get('capacity')} does not match "
@@ -568,31 +568,36 @@ class BasisDictionary:
                 f"snapshot policy {state.get('policy')!r} does not match "
                 f"dictionary policy {self._policy.value!r}"
             )
-        key_to_id: "OrderedDict[Hashable, int]" = OrderedDict()
-        id_to_key: Dict[int, Hashable] = {}
-        for encoded_key, identifier in state["entries"]:
-            key = decode_snapshot_key(encoded_key)
-            self._check_identifier(identifier)
-            key_to_id[key] = identifier
-            id_to_key[identifier] = key
-        # Every other method keeps the two maps a bijection, and
-        # :meth:`resolve_batch` moves a resolved key without probing for it.
-        if not len(key_to_id) == len(id_to_key) == len(state["entries"]):
+        try:
+            entries = [
+                (decode_snapshot_key(encoded_key), identifier)
+                for encoded_key, identifier in state["entries"]
+            ]
+            key_to_id = OrderedDict(entries)
+            identifiers = [identifier for _key, identifier in entries]
+            identifiers += state["freed_ids"]
+            next_unused_id = state["next_unused_id"]
+            stats = DictionaryStats(**state.get("stats", {}))
+            numbers = [*identifiers, next_unused_id, *asdict(stats).values()]
+            if not all(type(number) is int and number >= 0 for number in numbers):
+                raise ValueError("identifiers and counters must be integers >= 0")
+        except (KeyError, TypeError, ValueError) as error:
+            raise DictionaryError(f"malformed dictionary snapshot: {error!r}") from None
+        # Every other method keeps the two maps a bijection
+        # (:meth:`resolve_batch` moves a resolved key without probing for
+        # it) and an identifier either mapped or free, never both.
+        if len(key_to_id) != len(entries) or len(set(identifiers)) != len(identifiers):
             raise DictionaryError(
-                "snapshot entries repeat a key or an identifier"
+                "snapshot repeats a key, or maps or frees an identifier twice"
+            )
+        if max([next_unused_id - 1, *identifiers]) >= self._capacity:
+            raise DictionaryError(
+                f"snapshot names an identifier outside [0, {self._capacity})"
             )
         self._key_to_id = key_to_id
-        self._id_to_key = id_to_key
-        self._freed_ids = list(state["freed_ids"])
-        self._next_unused_id = int(state["next_unused_id"])
+        self._id_to_key = {identifier: key for key, identifier in entries}
+        self._freed_ids = OrderedDict.fromkeys(state["freed_ids"])
+        self._next_unused_id = next_unused_id
         self._hot_key = _NO_HOT
         self._hot_id = -1
-        stats = state.get("stats", {})
-        self.stats = DictionaryStats(
-            lookups=int(stats.get("lookups", 0)),
-            hits=int(stats.get("hits", 0)),
-            misses=int(stats.get("misses", 0)),
-            insertions=int(stats.get("insertions", 0)),
-            evictions=int(stats.get("evictions", 0)),
-            rejected_insertions=int(stats.get("rejected_insertions", 0)),
-        )
+        self.stats = stats

@@ -11,9 +11,10 @@ queueing and even loss apply), and applies the command to the target
 switch when the frame arrives.
 
 :class:`~repro.controlplane.manager.ZipLineControlPlane` accepts a channel's
-:meth:`ControlChannel.transport` as its ``decoder_transport``; with no
-transport configured it keeps the original direct-call behaviour, byte for
-byte.
+:meth:`ControlChannel.transport` as its ``decoder_transport``; with none
+configured its transport is a direct write.  Either way the command is
+applied by :func:`repro.controlplane.manager.apply_switch_command`
+(re-exported here).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Mapping, Optional, Tuple
 
 from repro import obs as _obs
+from repro.controlplane.manager import apply_switch_command
 from repro.exceptions import TopologyError
 from repro.sim.simulator import Simulator
 
@@ -59,27 +61,6 @@ def _control_trace_args(command: Mapping[str, Any]) -> Dict[str, Any]:
     if "basis" in command:
         args["basis"] = command["basis"]
     return args
-
-
-def apply_switch_command(switch: Any, command: Mapping[str, Any]) -> None:
-    """Apply one deserialised table command to a switch.
-
-    The command vocabulary mirrors the narrow duck-typed interface the
-    control plane already used for direct calls.
-    """
-    operation = command.get("op")
-    if operation == "install_identifier":
-        switch.install_identifier_mapping(command["identifier"], command["basis"])
-    elif operation == "remove_identifier":
-        switch.remove_identifier_mapping(command["identifier"])
-    elif operation == "install_basis":
-        switch.install_basis_mapping(
-            command["basis"], command["identifier"], command.get("ttl")
-        )
-    elif operation == "remove_basis":
-        switch.remove_basis_mapping(command["basis"])
-    else:
-        raise TopologyError(f"unknown control command {operation!r}")
 
 
 class ControlChannel:

@@ -39,6 +39,7 @@ from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs as _obs
+from repro.controlplane.idpool import IdentifierPool
 from repro.controlplane.manager import ZipLineControlPlane
 from repro.core.transform import GDTransform
 from repro.obs.snapshot import PeriodicSnapshotter
@@ -473,10 +474,12 @@ class TopologyEngine:
                 bucket = bases_by_component.get(component_of[name])
                 if not bucket:
                     continue
-                # The sequential identifier order a control plane's pool
-                # would assign.
-                for identifier, basis in enumerate(bucket):
-                    decoder_node.switch.install_identifier_mapping(identifier, basis)
+                # The identifiers a control plane's pool would assign.
+                pool = IdentifierPool(1 << self.spec.identifier_bits)
+                for basis in bucket:
+                    decoder_node.switch.install_identifier_mapping(
+                        pool.allocate(basis).identifier, basis
+                    )
 
     # -- execution ---------------------------------------------------------------
 

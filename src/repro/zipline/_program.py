@@ -214,6 +214,26 @@ class ZipLineSwitchBase:
         )
         return table
 
+    def _upsert_mapping(
+        self,
+        table: MatchActionTable,
+        key: int,
+        action: str,
+        params: Dict[str, int],
+        ttl: Optional[float] = None,
+    ) -> None:
+        """Install a control-plane-managed entry, or re-point the one ``key`` has."""
+        if table.get_entry(key) is not None:
+            table.modify_entry(key, action, params)
+        else:
+            table.add_entry(key, action, params, ttl=ttl, now=self._now())
+
+    @staticmethod
+    def _remove_mapping(table: MatchActionTable, key: int) -> None:
+        """Remove a control-plane-managed entry (no-op when absent)."""
+        if table.get_entry(key) is not None:
+            table.delete_entry(key)
+
     # -- the interpreted ingress control block ------------------------------------
 
     def _ingress(self, context: PacketContext) -> None:

@@ -269,16 +269,13 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         """Install (or replace) an identifier → basis entry."""
         self._check_field("identifier", identifier, self._identifier_bits)
         self._check_field("basis", basis, self._transform.basis_bits)
-        existing = self._identifier_table.get_entry(identifier)
-        if existing is not None:
-            self._identifier_table.modify_entry(identifier, "set_basis", {"basis": basis})
-            return
-        self._identifier_table.add_entry(identifier, "set_basis", {"basis": basis})
+        self._upsert_mapping(
+            self._identifier_table, identifier, "set_basis", {"basis": basis}
+        )
 
     def remove_identifier_mapping(self, identifier: int) -> None:
         """Remove an identifier → basis entry (no-op when absent)."""
-        if self._identifier_table.get_entry(identifier) is not None:
-            self._identifier_table.delete_entry(identifier)
+        self._remove_mapping(self._identifier_table, identifier)
 
     # -- convenience ----------------------------------------------------------------------
 

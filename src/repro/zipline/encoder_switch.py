@@ -265,24 +265,17 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         """Install (or refresh) a basis → identifier entry."""
         self._check_field("basis", basis, self._transform.basis_bits)
         self._check_field("identifier", identifier, self._identifier_bits)
-        existing = self._basis_table.get_entry(basis)
-        if existing is not None:
-            self._basis_table.modify_entry(
-                basis, "set_identifier", {"identifier": identifier}
-            )
-            return
-        self._basis_table.add_entry(
+        self._upsert_mapping(
+            self._basis_table,
             basis,
             "set_identifier",
             {"identifier": identifier},
             ttl=ttl if ttl is not None else self._entry_ttl,
-            now=self._now(),
         )
 
     def remove_basis_mapping(self, basis: int) -> None:
         """Remove a basis → identifier entry (no-op when absent)."""
-        if self._basis_table.get_entry(basis) is not None:
-            self._basis_table.delete_entry(basis)
+        self._remove_mapping(self._basis_table, basis)
 
     def expired_bases(self, now: float) -> List[int]:
         """Bases whose entries report an idle timeout."""

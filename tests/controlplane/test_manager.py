@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane import events
 from repro.controlplane.events import (
     DecoderMappingInstalled,
     DigestIgnored,
@@ -12,6 +13,7 @@ from repro.controlplane.manager import (
     LEARN_DIGEST,
     ControlPlaneTimings,
     ZipLineControlPlane,
+    apply_switch_command,
 )
 from repro.exceptions import ControlPlaneError
 from repro.sim import Simulator
@@ -184,3 +186,92 @@ class TestTimings:
         stats = manager.stats.as_dict()
         assert stats["mappings_learned"] == 1
         assert stats["digests_received"] == 1
+
+
+class TestOneDispatcher:
+    def test_a_direct_write_is_the_degenerate_transport(self):
+        # No transport given == a transport that applies the command to the
+        # decoder at once and acknowledges it inline.
+        def drive(with_transport):
+            simulator = Simulator()
+            engine = DigestEngine(simulator, delivery_latency=0.9e-3)
+            encoder, decoder = FakeEncoderSwitch(), FakeDecoderSwitch()
+
+            def transport(command, on_applied=None, on_drop=None):
+                apply_switch_command(decoder, command)
+                if on_applied is not None:
+                    on_applied()
+
+            manager = ZipLineControlPlane(
+                digest_engine=engine,
+                encoder_switch=encoder,
+                decoder_switch=decoder,
+                simulator=simulator,
+                identifier_bits=2,
+                seed=0,
+                decoder_transport=transport if with_transport else None,
+            )
+            for offset, basis in enumerate([1, 2, 3, 4, 5, 1, 6, 2]):
+                simulator.schedule_at(
+                    offset * 1e-3, lambda b=basis: engine.emit(LEARN_DIGEST, {"basis": b})
+                )
+            simulator.schedule_at(4.5e-3, lambda: manager.force_evict(2))
+            simulator.run()
+            manager.resync_decoder()
+            return (
+                list(manager.events),
+                manager.snapshot_state(),
+                manager.stats.as_dict(),
+                encoder.mappings,
+                decoder.mappings,
+            )
+
+        direct, transported = drive(False), drive(True)
+        assert direct == transported
+        assert direct[2]["mappings_recycled"] > 0 and direct[2]["storm_evictions"] == 2
+
+    def test_a_decoder_reached_only_through_a_transport_gets_every_command(self):
+        sent = []
+
+        def transport(command, on_applied=None, on_drop=None):
+            sent.append(dict(command))
+            if on_applied is not None:
+                on_applied()
+
+        engine = DigestEngine(None)
+        manager = ZipLineControlPlane(
+            digest_engine=engine, identifier_bits=1, decoder_transport=transport
+        )
+        for basis in (7, 8, 9):
+            engine.emit(LEARN_DIGEST, {"basis": basis})
+        assert [(command["op"], command["identifier"]) for command in sent] == [
+            ("install_identifier", 0),
+            ("install_identifier", 1),
+            ("remove_identifier", 0),
+            ("install_identifier", 0),
+        ]
+        assert manager.pool.bindings() == {1: 8, 0: 9}
+
+    def test_unknown_operation_is_a_control_plane_error(self):
+        with pytest.raises(ControlPlaneError, match="unknown control command 'reboot'"):
+            apply_switch_command(FakeDecoderSwitch(), {"op": "reboot"})
+
+
+class TestEventLogIsBounded:
+    def test_keeps_the_most_recent_events_and_counts_the_rest(self, monkeypatch):
+        monkeypatch.setattr(events, "MAX_EVENTS", 4)
+        log = events.EventLog()
+        for time in range(10):
+            log.append(events.DigestReceived(time=float(time), basis=time))
+        assert (len(log), log.dropped) == (4, 6)
+        assert [event.basis for event in log] == [6, 7, 8, 9]
+        assert log.last_of_type(events.DigestReceived).basis == 9
+        log.clear()
+        assert (len(log), log.dropped) == (0, 0)
+
+    def test_the_constant_is_far_above_what_tests_and_examples_read(self):
+        engine, _encoder, _decoder, manager = build(simulator=None, identifier_bits=3)
+        for basis in range(200):
+            engine.emit(LEARN_DIGEST, {"basis": basis % 20})
+        assert manager.events.dropped == 0
+        assert 200 < len(manager.events) < events.MAX_EVENTS // 16

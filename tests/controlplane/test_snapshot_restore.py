@@ -20,11 +20,13 @@ from functools import partial
 
 import pytest
 
+from repro.controlplane.idpool import IdentifierPool
 from repro.controlplane.manager import LEARN_DIGEST, ZipLineControlPlane
 from repro.core.decoder import GDDecoder
 from repro.core.dictionary import BasisDictionary
 from repro.core.encoder import GDEncoder
 from repro.core.transform import GDTransform
+from repro.exceptions import ReproError
 from repro.sim import Simulator
 from repro.tofino.digest import DigestEngine
 
@@ -270,3 +272,138 @@ class TestControlPlaneInterleavings:
         )
         assert dec_b.mappings == dec_ref.mappings
         assert enc_b.mappings == enc_ref.mappings
+
+
+# -- hostile snapshots ----------------------------------------------------------
+#
+# A snapshot is JSON from outside.  Each case breaks one thing in a valid
+# snapshot of a capacity-4 map holding a → 0, b → 1 with identifier 2
+# released; restoring it must raise a ``ReproError`` subclass — never a
+# ``KeyError`` / ``TypeError``, never succeed — and change nothing.
+
+
+def _valid_state():
+    dictionary = BasisDictionary(4)
+    for key in "abc":
+        dictionary.insert(key)
+    dictionary.remove("c")
+    return dictionary.snapshot_state()
+
+
+def _without(key):
+    return lambda state: state.pop(key)
+
+
+def _with(**changes):
+    return lambda state: state.update(changes)
+
+
+#: The pre-change ``IdentifierPool`` format: rejected by name, not read.
+_OLD_POOL = {"capacity": 4, "allocations": 1, "recycles": 0}
+
+HOSTILE_SNAPSHOTS = {
+    "no-entries": _without("entries"),
+    "no-freed-ids": _without("freed_ids"),
+    "no-next-unused-id": _without("next_unused_id"),
+    "entries-not-a-list": _with(entries=7),
+    "entry-not-a-pair": _with(entries=[["a", 0], 5]),
+    "entry-too-long": _with(entries=[["a", 0, 0]]),
+    "entry-key-unhashable": _with(entries=[[{"__tuple__": [{}]}, 0]]),
+    "entry-key-bad-hex": _with(entries=[[{"__bytes__": "zz"}, 0]]),
+    "entry-key-unknown-marker": _with(entries=[[{"__set__": []}, 0]]),
+    "identifier-out-of-range": _with(entries=[["a", 4]]),
+    "identifier-negative": _with(entries=[["a", -1]]),
+    "identifier-a-bool": _with(entries=[["a", True]]),
+    "identifier-a-float": _with(entries=[["a", 1.0]]),
+    "identifier-a-string": _with(entries=[["a", "1"]]),
+    "identifier-a-list": _with(entries=[["a", [1]]]),
+    "key-twice": _with(entries=[["a", 0], ["a", 1]]),
+    "identifier-twice": _with(entries=[["a", 0], ["b", 0]]),
+    "freed-out-of-range": _with(freed_ids=[99]),
+    "freed-negative": _with(freed_ids=[-1]),
+    "freed-twice": _with(freed_ids=[2, 2]),
+    "freed-and-mapped": _with(freed_ids=[2, 0]),
+    "freed-not-a-list": _with(freed_ids=3),
+    "freed-a-string": _with(freed_ids="2"),
+    "next-unused-negative": _with(next_unused_id=-7),
+    "next-unused-past-capacity": _with(next_unused_id=5),
+    "next-unused-a-float": _with(next_unused_id=3.0),
+    "next-unused-none": _with(next_unused_id=None),
+    "stats-not-a-mapping": _with(stats=[1, 2]),
+    "stats-unknown-counter": _with(stats={"hit_ratio": 0.5}),
+    "stats-negative": _with(stats={"hits": -1}),
+    "stats-a-string": _with(stats={"hits": "many"}),
+    "capacity-mismatch": _with(capacity=8),
+    "capacity-missing": _without("capacity"),
+    "policy-mismatch": _with(policy="fifo"),
+    "not-a-mapping": lambda state: [state],
+    "old-pool-no-bound": lambda state: dict(_OLD_POOL, free=[1, 2, 3]),
+    "old-pool-free-out-of-range": lambda state: dict(_OLD_POOL, free=[99], bound=[]),
+    "old-pool-free-and-bound": lambda state: dict(
+        _OLD_POOL, free=[0, 1, 2, 3], bound=[[0, "a"]]
+    ),
+}
+
+HOSTILE_PLANE_SNAPSHOTS = {
+    "no-pool": _without("pool"),
+    "pool-not-a-mapping": _with(pool=5),
+    "pool-old-format": _with(pool=dict(_OLD_POOL, free=[0, 1, 2, 3], bound=[[0, "a"]])),
+    "pending-not-a-list": _with(pending="12"),
+    "pending-a-number": _with(pending=3),
+    "pending-unhashable": _with(pending=[{"__tuple__": [{}]}]),
+    "pending-bad-marker": _with(pending=[{"__set__": []}]),
+    "not-a-mapping": lambda state: [state],
+}
+
+
+def _broken(state, mutate):
+    state = json.loads(json.dumps(state))
+    replacement = mutate(state)
+    return state if replacement is None else replacement
+
+
+class TestHostileSnapshots:
+    @pytest.mark.parametrize("case", HOSTILE_SNAPSHOTS)
+    @pytest.mark.parametrize("kind", [BasisDictionary, IdentifierPool])
+    def test_a_malformed_map_snapshot_is_a_named_error(self, kind, case):
+        target = kind(4)
+        target.insert("kept")
+        before = target.snapshot_state()
+        with pytest.raises(ReproError):
+            target.restore_state(_broken(_valid_state(), HOSTILE_SNAPSHOTS[case]))
+        assert target.snapshot_state() == before
+        assert target.insert("next") == (1, None)
+
+    @pytest.mark.parametrize("case", HOSTILE_PLANE_SNAPSHOTS)
+    def test_a_malformed_control_plane_snapshot_is_a_named_error(self, case):
+        simulator = Simulator()
+        engine, _encoder, _decoder, manager = _build_plane(simulator, identifier_bits=2)
+        engine.emit(LEARN_DIGEST, {"basis": 1})
+        simulator.run()
+        engine.emit(LEARN_DIGEST, {"basis": 2})
+        simulator.run_for(1e-3)  # the digest has arrived, the installs have not
+        before = manager.snapshot_state()
+        assert before["pending"] == [2]
+        with pytest.raises(ReproError):
+            manager.restore_state(_broken(before, HOSTILE_PLANE_SNAPSHOTS[case]))
+        assert manager.snapshot_state() == before
+
+    def test_the_unbroken_snapshots_restore(self):
+        for kind in (BasisDictionary, IdentifierPool):
+            target = kind(4)
+            target.restore_state(_broken(_valid_state(), lambda state: None))
+            assert target.snapshot_state() == _valid_state()
+            # a, b mapped; 3 never used; 2 released: that order.
+            assert [target.insert(key)[0] for key in "xy"] == [3, 2]
+
+    def test_two_bases_never_share_an_identifier_after_a_restore(self):
+        # The parent read ``free: [0, 1, 2, 3]`` next to ``bound: [[0, "a"]]``
+        # and then handed identifier 0 to a second basis.
+        pool = IdentifierPool(4)
+        pool.allocate("a")
+        with pytest.raises(ReproError, match="free"):
+            pool.restore_state(
+                dict(_OLD_POOL, free=[0, 1, 2, 3], bound=[[0, "a"]])
+            )
+        assert pool.allocate("z").identifier == 1
+        assert pool.bindings() == {0: "a", 1: "z"}

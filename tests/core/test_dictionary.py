@@ -377,3 +377,55 @@ class TestRestoreState:
             with pytest.raises(DictionaryError, match="repeat"):
                 dictionary.restore_state(dict(state, entries=entries))
             assert dictionary.snapshot() == {"kept": 0}
+
+
+class TestFreeIdentifierRule:
+    """Section 5, pinned where it is written: never-used identifiers
+    ascending, then released ones oldest release first."""
+
+    def test_never_used_before_released_and_released_oldest_first(self):
+        dictionary = BasisDictionary(6)
+        for key in "abcd":
+            dictionary.insert(key)
+        for key in "cab":  # releases identifiers 2, 0, 1 in that order
+            dictionary.remove(key)
+        issued = [dictionary.insert(key) for key in "vwxyz"]
+        assert issued == [(4, None), (5, None), (2, None), (0, None), (1, None)]
+        # Only now is anything recycled: the least recently used entry.
+        assert dictionary.insert("last") == (3, "d")
+
+    def test_externally_installed_identifiers_are_skipped(self):
+        dictionary = BasisDictionary(4)
+        dictionary.insert_with_identifier("x", 1)
+        assert [dictionary.insert(key)[0] for key in "abc"] == [0, 2, 3]
+
+    def test_a_released_external_identifier_counts_as_used(self):
+        dictionary = BasisDictionary(4)
+        dictionary.insert_with_identifier("x", 2)
+        dictionary.remove("x")
+        # 2 was used: it waits behind the never-used 0, 1, 3 — and is
+        # handed out once, not by the counter and again from the queue.
+        assert [dictionary.insert(key) for key in "abcde"] == [
+            (0, None), (1, None), (3, None), (2, None), (0, "a"),
+        ]
+
+    def test_installing_onto_a_released_identifier_takes_it_off_the_queue(self):
+        dictionary = BasisDictionary(3)
+        for key in "abc":
+            dictionary.insert(key)
+        dictionary.remove("a")
+        dictionary.insert_with_identifier("x", 0)
+        assert dictionary.snapshot_state()["freed_ids"] == []
+        assert dictionary.insert("d") == (1, "b")
+
+    def test_a_snapshot_carries_the_release_order(self):
+        dictionary = BasisDictionary(4)
+        for key in "abcd":
+            dictionary.insert(key)
+        for key in "db":
+            dictionary.remove(key)
+        state = dictionary.snapshot_state()
+        assert (state["freed_ids"], state["next_unused_id"]) == ([3, 1], 4)
+        restored = BasisDictionary(4)
+        restored.restore_state(state)
+        assert [restored.insert(key)[0] for key in "xy"] == [3, 1]

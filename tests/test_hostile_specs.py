@@ -11,13 +11,20 @@ the document.
 import copy
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from repro.exceptions import ReproError, TopologyError
 from repro.experiments import ExperimentSpec
 from repro.experiments.spec import ExperimentSpecError
-from repro.topology import FaultPlan, TopologySpec, preset_topology
+from repro.topology import (
+    FaultPlan,
+    TopologyEngine,
+    TopologySpec,
+    linear_topology,
+    preset_topology,
+)
 from repro.topology.spec import MAX_HOPS, MAX_PORT
 
 NAN = float("nan")
@@ -223,3 +230,24 @@ def test_ceilings_leave_every_shipped_preset_loadable():
     with pytest.raises(TopologyError, match=f"hops must be at most {MAX_HOPS}"):
         preset_topology("linear", hops=200_000)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("identifier_bits", [26, 30, 40])
+def test_identifier_bits_size_no_allocation(identifier_bits):
+    # ``identifier_bits`` is validated as a positive integer only, so the
+    # identifier space must cost nothing until identifiers are bound: the
+    # control plane's pool used to build ``list(range(2**t))`` (13 s and
+    # 3.35 GB at 26 bits, ``MemoryError`` at 30).
+    spec = linear_topology(identifier_bits=identifier_bits, chunks=10, bases=2)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = TopologyEngine(spec).run()
+        elapsed = time.perf_counter() - start
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.integrity.lossless_in_order
+    assert report.metrics.counter("controlplane.mappings_learned") == 2
+    assert peak < 64 * 1024 * 1024
+    assert elapsed < 2.0

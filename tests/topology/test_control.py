@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import TopologyError
+from repro.exceptions import ControlPlaneError
 from repro.replay.link import EmulatedLink
 from repro.sim.simulator import Simulator
 from repro.topology import ControlChannel, apply_switch_command
@@ -44,7 +44,7 @@ class TestApplySwitchCommand:
         ]
 
     def test_unknown_operation_rejected(self):
-        with pytest.raises(TopologyError, match="unknown control command"):
+        with pytest.raises(ControlPlaneError, match="unknown control command"):
             apply_switch_command(_RecordingSwitch(), {"op": "reboot"})
 
 
