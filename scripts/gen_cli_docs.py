@@ -7,8 +7,12 @@ description and an argument table.  The output is deliberately built from
 the parser's data (no ``format_help()``), so it does not depend on terminal
 width and is byte-reproducible — which is what lets CI enforce freshness:
 
-    python scripts/gen_cli_docs.py            # rewrite docs/cli.md
-    python scripts/gen_cli_docs.py --check    # exit 1 if docs/cli.md is stale
+    python scripts/gen_cli_docs.py            # rewrite the generated docs
+    python scripts/gen_cli_docs.py --check    # exit 1 if any of them is stale
+
+The same run keeps the parameter table of docs/experiments.md — the rows
+between its two marker comments — in step with
+``repro.experiments.spec.PARAMETERS`` (name, default, ``help``).
 """
 
 from __future__ import annotations
@@ -21,8 +25,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cli import build_parser  # noqa: E402  (sys.path set up first)
+from repro.experiments.spec import PARAMETERS  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "docs" / "cli.md"
+EXPERIMENTS_DOC = REPO_ROOT / "docs" / "experiments.md"
+TABLE_BEGIN = (
+    "<!-- parameters: generated by scripts/gen_cli_docs.py from "
+    "repro.experiments.spec.PARAMETERS; do not edit by hand -->"
+)
+TABLE_END = "<!-- /parameters -->"
 
 HEADER = """\
 <!-- Generated by scripts/gen_cli_docs.py — do not edit by hand.
@@ -114,36 +125,56 @@ def generate() -> str:
     return "\n".join(parts).rstrip() + "\n"
 
 
+def with_parameter_table(text: str) -> str:
+    """``text`` (docs/experiments.md) with the rows between its two marker
+    comments replaced by the live parameter table."""
+    head, begin, rest = text.partition(TABLE_BEGIN)
+    _stale, end, tail = rest.partition(TABLE_END)
+    if not (begin and end):
+        raise SystemExit(f"{EXPERIMENTS_DOC} has lost its parameter-table markers")
+    rows = ["| parameter | default | meaning |", "| --- | --- | --- |"]
+    for spec in PARAMETERS.values():
+        default = "—" if spec.default is None else f"`{spec.default}`"
+        rows.append(f"| `{spec.name}` | {default} | {_escape(spec.help)} |")
+    return "\n".join([head + begin, *rows, end + tail])
+
+
 def main(argv=None) -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument(
         "--check",
         action="store_true",
-        help="verify docs/cli.md is up to date instead of rewriting it",
+        help="verify the generated docs are up to date instead of rewriting them",
     )
     cli.add_argument(
-        "--out", type=Path, default=DEFAULT_OUTPUT, help="output file path"
+        "--out", type=Path, default=DEFAULT_OUTPUT, help="output path of the CLI reference"
     )
     args = cli.parse_args(argv)
 
-    document = generate()
-    if args.check:
-        if not args.out.exists():
-            print(f"{args.out} does not exist; run: python scripts/gen_cli_docs.py")
-            return 1
-        current = args.out.read_text(encoding="utf-8")
-        if current != document:
+    documents = {
+        args.out: generate(),
+        EXPERIMENTS_DOC: with_parameter_table(
+            EXPERIMENTS_DOC.read_text(encoding="utf-8")
+        ),
+    }
+    stale = 0
+    for path, document in documents.items():
+        if not args.check:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(document, encoding="utf-8")
+            print(f"wrote {path}")
+        elif not path.exists():
+            print(f"{path} does not exist; run: python scripts/gen_cli_docs.py")
+            stale = 1
+        elif path.read_text(encoding="utf-8") != document:
             print(
-                f"{args.out} is stale (the CLI changed); "
+                f"{path} is stale (the CLI or the parameter table changed); "
                 "run: python scripts/gen_cli_docs.py"
             )
-            return 1
-        print(f"{args.out} is up to date")
-        return 0
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(document, encoding="utf-8")
-    print(f"wrote {args.out}")
-    return 0
+            stale = 1
+        else:
+            print(f"{path} is up to date")
+    return stale
 
 
 if __name__ == "__main__":

@@ -40,10 +40,11 @@ look at ``repro.cli.main``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro import obs, registry
 from repro.analysis.reporting import format_table, save_results_json
@@ -53,11 +54,50 @@ from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
 from repro.experiments import ExperimentSpec, MatrixRunner
 from repro.replay import ReplayTopology
-from repro.topology.spec import CONTROL_MODES, LINEAR_SHAPES, PACINGS, SCENARIOS
-from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
+from repro.topology.spec import (
+    CONTROL_MODES,
+    LINEAR_SHAPES,
+    PACINGS,
+    RUN_PARAMETERS,
+    SCENARIOS,
+)
+from repro.workloads import WORKLOAD_FACTORIES, SyntheticSensorWorkload
 from repro.zipline import ZipLineDeployment
 
 __all__ = ["build_parser", "main"]
+
+
+#: ``repro replay``'s run-parameter flags as (parameter, choices, help):
+#: what ``_cmd_replay`` forwards to the chain preset under the parameter's
+#: own name.  :mod:`repro.topology.spec` owns each default; the help quotes
+#: it as ``{default}``, or as ``{short}`` (``100``, ``1e6``) where that
+#: reads better.
+_REPLAY_FLAGS = (
+    ("hops", None, "number of emulated links in series (default {default})"),
+    ("scenario", SCENARIOS, "dictionary scenario (default: {default})"),
+    ("pacing", PACINGS,
+     "injection pacing: as-recorded timestamps, fixed rate, or back-to-back "
+     "(default: {default})"),
+    ("packet_rate", None,
+     "replay rate in packets/s (pacing=rate; default {short})"),
+    ("speedup", None,
+     "time-compression factor for pacing=recorded (default {default})"),
+    ("bandwidth_gbps", None,
+     "emulated link bandwidth in Gbit/s (default {short})"),
+    ("propagation_us", None,
+     "one-way propagation delay per hop in microseconds (default {short})"),
+    ("queue_capacity", None,
+     "bounded link queue in frames, 0 = unbounded (default {default})"),
+    ("loss", None,
+     "per-packet loss probability on each hop (default {short})"),
+    ("reorder", None,
+     "per-packet reorder probability on each hop (default {short})"),
+)
+
+
+def _short(default: Any) -> str:
+    """A float default as help text writes it: ``100``, ``0.5``, ``1e6``."""
+    return f"{default:g}".replace("e+0", "e") if isinstance(default, float) else str(default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,53 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
              + " (default: encoder-link-decoder; graph shapes live under "
              "'repro topology')",
     )
+    for name, choices, text in _REPLAY_FLAGS:
+        default = RUN_PARAMETERS[name].default
+        replay.add_argument(
+            "--" + name.replace("_", "-"), type=type(default), choices=choices,
+            default=default, help=text.format(default=default, short=_short(default)),
+        )
+    seed = RUN_PARAMETERS["seed"].default
     replay.add_argument(
-        "--hops", type=int, default=1,
-        help="number of emulated links in series (default 1)",
-    )
-    replay.add_argument(
-        "--scenario",
-        choices=SCENARIOS,
-        default="dynamic",
-        help="dictionary scenario (default: dynamic)",
-    )
-    replay.add_argument(
-        "--pacing",
-        choices=PACINGS,
-        default="rate",
-        help="injection pacing: as-recorded timestamps, fixed rate, or "
-             "back-to-back (default: rate)",
-    )
-    replay.add_argument(
-        "--packet-rate", type=float, default=1e6,
-        help="replay rate in packets/s (pacing=rate; default 1e6)",
-    )
-    replay.add_argument(
-        "--speedup", type=float, default=1.0,
-        help="time-compression factor for pacing=recorded (default 1.0)",
-    )
-    replay.add_argument(
-        "--bandwidth-gbps", type=float, default=100.0,
-        help="emulated link bandwidth in Gbit/s (default 100)",
-    )
-    replay.add_argument(
-        "--propagation-us", type=float, default=0.5,
-        help="one-way propagation delay per hop in microseconds (default 0.5)",
-    )
-    replay.add_argument(
-        "--queue-capacity", type=int, default=0,
-        help="bounded link queue in frames, 0 = unbounded (default 0)",
-    )
-    replay.add_argument(
-        "--loss", type=float, default=0.0,
-        help="per-packet loss probability on each hop (default 0)",
-    )
-    replay.add_argument(
-        "--reorder", type=float, default=0.0,
-        help="per-packet reorder probability on each hop (default 0)",
-    )
-    replay.add_argument(
-        "--seed", type=int, default=0, help="impairment RNG seed (default 0)"
+        "--seed", type=int, default=seed, help=f"impairment RNG seed (default {seed})"
     )
     replay.add_argument(
         "--counters", action="store_true",
@@ -249,11 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
              "uses fixed-size sketches (bounded memory), auto picks "
              "streaming at 256+ flows (default: auto)",
     )
+    scenario = RUN_PARAMETERS["scenario"].default
     topology.add_argument(
-        "--scenario",
-        choices=SCENARIOS,
-        default="dynamic",
-        help="dictionary scenario for presets (default: dynamic)",
+        "--scenario", choices=SCENARIOS, default=scenario,
+        help=f"dictionary scenario for presets (default: {scenario})",
     )
     topology.add_argument(
         "--chunks", type=int, default=None,
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct bases per flow for presets (default: the preset's own)",
     )
     topology.add_argument(
-        "--seed", type=int, default=0, help="spec-level seed (default 0)"
+        "--seed", type=int, default=seed, help=f"spec-level seed (default {seed})"
     )
     topology.add_argument(
         "--control",
@@ -489,16 +490,12 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
-    if args.dataset == "synthetic":
-        workload = SyntheticSensorWorkload(
-            num_chunks=args.chunks, distinct_bases=args.bases, seed=args.seed
-        )
-        trace = workload.trace()
-    else:
-        workload = DnsQueryWorkload(
-            num_queries=args.chunks, distinct_names=args.names, seed=args.seed
-        )
-        trace = workload.trace()
+    # The Figure 3 datasets are cut at the paper's chunk size.
+    workload, _bases = WORKLOAD_FACTORIES[args.dataset](
+        chunks=args.chunks, bases=args.bases, names=args.names,
+        order=RUN_PARAMETERS["order"].default, seed=args.seed,
+    )
+    trace = workload.trace()
     count = trace.to_pcap(args.output)
     stats = trace.stats()
     print(
@@ -611,17 +608,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     spec = linear_topology(
         name=topology.value,
         shape=topology.value,
-        scenario=args.scenario,
-        hops=args.hops,
         trace=str(trace_path),
-        pacing=args.pacing,
-        packet_rate=args.packet_rate,
-        speedup=args.speedup,
-        bandwidth_gbps=args.bandwidth_gbps,
-        propagation_us=args.propagation_us,
-        queue_capacity=args.queue_capacity,
-        loss=args.loss,
-        reorder=args.reorder,
+        **{name: getattr(args, name) for name, *_ in _REPLAY_FLAGS},
         link_seed=args.seed,
         seed=args.seed,
     )
@@ -675,20 +663,19 @@ def _cmd_topology(args: argparse.Namespace) -> int:
             value = getattr(args, key)
             if value is not None:
                 preset_kwargs[key] = value
-        if args.senders is not None:
-            if args.preset not in ("fan-in", "fan-in-stress", "rack-fan-in"):
+        # A shape argument goes to the presets whose builder declares it.
+        builder = TOPOLOGY_PRESETS.get(args.preset)
+        for key, where in (
+            ("senders", "the fan-in presets"), ("racks", "--preset rack-fan-in")
+        ):
+            value = getattr(args, key)
+            if value is None:
+                continue
+            if builder and key not in inspect.signature(builder).parameters:
                 raise ReproError(
-                    f"--senders only applies to the fan-in presets, "
-                    f"not {args.preset!r}"
+                    f"--{key} only applies to {where}, not {args.preset!r}"
                 )
-            preset_kwargs["senders"] = args.senders
-        if args.racks is not None:
-            if args.preset != "rack-fan-in":
-                raise ReproError(
-                    f"--racks only applies to --preset rack-fan-in, "
-                    f"not {args.preset!r}"
-                )
-            preset_kwargs["racks"] = args.racks
+            preset_kwargs[key] = value
         spec = preset_topology(args.preset, **preset_kwargs)
     if args.control is not None:
         spec.control = args.control

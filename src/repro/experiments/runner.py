@@ -38,6 +38,7 @@ from repro.experiments.spec import ExperimentSpec, Scenario
 from repro.topology import fan_in_topology, linear_topology, run_topology
 from repro.topology.faults import FaultPlan, validate_spec_faults
 from repro.topology.sharding import map_across_workers
+from repro.topology.spec import RUN_PARAMETERS
 
 __all__ = [
     "ScenarioResult",
@@ -125,26 +126,13 @@ def _scenario_spec(scenario: Scenario):
     control plane by the scenario's derived seed.
     """
     params = scenario.params
-    shared = dict(
-        name=scenario.scenario_id,
-        scenario=params["scenario"],
-        hops=params["hops"],
-        workload=params["workload"],
-        chunks=params["chunks"],
-        bases=params["bases"],
-        names=params["names"],
-        trace=params.get("trace"),
-        pacing=params["pacing"],
-        packet_rate=params["packet_rate"],
-        speedup=params["speedup"],
-        bandwidth_gbps=params["bandwidth_gbps"],
-        propagation_us=params["propagation_us"],
-        queue_capacity=params["queue_capacity"],
-        loss=params["loss"],
-        reorder=params["reorder"],
-        seed=scenario.seed,
-        order=params["order"],
-        identifier_bits=params["identifier_bits"],
+    # What the topology schema owns goes through under its own name; the
+    # spec seed is the scenario's derived one.
+    shared = {key: value for key, value in params.items() if key in RUN_PARAMETERS}
+    shared.update(name=scenario.scenario_id, seed=scenario.seed)
+    # The control channel exists on the fan-in graph only (0 = unlimited).
+    control = dict(
+        control=shared.pop("control"), control_rate=shared.pop("control_rate") or None
     )
     if params["topology"] != "fan-in":
         return linear_topology(
@@ -153,12 +141,7 @@ def _scenario_spec(scenario: Scenario):
             link_seed=scenario.seed,
             **shared,
         )
-    spec = fan_in_topology(
-        senders=params["senders"],
-        control=params["control"],
-        control_rate=params["control_rate"] or None,
-        **shared,
-    )
+    spec = fan_in_topology(senders=params["senders"], **control, **shared)
     if params["control_loss"]:
         spec.faults = FaultPlan(control_loss=params["control_loss"])
         validate_spec_faults(spec)

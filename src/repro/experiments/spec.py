@@ -49,9 +49,9 @@ from repro.exceptions import ReproError
 from repro.topology.spec import (
     CONTROL_MODES,
     LINEAR_SHAPES,
-    MAX_HOPS,
     MAX_PORT,
     PACINGS,
+    RUN_PARAMETERS,
     SCENARIOS,
     WORKLOADS,
     derive_seed,
@@ -75,10 +75,6 @@ class ExperimentSpecError(ReproError):
 _check = Validator(ExperimentSpecError)
 
 
-def _choice(options: Sequence[str]):
-    return partial(_check.choice, options=options)
-
-
 @dataclass(frozen=True)
 class ParameterSpec:
     """One known scenario parameter: its validator — called as
@@ -90,55 +86,55 @@ class ParameterSpec:
     help: str
 
 
+def _listed(options: Sequence[str]) -> str:
+    return ", ".join(f"`{option}`" for option in options)
+
+
+def _shared(name: str, help: str) -> ParameterSpec:
+    """A parameter :mod:`repro.topology.spec` owns: its default and its
+    check (run under this module's error class); only ``help`` is ours."""
+    default, check = RUN_PARAMETERS[name]
+    return ParameterSpec(name, partial(check, _check), default, help)
+
+
 #: Every parameter a scenario understands.  ``base``, every axis and every
 #: override may only use these names; anything else is rejected at load time.
 PARAMETERS: Dict[str, ParameterSpec] = {
     spec.name: spec
     for spec in (
-        ParameterSpec(
-            "workload", _choice(WORKLOADS), "synthetic",
-            "trace generator (ignored when `trace` points at a pcap)",
+        _shared(
+            "workload",
+            f"trace generator: {_listed(WORKLOADS)} (ignored when `trace` points at a pcap)",
         ),
-        ParameterSpec("trace", _check.string, None, "pcap file to replay instead of a workload"),
-        ParameterSpec("chunks", _check.positive_int, 1000, "chunks (synthetic) or queries (dns) per scenario"),
-        ParameterSpec("bases", _check.positive_int, 16, "distinct bases of the synthetic workload"),
-        ParameterSpec("names", _check.positive_int, 300, "distinct names of the dns workload"),
-        ParameterSpec(
-            "scenario",
-            _choice(SCENARIOS),
-            "dynamic",
-            "dictionary scenario",
-        ),
+        _shared("trace", "pcap file to replay instead of a workload"),
+        _shared("chunks", "chunks (synthetic) or queries (dns) per scenario"),
+        _shared("bases", "distinct bases of the synthetic workload"),
+        _shared("names", "distinct names of the dns workload"),
+        _shared("scenario", f"dictionary scenario: {_listed(SCENARIOS)}"),
         ParameterSpec(
             "topology",
-            _choice(LINEAR_SHAPES + ("fan-in",)),
+            partial(_check.choice, options=LINEAR_SHAPES + ("fan-in",)),
             "encoder-link-decoder",
-            "replay topology (linear chains, or the fan-in graph preset)",
+            f"replay topology: the chains {_listed(LINEAR_SHAPES)}, or the `fan-in` graph preset",
         ),
         ParameterSpec(
             "senders", partial(_check.positive_int, maximum=MAX_PORT), 4,
             "concurrent senders sharing the encoder (topology=fan-in)",
         ),
-        ParameterSpec(
-            "hops", partial(_check.positive_int, maximum=MAX_HOPS), 1,
-            "emulated links in series",
-        ),
-        ParameterSpec(
-            "pacing", _choice(PACINGS), "rate",
-            "injection pacing policy",
-        ),
-        ParameterSpec("packet_rate", _check.positive_number, 1e6, "replay rate in packets/s (pacing=rate)"),
-        ParameterSpec("speedup", _check.positive_number, 1.0, "time compression for pacing=recorded"),
-        ParameterSpec("bandwidth_gbps", _check.positive_number, 100.0, "per-hop link bandwidth in Gbit/s"),
-        ParameterSpec("propagation_us", _check.non_negative_number, 0.5, "per-hop propagation delay in µs"),
-        ParameterSpec("queue_capacity", _check.non_negative_int, 0, "bounded link queue in frames (0 = unbounded)"),
-        ParameterSpec("loss", _check.probability, 0.0, "per-packet loss probability per hop"),
-        ParameterSpec("reorder", _check.probability, 0.0, "per-packet reorder probability per hop"),
-        ParameterSpec("identifier_bits", _check.positive_int, 15, "identifier width t (table size 2^t)"),
-        ParameterSpec("order", _check.positive_int, 8, "Hamming order m (chunk size)"),
-        ParameterSpec(
-            "control", _choice(CONTROL_MODES), "direct",
-            "how installs reach the decoder (topology=fan-in)",
+        _shared("hops", "emulated links in series"),
+        _shared("pacing", f"injection pacing policy: {_listed(PACINGS)}"),
+        _shared("packet_rate", "replay rate in packets/s (pacing=rate)"),
+        _shared("speedup", "time compression for pacing=recorded"),
+        _shared("bandwidth_gbps", "per-hop link bandwidth in Gbit/s"),
+        _shared("propagation_us", "per-hop propagation delay in µs"),
+        _shared("queue_capacity", "bounded link queue in frames (0 = unbounded)"),
+        _shared("loss", "per-packet loss probability per hop"),
+        _shared("reorder", "per-packet reorder probability per hop"),
+        _shared("identifier_bits", "identifier width t (the table holds 2^t mappings)"),
+        _shared("order", "Hamming order m (chunk size is 2^m bits)"),
+        _shared(
+            "control",
+            f"how installs reach the decoder: {_listed(CONTROL_MODES)} (topology=fan-in)",
         ),
         ParameterSpec(
             "control_loss", _check.probability, 0.0,
@@ -149,7 +145,7 @@ PARAMETERS: Dict[str, ParameterSpec] = {
             "control-channel pacing in commands/s (0 = unlimited; "
             "control=in-network)",
         ),
-        ParameterSpec("seed", _check.integer, 0, "spec-level seed every scenario seed derives from"),
+        _shared("seed", "spec-level seed every scenario seed derives from"),
     )
 }
 
@@ -170,9 +166,6 @@ def _validate_parameters(
             raise ExperimentSpecError(
                 f"{where}: unknown parameter {name!r}; known parameters: {known}"
             )
-        if name == "trace" and value is None:
-            validated[name] = None
-            continue
         validated[name] = PARAMETERS[name].validate(where, name, value)
     return validated
 

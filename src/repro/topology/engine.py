@@ -64,7 +64,7 @@ from repro.topology.flows import (
     flow_source,
     flow_source_mac,
 )
-from repro.topology.graph import TopologyGraph, build_link_chain
+from repro.topology.graph import TopologyGraph, build_link_chain, node_components
 from repro.topology.nodes import (
     ForwardNode,
     HostNode,
@@ -399,7 +399,7 @@ class TopologyEngine:
                 )
 
     def _build_flows(self) -> None:
-        component_of = self.spec.node_components()
+        component_of = node_components(self.spec)
         decoder_components = {component_of[name] for name in self._decoder_nodes}
         for index, flow in enumerate(self.spec.flows):
             seed = self.spec.flow_seed(flow)
@@ -445,7 +445,7 @@ class TopologyEngine:
         or partitioned into per-encoder shards; on a single-component spec
         this is exactly the global union.
         """
-        component_of = self.spec.node_components()
+        component_of = node_components(self.spec)
         bases_by_component: Dict[int, Dict[int, None]] = {}
         if self._static_bases is not None:
             everywhere = dict.fromkeys(self._static_bases)

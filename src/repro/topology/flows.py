@@ -34,6 +34,7 @@ from repro.sim.simulator import Simulator
 from repro.topology.nodes import HostNode
 from repro.topology.report import FlowResult
 from repro.topology.spec import FlowSpec
+from repro.workloads import WORKLOAD_FACTORIES
 from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES, raw_chunk_payload
 
 __all__ = [
@@ -68,34 +69,9 @@ def flow_source(
         return PcapTraceSource(flow.trace), partial(
             stream_distinct_bases, flow.trace, order=order
         )
-    from repro.workloads import (
-        DictionaryThrashWorkload,
-        DnsQueryWorkload,
-        SyntheticSensorWorkload,
+    workload, bases = WORKLOAD_FACTORIES[flow.workload](
+        chunks=flow.chunks, bases=flow.bases, names=flow.names, order=order, seed=seed
     )
-
-    if flow.workload == "synthetic":
-        workload = SyntheticSensorWorkload(
-            num_chunks=flow.chunks, distinct_bases=flow.bases, order=order, seed=seed
-        )
-        bases = workload.bases
-    elif flow.workload == "thrash":
-        workload = DictionaryThrashWorkload(
-            num_chunks=flow.chunks,
-            distinct_bases=flow.bases,
-            order=order,
-            # A quarter-trace phase with a working-set migration keeps
-            # the control plane installing for the whole run.
-            phase_chunks=max(1, flow.chunks // 4),
-            phase_shift=max(1, flow.bases // 4),
-            seed=seed,
-        )
-        bases = workload.bases
-    else:
-        workload = DnsQueryWorkload(
-            num_queries=flow.chunks, distinct_names=flow.names, seed=seed
-        )
-        bases = partial(workload.bases, order=order)
     source = WorkloadTraceSource(workload, source=source_mac, destination=sink_mac)
     return source, bases
 

@@ -11,6 +11,11 @@ shared simulator).  An edge may carry a
 
 The graph only *describes and wires*; traffic generation, flow bookkeeping
 and reporting live in :class:`~repro.topology.engine.TopologyEngine`.
+
+:func:`node_components` / :func:`components` answer the one graph question
+asked of a *spec* before anything is built: which nodes can exchange traffic
+or control state (the engine scopes static preloads by it, the shard
+partitioner splits along it).
 """
 
 from __future__ import annotations
@@ -24,9 +29,13 @@ from repro.sim.simulator import Simulator
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.replay imports us back
     from repro.perfmodel.linkmodel import ImpairmentModel
     from repro.replay.link import EmulatedLink
+    from repro.topology.spec import TopologySpec
     from repro.zipline.stats import LinkTap
 
-__all__ = ["LinkSink", "Node", "TopologyEdge", "TopologyGraph", "build_link_chain"]
+__all__ = [
+    "LinkSink", "Node", "TopologyEdge", "TopologyGraph", "build_link_chain",
+    "node_components", "components",
+]
 
 #: ``sink(frame_bytes, time)`` — the signature shared by switch port sinks,
 #: link sends and host delivery (same shape as ``repro.replay.link.LinkSink``).
@@ -226,3 +235,57 @@ def build_link_chain(
         )
         for index, name in enumerate(names)
     ]
+
+
+def node_components(spec: "TopologySpec") -> Dict[str, int]:
+    """Map every node name of ``spec`` to its connected-component id.
+
+    Components are computed over the undirected union of all links
+    *plus* each encoder's control coupling to its paired decoder
+    (explicit ``decoder:`` pairing, or the implied pairing when the
+    spec has exactly one decoder) — two nodes share a component id
+    exactly when traffic or control state can flow between them.
+    Component ids are dense and ordered by first appearance in the
+    node list, so they are deterministic for a given spec.
+    """
+    parent = {node.name: node.name for node in spec.nodes}
+
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    def union(a: str, b: str) -> None:
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            parent[root_a] = root_b
+
+    for link in spec.links:
+        union(link.source[0], link.target[0])
+    decoders = [node for node in spec.nodes if node.kind == "decoder"]
+    for node in spec.nodes:
+        if node.kind != "encoder":
+            continue
+        decoder = node.decoder
+        if decoder is None and len(decoders) == 1:
+            decoder = decoders[0].name
+        if decoder is not None:
+            union(node.name, decoder)
+    ids: Dict[str, int] = {}
+    component_of: Dict[str, int] = {}
+    for node in spec.nodes:
+        root = find(node.name)
+        if root not in ids:
+            ids[root] = len(ids)
+        component_of[node.name] = ids[root]
+    return component_of
+
+
+def components(spec: "TopologySpec") -> List[List[str]]:
+    """Node names grouped by connected component, in declaration order."""
+    component_of = node_components(spec)
+    groups: Dict[int, List[str]] = {}
+    for node in spec.nodes:
+        groups.setdefault(component_of[node.name], []).append(node.name)
+    return [groups[index] for index in range(len(groups))]

@@ -9,11 +9,19 @@ fan-ins, the shape that shards), ``fault-storm`` (fan-in + lossy control
 channel + decoder restart) and ``paper-testbed`` (the two-switch
 deployment).  Every builder returns a validated
 :class:`~repro.topology.spec.TopologySpec`.
+
+A builder's signature declares only what is its own — the shape's
+arguments, and the defaults it sets differently from the schema.  Every
+other keyword is a run parameter of :mod:`repro.topology.spec`
+(``FLOW_PARAMETERS``, ``WIRE_PARAMETERS``, ``SPEC_SETTINGS``), which owns
+its default and check: ``route_parameters`` hands each to the flows, the
+measured wire or the spec, and rejects any other name with a
+:class:`~repro.exceptions.TopologyError` listing what the preset takes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import TopologyError
 from repro.topology.faults import FaultPlan, NodeRestart, validate_spec_faults
@@ -25,6 +33,7 @@ from repro.topology.spec import (
     NodeSpec,
     TopologySpec,
     _check,
+    route_parameters,
 )
 
 __all__ = [
@@ -39,41 +48,14 @@ __all__ = [
 ]
 
 
-def linear_topology(
-    name: str = "linear",
-    scenario: str = "dynamic",
-    hops: int = 1,
-    workload: str = "synthetic",
-    chunks: int = 1000,
-    bases: int = 16,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    bandwidth_gbps: float = 100.0,
-    propagation_us: float = 0.5,
-    queue_capacity: int = 0,
-    loss: float = 0.0,
-    reorder: float = 0.0,
-    seed: int = 0,
-    flow_seed: Optional[int] = None,
-    link_seed: Optional[int] = None,
-    order: int = 8,
-    identifier_bits: int = 15,
-    shape: str = "encoder-link-decoder",
-    **overrides: Any,
+def _chain(
+    name: str, shape: str, flow: Dict[str, Any], wire: Dict[str, Any],
+    settings: Dict[str, Any],
 ) -> TopologySpec:
-    """The paper's chain as a spec: sender → encoder → link(s) → decoder → sink.
-
-    ``shape`` drops one switch from the chain: ``encoder-only`` delivers the
-    processed (type-2/3) frames to the sink, ``decoder-only`` feeds the
-    sender's frames straight onto the wire.  Either way the measured link is
-    the emulated chain, whose hops are named ``link0``, ``link1``, ….
-    """
-    where = f"topology {name!r}"
-    _check.choice(where, "shape", shape, LINEAR_SHAPES)
-    _check.positive_int(where, "hops", hops)
+    """sender → encoder → measured link → decoder → sink, less the switch
+    ``shape`` drops; ``flow`` and ``wire`` are the one flow's and the
+    measured link's fields."""
+    _check.choice(f"topology {name!r}", "shape", shape, LINEAR_SHAPES)
     has_encoder = shape != "decoder-only"
     has_decoder = shape != "encoder-only"
     ports = dict(forwarding={0: 1}, default_egress_port=1)
@@ -93,17 +75,11 @@ def linear_topology(
     nodes.append(NodeSpec(name="sink", kind="host"))
     links.append(
         LinkSpec(
-            name="link0" if hops == 1 else "link",
+            name="link0" if wire.get("hops", LinkSpec.hops) == 1 else "link",
             source=("encoder", 1) if has_encoder else ("sender", 0),
             target=("decoder", 0) if has_decoder else ("sink", 0),
-            bandwidth_gbps=bandwidth_gbps,
-            propagation_us=propagation_us,
-            queue_capacity=queue_capacity,
-            loss=loss,
-            reorder=reorder,
-            hops=hops,
             measured=True,
-            seed=link_seed,
+            **wire,
         )
     )
     if has_decoder:
@@ -111,23 +87,39 @@ def linear_topology(
             LinkSpec(name="egress", source=("decoder", 1), target=("sink", 0),
                      direct=True)
         )
-    return TopologySpec(
-        name=name,
-        scenario=scenario,
-        order=order,
-        identifier_bits=identifier_bits,
-        seed=seed,
-        nodes=nodes,
-        links=links,
-        flows=[
-            FlowSpec(
-                name="flow0", source="sender", sink="sink", workload=workload,
-                chunks=chunks, bases=bases, names=names, trace=trace,
-                pacing=pacing, packet_rate=packet_rate, speedup=speedup,
-                seed=flow_seed,
-            )
-        ],
-        **overrides,
+    flows = [FlowSpec(name="flow0", source="sender", sink="sink", **flow)]
+    return TopologySpec(name=name, nodes=nodes, links=links, flows=flows, **settings)
+
+
+def linear_topology(
+    name: str = "linear",
+    shape: str = "encoder-link-decoder",
+    flow_seed: Optional[int] = None,
+    link_seed: Optional[int] = None,
+    **params: Any,
+) -> TopologySpec:
+    """The paper's chain as a spec: sender → encoder → link(s) → decoder → sink.
+
+    ``shape`` drops one switch from the chain: ``encoder-only`` delivers the
+    processed (type-2/3) frames to the sink, ``decoder-only`` feeds the
+    sender's frames straight onto the wire.  Either way the measured link is
+    the emulated chain, whose hops are named ``link0``, ``link1``, ….
+    """
+    flow, wire, settings = route_parameters(linear_topology, params)
+    return _chain(
+        name, shape, dict(flow, seed=flow_seed), dict(wire, seed=link_seed), settings
+    )
+
+
+def paper_testbed_topology(
+    name: str = "paper-testbed", flow_seed: Optional[int] = None, **params: Any
+) -> TopologySpec:
+    """The paper's two-switch testbed: a direct, tapped inter-switch hop."""
+    # The deployment's synchronous wire is not emulated: no link parameter
+    # applies to it.
+    flow, _, settings = route_parameters(paper_testbed_topology, params, wire=False)
+    return _chain(
+        name, LINEAR_SHAPES[0], dict(flow, seed=flow_seed), dict(direct=True), settings
     )
 
 
@@ -180,6 +172,7 @@ def _fan_in_rack(
         LinkSpec(name=f"egress{tag}", source=(f"decoder{tag}", 1),
                  target=(f"sink{tag}", 0), direct=True),
     ]
+    packet_rate = flow.get("packet_rate", FlowSpec.packet_rate)
     flows = [
         FlowSpec(
             name=f"flow{member}",
@@ -187,7 +180,7 @@ def _fan_in_rack(
             sink=f"sink{tag}",
             # Stagger starts by one inter-packet gap so simultaneous-arrival
             # ties never depend on flow declaration order.
-            start=index / (flow["packet_rate"] * senders),
+            start=index / (packet_rate * senders),
             **flow,
         )
         for index, member in enumerate(members)
@@ -195,28 +188,24 @@ def _fan_in_rack(
     return nodes, links, flows
 
 
+def _fan_in(
+    name: str, racks: Iterable[Optional[int]], senders: int,
+    flow: Dict[str, Any], wire: Dict[str, Any], settings: Dict[str, Any],
+) -> TopologySpec:
+    """One :func:`_fan_in_rack` per entry of ``racks``, side by side."""
+    nodes: List[NodeSpec] = []
+    links: List[LinkSpec] = []
+    flows: List[FlowSpec] = []
+    for rack in racks:
+        rack_nodes, rack_links, rack_flows = _fan_in_rack(rack, senders, wire, flow)
+        nodes += rack_nodes
+        links += rack_links
+        flows += rack_flows
+    return TopologySpec(name=name, nodes=nodes, links=links, flows=flows, **settings)
+
+
 def fan_in_topology(
-    name: str = "fan-in",
-    senders: int = 4,
-    scenario: str = "dynamic",
-    hops: int = 1,
-    workload: str = "synthetic",
-    chunks: int = 1000,
-    bases: int = 16,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    bandwidth_gbps: float = 100.0,
-    propagation_us: float = 0.5,
-    queue_capacity: int = 0,
-    loss: float = 0.0,
-    reorder: float = 0.0,
-    seed: int = 0,
-    order: int = 8,
-    identifier_bits: int = 15,
-    **overrides: Any,
+    name: str = "fan-in", senders: int = 4, **params: Any
 ) -> TopologySpec:
     """K senders fan in through one shared ZipLine encoder.
 
@@ -225,54 +214,16 @@ def fan_in_topology(
     measured inter-switch link and the decoder serve all of them — the
     dictionary-contention scenario a single-flow chain cannot express.
     """
-    nodes, links, flows = _fan_in_rack(
-        None,
-        senders,
-        wire=dict(
-            bandwidth_gbps=bandwidth_gbps, propagation_us=propagation_us,
-            queue_capacity=queue_capacity, loss=loss, reorder=reorder, hops=hops,
-        ),
-        flow=dict(
-            workload=workload, chunks=chunks, bases=bases, names=names,
-            trace=trace, pacing=pacing, packet_rate=packet_rate, speedup=speedup,
-        ),
-    )
-    return TopologySpec(
-        name=name,
-        scenario=scenario,
-        order=order,
-        identifier_bits=identifier_bits,
-        seed=seed,
-        nodes=nodes,
-        links=links,
-        flows=flows,
-        **overrides,
-    )
+    return _fan_in(name, (None,), senders, *route_parameters(fan_in_topology, params))
 
 
 def rack_fan_in_topology(
     name: str = "rack-fan-in",
     racks: int = 4,
     senders: int = 8,
-    scenario: str = "dynamic",
-    hops: int = 1,
-    workload: str = "synthetic",
     chunks: int = 500,
     bases: int = 8,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    bandwidth_gbps: float = 100.0,
-    propagation_us: float = 0.5,
-    queue_capacity: int = 0,
-    loss: float = 0.0,
-    reorder: float = 0.0,
-    seed: int = 0,
-    order: int = 8,
-    identifier_bits: int = 15,
-    **overrides: Any,
+    **params: Any,
 ) -> TopologySpec:
     """R independent racks, each a K-sender fan-in behind its own encoder.
 
@@ -282,34 +233,11 @@ def rack_fan_in_topology(
     subgraphs, so ``--workers N`` gets genuine parallelism here where the
     single-encoder ``fan-in`` preset collapses to one shard.
     """
+    routed = route_parameters(
+        rack_fan_in_topology, dict(params, chunks=chunks, bases=bases)
+    )
     _check.positive_int(f"topology {name!r}", "racks", racks)
-    wire = dict(
-        bandwidth_gbps=bandwidth_gbps, propagation_us=propagation_us,
-        queue_capacity=queue_capacity, loss=loss, reorder=reorder, hops=hops,
-    )
-    flow = dict(
-        workload=workload, chunks=chunks, bases=bases, names=names,
-        trace=trace, pacing=pacing, packet_rate=packet_rate, speedup=speedup,
-    )
-    nodes: List[NodeSpec] = []
-    links: List[LinkSpec] = []
-    flows: List[FlowSpec] = []
-    for rack in range(racks):
-        rack_nodes, rack_links, rack_flows = _fan_in_rack(rack, senders, wire, flow)
-        nodes += rack_nodes
-        links += rack_links
-        flows += rack_flows
-    return TopologySpec(
-        name=name,
-        scenario=scenario,
-        order=order,
-        identifier_bits=identifier_bits,
-        seed=seed,
-        nodes=nodes,
-        links=links,
-        flows=flows,
-        **overrides,
-    )
+    return _fan_in(name, range(racks), senders, *routed)
 
 
 def fan_in_stress_topology(
@@ -317,60 +245,17 @@ def fan_in_stress_topology(
     senders: int = 1000,
     chunks: int = 100,
     bases: int = 8,
-    **kwargs: Any,
+    **params: Any,
 ) -> TopologySpec:
     """The ``senders=1000+`` stress shape: the fan-in preset at rack scale.
 
     Defaults trade per-flow depth (``chunks=100``) for breadth so a stress
     run finishes in minutes; pass ``senders=``/``chunks=`` to push further.
     """
-    return fan_in_topology(
-        name=name, senders=senders, chunks=chunks, bases=bases, **kwargs
+    routed = route_parameters(
+        fan_in_stress_topology, dict(params, chunks=chunks, bases=bases)
     )
-
-
-def paper_testbed_topology(
-    name: str = "paper-testbed",
-    scenario: str = "dynamic",
-    workload: str = "synthetic",
-    chunks: int = 1000,
-    bases: int = 16,
-    names: int = 300,
-    trace: Optional[str] = None,
-    pacing: str = "rate",
-    packet_rate: float = 1e6,
-    speedup: float = 1.0,
-    seed: int = 0,
-    order: int = 8,
-    identifier_bits: int = 15,
-    **overrides: Any,
-) -> TopologySpec:
-    """The paper's two-switch testbed: a direct, tapped inter-switch hop."""
-    spec = linear_topology(
-        name=name,
-        scenario=scenario,
-        workload=workload,
-        chunks=chunks,
-        bases=bases,
-        names=names,
-        trace=trace,
-        pacing=pacing,
-        packet_rate=packet_rate,
-        speedup=speedup,
-        seed=seed,
-        order=order,
-        identifier_bits=identifier_bits,
-        **overrides,
-    )
-    # Replace the emulated hop with the deployment's synchronous tapped wire.
-    spec.links = [
-        link if not link.measured else LinkSpec(
-            name=link.name, source=link.source, target=link.target,
-            direct=True, measured=True,
-        )
-        for link in spec.links
-    ]
-    return spec
+    return _fan_in(name, (None,), senders, *routed)
 
 
 def fault_storm_topology(
@@ -378,11 +263,10 @@ def fault_storm_topology(
     senders: int = 4,
     chunks: int = 600,
     bases: int = 6,
-    control_loss: float = 0.10,
-    control_rate: Optional[float] = None,
-    restart_at: Optional[float] = None,
     packet_rate: float = 1e5,
-    **kwargs: Any,
+    control_loss: float = 0.10,
+    restart_at: Optional[float] = None,
+    **params: Any,
 ) -> TopologySpec:
     """The chaos-smoke shape: fan-in + lossy control channel + decoder restart.
 
@@ -394,22 +278,18 @@ def fault_storm_topology(
     restores every surviving binding.  CI runs this preset with
     ``--workers 2`` and asserts nonzero recovery counters.
     """
+    routed = route_parameters(
+        fault_storm_topology,
+        dict(params, chunks=chunks, bases=bases, packet_rate=packet_rate),
+        control="in-network",  # the lossy channel: not the caller's to choose
+    )
     if restart_at is None:
         # Halfway through the nominal send window of one flow.  The default
         # packet rate keeps that window well past the control plane's
         # learning latency (digest + table writes ≈ 1.8 ms), so the wiped
         # table is non-empty and the resync actually has work to do.
         restart_at = chunks / (2.0 * packet_rate)
-    spec = fan_in_topology(
-        name=name,
-        senders=senders,
-        chunks=chunks,
-        bases=bases,
-        packet_rate=packet_rate,
-        control="in-network",
-        control_rate=control_rate,
-        **kwargs,
-    )
+    spec = _fan_in(name, (None,), senders, *routed)
     spec.faults = FaultPlan(
         control_loss=control_loss,
         restarts=(NodeRestart(node="decoder", time=restart_at),),

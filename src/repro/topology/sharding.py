@@ -49,6 +49,7 @@ from repro.obs.sinks import JsonLinesSink, merge_segments
 from repro.obs.tracer import Tracer
 from repro.replay.metrics import MetricsRegistry
 from repro.topology.engine import TopologyEngine, check_metrics_mode
+from repro.topology.graph import components, node_components
 from repro.topology.report import TopologyReport, fold_report
 from repro.topology.spec import SPEC_SETTINGS, TopologySpec
 
@@ -119,12 +120,12 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
     """Split a spec into one shard per connected component.
 
     Components are connected through links *and* encoder↔decoder control
-    pairings (see :meth:`TopologySpec.node_components`).  Raises
+    pairings (see :func:`~repro.topology.graph.node_components`).  Raises
     :class:`PartitionError` — naming the offender — when a component holds
     more than one encoder (the link that merges them) or a flow spans two
     components (the flow).
     """
-    component_of = spec.node_components()
+    component_of = node_components(spec)
     kind_of = {node.name: node.kind for node in spec.nodes}
 
     # Name the *link* that first merges two encoder-bearing subgraphs:
@@ -156,7 +157,7 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
         encoder_count[root_b] += encoder_count[root_a]
     # Decoder pairings can also merge encoder subgraphs (two encoders
     # claiming one decoder); there is no link to blame, so name the nodes.
-    for component in spec.components():
+    for component in components(spec):
         encoders = [name for name in component if kind_of[name] == "encoder"]
         if len(encoders) > 1:
             names = ", ".join(repr(name) for name in encoders)
@@ -179,7 +180,7 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
     measured_names = {link.name for link in spec.measured_links}
 
     shards: List[TopologyShard] = []
-    for index, component in enumerate(spec.components()):
+    for index, component in enumerate(components(spec)):
         members = set(component)
         nodes = [node for node in spec.nodes if node.name in members]
         links = [

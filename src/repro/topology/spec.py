@@ -30,16 +30,18 @@ The named shapes (``linear``, ``fan-in``, ``rack-fan-in``, …) live in
 
 from __future__ import annotations
 
+import inspect
 import json
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import TopologyError
 from repro.topology.faults import FaultPlan, validate_spec_faults
 from repro.validation import Validator
+from repro.workloads import WORKLOAD_FACTORIES
 
 __all__ = [
     "NodeSpec",
@@ -56,15 +58,28 @@ __all__ = [
     "paper_testbed_topology",
     "derive_seed",
     "derive_flow_seed",
+    "FLOW_PARAMETERS",
+    "WIRE_PARAMETERS",
+    "RUN_PARAMETERS",
+    "RunParameter",
+    "route_parameters",
 ]
 
 NODE_KINDS = ("host", "encoder", "decoder", "forward")
-WORKLOADS = ("synthetic", "dns", "thrash")
+WORKLOADS = tuple(WORKLOAD_FACTORIES)
 PACINGS = ("recorded", "rate", "back-to-back")
 SCENARIOS = ("no_table", "static", "dynamic")
 CONTROL_MODES = ("direct", "in-network")
 #: What :func:`linear_topology` can put between the sender and the sink.
 LINEAR_SHAPES = ("encoder-link-decoder", "encoder-only", "decoder-only")
+#: The :class:`FlowSpec` fields a preset builder puts on every flow, and the
+#: :class:`LinkSpec` fields it puts on the measured wire (every rack's).
+FLOW_PARAMETERS = (
+    "workload", "chunks", "bases", "names", "trace", "pacing", "packet_rate", "speedup",
+)
+WIRE_PARAMETERS = (
+    "bandwidth_gbps", "propagation_us", "queue_capacity", "loss", "reorder", "hops",
+)
 
 #: Load-time ceilings.  The engine builds one emulated link per hop and
 #: sizes every switch for its highest referenced port, so both are capped
@@ -102,9 +117,9 @@ def derive_flow_seed(spec_name: str, spec_seed: int, flow_name: str) -> int:
     return derive_seed(spec_name, spec_seed, f"flow:{flow_name}")
 
 
-def _optional(check: Callable[[str, str, Any], Any], where: str, name: str, value: Any):
+def _optional(check: Callable, validator: Validator, where: str, name: str, value: Any):
     """``check`` applied to a field that may be absent (``None``)."""
-    return None if value is None else check(where, name, value)
+    return None if value is None else check(validator, where, name, value)
 
 
 def _decimal(value: Any) -> Any:
@@ -134,7 +149,7 @@ def _checked(
     """Every field of ``checks`` validated; one the document leaves out
     takes the dataclass default (``None`` when the field has none)."""
     return {
-        key: check(where, key, data.get(key, getattr(cls, key, None)))
+        key: check(_check, where, key, data.get(key, getattr(cls, key, None)))
         for key, check in checks.items()
     }
 
@@ -190,10 +205,12 @@ class NodeSpec:
 
 
 #: What each field a node document may set must pass (see ``_checked``).
+#: Check tables hold ``Validator`` methods unbound, ``check(validator, where,
+#: name, value)``: the experiment table runs them under its own error class.
 _NODE_CHECKS = {
-    "kind": partial(_check.choice, options=NODE_KINDS),
-    "default_egress_port": partial(_optional, _check.non_negative_int),
-    "decoder": partial(_optional, _check.string),
+    "kind": partial(Validator.choice, options=NODE_KINDS),
+    "default_egress_port": partial(_optional, Validator.non_negative_int),
+    "decoder": partial(_optional, Validator.string),
 }
 
 
@@ -243,12 +260,7 @@ class LinkSpec:
             "name": self.name,
             "source": f"{self.source[0]}:{self.source[1]}",
             "target": f"{self.target[0]}:{self.target[1]}",
-            "bandwidth_gbps": self.bandwidth_gbps,
-            "propagation_us": self.propagation_us,
-            "queue_capacity": self.queue_capacity,
-            "loss": self.loss,
-            "reorder": self.reorder,
-            "hops": self.hops,
+            **{key: getattr(self, key) for key in WIRE_PARAMETERS},
             "direct": self.direct,
             "measured": self.measured,
         }
@@ -258,15 +270,15 @@ class LinkSpec:
 
 
 _LINK_CHECKS = {
-    "bandwidth_gbps": _check.positive_number,
-    "propagation_us": _check.non_negative_number,
-    "queue_capacity": _check.non_negative_int,  # 0 = unbounded
-    "loss": _check.probability,
-    "reorder": _check.probability,
-    "hops": _check.positive_int,
-    "direct": _check.boolean,
-    "measured": _check.boolean,
-    "seed": partial(_optional, _check.integer),
+    "bandwidth_gbps": Validator.positive_number,
+    "propagation_us": Validator.non_negative_number,
+    "queue_capacity": Validator.non_negative_int,  # 0 = unbounded
+    "loss": Validator.probability,
+    "reorder": Validator.probability,
+    "hops": partial(Validator.positive_int, maximum=MAX_HOPS),
+    "direct": Validator.boolean,
+    "measured": Validator.boolean,
+    "seed": partial(_optional, Validator.integer),
 }
 
 
@@ -298,45 +310,49 @@ class FlowSpec:
             "name": self.name,
             "source": self.source,
             "sink": self.sink,
-            "workload": self.workload,
-            "chunks": self.chunks,
-            "bases": self.bases,
-            "names": self.names,
-            "pacing": self.pacing,
-            "packet_rate": self.packet_rate,
-            "speedup": self.speedup,
+            **{key: getattr(self, key) for key in FLOW_PARAMETERS},
             "start": self.start,
         }
-        if self.trace is not None:
-            data["trace"] = self.trace
+        if self.trace is None:
+            del data["trace"]
         if self.seed is not None:
             data["seed"] = self.seed
         return data
 
 
 _FLOW_CHECKS = {
-    "source": _check.string,
-    "sink": _check.string,
-    "workload": partial(_check.choice, options=WORKLOADS),
-    "chunks": _check.positive_int,
-    "bases": _check.positive_int,
-    "names": _check.positive_int,
-    "trace": partial(_optional, _check.string),
-    "pacing": partial(_check.choice, options=PACINGS),
-    "packet_rate": _check.positive_number,
-    "speedup": _check.positive_number,
-    "start": _check.non_negative_number,
-    "seed": partial(_optional, _check.integer),
+    "source": Validator.string,
+    "sink": Validator.string,
+    "workload": partial(Validator.choice, options=WORKLOADS),
+    "chunks": Validator.positive_int,
+    "bases": Validator.positive_int,
+    "names": Validator.positive_int,
+    "trace": partial(_optional, Validator.string),
+    "pacing": partial(Validator.choice, options=PACINGS),
+    "packet_rate": Validator.positive_number,
+    "speedup": Validator.positive_number,
+    "start": Validator.non_negative_number,
+    "seed": partial(_optional, Validator.integer),
 }
 
 
+#: What each scalar setting of a spec must pass, in the order checked.
+_SPEC_CHECKS = {
+    "name": Validator.string,
+    "scenario": partial(Validator.choice, options=SCENARIOS),
+    "order": Validator.positive_int,
+    "identifier_bits": Validator.positive_int,
+    "seed": Validator.integer,
+    "entry_ttl": partial(_optional, Validator.positive_number),
+    "control": partial(Validator.choice, options=CONTROL_MODES),
+    "control_bandwidth_gbps": Validator.positive_number,
+    "control_propagation_us": Validator.non_negative_number,
+    "control_rate": partial(_optional, Validator.positive_number),
+    "control_queue": partial(_optional, Validator.positive_int),
+}
 #: A spec's scalar settings: constructor arguments (which own the
 #: defaults), attributes and JSON keys of the same name.
-SPEC_SETTINGS = (
-    "name", "scenario", "order", "identifier_bits", "seed", "entry_ttl",
-    "control", "control_bandwidth_gbps", "control_propagation_us",
-    "control_rate", "control_queue",
-)
+SPEC_SETTINGS = tuple(_SPEC_CHECKS)
 _SPEC_KEYS = SPEC_SETTINGS + ("faults", "nodes", "links", "flows")
 
 
@@ -366,30 +382,11 @@ class TopologySpec:
         control_queue: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
     ):
-        self.name = _check.string("topology", "name", name)
+        given = locals()  # the settings by name, for the one table of checks
+        self.name = _SPEC_CHECKS["name"](_check, "topology", "name", name)
         where = f"topology {self.name!r}"
-        self.scenario = _check.choice(where, "scenario", scenario, SCENARIOS)
-        self.order = _check.positive_int(where, "order", order)
-        self.identifier_bits = _check.positive_int(
-            where, "identifier_bits", identifier_bits
-        )
-        self.seed = _check.integer(where, "seed", seed)
-        self.entry_ttl = _optional(
-            _check.positive_number, where, "entry_ttl", entry_ttl
-        )
-        self.control = _check.choice(where, "control", control, CONTROL_MODES)
-        self.control_bandwidth_gbps = _check.positive_number(
-            where, "control_bandwidth_gbps", control_bandwidth_gbps
-        )
-        self.control_propagation_us = _check.non_negative_number(
-            where, "control_propagation_us", control_propagation_us
-        )
-        self.control_rate = _optional(
-            _check.positive_number, where, "control_rate", control_rate
-        )
-        self.control_queue = _optional(
-            _check.positive_int, where, "control_queue", control_queue
-        )
+        for key in SPEC_SETTINGS[1:]:
+            setattr(self, key, _SPEC_CHECKS[key](_check, where, key, given[key]))
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_dict(faults)
         self.faults = faults
@@ -436,7 +433,7 @@ class TopologySpec:
             if link.name in seen_links:
                 raise _check.failure(where, "is declared more than once")
             seen_links[link.name] = link
-            _check.positive_int(where, "hops", link.hops, MAX_HOPS)
+            _LINK_CHECKS["hops"](_check, where, "hops", link.hops)
             for label, (node, port) in (("source", link.source), ("target", link.target)):
                 if node not in by_name:
                     raise _check.failure(
@@ -526,60 +523,6 @@ class TopologySpec:
         fallback = self.measured_link
         return [] if fallback is None else [fallback]
 
-    # -- connectivity ------------------------------------------------------------
-
-    def node_components(self) -> Dict[str, int]:
-        """Map every node name to its connected-component id.
-
-        Components are computed over the undirected union of all links
-        *plus* each encoder's control coupling to its paired decoder
-        (explicit ``decoder:`` pairing, or the implied pairing when the
-        spec has exactly one decoder) — two nodes share a component id
-        exactly when traffic or control state can flow between them.
-        Component ids are dense and ordered by first appearance in the
-        node list, so they are deterministic for a given spec.
-        """
-        parent = {node.name: node.name for node in self.nodes}
-
-        def find(name: str) -> str:
-            while parent[name] != name:
-                parent[name] = parent[parent[name]]
-                name = parent[name]
-            return name
-
-        def union(a: str, b: str) -> None:
-            root_a, root_b = find(a), find(b)
-            if root_a != root_b:
-                parent[root_a] = root_b
-
-        for link in self.links:
-            union(link.source[0], link.target[0])
-        decoders = [node for node in self.nodes if node.kind == "decoder"]
-        for node in self.nodes:
-            if node.kind != "encoder":
-                continue
-            decoder = node.decoder
-            if decoder is None and len(decoders) == 1:
-                decoder = decoders[0].name
-            if decoder is not None:
-                union(node.name, decoder)
-        ids: Dict[str, int] = {}
-        component_of: Dict[str, int] = {}
-        for node in self.nodes:
-            root = find(node.name)
-            if root not in ids:
-                ids[root] = len(ids)
-            component_of[node.name] = ids[root]
-        return component_of
-
-    def components(self) -> List[List[str]]:
-        """Node names grouped by connected component, in declaration order."""
-        component_of = self.node_components()
-        groups: Dict[int, List[str]] = {}
-        for node in self.nodes:
-            groups.setdefault(component_of[node.name], []).append(node.name)
-        return [groups[index] for index in range(len(groups))]
-
     def flow_seed(self, flow: FlowSpec) -> int:
         """The flow's effective seed (explicit, or derived from identity)."""
         if flow.seed is not None:
@@ -638,6 +581,68 @@ class TopologySpec:
         if self.faults is not None and self.faults.active:
             data["faults"] = self.faults.as_dict()
         return data
+
+
+class RunParameter(NamedTuple):
+    """One run parameter as its owner declares it."""
+
+    default: Any
+    check: Callable[..., Any]  # unbound: check(validator, where, name, value)
+
+
+#: What a preset builder, an experiment scenario or a ``repro replay`` flag
+#: may set: the flow's and the wire's parameters, then the spec's settings
+#: (all but ``name``, which each builder defaults itself).  The owner's
+#: field or constructor argument is the only default, its ``_*_CHECKS``
+#: entry the only check; every other module reads them from here.
+RUN_PARAMETERS: Dict[str, RunParameter] = {
+    name: RunParameter(declared[name].default, checks[name])
+    for owner, checks, names in (
+        (FlowSpec, _FLOW_CHECKS, FLOW_PARAMETERS),
+        (LinkSpec, _LINK_CHECKS, WIRE_PARAMETERS),
+        (TopologySpec, _SPEC_CHECKS, SPEC_SETTINGS[1:]),
+    )
+    for declared in [inspect.signature(owner).parameters]
+    for name in names
+}
+
+
+def route_parameters(
+    builder: Callable[..., TopologySpec],
+    params: Mapping[str, Any],
+    wire: bool = True,
+    **fixed: Any,
+) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
+    """A preset builder's ``**params`` split by owner: ``(flow, wire, settings)``.
+
+    Keywords the builder declares itself never get here.  Of the rest, a
+    name the schema does not own — or a wire parameter when the builder has
+    no emulated wire to put it on (``wire=False``), or one the preset sets
+    itself (``fixed``, routed with the rest) — is rejected, naming the
+    preset (the builder's default spec name) and what it does take.  Every
+    value passes its owner's check here, so a bad one is named before any
+    node, link or flow is built.
+    """
+    groups = (FLOW_PARAMETERS, WIRE_PARAMETERS if wire else (), SPEC_SETTINGS[1:])
+    routable = [name for group in groups for name in group if name not in fixed]
+    own = inspect.signature(builder).parameters
+    where = f"topology preset {own['name'].default!r}"
+    for key in params:
+        if key not in routable:
+            takes = [name for name in own if own[name].kind is not own[name].VAR_KEYWORD]
+            takes += [name for name in routable if name not in takes]
+            raise TopologyError(
+                f"{where} takes no parameter {key!r}; it takes: {', '.join(takes)}"
+            )
+    given = {**params, **fixed}
+    return tuple(
+        {
+            key: RUN_PARAMETERS[key].check(_check, where, key, given[key])
+            for key in group
+            if key in given
+        }
+        for group in groups
+    )
 
 
 # The named shapes moved to their own module; they stay importable from

@@ -342,6 +342,15 @@ class TestTopologyCommand:
         err = capsys.readouterr().err
         assert "--senders only applies" in err
 
+    def test_senders_flag_reaches_every_preset_that_takes_it(self, capsys):
+        # fault-storm is a fan-in: the guard asks the preset, not a list.
+        assert main(
+            ["topology", "--preset", "fault-storm", "--senders", "8",
+             "--chunks", "200", "--quiet"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "flow7" in out and "flow8" not in out
+
     def test_racks_flag_rejected_outside_rack_preset(self, capsys):
         assert main(
             ["topology", "--preset", "fan-in", "--racks", "2"]

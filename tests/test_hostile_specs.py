@@ -1,7 +1,8 @@
 """Hostile spec documents: only ``ReproError`` subclasses may escape.
 
 Topology specs, fault plans and experiment specs are JSON a user wrote.
-Each case below takes a valid document, breaks one field, and loads it:
+Each case below takes a valid document, breaks one field, and loads it
+(or hands a preset builder a keyword it does not take):
 the loader must answer with its own error class, naming the entry, in
 well under two seconds — never an ``AttributeError``/``TypeError`` from
 deep inside, never a silently coerced value, never an allocation sized by
@@ -10,6 +11,7 @@ the document.
 
 import copy
 import json
+from functools import partial
 import time
 import tracemalloc
 
@@ -22,8 +24,13 @@ from repro.topology import (
     FaultPlan,
     TopologyEngine,
     TopologySpec,
+    fan_in_stress_topology,
+    fan_in_topology,
+    fault_storm_topology,
     linear_topology,
+    paper_testbed_topology,
     preset_topology,
+    rack_fan_in_topology,
 )
 from repro.topology.spec import MAX_HOPS, MAX_PORT
 
@@ -137,6 +144,25 @@ EXPERIMENT_CASES = [
     (["bases"], {}, "unknown keys: bases"),
 ]
 
+#: (preset builder or name, hostile keywords, texts the message must contain):
+#: the preset, the offending name, and a name it does take — or, for a name
+#: it takes with a value its owner refuses, the owner's complaint.
+PRESET_CASES = [
+    (fan_in_topology, {"los": 0.1}, ("preset 'fan-in'", "'los'", "loss")),
+    ("fault-storm", {"racks": 2}, ("preset 'fault-storm'", "'racks'", "restart_at")),
+    (fault_storm_topology, {"flow_seed": 1}, ("preset 'fault-storm'", "'flow_seed'", "senders")),
+    (fan_in_stress_topology, {"shape": "encoder-only"}, ("preset 'fan-in-stress'", "'shape'", "chunks")),
+    (paper_testbed_topology, {"loss": 0.1}, ("preset 'paper-testbed'", "'loss'", "flow_seed")),
+    (paper_testbed_topology, {"faults": {}}, ("preset 'paper-testbed'", "'faults'", "control")),
+    (rack_fan_in_topology, {"rack": 2}, ("preset 'rack-fan-in'", "'rack'", "racks")),
+    (linear_topology, {"senders": 4}, ("preset 'linear'", "'senders'", "link_seed")),
+    (fault_storm_topology, {"control": "direct"}, ("preset 'fault-storm'", "'control'", "control_rate")),
+    (linear_topology, {"workload": "nope"}, ("preset 'linear'", "workload must be one of", "'nope'")),
+    (fan_in_topology, {"loss": 2}, ("preset 'fan-in'", "loss must be a number within [0, 1]")),
+    ("rack-fan-in", {"hops": 0}, ("preset 'rack-fan-in'", "hops must be a positive integer")),
+    (paper_testbed_topology, {"chunks": "9"}, ("preset 'paper-testbed'", "chunks must be", "'9'")),
+]
+
 FAULT_CASES = [
     (["control_loss"], "x", "control_loss"),
     (["control_reorder"], 2, "control_reorder"),
@@ -207,6 +233,17 @@ def test_experiment_spec_rejects_by_name(path, value, expected):
 def test_fault_plan_rejects_by_name(path, value, expected):
     document = broken(FAULTS, path, value)
     assert_rejected(FaultPlan.from_dict, document, TopologyError, expected)
+
+
+@pytest.mark.parametrize(
+    "preset,keywords,expected",
+    PRESET_CASES,
+    ids=[f"{getattr(p, '__name__', p)}({next(iter(k))})" for p, k, _ in PRESET_CASES],
+)
+def test_presets_reject_a_parameter_or_value_they_do_not_take_by_name(preset, keywords, expected):
+    build = partial(preset_topology, preset) if isinstance(preset, str) else preset
+    for text in expected:
+        assert_rejected(lambda kw: build(**kw), keywords, TopologyError, text)
 
 
 @pytest.mark.parametrize("text", ['{"seed": 1' + "0" * 5000 + "}", "{", "[1, 2"])
