@@ -6,18 +6,19 @@ type-3 packet at the destination — the window during which an unknown basis
 stays uncompressed while the control plane allocates an identifier and
 installs the two table entries.
 
-The reproduction runs the same experiment through the simulated deployment
-ten times (with latency jitter re-seeded per repetition, as independent runs
-would be) and reports the mean and 95 % confidence interval next to the
-paper's value.  The benchmarked operation is one complete run.
+The reproduction runs the same experiment through the ``paper-testbed``
+topology ten times (with latency jitter re-seeded per repetition, as
+independent runs would be) and reports the mean and 95 % confidence interval
+next to the paper's value.  The benchmarked operation is one complete run.
 """
 
 import pytest
 
 from repro.analysis.reporting import ComparisonRow, comparison_table, save_results_json
 from repro.analysis.statistics import summarize
-from repro.workloads import SyntheticSensorWorkload
-from repro.zipline import ZipLineDeployment
+from repro.replay import ChunkTraceSource, RecordedPacing
+from repro.topology import TopologyEngine, paper_testbed_topology
+from repro.workloads import ChunkTrace, SyntheticSensorWorkload
 
 from benchmarks.conftest import RESULTS_DIR, emit_result
 
@@ -30,13 +31,18 @@ PACKETS_PER_RUN = 4000
 REPLAY_RATE_PPS = 1.0e6
 
 
+def _same_chunk_run(seed: int):
+    """Replay one chunk ``PACKETS_PER_RUN`` times through the testbed."""
+    chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
+    trace = ChunkTrace([chunk] * PACKETS_PER_RUN)
+    source = (ChunkTraceSource(trace, recorded_rate=REPLAY_RATE_PPS), RecordedPacing())
+    engine = TopologyEngine(paper_testbed_topology(seed=seed))
+    return engine.run(sources={"flow0": source})
+
+
 def _one_run(seed: int) -> float:
     """One repetition: replay the same chunk repeatedly, measure the gap."""
-    chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
-    deployment = ZipLineDeployment(scenario="dynamic", seed=seed)
-    deployment.replay_chunks([chunk] * PACKETS_PER_RUN, packet_rate=REPLAY_RATE_PPS)
-    deployment.run()
-    learning_time = deployment.learning_time()
+    learning_time = _same_chunk_run(seed).learning_time
     assert learning_time is not None, "no compressed packet was ever produced"
     return learning_time * 1e3  # milliseconds
 
@@ -70,12 +76,11 @@ def test_uncompressed_packets_during_learning_window(benchmark):
     """Packets sharing the unknown basis stay type 2 until the install lands."""
 
     def run_and_count():
-        chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=5).chunks()[0]
-        deployment = ZipLineDeployment(scenario="dynamic", seed=5)
-        deployment.replay_chunks([chunk] * PACKETS_PER_RUN, packet_rate=REPLAY_RATE_PPS)
-        deployment.run()
-        summary = deployment.summary()
-        return summary.uncompressed_packets, summary.compressed_packets
+        report = _same_chunk_run(5)
+        return (
+            report.metrics.counter("wire.uncompressed_packets"),
+            report.metrics.counter("wire.compressed_packets"),
+        )
 
     uncompressed, compressed = benchmark(run_and_count)
     # ~1.77 ms at 1 Mpkt/s -> roughly 1,770 uncompressed packets, the rest

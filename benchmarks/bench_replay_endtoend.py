@@ -4,10 +4,11 @@ Drives the synthetic sensor workload through the full
 ``source → encoder switch → emulated link → decoder switch → sink`` path of
 :mod:`repro.replay` for the three Figure 3 dictionary scenarios, plus one
 impaired run (seeded loss) that demonstrates the counted-failure-mode
-contract of a lossy link.  For every run the harness verifies end-to-end
-payload integrity and reports the compression ratio on the wire, latency
-percentiles and the per-component counter breakdown — the numbers a
-figure-style experiment needs, from one command.
+contract of a lossy link.  Every run is a ``linear_topology`` spec run by
+``TopologyEngine`` with the trace as the flow's in-memory source; it
+verifies end-to-end payload integrity and reports the compression ratio on
+the wire, latency percentiles and the per-component counter breakdown — the
+numbers a figure-style experiment needs, from one command.
 
 Results land in ``benchmarks/results/replay_endtoend.{txt,json}``.  Set
 ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI smoke mode; the integrity
@@ -18,8 +19,8 @@ static-table replay (switch pipelines + link emulation + verification).
 import os
 
 from repro.analysis.reporting import format_table, save_results_json
-from repro.perfmodel.linkmodel import ImpairmentModel
-from repro.replay import ChunkTraceSource, FixedRatePacing, ReplayHarness
+from repro.replay import ChunkTraceSource, FixedRatePacing
+from repro.topology import TopologyEngine, linear_topology
 from repro.workloads import SyntheticSensorWorkload
 
 from benchmarks.conftest import RESULTS_DIR, emit_result
@@ -33,16 +34,14 @@ LOSS_PROBABILITY = 0.02
 SEED = 2020
 
 
-def _run_scenario(trace, scenario, static_bases=None, impairments=None):
-    harness = ReplayHarness(
-        scenario=scenario,
-        static_bases=static_bases,
-        impairments=impairments,
+def _run_scenario(trace, scenario, static_bases=None, **link):
+    engine = TopologyEngine(
+        linear_topology(scenario=scenario, **link), static_bases=static_bases
     )
-    report = harness.run(
-        ChunkTraceSource(trace), FixedRatePacing(packet_rate=REPLAY_RATE)
+    source = (ChunkTraceSource(trace), FixedRatePacing(packet_rate=REPLAY_RATE))
+    return engine.run(sources={"flow0": source}).as_replay_report(
+        "encoder-link-decoder"
     )
-    return report
 
 
 def test_replay_endtoend(benchmark):
@@ -86,7 +85,8 @@ def test_replay_endtoend(benchmark):
         trace,
         "static",
         static_bases=static_bases,
-        impairments=ImpairmentModel(loss_probability=LOSS_PROBABILITY, seed=SEED),
+        loss=LOSS_PROBABILITY,
+        link_seed=SEED,
     )
     assert lossy.integrity.intact, "delivered chunks must never be corrupted"
     dropped = lossy.metrics.counter("link0.dropped_loss")

@@ -21,9 +21,7 @@ import os
 import time
 
 from repro.analysis.reporting import format_table, save_results_json
-from repro.replay import FixedRatePacing, ReplayHarness, WorkloadTraceSource
-from repro.topology import TopologyEngine, fan_in_topology
-from repro.workloads import SyntheticSensorWorkload
+from repro.topology import TopologyEngine, fan_in_topology, linear_topology
 
 from benchmarks.conftest import RESULTS_DIR, emit_result, environment_info
 
@@ -52,14 +50,11 @@ def _build_spec():
 
 
 def _single_flow_static_ratio():
-    """The reference ratio: one flow of the same shape through the harness."""
-    workload = SyntheticSensorWorkload(
-        num_chunks=CHUNKS_PER_FLOW, distinct_bases=BASES_PER_FLOW, seed=SEED
+    """The reference ratio: one flow of the same shape through the chain."""
+    spec = linear_topology(
+        scenario="static", chunks=CHUNKS_PER_FLOW, bases=BASES_PER_FLOW, flow_seed=SEED
     )
-    harness = ReplayHarness(scenario="static", static_bases=workload.bases())
-    report = harness.run(
-        WorkloadTraceSource(workload), FixedRatePacing(packet_rate=1e6)
-    )
+    report = TopologyEngine(spec).run()
     assert report.integrity.lossless_in_order
     return report.compression_ratio
 

@@ -8,9 +8,10 @@ identifier, install the reverse mapping on the decoding switch and finally
 the forward mapping on the encoding switch.
 
 This example sends a burst of identical chunks through the simulated
-deployment, prints the control-plane event timeline with timestamps, and
-repeats the measurement ten times to report the mean ± 95 % confidence
-interval next to the paper's number.
+two-switch testbed (the ``paper-testbed`` topology), prints the
+control-plane event timeline with timestamps, and repeats the measurement
+ten times to report the mean ± 95 % confidence interval next to the paper's
+number.
 
 Run with::
 
@@ -25,8 +26,9 @@ from repro.controlplane.events import (
     DigestReceived,
     EncoderMappingInstalled,
 )
-from repro.workloads import SyntheticSensorWorkload
-from repro.zipline import ZipLineDeployment
+from repro.replay import ChunkTraceSource, RecordedPacing
+from repro.topology import TopologyEngine, paper_testbed_topology
+from repro.workloads import ChunkTrace, SyntheticSensorWorkload
 
 PACKETS = 4_000
 PACKET_RATE = 1.0e6  # packets per second
@@ -35,31 +37,34 @@ PACKET_RATE = 1.0e6  # packets per second
 def one_measurement(seed: int, verbose: bool = False) -> float:
     """One run of the paper's experiment; returns the learning delay in ms."""
     chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
-    deployment = ZipLineDeployment(scenario="dynamic", seed=seed)
-    deployment.replay_chunks([chunk] * PACKETS, packet_rate=PACKET_RATE)
-    deployment.run()
+    trace = ChunkTrace([chunk] * PACKETS)
+    engine = TopologyEngine(paper_testbed_topology(seed=seed))
+    report = engine.run(
+        sources={
+            "flow0": (ChunkTraceSource(trace, recorded_rate=PACKET_RATE), RecordedPacing())
+        }
+    )
 
     if verbose:
-        control_plane = deployment.control_plane
+        control_plane = engine.control_planes["encoder"]
         # The *first* digest of each kind matters; later digests for the same
         # basis are ignored while the install is pending.
         digest = control_plane.events.of_type(DigestReceived)[0]
         decoder_install = control_plane.events.of_type(DecoderMappingInstalled)[0]
         encoder_install = control_plane.events.of_type(EncoderMappingInstalled)[0]
-        summary = deployment.summary()
+        wire = report.metrics.counter
         print("control-plane timeline (simulated time):")
         print(f"  t = 0.000 ms  first raw chunk enters the encoding switch")
         print(f"  t = {digest.time * 1e3:6.3f} ms  learn digest delivered to the control plane")
         print(f"  t = {decoder_install.time * 1e3:6.3f} ms  identifier → basis entry active in the decoder")
         print(f"  t = {encoder_install.time * 1e3:6.3f} ms  basis → identifier entry active in the encoder")
         print(
-            f"  packets while learning: {summary.uncompressed_packets:,} stayed "
-            f"uncompressed, {summary.compressed_packets:,} were compressed afterwards"
+            f"  packets while learning: {wire('wire.uncompressed_packets'):,} stayed "
+            f"uncompressed, {wire('wire.compressed_packets'):,} were compressed afterwards"
         )
 
-    learning_time = deployment.learning_time()
-    assert learning_time is not None
-    return learning_time * 1e3
+    assert report.learning_time is not None
+    return report.learning_time * 1e3
 
 
 def main() -> None:

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Replay a pcap trace through an emulated ZipLine topology.
 
-The tour of :mod:`repro.replay`, the subsystem that turns the switch
-models into one experimentable system:
+The tour of :mod:`repro.replay` — sources, pacing, emulated links and the
+report — as the topology engine runs it:
 
 1. generate a sensor-like chunk trace and persist it as a standard pcap
    (nanosecond resolution — readable by tcpdump/Wireshark);
-2. stream it through ``source → encoder → emulated link → decoder → sink``
-   with dynamic dictionary learning, and verify every delivered payload is
+2. describe ``source → encoder → emulated link → decoder → sink`` as a
+   ``linear_topology`` spec whose flow replays the pcap, run it with
+   dynamic dictionary learning, and verify every delivered payload is
    byte-identical to what was sent;
 3. rerun over a *lossy* link (seeded, fully reproducible) and observe the
    counted failure mode: chunks go missing, nothing gets corrupted;
@@ -29,8 +30,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.perfmodel.linkmodel import ImpairmentModel
-from repro.replay import FixedRatePacing, PcapTraceSource, ReplayHarness
+from repro.topology import TopologyEngine, linear_topology
 from repro.workloads import SyntheticSensorWorkload
 
 
@@ -44,23 +44,17 @@ def main() -> None:
         trace.to_pcap(pcap_path, packet_rate=1e6, nanosecond=True)
         print(f"wrote {len(trace):,} chunk packets to {pcap_path.name}\n")
 
-        # -- loss-free replay with dynamic learning --------------------------
-        harness = ReplayHarness(topology="encoder-link-decoder", scenario="dynamic")
-        report = harness.run(
-            PcapTraceSource(pcap_path), FixedRatePacing(packet_rate=1e6)
-        )
+        # -- loss-free replay with dynamic learning, at 1 Mpkt/s --------------
+        spec = linear_topology(trace=str(pcap_path), scenario="dynamic")
+        report = TopologyEngine(spec).run().as_replay_report("encoder-link-decoder")
         assert report.integrity.lossless_in_order, "loss-free replay must be exact"
         print(report.render(include_counters=False))
 
         # -- the same trace over a 2 %-loss link ------------------------------
-        lossy = ReplayHarness(
-            topology="encoder-link-decoder",
-            scenario="dynamic",
-            impairments=ImpairmentModel(loss_probability=0.02, seed=7),
+        lossy = linear_topology(
+            trace=str(pcap_path), scenario="dynamic", loss=0.02, link_seed=7
         )
-        lossy_report = lossy.run(
-            PcapTraceSource(pcap_path), FixedRatePacing(packet_rate=1e6)
-        )
+        lossy_report = TopologyEngine(lossy).run()
         integrity = lossy_report.integrity
         assert integrity.intact, "loss must never corrupt delivered chunks"
         print(

@@ -6,10 +6,10 @@ simulation:
 
 * a fleet of sensors produces 256-bit readouts (the synthetic workload of
   Figure 3, scaled down);
-* the readouts are replayed through the full deployment — sender host →
-  ZipLine *encoding* switch → 100 GbE hop → ZipLine *decoding* switch →
-  receiver host — under the three dictionary scenarios the paper measures
-  (no table, static table, dynamic learning);
+* the readouts are replayed through the ``paper-testbed`` topology —
+  sender host → ZipLine *encoding* switch → 100 GbE hop → ZipLine
+  *decoding* switch → receiver host — under the three dictionary scenarios
+  the paper measures (no table, static table, dynamic learning);
 * the traffic crossing the compressed hop is accounted per packet type, the
   receiver verifies every chunk arrived bit exact, and the dynamic scenario
   reports the basis-learning delay.
@@ -22,34 +22,36 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
+from repro.topology import TopologyEngine, paper_testbed_topology
 from repro.workloads import SyntheticSensorWorkload
-from repro.zipline import DeploymentScenario, ZipLineDeployment
 
 #: Scaled-down trace (the paper replays 3,124,000 chunks; the simulation gets
 #: the same shape from far fewer).
 NUM_CHUNKS = 8_000
 DISTINCT_BASES = 16
+SEED = 42
 
 #: Replay rate chosen so the trace duration relative to the 1.77 ms learning
 #: delay matches the paper's experiment (see EXPERIMENTS.md).
 PACKET_RATE = NUM_CHUNKS / 0.446
 
 
-def run_scenario(scenario: DeploymentScenario, workload: SyntheticSensorWorkload):
-    """Replay the workload under one dictionary scenario."""
-    chunks = workload.chunks()
-    deployment = ZipLineDeployment(
+def run_scenario(scenario: str):
+    """Replay the workload under one dictionary scenario (``static``
+    preloads the workload's own bases)."""
+    spec = paper_testbed_topology(
         scenario=scenario,
-        static_bases=workload.bases() if scenario is DeploymentScenario.STATIC else None,
+        chunks=NUM_CHUNKS,
+        bases=DISTINCT_BASES,
+        packet_rate=PACKET_RATE,
+        flow_seed=SEED,
     )
-    summary = deployment.replay_and_run(chunks, packet_rate=PACKET_RATE)
-    lossless = deployment.verify_lossless(chunks)
-    return summary, lossless
+    return TopologyEngine(spec).run()
 
 
 def main() -> None:
     workload = SyntheticSensorWorkload(
-        num_chunks=NUM_CHUNKS, distinct_bases=DISTINCT_BASES, seed=42
+        num_chunks=NUM_CHUNKS, distinct_bases=DISTINCT_BASES, seed=SEED
     )
     print(
         f"sensor workload: {NUM_CHUNKS:,} chunks of "
@@ -58,27 +60,23 @@ def main() -> None:
     )
 
     rows = []
-    for scenario in (
-        DeploymentScenario.NO_TABLE,
-        DeploymentScenario.STATIC,
-        DeploymentScenario.DYNAMIC,
-    ):
-        summary, lossless = run_scenario(scenario, workload)
+    for scenario in ("no_table", "static", "dynamic"):
+        report = run_scenario(scenario)
         learning = (
-            f"{summary.learning_time * 1e3:.2f} ms"
-            if summary.learning_time is not None
+            f"{report.learning_time * 1e3:.2f} ms"
+            if report.learning_time is not None
             else "–"
         )
         rows.append(
             [
-                scenario.value,
-                summary.uncompressed_packets,
-                summary.compressed_packets,
-                f"{summary.transmitted_payload_bytes / 1e6:.3f} MB",
-                f"{summary.compression_ratio:.3f}",
-                f"{summary.savings_percent:.1f} %",
+                scenario,
+                report.metrics.counter("wire.uncompressed_packets"),
+                report.metrics.counter("wire.compressed_packets"),
+                f"{report.wire_payload_bytes / 1e6:.3f} MB",
+                f"{report.compression_ratio:.3f}",
+                f"{report.savings_percent:.1f} %",
                 learning,
-                "yes" if lossless else "NO",
+                "yes" if report.integrity.lossless_in_order else "NO",
             ]
         )
 

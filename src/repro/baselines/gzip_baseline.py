@@ -1,10 +1,11 @@
 """DEFLATE/gzip baseline (the "Gzip" bars of Figure 3).
 
 The paper extracts all payloads into a regular file and compresses it with
-the ``gzip`` command-line tool.  The reproduction uses Python's ``zlib`` —
-the same DEFLATE algorithm and the same container framing as the gzip tool
-(via ``gzip``-compatible headers) — so the comparison is algorithmically
-identical.
+the ``gzip`` command-line tool.  The whole-file mode counts the output of
+the registry's ``gzip`` codec
+(:class:`~repro.core.engine.GzipStreamCompressor`: the same DEFLATE
+algorithm and container framing as the tool), fed chunk by chunk, so the
+concatenated file is never materialised.
 
 Besides the whole-file mode the paper uses, a per-chunk mode is provided for
 the ablation study: it shows why DEFLATE is a poor fit for small IoT-style
@@ -14,12 +15,11 @@ of the motivations the paper gives for GD.
 
 from __future__ import annotations
 
-import gzip
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
-from repro.exceptions import ReproError
+from repro.core.engine import GzipStreamCompressor
 
 __all__ = ["GzipResult", "GzipBaseline"]
 
@@ -56,29 +56,24 @@ class GzipBaseline:
     """
 
     def __init__(self, level: int = 6):
-        if not 1 <= level <= 9:
-            raise ReproError(f"compression level must be in 1..9, got {level}")
+        self._whole_file = GzipStreamCompressor(level)  # validates the level
         self.level = level
 
     # -- whole-file mode (what the paper measures) --------------------------------
 
-    def compress_bytes(self, data: bytes) -> GzipResult:
-        """Compress one contiguous byte string (gzip container, like the tool)."""
-        compressed = gzip.compress(data, compresslevel=self.level)
+    def compress_chunks(self, chunks: Sequence[bytes]) -> GzipResult:
+        """Compress the chunks as one concatenated file (paper's method)."""
+        compressed = sum(len(out) for out in self._whole_file.compress_stream(chunks))
         return GzipResult(
-            original_bytes=len(data),
-            compressed_bytes=len(compressed),
+            original_bytes=sum(len(chunk) for chunk in chunks),
+            compressed_bytes=compressed,
             level=self.level,
             per_chunk=False,
         )
 
-    def compress_chunks(self, chunks: Sequence[bytes]) -> GzipResult:
-        """Concatenate chunks into one file and compress it (paper's method)."""
-        return self.compress_bytes(b"".join(chunks))
-
-    def roundtrip_bytes(self, data: bytes) -> bytes:
-        """Compress and decompress, returning the restored bytes."""
-        return gzip.decompress(gzip.compress(data, compresslevel=self.level))
+    def compress_bytes(self, data: bytes) -> GzipResult:
+        """Compress one contiguous byte string (gzip container, like the tool)."""
+        return self.compress_chunks([data])
 
     # -- per-chunk mode (ablation) ----------------------------------------------------
 
@@ -100,26 +95,4 @@ class GzipBaseline:
             compressed_bytes=compressed,
             level=self.level,
             per_chunk=True,
-        )
-
-    # -- streaming helper ----------------------------------------------------------------
-
-    def compressed_size_streaming(self, chunks: Iterable[bytes]) -> GzipResult:
-        """Whole-stream compression without materialising the concatenation.
-
-        Useful for paper-scale traces (100 MB) where building one bytes
-        object per run would be wasteful.
-        """
-        compressor = zlib.compressobj(self.level, zlib.DEFLATED, 31)  # gzip container
-        original = 0
-        compressed = 0
-        for chunk in chunks:
-            original += len(chunk)
-            compressed += len(compressor.compress(chunk))
-        compressed += len(compressor.flush())
-        return GzipResult(
-            original_bytes=original,
-            compressed_bytes=compressed,
-            level=self.level,
-            per_chunk=False,
         )

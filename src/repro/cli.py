@@ -53,7 +53,8 @@ from repro.core.engine import DEFAULT_BLOCK_SIZE, compress_file, decompress_file
 from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
 from repro.experiments import ExperimentSpec, MatrixRunner
-from repro.replay import ReplayTopology
+from repro.replay import ChunkTraceSource, RecordedPacing
+from repro.topology import TopologyEngine, linear_topology, paper_testbed_topology
 from repro.topology.spec import (
     CONTROL_MODES,
     LINEAR_SHAPES,
@@ -61,8 +62,7 @@ from repro.topology.spec import (
     RUN_PARAMETERS,
     SCENARIOS,
 )
-from repro.workloads import WORKLOAD_FACTORIES, SyntheticSensorWorkload
-from repro.zipline import ZipLineDeployment
+from repro.workloads import WORKLOAD_FACTORIES, ChunkTrace, SyntheticSensorWorkload
 
 __all__ = ["build_parser", "main"]
 
@@ -587,27 +587,23 @@ def _integrity_exit_code(integrity, impaired: bool, unknown_identifiers: int) ->
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.topology import TopologyEngine, linear_topology
-
     if (args.input is None) == (args.trace is None):
         raise ReproError("give the trace exactly once: positionally or via --trace")
     trace_path = args.trace if args.trace is not None else args.input
 
-    try:
-        topology = ReplayTopology.from_name(args.topology)
-    except ReproError as error:
-        # from_name lists the valid linear topologies; add the pointer to
-        # the graph-shaped ones.
+    shape = args.topology.lower()
+    if shape not in LINEAR_SHAPES:
         raise ReproError(
-            f"{error} (graph topologies such as fan-in run via "
-            "'repro topology --preset')"
-        ) from None
+            f"unknown topology {args.topology!r}; valid topologies: "
+            f"{', '.join(LINEAR_SHAPES)} (graph topologies such as fan-in run "
+            "via 'repro topology --preset')"
+        )
     # Every input of this command is spec-expressible: the pcap is the
     # flow's trace (the static scenario preloads its distinct bases), and
     # --seed seeds both the link impairments and the control plane.
     spec = linear_topology(
-        name=topology.value,
-        shape=topology.value,
+        name=shape,
+        shape=shape,
         trace=str(trace_path),
         **{name: getattr(args, name) for name, *_ in _REPLAY_FLAGS},
         link_seed=args.seed,
@@ -615,7 +611,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     tracer = _obs_enable(args)
     try:
-        report = TopologyEngine(spec).run().as_replay_report(topology.value)
+        report = TopologyEngine(spec).run().as_replay_report(shape)
     finally:
         if tracer is not None:
             obs.disable()
@@ -1122,17 +1118,19 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_learning_delay(args: argparse.Namespace) -> int:
+    for flag in ("repetitions", "packets"):
+        if getattr(args, flag) < 1:
+            raise ReproError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
     samples: List[float] = []
     for seed in range(args.repetitions):
+        # The paper's experiment: one chunk sent over and over at 1 Mpkt/s.
         chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
-        deployment = ZipLineDeployment(scenario="dynamic", seed=seed)
-        deployment.replay_chunks([chunk] * args.packets, packet_rate=1e6)
-        deployment.run()
-        learning_time = deployment.learning_time()
-        if learning_time is None:
+        source = (ChunkTraceSource(ChunkTrace([chunk] * args.packets)), RecordedPacing())
+        report = TopologyEngine(paper_testbed_topology(seed=seed)).run(sources={"flow0": source})
+        if report.learning_time is None:
             print("warning: no compressed packet observed; increase --packets")
             return 1
-        samples.append(learning_time * 1e3)
+        samples.append(report.learning_time * 1e3)
     summary = summarize(samples)
     print(f"learning delay over {args.repetitions} runs: {summary.format('ms', 3)}")
     print("paper reports (1.77 ± 0.08) ms")

@@ -316,8 +316,9 @@ class GDStreamCompressor:
 class GzipStreamCompressor:
     """DEFLATE with gzip framing behind the streaming interface.
 
-    Streaming twin of :class:`~repro.baselines.gzip_baseline.GzipBaseline`
-    (same algorithm and container as the paper's ``gzip`` tool run).
+    Same algorithm and container as the paper's ``gzip`` tool run; the
+    whole-file mode of :class:`~repro.baselines.gzip_baseline.GzipBaseline`
+    counts this codec's output.
     """
 
     name = "gzip"

@@ -6,20 +6,19 @@ into one experimentable system: stream a trace from a pcap file or workload
 generator, pace it, push it through an emulated topology of ZipLine
 switches and impaired links, and collect every counter into one report.
 
-Quick start::
+The run itself is :class:`~repro.topology.engine.TopologyEngine`'s: build
+the chain as a spec and run it (``repro replay`` does exactly this)::
 
-    from repro.replay import (
-        FixedRatePacing, PcapTraceSource, ReplayHarness,
-    )
+    from repro.topology import TopologyEngine, linear_topology
 
-    harness = ReplayHarness(topology="encoder-link-decoder", scenario="dynamic")
-    report = harness.run(
-        PcapTraceSource("trace.pcap"), FixedRatePacing(packet_rate=1e6)
-    )
-    print(report.render())
+    spec = linear_topology(trace="trace.pcap", scenario="dynamic")
+    report = TopologyEngine(spec).run()
+    print(report.as_replay_report("encoder-link-decoder").render())
+
+A source a spec cannot name (an in-memory trace, a custom pacing) enters as
+``run(sources={"flow0": (source, pacing)})``.
 """
 
-from repro.replay.harness import ReplayHarness, ReplayTopology
 from repro.replay.link import EmulatedLink, LinkStats
 from repro.replay.metrics import (
     Distribution,
@@ -42,8 +41,6 @@ from repro.replay.sources import (
 )
 
 __all__ = [
-    "ReplayHarness",
-    "ReplayTopology",
     "EmulatedLink",
     "LinkStats",
     "Distribution",

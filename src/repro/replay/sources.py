@@ -16,7 +16,8 @@ simulator clock:
   link's serialisation delay as the only spacing (a line-rate stress test).
 
 The split keeps the two concerns orthogonal: any source combines with any
-pacing, and the harness only ever sees ``(inject_at, frame_bytes)`` pairs.
+pacing, and the engine's injection pump only ever sees ``(inject_at,
+frame_bytes)`` pairs.
 """
 
 from __future__ import annotations

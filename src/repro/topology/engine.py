@@ -16,13 +16,16 @@ single shared :class:`~repro.sim.simulator.Simulator`:
   (``control: direct``) or ships them as in-network control messages over
   a dedicated emulated link with real latency (``control: in-network``).
 
-This is the repository's one run loop: the linear builders
-(:class:`~repro.replay.harness.ReplayHarness`,
-:class:`~repro.zipline.deployment.ZipLineDeployment`), ``repro replay`` and
-the experiment matrix all hand a spec to this engine.  The two inputs a
-spec cannot carry — a pre-built in-memory source per flow and explicit
-static bases — are arguments of :meth:`TopologyEngine.run` and the
-constructor.
+This is the repository's one run loop and its one front door: ``repro
+replay``, ``repro topology``, ``repro learning-delay`` and the experiment
+matrix all build a spec (a preset such as
+:func:`~repro.topology.presets.linear_topology` or
+:func:`~repro.topology.presets.paper_testbed_topology`, or a JSON document)
+and run it here.  The two inputs a spec cannot carry — a pre-built
+in-memory source per flow and explicit static bases — are arguments of
+:meth:`TopologyEngine.run` and the constructor; a one-flow linear run reads
+as a :class:`~repro.replay.metrics.ReplayReport` through
+:meth:`TopologyReport.as_replay_report`.
 
 This module is build + run.  The per-flow runtime — injection pump,
 arrival attribution, the one FIFO content matcher — lives in
@@ -546,9 +549,16 @@ class TopologyEngine:
 
         ``sources`` maps flow names to pre-built ``(source, pacing)`` pairs
         that replace what the flow spec describes — how in-memory traces,
-        which a spec cannot carry, enter a run.  ``until``/``max_events``
-        bound the simulation for open-ended sources.
+        which a spec cannot carry, enter a run.  Under the ``static``
+        scenario such a run needs the constructor's ``static_bases``: the
+        table is preloaded at build time from what the spec describes.
+        ``until``/``max_events`` bound the simulation for open-ended sources.
         """
+        if sources and self.spec.scenario == "static" and self._static_bases is None:
+            raise TopologyError(
+                "a caller-built source under the static scenario needs "
+                "explicit static_bases"
+            )
         by_name = {state.spec.name: state for state in self.flow_states}
         for name, (source, pacing) in (sources or {}).items():
             if name not in by_name:

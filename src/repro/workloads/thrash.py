@@ -20,8 +20,8 @@ much ratio the paper's LRU recycling gives up to churn.
 
 The generator mirrors :class:`~repro.workloads.synthetic.SyntheticSensorWorkload`'s
 interface exactly (``bases()`` / ``iter_chunks()`` / ``chunks()`` /
-``trace()``), so every consumer — the replay harness, the topology
-engine, the experiment matrix — can treat the two interchangeably.
+``trace()``), so every consumer — the topology engine, the experiment
+matrix, the benchmarks — can treat the two interchangeably.
 """
 
 from __future__ import annotations

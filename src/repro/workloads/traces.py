@@ -4,9 +4,10 @@ A *chunk trace* is the unit the evaluation replays: an ordered list of
 fixed-size payload chunks (optionally timestamped).  Traces can be converted
 to and from standard pcap files of Ethernet frames (the paper converts its
 datasets "to a pcap trace of Ethernet packets containing the chunks as
-payload"), summarised (volume, distinct bases), and replayed into a
-:class:`~repro.zipline.deployment.ZipLineDeployment` at a configurable
-packet rate.
+payload"), summarised (volume, distinct bases), and replayed through a
+:class:`~repro.topology.engine.TopologyEngine` run as a
+:class:`~repro.replay.sources.ChunkTraceSource` flow source at a
+configurable packet rate.
 """
 
 from __future__ import annotations

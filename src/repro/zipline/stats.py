@@ -1,21 +1,22 @@
-"""Result containers and byte accounting for ZipLine deployments.
+"""Byte accounting on the compressed hop.
 
 The Figure 3 experiment measures the total payload bytes that cross the
 compressed hop (between the encoding and the decoding switch), classified by
-packet type; this module provides the accounting objects the deployment
-fills in and the reporting helpers the benchmarks print.
+packet type.  :class:`LinkTap` counts them on the topology engine's measured
+links; the run's report carries the totals (``wire.*`` counters,
+``wire_payload_bytes``, ``learning_time``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.exceptions import PacketError
 from repro.net.ethernet import ETHERNET_HEADER_BYTES, EtherType
 from repro.net.packets import PacketKind
 
-__all__ = ["LinkTapRecord", "LinkTap", "CompressionSummary"]
+__all__ = ["LinkTapRecord", "LinkTap"]
 
 #: EtherType wire bytes, bound once for the per-frame classification below.
 _TYPE2_ETHERTYPE = int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big")
@@ -127,69 +128,3 @@ class LinkTap:
         self._first_times = {}
         self._total_frames = 0
         self._total_payload_bytes = 0
-
-
-@dataclass
-class CompressionSummary:
-    """Figure 3 style summary of one trace replay."""
-
-    original_payload_bytes: int
-    transmitted_payload_bytes: int
-    raw_packets: int = 0
-    uncompressed_packets: int = 0
-    compressed_packets: int = 0
-    learning_time: Optional[float] = None
-    dataset: str = ""
-    scenario: str = ""
-
-    @property
-    def total_packets(self) -> int:
-        """Total packets that crossed the compressed hop."""
-        return self.raw_packets + self.uncompressed_packets + self.compressed_packets
-
-    @property
-    def compression_ratio(self) -> float:
-        """Transmitted payload bytes over original payload bytes."""
-        if self.original_payload_bytes == 0:
-            return 0.0
-        return self.transmitted_payload_bytes / self.original_payload_bytes
-
-    @property
-    def savings_percent(self) -> float:
-        """Percentage of payload bytes saved by the compression."""
-        return 100.0 * (1.0 - self.compression_ratio)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view used by the reporting helpers."""
-        return {
-            "dataset": self.dataset,
-            "scenario": self.scenario,
-            "original_payload_bytes": self.original_payload_bytes,
-            "transmitted_payload_bytes": self.transmitted_payload_bytes,
-            "compression_ratio": self.compression_ratio,
-            "savings_percent": self.savings_percent,
-            "raw_packets": self.raw_packets,
-            "uncompressed_packets": self.uncompressed_packets,
-            "compressed_packets": self.compressed_packets,
-            "learning_time": self.learning_time,
-        }
-
-    @classmethod
-    def from_link_tap(
-        cls,
-        tap: LinkTap,
-        original_payload_bytes: int,
-        dataset: str = "",
-        scenario: str = "",
-    ) -> "CompressionSummary":
-        """Build a summary from a link tap's observations."""
-        counts = tap.count_by_kind()
-        return cls(
-            original_payload_bytes=original_payload_bytes,
-            transmitted_payload_bytes=tap.total_payload_bytes(),
-            raw_packets=counts[PacketKind.RAW],
-            uncompressed_packets=counts[PacketKind.PROCESSED_UNCOMPRESSED],
-            compressed_packets=counts[PacketKind.PROCESSED_COMPRESSED],
-            dataset=dataset,
-            scenario=scenario,
-        )

@@ -4,12 +4,13 @@ import pytest
 
 from repro.baselines import ExactDedupBaseline, GzipBaseline
 from repro.core.codec import GDCodec
-from repro.workloads import ChunkTrace, DnsQueryWorkload, SyntheticSensorWorkload
-from repro.zipline import DeploymentScenario, ZipLineDeployment
+from repro.net.packets import PacketKind
+from repro.topology import TopologyEngine, paper_testbed_topology
+from repro.workloads import ChunkTrace, SyntheticSensorWorkload
 
 
-class TestWorkloadThroughDeployment:
-    """Workload generator → pcap → deployment → receiver, losslessly."""
+class TestWorkloadThroughTheTestbed:
+    """Workload generator → pcap → switch pair → receiver, losslessly."""
 
     def test_synthetic_trace_through_the_switch_pair(self, tmp_path):
         workload = SyntheticSensorWorkload(num_chunks=400, distinct_bases=20, seed=9)
@@ -21,45 +22,42 @@ class TestWorkloadThroughDeployment:
         reloaded = ChunkTrace.from_pcap(pcap_path)
         assert reloaded.chunks == trace.chunks
 
-        deployment = ZipLineDeployment(
-            scenario=DeploymentScenario.STATIC, static_bases=workload.bases()
-        )
-        summary = deployment.replay_and_run(reloaded.chunks, packet_rate=1e6)
-        assert deployment.verify_lossless(trace.chunks)
-        assert summary.compression_ratio == pytest.approx(3 / 32)
-        assert summary.compressed_packets == len(trace)
+        # The static scenario preloads the capture's own distinct bases.
+        spec = paper_testbed_topology(scenario="static", trace=str(pcap_path))
+        report = TopologyEngine(spec).run()
+        assert report.integrity.lossless_in_order
+        assert report.compression_ratio == pytest.approx(3 / 32)
+        assert report.metrics.counter("wire.compressed_packets") == len(trace)
 
     def test_dns_trace_through_the_switch_pair(self):
-        workload = DnsQueryWorkload(num_queries=300, distinct_names=30, seed=4)
-        trace = workload.trace()
-        deployment = ZipLineDeployment(scenario="dynamic")
-        summary = deployment.replay_and_run(trace.chunks, packet_rate=5e4)
-        assert deployment.verify_lossless(trace.chunks)
-        assert summary.compressed_packets > 0
-        assert summary.compression_ratio < 1.0
+        spec = paper_testbed_topology(
+            workload="dns", chunks=300, names=30, packet_rate=5e4, flow_seed=4
+        )
+        report = TopologyEngine(spec).run()
+        assert report.integrity.lossless_in_order
+        assert report.metrics.counter("wire.compressed_packets") > 0
+        assert report.compression_ratio < 1.0
 
     def test_switch_counters_match_link_tap(self):
-        workload = SyntheticSensorWorkload(num_chunks=200, distinct_bases=10, seed=3)
-        deployment = ZipLineDeployment(
-            scenario="static", static_bases=workload.bases()
+        spec = paper_testbed_topology(
+            scenario="static", chunks=200, bases=10, flow_seed=3
         )
-        deployment.replay_and_run(workload.chunks(), packet_rate=1e6)
-        compressed_counter = deployment.encoder.counters.read("raw_to_compressed")
+        engine = TopologyEngine(spec)
+        engine.run()
+        nodes = engine.graph.nodes
+        compressed_counter = nodes["encoder"].switch.counters.read("raw_to_compressed")
         assert compressed_counter.packets == 200
-        assert deployment.link_tap.count_by_kind()[
-            __import__("repro.net.packets", fromlist=["PacketKind"]).PacketKind.PROCESSED_COMPRESSED
-        ] == 200
-        decoded_counter = deployment.decoder.counters.read("compressed_to_raw")
+        kinds = engine.measured_tap.count_by_kind()
+        assert kinds[PacketKind.PROCESSED_COMPRESSED] == 200
+        decoded_counter = nodes["decoder"].switch.counters.read("compressed_to_raw")
         assert decoded_counter.packets == 200
 
 
-class TestCodecAgainstDeployment:
-    """The pure-software codec and the switch deployment must agree."""
+class TestCodecAgainstTheTestbed:
+    """The pure-software codec and the switch pair must agree."""
 
     def test_static_ratios_agree(self):
         workload = SyntheticSensorWorkload(num_chunks=300, distinct_bases=15, seed=5)
-        chunks = workload.chunks()
-
         codec = GDCodec(
             order=8,
             identifier_bits=15,
@@ -67,21 +65,24 @@ class TestCodecAgainstDeployment:
             static_bases=workload.bases(),
             alignment_padding_bits=8,
         )
-        codec_ratio = codec.compress(b"".join(chunks)).compression_ratio
+        codec_ratio = codec.compress(b"".join(workload.chunks())).compression_ratio
 
-        deployment = ZipLineDeployment(scenario="static", static_bases=workload.bases())
-        deployment_ratio = deployment.replay_and_run(chunks, packet_rate=1e6).compression_ratio
+        spec = paper_testbed_topology(
+            scenario="static", chunks=300, bases=15, flow_seed=5
+        )
+        testbed_ratio = TopologyEngine(spec).run().compression_ratio
 
-        assert codec_ratio == pytest.approx(deployment_ratio)
+        assert codec_ratio == pytest.approx(testbed_ratio)
 
     def test_no_table_ratios_agree(self):
         workload = SyntheticSensorWorkload(num_chunks=100, distinct_bases=5, seed=6)
-        chunks = workload.chunks()
         codec = GDCodec(order=8, mode="no_table", alignment_padding_bits=8)
-        codec_ratio = codec.compress(b"".join(chunks)).compression_ratio
-        deployment = ZipLineDeployment(scenario="no_table")
-        deployment_ratio = deployment.replay_and_run(chunks, packet_rate=1e6).compression_ratio
-        assert codec_ratio == pytest.approx(deployment_ratio)
+        codec_ratio = codec.compress(b"".join(workload.chunks())).compression_ratio
+        spec = paper_testbed_topology(
+            scenario="no_table", chunks=100, bases=5, flow_seed=6
+        )
+        testbed_ratio = TopologyEngine(spec).run().compression_ratio
+        assert codec_ratio == pytest.approx(testbed_ratio)
 
 
 class TestBaselineComparisons:

@@ -14,8 +14,9 @@ from repro.analysis.statistics import summarize
 from repro.baselines import GzipBaseline
 from repro.core.codec import GDCodec
 from repro.perfmodel import LatencyModel, ThroughputModel
-from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
-from repro.zipline import ZipLineDeployment
+from repro.replay import ChunkTraceSource, RecordedPacing
+from repro.topology import TopologyEngine, paper_testbed_topology
+from repro.workloads import ChunkTrace, DnsQueryWorkload, SyntheticSensorWorkload
 
 # Paper values (Figure 3 annotations and Section 7 text).
 PAPER_NO_TABLE_RATIO = 1.03
@@ -57,18 +58,14 @@ class TestFigure3Synthetic:
         # duration equals the paper's (3.124 M chunks at 7 Mpkt/s ≈ 446 ms)
         # and the basis-discovery phase occupies the same fraction of it, so
         # the dynamic-learning penalty lands near the paper's 0.11.
-        workload = SyntheticSensorWorkload(
-            num_chunks=20_000, distinct_bases=16, seed=2020
+        spec = paper_testbed_topology(
+            scenario="dynamic", chunks=20_000, bases=16, flow_seed=2020,
+            packet_rate=20_000 / 0.446,
         )
-        chunks = workload.chunks()
-        deployment = ZipLineDeployment(scenario="dynamic")
-        packet_rate = len(chunks) / 0.446
-        summary = deployment.replay_and_run(chunks, packet_rate=packet_rate)
-        assert summary.compression_ratio == pytest.approx(
-            PAPER_DYNAMIC_RATIO_SYNTHETIC, abs=0.03
-        )
-        assert summary.compression_ratio > 3 / 32  # strictly worse than static
-        assert summary.compression_ratio < PAPER_NO_TABLE_RATIO
+        ratio = TopologyEngine(spec).run().compression_ratio
+        assert ratio == pytest.approx(PAPER_DYNAMIC_RATIO_SYNTHETIC, abs=0.03)
+        assert ratio > 3 / 32  # strictly worse than static
+        assert ratio < PAPER_NO_TABLE_RATIO
 
 
 class TestFigure3Dns:
@@ -89,13 +86,13 @@ class TestDynamicLearningDelay:
     def test_learning_delay_mean_and_ci(self):
         samples = []
         for repetition in range(10):
-            deployment = ZipLineDeployment(scenario="dynamic", seed=repetition)
             chunk = SyntheticSensorWorkload(
                 num_chunks=1, distinct_bases=1, seed=repetition
             ).chunks()[0]
-            deployment.replay_chunks([chunk] * 4000, packet_rate=1e6)
-            deployment.run()
-            learning = deployment.learning_time()
+            # The same packet sent over and over at 1 Mpkt/s.
+            source = (ChunkTraceSource(ChunkTrace([chunk] * 4000)), RecordedPacing())
+            engine = TopologyEngine(paper_testbed_topology(seed=repetition))
+            learning = engine.run(sources={"flow0": source}).learning_time
             assert learning is not None
             samples.append(learning * 1e3)
         summary = summarize(samples)

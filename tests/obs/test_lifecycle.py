@@ -122,14 +122,18 @@ class TestSnapshotSeries:
     def test_final_ratio_is_the_reports_compression_ratio(self, scenario):
         """``ratio`` is wire bytes over payload bytes, like every other
         compression ratio in the repo — not its inverse."""
-        from repro.replay import ChunkTraceSource, ReplayHarness
+        from repro.replay import ChunkTraceSource, FixedRatePacing
+        from repro.topology import TopologyEngine, linear_topology
         from repro.workloads import SyntheticSensorWorkload
 
         workload = SyntheticSensorWorkload(num_chunks=2500, distinct_bases=4, seed=3)
+        source = (ChunkTraceSource(workload.trace()), FixedRatePacing(packet_rate=1e6))
         tracer = obs.enable(snapshot_interval=1e-4)
         try:
-            harness = ReplayHarness(scenario=scenario, static_bases=workload.bases())
-            report = harness.run(ChunkTraceSource(workload.trace()))
+            engine = TopologyEngine(
+                linear_topology(scenario=scenario), static_bases=workload.bases()
+            )
+            report = engine.run(sources={"flow0": source})
         finally:
             obs.disable()
         samples = [e["args"] for e in tracer.sink.events if e["ph"] == "C"]

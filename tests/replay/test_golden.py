@@ -1,13 +1,14 @@
-"""Golden bytes of the linear builders' reports.
+"""Golden bytes of the linear runs' reports.
 
-The md5 of the canonical JSON of ``ReplayHarness(...).run(...).as_dict()``
-is pinned for every harness shape and scenario, for multi-hop, impaired,
-counters-only and pcap-driven runs; likewise ``ZipLineDeployment``'s
-Figure 3 summary plus learning delay, and the ``repro experiment`` export
-of ``examples/specs/smoke.json`` at one and two workers.  A refactor of the
-run loop behind these classes leaves every value untouched; a change to the
-model moves them, and then the new values are recorded on purpose, in their
-own commit.
+The md5 of the canonical JSON of a one-flow ``linear_topology`` run through
+``TopologyEngine`` (read as ``as_replay_report(shape)``, what ``repro
+replay`` prints) is pinned for every shape and scenario, for multi-hop,
+impaired, counters-only and pcap-driven runs; likewise the ``paper-testbed``
+``TopologyReport`` (Figure 3 byte accounting plus learning delay), and the
+``repro experiment`` export of ``examples/specs/smoke.json`` at one and two
+workers.  A refactor of the run loop leaves every value untouched; a change
+to the model moves them, and then the new values are recorded on purpose,
+in their own commit.
 """
 
 import hashlib
@@ -18,17 +19,15 @@ import pytest
 
 from repro.cli import main
 from repro.net.pcap import PcapPacket, write_pcap
-from repro.perfmodel.linkmodel import ImpairmentModel
 from repro.replay import (
     ChunkTraceSource,
     FixedRatePacing,
     PcapTraceSource,
     RecordedPacing,
-    ReplayHarness,
     WorkloadTraceSource,
 )
+from repro.topology import TopologyEngine, linear_topology, paper_testbed_topology
 from repro.workloads import SyntheticSensorWorkload
-from repro.zipline import ZipLineDeployment
 
 #: 3 ms of traffic at 1 Mpkt/s: outlasts the ~1.8 ms learning delay, so the
 #: dynamic runs see both packet types.
@@ -50,49 +49,55 @@ def md5_of(data) -> str:
     return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
-def run_harness(source=None, pacing=None, **kwargs):
-    if kwargs.get("scenario") == "static":
-        kwargs.setdefault("static_bases", workload().bases())
-    if "impairments" in kwargs:
-        kwargs["impairments"] = ImpairmentModel(**kwargs["impairments"])
-    harness = ReplayHarness(**kwargs)
-    report = harness.run(
-        source or WorkloadTraceSource(workload()),
-        pacing or FixedRatePacing(packet_rate=1e6),
+def run_chain(
+    source=None, pacing=None, shape="encoder-link-decoder", static_bases=None,
+    verify_integrity=True, **params,
+):
+    """One linear run: the spec, the engine, and its report as ``repro
+    replay`` reads it.  ``params`` are ``linear_topology`` run parameters;
+    the static scenario preloads the workload's bases unless given."""
+    if params.get("scenario") == "static" and static_bases is None:
+        static_bases = workload().bases()
+    engine = TopologyEngine(
+        linear_topology(shape=shape, **params),
+        verify_integrity=verify_integrity,
+        static_bases=static_bases,
     )
-    return harness, report
+    report = engine.run(
+        sources={
+            "flow0": (
+                source or WorkloadTraceSource(workload()),
+                pacing or FixedRatePacing(packet_rate=1e6),
+            )
+        }
+    )
+    return engine, report.as_replay_report(shape)
 
 
-#: name -> ReplayHarness keyword arguments (workload-driven, 1 Mpkt/s;
-#: ``impairments`` holds the ImpairmentModel arguments, built fresh per run).
+#: name -> ``run_chain`` keyword arguments (workload-driven, 1 Mpkt/s).
 HARNESS_CASES = {
     "chain-no_table": dict(scenario="no_table"),
     "chain-static": dict(scenario="static"),
     "chain-dynamic": dict(scenario="dynamic"),
-    "encoder-only-no_table": dict(topology="encoder-only", scenario="no_table"),
-    "encoder-only-static": dict(topology="encoder-only", scenario="static"),
-    "encoder-only-dynamic": dict(topology="encoder-only", scenario="dynamic"),
-    "decoder-only-no_table": dict(topology="decoder-only", scenario="no_table"),
-    "decoder-only-static": dict(topology="decoder-only", scenario="static"),
-    "decoder-only-dynamic": dict(topology="decoder-only", scenario="dynamic"),
+    "encoder-only-no_table": dict(shape="encoder-only", scenario="no_table"),
+    "encoder-only-static": dict(shape="encoder-only", scenario="static"),
+    "encoder-only-dynamic": dict(shape="encoder-only", scenario="dynamic"),
+    "decoder-only-no_table": dict(shape="decoder-only", scenario="no_table"),
+    "decoder-only-static": dict(shape="decoder-only", scenario="static"),
+    "decoder-only-dynamic": dict(shape="decoder-only", scenario="dynamic"),
     "chain-dynamic-hops2": dict(scenario="dynamic", hops=2),
     "chain-dynamic-hops3": dict(scenario="dynamic", hops=3),
     "chain-dynamic-lossy": dict(
-        scenario="dynamic",
-        impairments=dict(loss_probability=0.04, reorder_probability=0.03, seed=7),
+        scenario="dynamic", loss=0.04, reorder=0.03, link_seed=7
     ),
     "chain-dynamic-lossy-seed0": dict(
-        scenario="dynamic",
-        impairments=dict(loss_probability=0.04, reorder_probability=0.03, seed=0),
+        scenario="dynamic", loss=0.04, reorder=0.03, link_seed=0
     ),
     "chain-dynamic-lossy-seed99": dict(
-        scenario="dynamic",
-        impairments=dict(loss_probability=0.04, reorder_probability=0.03, seed=99),
+        scenario="dynamic", loss=0.04, reorder=0.03, link_seed=99
     ),
     "chain-no_table-hops3-lossy": dict(
-        scenario="no_table",
-        hops=3,
-        impairments=dict(loss_probability=0.05, seed=3),
+        scenario="no_table", hops=3, loss=0.05, link_seed=3
     ),
     "chain-dynamic-counters-only": dict(scenario="dynamic", verify_integrity=False),
 }
@@ -119,20 +124,20 @@ HARNESS_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(HARNESS_CASES))
 def test_harness_report_bytes_match_golden(case):
-    _harness, report = run_harness(**HARNESS_CASES[case])
+    _engine, report = run_chain(**HARNESS_CASES[case])
     assert md5_of(report.as_dict()) == HARNESS_GOLDEN[case]
 
 
 def test_harness_cases_exercise_what_they_pin():
     """The pins only mean something if the runs do the interesting things."""
-    _harness, dynamic = run_harness(scenario="dynamic")
+    _engine, dynamic = run_chain(scenario="dynamic")
     assert dynamic.learning_time is not None
     assert dynamic.metrics.counter("encoder.raw_to_compressed") > 0
     assert dynamic.integrity.lossless_in_order
-    _harness, lossy = run_harness(**HARNESS_CASES["chain-dynamic-lossy"])
+    _engine, lossy = run_chain(**HARNESS_CASES["chain-dynamic-lossy"])
     assert lossy.integrity.missing > 0
     assert lossy.integrity.out_of_order > 0
-    _harness, encoder_only = run_harness(topology="encoder-only", scenario="static")
+    _engine, encoder_only = run_chain(shape="encoder-only", scenario="static")
     assert encoder_only.integrity is None
     assert encoder_only.metrics.counter("wire.compressed_packets") == CHUNKS
 
@@ -140,7 +145,7 @@ def test_harness_cases_exercise_what_they_pin():
 def test_pcap_driven_report_bytes_match_golden(tmp_path):
     path = tmp_path / "trace.pcap"
     workload().trace().to_pcap(path, packet_rate=500_000.0, nanosecond=True)
-    _harness, report = run_harness(
+    _engine, report = run_chain(
         source=PcapTraceSource(path),
         pacing=RecordedPacing(speedup=2.0),
         scenario="dynamic",
@@ -154,21 +159,21 @@ def test_decoder_only_processed_pcap_report_bytes_match_golden(tmp_path):
     """Explicit static bases on a decoder-only chain decode a type-3 trace."""
     trace = workload().trace()
     bases = workload().bases()
-    encode, _report = run_harness(
+    encode, _report = run_chain(
         source=ChunkTraceSource(trace),
-        topology="encoder-only",
+        shape="encoder-only",
         scenario="static",
         static_bases=bases,
     )
     path = tmp_path / "processed.pcap"
     write_pcap(
         path,
-        (PcapPacket(time, frame) for time, frame in encode.sink.arrivals),
+        (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
         nanosecond=True,
     )
-    _harness, report = run_harness(
+    _engine, report = run_chain(
         source=PcapTraceSource(path),
-        topology="decoder-only",
+        shape="decoder-only",
         scenario="no_table",
         static_bases=bases,
     )
@@ -177,27 +182,30 @@ def test_decoder_only_processed_pcap_report_bytes_match_golden(tmp_path):
     assert md5_of(report.as_dict()) == "7bd99e1f6b81b3d84edab8ea2cd920dd"
 
 
-DEPLOYMENT_GOLDEN = {
-    "no_table": "92a1181e93487a9a1ce5524d52290daf",
-    "static": "ff667bc21ade8f920abbbcd51888d82d",
-    "dynamic": "850fc176bb598ed55a76f5784e379837",
+#: ``paper-testbed`` runs of the workload's chunks, replayed the way the
+#: two-switch deployment always replayed them: recorded 1 Mpkt/s timestamps.
+TESTBED_GOLDEN = {
+    "no_table": "56cedbe1902c4583fc0f3d304f628b04",
+    "static": "8c881d0cfdf1e1946fa341056ec4d3a6",
+    "dynamic": "9e1c8b8735d95daf101687ee6b59acb1",
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(DEPLOYMENT_GOLDEN))
-def test_deployment_summary_bytes_match_golden(scenario):
-    deployment = ZipLineDeployment(
-        scenario=scenario,
+@pytest.mark.parametrize("scenario", sorted(TESTBED_GOLDEN))
+def test_paper_testbed_report_bytes_match_golden(scenario):
+    engine = TopologyEngine(
+        paper_testbed_topology(scenario=scenario),
         static_bases=workload().bases() if scenario == "static" else None,
     )
-    summary = deployment.replay_and_run(workload().chunks(), packet_rate=1e6)
-    assert deployment.verify_lossless(workload().chunks())
-    pinned = {
-        "summary": deployment.summary().as_dict(),
-        "learning_time": deployment.learning_time(),
-    }
-    assert pinned["summary"] == summary.as_dict()
-    assert md5_of(pinned) == DEPLOYMENT_GOLDEN[scenario]
+    report = engine.run(
+        sources={"flow0": (ChunkTraceSource(workload().trace()), RecordedPacing())}
+    )
+    restored = [frame[14:] for _time, frame in engine.flow_states[0].arrivals]
+    assert restored == workload().chunks()
+    assert (report.learning_time is not None) == (scenario == "dynamic")
+    assert hashlib.md5(report.json_text().encode()).hexdigest() == (
+        TESTBED_GOLDEN[scenario]
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])

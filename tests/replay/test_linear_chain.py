@@ -1,19 +1,22 @@
-"""End-to-end tests for the replay harness and its topologies."""
+"""End-to-end runs of the linear chain: a ``linear_topology`` spec through
+``TopologyEngine``, with the caller's in-memory source, read as the
+``ReplayReport`` ``repro replay`` prints."""
 
 import pytest
 
-from repro.exceptions import ReplayError
+from repro.core.transform import GDTransform
+from repro.exceptions import TopologyError
 from repro.net.ethernet import EthernetFrame
-from repro.perfmodel.linkmodel import ImpairmentModel
+from repro.net.pcap import PcapPacket, write_pcap
 from repro.replay import (
     BackToBackPacing,
     ChunkTraceSource,
     FixedRatePacing,
     PcapTraceSource,
-    ReplayHarness,
-    ReplayTopology,
+    WorkloadTraceSource,
 )
-from repro.workloads import SyntheticSensorWorkload
+from repro.topology import TopologyEngine, linear_topology
+from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 
@@ -29,31 +32,44 @@ def trace(workload):
     return workload.trace()
 
 
+def run(source, pacing=None, shape="encoder-link-decoder", static_bases=None,
+        verify_integrity=True, **params):
+    """Build the chain, run ``source`` through it (1 Mpkt/s unless
+    ``pacing`` says otherwise); return the engine and the linear report."""
+    engine = TopologyEngine(
+        linear_topology(shape=shape, **params),
+        verify_integrity=verify_integrity,
+        static_bases=static_bases,
+    )
+    report = engine.run(
+        sources={"flow0": (source, pacing or FixedRatePacing(packet_rate=1e6))}
+    )
+    return engine, report.as_replay_report(shape)
+
+
+def payloads(engine):
+    """The chunks the sink received, in arrival order."""
+    return [
+        EthernetFrame.from_bytes(frame).payload
+        for _, frame in engine.flow_states[0].arrivals
+    ]
+
+
 class TestLossFreeRoundTrip:
     def test_static_scenario_is_byte_identical_in_order(self, trace):
-        harness = ReplayHarness(
-            scenario="static", static_bases=trace.distinct_bases(
-                ReplayHarness().transform
-            )
-        )
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        engine, report = run(
+            ChunkTraceSource(trace),
+            scenario="static",
+            static_bases=trace.distinct_bases(GDTransform(order=8)),
         )
         assert report.integrity.lossless_in_order
         assert report.chunks_sent == len(trace)
         # Static table: almost everything crosses as 3-byte type-3 packets.
         assert report.compression_ratio < 0.15
-        received = [
-            EthernetFrame.from_bytes(frame).payload
-            for _, frame in harness.sink.arrivals
-        ]
-        assert received == trace.chunks
+        assert payloads(engine) == trace.chunks
 
     def test_dynamic_scenario_learns_then_compresses(self, trace):
-        harness = ReplayHarness(scenario="dynamic")
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
-        )
+        _engine, report = run(ChunkTraceSource(trace), scenario="dynamic")
         assert report.integrity.lossless_in_order
         assert report.learning_time is not None
         assert report.learning_time > 0
@@ -61,34 +77,24 @@ class TestLossFreeRoundTrip:
         assert report.metrics.counter("encoder.raw_to_uncompressed") > 0
 
     def test_no_table_scenario_never_compresses(self, trace):
-        harness = ReplayHarness(scenario="no_table")
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
-        )
+        _engine, report = run(ChunkTraceSource(trace), scenario="no_table")
         assert report.integrity.lossless_in_order
         assert report.metrics.counter("wire.compressed_packets") == 0
         assert report.compression_ratio > 1.0
 
     def test_latency_percentiles_present(self, trace):
-        harness = ReplayHarness(scenario="no_table")
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
-        )
+        _engine, report = run(ChunkTraceSource(trace), scenario="no_table")
         latency = report.latency_summary()
         assert latency["count"] == len(trace)
         assert 0 < latency["p50"] <= latency["p99"] <= latency["max"]
 
 
 class TestLossyLink:
-    """Satellite: dropped type-2 packets must not corrupt later decodes."""
+    """Dropped type-2 packets must not corrupt later decodes."""
 
     def test_dropped_misses_do_not_corrupt_subsequent_hits(self, trace):
-        harness = ReplayHarness(
-            scenario="dynamic",
-            impairments=ImpairmentModel(loss_probability=0.05, seed=97),
-        )
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        _engine, report = run(
+            ChunkTraceSource(trace), scenario="dynamic", loss=0.05, link_seed=97
         )
         integrity = report.integrity
         # Loss is a counted failure mode, never silent corruption: every
@@ -105,13 +111,9 @@ class TestLossyLink:
         assert integrity.matched == integrity.sent - dropped
 
     def test_lossy_run_is_deterministic_for_a_seed(self, trace):
-        def run():
-            harness = ReplayHarness(
-                scenario="dynamic",
-                impairments=ImpairmentModel(loss_probability=0.08, seed=5),
-            )
-            report = harness.run(
-                ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        def lossy():
+            _engine, report = run(
+                ChunkTraceSource(trace), scenario="dynamic", loss=0.08, link_seed=5
             )
             return (
                 report.integrity.missing,
@@ -119,18 +121,16 @@ class TestLossyLink:
                 report.wire_payload_bytes,
             )
 
-        assert run() == run()
+        assert lossy() == lossy()
 
     def test_reordering_is_counted(self, trace):
-        harness = ReplayHarness(
+        # The hold-back delay itself is the link's (tests/replay/test_link.py).
+        _engine, report = run(
+            ChunkTraceSource(trace),
             scenario="static",
-            static_bases=trace.distinct_bases(ReplayHarness().transform),
-            impairments=ImpairmentModel(
-                reorder_probability=0.2, reorder_delay=50e-6, seed=13
-            ),
-        )
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+            static_bases=trace.distinct_bases(GDTransform(order=8)),
+            reorder=0.2,
+            link_seed=13,
         )
         assert report.integrity.corrupted == 0
         assert report.integrity.missing == 0
@@ -140,12 +140,13 @@ class TestLossyLink:
 
 class TestBoundedQueue:
     def test_back_to_back_overload_drops_at_the_queue(self, trace):
-        harness = ReplayHarness(
+        _engine, report = run(
+            ChunkTraceSource(trace),
+            BackToBackPacing(),
             scenario="no_table",
-            bandwidth_bps=1e9,
+            bandwidth_gbps=1.0,
             queue_capacity=16,
         )
-        report = harness.run(ChunkTraceSource(trace), BackToBackPacing())
         assert report.metrics.counter("link0.dropped_queue") > 0
         assert report.integrity.corrupted == 0
         assert report.integrity.missing == report.metrics.counter(
@@ -154,23 +155,16 @@ class TestBoundedQueue:
         assert report.metrics.counter("link0.max_queue_depth") == 16
 
 
-class TestTopologies:
+class TestShapes:
     def test_multi_hop_stays_lossless(self, trace):
-        harness = ReplayHarness(scenario="dynamic", hops=3)
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
-        )
+        _engine, report = run(ChunkTraceSource(trace), scenario="dynamic", hops=3)
         assert report.integrity.lossless_in_order
         assert report.metrics.counter("link2.delivered") > 0
 
     def test_multi_hop_forks_independent_impairment_streams(self, trace):
-        harness = ReplayHarness(
-            scenario="no_table",
-            hops=2,
-            impairments=ImpairmentModel(loss_probability=0.05, seed=3),
-        )
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        _engine, report = run(
+            ChunkTraceSource(trace), scenario="no_table", hops=2, loss=0.05,
+            link_seed=3,
         )
         first = report.metrics.counter("link0.dropped_loss")
         second = report.metrics.counter("link1.dropped_loss")
@@ -181,37 +175,35 @@ class TestTopologies:
         )
 
     def test_encoder_only_delivers_processed_packets(self, trace):
-        harness = ReplayHarness(topology="encoder-only", scenario="no_table")
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        engine, report = run(
+            ChunkTraceSource(trace), shape="encoder-only", scenario="no_table"
         )
         assert report.integrity is None
-        kinds = {
-            EthernetFrame.from_bytes(frame).ethertype
-            for _, frame in harness.sink.arrivals
-        }
+        arrivals = engine.flow_states[0].arrivals
+        kinds = {EthernetFrame.from_bytes(frame).ethertype for _, frame in arrivals}
         assert ETHERTYPE_RAW_CHUNK not in kinds
-        assert len(harness.sink.arrivals) == len(trace)
+        assert len(arrivals) == len(trace)
 
     def test_decoder_only_passes_raw_chunks_through(self, trace):
-        harness = ReplayHarness(topology="decoder-only", scenario="no_table")
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        _engine, report = run(
+            ChunkTraceSource(trace), shape="decoder-only", scenario="no_table"
         )
         assert report.integrity.lossless_in_order
 
-    def test_unknown_topology_rejected(self):
-        with pytest.raises(ReplayError):
-            ReplayHarness(topology="ring")
-        assert ReplayTopology.from_name("encoder-only") is ReplayTopology.ENCODER_ONLY
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(TopologyError, match="shape"):
+            linear_topology(shape="ring")
 
-    def test_static_requires_bases(self):
-        with pytest.raises(ReplayError):
-            ReplayHarness(scenario="static")
+    def test_static_with_a_callers_source_requires_bases(self, trace):
+        engine = TopologyEngine(linear_topology(scenario="static"))
+        with pytest.raises(TopologyError, match="explicit static_bases"):
+            engine.run(
+                sources={"flow0": (ChunkTraceSource(trace), FixedRatePacing(1e6))}
+            )
 
     def test_hops_must_be_positive(self):
-        with pytest.raises(ReplayError):
-            ReplayHarness(hops=0)
+        with pytest.raises(TopologyError, match="hops"):
+            linear_topology(hops=0)
 
 
 class TestHopsSeedRegression:
@@ -300,15 +292,9 @@ class TestHopsSeedRegression:
         trace = SyntheticSensorWorkload(
             num_chunks=600, distinct_bases=5, seed=11
         ).trace()
-        harness = ReplayHarness(
-            scenario="dynamic",
-            hops=3,
-            impairments=ImpairmentModel(
-                loss_probability=0.03, reorder_probability=0.02, seed=7
-            ),
-        )
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        _engine, report = run(
+            ChunkTraceSource(trace), scenario="dynamic", hops=3, loss=0.03,
+            reorder=0.02, link_seed=7,
         )
         observed = report.as_dict()
         for key in (
@@ -320,21 +306,18 @@ class TestHopsSeedRegression:
 
 
 class TestPcapDriven:
-    def test_pcap_round_trip_through_harness(self, trace, tmp_path):
+    def test_pcap_round_trip(self, trace, tmp_path):
         path = tmp_path / "trace.pcap"
         trace.to_pcap(path, packet_rate=500_000.0)
-        harness = ReplayHarness(scenario="dynamic")
-        report = harness.run(PcapTraceSource(path), FixedRatePacing(packet_rate=1e6))
+        _engine, report = run(PcapTraceSource(path), scenario="dynamic")
         assert report.integrity.lossless_in_order
         assert report.chunks_sent == len(trace)
         assert report.source.startswith("pcap:")
 
     def test_runt_frames_are_counted_as_parse_errors(self, tmp_path):
         """Malformed frames must not vanish: 22 frames go in, the encoder
-        processes 20, and ``encoder.parse_errors`` accounts for the rest."""
-        from repro.net.pcap import PcapPacket, write_pcap
-        from repro.topology import TopologyEngine, linear_topology
-
+        processes 20, and ``encoder.parse_errors`` accounts for the rest —
+        whether the pcap is the caller's source or the spec's trace."""
         chunks = SyntheticSensorWorkload(num_chunks=20, distinct_bases=2, seed=4)
         frames = [
             frame.data for frame in ChunkTraceSource(chunks.trace()).frames()
@@ -348,13 +331,11 @@ class TestPcapDriven:
             nanosecond=True,
         )
 
-        harness = ReplayHarness(scenario="no_table")
-        linear = harness.run(PcapTraceSource(path))
-        engine = TopologyEngine(
+        caller_built, linear = run(PcapTraceSource(path), scenario="no_table")
+        graph = TopologyEngine(
             linear_topology(scenario="no_table", trace=str(path))
-        )
-        graph = engine.run()
-        assert harness.sink.frames_sent == 22
+        ).run()
+        assert caller_built.flow_states[0].frames_sent == 22
         assert graph.flow("flow0").frames_sent == 22
         for report in (linear, graph):
             assert report.chunks_sent == 20
@@ -363,16 +344,15 @@ class TestPcapDriven:
             assert report.integrity.lossless_in_order
 
     def test_parse_errors_counter_is_absent_from_clean_runs(self, trace):
-        report = ReplayHarness(scenario="no_table").run(ChunkTraceSource(trace))
+        _engine, report = run(ChunkTraceSource(trace), scenario="no_table")
         counters = report.as_dict()["metrics"]["counters"]
         assert not [name for name in counters if name.endswith("parse_errors")]
 
 
 class TestCountersOnlyMode:
     def test_verify_integrity_false_keeps_no_per_chunk_state(self, trace):
-        harness = ReplayHarness(scenario="no_table", verify_integrity=False)
-        report = harness.run(
-            ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6)
+        engine, report = run(
+            ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
         )
         assert report.integrity is None
         assert report.latency_summary() == {}
@@ -381,93 +361,76 @@ class TestCountersOnlyMode:
         assert report.payload_bytes_sent == trace.total_bytes
         assert report.compression_ratio > 1.0
         # No retained payloads or frames.
-        assert harness.sink.arrivals == []
-        assert harness.sink.delivered == len(trace)
-        assert harness.sink.account is None
+        flow = engine.flow_states[0]
+        assert flow.arrivals == []
+        assert flow.delivered == len(trace)
+        assert flow.account is None
+
+    def test_counters_only_mode_records_no_queueing_delays(self, trace):
+        engine, _report = run(
+            ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
+        )
+        assert engine.graph.links[0].stats.queueing_delays == []
+        assert engine.graph.links[0].stats.delivered == len(trace)
+
+    def test_counters_only_link_tap_keeps_aggregates_not_records(self, trace):
+        engine, report = run(
+            ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
+        )
+        assert engine.measured_tap.records == []
+        assert engine.measured_tap.total_frames() == len(trace)
+        assert report.learning_time is None  # first-times still tracked
+        assert report.wire_payload_bytes > 0
 
 
 class TestDnsWorkloadSource:
-    def test_dns_workload_streams_through_harness(self):
-        from repro.replay import WorkloadTraceSource
-        from repro.workloads import DnsQueryWorkload
-
+    def test_dns_workload_streams_through_the_chain(self):
         workload = DnsQueryWorkload(num_queries=300, distinct_names=20, seed=6)
-        harness = ReplayHarness(scenario="no_table")
-        report = harness.run(
-            WorkloadTraceSource(workload, num_chunks=300),
-            FixedRatePacing(packet_rate=1e6),
+        _engine, report = run(
+            WorkloadTraceSource(workload, num_chunks=300), scenario="no_table"
         )
         assert report.chunks_sent == 300
         assert report.integrity.lossless_in_order
 
 
 class TestStaticBasesContract:
-    def test_no_table_with_encoder_rejects_static_bases(self, trace):
-        with pytest.raises(ReplayError):
-            ReplayHarness(scenario="no_table", static_bases=[1, 2, 3])
-
     def test_decoder_only_no_table_preinstalls_mappings(self, trace, tmp_path):
-        from repro.net.pcap import PcapPacket, write_pcap
-
-        transform = ReplayHarness().transform
-        bases = trace.distinct_bases(transform)
+        bases = trace.distinct_bases(GDTransform(order=8))
 
         # Produce a processed trace with an encoder-only run.
-        encode = ReplayHarness(
-            topology="encoder-only", scenario="static", static_bases=bases
+        encode, _report = run(
+            ChunkTraceSource(trace), shape="encoder-only", scenario="static",
+            static_bases=bases,
         )
-        encode.run(ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6))
         processed = tmp_path / "processed.pcap"
         write_pcap(
             processed,
-            (PcapPacket(time, frame) for time, frame in encode.sink.arrivals),
+            (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
         )
 
         # Decode it with a decoder-only topology and preinstalled mappings
         # (same basis order -> same sequential identifier assignment).
-        decode = ReplayHarness(
-            topology="decoder-only", scenario="no_table", static_bases=bases
-        )
-        report = decode.run(
-            PcapTraceSource(processed), FixedRatePacing(packet_rate=1e6)
+        decode, report = run(
+            PcapTraceSource(processed), shape="decoder-only", scenario="no_table",
+            static_bases=bases,
         )
         assert report.metrics.counter("decoder.unknown_identifier") == 0
         assert report.metrics.counter("decoder.compressed_to_raw") == len(trace)
-        received = [
-            EthernetFrame.from_bytes(frame).payload
-            for _, frame in decode.sink.arrivals
-        ]
-        assert received == trace.chunks
-
-    def test_counters_only_mode_records_no_queueing_delays(self, trace):
-        harness = ReplayHarness(scenario="no_table", verify_integrity=False)
-        harness.run(ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6))
-        assert harness.links[0].stats.queueing_delays == []
-        assert harness.links[0].stats.delivered == len(trace)
+        assert payloads(decode) == trace.chunks
 
     def test_decoder_only_processed_trace_reports_na_ratio(self, trace, tmp_path):
-        from repro.net.pcap import PcapPacket, write_pcap
-
-        encode = ReplayHarness(topology="encoder-only", scenario="no_table")
-        encode.run(ChunkTraceSource(trace.head(50)), FixedRatePacing(packet_rate=1e6))
+        encode, _report = run(
+            ChunkTraceSource(trace.head(50)), shape="encoder-only", scenario="no_table"
+        )
         processed = tmp_path / "t2.pcap"
         write_pcap(
             processed,
-            (PcapPacket(time, frame) for time, frame in encode.sink.arrivals),
+            (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
         )
-        decode = ReplayHarness(topology="decoder-only", scenario="no_table")
-        report = decode.run(
-            PcapTraceSource(processed), FixedRatePacing(packet_rate=1e6)
+        _engine, report = run(
+            PcapTraceSource(processed), shape="decoder-only", scenario="no_table"
         )
         # No raw chunks were injected: there is no compression ratio.
         assert report.compression_ratio is None
         assert report.savings_percent is None
         assert "n/a" in report.render(include_counters=False)
-
-    def test_counters_only_link_tap_keeps_aggregates_not_records(self, trace):
-        harness = ReplayHarness(scenario="no_table", verify_integrity=False)
-        report = harness.run(ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6))
-        assert harness.link_tap.records == []
-        assert harness.link_tap.total_frames() == len(trace)
-        assert report.learning_time is None  # first-times still tracked
-        assert report.wire_payload_bytes > 0

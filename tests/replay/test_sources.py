@@ -109,6 +109,10 @@ class TestChunkTraceSource:
         source = ChunkTraceSource(small_trace)
         assert [f.data for f in source.frames()] == [f.data for f in source.frames()]
 
+    def test_recorded_rate_must_be_positive(self, small_trace):
+        with pytest.raises(ReplayError, match="recorded rate"):
+            ChunkTraceSource(small_trace, recorded_rate=0)
+
 
 class TestPcapTraceSource:
     def test_streams_recorded_timestamps(self, small_trace, tmp_path):

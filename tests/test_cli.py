@@ -130,8 +130,24 @@ class TestReportingCommands:
     def test_learning_delay(self, capsys):
         assert main(["learning-delay", "--repetitions", "2", "--packets", "3000"]) == 0
         output = capsys.readouterr().out
-        assert "learning delay over 2 runs" in output
-        assert "1.77" in output
+        # Seeds 0 and 1 through the paper-testbed preset, to the printed digit.
+        assert "learning delay over 2 runs: (1.777 ± 0.019) ms" in output
+        assert "paper reports (1.77 ± 0.08) ms" in output
+
+    @pytest.mark.parametrize("flag", ["--repetitions", "--packets"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_learning_delay_rejects_non_positive_counts_before_running(
+        self, flag, value, monkeypatch, capsys
+    ):
+        from repro.topology import TopologyEngine
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(TopologyEngine, "run", no_run)
+        assert main(["learning-delay", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be a positive integer, got {value}" in err
 
 
 class TestReplayEmulation:
@@ -195,20 +211,21 @@ class TestReplayEmulation:
         assert "metrics" in data
 
     def test_decoder_only_replays_processed_type2_trace(self, tmp_path, capsys):
-        # Build a processed (all type-2) trace with an encoder-only harness,
+        # Build a processed (all type-2) trace with an encoder-only chain,
         # then decode it from the CLI with a decoder-only topology.
         from repro.net.pcap import PcapPacket, write_pcap
-        from repro.replay import ChunkTraceSource, FixedRatePacing, ReplayHarness
+        from repro.topology import TopologyEngine, linear_topology
 
-        trace = SyntheticSensorWorkload(
-            num_chunks=300, distinct_bases=5, seed=8
-        ).trace()
-        encode = ReplayHarness(topology="encoder-only", scenario="no_table")
-        encode.run(ChunkTraceSource(trace), FixedRatePacing(packet_rate=1e6))
+        encode = TopologyEngine(
+            linear_topology(
+                shape="encoder-only", scenario="no_table", chunks=300, bases=5
+            )
+        )
+        encode.run()
         processed = tmp_path / "processed.pcap"
         write_pcap(
             processed,
-            (PcapPacket(time, frame) for time, frame in encode.sink.arrivals),
+            (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
         )
 
         assert main(
@@ -221,18 +238,23 @@ class TestReplayEmulation:
         assert re.search(r"decoder\.uncompressed_to_raw\s+300\b", output)
 
 
-class TestReplayTopologyErrors:
+class TestReplayShapeErrors:
     def test_unknown_topology_error_lists_valid_choices(self, tmp_path, capsys):
         trace = tmp_path / "t.pcap"
         main(["generate-trace", "synthetic", str(trace), "--chunks", "10"])
         capsys.readouterr()
-        assert main(["replay", str(trace), "--topology", "ring"]) == 1
+        assert main(["replay", str(trace), "--topology", "bogus"]) == 1
         err = capsys.readouterr().err
-        # Not just the bad value: every valid choice plus the graph pointer.
-        assert "'ring'" in err
-        for valid in ("encoder-link-decoder", "encoder-only", "decoder-only"):
-            assert valid in err
-        assert "repro topology" in err
+        # Not just the bad value: every linear shape plus the graph pointer.
+        assert "'bogus'" in err
+        assert "encoder-link-decoder, encoder-only, decoder-only" in err
+        assert "'repro topology --preset'" in err
+
+    def test_topology_name_is_case_insensitive(self, tmp_path, capsys):
+        trace = tmp_path / "t.pcap"
+        main(["generate-trace", "synthetic", str(trace), "--chunks", "10"])
+        assert main(["replay", str(trace), "--topology", "Encoder-Only"]) == 0
+        assert "replay (dynamic, encoder-only)" in capsys.readouterr().out
 
 
 class TestTopologyCommand:

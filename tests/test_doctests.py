@@ -16,7 +16,6 @@ import repro.experiments.runner
 import repro.experiments.spec
 import repro.registry
 import repro.replay
-import repro.replay.harness
 import repro.replay.link
 import repro.replay.metrics
 import repro.replay.sources
@@ -30,7 +29,6 @@ MODULES = [
     (repro.experiments.spec, True),
     (repro.registry, True),
     (repro.replay, False),
-    (repro.replay.harness, False),
     (repro.replay.link, False),
     (repro.replay.metrics, True),
     (repro.replay.sources, True),

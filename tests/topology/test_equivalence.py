@@ -1,10 +1,11 @@
-"""Equivalence: a spec-built linear chain reproduces the pinned harness bytes.
+"""Equivalence: a spec-only linear chain reproduces the pinned in-memory runs.
 
-``tests/replay/test_golden.py`` pins the md5 of every ``ReplayHarness``
-report as the pre-unification harness produced it.  Here the same chains
-are described purely as :func:`linear_topology` specs — no in-memory source,
-no explicit bases — and run through :class:`TopologyEngine`; adapted to the
-linear report they must hit those pins: same ratios, counters, integrity
+``tests/replay/test_golden.py`` pins the md5 of linear runs fed a
+caller-built source (``HARNESS_CASES``, with explicit static bases).  Here
+the same chains are described purely as :func:`linear_topology` specs — no
+in-memory source, no explicit bases — and run through
+:class:`TopologyEngine`; adapted to the linear report they must hit those
+pins: same ratios, counters, integrity
 verdicts, latency distributions and simulated timeline, bit for bit, across
 the figure-3 scenarios and under loss, reordering and multi-hop paths.
 """

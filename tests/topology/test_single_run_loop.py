@@ -1,10 +1,10 @@
 """Every linear entry point executes through ``TopologyEngine.run``.
 
-The linear builders keep their APIs but own no run loop: each public way
-of running the paper's chain must make exactly one ``TopologyEngine.run``
-call.  The engine inputs that exist only for those builders — a pre-built
-source per flow and explicit static bases — and the spec-decided
-``integrity: None`` rule are covered here too.
+Each public way of running the paper's chain — ``repro replay``, ``repro
+learning-delay``, a linear experiment scenario — builds a spec and makes
+exactly one ``TopologyEngine.run`` call per run.  The engine inputs a spec
+cannot carry — a pre-built source per flow and explicit static bases — and
+the spec-decided ``integrity: None`` rule are covered here too.
 """
 
 import pytest
@@ -13,15 +13,9 @@ from repro.cli import main
 from repro.exceptions import TopologyError
 from repro.experiments import ExperimentSpec, run_scenario
 from repro.net.pcap import PcapPacket, write_pcap
-from repro.replay import (
-    ChunkTraceSource,
-    FixedRatePacing,
-    PcapTraceSource,
-    ReplayHarness,
-)
+from repro.replay import ChunkTraceSource, FixedRatePacing, PcapTraceSource
 from repro.topology import TopologyEngine, linear_topology
 from repro.workloads import SyntheticSensorWorkload
-from repro.zipline import ZipLineDeployment
 
 CHUNKS = 300
 
@@ -45,19 +39,10 @@ def engine_runs(monkeypatch):
 
 
 class TestRouting:
-    def test_replay_harness_run(self, engine_runs):
-        report = ReplayHarness(scenario="dynamic").run(
-            ChunkTraceSource(workload().trace())
-        )
-        assert report.chunks_sent == CHUNKS
-        assert len(engine_runs) == 1
-
-    def test_deployment_replay_and_run(self, engine_runs):
-        summary = ZipLineDeployment(scenario="no_table").replay_and_run(
-            workload().chunks()
-        )
-        assert summary.uncompressed_packets == CHUNKS
-        assert len(engine_runs) == 1
+    def test_repro_learning_delay(self, engine_runs, capsys):
+        assert main(["learning-delay", "--repetitions", "2", "--packets", "2500"]) == 0
+        capsys.readouterr()
+        assert engine_runs == ["paper-testbed", "paper-testbed"]
 
     def test_linear_run_scenario(self, engine_runs):
         spec = ExperimentSpec.from_dict(

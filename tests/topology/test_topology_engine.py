@@ -139,8 +139,10 @@ class TestInNetworkControl:
 
 
 class TestPaperTestbedPreset:
-    def test_reproduces_the_deployment_numbers(self):
-        from repro.zipline import ZipLineDeployment
+    def test_spec_flow_matches_the_same_chunks_given_in_memory(self):
+        """The preset's own workload flow and the caller's chunk list (what
+        ``repro learning-delay`` feeds it) measure the same run."""
+        from repro.replay import ChunkTraceSource, RecordedPacing
         from repro.workloads import SyntheticSensorWorkload
 
         spec = paper_testbed_topology(
@@ -150,14 +152,16 @@ class TestPaperTestbedPreset:
         workload = SyntheticSensorWorkload(
             num_chunks=4000, distinct_bases=6, seed=21
         )
-        deployment = ZipLineDeployment(scenario="dynamic")
-        summary = deployment.replay_and_run(workload.chunks(), packet_rate=1e6)
+        source = (ChunkTraceSource(workload.trace()), RecordedPacing())
+        in_memory = TopologyEngine(paper_testbed_topology(scenario="dynamic")).run(
+            sources={"flow0": source}
+        )
         assert report.integrity.lossless_in_order
         assert report.compression_ratio == pytest.approx(
-            summary.compression_ratio, rel=1e-12
+            in_memory.compression_ratio, rel=1e-12
         )
         assert report.learning_time == pytest.approx(
-            summary.learning_time, rel=1e-12
+            in_memory.learning_time, rel=1e-12
         )
 
 

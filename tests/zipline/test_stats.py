@@ -1,12 +1,11 @@
-"""Tests for the link tap and compression summary."""
-
-import pytest
+"""Tests for the link tap and the report counters it feeds."""
 
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
 from repro.net.packets import PacketKind
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
-from repro.zipline.stats import CompressionSummary, LinkTap
+from repro.replay.metrics import MetricsRegistry, collect_wire_metrics
+from repro.zipline.stats import LinkTap
 
 DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
@@ -47,33 +46,22 @@ class TestLinkTap:
         assert tap.total_frames() == 0
 
 
-class TestCompressionSummary:
-    def test_ratio_and_savings(self):
-        summary = CompressionSummary(
-            original_payload_bytes=3200,
-            transmitted_payload_bytes=320,
-            compressed_packets=90,
-            uncompressed_packets=10,
-        )
-        assert summary.compression_ratio == pytest.approx(0.1)
-        assert summary.savings_percent == pytest.approx(90.0)
-        assert summary.total_packets == 100
-
-    def test_empty_summary(self):
-        summary = CompressionSummary(original_payload_bytes=0, transmitted_payload_bytes=0)
-        assert summary.compression_ratio == 0.0
-
-    def test_from_link_tap(self):
+class TestWireMetrics:
+    def test_tap_folds_into_the_reports_wire_counters(self):
         tap = LinkTap()
         tap.observe(frame_bytes(EtherType.ZIPLINE_UNCOMPRESSED, 33), time=0.0)
         tap.observe(frame_bytes(EtherType.ZIPLINE_COMPRESSED, 3), time=0.1)
-        summary = CompressionSummary.from_link_tap(
-            tap, original_payload_bytes=64, dataset="unit", scenario="dynamic"
-        )
-        assert summary.transmitted_payload_bytes == 36
-        assert summary.uncompressed_packets == 1
-        assert summary.compressed_packets == 1
-        assert summary.dataset == "unit"
-        data = summary.as_dict()
-        assert data["scenario"] == "dynamic"
-        assert data["compression_ratio"] == pytest.approx(36 / 64)
+        metrics = MetricsRegistry()
+        collect_wire_metrics(metrics, tap)
+        counters = metrics.as_dict()["counters"]
+        assert counters == {
+            "wire.raw_packets": 0,
+            "wire.uncompressed_packets": 1,
+            "wire.compressed_packets": 1,
+            "wire.raw_payload_bytes": 0,
+            "wire.uncompressed_payload_bytes": 33,
+            "wire.compressed_payload_bytes": 3,
+        }
+        assert sum(
+            value for name, value in counters.items() if name.endswith("payload_bytes")
+        ) == tap.total_payload_bytes()
