@@ -12,7 +12,10 @@ missing: the wire itself.  It models what a real hop does to a frame —
   are in the output queue (``None`` = unbounded).  The depth is derived,
   not event-driven: the link remembers when each queued frame finishes
   serialising and counts the ones the simulator has not passed yet, so a
-  traversal costs one event (the delivery), not two;
+  traversal costs at most one event (the delivery), not two — and none
+  for the hand-off into the link when a switch hands the frame on stamped
+  with the end of its pipeline latency, ahead of the clock (see
+  :attr:`EmulatedLink.queue_depth` for where such a frame is positioned);
 * **seeded impairments**: loss and reordering drawn from a deterministic
   :class:`repro.perfmodel.linkmodel.ImpairmentModel`, so replays are
   exactly reproducible.
@@ -138,10 +141,19 @@ class EmulatedLink:
         self.stats = LinkStats()
         self._sink = sink
         self._busy_until = 0.0
-        # Keys ``(done, 0, sequence)`` of the frames still queued or being
-        # serialised, oldest first: where an explicit serialisation-done
-        # event scheduled at send time would sit in the simulator's order.
-        self._serialising: Deque[Tuple[float, int, int]] = deque()
+        # The latest instant a frame was offered at: offers come in time
+        # order, or a frame handed on ahead of the clock was overtaken.
+        self._offered_until = 0.0
+        # Completion keys of the frames still queued or being serialised,
+        # oldest first: where an explicit serialisation-done event scheduled
+        # when the frame entered would sit in the simulator's order —
+        # ``(done, 0, 0, sequence)`` for a frame sent at the clock,
+        # ``(done, 0, 1, handoff)`` for one handed on ahead of it, where
+        # ``handoff`` is the key of the transmit event the hand-off saved.
+        # A reading's position takes the same shape: ``(t, priority, 0,
+        # sequence)`` from the clock's key, ``(stamp, 0, 1, clock key)``
+        # for a send stamped ahead of it.
+        self._serialising: Deque[Tuple[float, int, int, object]] = deque()
         # The event description is constant; format it once, not per frame.
         self._deliver_label = f"{name}:deliver"
         # frame length -> serialisation delay: traffic has a handful of
@@ -160,17 +172,33 @@ class EmulatedLink:
     def queue_depth(self) -> int:
         """Frames currently queued or being serialised.
 
-        A frame has left the queue once the simulator's position
-        (:attr:`~repro.sim.simulator.Simulator.current_key`) is past the
-        frame's serialisation-done key — ties included: a send executing at
-        exactly a completion time still sees the frame iff the send's event
-        was scheduled before the frame entered the link.  The simulator's
-        position decides, never ``send()``'s ``time`` argument, so frames
-        offered ahead of an idle clock accumulate.
+        A frame leaves the queue when its serialisation completes.  The
+        link spends no event on that: it compares the frame's completion
+        key with the *position* of each reading.  This property and a send
+        at the clock read at the simulator's
+        :attr:`~repro.sim.simulator.Simulator.current_key`.  A send stamped
+        ahead of the clock — a switch handing a frame on with the end of its
+        pipeline latency — reads at its own stamp, where the transmit event
+        it saved would have run, not at the clock's position.
+
+        Exact ties — a completion at precisely the reading's instant —
+        resolve the way those events would have run.  At the clock, a
+        reading from an event of lower priority value than the completion
+        event's 0 precedes it, one of higher value follows it, and at
+        priority 0 the frame is gone iff it entered the link before the
+        reading's event was scheduled.  Ahead of the clock, the reading was
+        scheduled by the event that handed it on: a frame sent at the clock
+        entered before that and is gone; a frame itself handed on ahead is
+        gone iff the clock had passed that frame's stamp when the reading
+        was handed on.  One case has no saved event to order by — a frame
+        handed on ahead of the clock, met at its completion instant by a
+        send at the clock, which only happens across a run horizon — and
+        there the frame is still counted.
         """
         serialising = self._serialising
         if serialising:
-            position = self.simulator.current_key
+            key = self.simulator.current_key
+            position = (key[0], key[1], 0, key[2])
             while serialising and serialising[0] < position:
                 serialising.popleft()
         return len(serialising)
@@ -181,14 +209,27 @@ class EmulatedLink:
         """Offer one frame to the link at simulated ``time``.
 
         Matches the :data:`~repro.tofino.switch.PortSink` signature, so a
-        switch egress port can be attached directly to the link.
+        switch egress port can be attached directly to the link.  A
+        ``time`` ahead of the clock is a hand-off stamped with the end of
+        an upstream pipeline: the frame enters at that instant, positioned
+        as :attr:`queue_depth` describes.  Frames must be offered in time
+        order; one offered before an instant the link has already taken a
+        frame at is a :class:`~repro.exceptions.ReplayError`.
         """
         if self._sink is None:
             raise ReplayError(f"link {self.name!r} has no sink attached")
         simulator = self.simulator
         now = simulator.now
-        if time > now:
+        ahead = time > now
+        if ahead:
             now = time
+        if now < self._offered_until:
+            raise ReplayError(
+                f"link {self.name!r}: frame offered at {now:.9f}s after one "
+                f"offered at {self._offered_until:.9f}s; hand-offs ahead of "
+                "the clock must reach a link in time order"
+            )
+        self._offered_until = now
         tracer = _obs.TRACER
         stats = self.stats
         length = len(frame)
@@ -203,7 +244,19 @@ class EmulatedLink:
                     "link.drop", self.name, args={"reason": "loss"}, ts=now
                 )
             return
-        depth = self.queue_depth
+        # ``queue_depth`` at this send's position.  Completions are strictly
+        # increasing, so at most the head can tie with ``now``, and only a
+        # tie needs the full key.
+        serialising = self._serialising
+        while serialising and serialising[0][0] < now:
+            serialising.popleft()
+        if serialising and serialising[0][0] == now:
+            key = simulator.current_key
+            if serialising[0] < (
+                (now, 0, 1, key) if ahead else (now, key[1], 0, key[2])
+            ):
+                serialising.popleft()
+        depth = len(serialising)
         if self.queue_capacity is not None and depth >= self.queue_capacity:
             stats.dropped_queue += 1
             if tracer.enabled:
@@ -226,7 +279,10 @@ class EmulatedLink:
         done = start + serialisation
         stats.busy_time += serialisation
         self._busy_until = done
-        self._serialising.append((done, 0, simulator.next_sequence()))
+        sequence = simulator.next_sequence()
+        serialising.append(
+            (done, 0, 1, (time, 0, sequence)) if ahead else (done, 0, 0, sequence)
+        )
         if depth >= stats.max_queue_depth:
             stats.max_queue_depth = depth + 1
         if self.record_delays:

@@ -2,10 +2,11 @@
 
 :class:`Simulator` is the time base shared by the Tofino switch model, the
 control plane and the traffic generators.  It is intentionally minimal: a
-monotonic clock, a binary-heap event queue, and run/step primitives.  All
-components that need time accept a ``Simulator`` (or share one through
-:class:`repro.zipline.deployment.Deployment`), so experiments are exactly
-reproducible and independent of wall-clock speed.
+monotonic clock, a binary-heap event queue, run/step primitives and the
+horizon of the current run.  All components that need time accept a
+``Simulator`` (a :class:`repro.topology.engine.TopologyEngine` builds one
+and hands it to every node, link and control plane of its graph), so
+experiments are exactly reproducible and independent of wall-clock speed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,18 @@ class Simulator:
     ``now`` is the current simulated time in seconds.  It is a plain
     attribute because every component reads it several times per packet;
     only the simulator writes it.
+
+    **Hand-offs ahead of the clock.**  A component whose work ends a
+    constant delay after it starts — a switch pipeline — may hand its
+    output on at once, stamped ``now + delay``, instead of scheduling an
+    event to wait out the delay, provided the receiver honours the stamp.
+    ``horizon`` bounds that: it is the ``until`` of the current
+    :meth:`run` (+inf when there is none, -inf outside a run), and a
+    hand-off stamped past it is scheduled as an event instead, so nothing a
+    run reports has happened after the instant it was stopped at.  A
+    component that hands a frame on records the stamp in ``latest_stamp``
+    (it may only raise it): a drained run leaves the clock there, where the
+    event it saved would have left it.
     """
 
     def __init__(self, start_time: float = 0.0):
@@ -51,6 +64,8 @@ class Simulator:
         self._executed_events = 0
         self._running = False
         self._observers: List[Callable[[Event], Any]] = []
+        self.horizon = -inf
+        self.latest_stamp = start_time
         self._settle(start_time, before=True)
 
     def _settle(self, time: float, before: bool) -> None:
@@ -199,17 +214,24 @@ class Simulator:
         """Run events until the queue drains, ``until`` is reached, or a cap.
 
         Returns the number of events executed by this call.  ``until`` is an
-        absolute simulated time; events scheduled exactly at ``until`` still
-        run, and the clock then rests at ``until`` — unless ``max_events``
-        stopped the run first, in which case it stays at the last event
-        executed, with the rest still pending.  ``max_events`` guards
-        against runaway self-rescheduling loops; it is a guard, not a unit
-        of progress: how far a given budget gets in simulated time depends
-        on how many events the components spend per packet.
+        absolute simulated time and the run's :attr:`horizon`; events
+        scheduled exactly at ``until`` still run, and the clock then rests
+        at ``until``.  A run without ``until`` that drains the queue rests
+        at the last event executed or at :attr:`latest_stamp`, whichever is
+        later.  ``max_events`` guards against runaway self-rescheduling
+        loops; it is a guard, not a unit of progress: how far a given budget
+        gets in simulated time depends on how many events the components
+        spend per packet.  A run it stops leaves the clock at the last event
+        executed, with the rest still pending — even when frames were
+        handed on past that event (the horizon of a run without ``until``
+        is +inf): pending events may lie before their stamps, so the clock
+        cannot move there; ``latest_stamp`` records how far they reached,
+        and the run that drains the queue settles the clock there.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
+        self.horizon = inf if until is None else until
         executed = 0
         try:
             if until is None and max_events is None:
@@ -217,13 +239,16 @@ class Simulator:
                 while queue:
                     if self.step():
                         executed += 1
+                self._settle_stamps()
                 return executed
             while True:
                 next_event = self._peek()
                 if next_event is None or (
                     until is not None and next_event.time > until
                 ):
-                    if until is not None and self.now <= until:
+                    if until is None:
+                        self._settle_stamps()
+                    elif self.now <= until:
                         self._settle(until, before=False)
                     break
                 if max_events is not None and executed >= max_events:
@@ -232,7 +257,13 @@ class Simulator:
                     executed += 1
         finally:
             self._running = False
+            self.horizon = -inf
         return executed
+
+    def _settle_stamps(self) -> None:
+        """After a drained run: move the clock to the latest hand-off stamp."""
+        if self.latest_stamp > self.now:
+            self._settle(self.latest_stamp, before=False)
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` simulated seconds from the current time."""
@@ -264,4 +295,5 @@ class Simulator:
         """Drop all pending events and rewind the clock to zero."""
         self._queue.clear()
         self._executed_events = 0
+        self.latest_stamp = 0.0
         self._settle(0.0, before=True)

@@ -8,7 +8,10 @@ through the pipeline, and are delivered to whatever is attached to the
 egress port.
 
 Timing uses the shared discrete-event simulator when one is attached: the
-pipeline latency is added between ingress and delivery.  Without a
+pipeline latency is added between ingress and delivery.  It rides on the
+frame's timestamp when it can — a port whose sink honours its ``time``
+argument gets the frame at once, stamped ``now + latency``, within the
+simulator's run horizon — and costs a transmit event otherwise.  Without a
 simulator the switch degrades gracefully to an immediate, functional-only
 mode, which is what most unit tests use.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
@@ -83,6 +87,11 @@ class TofinoSwitch:
         self.port_speed = port_speed
         self.digest_engine = digest_engine or DigestEngine(simulator)
         self._sinks: Dict[int, PortSink] = {}
+        # Per attached port, the clock a frame must be received after to
+        # skip the transmit event: +inf for a sink that ignores ``time``,
+        # else the stamp of the port's last scheduled transmit (-inf before
+        # one), so no frame overtakes one still waiting for its event.
+        self._holds: Dict[int, float] = {}
         self._port_stats: Dict[int, PortStats] = {
             port: PortStats() for port in range(port_count)
         }
@@ -91,21 +100,27 @@ class TofinoSwitch:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_port(self, port: int, sink: PortSink) -> None:
+    def attach_port(self, port: int, sink: PortSink, timed: bool = False) -> None:
         """Attach a receiver callback to an egress port.
 
         ``sink(frame_bytes, time)`` is called whenever the switch transmits
-        on that port.
+        on that port.  ``timed`` says the sink honours ``time`` — it acts
+        as of that instant whatever the simulator's clock reads — so the
+        switch may call it as soon as the frame leaves the program, stamped
+        with the end of the pipeline latency.  An untimed sink (the
+        default) is called from a transmit event at that instant.
         """
         self._check_port(port)
         if not callable(sink):
             raise PipelineError("port sink must be callable")
         self._sinks[port] = sink
+        self._holds[port] = -inf if timed else inf
 
     def detach_port(self, port: int) -> None:
         """Remove the receiver attached to a port."""
         self._check_port(port)
         self._sinks.pop(port, None)
+        self._holds.pop(port, None)
 
     def _port_error(self, port: int) -> PipelineError:
         return PipelineError(
@@ -156,7 +171,13 @@ class TofinoSwitch:
         """Deliver ``frame`` on ``port`` after ``latency``.
 
         The interpreted :meth:`receive` and the compiled program fast paths
-        both end here.
+        both end here.  A timed port's sink is called now with the stamp
+        ``now + latency`` when that is within the simulator's
+        :attr:`~repro.sim.simulator.Simulator.horizon` and no earlier frame
+        of the port still waits for its transmit event; otherwise, and for
+        an untimed port, a transmit event calls it at that instant.  The
+        latency is the program's constant, so frames leave a port in the
+        order they arrived either way.
         """
         stats = self._port_stats.get(port)
         if stats is None:
@@ -170,7 +191,16 @@ class TofinoSwitch:
         if simulator is None:
             sink(frame, 0.0)
             return
-        deliver_at = simulator.now + latency
+        now = simulator.now
+        deliver_at = now + latency
+        hold = self._holds[port]
+        if hold < now <= deliver_at <= simulator.horizon:
+            if deliver_at > simulator.latest_stamp:
+                simulator.latest_stamp = deliver_at
+            sink(frame, deliver_at)
+            return
+        if hold != inf:
+            self._holds[port] = deliver_at
         tracer = _obs.TRACER
         if tracer.enabled:
             # Carry the current chunk identity across the deferred delivery

@@ -49,7 +49,15 @@ class Node:
     that takes the frames of one numbered ingress port, and exposes
     numbered egress ports the graph attaches sinks to via :meth:`attach`.
     Concrete nodes live in :mod:`repro.topology.nodes`.
+
+    ``timed_ingress`` says the node's ingress sinks honour their ``time``
+    argument: the node acts as of that instant, never reading the clock,
+    so an upstream switch may hand it a frame stamped ahead of the clock.
+    A node that runs a program against its tables reads them at arrival
+    time and keeps the default.
     """
+
+    timed_ingress = False
 
     def __init__(self, name: str):
         if not name or not isinstance(name, str):
@@ -72,8 +80,13 @@ class Node:
         """Handle one frame arriving on ingress ``port`` at ``time``."""
         self.ingress(port)(frame_bytes, time)
 
-    def attach(self, port: int, sink: LinkSink) -> None:
-        """Attach the sink that egress ``port`` transmits into."""
+    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
+        """Attach the sink that egress ``port`` transmits into.
+
+        ``timed`` says the sink honours its ``time`` argument (see
+        :meth:`repro.tofino.switch.TofinoSwitch.attach_port`); nodes that
+        never transmit ahead of the clock ignore it.
+        """
         raise NotImplementedError
 
     def counters(self) -> Dict[str, float]:
@@ -169,19 +182,30 @@ class TopologyGraph:
     # -- wiring --------------------------------------------------------------
 
     def wire(self) -> None:
-        """Attach every edge: chain its links and connect both endpoints."""
+        """Attach every edge: chain its links and connect both endpoints.
+
+        Each edge's entry is attached *timed* when it honours the ``time``
+        it is called with — an emulated link's ``send``, or a node with
+        ``timed_ingress`` (a host) — so a switch may hand frames into it
+        stamped ahead of the clock.  A direct edge into a switch or a
+        forwarder keeps its transmit event: the program downstream reads
+        its tables at arrival time.
+        """
         if self._wired:
             raise TopologyError("topology graph is already wired")
         self._wired = True
         for edge in self.edges:
-            sink = self.nodes[edge.target].ingress(edge.target_port)
+            target = self.nodes[edge.target]
+            sink = target.ingress(edge.target_port)
             if edge.links:
                 for upstream, downstream in zip(edge.links, edge.links[1:]):
                     upstream.attach(downstream.send)
                 edge.links[-1].attach(sink)
                 entry: LinkSink = edge.links[0].send
+                timed = True
             else:
                 entry = sink
+                timed = target.timed_ingress
             if edge.tap is not None:
                 tap = edge.tap
 
@@ -193,7 +217,7 @@ class TopologyGraph:
                     _entry(frame_bytes, time)
 
                 entry = tapped
-            self.nodes[edge.source].attach(edge.source_port, entry)
+            self.nodes[edge.source].attach(edge.source_port, entry, timed=timed)
 
     # -- inspection ----------------------------------------------------------
 

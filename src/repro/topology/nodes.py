@@ -37,8 +37,11 @@ class HostNode(Node):
     delivery to an optional ``on_deliver`` hook (the engine uses it for
     per-flow attribution; frames are retained per flow, never at the
     host).  As a *source*, :meth:`inject` transmits a frame into whatever
-    the graph attached to the host's egress port.
+    the graph attached to the host's egress port.  A delivery is accounted
+    at the ``time`` it carries, so the host's ingress is timed.
     """
+
+    timed_ingress = True
 
     def __init__(self, name: str = "host"):
         super().__init__(name)
@@ -59,7 +62,7 @@ class HostNode(Node):
 
     # -- source side -----------------------------------------------------------
 
-    def attach(self, port: int, sink: LinkSink) -> None:
+    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
         if port in self._egress:
             # A silent overwrite would blackhole the first edge's path.
             raise TopologyError(
@@ -112,9 +115,9 @@ class _ZipLineSwitchNode(Node):
 
         return switch_ingress
 
-    def attach(self, port: int, sink: LinkSink) -> None:
+    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
         _guard_reattach(self, self._attached_ports, port)
-        self.switch.switch.attach_port(port, sink)
+        self.switch.switch.attach_port(port, sink, timed=timed)
 
 
 class ZipLineEncoderNode(_ZipLineSwitchNode):
@@ -158,7 +161,7 @@ class ForwardNode(Node):
         self.no_route = 0
         self._sinks: Dict[int, LinkSink] = {}
 
-    def attach(self, port: int, sink: LinkSink) -> None:
+    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
         if port in self._sinks:
             raise TopologyError(
                 f"node {self.name!r} egress port {port} is already attached"

@@ -10,10 +10,12 @@ These are the integration contracts of the observability layer:
 * the merged multi-worker trace is exactly the sequential trace.
 """
 
+import hashlib
+
 import pytest
 
 from repro import obs
-from repro.topology import preset_topology, run_topology
+from repro.topology import TopologyEngine, preset_topology, run_topology
 
 
 @pytest.fixture(autouse=True)
@@ -164,3 +166,73 @@ class TestShardedTraces:
         for series in ("ratio", "queue_depth", "pkt_per_s",
                        "dictionary_entries"):
             assert series in sample
+
+
+#: Small versions of the golden-pinned presets: impaired multi-hop links, a
+#: full drop-tail queue, control frames and a decoder restart mid-learning.
+OBSERVED_PRESETS = {
+    "fan-in": dict(
+        senders=3, chunks=120, bases=8, packet_rate=1e5, hops=2, loss=0.02,
+        reorder=0.02, queue_capacity=4, bandwidth_gbps=0.15, seed=7,
+    ),
+    "fault-storm": dict(senders=3, chunks=200, seed=7),
+}
+
+
+def _md5(report):
+    return hashlib.md5(report.json_text().encode("utf-8")).hexdigest()
+
+
+def _observed_engine_run(spec, traced, snapshots):
+    """``(executed_events, report md5)`` of one in-process run, observed
+    by the tracer and/or a periodic snapshotter."""
+    if traced:
+        obs.enable(snapshot_interval=1e-5 if snapshots else None)
+    try:
+        engine = TopologyEngine(spec)
+        snapshotter = None
+        if snapshots and not traced:
+            # Attached by hand, feeding a tracer nobody installed: the run
+            # itself stays untraced.
+            snapshotter = obs.PeriodicSnapshotter(
+                1e-5,
+                obs.Tracer(obs.EventCollector(), clock=lambda: engine.simulator.now),
+                lambda: {
+                    "queue_depth": sum(link.queue_depth for link in engine.graph.links)
+                },
+            )
+            engine.simulator.add_observer(snapshotter.on_event)
+        report = engine.run()
+    finally:
+        obs.disable()
+    if snapshotter is not None:
+        assert snapshotter.samples_taken
+    return engine.simulator.executed_events, _md5(report)
+
+
+class TestObservationKeepsThePath:
+    """Turning observation on must not change which code path runs: the
+    tracer and a periodic snapshotter, alone or together and at any worker
+    count, leave a run's events and report bytes as they were — including
+    which frames a switch hands on stamped ahead of the clock."""
+
+    @pytest.mark.parametrize("preset", sorted(OBSERVED_PRESETS))
+    def test_events_and_report_bytes_do_not_depend_on_observation(self, preset):
+        spec = preset_topology(preset, **OBSERVED_PRESETS[preset])
+        outcomes = {
+            (traced, snapshots): _observed_engine_run(spec, traced, snapshots)
+            for traced in (False, True)
+            for snapshots in (False, True)
+        }
+        assert len(set(outcomes.values())) == 1, outcomes
+        executed, digest = outcomes[(False, False)]
+        for interval in (None, 1e-5):
+            tracer = obs.enable(snapshot_interval=interval)
+            try:
+                report = run_topology(spec, workers=2)
+            finally:
+                obs.disable()
+            assert _md5(report) == digest
+            events = [e for e in tracer.sink.events if e["name"] == "sim.event"]
+            assert len(events) == executed
+        assert _md5(run_topology(spec, workers=2)) == digest

@@ -4,6 +4,8 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ReplayError
 from repro.perfmodel.linkmodel import ImpairmentModel, LinkModel
@@ -278,6 +280,74 @@ def schedule_sends(pattern):
     return action
 
 
+def run_hand_offs(kind, hand_offs, latency, ahead, queue_capacity=None,
+                  impairments=None):
+    """Hand frames to a link the way a switch with a constant pipeline
+    ``latency`` does, and return everything the link decided.
+
+    Each ``(at, frame)`` is an event at ``at`` that hands ``frame`` on
+    stamped ``at + latency``: ``ahead`` calls ``link.send`` from inside
+    that event (recording the stamp, as a switch does), otherwise the event
+    schedules the send at the stamp — the transmit event the hand-off
+    replaces.
+    """
+    simulator = Simulator()
+    link = kind(
+        simulator,
+        bandwidth_bps=GRID_BANDWIDTH,
+        propagation_delay=0.5,
+        queue_capacity=queue_capacity,
+        impairments=None if impairments is None else ImpairmentModel(**impairments),
+    )
+    arrivals = []
+    link.attach(lambda frame, time: arrivals.append((time, frame)))
+    decisions = []
+
+    def send(frame, time):
+        stats = link.stats
+        before = (stats.dropped_loss, stats.dropped_queue)
+        link.send(frame, time)
+        decisions.append((stats.dropped_loss - before[0], stats.dropped_queue - before[1]))
+
+    def hand_off(frame):
+        stamp = simulator.now + latency
+        if ahead:
+            simulator.latest_stamp = max(simulator.latest_stamp, stamp)
+            send(frame, stamp)
+        else:
+            simulator.schedule_at(stamp, partial(send, frame, stamp))
+
+    for at, frame in hand_offs:
+        simulator.schedule_at(at, partial(hand_off, frame))
+    simulator.run()
+    return dict(
+        arrivals=arrivals,
+        decisions=decisions,
+        stats=link.stats.as_dict(),
+        delays=link.stats.queueing_delays,
+        end=simulator.now,
+    )
+
+
+@st.composite
+def hand_off_schedules(draw):
+    """Hand-offs on a half-second grid, so stamps land on completions."""
+    sizes = draw(st.lists(st.sampled_from([100, 224]), min_size=1, max_size=40))
+    hand_offs = [
+        (draw(st.integers(0, 60)) / 2.0, bytes([index]) + bytes(size - 1))
+        for index, size in enumerate(sizes)
+    ]
+    return dict(
+        hand_offs=hand_offs,
+        latency=draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])),
+        queue_capacity=draw(st.integers(1, 4)),
+        impairments=dict(
+            loss_probability=0.1, reorder_probability=0.2, reorder_delay=1.5,
+            seed=draw(st.integers(0, 7)),
+        ),
+    )
+
+
 class TestMatchesExplicitCompletionEvent:
     def test_burst_fills_the_queue_and_drains(self):
         pair = Pair(queue_capacity=3)
@@ -336,22 +406,21 @@ class TestMatchesExplicitCompletionEvent:
             (_, reference, _), _ = pair.sides
             assert reference.stats.dropped_queue == dropped
 
-    def test_future_sends_on_an_idle_clock_accumulate(self):
-        """Nothing runs between the sends, so no completion has passed —
-        whatever ``time`` the caller stamps on them."""
+    def test_sends_stamped_ahead_of_an_idle_clock_enter_at_their_stamps(self):
+        """Nothing runs between the sends, yet each is positioned at its own
+        stamp — where the transmit event it replaces would have run — so
+        every earlier frame has finished serialising by then: the link
+        equals the reference fed the same sends as events."""
         pair = Pair(queue_capacity=4)
-
-        def action(_simulator, link):
-            for index in range(6):
-                link.send(FRAMES[0], 10.0 * index)
-
-        pair.each(action)
-        pair.assert_equal()
-        (_, reference, _), (_, link, _) = pair.sides
-        assert link.queue_depth == 4
-        assert reference.stats.dropped_queue == 2
-        for until in (1.0, 11.0, 30.5, None):
-            pair.run_to(until)
+        pattern = [(10.0 * index, FRAMES[0]) for index in range(6)]
+        (reference_simulator, reference, _), (_, link, _) = pair.sides
+        schedule_sends(pattern)(reference_simulator, reference)
+        for time, frame in pattern:
+            link.send(frame, time)
+        assert link.stats.dropped_queue == 0
+        assert link.stats.max_queue_depth == 1
+        pair.run_to()
+        assert reference.stats.delivered == 6
         assert link.queue_depth == 0
 
     def test_depth_read_between_events_and_at_completion_instants(self):
@@ -390,3 +459,81 @@ class TestMatchesExplicitCompletionEvent:
         assert reference.stats.dropped_loss and reference.stats.reordered
         assert reference.stats.offered > 80  # the echoes went in
         assert len(expected) == reference.stats.delivered > 20
+
+    @given(schedule=hand_off_schedules())
+    @settings(max_examples=150, deadline=None)
+    def test_a_hand_off_equals_the_transmit_event_it_replaces(self, schedule):
+        """``link.send(frame, t)`` from an event at an earlier instant
+        decides every drop, delay and arrival exactly as the event
+        ``schedule_at(t, send)`` would — on this link and on the reference
+        with explicit completion events — ties on the grid included."""
+        ahead = run_hand_offs(EmulatedLink, ahead=True, **schedule)
+        assert ahead == run_hand_offs(EmulatedLink, ahead=False, **schedule)
+        assert ahead == run_hand_offs(ReferenceLink, ahead=False, **schedule)
+
+    def test_exact_tie_rule_for_sends_stamped_ahead_of_the_clock(self):
+        """The tie rule :attr:`EmulatedLink.queue_depth` states, one case at a
+        time: capacity 1, and a 100-byte frame serialises in exactly 1 s."""
+        frame = FRAMES[0]
+        # Two hand-offs, at 0 and at 1, the second stamped exactly when the
+        # first finishes serialising.  The first is gone iff the clock had
+        # passed its stamp when the second was handed on: not yet at
+        # latency 2 (stamp 2 > 1), already at latency 0.5 (stamp 0.5 < 1).
+        for latency, dropped in ((2.0, 1), (0.5, 0)):
+            hand_offs = [(0.0, frame), (1.0, frame)]
+            ahead = run_hand_offs(
+                EmulatedLink, hand_offs, latency, ahead=True, queue_capacity=1
+            )
+            assert ahead["decisions"] == [(0, 0), (0, dropped)]
+            assert ahead == run_hand_offs(
+                ReferenceLink, hand_offs, latency, ahead=False, queue_capacity=1
+            )
+
+        def tie(first, second):
+            simulator = Simulator()
+            link, _ = make_link(
+                simulator, bandwidth_bps=GRID_BANDWIDTH, queue_capacity=1
+            )
+            first(simulator, link)
+            second(simulator, link)
+            simulator.run()
+            return link.stats.dropped_queue
+
+        # A frame sent at the clock entered before any later hand-off was
+        # made, so a hand-off stamped at its completion finds it gone.
+        assert tie(
+            lambda simulator, link: simulator.schedule_at(
+                0.0, partial(link.send, frame, 0.0)
+            ),
+            lambda simulator, link: simulator.schedule_at(
+                0.5, partial(link.send, frame, 1.0)
+            ),
+        ) == 0
+        # A frame handed on ahead of the clock and met at its completion
+        # instant by a send *at* the clock has no saved event to order by:
+        # it is still counted, even though the send's event was scheduled
+        # after the frame's stamp.
+        assert tie(
+            lambda simulator, link: simulator.schedule_at(
+                0.0, partial(link.send, frame, 0.5)
+            ),
+            lambda simulator, link: simulator.schedule_at(
+                1.0,
+                lambda: simulator.schedule_at(1.5, partial(link.send, frame, 1.5)),
+            ),
+        ) == 1
+
+    def test_hand_offs_out_of_time_order_are_refused(self):
+        simulator = Simulator()
+        link, arrivals = make_link(simulator)
+        link.send(FRAMES[0], 5.0)
+        with pytest.raises(ReplayError, match="time order"):
+            link.send(FRAMES[1], 3.0)
+        # Nor may a send at the clock slip in behind a frame handed on
+        # ahead of it.
+        simulator.schedule_at(4.0, partial(link.send, FRAMES[1], 4.0))
+        with pytest.raises(ReplayError, match="time order"):
+            simulator.run()
+        assert link.stats.offered == 1
+        simulator.run()
+        assert [frame for _time, frame in arrivals] == [FRAMES[0]]

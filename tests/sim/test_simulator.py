@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulator."""
 
+import math
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -141,6 +143,39 @@ class TestRunControl:
         simulator.schedule_in(0.001, reschedule)
         executed = simulator.run(max_events=10)
         assert executed == 10
+
+    def test_the_horizon_is_the_until_of_the_current_run(self):
+        simulator = Simulator()
+        seen = []
+        for time in (1.0, 2.0, 3.0):
+            simulator.schedule_at(time, lambda: seen.append(simulator.horizon))
+        assert simulator.horizon == -math.inf
+        simulator.run(until=1.5)
+        simulator.run(max_events=1)
+        simulator.run()
+        assert seen == [1.5, math.inf, math.inf]
+        assert simulator.horizon == -math.inf
+
+    def test_a_drained_run_rests_at_the_latest_stamp(self):
+        simulator = Simulator()
+
+        def hand_on(stamp):
+            simulator.latest_stamp = max(simulator.latest_stamp, stamp)
+
+        simulator.schedule_at(1.0, lambda: hand_on(4.0))
+        simulator.schedule_at(2.0, lambda: hand_on(3.0))
+        simulator.run(max_events=1)
+        # Stopped by the cap: the event at 2.0 still pends before the stamp.
+        assert simulator.now == 1.0
+        assert simulator.latest_stamp == 4.0
+        simulator.run()
+        assert simulator.now == 4.0
+        assert (4.0, 10**9, 10**9) < simulator.current_key  # after all of t=4
+        simulator.schedule_at(5.0, lambda: hand_on(6.0))
+        simulator.run(until=9.0)
+        assert simulator.now == 9.0  # ``until`` bounds every stamp of its run
+        simulator.reset()
+        assert simulator.latest_stamp == 0.0
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False

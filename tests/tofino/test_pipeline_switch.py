@@ -226,6 +226,45 @@ class TestTofinoSwitch:
         assert delivered == [(frame(), 2e-6)]
         assert labels == ["sw:tx:3"]
 
+    def test_a_timed_port_is_handed_the_frame_at_once_inside_a_run(self):
+        """No transmit event: the sink is called during the receive, with
+        the stamp the event would have carried, and a drained run rests
+        the clock on that stamp."""
+        simulator = Simulator()
+        switch = TofinoSwitch("sw", forwarding_pipeline(), simulator=simulator)
+        delivered = []
+        switch.attach_port(
+            1, lambda data, time: delivered.append((time, simulator.now)), timed=True
+        )
+        simulator.schedule_at(1.0, partial(switch.receive, frame(), 0))
+        simulator.run()
+        latency = switch.pipeline.pipeline_latency
+        assert delivered == [(1.0 + latency, 1.0)]
+        assert simulator.executed_events == 1
+        assert simulator.now == simulator.latest_stamp == 1.0 + latency
+        # Outside a run there is no horizon to hand anything on within.
+        switch.receive(frame(), 0)
+        assert simulator.pending_events == 1
+
+    def test_past_the_horizon_a_timed_port_waits_and_keeps_its_order(self):
+        """A frame whose stamp lies past ``run(until=…)`` keeps its transmit
+        event, and later frames of the port wait behind it until it has
+        run; after that the port hands frames on again."""
+        simulator = Simulator()
+        switch = TofinoSwitch("sw", forwarding_pipeline(), simulator=simulator)
+        latency = switch.pipeline.pipeline_latency
+        delivered = []
+        switch.attach_port(1, lambda data, time: delivered.append(time), timed=True)
+        arrivals = (1.0, 1.0 + 0.75 * latency, 1.0 + 3 * latency)
+        for at in arrivals:
+            simulator.schedule_at(at, partial(switch.receive, frame(), 0))
+        simulator.run(until=1.0 + latency / 2)
+        assert delivered == []
+        simulator.run()
+        assert delivered == [at + latency for at in arrivals]
+        # Three receives and the two transmits that waited.
+        assert simulator.executed_events == 5
+
     def test_transmit_rejects_a_negative_or_nan_latency(self):
         simulator = Simulator()
         switch = TofinoSwitch("sw", forwarding_pipeline(), simulator=simulator)
