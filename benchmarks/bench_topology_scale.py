@@ -164,7 +164,7 @@ def test_topology_scale(benchmark):
         )
 
     # Bounded memory: the streaming run must retain no per-sample state
-    # (latency lists, tap records, per-chunk pending copies).
+    # (latency lists, arrival frames, per-chunk pending copies).
     exact_peak = _peak_memory("exact")
     streaming_peak = _peak_memory("streaming")
     assert streaming_peak < 0.9 * exact_peak, (

@@ -3,8 +3,10 @@
 
 Builds a topology preset's engine first, then counts, during
 ``TopologyEngine.run()`` only, every Python-level ``call`` event and every
-bytecode executed (``sys.settrace`` opcode events), per function.  Both
-counts are deterministic — the same spec gives the same table on any host —
+bytecode executed (``sys.settrace`` opcode events), per function.  It prints
+one table per metrics mode (``streaming``, then ``exact``: what a run keeps
+per frame is the difference).  Both counts are deterministic — the same
+spec gives the same table on any host —
 so they size per-packet work where wall time cannot: on a shared machine
 whose speed changes from second to second.  They say nothing about the
 cost of one bytecode or of the C calls it makes; use them to find and rank
@@ -26,10 +28,10 @@ from typing import Dict, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: preset -> (full-size arguments, ``--quick`` arguments), all static and
-#: streaming.  ``rack-fan-in`` at full size is the benchmark's
+#: preset -> (full-size arguments, ``--quick`` arguments), all static.
+#: ``rack-fan-in`` at full size, streaming, is the benchmark's
 #: ``rack-static-hit`` shape; its quick size is the one
-#: ``tests/topology/test_per_packet_budget.py`` guards.
+#: ``tests/topology/test_per_packet_budget.py`` guards in both modes.
 SIZES: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {
     "rack-fan-in": (
         dict(racks=2, senders=16, chunks=1000, bases=8),
@@ -84,28 +86,29 @@ def main() -> int:
     spec = preset_topology(
         args.preset, scenario="static", seed=2020, **SIZES[args.preset][args.quick]
     )
-    engine = TopologyEngine(spec, metrics_mode="streaming")
-    calls, bytecodes = profile_run(engine)
-    chunks = sum(state.chunks_sent for state in engine.flow_states)
-    if not chunks:
-        print("the run sent no chunks", file=sys.stderr)
-        return 1
+    for metrics_mode in ("streaming", "exact"):
+        engine = TopologyEngine(spec, metrics_mode=metrics_mode)
+        calls, bytecodes = profile_run(engine)
+        chunks = sum(state.chunks_sent for state in engine.flow_states)
+        if not chunks:
+            print("the run sent no chunks", file=sys.stderr)
+            return 1
 
-    print(
-        f"# {args.preset}: {chunks} chunks, "
-        f"{engine.simulator.executed_events / chunks:.3f} events per chunk"
-    )
-    print(f"{'calls/chunk':>12} {'bytecodes/chunk':>16}  function")
-    for code, count in bytecodes.most_common(args.top):
         print(
-            f"{calls[code] / chunks:12.3f} {count / chunks:16.1f}  "
-            f"{function_name(code)}"
+            f"# {args.preset}, {metrics_mode}: {chunks} chunks, "
+            f"{engine.simulator.executed_events / chunks:.3f} events per chunk"
         )
-    print(
-        f"{sum(calls.values()) / chunks:12.3f} "
-        f"{sum(bytecodes.values()) / chunks:16.1f}  total "
-        f"({len(bytecodes)} functions)"
-    )
+        print(f"{'calls/chunk':>12} {'bytecodes/chunk':>16}  function")
+        for code, count in bytecodes.most_common(args.top):
+            print(
+                f"{calls[code] / chunks:12.3f} {count / chunks:16.1f}  "
+                f"{function_name(code)}"
+            )
+        print(
+            f"{sum(calls.values()) / chunks:12.3f} "
+            f"{sum(bytecodes.values()) / chunks:16.1f}  total "
+            f"({len(bytecodes)} functions)"
+        )
     return 0
 
 

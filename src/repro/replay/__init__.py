@@ -33,7 +33,6 @@ from repro.replay.sources import (
     Pacing,
     PcapTraceSource,
     RecordedPacing,
-    TimedFrame,
     TraceSource,
     WorkloadTraceSource,
     pacing_from_name,
@@ -53,7 +52,6 @@ __all__ = [
     "Pacing",
     "PcapTraceSource",
     "RecordedPacing",
-    "TimedFrame",
     "TraceSource",
     "WorkloadTraceSource",
     "pacing_from_name",

@@ -1,8 +1,8 @@
 """Traffic sources for the replay subsystem: where the packets come from.
 
-A :class:`TraceSource` streams :class:`TimedFrame` objects — raw Ethernet
-frame bytes plus the timestamp *recorded* with them — from a pcap file, a
-:class:`~repro.workloads.traces.ChunkTrace`, or a workload generator,
+A :class:`TraceSource` streams plain ``(recorded_time, data)`` pairs — the
+timestamp *recorded* with a frame and its raw Ethernet bytes — from a pcap
+file, a :class:`~repro.workloads.traces.ChunkTrace`, or a workload generator,
 without ever materialising the whole trace in memory.  A :class:`Pacing`
 policy then turns recorded timestamps into *injection* times on the
 simulator clock:
@@ -23,7 +23,7 @@ frame_bytes)`` pairs.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro.exceptions import PacketError, ReplayError
 from repro.net.ethernet import EthernetFrame, frame_wire_bytes
@@ -33,7 +33,6 @@ from repro.workloads.traces import ChunkTrace
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = [
-    "TimedFrame",
     "Pacing",
     "RecordedPacing",
     "FixedRatePacing",
@@ -48,21 +47,6 @@ __all__ = [
 
 _DEFAULT_SOURCE_MAC = MacAddress("02:00:00:00:00:01")
 _DEFAULT_DESTINATION_MAC = MacAddress("02:00:00:00:00:02")
-
-
-class TimedFrame(NamedTuple):
-    """One frame of a trace: raw bytes plus its recorded timestamp.
-
-    Immutable; a named tuple because a source builds one per frame.
-    """
-
-    recorded_time: float
-    data: bytes
-
-    @property
-    def frame_bytes(self) -> int:
-        """Frame length in bytes (header + payload, no FCS)."""
-        return len(self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +190,7 @@ def pacing_from_name(
 
 
 class TraceSource:
-    """A stream of :class:`TimedFrame` objects.
+    """A stream of ``(recorded_time, data)`` pairs, one per frame.
 
     Sources are restartable: every call to :meth:`frames` yields the trace
     from the beginning.  Implementations stream lazily where the backing
@@ -217,7 +201,7 @@ class TraceSource:
     #: Human-readable description for reports.
     description: str = "trace"
 
-    def frames(self) -> Iterator[TimedFrame]:
+    def frames(self) -> Iterator[Tuple[float, bytes]]:
         raise NotImplementedError
 
 
@@ -230,10 +214,10 @@ class PcapTraceSource(TraceSource):
             raise ReplayError(f"pcap file {self.path} does not exist")
         self.description = f"pcap:{self.path.name}"
 
-    def frames(self) -> Iterator[TimedFrame]:
+    def frames(self) -> Iterator[Tuple[float, bytes]]:
         with PcapReader(self.path) as reader:
             for packet in reader:
-                yield TimedFrame(recorded_time=packet.timestamp, data=packet.data)
+                yield packet.timestamp, packet.data
 
 
 class ChunkTraceSource(TraceSource):
@@ -258,14 +242,14 @@ class ChunkTraceSource(TraceSource):
         self._destination = destination
         self.description = f"chunks:{trace.name}"
 
-    def frames(self) -> Iterator[TimedFrame]:
+    def frames(self) -> Iterator[Tuple[float, bytes]]:
         interval = 1.0 / self.recorded_rate
         # The trace is already in memory; reuse its framing so the wire
         # format cannot diverge from what ChunkTrace.to_pcap writes.
         for index, frame in enumerate(
             self.trace.to_frames(self._source, self._destination)
         ):
-            yield TimedFrame(recorded_time=index * interval, data=frame.to_bytes())
+            yield index * interval, frame.to_bytes()
 
 
 class WorkloadTraceSource(TraceSource):
@@ -297,7 +281,7 @@ class WorkloadTraceSource(TraceSource):
         self._destination = destination
         self.description = f"workload:{type(workload).__name__}"
 
-    def frames(self) -> Iterator[TimedFrame]:
+    def frames(self) -> Iterator[Tuple[float, bytes]]:
         interval = 1.0 / self.recorded_rate
         chunks: Iterable[bytes] = (
             self.workload.iter_chunks()
@@ -316,7 +300,7 @@ class WorkloadTraceSource(TraceSource):
                 raise PacketError(
                     f"payload must be bytes, got {type(chunk).__name__}"
                 )
-            yield TimedFrame(recorded_time=index * interval, data=header + chunk)
+            yield index * interval, header + chunk
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +332,14 @@ def stream_distinct_bases(trace_path: Union[str, Path], order: int = 8) -> list:
     type2_ethertype = EtherType.ZIPLINE_UNCOMPRESSED.to_bytes(2, "big")
     bases: dict = {}
     chunks = 0
-    for frame in PcapTraceSource(trace_path).frames():
-        payload = raw_chunk_payload(frame.data)
+    for _recorded_time, data in PcapTraceSource(trace_path).frames():
+        payload = raw_chunk_payload(data)
         if payload is not None and len(payload) == transform.chunk_bytes:
             chunks += 1
             bases.setdefault(transform.split(payload).basis, None)
             continue
-        if frame.data[12:14] == type2_ethertype:
-            record = codec.unpack_uncompressed(frame.data[14:])
+        if data[12:14] == type2_ethertype:
+            record = codec.unpack_uncompressed(data[14:])
             chunks += 1
             bases.setdefault(record.basis, None)
     if not chunks:

@@ -85,7 +85,7 @@ class Counter:
     def clear(self) -> None:
         """Zero every cell (control-plane access).
 
-        In place: :class:`NamedCounterSet` holds on to the two arrays.
+        In place: :class:`NamedCounterSet` hands the two arrays out.
         """
         self._packets[:] = [0] * self._size
         self._bytes[:] = [0] * self._size
@@ -106,33 +106,35 @@ class NamedCounterSet:
         self._labels = list(labels)
         self._indices = {label: index for index, label in enumerate(labels)}
         self._counter = Counter(len(labels), CounterType.PACKETS_AND_BYTES, name=name)
-        # The counter's own cells, so the per-packet ``count`` is one label
-        # probe and two increments.
-        self._packets = self._counter._packets
-        self._bytes = self._counter._bytes
+        #: The counter's own cells.  A data plane that resolved a label
+        #: beforehand (:meth:`index`) counts with two increments:
+        #: ``packet_cells[i] += 1`` and ``byte_cells[i] += length``.
+        self.packet_cells = self._counter._packets
+        self.byte_cells = self._counter._bytes
 
     @property
     def labels(self) -> List[str]:
         """The registered labels, in index order."""
         return list(self._labels)
 
-    def count(self, label: str, packet_bytes: int = 0) -> None:
-        """Account one packet under ``label``."""
+    def index(self, label: str) -> int:
+        """The cell ``label`` counts in; an unknown label is an error."""
         index = self._indices.get(label)
         if index is None:
             raise ReproError(f"unknown counter label {label!r}")
+        return index
+
+    def count(self, label: str, packet_bytes: int = 0) -> None:
+        """Account one packet under ``label``."""
+        index = self.index(label)
         if packet_bytes < 0:
             raise ReproError(f"packet size must be non-negative, got {packet_bytes}")
-        self._packets[index] += 1
-        self._bytes[index] += packet_bytes
+        self.packet_cells[index] += 1
+        self.byte_cells[index] += packet_bytes
 
     def read(self, label: str) -> CounterSample:
         """Read the sample for ``label``."""
-        try:
-            index = self._indices[label]
-        except KeyError:
-            raise ReproError(f"unknown counter label {label!r}") from None
-        return self._counter.read(index)
+        return self._counter.read(self.index(label))
 
     def as_dict(self) -> Dict[str, CounterSample]:
         """Every label's sample."""

@@ -140,9 +140,7 @@ class TofinoSwitch:
         produced, and delivers the output frame to the attached sink (after
         the pipeline latency when a simulator is attached).
         """
-        stats = self._port_stats.get(ingress_port)
-        if stats is None:
-            raise self._port_error(ingress_port)
+        stats = self.port_stats(ingress_port)
         stats.rx_packets += 1
         stats.rx_bytes += len(frame)
 
@@ -154,18 +152,6 @@ class TofinoSwitch:
         if result.egress_port is not None and result.frame is not None:
             self.transmit(result.egress_port, result.frame, result.latency)
         return result
-
-    def record_rx(self, ingress_port: int, frame_length: int) -> None:
-        """Account one received frame (fast-path twin of :meth:`receive`).
-
-        Compiled program fast paths that bypass the generic pipeline call
-        this so port counters stay identical to the interpreted path.
-        """
-        stats = self._port_stats.get(ingress_port)
-        if stats is None:
-            raise self._port_error(ingress_port)
-        stats.rx_packets += 1
-        stats.rx_bytes += frame_length
 
     def transmit(self, port: int, frame: bytes, latency: float) -> None:
         """Deliver ``frame`` on ``port`` after ``latency``.
@@ -228,9 +214,11 @@ class TofinoSwitch:
     # -- statistics -----------------------------------------------------------------
 
     def port_stats(self, port: int) -> PortStats:
-        """Counters of one port."""
-        self._check_port(port)
-        return self._port_stats[port]
+        """Counters of one port; a port the chassis lacks is a :class:`PipelineError`."""
+        stats = self._port_stats.get(port)
+        if stats is None:
+            raise self._port_error(port)
+        return stats
 
     def total_rx_packets(self) -> int:
         """Total packets received across all ports."""

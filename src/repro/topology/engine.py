@@ -159,7 +159,7 @@ class TopologyEngine:
         self.metrics_mode = metrics_mode
         self._streaming = metrics_mode == "streaming"
         #: Exact mode's O(traffic) retention: arrival frames on each flow,
-        #: per-frame tap records, per-sample link queueing delays.
+        #: per-sample link queueing delays.
         self._retain = verify_integrity and not self._streaming
         self.tap_fallback = tap_fallback
         self._qualify_controlplane = qualify_controlplane
@@ -292,7 +292,7 @@ class TopologyEngine:
         for link in self.spec.links:
             tap = None
             if link.name in measured_names:
-                tap = LinkTap(store_records=self._retain)
+                tap = LinkTap()
                 self.measured_taps.append((link.name, tap))
                 if self.measured_tap is None:
                     self.measured_tap = tap

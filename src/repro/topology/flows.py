@@ -244,8 +244,9 @@ class FlowState:
         timed = next(self._frames, None)
         if timed is None:
             return
-        data = self._pending = timed.data
-        at = self.pacing.inject_at(self._index, timed.recorded_time, len(data))
+        recorded_time, data = timed
+        self._pending = data
+        at = self.pacing.inject_at(self._index, recorded_time, len(data))
         now = self._simulator.now
         self._simulator.schedule_at(
             at if at > now else now,

@@ -3,7 +3,7 @@
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK, ZipLineHeaderSet
-from repro.zipline.stats import LinkTap, LinkTapRecord
+from repro.zipline.stats import LinkTap
 
 __all__ = [
     "ZipLineDecoderSwitch",
@@ -11,5 +11,4 @@ __all__ = [
     "ETHERTYPE_RAW_CHUNK",
     "ZipLineHeaderSet",
     "LinkTap",
-    "LinkTapRecord",
 ]

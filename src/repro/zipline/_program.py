@@ -3,22 +3,25 @@
 The encoding and the decoding switch are the same P4 skeleton around a
 different ingress control: the same four headers and parse graph, the same
 CRC extern and const syndrome → XOR-mask table, the same static forwarding
-and the same way of turning a frame into a :class:`PipelineResult`.
+and the same way of handing the frame a program emitted to its egress port.
 :class:`ZipLineSwitchBase` holds that skeleton once.
 
 Each program exists in two forms.  The *interpreted* form is the paper's
 program spelled out over the Tofino model — parser states, header objects,
 table dispatch, deparser — and carries the resource accounting; tests drive
-it directly through ``switch.switch.receive(frame, port)``.  The *compiled*
-form is the same program reduced to integer arithmetic over the frame
-bytes, which is what the P4 compiler does for the ASIC; it keeps every
-counter, table hit-metadata update and digest bit-identical and is what
-:meth:`ZipLineSwitchBase.receive` runs.
+it directly through ``switch.switch.receive(frame, port)``, which returns a
+:class:`~repro.tofino.pipeline.PipelineResult`.  The *compiled* form is the
+same program reduced to integer arithmetic over the frame bytes, which is
+what the P4 compiler does for the ASIC: what does not depend on the packet
+— counter cells, per-port statistics, const-table rows — is bound when it
+is built.  It keeps every counter, port statistic, table hit-metadata
+update and digest bit-identical, returns only the frame it emitted, and is
+what :meth:`ZipLineSwitchBase.receive` runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.core.transform import GDTransform
@@ -30,7 +33,7 @@ from repro.tofino.counters import NamedCounterSet
 from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
 from repro.tofino.digest import DigestEngine
 from repro.tofino.parser import ACCEPT, Deparser, Header, Parser, ParserState
-from repro.tofino.pipeline import PacketContext, Pipeline, PipelineResult
+from repro.tofino.pipeline import PacketContext, Pipeline
 from repro.tofino.switch import TofinoSwitch
 from repro.tofino.tables import ActionSpec, MatchActionTable
 from repro.zipline.headers import (
@@ -45,7 +48,6 @@ __all__ = [
     "ETH_TYPE2",
     "ETH_TYPE3",
     "ETHERNET_BYTES",
-    "Digests",
 ]
 
 #: The three ZipLine EtherTypes as the two wire bytes the compiled programs
@@ -56,8 +58,6 @@ ETH_TYPE3 = int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big")
 
 #: Size of the Ethernet header every frame starts with.
 ETHERNET_BYTES = 14
-
-Digests = Tuple[Tuple[str, Dict[str, int]], ...]
 
 
 class ZipLineSwitchBase:
@@ -131,14 +131,20 @@ class ZipLineSwitchBase:
 
         # Compiled-program constants, read once here instead of through
         # property chains per frame: the code's widths, the pipeline's
-        # parser and fixed latency, the const table as flat sequences and
-        # the shortest frame each EtherType's header fits in.  A shorter
-        # frame is a parser error, which only the interpreted parser counts.
+        # parser and fixed latency, the counter's cells, the chassis's
+        # per-port statistics, the const table as flat sequences and the
+        # shortest frame each EtherType's header fits in.  A shorter frame
+        # is a parser error, which only the interpreted parser counts.
         self._code_bits = code.n
         self._basis_bits = code.k
         self._pipeline = pipeline
         self._parser = pipeline.parser
         self._latency = pipeline.pipeline_latency
+        self._packet_cells = self.counters.packet_cells
+        self._byte_cells = self.counters.byte_cells
+        self._rx_stats = {
+            port: self.switch.port_stats(port) for port in range(self.switch.port_count)
+        }
         self._syndrome_entries = [
             self._syndrome_table.get_entry(syndrome)
             for syndrome in range(1 << code.m)
@@ -257,11 +263,11 @@ class ZipLineSwitchBase:
 
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
-    ) -> Tuple[Optional[bytes], Digests]:
-        """The same control over the frame bytes: ``(output or None, digests)``.
+    ) -> Optional[bytes]:
+        """The same control over the frame bytes: the output, ``None`` to drop.
 
         Only called with a frame long enough for the header its EtherType
-        announces.  ``None`` drops the packet.
+        announces.  Counts the frame and emits its digests itself.
         """
         raise NotImplementedError
 
@@ -325,41 +331,46 @@ class ZipLineSwitchBase:
 
     # -- data path ---------------------------------------------------------------------
 
-    def receive(self, frame: bytes, ingress_port: int) -> PipelineResult:
-        """Process one frame through the compiled program.
+    def receive(self, frame: bytes, ingress_port: int) -> Optional[bytes]:
+        """Run one frame through the compiled program.
 
-        A frame too short for the header its EtherType announces is left to
-        the interpreted :meth:`TofinoSwitch.receive`, whose parser counts it
-        in ``parse_errors`` and drops it.  An ingress port the chassis does
-        not have raises the same :class:`PipelineError` on either path,
-        before anything is counted.
+        Returns the frame the program emitted — handed to the egress port
+        through :meth:`TofinoSwitch.transmit` — or ``None`` when it dropped
+        the frame.  A frame too short for the header its EtherType announces
+        is left to the interpreted :meth:`TofinoSwitch.receive`, whose
+        parser counts it in ``parse_errors`` and drops it.  An ingress port
+        the chassis does not have raises the same :class:`PipelineError` on
+        either path, before anything is counted.
         """
-        switch = self.switch
         length = len(frame)
         ethertype = frame[12:14]
         if length < self._min_frame_bytes.get(ethertype, ETHERNET_BYTES):
-            return switch.receive(frame, ingress_port)
-        switch.record_rx(ingress_port, length)
+            return self.switch.receive(frame, ingress_port).frame
+        # PortStats is always truthy: only a port the chassis lacks reaches
+        # ``port_stats``, which raises the chassis's out-of-range error.
+        stats = self._rx_stats.get(ingress_port) or self.switch.port_stats(ingress_port)
+        stats.rx_packets += 1
+        stats.rx_bytes += length
         simulator = self._simulator
         now = simulator.now if simulator is not None else 0.0
         pipeline = self._pipeline
         pipeline.packets_processed += 1
         self._parser.packets_parsed += 1
-        out, digests = self._compiled_ingress(frame, ethertype, length, now)
-        latency = self._latency
+        out = self._compiled_ingress(frame, ethertype, length, now)
         if out is None:
             pipeline.packets_dropped += 1
-            return PipelineResult(None, None, digests, latency)
-        for digest_type, data in digests:
-            switch.digest_engine.emit(digest_type, data)
+            return None
         # Forwarding and the egress sink stay late-bound: ``set_forwarding``,
         # ``attach_port`` and ``detach_port`` apply to the next frame.
-        egress = self._forwarding.get(ingress_port, self._default_egress_port)
-        switch.transmit(egress, out, latency)
-        return PipelineResult(egress, out, digests, latency)
+        self.switch.transmit(
+            self._forwarding.get(ingress_port, self._default_egress_port),
+            out,
+            self._latency,
+        )
+        return out
 
     def receive_batch(
         self, frames: List[bytes], ingress_port: int
-    ) -> List[PipelineResult]:
-        """Process frames in arrival order, one :meth:`receive` each."""
+    ) -> List[Optional[bytes]]:
+        """:meth:`receive` each frame in arrival order; what each returned."""
         return [self.receive(frame, ingress_port) for frame in frames]

@@ -19,7 +19,7 @@ Frames that are neither type 2 nor type 3 are forwarded untouched.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import obs as _obs
 from repro.core.bits import mask
@@ -34,7 +34,6 @@ from repro.zipline._program import (
     ETH_TYPE2,
     ETH_TYPE3,
     ETHERNET_BYTES,
-    Digests,
     ZipLineSwitchBase,
 )
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
@@ -108,6 +107,11 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         # table can hold, dropped wholesale when more distinct bases than
         # that come by.
         self._codewords: Dict[int, int] = {}
+        cell = self.counters.index
+        self._compressed_to_raw = cell("compressed_to_raw")
+        self._uncompressed_to_raw = cell("uncompressed_to_raw")
+        self._unknown_identifier = cell("unknown_identifier")
+        self._passthrough_other = cell("passthrough_other")
 
     # -- the ingress control block ------------------------------------------------------
 
@@ -160,7 +164,8 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             self._span("decode", now, {"outcome": "uncompressed"})
 
     def _count_unknown(self, identifier: int, now: float, frame_bytes: int) -> None:
-        self.counters.count("unknown_identifier", frame_bytes)
+        self._packet_cells[self._unknown_identifier] += 1
+        self._byte_cells[self._unknown_identifier] += frame_bytes
         tracer = _obs.TRACER
         if tracer.enabled:
             tracer.instant(
@@ -199,7 +204,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
 
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
-    ) -> Tuple[Optional[bytes], Digests]:
+    ) -> Optional[bytes]:
         m = self._syndrome_bits
         if ethertype == ETH_TYPE3:
             header_end = self._type3_end
@@ -211,10 +216,11 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             entry = self._identifier_table.lookup_ref(identifier, now=now)
             if entry is None or entry.action != "set_basis":
                 self._count_unknown(identifier, now, length)
-                return None, ()
+                return None
             basis = entry.params["basis"]
             prefix = value >> (m + self._identifier_bits)
-            self.counters.count("compressed_to_raw", length)
+            self._packet_cells[self._compressed_to_raw] += 1
+            self._byte_cells[self._compressed_to_raw] += length
             if _obs.TRACER.enabled:
                 self._span("decode", now, {"outcome": "hit", "identifier": identifier})
         elif ethertype == ETH_TYPE2:
@@ -225,12 +231,14 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             )
             basis = (value >> m) & self._basis_mask
             prefix = value >> (m + self._basis_bits)
-            self.counters.count("uncompressed_to_raw", length)
+            self._packet_cells[self._uncompressed_to_raw] += 1
+            self._byte_cells[self._uncompressed_to_raw] += length
             if _obs.TRACER.enabled:
                 self._span("decode", now, {"outcome": "uncompressed"})
         else:
-            self.counters.count("passthrough_other", length)
-            return frame, ()
+            self._packet_cells[self._passthrough_other] += 1
+            self._byte_cells[self._passthrough_other] += length
+            return frame
 
         # Fused Figure 2 ➌–➐.  Steps ➌/➍: parity through the same CRC unit
         # (fused byte loop, once per distinct basis), keeping the extern's
@@ -261,7 +269,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             + chunk_value.to_bytes(self._chunk_bytes, "big")
             + frame[header_end:]
         )
-        return out, ()
+        return out
 
     # -- control-plane interface --------------------------------------------------------
 

@@ -25,7 +25,7 @@ drives, plus the per-packet-type counters the paper's statistics rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import obs as _obs
 from repro.controlplane.manager import LEARN_DIGEST
@@ -42,7 +42,6 @@ from repro.zipline._program import (
     ETH_TYPE2,
     ETH_TYPE3,
     ETHERNET_BYTES,
-    Digests,
     ZipLineSwitchBase,
 )
 
@@ -127,6 +126,11 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         self._type3_bytes = headers.type3.total_bytes
         self._type2_pad = headers.type2_padding_bits
         self._type3_pad = headers.type3_padding_bits
+        cell = self.counters.index
+        self._raw_to_uncompressed = cell("raw_to_uncompressed")
+        self._raw_to_compressed = cell("raw_to_compressed")
+        self._passthrough_processed = cell("passthrough_processed")
+        self._passthrough_other = cell("passthrough_other")
 
     # -- the ingress control block -----------------------------------------------------
 
@@ -197,13 +201,15 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
 
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
-    ) -> Tuple[bytes, Digests]:
+    ) -> bytes:
         if ethertype != ETH_RAW:
             if ethertype == ETH_TYPE2 or ethertype == ETH_TYPE3:
-                self.counters.count("passthrough_processed", length)
+                passthrough = self._passthrough_processed
             else:
-                self.counters.count("passthrough_other", length)
-            return frame, ()
+                passthrough = self._passthrough_other
+            self._packet_cells[passthrough] += 1
+            self._byte_cells[passthrough] += length
+            return frame
         chunk_end = self._chunk_end
         chunk_slice = frame[ETHERNET_BYTES:chunk_end]
         m = self._syndrome_bits
@@ -237,14 +243,15 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
                 + (value << self._type3_pad).to_bytes(self._type3_bytes, "big")
                 + frame[chunk_end:]
             )
-            self.counters.count("raw_to_compressed", length)
+            self._packet_cells[self._raw_to_compressed] += 1
+            self._byte_cells[self._raw_to_compressed] += length
             if _obs.TRACER.enabled:
                 self._span(
                     "encode",
                     now,
                     {"outcome": "hit", "identifier": identifier, "basis": basis},
                 )
-            return out, ()
+            return out
         value = (((prefix << self._basis_bits) | basis) << m) | syndrome
         out = (
             frame[:12]
@@ -252,10 +259,12 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
             + (value << self._type2_pad).to_bytes(self._type2_bytes, "big")
             + frame[chunk_end:]
         )
-        self.counters.count("raw_to_uncompressed", length)
+        self._packet_cells[self._raw_to_uncompressed] += 1
+        self._byte_cells[self._raw_to_uncompressed] += length
         if _obs.TRACER.enabled:
             self._span("encode", now, {"outcome": "miss", "basis": basis})
-        return out, ((LEARN_DIGEST, {"basis": basis}),)
+        self.switch.digest_engine.emit(LEARN_DIGEST, {"basis": basis})
+        return out
 
     # -- control-plane interface ------------------------------------------------------
 

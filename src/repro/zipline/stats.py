@@ -9,28 +9,17 @@ links; the run's report carries the totals (``wire.*`` counters,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.exceptions import PacketError
 from repro.net.ethernet import ETHERNET_HEADER_BYTES, EtherType
 from repro.net.packets import PacketKind
 
-__all__ = ["LinkTapRecord", "LinkTap"]
+__all__ = ["LinkTap"]
 
 #: EtherType wire bytes, bound once for the per-frame classification below.
 _TYPE2_ETHERTYPE = int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big")
 _TYPE3_ETHERTYPE = int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big")
-
-
-@dataclass(frozen=True)
-class LinkTapRecord:
-    """One frame observed on the tapped link."""
-
-    time: float
-    kind: PacketKind
-    frame_bytes: int
-    payload_bytes: int
 
 
 class LinkTap:
@@ -41,16 +30,12 @@ class LinkTap:
     counters record: how many packets of each type crossed, and how many
     payload bytes they carried.
 
-    Aggregates (counts, byte totals, first-arrival times) are maintained
-    incrementally, so they stay O(1) in memory.  The per-frame ``records``
-    list is kept only when ``store_records`` is true (the default); the
-    replay subsystem's counters-only mode disables it so taps on huge
-    traces stay bounded.
+    It keeps aggregates only (counts, byte totals, first-arrival times),
+    maintained incrementally, so it stays O(1) in memory and builds nothing
+    per frame, whatever the run's metrics mode.
     """
 
-    def __init__(self, store_records: bool = True) -> None:
-        self.store_records = store_records
-        self.records: List[LinkTapRecord] = []
+    def __init__(self) -> None:
         self._counts: Dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
         self._payload_bytes: Dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
         self._first_times: Dict[PacketKind, float] = {}
@@ -84,15 +69,6 @@ class LinkTap:
         self._total_payload_bytes += payload_bytes
         if kind not in self._first_times:
             self._first_times[kind] = time
-        if self.store_records:
-            self.records.append(
-                LinkTapRecord(
-                    time=time,
-                    kind=kind,
-                    frame_bytes=len(frame_bytes_raw),
-                    payload_bytes=payload_bytes,
-                )
-            )
 
     # -- aggregation ---------------------------------------------------------
 
@@ -121,8 +97,7 @@ class LinkTap:
         return self._first_times.get(kind)
 
     def clear(self) -> None:
-        """Drop every recorded frame and reset the aggregates."""
-        self.records.clear()
+        """Reset the aggregates."""
         self._counts = {kind: 0 for kind in PacketKind}
         self._payload_bytes = {kind: 0 for kind in PacketKind}
         self._first_times = {}

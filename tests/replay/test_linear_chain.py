@@ -320,7 +320,7 @@ class TestPcapDriven:
         whether the pcap is the caller's source or the spec's trace."""
         chunks = SyntheticSensorWorkload(num_chunks=20, distinct_bases=2, seed=4)
         frames = [
-            frame.data for frame in ChunkTraceSource(chunks.trace()).frames()
+            data for _recorded_time, data in ChunkTraceSource(chunks.trace()).frames()
         ]
         frames.insert(5, b"\x01\x02\x03\x04\x05")
         frames.insert(11, b"\xaa" * 13)
@@ -377,7 +377,6 @@ class TestCountersOnlyMode:
         engine, report = run(
             ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
         )
-        assert engine.measured_tap.records == []
         assert engine.measured_tap.total_frames() == len(trace)
         assert report.learning_time is None  # first-times still tracked
         assert report.wire_payload_bytes > 0

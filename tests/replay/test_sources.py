@@ -101,13 +101,14 @@ class TestChunkTraceSource:
         source = ChunkTraceSource(small_trace)
         frames = list(source.frames())
         assert len(frames) == len(small_trace)
-        parsed = EthernetFrame.from_bytes(frames[0].data)
+        _recorded_time, data = frames[0]
+        parsed = EthernetFrame.from_bytes(data)
         assert parsed.ethertype == ETHERTYPE_RAW_CHUNK
         assert parsed.payload == small_trace[0]
 
     def test_restartable(self, small_trace):
         source = ChunkTraceSource(small_trace)
-        assert [f.data for f in source.frames()] == [f.data for f in source.frames()]
+        assert list(source.frames()) == list(source.frames())
 
     def test_recorded_rate_must_be_positive(self, small_trace):
         with pytest.raises(ReplayError, match="recorded rate"):
@@ -121,7 +122,8 @@ class TestPcapTraceSource:
         source = PcapTraceSource(path)
         frames = list(source.frames())
         assert len(frames) == len(small_trace)
-        assert frames[1].recorded_time == pytest.approx(1e-3)
+        recorded_time, _data = frames[1]
+        assert recorded_time == pytest.approx(1e-3)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ReplayError):
@@ -146,7 +148,8 @@ class TestWorkloadTraceSource:
         source = WorkloadTraceSource(workload, num_chunks=10)
         frames = list(source.frames())
         assert len(frames) == 10
-        assert EthernetFrame.from_bytes(frames[0].data).payload == workload.chunks(10)[0]
+        _recorded_time, data = frames[0]
+        assert EthernetFrame.from_bytes(data).payload == workload.chunks(10)[0]
 
     def test_requires_iter_chunks(self):
         with pytest.raises(ReplayError):
@@ -159,7 +162,7 @@ class TestWorkloadTraceSource:
 
         source_mac, sink_mac = MacAddress(0x02_00_00_01_00_07), MacAddress(9)
         source = WorkloadTraceSource(Chunks(), source=source_mac, destination=sink_mac)
-        frames = [timed.data for timed in source.frames()]
+        frames = [data for _recorded_time, data in source.frames()]
         assert frames == [
             EthernetFrame(
                 destination=sink_mac, source=source_mac,

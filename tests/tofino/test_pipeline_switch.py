@@ -204,13 +204,16 @@ class TestTofinoSwitch:
         with pytest.raises(PipelineError):
             TofinoSwitch("bad", forwarding_pipeline(), port_speed=0)
 
-    def test_transmit_and_record_rx_name_a_bad_port(self):
+    def test_transmit_names_a_bad_port(self):
+        # The receive side of the same rule, on the compiled ZipLine
+        # programs: tests/zipline/test_switch_fastpath.py::
+        # TestEncoderSwitchFastPath::test_unknown_ingress_port_raises_before_anything_is_counted
         switch = TofinoSwitch("sw", forwarding_pipeline(), port_count=4)
         for bad in (4, -1, None):
             with pytest.raises(PipelineError, match="sw: port .* out of range"):
                 switch.transmit(bad, frame(), 0.0)
             with pytest.raises(PipelineError, match="sw: port .* out of range"):
-                switch.record_rx(bad, 60)
+                switch.port_stats(bad)
         assert switch.total_tx_packets() == switch.total_rx_packets() == 0
 
     def test_transmit_schedules_one_labelled_event_per_frame(self):

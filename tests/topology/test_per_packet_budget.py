@@ -17,16 +17,29 @@ with the end of its pipeline latency instead of waiting it out in a
 transmit event — two events per chunk instead of four, and eight calls
 fewer: ``step``, ``schedule_at`` and ``Event.__init__`` twice each, the
 link's ``queue_depth`` property, and its ``current_key`` read, which only
-a completion at exactly the send's instant still needs.
+a completion at exactly the send's instant still needs.  39.649 once no
+frame builds a record nobody reads — seven calls fewer: a
+``PipelineResult`` per switch pass, the compiled programs'
+``TofinoSwitch.record_rx`` and ``NamedCounterSet.count`` per pass (they
+count through per-port statistics and counter cells bound when they are
+built) and the source's ``TimedFrame`` per injected frame.  The 0.010
+above 39.639 is ``NamedCounterSet.index`` behind the report's counter
+reads, twenty calls per run.  The same spec in ``exact`` metrics mode
+went 47.604 → 39.614: its tap also stopped building a ``LinkTapRecord``
+per frame, so the two modes now differ only in what the flow accounts
+and links keep.
 """
 
 import sys
 
+import pytest
+
 from repro.topology import TopologyEngine, rack_fan_in_topology
 
-#: Python-level ``call`` events per chunk the run may spend.  Just above
-#: today's count: a new per-frame call is a decision, not an accident.
-MAX_CALLS_PER_CHUNK = 47.0
+#: Python-level ``call`` events per chunk the run may spend, in either
+#: metrics mode.  Just above today's counts: a new per-frame call — or a
+#: per-frame record only one mode keeps — is a decision, not an accident.
+MAX_CALLS_PER_CHUNK = 39.7
 
 
 def _count_python_calls(function) -> int:
@@ -45,11 +58,12 @@ def _count_python_calls(function) -> int:
     return calls
 
 
-def test_static_rack_fan_in_stays_within_its_per_chunk_budget():
+@pytest.mark.parametrize("metrics_mode", ["streaming", "exact"])
+def test_static_rack_fan_in_stays_within_its_per_chunk_budget(metrics_mode):
     spec = rack_fan_in_topology(
         racks=2, senders=4, chunks=250, bases=8, scenario="static", seed=2020
     )
-    engine = TopologyEngine(spec, metrics_mode="streaming")
+    engine = TopologyEngine(spec, metrics_mode=metrics_mode)
     calls = _count_python_calls(engine.run)
     chunks = sum(state.chunks_sent for state in engine.flow_states)
     assert chunks == 2 * 4 * 250

@@ -19,6 +19,7 @@ import pytest
 from test_report_golden import GOLDEN, PRESETS
 
 from repro.exceptions import TopologyError
+from repro.net.packets import PacketKind
 from repro.topology import (
     METRICS_MODES,
     FlowSpec,
@@ -404,6 +405,20 @@ class TestRunTopologyValidation:
         assert len(lines) == 2 and not any(line.startswith("note:") for line in lines)
 
 
+def _tap_aggregates(engine):
+    return [
+        (
+            name,
+            tap.count_by_kind(),
+            tap.payload_bytes_by_kind(),
+            tap.total_frames(),
+            tap.total_payload_bytes(),
+            [tap.first_time_of_kind(kind) for kind in PacketKind],
+        )
+        for name, tap in engine.measured_taps
+    ]
+
+
 class TestStreamingMemoryBounds:
     def test_streaming_mode_retains_no_per_sample_state(self):
         from repro.exceptions import ReplayError
@@ -412,10 +427,12 @@ class TestStreamingMemoryBounds:
         engine = TopologyEngine(spec, metrics_mode="streaming")
         report = engine.run()
         assert report.integrity.lossless_in_order
-        # The tap records nothing per-frame; counters and byte totals
-        # still come out of its O(1) aggregates.
-        for _name, tap in engine.measured_taps:
-            assert tap.records == []
+        # A tap keeps O(1) aggregates in either mode, so an exact run of the
+        # same spec leaves exactly the same ones.
+        exact = TopologyEngine(spec, metrics_mode="exact")
+        exact.run()
+        aggregates = _tap_aggregates(engine)
+        assert aggregates and aggregates == _tap_aggregates(exact)
         assert report.wire_payload_bytes > 0
         # Flow accounts match online: after a lossless run the pending
         # table has drained and no sent/arrival lists were ever kept.

@@ -7,6 +7,7 @@ from repro.core.transform import GDTransform
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
 from repro.net.packets import ZipLinePacketCodec
+from repro.tofino.counters import CounterSample
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
@@ -74,12 +75,12 @@ class TestDecoding:
             prefix=0, identifier=123, deviation=0,
             prefix_bits=1, identifier_bits=15, deviation_bits=8,
         )
-        result = decoder.receive(
-            codec.build_frame(record, DST, SRC).to_bytes(), ingress_port=0
-        )
-        assert result.dropped
+        frame = codec.build_frame(record, DST, SRC).to_bytes()
+        assert decoder.receive(frame, ingress_port=0) is None
         assert outputs == []
-        assert decoder.counters.read("unknown_identifier").packets == 1
+        assert decoder.switch.total_tx_packets() == 0
+        assert decoder.pipeline.summary()["packets_dropped"] == 1
+        assert decoder.counters.read("unknown_identifier") == CounterSample(1, len(frame))
 
     def test_other_traffic_passes_through(self, decoder):
         outputs = capture(decoder)

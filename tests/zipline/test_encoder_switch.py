@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.controlplane.manager import LEARN_DIGEST
 from repro.core.transform import GDTransform
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
@@ -34,15 +35,23 @@ def make_chunk(transform, basis, position=None, prefix=0):
 
 class TestEncoding:
     def test_unknown_basis_produces_type2_and_digest(self, encoder, rng):
-        chunk = make_chunk(encoder.transform, rng.getrandbits(247), position=10)
+        basis = rng.getrandbits(247)
+        chunk = make_chunk(encoder.transform, basis, position=10)
         outputs = []
-        encoder.switch.attach_port(1, lambda data, time: outputs.append(data))
-        result = encoder.receive(chunk_frame(chunk), ingress_port=0)
-        assert result.egress_port == 1
-        frame = EthernetFrame.from_bytes(outputs[0])
+        for port in range(encoder.switch.port_count):
+            encoder.switch.attach_port(
+                port, lambda data, time, port=port: outputs.append((port, data))
+            )
+        digests = []
+        encoder.digest_engine.subscribe(LEARN_DIGEST, digests.append)
+        emitted = encoder.receive(chunk_frame(chunk), ingress_port=0)
+        assert outputs == [(1, emitted)]
+        frame = EthernetFrame.from_bytes(emitted)
         assert frame.ethertype == EtherType.ZIPLINE_UNCOMPRESSED
         assert len(frame.payload) == 33
-        assert encoder.digest_engine.emitted == 1
+        assert [(message.digest_type, message.data) for message in digests] == [
+            (LEARN_DIGEST, {"basis": basis})
+        ]
         assert encoder.counters.read("raw_to_uncompressed").packets == 1
 
     def test_known_basis_produces_type3(self, encoder, rng):

@@ -1,16 +1,20 @@
 """The compiled switch programs are indistinguishable from the interpreted ones.
 
 ``receive`` runs the compiled program — the paper's P4 reduced to integer
-arithmetic over the frame bytes.  The interpreted program (parser state
-machine, header objects, table dispatch, deparser) stays in ``src/`` as the
-oracle and is reached by name: ``switch.switch.receive(frame, port)``.
-Every observable of the switch models — output frames, per-type counters,
-pipeline summaries, CRC extern invocations, match-action table hit counters
-and entry metadata, digest emission, port statistics, return values — must
-be identical between a switch driven through ``receive`` and a twin driven
-through the interpreted entry.  These tests feed both the same randomized
-frame mix (raw chunks, type 2/3, foreign EtherTypes, truncated frames) over
-every order and prefix width the header set accepts and diff everything.
+arithmetic over the frame bytes — and returns only the frame it emitted
+(``None`` for a drop).  The interpreted program (parser state machine,
+header objects, table dispatch, deparser) stays in ``src/`` as the oracle
+and is reached by name: ``switch.switch.receive(frame, port)``, whose
+``PipelineResult`` carries the same frame.  Everything else the compiled
+pass no longer returns is read where it lands: the egress port and the
+delivery stamp at the port sinks, the digests at the digest engine.  Every
+observable — emitted bytes, those captures, per-type counters, pipeline
+summaries, CRC extern invocations, match-action table hit counters and
+entry metadata, port statistics — must be identical after each frame
+between a switch driven through ``receive`` and a twin driven through the
+interpreted entry.  These tests feed both the same randomized frame mix
+(raw chunks, type 2/3, foreign EtherTypes, truncated frames) over every
+order and prefix width the header set accepts and diff everything.
 """
 
 import random
@@ -19,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.controlplane.manager import LEARN_DIGEST
 from repro.core.transform import GDTransform
 from repro.exceptions import PipelineError
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
+from repro.sim.simulator import Simulator
 from repro.topology.control import apply_switch_command
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
@@ -30,19 +36,6 @@ from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
-
-ENCODER_COUNTERS = [
-    "raw_to_uncompressed",
-    "raw_to_compressed",
-    "passthrough_processed",
-    "passthrough_other",
-]
-DECODER_COUNTERS = [
-    "compressed_to_raw",
-    "uncompressed_to_raw",
-    "unknown_identifier",
-    "passthrough_other",
-]
 
 #: ``n = 2**m - 1`` is 7 mod 8 for every order, so a byte-aligned chunk
 #: header carries a prefix of 1, 9, 17, ... bits: narrower than, equal to
@@ -135,59 +128,86 @@ def _frame_mix(transform, headers, rng, count):
     return frames
 
 
-def _diff_counters(compiled, interpreted, labels):
-    for label in labels:
-        compiled_sample = compiled.counters.read(label)
-        interpreted_sample = interpreted.counters.read(label)
-        assert (compiled_sample.packets, compiled_sample.bytes) == (
-            interpreted_sample.packets,
-            interpreted_sample.bytes,
-        ), label
+def _oracle(switch):
+    """The interpreted twin's receive, reduced to what ``receive`` returns."""
+    return lambda frame, port: switch.switch.receive(frame, port).frame
+
+
+def _probe(switch):
+    """Log what ``switch`` hands out, where it lands.
+
+    ``("tx", port, stamp, frame)`` per frame an egress port is handed,
+    captured at a sink on every port; ``("digest", message)`` per learn
+    digest, captured at the digest engine.
+    """
+    log = []
+    chassis = switch.switch
+    for port in range(chassis.port_count):
+        chassis.attach_port(
+            port, lambda frame, stamp, port=port: log.append(("tx", port, stamp, frame))
+        )
+    chassis.digest_engine.subscribe(
+        LEARN_DIGEST, lambda message: log.append(("digest", message))
+    )
+    return log
 
 
 def _table_state(table):
-    """Counters plus per-entry hit metadata of a match-action table."""
+    """Counters plus every field of every entry of a match-action table."""
     return (
         table.lookups,
         table.hits,
-        sorted(
-            (entry.key, entry.action, entry.hit_count, entry.last_hit)
-            for entry in table.entries()
-        ),
+        sorted(table.entries(), key=lambda entry: entry.key),
     )
 
 
-def _drive_twins(compiled, interpreted, frames, counter_labels, mapping_table):
-    """Feed ``frames`` to both twins and diff every observable.
+def _state(switch):
+    """Every counter, table hit-metadata field and port statistic."""
+    chassis = switch.switch
+    if isinstance(switch, ZipLineEncoderSwitch):
+        mapping_table = switch.basis_table
+    else:
+        mapping_table = switch.identifier_table
+    return (
+        switch.counters.as_dict(),
+        [chassis.port_stats(port) for port in range(chassis.port_count)],
+        chassis.summary(),
+        switch._crc.invocations,
+        _table_state(switch._syndrome_table),
+        _table_state(mapping_table),
+    )
+
+
+def _run_frame(switch, receive, frame, port=0):
+    """``receive(frame, port)`` a microsecond after the previous frame's
+    transmit and digest events ran, then run this one's; its return value."""
+    simulator = switch.simulator
+    returned = []
+    simulator.schedule_at(
+        simulator.now + 1e-6, lambda: returned.append(receive(frame, port))
+    )
+    simulator.run()
+    return returned[0]
+
+
+def _drive_twins(compiled, interpreted, frames):
+    """Feed ``frames`` to both twins and diff every observable per frame.
 
     ``compiled`` goes through ``receive``; ``interpreted`` through the
     underlying ``TofinoSwitch.receive``.  Also asserts which of the two
     implementations each frame of the compiled switch executed.
     """
-    compiled_sink, interpreted_sink = [], []
-    compiled.switch.attach_port(1, lambda frame, _t: compiled_sink.append(frame))
-    interpreted.switch.attach_port(1, lambda frame, _t: interpreted_sink.append(frame))
+    compiled_log, interpreted_log = _probe(compiled), _probe(interpreted)
+    oracle = _oracle(interpreted)
     reached_pipeline = _count_process_calls(compiled)
     for frame, _well_formed in frames:
-        got = compiled.receive(frame, 0)
-        want = interpreted.switch.receive(frame, 0)
-        assert got.frame == want.frame
-        assert got.egress_port == want.egress_port
-        assert got.digests == want.digests
-        assert got.latency == want.latency
-    assert compiled_sink == interpreted_sink
-    _diff_counters(compiled, interpreted, counter_labels)
-    assert compiled.pipeline.summary() == interpreted.pipeline.summary()
-    assert compiled._crc.invocations == interpreted._crc.invocations
-    assert compiled.switch.summary() == interpreted.switch.summary()
-    assert (
-        compiled.switch.digest_engine.emitted
-        == interpreted.switch.digest_engine.emitted
-    )
-    for table in ("_syndrome_table", mapping_table):
-        assert _table_state(getattr(compiled, table)) == _table_state(
-            getattr(interpreted, table)
-        ), table
+        got = _run_frame(compiled, compiled.receive, frame)
+        want = _run_frame(interpreted, oracle, frame)
+        assert got == want
+        assert compiled_log == interpreted_log
+        assert _state(compiled) == _state(interpreted)
+        compiled_log.clear()
+        interpreted_log.clear()
     # Well-formed frames never reach the interpreted pipeline; a frame too
     # short for its announced header always does (parser error accounting).
     malformed = [frame for frame, well_formed in frames if not well_formed]
@@ -196,9 +216,11 @@ def _drive_twins(compiled, interpreted, frames, counter_labels, mapping_table):
     assert compiled.pipeline.parse_errors == len(malformed)
 
 
-def _encoder(transform=None):
+def _encoder(transform=None, simulator=None):
     switch = ZipLineEncoderSwitch(
-        transform=transform or GDTransform(order=8), forwarding={0: 1}
+        transform=transform or GDTransform(order=8),
+        forwarding={0: 1},
+        simulator=simulator,
     )
     # install a few mappings so the compressed branch runs too
     mapping_rng = random.Random(1)
@@ -207,9 +229,11 @@ def _encoder(transform=None):
     return switch
 
 
-def _decoder(transform=None):
+def _decoder(transform=None, simulator=None):
     switch = ZipLineDecoderSwitch(
-        transform=transform or GDTransform(order=8), forwarding={0: 1}
+        transform=transform or GDTransform(order=8),
+        forwarding={0: 1},
+        simulator=simulator,
     )
     mapping_rng = random.Random(8)
     for identifier in range(40):
@@ -222,12 +246,12 @@ def _decoder(transform=None):
 class TestEncoderSwitchFastPath:
     @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
     def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits):
-        compiled = _encoder(_transform(order, prefix_bits))
-        interpreted = _encoder(_transform(order, prefix_bits))
+        compiled = _encoder(_transform(order, prefix_bits), Simulator())
+        interpreted = _encoder(_transform(order, prefix_bits), Simulator())
         frames = _frame_mix(
             compiled.transform, compiled.headers, random.Random(2020), 500
         )
-        _drive_twins(compiled, interpreted, frames, ENCODER_COUNTERS, "_basis_table")
+        _drive_twins(compiled, interpreted, frames)
 
     def test_basis_table_entry_metadata_matches(self):
         compiled = _encoder()
@@ -254,14 +278,14 @@ class TestEncoderSwitchFastPath:
         frame = _frame_mix(
             compiled.transform, compiled.headers, random.Random(4), 1
         )[0][0]
-        with pytest.raises(PipelineError) as compiled_error:
-            compiled.receive(frame, 32)
-        with pytest.raises(PipelineError) as interpreted_error:
-            interpreted.switch.receive(frame, 32)
-        assert str(compiled_error.value) == str(interpreted_error.value)
-        assert compiled.pipeline.summary() == interpreted.pipeline.summary()
-        assert compiled.switch.summary() == interpreted.switch.summary()
-        _diff_counters(compiled, interpreted, ENCODER_COUNTERS)
+        for port in (32, -1, None):
+            with pytest.raises(PipelineError, match="port .* out of range") as compiled_error:
+                compiled.receive(frame, port)
+            with pytest.raises(PipelineError) as interpreted_error:
+                interpreted.switch.receive(frame, port)
+            assert str(compiled_error.value) == str(interpreted_error.value)
+        assert _state(compiled) == _state(interpreted)
+        assert compiled.switch.total_rx_packets() == 0
 
     @pytest.mark.parametrize(
         "basis, identifier",
@@ -279,12 +303,10 @@ class TestEncoderSwitchFastPath:
 class TestDecoderSwitchFastPath:
     @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
     def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits):
-        compiled = _decoder(_transform(order, prefix_bits))
-        interpreted = _decoder(_transform(order, prefix_bits))
+        compiled = _decoder(_transform(order, prefix_bits), Simulator())
+        interpreted = _decoder(_transform(order, prefix_bits), Simulator())
         frames = _frame_mix(compiled.transform, compiled.headers, random.Random(7), 500)
-        _drive_twins(
-            compiled, interpreted, frames, DECODER_COUNTERS, "_identifier_table"
-        )
+        _drive_twins(compiled, interpreted, frames)
 
     @pytest.mark.parametrize(
         "identifier, basis",
@@ -405,41 +427,49 @@ class TestForwardingValidation:
         assert switch.switch.digest_engine.emitted == 0
 
     def test_rejected_reconfiguration_leaves_forwarding_intact(self):
-        switch = ZipLineEncoderSwitch(forwarding={0: 1})
-        delivered = {1: [], 2: []}
-        for port, sink in delivered.items():
-            switch.switch.attach_port(port, lambda frame, _t, sink=sink: sink.append(frame))
         frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, bytes(32)).to_bytes()
-        with pytest.raises(PipelineError):
-            switch.set_forwarding(0, 999)
-        assert switch.receive(frame, 0).egress_port == 1
-        switch.set_forwarding(0, 2)
-        assert switch.receive(frame, 0).egress_port == 2
-        assert [len(delivered[1]), len(delivered[2])] == [1, 1]
-        assert switch.switch.digest_engine.emitted == 2
-        assert switch.switch.port_stats(2).tx_packets == 1
+        twins = []
+        for compiled in (True, False):
+            switch = ZipLineEncoderSwitch(forwarding={0: 1}, simulator=Simulator())
+            log = _probe(switch)
+            receive = switch.receive if compiled else _oracle(switch)
+            with pytest.raises(PipelineError):
+                switch.set_forwarding(0, 999)
+            _run_frame(switch, receive, frame)
+            switch.set_forwarding(0, 2)
+            _run_frame(switch, receive, frame)
+            assert [entry[1] for entry in log if entry[0] == "tx"] == [1, 2]
+            assert [entry[0] for entry in log].count("digest") == 2
+            assert switch.switch.port_stats(2).tx_packets == 1
+            twins.append((log, _state(switch)))
+        assert twins[0] == twins[1]
 
     @pytest.mark.parametrize("make_switch", [ZipLineEncoderSwitch, ZipLineDecoderSwitch])
     def test_rewiring_after_the_first_packet_applies_to_the_next(self, make_switch):
         """What ``receive`` resolved at construction never includes the
         forwarding entry or the egress sink: both are read per frame."""
-        switch = make_switch(forwarding={0: 1})
-        first, second, third = [], [], []
-        switch.switch.attach_port(1, lambda frame, _t: first.append(frame))
-        switch.switch.attach_port(2, lambda frame, _t: second.append(frame))
         frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, bytes(32)).to_bytes()
-        assert switch.receive(frame, 0).egress_port == 1
-        switch.set_forwarding(0, 2)
-        assert switch.receive(frame, 0).egress_port == 2
-        switch.switch.detach_port(2)
-        # Still forwarded to port 2 and counted there; nobody is listening.
-        assert switch.receive(frame, 0).egress_port == 2
-        switch.switch.attach_port(2, lambda frame, _t: third.append(frame))
-        assert switch.receive(frame, 0).egress_port == 2
-        assert [len(first), len(second), len(third)] == [1, 1, 1]
-        assert switch.switch.port_stats(1).tx_packets == 1
-        assert switch.switch.port_stats(2).tx_packets == 3
-        assert switch.switch.port_stats(0).rx_packets == 4
+        twins = []
+        for compiled in (True, False):
+            switch = make_switch(forwarding={0: 1}, simulator=Simulator())
+            log = _probe(switch)
+            receive = switch.receive if compiled else _oracle(switch)
+            _run_frame(switch, receive, frame)
+            switch.set_forwarding(0, 2)
+            _run_frame(switch, receive, frame)
+            switch.switch.detach_port(2)
+            # Still forwarded to port 2 and counted there; nobody is listening.
+            _run_frame(switch, receive, frame)
+            third = []
+            switch.switch.attach_port(2, lambda data, stamp: third.append((stamp, data)))
+            _run_frame(switch, receive, frame)
+            assert [entry[1] for entry in log if entry[0] == "tx"] == [1, 2]
+            assert len(third) == 1
+            assert switch.switch.port_stats(1).tx_packets == 1
+            assert switch.switch.port_stats(2).tx_packets == 3
+            assert switch.switch.port_stats(0).rx_packets == 4
+            twins.append((log, third, _state(switch)))
+        assert twins[0] == twins[1]
 
 
 class TestDecoderCodewordMemo:
@@ -526,19 +556,14 @@ class TestDecoderCodewordMemo:
             twins.append((switch, sink))
         (compiled, compiled_sink), (interpreted, interpreted_sink) = twins
         reached_pipeline = _count_process_calls(compiled)
+        oracle = _oracle(interpreted)
         for operation in operations:
             got = self._apply(compiled, compiled.receive, operation)
-            want = self._apply(interpreted, interpreted.switch.receive, operation)
+            want = self._apply(interpreted, oracle, operation)
             assert got == want
             assert compiled_sink == interpreted_sink
-            assert compiled._crc.invocations == interpreted._crc.invocations
-            for table in ("_syndrome_table", "_identifier_table"):
-                assert _table_state(getattr(compiled, table)) == _table_state(
-                    getattr(interpreted, table)
-                ), table
+            assert _state(compiled) == _state(interpreted)
             assert len(compiled._codewords) <= 4
-        _diff_counters(compiled, interpreted, DECODER_COUNTERS)
-        assert compiled.switch.summary() == interpreted.switch.summary()
         assert reached_pipeline == []
 
     def test_memo_overflow_and_recycled_identifier(self):
@@ -567,21 +592,25 @@ class TestDecoderCodewordMemo:
             assert len(compiled._codewords) <= 4
             assert compiled._crc.invocations == round_index + 1
         compiled.identifier_table.clear()
-        assert compiled.receive(type3(1), 0).dropped
+        assert compiled.receive(type3(1), 0) is None
         assert compiled.counters.read("unknown_identifier").packets == 1
 
 
 class TestReceiveBatch:
     def test_frames_are_processed_in_arrival_order(self):
-        """``receive_batch`` is ``receive`` once per frame, in order."""
-        one_by_one, batched = _encoder(), _encoder()
+        """``receive_batch`` is ``receive`` once per frame, in order: what
+        it returns and hands out matches the interpreted twin frame by frame."""
+        batched, interpreted = _encoder(), _encoder()
+        batched_log, interpreted_log = _probe(batched), _probe(interpreted)
         frames = [
             frame
             for frame, _ in _frame_mix(
                 batched.transform, batched.headers, random.Random(7), 200
             )
         ]
-        expected = [one_by_one.receive(frame, 0) for frame in frames]
+        oracle = _oracle(interpreted)
+        expected = [oracle(frame, 0) for frame in frames]
         assert batched.receive_batch(frames, 0) == expected
-        assert batched.switch.summary() == one_by_one.switch.summary()
+        assert None in expected and batched_log == interpreted_log
+        assert _state(batched) == _state(interpreted)
         assert batched.receive_batch([], 0) == []
