@@ -2,14 +2,15 @@
 
 The paper transfers raw Ethernet frames of 64, 1500 and 9000 bytes for ten
 seconds through the switch running each of the three programs and reports
-Gbit/s and Mpkt/s.  Absolute line-rate numbers cannot be demonstrated in
-Python, so this benchmark reproduces the figure in two parts:
+Gbit/s and Mpkt/s.  Line-rate numbers cannot be demonstrated in Python, so
+this benchmark reproduces the figure in two parts:
 
-1. the *analytical series* from :mod:`repro.perfmodel` — identical bars for
-   the three operations, generator-bound small frames (~7 Mpkt/s) and
-   line-rate jumbo frames — after verifying against the actual encoder and
-   decoder pipelines that neither program recirculates or duplicates
-   packets (the precondition of the vendor's line-rate guarantee);
+1. the *arithmetic series* from :mod:`repro.analysis.figures` — the line
+   rate over each frame's wire occupancy, capped by the traffic generator's
+   7 Mpkt/s; both are inputs, so there is no noise and no interval.  What
+   the model checks is the precondition of the vendor's line-rate
+   guarantee: the actual encoder and decoder programs, after forwarding
+   frames, have neither recirculated nor duplicated a packet;
 2. the *functional packet rate* of the Python switch models, benchmarked
    with pytest-benchmark, so regressions in the data-plane model's cost are
    visible.
@@ -17,14 +18,18 @@ Python, so this benchmark reproduces the figure in two parts:
 
 import random
 
-from repro.analysis.experiment import PAPER_REPETITIONS
+from repro.analysis.figures import (
+    FIGURE4_FRAME_SIZES,
+    GENERATOR_PACKET_RATE,
+    LINE_RATE_BPS,
+    figure4,
+    figure5,
+    figure5_programs,
+)
 from repro.analysis.reporting import format_table, save_results_json
-from repro.analysis.statistics import summarize
 from repro.core.transform import GDTransform
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
-from repro.perfmodel import SwitchOperation, ThroughputModel
-from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
@@ -40,70 +45,51 @@ PAPER_MPPS = {64: 7.0, 1500: 7.0, 9000: 1.4}
 
 
 def test_figure4_throughput_series(benchmark):
-    """The Figure 4 bars, derived from the path model with 10 repetitions."""
-    transform = GDTransform(order=8)
-    encoder = ZipLineEncoderSwitch(transform=transform)
-    decoder = ZipLineDecoderSwitch(transform=transform)
-    operations = [
-        SwitchOperation("no_op"),
-        SwitchOperation("encode", pipeline=encoder.pipeline),
-        SwitchOperation("decode", pipeline=decoder.pipeline),
-    ]
-
-    model = ThroughputModel(measurement_noise=0.01, seed=2020)
+    """The Figure 4 bars, read off programs that have forwarded frames."""
+    programs = figure5_programs()
+    figure5(programs)  # each program processes its probe frame
+    rates = benchmark(figure4, programs)
 
     rows = []
-    # Absolute numbers are machine-bound; note the environment in the JSON
-    # so trajectories across commits stay comparable.
-    results = {"environment": environment_info()}
-    for operation in operations:
-        for frame_bytes in (64, 1500, 9000):
-            gbps = summarize(
-                [
-                    model.measure(operation, frame_bytes, noisy=True).throughput_gbps
-                    for _ in range(PAPER_REPETITIONS)
-                ]
-            )
-            mpps = summarize(
-                [
-                    model.measure(operation, frame_bytes, noisy=True).packet_rate_mpps
-                    for _ in range(PAPER_REPETITIONS)
-                ]
-            )
-            rows.append(
-                [
-                    operation.name,
-                    frame_bytes,
-                    gbps.format("Gbit/s"),
-                    mpps.format("Mpkt/s"),
-                    f"{PAPER_GBPS[frame_bytes]:.1f} / {PAPER_MPPS[frame_bytes]:.1f}",
-                    model.measure(operation, frame_bytes).bottleneck,
-                ]
-            )
-            results[f"{operation.name}_{frame_bytes}"] = {
-                "throughput_gbps": gbps.mean,
-                "packet_rate_mpps": mpps.mean,
-            }
+    results = {
+        "environment": environment_info(),
+        "inputs": {
+            "line_rate_bps": LINE_RATE_BPS,
+            "generator_packet_rate": GENERATOR_PACKET_RATE,
+        },
+    }
+    for (name, frame_bytes), rate in rates.items():
+        gbps = rate * frame_bytes * 8 / 1e9
+        rows.append(
+            [
+                name,
+                frame_bytes,
+                f"{gbps:.3f} Gbit/s",
+                f"{rate / 1e6:.3f} Mpkt/s",
+                f"{PAPER_GBPS[frame_bytes]:.1f} / {PAPER_MPPS[frame_bytes]:.1f}",
+                "generator" if rate == GENERATOR_PACKET_RATE else "line rate",
+            ]
+        )
+        results[f"{name}_{frame_bytes}"] = {
+            "throughput_gbps": gbps,
+            "packet_rate_mpps": rate / 1e6,
+        }
 
     table = format_table(
         ["operation", "frame size [B]", "throughput", "packet rate",
-         "paper (Gbit/s / Mpkt/s)", "bottleneck"],
+         "paper (Gbit/s / Mpkt/s)", "bound by"],
         rows,
-        title="Figure 4 — throughput with the switch performing various operations",
+        title="Figure 4 — throughput with the switch performing various operations "
+        "(arithmetic: 100 Gbit/s line rate and 7 Mpkt/s generator cap are inputs)",
     )
     emit_result("figure4_throughput", table)
     save_results_json(RESULTS_DIR / "figure4_throughput.json", results)
 
-    # The benchmarked operation: one full Figure 4 model evaluation.
-    benchmark(model.figure4, operations)
-
-    # Shape assertions: programs indistinguishable, jumbo at line rate.
-    assert results["encode_9000"]["throughput_gbps"] > 98
-    assert abs(
-        results["encode_1500"]["throughput_gbps"] - results["no_op_1500"]["throughput_gbps"]
-    ) < 2.0
-    assert not encoder.pipeline.uses_forbidden_features
-    assert not decoder.pipeline.uses_forbidden_features
+    for frame_bytes in FIGURE4_FRAME_SIZES:
+        assert len({rates[(name, frame_bytes)] for name in programs}) == 1
+    assert round(results["encode_9000"]["throughput_gbps"], 3) == 99.734
+    assert not programs["encode"].pipeline.uses_forbidden_features
+    assert not programs["decode"].pipeline.uses_forbidden_features
 
 
 def _chunk_frames(count: int, transform: GDTransform) -> list:

@@ -6,7 +6,7 @@ the reproduction's traffic is modelled at the same layer.  The
 :class:`EthernetFrame` type covers what the data-plane model needs: parsing
 and serialising the 14-byte header, EtherType dispatch, minimum-size
 padding, and the size accounting (preamble, inter-frame gap, FCS) that the
-throughput model in :mod:`repro.perfmodel` relies on.
+emulated link's serialisation delay and the Figure 4 packet rates rely on.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def frame_wire_bytes(frame_bytes: int) -> int:
     """Total link occupancy of a frame of ``frame_bytes`` (header + payload).
 
     Applies minimum-size padding and adds preamble, FCS and inter-frame gap —
-    the denominator of every line-rate computation in the throughput model.
+    the denominator of every line-rate computation (link serialisation,
+    Figure 4 packet rates).
     """
     if frame_bytes < 0:
         raise PacketError(f"frame size must be non-negative, got {frame_bytes}")

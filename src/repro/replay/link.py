@@ -5,8 +5,7 @@ missing: the wire itself.  It models what a real hop does to a frame —
 
 * **serialisation**: a store-and-forward output queue drained at
   ``bandwidth_bps``; wire occupancy (preamble, padding, FCS, inter-frame
-  gap) is taken from :func:`repro.net.ethernet.frame_wire_bytes`, the same
-  accounting :class:`repro.perfmodel.linkmodel.LinkModel` uses;
+  gap) is taken from :func:`repro.net.ethernet.frame_wire_bytes`;
 * **propagation**: a constant one-way delay;
 * **bounded queueing**: drop-tail when more than ``queue_capacity`` frames
   are in the output queue (``None`` = unbounded).  The depth is derived,
@@ -17,8 +16,7 @@ missing: the wire itself.  It models what a real hop does to a frame —
   with the end of its pipeline latency, ahead of the clock (see
   :attr:`EmulatedLink.queue_depth` for where such a frame is positioned);
 * **seeded impairments**: loss and reordering drawn from a deterministic
-  :class:`repro.perfmodel.linkmodel.ImpairmentModel`, so replays are
-  exactly reproducible.
+  :class:`ImpairmentModel`, so replays are exactly reproducible.
 
 Every frame that enters the link is accounted in :class:`LinkStats`
 (offered/delivered/dropped, queue occupancy peaks, per-frame queueing
@@ -27,6 +25,7 @@ delay), which the metrics registry folds into the replay report.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,15 +33,99 @@ from math import inf
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
-from repro.exceptions import ReplayError
+from repro.exceptions import ReplayError, ReproError
 from repro.net.ethernet import frame_wire_bytes
-from repro.perfmodel.linkmodel import ImpairmentModel, LinkModel
 from repro.sim.simulator import Simulator
 
-__all__ = ["LinkStats", "EmulatedLink"]
+__all__ = ["ImpairmentModel", "LinkStats", "EmulatedLink"]
 
 #: ``sink(frame_bytes, time)`` — same shape as a switch port sink.
 LinkSink = Callable[[bytes, float], None]
+
+
+class ImpairmentModel:
+    """Seeded stochastic impairments of a link: loss and reordering.
+
+    The replay subsystem needs *reproducible* packet loss and reordering:
+    two runs with the same seed must drop and delay exactly the same
+    packets, and two links in the same topology must not share one RNG
+    stream (or adding a hop would silently change which packets another
+    hop drops).  The seed is therefore part of the constructor signature,
+    and :meth:`fork` derives an independent, equally deterministic stream
+    for each additional link.
+
+    Parameters
+    ----------
+    loss_probability:
+        Per-packet probability of the frame being dropped on the wire.
+    reorder_probability:
+        Per-packet probability of the frame being held back by
+        ``reorder_delay`` seconds after serialisation, letting later
+        frames overtake it.
+    reorder_delay:
+        Extra delivery delay applied to reordered frames.
+    seed:
+        RNG seed.  The decision sequence is fully determined by it.
+    """
+
+    def __init__(
+        self,
+        loss_probability: float = 0.0,
+        reorder_probability: float = 0.0,
+        reorder_delay: float = 10e-6,
+        seed: int = 0,
+    ):
+        if not 0.0 <= loss_probability <= 1.0:
+            raise ReproError(
+                f"loss probability must be within [0, 1], got {loss_probability}"
+            )
+        if not 0.0 <= reorder_probability <= 1.0:
+            raise ReproError(
+                f"reorder probability must be within [0, 1], got {reorder_probability}"
+            )
+        if reorder_delay < 0:
+            raise ReproError(f"reorder delay cannot be negative, got {reorder_delay}")
+        self.loss_probability = loss_probability
+        self.reorder_probability = reorder_probability
+        self.reorder_delay = reorder_delay
+        self.seed = seed
+        self._rng = random.Random(seed)
+
+    def should_drop(self) -> bool:
+        """Decide the fate of the next frame (advances the RNG stream)."""
+        if self.loss_probability == 0.0:
+            return False
+        return self._rng.random() < self.loss_probability
+
+    def reorder_penalty(self) -> float:
+        """Extra delivery delay for the next frame (0.0 = stays in order)."""
+        if self.reorder_probability == 0.0:
+            return 0.0
+        if self._rng.random() < self.reorder_probability:
+            return self.reorder_delay
+        return 0.0
+
+    def fork(self, index: int) -> "ImpairmentModel":
+        """An independent model with the same parameters for another link.
+
+        The derived seed depends only on ``(seed, index)``, so multi-hop
+        topologies stay reproducible while each hop draws from its own
+        stream.
+        """
+        if index < 0:
+            raise ReproError(f"fork index must be non-negative, got {index}")
+        return ImpairmentModel(
+            loss_probability=self.loss_probability,
+            reorder_probability=self.reorder_probability,
+            reorder_delay=self.reorder_delay,
+            seed=(self.seed * 1_000_003 + index + 1) & 0xFFFFFFFF,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ImpairmentModel(loss={self.loss_probability}, "
+            f"reorder={self.reorder_probability}, seed={self.seed})"
+        )
 
 
 @dataclass
@@ -133,7 +216,7 @@ class EmulatedLink:
             )
         self.simulator = simulator
         self.name = name
-        self.model = LinkModel(speed_bps=bandwidth_bps)
+        self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
         self.queue_capacity = queue_capacity
         self.impairments = impairments
@@ -271,7 +354,7 @@ class EmulatedLink:
         serialisation = self._serialisation.get(length)
         if serialisation is None:
             serialisation = self._serialisation[length] = (
-                self.model.serialisation_delay(length)
+                frame_wire_bytes(length) * 8 / self.bandwidth_bps
             )
         start = self._busy_until
         if now > start:
@@ -346,7 +429,3 @@ class EmulatedLink:
         if duration <= 0:
             return 0.0
         return min(1.0, self.stats.busy_time / duration)
-
-    def reset_stats(self) -> None:
-        """Clear the counters (topology and impairment stream stay put)."""
-        self.stats = LinkStats()

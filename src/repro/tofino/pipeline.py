@@ -10,7 +10,8 @@ needed by the evaluation:
 * whether the program ever recirculates or duplicates packets (it must not,
   for the line-rate argument of Figure 4 to hold);
 * a fixed per-packet pipeline latency (the hardware gives a constant
-  port-to-port latency for a compiled program, reflected in Figure 5);
+  port-to-port latency for a compiled program; Figure 5 reads each
+  program's latency off the simulator);
 * per-packet-type counters.
 
 Control blocks are plain Python callables ``control(phv)`` operating on a
@@ -30,8 +31,10 @@ from repro.tofino.parser import Deparser, ParsedPacket, Parser
 __all__ = ["PacketContext", "PipelineResult", "Pipeline", "DEFAULT_PIPELINE_LATENCY"]
 
 #: Port-to-port latency of a compiled Tofino program, in seconds.  The public
-#: figure for Tofino-class ASICs is well under a microsecond; the paper's
-#: Figure 5 RTT (≈ 10 µs) is dominated by the two server NICs.
+#: figure for Tofino-class ASICs is well under a microsecond.  In the
+#: reproduced Figure 5 (:mod:`repro.analysis.figures`) it is 0.6 µs of the
+#: 6.61 µs one-way time, beside 1.01 µs of simulated wire and the 5 µs
+#: calibrated host/NIC cost, the same for all three programs.
 DEFAULT_PIPELINE_LATENCY = 0.6e-6
 
 #: Egress "port" value meaning the packet is dropped.

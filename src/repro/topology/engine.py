@@ -48,8 +48,7 @@ from repro.core.transform import GDTransform
 from repro.obs.snapshot import PeriodicSnapshotter
 from repro.exceptions import TopologyError
 from repro.net.mac import MacAddress
-from repro.perfmodel.linkmodel import ImpairmentModel
-from repro.replay.link import EmulatedLink
+from repro.replay.link import EmulatedLink, ImpairmentModel
 from repro.replay.metrics import (
     Distribution,
     MetricsRegistry,

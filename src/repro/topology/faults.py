@@ -4,7 +4,7 @@ A :class:`FaultPlan` describes everything that goes wrong during a run:
 
 * **control-channel impairments** — loss/reorder probabilities applied to
   every in-network control link (through the same seeded
-  :class:`~repro.perfmodel.linkmodel.ImpairmentModel` the data links use,
+  :class:`~repro.replay.link.ImpairmentModel` the data links use,
   with a per-encoder seed derived from the spec identity, so the fault
   stream is independent of sharding);
 * **node restarts** — at a scheduled simulated time a decoder loses its

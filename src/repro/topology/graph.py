@@ -27,8 +27,7 @@ from repro.exceptions import TopologyError
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.replay imports us back
-    from repro.perfmodel.linkmodel import ImpairmentModel
-    from repro.replay.link import EmulatedLink
+    from repro.replay.link import EmulatedLink, ImpairmentModel
     from repro.topology.spec import TopologySpec
     from repro.zipline.stats import LinkTap
 

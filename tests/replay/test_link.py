@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ReplayError
-from repro.perfmodel.linkmodel import ImpairmentModel, LinkModel
+from repro.exceptions import ReplayError, ReproError
+from repro.net.ethernet import frame_wire_bytes
 from repro.replay import EmulatedLink
-from repro.replay.link import LinkStats
+from repro.replay.link import ImpairmentModel, LinkStats
 from repro.sim.simulator import Simulator
 
 
@@ -56,22 +56,44 @@ class TestSerialisation:
         assert link.utilisation(link.stats.busy_time * 2) == pytest.approx(0.5)
 
     def test_every_frame_length_gets_its_own_serialisation_delay(self):
-        """The per-length memo returns what the link model computes, for
-        lengths seen before and lengths seen for the first time alike."""
+        """The per-length memo returns the wire occupancy over the bandwidth,
+        for lengths seen before and lengths seen for the first time alike."""
         sim = Simulator()
         link, arrivals = make_link(sim, bandwidth_bps=1e9, propagation_delay=0.0)
         lengths = [60, 1500, 60, 46, 9000, 1500, 61, 60]
         for index, length in enumerate(lengths):
             link.send(bytes(length), index * 1e-3)  # far apart: no queueing
         sim.run()
-        model = LinkModel(speed_bps=1e9)
+
+        def serialisation(length):
+            return frame_wire_bytes(length) * 8 / 1e9
+
         assert [time for time, _ in arrivals] == [
-            index * 1e-3 + model.serialisation_delay(length)
+            index * 1e-3 + serialisation(length)
             for index, length in enumerate(lengths)
         ]
-        assert link.stats.busy_time == sum(
-            model.serialisation_delay(length) for length in lengths
-        )
+        assert link.stats.busy_time == sum(serialisation(length) for length in lengths)
+
+    def test_default_link_is_100_gbe_with_half_a_microsecond_of_propagation(self):
+        sim = Simulator()
+        link, arrivals = make_link(sim)
+        link.send(bytes(1514), 0.0)
+        sim.run()
+        # 1514 B + 4 B FCS + 8 B preamble + 12 B gap = 1538 wire bytes.
+        assert [time for time, _ in arrivals] == [1538 * 8 / 100e9 + 0.5e-6]
+
+    def test_back_to_back_minimum_frames_arrive_at_the_line_rate_budget(self):
+        sim = Simulator()
+        link, arrivals = make_link(sim)
+        for _ in range(100):
+            link.send(bytes(60), 0.0)
+        sim.run()
+        times = [time for time, _ in arrivals]
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        # 84 wire bytes each: ≈ 148.8 Mpkt/s at 100 Gbit/s.
+        assert gaps == pytest.approx([84 * 8 / 100e9] * 99)
+        assert 1 / gaps[0] == pytest.approx(148.8e6, rel=0.01)
+
 
 class TestBoundedQueue:
     def test_drop_tail_when_queue_full(self):
@@ -99,6 +121,97 @@ class TestBoundedQueue:
     def test_rejects_non_positive_capacity(self):
         with pytest.raises(ReplayError):
             EmulatedLink(Simulator(), queue_capacity=0)
+
+
+class TestImpairmentModel:
+    def test_same_seed_same_decisions(self):
+        first = ImpairmentModel(loss_probability=0.3, reorder_probability=0.2, seed=11)
+        second = ImpairmentModel(loss_probability=0.3, reorder_probability=0.2, seed=11)
+        decisions = [
+            (first.should_drop(), first.reorder_penalty()) for _ in range(500)
+        ]
+        assert decisions == [
+            (second.should_drop(), second.reorder_penalty()) for _ in range(500)
+        ]
+        assert any(drop for drop, _ in decisions)
+        assert any(penalty > 0 for _, penalty in decisions)
+
+    def test_different_seeds_diverge(self):
+        first = ImpairmentModel(loss_probability=0.5, seed=1)
+        second = ImpairmentModel(loss_probability=0.5, seed=2)
+        assert [first.should_drop() for _ in range(200)] != [
+            second.should_drop() for _ in range(200)
+        ]
+
+    def test_fork_is_deterministic_and_independent(self):
+        base = ImpairmentModel(loss_probability=0.4, seed=9)
+        fork_a = base.fork(0)
+        fork_b = base.fork(1)
+        fork_a_again = ImpairmentModel(loss_probability=0.4, seed=9).fork(0)
+        stream_a = [fork_a.should_drop() for _ in range(200)]
+        assert stream_a == [fork_a_again.should_drop() for _ in range(200)]
+        assert stream_a != [fork_b.should_drop() for _ in range(200)]
+        with pytest.raises(ReproError):
+            base.fork(-1)
+
+    def test_fork_seeds_are_pinned(self):
+        """Reports of multi-hop runs depend on these exact streams."""
+        assert ImpairmentModel(seed=9).fork(0).seed == 9 * 1_000_003 + 1
+        assert ImpairmentModel(seed=5_000).fork(3).seed == (
+            5_000 * 1_000_003 + 4
+        ) & 0xFFFFFFFF
+        fork = ImpairmentModel(loss_probability=0.4, seed=9).fork(2)
+        rng = random.Random(9 * 1_000_003 + 3)
+        assert [fork.should_drop() for _ in range(100)] == [
+            rng.random() < 0.4 for _ in range(100)
+        ]
+
+    def test_fork_keeps_the_parameters(self):
+        base = ImpairmentModel(
+            loss_probability=0.1, reorder_probability=0.2, reorder_delay=3e-6, seed=4
+        )
+        fork = base.fork(7)
+        assert (fork.loss_probability, fork.reorder_probability, fork.reorder_delay) == (
+            0.1, 0.2, 3e-6
+        )
+        assert fork.seed != base.seed
+
+    def test_no_impairment_never_draws(self):
+        model = ImpairmentModel(seed=3)
+        assert not model.should_drop()
+        assert model.reorder_penalty() == 0.0
+
+    def test_a_disabled_impairment_leaves_the_other_stream_alone(self):
+        """Loss-only draws no reorder decisions, reorder-only no loss ones."""
+        alone = ImpairmentModel(loss_probability=0.3, seed=6)
+        interleaved = ImpairmentModel(loss_probability=0.3, seed=6)
+        drops = []
+        for _ in range(200):
+            assert interleaved.reorder_penalty() == 0.0
+            drops.append(interleaved.should_drop())
+        assert drops == [alone.should_drop() for _ in range(200)]
+
+        alone = ImpairmentModel(reorder_probability=0.3, seed=6)
+        interleaved = ImpairmentModel(reorder_probability=0.3, seed=6)
+        penalties = []
+        for _ in range(200):
+            assert not interleaved.should_drop()
+            penalties.append(interleaved.reorder_penalty())
+        assert penalties == [alone.reorder_penalty() for _ in range(200)]
+
+    def test_certain_loss_and_reordering(self):
+        lossy = ImpairmentModel(loss_probability=1.0, seed=1)
+        assert all(lossy.should_drop() for _ in range(100))
+        late = ImpairmentModel(reorder_probability=1.0, reorder_delay=2e-6, seed=1)
+        assert {late.reorder_penalty() for _ in range(100)} == {2e-6}
+
+    def test_validation(self):
+        with pytest.raises(ReproError):
+            ImpairmentModel(loss_probability=1.5)
+        with pytest.raises(ReproError):
+            ImpairmentModel(reorder_probability=-0.1)
+        with pytest.raises(ReproError):
+            ImpairmentModel(reorder_delay=-1e-6)
 
 
 class TestImpairments:
@@ -176,7 +289,7 @@ class ReferenceLink:
     def __init__(self, simulator, bandwidth_bps, propagation_delay,
                  queue_capacity=None, impairments=None):
         self.simulator = simulator
-        self.model = LinkModel(speed_bps=bandwidth_bps)
+        self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
         self.queue_capacity = queue_capacity
         self.impairments = impairments
@@ -198,7 +311,7 @@ class ReferenceLink:
         if self.queue_capacity is not None and self.queue_depth >= self.queue_capacity:
             stats.dropped_queue += 1
             return
-        serialisation = self.model.serialisation_delay(len(frame))
+        serialisation = frame_wire_bytes(len(frame)) * 8 / self.bandwidth_bps
         start = max(now, self._busy_until)
         done = self._busy_until = start + serialisation
         stats.busy_time += serialisation

@@ -181,7 +181,7 @@ class TestEpochIdempotency:
     def test_reordering_wire_never_regresses_switch_state(self):
         # End to end through a genuinely reordering link: the final applied
         # binding for every identifier equals the last one sent.
-        from repro.perfmodel.linkmodel import ImpairmentModel
+        from repro.replay.link import ImpairmentModel
 
         simulator = Simulator()
         link = EmulatedLink(
@@ -288,7 +288,7 @@ class TestRateLimiting:
         assert applied_at[1] >= 1e-3 + 1e-6
 
     def test_on_drop_fires_on_wire_loss(self):
-        from repro.perfmodel.linkmodel import ImpairmentModel
+        from repro.replay.link import ImpairmentModel
 
         simulator = Simulator()
         link = EmulatedLink(
