@@ -5,7 +5,7 @@ switches, the emulated links and the simulator.  The contract is that with
 the default :class:`~repro.obs.NullTracer` installed, instrumentation costs
 one module-attribute lookup plus one ``enabled`` check per instrumented
 branch — nothing else (no argument dicts, no string formatting).  This
-benchmark guards that contract on the Figure 4 encoder hot path:
+benchmark guards that contract on the encoder switch's hot path:
 
 * **disabled overhead** — the measured cost of the guard sequence
   (``_obs.TRACER`` + ``.enabled``), times the guard evaluations per frame,
@@ -20,16 +20,19 @@ Set ``REPRO_BENCH_SMOKE=1`` for the scaled-down CI smoke mode.
 """
 
 import os
+import random
 import time
 import timeit
 
 from repro import obs
 from repro.analysis.reporting import format_table, save_results_json
 from repro.core.transform import GDTransform
+from repro.net.ethernet import EthernetFrame
+from repro.net.mac import MacAddress
 from repro.topology import preset_topology, run_topology
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
+from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
-from benchmarks.bench_fig4_throughput import _chunk_frames
 from benchmarks.conftest import RESULTS_DIR, emit_result, environment_info
 
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
@@ -49,6 +52,24 @@ MAX_DISABLED_OVERHEAD = 0.02
 #: Traced fan-in run used for the byte-identity check and the sample trace.
 TRACE_CHUNKS = 60 if SMOKE else 200
 SNAPSHOT_INTERVAL = 1e-5
+
+DST = MacAddress("02:00:00:00:00:02")
+SRC = MacAddress("02:00:00:00:00:01")
+
+
+def _chunk_frames(count: int, transform: GDTransform) -> list:
+    """Raw-chunk frames, each a random codeword with one bit flipped."""
+    rng = random.Random(7)
+    code = transform.code
+    frames = []
+    for _ in range(count):
+        basis = rng.getrandbits(code.k)
+        body = code.encode(basis) ^ (1 << rng.randrange(code.n))
+        chunk = ((rng.getrandbits(1) << code.n) | body).to_bytes(32, "big")
+        frames.append(
+            EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, chunk).to_bytes()
+        )
+    return frames
 
 
 def _encoder_and_frames():

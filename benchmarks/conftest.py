@@ -1,11 +1,8 @@
-"""Shared fixtures and result plumbing for the benchmark harness.
+"""Result plumbing shared by the benchmark harnesses.
 
-Every benchmark regenerates one table or figure of the paper.  Because the
-paper's testbed (Tofino ASIC, 100 GbE servers) is replaced by functional and
-analytical models, the *scale* of some workloads is reduced — each benchmark
-documents its scaling factor and keeps the time structure of the original
-experiment (see EXPERIMENTS.md).  Reproduced numbers are printed to stdout
-and written to ``benchmarks/results/`` as both text and JSON.
+Each benchmark prints its table to stdout and writes it to
+``benchmarks/results/`` as both text and JSON.  The paper's numbers are not
+benchmarks: ``repro.analysis.figures.CLAIMS`` computes them.
 """
 
 from __future__ import annotations
@@ -15,27 +12,8 @@ import platform
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
-
 #: Where the reproduced tables/figures are written.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-#: Scaled-down workload sizes used by default (the paper-scale numbers are
-#: 3,124,000 synthetic chunks and roughly 7 × 10^5 DNS queries).  The number
-#: of distinct bases is scaled together with the chunk count so that the
-#: basis-discovery phase of the dynamic-learning scenario occupies the same
-#: fraction of the trace as at paper scale (B·ln(B)·run_length / N is kept
-#: constant); otherwise the scaled run would overstate the learning penalty.
-SYNTHETIC_BENCH_CHUNKS = 60_000
-SYNTHETIC_BENCH_BASES = 32
-DNS_BENCH_QUERIES = 60_000
-DNS_BENCH_NAMES = 400
-
-#: Replay rate that preserves the paper's trace duration (3.124 M chunks at
-#: the observed ~7 Mpkt/s take ≈ 446 ms on the wire).
-PAPER_TRACE_DURATION_S = 3_124_000 / 7.0e6
 
 
 def environment_info() -> dict:
@@ -60,33 +38,3 @@ def emit_result(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     # Write to the real stdout so the output is visible even under capture.
     sys.stdout.write(f"\n=== {name} ===\n{text}\n")
-
-
-@pytest.fixture(scope="session")
-def synthetic_workload() -> SyntheticSensorWorkload:
-    """Scaled synthetic sensor workload (same generator as the paper-scale one)."""
-    return SyntheticSensorWorkload(
-        num_chunks=SYNTHETIC_BENCH_CHUNKS,
-        distinct_bases=SYNTHETIC_BENCH_BASES,
-        seed=2020,
-    )
-
-
-@pytest.fixture(scope="session")
-def synthetic_chunks(synthetic_workload):
-    """The synthetic chunk list, generated once per session."""
-    return synthetic_workload.chunks()
-
-
-@pytest.fixture(scope="session")
-def dns_workload() -> DnsQueryWorkload:
-    """Scaled DNS workload (statistical stand-in for the campus trace)."""
-    return DnsQueryWorkload(
-        num_queries=DNS_BENCH_QUERIES, distinct_names=DNS_BENCH_NAMES, seed=2016
-    )
-
-
-@pytest.fixture(scope="session")
-def dns_chunks(dns_workload):
-    """The filtered 32-byte DNS chunks, generated once per session."""
-    return dns_workload.chunks()

@@ -10,9 +10,13 @@ width and is byte-reproducible — which is what lets CI enforce freshness:
     python scripts/gen_cli_docs.py            # rewrite the generated docs
     python scripts/gen_cli_docs.py --check    # exit 1 if any of them is stale
 
-The same run keeps the parameter table of docs/experiments.md — the rows
-between its two marker comments — in step with
-``repro.experiments.spec.PARAMETERS`` (name, default, ``help``).
+The same run keeps two more tables in step, each the rows between two
+marker comments: the parameter table of docs/experiments.md with
+``repro.experiments.spec.PARAMETERS`` (name, default, ``help``), and the
+claims table of docs/paper-mapping.md with
+``repro.analysis.figures.CLAIMS``, every row computed at the scale it
+states — so ``--check`` also fails on a stale Reproduced or Kind cell, and
+the run stops on a claim that no longer holds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cli import build_parser  # noqa: E402  (sys.path set up first)
+from repro.analysis.figures import CLAIMS  # noqa: E402  (sys.path set up first)
+from repro.cli import build_parser  # noqa: E402
 from repro.experiments.spec import PARAMETERS  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "docs" / "cli.md"
@@ -34,6 +39,12 @@ TABLE_BEGIN = (
     "repro.experiments.spec.PARAMETERS; do not edit by hand -->"
 )
 TABLE_END = "<!-- /parameters -->"
+CLAIMS_DOC = REPO_ROOT / "docs" / "paper-mapping.md"
+CLAIMS_BEGIN = (
+    "<!-- claims: generated by scripts/gen_cli_docs.py from "
+    "repro.analysis.figures.CLAIMS; do not edit by hand -->"
+)
+CLAIMS_END = "<!-- /claims -->"
 
 HEADER = """\
 <!-- Generated by scripts/gen_cli_docs.py — do not edit by hand.
@@ -125,18 +136,42 @@ def generate() -> str:
     return "\n".join(parts).rstrip() + "\n"
 
 
-def with_parameter_table(text: str) -> str:
-    """``text`` (docs/experiments.md) with the rows between its two marker
-    comments replaced by the live parameter table."""
-    head, begin, rest = text.partition(TABLE_BEGIN)
-    _stale, end, tail = rest.partition(TABLE_END)
+def _between_markers(path: Path, text: str, markers, rows) -> str:
+    """``text`` (of ``path``) with the rows between its two marker comments
+    replaced by ``rows``."""
+    head, begin, rest = text.partition(markers[0])
+    _stale, end, tail = rest.partition(markers[1])
     if not (begin and end):
-        raise SystemExit(f"{EXPERIMENTS_DOC} has lost its parameter-table markers")
+        raise SystemExit(f"{path} has lost its generated-table markers")
+    return "\n".join([head + begin, *rows, end + tail])
+
+
+def with_parameter_table(text: str) -> str:
+    """docs/experiments.md with the live parameter table."""
     rows = ["| parameter | default | meaning |", "| --- | --- | --- |"]
     for spec in PARAMETERS.values():
         default = "—" if spec.default is None else f"`{spec.default}`"
         rows.append(f"| `{spec.name}` | {default} | {_escape(spec.help)} |")
-    return "\n".join([head + begin, *rows, end + tail])
+    return _between_markers(EXPERIMENTS_DOC, text, (TABLE_BEGIN, TABLE_END), rows)
+
+
+def with_claims_table(text: str) -> str:
+    """docs/paper-mapping.md with every claim computed at its stated scale."""
+    rows = [
+        "| Id | Paper claim | Paper | Reproduced | ± | Kind | Scale | Rests on |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+    ]
+    for claim in CLAIMS:
+        values = claim.values(claim.scale)
+        if not claim.holds(values):
+            raise SystemExit(f"claim {claim.id} does not hold at its stated scale: {values}")
+        reproduced = claim.form.format(*(f"{value:.{claim.digits}f}" for value in values))
+        scale = "—" if claim.scale is None else claim.scale_form.format(claim.scale)
+        rows.append(
+            f"| `{claim.id}` | {_escape(claim.claim)} | {claim.paper_text()} | {reproduced} "
+            f"| {claim.tolerance:g} | {claim.kind} | {scale} | {_escape(claim.basis)} |"
+        )
+    return _between_markers(CLAIMS_DOC, text, (CLAIMS_BEGIN, CLAIMS_END), rows)
 
 
 def main(argv=None) -> int:
@@ -156,6 +191,7 @@ def main(argv=None) -> int:
         EXPERIMENTS_DOC: with_parameter_table(
             EXPERIMENTS_DOC.read_text(encoding="utf-8")
         ),
+        CLAIMS_DOC: with_claims_table(CLAIMS_DOC.read_text(encoding="utf-8")),
     }
     stale = 0
     for path, document in documents.items():
@@ -168,7 +204,7 @@ def main(argv=None) -> int:
             stale = 1
         elif path.read_text(encoding="utf-8") != document:
             print(
-                f"{path} is stale (the CLI or the parameter table changed); "
+                f"{path} is stale (the CLI, the parameter table or a claim changed); "
                 "run: python scripts/gen_cli_docs.py"
             )
             stale = 1

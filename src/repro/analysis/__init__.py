@@ -5,13 +5,7 @@ from repro.analysis.experiment import (
     PAPER_REPETITIONS,
     summarize_groups,
 )
-from repro.analysis.reporting import (
-    ComparisonRow,
-    comparison_table,
-    format_table,
-    horizontal_bars,
-    save_results_json,
-)
+from repro.analysis.reporting import format_table, save_results_json
 from repro.analysis.statistics import (
     MeasurementSummary,
     confidence_interval_95,
@@ -24,10 +18,7 @@ __all__ = [
     "ExperimentResult",
     "PAPER_REPETITIONS",
     "summarize_groups",
-    "ComparisonRow",
-    "comparison_table",
     "format_table",
-    "horizontal_bars",
     "save_results_json",
     "MeasurementSummary",
     "confidence_interval_95",

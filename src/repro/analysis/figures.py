@@ -1,6 +1,15 @@
-"""Figures 4 and 5 of the paper, computed from the code that models them.
+"""The paper's numbers, each computed once from the code that models it.
 
-Both figures compare three programs on the switch: ``no_op`` (plain
+:data:`CLAIMS` holds every number of the evaluation this repository
+reproduces, each with the one function computing it at a given scale: the
+tests assert every row at a small scale, ``scripts/gen_cli_docs.py``
+renders the table of ``docs/paper-mapping.md`` at the scale each states.
+A row's kind says what its number rests on: ``calibrated`` constants chosen
+to land on the paper's value, ``derived`` arithmetic over the wire format
+or named inputs that no simulated behaviour can move, or a ``simulated``
+run of the model, which a change to the model's behaviour moves.
+
+Figures 4 and 5 compare three programs on the switch: ``no_op`` (plain
 forwarding), ``encode`` and ``decode``.  The paper's claim for both is that
 the two ZipLine programs are indistinguishable from forwarding.
 
@@ -32,28 +41,49 @@ recirculated or duplicated a packet is refused.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.analysis.experiment import PAPER_REPETITIONS
+from repro.analysis.statistics import MeasurementSummary, summarize
+from repro.baselines import GzipBaseline
+from repro.core.crc import syndrome_crc
+from repro.core.hamming import HammingCode
+from repro.core.polynomials import TABLE_1
 from repro.core.transform import GDTransform
 from repro.exceptions import ReproError
 from repro.net.ethernet import EthernetFrame, EtherType, frame_wire_bytes
 from repro.net.mac import MacAddress
+from repro.replay import ChunkTraceSource, RecordedPacing
 from repro.replay.link import EmulatedLink
 from repro.sim.simulator import Simulator
+from repro.topology import TopologyEngine, TopologySpec, paper_testbed_topology
+from repro.workloads import (
+    PAPER_SYNTHETIC_CHUNKS,
+    WORKLOAD_FACTORIES,
+    ChunkTrace,
+    SyntheticSensorWorkload,
+)
 from repro.zipline._program import ZipLineSwitchBase
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = [
+    "CLAIMS",
+    "Claim",
     "FIGURE4_FRAME_SIZES",
     "GENERATOR_PACKET_RATE",
     "HOST_NIC_ONE_WAY",
+    "KINDS",
     "LINE_RATE_BPS",
     "PROGRAMS",
+    "figure3_ratio",
     "figure4",
     "figure5",
     "figure5_programs",
+    "learning_delay",
     "packet_rate",
 ]
 
@@ -163,3 +193,215 @@ def figure5(
     one_way["decode"], _ = _one_way_time(programs["decode"], type2)
     one_way["no_op"], _ = _one_way_time(programs["no_op"], plain)
     return {name: 2 * (one_way[name] + HOST_NIC_ONE_WAY) for name in PROGRAMS}
+
+
+# -- Figure 3 and §7 ---------------------------------------------------------
+
+#: Figure 3's stated scale, in chunks per trace.
+FIGURE3_CHUNKS = 60_000
+
+#: Seconds each Figure 3 trace takes on the wire: the paper's trace at its
+#: packet rate (446 ms), so the learning delay weighs what it weighed there.
+TRACE_DURATION = PAPER_SYNTHETIC_CHUNKS / GENERATOR_PACKET_RATE
+
+#: Figure 3's two traces: the run parameter that sets each one's variety,
+#: its value at :data:`FIGURE3_CHUNKS` (scaled with the chunk count, so
+#: basis discovery stays the same share of the trace), and the seed.
+FIGURE3_TRACES = {"synthetic": ("bases", 32, 2020), "dns": ("names", 400, 2016)}
+
+#: Packets per §7 learning-delay run: 4 ms at 1 Mpkt/s, past the window.
+LEARNING_DELAY_PACKETS = 4000
+
+
+def figure3_spec(workload: str, scenario: str, chunks: int) -> TopologySpec:
+    """The ``paper-testbed`` run behind one Figure 3 bar."""
+    parameter, variety, seed = FIGURE3_TRACES[workload]
+    return paper_testbed_topology(
+        scenario=scenario, workload=workload, chunks=chunks, flow_seed=seed,
+        packet_rate=chunks / TRACE_DURATION,
+        **{parameter: max(1, round(variety * chunks / FIGURE3_CHUNKS))},
+    )
+
+
+def figure3_ratio(workload: str, scenario: str, chunks: int) -> float:
+    """One ZipLine bar of Figure 3: the compression ratio of its run."""
+    return TopologyEngine(figure3_spec(workload, scenario, chunks)).run().compression_ratio
+
+
+def figure3_gzip_ratio(workload: str, chunks: int) -> float:
+    """Figure 3's gzip bar: DEFLATE over the trace the ZipLine bars replay."""
+    spec = figure3_spec(workload, "dynamic", chunks)
+    (flow,) = spec.flows
+    generator, _bases = WORKLOAD_FACTORIES[workload](
+        chunks=chunks, bases=flow.bases, names=flow.names, order=spec.order, seed=flow.seed
+    )
+    return GzipBaseline().compress_chunks(generator.chunks()).compression_ratio
+
+
+def learning_delay(
+    repetitions: int, packets: int = LEARNING_DELAY_PACKETS
+) -> Optional[MeasurementSummary]:
+    """§7's learning delay in ms over ``repetitions`` testbed runs, or
+    ``None`` when a run saw no compressed packet (``packets`` too few).
+
+    The paper's experiment: one chunk sent over and over at 1 Mpkt/s, timed
+    from the first type-2 to the first type-3 packet at the sink.
+    """
+    samples: List[float] = []
+    for seed in range(repetitions):
+        chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
+        source = (ChunkTraceSource(ChunkTrace([chunk] * packets)), RecordedPacing())
+        report = TopologyEngine(paper_testbed_topology(seed=seed)).run(sources={"flow0": source})
+        if report.learning_time is None:
+            return None
+        samples.append(report.learning_time * 1e3)
+    return summarize(samples)
+
+
+# -- the claims table ----------------------------------------------------------
+
+#: What a claim's number can rest on (see the module docstring).
+KINDS = ("calibrated", "derived", "simulated")
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One number of the paper's evaluation and the function reproducing it.
+
+    ``compute(scale)`` returns one value (or a tuple) per entry of ``paper``,
+    each within ``tolerance`` of it when the claim holds; ``scale`` is the
+    one the docs state (``None``: none moves the value).  ``form`` lays
+    values out, reproduced ones with ``digits`` decimals.
+    """
+
+    id: str
+    claim: str
+    paper: Tuple[float, ...]
+    kind: str
+    tolerance: float
+    scale: Optional[int]
+    compute: Callable[[Optional[int]], Union[float, Tuple[float, ...]]]
+    basis: str
+    form: str = "{}"
+    digits: int = 5
+    scale_form: str = "{:,} chunks"
+
+    def values(self, scale: Optional[int]) -> Tuple[float, ...]:
+        values = self.compute(scale)
+        return values if isinstance(values, tuple) else (values,)
+
+    def holds(self, values: Tuple[float, ...]) -> bool:
+        return len(values) == len(self.paper) and all(
+            abs(value - paper) <= self.tolerance for value, paper in zip(values, self.paper)
+        )
+
+    def paper_text(self) -> str:
+        return self.form.format(*(f"{value:g}" for value in self.paper))
+
+
+def _table1_rows(_scale: None) -> Tuple[int, int]:
+    return len(TABLE_1), sum(row.is_valid_hamming_generator() for row in TABLE_1)
+
+
+def _table2_share(order: int) -> float:
+    """Share of single-bit errors whose syndrome is the CRC-m of the bits."""
+    code = HammingCode(order)
+    crc = syndrome_crc(code.crc_parameter, order)
+    return sum(
+        code.syndrome_of_error_position(position) == crc.compute(1 << position, code.n)
+        for position in range(code.n)
+    ) / code.n
+
+
+def _learning_delay_ms(runs: int) -> Tuple[float, float]:
+    summary = learning_delay(runs)
+    if summary is None:
+        raise ReproError("a learning-delay run saw no compressed packet")
+    return summary.mean, summary.ci95
+
+
+def _figure4_gbps(_scale: None) -> Tuple[float, ...]:
+    """Figure 4's bars in Gbit/s: the slowest program per frame size."""
+    programs = figure5_programs()
+    figure5(programs)
+    rates = figure4(programs)
+    return tuple(
+        min(rates[(name, size)] for name in PROGRAMS) * size * 8 / 1e9
+        for size in FIGURE4_FRAME_SIZES
+    )
+
+
+def _line_rate_precondition(_scale: None) -> Tuple[float, float, int]:
+    """CRC-extern passes per chunk of the encode and decode probes, and how
+    many programs recirculated or duplicated a packet."""
+    programs = figure5_programs()
+    figure5(programs)
+    encode, decode = (
+        programs[name]._crc.invocations / programs[name].pipeline.packets_processed
+        for name in ("encode", "decode")
+    )
+    return encode, decode, sum(p.pipeline.uses_forbidden_features for p in programs.values())
+
+
+#: Figure 3's bars: each one's label, kind and what its ratio rests on.
+_FIGURE3_BARS = {
+    "no_table": ("no table", "derived", "a 33-byte type-2 payload per 32-byte chunk"),
+    "static": ("static table", "derived", "a 3-byte type-3 payload per 32-byte chunk"),
+    "dynamic": ("dynamic learning", "simulated", "type-2 traffic while bases are learned"),
+    "gzip": ("gzip", "simulated", "`repro.baselines.GzipBaseline` over the same trace"),
+}
+
+
+def _figure3(workload: str, bar: str, paper: float, tolerance: float) -> Claim:
+    """One bar of Figure 3, off a `paper-testbed` run of the trace."""
+    label, kind, basis = _FIGURE3_BARS[bar]
+    compute = (
+        partial(figure3_gzip_ratio, workload) if bar == "gzip"
+        else partial(figure3_ratio, workload, bar)
+    )
+    return Claim(f"fig3-{workload}-{bar}", f"Figure 3, `{workload}` trace: *{label}* ratio",
+                 (paper,), kind, tolerance, FIGURE3_CHUNKS, compute,
+                 f"{basis}; `repro.analysis.figures.figure3_spec`")
+
+
+#: Every reproduced number of the paper, in the order of the paper.
+CLAIMS: Tuple[Claim, ...] = (
+    Claim("table-1", "Table 1: a primitive CRC generator for every Hamming code "
+          "(2^m − 1, 2^m − 1 − m), m = 3…15 (rows, primitive rows)", (15, 15), "derived",
+          0, None, _table1_rows,
+          "primitivity of each polynomial of `repro.core.polynomials.TABLE_1`",
+          form="{} rows, {} primitive", digits=0),
+    Claim("table-2", "Table 2: each single-bit error's Hamming syndrome equals the CRC-m "
+          "of the bit sequence (share of bit positions)", (1,), "derived", 0, 3,
+          _table2_share, "`repro.core.hamming.HammingCode` against "
+          "`repro.core.crc.syndrome_crc`", digits=3, scale_form="m = {}"),
+    _figure3("synthetic", "no_table", 1.03, 0.01),
+    _figure3("synthetic", "static", 0.09, 0.01),
+    _figure3("synthetic", "dynamic", 0.11, 0.015),
+    _figure3("synthetic", "gzip", 0.09, 0.05),
+    _figure3("dns", "no_table", 1.03, 0.01),
+    _figure3("dns", "dynamic", 0.10, 0.015),
+    _figure3("dns", "gzip", 0.08, 0.03),
+    Claim("learning-delay", "§7: time to learn a basis–identifier pair, mean and 95 % CI",
+          (1.77, 0.08), "calibrated", 0.1, PAPER_REPETITIONS, _learning_delay_ms,
+          "the sum of `repro.tofino.digest.DEFAULT_DELIVERY_LATENCY` and "
+          "`repro.controlplane.manager.ControlPlaneTimings` (processing, two table "
+          "writes), jittered per run", form="({} ± {}) ms", digits=3,
+          scale_form="{} runs"),
+    Claim("figure-4", "Figure 4: throughput at 64 / 1500 / 9000-byte frames, slowest of "
+          "no-op, encode and decode", (3.6, 84.0, 99.7), "derived", 0.1, None,
+          _figure4_gbps, "`repro.analysis.figures.LINE_RATE_BPS` capped by "
+          "`repro.analysis.figures.GENERATOR_PACKET_RATE`; refused for a program that "
+          "recirculated or duplicated", form="{} / {} / {} Gbit/s", digits=3),
+    Claim("figure-5", "Figure 5: round-trip time with the switch in the path, slowest "
+          "program (paper: the 10–15 µs band)", (12.5,), "calibrated", 2.5, None,
+          lambda _scale: max(figure5().values()) * 1e6,
+          "2 × (simulated one-way time + the calibrated "
+          "`repro.analysis.figures.HOST_NIC_ONE_WAY`)", form="{} µs", digits=3),
+    Claim("section-5", "§5: line rate needs one CRC-extern pass per chunk and no "
+          "recirculation or duplication (encode, decode; Figure 5 probes)", (1, 1, 0),
+          "simulated", 0, None, _line_rate_precondition,
+          "`repro.tofino.crc_extern.CrcExtern` invocations and "
+          "`repro.tofino.pipeline.Pipeline` counters",
+          form="{} / {} CRC passes per chunk, {} programs recirculate", digits=0),
+)

@@ -1,27 +1,18 @@
-"""Text rendering of the reproduced tables and figures.
+"""Text rendering and persistence of benchmark results.
 
-Every benchmark harness ends by printing the rows/series the paper reports.
-This module centralises the formatting: fixed-width tables, ASCII horizontal
-bar charts (Figure 3/5 are horizontal bar plots in the paper), and
-side-by-side "paper vs reproduced" comparisons for EXPERIMENTS.md.
+Benchmark harnesses print their results as fixed-width tables and save them
+as JSON; the CLI prints its reports the same way.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Sequence, Union
 
 from repro.exceptions import ReproError
 
-__all__ = [
-    "format_table",
-    "horizontal_bars",
-    "ComparisonRow",
-    "comparison_table",
-    "save_results_json",
-]
+__all__ = ["format_table", "save_results_json"]
 
 
 def format_table(
@@ -59,72 +50,6 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
-
-
-def horizontal_bars(
-    values: Mapping[str, float],
-    width: int = 50,
-    unit: str = "",
-    maximum: Optional[float] = None,
-    annotate: Optional[Mapping[str, str]] = None,
-) -> str:
-    """Render a horizontal ASCII bar chart (largest value = full width)."""
-    if not values:
-        raise ReproError("cannot render an empty bar chart")
-    if width <= 0:
-        raise ReproError("bar width must be positive")
-    scale = maximum if maximum is not None else max(values.values())
-    if scale <= 0:
-        scale = 1.0
-    label_width = max(len(label) for label in values)
-    lines = []
-    for label, value in values.items():
-        bar_length = int(round(width * min(value, scale) / scale))
-        bar = "█" * bar_length
-        note = ""
-        if annotate and label in annotate:
-            note = f"  {annotate[label]}"
-        lines.append(
-            f"{label.ljust(label_width)} | {bar.ljust(width)} {value:.4g} {unit}{note}".rstrip()
-        )
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One line of a paper-vs-reproduced comparison."""
-
-    label: str
-    paper_value: Optional[float]
-    reproduced_value: Optional[float]
-    unit: str = ""
-
-    @property
-    def relative_error(self) -> Optional[float]:
-        """Relative deviation from the paper value, when both are known."""
-        if self.paper_value in (None, 0) or self.reproduced_value is None:
-            return None
-        return (self.reproduced_value - self.paper_value) / self.paper_value
-
-
-def comparison_table(rows: Sequence[ComparisonRow], title: str = "") -> str:
-    """Render a paper-vs-reproduced table with relative errors."""
-    table_rows = []
-    for row in rows:
-        error = row.relative_error
-        table_rows.append(
-            [
-                row.label,
-                "n/a" if row.paper_value is None else f"{row.paper_value:.4g} {row.unit}".strip(),
-                "n/a"
-                if row.reproduced_value is None
-                else f"{row.reproduced_value:.4g} {row.unit}".strip(),
-                "n/a" if error is None else f"{100 * error:+.1f} %",
-            ]
-        )
-    return format_table(
-        ["metric", "paper", "reproduced", "deviation"], table_rows, title=title
-    )
 
 
 def save_results_json(

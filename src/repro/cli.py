@@ -47,14 +47,13 @@ from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
 from repro import obs, registry
+from repro.analysis.figures import CLAIMS, LEARNING_DELAY_PACKETS, learning_delay
 from repro.analysis.reporting import format_table, save_results_json
-from repro.analysis.statistics import summarize
 from repro.core.engine import DEFAULT_BLOCK_SIZE, compress_file, decompress_file
 from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
 from repro.experiments import ExperimentSpec, MatrixRunner
-from repro.replay import ChunkTraceSource, RecordedPacing
-from repro.topology import TopologyEngine, linear_topology, paper_testbed_topology
+from repro.topology import TopologyEngine, linear_topology
 from repro.topology.spec import (
     CONTROL_MODES,
     LINEAR_SHAPES,
@@ -62,7 +61,7 @@ from repro.topology.spec import (
     RUN_PARAMETERS,
     SCENARIOS,
 )
-from repro.workloads import WORKLOAD_FACTORIES, ChunkTrace, SyntheticSensorWorkload
+from repro.workloads import WORKLOAD_FACTORIES
 
 __all__ = ["build_parser", "main"]
 
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "names", nargs="*", metavar="NAME",
-        help="benchmarks to run, e.g. 'hotpath' or 'fig4_throughput' "
+        help="benchmarks to run, e.g. 'hotpath' or 'crc_fastpath' "
              "(default: all)",
     )
     bench.add_argument(
@@ -416,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         "learning-delay", help="measure the dynamic-learning delay (paper: 1.77 ms)"
     )
     learning.add_argument("--repetitions", type=int, default=10, help="number of runs")
-    learning.add_argument("--packets", type=int, default=4000, help="packets per run")
+    learning.add_argument(
+        "--packets", type=int, default=LEARNING_DELAY_PACKETS, help="packets per run"
+    )
 
     return parser
 
@@ -1121,19 +1122,13 @@ def _cmd_learning_delay(args: argparse.Namespace) -> int:
     for flag in ("repetitions", "packets"):
         if getattr(args, flag) < 1:
             raise ReproError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
-    samples: List[float] = []
-    for seed in range(args.repetitions):
-        # The paper's experiment: one chunk sent over and over at 1 Mpkt/s.
-        chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
-        source = (ChunkTraceSource(ChunkTrace([chunk] * args.packets)), RecordedPacing())
-        report = TopologyEngine(paper_testbed_topology(seed=seed)).run(sources={"flow0": source})
-        if report.learning_time is None:
-            print("warning: no compressed packet observed; increase --packets")
-            return 1
-        samples.append(report.learning_time * 1e3)
-    summary = summarize(samples)
+    summary = learning_delay(args.repetitions, args.packets)
+    if summary is None:
+        print("warning: no compressed packet observed; increase --packets")
+        return 1
+    claim = next(claim for claim in CLAIMS if claim.id == "learning-delay")
     print(f"learning delay over {args.repetitions} runs: {summary.format('ms', 3)}")
-    print("paper reports (1.77 ± 0.08) ms")
+    print(f"paper reports {claim.paper_text()}")
     return 0
 
 

@@ -128,7 +128,6 @@ class GDCodec:
         eviction_policy: "str | EvictionPolicy" = EvictionPolicy.LRU,
         alignment_padding_bits: int = 0,
         static_bases: Optional[Iterable[int]] = None,
-        learning_delay_chunks: int = 0,
         eviction_seed: Optional[int] = None,
         backend: Optional[str] = None,
     ):
@@ -148,7 +147,6 @@ class GDCodec:
         )
         self._mode = EncoderMode.from_name(mode)
         self._eviction_policy = EvictionPolicy.from_name(eviction_policy)
-        self._learning_delay_chunks = learning_delay_chunks
         self._static_bases = list(static_bases) if static_bases is not None else None
         if eviction_seed is None and self._eviction_policy is EvictionPolicy.RANDOM:
             # Both dictionaries must draw the same eviction sequence or the
@@ -179,7 +177,6 @@ class GDCodec:
             mode=self._mode,
             identifier_bits=identifier_bits,
             alignment_padding_bits=alignment_padding_bits,
-            learning_delay_chunks=learning_delay_chunks,
         )
         self._decoder = GDDecoder(
             self._transform,
@@ -299,7 +296,6 @@ class GDCodec:
             mode=self._mode,
             eviction_policy=self._eviction_policy,
             static_bases=self._static_bases,
-            learning_delay_chunks=self._learning_delay_chunks,
             eviction_seed=self._eviction_seed,
             backend=self._backend,
         )

@@ -9,10 +9,10 @@ paper's three measured configurations:
   becomes a type-2 record (the 1.03× bar in Figure 3);
 * ``static table`` — the dictionary is preloaded and never modified; chunks
   whose basis is known become type-3 records;
-* ``dynamic learning`` — unknown bases are inserted on first sight, after an
-  optional learning delay expressed in packets (the software stand-in for
-  the 1.77 ms control-plane latency; the full latency model lives in
-  :mod:`repro.zipline` / :mod:`repro.controlplane`).
+* ``dynamic learning`` — unknown bases are inserted on first sight and
+  compress from the next chunk on (the 1.77 ms control-plane latency is
+  modelled by :mod:`repro.zipline` / :mod:`repro.controlplane`, in
+  simulated time).
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.core.backends import BatchSplit, get_backend
-from repro.core.dictionary import (
-    BasisDictionary,
-    EvictionPolicy,
-    decode_snapshot_key,
-    encode_snapshot_key,
-)
+from repro.core.dictionary import BasisDictionary
 from repro.core.records import CompressedRecord, GDRecord, UncompressedRecord
 from repro.core.transform import ChunkLike, GDTransform
 from repro.core.wire import RecordLayout, pack_records
@@ -231,11 +226,6 @@ class GDEncoder:
         model the Tofino container-alignment overhead (8 bits in the paper's
         deployment, producing the 1.03 ratio).  Type-3 records are already
         byte aligned for the paper's parameters and get no extra padding.
-    learning_delay_chunks:
-        In dynamic mode, the number of subsequent chunks that still see the
-        dictionary miss after a new basis is first observed — a simple
-        packet-counted stand-in for the control-plane installation latency.
-        0 means learning is instantaneous.
     """
 
     def __init__(
@@ -245,7 +235,6 @@ class GDEncoder:
         mode: "str | EncoderMode" = EncoderMode.DYNAMIC,
         identifier_bits: Optional[int] = None,
         alignment_padding_bits: int = 8,
-        learning_delay_chunks: int = 0,
     ):
         self._transform = transform
         self._mode = EncoderMode.from_name(mode)
@@ -264,11 +253,6 @@ class GDEncoder:
         self._identifier_bits = identifier_bits
         if alignment_padding_bits < 0:
             raise CodingError("alignment padding cannot be negative")
-        if learning_delay_chunks < 0:
-            raise CodingError("learning delay cannot be negative")
-        self._learning_delay_chunks = learning_delay_chunks
-        # (prefix, basis) -> chunk index at which the mapping becomes usable.
-        self._pending_activation: Dict[object, int] = {}
         # Per-type payload sizes are constants of the configuration; the
         # batch loop accumulates them instead of asking every record.
         self._layout = RecordLayout(
@@ -360,10 +344,10 @@ class GDEncoder:
 
         Only the basis column is read; the other two ride along in ``split``.
         One :meth:`BasisDictionary.probe_batch` call decides hit or miss per
-        basis and learns in dynamic mode; the tags, the identifier column,
-        the learning-delay ledger and one ``gd.encode`` trace instant per
-        chunk (when tracing is on) are derived from what it returned, and
-        the batch is accounted in :attr:`stats` once at the end.
+        basis and learns in dynamic mode; the tags, the identifier column
+        and one ``gd.encode`` trace instant per chunk (when tracing is on)
+        are derived from what it returned, and the batch is accounted in
+        :attr:`stats` once at the end.
         """
         stats = self.stats
         layout = self._layout
@@ -380,10 +364,6 @@ class GDEncoder:
         tags = bytearray(b"\x03") * count
         for miss in misses:
             tags[miss[0]] = 2
-        if self._learning_delay_chunks or self._pending_activation:
-            identifiers = self._hold_back_pending(
-                first_index, bases, tags, identifiers, misses
-            )
         tracer = _obs.TRACER
         if tracer.enabled:
             self._trace_batch(tracer, first_index, tags, identifiers, misses)
@@ -399,45 +379,6 @@ class GDEncoder:
         stats.uncompressed_records += uncompressed
         return EncodedBatch(layout, bytes(tags), identifiers, split)
 
-    def _hold_back_pending(
-        self,
-        first_index: int,
-        bases: List[int],
-        tags: bytearray,
-        identifiers: List[int],
-        misses: List[Tuple[int, Optional[int], Optional[int]]],
-    ) -> List[int]:
-        """Apply the learning delay to a probed batch.
-
-        A basis learned at chunk ``i`` only compresses from chunk
-        ``i + 1 + learning_delay_chunks`` on; until then its dictionary hits
-        are sent uncompressed.  Walks the batch against the activation
-        ledger, retags the held-back hits as type 2 and returns the
-        identifiers of the hits that stand.
-        """
-        learning_delay = self._learning_delay_chunks
-        pending = self._pending_activation
-        learned = {
-            position
-            for position, learned_identifier, _evicted in misses
-            if learned_identifier is not None
-        }
-        next_identifier = iter(identifiers).__next__
-        standing: List[int] = []
-        for position, basis in enumerate(bases):
-            if tags[position] == 3:
-                identifier = next_identifier()
-                activation = pending.get(basis)
-                if activation is not None:
-                    if first_index + position < activation:
-                        tags[position] = 2
-                        continue
-                    del pending[basis]
-                standing.append(identifier)
-            elif learning_delay and position in learned:
-                pending[basis] = first_index + position + 1 + learning_delay
-        return standing
-
     @staticmethod
     def _trace_batch(
         tracer,
@@ -446,11 +387,7 @@ class GDEncoder:
         identifiers: List[int],
         misses: List[Tuple[int, Optional[int], Optional[int]]],
     ) -> None:
-        """One ``gd.encode`` instant per chunk of an encoded batch.
-
-        A type-2 position the dictionary did not report as a miss is a hit
-        held back by the learning delay (``pending``).
-        """
+        """One ``gd.encode`` instant per chunk of an encoded batch."""
         missed = {position: rest for position, *rest in misses}
         next_identifier = iter(identifiers).__next__
         for position, tag in enumerate(tags):
@@ -461,8 +398,6 @@ class GDEncoder:
                     "identifier": next_identifier(),
                     "chunk_index": chunk_index,
                 }
-            elif position not in missed:
-                args = {"outcome": "pending", "chunk_index": chunk_index}
             else:
                 learned_identifier, evicted = missed[position]
                 if learned_identifier is None:
@@ -488,18 +423,13 @@ class GDEncoder:
 
         Captures everything a resumed encoder needs to continue exactly
         where this one stopped: the dictionary (mapping, recency order,
-        identifier allocator), the pending-activation ledger of mappings
-        still inside their learning delay, and the byte/packet accounting.
-        The configuration itself (transform, mode, widths) is *not* part of
-        the snapshot — restore requires an identically configured encoder.
+        identifier allocator) and the byte/packet accounting.  The
+        configuration itself (transform, mode, widths) is *not* part of the
+        snapshot — restore requires an identically configured encoder.
         """
         stats = self.stats
         state: Dict[str, object] = {
             "mode": self._mode.value,
-            "pending_activation": [
-                [encode_snapshot_key(key), activation]
-                for key, activation in self._pending_activation.items()
-            ],
             "stats": {
                 "chunks": stats.chunks,
                 "uncompressed_records": stats.uncompressed_records,
@@ -526,10 +456,6 @@ class GDEncoder:
                     "snapshot carries a dictionary but this encoder has none"
                 )
             self._dictionary.restore_state(state["dictionary"])
-        self._pending_activation = {
-            decode_snapshot_key(key): int(activation)
-            for key, activation in state.get("pending_activation", [])
-        }
         stats = state.get("stats", {})
         self.stats = EncoderStats(
             chunks=int(stats.get("chunks", 0)),

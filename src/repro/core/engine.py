@@ -246,7 +246,6 @@ class GDStreamCompressor:
         identifier_bits: int = 15,
         mode: "str | EncoderMode" = EncoderMode.DYNAMIC,
         eviction_policy: "str | EvictionPolicy" = EvictionPolicy.LRU,
-        learning_delay_chunks: int = 0,
         eviction_seed: Optional[int] = None,
         static_bases: Optional[Iterable[int]] = None,
         backend: Optional[str] = None,
@@ -259,7 +258,6 @@ class GDStreamCompressor:
             mode=mode,
             eviction_policy=eviction_policy,
             alignment_padding_bits=0,
-            learning_delay_chunks=learning_delay_chunks,
             eviction_seed=eviction_seed,
             static_bases=list(static_bases) if static_bases is not None else None,
             backend=backend,

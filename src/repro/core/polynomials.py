@@ -196,8 +196,7 @@ def crc_parameter(m: int, index: int = 0) -> int:
 def render_table_1(include_validity: bool = False) -> str:
     """Render Table 1 as fixed-width text, optionally with a primitivity column.
 
-    Used by the Table 1 benchmark harness to print the regenerated table next
-    to the paper's values.
+    ``repro table1`` prints it with the primitivity column.
     """
     header = f"{'Code':>16}  {'Generator polynomial':<40}  {'CRC-m param':>12}"
     if include_validity:

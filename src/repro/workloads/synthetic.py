@@ -227,25 +227,3 @@ class SyntheticSensorWorkload:
     def trace(self, num_chunks: Optional[int] = None, name: str = "synthetic") -> ChunkTrace:
         """Generate a :class:`ChunkTrace` (the Figure 3 input object)."""
         return ChunkTrace(self.chunks(num_chunks), name=name)
-
-    # -- paper-scale helper -----------------------------------------------------------
-
-    @classmethod
-    def paper_configuration(
-        cls, num_chunks: int = PAPER_SYNTHETIC_CHUNKS, seed: int = 2020
-    ) -> "SyntheticSensorWorkload":
-        """The configuration used to regenerate Figure 3 at paper scale.
-
-        Defaults to the paper's 3,124,000 chunks; pass a smaller
-        ``num_chunks`` for a scaled run (the benchmarks default to a scaled
-        run and report the scaling factor).
-        """
-        return cls(
-            num_chunks=num_chunks,
-            distinct_bases=1_000,
-            order=8,
-            locality=0.92,
-            deviation_probability=0.5,
-            noise_fraction=0.0,
-            seed=seed,
-        )

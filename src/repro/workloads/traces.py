@@ -126,27 +126,6 @@ class ChunkTrace:
             seen.setdefault(transform.split(chunk).basis, None)
         return list(seen)
 
-    def concatenated(self) -> bytes:
-        """All chunks joined into one byte string (gzip baseline input)."""
-        return b"".join(self._chunks)
-
-    def compression_ratio_with(self, codec: str, **parameters: object) -> float:
-        """Compression ratio of this trace under a registry codec.
-
-        The trace streams through ``registry.get(codec, **parameters)``
-        chunk by chunk — the whole-trace concatenation is never built, so
-        this scales to paper-sized (100 MB) traces.  The ratio is container
-        bytes over payload bytes.
-        """
-        from repro import registry
-
-        compressor = registry.get(codec, **parameters)
-        compressed = sum(
-            len(block) for block in compressor.compress_stream(iter(self._chunks))
-        )
-        total = self.total_bytes
-        return compressed / total if total else 0.0
-
     def head(self, count: int) -> "ChunkTrace":
         """A new trace containing only the first ``count`` chunks."""
         if count <= 0:

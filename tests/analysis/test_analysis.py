@@ -4,13 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis.reporting import (
-    ComparisonRow,
-    comparison_table,
-    format_table,
-    horizontal_bars,
-    save_results_json,
-)
+from repro.analysis.reporting import format_table, save_results_json
 from repro.analysis.statistics import (
     confidence_interval_95,
     mean,
@@ -74,33 +68,6 @@ class TestReporting:
             format_table([], [])
         with pytest.raises(ReproError):
             format_table(["a"], [["x", "y"]])
-
-    def test_horizontal_bars(self):
-        chart = horizontal_bars(
-            {"Original data": 1.0, "Static table": 0.09},
-            width=20,
-            annotate={"Static table": "(paper: 0.09)"},
-        )
-        assert "Original data" in chart
-        assert "█" in chart
-        assert "(paper: 0.09)" in chart
-        with pytest.raises(ReproError):
-            horizontal_bars({}, width=10)
-        with pytest.raises(ReproError):
-            horizontal_bars({"a": 1.0}, width=0)
-
-    def test_comparison_table(self):
-        rows = [
-            ComparisonRow("static ratio", 0.09, 0.094),
-            ComparisonRow("gzip ratio", 0.09, None),
-            ComparisonRow("n/a paper", None, 1.0),
-        ]
-        text = comparison_table(rows, title="Figure 3")
-        assert "Figure 3" in text
-        assert "+4.4 %" in text
-        assert "n/a" in text
-        assert rows[0].relative_error == pytest.approx(0.0444, rel=0.01)
-        assert rows[1].relative_error is None
 
     def test_save_results_json(self, tmp_path):
         path = save_results_json(tmp_path / "out" / "results.json", {"ratio": 0.09})

@@ -107,7 +107,6 @@ class OracleCodec:
         eviction_policy="lru",
         alignment_padding_bits=0,
         static_bases=None,
-        learning_delay_chunks=0,
         eviction_seed=None,
         backend=None,  # accepted so GDCodec keyword sets can be reused
     ):
@@ -115,7 +114,6 @@ class OracleCodec:
         self.identifier_bits = identifier_bits
         self.mode = mode
         self.padding = alignment_padding_bits
-        self.delay = learning_delay_chunks
         self.encoder_dictionary = self.decoder_dictionary = None
         if mode != "no_table":
             capacity = 1 << identifier_bits
@@ -128,7 +126,6 @@ class OracleCodec:
             if mode == "static":
                 self.encoder_dictionary.preload(iter(static_bases))
                 self.decoder_dictionary.preload(iter(static_bases))
-        self.activation = {}  # basis -> first chunk index allowed to hit
         self.stats = EncoderStats()
 
     def chunks(self, data):
@@ -141,12 +138,11 @@ class OracleCodec:
         dictionary = self.encoder_dictionary
         records = []
         for chunk in self.chunks(data):
-            index = self.stats.chunks
             prefix, basis, deviation = reference_split(transform, chunk)
             identifier = None
             if dictionary is not None:
                 identifier = dictionary.lookup(basis)
-            if identifier is not None and index >= self.activation.get(basis, 0):
+            if identifier is not None:
                 record = CompressedRecord(
                     prefix=prefix,
                     identifier=identifier,
@@ -156,9 +152,8 @@ class OracleCodec:
                     deviation_bits=transform.deviation_bits,
                 )
             else:
-                if identifier is None and self.mode == "dynamic":
+                if self.mode == "dynamic":
                     dictionary.insert(basis)
-                    self.activation[basis] = index + 1 + self.delay
                 record = UncompressedRecord(
                     prefix=prefix,
                     basis=basis,

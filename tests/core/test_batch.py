@@ -3,8 +3,8 @@
 Every encode and decode entry point runs the same columnar loop; these
 tests pin down that the loop is observationally identical to the bit-serial
 oracle walking one chunk at a time — same records, same stats, same
-dictionary evolution, including the dynamic-learning activation delay —
-and that batches compose with the state earlier batches left behind.
+dictionary evolution, evictions included — and that batches compose with
+the state earlier batches left behind.
 """
 
 import random
@@ -51,28 +51,28 @@ class TestSplitBatch:
             transform.split_batch(oversized)
 
 
-def _fresh_encoder(mode=EncoderMode.DYNAMIC, learning_delay_chunks=0):
+def _fresh_encoder(mode=EncoderMode.DYNAMIC, identifier_bits=15):
     transform = GDTransform(order=8)
     dictionary = None
     if mode is not EncoderMode.NO_TABLE:
-        dictionary = BasisDictionary(1 << 15)
+        dictionary = BasisDictionary(1 << identifier_bits)
     return GDEncoder(
         transform,
         dictionary,
         mode=mode,
         alignment_padding_bits=8,
-        learning_delay_chunks=learning_delay_chunks,
     )
 
 
 class TestEncodeBatch:
-    @pytest.mark.parametrize("delay", [0, 7])
+    # Two identifier bits hold four of the six bases: constant eviction.
+    @pytest.mark.parametrize("identifier_bits", [15, 2])
     @pytest.mark.parametrize("entry", ["encode_batch", "encode_chunk", "encode_chunks"])
-    def test_matches_oracle(self, entry, delay):
+    def test_matches_oracle(self, entry, identifier_bits):
         chunks = clustered_chunks(300)
-        oracle = OracleCodec(alignment_padding_bits=8, learning_delay_chunks=delay)
+        oracle = OracleCodec(alignment_padding_bits=8, identifier_bits=identifier_bits)
         expected = oracle.encode(b"".join(chunks))
-        encoder = _fresh_encoder(learning_delay_chunks=delay)
+        encoder = _fresh_encoder(identifier_bits=identifier_bits)
         if entry == "encode_batch":
             records = encoder.encode_batch(chunks)
         elif entry == "encode_chunk":
@@ -86,8 +86,8 @@ class TestEncodeBatch:
     def test_batches_compose_with_state(self):
         """Two consecutive batches equal one batch over the concatenation."""
         chunks = clustered_chunks(200)
-        split_run = _fresh_encoder(learning_delay_chunks=3)
-        whole_run = _fresh_encoder(learning_delay_chunks=3)
+        split_run = _fresh_encoder()
+        whole_run = _fresh_encoder()
         first = split_run.encode_batch(chunks[:90])
         second = split_run.encode_batch(chunks[90:])
         assert first + second == whole_run.encode_batch(chunks)

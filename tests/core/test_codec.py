@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.codec import GDCodec
-from repro.core.records import RecordType
 from repro.exceptions import ChunkSizeError, CodingError
 
 
@@ -95,17 +94,6 @@ class TestCompressionModes:
         codec = GDCodec(order=4)
         data = bytes(rng.getrandbits(8) for _ in range(33))
         assert codec.roundtrip(data, pad=True) == data
-
-    def test_learning_delay_parameter(self, rng):
-        bases = [rng.getrandbits(247)]
-        codec = GDCodec(order=8, learning_delay_chunks=5, alignment_padding_bits=8)
-        data = clustered_data(codec, bases, 20, rng)
-        result = codec.compress(data)
-        uncompressed = sum(
-            1 for record in result.records
-            if record.record_type is RecordType.UNCOMPRESSED
-        )
-        assert uncompressed >= 6  # first miss + the delay window
 
     def test_compression_ratio_shortcut(self, rng):
         codec = GDCodec(order=4)

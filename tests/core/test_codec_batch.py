@@ -38,8 +38,11 @@ CONFIGS = {
     "order4": dict(order=4, identifier_bits=6),
     "no_table": dict(mode="no_table"),
     "padded": dict(alignment_padding_bits=8),
-    "learning_delay": dict(learning_delay_chunks=3),
     "pure_backend": dict(backend="pure"),
+    # Four slots for the sample's eight bases, visited round robin: LRU
+    # evicts on every chunk and never hits; random eviction hits now and then.
+    "lru_pressure": dict(identifier_bits=2),
+    "random_pressure": dict(identifier_bits=2, eviction_policy="random", eviction_seed=9),
 }
 
 
@@ -162,13 +165,14 @@ class TestEncodedBatchContainer:
 
 
 #: Small dictionaries on purpose: every policy evicts inside the sample.
+#: Alignment padding widens every type-2 record on the wire.
 CUT_CONFIGS = {
     "lru": dict(identifier_bits=2),
     "fifo": dict(identifier_bits=2, eviction_policy="fifo"),
     "random": dict(identifier_bits=2, eviction_policy="random", eviction_seed=9),
     "static": dict(identifier_bits=3, mode="static", static_bases=[3, 5, 7]),
-    "delay1": dict(identifier_bits=2, learning_delay_chunks=1),
-    "delay3": dict(identifier_bits=2, learning_delay_chunks=3),
+    "padded": dict(identifier_bits=2, alignment_padding_bits=3),
+    "no_table": dict(mode="no_table"),
 }
 
 

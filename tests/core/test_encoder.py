@@ -90,29 +90,13 @@ class TestIdentifierWidth:
         assert record.identifier_bits == 6
 
 
-class TestLearningDelay:
-    def test_learning_delay_keeps_chunks_uncompressed(self, transform):
-        dictionary = BasisDictionary(16)
-        encoder = GDEncoder(
-            transform, dictionary, mode="dynamic", learning_delay_chunks=3
-        )
-        chunk = b"\x12\x34"
-        kinds = [encoder.encode_chunk(chunk).record_type for _ in range(6)]
-        # chunk 1 misses and starts learning; chunks 2-4 fall inside the
-        # delay window; chunks 5+ are compressed.
-        assert kinds[:4] == [RecordType.UNCOMPRESSED] * 4
-        assert kinds[4:] == [RecordType.COMPRESSED] * 2
-
-    def test_zero_delay_compresses_immediately(self, transform):
+class TestDynamicLearning:
+    def test_learned_basis_compresses_from_the_next_chunk(self, transform):
         dictionary = BasisDictionary(16)
         encoder = GDEncoder(transform, dictionary, mode="dynamic")
         chunk = b"\x12\x34"
         encoder.encode_chunk(chunk)
         assert encoder.encode_chunk(chunk).record_type is RecordType.COMPRESSED
-
-    def test_negative_delay_rejected(self, transform):
-        with pytest.raises(CodingError):
-            GDEncoder(transform, BasisDictionary(4), learning_delay_chunks=-1)
 
 
 class TestStats:

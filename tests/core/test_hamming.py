@@ -196,6 +196,7 @@ class TestAllTable1Orders:
     @pytest.mark.parametrize("order", [3, 4, 5, 6, 7, 8, 9, 10])
     def test_roundtrip_for_every_order(self, order):
         code = HammingCode(order)
+        assert (code.m, code.n, code.k) == (order, 2**order - 1, 2**order - 1 - order)
         generator = random.Random(order)
         for _ in range(25):
             chunk = generator.getrandbits(code.n)

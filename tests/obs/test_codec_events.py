@@ -84,17 +84,6 @@ class TestDocumentedArgs:
         ]
         assert all(event["track"] == "gd-decoder" for event in events)
 
-    def test_pending_during_the_learning_delay(self):
-        codec = GDCodec(order=4, identifier_bits=4, learning_delay_chunks=2)
-        data = _chunk(codec, 11) * 4
-        _result, events = _traced(lambda: codec.compress(data))
-        assert _args(events, "gd.encode") == [
-            {"outcome": "miss", "learned_identifier": 0, "chunk_index": 0},
-            {"outcome": "pending", "chunk_index": 1},
-            {"outcome": "pending", "chunk_index": 2},
-            {"outcome": "hit", "identifier": 0, "chunk_index": 3},
-        ]
-
     def test_static_and_no_table_misses_learn_nothing(self):
         for kwargs in (dict(mode="static", static_bases=[11]), dict(mode="no_table")):
             codec = GDCodec(order=4, identifier_bits=4, **kwargs)
@@ -129,7 +118,7 @@ def _sensor_like(codec, chunks, seed=5):
 
 def _round_trip(data):
     """Container and stream round trips; everything an observer could see."""
-    codec = GDCodec(identifier_bits=4, learning_delay_chunks=2)
+    codec = GDCodec(identifier_bits=4)
     container = codec.compress_to_container(data)
     restored = codec.decompress_container(container)
     result = codec.compress(data)
@@ -193,4 +182,4 @@ class TestObserverEffect:
         assert len(_args(events, "gd.encode")) == 3 * chunks
         assert len(_args(events, "gd.decode")) == 3 * chunks
         outcomes = {args["outcome"] for args in _args(events, "gd.encode")}
-        assert outcomes == {"hit", "miss", "pending"}
+        assert outcomes == {"hit", "miss"}

@@ -507,7 +507,7 @@ class TestBenchCommand:
         assert main(["bench", "--list"]) == 0
         output = capsys.readouterr().out
         assert "hotpath" in output
-        assert "fig4_throughput" in output
+        assert "crc_fastpath" in output
 
     def test_unknown_benchmark_errors(self, capsys):
         assert main(["bench", "no-such-bench", "--list"]) == 1

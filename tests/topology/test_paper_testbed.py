@@ -77,6 +77,11 @@ class TestScenarios:
         _engine, report = run([chunks[0]] * 3000, scenario="dynamic", seed=1)
         assert report.learning_time is not None
         assert report.learning_time == pytest.approx(1.77e-3, rel=0.15)
+        # Copies of the chunk stay type 2 for the ≈ 1.77 ms window (≈ 1,770
+        # packets at 1 Mpkt/s); every later one is compressed.
+        uncompressed = report.metrics.counter("wire.uncompressed_packets")
+        assert 1000 < uncompressed < 2600
+        assert report.metrics.counter("wire.compressed_packets") == 3000 - uncompressed
 
 
 class TestPlumbing:

@@ -10,12 +10,6 @@ class TestConfiguration:
     def test_paper_scale_constant(self):
         assert PAPER_SYNTHETIC_CHUNKS == 3_124_000
 
-    def test_paper_configuration_object(self):
-        workload = SyntheticSensorWorkload.paper_configuration(num_chunks=1000)
-        assert workload.num_chunks == 1000
-        assert workload.order == 8
-        assert workload.chunk_bytes == 32
-
     def test_total_bytes(self):
         workload = SyntheticSensorWorkload(num_chunks=100)
         assert workload.total_bytes == 3200

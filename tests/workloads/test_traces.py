@@ -34,9 +34,6 @@ class TestConstruction:
         with pytest.raises(TraceError):
             trace.head(0)
 
-    def test_concatenated(self, trace):
-        assert len(trace.concatenated()) == trace.total_bytes
-
 
 class TestStats:
     def test_distinct_counts(self, trace):
@@ -58,19 +55,6 @@ class TestStats:
 
     def test_stats_as_dict(self, trace):
         assert trace.stats().as_dict()["chunks"] == 11
-
-
-class TestRegistryRouting:
-    def test_compression_ratio_with_every_codec(self, trace):
-        for codec in ("gd", "gzip", "dedup", "null"):
-            ratio = trace.compression_ratio_with(codec)
-            assert ratio > 0
-        # A trace of 11 chunks over 10 distinct values deduplicates a bit.
-        assert trace.compression_ratio_with("dedup") < 1.0
-        assert trace.compression_ratio_with("null") > 1.0  # magic overhead only
-
-    def test_parameters_forwarded(self, trace):
-        assert trace.compression_ratio_with("gzip", level=1) > 0
 
 
 class TestReplayHelpers:
