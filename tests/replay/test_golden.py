@@ -1,10 +1,10 @@
 """Golden bytes of the linear runs' reports.
 
-The md5 of the canonical JSON of a one-flow ``linear_topology`` run through
-``TopologyEngine`` (read as ``as_replay_report(shape)``, what ``repro
-replay`` prints) is pinned for every shape and scenario, for multi-hop,
-impaired, counters-only and pcap-driven runs; likewise the ``paper-testbed``
-``TopologyReport`` (Figure 3 byte accounting plus learning delay), and the
+The md5 of ``TopologyReport.json_text()`` of a one-flow ``linear_topology``
+run through ``TopologyEngine`` (what ``repro replay --json`` writes) is
+pinned for every shape and scenario, for multi-hop, impaired, counters-only
+and pcap-driven runs; likewise the ``paper-testbed`` report (Figure 3 byte
+accounting plus learning delay), and the
 ``repro experiment`` export of ``examples/specs/smoke.json`` at one and two
 workers.  A refactor of the run loop leaves every value untouched; a change
 to the model moves them, and then the new values are recorded on purpose,
@@ -12,7 +12,6 @@ in their own commit.
 """
 
 import hashlib
-import json
 from pathlib import Path
 
 import pytest
@@ -44,22 +43,22 @@ def workload():
     )
 
 
-def md5_of(data) -> str:
-    text = json.dumps(data, indent=2, sort_keys=True, default=str)
-    return hashlib.md5(text.encode("utf-8")).hexdigest()
+def md5_of(report) -> str:
+    return hashlib.md5(report.json_text().encode("utf-8")).hexdigest()
 
 
 def run_chain(
     source=None, pacing=None, shape="encoder-link-decoder", static_bases=None,
     verify_integrity=True, **params,
 ):
-    """One linear run: the spec, the engine, and its report as ``repro
-    replay`` reads it.  ``params`` are ``linear_topology`` run parameters;
-    the static scenario preloads the workload's bases unless given."""
+    """One linear run: the engine and its report.  ``params`` are
+    ``linear_topology`` run parameters; the flow is seeded like the
+    workload, and the static scenario preloads the workload's bases unless
+    given."""
     if params.get("scenario") == "static" and static_bases is None:
         static_bases = workload().bases()
     engine = TopologyEngine(
-        linear_topology(shape=shape, **params),
+        linear_topology(shape=shape, flow_seed=FLOW_SEED, **params),
         verify_integrity=verify_integrity,
         static_bases=static_bases,
     )
@@ -71,7 +70,7 @@ def run_chain(
             )
         }
     )
-    return engine, report.as_replay_report(shape)
+    return engine, report
 
 
 #: name -> ``run_chain`` keyword arguments (workload-driven, 1 Mpkt/s).
@@ -103,29 +102,29 @@ HARNESS_CASES = {
 }
 
 HARNESS_GOLDEN = {
-    "chain-no_table": "1718df3ed56dbeec309c86ad39405049",
-    "chain-static": "c7c8b3eeb6c542b6e9631a960f7d177e",
-    "chain-dynamic": "af10f9b7a36ef07552801832b12e8947",
-    "encoder-only-no_table": "ad8cef7a44d81fae53823c563d8ecf8c",
-    "encoder-only-static": "de0e303fd3531ff6ae0a38b5384b3521",
-    "encoder-only-dynamic": "ff5f294601d94fb7a326f6a2aa55e04e",
-    "decoder-only-no_table": "fa24b5fe526ebee79a078ac181b00038",
-    "decoder-only-static": "80e0c61c95d79a4e409243de8681649a",
-    "decoder-only-dynamic": "7b807bb09084e6d884e60b16cba67232",
-    "chain-dynamic-hops2": "a1091f12feee3e9bff336168adcfe270",
-    "chain-dynamic-hops3": "bbae06800ef343a40158efe186691339",
-    "chain-dynamic-lossy": "bfb2a6c1c5235c287673ce422c277b7c",
-    "chain-dynamic-lossy-seed0": "d5ea4ca300201974d7a41924c3a933f8",
-    "chain-dynamic-lossy-seed99": "2e8fe0e5bdb8d904e0be33780b14dbe2",
-    "chain-no_table-hops3-lossy": "c18ba6e1c000f6130bd8e9ef6234f8c0",
-    "chain-dynamic-counters-only": "aa46fe012cc3bce8e5b8d3dc500eaff3",
+    "chain-no_table": "827ff4c34c08cd3caaa7d08ff53bde9c",
+    "chain-static": "b6db4bead24dc2e6473cd9248da98166",
+    "chain-dynamic": "0f18d3de745ab561ce231b984b99f2b0",
+    "encoder-only-no_table": "66b35b8936968767d0b0aa22519c2138",
+    "encoder-only-static": "3ae661fa8f8ec963555e6ff7d765b291",
+    "encoder-only-dynamic": "130cc89a932c5c0fab2ae0ca41261921",
+    "decoder-only-no_table": "5a4028eb3ce09bdaad294c62f8f57e47",
+    "decoder-only-static": "b0b95425a05a020d73100d0f289098a2",
+    "decoder-only-dynamic": "e8af5cd4fb85f10d088308228b75ac3c",
+    "chain-dynamic-hops2": "b83d7469d3a55cec9d71e1b732fe249e",
+    "chain-dynamic-hops3": "a49ffb17d59dc616c41fa56b9d9b6499",
+    "chain-dynamic-lossy": "d812ae3e44b83db426e174c7e7244c57",
+    "chain-dynamic-lossy-seed0": "88886c3ac108ec652a5dc4994a69cabe",
+    "chain-dynamic-lossy-seed99": "ec31ac2ef756accd4fde6d80dbd720ea",
+    "chain-no_table-hops3-lossy": "f1c5ea2d7ef8ea39e2e3a0ab9c1b7b38",
+    "chain-dynamic-counters-only": "bc56600ec5eb8efde15f1926849e9a7b",
 }
 
 
 @pytest.mark.parametrize("case", sorted(HARNESS_CASES))
 def test_harness_report_bytes_match_golden(case):
     _engine, report = run_chain(**HARNESS_CASES[case])
-    assert md5_of(report.as_dict()) == HARNESS_GOLDEN[case]
+    assert md5_of(report) == HARNESS_GOLDEN[case]
 
 
 def test_harness_cases_exercise_what_they_pin():
@@ -150,9 +149,9 @@ def test_pcap_driven_report_bytes_match_golden(tmp_path):
         pacing=RecordedPacing(speedup=2.0),
         scenario="dynamic",
     )
-    assert report.source == "pcap:trace.pcap"
+    assert report.flow("flow0").source == "pcap:trace.pcap"
     assert report.integrity.lossless_in_order
-    assert md5_of(report.as_dict()) == "2de88282ef54c803d0554b201c2bc1f0"
+    assert md5_of(report) == "d94c4ece831a7958d4f8857cdc1597ce"
 
 
 def test_decoder_only_processed_pcap_report_bytes_match_golden(tmp_path):
@@ -179,7 +178,7 @@ def test_decoder_only_processed_pcap_report_bytes_match_golden(tmp_path):
     )
     assert report.metrics.counter("decoder.compressed_to_raw") == CHUNKS
     assert report.metrics.counter("decoder.unknown_identifier") == 0
-    assert md5_of(report.as_dict()) == "7bd99e1f6b81b3d84edab8ea2cd920dd"
+    assert md5_of(report) == "49be086b61a9d2377d045e4fc2c3e007"
 
 
 #: ``paper-testbed`` runs of the workload's chunks, replayed the way the
@@ -203,9 +202,7 @@ def test_paper_testbed_report_bytes_match_golden(scenario):
     restored = [frame[14:] for _time, frame in engine.flow_states[0].arrivals]
     assert restored == workload().chunks()
     assert (report.learning_time is not None) == (scenario == "dynamic")
-    assert hashlib.md5(report.json_text().encode()).hexdigest() == (
-        TESTBED_GOLDEN[scenario]
-    )
+    assert md5_of(report) == TESTBED_GOLDEN[scenario]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

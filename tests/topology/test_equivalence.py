@@ -4,10 +4,10 @@
 caller-built source (``HARNESS_CASES``, with explicit static bases).  Here
 the same chains are described purely as :func:`linear_topology` specs — no
 in-memory source, no explicit bases — and run through
-:class:`TopologyEngine`; adapted to the linear report they must hit those
-pins: same ratios, counters, integrity
-verdicts, latency distributions and simulated timeline, bit for bit, across
-the figure-3 scenarios and under loss, reordering and multi-hop paths.
+:class:`TopologyEngine`; their ``json_text()`` must equal the in-memory
+run's: same ratios, counters, integrity verdicts, latency distributions and
+simulated timeline, bit for bit, across the figure-3 scenarios and under
+loss, reordering and multi-hop paths.
 """
 
 import importlib.util
@@ -40,8 +40,8 @@ def run_engine(scenario, hops=1, loss=0.0, reorder=0.0, link_seed=0):
 
 
 def assert_matches_pin(engine_report, case):
-    report = engine_report.as_replay_report("encoder-link-decoder")
-    assert golden.md5_of(report.as_dict()) == golden.HARNESS_GOLDEN[case]
+    _engine, in_memory = golden.run_chain(**golden.HARNESS_CASES[case])
+    assert engine_report.json_text() == in_memory.json_text()
 
 
 @pytest.mark.parametrize("scenario", ["no_table", "static", "dynamic"])

@@ -53,7 +53,7 @@ class TestRouting:
             }
         )
         result = run_scenario(spec.expand()[0])
-        assert result.report["topology"] == "encoder-only"
+        assert result.axes["topology"] == "encoder-only"
         assert result.report["chunks_sent"] == CHUNKS
         assert len(engine_runs) == 1
 
