@@ -39,9 +39,7 @@ def _run_scenario(trace, scenario, static_bases=None, **link):
         linear_topology(scenario=scenario, **link), static_bases=static_bases
     )
     source = (ChunkTraceSource(trace), FixedRatePacing(packet_rate=REPLAY_RATE))
-    return engine.run(sources={"flow0": source}).as_replay_report(
-        "encoder-link-decoder"
-    )
+    return engine.run(sources={"flow0": source})
 
 
 def test_replay_endtoend(benchmark):

@@ -46,7 +46,7 @@ def main() -> None:
 
         # -- loss-free replay with dynamic learning, at 1 Mpkt/s --------------
         spec = linear_topology(trace=str(pcap_path), scenario="dynamic")
-        report = TopologyEngine(spec).run().as_replay_report("encoder-link-decoder")
+        report = TopologyEngine(spec).run()
         assert report.integrity.lossless_in_order, "loss-free replay must be exact"
         print(report.render(include_counters=False))
 

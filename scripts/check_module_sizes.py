@@ -35,11 +35,8 @@ LIMIT = 700
 #: path relative to the repo root -> the most lines it may have.
 ALLOWED: Dict[str, int] = {
     # One module per command group once `repro bench --profile` moves to
-    # the tracer's wall-clock mode (ROADMAP, "Split the three 1.2k-line
-    # modules").
-    "src/repro/cli.py": 1163,
-    # Distribution + registry + collectors + both report classes.
-    "src/repro/replay/metrics.py": 719,
+    # the tracer's wall-clock mode (ROADMAP item 7(a), "Split `cli.py`").
+    "src/repro/cli.py": 1148,
 }
 
 

@@ -44,7 +44,7 @@ import inspect
 import os
 import sys
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro import obs, registry
 from repro.analysis.figures import CLAIMS, LEARNING_DELAY_PACKETS, learning_delay
@@ -53,7 +53,12 @@ from repro.core.engine import DEFAULT_BLOCK_SIZE, compress_file, decompress_file
 from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
 from repro.experiments import ExperimentSpec, MatrixRunner
-from repro.topology import TopologyEngine, linear_topology
+from repro.topology import (
+    TopologyEngine,
+    TopologyReport,
+    TopologySpec,
+    linear_topology,
+)
 from repro.topology.spec import (
     CONTROL_MODES,
     LINEAR_SHAPES,
@@ -571,18 +576,46 @@ def _obs_write(args: argparse.Namespace, tracer) -> None:
         print(f"Perfetto trace ({count:,} records) written to {args.trace_out}")
 
 
-def _integrity_exit_code(integrity, impaired: bool, unknown_identifiers: int) -> int:
-    """The exit-code contract of ``repro replay`` and ``repro topology``.
+def _run_and_report(
+    args: argparse.Namespace, spec: TopologySpec, run: Callable[[], TopologyReport]
+) -> int:
+    """The shared tail of ``repro replay`` and ``repro topology``.
 
+    Runs ``run()`` (traced when the obs flags ask), prints its report,
+    writes the trace and ``--json`` outputs and returns the exit code.
     Corruption is never acceptable.  A network with configured impairments
-    (loss, reordering, queue bounds) loses or reorders chunks by design —
-    counted failure modes — but on an ideal one every chunk must come back
-    in order: silent total loss must not exit 0.  With no chunk-level
-    integrity verdict (e.g. decoder-only over a processed trace), a decode
-    that dropped packets on unknown identifiers must not report success.
+    (link loss, reordering or queue bounds, active faults, a paced control
+    channel) loses or reorders chunks by design — counted failure modes —
+    but on an ideal one every chunk must come back in order: silent total
+    loss must not exit 0.  With no chunk-level integrity verdict (e.g.
+    decoder-only over a processed trace), a decode that dropped packets on
+    unknown identifiers must not report success.
     """
+    tracer = _obs_enable(args)
+    try:
+        report = run()
+    finally:
+        if tracer is not None:
+            obs.disable()
+    print(report.render(include_counters=args.counters))
+    if tracer is not None:
+        _obs_write(args, tracer)
+    if args.json is not None:
+        save_results_json(args.json, report.as_dict())
+        print(f"report written to {args.json}")
+    integrity = report.integrity
     if integrity is None:
-        return 1 if unknown_identifiers > 0 else 0
+        unknown = sum(
+            value
+            for name, value in report.metrics.counter_rows()
+            if name.endswith(".unknown_identifier")
+        )
+        return 1 if unknown > 0 else 0
+    impaired = (
+        any(link.loss or link.reorder or link.queue_capacity for link in spec.links)
+        or (spec.faults is not None and spec.faults.active)
+        or spec.control_rate is not None
+    )
     verdict = integrity.intact if impaired else integrity.lossless_in_order
     return 0 if verdict else 1
 
@@ -610,23 +643,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         link_seed=args.seed,
         seed=args.seed,
     )
-    tracer = _obs_enable(args)
-    try:
-        report = TopologyEngine(spec).run().as_replay_report(shape)
-    finally:
-        if tracer is not None:
-            obs.disable()
-    print(report.render(include_counters=args.counters))
-    if tracer is not None:
-        _obs_write(args, tracer)
-    if args.json is not None:
-        save_results_json(args.json, report.as_dict())
-        print(f"report written to {args.json}")
-    return _integrity_exit_code(
-        report.integrity,
-        impaired=bool(args.loss or args.reorder or args.queue_capacity),
-        unknown_identifiers=report.metrics.counter("decoder.unknown_identifier"),
-    )
+    return _run_and_report(args, spec, lambda: TopologyEngine(spec).run())
 
 
 #: ``--metrics auto`` switches to bounded streaming sketches at this many
@@ -636,12 +653,7 @@ AUTO_STREAMING_FLOWS = 256
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.topology import (
-        TOPOLOGY_PRESETS,
-        TopologySpec,
-        preset_topology,
-        run_topology,
-    )
+    from repro.topology import TOPOLOGY_PRESETS, preset_topology, run_topology
 
     if (args.spec is None) == (args.preset is None):
         raise ReproError(
@@ -697,38 +709,11 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     else:
         metrics_mode = args.metrics
     progress = None if args.quiet else print
-    tracer = _obs_enable(args)
-    try:
-        report = run_topology(
-            spec,
-            workers=args.workers,
-            metrics_mode=metrics_mode,
-            progress=progress,
-        )
-    finally:
-        if tracer is not None:
-            obs.disable()
-    print(report.render(include_counters=args.counters))
-    if tracer is not None:
-        _obs_write(args, tracer)
-    if args.json is not None:
-        save_results_json(args.json, report.as_dict())
-        print(f"report written to {args.json}")
-    counters = report.metrics.as_dict()["counters"]
-    return _integrity_exit_code(
-        report.integrity,
-        impaired=(
-            any(
-                link.loss or link.reorder or link.queue_capacity
-                for link in spec.links
-            )
-            or (spec.faults is not None and spec.faults.active)
-            or spec.control_rate is not None
-        ),
-        unknown_identifiers=sum(
-            value
-            for name, value in counters.items()
-            if name.endswith(".unknown_identifier")
+    return _run_and_report(
+        args,
+        spec,
+        lambda: run_topology(
+            spec, workers=args.workers, metrics_mode=metrics_mode, progress=progress
         ),
     )
 

@@ -12,7 +12,7 @@ This package turns one sweep into one artefact:
   deterministically from the spec, so parallel and sequential sweeps
   produce byte-identical reports;
 * :class:`~repro.experiments.runner.MatrixResult` — the folded outcome:
-  per-scenario replay reports, per-axis group-bys (mean ± 95 % CI), and
+  per-scenario topology reports, per-axis group-bys (mean ± 95 % CI), and
   CSV/JSON export.
 
 Quick start::

@@ -65,7 +65,7 @@ _SCALE_MS = {"learning_time"}
 
 
 def scenario_metric(report: Mapping[str, Any], metric: str) -> Optional[float]:
-    """Resolve a dotted metric path inside a serialised replay report.
+    """Resolve a dotted metric path inside a serialised topology report.
 
     ``"compression_ratio"`` reads the top-level field, ``"latency.p99"``
     descends into the latency summary, ``"integrity.missing"`` into the
@@ -154,17 +154,13 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     Everything is rebuilt from the scenario's parameters and derived seed,
     so the result is a pure function of the scenario — the invariant that
     makes sharded and sequential sweeps byte-identical.  Every topology
-    runs as a spec through the topology engine; a linear chain's report is
-    exported in its one-flow :class:`~repro.replay.metrics.ReplayReport`
-    form.
+    runs as a spec through the topology engine and exports its
+    :class:`~repro.topology.report.TopologyReport`, linear or fan-in alike.
     """
     # The sharded path at workers=1: scenario workers are already
     # processes, so the win is the shared partition/merge code — whose
     # single-shard report is byte-identical to the engine's.
     report = run_topology(_scenario_spec(scenario), workers=1)
-    topology = scenario.params["topology"]
-    if topology != "fan-in":
-        report = report.as_replay_report(topology)
     return ScenarioResult(
         index=scenario.index,
         scenario_id=scenario.scenario_id,

@@ -13,19 +13,14 @@ the chain as a spec and run it (``repro replay`` does exactly this)::
 
     spec = linear_topology(trace="trace.pcap", scenario="dynamic")
     report = TopologyEngine(spec).run()
-    print(report.as_replay_report("encoder-link-decoder").render())
+    print(report.render())
 
 A source a spec cannot name (an in-memory trace, a custom pacing) enters as
 ``run(sources={"flow0": (source, pacing)})``.
 """
 
 from repro.replay.link import EmulatedLink, LinkStats
-from repro.replay.metrics import (
-    Distribution,
-    IntegrityResult,
-    MetricsRegistry,
-    ReplayReport,
-)
+from repro.replay.metrics import Distribution, IntegrityResult, MetricsRegistry
 from repro.replay.sources import (
     BackToBackPacing,
     ChunkTraceSource,
@@ -45,7 +40,6 @@ __all__ = [
     "Distribution",
     "IntegrityResult",
     "MetricsRegistry",
-    "ReplayReport",
     "BackToBackPacing",
     "ChunkTraceSource",
     "FixedRatePacing",

@@ -20,7 +20,7 @@ missing: the wire itself.  It models what a real hop does to a frame —
 
 Every frame that enters the link is accounted in :class:`LinkStats`
 (offered/delivered/dropped, queue occupancy peaks, per-frame queueing
-delay), which the metrics registry folds into the replay report.
+delay), which the metrics registry folds into the run's report.
 """
 
 from __future__ import annotations

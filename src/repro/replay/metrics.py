@@ -1,34 +1,26 @@
-"""Metrics collection for replay runs: one registry, one report.
+"""Metrics collection for replay runs: one registry and its collectors.
 
 Every component of a replayed topology already counts things — switch
 counter sets, link taps, link stats, control-plane stats, match-action
 table occupancy.  :class:`MetricsRegistry` is the funnel that collects all
 of them under namespaced keys (``encoder.raw_to_compressed``,
 ``link0.dropped_loss``, …) together with value *distributions* (end-to-end
-latency, queueing delay) whose percentiles the report prints.
-
-:class:`ReplayReport` is the single result object a replay run returns:
-compression accounting (the Figure 3 numbers), latency percentiles, the
-integrity verdict, and the full counter breakdown — renderable as text via
-:func:`repro.analysis.reporting.format_table` and serialisable as JSON via
-:func:`repro.analysis.reporting.save_results_json`.
+latency, queueing delay) whose percentiles the report prints.  The report
+itself is :class:`repro.topology.report.TopologyReport`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.analysis.reporting import format_table
 from repro.exceptions import ReplayError
 
 __all__ = [
     "Distribution",
     "MetricsRegistry",
     "IntegrityResult",
-    "HeadlineNumbers",
-    "ReplayReport",
     "collect_switch_metrics",
     "collect_link_metrics",
     "collect_wire_metrics",
@@ -425,21 +417,12 @@ class MetricsRegistry:
             },
         }
 
-    def counter_rows(self, prefix: str = "") -> List[List[object]]:
-        """``[name, value]`` rows (optionally filtered by prefix) for tables."""
+    def counter_rows(self) -> List[List[object]]:
+        """``[name, value]`` rows of every counter, for tables."""
         return [
             [name, int(value) if float(value).is_integer() else value]
             for name, value in sorted(self._counters.items())
-            if name.startswith(prefix)
         ]
-
-    def render(self, title: str = "metrics") -> str:
-        """Counters and gauges as one fixed-width table."""
-        rows: List[List[object]] = self.counter_rows()
-        rows.extend(
-            [name, value] for name, value in sorted(self._gauges.items())
-        )
-        return format_table(["metric", "value"], rows, title=title)
 
 
 # ---------------------------------------------------------------------------
@@ -578,142 +561,3 @@ class IntegrityResult:
             "intact": self.intact,
             "lossless_in_order": self.lossless_in_order,
         }
-
-
-class HeadlineNumbers:
-    """The derived numbers every report kind shares, computed from its
-    ``payload_bytes_sent``, ``wire_payload_bytes`` and ``metrics`` fields."""
-
-    @property
-    def compression_ratio(self) -> Optional[float]:
-        """Payload bytes on the compressed hop over original payload bytes.
-
-        ``None`` when no raw chunks were injected (e.g. a decoder-only
-        replay of a processed trace) — there is no meaningful ratio then.
-        """
-        if self.payload_bytes_sent == 0:
-            return None
-        return self.wire_payload_bytes / self.payload_bytes_sent
-
-    @property
-    def savings_percent(self) -> Optional[float]:
-        """Percentage of payload bytes the compression removed (or ``None``)."""
-        ratio = self.compression_ratio
-        if ratio is None:
-            return None
-        return 100.0 * (1.0 - ratio)
-
-    def latency_summary(self) -> Dict[str, float]:
-        """End-to-end latency percentiles in seconds (empty dict when unknown)."""
-        dist = self.metrics.distributions().get("endtoend.latency")
-        if dist is None or dist.empty:
-            return {}
-        return dist.summary()
-
-    def headline_dict(self) -> Dict[str, object]:
-        """The JSON keys both report kinds carry (same names, same meaning —
-        the experiment matrix's dotted metric paths resolve on either)."""
-        return {
-            "topology": self.topology,
-            "scenario": self.scenario,
-            "chunks_sent": self.chunks_sent,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "wire_payload_bytes": self.wire_payload_bytes,
-            "compression_ratio": self.compression_ratio,
-            "savings_percent": self.savings_percent,
-            "duration": self.duration,
-            "learning_time": self.learning_time,
-            "integrity": None if self.integrity is None else self.integrity.as_dict(),
-            "latency": self.latency_summary(),
-            "metrics": self.metrics.as_dict(),
-        }
-
-    def ratio_rows(self) -> List[List[object]]:
-        """The compression-ratio and savings rows of a rendered headline."""
-        ratio, savings = self.compression_ratio, self.savings_percent
-        return [
-            ["compression ratio", "n/a" if ratio is None else f"{ratio:.4f}"],
-            ["savings", "n/a" if savings is None else f"{savings:.1f} %"],
-        ]
-
-    def learning_row(self) -> List[object]:
-        """The learning-delay row of a rendered headline."""
-        learning = self.learning_time
-        return [
-            "learning delay",
-            "n/a" if learning is None else f"{learning * 1e3:.3f} ms",
-        ]
-
-    def counter_tables(self) -> List[str]:
-        """The rendered counter breakdown (no table when nothing counted)."""
-        rows = self.metrics.counter_rows()
-        if not rows:
-            return []
-        return [format_table(["counter", "value"], rows, title="counter breakdown")]
-
-
-@dataclass
-class ReplayReport(HeadlineNumbers):
-    """Everything one replay run produced.
-
-    ``metrics`` holds the raw registry; the named fields are the headline
-    numbers every experiment wants without digging through it.
-    """
-
-    topology: str
-    scenario: str
-    source: str
-    chunks_sent: int
-    payload_bytes_sent: int
-    wire_payload_bytes: int
-    duration: float
-    integrity: Optional[IntegrityResult]
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    learning_time: Optional[float] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly view of the whole report."""
-        return {**self.headline_dict(), "source": self.source}
-
-    def headline_rows(self) -> List[List[object]]:
-        """The summary rows the CLI prints (metric, value pairs)."""
-        rows: List[List[object]] = [
-            ["topology", self.topology],
-            ["scenario", self.scenario],
-            ["source", self.source],
-            ["chunks sent", f"{self.chunks_sent:,}"],
-            ["payload bytes sent", f"{self.payload_bytes_sent:,}"],
-            ["bytes on the wire hop", f"{self.wire_payload_bytes:,}"],
-            *self.ratio_rows(),
-            ["replay duration", f"{self.duration * 1e3:.3f} ms"],
-            self.learning_row(),
-        ]
-        latency = self.latency_summary()
-        if latency:
-            for key in ("p50", "p90", "p99", "max"):
-                if key in latency:
-                    rows.append(
-                        [f"latency {key}", f"{latency[key] * 1e6:.3f} us"]
-                    )
-        if self.integrity is not None:
-            rows.append(
-                ["lossless", "yes" if self.integrity.lossless_in_order else "NO"]
-            )
-            rows.append(["integrity intact", "yes" if self.integrity.intact else "NO"])
-            rows.append(["chunks lost", f"{self.integrity.missing:,}"])
-            rows.append(["chunks corrupted", f"{self.integrity.corrupted:,}"])
-            rows.append(["chunks out of order", f"{self.integrity.out_of_order:,}"])
-        return rows
-
-    def render(self, include_counters: bool = True) -> str:
-        """Human-readable report (headline + counter breakdown)."""
-        parts = [
-            format_table(
-                ["metric", "value"],
-                self.headline_rows(),
-                title=f"replay ({self.scenario}, {self.topology})",
-            )
-        ]
-        if include_counters:
-            parts += self.counter_tables()
-        return "\n\n".join(parts)

@@ -23,9 +23,8 @@ matrix all build a spec (a preset such as
 :func:`~repro.topology.presets.paper_testbed_topology`, or a JSON document)
 and run it here.  The two inputs a spec cannot carry — a pre-built
 in-memory source per flow and explicit static bases — are arguments of
-:meth:`TopologyEngine.run` and the constructor; a one-flow linear run reads
-as a :class:`~repro.replay.metrics.ReplayReport` through
-:meth:`TopologyReport.as_replay_report`.
+:meth:`TopologyEngine.run` and the constructor.  Every run, linear or
+not, reports as one :class:`TopologyReport`.
 
 This module is build + run.  The per-flow runtime — injection pump,
 arrival attribution, the one FIFO content matcher — lives in

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import TopologyError
-from repro.replay.metrics import (
-    HeadlineNumbers,
-    IntegrityResult,
-    MetricsRegistry,
-    ReplayReport,
-)
+from repro.replay.metrics import IntegrityResult, MetricsRegistry
 from repro.topology.spec import TopologySpec
 
 __all__ = ["FlowResult", "TopologyReport", "learning_delay", "fold_report"]
@@ -53,15 +48,16 @@ class FlowResult:
 
 
 @dataclass
-class TopologyReport(HeadlineNumbers):
+class TopologyReport:
     """Everything one topology run produced.
 
-    The top-level shape mirrors :class:`~repro.replay.metrics.ReplayReport`
-    (``compression_ratio``, ``integrity``, ``metrics.counters...``) so the
-    experiment matrix's dotted metric paths resolve on either report kind;
-    ``flows`` adds the per-flow breakdown and ``metrics`` carries per-link
-    and per-flow attribution (``flow.<name>.*`` counters and latency
-    distributions).
+    The one report every run returns — ``repro replay``, ``repro
+    topology`` and each scenario of the experiment matrix print or export
+    it — so the matrix's dotted metric paths (``compression_ratio``,
+    ``integrity.missing``, ``metrics.counters.link0.dropped_loss``) resolve
+    the same way on every shape.  ``flows`` is the per-flow breakdown and
+    ``metrics`` carries per-link and per-flow attribution (``flow.<name>.*``
+    counters and latency distributions).
     """
 
     topology: str
@@ -75,6 +71,32 @@ class TopologyReport(HeadlineNumbers):
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     learning_time: Optional[float] = None
 
+    @property
+    def compression_ratio(self) -> Optional[float]:
+        """Payload bytes on the measured link over original payload bytes.
+
+        ``None`` when no raw chunks were injected (e.g. a decoder-only
+        replay of a processed trace) — there is no meaningful ratio then.
+        """
+        if self.payload_bytes_sent == 0:
+            return None
+        return self.wire_payload_bytes / self.payload_bytes_sent
+
+    @property
+    def savings_percent(self) -> Optional[float]:
+        """Percentage of payload bytes the compression removed (or ``None``)."""
+        ratio = self.compression_ratio
+        if ratio is None:
+            return None
+        return 100.0 * (1.0 - ratio)
+
+    def latency_summary(self) -> Dict[str, float]:
+        """End-to-end latency percentiles in seconds (empty dict when unknown)."""
+        dist = self.metrics.distributions().get("endtoend.latency")
+        if dist is None or dist.empty:
+            return {}
+        return dist.summary()
+
     def flow(self, name: str) -> FlowResult:
         """Look up one flow's result by name."""
         for result in self.flows:
@@ -86,35 +108,20 @@ class TopologyReport(HeadlineNumbers):
     def as_dict(self) -> Dict[str, Any]:
         """JSON-friendly view of the whole report."""
         return {
-            **self.headline_dict(),
+            "topology": self.topology,
+            "scenario": self.scenario,
+            "chunks_sent": self.chunks_sent,
+            "payload_bytes_sent": self.payload_bytes_sent,
+            "wire_payload_bytes": self.wire_payload_bytes,
+            "compression_ratio": self.compression_ratio,
+            "savings_percent": self.savings_percent,
+            "duration": self.duration,
+            "learning_time": self.learning_time,
+            "integrity": None if self.integrity is None else self.integrity.as_dict(),
+            "latency": self.latency_summary(),
+            "metrics": self.metrics.as_dict(),
             "flows": [flow.as_dict() for flow in self.flows],
         }
-
-    def as_replay_report(self, topology: str) -> ReplayReport:
-        """A one-flow linear run as the :class:`ReplayReport` its callers read.
-
-        The registry loses the per-flow ``flow.*`` attribution namespace
-        (there is one flow, so it repeats the totals), and the end-to-end
-        latency distribution appears only when integrity was verified.
-        ``topology`` names the linear shape that ran.
-        """
-        verified = self.integrity is not None
-        metrics = self.metrics.select(
-            lambda name: not name.startswith("flow.")
-            and (verified or name != "endtoend.latency")
-        )
-        return ReplayReport(
-            topology=topology,
-            scenario=self.scenario,
-            source=self.flows[0].source,
-            chunks_sent=self.chunks_sent,
-            payload_bytes_sent=self.payload_bytes_sent,
-            wire_payload_bytes=self.wire_payload_bytes,
-            duration=self.duration,
-            integrity=self.integrity,
-            metrics=metrics,
-            learning_time=self.learning_time,
-        )
 
     def json_text(self) -> str:
         """Canonical JSON — the determinism witness (same spec ⇒ same bytes)."""
@@ -124,6 +131,10 @@ class TopologyReport(HeadlineNumbers):
         """Human-readable report: headline, per-flow table, counters."""
         from repro.analysis.reporting import format_table
 
+        ratio, savings = self.compression_ratio, self.savings_percent
+        learning = "n/a" if self.learning_time is None else (
+            f"{self.learning_time * 1e3:.3f} ms"
+        )
         headline: List[List[object]] = [
             ["topology", self.topology],
             ["scenario", self.scenario],
@@ -131,16 +142,26 @@ class TopologyReport(HeadlineNumbers):
             ["chunks sent", f"{self.chunks_sent:,}"],
             ["payload bytes sent", f"{self.payload_bytes_sent:,}"],
             ["bytes on the measured link", f"{self.wire_payload_bytes:,}"],
-            *self.ratio_rows(),
+            ["compression ratio", "n/a" if ratio is None else f"{ratio:.4f}"],
+            ["savings", "n/a" if savings is None else f"{savings:.1f} %"],
             ["duration", f"{self.duration * 1e3:.3f} ms"],
-            self.learning_row(),
+            ["learning delay", learning],
         ]
-        if self.integrity is not None:
-            headline.append(
-                ["integrity intact", "yes" if self.integrity.intact else "NO"]
-            )
-            headline.append(["chunks lost", f"{self.integrity.missing:,}"])
-            headline.append(["chunks corrupted", f"{self.integrity.corrupted:,}"])
+        latency = self.latency_summary()
+        headline += [
+            [f"latency {key}", f"{latency[key] * 1e6:.3f} us"]
+            for key in ("p50", "p90", "p99", "max")
+            if key in latency
+        ]
+        integrity = self.integrity
+        if integrity is not None:
+            headline += [
+                ["lossless", "yes" if integrity.lossless_in_order else "NO"],
+                ["integrity intact", "yes" if integrity.intact else "NO"],
+                ["chunks lost", f"{integrity.missing:,}"],
+                ["chunks corrupted", f"{integrity.corrupted:,}"],
+                ["chunks out of order", f"{integrity.out_of_order:,}"],
+            ]
         parts = [
             format_table(
                 ["metric", "value"],
@@ -171,8 +192,11 @@ class TopologyReport(HeadlineNumbers):
                     title="per-flow breakdown",
                 )
             )
-        if include_counters:
-            parts += self.counter_tables()
+        counters = self.metrics.counter_rows() if include_counters else []
+        if counters:
+            parts.append(
+                format_table(["counter", "value"], counters, title="counter breakdown")
+            )
         return "\n\n".join(parts)
 
 

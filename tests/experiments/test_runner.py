@@ -300,3 +300,20 @@ class TestFanInTopologyScenarios:
         clean, lossy = result.results
         assert clean.metric("integrity.missing") == 0
         assert lossy.metric("integrity.missing") > 0
+
+
+def test_linear_and_fan_in_scenarios_export_one_report_shape():
+    """Every scenario of one matrix exports the same top-level keys,
+    whatever its topology: one report type."""
+    spec = ExperimentSpec.from_dict(
+        {
+            "name": "one-shape",
+            "base": {"workload": "synthetic", "chunks": 100, "bases": 3, "senders": 2},
+            "axes": {"topology": ["encoder-link-decoder", "fan-in"]},
+        }
+    )
+    linear, fan_in = (run_scenario(scenario) for scenario in spec.expand())
+    assert linear.axes["topology"] == "encoder-link-decoder"
+    assert fan_in.axes["topology"] == "fan-in"
+    assert set(linear.report) == set(fan_in.report)
+    assert len(linear.report["flows"]) == 1

@@ -1,9 +1,15 @@
-"""Tests for the metrics registry, distributions and the replay report."""
+"""Tests for the metrics registry, distributions and the integrity verdict."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import ReplayError
-from repro.replay import Distribution, IntegrityResult, MetricsRegistry, ReplayReport
+from repro.replay import Distribution, IntegrityResult, MetricsRegistry
 
 
 class TestDistribution:
@@ -64,13 +70,11 @@ class TestMetricsRegistry:
         assert metrics.gauge("occupancy") == 7.0
         assert metrics.gauge("missing") is None
 
-    def test_render_and_as_dict(self):
+    def test_as_dict(self):
         metrics = MetricsRegistry()
         metrics.increment("encoder.hits", 12)
         metrics.set_gauge("encoder.entries", 3)
         metrics.distribution("lat").extend([1.0, 2.0])
-        text = metrics.render()
-        assert "encoder.hits" in text
         data = metrics.as_dict()
         assert data["counters"]["encoder.hits"] == 12
         assert data["distributions"]["lat"]["count"] == 2
@@ -97,47 +101,21 @@ class TestIntegrityResult:
         assert not result.intact
 
 
-class TestReplayReport:
-    def make_report(self, **overrides):
-        values = dict(
-            topology="encoder-link-decoder",
-            scenario="static",
-            source="test",
-            chunks_sent=100,
-            payload_bytes_sent=3200,
-            wire_payload_bytes=320,
-            duration=1e-3,
-            integrity=IntegrityResult(
-                sent=100, received=100, matched=100, corrupted=0,
-                missing=0, out_of_order=0,
-            ),
-        )
-        values.update(overrides)
-        return ReplayReport(**values)
-
-    def test_compression_ratio(self):
-        report = self.make_report()
-        assert report.compression_ratio == pytest.approx(0.1)
-        assert report.savings_percent == pytest.approx(90.0)
-
-    def test_render_contains_headline(self):
-        report = self.make_report()
-        report.metrics.increment("encoder.raw_to_compressed", 100)
-        text = report.render()
-        assert "compression ratio" in text
-        assert "lossless" in text
-        assert "encoder.raw_to_compressed" in text
-
-    def test_latency_summary_from_metrics(self):
-        report = self.make_report()
-        report.metrics.distribution("endtoend.latency").extend([1e-6, 2e-6])
-        assert report.latency_summary()["count"] == 2
-        assert "latency p50" in str(report.headline_rows())
-
-    def test_as_dict_is_json_friendly(self):
-        import json
-
-        report = self.make_report()
-        report.metrics.distribution("endtoend.latency").add(1e-6)
-        encoded = json.dumps(report.as_dict())
-        assert "compression_ratio" in encoded
+def test_replay_layer_does_not_import_the_analysis_layer():
+    """The replay layer sits below the analysis layer: importing it in a
+    fresh interpreter must not load ``repro.analysis``."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, environment.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.replay; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))",
+        ],
+        env=environment, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -254,7 +254,7 @@ class TestReplayShapeErrors:
         trace = tmp_path / "t.pcap"
         main(["generate-trace", "synthetic", str(trace), "--chunks", "10"])
         assert main(["replay", str(trace), "--topology", "Encoder-Only"]) == 0
-        assert "replay (dynamic, encoder-only)" in capsys.readouterr().out
+        assert "topology encoder-only (dynamic)" in capsys.readouterr().out
 
 
 class TestTopologyCommand:

@@ -1,10 +1,14 @@
 """TopologyEngine: concurrent flows, determinism, in-network control."""
 
+import json
+
 import pytest
 
+from repro.replay import IntegrityResult
 from repro.topology import (
     FlowSpec,
     TopologyEngine,
+    TopologyReport,
     TopologySpec,
     fan_in_topology,
     linear_topology,
@@ -302,3 +306,59 @@ class TestMeasuredLinkFallback:
         report = TopologyEngine(spec).run()
         # Tapping the wire (not the raw ingress) shows the compression.
         assert report.compression_ratio < 0.15
+
+
+class TestReport:
+    """The headline numbers and rows every run prints, on a hand-built report."""
+
+    def make_report(self, **overrides):
+        values = dict(
+            topology="encoder-link-decoder",
+            scenario="static",
+            chunks_sent=100,
+            payload_bytes_sent=3200,
+            wire_payload_bytes=320,
+            duration=1e-3,
+            integrity=IntegrityResult(
+                sent=100, received=100, matched=100, corrupted=0,
+                missing=0, out_of_order=0,
+            ),
+        )
+        values.update(overrides)
+        return TopologyReport(**values)
+
+    def test_compression_ratio(self):
+        report = self.make_report()
+        assert report.compression_ratio == pytest.approx(0.1)
+        assert report.savings_percent == pytest.approx(90.0)
+
+    def test_nothing_sent_has_no_ratio(self):
+        report = self.make_report(chunks_sent=0, payload_bytes_sent=0, integrity=None)
+        assert report.compression_ratio is None
+        assert report.savings_percent is None
+        assert "n/a" in report.render()
+
+    def test_render_contains_headline(self):
+        report = self.make_report()
+        report.metrics.increment("encoder.raw_to_compressed", 100)
+        text = report.render(include_counters=True)
+        assert "compression ratio" in text
+        assert "lossless" in text
+        assert "chunks out of order" in text
+        assert "encoder.raw_to_compressed" in text
+        assert "encoder.raw_to_compressed" not in report.render()
+
+    def test_latency_summary_from_metrics(self):
+        report = self.make_report()
+        assert report.latency_summary() == {}
+        assert "latency p50" not in report.render()
+        report.metrics.distribution("endtoend.latency").extend([1e-6, 2e-6])
+        assert report.latency_summary()["count"] == 2
+        assert "latency p50" in report.render()
+
+    def test_as_dict_is_json_friendly(self):
+        report = self.make_report()
+        report.metrics.distribution("endtoend.latency").add(1e-6)
+        encoded = json.dumps(report.as_dict())
+        assert "compression_ratio" in encoded
+        assert json.loads(report.json_text())["latency"]["count"] == 1
