@@ -217,5 +217,5 @@ def test_experiment_smoke_export_bytes_match_golden(workers, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert hashlib.md5(out.read_bytes()).hexdigest() == (
-        "c00629e16d470ca9c4f61ac5b51e89c1"
+        "c2a80251fcde18d44933dd9d86aab34c"
     )
