@@ -10,9 +10,9 @@ the random transaction identifier excluded — which leaves exactly one
    transaction identifiers);
 2. writes a pcap of the full Ethernet/IPv4/UDP/DNS packets, plus the
    filtered chunk trace, like the paper's preprocessing does;
-3. compresses the chunk trace with ZipLine (dynamic learning) and with gzip,
-   and prints the Figure 3 (right half) comparison;
-4. shows why per-packet DEFLATE is not an alternative for 32-byte payloads.
+3. compresses the chunk trace with ZipLine (dynamic learning) and with the
+   registry's gzip codec, and prints the Figure 3 (right half) comparison;
+4. shows why per-packet gzip is not an alternative for 32-byte payloads.
 
 Run with::
 
@@ -25,9 +25,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro import registry
 from repro.analysis.reporting import format_table
-from repro.baselines import GzipBaseline
 from repro.core.codec import GDCodec
+from repro.core.engine import compress_bytes
 from repro.net.pcap import PcapPacket, write_pcap
 from repro.workloads import DnsQueryWorkload
 
@@ -67,12 +68,14 @@ def main() -> None:
     zipline_result = codec.compress(b"".join(chunks))
 
     # gzip over the concatenated payloads (the paper's comparison) and per
-    # packet (what an online DEFLATE box would have to do).
-    gzip_whole = GzipBaseline().compress_chunks(chunks)
-    gzip_per_packet = GzipBaseline().compress_per_chunk(chunks)
+    # packet (what an online gzip box would have to do).
+    gzip = registry.get("gzip")
+    original = len(chunks) * 32
+    gzip_whole = len(compress_bytes(gzip, b"".join(chunks)))
+    gzip_per_packet = sum(len(compress_bytes(gzip, chunk)) for chunk in chunks)
 
     rows = [
-        ["Original data", f"{len(chunks) * 32 / 1e6:.2f} MB", "1.000", "–"],
+        ["Original data", f"{original / 1e6:.2f} MB", "1.000", "–"],
         [
             "ZipLine (dynamic learning)",
             f"{zipline_result.payload_bytes / 1e6:.2f} MB",
@@ -81,14 +84,14 @@ def main() -> None:
         ],
         [
             "gzip (whole trace)",
-            f"{gzip_whole.compressed_bytes / 1e6:.2f} MB",
-            f"{gzip_whole.compression_ratio:.3f}",
+            f"{gzip_whole / 1e6:.2f} MB",
+            f"{gzip_whole / original:.3f}",
             "0.08",
         ],
         [
-            "DEFLATE per packet",
-            f"{gzip_per_packet.compressed_bytes / 1e6:.2f} MB",
-            f"{gzip_per_packet.compression_ratio:.3f}",
+            "gzip per packet",
+            f"{gzip_per_packet / 1e6:.2f} MB",
+            f"{gzip_per_packet / original:.3f}",
             "n/a",
         ],
     ]
@@ -104,11 +107,11 @@ def main() -> None:
     print(
         "ZipLine compresses each query independently at line rate inside the\n"
         "switch; gzip needs the whole trace (and an end host) to do slightly\n"
-        "better, and per-packet DEFLATE is counter-productive at this size."
+        "better, and per-packet gzip is counter-productive at this size."
     )
 
     restored = codec.decompress_records(
-        zipline_result.records, original_bytes=len(chunks) * 32
+        zipline_result.records, original_bytes=original
     )
     assert restored == b"".join(chunks)
     print("round trip: OK (bit exact)")

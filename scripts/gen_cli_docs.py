@@ -15,8 +15,9 @@ marker comments: the parameter table of docs/experiments.md with
 ``repro.experiments.spec.PARAMETERS`` (name, default, ``help``), and the
 claims table of docs/paper-mapping.md with
 ``repro.analysis.figures.CLAIMS``, every row computed at the scale it
-states — so ``--check`` also fails on a stale Reproduced or Kind cell, and
-the run stops on a claim that no longer holds.
+states and laid out by ``claim_row`` (as ``repro claims`` prints it) — so
+``--check`` also fails on a stale Reproduced or Kind cell, and the run
+stops on a claim that no longer holds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.figures import CLAIMS  # noqa: E402  (sys.path set up first)
+# The imports below need the sys.path entry above.
+from repro.analysis.figures import CLAIMS, CLAIMS_HEADER, claim_row  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
 from repro.experiments.spec import PARAMETERS  # noqa: E402
 
@@ -72,6 +74,8 @@ def _argument_name(action: argparse.Action) -> str:
 
 def _argument_default(action: argparse.Action) -> str:
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        return "—"
+    if action.nargs in (argparse.OPTIONAL, argparse.ZERO_OR_MORE) and action.default is None:
         return "—"
     if action.required or not action.option_strings:
         return "required" if action.default is None else f"`{action.default}`"
@@ -157,20 +161,12 @@ def with_parameter_table(text: str) -> str:
 
 def with_claims_table(text: str) -> str:
     """docs/paper-mapping.md with every claim computed at its stated scale."""
-    rows = [
-        "| Id | Paper claim | Paper | Reproduced | ± | Kind | Scale | Rests on |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
-    ]
+    rows = list(CLAIMS_HEADER)
     for claim in CLAIMS:
-        values = claim.values(claim.scale)
-        if not claim.holds(values):
-            raise SystemExit(f"claim {claim.id} does not hold at its stated scale: {values}")
-        reproduced = claim.form.format(*(f"{value:.{claim.digits}f}" for value in values))
-        scale = "—" if claim.scale is None else claim.scale_form.format(claim.scale)
-        rows.append(
-            f"| `{claim.id}` | {_escape(claim.claim)} | {claim.paper_text()} | {reproduced} "
-            f"| {claim.tolerance:g} | {claim.kind} | {scale} | {_escape(claim.basis)} |"
-        )
+        row, holds = claim_row(claim)
+        if not holds:
+            raise SystemExit(f"claim {claim.id} does not hold at its stated scale: {row}")
+        rows.append(row)
     return _between_markers(CLAIMS_DOC, text, (CLAIMS_BEGIN, CLAIMS_END), rows)
 
 

@@ -5,9 +5,10 @@ at Line Speed* (CoNEXT 2020).  The library implements generalized
 deduplication (GD) over Hamming codes computed with CRC arithmetic, a
 functional model of the Tofino data plane (match-action tables, CRC
 externs, digests), the ZipLine control plane with LRU identifier
-management, trace workloads, baselines, and the analytical performance
-models needed to regenerate every table and figure of the paper's
-evaluation.
+management, trace workloads, the gzip and classic-dedup codecs the paper
+compares against, and a discrete-event simulator;
+:mod:`repro.analysis.figures` computes every table and figure of the
+paper's evaluation from these models.
 
 Quickstart::
 

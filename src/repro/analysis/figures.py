@@ -1,9 +1,11 @@
 """The paper's numbers, each computed once from the code that models it.
 
 :data:`CLAIMS` holds every number of the evaluation this repository
-reproduces, each with the one function computing it at a given scale: the
-tests assert every row at a small scale, ``scripts/gen_cli_docs.py``
-renders the table of ``docs/paper-mapping.md`` at the scale each states.
+reproduces, each with the one function computing it at a given scale.
+:func:`claim_row` computes a row and lays it out for the table of
+``docs/paper-mapping.md``: ``scripts/gen_cli_docs.py`` renders that table
+at the scale each row states, ``repro claims`` prints any rows at any
+scale, and the tests assert every row at a small scale.
 A row's kind says what its number rests on: ``calibrated`` constants chosen
 to land on the paper's value, ``derived`` arithmetic over the wire format
 or named inputs that no simulated behaviour can move, or a ``simulated``
@@ -43,11 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import registry
 from repro.analysis.experiment import PAPER_REPETITIONS
 from repro.analysis.statistics import MeasurementSummary, summarize
-from repro.baselines import GzipBaseline
 from repro.core.crc import syndrome_crc
 from repro.core.hamming import HammingCode
 from repro.core.polynomials import TABLE_1
@@ -72,6 +74,7 @@ from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = [
     "CLAIMS",
+    "CLAIMS_HEADER",
     "Claim",
     "FIGURE4_FRAME_SIZES",
     "GENERATOR_PACKET_RATE",
@@ -79,12 +82,14 @@ __all__ = [
     "KINDS",
     "LINE_RATE_BPS",
     "PROGRAMS",
+    "claim_row",
     "figure3_ratio",
     "figure4",
     "figure5",
     "figure5_programs",
     "learning_delay",
     "packet_rate",
+    "select_claims",
 ]
 
 #: The switch programs of both figures.
@@ -229,31 +234,34 @@ def figure3_ratio(workload: str, scenario: str, chunks: int) -> float:
 
 
 def figure3_gzip_ratio(workload: str, chunks: int) -> float:
-    """Figure 3's gzip bar: DEFLATE over the trace the ZipLine bars replay."""
+    """Figure 3's gzip bar: the registry's ``gzip`` codec (the ``gzip``
+    tool's DEFLATE and framing) over the trace the ZipLine bars replay, fed
+    chunk by chunk as one file."""
     spec = figure3_spec(workload, "dynamic", chunks)
     (flow,) = spec.flows
     generator, _bases = WORKLOAD_FACTORIES[workload](
         chunks=chunks, bases=flow.bases, names=flow.names, order=spec.order, seed=flow.seed
     )
-    return GzipBaseline().compress_chunks(generator.chunks()).compression_ratio
+    trace = generator.chunks()
+    compressed = sum(len(block) for block in registry.get("gzip").compress_stream(trace))
+    return compressed / sum(len(chunk) for chunk in trace)
 
 
-def learning_delay(
-    repetitions: int, packets: int = LEARNING_DELAY_PACKETS
-) -> Optional[MeasurementSummary]:
-    """§7's learning delay in ms over ``repetitions`` testbed runs, or
-    ``None`` when a run saw no compressed packet (``packets`` too few).
+def learning_delay(repetitions: int) -> MeasurementSummary:
+    """§7's learning delay in ms over ``repetitions`` testbed runs.
 
     The paper's experiment: one chunk sent over and over at 1 Mpkt/s, timed
-    from the first type-2 to the first type-3 packet at the sink.
+    from the first type-2 to the first type-3 packet at the sink.  A run
+    that saw no compressed packet raises :class:`ReproError`.
     """
     samples: List[float] = []
     for seed in range(repetitions):
         chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
-        source = (ChunkTraceSource(ChunkTrace([chunk] * packets)), RecordedPacing())
+        trace = ChunkTrace([chunk] * LEARNING_DELAY_PACKETS)
+        source = (ChunkTraceSource(trace), RecordedPacing())
         report = TopologyEngine(paper_testbed_topology(seed=seed)).run(sources={"flow0": source})
         if report.learning_time is None:
-            return None
+            raise ReproError("a learning-delay run saw no compressed packet")
         samples.append(report.learning_time * 1e3)
     return summarize(samples)
 
@@ -315,8 +323,6 @@ def _table2_share(order: int) -> float:
 
 def _learning_delay_ms(runs: int) -> Tuple[float, float]:
     summary = learning_delay(runs)
-    if summary is None:
-        raise ReproError("a learning-delay run saw no compressed packet")
     return summary.mean, summary.ci95
 
 
@@ -348,7 +354,8 @@ _FIGURE3_BARS = {
     "no_table": ("no table", "derived", "a 33-byte type-2 payload per 32-byte chunk"),
     "static": ("static table", "derived", "a 3-byte type-3 payload per 32-byte chunk"),
     "dynamic": ("dynamic learning", "simulated", "type-2 traffic while bases are learned"),
-    "gzip": ("gzip", "simulated", "`repro.baselines.GzipBaseline` over the same trace"),
+    "gzip": ("gzip", "simulated", "the registry's `gzip` codec "
+             "(`repro.core.engine.GzipStreamCompressor`) over the same trace"),
 }
 
 
@@ -405,3 +412,48 @@ CLAIMS: Tuple[Claim, ...] = (
           "`repro.tofino.pipeline.Pipeline` counters",
           form="{} / {} CRC passes per chunk, {} programs recirculate", digits=0),
 )
+
+#: The head of the claims table :func:`claim_row` lays rows out for.
+CLAIMS_HEADER = (
+    "| Id | Paper claim | Paper | Reproduced | ± | Kind | Scale | Rests on |",
+    "| --- | --- | --- | --- | --- | --- | --- | --- |",
+)
+
+
+def select_claims(ids: Sequence[str], scale: Optional[int] = None) -> List[Claim]:
+    """The rows of :data:`CLAIMS` named by ``ids`` (every row when empty).
+
+    Raises :class:`~repro.exceptions.ReproError` for an unknown id, and for
+    a ``scale`` given to a row that takes none.
+    """
+    by_id = {claim.id: claim for claim in CLAIMS}
+    unknown = [claim_id for claim_id in ids if claim_id not in by_id]
+    if unknown:
+        raise ReproError(f"unknown claim {unknown[0]!r}; valid IDs: {', '.join(by_id)}")
+    selected = [by_id[claim_id] for claim_id in ids] if ids else list(CLAIMS)
+    if scale is not None:
+        if scale < 1:
+            raise ReproError(f"scale must be a positive integer, got {scale}")
+        for claim in selected:
+            if claim.scale is None:
+                raise ReproError(f"claim {claim.id!r} takes no scale: nothing moves its value")
+    return selected
+
+
+def claim_row(claim: Claim, scale: Optional[int] = None) -> Tuple[str, bool]:
+    """``claim`` computed at ``scale`` (default: the one it states), as one
+    markdown row under :data:`CLAIMS_HEADER`, and whether it holds there."""
+    scale = claim.scale if scale is None else scale
+    values = claim.values(scale)
+    cells = (
+        f"`{claim.id}`",
+        claim.claim,
+        claim.paper_text(),
+        claim.form.format(*(f"{value:.{claim.digits}f}" for value in values)),
+        f"{claim.tolerance:g}",
+        claim.kind,
+        "—" if scale is None else claim.scale_form.format(scale),
+        claim.basis,
+    )
+    row = "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+    return row, claim.holds(values)

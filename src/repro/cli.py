@@ -26,12 +26,10 @@ Exposes the pieces a user reaches for most often without writing Python:
   shared ``--trace-out`` / ``--events-out`` / ``--snapshot-interval``
   observability flags; see ``docs/observability.md``;
 * ``bench`` — run any of the ``benchmarks/bench_*.py`` files in the CI's
-  smoke mode (or ``--full``), or ``--profile`` named hot-path stages
-  (encode, decode, transform, switch-encode, switch-decode) with cProfile;
-  see ``docs/performance.md``;
-* ``table1`` — print the reproduced Table 1;
-* ``learning-delay`` — measure the dynamic-learning delay (the paper's
-  1.77 ms experiment).
+  smoke mode (or ``--full``), or ``--profile`` the :data:`PROFILE_STAGES`
+  with cProfile; see ``docs/performance.md``;
+* ``claims`` — compute rows of :data:`repro.analysis.figures.CLAIMS`, the
+  paper's numbers, and exit 1 when one does not hold.
 
 Invoke with ``repro ...`` (the console script), ``python -m repro ...``, or
 look at ``repro.cli.main``.
@@ -47,10 +45,9 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro import obs, registry
-from repro.analysis.figures import CLAIMS, LEARNING_DELAY_PACKETS, learning_delay
+from repro.analysis.figures import CLAIMS, CLAIMS_HEADER, claim_row, select_claims
 from repro.analysis.reporting import format_table, save_results_json
 from repro.core.engine import DEFAULT_BLOCK_SIZE, compress_file, decompress_file
-from repro.core.polynomials import render_table_1
 from repro.exceptions import ReproError
 from repro.experiments import ExperimentSpec, MatrixRunner
 from repro.topology import (
@@ -414,14 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="chunks in the --profile workload (default 20000)",
     )
 
-    subparsers.add_parser("table1", help="print the reproduced Table 1")
-
-    learning = subparsers.add_parser(
-        "learning-delay", help="measure the dynamic-learning delay (paper: 1.77 ms)"
+    claims = subparsers.add_parser(
+        "claims",
+        help="compute rows of the paper-claims table as docs/paper-mapping.md "
+             "shows them; exit 1 when one is outside its tolerance",
     )
-    learning.add_argument("--repetitions", type=int, default=10, help="number of runs")
-    learning.add_argument(
-        "--packets", type=int, default=LEARNING_DELAY_PACKETS, help="packets per run"
+    claims.add_argument(
+        "ids", nargs="*", metavar="ID",
+        help="claims to compute (default: all): "
+             + ", ".join(claim.id for claim in CLAIMS),
+    )
+    claims.add_argument(
+        "--scale", type=int, default=None,
+        help="compute at this scale (chunks, runs or m) instead of each "
+             "row's stated one; rows that take no scale refuse it",
     )
 
     return parser
@@ -1098,22 +1101,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return completed.returncode
 
 
-def _cmd_table1(_args: argparse.Namespace) -> int:
-    print(render_table_1(include_validity=True))
-    return 0
-
-
-def _cmd_learning_delay(args: argparse.Namespace) -> int:
-    for flag in ("repetitions", "packets"):
-        if getattr(args, flag) < 1:
-            raise ReproError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
-    summary = learning_delay(args.repetitions, args.packets)
-    if summary is None:
-        print("warning: no compressed packet observed; increase --packets")
-        return 1
-    claim = next(claim for claim in CLAIMS if claim.id == "learning-delay")
-    print(f"learning delay over {args.repetitions} runs: {summary.format('ms', 3)}")
-    print(f"paper reports {claim.paper_text()}")
+def _cmd_claims(args: argparse.Namespace) -> int:
+    selected = select_claims(args.ids, args.scale)
+    print("\n".join(CLAIMS_HEADER), flush=True)
+    failed = []
+    for claim in selected:
+        row, holds = claim_row(claim, args.scale)
+        print(row, flush=True)
+        if not holds:
+            failed.append(claim.id)
+    if failed:
+        raise ReproError(f"not within tolerance of the paper: {', '.join(failed)}")
     return 0
 
 
@@ -1127,8 +1125,7 @@ _HANDLERS = {
     "experiment": _cmd_experiment,
     "trace": _cmd_trace,
     "bench": _cmd_bench,
-    "table1": _cmd_table1,
-    "learning-delay": _cmd_learning_delay,
+    "claims": _cmd_claims,
 }
 
 

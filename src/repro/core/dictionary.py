@@ -11,7 +11,9 @@ The same data structure is used in three places:
 * by the control plane: :class:`repro.controlplane.idpool.IdentifierPool`
   is this class under the control plane's names, the authoritative copy of
   the mapping it pushes into the switches' match-action tables;
-* by the baselines (classic deduplication uses it with the raw chunk as key).
+* by the registry's ``dedup`` codec
+  (:class:`~repro.core.engine.DedupStreamCompressor`: classic
+  deduplication, with the raw chunk as key).
 
 Eviction policies other than LRU (FIFO, random) are provided for the
 ablation study called out in DESIGN.md.
@@ -50,7 +52,7 @@ def encode_snapshot_key(key: Hashable) -> object:
     """Encode a dictionary key into a canonical JSON-serialisable form.
 
     Bases are plain integers in the GD pipeline, but the same dictionary
-    backs the dedup baselines (bytes keys) and composite ``(prefix, basis)``
+    backs the ``dedup`` codec (bytes keys) and composite ``(prefix, basis)``
     keys, so all three shapes round-trip.  Tuples and bytes are wrapped in
     single-key marker objects because JSON has no native encoding for them.
     """
@@ -136,7 +138,7 @@ class BasisDictionary:
     :class:`random.Random` instance seeded with ``seed`` — never from the
     module-global RNG — so ablation runs are reproducible end to end when
     callers inject a seed (see ``GDCodec(eviction_seed=...)`` and
-    ``ExactDedupBaseline(eviction_seed=...)``) and two dictionaries given
+    ``DedupStreamCompressor(eviction_seed=...)``) and two dictionaries given
     the same seed and call sequence evict identically.
     """
 

@@ -1,7 +1,8 @@
 """Unified streaming compression engine.
 
-Every compressor in the project — the GD codec and all comparison baselines
-— is usable behind one interface, the :class:`Compressor` protocol:
+Every compressor in the project — the GD codec and the gzip, classic dedup
+and null codecs it is compared against — is usable behind one interface,
+the :class:`Compressor` protocol:
 
 * ``compress_stream(blocks)`` consumes an iterable of byte blocks (file
   reads, packet payloads, trace chunks) and lazily yields compressed byte
@@ -314,9 +315,9 @@ class GDStreamCompressor:
 class GzipStreamCompressor:
     """DEFLATE with gzip framing behind the streaming interface.
 
-    Same algorithm and container as the paper's ``gzip`` tool run; the
-    whole-file mode of :class:`~repro.baselines.gzip_baseline.GzipBaseline`
-    counts this codec's output.
+    Same algorithm and container as the paper's ``gzip`` tool run: fed a
+    file chunk by chunk, the stream is as long as the tool's output, which
+    is what Figure 3's gzip bar counts.
     """
 
     name = "gzip"
@@ -379,9 +380,7 @@ class GzipStreamCompressor:
 class DedupStreamCompressor:
     """Classic exact deduplication as a round-trippable stream format.
 
-    The accounting-only :class:`~repro.baselines.dedup.ExactDedupBaseline`
-    models what classic dedup would transmit; this class actually produces a
-    decodable stream so the baseline participates in the same round-trip
+    A decodable stream, so classic dedup runs through the same round-trip
     harness as GD and gzip.  Wire format: a 7-byte header (magic, chunk
     size, identifier width) followed by tagged records — 0x02 full literal
     chunk, 0x03 identifier reference, 0x01 short final literal (2-byte

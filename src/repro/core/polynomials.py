@@ -33,7 +33,6 @@ __all__ = [
     "supported_orders",
     "default_polynomial",
     "crc_parameter",
-    "render_table_1",
 ]
 
 
@@ -191,32 +190,6 @@ def default_polynomial() -> HammingPolynomial:
 def crc_parameter(m: int, index: int = 0) -> int:
     """CRC-m extern parameter for the given order (leading term stripped)."""
     return polynomial_for_order(m, index).crc_parameter
-
-
-def render_table_1(include_validity: bool = False) -> str:
-    """Render Table 1 as fixed-width text, optionally with a primitivity column.
-
-    ``repro table1`` prints it with the primitivity column.
-    """
-    header = f"{'Code':>16}  {'Generator polynomial':<40}  {'CRC-m param':>12}"
-    if include_validity:
-        header += f"  {'primitive':>9}  {'matches paper':>13}"
-    lines = [header, "-" * len(header)]
-    for entry in TABLE_1:
-        row = (
-            f"({entry.n}, {entry.k})".rjust(16)
-            + "  "
-            + entry.polynomial_text.ljust(40)
-            + "  "
-            + f"0x{entry.crc_parameter:X}".rjust(12)
-        )
-        if include_validity:
-            row += (
-                f"  {str(entry.is_valid_hamming_generator()):>9}"
-                f"  {str(entry.matches_paper()):>13}"
-            )
-        lines.append(row)
-    return "\n".join(lines)
 
 
 def find_primitive_polynomials(m: int, limit: Optional[int] = None) -> List[int]:

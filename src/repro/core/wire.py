@@ -4,10 +4,8 @@ A container is a 16-byte header (:data:`HEADER`), a run of tagged records
 and a trailer (:data:`END_TAG` plus the original byte count); a record is
 one tag byte (2 = processed but uncompressed, 3 = compressed) and the
 byte-aligned payload ``prefix | basis-or-identifier | deviation``,
-big-endian, left-padded.  :func:`write_container` is the only writer;
-:func:`read_container`, the only reader, also accepts the count-in-header
-layout earlier versions wrote (:data:`FLAG_STREAMED` clear: record count
-in the header, original length right behind it, no trailer).  Records go
+big-endian, left-padded.  :func:`write_container` is the only writer and
+:func:`read_container` the only reader.  Records go
 through :func:`pack_records` / :func:`parse_records` on field columns;
 :mod:`repro.core.records` keeps the per-object ``to_bytes`` the tests use
 as the layout oracle.  :meth:`RecordLayout.for_packets` states, once, the
@@ -51,7 +49,8 @@ MAGIC = b"GDZ1"
 #: written before it existed (always padding 0) parse identically.
 HEADER = struct.Struct(">4sBHBBIBxx")
 #: Header flag: the record count field is 0 and the records run until the
-#: trailer.  Clear in the count-in-header layout, which is read, never written.
+#: trailer.  A header without it is refused: that is the count-in-header
+#: layout older versions wrote, which nothing reads any more.
 FLAG_STREAMED = 0x01
 #: Record tag starting the trailer (followed by the ``>Q`` original byte
 #: count).  0 can never collide with a record tag (types 1-3).
@@ -59,7 +58,6 @@ END_TAG = 0x00
 _TRAILER = struct.Struct(">BQ")
 #: Bytes :func:`write_container` adds around the record runs.
 FRAMING_BYTES = HEADER.size + _TRAILER.size
-_LENGTH = struct.Struct(">Q")
 
 
 class RecordLayout:
@@ -315,31 +313,26 @@ class ContainerHeader(NamedTuple):
     alignment_padding_bits: int
 
 
-def parse_header(
-    data,
-) -> Optional[Tuple[ContainerHeader, Optional[int], Optional[int], int]]:
-    """``(header, records, original_bytes, next_offset)`` of the container
-    that starts ``data``, or ``None`` while it is incomplete.
+def parse_header(data) -> Optional[Tuple[ContainerHeader, int]]:
+    """``(header, next_offset)`` of the container that starts ``data``, or
+    ``None`` while it is incomplete.
 
-    ``records`` and ``original_bytes`` are ``None`` in the streamed layout
-    (the trailer ends the run and carries the length); the count-in-header
-    layout states the count in the header and the length right behind it.
-    A wrong magic raises :class:`~repro.exceptions.CodingError`.
+    A wrong magic or a clear :data:`FLAG_STREAMED` raises
+    :class:`~repro.exceptions.CodingError`.
     """
-    end = HEADER.size
-    if len(data) < end:
+    if len(data) < HEADER.size:
         return None
-    magic, order, chunk_bits, identifier_bits, flags, records, padding_bits = (
+    magic, order, chunk_bits, identifier_bits, flags, _records, padding_bits = (
         HEADER.unpack_from(data)
     )
     if magic != MAGIC:
         raise CodingError(f"bad container magic {magic!r}")
-    header = ContainerHeader(order, chunk_bits, identifier_bits, padding_bits)
-    if flags & FLAG_STREAMED:
-        return header, None, None, end
-    if len(data) < end + _LENGTH.size:
-        return None
-    return header, records, _LENGTH.unpack_from(data, end)[0], end + _LENGTH.size
+    if not flags & FLAG_STREAMED:
+        raise CodingError(
+            "GDZ1 header without the streamed flag: the count-in-header "
+            "layout is no longer read"
+        )
+    return ContainerHeader(order, chunk_bits, identifier_bits, padding_bits), HEADER.size
 
 
 def write_container(
@@ -363,17 +356,16 @@ def read_container(blocks: Iterable[bytes], open_codec) -> Iterator[bytes]:
 
     ``open_codec(header)`` returns the :class:`~repro.core.codec.GDCodec`
     that parses and decodes the records (or raises for a header it will not
-    serve).  One chunk of output is held back until the original length is
-    known, so the final chunk's zero padding is never emitted; that length
-    must lie within the held-back chunk and nothing may follow the last
-    record (or, streamed, the trailer).
+    serve).  One chunk of output is held back until the trailer states the
+    original length, so the final chunk's zero padding is never emitted;
+    that length must lie within the held-back chunk and nothing may follow
+    the trailer.
     """
     data = bytearray()
     codec = None
-    remaining = original_bytes = None  # count-in-header layout: known up front
+    original_bytes = None
     holdback = b""
     emitted = 0
-    finished = False
     for block in blocks:
         data += block
         position = 0
@@ -381,13 +373,12 @@ def read_container(blocks: Iterable[bytes], open_codec) -> Iterator[bytes]:
             opened = parse_header(data)
             if opened is None:
                 continue
-            header, remaining, original_bytes, position = opened
-            streamed = remaining is None
+            header, position = opened
             codec = open_codec(header)
             chunk_bytes = codec.chunk_bytes
-        if not finished:
+        if original_bytes is None:
             tags, prefixes, keys, deviations, position = codec.parse_records(
-                data, position, remaining, streamed
+                data, position, streamed=True
             )
             if tags:
                 combined = holdback + codec.decoder.decode_columns_to_bytes(
@@ -398,26 +389,21 @@ def read_container(blocks: Iterable[bytes], open_codec) -> Iterator[bytes]:
                 if out:
                     emitted += len(out)
                     yield out
-            if streamed:
-                trailer = parse_trailer(data, position)
-                if trailer is not None:
-                    original_bytes, position = trailer
-                    finished = True
-            else:
-                remaining -= len(tags)
-                finished = not remaining
-            decoded = emitted + len(holdback)
-            if finished and not 0 <= decoded - original_bytes <= chunk_bytes:
-                raise CodingError(
-                    f"container length {original_bytes} inconsistent with "
-                    f"{decoded} decoded bytes"
-                )
-        if finished and len(data) > position:
+            trailer = parse_trailer(data, position)
+            if trailer is not None:
+                original_bytes, position = trailer
+                decoded = emitted + len(holdback)
+                if not 0 <= decoded - original_bytes <= chunk_bytes:
+                    raise CodingError(
+                        f"container length {original_bytes} inconsistent with "
+                        f"{decoded} decoded bytes"
+                    )
+        if original_bytes is not None and len(data) > position:
             raise CodingError(
                 f"{len(data) - position} trailing bytes after container end"
             )
         del data[:position]  # bounded memory: only an incomplete item stays
-    if not finished:
+    if original_bytes is None:
         raise CodingError("truncated GDZ1 stream")
     if original_bytes > emitted:
         yield holdback[: original_bytes - emitted]

@@ -71,7 +71,7 @@ def scenario_metric(report: Mapping[str, Any], metric: str) -> Optional[float]:
     descends into the latency summary, ``"integrity.missing"`` into the
     integrity verdict, and ``"metrics.counters.link0.dropped_loss"`` into
     the raw counter dump.  Returns ``None`` when any step of the path is
-    absent (e.g. latency percentiles of a counters-only run).
+    absent (e.g. the integrity verdict of an encoder-only run).
     """
     if metric.startswith("metrics.counters."):
         counters = report.get("metrics", {}).get("counters", {})

@@ -17,8 +17,8 @@ single shared :class:`~repro.sim.simulator.Simulator`:
   a dedicated emulated link with real latency (``control: in-network``).
 
 This is the repository's one run loop and its one front door: ``repro
-replay``, ``repro topology``, ``repro learning-delay`` and the experiment
-matrix all build a spec (a preset such as
+replay``, ``repro topology``, ``repro claims`` (the paper's Figure 3 and
+§7 runs) and the experiment matrix all build a spec (a preset such as
 :func:`~repro.topology.presets.linear_topology` or
 :func:`~repro.topology.presets.paper_testbed_topology`, or a JSON document)
 and run it here.  The two inputs a spec cannot carry — a pre-built
@@ -104,13 +104,10 @@ class TopologyEngine:
     Parameters
     ----------
     spec:
-        The validated topology description.
-    verify_integrity:
-        When true (default) every flow is checked end to end and gets
-        latency percentiles.  False skips verification entirely —
-        counters only, ``integrity: None``.  A flow with no decoder on its
-        side of the graph reports ``integrity: None`` either way: nothing
-        restores its chunks, so there is nothing to verify.
+        The validated topology description.  Every flow is checked end to
+        end and gets latency percentiles, except a flow with no decoder on
+        its side of the graph: nothing restores its chunks, so it reports
+        ``integrity: None``.
     metrics_mode:
         What the run *keeps* — never what it does.  Both modes run the one
         online matcher (:class:`~repro.topology.flows.FlowAccount`) and the
@@ -145,7 +142,6 @@ class TopologyEngine:
     def __init__(
         self,
         spec: TopologySpec,
-        verify_integrity: bool = True,
         metrics_mode: str = "exact",
         tap_fallback: bool = True,
         qualify_controlplane: Optional[bool] = None,
@@ -153,12 +149,11 @@ class TopologyEngine:
     ):
         check_metrics_mode(metrics_mode)
         self.spec = spec
-        self.verify_integrity = verify_integrity
         self.metrics_mode = metrics_mode
         self._streaming = metrics_mode == "streaming"
         #: Exact mode's O(traffic) retention: arrival frames on each flow,
         #: per-sample link queueing delays.
-        self._retain = verify_integrity and not self._streaming
+        self._retain = not self._streaming
         self.tap_fallback = tap_fallback
         self._qualify_controlplane = qualify_controlplane
         self.simulator = Simulator()
@@ -427,8 +422,7 @@ class TopologyEngine:
                 ),
                 # A flow with no decoder on its side of the graph has
                 # nothing restoring its chunks, so nothing to verify.
-                verified=self.verify_integrity
-                and component_of[flow.source] in decoder_components,
+                verified=component_of[flow.source] in decoder_components,
                 retain_arrivals=self._retain,
             )
             self.flow_states.append(state)

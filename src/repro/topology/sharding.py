@@ -92,7 +92,6 @@ class _ShardTask:
     """
 
     shard: TopologyShard
-    verify_integrity: bool
     metrics_mode: str
     qualify_controlplane: bool
     trace_segment: Optional[str] = None
@@ -271,7 +270,6 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
     try:
         engine = TopologyEngine(
             shard.spec,
-            verify_integrity=task.verify_integrity,
             metrics_mode=task.metrics_mode,
             tap_fallback=False,
             qualify_controlplane=task.qualify_controlplane,
@@ -326,7 +324,6 @@ def _merge_outcomes(
 def run_topology(
     spec: TopologySpec,
     workers: int = 1,
-    verify_integrity: bool = True,
     metrics_mode: str = "exact",
     progress: Optional[Callable[[str], None]] = None,
 ) -> TopologyReport:
@@ -356,9 +353,7 @@ def run_topology(
     except PartitionError:
         if workers > 1:
             raise
-        return TopologyEngine(
-            spec, verify_integrity=verify_integrity, metrics_mode=metrics_mode
-        ).run()
+        return TopologyEngine(spec, metrics_mode=metrics_mode).run()
 
     # One control plane per encoder — or, on an encoder-less static graph,
     # per decoder.
@@ -386,7 +381,6 @@ def run_topology(
         tasks = [
             _ShardTask(
                 shard=shard,
-                verify_integrity=verify_integrity,
                 metrics_mode=metrics_mode,
                 qualify_controlplane=qualify,
                 trace_segment=segment,

@@ -173,28 +173,20 @@ class OracleCodec:
             bytes([int(record.record_type)]) + record.to_bytes() for record in records
         )
 
-    def _header(self, flags, count):
-        return CONTAINER_HEADER.pack(
+    def container(self, records, original_bytes):
+        """The ``GDZ1`` container of ``records``: streamed header, body,
+        end tag and original length."""
+        header = CONTAINER_HEADER.pack(
             b"GDZ1",
             self.transform.order,
             self.transform.chunk_bits,
             self.identifier_bits,
-            flags,
-            count,
+            1,
+            0,
             self.padding,
         )
-
-    def container(self, records, original_bytes):
-        """The ``GDZ1`` container of ``records``: streamed header, body,
-        end tag and original length."""
         trailer = b"\x00" + struct.pack(">Q", original_bytes)
-        return self._header(1, 0) + self.body(records) + trailer
-
-    def legacy_container(self, records, original_bytes):
-        """The count-in-header layout earlier versions wrote (nothing under
-        ``src/`` writes it any more; every reader must still accept it)."""
-        length = struct.pack(">Q", original_bytes)
-        return self._header(0, len(records)) + length + self.body(records)
+        return header + self.body(records) + trailer
 
     def decode(self, records):
         """Record list → chunk bytes, learning like the codec's decoder."""

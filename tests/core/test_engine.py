@@ -212,6 +212,18 @@ class TestGzipStream:
         with pytest.raises(CodingError):
             decompress_bytes(GzipStreamCompressor(), blob[:-2])
 
+    @pytest.mark.parametrize("level", [1, 6, 9])
+    def test_whole_file_size_is_the_gzip_tools(self, level, rng):
+        """The stream fed chunk by chunk is as long as ``gzip`` over the
+        joined file: what Figure 3's gzip bar counts."""
+        import gzip
+
+        noisy = [rng.getrandbits(256).to_bytes(32, "big") for _ in range(100)]
+        for chunks in ([bytes([i % 7] * 32) for i in range(500)], noisy, [], [b""]):
+            stream = GzipStreamCompressor(level).compress_stream(chunks)
+            joined = b"".join(chunks)
+            assert sum(map(len, stream)) == len(gzip.compress(joined, compresslevel=level))
+
 
 class TestDedupStream:
     def test_duplicate_heavy_stream_compresses(self):

@@ -11,7 +11,6 @@ from repro.core.polynomials import (
     polynomial_for_code,
     polynomial_for_order,
     polynomials_for_order,
-    render_table_1,
     supported_orders,
 )
 from repro.exceptions import CodingError
@@ -86,18 +85,6 @@ class TestTable1Registry:
         entry = default_polynomial()
         assert entry.m == 8
         assert entry.code == (255, 247)
-
-
-class TestRendering:
-    def test_render_contains_every_code(self):
-        text = render_table_1()
-        for entry in TABLE_1:
-            assert f"({entry.n}, {entry.k})" in text
-
-    def test_render_with_validity_flags(self):
-        text = render_table_1(include_validity=True)
-        assert "primitive" in text
-        assert "True" in text
 
 
 class TestPrimitiveSearch:

@@ -220,7 +220,6 @@ class TestFiles:
             "control_churn_sweep.json",
             "fanin_topology.json",
             "loss_table_sweep.json",
-            "paper_figure3.json",
             "smoke.json",
         ]
         experiment_specs = 0
@@ -236,4 +235,4 @@ class TestFiles:
             spec = ExperimentSpec.from_file(path)
             assert spec.matrix_size >= 4
             experiment_specs += 1
-        assert experiment_specs == 4
+        assert experiment_specs == 3

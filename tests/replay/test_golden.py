@@ -2,8 +2,8 @@
 
 The md5 of ``TopologyReport.json_text()`` of a one-flow ``linear_topology``
 run through ``TopologyEngine`` (what ``repro replay --json`` writes) is
-pinned for every shape and scenario, for multi-hop, impaired, counters-only
-and pcap-driven runs; likewise the ``paper-testbed`` report (Figure 3 byte
+pinned for every shape and scenario, for multi-hop, impaired and
+pcap-driven runs; likewise the ``paper-testbed`` report (Figure 3 byte
 accounting plus learning delay), and the
 ``repro experiment`` export of ``examples/specs/smoke.json`` at one and two
 workers.  A refactor of the run loop leaves every value untouched; a change
@@ -48,8 +48,7 @@ def md5_of(report) -> str:
 
 
 def run_chain(
-    source=None, pacing=None, shape="encoder-link-decoder", static_bases=None,
-    verify_integrity=True, **params,
+    source=None, pacing=None, shape="encoder-link-decoder", static_bases=None, **params
 ):
     """One linear run: the engine and its report.  ``params`` are
     ``linear_topology`` run parameters; the flow is seeded like the
@@ -59,7 +58,6 @@ def run_chain(
         static_bases = workload().bases()
     engine = TopologyEngine(
         linear_topology(shape=shape, flow_seed=FLOW_SEED, **params),
-        verify_integrity=verify_integrity,
         static_bases=static_bases,
     )
     report = engine.run(
@@ -98,7 +96,6 @@ HARNESS_CASES = {
     "chain-no_table-hops3-lossy": dict(
         scenario="no_table", hops=3, loss=0.05, link_seed=3
     ),
-    "chain-dynamic-counters-only": dict(scenario="dynamic", verify_integrity=False),
 }
 
 HARNESS_GOLDEN = {
@@ -117,7 +114,6 @@ HARNESS_GOLDEN = {
     "chain-dynamic-lossy-seed0": "88886c3ac108ec652a5dc4994a69cabe",
     "chain-dynamic-lossy-seed99": "ec31ac2ef756accd4fde6d80dbd720ea",
     "chain-no_table-hops3-lossy": "f1c5ea2d7ef8ea39e2e3a0ab9c1b7b38",
-    "chain-dynamic-counters-only": "bc56600ec5eb8efde15f1926849e9a7b",
 }
 
 

@@ -31,13 +31,11 @@ def trace(workload):
     return workload.trace()
 
 
-def run(source, pacing=None, shape="encoder-link-decoder", static_bases=None,
-        verify_integrity=True, **params):
+def run(source, pacing=None, shape="encoder-link-decoder", static_bases=None, **params):
     """Build the chain, run ``source`` through it (1 Mpkt/s unless
     ``pacing`` says otherwise); return the engine and its report."""
     engine = TopologyEngine(
         linear_topology(shape=shape, **params),
-        verify_integrity=verify_integrity,
         static_bases=static_bases,
     )
     report = engine.run(
@@ -350,39 +348,6 @@ class TestPcapDriven:
         _engine, report = run(ChunkTraceSource(trace), scenario="no_table")
         counters = report.as_dict()["metrics"]["counters"]
         assert not [name for name in counters if name.endswith("parse_errors")]
-
-
-class TestCountersOnlyMode:
-    def test_verify_integrity_false_keeps_no_per_chunk_state(self, trace):
-        engine, report = run(
-            ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
-        )
-        assert report.integrity is None
-        assert report.latency_summary() == {}
-        # Counters and byte accounting still work.
-        assert report.chunks_sent == len(trace)
-        assert report.payload_bytes_sent == trace.total_bytes
-        assert report.compression_ratio > 1.0
-        # No retained payloads or frames.
-        flow = engine.flow_states[0]
-        assert flow.arrivals == []
-        assert flow.delivered == len(trace)
-        assert flow.account is None
-
-    def test_counters_only_mode_records_no_queueing_delays(self, trace):
-        engine, _report = run(
-            ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
-        )
-        assert engine.graph.links[0].stats.queueing_delays == []
-        assert engine.graph.links[0].stats.delivered == len(trace)
-
-    def test_counters_only_link_tap_keeps_aggregates_not_records(self, trace):
-        engine, report = run(
-            ChunkTraceSource(trace), scenario="no_table", verify_integrity=False
-        )
-        assert engine.measured_tap.total_frames() == len(trace)
-        assert report.learning_time is None  # first-times still tracked
-        assert report.wire_payload_bytes > 0
 
 
 class TestDnsWorkloadSource:

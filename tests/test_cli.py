@@ -13,7 +13,7 @@ class TestParser:
 
     def test_known_commands_parse(self):
         parser = build_parser()
-        assert parser.parse_args(["table1"]).command == "table1"
+        assert parser.parse_args(["claims"]).command == "claims"
         args = parser.parse_args(["compress", "a", "b", "--order", "4"])
         assert args.order == 4
 
@@ -120,34 +120,65 @@ class TestTraceCommands:
                      "--packet-rate", "50000"]) == 0
 
 
-class TestReportingCommands:
-    def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        output = capsys.readouterr().out
-        assert "(255, 247)" in output
-        assert "0x1D" in output
-
-    def test_learning_delay(self, capsys):
-        assert main(["learning-delay", "--repetitions", "2", "--packets", "3000"]) == 0
+class TestClaimsCommand:
+    def test_learning_delay_at_two_runs(self, capsys):
+        assert main(["claims", "learning-delay", "--scale", "2"]) == 0
         output = capsys.readouterr().out
         # Seeds 0 and 1 through the paper-testbed preset, to the printed digit.
-        assert "learning delay over 2 runs: (1.777 ± 0.019) ms" in output
-        assert "paper reports (1.77 ± 0.08) ms" in output
+        assert "| (1.77 ± 0.08) ms | (1.777 ± 0.019) ms | 0.1 | calibrated | 2 runs |" in output
 
-    @pytest.mark.parametrize("flag", ["--repetitions", "--packets"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_learning_delay_rejects_non_positive_counts_before_running(
-        self, flag, value, monkeypatch, capsys
-    ):
+    def test_rows_print_as_the_docs_table_shows_them(self, capsys):
+        from repro.analysis.figures import CLAIMS_HEADER
+
+        assert main(["claims", "table-1", "figure-4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == list(CLAIMS_HEADER)
+        assert lines[2].startswith("| `table-1` |")
+        assert "| 15 rows, 15 primitive | 0 | derived | — |" in lines[2]
+        assert "| 3.584 / 84.000 / 99.734 Gbit/s |" in lines[3]
+        assert len(lines) == 4
+
+    def test_unknown_id_lists_the_valid_ones(self, capsys):
+        from repro.analysis.figures import CLAIMS
+
+        assert main(["claims", "table-1", "figure-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown claim 'figure-6'" in captured.err
+        for claim in CLAIMS:
+            assert claim.id in captured.err
+
+    @pytest.mark.parametrize("scale", ["0", "-2"])
+    def test_scale_must_be_positive(self, scale, capsys):
+        assert main(["claims", "learning-delay", "--scale", scale]) == 1
+        assert f"scale must be a positive integer, got {scale}" in capsys.readouterr().err
+
+    def test_scale_on_a_scale_free_row_names_it(self, monkeypatch, capsys):
         from repro.topology import TopologyEngine
 
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
         monkeypatch.setattr(TopologyEngine, "run", no_run)
-        assert main(["learning-delay", flag, value]) == 1
-        err = capsys.readouterr().err
-        assert f"{flag} must be a positive integer, got {value}" in err
+        assert main(["claims", "learning-delay", "figure-5", "--scale", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "claim 'figure-5' takes no scale" in captured.err
+
+    def test_a_row_that_does_not_hold_exits_1(self, monkeypatch, capsys):
+        import dataclasses
+
+        from repro.analysis import figures
+
+        table_1 = next(claim for claim in figures.CLAIMS if claim.id == "table-1")
+        broken = dataclasses.replace(table_1, compute=lambda _scale: (15, 14))
+        monkeypatch.setattr(figures, "CLAIMS", (broken,) + figures.CLAIMS[1:])
+        assert main(["claims", "table-1", "table-2"]) == 1
+        captured = capsys.readouterr()
+        # Every selected row still prints; the failing one is named.
+        assert "| 15 rows, 14 primitive |" in captured.out
+        assert "| `table-2` |" in captured.out
+        assert "not within tolerance of the paper: table-1" in captured.err
 
 
 class TestReplayEmulation:

@@ -439,6 +439,11 @@ class TestStreamingMemoryBounds:
         for state in engine.flow_states:
             assert state.account.pending == {}
             assert state.arrivals == []
+        # Links count every frame they carry and keep no per-frame delay.
+        assert engine.graph.links
+        for link in engine.graph.links:
+            assert link.stats.delivered > 0
+            assert link.stats.queueing_delays == []
         # Every distribution is a fixed-size sketch: asking for raw
         # samples is an error by design.
         latency = report.metrics.distributions()["endtoend.latency"]

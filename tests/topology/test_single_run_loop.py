@@ -1,7 +1,7 @@
 """Every linear entry point executes through ``TopologyEngine.run``.
 
 Each public way of running the paper's chain — ``repro replay``, ``repro
-learning-delay``, a linear experiment scenario — builds a spec and makes
+claims learning-delay``, a linear experiment scenario — builds a spec and makes
 exactly one ``TopologyEngine.run`` call per run.  The engine inputs a spec
 cannot carry — a pre-built source per flow and explicit static bases — and
 the spec-decided ``integrity: None`` rule are covered here too.
@@ -40,7 +40,7 @@ def engine_runs(monkeypatch):
 
 class TestRouting:
     def test_repro_learning_delay(self, engine_runs, capsys):
-        assert main(["learning-delay", "--repetitions", "2", "--packets", "2500"]) == 0
+        assert main(["claims", "learning-delay", "--scale", "2"]) == 0
         capsys.readouterr()
         assert engine_runs == ["paper-testbed", "paper-testbed"]
 

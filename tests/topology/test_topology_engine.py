@@ -145,7 +145,7 @@ class TestInNetworkControl:
 class TestPaperTestbedPreset:
     def test_spec_flow_matches_the_same_chunks_given_in_memory(self):
         """The preset's own workload flow and the caller's chunk list (what
-        ``repro learning-delay`` feeds it) measure the same run."""
+        the §7 learning-delay claim feeds it) measure the same run."""
         from repro.replay import ChunkTraceSource, RecordedPacing
         from repro.workloads import SyntheticSensorWorkload
 
@@ -167,22 +167,6 @@ class TestPaperTestbedPreset:
         assert report.learning_time == pytest.approx(
             in_memory.learning_time, rel=1e-12
         )
-
-
-class TestCountersOnlyMode:
-    def test_verify_integrity_false_keeps_memory_bounded(self):
-        spec = fan_in_topology(senders=2, chunks=300, bases=3, scenario="no_table")
-        engine = TopologyEngine(spec, verify_integrity=False)
-        report = engine.run()
-        assert report.integrity is None
-        assert report.chunks_sent == 600
-        for flow in report.flows:
-            assert flow.integrity is None
-            assert flow.latency == {}
-            assert flow.delivered == 300
-        for state in engine.flow_states:
-            assert state.arrivals == []
-            assert state.account is None
 
 
 class TestDnsFlows:
