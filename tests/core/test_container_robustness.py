@@ -5,7 +5,8 @@ call one reader (``repro.core.wire.read_container``), which reads the
 streamed layout the writer produces and refuses the count-in-header layout
 older versions wrote.  For any container — intact or mutated — the two must
 return the same bytes or raise the same :class:`ReproError` subclass, in
-bounded time and memory.
+bounded time and memory.  The stream entry point is also fed one byte per
+block, so every record and the trailer straddle block boundaries.
 """
 
 import random
@@ -78,43 +79,54 @@ def _read_stream(blob):
     return b"".join(GDStreamCompressor().decompress_stream([blob]))
 
 
+def _read_bytewise(blob):
+    return b"".join(GDStreamCompressor().decompress_stream(bytes([b]) for b in blob))
+
+
+READERS = {
+    "container": _read_container,
+    "stream": _read_stream,
+    "bytewise": _read_bytewise,
+}
+reader_axis = pytest.mark.parametrize("reader", list(READERS.values()), ids=list(READERS))
+
+
 class TestLyingHeaders:
-    def test_count_in_header_layout_is_refused_without_allocating(self):
+    @reader_axis
+    def test_count_in_header_layout_is_refused_without_allocating(self, reader):
         """A header with the streamed flag clear claiming 2**31 records: a
         clean error naming the layout, not a MemoryError after
         preallocating per-record columns."""
         intact = _container(b"")
-        assert _read_container(intact) == b""  # backend import, outside the window
+        assert reader(intact) == b""  # backend import, outside the window
         blob = _with_header(intact, flags=0, count=2**31)
-        for reader in (_read_container, _read_stream):
-            tracemalloc.start()
-            try:
-                with pytest.raises(CodingError, match="count-in-header"):
-                    reader(blob)
-                _current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodingError, match="count-in-header"):
+                reader(blob)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
+    @reader_axis
     @pytest.mark.parametrize("length", [5, 1024 - 33, 1024 + 1, 2**40])
-    def test_lying_original_length_is_rejected(self, length):
+    def test_lying_original_length_is_rejected(self, length, reader):
         data = _payload(32)  # 1,024 bytes
         blob = _with_header(_container(data), length=length)
-        assert _outcome(_read_container, blob) is CodingError
-        assert _outcome(_read_stream, blob) is CodingError
+        assert _outcome(reader, blob) is CodingError
 
+    @reader_axis
     @pytest.mark.parametrize("padding", [0, 1, 31])
-    def test_padding_within_the_last_chunk_is_legal(self, padding):
+    def test_padding_within_the_last_chunk_is_legal(self, padding, reader):
         data = _payload(32)
         blob = _with_header(_container(data), length=len(data) - padding)
-        expected = data[: len(data) - padding]
-        assert _read_container(blob) == expected
-        assert _read_stream(blob) == expected
+        assert reader(blob) == data[: len(data) - padding]
 
-    def test_trailing_garbage_is_rejected(self):
+    @reader_axis
+    def test_trailing_garbage_is_rejected(self, reader):
         blob = _container(_payload(8)) + b"\x00"
-        assert _outcome(_read_container, blob) is CodingError
-        assert _outcome(_read_stream, blob) is CodingError
+        assert _outcome(reader, blob) is CodingError
 
 
 class TestMutationCorpus:
@@ -161,5 +173,4 @@ class TestEveryReaderDecodesAlike:
         assert blob == oracle.container(records, len(data))
         assert codec.decompress_container(blob) == data
         assert _read_stream(blob) == data
-        bytewise = GDStreamCompressor().decompress_stream(bytes([byte]) for byte in blob)
-        assert b"".join(bytewise) == data
+        assert _read_bytewise(blob) == data

@@ -224,8 +224,93 @@ class TestGzipStream:
             joined = b"".join(chunks)
             assert sum(map(len, stream)) == len(gzip.compress(joined, compresslevel=level))
 
+    def test_redundant_chunks_compress_to_under_five_percent(self):
+        data = b"".join(bytes([i % 4] * 32) for i in range(1000))
+        assert len(compress_bytes(GzipStreamCompressor(), data)) < 0.05 * len(data)
+
+    def test_incompressible_data_stays_near_its_size(self, rng):
+        data = bytes(rng.getrandbits(8) for _ in range(4096))
+        assert len(compress_bytes(GzipStreamCompressor(), data)) > 0.9 * len(data)
+
+    def test_one_stream_per_chunk_is_much_worse_for_small_chunks(self, rng):
+        """Realistic (high-entropy) 32-byte chunks: compressing each chunk on
+        its own cannot exploit cross-chunk redundancy, which is the paper's
+        argument for GD on small data."""
+        base = rng.getrandbits(256)
+        chunks = [
+            (base ^ (1 << rng.randrange(256))).to_bytes(32, "big") for _ in range(200)
+        ]
+        total = 32 * len(chunks)
+        whole = len(compress_bytes(GzipStreamCompressor(), b"".join(chunks)))
+        per_chunk = sum(len(compress_bytes(GzipStreamCompressor(), c)) for c in chunks)
+        assert per_chunk > whole
+        assert per_chunk > 0.9 * total
+
+    @pytest.mark.parametrize("level", [-1, 0, 10])
+    def test_level_must_be_in_1_to_9(self, level):
+        from repro.exceptions import ReproError
+
+        with pytest.raises(ReproError, match="level"):
+            GzipStreamCompressor(level)
+
 
 class TestDedupStream:
+    #: Header, end tag; a full literal is tag + chunk.
+    _FRAMING = DedupStreamCompressor._HEADER.size + 1
+    _LITERAL = 1 + 32
+
+    def test_identical_chunks_cost_one_literal_then_references(self):
+        blob = compress_bytes(DedupStreamCompressor(identifier_bits=15), b"\x01" * 32 * 100)
+        assert len(blob) == self._FRAMING + self._LITERAL + 99 * (1 + 2)
+        assert decompress_bytes(DedupStreamCompressor(), blob) == b"\x01" * 32 * 100
+
+    @pytest.mark.parametrize("identifier_bits", [1, 8, 9, 16, 32])
+    def test_reference_width_follows_identifier_bits(self, identifier_bits):
+        compressor = DedupStreamCompressor(identifier_bits=identifier_bits)
+        blob = compress_bytes(compressor, bytes(range(32)) * 2)
+        reference = 1 + (identifier_bits + 7) // 8
+        assert len(blob) == self._FRAMING + self._LITERAL + reference
+        assert decompress_bytes(DedupStreamCompressor(), blob) == bytes(range(32)) * 2
+
+    def test_full_dictionary_evicts_the_least_recently_used_chunk(self):
+        a, b, c = (bytes([value]) * 32 for value in (1, 2, 3))
+        data = a + b + a + c + a + b  # c evicts b (a was just referenced)
+        blob = compress_bytes(DedupStreamCompressor(identifier_bits=1), data)
+        literals, references = 4, 2  # a b c b; the two later a's
+        assert len(blob) == self._FRAMING + literals * self._LITERAL + references * 2
+        assert decompress_bytes(DedupStreamCompressor(), blob) == data
+
+    def test_single_bit_noise_defeats_dedup_but_not_gd(self, rng):
+        """One flipped bit per chunk leaves exact deduplication little to
+        match while GD maps every chunk to the same basis: the core
+        motivation for GD."""
+        codec = GDCodec(order=8, identifier_bits=15, alignment_padding_bits=8)
+        codeword = codec.transform.code.encode(rng.getrandbits(247))
+        data = b"".join(
+            (codeword ^ (1 << rng.randrange(255))).to_bytes(32, "big") for _ in range(200)
+        )
+        dedup = len(compress_bytes(DedupStreamCompressor(identifier_bits=15), data))
+        gd = codec.compress(data)
+        assert gd.compressed_record_fraction > 0.95
+        assert dedup > 0.6 * len(data)
+        assert gd.compression_ratio < dedup / len(data)
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            {"chunk_bytes": 0},
+            {"chunk_bytes": 0x10000},
+            {"identifier_bits": 0},
+            {"identifier_bits": 33},
+        ],
+        ids=lambda parameters: "-".join(f"{k}={v}" for k, v in parameters.items()),
+    )
+    def test_out_of_range_parameters_rejected(self, parameters):
+        from repro.exceptions import ReproError
+
+        with pytest.raises(ReproError, match=next(iter(parameters))):
+            DedupStreamCompressor(**parameters)
+
     def test_duplicate_heavy_stream_compresses(self):
         chunk = bytes(range(32))
         data = chunk * 4096
@@ -261,6 +346,25 @@ class TestDedupStream:
             data,
         )
         assert first == second
+
+
+class TestNullStream:
+    def test_output_is_the_magic_then_the_input(self):
+        data = b"\x00" * 320
+        assert compress_bytes(NullStreamCompressor(), data) == b"GDN1" + data
+
+    def test_empty_input_is_the_magic_alone(self):
+        assert compress_bytes(NullStreamCompressor(), b"") == b"GDN1"
+        assert decompress_bytes(NullStreamCompressor(), b"GDN1") == b""
+
+    def test_bad_magic_raises(self):
+        with pytest.raises(CodingError, match="magic"):
+            decompress_bytes(NullStreamCompressor(), b"GDZ1payload")
+
+    @pytest.mark.parametrize("cut", [0, 1, 3])
+    def test_truncated_magic_raises(self, cut):
+        with pytest.raises(CodingError, match="truncated"):
+            decompress_bytes(NullStreamCompressor(), b"GDN1"[:cut])
 
 
 class TestFileHelpers:

@@ -31,12 +31,14 @@ def trace(workload):
     return workload.trace()
 
 
-def run(source, pacing=None, shape="encoder-link-decoder", static_bases=None, **params):
+def run(source, pacing=None, shape="encoder-link-decoder", static_bases=None,
+        metrics_mode="exact", **params):
     """Build the chain, run ``source`` through it (1 Mpkt/s unless
     ``pacing`` says otherwise); return the engine and its report."""
     engine = TopologyEngine(
         linear_topology(shape=shape, **params),
         static_bases=static_bases,
+        metrics_mode=metrics_mode,
     )
     report = engine.run(
         sources={"flow0": (source, pacing or FixedRatePacing(packet_rate=1e6))}
@@ -348,6 +350,39 @@ class TestPcapDriven:
         _engine, report = run(ChunkTraceSource(trace), scenario="no_table")
         counters = report.as_dict()["metrics"]["counters"]
         assert not [name for name in counters if name.endswith("parse_errors")]
+
+
+class TestStreamingMode:
+    """``metrics_mode="streaming"`` is the bounded-memory mode of the
+    in-memory chain too: counters and integrity stay, per-chunk records go."""
+
+    def test_flows_keep_counts_and_integrity_but_no_arrivals(self, trace):
+        engine, report = run(
+            ChunkTraceSource(trace), scenario="no_table", metrics_mode="streaming"
+        )
+        assert report.integrity.lossless_in_order
+        assert report.chunks_sent == len(trace)
+        assert report.payload_bytes_sent == trace.total_bytes
+        assert report.compression_ratio > 1.0
+        flow = engine.flow_states[0]
+        assert flow.arrivals == []
+        assert flow.delivered == len(trace)
+        assert flow.account.pending == {}
+
+    def test_links_record_no_queueing_delays(self, trace):
+        engine, _report = run(
+            ChunkTraceSource(trace), scenario="no_table", metrics_mode="streaming"
+        )
+        assert engine.graph.links[0].stats.queueing_delays == []
+        assert engine.graph.links[0].stats.delivered == len(trace)
+
+    def test_link_tap_keeps_aggregates_not_records(self, trace):
+        engine, report = run(
+            ChunkTraceSource(trace), scenario="no_table", metrics_mode="streaming"
+        )
+        assert engine.measured_tap.total_frames() == len(trace)
+        assert report.learning_time is None  # first-times still tracked
+        assert report.wire_payload_bytes > 0
 
 
 class TestDnsWorkloadSource:
