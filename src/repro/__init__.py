@@ -27,7 +27,6 @@ Quickstart::
 from repro import registry
 from repro.core import (
     BasisDictionary,
-    BitVector,
     CompressionResult,
     Compressor,
     CrcEngine,
@@ -46,7 +45,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "BasisDictionary",
-    "BitVector",
     "CompressionResult",
     "Compressor",
     "CrcEngine",

@@ -2,7 +2,8 @@
 
 This subpackage is the paper's primary contribution in library form:
 
-* :mod:`repro.core.bits` — bit-vector utilities;
+* :mod:`repro.core.bits` — width arithmetic for ``(value, width)`` bit
+  fields;
 * :mod:`repro.core.crc` — the parameterised CRC engine (the software twin of
   the Tofino CRC extern);
 * :mod:`repro.core.polynomials` — Table 1 of the paper as a registry;
@@ -16,10 +17,10 @@ This subpackage is the paper's primary contribution in library form:
 * :mod:`repro.core.wire` — the GDZ1 record packer and incremental parser;
 * :mod:`repro.core.codec` — the one-call byte-stream compressor;
 * :mod:`repro.core.engine` — the streaming :class:`Compressor` protocol
-  unifying the GD codec and every baseline (see also :mod:`repro.registry`).
+  unifying the GD codec and the gzip, dedup and null codecs it is compared
+  with (see also :mod:`repro.registry`).
 """
 
-from repro.core.bits import BitVector
 from repro.core.codec import CompressionResult, GDCodec
 from repro.core.crc import (
     CRC8_ATM,
@@ -63,7 +64,6 @@ from repro.core.records import (
 from repro.core.transform import GDParts, GDTransform
 
 __all__ = [
-    "BitVector",
     "CompressionResult",
     "GDCodec",
     "CRC8_ATM",

@@ -1,50 +1,24 @@
-"""Bit-level helpers used throughout the GD/Hamming/CRC implementation.
+"""Bit-field helpers used throughout the GD/Hamming/CRC implementation.
 
 The coding-theory parts of ZipLine operate on bit sequences that are *not*
 byte aligned (a Hamming(255, 247) basis is 247 bits long).  Python integers
-are arbitrary precision, so the library represents every bit sequence as a
+are arbitrary precision, so the library represents every bit field as a
 pair ``(value: int, width: int)`` with the most significant bit first
 (``value`` bit ``width - 1`` is the coefficient of ``x**(width - 1)`` in the
-polynomial view used by CRCs and Hamming codes).
+polynomial view used by CRCs and Hamming codes).  There is no bit-vector
+type: a field is its integer value, and its width travels beside it
+(``GDParts`` fields, ``CrcEngine.compute(value, width)``, the
+``CrcExtern.get`` pairs, the P4 header layouts).
 
-This module provides conversions between integers, ``bytes``, bit strings and
-bit lists, plus small utilities (bit extraction, popcount, padding math) that
-the rest of :mod:`repro.core` builds on.
+This module holds the width arithmetic those pairs need: masks, byte
+lengths, alignment, and serialisation of a field to big-endian bytes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
-
 from repro.exceptions import CodingError
 
-__all__ = [
-    "BitVector",
-    "bits_to_bytes_len",
-    "bytes_to_int",
-    "int_to_bytes",
-    "bit_length_at_least",
-    "mask",
-    "extract_bits",
-    "set_bit",
-    "clear_bit",
-    "flip_bit",
-    "get_bit",
-    "popcount",
-    "popcount_portable",
-    "iter_bits_msb",
-    "bits_from_iterable",
-    "bitstring_to_int",
-    "int_to_bitstring",
-    "align_up",
-    "padding_bits_for_alignment",
-    "HAS_INT_BIT_COUNT",
-]
-
-#: True when the running interpreter provides ``int.bit_count`` (3.10+); the
-#: fast-path popcount uses it, older interpreters fall back to the portable
-#: string-count implementation.
-HAS_INT_BIT_COUNT = hasattr(int, "bit_count")
+__all__ = ["mask", "bits_to_bytes_len", "align_up", "int_to_bytes"]
 
 
 def mask(width: int) -> int:
@@ -73,22 +47,6 @@ def align_up(value: int, alignment: int) -> int:
     return value + alignment - remainder
 
 
-def padding_bits_for_alignment(n_bits: int, alignment: int = 8) -> int:
-    """Number of padding bits required to align ``n_bits`` to ``alignment``.
-
-    Mirrors the Tofino byte-alignment constraint discussed in the paper's
-    "Lessons learned" section: header fields must land on byte boundaries, so
-    a 247-bit basis carried in a header costs one extra padding bit, and a
-    255-bit chunk header costs one, etc.
-    """
-    return align_up(n_bits, alignment) - n_bits
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Interpret ``data`` as a big-endian (MSB-first) unsigned integer."""
-    return int.from_bytes(data, "big")
-
-
 def int_to_bytes(value: int, n_bits: int) -> bytes:
     """Serialise ``value`` as big-endian bytes covering ``n_bits`` bits.
 
@@ -100,326 +58,3 @@ def int_to_bytes(value: int, n_bits: int) -> bytes:
     if value >> n_bits:
         raise CodingError(f"value {value:#x} does not fit in {n_bits} bits")
     return value.to_bytes(bits_to_bytes_len(n_bits), "big")
-
-
-def bit_length_at_least(value: int, minimum: int) -> int:
-    """Return ``max(value.bit_length(), minimum)``."""
-    return max(value.bit_length(), minimum)
-
-
-def get_bit(value: int, position: int) -> int:
-    """Return bit ``position`` (0 = least significant) of ``value``."""
-    if position < 0:
-        raise CodingError(f"bit position must be non-negative, got {position}")
-    return (value >> position) & 1
-
-
-def set_bit(value: int, position: int) -> int:
-    """Return ``value`` with bit ``position`` set."""
-    if position < 0:
-        raise CodingError(f"bit position must be non-negative, got {position}")
-    return value | (1 << position)
-
-
-def clear_bit(value: int, position: int) -> int:
-    """Return ``value`` with bit ``position`` cleared."""
-    if position < 0:
-        raise CodingError(f"bit position must be non-negative, got {position}")
-    return value & ~(1 << position)
-
-
-def flip_bit(value: int, position: int) -> int:
-    """Return ``value`` with bit ``position`` flipped (XOR with a unit mask)."""
-    if position < 0:
-        raise CodingError(f"bit position must be non-negative, got {position}")
-    return value ^ (1 << position)
-
-
-def extract_bits(value: int, high: int, low: int) -> int:
-    """Extract the bit slice ``value[high:low]`` inclusive (P4-style slicing).
-
-    ``high`` and ``low`` are bit positions with 0 as the least significant
-    bit; the result is right-aligned.  Mirrors the P4 ``value[high:low]``
-    slice operator used heavily in the ZipLine data-plane program.
-    """
-    if high < low:
-        raise CodingError(f"invalid bit slice [{high}:{low}]")
-    if low < 0:
-        raise CodingError(f"bit positions must be non-negative, got low={low}")
-    width = high - low + 1
-    return (value >> low) & mask(width)
-
-
-def popcount_portable(value: int) -> int:
-    """Portable popcount (string count), kept as the pre-3.10 fallback.
-
-    Also retained so the test suite can cross-check the ``int.bit_count``
-    fast path against an independent implementation.
-    """
-    if value < 0:
-        raise CodingError(f"popcount of negative value {value}")
-    return bin(value).count("1")
-
-
-if HAS_INT_BIT_COUNT:
-
-    def popcount(value: int) -> int:
-        """Number of set bits in ``value`` (Hamming weight)."""
-        if value < 0:
-            raise CodingError(f"popcount of negative value {value}")
-        return value.bit_count()
-
-else:  # pragma: no cover - exercised only on Python < 3.10
-    popcount = popcount_portable
-
-
-def iter_bits_msb(value: int, width: int) -> Iterator[int]:
-    """Yield the bits of ``value`` most-significant first, ``width`` bits."""
-    if value >> width:
-        raise CodingError(f"value {value:#x} does not fit in {width} bits")
-    for position in range(width - 1, -1, -1):
-        yield (value >> position) & 1
-
-
-def bits_from_iterable(bits: Iterable[int]) -> "BitVector":
-    """Build a :class:`BitVector` from an iterable of 0/1 values (MSB first)."""
-    bit_list = list(bits)
-    value = 0
-    for bit in bit_list:
-        if bit not in (0, 1):
-            raise CodingError(f"bits must be 0 or 1, got {bit!r}")
-        value = (value << 1) | bit
-    return BitVector(value, len(bit_list))
-
-
-def bitstring_to_int(text: str) -> int:
-    """Parse a string of '0'/'1' characters (MSB first) into an integer."""
-    stripped = text.replace(" ", "").replace("_", "")
-    if not stripped:
-        return 0
-    if any(char not in "01" for char in stripped):
-        raise CodingError(f"invalid bit string {text!r}")
-    return int(stripped, 2)
-
-
-def int_to_bitstring(value: int, width: int) -> str:
-    """Format ``value`` as a ``width``-character string of '0'/'1' (MSB first)."""
-    if value >> width:
-        raise CodingError(f"value {value:#x} does not fit in {width} bits")
-    return format(value, f"0{width}b") if width else ""
-
-
-class BitVector:
-    """A fixed-width, immutable sequence of bits with MSB-first semantics.
-
-    ``BitVector`` is a thin value type over ``(value, width)``.  It supports
-    the operations the GD transformation needs: XOR, slicing, concatenation,
-    conversion to/from bytes, and iteration over bits.  Instances are
-    hashable so they can be used directly as dictionary keys (e.g. a basis
-    used as a key in the compression dictionary).
-    """
-
-    __slots__ = ("_value", "_width")
-
-    def __init__(self, value: int, width: int):
-        if width < 0:
-            raise CodingError(f"width must be non-negative, got {width}")
-        if value < 0:
-            raise CodingError(f"value must be non-negative, got {value}")
-        if value >> width:
-            raise CodingError(f"value {value:#x} does not fit in {width} bits")
-        self._value = value
-        self._width = width
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_bytes(cls, data: bytes, width: int | None = None) -> "BitVector":
-        """Build a vector from big-endian bytes.
-
-        When ``width`` is given and smaller than ``len(data) * 8``, the most
-        significant bits are dropped (the data is right-aligned), matching
-        how the data plane truncates byte-aligned containers down to
-        non-aligned field widths.
-        """
-        total_bits = len(data) * 8
-        value = bytes_to_int(data)
-        if width is None:
-            width = total_bits
-        if width > total_bits:
-            raise CodingError(
-                f"requested width {width} exceeds available {total_bits} bits"
-            )
-        return cls(value & mask(width), width)
-
-    @classmethod
-    def from_bitstring(cls, text: str) -> "BitVector":
-        """Build a vector from a string of '0'/'1' characters (MSB first)."""
-        stripped = text.replace(" ", "").replace("_", "")
-        return cls(bitstring_to_int(stripped), len(stripped))
-
-    @classmethod
-    def zeros(cls, width: int) -> "BitVector":
-        """An all-zero vector of the given width."""
-        return cls(0, width)
-
-    @classmethod
-    def ones(cls, width: int) -> "BitVector":
-        """An all-one vector of the given width."""
-        return cls(mask(width), width)
-
-    @classmethod
-    def unit(cls, position: int, width: int) -> "BitVector":
-        """A vector of ``width`` bits with only bit ``position`` set."""
-        if position >= width:
-            raise CodingError(
-                f"unit position {position} out of range for width {width}"
-            )
-        return cls(1 << position, width)
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def value(self) -> int:
-        """Integer value of the vector (bit ``width - 1`` is the MSB)."""
-        return self._value
-
-    @property
-    def width(self) -> int:
-        """Number of bits in the vector."""
-        return self._width
-
-    def bit(self, position: int) -> int:
-        """Bit at ``position`` (0 = least significant)."""
-        if position >= self._width:
-            raise CodingError(
-                f"bit position {position} out of range for width {self._width}"
-            )
-        return get_bit(self._value, position)
-
-    def to_bytes(self) -> bytes:
-        """Big-endian byte representation (``ceil(width / 8)`` bytes)."""
-        return int_to_bytes(self._value, self._width)
-
-    def to_bitstring(self) -> str:
-        """'0'/'1' string, MSB first."""
-        return int_to_bitstring(self._value, self._width)
-
-    def to_bit_list(self) -> List[int]:
-        """List of bits, MSB first."""
-        return list(iter_bits_msb(self._value, self._width))
-
-    def weight(self) -> int:
-        """Hamming weight (number of set bits)."""
-        return popcount(self._value)
-
-    # -- operations --------------------------------------------------------
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        if other.width != self._width:
-            raise CodingError(
-                f"cannot XOR vectors of widths {self._width} and {other.width}"
-            )
-        return BitVector(self._value ^ other.value, self._width)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        if other.width != self._width:
-            raise CodingError(
-                f"cannot AND vectors of widths {self._width} and {other.width}"
-            )
-        return BitVector(self._value & other.value, self._width)
-
-    def __or__(self, other: "BitVector") -> "BitVector":
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        if other.width != self._width:
-            raise CodingError(
-                f"cannot OR vectors of widths {self._width} and {other.width}"
-            )
-        return BitVector(self._value | other.value, self._width)
-
-    def concat(self, other: "BitVector") -> "BitVector":
-        """Concatenate ``self`` (high bits) with ``other`` (low bits).
-
-        Mirrors the P4 ``++`` operator: ``a.concat(b)`` places ``a`` in the
-        most significant positions.
-        """
-        return BitVector(
-            (self._value << other.width) | other.value,
-            self._width + other.width,
-        )
-
-    def slice(self, high: int, low: int) -> "BitVector":
-        """Bit slice ``[high:low]`` inclusive, P4 style (0 = LSB)."""
-        if high >= self._width:
-            raise CodingError(
-                f"slice high {high} out of range for width {self._width}"
-            )
-        return BitVector(extract_bits(self._value, high, low), high - low + 1)
-
-    def truncate_low(self, width: int) -> "BitVector":
-        """Keep only the ``width`` least significant bits."""
-        if width > self._width:
-            raise CodingError(
-                f"cannot truncate width {self._width} vector to {width} bits"
-            )
-        return BitVector(self._value & mask(width), width)
-
-    def truncate_high(self, width: int) -> "BitVector":
-        """Keep only the ``width`` most significant bits."""
-        if width > self._width:
-            raise CodingError(
-                f"cannot truncate width {self._width} vector to {width} bits"
-            )
-        return BitVector(self._value >> (self._width - width), width)
-
-    def zero_extend(self, width: int) -> "BitVector":
-        """Zero-extend to ``width`` bits (new zero bits become the MSBs)."""
-        if width < self._width:
-            raise CodingError(
-                f"cannot zero-extend width {self._width} vector to {width} bits"
-            )
-        return BitVector(self._value, width)
-
-    def flip(self, position: int) -> "BitVector":
-        """Return a copy with bit ``position`` flipped."""
-        if position >= self._width:
-            raise CodingError(
-                f"bit position {position} out of range for width {self._width}"
-            )
-        return BitVector(flip_bit(self._value, position), self._width)
-
-    # -- dunder plumbing ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._width
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits_msb(self._value, self._width)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self._value == other.value and self._width == other.width
-
-    def __hash__(self) -> int:
-        return hash((self._value, self._width))
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __repr__(self) -> str:
-        if self._width <= 64:
-            return f"BitVector('{self.to_bitstring()}')"
-        return f"BitVector(value={self._value:#x}, width={self._width})"
-
-
-def bit_vectors_equal(left: Sequence[BitVector], right: Sequence[BitVector]) -> bool:
-    """True when two sequences of bit vectors are element-wise equal."""
-    if len(left) != len(right):
-        return False
-    return all(a == b for a, b in zip(left, right))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bits import BitVector, mask
+from repro.core.bits import mask
 from repro.exceptions import CodingError
 
 __all__ = [
@@ -450,8 +450,8 @@ class CrcEngine:
 
     * :meth:`compute_bits_reference` — the bit-serial Rocksoft model, kept
       free of every table so tests can use it as the oracle;
-    * :meth:`compute` — one record (integer, :class:`BitVector` or bytes)
-      through the shared byte loop; handles arbitrary, non byte-aligned
+    * :meth:`compute` — one record (integer + width, or bytes) through
+      the shared byte loop; handles arbitrary, non byte-aligned
       widths (255/511-bit chunks) and the full Rocksoft parameter model;
     * :meth:`compute_batch` — every fixed-size record of a buffer in one
       call, one table lookup per byte, on the selected codec backend.
@@ -519,10 +519,8 @@ class CrcEngine:
 
     # -- one record -----------------------------------------------------------
 
-    def compute(
-        self, message: "BitVector | bytes | int", width: Optional[int] = None
-    ) -> int:
-        """CRC of one record: a BitVector, a bytes-like, or an int + ``width``.
+    def compute(self, message: "bytes | int", width: Optional[int] = None) -> int:
+        """CRC of one record: an int + ``width``, or a bytes-like.
 
         This is the path the GD transformation uses (e.g. 255-bit chunks).
         Bit-identical to :meth:`compute_bits_reference` for every parameter
@@ -537,8 +535,6 @@ class CrcEngine:
         if isinstance(message, int):
             if width is None:
                 raise CodingError("width is required when message is an int")
-        elif isinstance(message, BitVector):
-            message, width = message.value, message.width
         elif isinstance(message, (bytes, bytearray, memoryview)):
             message, width = int.from_bytes(message, "big"), len(message) * 8
         else:

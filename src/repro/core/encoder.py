@@ -303,7 +303,7 @@ class GDEncoder:
         return self.encode_batch((chunk,))[0]
 
     def encode_batch(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
-        """Encode an iterable of chunks (ints, byte strings, bit vectors).
+        """Encode an iterable of chunks (ints or byte strings).
 
         Each chunk is validated and split on its own, then the whole batch
         runs through the dictionary stage of :meth:`encode_buffer_batch`.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import batch_backend
-from repro.core.bits import BitVector, mask
+from repro.core.bits import mask
 from repro.core.crc import (
     CrcEngine,
     byte_remainder_function,
@@ -453,25 +453,6 @@ class HammingCode:
             )
 
     # -- convenience --------------------------------------------------------
-
-    def chunk_vector_to_basis(self, chunk: BitVector) -> Tuple[BitVector, BitVector]:
-        """BitVector variant of :meth:`chunk_to_basis`."""
-        if chunk.width != self._n:
-            raise CodingError(
-                f"chunk width {chunk.width} does not match n={self._n}"
-            )
-        basis, syndrome = self.chunk_to_basis(chunk.value)
-        return BitVector(basis, self._k), BitVector(syndrome, self._m)
-
-    def basis_vector_to_chunk(self, basis: BitVector, syndrome: BitVector) -> BitVector:
-        """BitVector variant of :meth:`basis_to_chunk`."""
-        if basis.width != self._k:
-            raise CodingError(f"basis width {basis.width} does not match k={self._k}")
-        if syndrome.width != self._m:
-            raise CodingError(
-                f"syndrome width {syndrome.width} does not match m={self._m}"
-            )
-        return BitVector(self.basis_to_chunk(basis.value, syndrome.value), self._n)
 
     def bases_sharing_chunk(self, basis: int) -> int:
         """Number of distinct chunks that map to the given basis (= ``n + 1``).

@@ -8,10 +8,9 @@ paper calls this "one additional bit to store the MSB of the raw data
 packet".
 
 :class:`GDTransform` wraps a :class:`~repro.core.hamming.HammingCode` and
-handles this framing: it accepts chunks as integers, byte strings or
-:class:`~repro.core.bits.BitVector` values, splits them into a *prefix*
-(the verbatim extra bits), a *basis* and a *deviation* (the syndrome), and
-reassembles them exactly.
+handles this framing: it accepts chunks as integers or byte strings,
+splits them into a *prefix* (the verbatim extra bits), a *basis* and a
+*deviation* (the syndrome), and reassembles them exactly.
 """
 
 from __future__ import annotations
@@ -26,19 +25,13 @@ from repro.core.backends import (
     default_backend,
     named_backend,
 )
-from repro.core.bits import (
-    BitVector,
-    bits_to_bytes_len,
-    int_to_bytes,
-    mask,
-    padding_bits_for_alignment,
-)
+from repro.core.bits import align_up, bits_to_bytes_len, int_to_bytes, mask
 from repro.core.hamming import HammingCode
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = ["GDParts", "GDTransform", "ChunkLike", "GDFields"]
 
-ChunkLike = Union[int, bytes, bytearray, memoryview, BitVector]
+ChunkLike = Union[int, bytes, bytearray, memoryview]
 
 #: The allocation-free representation the fast path works in:
 #: ``(prefix, basis, deviation)`` as plain integers.
@@ -100,14 +93,6 @@ class GDParts:
         """
         return self.basis
 
-    def basis_vector(self) -> BitVector:
-        """The basis as a :class:`BitVector`."""
-        return BitVector(self.basis, self.basis_bits)
-
-    def deviation_vector(self) -> BitVector:
-        """The deviation as a :class:`BitVector`."""
-        return BitVector(self.deviation, self.deviation_bits)
-
 
 class GDTransform:
     """Bijective mapping between chunks and (prefix, basis, deviation) parts.
@@ -154,7 +139,7 @@ class GDTransform:
         self._code = HammingCode(order, polynomial)
         n = self._code.n
         if chunk_bits is None:
-            chunk_bits = n + padding_bits_for_alignment(n, 8)
+            chunk_bits = align_up(n, 8)
         if chunk_bits < n:
             raise CodingError(
                 f"chunk_bits={chunk_bits} is smaller than the code length n={n}"
@@ -240,13 +225,6 @@ class GDTransform:
     # -- input normalisation ----------------------------------------------------
 
     def _chunk_to_int(self, chunk: ChunkLike) -> int:
-        if isinstance(chunk, BitVector):
-            if chunk.width != self._chunk_bits:
-                raise ChunkSizeError(
-                    f"chunk width {chunk.width} does not match "
-                    f"configured {self._chunk_bits} bits"
-                )
-            return chunk.value
         if isinstance(chunk, (bytes, bytearray, memoryview)):
             data = bytes(chunk)
             if len(data) != self.chunk_bytes:

@@ -11,15 +11,16 @@ exactly like the P4 tuple argument).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+import operator
+from typing import Sequence, Tuple
 
-from repro.core.bits import BitVector
 from repro.core.crc import CrcEngine, CrcParameters
 from repro.exceptions import CodingError
 
 __all__ = ["CrcPolynomial", "CrcExtern"]
 
-FieldLike = Union[Tuple[int, int], BitVector]
+#: One hashed field: ``(value, width)``, most-significant bit first.
+Field = Tuple[int, int]
 
 
 class CrcPolynomial:
@@ -92,34 +93,23 @@ class CrcExtern:
         """
         self._invocations += 1
 
-    def get(self, fields: "FieldLike | Sequence[FieldLike]") -> int:
+    def get(self, fields: "Field | Sequence[Field]") -> int:
         """Compute the CRC of the concatenation of ``fields``.
 
-        ``fields`` may be a single ``(value, width)`` pair, a single
-        :class:`BitVector`, or a sequence of either (concatenated
-        most-significant first).
+        ``fields`` is one ``(value, width)`` pair or a sequence of pairs,
+        concatenated most-significant first.
         """
-        if (
-            type(fields) is tuple
-            and len(fields) == 2
-            and type(fields[0]) is int
-            and type(fields[1]) is int
-        ):
-            # Hot path: a single (value, width) pair — the shape the ZipLine
-            # programs invoke the extern with on every chunk.
-            value, width = fields
-            if width <= 0:
-                raise CodingError(f"field width must be positive, got {width}")
-            if value < 0 or value >> width:
-                raise CodingError(
-                    f"field value {value:#x} does not fit in {width} bits"
-                )
-            self._invocations += 1
-            return self._engine.compute(value, width)
-        normalised = self._normalise(fields)
+        if isinstance(fields, tuple) and fields and type(fields[0]) not in (tuple, list):
+            fields = (fields,)  # one pair
         value = 0
         total_width = 0
-        for field_value, field_width in normalised:
+        for field in fields:
+            try:
+                field_value, field_width = map(operator.index, field)
+            except (TypeError, ValueError):
+                raise CodingError(
+                    f"hash fields must be (value, width) int pairs, got {field!r}"
+                ) from None
             if field_width <= 0:
                 raise CodingError(f"field width must be positive, got {field_width}")
             if field_value < 0 or field_value >> field_width:
@@ -128,30 +118,7 @@ class CrcExtern:
                 )
             value = (value << field_width) | field_value
             total_width += field_width
+        if not total_width:
+            raise CodingError("hash extern invoked with no fields")
         self._invocations += 1
         return self._engine.compute(value, total_width)
-
-    @staticmethod
-    def _normalise(
-        fields: "FieldLike | Sequence[FieldLike]",
-    ) -> Iterable[Tuple[int, int]]:
-        if isinstance(fields, BitVector):
-            return [(fields.value, fields.width)]
-        if isinstance(fields, tuple) and len(fields) == 2 and all(
-            isinstance(part, int) for part in fields
-        ):
-            return [fields]  # a single (value, width) pair
-        normalised = []
-        for item in fields:  # type: ignore[union-attr]
-            if isinstance(item, BitVector):
-                normalised.append((item.value, item.width))
-            elif isinstance(item, tuple) and len(item) == 2:
-                normalised.append((int(item[0]), int(item[1])))
-            else:
-                raise CodingError(
-                    "hash fields must be BitVector or (value, width) tuples, "
-                    f"got {item!r}"
-                )
-        if not normalised:
-            raise CodingError("hash extern invoked with no fields")
-        return normalised

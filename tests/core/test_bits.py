@@ -1,35 +1,37 @@
-"""Tests for the bit-vector utilities."""
+"""Tests for the bit-field width helpers."""
 
 import pytest
 
 from repro.core import bits
-from repro.core.bits import BitVector
 from repro.exceptions import CodingError
 
 
 class TestScalarHelpers:
-    def test_mask_widths(self):
-        assert bits.mask(0) == 0
-        assert bits.mask(1) == 1
-        assert bits.mask(8) == 0xFF
-        assert bits.mask(255) == (1 << 255) - 1
+    @pytest.mark.parametrize(
+        "width, expected", [(0, 0), (1, 1), (8, 0xFF), (255, (1 << 255) - 1)]
+    )
+    def test_mask_widths(self, width, expected):
+        assert bits.mask(width) == expected
 
     def test_mask_rejects_negative_width(self):
         with pytest.raises(CodingError):
             bits.mask(-1)
 
-    def test_bits_to_bytes_len(self):
-        assert bits.bits_to_bytes_len(0) == 0
-        assert bits.bits_to_bytes_len(1) == 1
-        assert bits.bits_to_bytes_len(8) == 1
-        assert bits.bits_to_bytes_len(9) == 2
-        assert bits.bits_to_bytes_len(256) == 32
+    @pytest.mark.parametrize(
+        "n_bits, expected", [(0, 0), (1, 1), (8, 1), (9, 2), (247, 31), (256, 32)]
+    )
+    def test_bits_to_bytes_len(self, n_bits, expected):
+        assert bits.bits_to_bytes_len(n_bits) == expected
 
-    def test_align_up(self):
-        assert bits.align_up(0, 8) == 0
-        assert bits.align_up(1, 8) == 8
-        assert bits.align_up(8, 8) == 8
-        assert bits.align_up(255, 8) == 256
+    def test_bits_to_bytes_len_rejects_negative(self):
+        with pytest.raises(CodingError):
+            bits.bits_to_bytes_len(-1)
+
+    @pytest.mark.parametrize(
+        "value, expected", [(0, 0), (1, 8), (8, 8), (247, 248), (255, 256)]
+    )
+    def test_align_up(self, value, expected):
+        assert bits.align_up(value, 8) == expected
 
     def test_align_up_invalid(self):
         with pytest.raises(CodingError):
@@ -37,160 +39,19 @@ class TestScalarHelpers:
         with pytest.raises(CodingError):
             bits.align_up(-1, 8)
 
-    def test_padding_bits_for_alignment_matches_paper_sizes(self):
-        # A 255-bit chunk needs 1 padding bit; a 247-bit basis also 1.
-        assert bits.padding_bits_for_alignment(255) == 1
-        assert bits.padding_bits_for_alignment(247) == 1
-        assert bits.padding_bits_for_alignment(256) == 0
-
     def test_int_bytes_roundtrip(self):
         value = 0x1234_5678_9ABC
         data = bits.int_to_bytes(value, 48)
         assert len(data) == 6
-        assert bits.bytes_to_int(data) == value
+        assert int.from_bytes(data, "big") == value
+
+    def test_int_to_bytes_keeps_leading_zero_bytes(self):
+        # A 255-bit field always serialises to 32 bytes, MSB first.
+        assert bits.int_to_bytes(1, 255) == bytes(31) + b"\x01"
+        assert bits.int_to_bytes(0, 0) == b""
 
     def test_int_to_bytes_rejects_overflow(self):
         with pytest.raises(CodingError):
             bits.int_to_bytes(256, 8)
-
-    def test_bit_manipulation(self):
-        assert bits.get_bit(0b1010, 1) == 1
-        assert bits.get_bit(0b1010, 0) == 0
-        assert bits.set_bit(0b1010, 0) == 0b1011
-        assert bits.clear_bit(0b1010, 1) == 0b1000
-        assert bits.flip_bit(0b1010, 3) == 0b0010
-
-    def test_extract_bits_p4_slice(self):
-        value = 0b1101_0110
-        assert bits.extract_bits(value, 7, 4) == 0b1101
-        assert bits.extract_bits(value, 3, 0) == 0b0110
-        assert bits.extract_bits(value, 0, 0) == 0
-
-    def test_extract_bits_invalid_range(self):
         with pytest.raises(CodingError):
-            bits.extract_bits(0xFF, 2, 5)
-
-    def test_popcount(self):
-        assert bits.popcount(0) == 0
-        assert bits.popcount(0b1011) == 3
-        assert bits.popcount((1 << 255) - 1) == 255
-
-    def test_bitstring_roundtrip(self):
-        assert bits.bitstring_to_int("0000001") == 1
-        assert bits.int_to_bitstring(5, 4) == "0101"
-        assert bits.bitstring_to_int(bits.int_to_bitstring(12345, 20)) == 12345
-
-    def test_bitstring_rejects_garbage(self):
-        with pytest.raises(CodingError):
-            bits.bitstring_to_int("01x1")
-
-    def test_iter_bits_msb(self):
-        assert list(bits.iter_bits_msb(0b101, 3)) == [1, 0, 1]
-        assert list(bits.iter_bits_msb(1, 4)) == [0, 0, 0, 1]
-
-
-class TestBitVector:
-    def test_construction_and_accessors(self):
-        vector = BitVector(0b1010, 4)
-        assert vector.value == 10
-        assert vector.width == 4
-        assert len(vector) == 4
-        assert int(vector) == 10
-
-    def test_rejects_value_out_of_range(self):
-        with pytest.raises(CodingError):
-            BitVector(16, 4)
-
-    def test_from_bytes_and_back(self):
-        vector = BitVector.from_bytes(b"\x12\x34")
-        assert vector.width == 16
-        assert vector.value == 0x1234
-        assert vector.to_bytes() == b"\x12\x34"
-
-    def test_from_bytes_truncates_to_width(self):
-        vector = BitVector.from_bytes(b"\xff\xff", width=12)
-        assert vector.width == 12
-        assert vector.value == 0xFFF
-
-    def test_from_bitstring(self):
-        vector = BitVector.from_bitstring("0000 0001")
-        assert vector.width == 8
-        assert vector.value == 1
-
-    def test_unit_and_zero_and_ones(self):
-        assert BitVector.unit(3, 8).value == 8
-        assert BitVector.zeros(5).value == 0
-        assert BitVector.ones(5).value == 0b11111
-
-    def test_unit_position_out_of_range(self):
-        with pytest.raises(CodingError):
-            BitVector.unit(8, 8)
-
-    def test_xor_and_width_mismatch(self):
-        left = BitVector(0b1100, 4)
-        right = BitVector(0b1010, 4)
-        assert (left ^ right).value == 0b0110
-        with pytest.raises(CodingError):
-            left ^ BitVector(0, 5)
-
-    def test_and_or(self):
-        left = BitVector(0b1100, 4)
-        right = BitVector(0b1010, 4)
-        assert (left & right).value == 0b1000
-        assert (left | right).value == 0b1110
-
-    def test_concat_matches_p4_plus_plus(self):
-        high = BitVector(0b101, 3)
-        low = BitVector(0b01, 2)
-        combined = high.concat(low)
-        assert combined.width == 5
-        assert combined.value == 0b10101
-
-    def test_slice(self):
-        vector = BitVector(0b1101_0110, 8)
-        assert vector.slice(7, 4).value == 0b1101
-        assert vector.slice(3, 0).value == 0b0110
-        with pytest.raises(CodingError):
-            vector.slice(8, 0)
-
-    def test_truncate_and_extend(self):
-        vector = BitVector(0b1101_0110, 8)
-        assert vector.truncate_low(4).value == 0b0110
-        assert vector.truncate_high(4).value == 0b1101
-        extended = vector.zero_extend(12)
-        assert extended.width == 12
-        assert extended.value == vector.value
-        with pytest.raises(CodingError):
-            vector.zero_extend(4)
-
-    def test_flip(self):
-        vector = BitVector(0b1000, 4)
-        assert vector.flip(0).value == 0b1001
-        assert vector.flip(3).value == 0
-        with pytest.raises(CodingError):
-            vector.flip(4)
-
-    def test_equality_and_hash(self):
-        assert BitVector(5, 4) == BitVector(5, 4)
-        assert BitVector(5, 4) != BitVector(5, 5)
-        assert hash(BitVector(5, 4)) == hash(BitVector(5, 4))
-        mapping = {BitVector(5, 4): "x"}
-        assert mapping[BitVector(5, 4)] == "x"
-
-    def test_iteration_msb_first(self):
-        assert list(BitVector(0b0110, 4)) == [0, 1, 1, 0]
-
-    def test_weight(self):
-        assert BitVector(0b0110, 4).weight() == 2
-
-    def test_repr_small_and_large(self):
-        assert "0101" in repr(BitVector(5, 4))
-        large = BitVector(1 << 100, 200)
-        assert "width=200" in repr(large)
-
-    def test_bits_from_iterable(self):
-        vector = bits.bits_from_iterable([1, 0, 1, 1])
-        assert vector.width == 4
-        assert vector.value == 0b1011
-        with pytest.raises(CodingError):
-            bits.bits_from_iterable([1, 2])
+            bits.int_to_bytes(-1, 8)

@@ -143,15 +143,23 @@ class TestSyndromeCrc:
         assert len(set(units)) == 255
         assert 0 not in units
 
-    def test_compute_accepts_bitvector_and_bytes(self):
-        from repro.core.bits import BitVector
-
+    def test_compute_accepts_int_and_bytes(self):
         engine = syndrome_crc(0x3, 3)
-        assert engine.compute(BitVector(0b0001000, 7)) == 0b011
-        assert engine.compute(b"\x01") == engine.compute(1, 8)
         assert engine.compute(0b0001000, width=7) == 0b011
+        for message in (b"\x01", bytearray(b"\x01"), memoryview(b"\x01")):
+            assert engine.compute(message) == engine.compute(1, 8)
         with pytest.raises(CodingError):
             engine.compute(5)  # int without a width
+
+    @pytest.mark.parametrize(
+        "message",
+        [3.0, "\x01", None, [1], (8, 7)],
+        ids=["float", "str", "none", "list", "value-width-pair"],
+    )
+    def test_compute_rejects_other_message_types(self, message):
+        """A ``(value, width)`` pair is two arguments, not one message."""
+        with pytest.raises(CodingError, match="unsupported message type"):
+            syndrome_crc(0x3, 3).compute(message)
 
     def test_rejects_oversized_message(self):
         engine = syndrome_crc(0x3, 3)

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.core.bits import HAS_INT_BIT_COUNT, popcount, popcount_portable
 from repro.core.codec import GDCodec
 from repro.core.crc import is_primitive_polynomial, poly_mod
 from repro.core.decoder import GDDecoder
@@ -127,19 +126,6 @@ class TestTransformEquivalence:
             bulk = code.parities_of_bases(bases)
             for basis, parity in zip(bases, bulk):
                 assert parity == code.parity_of_basis(basis)
-
-
-class TestPopcount:
-    def test_matches_portable_implementation(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            value = rng.getrandbits(rng.randrange(1, 300))
-            assert popcount(value) == popcount_portable(value)
-        assert popcount(0) == 0
-
-    @pytest.mark.skipif(not HAS_INT_BIT_COUNT, reason="int.bit_count requires 3.10+")
-    def test_uses_bit_count_when_available(self):
-        assert popcount((1 << 255) | 1) == 2
 
 
 class TestCodecEquivalence:

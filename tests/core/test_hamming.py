@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.bits import BitVector
 from repro.core.hamming import HammingCode, hamming_parameters_for_order
 from repro.exceptions import CodingError
 
@@ -166,24 +165,15 @@ class TestGDSplit:
                 (basis << hamming_15_11.m) | hamming_15_11.parity_of_basis(basis)
             )
 
-    def test_bitvector_interface(self, hamming_7_4):
-        chunk = BitVector(0b1010110, 7)
-        basis, syndrome = hamming_7_4.chunk_vector_to_basis(chunk)
-        assert basis.width == 4
-        assert syndrome.width == 3
-        assert hamming_7_4.basis_vector_to_chunk(basis, syndrome) == chunk
-
-    def test_bitvector_interface_rejects_wrong_widths(self, hamming_7_4):
-        with pytest.raises(CodingError):
-            hamming_7_4.chunk_vector_to_basis(BitVector(0, 8))
-        with pytest.raises(CodingError):
-            hamming_7_4.basis_vector_to_chunk(BitVector(0, 5), BitVector(0, 3))
-
     def test_bounds_checking(self, hamming_7_4):
         with pytest.raises(CodingError):
             hamming_7_4.syndrome(1 << 7)
         with pytest.raises(CodingError):
+            hamming_7_4.chunk_to_basis(1 << 7)
+        with pytest.raises(CodingError):
             hamming_7_4.parity_of_basis(1 << 4)
+        with pytest.raises(CodingError):
+            hamming_7_4.basis_to_chunk(1 << 4, 0)
         with pytest.raises(CodingError):
             hamming_7_4.basis_to_chunk(0, 1 << 3)
         with pytest.raises(CodingError):

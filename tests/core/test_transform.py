@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.bits import BitVector
 from repro.core.transform import GDParts, GDTransform
 from repro.exceptions import ChunkSizeError, CodingError
 
@@ -50,12 +49,13 @@ class TestSplitJoin:
             parts = paper_transform.split(chunk)
             assert paper_transform.join_to_bytes(parts) == chunk
 
-    def test_roundtrip_int_and_bitvector(self, small_transform, rng):
+    def test_roundtrip_int_and_bytes(self, small_transform, rng):
         for _ in range(100):
             value = rng.getrandbits(16)
+            data = value.to_bytes(2, "big")
             parts_from_int = small_transform.split(value)
-            parts_from_vec = small_transform.split(BitVector(value, 16))
-            assert parts_from_int == parts_from_vec
+            for chunk in (data, bytearray(data), memoryview(data)):
+                assert small_transform.split(chunk) == parts_from_int
             assert small_transform.join(parts_from_int) == value
 
     def test_exhaustive_small_transform_bijection(self, small_transform):
@@ -99,24 +99,35 @@ class TestSplitJoin:
         assert restored == data
 
 
+#: Not a 16-bit chunk of ``small_transform``: a chunk is an int or a
+#: bytes-like of exactly ``chunk_bytes``; a ``(value, width)`` pair is a
+#: field, not a chunk.
+NOT_A_CHUNK = {
+    "short-bytes": b"\x00",
+    "long-bytes": b"\x00\x00\x00",
+    "empty-bytes": b"",
+    "short-bytearray": bytearray(1),
+    "long-memoryview": memoryview(bytes(3)),
+    "oversized-int": 1 << 16,
+    "negative-int": -1,
+    "float": 3.14,
+    "str": "ab",
+    "none": None,
+    "int-list": [0, 0],
+    "value-width-pair": (0, 16),
+}
+
+
 class TestValidation:
-    def test_wrong_byte_length_rejected(self, paper_transform):
+    @pytest.mark.parametrize("entry", ["split", "split_fields", "chunk_to_bytes"])
+    @pytest.mark.parametrize("chunk", NOT_A_CHUNK.values(), ids=NOT_A_CHUNK.keys())
+    def test_non_chunk_rejected(self, small_transform, entry, chunk):
+        with pytest.raises(ChunkSizeError):
+            getattr(small_transform, entry)(chunk)
+
+    def test_wrong_byte_length_rejected_at_paper_size(self, paper_transform):
         with pytest.raises(ChunkSizeError):
             paper_transform.split(b"\x00" * 31)
-
-    def test_wrong_bitvector_width_rejected(self, paper_transform):
-        with pytest.raises(ChunkSizeError):
-            paper_transform.split(BitVector(0, 255))
-
-    def test_oversized_int_rejected(self, small_transform):
-        with pytest.raises(ChunkSizeError):
-            small_transform.split(1 << 16)
-        with pytest.raises(ChunkSizeError):
-            small_transform.split(-1)
-
-    def test_unsupported_type_rejected(self, small_transform):
-        with pytest.raises(ChunkSizeError):
-            small_transform.split(3.14)
 
     def test_join_checks_part_widths(self, small_transform, paper_transform):
         parts = paper_transform.split(bytes(32))

@@ -1,11 +1,27 @@
 """Tests for the CRC/hash extern model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.bits import BitVector
-from repro.core.hamming import HammingCode
 from repro.exceptions import CodingError
 from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
+
+#: Arguments ``CrcExtern.get`` refuses with a ``CodingError``.
+BAD_FIELDS = {
+    "value-too-wide": (8, 3),
+    "zero-width": [(1, 0)],
+    "negative-width": (1, -3),
+    "negative-value": [(-1, 3)],
+    "no-fields": [],
+    "str": ["bad"],
+    "one-int": [(1,)],
+    "triple": (1, 2, 3),
+    "float-value": (1.0, 3),
+    "float-width": [(1, 3.0)],
+    "bare-int": [(1, 3), 5],
+    "three-list": [[1, 3, 0]],
+}
 
 
 class TestCrcPolynomial:
@@ -42,10 +58,33 @@ class TestCrcExtern:
             parity = extern.get([(basis, hamming_7_4.k), (0, hamming_7_4.m)])
             assert parity == hamming_7_4.parity_of_basis(basis)
 
-    def test_bitvector_fields(self, hamming_7_4):
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (0b0001000, 7),
+            [(0b0001000, 7)],
+            ((0b000, 3), (0b1000, 4)),
+            [(0b000, 3), (0b1000, 4)],
+            [(0b0, 1), (0b00, 2), (0b1000, 4)],
+        ],
+        ids=["pair", "list-of-one", "tuple-of-pairs", "list-of-pairs", "three-fields"],
+    )
+    def test_one_pair_or_a_sequence_of_pairs(self, hamming_7_4, fields):
         extern = CrcExtern(CrcPolynomial(coeff=hamming_7_4.crc_parameter, width=3))
-        assert extern.get(BitVector(0b0001000, 7)) == 0b011
-        assert extern.get([BitVector(0b000, 3), BitVector(0b1000, 4)]) == 0b011
+        assert extern.get(fields) == 0b011
+        assert extern.invocations == 1
+
+    @given(st.integers(0, (1 << 255) - 1), st.lists(st.integers(1, 254), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_any_cut_of_a_chunk_hashes_like_the_chunk(self, paper_code, chunk, cuts):
+        """P4 ``hash.get({a, b, ...})`` is the CRC of ``a ++ b ++ ...``."""
+        extern = CrcExtern(CrcPolynomial(coeff=paper_code.crc_parameter, width=8))
+        edges = [255, *sorted(set(cuts), reverse=True), 0]
+        fields = [
+            ((chunk >> low) & ((1 << (high - low)) - 1), high - low)
+            for high, low in zip(edges, edges[1:])
+        ]
+        assert extern.get(fields) == paper_code.syndrome(chunk)
 
     def test_invocation_counter(self, hamming_7_4):
         extern = CrcExtern(CrcPolynomial(coeff=hamming_7_4.crc_parameter, width=3))
@@ -53,13 +92,9 @@ class TestCrcExtern:
         extern.get((2, 7))
         assert extern.invocations == 2
 
-    def test_field_validation(self, hamming_7_4):
+    @pytest.mark.parametrize("fields", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+    def test_field_validation(self, hamming_7_4, fields):
         extern = CrcExtern(CrcPolynomial(coeff=hamming_7_4.crc_parameter, width=3))
         with pytest.raises(CodingError):
-            extern.get((8, 3))  # value does not fit the declared width
-        with pytest.raises(CodingError):
-            extern.get([(1, 0)])
-        with pytest.raises(CodingError):
-            extern.get([])
-        with pytest.raises(CodingError):
-            extern.get(["bad"])
+            extern.get(fields)
+        assert extern.invocations == 0
