@@ -26,11 +26,12 @@ delay), which the metrics registry folds into the run's report.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import ReplayError, ReproError
@@ -130,7 +131,11 @@ class ImpairmentModel:
 
 @dataclass
 class LinkStats:
-    """Counters and samples describing one link's behaviour during a run."""
+    """Counters and samples describing one link's behaviour during a run.
+
+    ``queueing_delays`` holds one sample per admitted frame, in admission
+    order, packed as C doubles (8 bytes each).
+    """
 
     offered: int = 0
     delivered: int = 0
@@ -141,7 +146,7 @@ class LinkStats:
     delivered_bytes: int = 0
     max_queue_depth: int = 0
     busy_time: float = 0.0
-    queueing_delays: List[float] = field(default_factory=list)
+    queueing_delays: array = field(default_factory=partial(array, "d"))
 
     @property
     def dropped(self) -> int:
@@ -185,9 +190,10 @@ class EmulatedLink:
     impairments:
         Seeded loss/reorder model; ``None`` means an ideal link.
     record_delays:
-        Keep the per-frame queueing-delay samples (O(frames) memory) for
-        the percentile report.  Counters-only replays of very large traces
-        disable this; the scalar counters always stay.
+        Keep the per-frame queueing-delay samples (O(frames) memory, 8
+        bytes a frame) for the percentile report.  Counters-only replays
+        of very large traces disable this; the scalar counters always
+        stay.
     """
 
     def __init__(

@@ -12,6 +12,7 @@ itself is :class:`repro.topology.report.TopologyReport`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -46,7 +47,8 @@ class Distribution:
 
     Two storage modes share one interface:
 
-    * **exact** (the default) retains every sample.  Percentiles use linear
+    * **exact** (the default) retains every sample, packed as a C double
+      (8 bytes each, in insertion order).  Percentiles use linear
       interpolation between closest ranks (the same convention as
       ``numpy.percentile``'s default), computed lazily over a cached sort.
     * **bounded** (``bounded=True``) keeps a fixed-size log-bucketed sketch
@@ -101,8 +103,8 @@ class Distribution:
             self._positive: Dict[int, int] = {}
             self._negative: Dict[int, int] = {}
         else:
-            self._samples: List[float] = []
-            self._sorted: Optional[List[float]] = None
+            self._samples = array("d")
+            self._sorted: Optional[array] = None
 
     @property
     def bounded(self) -> bool:
@@ -268,7 +270,7 @@ class Distribution:
         if self._bounded:
             return self._bounded_percentile(p)
         if self._sorted is None:
-            self._sorted = sorted(self._samples)
+            self._sorted = array("d", sorted(self._samples))
         ordered = self._sorted
         if len(ordered) == 1:
             return ordered[0]

@@ -113,9 +113,10 @@ class TopologyEngine:
         online matcher (:class:`~repro.topology.flows.FlowAccount`) and the
         one report fold, so counters, gauges and integrity verdicts are
         byte-identical across modes.  ``"exact"`` (default) retains every
-        latency sample, arrival frame, tap record and link queueing-delay
-        sample — O(traffic) memory, exact percentiles.  ``"streaming"``
-        retains none of them: latencies fold into fixed-size sketches
+        flow latency sample and link queueing-delay sample, 8 bytes each
+        — O(traffic) memory, exact percentiles.  Neither mode keeps the
+        frames themselves.  ``"streaming"`` retains no samples either:
+        latencies fold into fixed-size sketches
         (:class:`~repro.replay.metrics.Distribution` bounded mode), so
         memory is bounded at any scale, latency percentiles become sketch
         estimates and per-link queueing-delay distributions are empty.
@@ -151,9 +152,6 @@ class TopologyEngine:
         self.spec = spec
         self.metrics_mode = metrics_mode
         self._streaming = metrics_mode == "streaming"
-        #: Exact mode's O(traffic) retention: arrival frames on each flow,
-        #: per-sample link queueing delays.
-        self._retain = not self._streaming
         self.tap_fallback = tap_fallback
         self._qualify_controlplane = qualify_controlplane
         self.simulator = Simulator()
@@ -272,7 +270,7 @@ class TopologyEngine:
             propagation_delay=link.propagation_us * 1e-6,
             queue_capacity=link.queue_capacity or None,
             impairments=impairments,
-            record_delays=self._retain,
+            record_delays=not self._streaming,
         )
 
     def _build_links(self) -> None:
@@ -423,7 +421,6 @@ class TopologyEngine:
                 # A flow with no decoder on its side of the graph has
                 # nothing restoring its chunks, so nothing to verify.
                 verified=component_of[flow.source] in decoder_components,
-                retain_arrivals=self._retain,
             )
             self.flow_states.append(state)
             self._arrivals.register(state)

@@ -9,16 +9,17 @@ account that verifies its arrivals.
 integrity check: online FIFO content matching, each arrival matched the
 moment it happens against the chunks still in flight.  Both metrics modes
 run it; they differ only in what is *kept* — ``exact`` gives it an exact
-:class:`~repro.replay.metrics.Distribution` and retains the arrival frames
-on the flow state, ``streaming`` gives it a bounded sketch and retains
-nothing.
+:class:`~repro.replay.metrics.Distribution` (one packed double per matched
+chunk), ``streaming`` a bounded sketch.  Neither keeps the arrival frames:
+a caller that wants them wraps the sink host's
+:attr:`~repro.topology.nodes.HostNode.on_deliver` hook.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
 
 from repro import obs as _obs
 from repro.net.mac import MacAddress
@@ -103,7 +104,11 @@ class FlowAccount:
         self.pending: Dict[bytes, Deque[Tuple[int, float]]] = {}
 
     def record_sent(self, frame_bytes: bytes, now: float) -> None:
-        self.pending.setdefault(frame_bytes[14:], deque()).append((self.sent, now))
+        payload = frame_bytes[14:]
+        queue = self.pending.get(payload)
+        if queue is None:
+            queue = self.pending[payload] = deque()
+        queue.append((self.sent, now))
         self.sent += 1
 
     def record_arrival(self, frame_bytes: bytes, time: float) -> None:
@@ -143,10 +148,9 @@ class FlowState:
     and volume counters, with verification delegated to its account.
 
     ``verified`` gives the flow a :class:`FlowAccount` feeding ``latency``;
-    without one it reports ``integrity: None`` and an empty latency.
-    ``retain_arrivals`` keeps every delivered ``(time, frame)`` in
-    :attr:`arrivals` — exact mode's O(traffic) retention, which the linear
-    builders read restored payloads and processed frames from.
+    without one it reports ``integrity: None`` and an empty latency.  A
+    delivered frame is counted and matched, never kept: what the flow
+    retains per chunk is its ``latency`` sample.
     """
 
     def __init__(
@@ -160,7 +164,6 @@ class FlowState:
         sink_mac: MacAddress,
         latency: Distribution,
         verified: bool,
-        retain_arrivals: bool,
     ):
         self.spec = spec
         self.seed = seed
@@ -169,8 +172,6 @@ class FlowState:
         self._own_addresses = bytes(sink_mac) + self.source_mac_bytes
         self.latency = latency
         self.account = FlowAccount(latency) if verified else None
-        self._retain_arrivals = retain_arrivals
-        self.arrivals: List[Tuple[float, bytes]] = []
         # Workload sources already frame with the flow's addresses.
         self.use_source(source, pacing, rewrite_addresses=spec.trace is not None)
         self.frames_sent = 0
@@ -196,8 +197,6 @@ class FlowState:
 
     def record_arrival(self, frame_bytes: bytes, time: float) -> None:
         self.delivered += 1
-        if self._retain_arrivals:
-            self.arrivals.append((time, frame_bytes))
         if self.account is not None:
             self.account.record_arrival(frame_bytes, time)
 

@@ -34,10 +34,11 @@ class HostNode(Node):
     """A traffic endpoint: the place flows start and end.
 
     As a *sink*, the host counts every delivered frame and forwards each
-    delivery to an optional ``on_deliver`` hook (the engine uses it for
-    per-flow attribution; frames are retained per flow, never at the
-    host).  As a *source*, :meth:`inject` transmits a frame into whatever
-    the graph attached to the host's egress port.  A delivery is accounted
+    delivery to an optional ``on_deliver`` hook (the engine sets it for
+    per-flow attribution and matching).  No delivered frame is retained,
+    here or on a flow; a caller that wants them wraps ``on_deliver``
+    after the engine is built.  As a *source*, :meth:`inject` transmits a
+    frame into whatever the graph attached to the host's egress port.  A delivery is accounted
     at the ``time`` it carries, so the host's ingress is timed.
     """
 

@@ -28,6 +28,8 @@ from repro.replay import (
 from repro.topology import TopologyEngine, linear_topology, paper_testbed_topology
 from repro.workloads import SyntheticSensorWorkload
 
+from arrival_capture import capture_arrivals
+
 #: 3 ms of traffic at 1 Mpkt/s: outlasts the ~1.8 ms learning delay, so the
 #: dynamic runs see both packet types.
 CHUNKS = 3000
@@ -50,16 +52,17 @@ def md5_of(report) -> str:
 def run_chain(
     source=None, pacing=None, shape="encoder-link-decoder", static_bases=None, **params
 ):
-    """One linear run: the engine and its report.  ``params`` are
-    ``linear_topology`` run parameters; the flow is seeded like the
-    workload, and the static scenario preloads the workload's bases unless
-    given."""
+    """One linear run: the sink's ``(time, frame)`` deliveries and the
+    report.  ``params`` are ``linear_topology`` run parameters; the flow
+    is seeded like the workload, and the static scenario preloads the
+    workload's bases unless given."""
     if params.get("scenario") == "static" and static_bases is None:
         static_bases = workload().bases()
     engine = TopologyEngine(
         linear_topology(shape=shape, flow_seed=FLOW_SEED, **params),
         static_bases=static_bases,
     )
+    arrivals = capture_arrivals(engine)
     report = engine.run(
         sources={
             "flow0": (
@@ -68,7 +71,7 @@ def run_chain(
             )
         }
     )
-    return engine, report
+    return arrivals, report
 
 
 #: name -> ``run_chain`` keyword arguments (workload-driven, 1 Mpkt/s).
@@ -119,20 +122,20 @@ HARNESS_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(HARNESS_CASES))
 def test_harness_report_bytes_match_golden(case):
-    _engine, report = run_chain(**HARNESS_CASES[case])
+    _arrivals, report = run_chain(**HARNESS_CASES[case])
     assert md5_of(report) == HARNESS_GOLDEN[case]
 
 
 def test_harness_cases_exercise_what_they_pin():
     """The pins only mean something if the runs do the interesting things."""
-    _engine, dynamic = run_chain(scenario="dynamic")
+    _arrivals, dynamic = run_chain(scenario="dynamic")
     assert dynamic.learning_time is not None
     assert dynamic.metrics.counter("encoder.raw_to_compressed") > 0
     assert dynamic.integrity.lossless_in_order
-    _engine, lossy = run_chain(**HARNESS_CASES["chain-dynamic-lossy"])
+    _arrivals, lossy = run_chain(**HARNESS_CASES["chain-dynamic-lossy"])
     assert lossy.integrity.missing > 0
     assert lossy.integrity.out_of_order > 0
-    _engine, encoder_only = run_chain(shape="encoder-only", scenario="static")
+    _arrivals, encoder_only = run_chain(shape="encoder-only", scenario="static")
     assert encoder_only.integrity is None
     assert encoder_only.metrics.counter("wire.compressed_packets") == CHUNKS
 
@@ -140,7 +143,7 @@ def test_harness_cases_exercise_what_they_pin():
 def test_pcap_driven_report_bytes_match_golden(tmp_path):
     path = tmp_path / "trace.pcap"
     workload().trace().to_pcap(path, packet_rate=500_000.0, nanosecond=True)
-    _engine, report = run_chain(
+    _arrivals, report = run_chain(
         source=PcapTraceSource(path),
         pacing=RecordedPacing(speedup=2.0),
         scenario="dynamic",
@@ -154,7 +157,7 @@ def test_decoder_only_processed_pcap_report_bytes_match_golden(tmp_path):
     """Explicit static bases on a decoder-only chain decode a type-3 trace."""
     trace = workload().trace()
     bases = workload().bases()
-    encode, _report = run_chain(
+    encoded, _report = run_chain(
         source=ChunkTraceSource(trace),
         shape="encoder-only",
         scenario="static",
@@ -163,10 +166,10 @@ def test_decoder_only_processed_pcap_report_bytes_match_golden(tmp_path):
     path = tmp_path / "processed.pcap"
     write_pcap(
         path,
-        (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
+        (PcapPacket(time, frame) for time, frame in encoded),
         nanosecond=True,
     )
-    _engine, report = run_chain(
+    _arrivals, report = run_chain(
         source=PcapTraceSource(path),
         shape="decoder-only",
         scenario="no_table",
@@ -192,10 +195,11 @@ def test_paper_testbed_report_bytes_match_golden(scenario):
         paper_testbed_topology(scenario=scenario),
         static_bases=workload().bases() if scenario == "static" else None,
     )
+    arrivals = capture_arrivals(engine)
     report = engine.run(
         sources={"flow0": (ChunkTraceSource(workload().trace()), RecordedPacing())}
     )
-    restored = [frame[14:] for _time, frame in engine.flow_states[0].arrivals]
+    restored = [frame[14:] for _time, frame in arrivals]
     assert restored == workload().chunks()
     assert (report.learning_time is not None) == (scenario == "dynamic")
     assert md5_of(report) == TESTBED_GOLDEN[scenario]

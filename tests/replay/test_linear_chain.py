@@ -1,6 +1,9 @@
 """End-to-end runs of the linear chain: a ``linear_topology`` spec through
 ``TopologyEngine``, with the caller's in-memory source."""
 
+from array import array
+from collections import deque
+
 import pytest
 
 from repro.core.transform import GDTransform
@@ -18,6 +21,8 @@ from repro.topology import TopologyEngine, linear_topology
 from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
+from arrival_capture import capture_arrivals
+
 
 @pytest.fixture()
 def workload():
@@ -31,32 +36,36 @@ def trace(workload):
     return workload.trace()
 
 
-def run(source, pacing=None, shape="encoder-link-decoder", static_bases=None,
-        metrics_mode="exact", **params):
+def run(source, pacing=None, **params):
     """Build the chain, run ``source`` through it (1 Mpkt/s unless
     ``pacing`` says otherwise); return the engine and its report."""
+    engine, report, _ = run_captured(source, pacing, **params)
+    return engine, report
+
+
+def run_captured(source, pacing=None, shape="encoder-link-decoder",
+                 static_bases=None, metrics_mode="exact", **params):
+    """:func:`run`, also returning the sink's ``(time, frame)`` deliveries."""
     engine = TopologyEngine(
         linear_topology(shape=shape, **params),
         static_bases=static_bases,
         metrics_mode=metrics_mode,
     )
+    arrivals = capture_arrivals(engine)
     report = engine.run(
         sources={"flow0": (source, pacing or FixedRatePacing(packet_rate=1e6))}
     )
-    return engine, report
+    return engine, report, arrivals
 
 
-def payloads(engine):
-    """The chunks the sink received, in arrival order."""
-    return [
-        EthernetFrame.from_bytes(frame).payload
-        for _, frame in engine.flow_states[0].arrivals
-    ]
+def payloads(arrivals):
+    """The chunks in ``(time, frame)`` deliveries, in arrival order."""
+    return [EthernetFrame.from_bytes(frame).payload for _, frame in arrivals]
 
 
 class TestLossFreeRoundTrip:
     def test_static_scenario_is_byte_identical_in_order(self, trace):
-        engine, report = run(
+        _engine, report, arrivals = run_captured(
             ChunkTraceSource(trace),
             scenario="static",
             static_bases=trace.distinct_bases(GDTransform(order=8)),
@@ -65,7 +74,7 @@ class TestLossFreeRoundTrip:
         assert report.chunks_sent == len(trace)
         # Static table: almost everything crosses as 3-byte type-3 packets.
         assert report.compression_ratio < 0.15
-        assert payloads(engine) == trace.chunks
+        assert payloads(arrivals) == trace.chunks
 
     def test_dynamic_scenario_learns_then_compresses(self, trace):
         _engine, report = run(ChunkTraceSource(trace), scenario="dynamic")
@@ -174,11 +183,10 @@ class TestShapes:
         )
 
     def test_encoder_only_delivers_processed_packets(self, trace):
-        engine, report = run(
+        _engine, report, arrivals = run_captured(
             ChunkTraceSource(trace), shape="encoder-only", scenario="no_table"
         )
         assert report.integrity is None
-        arrivals = engine.flow_states[0].arrivals
         kinds = {EthernetFrame.from_bytes(frame).ethertype for _, frame in arrivals}
         assert ETHERTYPE_RAW_CHUNK not in kinds
         assert len(arrivals) == len(trace)
@@ -365,7 +373,12 @@ class TestStreamingMode:
         assert report.payload_bytes_sent == trace.total_bytes
         assert report.compression_ratio > 1.0
         flow = engine.flow_states[0]
-        assert flow.arrivals == []
+        # A fixed-size sketch and counters: no per-chunk container.
+        assert flow.latency.bounded
+        assert not [
+            name for name, value in vars(flow).items()
+            if isinstance(value, (list, dict, deque, array))
+        ]
         assert flow.delivered == len(trace)
         assert flow.account.pending == {}
 
@@ -373,7 +386,7 @@ class TestStreamingMode:
         engine, _report = run(
             ChunkTraceSource(trace), scenario="no_table", metrics_mode="streaming"
         )
-        assert engine.graph.links[0].stats.queueing_delays == []
+        assert len(engine.graph.links[0].stats.queueing_delays) == 0
         assert engine.graph.links[0].stats.delivered == len(trace)
 
     def test_link_tap_keeps_aggregates_not_records(self, trace):
@@ -400,34 +413,34 @@ class TestStaticBasesContract:
         bases = trace.distinct_bases(GDTransform(order=8))
 
         # Produce a processed trace with an encoder-only run.
-        encode, _report = run(
+        _encode, _report, encoded = run_captured(
             ChunkTraceSource(trace), shape="encoder-only", scenario="static",
             static_bases=bases,
         )
         processed = tmp_path / "processed.pcap"
         write_pcap(
             processed,
-            (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
+            (PcapPacket(time, frame) for time, frame in encoded),
         )
 
         # Decode it with a decoder-only topology and preinstalled mappings
         # (same basis order -> same sequential identifier assignment).
-        decode, report = run(
+        _decode, report, decoded = run_captured(
             PcapTraceSource(processed), shape="decoder-only", scenario="no_table",
             static_bases=bases,
         )
         assert report.metrics.counter("decoder.unknown_identifier") == 0
         assert report.metrics.counter("decoder.compressed_to_raw") == len(trace)
-        assert payloads(decode) == trace.chunks
+        assert payloads(decoded) == trace.chunks
 
     def test_decoder_only_processed_trace_reports_na_ratio(self, trace, tmp_path):
-        encode, _report = run(
+        _encode, _report, encoded = run_captured(
             ChunkTraceSource(trace.head(50)), shape="encoder-only", scenario="no_table"
         )
         processed = tmp_path / "t2.pcap"
         write_pcap(
             processed,
-            (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
+            (PcapPacket(time, frame) for time, frame in encoded),
         )
         _engine, report = run(
             PcapTraceSource(processed), shape="decoder-only", scenario="no_table"

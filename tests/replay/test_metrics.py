@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,49 @@ class TestDistribution:
         dist.add(1.0)
         with pytest.raises(ReplayError):
             dist.percentile(101)
+
+
+def _record(dist, method, value):
+    if method == "add":
+        dist.add(value)
+    else:
+        dist.extend([value])
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["exact", "bounded"])
+@pytest.mark.parametrize("method", ["add", "extend"])
+class TestSampleCoercion:
+    """Every sample is stored as ``float(value)``, whatever the storage."""
+
+    @pytest.mark.parametrize(
+        "value, stored",
+        [(3, 3.0), (0.25, 0.25), (True, 1.0), (False, 0.0), (2**53 + 1, 2.0**53),
+         (Fraction(1, 3), 1 / 3), ("1.5", 1.5)],
+        ids=repr,
+    )
+    def test_a_number_is_stored_as_its_double(self, bounded, method, value, stored):
+        dist = Distribution("d", bounded=bounded)
+        _record(dist, method, value)
+        summary = dist.summary()
+        assert (summary["min"], summary["max"], summary["mean"]) == (stored,) * 3
+        assert type(summary["min"]) is float
+        if not bounded:
+            (sample,) = dist.samples
+            assert type(sample) is float and sample == stored
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(None, TypeError), ("fast", ValueError), (b"\x01", ValueError),
+         (object(), TypeError), (10**400, OverflowError)],
+        ids=repr,
+    )
+    def test_a_non_number_raises_and_records_nothing(
+        self, bounded, method, value, error
+    ):
+        dist = Distribution("d", bounded=bounded)
+        with pytest.raises(error):
+            _record(dist, method, value)
+        assert dist.empty
 
 
 class TestMetricsRegistry:

@@ -244,6 +244,7 @@ class TestReplayEmulation:
     def test_decoder_only_replays_processed_type2_trace(self, tmp_path, capsys):
         # Build a processed (all type-2) trace with an encoder-only chain,
         # then decode it from the CLI with a decoder-only topology.
+        from arrival_capture import capture_arrivals
         from repro.net.pcap import PcapPacket, write_pcap
         from repro.topology import TopologyEngine, linear_topology
 
@@ -252,11 +253,12 @@ class TestReplayEmulation:
                 shape="encoder-only", scenario="no_table", chunks=300, bases=5
             )
         )
+        arrivals = capture_arrivals(encode)
         encode.run()
         processed = tmp_path / "processed.pcap"
         write_pcap(
             processed,
-            (PcapPacket(time, frame) for time, frame in encode.flow_states[0].arrivals),
+            (PcapPacket(time, frame) for time, frame in arrivals),
         )
 
         assert main(

@@ -10,6 +10,8 @@ from repro.replay import ChunkTraceSource, RecordedPacing
 from repro.topology import TopologyEngine, paper_testbed_topology
 from repro.workloads import ChunkTrace
 
+from arrival_capture import capture_arrivals
+
 
 @pytest.fixture(scope="module")
 def shared_chunks(clustered_chunk_factory):
@@ -24,13 +26,18 @@ def shared_chunks(clustered_chunk_factory):
 def run(chunks, packet_rate=1e6, static_bases=None, **params):
     """Replay ``chunks`` at ``packet_rate`` through the testbed; return the
     engine and its report."""
+    engine, report, _ = run_received(chunks, packet_rate, static_bases, **params)
+    return engine, report
+
+
+def run_received(chunks, packet_rate=1e6, static_bases=None, **params):
+    """:func:`run`, also returning the payloads the sink received, in
+    arrival order."""
     engine = TopologyEngine(paper_testbed_topology(**params), static_bases=static_bases)
+    arrivals = capture_arrivals(engine)
     source = ChunkTraceSource(ChunkTrace(chunks), recorded_rate=packet_rate)
-    return engine, engine.run(sources={"flow0": (source, RecordedPacing())})
-
-
-def received(engine):
-    return [frame[14:] for _time, frame in engine.flow_states[0].arrivals]
+    report = engine.run(sources={"flow0": (source, RecordedPacing())})
+    return engine, report, [frame[14:] for _time, frame in arrivals]
 
 
 class TestScenarios:
@@ -45,29 +52,33 @@ class TestScenarios:
 
     def test_no_table_scenario(self, shared_chunks):
         _, chunks = shared_chunks
-        engine, report = run(chunks[:200], scenario="no_table")
+        _engine, report, received = run_received(chunks[:200], scenario="no_table")
         assert report.metrics.counter("wire.compressed_packets") == 0
         assert report.metrics.counter("wire.uncompressed_packets") == 200
         # 33-byte type-2 payloads over 32-byte chunks: the paper's 1.03.
         assert report.compression_ratio == pytest.approx(33 / 32)
-        assert received(engine) == chunks[:200]
+        assert received == chunks[:200]
 
     def test_static_scenario_matches_paper_ratio(self, shared_chunks):
         bases, chunks = shared_chunks
-        engine, report = run(chunks[:200], scenario="static", static_bases=bases)
+        _engine, report, received = run_received(
+            chunks[:200], scenario="static", static_bases=bases
+        )
         assert report.metrics.counter("wire.uncompressed_packets") == 0
         assert report.metrics.counter("wire.compressed_packets") == 200
         assert report.compression_ratio == pytest.approx(3 / 32)
-        assert received(engine) == chunks[:200]
+        assert received == chunks[:200]
 
     def test_dynamic_scenario_learns_and_stays_lossless(self, shared_chunks):
         _, chunks = shared_chunks
         # Replay slowly enough (6 ms for 600 chunks) that the ~1.77 ms
         # learning delay only covers the head of the trace.
-        engine, report = run(chunks, packet_rate=1e5, scenario="dynamic")
+        _engine, report, received = run_received(
+            chunks, packet_rate=1e5, scenario="dynamic"
+        )
         assert report.metrics.counter("wire.compressed_packets") > 0
         assert report.metrics.counter("wire.uncompressed_packets") > 0
-        assert received(engine) == chunks
+        assert received == chunks
         # the ratio falls between the static optimum and the no-table bound
         assert 3 / 32 < report.compression_ratio < 33 / 32
 

@@ -6,11 +6,15 @@ partitioning failures named after the offending link/flow and worker
 crashes named after the failing shard.
 """
 
+import gc
 import hashlib
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
+from array import array
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from repro.topology import (
     TopologyEngine,
     TopologySpec,
     fan_in_topology,
+    linear_topology,
     partition_spec,
     preset_topology,
     rack_fan_in_topology,
@@ -435,15 +440,20 @@ class TestStreamingMemoryBounds:
         assert aggregates and aggregates == _tap_aggregates(exact)
         assert report.wire_payload_bytes > 0
         # Flow accounts match online: after a lossless run the pending
-        # table has drained and no sent/arrival lists were ever kept.
+        # table has drained, and a flow keeps counters and a fixed-size
+        # sketch — no per-chunk container.
         for state in engine.flow_states:
             assert state.account.pending == {}
-            assert state.arrivals == []
+            assert state.latency.bounded
+            assert not [
+                name for name, value in vars(state).items()
+                if isinstance(value, (list, dict, deque, array))
+            ]
         # Links count every frame they carry and keep no per-frame delay.
         assert engine.graph.links
         for link in engine.graph.links:
             assert link.stats.delivered > 0
-            assert link.stats.queueing_delays == []
+            assert len(link.stats.queueing_delays) == 0
         # Every distribution is a fixed-size sketch: asking for raw
         # samples is an error by design.
         latency = report.metrics.distributions()["endtoend.latency"]
@@ -471,6 +481,34 @@ class TestStreamingMemoryBounds:
         assert len(bounded) + bounded.dropped == len(unbounded)
         assert list(bounded) == list(unbounded)[-50:]
         assert bounded_report == unbounded_report
+
+    def test_an_exact_run_keeps_samples_not_frames(self):
+        # Exact mode keeps one packed double per latency and per queueing
+        # delay (four a chunk over three hops) and no frame: what a
+        # finished run holds grows by ~130 B a chunk on a lossy 3-hop DNS
+        # chain. The bound sits below the ~390 B that keeping every
+        # delivered frame as well would cost.
+        def retained(chunks):
+            spec = linear_topology(
+                workload="dns", chunks=chunks, names=400, scenario="dynamic",
+                hops=3, loss=0.01, reorder=0.01, queue_capacity=64,
+                packet_rate=1e5, bandwidth_gbps=0.066, seed=2020,
+            )
+            gc.collect()
+            tracemalloc.start()
+            try:
+                engine = TopologyEngine(spec, metrics_mode="exact")
+                report = engine.run()
+                gc.collect()
+                current, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.integrity.intact and report.integrity.missing
+            assert len(report.metrics.distributions()["endtoend.latency"]) > 0
+            return current
+
+        per_chunk = (retained(8000) - retained(2000)) / 6000
+        assert per_chunk < 256
 
     def test_streaming_and_exact_agree_on_everything_but_percentiles(self):
         spec = rack_fan_in_topology(racks=2, senders=2, chunks=250, bases=4)

@@ -17,6 +17,8 @@ from repro.replay import ChunkTraceSource, FixedRatePacing, PcapTraceSource
 from repro.topology import TopologyEngine, linear_topology
 from repro.workloads import SyntheticSensorWorkload
 
+from arrival_capture import capture_arrivals
+
 CHUNKS = 300
 
 
@@ -104,23 +106,25 @@ class TestExplicitStaticBases:
             static_bases=bases,
         )
         source = (ChunkTraceSource(workload().trace()), FixedRatePacing(1e6))
+        encoded = capture_arrivals(encode)
         encode.run(sources={"flow0": source})
         processed = tmp_path / "processed.pcap"
         write_pcap(
             processed,
-            (PcapPacket(t, frame) for t, frame in encode.flow_states[0].arrivals),
+            (PcapPacket(t, frame) for t, frame in encoded),
             nanosecond=True,
         )
         decode = TopologyEngine(
             linear_topology(shape="decoder-only", scenario="no_table"),
             static_bases=bases,
         )
+        decoded = capture_arrivals(decode)
         report = decode.run(
             sources={"flow0": (PcapTraceSource(processed), FixedRatePacing(1e6))}
         )
         assert report.metrics.counter("decoder.compressed_to_raw") == CHUNKS
         assert report.metrics.counter("decoder.unknown_identifier") == 0
-        restored = [frame[14:] for _t, frame in decode.flow_states[0].arrivals]
+        restored = [frame[14:] for _t, frame in decoded]
         assert restored == workload().chunks()
 
     def test_no_table_with_an_encoder_rejects_bases(self):
