@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a module under ``src/repro`` outgrows the size limit.
+r"""Fail when a module under ``src/repro`` outgrows the size limit.
 
 A file above :data:`LIMIT` lines has usually grown a second job (builder
 *and* runner *and* reporter); splitting it along that seam is cheaper the
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SOURCE_ROOT = REPO_ROOT / "src" / "repro"
 
 #: Physical lines, docstrings and blanks included (``wc -l``).
 LIMIT = 700
@@ -53,21 +52,22 @@ def code_line_count(path: Path) -> int:
         )
 
 
-def package_sizes() -> Dict[str, int]:
+def package_sizes(root: Path) -> Dict[str, int]:
     """Code lines per package; top-level modules are counted under ``repro``."""
+    source = root / "src" / "repro"
     sizes: Dict[str, int] = {}
-    for path in sorted(SOURCE_ROOT.rglob("*.py")):
-        parts = path.relative_to(SOURCE_ROOT).parts
+    for path in sorted(source.rglob("*.py")):
+        parts = path.relative_to(source).parts
         package = f"repro.{parts[0]}" if len(parts) > 1 else "repro"
         sizes[package] = sizes.get(package, 0) + code_line_count(path)
     return sizes
 
 
-def violations(verbose: bool = False) -> List[str]:
+def violations(root: Path, verbose: bool = False) -> List[str]:
     problems: List[str] = []
     sizes = {
-        path.relative_to(REPO_ROOT).as_posix(): line_count(path)
-        for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        path.relative_to(root).as_posix(): line_count(path)
+        for path in sorted((root / "src" / "repro").rglob("*.py"))
     }
     for name, lines in sizes.items():
         if verbose:
@@ -106,12 +106,12 @@ def main() -> int:
     )
     args = parser.parse_args()
     if args.packages:
-        sizes = package_sizes()
+        sizes = package_sizes(REPO_ROOT)
         for package, lines in sizes.items():
             print(f"{lines:6d}  {package}")
         print(f"{sum(sizes.values()):6d}  src/repro")
         return 0
-    problems = violations(verbose=args.verbose)
+    problems = violations(REPO_ROOT, verbose=args.verbose)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

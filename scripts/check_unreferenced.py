@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Fail when a definition under ``src/repro`` has no caller outside ``tests/``.
+
+Product code lives in ``src/``; a function, class, method or property
+that nothing in ``src/``, ``examples/``, ``scripts/`` or ``benchmarks/``
+names is either a test oracle (it belongs in a ``tests/`` module) or dead
+code.  The scan is by name: a definition counts as used when its name
+appears anywhere in those trees as an identifier, an attribute or a word
+of a string literal (``getattr(owner, "step")`` and the stack benchmark's
+entry-point tables name methods that way), except at its own ``def``, in
+an ``__all__`` list, in an import line or in a docstring.  Dunders are
+exempt.  A name shared by two definitions hides both, so the scan misses
+some dead code.
+
+:data:`ALLOWED` lists the definitions kept without a caller, each with its
+reason — an allow-list that only shrinks: an entry that gains a caller or
+no longer exists fails, so it must be removed.
+
+    python scripts/check_unreferenced.py   # exit 1 on any finding
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, List, Set, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Trees whose code counts as a caller.
+REFERENCE_TREES = ("src", "examples", "scripts", "benchmarks")
+
+#: qualified name -> why it stays without a caller.
+ALLOWED: Dict[str, str] = {
+    "repro.core.engine.decompress_bytes": (
+        "the inverse of the public compress_bytes; the one-call form of "
+        "registry.get('gd').decompress_stream"
+    ),
+    "repro.tofino.constraints.containers_for_field": (
+        "PHV container packing of one header field; ROADMAP item 4(c)'s "
+        "resource rows are its caller"
+    ),
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _module_name(root: Path, path: Path) -> str:
+    parts = list(path.relative_to(root / "src").with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _definitions(body: List[ast.stmt], prefix: str) -> Iterator[Tuple[str, str, int]]:
+    """``(qualified name, name, line)`` of every function, class and method."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualified = f"{prefix}.{node.name}"
+            if not _is_dunder(node.name):
+                yield qualified, node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node.body, qualified)
+
+
+def definitions(root: Path) -> List[Tuple[str, str, str]]:
+    """``(qualified name, name, "path:line")`` for every definition in ``src/repro``."""
+    found = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = _module_name(root, path)
+        location = path.relative_to(root).as_posix()
+        found.extend(
+            (qualified, name, f"{location}:{line}")
+            for qualified, name, line in _definitions(tree.body, module)
+        )
+    return found
+
+
+def _docstrings(tree: ast.AST) -> Set[int]:
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                ids.add(id(first.value))
+    return ids
+
+
+def _skipped(tree: ast.AST) -> Set[int]:
+    """Nodes that name a definition without using it: docstrings,
+    ``__all__`` lists and a property's own ``@name.setter`` decorator."""
+    ids = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                ids.update(id(child) for child in ast.walk(node))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if (
+                    isinstance(decorator, ast.Attribute)
+                    and isinstance(decorator.value, ast.Name)
+                    and decorator.value.id == node.name
+                ):
+                    ids.add(id(decorator.value))
+    return ids
+
+
+def referenced_names(root: Path) -> Set[str]:
+    """Every name used in code under :data:`REFERENCE_TREES` (this script's
+    own allow-list excluded)."""
+    names: Set[str] = set()
+    own = Path(__file__).name
+    for tree_name in REFERENCE_TREES:
+        for path in sorted((root / tree_name).rglob("*.py")):
+            if tree_name == "scripts" and path.name == own:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            skipped = _skipped(tree)
+            for node in ast.walk(tree):
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.update(_WORD.findall(node.value))
+    return names
+
+
+def violations(root: Path) -> List[str]:
+    used = referenced_names(root)
+    problems: List[str] = []
+    seen = set()
+    for qualified, name, location in definitions(root):
+        seen.add(qualified)
+        if name in used:
+            if qualified in ALLOWED:
+                problems.append(
+                    f"{qualified}: allow-listed but now has a caller — "
+                    "remove it from ALLOWED"
+                )
+        elif qualified not in ALLOWED:
+            problems.append(
+                f"{location}: {qualified} has no caller outside tests/ — "
+                "delete it, give it a caller, or move it to a tests/ oracle"
+            )
+    problems.extend(
+        f"{qualified}: allow-listed but does not exist"
+        for qualified in ALLOWED
+        if qualified not in seen
+    )
+    return problems
+
+
+def main() -> int:
+    problems = violations(REPO_ROOT)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 1
+    print(
+        f"every definition under src/repro has a caller outside tests/ "
+        f"({len(ALLOWED)} allow-listed)"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

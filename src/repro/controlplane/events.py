@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Hashable, Iterator, List, Optional, Type, TypeVar
+from typing import Deque, Hashable, Iterator, List, Type, TypeVar
 
 __all__ = [
     "ControlPlaneEvent",
@@ -112,11 +112,6 @@ class EventLog:
     def of_type(self, event_type: Type[EventT]) -> List[EventT]:
         """Every recorded event of the given type, in order."""
         return [event for event in self._events if isinstance(event, event_type)]
-
-    def last_of_type(self, event_type: Type[EventT]) -> Optional[EventT]:
-        """Most recent event of the given type, or ``None``."""
-        events = self.of_type(event_type)
-        return events[-1] if events else None
 
     def clear(self) -> None:
         """Drop every recorded event."""

@@ -47,26 +47,6 @@ class IdentifierPool(BasisDictionary):
     basis_for = BasisDictionary.reverse_lookup
     touch_basis = BasisDictionary.touch
 
-    @property
-    def bound_count(self) -> int:
-        """Identifiers currently bound to a basis."""
-        return len(self)
-
-    @property
-    def free_count(self) -> int:
-        """Identifiers currently unbound."""
-        return self.capacity - len(self)
-
-    @property
-    def allocations(self) -> int:
-        """Bindings created so far (re-allocations not counted)."""
-        return self.stats.insertions
-
-    @property
-    def recycles(self) -> int:
-        """Bindings evicted so far to make room for another basis."""
-        return self.stats.evictions
-
     def bindings(self) -> Dict[int, Hashable]:
         """Copy of the identifier → basis map, least recently active first."""
         return {identifier: basis for basis, identifier in self.items()}

@@ -233,11 +233,6 @@ class ZipLineControlPlane:
         """The latency model in use."""
         return self._timings
 
-    @property
-    def pending_installs(self) -> int:
-        """Bases whose mappings are being installed right now."""
-        return len(self._pending)
-
     def _now(self) -> float:
         return self._simulator.now if self._simulator is not None else 0.0
 

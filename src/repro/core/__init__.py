@@ -49,8 +49,6 @@ from repro.core.hamming import HammingCode, SyndromeTable
 from repro.core.polynomials import (
     TABLE_1,
     HammingPolynomial,
-    default_polynomial,
-    polynomial_for_code,
     polynomial_for_order,
     supported_orders,
 )
@@ -94,8 +92,6 @@ __all__ = [
     "SyndromeTable",
     "TABLE_1",
     "HammingPolynomial",
-    "default_polynomial",
-    "polynomial_for_code",
     "polynomial_for_order",
     "supported_orders",
     "CompressedRecord",

@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.backends import BatchSplit, batch_backend
+from repro.core.backends import batch_backend
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.decoder import GDDecoder
-from repro.core.encoder import EncodedBatch, EncoderMode, GDEncoder
+from repro.core.encoder import EncoderMode, GDEncoder
 from repro.core.records import GDRecord, RecordType
 from repro.core.transform import GDTransform
 from repro.core.wire import (
@@ -64,13 +64,6 @@ class CompressionResult:
         if self.original_bytes == 0:
             return 0.0
         return self.payload_bytes / self.original_bytes
-
-    @property
-    def container_ratio(self) -> float:
-        """Container bytes over original bytes (fair comparison with gzip files)."""
-        if self.original_bytes == 0:
-            return 0.0
-        return self.container_bytes / self.original_bytes
 
     @property
     def compressed_record_fraction(self) -> float:
@@ -233,17 +226,6 @@ class GDCodec:
             data = data + b"\x00" * (size - len(data) % size)
         return data
 
-    def chunk_data(self, data: bytes, pad: bool = False) -> List[bytes]:
-        """Split ``data`` into codec-sized chunks.
-
-        When ``pad`` is true a short final chunk is zero-padded on the right;
-        the original length is restored by :meth:`decompress` via the header,
-        so padding is safe for container round trips.
-        """
-        data = self._padded(data, pad)
-        size = self.chunk_bytes
-        return [data[offset : offset + size] for offset in range(0, len(data), size)]
-
     # -- compression -------------------------------------------------------------
 
     def compress(self, data: bytes, pad: bool = False) -> CompressionResult:
@@ -332,14 +314,10 @@ class GDCodec:
                 "container was produced with different GD parameters: "
                 f"{header[:3]} (order, chunk bits, identifier bits), not {mine[:3]}"
             )
-        # Header padding 0 also covers containers written before the header
-        # recorded the padding width (the byte was reserved-zero); those
-        # decode with the codec's own setting, exactly as they always did.
-        padding = header.alignment_padding_bits
-        if padding and padding != mine.alignment_padding_bits:
+        if header.alignment_padding_bits != mine.alignment_padding_bits:
             raise CodingError(
-                f"container alignment padding {padding} does not match "
-                f"codec padding {mine.alignment_padding_bits}"
+                f"container alignment padding {header.alignment_padding_bits} "
+                f"does not match codec padding {mine.alignment_padding_bits}"
             )
         # Containers are self-contained: decode with a fresh dictionary so
         # that identifiers resolve exactly as the producing encoder assigned
@@ -359,29 +337,3 @@ class GDCodec:
         return batch_backend(
             backend, most, backend.supports_records, layout
         ).parse_records(layout, data, offset, limit, streamed)
-
-    def parse_record(self, blob: bytes, offset: int) -> Tuple[GDRecord, int]:
-        """Parse one tagged record from a container blob.
-
-        Returns ``(record, next_offset)``; raises :class:`CodingError` when
-        the blob is truncated.
-        """
-        layout = self._encoder.layout
-        tags, prefixes, keys, deviations, next_offset = self.parse_records(
-            blob, offset, limit=1
-        )
-        if not tags:
-            raise CodingError(f"container truncated: no record at offset {offset}")
-        # ``keys`` serves as both the identifier and the basis column: a
-        # one-record batch reads only the one its tag selects.
-        split = BatchSplit.from_fields(list(zip(prefixes, keys, deviations)), "pure")
-        return EncodedBatch(layout, bytes(tags), keys, split)[0], next_offset
-
-    def roundtrip(self, data: bytes, pad: bool = True) -> bytes:
-        """Compress then decompress ``data`` (used heavily by tests)."""
-        result = self.compress(data, pad=pad)
-        return self.decompress_records(result.records, original_bytes=len(data))
-
-    def compression_ratio(self, data: bytes, pad: bool = True) -> float:
-        """Shortcut returning only the payload compression ratio for ``data``."""
-        return self.compress(data, pad=pad).compression_ratio

@@ -47,7 +47,6 @@ __all__ = [
     "poly_mod",
     "poly_mul",
     "poly_mulmod",
-    "poly_gcd",
     "is_primitive_polynomial",
     "remainder_table",
     "record_tables",
@@ -122,13 +121,6 @@ def poly_mul(left: int, right: int) -> int:
 def poly_mulmod(left: int, right: int, modulus: int) -> int:
     """GF(2) polynomial multiplication reduced modulo ``modulus``."""
     return poly_mod(poly_mul(left, right), modulus)
-
-
-def poly_gcd(left: int, right: int) -> int:
-    """Greatest common divisor of two GF(2) polynomials."""
-    while right:
-        left, right = right, poly_mod(left, right)
-    return left
 
 
 def is_primitive_polynomial(full_polynomial: int) -> bool:
@@ -381,11 +373,6 @@ class CrcParameters:
     def full_polynomial(self) -> int:
         """Polynomial including the implicit leading ``x**width`` term."""
         return (1 << self.width) | self.polynomial
-
-    @property
-    def is_linear(self) -> bool:
-        """True when ``crc(a ^ b) == crc(a) ^ crc(b)`` holds for this variant."""
-        return self.init == 0 and self.xor_out == 0
 
     def describe(self) -> str:
         """One-line human-readable description of the parameter set."""

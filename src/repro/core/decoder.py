@@ -94,14 +94,6 @@ class GDDecoder:
 
     # -- decoding ------------------------------------------------------------
 
-    def decode_record(self, record: GDRecord) -> int:
-        """Decode one record into the original chunk value."""
-        return self.decode_batch((record,))[0]
-
-    def decode_record_to_bytes(self, record: GDRecord) -> bytes:
-        """Decode one record and serialise the chunk to bytes."""
-        return self.decode_batch_to_bytes((record,))
-
     def decode_batch(self, records: Iterable[GDRecord]) -> List[int]:
         """Decode record objects into the original chunk values."""
         data = self.decode_batch_to_bytes(records)
@@ -312,10 +304,6 @@ class GDDecoder:
                 f"record deviation width {deviation_bits} does not match transform "
                 f"deviation width {self._transform.deviation_bits}"
             )
-
-    def reset_stats(self) -> None:
-        """Zero the accounting counters without touching the dictionary."""
-        self.stats = DecoderStats()
 
     # -- snapshot / restore ----------------------------------------------------
 

@@ -84,16 +84,6 @@ class EncoderStats:
             return 0.0
         return self.output_bits / self.input_bits
 
-    @property
-    def input_bytes(self) -> float:
-        """Input volume in bytes."""
-        return self.input_bits / 8
-
-    @property
-    def output_bytes(self) -> float:
-        """Padded output volume in bytes."""
-        return self.output_padded_bits / 8
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view used by the reporting helpers."""
         return {
@@ -298,10 +288,6 @@ class GDEncoder:
 
     # -- encoding ---------------------------------------------------------------
 
-    def encode_chunk(self, chunk: ChunkLike) -> GDRecord:
-        """Encode one chunk into a type-2 or type-3 record."""
-        return self.encode_batch((chunk,))[0]
-
     def encode_batch(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
         """Encode an iterable of chunks (ints or byte strings).
 
@@ -411,10 +397,6 @@ class GDEncoder:
                     if evicted is not None:
                         args["evicted_basis"] = evicted
             tracer.instant("gd.encode", "gd-encoder", args=args)
-
-    def reset_stats(self) -> None:
-        """Zero the accounting counters without touching the dictionary."""
-        self.stats = EncoderStats()
 
     # -- snapshot / restore ----------------------------------------------------
 

@@ -17,11 +17,9 @@ into a ``k``-bit **basis** and an ``m``-bit **deviation** (the syndrome):
 Because every ``n``-bit value decomposes uniquely into (basis, syndrome),
 the transform is lossless and bijective: ``2**k * 2**m == 2**n``.
 
-The class below also exposes the textbook machinery (generator and
-parity-check matrices, systematic encoding, single-error correction) so the
-library doubles as a usable Hamming-code implementation, and so the
-equivalence claims of Table 2 can be tested directly against the matrix
-formulation.
+The class below also offers systematic encoding and single-error
+correction; the matrix formulation the CRC shortcut is checked against
+lives with the tests.
 """
 
 from __future__ import annotations
@@ -302,10 +300,6 @@ class HammingCode:
             )
         return self._crc.compute(1 << position, self._n)
 
-    def error_position(self, syndrome: int) -> Optional[int]:
-        """Bit position matching ``syndrome``, or ``None`` for syndrome 0."""
-        return self._syndrome_table.position_for(syndrome)
-
     def error_mask(self, syndrome: int) -> int:
         """XOR mask matching ``syndrome`` (step ➌/➍ of Figure 1)."""
         return self._syndrome_table.mask_for(syndrome)
@@ -357,11 +351,6 @@ class HammingCode:
         self._check_basis(message)
         return (message << self._m) | self.parity_of_basis(message)
 
-    def is_codeword(self, value: int) -> bool:
-        """True when ``value`` is a codeword (zero syndrome)."""
-        self._check_chunk(value)
-        return self._crc.compute(value, self._n) == 0
-
     def correct(self, received: int) -> Tuple[int, Optional[int]]:
         """Correct at most one bit error in ``received``.
 
@@ -377,58 +366,6 @@ class HammingCode:
         if position is None:
             raise CodingError(f"syndrome {syndrome:#x} has no registered position")
         return received ^ (1 << position), position
-
-    def extract_message(self, codeword: int) -> int:
-        """Message (high ``k``) bits of a codeword."""
-        self._check_chunk(codeword)
-        return codeword >> self._m
-
-    # -- matrices (for validation and documentation) ----------------------------
-
-    def parity_check_matrix(self) -> List[List[int]]:
-        """Parity-check matrix ``H`` as ``m`` rows of ``n`` bits.
-
-        Column ``j`` (counting from the left, i.e. from the coefficient of
-        ``x**(n-1)``) is the syndrome of a single-bit error at position
-        ``n - 1 - j``, matching the paper's ``CRC(B) = B @ H^T`` formulation.
-        """
-        columns = [
-            self.syndrome_of_error_position(self._n - 1 - j) for j in range(self._n)
-        ]
-        return [
-            [(column >> (self._m - 1 - row)) & 1 for column in columns]
-            for row in range(self._m)
-        ]
-
-    def generator_matrix(self) -> List[List[int]]:
-        """Systematic generator matrix ``G_s`` as ``k`` rows of ``n`` bits.
-
-        Row ``i`` is the codeword of the unit message with bit ``k - 1 - i``
-        set, so ``G_s`` is in the ``[I_k | P]``-with-message-high form used
-        throughout this implementation.
-        """
-        rows = []
-        for i in range(self._k):
-            message = 1 << (self._k - 1 - i)
-            codeword = self.encode(message)
-            rows.append([(codeword >> (self._n - 1 - j)) & 1 for j in range(self._n)])
-        return rows
-
-    def syndrome_via_matrix(self, chunk: int) -> int:
-        """Compute a syndrome by explicit matrix multiplication (slow path).
-
-        Used in tests to confirm the CRC shortcut equals ``B @ H^T``.
-        """
-        self._check_chunk(chunk)
-        matrix = self.parity_check_matrix()
-        bits = [(chunk >> (self._n - 1 - j)) & 1 for j in range(self._n)]
-        syndrome = 0
-        for row in range(self._m):
-            accumulator = 0
-            for j in range(self._n):
-                accumulator ^= matrix[row][j] & bits[j]
-            syndrome = (syndrome << 1) | accumulator
-        return syndrome
 
     # -- validation helpers --------------------------------------------------
 
@@ -451,14 +388,3 @@ class HammingCode:
             raise CodingError(
                 f"syndrome {syndrome:#x} does not fit in m={self._m} bits"
             )
-
-    # -- convenience --------------------------------------------------------
-
-    def bases_sharing_chunk(self, basis: int) -> int:
-        """Number of distinct chunks that map to the given basis (= ``n + 1``).
-
-        Every basis absorbs the codeword itself plus the ``n`` single-bit
-        deviations, exactly the clustering property motivating GD.
-        """
-        self._check_basis(basis)
-        return self._n + 1

@@ -6,7 +6,7 @@ program into a Tofino CRC-m extern (the polynomial with its leading
 ``x**m`` term stripped).
 
 This module reproduces that table as :data:`TABLE_1`, provides lookup
-helpers keyed by ``m`` or by ``(n, k)``, and records the two entries whose
+helpers keyed by ``m``, and records the two entries whose
 printed CRC parameter in the paper does not match the printed polynomial
 (the two (511, 502) rows) — see :data:`PAPER_ERRATA`.  The *polynomial*
 column is treated as authoritative; the CRC parameter is derived from it and
@@ -18,7 +18,7 @@ code requires).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.crc import is_primitive_polynomial, polynomial_str
 from repro.exceptions import CodingError
@@ -29,9 +29,7 @@ __all__ = [
     "PAPER_ERRATA",
     "polynomial_for_order",
     "polynomials_for_order",
-    "polynomial_for_code",
     "supported_orders",
-    "default_polynomial",
     "crc_parameter",
 ]
 
@@ -85,10 +83,6 @@ class HammingPolynomial:
     def polynomial_text(self) -> str:
         """Human-readable polynomial, e.g. ``x^3 + x + 1``."""
         return polynomial_str(self.full_polynomial)
-
-    def matches_paper(self) -> bool:
-        """True when the derived CRC parameter equals the paper's column."""
-        return self.crc_parameter == self.paper_crc_parameter
 
     def is_valid_hamming_generator(self) -> bool:
         """True when the polynomial is primitive (usable as a Hamming generator)."""
@@ -173,39 +167,6 @@ def polynomial_for_order(m: int, index: int = 0) -> HammingPolynomial:
     return rows[index]
 
 
-def polynomial_for_code(n: int, k: int, index: int = 0) -> HammingPolynomial:
-    """Look up a Table 1 row by its ``(n, k)`` pair."""
-    m = n - k
-    row = polynomial_for_order(m, index)
-    if row.n != n or row.k != k:
-        raise CodingError(f"({n}, {k}) is not a Hamming code present in Table 1")
-    return row
-
-
-def default_polynomial() -> HammingPolynomial:
-    """The polynomial used by the paper's evaluation: ``m = 8``, (255, 247)."""
-    return polynomial_for_order(8)
-
-
 def crc_parameter(m: int, index: int = 0) -> int:
     """CRC-m extern parameter for the given order (leading term stripped)."""
     return polynomial_for_order(m, index).crc_parameter
-
-
-def find_primitive_polynomials(m: int, limit: Optional[int] = None) -> List[int]:
-    """Search for primitive polynomials of degree ``m`` by brute force.
-
-    Returns full-form polynomials with non-zero constant term, lowest value
-    first.  Useful for the ablation benchmarks that sweep Hamming orders not
-    present in Table 1, and for validating the registry itself.
-    """
-    if m <= 0:
-        raise CodingError(f"degree must be positive, got {m}")
-    found: List[int] = []
-    start = (1 << m) | 1
-    for candidate in range(start, 1 << (m + 1), 2):
-        if is_primitive_polynomial(candidate):
-            found.append(candidate)
-            if limit is not None and len(found) >= limit:
-                break
-    return found

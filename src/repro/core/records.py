@@ -113,11 +113,6 @@ class UncompressedRecord:
         return RecordType.UNCOMPRESSED
 
     @property
-    def dedup_key(self) -> int:
-        """The basis value that identifies the dictionary entry."""
-        return self.basis
-
-    @property
     def payload_bits(self) -> int:
         """Information-theoretic payload size (no padding)."""
         return self.prefix_bits + self.basis_bits + self.deviation_bits

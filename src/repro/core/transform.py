@@ -25,7 +25,7 @@ from repro.core.backends import (
     default_backend,
     named_backend,
 )
-from repro.core.bits import align_up, bits_to_bytes_len, int_to_bytes, mask
+from repro.core.bits import align_up, bits_to_bytes_len, mask
 from repro.core.hamming import HammingCode
 from repro.exceptions import ChunkSizeError, CodingError
 
@@ -82,16 +82,6 @@ class GDParts:
     def chunk_bits(self) -> int:
         """Total chunk width this decomposition corresponds to."""
         return self.prefix_bits + self.basis_bits + self.deviation_bits
-
-    @property
-    def dedup_key(self) -> int:
-        """The value deduplicated across chunks: the basis.
-
-        The prefix bits are carried verbatim in every packet (compressed or
-        not), exactly like the paper's per-packet MSB bit, so they do not
-        participate in deduplication.
-        """
-        return self.basis
 
 
 class GDTransform:
@@ -206,16 +196,6 @@ class GDTransform:
             backend = self._backend = default_backend()
         return backend
 
-    @property
-    def uncompressed_bits(self) -> int:
-        """Bits of a processed-but-uncompressed representation.
-
-        prefix + basis + deviation — always equal to ``chunk_bits`` because
-        the transformation is a bijection that adds no redundancy (the
-        paper's "applying GD does not introduce additional bits").
-        """
-        return self._prefix_bits + self._code.k + self._code.m
-
     def __repr__(self) -> str:
         return (
             f"GDTransform(order={self.order}, chunk_bits={self._chunk_bits}, "
@@ -308,10 +288,6 @@ class GDTransform:
         codeword = (basis << code.m) | code.parity_of_basis_fast(basis)
         return (prefix << code.n) | (codeword ^ self._error_masks[deviation])
 
-    def join_to_bytes(self, parts: GDParts) -> bytes:
-        """Invert the transformation and serialise the chunk to bytes."""
-        return int_to_bytes(self.join(parts), self._chunk_bits)
-
     def split_batch(self, data: "bytes | bytearray | memoryview") -> List[GDParts]:
         """Transform a contiguous buffer of whole chunks in one pass.
 
@@ -373,10 +349,6 @@ class GDTransform:
         return batch_backend(
             backend, len(bases), backend.supports_join, self
         ).join_batch_to_bytes(self, prefixes, bases, deviations)
-
-    def chunk_to_bytes(self, chunk: int) -> bytes:
-        """Serialise an integer chunk into its byte representation."""
-        return int_to_bytes(self._chunk_to_int(chunk), self._chunk_bits)
 
     # -- validation ---------------------------------------------------------------
 

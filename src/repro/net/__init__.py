@@ -1,6 +1,6 @@
 """Layer-2 framing substrate: MAC addresses, Ethernet frames, ZipLine packets, pcap."""
 
-from repro.net.checksum import ethernet_fcs, internet_checksum, verify_ethernet_fcs
+from repro.net.checksum import ethernet_fcs, internet_checksum
 from repro.net.ethernet import (
     ETHERNET_FCS_BYTES,
     ETHERNET_HEADER_BYTES,
@@ -10,16 +10,14 @@ from repro.net.ethernet import (
     EthernetFrame,
     EtherType,
     frame_wire_bytes,
-    wire_overhead_bytes,
 )
 from repro.net.mac import BROADCAST, ZERO, MacAddress
-from repro.net.packets import PacketKind, ZipLinePacketCodec, classify_frame
-from repro.net.pcap import PcapPacket, PcapReader, PcapWriter, read_pcap, write_pcap
+from repro.net.packets import PacketKind, ZipLinePacketCodec
+from repro.net.pcap import PcapPacket, PcapReader, PcapWriter, write_pcap
 
 __all__ = [
     "ethernet_fcs",
     "internet_checksum",
-    "verify_ethernet_fcs",
     "ETHERNET_FCS_BYTES",
     "ETHERNET_HEADER_BYTES",
     "ETHERNET_IFG_BYTES",
@@ -28,16 +26,13 @@ __all__ = [
     "EthernetFrame",
     "EtherType",
     "frame_wire_bytes",
-    "wire_overhead_bytes",
     "BROADCAST",
     "ZERO",
     "MacAddress",
     "PacketKind",
     "ZipLinePacketCodec",
-    "classify_frame",
     "PcapPacket",
     "PcapReader",
     "PcapWriter",
-    "read_pcap",
     "write_pcap",
 ]

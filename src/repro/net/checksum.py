@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.crc import CRC32_ETHERNET, CrcEngine
 
-__all__ = ["ethernet_fcs", "verify_ethernet_fcs", "internet_checksum"]
+__all__ = ["ethernet_fcs", "internet_checksum"]
 
 _FCS_ENGINE = CrcEngine(CRC32_ETHERNET)
 
@@ -21,11 +21,6 @@ _FCS_ENGINE = CrcEngine(CRC32_ETHERNET)
 def ethernet_fcs(frame_without_fcs: bytes) -> int:
     """CRC-32 frame check sequence of an Ethernet frame (header + payload)."""
     return _FCS_ENGINE.compute(frame_without_fcs)
-
-
-def verify_ethernet_fcs(frame_without_fcs: bytes, fcs: int) -> bool:
-    """True when ``fcs`` matches the computed frame check sequence."""
-    return ethernet_fcs(frame_without_fcs) == fcs
 
 
 def internet_checksum(data: bytes) -> int:

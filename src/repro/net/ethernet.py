@@ -12,8 +12,8 @@ emulated link's serialisation delay and the Figure 4 packet rates rely on.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 from repro.exceptions import PacketError
 from repro.net.checksum import ethernet_fcs
@@ -28,7 +28,6 @@ __all__ = [
     "ETHERNET_IFG_BYTES",
     "ETHERNET_MIN_FRAME_BYTES",
     "ETHERNET_MAX_STANDARD_PAYLOAD",
-    "wire_overhead_bytes",
     "frame_wire_bytes",
 ]
 
@@ -79,15 +78,6 @@ class EtherType:
         return cls._NAMES.get(value, f"0x{value:04x}")
 
 
-def wire_overhead_bytes() -> int:
-    """Per-frame overhead that occupies the link but is not payload.
-
-    Preamble + inter-frame gap + FCS; the 14-byte header is counted as part
-    of the frame itself.
-    """
-    return ETHERNET_PREAMBLE_BYTES + ETHERNET_IFG_BYTES + ETHERNET_FCS_BYTES
-
-
 def frame_wire_bytes(frame_bytes: int) -> int:
     """Total link occupancy of a frame of ``frame_bytes`` (header + payload).
 
@@ -129,11 +119,6 @@ class EthernetFrame:
     # -- sizes ------------------------------------------------------------
 
     @property
-    def header_bytes(self) -> int:
-        """Size of the Ethernet header (always 14)."""
-        return ETHERNET_HEADER_BYTES
-
-    @property
     def payload_bytes(self) -> int:
         """Size of the payload."""
         return len(self.payload)
@@ -168,10 +153,6 @@ class EthernetFrame:
             body = body + struct.pack(">I", ethernet_fcs(body))
         return body
 
-    def fcs(self) -> int:
-        """Frame check sequence of the unpadded frame."""
-        return ethernet_fcs(self.to_bytes(include_fcs=False, pad=False))
-
     @classmethod
     def from_bytes(cls, data: bytes, has_fcs: bool = False) -> "EthernetFrame":
         """Parse a frame from raw bytes.
@@ -199,20 +180,6 @@ class EthernetFrame:
             ethertype=ethertype,
             payload=data[14:],
         )
-
-    # -- convenience ------------------------------------------------------------
-
-    def with_payload(self, payload: bytes, ethertype: Optional[int] = None) -> "EthernetFrame":
-        """A copy of this frame with a different payload (and EtherType)."""
-        return replace(
-            self,
-            payload=payload,
-            ethertype=self.ethertype if ethertype is None else ethertype,
-        )
-
-    def reversed_direction(self) -> "EthernetFrame":
-        """A copy with source and destination swapped (for reply traffic)."""
-        return replace(self, destination=self.source, source=self.destination)
 
     def __repr__(self) -> str:
         return (

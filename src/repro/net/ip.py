@@ -25,7 +25,6 @@ __all__ = [
     "Ipv4Header",
     "UdpHeader",
     "build_udp_packet",
-    "parse_udp_packet",
 ]
 
 IPV4_HEADER_BYTES = 20
@@ -191,12 +190,3 @@ def build_udp_packet(
         identification=identification,
     )
     return ipv4.to_bytes() + udp_bytes
-
-
-def parse_udp_packet(data: bytes) -> Tuple[Ipv4Header, UdpHeader, bytes]:
-    """Parse an IPv4/UDP packet into its headers and payload."""
-    ipv4, ip_payload = Ipv4Header.from_bytes(data)
-    if ipv4.protocol != PROTO_UDP:
-        raise PacketError(f"not a UDP packet (protocol {ipv4.protocol})")
-    udp, payload = UdpHeader.from_bytes(ip_payload)
-    return ipv4, udp, payload

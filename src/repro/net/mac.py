@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
 import re
-from typing import Optional, Union
+from typing import Union
 
 from repro.exceptions import PacketError
 
@@ -47,46 +46,12 @@ class MacAddress:
             return
         raise PacketError(f"unsupported MAC address type {type(value).__name__}")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def random_unicast(cls, rng: Optional[random.Random] = None) -> "MacAddress":
-        """A random locally administered unicast address (x2:xx:xx:xx:xx:xx)."""
-        rng = rng or random
-        octets = bytearray(rng.getrandbits(8) for _ in range(6))
-        octets[0] = (octets[0] & 0b11111100) | 0b00000010
-        return cls(bytes(octets))
-
     # -- accessors -----------------------------------------------------------
 
     @property
     def octets(self) -> bytes:
         """The 6 raw bytes."""
         return self._octets
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True for ff:ff:ff:ff:ff:ff."""
-        return self._octets == b"\xff" * 6
-
-    @property
-    def is_multicast(self) -> bool:
-        """True when the group bit (LSB of the first octet) is set."""
-        return bool(self._octets[0] & 1)
-
-    @property
-    def is_unicast(self) -> bool:
-        """True for unicast (non-multicast) addresses."""
-        return not self.is_multicast
-
-    @property
-    def is_locally_administered(self) -> bool:
-        """True when the locally administered bit is set."""
-        return bool(self._octets[0] & 2)
-
-    def to_int(self) -> int:
-        """The address as a 48-bit integer."""
-        return int.from_bytes(self._octets, "big")
 
     # -- dunder plumbing ------------------------------------------------------
 

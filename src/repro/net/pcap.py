@@ -14,11 +14,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, List, Tuple, Union
+from typing import BinaryIO, Iterable, Iterator, Tuple, Union
 
 from repro.exceptions import TraceError
 
-__all__ = ["PcapPacket", "PcapWriter", "PcapReader", "write_pcap", "read_pcap"]
+__all__ = ["PcapPacket", "PcapWriter", "PcapReader", "write_pcap"]
 
 #: Standard libpcap magic (microsecond resolution, writer-native byte order).
 _MAGIC_US = 0xA1B2C3D4
@@ -80,7 +80,6 @@ class PcapWriter:
         self._handle: BinaryIO = (
             open(target, "wb") if self._owns_handle else target  # type: ignore[arg-type]
         )
-        self._packets_written = 0
         self._write_global_header()
 
     def _write_global_header(self) -> None:
@@ -94,11 +93,6 @@ class PcapWriter:
             LINKTYPE_ETHERNET,
         )
         self._handle.write(header)
-
-    @property
-    def packets_written(self) -> int:
-        """Number of packet records written so far."""
-        return self._packets_written
 
     @property
     def nanosecond(self) -> bool:
@@ -119,7 +113,6 @@ class PcapWriter:
             _RECORD_HEADER.pack(seconds, fraction, len(captured), len(data))
         )
         self._handle.write(captured)
-        self._packets_written += 1
 
     def write_packets(self, packets: Iterable[PcapPacket]) -> int:
         """Append many packets; returns how many were written."""
@@ -190,10 +183,6 @@ class PcapReader:
                 raise TraceError("truncated pcap packet data")
             yield PcapPacket(timestamp=seconds + fraction / divisor, data=data)
 
-    def read_all(self) -> List[PcapPacket]:
-        """Read every packet into a list."""
-        return list(iter(self))
-
     def close(self) -> None:
         """Close the underlying file (if owned)."""
         if self._owns_handle:
@@ -215,9 +204,3 @@ def write_pcap(
     """Write an iterable of packets to ``path``; returns the packet count."""
     with PcapWriter(path, snaplen=snaplen, nanosecond=nanosecond) as writer:
         return writer.write_packets(packets)
-
-
-def read_pcap(path: Union[str, Path]) -> List[PcapPacket]:
-    """Read every packet from ``path``."""
-    with PcapReader(path) as reader:
-        return reader.read_all()

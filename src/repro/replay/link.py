@@ -427,11 +427,3 @@ class EmulatedLink:
             self._deliver(frame, deliver_at)
         finally:
             tracer.restore_context(saved)
-
-    # -- derived measures -------------------------------------------------------
-
-    def utilisation(self, duration: float) -> float:
-        """Fraction of ``duration`` the link spent serialising frames."""
-        if duration <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / duration)

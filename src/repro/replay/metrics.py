@@ -354,10 +354,6 @@ class MetricsRegistry:
         """Record a point-in-time value (last write wins)."""
         self._gauges[name] = float(value)
 
-    def gauge(self, name: str) -> Optional[float]:
-        """Current value of a gauge, or ``None``."""
-        return self._gauges.get(name)
-
     # -- distributions ----------------------------------------------------------
 
     def distribution(self, name: str) -> Distribution:
@@ -474,7 +470,7 @@ def collect_switch_metrics(
             metrics.increment(f"{decoder_prefix}.{label}_bytes", sample.bytes)
         metrics.set_gauge(
             f"{decoder_prefix}.dictionary_entries",
-            sum(1 for _ in decoder.identifier_table.entries()),
+            sum(1 for _ in decoder.mapping_table.entries()),
         )
 
 

@@ -315,9 +315,9 @@ def stream_distinct_bases(trace_path: Union[str, Path], order: int = 8) -> list:
     payload carries the basis explicitly, so a decoder-only replay of a
     processed trace can preinstall its mappings).  Type-3 frames carry only
     an identifier, so their bases cannot be recovered from the wire.
-    Unlike ``ChunkTrace.from_pcap(...).distinct_bases(...)`` this never
-    materialises the trace, so large pcaps stay in bounded memory.  Bases
-    are returned in first-appearance order — the order the control plane's
+    Unlike ``ChunkTrace.distinct_bases`` this never materialises the trace,
+    so large pcaps stay in bounded memory.  Bases are returned in
+    first-appearance order — the order the control plane's
     identifier pool would assign them in, which static preloading must
     reproduce exactly.
     """

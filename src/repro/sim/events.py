@@ -11,10 +11,7 @@ the model.
 from __future__ import annotations
 
 import itertools
-from math import inf
 from typing import Any, Callable
-
-from repro.exceptions import SimulationError
 
 __all__ = ["Event", "EventHandle", "SECONDS", "MILLISECONDS", "MICROSECONDS", "NANOSECONDS"]
 
@@ -41,9 +38,10 @@ class Event:
     ``(time, priority, sequence, event)`` tuples, and because ``sequence``
     is unique the tuple comparison is decided before it reaches the event.
 
-    The simulator's ``schedule`` methods return the event itself: ``time``,
-    ``description`` and ``cancelled`` are readable on it and :meth:`cancel`
-    withdraws it without digging into the event queue.
+    The simulator's ``schedule`` methods return the event itself: ``time``
+    and ``description`` are readable on it, and setting ``cancelled``
+    withdraws it without digging into the event queue (the simulator skips
+    it when it reaches the front).
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "description", "cancelled")
@@ -69,31 +67,6 @@ class Event:
             f"sequence={self.sequence!r}, description={self.description!r}, "
             f"cancelled={self.cancelled!r})"
         )
-
-    @classmethod
-    def create(
-        cls,
-        time: float,
-        callback: Callable[[], Any],
-        priority: int = 0,
-        description: str = "",
-    ) -> "Event":
-        """Build an event with an automatically assigned sequence number."""
-        if not 0 <= time < inf:
-            raise SimulationError(
-                f"event time must be finite and non-negative, got {time}"
-            )
-        if not callable(callback):
-            raise SimulationError("event callback must be callable")
-        return cls(time, priority, next_sequence(), callback, description)
-
-    def cancel(self) -> None:
-        """Prevent the event from running (idempotent).
-
-        Cancellation is lazy: the event stays in the heap but is skipped
-        when it reaches the front.
-        """
-        self.cancelled = True
 
 
 #: What the ``schedule`` methods return.  An event is its own handle; the

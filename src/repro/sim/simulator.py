@@ -84,7 +84,7 @@ class Simulator:
 
         Inside a callback this is the key of the event being executed;
         between events it is the key of the last one executed, or the idle
-        position :meth:`run`, :meth:`advance_to` and :meth:`reset` left.
+        position :meth:`run` and :meth:`reset` left.
         Every event whose key orders before it has already run — which lets
         a component decide whether something it *would* have scheduled has
         happened yet without spending an event on it
@@ -104,11 +104,6 @@ class Simulator:
     def executed_events(self) -> int:
         """Number of events executed so far."""
         return self._executed_events
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events waiting in the queue (including cancelled ones)."""
-        return len(self._queue)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -147,14 +142,6 @@ class Simulator:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(
             self.now + delay, callback, priority=priority, description=description
-        )
-
-    def schedule_now(
-        self, callback: Callable[[], Any], priority: int = 0, description: str = ""
-    ) -> EventHandle:
-        """Schedule ``callback`` at the current time (runs after current event)."""
-        return self.schedule_at(
-            self.now, callback, priority=priority, description=description
         )
 
     # -- observers ----------------------------------------------------------
@@ -265,31 +252,12 @@ class Simulator:
         if self.latest_stamp > self.now:
             self._settle(self.latest_stamp, before=False)
 
-    def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
-        """Run for ``duration`` simulated seconds from the current time."""
-        if not duration >= 0:
-            raise SimulationError(f"duration must be non-negative, got {duration}")
-        return self.run(until=self.now + duration, max_events=max_events)
-
     def _peek(self) -> Optional[Event]:
         """The next non-cancelled event without removing it, or ``None``."""
         queue = self._queue
         while queue and queue[0][3].cancelled:
             heappop(queue)
         return queue[0][3] if queue else None
-
-    def advance_to(self, time: float) -> None:
-        """Move the clock forward without executing events (testing helper)."""
-        if not time >= self.now:
-            raise SimulationError(
-                f"cannot move the clock backwards ({time:.9f}s < {self.now:.9f}s)"
-            )
-        next_event = self._peek()
-        if next_event is not None and next_event.time < time:
-            raise SimulationError(
-                "cannot advance past pending events; run() them instead"
-            )
-        self._settle(time, before=True)
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""

@@ -153,11 +153,6 @@ class ResourceTracker:
         """The budget this tracker validates against."""
         return self._profile
 
-    @property
-    def usages(self) -> List[ResourceUsage]:
-        """All registered usages (copy)."""
-        return list(self._usages)
-
     def register(self, usage: ResourceUsage) -> None:
         """Register a resource usage and validate the budget."""
         if usage.stage >= self._profile.match_action_stages:

@@ -78,10 +78,6 @@ class Counter:
         self._check_index(index)
         return CounterSample(packets=self._packets[index], bytes=self._bytes[index])
 
-    def read_all(self) -> List[CounterSample]:
-        """Read every cell."""
-        return [CounterSample(p, b) for p, b in zip(self._packets, self._bytes)]
-
     def clear(self) -> None:
         """Zero every cell (control-plane access).
 

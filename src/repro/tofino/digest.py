@@ -89,10 +89,6 @@ class DigestEngine:
             raise ControlPlaneError("digest callback must be callable")
         self._subscribers.setdefault(digest_type, []).append(callback)
 
-    def unsubscribe_all(self, digest_type: str) -> None:
-        """Remove every subscriber of a digest type."""
-        self._subscribers.pop(digest_type, None)
-
     # -- data-plane side --------------------------------------------------------
 
     def emit(self, digest_type: str, data: Dict[str, Any]) -> bool:
@@ -135,8 +131,3 @@ class DigestEngine:
         self.delivered += 1
         for callback in self._subscribers.get(message.digest_type, []):
             callback(message)
-
-    @property
-    def in_flight(self) -> int:
-        """Digests emitted but not yet delivered."""
-        return self._in_flight

@@ -77,13 +77,6 @@ class HeaderType:
                 f"header type {self.name!r} has no field {field_name!r}"
             ) from None
 
-    def instantiate(self, **values: int) -> "Header":
-        """Create a valid header instance with the given field values."""
-        header = Header(self)
-        for name, value in values.items():
-            header[name] = value
-        header.valid = True
-        return header
 
 
 class Header:

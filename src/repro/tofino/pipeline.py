@@ -188,14 +188,6 @@ class Pipeline:
             latency=self._pipeline_latency,
         )
 
-    def record_recirculation(self) -> None:
-        """Record that the program recirculated a packet (discouraged)."""
-        self.recirculations += 1
-
-    def record_duplication(self) -> None:
-        """Record that the program duplicated a packet (discouraged)."""
-        self.duplications += 1
-
     # -- reporting -------------------------------------------------------------------
 
     def summary(self) -> Dict[str, int]:

@@ -116,12 +116,6 @@ class TofinoSwitch:
         self._sinks[port] = sink
         self._holds[port] = -inf if timed else inf
 
-    def detach_port(self, port: int) -> None:
-        """Remove the receiver attached to a port."""
-        self._check_port(port)
-        self._sinks.pop(port, None)
-        self._holds.pop(port, None)
-
     def _port_error(self, port: int) -> PipelineError:
         return PipelineError(
             f"{self.name}: port {port} out of range [0, {self.port_count})"

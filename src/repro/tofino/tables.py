@@ -162,14 +162,6 @@ class MatchActionTable:
 
     # -- control-plane API -----------------------------------------------------
 
-    def set_default_action(self, action: str, params: Optional[Dict[str, Any]] = None) -> None:
-        """Change the miss action."""
-        spec = self._require_action(action)
-        params = params or {}
-        spec.validate_params(params)
-        self._default_action = action
-        self._default_params = params
-
     def add_entry(
         self,
         key: Hashable,
@@ -231,11 +223,6 @@ class MatchActionTable:
         if entry.is_const:
             raise TableError(f"table {self.name!r}: cannot delete const entry {key!r}")
         del self._entries[key]
-
-    def reset_entry_ttl(self, key: Hashable, now: float) -> None:
-        """Refresh an entry's idle timer (BfRt ``entry_tgt`` style poke)."""
-        entry = self._require_entry(key)
-        entry.last_hit = now
 
     def expired_entries(self, now: float) -> List[TableEntry]:
         """Entries whose TTL elapsed without a hit (idle-timeout report)."""

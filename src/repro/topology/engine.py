@@ -485,7 +485,7 @@ class TopologyEngine:
         corruption.
         """
         decoder_node = self._decoder_nodes[node_name]
-        decoder_node.switch.identifier_table.clear()
+        decoder_node.switch.mapping_table.clear()
         self._fault_restarts += 1
         tracer = _obs.TRACER
         if tracer.enabled:

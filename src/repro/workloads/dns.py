@@ -30,7 +30,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 from repro.exceptions import WorkloadError
 from repro.net.ethernet import EthernetFrame, EtherType
@@ -75,22 +75,6 @@ def _encode_qname(name: str) -> bytes:
     return bytes(encoded)
 
 
-def _decode_qname(data: bytes) -> Tuple[str, int]:
-    """Decode a DNS QNAME; returns ``(name, bytes_consumed)``."""
-    labels: List[str] = []
-    offset = 0
-    while True:
-        if offset >= len(data):
-            raise WorkloadError("truncated QNAME")
-        length = data[offset]
-        offset += 1
-        if length == 0:
-            break
-        labels.append(data[offset : offset + length].decode("ascii"))
-        offset += length
-    return ".".join(labels), offset
-
-
 @dataclass(frozen=True)
 class DnsQuery:
     """One generated DNS query."""
@@ -114,23 +98,6 @@ class DnsQuery:
         excludes the random transaction identifier.
         """
         return self.message()[2:]
-
-    @classmethod
-    def from_message(cls, message: bytes) -> "DnsQuery":
-        """Parse a query message produced by :meth:`message`."""
-        if len(message) < 16:
-            raise WorkloadError(f"DNS message of {len(message)} bytes is too short")
-        transaction_id, _flags, qdcount, _an, _ns, _ar = struct.unpack(
-            ">HHHHHH", message[:12]
-        )
-        if qdcount != 1:
-            raise WorkloadError(f"expected exactly one question, got {qdcount}")
-        name, consumed = _decode_qname(message[12:])
-        qtype, _qclass = struct.unpack(
-            ">HH", message[12 + consumed : 12 + consumed + 4]
-        )
-        return cls(transaction_id=transaction_id, name=name, qtype=qtype)
-
 
 class DnsQueryWorkload:
     """Generate a Zipf-skewed stream of 34-byte DNS queries.

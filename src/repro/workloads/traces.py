@@ -20,7 +20,7 @@ from repro.core.transform import GDTransform
 from repro.exceptions import TraceError
 from repro.net.ethernet import EthernetFrame
 from repro.net.mac import MacAddress
-from repro.net.pcap import PcapPacket, read_pcap, write_pcap
+from repro.net.pcap import PcapPacket, write_pcap
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = ["TraceStats", "ChunkTrace"]
@@ -172,23 +172,6 @@ class ChunkTrace:
             for index, frame in enumerate(self.to_frames(source, destination))
         )
         return write_pcap(path, packets, nanosecond=nanosecond)
-
-    @classmethod
-    def from_pcap(
-        cls, path: Union[str, Path], name: Optional[str] = None
-    ) -> "ChunkTrace":
-        """Load a trace from a pcap produced by :meth:`to_pcap`.
-
-        Only frames carrying the raw-chunk EtherType are considered.
-        """
-        chunks: List[bytes] = []
-        for packet in read_pcap(path):
-            frame = EthernetFrame.from_bytes(packet.data)
-            if frame.ethertype == ETHERTYPE_RAW_CHUNK:
-                chunks.append(frame.payload)
-        if not chunks:
-            raise TraceError(f"pcap {path} contains no ZipLine chunk frames")
-        return cls(chunks, name=name or str(path))
 
     # -- replay helpers -----------------------------------------------------------------
 

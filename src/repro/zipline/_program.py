@@ -218,6 +218,7 @@ class ZipLineSwitchBase:
                 entries=table.size,
             )
         )
+        self._mapping_table = table
         return table
 
     def _upsert_mapping(
@@ -325,6 +326,12 @@ class ZipLineSwitchBase:
         return self._pipeline
 
     @property
+    def mapping_table(self) -> MatchActionTable:
+        """The table the control plane writes: basis → identifier on the
+        encoder, identifier → basis on the decoder."""
+        return self._mapping_table
+
+    @property
     def simulator(self) -> Optional[Simulator]:
         """The shared simulator this switch schedules against (if any)."""
         return self._simulator
@@ -360,8 +367,8 @@ class ZipLineSwitchBase:
         if out is None:
             pipeline.packets_dropped += 1
             return None
-        # Forwarding and the egress sink stay late-bound: ``set_forwarding``,
-        # ``attach_port`` and ``detach_port`` apply to the next frame.
+        # Forwarding and the egress sink stay late-bound: ``set_forwarding``
+        # and ``attach_port`` apply to the next frame.
         self.switch.transmit(
             self._forwarding.get(ingress_port, self._default_egress_port),
             out,

@@ -284,10 +284,3 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
     def remove_identifier_mapping(self, identifier: int) -> None:
         """Remove an identifier → basis entry (no-op when absent)."""
         self._remove_mapping(self._identifier_table, identifier)
-
-    # -- convenience ----------------------------------------------------------------------
-
-    @property
-    def identifier_table(self) -> MatchActionTable:
-        """The identifier → basis table (for tests and telemetry)."""
-        return self._identifier_table

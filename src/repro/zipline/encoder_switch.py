@@ -297,11 +297,6 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
     # -- convenience -----------------------------------------------------------------
 
     @property
-    def basis_table(self) -> MatchActionTable:
-        """The basis → identifier table (for tests and telemetry)."""
-        return self._basis_table
-
-    @property
     def digest_engine(self) -> DigestEngine:
         """The digest engine of the underlying switch."""
         return self.switch.digest_engine

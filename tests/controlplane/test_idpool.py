@@ -17,8 +17,8 @@ class TestAllocation:
         pool = IdentifierPool(4)
         assert pool.allocate("a").identifier == 0
         assert pool.allocate("b").identifier == 1
-        assert pool.free_count == 2
-        assert pool.bound_count == 2
+        assert pool.capacity - len(pool) == 2
+        assert len(pool) == 2
 
     def test_reallocating_same_basis_returns_existing(self):
         pool = IdentifierPool(4)
@@ -26,7 +26,7 @@ class TestAllocation:
         second = pool.allocate("a")
         assert first.identifier == second.identifier
         assert not second.recycled
-        assert pool.bound_count == 1
+        assert len(pool) == 1
 
     def test_lru_recycling_when_exhausted(self):
         pool = IdentifierPool(2)
@@ -38,7 +38,7 @@ class TestAllocation:
         assert allocation.evicted_basis == "b"
         assert pool.identifier_for("b") is None
         assert pool.identifier_for("a") is not None
-        assert pool.recycles == 1
+        assert pool.stats.evictions == 1
 
     def test_touch_by_identifier(self):
         pool = IdentifierPool(2)
@@ -51,7 +51,7 @@ class TestAllocation:
         pool = IdentifierPool(2)
         identifier = pool.allocate("a").identifier
         assert pool.release(identifier) == "a"
-        assert pool.free_count == 2
+        assert pool.capacity - len(pool) == 2
         assert pool.release(identifier) is None
 
     def test_least_recently_used_peek(self):
@@ -82,8 +82,8 @@ class TestAllocation:
         pool = IdentifierPool(4)
         pool.allocate("a")
         pool.clear()
-        assert pool.bound_count == 0
-        assert pool.free_count == 4
+        assert len(pool) == 0
+        assert pool.capacity - len(pool) == 4
 
     def test_paper_capacity(self):
         pool = IdentifierPool(1 << 15)
@@ -94,7 +94,7 @@ class TestAllocation:
         pool.allocate("a")
         pool.allocate("a")
         pool.allocate("b")
-        assert pool.allocations == 2
+        assert pool.stats.insertions == 2
 
 
 class TestOneMap:
@@ -105,7 +105,7 @@ class TestOneMap:
         for basis in "abc":
             pool.allocate(basis)
         assert isinstance(pool, BasisDictionary)
-        assert (pool.allocations, pool.recycles) == (3, 1)
+        assert (pool.stats.insertions, pool.stats.evictions) == (3, 1)
         assert (pool.stats.insertions, pool.stats.evictions) == (3, 1)
         assert pool.snapshot_state()["entries"] == [["b", 1], ["c", 0]]
 
@@ -121,7 +121,7 @@ class TestOneMap:
         try:
             pool = IdentifierPool(1 << 40)
             assert pool.allocate("a").identifier == 0
-            assert pool.free_count == (1 << 40) - 1
+            assert pool.capacity - len(pool) == (1 << 40) - 1
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -226,7 +226,7 @@ class TestAgainstTheModel:
             assert pool.least_recently_used() == (
                 tuple(model.bound[0]) if model.bound else None
             )
-            assert pool.free_count == len(model.free)
+            assert pool.capacity - len(pool) == len(model.free)
             for identifier, basis in model.bound:
                 assert pool.identifier_for(basis) == identifier
                 assert pool.basis_for(identifier) == basis

@@ -82,8 +82,8 @@ class TestLearning:
         engine, encoder, decoder, manager = build(simulator=simulator)
         engine.emit(LEARN_DIGEST, {"basis": 7})
         simulator.run()
-        decoder_event = manager.events.last_of_type(DecoderMappingInstalled)
-        encoder_event = manager.events.last_of_type(EncoderMappingInstalled)
+        decoder_event = manager.events.of_type(DecoderMappingInstalled)[-1]
+        encoder_event = manager.events.of_type(EncoderMappingInstalled)[-1]
         assert decoder_event is not None and encoder_event is not None
         assert decoder_event.time < encoder_event.time
 
@@ -95,7 +95,7 @@ class TestLearning:
         engine, encoder, decoder, manager = build(simulator=simulator, timings=timings)
         engine.emit(LEARN_DIGEST, {"basis": 7})
         simulator.run()
-        event = manager.events.last_of_type(EncoderMappingInstalled)
+        event = manager.events.of_type(EncoderMappingInstalled)[-1]
         assert event.time == pytest.approx(1.77e-3, rel=1e-6)
 
     def test_duplicate_digests_are_ignored(self):
@@ -265,7 +265,7 @@ class TestEventLogIsBounded:
             log.append(events.DigestReceived(time=float(time), basis=time))
         assert (len(log), log.dropped) == (4, 6)
         assert [event.basis for event in log] == [6, 7, 8, 9]
-        assert log.last_of_type(events.DigestReceived).basis == 9
+        assert log.of_type(events.DigestReceived)[-1].basis == 9
         log.clear()
         assert (len(log), log.dropped) == (0, 0)
 

@@ -81,8 +81,8 @@ class TestCodecSnapshotResume:
         # Reference: one pair runs the whole trace uninterrupted, and agrees
         # with the checked HammingCode layer chunk for chunk.
         ref_encoder, ref_decoder = _pair(transform)
-        ref_records = [ref_encoder.encode_chunk(chunk) for chunk in chunks]
-        ref_output = [ref_decoder.decode_record(record) for record in ref_records]
+        ref_records = [ref_encoder.encode_batch([chunk])[0] for chunk in chunks]
+        ref_output = [ref_decoder.decode_batch([record])[0] for record in ref_records]
         code = transform.code
         for chunk, record, restored in zip(chunks, ref_records, ref_output):
             value = int.from_bytes(chunk, "big")
@@ -94,15 +94,15 @@ class TestCodecSnapshotResume:
         # Interrupted: encode/decode up to the cut, snapshot both sides
         # through JSON, resume in freshly built objects.
         encoder_a, decoder_a = _pair(transform)
-        records = [encoder_a.encode_chunk(chunk) for chunk in chunks[:cut]]
-        output = [decoder_a.decode_record(record) for record in records]
+        records = [encoder_a.encode_batch([chunk])[0] for chunk in chunks[:cut]]
+        output = [decoder_a.decode_batch([record])[0] for record in records]
         encoder_state = _json_roundtrip(encoder_a.snapshot_state())
         decoder_state = _json_roundtrip(decoder_a.snapshot_state())
         encoder_b, decoder_b = _pair(transform)
         encoder_b.restore_state(encoder_state)
         decoder_b.restore_state(decoder_state)
-        records += [encoder_b.encode_chunk(chunk) for chunk in chunks[cut:]]
-        output += [decoder_b.decode_record(record) for record in records[cut:]]
+        records += [encoder_b.encode_batch([chunk])[0] for chunk in chunks[cut:]]
+        output += [decoder_b.decode_batch([record])[0] for record in records[cut:]]
 
         assert [r.to_bytes() for r in records] == [r.to_bytes() for r in ref_records]
         assert output == ref_output
@@ -125,15 +125,15 @@ class TestCodecSnapshotResume:
         rng = random.Random(77 + order)
         chunks = _clustered_chunks(transform, 80, rng)
         encoder, decoder = _pair(transform)
-        records = [encoder.encode_chunk(chunk) for chunk in chunks]
+        records = [encoder.encode_batch([chunk])[0] for chunk in chunks]
         expected = [int.from_bytes(chunk, "big") for chunk in chunks]
 
         cut = rng.randrange(20, 60)
-        output = [decoder.decode_record(record) for record in records[:cut]]
+        output = [decoder.decode_batch([record])[0] for record in records[:cut]]
         state = _json_roundtrip(decoder.snapshot_state())
         _, restarted = _pair(transform)  # fresh decoder: the restart
         restarted.restore_state(state)
-        output += [restarted.decode_record(record) for record in records[cut:]]
+        output += [restarted.decode_batch([record])[0] for record in records[cut:]]
 
         assert output == expected
         assert restarted.stats.unknown_identifiers == 0
@@ -226,7 +226,7 @@ class TestControlPlaneInterleavings:
         assert encoder.mappings == {
             basis: identifier for identifier, basis in bindings.items()
         }
-        assert manager.pending_installs == 0
+        assert manager.snapshot_state()["pending"] == []
         assert manager.stats.resyncs == scheduled_restarts
         # The churn was real: the pool recycled and the run learned things.
         assert manager.stats.mappings_learned > 0
@@ -257,8 +257,7 @@ class TestControlPlaneInterleavings:
         after = drive(engine_a, sim_a, bases_first, 0.0)
         state = _json_roundtrip(manager_a.snapshot_state())
 
-        sim_b = Simulator()
-        sim_b.advance_to(after)
+        sim_b = Simulator(start_time=after)
         engine_b, enc_b, dec_b, manager_b = _build_plane(sim_b)
         manager_b.restore_state(state)
         # The restarted controller re-primes its switches from the pool.
@@ -381,7 +380,7 @@ class TestHostileSnapshots:
         engine.emit(LEARN_DIGEST, {"basis": 1})
         simulator.run()
         engine.emit(LEARN_DIGEST, {"basis": 2})
-        simulator.run_for(1e-3)  # the digest has arrived, the installs have not
+        simulator.run(until=simulator.now + 1e-3)  # the digest has arrived, the installs have not
         before = manager.snapshot_state()
         assert before["pending"] == [2]
         with pytest.raises(ReproError):

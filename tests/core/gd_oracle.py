@@ -213,3 +213,10 @@ class OracleCodec:
             )
             out.append(int_to_bytes(chunk, transform.chunk_bits))
         return b"".join(out)
+
+
+def roundtrip(codec, data, pad=True):
+    """``data`` compressed then decompressed by one ``GDCodec``, the
+    original length restored from the input."""
+    result = codec.compress(data, pad=pad)
+    return codec.decompress_records(result.records, original_bytes=len(data))

@@ -35,7 +35,7 @@ from repro.core.transform import GDTransform
 from repro.exceptions import BackendError, ChunkSizeError
 from repro.workloads import SyntheticSensorWorkload
 
-from gd_oracle import reference_join, reference_split_buffer
+from gd_oracle import reference_join, reference_split_buffer, roundtrip
 
 ORDERS = range(3, 9)
 PREFIX_EXTRAS = (0, 1, 3, 7, 8, 9, 13, 17)
@@ -322,7 +322,7 @@ class TestNoArrayScalarEscapes:
         assert batch == expected and batch == tuple(expected)
         assert batch.pack_stream() == expected.pack_stream()
 
-    def test_parsed_records_stats_snapshots_and_trace_args(self, backend_name):
+    def test_records_stats_snapshots_and_trace_args(self, backend_name):
         import json
 
         from repro import obs
@@ -340,10 +340,7 @@ class TestNoArrayScalarEscapes:
         views = [event["args"] for event in tracer.sink.events]
         assert len(views) >= 4 * 96
         json.dumps(views)
-        offset = 16  # the records sit between the header and the 9-byte trailer
-        while offset < len(container) - 9:
-            record, offset = codec.parse_record(container, offset)
-            views.append(vars(record))
+        views += [vars(record) for record in result.records]
         for half in (codec.encoder, codec.decoder):
             views += [half.stats, half.stats.as_dict(), half.snapshot_state()]
             json.dumps(half.snapshot_state())
@@ -486,7 +483,7 @@ class TestContainerEquivalence:
                 eviction_seed=4321,
                 backend=name,
             )
-            assert codec.roundtrip(data) == data
+            assert roundtrip(codec, data) == data
             containers[name] = codec.compress_to_container(data)
             codec.compress(data)
             snapshots[name] = codec.encoder.dictionary.snapshot()
@@ -501,7 +498,7 @@ class TestContainerEquivalence:
         data = b"".join(
             SyntheticSensorWorkload(num_chunks=200, distinct_bases=12, seed=2).chunks()
         )
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data
 
 
 class TestDispatchBoundaries:

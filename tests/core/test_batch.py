@@ -19,7 +19,7 @@ from repro.core.records import RawRecord
 from repro.core.transform import GDTransform
 from repro.exceptions import ChunkSizeError
 
-from gd_oracle import OracleCodec
+from gd_oracle import OracleCodec, roundtrip
 
 
 def clustered_chunks(count: int, seed: int = 3, bases: int = 6) -> list:
@@ -67,7 +67,7 @@ def _fresh_encoder(mode=EncoderMode.DYNAMIC, identifier_bits=15):
 class TestEncodeBatch:
     # Two identifier bits hold four of the six bases: constant eviction.
     @pytest.mark.parametrize("identifier_bits", [15, 2])
-    @pytest.mark.parametrize("entry", ["encode_batch", "encode_chunk", "encode_chunks"])
+    @pytest.mark.parametrize("entry", ["encode_batch", "one_chunk_batches", "encode_chunks"])
     def test_matches_oracle(self, entry, identifier_bits):
         chunks = clustered_chunks(300)
         oracle = OracleCodec(alignment_padding_bits=8, identifier_bits=identifier_bits)
@@ -75,8 +75,8 @@ class TestEncodeBatch:
         encoder = _fresh_encoder(identifier_bits=identifier_bits)
         if entry == "encode_batch":
             records = encoder.encode_batch(chunks)
-        elif entry == "encode_chunk":
-            records = [encoder.encode_chunk(chunk) for chunk in chunks]
+        elif entry == "one_chunk_batches":
+            records = [encoder.encode_batch([chunk])[0] for chunk in chunks]
         else:
             records = encoder.encode_chunks(b"".join(chunks))
         assert records == expected
@@ -110,7 +110,7 @@ class TestDecodeBatch:
         transform = GDTransform(order=8)
         unit = GDDecoder(transform, BasisDictionary(1 << 15))
         batch = GDDecoder(transform, BasisDictionary(1 << 15))
-        expected = [unit.decode_record(record) for record in records]
+        expected = [unit.decode_batch([record])[0] for record in records]
         assert batch.decode_batch(records) == expected
         assert batch.stats.as_dict() == unit.stats.as_dict()
         oracle = OracleCodec()
@@ -161,7 +161,7 @@ class TestEvictionSeedPlumbing:
             eviction_policy="random",
             eviction_seed=99,
         )
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data
 
     def test_clone_preserves_seed(self):
         codec = GDCodec(eviction_policy="random", eviction_seed=5)
@@ -174,4 +174,4 @@ class TestEvictionSeedPlumbing:
         chunks = clustered_chunks(1500, bases=64)
         data = b"".join(chunks)
         codec = GDCodec(order=8, identifier_bits=4, eviction_policy="random")
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data

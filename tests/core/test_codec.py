@@ -5,6 +5,8 @@ import pytest
 from repro.core.codec import GDCodec
 from repro.exceptions import ChunkSizeError, CodingError
 
+from gd_oracle import roundtrip
+
 
 def clustered_data(codec, bases, count, rng):
     """Data whose chunks share the given bases (codeword ± one bit)."""
@@ -42,18 +44,17 @@ class TestConstruction:
 
 
 class TestChunking:
-    def test_chunk_data_exact_multiple(self):
+    def test_exact_multiple_is_whole_chunks(self):
         codec = GDCodec(order=4)
-        chunks = codec.chunk_data(b"\x00" * 6)
-        assert len(chunks) == 3
+        assert len(codec.compress(b"\x00" * 6).records) == 3
 
-    def test_chunk_data_requires_padding_flag(self):
+    def test_ragged_length_requires_padding_flag(self):
         codec = GDCodec(order=4)
         with pytest.raises(ChunkSizeError):
-            codec.chunk_data(b"\x00" * 5)
-        chunks = codec.chunk_data(b"\x00" * 5, pad=True)
-        assert len(chunks) == 3
-        assert len(chunks[-1]) == 2
+            codec.compress(b"\x00" * 5)
+        result = codec.compress(b"\x00" * 5, pad=True)
+        assert len(result.records) == 3
+        assert result.original_bytes == 5
 
 
 class TestCompressionModes:
@@ -88,17 +89,12 @@ class TestCompressionModes:
     def test_roundtrip_without_padding(self, rng):
         codec = GDCodec(order=4)
         data = bytes(rng.getrandbits(8) for _ in range(2 * 100))
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data
 
     def test_roundtrip_with_final_partial_chunk(self, rng):
         codec = GDCodec(order=4)
         data = bytes(rng.getrandbits(8) for _ in range(33))
-        assert codec.roundtrip(data, pad=True) == data
-
-    def test_compression_ratio_shortcut(self, rng):
-        codec = GDCodec(order=4)
-        data = bytes(4 * 10)
-        assert codec.compression_ratio(data) == codec.clone().compress(data).compression_ratio
+        assert roundtrip(codec, data, pad=True) == data
 
 
 class TestContainers:
@@ -157,4 +153,3 @@ class TestContainers:
         result = codec.compress(data)
         blob = codec.to_container(result)
         assert result.container_bytes == len(blob)
-        assert result.container_ratio > result.compression_ratio

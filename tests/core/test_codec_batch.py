@@ -142,16 +142,22 @@ class TestEncodedBatchContainer:
         assert isinstance(result.records, EncodedBatch)
         assert result.records.pack_stream() == OracleCodec().body(result.records)
 
-    def test_parse_record_inverts_the_per_record_serialisation(self):
+    def test_parse_records_inverts_the_per_record_serialisation(self):
         codec = GDCodec(alignment_padding_bits=8)
         data = _sample(codec, count=40)
         records = list(codec.compress(data).records)
         blob = OracleCodec().body(records)
-        offset = 0
-        for record in records:
-            parsed, offset = codec.parse_record(blob, offset)
-            assert parsed == record
+        tags, prefixes, keys, deviations, offset = codec.parse_records(blob, 0)
         assert offset == len(blob)
+        assert list(zip(tags, prefixes, keys, deviations)) == [
+            (
+                int(record.record_type),
+                record.prefix,
+                getattr(record, "identifier", getattr(record, "basis", None)),
+                record.deviation,
+            )
+            for record in records
+        ]
 
     def test_sequence_protocol(self):
         codec = GDCodec()

@@ -128,6 +128,15 @@ class TestLyingHeaders:
         blob = _container(_payload(8)) + b"\x00"
         assert _outcome(reader, blob) is CodingError
 
+    @pytest.mark.parametrize("written, read", [(8, 0), (0, 8)])
+    def test_alignment_padding_mismatch_is_named(self, written, read):
+        """A codec refuses a container written under another type-2
+        padding width with the error that says so, in either direction."""
+        data = _payload(8)
+        blob = GDCodec(alignment_padding_bits=written).compress_to_container(data)
+        with pytest.raises(CodingError, match="alignment padding .* does not match"):
+            GDCodec(alignment_padding_bits=read).decompress_container(blob)
+
 
 class TestMutationCorpus:
     def _agree(self, blob):

@@ -9,7 +9,6 @@ from repro.core.crc import (
     CrcEngine,
     CrcParameters,
     is_primitive_polynomial,
-    poly_gcd,
     poly_mod,
     poly_mul,
     poly_mulmod,
@@ -44,12 +43,9 @@ class TestPolynomialArithmetic:
         assert poly_mul(0b1011, 1) == 0b1011
         assert poly_mul(0, 0b1011) == 0
 
-    def test_poly_mulmod_and_gcd(self):
+    def test_poly_mulmod(self):
         modulus = 0b1011
         assert poly_mulmod(0b100, 0b10, modulus) == poly_mod(0b1000, modulus)
-        assert poly_gcd(0b1011, 0b11) == 1
-        # gcd(x^2 + x, x) = x
-        assert poly_gcd(0b110, 0b10) == 0b10
 
     def test_polynomial_degree_and_str(self):
         assert polynomial_degree(0b1011) == 3
@@ -91,9 +87,14 @@ class TestCrcParameters:
         with pytest.raises(CodingError):
             CrcParameters(polynomial=0x3, width=3, augment=False, reflect_in=True)
 
-    def test_is_linear(self):
-        assert CrcParameters(polynomial=0x3, width=3, augment=False).is_linear
-        assert not CRC32_ETHERNET.is_linear
+    def test_linear_only_without_init_and_xor_out(self):
+        a, b = 0x1234, 0x0F0F
+
+        def is_linear(engine):
+            return engine.compute(a ^ b, 16) == engine.compute(a, 16) ^ engine.compute(b, 16)
+
+        assert is_linear(CrcEngine(CrcParameters(polynomial=0x3, width=3, augment=False)))
+        assert not is_linear(CrcEngine(CRC32_ETHERNET))
 
     def test_describe_mentions_polynomial(self):
         text = CRC16_CCITT.describe()

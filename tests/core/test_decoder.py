@@ -35,12 +35,12 @@ class TestDecodeRecords:
                 basis_bits=parts.basis_bits,
                 deviation_bits=parts.deviation_bits,
             )
-            assert decoder.decode_record_to_bytes(record) == chunk
+            assert decoder.decode_batch_to_bytes([record]) == chunk
 
     def test_raw_record_passthrough(self, transform):
         decoder = GDDecoder(transform)
         record = RawRecord(chunk=0x1234, chunk_bits=16)
-        assert decoder.decode_record(record) == 0x1234
+        assert decoder.decode_batch([record])[0] == 0x1234
         assert decoder.stats.raw_records == 1
 
     def test_compressed_requires_dictionary(self, transform):
@@ -50,7 +50,7 @@ class TestDecodeRecords:
             prefix_bits=1, identifier_bits=6, deviation_bits=4,
         )
         with pytest.raises(DictionaryError):
-            decoder.decode_record(record)
+            decoder.decode_batch([record])
 
     def test_unknown_identifier_raises_and_counts(self, transform):
         decoder = GDDecoder(transform, BasisDictionary(64))
@@ -59,13 +59,13 @@ class TestDecodeRecords:
             prefix_bits=1, identifier_bits=6, deviation_bits=4,
         )
         with pytest.raises(DictionaryError):
-            decoder.decode_record(record)
+            decoder.decode_batch([record])
         assert decoder.stats.unknown_identifiers == 1
 
     def test_unsupported_record_type(self, transform):
         decoder = GDDecoder(transform)
         with pytest.raises(CodingError):
-            decoder.decode_record("not a record")
+            decoder.decode_batch(["not a record"])
 
     def test_width_mismatch_rejected(self, transform):
         other = GDTransform(order=3)
@@ -80,7 +80,7 @@ class TestDecodeRecords:
             deviation_bits=parts.deviation_bits,
         )
         with pytest.raises(CodingError):
-            decoder.decode_record(record)
+            decoder.decode_batch([record])
 
 
 class TestEncoderDecoderPairing:
@@ -136,13 +136,6 @@ class TestEncoderDecoderPairing:
         ]
         assert restored == chunks
         assert encoder.dictionary.stats.evictions > 0
-
-    def test_stats_reset(self, transform):
-        decoder = GDDecoder(transform, BasisDictionary(8))
-        records = encoded_stream(transform, [b"\x01\x02"])
-        decoder.decode_batch(records)
-        decoder.reset_stats()
-        assert decoder.stats.records == 0
 
 
 class TestInstalledBasisGuard:

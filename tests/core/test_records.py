@@ -55,10 +55,6 @@ class TestUncompressedRecord:
         assert record.padded_bits == 256
         assert record.payload_bytes == 32
 
-    def test_dedup_key_is_basis(self):
-        record = self._paper_record()
-        assert record.dedup_key == record.basis
-
     def test_serialisation_layout(self):
         record = UncompressedRecord(
             prefix=1,

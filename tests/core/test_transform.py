@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.encoder import GDEncoder
 from repro.core.transform import GDParts, GDTransform
 from repro.exceptions import ChunkSizeError, CodingError
 
@@ -15,9 +16,13 @@ class TestConfiguration:
         assert paper_transform.basis_bits == 247
         assert paper_transform.deviation_bits == 8
 
-    def test_uncompressed_bits_equals_chunk_bits(self, paper_transform):
+    def test_parts_fill_the_chunk_exactly(self, paper_transform):
         # "Applying GD does not introduce additional bits" (Section 7).
-        assert paper_transform.uncompressed_bits == paper_transform.chunk_bits
+        transform = paper_transform
+        assert (
+            transform.prefix_bits + transform.basis_bits + transform.deviation_bits
+            == transform.chunk_bits
+        )
 
     def test_small_configuration(self, small_transform):
         assert small_transform.chunk_bits == 16
@@ -47,7 +52,7 @@ class TestSplitJoin:
         for _ in range(100):
             chunk = rng.getrandbits(256).to_bytes(32, "big")
             parts = paper_transform.split(chunk)
-            assert paper_transform.join_to_bytes(parts) == chunk
+            assert paper_transform.join(parts).to_bytes(32, "big") == chunk
 
     def test_roundtrip_int_and_bytes(self, small_transform, rng):
         for _ in range(100):
@@ -75,13 +80,13 @@ class TestSplitJoin:
         parts_zero = paper_transform.split(bytes(32))
         assert parts_zero.prefix == 0
 
-    def test_dedup_key_is_basis_only(self, paper_transform, rng):
+    def test_basis_ignores_the_prefix(self, paper_transform, rng):
         basis = rng.getrandbits(247)
         codeword = paper_transform.code.encode(basis)
         with_msb = ((1 << 255) | codeword).to_bytes(32, "big")
         without_msb = codeword.to_bytes(32, "big")
-        assert paper_transform.split(with_msb).dedup_key == basis
-        assert paper_transform.split(without_msb).dedup_key == basis
+        assert paper_transform.split(with_msb).basis == basis
+        assert paper_transform.split(without_msb).basis == basis
 
     def test_join_fields(self, small_transform, rng):
         value = rng.getrandbits(16)
@@ -95,7 +100,7 @@ class TestSplitJoin:
         data = rng.getrandbits(256 * 5).to_bytes(32 * 5, "big")
         parts = paper_transform.split_batch(data)
         assert len(parts) == 5
-        restored = b"".join(paper_transform.join_to_bytes(p) for p in parts)
+        restored = b"".join(paper_transform.join(p).to_bytes(32, "big") for p in parts)
         assert restored == data
 
 
@@ -119,9 +124,14 @@ NOT_A_CHUNK = {
 
 
 class TestValidation:
-    @pytest.mark.parametrize("entry", ["split", "split_fields", "chunk_to_bytes"])
+    @pytest.mark.parametrize("entry", ["split", "split_fields", "encode_batch"])
     @pytest.mark.parametrize("chunk", NOT_A_CHUNK.values(), ids=NOT_A_CHUNK.keys())
     def test_non_chunk_rejected(self, small_transform, entry, chunk):
+        if entry == "encode_batch":
+            encoder = GDEncoder(small_transform, mode="no_table")
+            with pytest.raises(ChunkSizeError):
+                encoder.encode_batch([chunk])
+            return
         with pytest.raises(ChunkSizeError):
             getattr(small_transform, entry)(chunk)
 
@@ -147,6 +157,3 @@ class TestValidation:
             prefix=0, basis=3, deviation=1, prefix_bits=0, basis_bits=4, deviation_bits=3
         )
         assert parts.chunk_bits == 7
-
-    def test_chunk_to_bytes(self, small_transform):
-        assert small_transform.chunk_to_bytes(0x1234) == b"\x12\x34"

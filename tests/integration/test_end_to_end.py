@@ -6,8 +6,9 @@ from repro import registry
 from repro.core.codec import GDCodec
 from repro.core.engine import compress_bytes
 from repro.net.packets import PacketKind
+from repro.replay.sources import PcapTraceSource
 from repro.topology import TopologyEngine, paper_testbed_topology
-from repro.workloads import ChunkTrace, SyntheticSensorWorkload
+from repro.workloads import SyntheticSensorWorkload
 
 
 class TestWorkloadThroughTheTestbed:
@@ -20,8 +21,8 @@ class TestWorkloadThroughTheTestbed:
         # persist and reload through pcap, like the paper's tooling does
         pcap_path = tmp_path / "synthetic.pcap"
         trace.to_pcap(pcap_path, packet_rate=1e6)
-        reloaded = ChunkTrace.from_pcap(pcap_path)
-        assert reloaded.chunks == trace.chunks
+        reloaded = [data[14:] for _time, data in PcapTraceSource(pcap_path).frames()]
+        assert reloaded == trace.chunks
 
         # The static scenario preloads the capture's own distinct bases.
         spec = paper_testbed_topology(scenario="static", trace=str(pcap_path))

@@ -104,14 +104,14 @@ class TestFigure4Shape:
 
     def test_a_recirculating_program_is_refused(self):
         programs = figure5_programs()
-        programs["decode"].pipeline.record_recirculation()
+        programs["decode"].pipeline.recirculations += 1
         with pytest.raises(ReproError, match="decode"):
             figure4(programs)
 
     @pytest.mark.parametrize("duplicated", PROGRAMS)
     def test_a_program_that_duplicated_is_refused(self, duplicated):
         programs = figure5_programs()
-        programs[duplicated].pipeline.record_duplication()
+        programs[duplicated].pipeline.duplications += 1
         with pytest.raises(ReproError, match=duplicated):
             figure4(programs)
 

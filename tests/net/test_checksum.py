@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.net.checksum import ethernet_fcs, internet_checksum, verify_ethernet_fcs
+from repro.net.checksum import ethernet_fcs, internet_checksum
 
 
 class TestEthernetFcs:
     def test_known_crc32_check_value(self):
         assert ethernet_fcs(b"123456789") == 0xCBF43926
-
-    def test_verify(self):
-        frame = b"\x00" * 60
-        fcs = ethernet_fcs(frame)
-        assert verify_ethernet_fcs(frame, fcs)
-        assert not verify_ethernet_fcs(frame, fcs ^ 1)
 
     def test_sensitive_to_single_bit_flip(self):
         frame = bytes(range(64))

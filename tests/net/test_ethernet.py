@@ -3,12 +3,12 @@
 import pytest
 
 from repro.exceptions import PacketError
+from repro.net.checksum import ethernet_fcs
 from repro.net.ethernet import (
     ETHERNET_MIN_FRAME_BYTES,
     EthernetFrame,
     EtherType,
     frame_wire_bytes,
-    wire_overhead_bytes,
 )
 from repro.net.mac import MacAddress
 
@@ -29,7 +29,6 @@ class TestFrame:
 
     def test_sizes(self):
         frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"\x00" * 32)
-        assert frame.header_bytes == 14
         assert frame.payload_bytes == 32
         assert frame.frame_bytes == 46
         assert frame.wire_bytes == frame_wire_bytes(46)
@@ -43,7 +42,7 @@ class TestFrame:
     def test_fcs_appended_and_consistent(self):
         frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"data")
         raw = frame.to_bytes(include_fcs=True)
-        assert int.from_bytes(raw[-4:], "big") == frame.fcs()
+        assert int.from_bytes(raw[-4:], "big") == ethernet_fcs(raw[:-4])
 
     def test_parse_with_fcs_strips_it(self):
         frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"data")
@@ -64,15 +63,6 @@ class TestFrame:
         with pytest.raises(PacketError):
             EthernetFrame(DST, SRC, EtherType.IPV4, "not-bytes")
 
-    def test_with_payload_and_reverse(self):
-        frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"abc")
-        changed = frame.with_payload(b"xyz", ethertype=EtherType.ZIPLINE_COMPRESSED)
-        assert changed.payload == b"xyz"
-        assert changed.ethertype == EtherType.ZIPLINE_COMPRESSED
-        reply = frame.reversed_direction()
-        assert reply.destination == SRC
-        assert reply.source == DST
-
     def test_repr_names_ethertype(self):
         frame = EthernetFrame(DST, SRC, EtherType.ZIPLINE_UNCOMPRESSED, b"")
         assert "ZipLine/uncompressed" in repr(frame)
@@ -80,7 +70,8 @@ class TestFrame:
 
 class TestWireAccounting:
     def test_wire_overhead(self):
-        assert wire_overhead_bytes() == 8 + 12 + 4
+        # Preamble, inter-frame gap and FCS on top of header and payload.
+        assert frame_wire_bytes(1500) == 1500 + 8 + 12 + 4
 
     def test_minimum_size_enforced(self):
         # A 64-byte probe frame occupies 64 + 20 = 84 bytes of wire time.

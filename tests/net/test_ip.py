@@ -11,7 +11,6 @@ from repro.net.ip import (
     build_udp_packet,
     ipv4_address_to_bytes,
     ipv4_address_to_str,
-    parse_udp_packet,
 )
 
 
@@ -63,7 +62,8 @@ class TestUdp:
     def test_build_and_parse_packet(self):
         payload = b"dns-query-bytes"
         packet = build_udp_packet("10.0.0.1", "10.1.1.53", 40000, 53, payload)
-        ipv4, udp, parsed_payload = parse_udp_packet(packet)
+        ipv4, datagram = Ipv4Header.from_bytes(packet)
+        udp, parsed_payload = UdpHeader.from_bytes(datagram)
         assert ipv4.destination == "10.1.1.53"
         assert udp.destination_port == 53
         assert udp.source_port == 40000
@@ -79,11 +79,6 @@ class TestUdp:
         header = UdpHeader(source_port=1, destination_port=2, payload_length=4)
         with pytest.raises(PacketError):
             header.to_bytes("10.0.0.1", "10.0.0.2", b"xyz")
-
-    def test_parse_rejects_non_udp(self):
-        header = Ipv4Header("10.0.0.1", "10.0.0.2", payload_length=0, protocol=6)
-        with pytest.raises(PacketError):
-            parse_udp_packet(header.to_bytes())
 
     def test_truncated_udp(self):
         with pytest.raises(PacketError):

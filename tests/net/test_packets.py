@@ -4,10 +4,13 @@ import pytest
 
 from repro.core.records import CompressedRecord, RawRecord, UncompressedRecord
 from repro.core.transform import GDTransform
+from repro.core.wire import RecordLayout
 from repro.exceptions import PacketError
-from repro.net.ethernet import EthernetFrame, EtherType
+from repro.net.ethernet import EtherType
 from repro.net.mac import MacAddress
-from repro.net.packets import PacketKind, ZipLinePacketCodec, classify_frame
+from repro.net.packets import ZipLinePacketCodec
+
+from packet_oracle import pack_record, record_frame, unpack_compressed
 
 DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
@@ -29,7 +32,7 @@ class TestLayouts:
         assert paper_codec.raw_payload_bytes == 32
         assert paper_codec.uncompressed_payload_bytes == 33
         assert paper_codec.compressed_payload_bytes == 3
-        assert paper_codec.uncompressed_padding_bits == 8
+        assert RecordLayout.for_packets(paper_codec.transform, 15).padding_bits == 8
 
     def test_small_codec_layout_is_byte_aligned(self, small_codec):
         assert small_codec.uncompressed_payload_bytes * 8 >= 16
@@ -54,7 +57,7 @@ class TestPackUnpack:
             deviation_bits=parts.deviation_bits,
             alignment_padding_bits=8,
         )
-        payload = paper_codec.pack_record(record)
+        payload = pack_record(paper_codec, record)
         assert len(payload) == 33
         unpacked = paper_codec.unpack_uncompressed(payload)
         assert unpacked.basis == record.basis
@@ -70,16 +73,16 @@ class TestPackUnpack:
             identifier_bits=15,
             deviation_bits=8,
         )
-        payload = paper_codec.pack_record(record)
+        payload = pack_record(paper_codec, record)
         assert len(payload) == 3
-        unpacked = paper_codec.unpack_compressed(payload)
+        unpacked = unpack_compressed(paper_codec, payload)
         assert unpacked.identifier == 12345
         assert unpacked.deviation == 0x5A
         assert unpacked.prefix == 1
 
     def test_pack_rejects_raw_records(self, paper_codec):
         with pytest.raises(PacketError):
-            paper_codec.pack_record(RawRecord(chunk=0, chunk_bits=256))
+            pack_record(paper_codec, RawRecord(chunk=0, chunk_bits=256))
 
     def test_pack_rejects_mismatched_identifier_width(self, paper_codec):
         record = CompressedRecord(
@@ -87,46 +90,30 @@ class TestPackUnpack:
             prefix_bits=1, identifier_bits=8, deviation_bits=8,
         )
         with pytest.raises(PacketError):
-            paper_codec.pack_record(record)
+            pack_record(paper_codec, record)
 
     def test_unpack_wrong_length(self, paper_codec):
         with pytest.raises(PacketError):
-            paper_codec.unpack_compressed(b"\x00" * 4)
+            unpack_compressed(paper_codec, b"\x00" * 4)
         with pytest.raises(PacketError):
             paper_codec.unpack_uncompressed(b"\x00" * 32)
 
 
 class TestFrames:
-    def test_build_and_classify_frames(self, paper_codec):
-        record = CompressedRecord(
+    def test_ethertype_follows_the_packet_type(self, paper_codec, rng):
+        compressed = CompressedRecord(
             prefix=0, identifier=7, deviation=1,
             prefix_bits=1, identifier_bits=15, deviation_bits=8,
         )
-        frame = paper_codec.build_frame(record, DST, SRC)
+        frame = record_frame(paper_codec, compressed, DST, SRC)
         assert frame.ethertype == EtherType.ZIPLINE_COMPRESSED
-        assert classify_frame(frame) is PacketKind.PROCESSED_COMPRESSED
-        assert paper_codec.unpack_frame(frame).identifier == 7
-
-    def test_uncompressed_frame_classification(self, paper_codec, rng):
-        transform = paper_codec.transform
-        parts = transform.split(rng.getrandbits(256).to_bytes(32, "big"))
-        record = UncompressedRecord(
+        assert unpack_compressed(paper_codec, frame.payload).identifier == 7
+        parts = paper_codec.transform.split(rng.getrandbits(256).to_bytes(32, "big"))
+        uncompressed = UncompressedRecord(
             prefix=parts.prefix, basis=parts.basis, deviation=parts.deviation,
             prefix_bits=parts.prefix_bits, basis_bits=parts.basis_bits,
             deviation_bits=parts.deviation_bits, alignment_padding_bits=8,
         )
-        frame = paper_codec.build_frame(record, DST, SRC)
-        assert classify_frame(frame) is PacketKind.PROCESSED_UNCOMPRESSED
-
-    def test_other_frames_are_raw(self):
-        frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"x" * 20)
-        assert classify_frame(frame) is PacketKind.RAW
-
-    def test_unpack_raw_frame_rejected(self, paper_codec):
-        frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"x" * 20)
-        with pytest.raises(PacketError):
-            paper_codec.unpack_frame(frame)
-
-    def test_ethertype_for_record(self, paper_codec):
-        with pytest.raises(PacketError):
-            paper_codec.ethertype_for_record(RawRecord(chunk=0, chunk_bits=256))
+        frame = record_frame(paper_codec, uncompressed, DST, SRC)
+        assert frame.ethertype == EtherType.ZIPLINE_UNCOMPRESSED
+        assert paper_codec.unpack_uncompressed(frame.payload) == uncompressed

@@ -6,7 +6,12 @@ import struct
 import pytest
 
 from repro.exceptions import TraceError
-from repro.net.pcap import PcapPacket, PcapReader, PcapWriter, read_pcap, write_pcap
+from repro.net.pcap import PcapPacket, PcapReader, PcapWriter, write_pcap
+
+
+def read_pcap(path):
+    with PcapReader(path) as reader:
+        return list(reader)
 
 
 def sample_packets():
@@ -31,12 +36,11 @@ class TestRoundTrip:
     def test_stream_roundtrip(self):
         buffer = io.BytesIO()
         with PcapWriter(buffer) as writer:
-            writer.write_packets(sample_packets())
-            assert writer.packets_written == 3
+            assert writer.write_packets(sample_packets()) == 3
         buffer.seek(0)
         with PcapReader(buffer) as reader:
             assert reader.link_type == 1
-            assert len(reader.read_all()) == 3
+            assert len(list(reader)) == 3
 
     def test_snaplen_truncates(self, tmp_path):
         path = tmp_path / "snap.pcap"
@@ -141,7 +145,7 @@ class TestNanosecondFormat:
         write_pcap(path, sample_packets(), nanosecond=True)
         with PcapReader(path) as reader:
             assert reader.nanosecond
-            assert len(reader.read_all()) == 3
+            assert len(list(reader)) == 3
 
     def test_nanosecond_rounding_carry(self, tmp_path):
         path = tmp_path / "carry.pcap"

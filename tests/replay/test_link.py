@@ -53,7 +53,6 @@ class TestSerialisation:
             link.send(b"\x00" * 100, 0.0)
         sim.run()
         assert link.stats.busy_time == pytest.approx(4 * 992 / 1e9)
-        assert link.utilisation(link.stats.busy_time * 2) == pytest.approx(0.5)
 
     def test_every_frame_length_gets_its_own_serialisation_delay(self):
         """The per-length memo returns the wire occupancy over the bandwidth,

@@ -111,8 +111,7 @@ class TestMetricsRegistry:
         metrics = MetricsRegistry()
         metrics.set_gauge("occupancy", 3)
         metrics.set_gauge("occupancy", 7)
-        assert metrics.gauge("occupancy") == 7.0
-        assert metrics.gauge("missing") is None
+        assert metrics.as_dict()["gauges"] == {"occupancy": 7.0}
 
     def test_as_dict(self):
         metrics = MetricsRegistry()

@@ -106,7 +106,7 @@ class Driver:
         for root in roots:
             self._schedule(root, root.time)
             if root.cancelled:
-                self.handles[root.label].cancel()
+                self.handles[root.label].cancelled = True
 
     def _schedule(self, item: Plan, time: float) -> None:
         self.handles[item.label] = self.simulator.schedule_at(
@@ -119,7 +119,7 @@ class Driver:
         self.log.append((item.label, simulator.now))
         self.keys.append(simulator.current_key)
         if item.cancels is not None and item.cancels in self.handles:
-            self.handles[item.cancels].cancel()
+            self.handles[item.cancels].cancelled = True
         for child in item.children:
             self._schedule(child, simulator.now + child.time)
 
@@ -132,7 +132,7 @@ def test_run_executes_in_time_priority_insertion_order(roots):
     assert driver.simulator.run() == len(expected)
     assert driver.log == expected
     assert driver.simulator.executed_events == len(expected)
-    assert driver.simulator.pending_events == 0
+    assert driver.simulator.step() is False
     # The key the simulator reports inside a callback is that event's own.
     for (label, time), key in zip(driver.log, driver.keys):
         assert key[0] == time
@@ -204,27 +204,11 @@ def test_until_and_max_events_together(roots, until, budget):
 
 
 class TestCancelledHead:
-    def test_advance_to_skips_a_cancelled_head(self):
-        simulator = Simulator()
-        ran = []
-        first = simulator.schedule_at(1.0, lambda: ran.append("first"))
-        second = simulator.schedule_at(1.0, lambda: ran.append("second"), priority=-1)
-        simulator.schedule_at(3.0, lambda: ran.append("third"))
-        first.cancel()
-        second.cancel()
-        simulator.advance_to(3.0)  # only cancelled events lie before 3.0
-        assert simulator.now == 3.0
-        assert simulator.pending_events == 1
-        with pytest.raises(SimulationError):
-            simulator.advance_to(3.5)
-        assert simulator.run() == 1
-        assert ran == ["third"]
-
     def test_run_until_stops_at_a_cancelled_head_without_counting_it(self):
         simulator = Simulator()
         ran = []
         simulator.schedule_at(1.0, lambda: ran.append("kept"))
-        simulator.schedule_at(2.0, lambda: ran.append("dropped")).cancel()
+        simulator.schedule_at(2.0, lambda: ran.append("dropped")).cancelled = True
         simulator.schedule_at(5.0, lambda: ran.append("late"))
         assert simulator.run(until=4.0) == 1
         assert ran == ["kept"]
@@ -235,7 +219,7 @@ class TestCancelledHead:
     def test_only_cancelled_events_means_nothing_to_step(self):
         simulator = Simulator()
         for time in (1.0, 1.0, 2.0):
-            simulator.schedule_at(time, lambda: None).cancel()
+            simulator.schedule_at(time, lambda: None).cancelled = True
         assert simulator.step() is False
         assert simulator.executed_events == 0
         assert simulator.now == 0.0
@@ -248,8 +232,6 @@ class TestPosition:
         simulator.schedule_at(1.0, lambda: None)
         simulator.run(until=2.0)
         assert (2.0, 10**9, 10**9) < simulator.current_key  # after all of t=2
-        simulator.advance_to(3.0)
-        assert (2.0, 10**9, 10**9) < simulator.current_key < (3.0, -5, 0)
         simulator.reset()
         assert simulator.current_key < (0.0, -5, 0)
 
@@ -269,7 +251,6 @@ class TestNonFiniteTimes:
         simulator = Simulator()
         with pytest.raises(SimulationError):
             simulator.schedule_at(bad, lambda: None)
-        assert simulator.pending_events == 0
         assert simulator.run() == 0
         assert simulator.now == 0.0
 
@@ -278,17 +259,9 @@ class TestNonFiniteTimes:
         simulator = Simulator()
         with pytest.raises(SimulationError):
             simulator.schedule_in(bad, lambda: None)
-        assert simulator.pending_events == 0
+        assert simulator.step() is False
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_start_time_rejects(self, bad):
         with pytest.raises(SimulationError):
             Simulator(start_time=bad)
-
-    def test_clock_moves_reject_nan(self):
-        simulator = Simulator()
-        with pytest.raises(SimulationError):
-            simulator.advance_to(float("nan"))
-        with pytest.raises(SimulationError):
-            simulator.run_for(float("nan"))
-        assert simulator.now == 0.0

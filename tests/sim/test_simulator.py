@@ -37,13 +37,13 @@ class TestScheduling:
         simulator.run()
         assert times == [pytest.approx(0.005)]
 
-    def test_schedule_now_runs_after_current_event(self):
+    def test_zero_delay_runs_after_current_event(self):
         simulator = Simulator()
         order = []
 
         def outer():
             order.append("outer")
-            simulator.schedule_now(lambda: order.append("inner"))
+            simulator.schedule_in(0.0, lambda: order.append("inner"))
 
         simulator.schedule_at(1.0, outer)
         simulator.run()
@@ -63,7 +63,7 @@ class TestScheduling:
 
     def test_invalid_callback_rejected(self):
         with pytest.raises(SimulationError):
-            Event.create(0.0, "not callable")
+            Simulator().schedule_at(0.0, "not callable")
 
     def test_negative_start_time_rejected(self):
         with pytest.raises(SimulationError):
@@ -75,17 +75,9 @@ class TestCancellation:
         simulator = Simulator()
         ran = []
         handle = simulator.schedule_at(1.0, lambda: ran.append(True))
-        handle.cancel()
-        assert handle.cancelled
+        handle.cancelled = True
         simulator.run()
         assert ran == []
-
-    def test_cancel_is_idempotent(self):
-        simulator = Simulator()
-        handle = simulator.schedule_at(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert simulator.run() == 0
 
     def test_handle_exposes_metadata(self):
         simulator = Simulator()
@@ -105,10 +97,10 @@ class TestCancellation:
         handles = [
             simulator.schedule_at(1.0, lambda: None),
             simulator.schedule_in(2.0, lambda: None),
-            simulator.schedule_now(lambda: None),
+            simulator.schedule_in(0.0, lambda: None),
         ]
         assert all(type(handle) is Event for handle in handles)
-        handles[1].cancel()
+        handles[1].cancelled = True
         simulator.run()
         assert seen == [handles[2], handles[0]]
 
@@ -125,14 +117,6 @@ class TestRunControl:
         assert simulator.now == 2.0
         simulator.run()
         assert ran == [1, 5]
-
-    def test_run_for_advances_relative_duration(self):
-        simulator = Simulator()
-        simulator.schedule_at(1.0, lambda: None)
-        simulator.run()
-        simulator.schedule_in(3.0, lambda: None)
-        simulator.run_for(1.0)
-        assert simulator.now == pytest.approx(2.0)
 
     def test_max_events_guard(self):
         simulator = Simulator()
@@ -190,19 +174,6 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             simulator.run()
 
-    def test_advance_to(self):
-        simulator = Simulator()
-        simulator.advance_to(4.0)
-        assert simulator.now == 4.0
-        with pytest.raises(SimulationError):
-            simulator.advance_to(1.0)
-
-    def test_advance_past_pending_event_rejected(self):
-        simulator = Simulator()
-        simulator.schedule_at(1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            simulator.advance_to(2.0)
-
     def test_reset(self):
         simulator = Simulator()
         simulator.schedule_at(1.0, lambda: None)
@@ -210,8 +181,8 @@ class TestRunControl:
         simulator.schedule_at(9.0, lambda: None)
         simulator.reset()
         assert simulator.now == 0.0
-        assert simulator.pending_events == 0
         assert simulator.executed_events == 0
+        assert simulator.run() == 0
 
     def test_units_are_consistent(self):
         assert MILLISECONDS == pytest.approx(1e-3)

@@ -38,12 +38,10 @@ class TestCounter:
         with pytest.raises(ReproError):
             Counter(size=0)
 
-    def test_read_all_and_clear(self):
+    def test_read_and_clear(self):
         counter = Counter(size=3)
         counter.count(2, packet_bytes=9)
-        samples = counter.read_all()
-        assert len(samples) == 3
-        assert samples[2].bytes == 9
+        assert counter.read(2).bytes == 9
         counter.clear()
         assert counter.read(2).bytes == 0
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.crc import CrcEngine
 from repro.exceptions import CodingError
 from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
 
@@ -29,7 +30,10 @@ class TestCrcPolynomial:
         polynomial = CrcPolynomial(coeff=0x1D, width=8)
         assert polynomial.width == 8
         assert polynomial.parameters.augment is False
-        assert polynomial.parameters.is_linear
+        engine = CrcEngine(polynomial.parameters)
+        assert engine.compute(0x1234 ^ 0x0F0F, 16) == (
+            engine.compute(0x1234, 16) ^ engine.compute(0x0F0F, 16)
+        )
 
     def test_rocksoft_options_switch_to_augmented(self):
         polynomial = CrcPolynomial(coeff=0x07, width=8, init=0xFF)

@@ -43,12 +43,6 @@ class TestHeaderType:
         with pytest.raises(ParserError):
             HeaderType("bad", [])
 
-    def test_instantiate(self):
-        header = SMALL.instantiate(flag=1, value=300)
-        assert header.valid
-        assert header["flag"] == 1
-        assert header["value"] == 300
-
 
 class TestHeader:
     def test_field_width_enforced(self):
@@ -62,7 +56,10 @@ class TestHeader:
             _ = header["missing"]
 
     def test_bytes_roundtrip(self):
-        header = SMALL.instantiate(flag=1, value=0x1234)
+        header = Header(SMALL)
+        header["flag"] = 1
+        header["value"] = 0x1234
+        header.valid = True
         data = header.to_bytes()
         assert len(data) == 2
         parsed = Header(SMALL)
@@ -78,7 +75,9 @@ class TestHeader:
 
     def test_repr(self):
         assert "invalid" in repr(Header(SMALL))
-        assert "valid" in repr(SMALL.instantiate(flag=0, value=1))
+        header = Header(SMALL)
+        header.valid = True
+        assert "invalid" not in repr(header) and "valid" in repr(header)
 
 
 def build_parser():

@@ -83,13 +83,6 @@ class TestControlPlaneApi:
         table.clear(include_const=True)
         assert len(table) == 0
 
-    def test_set_default_action(self):
-        table = make_table()
-        table.set_default_action("set_identifier", {"identifier": 0})
-        result = table.lookup(99)
-        assert result.action == "set_identifier"
-        assert result.params == {"identifier": 0}
-
     def test_invalid_construction(self):
         with pytest.raises(TableError):
             MatchActionTable("t", 8, 0, [ActionSpec("a")], default_action="a")
@@ -116,12 +109,6 @@ class TestIdleTimeout:
         table.lookup(1, now=0.9)
         assert table.expired_entries(now=1.5) == []
         assert table.expired_entries(now=2.0) != []
-
-    def test_reset_entry_ttl(self):
-        table = make_table(idle_timeout=True)
-        table.add_entry(1, "learn", ttl=1.0, now=0.0)
-        table.reset_entry_ttl(1, now=0.9)
-        assert table.expired_entries(now=1.5) == []
 
     def test_entries_without_ttl_never_expire(self):
         table = make_table(idle_timeout=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import WorkloadError
-from repro.net.ip import parse_udp_packet
+from repro.net.ip import Ipv4Header, UdpHeader
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.workloads.dns import PAPER_DNS_QUERY_BYTES, DnsQuery, DnsQueryWorkload
 
@@ -22,17 +22,14 @@ class TestDnsQuery:
             assert len(chunk) == 32
             assert chunk == message[2:]
 
-    def test_message_parses_back(self):
-        query = DnsQuery(transaction_id=0x1234, name="www0.cs.uni.in" + "xx"[:2], qtype=1)
-        # use a generated name instead to guarantee encodability
-        workload = DnsQueryWorkload(num_queries=1, distinct_names=5)
-        query = workload.queries()[0]
-        parsed = DnsQuery.from_message(query.message())
-        assert parsed == query
-
-    def test_from_message_validation(self):
-        with pytest.raises(WorkloadError):
-            DnsQuery.from_message(b"\x00" * 10)
+    def test_message_layout(self):
+        """Header (id, RD flag, one question), label-encoded QNAME, QTYPE, QCLASS IN."""
+        query = DnsQuery(transaction_id=0x1234, name="ab.c", qtype=28)
+        assert query.message() == (
+            b"\x12\x34\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00"
+            b"\x02ab\x01c\x00"
+            b"\x00\x1c\x00\x01"
+        )
 
     def test_invalid_label(self):
         bad = DnsQuery(transaction_id=1, name="a..b", qtype=1)
@@ -101,8 +98,8 @@ class TestFullPackets:
         for raw in packets:
             frame = EthernetFrame.from_bytes(raw)
             assert frame.ethertype == EtherType.IPV4
-            ipv4, udp, payload = parse_udp_packet(frame.payload)
+            ipv4, datagram = Ipv4Header.from_bytes(frame.payload)
+            udp, payload = UdpHeader.from_bytes(datagram)
             assert ipv4.destination == workload.resolver_ip
             assert udp.destination_port == 53
             assert len(payload) == 34
-            DnsQuery.from_message(payload)  # parses cleanly

@@ -4,7 +4,14 @@ import pytest
 
 from repro.core.transform import GDTransform
 from repro.exceptions import TraceError
+from repro.replay.sources import PcapTraceSource
 from repro.workloads.traces import ChunkTrace
+from repro.zipline.headers import raw_chunk_payload
+
+
+def _pcap_chunks(path):
+    """The raw-chunk payloads of a capture, in capture order."""
+    return [raw_chunk_payload(data) for _time, data in PcapTraceSource(path).frames()]
 
 
 @pytest.fixture()
@@ -74,8 +81,7 @@ class TestPcapRoundTrip:
         path = tmp_path / "trace.pcap"
         count = trace.to_pcap(path, packet_rate=1e6)
         assert count == len(trace)
-        loaded = ChunkTrace.from_pcap(path)
-        assert loaded.chunks == trace.chunks
+        assert _pcap_chunks(path) == trace.chunks
 
     def test_frames_carry_the_raw_chunk_ethertype(self, trace):
         from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
@@ -83,22 +89,6 @@ class TestPcapRoundTrip:
         frames = trace.to_frames()
         assert all(frame.ethertype == ETHERTYPE_RAW_CHUNK for frame in frames)
         assert all(frame.payload_bytes == 32 for frame in frames)
-
-    def test_from_pcap_without_chunks_rejected(self, tmp_path):
-        from repro.net.pcap import PcapPacket, write_pcap
-        from repro.net.ethernet import EthernetFrame, EtherType
-        from repro.net.mac import MacAddress
-
-        path = tmp_path / "nochunks.pcap"
-        frame = EthernetFrame(
-            MacAddress("02:00:00:00:00:01"),
-            MacAddress("02:00:00:00:00:02"),
-            EtherType.IPV4,
-            b"x",
-        )
-        write_pcap(path, [PcapPacket(0.0, frame.to_bytes())])
-        with pytest.raises(TraceError):
-            ChunkTrace.from_pcap(path)
 
     def test_invalid_pcap_rate(self, trace, tmp_path):
         with pytest.raises(TraceError):
@@ -111,9 +101,9 @@ class TestPcapRoundTrip:
         trace.to_pcap(path, packet_rate=1e6, nanosecond=True)
         with PcapReader(path) as reader:
             assert reader.nanosecond
-            packets = reader.read_all()
+            packets = list(reader)
         # 1 Mpkt/s spacing (1 us) survives exactly under nanosecond stamps.
         assert packets[1].timestamp - packets[0].timestamp == pytest.approx(
             1e-6, abs=1e-9
         )
-        assert ChunkTrace.from_pcap(path).chunks == trace.chunks
+        assert _pcap_chunks(path) == trace.chunks

@@ -11,6 +11,8 @@ from repro.tofino.counters import CounterSample
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
+from packet_oracle import record_frame
+
 DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
 
@@ -46,7 +48,7 @@ class TestDecoding:
             prefix_bits=parts.prefix_bits, basis_bits=parts.basis_bits,
             deviation_bits=parts.deviation_bits, alignment_padding_bits=8,
         )
-        decoder.receive(codec.build_frame(record, DST, SRC).to_bytes(), ingress_port=0)
+        decoder.receive(record_frame(codec, record, DST, SRC).to_bytes(), ingress_port=0)
         frame = EthernetFrame.from_bytes(outputs[0])
         assert frame.ethertype == ETHERTYPE_RAW_CHUNK
         assert frame.payload == chunk
@@ -63,7 +65,7 @@ class TestDecoding:
             prefix_bits=parts.prefix_bits, identifier_bits=15,
             deviation_bits=parts.deviation_bits,
         )
-        decoder.receive(codec.build_frame(record, DST, SRC).to_bytes(), ingress_port=0)
+        decoder.receive(record_frame(codec, record, DST, SRC).to_bytes(), ingress_port=0)
         frame = EthernetFrame.from_bytes(outputs[0])
         assert frame.ethertype == ETHERTYPE_RAW_CHUNK
         assert frame.payload == chunk
@@ -75,7 +77,7 @@ class TestDecoding:
             prefix=0, identifier=123, deviation=0,
             prefix_bits=1, identifier_bits=15, deviation_bits=8,
         )
-        frame = codec.build_frame(record, DST, SRC).to_bytes()
+        frame = record_frame(codec, record, DST, SRC).to_bytes()
         assert decoder.receive(frame, ingress_port=0) is None
         assert outputs == []
         assert decoder.switch.total_tx_packets() == 0
@@ -97,18 +99,18 @@ class TestDecoding:
             deviation_bits=parts.deviation_bits, alignment_padding_bits=8,
         )
         for _ in range(10):
-            decoder.receive(codec.build_frame(record, DST, SRC).to_bytes(), 0)
+            decoder.receive(record_frame(codec, record, DST, SRC).to_bytes(), 0)
         assert not decoder.pipeline.uses_forbidden_features
 
 
 class TestControlPlaneInterface:
     def test_install_replace_remove(self, decoder):
         decoder.install_identifier_mapping(1, 0xAAA)
-        assert decoder.identifier_table.get_entry(1).params["basis"] == 0xAAA
+        assert decoder.mapping_table.get_entry(1).params["basis"] == 0xAAA
         decoder.install_identifier_mapping(1, 0xBBB)
-        assert decoder.identifier_table.get_entry(1).params["basis"] == 0xBBB
+        assert decoder.mapping_table.get_entry(1).params["basis"] == 0xBBB
         decoder.remove_identifier_mapping(1)
-        assert decoder.identifier_table.get_entry(1) is None
+        assert decoder.mapping_table.get_entry(1) is None
         decoder.remove_identifier_mapping(1)  # idempotent
 
     def test_forwarding_validation(self, decoder):

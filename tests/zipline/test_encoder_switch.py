@@ -10,6 +10,8 @@ from repro.net.packets import ZipLinePacketCodec
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
+from packet_oracle import record_frame, unpack_compressed
+
 DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
 
@@ -65,7 +67,7 @@ class TestEncoding:
         assert frame.ethertype == EtherType.ZIPLINE_COMPRESSED
         assert len(frame.payload) == 3
         codec = ZipLinePacketCodec(encoder.transform, identifier_bits=15)
-        record = codec.unpack_compressed(frame.payload)
+        record = unpack_compressed(codec, frame.payload)
         assert record.identifier == 77
         assert record.prefix == 1
         assert encoder.counters.read("raw_to_compressed").packets == 1
@@ -92,7 +94,7 @@ class TestEncoding:
         for position in (0, 50, 100, 200, None):
             chunk = make_chunk(encoder.transform, basis, position=position)
             encoder.receive(chunk_frame(chunk), ingress_port=0)
-            identifiers.add(codec.unpack_compressed(
+            identifiers.add(unpack_compressed(codec, 
                 EthernetFrame.from_bytes(outputs[-1]).payload
             ).identifier)
         assert identifiers == {3}
@@ -115,7 +117,7 @@ class TestEncoding:
             prefix=0, identifier=1, deviation=2,
             prefix_bits=1, identifier_bits=15, deviation_bits=8,
         )
-        frame = codec.build_frame(record, DST, SRC).to_bytes()
+        frame = record_frame(codec, record, DST, SRC).to_bytes()
         encoder.receive(frame, ingress_port=0)
         assert outputs == [frame]
         assert encoder.counters.read("passthrough_processed").packets == 1
@@ -127,7 +129,7 @@ class TestControlPlaneInterface:
         encoder.install_basis_mapping(basis, identifier=1)
         assert basis in encoder.known_bases()
         encoder.install_basis_mapping(basis, identifier=2)  # modify
-        assert encoder.basis_table.get_entry(basis).params["identifier"] == 2
+        assert encoder.mapping_table.get_entry(basis).params["identifier"] == 2
         encoder.remove_basis_mapping(basis)
         assert basis not in encoder.known_bases()
         encoder.remove_basis_mapping(basis)  # idempotent
