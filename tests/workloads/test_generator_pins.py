@@ -54,6 +54,48 @@ def test_first_chunks_are_pinned(name, seed):
     assert digest.hexdigest() == PINS[(name, seed)]
 
 
+DNS_CASES = sorted(name for name in GENERATORS if name.startswith("dns"))
+
+#: ``repr`` of ``bases(order=8)``: the static scenario's preload order.
+BASES_PINS = {
+    ("dns", 2020): "1eaf655bd8528d880df790b16248b23d",
+    ("dns-20k-names", 2020): "1d1f20ca8dd0f346752524bff0e62f1e",
+    ("dns", 4242): "e0ee712ce1efc7990dfb843007f7f846",
+    ("dns-20k-names", 4242): "eb4d60f55bcc3aff47c0b33f53d00f5b",
+}
+
+#: The full Ethernet/IPv4/UDP/DNS frames of ``packets()``.
+PACKETS_PINS = {
+    ("dns", 2020): "584d3adc95a7fbb06e9acaac4124d54e",
+    ("dns-20k-names", 2020): "b321a2e0581b8326da4003d8a114a836",
+    ("dns", 4242): "f642130ed20af50618d67b97e693f910",
+    ("dns-20k-names", 4242): "0f84dd6306b4133e3e219521df53529b",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(BASES_PINS))
+def test_dns_bases_are_pinned(name, seed):
+    bases = GENERATORS[name](seed).bases(order=8)
+    assert hashlib.md5(repr(bases).encode()).hexdigest() == BASES_PINS[(name, seed)]
+
+
+@pytest.mark.parametrize("name,seed", sorted(PACKETS_PINS))
+def test_dns_packets_are_pinned(name, seed):
+    digest = hashlib.md5()
+    for frame in GENERATORS[name](seed).packets():
+        digest.update(frame)
+    assert digest.hexdigest() == PACKETS_PINS[(name, seed)]
+
+
+@pytest.mark.parametrize("seed", [2020, 4242])
+@pytest.mark.parametrize("name", DNS_CASES)
+def test_dns_chunks_are_the_queries_without_their_id(name, seed):
+    workload = GENERATORS[name](seed)
+    assert list(workload.iter_chunks()) == [
+        query.chunk() for query in workload.iter_queries()
+    ]
+
+
 class _FixedDraw:
     """Stands in for the RNG: ``random()`` returns one chosen value."""
 
