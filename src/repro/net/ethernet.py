@@ -58,6 +58,9 @@ class EtherType:
     ARP = 0x0806
     VLAN = 0x8100
     IPV6 = 0x86DD
+    #: A raw chunk ZipLine is to process (type 1, restricted to the
+    #: payloads ZipLine processes): :data:`repro.zipline.headers.ETHERTYPE_RAW_CHUNK`.
+    ZIPLINE_RAW_CHUNK = 0x88B4
     #: Local experimental EtherType 1: processed, uncompressed (type 2).
     ZIPLINE_UNCOMPRESSED = 0x88B5
     #: Local experimental EtherType 2: processed, compressed (type 3).

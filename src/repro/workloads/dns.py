@@ -29,8 +29,7 @@ import string
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Tuple
 
 from repro.exceptions import WorkloadError
 from repro.net.ethernet import EthernetFrame, EtherType
@@ -52,18 +51,28 @@ _DNS_PORT = 53
 #: Standard-query flags (recursion desired).
 _QUERY_FLAGS = 0x0100
 
-#: Target DNS message size: header(12) + qname(18) + qtype(2) + qclass(2).
-_TARGET_QNAME_ENCODED_BYTES = 18
+#: The header after the transaction identifier: flags, one question, no
+#: answer, authority or additional records.
+_HEADER_AFTER_ID = struct.pack(">HHHHH", _QUERY_FLAGS, 1, 0, 0, 0)
+
+#: Bytes of a chunk fixed by its name: the header after the transaction
+#: identifier (10) and the QNAME (18 for a generated name).
+_NAME_PREFIX_BYTES = 28
+
+#: The chunk's last 4 bytes (QTYPE, QCLASS), indexed by "is it AAAA".
+_QUESTION_TAILS = (
+    struct.pack(">HH", _QTYPE_A, _QCLASS_IN),
+    struct.pack(">HH", _QTYPE_AAAA, _QCLASS_IN),
+)
 
 
-@lru_cache(maxsize=1024)
 def _encode_qname(name: str) -> bytes:
     """DNS label encoding of a dotted name.
 
-    Memoised: a workload asks for the same few hundred names per query,
-    and of a larger Zipf-skewed pool the head is what repeats — 1,024
-    entries hold it in ~0.25 MB (a cache of every name of a 20,000-name
-    pool showed as +3 MB of peak RSS).
+    Called once per pool name, to build the chunk prefixes, and by
+    :meth:`DnsQuery.message`; nothing per generated chunk calls it, so it
+    is not memoised (a cache of every name of a 20,000-name pool showed as
+    +3 MB of peak RSS).
     """
     encoded = bytearray()
     for label in name.split("."):
@@ -146,6 +155,7 @@ class DnsQueryWorkload:
         self.client_subnet = client_subnet
         self.resolver_ip = resolver_ip
         self._names: Optional[List[str]] = None
+        self._prefixes: Optional[bytes] = None
         self._cumulative: Optional[List[float]] = None
 
     # -- name pool --------------------------------------------------------------
@@ -167,31 +177,39 @@ class DnsQueryWorkload:
         """
         if self._names is not None:
             return self._names
-        rng = random.Random(self.seed)
+        choice = random.Random(self.seed).choice
+        digits = string.digits
         pool: List[str] = []
         seen = set()
         while len(pool) < self.distinct_names:
-            service = rng.choice(self._SERVICES)
-            department = rng.choice(self._DEPARTMENTS)
+            service = choice(self._SERVICES)
+            department = choice(self._DEPARTMENTS)
             # Layout: <service+digits>.<department>.uni.in — pad the host
             # label with digits so the full name is exactly 16 characters.
             suffix = f".{department}.uni.in"
-            host_length = 16 - len(suffix)
-            if host_length < len(service):
-                continue
-            digits_needed = host_length - len(service)
-            host = service + "".join(
-                rng.choice(string.digits) for _ in range(digits_needed)
-            )
-            name = host + suffix
-            if len(name) != 16 or name in seen:
-                continue
-            if len(_encode_qname(name)) != _TARGET_QNAME_ENCODED_BYTES:
+            # The longest suffix (11) leaves room for the longest service
+            # (4), and 16 characters in 4 labels encode to 18 bytes.
+            digits_needed = 16 - len(suffix) - len(service)
+            name = service + "".join([choice(digits) for _ in range(digits_needed)]) + suffix
+            if name in seen:
                 continue
             seen.add(name)
             pool.append(name)
         self._names = pool
         return pool
+
+    def _name_prefixes(self) -> bytes:
+        """The first 28 chunk bytes of every pool name, packed in pool order.
+
+        Name ``i`` owns bytes ``28 * i`` to ``28 * i + 28``: the header after
+        the transaction identifier, then the QNAME.  One buffer, not an
+        object per name.
+        """
+        if self._prefixes is None:
+            self._prefixes = b"".join(
+                _HEADER_AFTER_ID + _encode_qname(name) for name in self.names()
+            )
+        return self._prefixes
 
     def _zipf_cumulative(self) -> List[float]:
         """Cumulative Zipf weights over the name pool."""
@@ -208,27 +226,44 @@ class DnsQueryWorkload:
         self._cumulative = cumulative
         return cumulative
 
-    def _pick_name(self, rng: random.Random) -> str:
-        """Draw one name according to the Zipf distribution."""
-        cumulative = self._zipf_cumulative()
-        names = self.names()
-        # The last entry is the catch-all: the search stops one short of it.
-        return names[bisect_left(cumulative, rng.random(), 0, len(cumulative) - 1)]
-
     # -- query generation ------------------------------------------------------------
 
-    def iter_queries(self, num_queries: Optional[int] = None) -> Iterator[DnsQuery]:
-        """Lazily generate queries."""
+    def _draws(self, rng: random.Random, count: int) -> Iterator[Tuple[bool, int, int]]:
+        """``(is_aaaa, transaction_id, name_index)`` of ``count`` queries.
+
+        The one statement of the draw order, three draws per query:
+        ``random()`` picks the qtype, ``getrandbits(16)`` the transaction
+        identifier, then ``random()`` the name on the Zipf table.
+        """
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        aaaa_fraction = self.aaaa_fraction
+        cumulative = self._zipf_cumulative()
+        # The last entry is the catch-all: the search stops one short of it.
+        last = len(cumulative) - 1
+        for _ in range(count):
+            yield (
+                random_() < aaaa_fraction,
+                getrandbits(16),
+                bisect_left(cumulative, random_(), 0, last),
+            )
+
+    def _query_draws(self, num_queries: Optional[int]) -> Iterator[Tuple[bool, int, int]]:
+        """The draws of the workload's queries (``num_queries`` overrides the count)."""
         count = self.num_queries if num_queries is None else num_queries
         if count <= 0:
             raise WorkloadError(f"query count must be positive, got {count}")
-        rng = random.Random(self.seed + 1)
-        for _ in range(count):
-            qtype = _QTYPE_AAAA if rng.random() < self.aaaa_fraction else _QTYPE_A
+        return self._draws(random.Random(self.seed + 1), count)
+
+    def iter_queries(self, num_queries: Optional[int] = None) -> Iterator[DnsQuery]:
+        """Lazily generate queries."""
+        draws = self._query_draws(num_queries)
+        names = self.names()
+        for is_aaaa, transaction_id, index in draws:
             yield DnsQuery(
-                transaction_id=rng.getrandbits(16),
-                name=self._pick_name(rng),
-                qtype=qtype,
+                transaction_id=transaction_id,
+                name=names[index],
+                qtype=_QTYPE_AAAA if is_aaaa else _QTYPE_A,
             )
 
     def queries(self, num_queries: Optional[int] = None) -> List[DnsQuery]:
@@ -247,7 +282,9 @@ class DnsQueryWorkload:
 
         transform = GDTransform(order=order)
         seen: dict = {}
-        for chunk in self.iter_chunks():
+        # The first chunk carrying a basis is also the first distinct one
+        # carrying it, so splitting each distinct chunk once keeps the order.
+        for chunk in dict.fromkeys(self.iter_chunks()):
             if len(chunk) == transform.chunk_bytes:
                 seen.setdefault(transform.split(chunk).basis, None)
         return list(seen)
@@ -257,9 +294,16 @@ class DnsQueryWorkload:
 
         Shared generator interface with
         :meth:`~repro.workloads.synthetic.SyntheticSensorWorkload.iter_chunks`,
-        used by the streaming trace sources in :mod:`repro.replay`.
+        used by the streaming trace sources in :mod:`repro.replay`.  Each is
+        :meth:`DnsQuery.chunk` of the matching :meth:`iter_queries` query,
+        sliced from the packed name prefixes plus the qtype's tail.
         """
-        return (query.chunk() for query in self.iter_queries(num_queries))
+        draws = self._query_draws(num_queries)
+        prefixes = self._name_prefixes()
+        tails = _QUESTION_TAILS
+        for is_aaaa, _, index in draws:
+            start = index * _NAME_PREFIX_BYTES
+            yield prefixes[start : start + _NAME_PREFIX_BYTES] + tails[is_aaaa]
 
     def chunks(self, num_queries: Optional[int] = None) -> List[bytes]:
         """The 32-byte chunks ZipLine compresses (txid removed)."""

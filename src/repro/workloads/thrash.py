@@ -27,6 +27,7 @@ matrix, the benchmarks — can treat the two interchangeably.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, List, Optional
@@ -180,8 +181,9 @@ class DictionaryThrashWorkload:
         """Running sum of the Zipf-like rank weights (rank 0 is hottest).
 
         Exactly the list ``random.choices(weights=...)`` would accumulate
-        again on every call; handing it over as ``cum_weights=`` draws the
-        same ranks from the same RNG stream.
+        again on every call; :meth:`iter_chunks` bisects it the way
+        ``choices`` does, so it draws the same ranks from the same RNG
+        stream.
         """
         if self._cum_weights is None:
             self._cum_weights = list(
@@ -202,13 +204,17 @@ class DictionaryThrashWorkload:
         if count <= 0:
             raise WorkloadError(f"chunk count must be positive, got {count}")
         rng = random.Random(self.seed + 1)
+        random_ = rng.random
         states = self._basis_states()
         cum_weights = self._rank_cum_weights()
         code = self._transform.code
         chunk_bytes = self.chunk_bytes
         n = code.n
         population = len(states)
-        ranks = range(population)
+        # What random.choices(ranks, cum_weights=cum_weights)[0] computes
+        # (CPython 3.11), without building a one-element list per chunk.
+        total = cum_weights[-1] + 0.0
+        last = population - 1
 
         rotation = 0
         for index in range(count):
@@ -220,10 +226,10 @@ class DictionaryThrashWorkload:
                 # Flash crowd: the popularity ranking rotates, so a slice
                 # of the cold tail suddenly becomes the hot head.
                 rotation = (rotation + self.phase_shift) % population
-            rank = rng.choices(ranks, cum_weights=cum_weights)[0]
+            rank = bisect(cum_weights, random_() * total, 0, last)
             state = states[(rank + rotation) % population]
             body = state.codeword
-            if rng.random() < self.deviation_probability:
+            if random_() < self.deviation_probability:
                 body ^= 1 << rng.randrange(n)
             value = (state.prefix << n) | body
             yield value.to_bytes(chunk_bytes, "big")

@@ -18,10 +18,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro.core.transform import GDTransform
 from repro.exceptions import TraceError
-from repro.net.ethernet import EthernetFrame
+from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapPacket, write_pcap
-from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = ["TraceStats", "ChunkTrace"]
 
@@ -144,7 +143,7 @@ class ChunkTrace:
             EthernetFrame(
                 destination=destination,
                 source=source,
-                ethertype=ETHERTYPE_RAW_CHUNK,
+                ethertype=EtherType.ZIPLINE_RAW_CHUNK,
                 payload=chunk,
             )
             for chunk in self._chunks

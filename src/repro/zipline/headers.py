@@ -36,7 +36,7 @@ __all__ = [
 
 #: EtherType marking a raw, yet-unprocessed chunk payload (packet type 1 in
 #: the paper's terminology, restricted to the payloads ZipLine processes).
-ETHERTYPE_RAW_CHUNK = 0x88B4
+ETHERTYPE_RAW_CHUNK = EtherType.ZIPLINE_RAW_CHUNK
 
 #: The same EtherType as the two wire bytes of an Ethernet header.
 RAW_CHUNK_ETHERTYPE_BYTES = ETHERTYPE_RAW_CHUNK.to_bytes(2, "big")

@@ -1,10 +1,13 @@
 """Byte pins of the seeded traffic generators.
 
-Generated on the code *before* the per-chunk constants of
-``DictionaryThrashWorkload.iter_chunks`` and ``DnsQueryWorkload`` were
-hoisted (cumulative weights, memoised QNAME encoding, ``bisect_left``):
-the same RNG draws must yield the same bytes, so every topology report
-golden built on these generators stays where it is.
+The pins fix the bytes each generator emits from its RNG draws:
+``iter_chunks()`` of the four cases, and for DNS also ``bases(order=8)``
+(the static scenario's preload order) and the ``packets()`` frames.  A
+change to how a generator turns its draws into bytes (hoisted tables,
+packed name prefixes, inlined ``random.choices``) must hold every pin,
+so every topology report golden built on these generators stays where
+it is.  The DNS chunks are also checked against the queries they are
+cut from, so ``iter_chunks`` and ``iter_queries`` cannot drift apart.
 """
 
 import hashlib
@@ -105,14 +108,17 @@ class _FixedDraw:
     def random(self):
         return self.value
 
+    def getrandbits(self, bits):
+        return 0
+
 
 def test_pick_name_at_the_table_edges():
     workload = DnsQueryWorkload(num_queries=10, distinct_names=5, seed=1)
     cumulative = workload._zipf_cumulative()
-    names = workload.names()
 
     def picked(value):
-        return names.index(workload._pick_name(_FixedDraw(value)))
+        (_, _, name_index), = workload._draws(_FixedDraw(value), 1)
+        return name_index
 
     # A draw equal to a cumulative entry belongs to that entry's name.
     assert [picked(value) for value in cumulative] == [0, 1, 2, 3, 4]
