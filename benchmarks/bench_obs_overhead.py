@@ -167,6 +167,6 @@ def test_obs_disabled_overhead(benchmark):
     def push_all():
         for frame in frames:
             encoder.receive(frame, ingress_port=0)
-        return encoder.switch.total_rx_packets()
+        return encoder.switch.port_stats(0).rx_packets
 
     benchmark(push_all)

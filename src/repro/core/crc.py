@@ -374,16 +374,6 @@ class CrcParameters:
         """Polynomial including the implicit leading ``x**width`` term."""
         return (1 << self.width) | self.polynomial
 
-    def describe(self) -> str:
-        """One-line human-readable description of the parameter set."""
-        label = self.name or f"CRC-{self.width}"
-        return (
-            f"{label}: poly={polynomial_str(self.full_polynomial)} "
-            f"(0x{self.polynomial:X}), init=0x{self.init:X}, "
-            f"refin={self.reflect_in}, refout={self.reflect_out}, "
-            f"xorout=0x{self.xor_out:X}, augment={self.augment}"
-        )
-
 
 # Well-known parameter sets, used in tests and by the Ethernet FCS model.
 CRC32_ETHERNET = CrcParameters(

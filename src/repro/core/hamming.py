@@ -70,14 +70,6 @@ class SyndromeTable:
     positions: Tuple[Optional[int], ...]
     masks: Tuple[int, ...]
 
-    def position_for(self, syndrome: int) -> Optional[int]:
-        """Error bit position for ``syndrome`` (``None`` for syndrome 0)."""
-        if not 0 <= syndrome < len(self.positions):
-            raise CodingError(
-                f"syndrome {syndrome} out of range for order {self.order}"
-            )
-        return self.positions[syndrome]
-
     def mask_for(self, syndrome: int) -> int:
         """n-bit XOR mask for ``syndrome`` (0 for syndrome 0)."""
         if not 0 <= syndrome < len(self.masks):
@@ -350,22 +342,6 @@ class HammingCode:
         """Systematically encode a ``k``-bit message into an ``n``-bit codeword."""
         self._check_basis(message)
         return (message << self._m) | self.parity_of_basis(message)
-
-    def correct(self, received: int) -> Tuple[int, Optional[int]]:
-        """Correct at most one bit error in ``received``.
-
-        Returns ``(corrected_word, flipped_position)`` where the position is
-        ``None`` when the word was already a codeword.  Not used by ZipLine
-        itself but exercised by the test suite to validate the code algebra.
-        """
-        self._check_chunk(received)
-        syndrome = self._crc.compute(received, self._n)
-        if syndrome == 0:
-            return received, None
-        position = self._syndrome_table.position_for(syndrome)
-        if position is None:
-            raise CodingError(f"syndrome {syndrome:#x} has no registered position")
-        return received ^ (1 << position), position
 
     # -- validation helpers --------------------------------------------------
 

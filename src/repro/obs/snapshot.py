@@ -25,7 +25,7 @@ which is all the sampled series are.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping
 
 __all__ = ["PeriodicSnapshotter"]
 
@@ -59,8 +59,12 @@ class PeriodicSnapshotter:
         self.samples_taken = 0
         self._next_boundary = self.interval
 
-    def on_event(self, event: Optional[Any] = None) -> None:
-        """Simulator observer hook: emit samples for crossed boundaries."""
+    def on_event(self, _time: float = 0.0, _description: str = "") -> None:
+        """Simulator observer hook: emit samples for crossed boundaries.
+
+        Called as ``observer(time, description)``; it reads the time off
+        its tracer's clock instead.
+        """
         now = self.tracer.clock()
         while now >= self._next_boundary:
             boundary = self._next_boundary

@@ -26,6 +26,7 @@ delay), which the metrics registry folds into the run's report.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,6 +43,12 @@ __all__ = ["ImpairmentModel", "LinkStats", "EmulatedLink"]
 
 #: ``sink(frame_bytes, time)`` — same shape as a switch port sink.
 LinkSink = Callable[[bytes, float], None]
+
+#: The sequence slot of a completion or reading positioned ahead of the
+#: clock: above every sequence number, so at its instant it follows every
+#: frame sent and every reading taken at the clock, and below the +inf of
+#: the simulator's idle position after that instant.
+AHEAD = sys.float_info.max
 
 
 class ImpairmentModel:
@@ -236,13 +243,12 @@ class EmulatedLink:
         # Completion keys of the frames still queued or being serialised,
         # oldest first: where an explicit serialisation-done event scheduled
         # when the frame entered would sit in the simulator's order —
-        # ``(done, 0, 0, sequence)`` for a frame sent at the clock,
-        # ``(done, 0, 1, handoff)`` for one handed on ahead of it, where
-        # ``handoff`` is the key of the transmit event the hand-off saved.
-        # A reading's position takes the same shape: ``(t, priority, 0,
-        # sequence)`` from the clock's key, ``(stamp, 0, 1, clock key)``
-        # for a send stamped ahead of it.
-        self._serialising: Deque[Tuple[float, int, int, object]] = deque()
+        # ``(done, sequence)`` for a frame sent at the clock, ``(done,
+        # AHEAD, handoff)`` for one handed on ahead of it, where ``handoff``
+        # is the key of the transmit event the hand-off saved.  A reading's
+        # position takes the same shape: the clock's key itself, ``(stamp,
+        # AHEAD, clock key)`` for a send stamped ahead of it.
+        self._serialising: Deque[Tuple[float, object]] = deque()
         # The event description is constant; format it once, not per frame.
         self._deliver_label = f"{name}:deliver"
         # frame length -> serialisation delay: traffic has a handful of
@@ -271,24 +277,22 @@ class EmulatedLink:
         it saved would have run, not at the clock's position.
 
         Exact ties — a completion at precisely the reading's instant —
-        resolve the way those events would have run.  At the clock, a
-        reading from an event of lower priority value than the completion
-        event's 0 precedes it, one of higher value follows it, and at
-        priority 0 the frame is gone iff it entered the link before the
-        reading's event was scheduled.  Ahead of the clock, the reading was
+        resolve the way those events would have run.  At the clock, the
+        frame is gone iff it entered the link before the reading's event
+        was scheduled.  Ahead of the clock, the reading was
         scheduled by the event that handed it on: a frame sent at the clock
         entered before that and is gone; a frame itself handed on ahead is
         gone iff the clock had passed that frame's stamp when the reading
         was handed on.  One case has no saved event to order by — a frame
         handed on ahead of the clock, met at its completion instant by a
         send at the clock, which only happens across a run horizon — and
-        there the frame is still counted.
+        there the frame is still counted.  Between runs, the clock's idle
+        position after an instant follows every completion at it.
         """
         serialising = self._serialising
         if serialising:
             key = self.simulator.current_key
-            position = (key[0], key[1], 0, key[2])
-            while serialising and serialising[0] < position:
+            while serialising and serialising[0] < key:
                 serialising.popleft()
         return len(serialising)
 
@@ -341,9 +345,7 @@ class EmulatedLink:
             serialising.popleft()
         if serialising and serialising[0][0] == now:
             key = simulator.current_key
-            if serialising[0] < (
-                (now, 0, 1, key) if ahead else (now, key[1], 0, key[2])
-            ):
+            if serialising[0] < ((now, AHEAD, key) if ahead else key):
                 serialising.popleft()
         depth = len(serialising)
         if self.queue_capacity is not None and depth >= self.queue_capacity:
@@ -370,7 +372,7 @@ class EmulatedLink:
         self._busy_until = done
         sequence = simulator.next_sequence()
         serialising.append(
-            (done, 0, 1, (time, 0, sequence)) if ahead else (done, 0, 0, sequence)
+            (done, AHEAD, (time, sequence)) if ahead else (done, sequence)
         )
         if depth >= stats.max_queue_depth:
             stats.max_queue_depth = depth + 1

@@ -17,12 +17,16 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import SimulationError
-from repro.sim.events import Event, EventHandle, next_sequence
+from repro.sim.events import next_sequence
 
 __all__ = ["Simulator"]
 
-#: ``(time, priority, sequence)`` — how events order.
-EventKey = Tuple[float, float, int]
+#: ``(time, sequence)`` — how events order.  At an idle position the
+#: sequence is -inf or +inf: before or after every event of that instant.
+EventKey = Tuple[float, float]
+
+#: ``observer(time, description)`` — called after each executed event.
+Observer = Callable[[float, str], Any]
 
 
 class Simulator:
@@ -34,9 +38,10 @@ class Simulator:
         sim.schedule_in(1.77e-3, lambda: install_mapping(...))
         sim.run()
 
-    Events run in ``(time, priority, insertion)`` order.  The heap holds
-    ``(time, priority, sequence, event)`` tuples whose unique ``sequence``
-    decides every tie, so ordering never calls back into Python.
+    Events run in ``(time, insertion)`` order.  The queue is a binary heap
+    of ``(time, sequence, callback, description)`` tuples whose unique
+    ``sequence`` decides every tie, so ordering never calls back into
+    Python and scheduling builds nothing but that tuple.
 
     ``now`` is the current simulated time in seconds.  It is a plain
     attribute because every component reads it several times per packet;
@@ -60,10 +65,10 @@ class Simulator:
             raise SimulationError(
                 f"start time must be finite and non-negative, got {start_time}"
             )
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[[], Any], str]] = []
         self._executed_events = 0
         self._running = False
-        self._observers: List[Callable[[Event], Any]] = []
+        self._observers: List[Observer] = []
         self.horizon = -inf
         self.latest_stamp = start_time
         self._settle(start_time, before=True)
@@ -74,30 +79,30 @@ class Simulator:
         self.now = time
         # ``step`` stores the heap entry it is executing here, so this is
         # any tuple that *orders* like a key; ``current_key`` trims it.
-        self._position = (time, -inf if before else inf, 0)
+        self._position = (time, -inf if before else inf)
 
     # -- clock -------------------------------------------------------------
 
     @property
     def current_key(self) -> EventKey:
-        """Where the simulator is in the ``(time, priority, sequence)`` order.
+        """Where the simulator is in the ``(time, sequence)`` order.
 
         Inside a callback this is the key of the event being executed;
         between events it is the key of the last one executed, or the idle
-        position :meth:`run` and :meth:`reset` left.
+        position :meth:`run` left.
         Every event whose key orders before it has already run — which lets
         a component decide whether something it *would* have scheduled has
         happened yet without spending an event on it
         (:class:`repro.replay.link.EmulatedLink` derives its queue depth
         this way).
         """
-        return self._position[:3]
+        return self._position[:2]
 
     #: ``next_sequence()`` takes the sequence number the next scheduled
     #: event would get.  With it a component can form the key ``(time,
-    #: priority, sequence)`` an event scheduled right now would have, and
-    #: compare that against :attr:`current_key` later.  The draw itself,
-    #: not a method around it: the link takes one per frame.
+    #: sequence)`` an event scheduled right now would have, and compare
+    #: that against :attr:`current_key` later.  The draw itself, not a
+    #: method around it: the link takes one per frame.
     next_sequence = staticmethod(next_sequence)
 
     @property
@@ -108,12 +113,8 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        priority: int = 0,
-        description: str = "",
-    ) -> EventHandle:
+        self, time: float, callback: Callable[[], Any], description: str = ""
+    ) -> None:
         """Schedule ``callback`` at absolute simulated ``time``."""
         # One chained comparison rejects the past, NaN and +inf together.
         if not self.now <= time < inf:
@@ -125,29 +126,20 @@ class Simulator:
             raise SimulationError(f"event time must be finite, got {time}")
         if not callable(callback):
             raise SimulationError("event callback must be callable")
-        sequence = next_sequence()
-        event = Event(time, priority, sequence, callback, description)
-        heappush(self._queue, (time, priority, sequence, event))
-        return event
+        heappush(self._queue, (time, next_sequence(), callback, description))
 
     def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        priority: int = 0,
-        description: str = "",
-    ) -> EventHandle:
+        self, delay: float, callback: Callable[[], Any], description: str = ""
+    ) -> None:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(
-            self.now + delay, callback, priority=priority, description=description
-        )
+        self.schedule_at(self.now + delay, callback, description)
 
     # -- observers ----------------------------------------------------------
 
-    def add_observer(self, observer: Callable[[Event], Any]) -> None:
-        """Register a callable invoked after each executed event.
+    def add_observer(self, observer: Observer) -> None:
+        """Register ``observer(time, description)``, called after each event.
 
         Observers run *after* the event's callback and must not schedule
         events or mutate simulation state — they exist for telemetry
@@ -156,7 +148,7 @@ class Simulator:
         """
         self._observers.append(observer)
 
-    def remove_observer(self, observer: Callable[[Event], Any]) -> None:
+    def remove_observer(self, observer: Observer) -> None:
         """Unregister a previously added observer (no-op if absent)."""
         try:
             self._observers.remove(observer)
@@ -168,34 +160,31 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns ``False`` if none remain."""
         queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            event = entry[3]
-            if event.cancelled:
-                continue
-            time = entry[0]
-            if time < self.now:
-                raise SimulationError(
-                    f"event {event.description!r} scheduled in the past "
-                    f"({time:.9f}s < {self.now:.9f}s)"
-                )
-            self.now = time
-            self._position = entry
-            event.callback()
-            self._executed_events += 1
-            tracer = _obs.TRACER
-            if tracer.enabled:
-                tracer.instant(
-                    "sim.event",
-                    "sim",
-                    args={"desc": event.description} if event.description else None,
-                    ts=time,
-                )
-            if self._observers:
-                for observer in self._observers:
-                    observer(event)
-            return True
-        return False
+        if not queue:
+            return False
+        entry = heappop(queue)
+        time, _sequence, callback, description = entry
+        if time < self.now:
+            raise SimulationError(
+                f"event {description!r} scheduled in the past "
+                f"({time:.9f}s < {self.now:.9f}s)"
+            )
+        self.now = time
+        self._position = entry
+        callback()
+        self._executed_events += 1
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            tracer.instant(
+                "sim.event",
+                "sim",
+                args={"desc": description} if description else None,
+                ts=time,
+            )
+        if self._observers:
+            for observer in self._observers:
+                observer(time, description)
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or a cap.
@@ -218,50 +207,23 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
-        self.horizon = inf if until is None else until
+        self.horizon = horizon = inf if until is None else until
+        budget = inf if max_events is None else max_events
+        queue = self._queue
+        step = self.step
         executed = 0
         try:
-            if until is None and max_events is None:
-                queue = self._queue
-                while queue:
-                    if self.step():
-                        executed += 1
-                self._settle_stamps()
-                return executed
-            while True:
-                next_event = self._peek()
-                if next_event is None or (
-                    until is not None and next_event.time > until
-                ):
-                    if until is None:
-                        self._settle_stamps()
-                    elif self.now <= until:
-                        self._settle(until, before=False)
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                if self.step():
-                    executed += 1
+            while queue and queue[0][0] <= horizon:
+                if executed >= budget:
+                    return executed
+                step()
+                executed += 1
+            if until is None:
+                if self.latest_stamp > self.now:
+                    self._settle(self.latest_stamp, before=False)
+            elif self.now <= until:
+                self._settle(until, before=False)
+            return executed
         finally:
             self._running = False
             self.horizon = -inf
-        return executed
-
-    def _settle_stamps(self) -> None:
-        """After a drained run: move the clock to the latest hand-off stamp."""
-        if self.latest_stamp > self.now:
-            self._settle(self.latest_stamp, before=False)
-
-    def _peek(self) -> Optional[Event]:
-        """The next non-cancelled event without removing it, or ``None``."""
-        queue = self._queue
-        while queue and queue[0][3].cancelled:
-            heappop(queue)
-        return queue[0][3] if queue else None
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._queue.clear()
-        self._executed_events = 0
-        self.latest_stamp = 0.0
-        self._settle(0.0, before=True)

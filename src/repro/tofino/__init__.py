@@ -9,12 +9,11 @@ from repro.tofino.constraints import (
     containers_for_field,
     header_field_padding,
 )
-from repro.tofino.counters import Counter, CounterSample, CounterType, NamedCounterSet
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
+from repro.tofino.counters import CounterSample, NamedCounterSet
+from repro.tofino.crc_extern import CrcExtern
 from repro.tofino.digest import DigestEngine, DigestMessage
 from repro.tofino.parser import (
     ACCEPT,
-    REJECT,
     Deparser,
     Header,
     HeaderType,
@@ -44,16 +43,12 @@ __all__ = [
     "check_header_alignment",
     "containers_for_field",
     "header_field_padding",
-    "Counter",
     "CounterSample",
-    "CounterType",
     "NamedCounterSet",
     "CrcExtern",
-    "CrcPolynomial",
     "DigestEngine",
     "DigestMessage",
     "ACCEPT",
-    "REJECT",
     "Deparser",
     "Header",
     "HeaderType",

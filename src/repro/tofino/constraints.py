@@ -4,9 +4,9 @@ The paper's "Lessons learned" section describes the constraints that shaped
 ZipLine's implementation: header fields must be byte aligned (padding bits
 are inserted otherwise), every data-plane action must run in constant time,
 the pipeline has a fixed number of match-action stages, and tables consume
-per-stage SRAM/TCAM resources.  This module models those constraints so the
-P4-equivalent programs in :mod:`repro.zipline` can be *checked* against
-them: a program that would not fit the hardware raises
+per-stage SRAM.  This module models those constraints so the P4-equivalent
+programs in :mod:`repro.zipline` can be *checked* against them: a program
+that would not fit the hardware raises
 :class:`~repro.exceptions.ConstraintViolation` instead of silently
 pretending to run at line rate.
 
@@ -19,8 +19,8 @@ confidential die floor plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.core.bits import align_up
 from repro.exceptions import ConstraintViolation
@@ -101,22 +101,9 @@ class TofinoResourceProfile:
     """
 
     match_action_stages: int = 12
+    #: One block: 1024 entries of 80 bits.  Every ZipLine table is
+    #: exact-match, so the model keeps no TCAM budget.
     sram_blocks_per_stage: int = 80
-    tcam_blocks_per_stage: int = 24
-    sram_block_bits: int = 80 * 1024  # one unit: 1024 entries of 80 bits
-    max_phv_bits: int = 4096
-    max_table_entries: int = 1 << 22
-    digest_queue_depth: int = 2048
-    allows_recirculation: bool = True
-
-    def describe(self) -> str:
-        """Readable one-line summary of the profile."""
-        return (
-            f"Tofino profile: {self.match_action_stages} stages, "
-            f"{self.sram_blocks_per_stage} SRAM blocks/stage, "
-            f"{self.tcam_blocks_per_stage} TCAM blocks/stage, "
-            f"{self.max_phv_bits} PHV bits"
-        )
 
 
 @dataclass
@@ -126,13 +113,12 @@ class ResourceUsage:
     name: str
     stage: int
     sram_blocks: int = 0
-    tcam_blocks: int = 0
     entries: int = 0
 
     def __post_init__(self) -> None:
         if self.stage < 0:
             raise ConstraintViolation(f"stage must be non-negative, got {self.stage}")
-        if self.sram_blocks < 0 or self.tcam_blocks < 0 or self.entries < 0:
+        if self.sram_blocks < 0 or self.entries < 0:
             raise ConstraintViolation("resource usage values must be non-negative")
 
 
@@ -140,12 +126,12 @@ class ResourceTracker:
     """Aggregate resource accounting for one pipeline.
 
     The pipeline registers every table and register array it instantiates;
-    the tracker checks stage counts and per-stage block budgets, and can
-    print a usage report similar to the compiler's resource summary.
+    the tracker checks stage counts and per-stage SRAM budgets against the
+    default :class:`TofinoResourceProfile`.
     """
 
-    def __init__(self, profile: Optional[TofinoResourceProfile] = None):
-        self._profile = profile or TofinoResourceProfile()
+    def __init__(self) -> None:
+        self._profile = TofinoResourceProfile()
         self._usages: List[ResourceUsage] = []
 
     @property
@@ -165,16 +151,10 @@ class ResourceTracker:
 
     def _validate_stage(self, stage: int) -> None:
         sram = sum(u.sram_blocks for u in self._usages if u.stage == stage)
-        tcam = sum(u.tcam_blocks for u in self._usages if u.stage == stage)
         if sram > self._profile.sram_blocks_per_stage:
             raise ConstraintViolation(
                 f"stage {stage} uses {sram} SRAM blocks, budget is "
                 f"{self._profile.sram_blocks_per_stage}"
-            )
-        if tcam > self._profile.tcam_blocks_per_stage:
-            raise ConstraintViolation(
-                f"stage {stage} uses {tcam} TCAM blocks, budget is "
-                f"{self._profile.tcam_blocks_per_stage}"
             )
 
     def sram_blocks_for_table(self, entries: int, key_bits: int, action_bits: int = 32) -> int:
@@ -191,26 +171,3 @@ class ResourceTracker:
         total_words = entries * words_per_entry
         block_words = 1024
         return max(1, -(-total_words // block_words))
-
-    def stage_summary(self) -> Dict[int, Dict[str, int]]:
-        """Per-stage totals: SRAM blocks, TCAM blocks, table entries."""
-        summary: Dict[int, Dict[str, int]] = {}
-        for usage in self._usages:
-            entry = summary.setdefault(
-                usage.stage, {"sram_blocks": 0, "tcam_blocks": 0, "entries": 0}
-            )
-            entry["sram_blocks"] += usage.sram_blocks
-            entry["tcam_blocks"] += usage.tcam_blocks
-            entry["entries"] += usage.entries
-        return summary
-
-    def report(self) -> str:
-        """Human-readable resource report."""
-        lines = [self._profile.describe()]
-        for stage, totals in sorted(self.stage_summary().items()):
-            lines.append(
-                f"  stage {stage:2d}: {totals['sram_blocks']:3d} SRAM blocks, "
-                f"{totals['tcam_blocks']:3d} TCAM blocks, "
-                f"{totals['entries']:7d} entries"
-            )
-        return "\n".join(lines)

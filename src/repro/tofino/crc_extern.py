@@ -4,9 +4,9 @@ P4-16 on TNA exposes a ``Hash`` extern that can be configured with a
 ``CRCPolynomial``; ZipLine programs it with the Hamming generator
 polynomial (Table 1) and feeds it the chunk to obtain the syndrome in a
 single pipeline pass.  :class:`CrcExtern` reproduces that interface:
-construction takes the polynomial parameters, :meth:`get` takes the fields
-to hash (as ``(value, width)`` pairs, concatenated most-significant first,
-exactly like the P4 tuple argument).
+construction takes the polynomial's coefficients and width, :meth:`get`
+takes the fields to hash (as ``(value, width)`` pairs, concatenated
+most-significant first, exactly like the P4 tuple argument).
 """
 
 from __future__ import annotations
@@ -14,70 +14,32 @@ from __future__ import annotations
 import operator
 from typing import Sequence, Tuple
 
-from repro.core.crc import CrcEngine, CrcParameters
+from repro.core.crc import syndrome_crc
 from repro.exceptions import CodingError
 
-__all__ = ["CrcPolynomial", "CrcExtern"]
+__all__ = ["CrcExtern"]
 
 #: One hashed field: ``(value, width)``, most-significant bit first.
 Field = Tuple[int, int]
 
 
-class CrcPolynomial:
-    """The TNA ``CRCPolynomial`` extern: coefficients plus variant options.
-
-    Mirrors the P4 constructor
-    ``CRCPolynomial<bit<m>>(coeff, reversed, msb, extended, init, xor)``.
-    ZipLine instantiates it with ``reversed=false``, ``init=0``, ``xor=0``.
-    """
-
-    def __init__(
-        self,
-        coeff: int,
-        width: int,
-        reversed_: bool = False,
-        init: int = 0,
-        xor: int = 0,
-    ):
-        self._parameters = CrcParameters(
-            polynomial=coeff,
-            width=width,
-            init=init,
-            reflect_in=reversed_,
-            reflect_out=reversed_,
-            xor_out=xor,
-            augment=False if (init == 0 and xor == 0 and not reversed_) else True,
-            name=f"TNA-CRC-{width}",
-        )
-
-    @property
-    def parameters(self) -> CrcParameters:
-        """The underlying CRC parameter set."""
-        return self._parameters
-
-    @property
-    def width(self) -> int:
-        """CRC width in bits."""
-        return self._parameters.width
-
-
 class CrcExtern:
     """The TNA ``Hash`` extern configured with a CRC polynomial.
 
+    ZipLine programs it as ``CRCPolynomial<bit<m>>(coeff, reversed=false,
+    msb, extended, init=0, xor=0)``, so the CRC is the plain polynomial
+    remainder of the input — the mode in which it equals a Hamming
+    syndrome (Table 2).  ``coeff`` omits the implicit leading ``x**width``
+    term.
+
     :meth:`get` concatenates its input fields most-significant first and
-    returns the CRC, truncated to the extern's output width — the same
-    semantics as ``hash.get({hdr.f1, hdr.f2})`` in P4.
+    returns the CRC, ``width`` bits wide — the same semantics as
+    ``hash.get({hdr.f1, hdr.f2})`` in P4.
     """
 
-    def __init__(self, polynomial: CrcPolynomial):
-        self._polynomial = polynomial
-        self._engine = CrcEngine(polynomial.parameters)
+    def __init__(self, coeff: int, width: int):
+        self._engine = syndrome_crc(coeff, width, name=f"TNA-CRC-{width}")
         self._invocations = 0
-
-    @property
-    def width(self) -> int:
-        """Output width in bits."""
-        return self._polynomial.width
 
     @property
     def invocations(self) -> int:

@@ -30,12 +30,11 @@ __all__ = [
     "Parser",
     "Deparser",
     "ACCEPT",
-    "REJECT",
 ]
 
-#: Terminal parser states, as in P4.
+#: The terminal parser state, as in P4.  ZipLine's parse graph accepts
+#: every packet it can extract the announced header from.
 ACCEPT = "accept"
-REJECT = "reject"
 
 
 class HeaderType:
@@ -179,19 +178,18 @@ class Parser:
             raise ParserError(f"start state {start!r} is not defined")
         self._start = start
         self.packets_parsed = 0
-        self.packets_rejected = 0
 
     def parse(self, data: bytes) -> ParsedPacket:
         """Run the parse graph over ``data``.
 
-        Raises :class:`ParserError` when the graph reaches the ``reject``
-        state or runs out of data mid-extraction.
+        Raises :class:`ParserError` when the graph runs out of data
+        mid-extraction, reaches an undefined state or loops.
         """
         packet = ParsedPacket()
         offset = 0
         state_name = self._start
         visited = 0
-        while state_name not in (ACCEPT, REJECT):
+        while state_name != ACCEPT:
             visited += 1
             if visited > len(self._states) + 8:
                 raise ParserError("parse graph does not terminate (loop detected)")
@@ -204,7 +202,6 @@ class Parser:
                 header_name, header_type = state.extract
                 end = offset + header_type.total_bytes
                 if end > len(data):
-                    self.packets_rejected += 1
                     raise ParserError(
                         f"packet too short: state {state_name!r} needs "
                         f"{header_type.total_bytes} bytes at offset {offset}, "
@@ -222,9 +219,6 @@ class Parser:
                 value = packet.header(header_name)[field_name]
                 state_name = state.transitions.get(value, state.default)
 
-        if state_name == REJECT:
-            self.packets_rejected += 1
-            raise ParserError("packet rejected by the parse graph")
         packet.payload = data[offset:]
         self.packets_parsed += 1
         return packet

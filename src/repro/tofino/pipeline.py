@@ -1,20 +1,20 @@
-"""The match-action pipeline: parser → ingress → egress → deparser.
+"""The match-action pipeline: parser → ingress → deparser.
 
 A :class:`Pipeline` binds together the pieces defined elsewhere in this
-package — a :class:`~repro.tofino.parser.Parser`, user-supplied ingress and
-egress control blocks, a :class:`~repro.tofino.parser.Deparser`, a
+package — a :class:`~repro.tofino.parser.Parser`, a user-supplied ingress
+control block, a :class:`~repro.tofino.parser.Deparser`, a
 :class:`~repro.tofino.constraints.ResourceTracker` — and runs packets
 through them the way the Tofino hardware does, while keeping the accounting
 needed by the evaluation:
 
-* whether the program ever recirculates or duplicates packets (it must not,
-  for the line-rate argument of Figure 4 to hold);
+* how many passes the pipeline ran and how many packets it dropped (one
+  pass per arriving frame, no recirculation: §5's line-rate precondition);
 * a fixed per-packet pipeline latency (the hardware gives a constant
   port-to-port latency for a compiled program; Figure 5 reads each
-  program's latency off the simulator);
-* per-packet-type counters.
+  program's latency off the simulator).
 
-Control blocks are plain Python callables ``control(phv)`` operating on a
+ZipLine's egress control is empty, so the model has none.  Control blocks
+are plain Python callables ``control(phv)`` operating on a
 :class:`PacketContext` by side effect, the same way P4 controls mutate the
 header vector and intrinsic metadata.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import PipelineError
-from repro.tofino.constraints import ResourceTracker, TofinoResourceProfile
+from repro.tofino.constraints import ResourceTracker
 from repro.tofino.parser import Deparser, ParsedPacket, Parser
 
 __all__ = ["PacketContext", "PipelineResult", "Pipeline", "DEFAULT_PIPELINE_LATENCY"]
@@ -49,7 +49,6 @@ class PacketContext:
     ingress_port: int
     egress_port: int = DROP_PORT
     drop_flag: bool = False
-    bridged: Dict[str, int] = field(default_factory=dict)
     digests: List[Tuple[str, Dict[str, int]]] = field(default_factory=list)
 
     def drop(self) -> None:
@@ -94,10 +93,8 @@ class Pipeline:
         Pipeline name for reports.
     parser / deparser:
         Packet parsing machinery.
-    ingress / egress:
-        Control blocks; ``egress`` may be ``None`` (empty egress control).
-    profile:
-        Resource budget to validate table placements against.
+    ingress:
+        The ingress control block.
     pipeline_latency:
         Constant per-packet latency in seconds.
     """
@@ -108,8 +105,6 @@ class Pipeline:
         parser: Parser,
         ingress: Callable[[PacketContext], None],
         deparser: Deparser,
-        egress: Optional[Callable[[PacketContext], None]] = None,
-        profile: Optional[TofinoResourceProfile] = None,
         pipeline_latency: float = DEFAULT_PIPELINE_LATENCY,
     ):
         if pipeline_latency < 0:
@@ -117,15 +112,12 @@ class Pipeline:
         self.name = name
         self._parser = parser
         self._ingress = ingress
-        self._egress = egress
         self._deparser = deparser
-        self.resources = ResourceTracker(profile)
+        self.resources = ResourceTracker()
         self._pipeline_latency = pipeline_latency
         self.packets_processed = 0
         self.packets_dropped = 0
         self.parse_errors = 0
-        self.recirculations = 0
-        self.duplications = 0
 
     # -- properties -----------------------------------------------------------
 
@@ -139,20 +131,10 @@ class Pipeline:
         """The parser bound to this pipeline."""
         return self._parser
 
-    @property
-    def uses_forbidden_features(self) -> bool:
-        """True when the program recirculated or duplicated packets.
-
-        The vendor's line-rate guarantee (quoted in Section 7) only holds for
-        programs that avoid these features; ZipLine does, and the Figure 4
-        benchmark asserts this flag stays ``False``.
-        """
-        return self.recirculations > 0 or self.duplications > 0
-
     # -- processing ----------------------------------------------------------------
 
     def process(self, frame: bytes, ingress_port: int) -> PipelineResult:
-        """Push one frame through parser → ingress → egress → deparser."""
+        """Push one frame through parser → ingress → deparser."""
         if ingress_port < 0:
             raise PipelineError(f"ingress port must be non-negative, got {ingress_port}")
         self.packets_processed += 1
@@ -168,8 +150,6 @@ class Pipeline:
 
         context = PacketContext(packet=parsed, ingress_port=ingress_port)
         self._ingress(context)
-        if not context.drop_flag and self._egress is not None:
-            self._egress(context)
 
         if context.drop_flag or context.egress_port == DROP_PORT:
             self.packets_dropped += 1
@@ -187,15 +167,3 @@ class Pipeline:
             digests=tuple(context.digests),
             latency=self._pipeline_latency,
         )
-
-    # -- reporting -------------------------------------------------------------------
-
-    def summary(self) -> Dict[str, int]:
-        """Counters describing the pipeline's activity."""
-        return {
-            "packets_processed": self.packets_processed,
-            "packets_dropped": self.packets_dropped,
-            "parse_errors": self.parse_errors,
-            "recirculations": self.recirculations,
-            "duplications": self.duplications,
-        }

@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import inf
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro import obs as _obs
 from repro.exceptions import PipelineError
 from repro.sim.simulator import Simulator
-from repro.tofino.counters import CounterSample, NamedCounterSet
 from repro.tofino.digest import DigestEngine
 from repro.tofino.pipeline import Pipeline, PipelineResult
 
@@ -34,9 +33,6 @@ __all__ = ["PortStats", "TofinoSwitch"]
 
 #: Number of front-panel ports on the modelled switch (Wedge100BF-32X).
 DEFAULT_PORT_COUNT = 32
-
-#: Port speed in bits per second (100 GbE).
-DEFAULT_PORT_SPEED = 100e9
 
 PortSink = Callable[[bytes, float], None]
 
@@ -63,8 +59,8 @@ class TofinoSwitch:
     simulator:
         Optional shared simulator; enables latency modelling and timed digest
         delivery.
-    port_count / port_speed:
-        Front-panel port configuration.
+    port_count:
+        Number of front-panel ports.
     """
 
     def __init__(
@@ -73,18 +69,14 @@ class TofinoSwitch:
         pipeline: Pipeline,
         simulator: Optional[Simulator] = None,
         port_count: int = DEFAULT_PORT_COUNT,
-        port_speed: float = DEFAULT_PORT_SPEED,
         digest_engine: Optional[DigestEngine] = None,
     ):
         if port_count <= 0:
             raise PipelineError(f"port count must be positive, got {port_count}")
-        if port_speed <= 0:
-            raise PipelineError(f"port speed must be positive, got {port_speed}")
         self.name = name
         self.pipeline = pipeline
         self.simulator = simulator
         self.port_count = port_count
-        self.port_speed = port_speed
         self.digest_engine = digest_engine or DigestEngine(simulator)
         self._sinks: Dict[int, PortSink] = {}
         # Per attached port, the clock a frame must be received after to
@@ -213,22 +205,3 @@ class TofinoSwitch:
         if stats is None:
             raise self._port_error(port)
         return stats
-
-    def total_rx_packets(self) -> int:
-        """Total packets received across all ports."""
-        return sum(stats.rx_packets for stats in self._port_stats.values())
-
-    def total_tx_packets(self) -> int:
-        """Total packets transmitted across all ports."""
-        return sum(stats.tx_packets for stats in self._port_stats.values())
-
-    def summary(self) -> Dict[str, int]:
-        """Aggregate switch counters (ports + pipeline)."""
-        summary = {
-            "rx_packets": self.total_rx_packets(),
-            "tx_packets": self.total_tx_packets(),
-            "digests_emitted": self.digest_engine.emitted,
-            "digests_dropped": self.digest_engine.dropped,
-        }
-        summary.update(self.pipeline.summary())
-        return summary

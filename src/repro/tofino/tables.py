@@ -17,7 +17,7 @@ Every table ZipLine builds is exact-match, so that is the only match kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import TableError
 
@@ -35,7 +35,6 @@ class ActionSpec:
 
     name: str
     parameter_names: Tuple[str, ...] = ()
-    handler: Optional[Callable[..., Any]] = None
 
     def validate_params(self, params: Dict[str, Any]) -> None:
         """Check that the provided parameters match the declared names."""
@@ -136,11 +135,6 @@ class MatchActionTable:
     # -- introspection ------------------------------------------------------
 
     @property
-    def actions(self) -> List[str]:
-        """Declared action names."""
-        return list(self._actions)
-
-    @property
     def default_action(self) -> str:
         """Action applied on a miss."""
         return self._default_action
@@ -228,12 +222,10 @@ class MatchActionTable:
         """Entries whose TTL elapsed without a hit (idle-timeout report)."""
         return [entry for entry in self.entries() if entry.is_expired(now)]
 
-    def clear(self, include_const: bool = False) -> None:
-        """Remove entries (optionally the const ones too)."""
+    def clear(self) -> None:
+        """Remove every entry but the const ones."""
         self._entries = {
-            key: entry
-            for key, entry in self._entries.items()
-            if entry.is_const and not include_const
+            key: entry for key, entry in self._entries.items() if entry.is_const
         }
 
     # -- data-plane API ------------------------------------------------------------
@@ -268,19 +260,6 @@ class MatchActionTable:
         entry.last_hit = now
         entry.hit_count += 1
         return entry
-
-    def apply(self, key: Hashable, now: float = 0.0, **handler_kwargs: Any) -> MatchResult:
-        """Look up ``key`` and invoke the matched action's handler, if any.
-
-        The handler is called as ``handler(**params, **handler_kwargs)``; its
-        return value is discarded (P4 actions operate by side effect on the
-        PHV, which callers pass through ``handler_kwargs``).
-        """
-        result = self.lookup(key, now=now)
-        spec = self._actions[result.action]
-        if spec.handler is not None:
-            spec.handler(**result.params, **handler_kwargs)
-        return result
 
     # -- internals --------------------------------------------------------------------
 

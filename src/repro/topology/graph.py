@@ -110,10 +110,6 @@ class TopologyEdge:
     links: Tuple["EmulatedLink", ...] = ()
     tap: Optional["LinkTap"] = None
 
-    def describe(self) -> str:
-        """``encoder:1 -> decoder:0`` style label for error messages."""
-        return f"{self.source}:{self.source_port} -> {self.target}:{self.target_port}"
-
 
 class TopologyGraph:
     """A named collection of nodes plus the edges that connect them.

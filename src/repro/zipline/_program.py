@@ -30,7 +30,7 @@ from repro.net.ethernet import EtherType
 from repro.sim.simulator import Simulator
 from repro.tofino.constraints import ResourceUsage
 from repro.tofino.counters import NamedCounterSet
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
+from repro.tofino.crc_extern import CrcExtern
 from repro.tofino.digest import DigestEngine
 from repro.tofino.parser import ACCEPT, Deparser, Header, Parser, ParserState
 from repro.tofino.pipeline import PacketContext, Pipeline
@@ -90,9 +90,9 @@ class ZipLineSwitchBase:
         code = self._transform.code
         self._syndrome_bits = code.m
         # CRC extern programmed with the Hamming generator polynomial.
-        self._crc = CrcExtern(CrcPolynomial(coeff=code.crc_parameter, width=code.m))
+        self._crc = CrcExtern(coeff=code.crc_parameter, width=code.m)
         self._syndrome_table = self._build_syndrome_table()
-        self.counters = NamedCounterSet(counter_labels, name=f"{name}-counters")
+        self.counters = NamedCounterSet(counter_labels)
 
         pipeline = Pipeline(
             name=f"{name}-pipeline",

@@ -140,11 +140,6 @@ class ZipLineHeaderSet:
     # -- payload sizes -----------------------------------------------------------
 
     @property
-    def chunk_payload_bytes(self) -> int:
-        """Payload bytes of a type-1 (raw chunk) packet."""
-        return self.chunk.total_bytes
-
-    @property
     def type2_payload_bytes(self) -> int:
         """Payload bytes of a type-2 packet."""
         return self.type2.total_bytes
@@ -153,13 +148,3 @@ class ZipLineHeaderSet:
     def type3_payload_bytes(self) -> int:
         """Payload bytes of a type-3 packet."""
         return self.type3.total_bytes
-
-    def describe(self) -> str:
-        """One-line summary of the wire formats."""
-        return (
-            f"chunk={self.chunk_payload_bytes}B, "
-            f"type2={self.type2_payload_bytes}B "
-            f"(pad {self.type2_padding_bits} bits), "
-            f"type3={self.type3_payload_bytes}B "
-            f"(pad {self.type3_padding_bits} bits)"
-        )

@@ -51,6 +51,20 @@ def syndrome_via_matrix(code, chunk):
     return syndrome
 
 
+def correct(code, received):
+    """Correct at most one bit error in ``received``.
+
+    Returns ``(corrected_word, flipped_position)``, the position ``None``
+    when the word was already a codeword.  ZipLine never corrects a chunk;
+    this checks the code algebra.
+    """
+    syndrome = code.syndrome(received)
+    if syndrome == 0:
+        return received, None
+    position = code.syndrome_table.positions[syndrome]
+    return received ^ (1 << position), position
+
+
 def bases_sharing_chunk(code, basis):
     """How many ``n``-bit chunks split to ``basis``, counted exhaustively."""
     return sum(

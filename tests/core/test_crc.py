@@ -96,11 +96,6 @@ class TestCrcParameters:
         assert is_linear(CrcEngine(CrcParameters(polynomial=0x3, width=3, augment=False)))
         assert not is_linear(CrcEngine(CRC32_ETHERNET))
 
-    def test_describe_mentions_polynomial(self):
-        text = CRC16_CCITT.describe()
-        assert "CRC-16" in text
-        assert "0x1021" in text
-
 
 class TestSyndromeCrc:
     """The plain-remainder CRC used as Hamming syndrome (Table 2b)."""

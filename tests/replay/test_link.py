@@ -1,16 +1,17 @@
 """Tests for the emulated link: serialisation, queueing, loss, reordering."""
 
+import math
 import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ReplayError, ReproError
 from repro.net.ethernet import frame_wire_bytes
 from repro.replay import EmulatedLink
-from repro.replay.link import ImpairmentModel, LinkStats
+from repro.replay.link import AHEAD, ImpairmentModel, LinkStats
 from repro.sim.simulator import Simulator
 
 
@@ -334,6 +335,22 @@ class ReferenceLink:
         self.sink(frame, deliver_at)
 
 
+class TieWatchingLink(EmulatedLink):
+    """Notes whether a send at the clock met a frame handed on ahead of the
+    clock at that frame's completion instant: the tie with no saved event
+    to order by (see :attr:`EmulatedLink.queue_depth`)."""
+
+    met_the_unordered_tie = False
+
+    def send(self, frame, time):
+        now = self.simulator.now
+        if time <= now and any(
+            entry[0] == now and entry[1] == AHEAD for entry in self._serialising
+        ):
+            self.met_the_unordered_tie = True
+        super().send(frame, time)
+
+
 #: 992 wire bits per second: a 100-byte frame serialises in exactly 1 s and
 #: a 224-byte frame in exactly 2 s, so sends on a half-second grid land on
 #: completion times to the last bit.
@@ -393,7 +410,7 @@ def schedule_sends(pattern):
 
 
 def run_hand_offs(kind, hand_offs, latency, ahead, queue_capacity=None,
-                  impairments=None):
+                  impairments=None, cuts=()):
     """Hand frames to a link the way a switch with a constant pipeline
     ``latency`` does, and return everything the link decided.
 
@@ -401,7 +418,10 @@ def run_hand_offs(kind, hand_offs, latency, ahead, queue_capacity=None,
     stamped ``at + latency``: ``ahead`` calls ``link.send`` from inside
     that event (recording the stamp, as a switch does), otherwise the event
     schedules the send at the stamp — the transmit event the hand-off
-    replaces.
+    replaces.  As on a switch port, a hand-off stamped past the run's
+    horizon, or behind a frame still waiting for its transmit event, takes
+    the transmit event too.  The simulator runs to each of ``cuts`` in
+    turn, then drains; the queue depth is read after each cut.
     """
     simulator = Simulator()
     link = kind(
@@ -421,18 +441,27 @@ def run_hand_offs(kind, hand_offs, latency, ahead, queue_capacity=None,
         link.send(frame, time)
         decisions.append((stats.dropped_loss - before[0], stats.dropped_queue - before[1]))
 
+    hold = -math.inf  # the stamp of the last hand-off that took an event
+
     def hand_off(frame):
+        nonlocal hold
         stamp = simulator.now + latency
-        if ahead:
+        if ahead and hold < simulator.now and stamp <= simulator.horizon:
             simulator.latest_stamp = max(simulator.latest_stamp, stamp)
             send(frame, stamp)
         else:
+            hold = stamp
             simulator.schedule_at(stamp, partial(send, frame, stamp))
 
     for at, frame in hand_offs:
         simulator.schedule_at(at, partial(hand_off, frame))
+    depths = []
+    for cut in cuts:
+        simulator.run(until=cut)
+        depths.append(link.queue_depth)
     simulator.run()
     return dict(
+        depths=depths,
         arrivals=arrivals,
         decisions=decisions,
         stats=link.stats.as_dict(),
@@ -499,25 +528,6 @@ class TestMatchesExplicitCompletionEvent:
         assert reference.stats.dropped_queue == 0
         assert reference.stats.delivered == 2
 
-    def test_priority_decides_a_tie_before_insertion_order(self):
-        """A later-scheduled but more urgent send still precedes the
-        completion it ties with; a less urgent earlier one follows it."""
-        for priority, dropped in ((-1, 1), (1, 0)):
-            pair = Pair(queue_capacity=1)
-
-            def action(simulator, link, priority=priority):
-                def first():
-                    link.send(FRAMES[0], 0.0)
-                    simulator.schedule_at(
-                        1.0, partial(link.send, FRAMES[0], 1.0), priority=priority
-                    )
-                simulator.schedule_at(0.0, first)
-
-            pair.each(action)
-            pair.run_to()
-            (_, reference, _), _ = pair.sides
-            assert reference.stats.dropped_queue == dropped
-
     def test_sends_stamped_ahead_of_an_idle_clock_enter_at_their_stamps(self):
         """Nothing runs between the sends, yet each is positioned at its own
         stamp — where the transmit event it replaces would have run — so
@@ -534,6 +544,21 @@ class TestMatchesExplicitCompletionEvent:
         pair.run_to()
         assert reference.stats.delivered == 6
         assert link.queue_depth == 0
+
+    def test_a_run_cut_at_a_hand_offs_completion_has_passed_it(self):
+        """A frame handed on ahead of the clock finishes serialising at
+        exactly the ``until`` of the run: the idle clock after that run
+        follows the completion, as the explicit event would have run."""
+        pair = Pair(queue_capacity=1)
+        (reference_simulator, reference, _), (simulator, link, _) = pair.sides
+        reference_simulator.schedule_at(0.5, partial(reference.send, FRAMES[0], 0.5))
+        simulator.schedule_at(0.0, partial(link.send, FRAMES[0], 0.5))
+        pair.run_to(1.5)
+        assert link.queue_depth == 0
+        link.send(FRAMES[0], 1.5)
+        reference.send(FRAMES[0], 1.5)
+        assert link.stats.dropped_queue == reference.stats.dropped_queue == 0
+        pair.run_to()
 
     def test_depth_read_between_events_and_at_completion_instants(self):
         pair = Pair(propagation_delay=0.0)
@@ -582,6 +607,26 @@ class TestMatchesExplicitCompletionEvent:
         ahead = run_hand_offs(EmulatedLink, ahead=True, **schedule)
         assert ahead == run_hand_offs(EmulatedLink, ahead=False, **schedule)
         assert ahead == run_hand_offs(ReferenceLink, ahead=False, **schedule)
+
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.5])
+    @given(schedule=hand_off_schedules())
+    @settings(max_examples=40, deadline=None)
+    def test_hand_offs_cut_into_runs_match_at_every_cut(self, schedule, step):
+        """Runs cut every ``step`` seconds on the grid, so completions land on
+        cuts: the queue depth read at each cut's idle clock, and everything
+        the link decides, equal the reference with explicit events — but
+        for the one tie :attr:`EmulatedLink.queue_depth` says it cannot
+        order, which cuts make possible and this test leaves out."""
+        links = []
+
+        def watched(*args, **kwargs):
+            links.append(TieWatchingLink(*args, **kwargs))
+            return links[-1]
+
+        cuts = [step * index for index in range(1, int(40 / step))]
+        ahead = run_hand_offs(watched, ahead=True, cuts=cuts, **schedule)
+        assume(not links[0].met_the_unordered_tie)
+        assert ahead == run_hand_offs(ReferenceLink, ahead=False, cuts=cuts, **schedule)
 
     def test_exact_tie_rule_for_sends_stamped_ahead_of_the_clock(self):
         """The tie rule :attr:`EmulatedLink.queue_depth` states, one case at a

@@ -1,15 +1,13 @@
-"""Property: the event kernel runs events in ``(time, priority, insertion)`` order.
+"""Property: the event kernel runs events in ``(time, insertion)`` order.
 
 The oracle is deliberately naive — a list scanned with ``min`` for the
-smallest ``(time, priority, insertion)`` — and shares nothing with the
-simulator's heap.  Schedules are generated with deliberate ties (times and
-priorities drawn from tiny sets), cancellations (before the run and from
-inside callbacks) and callbacks that schedule more events, at ``now`` and
-later, at lower and higher priority than the event that schedules them.
+smallest ``(time, insertion)`` — and shares nothing with the simulator's
+heap.  Schedules are generated with deliberate ties (times drawn from a
+tiny set) and callbacks that schedule more events, at ``now`` and later.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -20,19 +18,14 @@ from repro.sim import Simulator
 
 TIMES = [0.0, 1.0, 1.0, 2.0, 2.5]
 DELAYS = [0.0, 0.0, 0.5, 1.0]
-PRIORITIES = [-1, 0, 0, 1]
 
 
 @dataclass
 class Plan:
-    """One event to schedule: where, and what its callback does."""
+    """One event to schedule: where, and what its callback schedules."""
 
     label: int
     time: float  # absolute for roots, a delay for children
-    priority: int
-    cancelled: bool = False
-    #: Label of another event this one's callback cancels (if still pending).
-    cancels: Optional[int] = None
     children: List["Plan"] = field(default_factory=list)
 
 
@@ -50,47 +43,27 @@ def plans(draw) -> List[Plan]:
         return Plan(
             label=next(labels),
             time=draw(st.sampled_from(times)),
-            priority=draw(st.sampled_from(PRIORITIES)),
-            cancelled=depth == 0 and draw(st.integers(0, 5)) == 0,
             children=children,
         )
 
-    roots = [plan(0, TIMES) for _ in range(draw(st.integers(1, 8)))]
-    every = list(_walk(roots))
-    for item in every:
-        if draw(st.integers(0, 4)) == 0:
-            item.cancels = draw(st.sampled_from(every)).label
-    return roots
-
-
-def _walk(items: List[Plan]):
-    for item in items:
-        yield item
-        yield from _walk(item.children)
+    return [plan(0, TIMES) for _ in range(draw(st.integers(1, 8)))]
 
 
 def reference_order(roots: List[Plan]) -> List[Tuple[int, float]]:
     """``(label, time)`` in execution order, by linear scan for the minimum."""
-    pending = []  # [time, priority, insertion, plan]
+    pending = []  # [time, insertion, plan]
     insertion = 0
-    cancelled = set()
     for root in roots:
-        pending.append((root.time, root.priority, insertion, root))
+        pending.append((root.time, insertion, root))
         insertion += 1
-        if root.cancelled:
-            cancelled.add(root.label)
     order = []
     while pending:
-        entry = min(pending, key=lambda item: item[:3])
+        entry = min(pending, key=lambda item: item[:2])
         pending.remove(entry)
-        now, _priority, _insertion, item = entry
-        if item.label in cancelled:
-            continue
+        now, _insertion, item = entry
         order.append((item.label, now))
-        if any(other[3].label == item.cancels for other in pending):
-            cancelled.add(item.cancels)
         for child in item.children:
-            pending.append((now + child.time, child.priority, insertion, child))
+            pending.append((now + child.time, insertion, child))
             insertion += 1
     return order
 
@@ -102,44 +75,42 @@ class Driver:
         self.simulator = Simulator()
         self.log: List[Tuple[int, float]] = []
         self.keys = []
-        self.handles = {}
+        self.observed: List[Tuple[float, str]] = []
+        self.simulator.add_observer(
+            lambda time, description: self.observed.append((time, description))
+        )
         for root in roots:
             self._schedule(root, root.time)
-            if root.cancelled:
-                self.handles[root.label].cancelled = True
 
     def _schedule(self, item: Plan, time: float) -> None:
-        self.handles[item.label] = self.simulator.schedule_at(
-            time, lambda: self._run(item), priority=item.priority,
-            description=str(item.label),
+        self.simulator.schedule_at(
+            time, lambda: self._run(item), description=str(item.label)
         )
 
     def _run(self, item: Plan) -> None:
         simulator = self.simulator
         self.log.append((item.label, simulator.now))
         self.keys.append(simulator.current_key)
-        if item.cancels is not None and item.cancels in self.handles:
-            self.handles[item.cancels].cancelled = True
         for child in item.children:
             self._schedule(child, simulator.now + child.time)
 
 
 @given(roots=plans())
 @settings(max_examples=150, deadline=None)
-def test_run_executes_in_time_priority_insertion_order(roots):
+def test_run_executes_in_time_insertion_order(roots):
     driver = Driver(roots)
     expected = reference_order(roots)
     assert driver.simulator.run() == len(expected)
     assert driver.log == expected
     assert driver.simulator.executed_events == len(expected)
     assert driver.simulator.step() is False
-    # The key the simulator reports inside a callback is that event's own.
-    for (label, time), key in zip(driver.log, driver.keys):
-        assert key[0] == time
-        assert key[1] == next(
-            item.priority for item in _walk(roots) if item.label == label
-        )
-    assert len({key[2] for key in driver.keys}) == len(driver.keys)
+    # Observers see each event's time and description, after it ran.
+    assert driver.observed == [(time, str(label)) for label, time in expected]
+    # The key the simulator reports inside a callback is that event's own:
+    # its time, and a sequence that grows with the execution order.
+    assert [key[0] for key in driver.keys] == [time for _label, time in expected]
+    assert driver.keys == sorted(driver.keys)
+    assert len({key[1] for key in driver.keys}) == len(driver.keys)
 
 
 @given(roots=plans(), until=st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 9.0]))
@@ -203,37 +174,13 @@ def test_until_and_max_events_together(roots, until, budget):
     assert driver.log == expected
 
 
-class TestCancelledHead:
-    def test_run_until_stops_at_a_cancelled_head_without_counting_it(self):
-        simulator = Simulator()
-        ran = []
-        simulator.schedule_at(1.0, lambda: ran.append("kept"))
-        simulator.schedule_at(2.0, lambda: ran.append("dropped")).cancelled = True
-        simulator.schedule_at(5.0, lambda: ran.append("late"))
-        assert simulator.run(until=4.0) == 1
-        assert ran == ["kept"]
-        assert simulator.now == 4.0
-        assert simulator.run(max_events=5) == 1
-        assert ran == ["kept", "late"]
-
-    def test_only_cancelled_events_means_nothing_to_step(self):
-        simulator = Simulator()
-        for time in (1.0, 1.0, 2.0):
-            simulator.schedule_at(time, lambda: None).cancelled = True
-        assert simulator.step() is False
-        assert simulator.executed_events == 0
-        assert simulator.now == 0.0
-
-
 class TestPosition:
     def test_idle_position_brackets_the_events_of_its_instant(self):
         simulator = Simulator()
-        assert simulator.current_key < (0.0, -5, 0)  # before anything at t=0
+        assert simulator.current_key < (0.0, 0)  # before anything at t=0
         simulator.schedule_at(1.0, lambda: None)
         simulator.run(until=2.0)
-        assert (2.0, 10**9, 10**9) < simulator.current_key  # after all of t=2
-        simulator.reset()
-        assert simulator.current_key < (0.0, -5, 0)
+        assert (2.0, 10**9) < simulator.current_key  # after all of t=2
 
     def test_sequence_numbers_interleave_with_scheduled_events(self):
         simulator = Simulator()
@@ -242,7 +189,7 @@ class TestPosition:
         taken = simulator.next_sequence()
         simulator.schedule_at(1.0, lambda: keys.append(simulator.current_key))
         simulator.run()
-        assert keys[0] < (1.0, 0, taken) < keys[1]
+        assert keys[0] < (1.0, taken) < keys[1]
 
 
 class TestNonFiniteTimes:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.sim import MICROSECONDS, MILLISECONDS, Simulator
-from repro.sim.events import Event
 
 
 class TestScheduling:
@@ -21,14 +20,24 @@ class TestScheduling:
         assert simulator.now == 2.0
         assert simulator.executed_events == 3
 
-    def test_simultaneous_events_run_in_priority_then_fifo_order(self):
+    def test_simultaneous_events_run_in_insertion_order(self):
         simulator = Simulator()
         order = []
-        simulator.schedule_at(1.0, lambda: order.append("first"), priority=1)
-        simulator.schedule_at(1.0, lambda: order.append("urgent"), priority=0)
-        simulator.schedule_at(1.0, lambda: order.append("second"), priority=1)
+        simulator.schedule_at(1.0, lambda: order.append("first"))
+        simulator.schedule_at(0.5, lambda: order.append("earlier"))
+        simulator.schedule_at(1.0, lambda: order.append("second"))
+        simulator.schedule_in(1.0, lambda: order.append("third"))
         simulator.run()
-        assert order == ["urgent", "first", "second"]
+        assert order == ["earlier", "first", "second", "third"]
+
+    def test_scheduling_returns_nothing_and_observers_see_time_and_description(self):
+        simulator = Simulator()
+        seen = []
+        simulator.add_observer(lambda time, description: seen.append((time, description)))
+        assert simulator.schedule_at(1.0, lambda: None, description="probe") is None
+        assert simulator.schedule_in(2.0, lambda: None) is None
+        simulator.run()
+        assert seen == [(1.0, "probe"), (2.0, "")]
 
     def test_schedule_in_and_now(self):
         simulator = Simulator()
@@ -68,41 +77,6 @@ class TestScheduling:
     def test_negative_start_time_rejected(self):
         with pytest.raises(SimulationError):
             Simulator(start_time=-1.0)
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        simulator = Simulator()
-        ran = []
-        handle = simulator.schedule_at(1.0, lambda: ran.append(True))
-        handle.cancelled = True
-        simulator.run()
-        assert ran == []
-
-    def test_handle_exposes_metadata(self):
-        simulator = Simulator()
-        handle = simulator.schedule_at(3.0, lambda: None, description="probe")
-        assert handle.time == 3.0
-        assert handle.description == "probe"
-
-    def test_the_handle_is_the_event_itself(self):
-        """No wrapper object per scheduled event: what ``schedule_*`` returns
-        is what observers are shown, and ``EventHandle`` names that class."""
-        from repro.sim import EventHandle
-
-        assert EventHandle is Event
-        simulator = Simulator()
-        seen = []
-        simulator.add_observer(seen.append)
-        handles = [
-            simulator.schedule_at(1.0, lambda: None),
-            simulator.schedule_in(2.0, lambda: None),
-            simulator.schedule_in(0.0, lambda: None),
-        ]
-        assert all(type(handle) is Event for handle in handles)
-        handles[1].cancelled = True
-        simulator.run()
-        assert seen == [handles[2], handles[0]]
 
 
 class TestRunControl:
@@ -154,12 +128,33 @@ class TestRunControl:
         assert simulator.latest_stamp == 4.0
         simulator.run()
         assert simulator.now == 4.0
-        assert (4.0, 10**9, 10**9) < simulator.current_key  # after all of t=4
+        assert (4.0, 10**9) < simulator.current_key  # after all of t=4
         simulator.schedule_at(5.0, lambda: hand_on(6.0))
         simulator.run(until=9.0)
         assert simulator.now == 9.0  # ``until`` bounds every stamp of its run
-        simulator.reset()
-        assert simulator.latest_stamp == 0.0
+
+    def test_a_removed_observer_is_not_called(self):
+        simulator = Simulator()
+        seen = []
+
+        def observer(time, description):
+            seen.append(time)
+
+        simulator.add_observer(observer)
+        simulator.schedule_at(1.0, lambda: simulator.remove_observer(observer))
+        simulator.schedule_at(2.0, lambda: None)
+        simulator.run()
+        assert seen == []  # removed by the event itself, before it was observed
+        simulator.remove_observer(observer)  # absent: a no-op
+
+    def test_run_until_behind_the_clock_leaves_it_where_it_is(self):
+        simulator = Simulator()
+        simulator.schedule_at(2.0, lambda: None)
+        simulator.schedule_at(3.0, lambda: None)
+        assert simulator.run(max_events=1) == 1
+        assert simulator.run(until=1.0) == 0
+        assert simulator.now == 2.0
+        assert simulator.run() == 1
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
@@ -173,16 +168,6 @@ class TestRunControl:
         simulator.schedule_at(1.0, inner)
         with pytest.raises(SimulationError):
             simulator.run()
-
-    def test_reset(self):
-        simulator = Simulator()
-        simulator.schedule_at(1.0, lambda: None)
-        simulator.run()
-        simulator.schedule_at(9.0, lambda: None)
-        simulator.reset()
-        assert simulator.now == 0.0
-        assert simulator.executed_events == 0
-        assert simulator.run() == 0
 
     def test_units_are_consistent(self):
         assert MILLISECONDS == pytest.approx(1e-3)

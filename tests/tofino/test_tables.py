@@ -78,10 +78,22 @@ class TestControlPlaneApi:
             table.modify_entry(5, "learn")
         with pytest.raises(TableError):
             table.delete_entry(5)
+        table.add_entry(6, "learn")
         table.clear()
         assert len(table) == 1  # const entries survive clear()
-        table.clear(include_const=True)
-        assert len(table) == 0
+        assert table.get_entry(5).is_const
+
+    def test_the_hit_path_sees_what_clear_left(self):
+        """``clear`` rebinds the entry dictionary; ``lookup_ref`` reads it
+        per call, so a cleared entry misses and a const one still hits."""
+        table = make_table()
+        table.add_const_entries(iter([(5, "set_identifier", {"identifier": 9})]))
+        table.add_entry(6, "set_identifier", {"identifier": 1})
+        assert table.lookup_ref(6) is not None
+        table.clear()
+        assert table.lookup_ref(6) is None
+        assert table.lookup_ref(5).params == {"identifier": 9}
+        assert (table.lookups, table.hits) == (3, 2)
 
     def test_invalid_construction(self):
         with pytest.raises(TableError):
@@ -124,23 +136,3 @@ class TestIdleTimeout:
         assert table.lookups == 3
         assert table.hits == 2
         assert table.get_entry(1).hit_count == 2
-
-
-class TestActionHandlers:
-    def test_apply_invokes_handler(self):
-        seen = []
-        table = MatchActionTable(
-            name="t",
-            key_bits=8,
-            size=4,
-            actions=[
-                ActionSpec("record", ("value",), handler=lambda value, ctx: seen.append((value, ctx))),
-                ActionSpec("NoAction"),
-            ],
-            default_action="NoAction",
-        )
-        table.add_entry(1, "record", {"value": 42})
-        table.apply(1, ctx="context")
-        assert seen == [(42, "context")]
-        table.apply(9, ctx="context")  # miss -> NoAction, no handler
-        assert len(seen) == 1

@@ -24,9 +24,7 @@ def _event_times(spec, description):
     engine = TopologyEngine(spec)
     times = []
     engine.simulator.add_observer(
-        lambda event: times.append(event.time)
-        if event.description == description
-        else None
+        lambda time, label: times.append(time) if label == description else None
     )
     engine.run()
     return times
@@ -113,7 +111,7 @@ class TestRunHorizon:
             spec = build(chunks=chunks, bases=2, packet_rate=1e3, scenario="static", seed=7)
             engine = TopologyEngine(spec)
             seen = []
-            engine.simulator.add_observer(lambda event: seen.append(event.description))
+            engine.simulator.add_observer(lambda _time, label: seen.append(label))
             report = engine.run()
             assert set(seen) == labels
             assert engine.simulator.executed_events == 2 * chunks

@@ -80,8 +80,11 @@ class TestDecoding:
         frame = record_frame(codec, record, DST, SRC).to_bytes()
         assert decoder.receive(frame, ingress_port=0) is None
         assert outputs == []
-        assert decoder.switch.total_tx_packets() == 0
-        assert decoder.pipeline.summary()["packets_dropped"] == 1
+        assert all(
+            decoder.switch.port_stats(port).tx_packets == 0
+            for port in range(decoder.switch.port_count)
+        )
+        assert decoder.pipeline.packets_dropped == 1
         assert decoder.counters.read("unknown_identifier") == CounterSample(1, len(frame))
 
     def test_other_traffic_passes_through(self, decoder):
@@ -100,7 +103,10 @@ class TestDecoding:
         )
         for _ in range(10):
             decoder.receive(record_frame(codec, record, DST, SRC).to_bytes(), 0)
-        assert not decoder.pipeline.uses_forbidden_features
+        # One pipeline pass per arriving frame, and at most one frame out.
+        ports = [decoder.switch.port_stats(port) for port in range(decoder.switch.port_count)]
+        assert decoder.pipeline.packets_processed == sum(s.rx_packets for s in ports) == 10
+        assert sum(s.tx_packets for s in ports) == 10
 
 
 class TestControlPlaneInterface:

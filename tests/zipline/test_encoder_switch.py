@@ -4,9 +4,11 @@ import pytest
 
 from repro.controlplane.manager import LEARN_DIGEST
 from repro.core.transform import GDTransform
+from repro.exceptions import ConstraintViolation
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
 from repro.net.packets import ZipLinePacketCodec
+from repro.tofino.constraints import ResourceUsage
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
@@ -149,20 +151,26 @@ class TestControlPlaneInterface:
 
 class TestProgramProperties:
     def test_no_recirculation_or_duplication(self, encoder, rng):
+        """One pipeline pass per arriving frame, and at most one frame out."""
         for _ in range(20):
             chunk = make_chunk(encoder.transform, rng.getrandbits(247), position=1)
             encoder.receive(chunk_frame(chunk), ingress_port=0)
-        assert not encoder.pipeline.uses_forbidden_features
+        ports = [encoder.switch.port_stats(port) for port in range(encoder.switch.port_count)]
+        assert encoder.pipeline.packets_processed == sum(s.rx_packets for s in ports) == 20
+        assert sum(s.tx_packets for s in ports) == 20
 
     def test_syndrome_table_is_fully_populated(self, encoder):
         # 2^m const entries: one per syndrome, including the zero syndrome.
         assert len(encoder._syndrome_table) == 256
 
-    def test_resources_registered(self, encoder):
-        summary = encoder.pipeline.resources.stage_summary()
-        assert summary  # at least one stage used
-        total_entries = sum(stage["entries"] for stage in summary.values())
-        assert total_entries >= 256 + (1 << 15)
+    def test_resources_registered(self):
+        """The syndrome table sits in stage 1 and the 32k-entry mapping
+        table fills stage 3: either has no room for a full stage more."""
+        tracker = ZipLineEncoderSwitch().pipeline.resources
+        for stage, blocks in ((1, 80), (3, 1)):
+            with pytest.raises(ConstraintViolation, match=f"stage {stage} uses"):
+                tracker.register(ResourceUsage(name="more", stage=stage, sram_blocks=blocks))
+        tracker.register(ResourceUsage(name="free", stage=2, sram_blocks=80))
 
     def test_small_order_switch_roundtrip(self, rng):
         transform = GDTransform(order=4)

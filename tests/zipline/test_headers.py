@@ -44,7 +44,7 @@ class TestPaperHeaderSet:
         return ZipLineHeaderSet.build(GDTransform(order=8), identifier_bits=15)
 
     def test_payload_sizes_match_the_paper(self, headers):
-        assert headers.chunk_payload_bytes == 32
+        assert headers.chunk.total_bytes == 32
         assert headers.type2_payload_bytes == 33   # the 1.03 overhead
         assert headers.type3_payload_bytes == 3    # the 0.09 compressed size
 
@@ -62,11 +62,6 @@ class TestPaperHeaderSet:
         assert headers.type3.total_bits % 8 == 0
         assert headers.ethernet.total_bytes == 14
 
-    def test_describe(self, headers):
-        text = headers.describe()
-        assert "type2=33B" in text
-        assert "type3=3B" in text
-
     def test_raw_chunk_ethertype_is_experimental(self):
         assert ETHERTYPE_RAW_CHUNK == 0x88B4
 
@@ -74,7 +69,7 @@ class TestPaperHeaderSet:
 class TestOtherOrders:
     def test_order_4_layout(self):
         headers = ZipLineHeaderSet.build(GDTransform(order=4), identifier_bits=6)
-        assert headers.chunk_payload_bytes == 2
+        assert headers.chunk.total_bytes == 2
         # 1 + 11 + 4 = 16 bits, already aligned -> one modelled padding byte.
         assert headers.type2_payload_bytes == 3
         # 1 + 6 + 4 = 11 bits -> padded to 16 bits.
