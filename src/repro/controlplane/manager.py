@@ -54,6 +54,7 @@ from repro.controlplane.events import (
 from repro.controlplane.idpool import IdentifierPool
 from repro.core.dictionary import decode_snapshot_key, encode_snapshot_key
 from repro.exceptions import ControlPlaneError
+from repro.sim.lookahead import InFlight
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine, DigestMessage
 
@@ -114,6 +115,12 @@ class ControlPlaneTimings:
             return value
         spread = value * self.jitter_fraction
         return max(0.0, value + rng.uniform(-spread, spread))
+
+    def least(self, value: float) -> float:
+        """The smallest latency :meth:`jittered` can draw for ``value``."""
+        if self.jitter_fraction <= 0:
+            return value
+        return max(0.0, value - value * self.jitter_fraction)
 
 
 @dataclass
@@ -218,6 +225,23 @@ class ZipLineControlPlane:
         self.stats = ControlPlaneStats()
         self.events = EventLog()
         digest_engine.subscribe(LEARN_DIGEST, self._on_learn_digest)
+        #: Every step, TTL poll and unacknowledged decoder install of this
+        #: control plane, counted on both switches' lookaheads: all of
+        #: them can end in a write to either table.
+        self.in_flight = None if simulator is None else InFlight(simulator)
+        if self.in_flight is not None:
+            # A write nothing has started yet begins with a learn digest:
+            # it reaches this control plane after the digest latency and
+            # writes a table one processing step later at the earliest.
+            reaction = digest_engine.delivery_latency + self._timings.least(
+                self._timings.processing_latency
+            )
+            for switch in (encoder_switch, decoder_switch):
+                lookahead = getattr(switch, "lookahead", None)
+                if lookahead is not None:
+                    self.in_flight.watch(lookahead, reaction)
+                    if digest_engine.in_flight is not None:
+                        digest_engine.in_flight.watch(lookahead)
         if self._entry_ttl is not None and simulator is not None:
             self._schedule_idle_poll()
 
@@ -345,13 +369,18 @@ class ZipLineControlPlane:
         if self._abandon_if_stale(basis, identifier):
             return
         now = self._now()
+        # Until the transport acknowledges or drops the install, its
+        # acknowledgement may start the encoder-side write.
+        self._count_in_flight(1)
 
         def proceed() -> None:
+            self._count_in_flight(-1)
             self._after_table_write(
                 lambda: self._install_encoder_side(basis, identifier)
             )
 
         def dropped() -> None:
+            self._count_in_flight(-1)
             # The install never reached the decoder: roll the allocation
             # back so a later digest for this basis can retry from scratch.
             if self._pool.identifier_for(basis) == identifier:
@@ -394,10 +423,10 @@ class ZipLineControlPlane:
     # -- idle timeout handling ---------------------------------------------------
 
     def _schedule_idle_poll(self) -> None:
-        self._simulator.schedule_in(
+        self.in_flight.schedule_in(
             self._timings.idle_poll_interval,
             self._idle_poll,
-            description="control-plane idle poll",
+            "control-plane idle poll",
         )
 
     def _idle_poll(self) -> None:
@@ -420,10 +449,14 @@ class ZipLineControlPlane:
 
     def _after(self, delay: float, callback) -> None:
         """Run ``callback`` after ``delay`` seconds (immediately without a simulator)."""
-        if self._simulator is None:
+        if self.in_flight is None:
             callback()
         else:
-            self._simulator.schedule_in(delay, callback, description="control-plane step")
+            self.in_flight.schedule_in(delay, callback, "control-plane step")
+
+    def _count_in_flight(self, count: int) -> None:
+        if self.in_flight is not None:
+            self.in_flight.add(count)
 
     def _after_table_write(self, callback) -> None:
         """Run ``callback`` one (jittered) table-write latency from now."""

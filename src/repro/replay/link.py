@@ -14,7 +14,9 @@ missing: the wire itself.  It models what a real hop does to a frame —
   traversal costs at most one event (the delivery), not two — and none
   for the hand-off into the link when a switch hands the frame on stamped
   with the end of its pipeline latency, ahead of the clock (see
-  :attr:`EmulatedLink.queue_depth` for where such a frame is positioned);
+  :attr:`EmulatedLink.queue_depth` for where such a frame is positioned),
+  nor for the delivery into a switch program whose
+  :class:`~repro.sim.lookahead.Lookahead` admits the frame's stamp;
 * **seeded impairments**: loss and reordering drawn from a deterministic
   :class:`ImpairmentModel`, so replays are exactly reproducible.
 
@@ -37,6 +39,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro import obs as _obs
 from repro.exceptions import ReplayError, ReproError
 from repro.net.ethernet import frame_wire_bytes
+from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 
 __all__ = ["ImpairmentModel", "LinkStats", "EmulatedLink"]
@@ -236,6 +239,7 @@ class EmulatedLink:
         self.record_delays = record_delays
         self.stats = LinkStats()
         self._sink = sink
+        self._lookahead: Optional[Lookahead] = None
         self._busy_until = 0.0
         # The latest instant a frame was offered at: offers come in time
         # order, or a frame handed on ahead of the clock was overtaken.
@@ -257,11 +261,19 @@ class EmulatedLink:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach(self, sink: LinkSink) -> None:
-        """Attach (or replace) the receiving end of the link."""
+    def attach(self, sink: LinkSink, lookahead: Optional[Lookahead] = None) -> None:
+        """Attach (or replace) the receiving end of the link.
+
+        ``lookahead`` is the receiving switch program's, handed over by
+        :meth:`repro.topology.graph.TopologyGraph.wire` when this link is
+        the last hop of the program's only data input and cannot reorder:
+        a frame it admits is handed to ``sink`` as soon as it is sent,
+        stamped with its delivery instant, instead of from a delivery event.
+        """
         if not callable(sink):
             raise ReplayError("link sink must be callable")
         self._sink = sink
+        self._lookahead = lookahead
 
     @property
     def queue_depth(self) -> int:
@@ -387,11 +399,7 @@ class EmulatedLink:
         deliver_at = done + self.propagation_delay + penalty
 
         if tracer.enabled:
-            # One span per wire stage, plus a context capture so the
-            # delivery event (and everything the sink does synchronously —
-            # decode, arrival accounting) is attributed to the chunk that
-            # entered the wire, not whichever chunk is current when the
-            # simulator fires the event.
+            # One span per wire stage.
             if start > now:
                 tracer.span("link.enqueue", self.name, now, start)
             tracer.span(
@@ -402,19 +410,25 @@ class EmulatedLink:
                 args={"bytes": len(frame)},
             )
             tracer.span("link.propagate", self.name, done, deliver_at)
-            self.simulator.schedule_at(
-                deliver_at,
-                partial(self._deliver_traced, frame, deliver_at, tracer.context),
-                description=self._deliver_label,
-            )
+        lookahead = self._lookahead
+        if lookahead is not None and lookahead.admits(deliver_at):
+            stats.delivered += 1
+            stats.delivered_bytes += length
+            self._sink(frame, deliver_at)
             return
-        # A bound-method partial instead of a fresh closure per frame — the
-        # link sits on every replayed packet's path.
-        self.simulator.schedule_at(
-            deliver_at,
-            partial(self._deliver, frame, deliver_at),
-            description=self._deliver_label,
-        )
+        if tracer.enabled:
+            # A context capture, so the delivery event (and everything the
+            # sink does synchronously — decode, arrival accounting) is
+            # attributed to the chunk that entered the wire, not whichever
+            # chunk is current when the simulator fires the event.
+            deliver = partial(self._deliver_traced, frame, deliver_at, tracer.context)
+        else:
+            # A bound-method partial instead of a fresh closure per frame.
+            deliver = partial(self._deliver, frame, deliver_at)
+        if lookahead is not None:
+            lookahead.schedule_at(deliver_at, deliver, self._deliver_label)
+        else:
+            simulator.schedule_at(deliver_at, deliver, self._deliver_label)
 
     def _deliver(self, frame: bytes, deliver_at: float) -> None:
         self.stats.delivered += 1

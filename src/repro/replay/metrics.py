@@ -102,6 +102,8 @@ class Distribution:
             self._zero = 0
             self._positive: Dict[int, int] = {}
             self._negative: Dict[int, int] = {}
+            # Resolved once: a bounded sample goes straight to the sketch.
+            self.add = self._add_bounded
         else:
             self._samples = array("d")
             self._sorted: Optional[array] = None
@@ -112,9 +114,6 @@ class Distribution:
         return self._bounded
 
     # -- recording -----------------------------------------------------------
-
-    def _bucket_index(self, magnitude: float) -> int:
-        return math.ceil(math.log(magnitude) / self._log_gamma)
 
     def _bucket_value(self, index: int) -> float:
         # Midpoint of (gamma^(i-1), gamma^i]: within relative_error of every
@@ -130,7 +129,9 @@ class Distribution:
             ordered = sorted(buckets)
             buckets[ordered[1]] += buckets.pop(ordered[0])
 
-    def _add_bounded(self, value: float) -> None:
+    def _add_bounded(self, value: Number) -> None:
+        # Sample ``v`` lands in bucket ``ceil(log_gamma |v|)``.
+        value = float(value)
         self._count += 1
         self._sum += value
         if self._min is None or value < self._min:
@@ -138,12 +139,12 @@ class Distribution:
         if self._max is None or value > self._max:
             self._max = value
         if value > 0.0:
-            index = self._bucket_index(value)
+            index = math.ceil(math.log(value) / self._log_gamma)
             self._positive[index] = self._positive.get(index, 0) + 1
             if len(self._positive) > self._max_buckets:
                 self._collapse(self._positive, self._max_buckets)
         elif value < 0.0:
-            index = self._bucket_index(-value)
+            index = math.ceil(math.log(-value) / self._log_gamma)
             self._negative[index] = self._negative.get(index, 0) + 1
             if len(self._negative) > self._max_buckets:
                 self._collapse(self._negative, self._max_buckets)
@@ -151,10 +152,8 @@ class Distribution:
             self._zero += 1
 
     def add(self, value: Number) -> None:
-        """Record one sample."""
-        if self._bounded:
-            self._add_bounded(float(value))
-            return
+        """Record one sample (a bounded distribution replaces this method
+        with its sketch's, when it is built)."""
         self._samples.append(float(value))
         self._sorted = None
 
@@ -162,7 +161,7 @@ class Distribution:
         """Record many samples."""
         if self._bounded:
             for value in values:
-                self._add_bounded(float(value))
+                self._add_bounded(value)
             return
         self._samples.extend(float(value) for value in values)
         if values:

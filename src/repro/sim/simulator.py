@@ -50,7 +50,9 @@ class Simulator:
     **Hand-offs ahead of the clock.**  A component whose work ends a
     constant delay after it starts — a switch pipeline — may hand its
     output on at once, stamped ``now + delay``, instead of scheduling an
-    event to wait out the delay, provided the receiver honours the stamp.
+    event to wait out the delay, provided the receiver honours the stamp;
+    so may an edge into a switch program whose
+    :class:`~repro.sim.lookahead.Lookahead` admits the stamp.
     ``horizon`` bounds that: it is the ``until`` of the current
     :meth:`run` (+inf when there is none, -inf outside a run), and a
     hand-off stamped past it is scheduled as an event instead, so nothing a

@@ -39,21 +39,11 @@ class CrcExtern:
 
     def __init__(self, coeff: int, width: int):
         self._engine = syndrome_crc(coeff, width, name=f"TNA-CRC-{width}")
-        self._invocations = 0
-
-    @property
-    def invocations(self) -> int:
-        """How many times the extern has been invoked (for pipeline accounting)."""
-        return self._invocations
-
-    def record_invocation(self) -> None:
-        """Count one invocation performed by a compiled program.
-
-        The compiled ZipLine programs compute the same CRC through the
-        fused byte loop; calling this keeps the extern's accounting
-        identical to the interpreted pipeline.
-        """
-        self._invocations += 1
+        #: How many times the extern has been invoked (pipeline accounting).
+        #: The compiled ZipLine programs compute the same CRC through the
+        #: fused byte loop and count each pass here themselves, which keeps
+        #: the accounting identical to the interpreted pipeline's.
+        self.invocations = 0
 
     def get(self, fields: "Field | Sequence[Field]") -> int:
         """Compute the CRC of the concatenation of ``fields``.
@@ -82,5 +72,5 @@ class CrcExtern:
             total_width += field_width
         if not total_width:
             raise CodingError("hash extern invoked with no fields")
-        self._invocations += 1
+        self.invocations += 1
         return self._engine.compute(value, total_width)

@@ -20,6 +20,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ControlPlaneError
+from repro.sim.lookahead import InFlight
 from repro.sim.simulator import Simulator
 
 __all__ = ["DigestMessage", "DigestEngine"]
@@ -71,7 +72,10 @@ class DigestEngine:
         self._subscribers: Dict[str, List[Callable[[DigestMessage], None]]] = {}
         # Delivery-event descriptions, formatted once per digest type.
         self._labels: Dict[str, str] = {}
-        self._in_flight = 0
+        self._undelivered = 0
+        #: Undelivered digests, counted on the programs the subscribers can
+        #: write (see :mod:`repro.sim.lookahead`).
+        self.in_flight = None if simulator is None else InFlight(simulator)
         self.emitted = 0
         self.delivered = 0
         self.dropped = 0
@@ -91,43 +95,46 @@ class DigestEngine:
 
     # -- data-plane side --------------------------------------------------------
 
-    def emit(self, digest_type: str, data: Dict[str, Any]) -> bool:
-        """Emit one digest from the data plane.
+    def emit(
+        self, digest_type: str, data: Dict[str, Any], time: Optional[float] = None
+    ) -> bool:
+        """Emit one digest from the data plane at ``time`` (the clock when
+        ``None``; a program that took its frame ahead of the clock passes
+        that frame's stamp).
 
         Returns ``False`` (and counts a drop) when the queue is full.
         Delivery is scheduled on the simulator when one is attached,
         otherwise the callbacks run immediately.
         """
         self.emitted += 1
-        if self._in_flight >= self._queue_depth:
+        if self._undelivered >= self._queue_depth:
             self.dropped += 1
             return False
         simulator = self._simulator
-        now = simulator.now if simulator is not None else 0.0
+        if time is None:
+            time = simulator.now if simulator is not None else 0.0
         message = DigestMessage(
             digest_type=digest_type,
             data=dict(data),
-            emitted_at=now,
-            delivered_at=now + self._delivery_latency,
+            emitted_at=time,
+            delivered_at=time + self._delivery_latency,
         )
-        self._in_flight += 1
+        self._undelivered += 1
         if simulator is None:
             self._deliver(message)
             return True
         label = self._labels.get(digest_type)
         if label is None:
             label = self._labels[digest_type] = f"digest:{digest_type}"
-        simulator.schedule_in(
-            self._delivery_latency,
-            partial(self._deliver, message),
-            description=label,
+        self.in_flight.schedule_at(
+            message.delivered_at, partial(self._deliver, message), label
         )
         return True
 
     # -- delivery ------------------------------------------------------------------
 
     def _deliver(self, message: DigestMessage) -> None:
-        self._in_flight -= 1
+        self._undelivered -= 1
         self.delivered += 1
         for callback in self._subscribers.get(message.digest_type, []):
             callback(message)

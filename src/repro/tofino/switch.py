@@ -10,8 +10,9 @@ egress port.
 Timing uses the shared discrete-event simulator when one is attached: the
 pipeline latency is added between ingress and delivery.  It rides on the
 frame's timestamp when it can — a port whose sink honours its ``time``
-argument gets the frame at once, stamped ``now + latency``, within the
-simulator's run horizon — and costs a transmit event otherwise.  Without a
+argument gets the frame at once, stamped ``time + latency``, within the
+simulator's run horizon, and so does a port into a switch program whose
+lookahead admits that stamp — and costs a transmit event otherwise.  Without a
 simulator the switch degrades gracefully to an immediate, functional-only
 mode, which is what most unit tests use.
 """
@@ -25,6 +26,7 @@ from typing import Callable, Dict, Optional
 
 from repro import obs as _obs
 from repro.exceptions import PipelineError
+from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
 from repro.tofino.pipeline import Pipeline, PipelineResult
@@ -84,6 +86,9 @@ class TofinoSwitch:
         # else the stamp of the port's last scheduled transmit (-inf before
         # one), so no frame overtakes one still waiting for its event.
         self._holds: Dict[int, float] = {}
+        # Per port that feeds a switch program as its only data input: the
+        # program's lookahead (see ``attach_port``).
+        self._lookaheads: Dict[int, Lookahead] = {}
         self._port_stats: Dict[int, PortStats] = {
             port: PortStats() for port in range(port_count)
         }
@@ -92,7 +97,13 @@ class TofinoSwitch:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach_port(self, port: int, sink: PortSink, timed: bool = False) -> None:
+    def attach_port(
+        self,
+        port: int,
+        sink: PortSink,
+        timed: bool = False,
+        lookahead: Optional[Lookahead] = None,
+    ) -> None:
         """Attach a receiver callback to an egress port.
 
         ``sink(frame_bytes, time)`` is called whenever the switch transmits
@@ -100,13 +111,18 @@ class TofinoSwitch:
         as of that instant whatever the simulator's clock reads — so the
         switch may call it as soon as the frame leaves the program, stamped
         with the end of the pipeline latency.  An untimed sink (the
-        default) is called from a transmit event at that instant.
+        default) is called from a transmit event at that instant, unless
+        it feeds a switch program whose ``lookahead`` admits the stamp.
         """
         self._check_port(port)
         if not callable(sink):
             raise PipelineError("port sink must be callable")
         self._sinks[port] = sink
         self._holds[port] = -inf if timed else inf
+        if lookahead is None:
+            self._lookaheads.pop(port, None)
+        else:
+            self._lookaheads[port] = lookahead
 
     def _port_error(self, port: int) -> PipelineError:
         return PipelineError(
@@ -139,15 +155,19 @@ class TofinoSwitch:
             self.transmit(result.egress_port, result.frame, result.latency)
         return result
 
-    def transmit(self, port: int, frame: bytes, latency: float) -> None:
-        """Deliver ``frame`` on ``port`` after ``latency``.
+    def transmit(
+        self, port: int, frame: bytes, latency: float, time: Optional[float] = None
+    ) -> None:
+        """Deliver ``frame`` on ``port`` ``latency`` after ``time``.
 
-        The interpreted :meth:`receive` and the compiled program fast paths
-        both end here.  A timed port's sink is called now with the stamp
-        ``now + latency`` when that is within the simulator's
-        :attr:`~repro.sim.simulator.Simulator.horizon` and no earlier frame
-        of the port still waits for its transmit event; otherwise, and for
-        an untimed port, a transmit event calls it at that instant.  The
+        ``time`` is the instant the frame entered the program (the clock
+        when ``None``).  The interpreted :meth:`receive` and the compiled
+        program fast paths both end here.  A timed port's sink is called
+        now with the stamp ``time + latency`` when that is within the
+        simulator's :attr:`~repro.sim.simulator.Simulator.horizon` and no
+        earlier frame of the port still waits for its transmit event; so is
+        a port into a switch program whose lookahead admits the stamp;
+        otherwise a transmit event calls the sink at that instant.  The
         latency is the program's constant, so frames leave a port in the
         order they arrived either way.
         """
@@ -164,11 +184,15 @@ class TofinoSwitch:
             sink(frame, 0.0)
             return
         now = simulator.now
-        deliver_at = now + latency
+        deliver_at = (now if time is None else time) + latency
         hold = self._holds[port]
         if hold < now <= deliver_at <= simulator.horizon:
             if deliver_at > simulator.latest_stamp:
                 simulator.latest_stamp = deliver_at
+            sink(frame, deliver_at)
+            return
+        lookahead = self._lookaheads.get(port)
+        if lookahead is not None and lookahead.admits(deliver_at):
             sink(frame, deliver_at)
             return
         if hold != inf:
@@ -185,7 +209,10 @@ class TofinoSwitch:
             deliver = partial(sink, frame, deliver_at)
         # A negative latency puts ``deliver_at`` in the past, which
         # ``schedule_at`` rejects.
-        simulator.schedule_at(deliver_at, deliver, description=self._tx_labels[port])
+        if lookahead is not None:
+            lookahead.schedule_at(deliver_at, deliver, self._tx_labels[port])
+        else:
+            simulator.schedule_at(deliver_at, deliver, self._tx_labels[port])
 
     @staticmethod
     def _deliver_traced(sink: PortSink, frame: bytes, deliver_at: float, context) -> None:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Mapping, Optional,
 from repro import obs as _obs
 from repro.controlplane.manager import apply_switch_command
 from repro.exceptions import TopologyError
+from repro.sim.lookahead import InFlight
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # runtime import stays lazy: repro.replay imports us back
@@ -145,6 +146,12 @@ class ControlChannel:
         self._send_epoch = 0
         self._applied_epochs: Dict[Any, int] = {}
         self._drain_label = f"{link.name}:control-drain"
+        #: Commands parked behind the rate limiter and frames on the wire,
+        #: counted on the managed switch's lookahead.
+        self.in_flight = InFlight(simulator)
+        lookahead = getattr(switch, "lookahead", None)
+        if lookahead is not None:
+            self.in_flight.watch(lookahead)
         link.attach(self._on_frame)
 
     @property
@@ -220,7 +227,7 @@ class ControlChannel:
             return
         self._drain_scheduled = True
         wait = max(0.0, (1.0 - self._tokens) / self.rate)
-        self.simulator.schedule_in(wait, self._drain, description=self._drain_label)
+        self.in_flight.schedule_in(wait, self._drain, self._drain_label)
 
     def _drain(self) -> None:
         self._drain_scheduled = False
@@ -254,6 +261,8 @@ class ControlChannel:
             self._pending_acks.pop(command["epoch"], None)
             if on_drop is not None:
                 on_drop()
+        else:
+            self.in_flight.add(1)
 
     # -- wire format -----------------------------------------------------------
 
@@ -273,6 +282,7 @@ class ControlChannel:
         self.link.send(frame, self.simulator.now)
 
     def _on_frame(self, frame_bytes: bytes, time: float) -> None:
+        self.in_flight.add(-1)
         if frame_bytes[12:14] != _CONTROL_ETHERTYPE_BYTES:
             raise TopologyError(
                 f"control channel {self.link.name!r} received a non-control "

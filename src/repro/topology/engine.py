@@ -508,24 +508,29 @@ class TopologyEngine:
             )
 
     def _schedule_faults(self) -> None:
+        """Schedule each fault, in flight on the programs it can write: a
+        restart on its decoder, a storm on its control plane's switches."""
         faults = self.spec.faults
         if faults is None or not faults.active:
             return
         for restart in faults.restarts:
-            if restart.node not in self._decoder_nodes:
+            node = self._decoder_nodes.get(restart.node)
+            if node is None:
                 continue  # filtered shard: event belongs to another worker
-            self.simulator.schedule_at(
+            node.lookahead.schedule_at(
                 restart.time,
                 partial(self._restart_decoder, restart.node),
-                description=f"fault:restart:{restart.node}",
+                f"fault:restart:{restart.node}",
             )
         for storm in faults.storms:
             if storm.node not in self._encoder_nodes:
                 continue
-            self.simulator.schedule_at(
+            plane = self.control_planes.get(storm.node)
+            schedule = self.simulator if plane is None else plane.in_flight
+            schedule.schedule_at(
                 storm.time,
                 partial(self._trigger_storm, storm.node, storm.count),
-                description=f"fault:storm:{storm.node}",
+                f"fault:storm:{storm.node}",
             )
 
     def run(

@@ -195,11 +195,6 @@ class FlowState:
             self._own_addresses if rewrite_addresses else None
         )
 
-    def record_arrival(self, frame_bytes: bytes, time: float) -> None:
-        self.delivered += 1
-        if self.account is not None:
-            self.account.record_arrival(frame_bytes, time)
-
     def result(self, metrics: MetricsRegistry) -> FlowResult:
         """This flow's outcome so far; its latency distribution and
         ``flow.<name>.*`` counters are registered in ``metrics``."""
@@ -237,49 +232,49 @@ class FlowState:
         self._host = host
         self._frames = self.source.frames()
         self._index = 0
-        self._schedule_next()
+        # Nothing pending yet: the first pass only schedules the first frame.
+        self._pending = None
+        self._inject_pending()
 
-    def _schedule_next(self) -> None:
+    def _inject_pending(self) -> None:
+        """Inject the pending frame, then schedule the next one's event."""
+        simulator = self._simulator
+        now = simulator.now
+        frame = self._pending
+        if frame is not None:
+            if self._mac_rewrite is not None:
+                frame = self._mac_rewrite + frame[12:]  # the flow's own MACs
+            self.frames_sent += 1
+            if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
+                self.chunks_sent += 1
+                self.chunk_bytes_sent += len(frame) - 14
+                if self.account is not None:
+                    self.account.record_sent(frame, now)
+            index = self._index
+            self._index = index + 1
+            tracer = _obs.TRACER
+            if tracer.enabled:
+                # Everything the injection triggers synchronously — switch
+                # encode, link admission — inherits this chunk's identity;
+                # the link re-establishes it for the delivery side of the
+                # wire.
+                tracer.set_context(self.spec.name, index)
+                tracer.instant("flow.inject", self.spec.source)
+                try:
+                    self._host.inject(frame, now)
+                finally:
+                    tracer.clear_context()
+            else:
+                self._host.inject(frame, now)
         timed = next(self._frames, None)
         if timed is None:
             return
         recorded_time, data = timed
         self._pending = data
         at = self.pacing.inject_at(self._index, recorded_time, len(data))
-        now = self._simulator.now
-        self._simulator.schedule_at(
-            at if at > now else now,
-            self._inject_pending,
-            description="replay:inject",
+        simulator.schedule_at(
+            at if at > now else now, self._inject_pending, "replay:inject"
         )
-
-    def _inject_pending(self) -> None:
-        frame = self._pending
-        if self._mac_rewrite is not None:
-            frame = self._mac_rewrite + frame[12:]  # the flow's own MACs
-        now = self._simulator.now
-        self.frames_sent += 1
-        if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
-            self.chunks_sent += 1
-            self.chunk_bytes_sent += len(frame) - 14
-            if self.account is not None:
-                self.account.record_sent(frame, now)
-        index = self._index
-        self._index = index + 1
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            # Everything the injection triggers synchronously — switch
-            # encode, link admission — inherits this chunk's identity; the
-            # link re-establishes it for the delivery side of the wire.
-            tracer.set_context(self.spec.name, index)
-            tracer.instant("flow.inject", self.spec.source)
-            try:
-                self._host.inject(frame, now)
-            finally:
-                tracer.clear_context()
-        else:
-            self._host.inject(frame, now)
-        self._schedule_next()
 
 
 class FlowArrivals:
@@ -310,7 +305,10 @@ class FlowArrivals:
             self.misdelivered += 1
             outcome = "misdelivered"
         else:
-            flow.record_arrival(frame_bytes, time)
+            flow.delivered += 1
+            account = flow.account
+            if account is not None:
+                account.record_arrival(frame_bytes, time)
             outcome = "delivered"
         tracer = _obs.TRACER
         if tracer.enabled:

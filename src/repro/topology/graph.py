@@ -20,7 +20,8 @@ partitioner splits along it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TopologyError
@@ -28,6 +29,7 @@ from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.replay imports us back
     from repro.replay.link import EmulatedLink, ImpairmentModel
+    from repro.sim.lookahead import Lookahead
     from repro.topology.spec import TopologySpec
     from repro.zipline.stats import LinkTap
 
@@ -50,13 +52,16 @@ class Node:
     Concrete nodes live in :mod:`repro.topology.nodes`.
 
     ``timed_ingress`` says the node's ingress sinks honour their ``time``
-    argument: the node acts as of that instant, never reading the clock,
-    so an upstream switch may hand it a frame stamped ahead of the clock.
-    A node that runs a program against its tables reads them at arrival
-    time and keeps the default.
+    argument and the node may take any frame stamped ahead of the clock:
+    it acts as of that instant, and nothing else it does depends on when.
+    ``lookahead`` is set on a node that runs a switch program against its
+    tables instead: it honours ``time`` too, but may only take a frame
+    ahead of the clock when its :class:`~repro.sim.lookahead.Lookahead`
+    admits the stamp.
     """
 
     timed_ingress = False
+    lookahead: Optional["Lookahead"] = None
 
     def __init__(self, name: str):
         if not name or not isinstance(name, str):
@@ -79,12 +84,19 @@ class Node:
         """Handle one frame arriving on ingress ``port`` at ``time``."""
         self.ingress(port)(frame_bytes, time)
 
-    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
+    def attach(
+        self,
+        port: int,
+        sink: LinkSink,
+        timed: bool = False,
+        lookahead: Optional["Lookahead"] = None,
+    ) -> None:
         """Attach the sink that egress ``port`` transmits into.
 
-        ``timed`` says the sink honours its ``time`` argument (see
-        :meth:`repro.tofino.switch.TofinoSwitch.attach_port`); nodes that
-        never transmit ahead of the clock ignore it.
+        ``timed`` says the sink honours its ``time`` argument; ``lookahead``
+        is that of the switch program the sink feeds as its only data input
+        (see :meth:`repro.tofino.switch.TofinoSwitch.attach_port`).  Nodes
+        that never transmit ahead of the clock ignore both.
         """
         raise NotImplementedError
 
@@ -182,37 +194,50 @@ class TopologyGraph:
         Each edge's entry is attached *timed* when it honours the ``time``
         it is called with — an emulated link's ``send``, or a node with
         ``timed_ingress`` (a host) — so a switch may hand frames into it
-        stamped ahead of the clock.  A direct edge into a switch or a
-        forwarder keeps its transmit event: the program downstream reads
-        its tables at arrival time.
+        stamped ahead of the clock.
+
+        An edge into a switch program hands the program a frame at once,
+        stamped with the instant it arrives there, exactly when no pending
+        or possible event can touch the program before that stamp.  The
+        parts of that rule a run cannot change are decided here, once: the
+        edge must be the program's only data input (so frames reach it in
+        stamp order), and its last link must not reorder.  Such an edge
+        hands the program's :class:`~repro.sim.lookahead.Lookahead` to its
+        last link, or, when it is direct, to the upstream switch's port.
+        The per-frame rest — nothing that touches the program in flight,
+        the stamp within the run's horizon and closer than a new control
+        write could land — is :meth:`~repro.sim.lookahead.Lookahead.admits`.
+        Every other edge into a program, and every edge into a forwarder,
+        keeps its delivery or transmit event.
         """
         if self._wired:
             raise TopologyError("topology graph is already wired")
         self._wired = True
+        inputs = Counter(edge.target for edge in self.edges)
         for edge in self.edges:
             target = self.nodes[edge.target]
             sink = target.ingress(edge.target_port)
+            lookahead = target.lookahead if inputs[edge.target] == 1 else None
             if edge.links:
                 for upstream, downstream in zip(edge.links, edge.links[1:]):
                     upstream.attach(downstream.send)
-                edge.links[-1].attach(sink)
+                last = edge.links[-1]
+                impairments = last.impairments
+                if impairments is not None and impairments.reorder_probability > 0:
+                    lookahead = None
+                last.attach(sink, lookahead=lookahead)
                 entry: LinkSink = edge.links[0].send
                 timed = True
+                lookahead = None
             else:
                 entry = sink
                 timed = target.timed_ingress
             if edge.tap is not None:
-                tap = edge.tap
-
-                def tapped(
-                    frame_bytes: bytes, time: float, _entry: LinkSink = entry,
-                    _tap: "LinkTap" = tap,
-                ) -> None:
-                    _tap.observe(frame_bytes, time)
-                    _entry(frame_bytes, time)
-
-                entry = tapped
-            self.nodes[edge.source].attach(edge.source_port, entry, timed=timed)
+                edge.tap.attach(entry)
+                entry = edge.tap.observe
+            self.nodes[edge.source].attach(
+                edge.source_port, entry, timed=timed, lookahead=lookahead
+            )
 
     # -- inspection ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.exceptions import TopologyError
+from repro.sim.lookahead import Lookahead
 from repro.topology.graph import LinkSink, Node
 
 __all__ = [
@@ -63,7 +64,13 @@ class HostNode(Node):
 
     # -- source side -----------------------------------------------------------
 
-    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
+    def attach(
+        self,
+        port: int,
+        sink: LinkSink,
+        timed: bool = False,
+        lookahead: Optional[Lookahead] = None,
+    ) -> None:
         if port in self._egress:
             # A silent overwrite would blackhole the first edge's path.
             raise TopologyError(
@@ -101,24 +108,31 @@ class _ZipLineSwitchNode(Node):
     def __init__(self, name: str, **switch_kwargs):
         super().__init__(name)
         self.switch = self._make_switch(name, **switch_kwargs)
+        self.lookahead = self.switch.lookahead
         self._attached_ports: set = set()
 
     def _make_switch(self, name: str, **switch_kwargs):
         raise NotImplementedError
 
     def ingress(self, port: int) -> LinkSink:
-        # Bound once per edge.  The switch reads the time off the simulator,
-        # so the sink's ``time`` stops here.
+        # Bound once per edge.  The program acts as of the sink's ``time``:
+        # the clock, or a stamp ahead of it its lookahead admitted.
         receive = self.switch.receive
 
         def switch_ingress(frame_bytes: bytes, time: float) -> None:
-            receive(frame_bytes, port)
+            receive(frame_bytes, port, time)
 
         return switch_ingress
 
-    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
+    def attach(
+        self,
+        port: int,
+        sink: LinkSink,
+        timed: bool = False,
+        lookahead: Optional[Lookahead] = None,
+    ) -> None:
         _guard_reattach(self, self._attached_ports, port)
-        self.switch.switch.attach_port(port, sink, timed=timed)
+        self.switch.switch.attach_port(port, sink, timed=timed, lookahead=lookahead)
 
 
 class ZipLineEncoderNode(_ZipLineSwitchNode):
@@ -162,7 +176,13 @@ class ForwardNode(Node):
         self.no_route = 0
         self._sinks: Dict[int, LinkSink] = {}
 
-    def attach(self, port: int, sink: LinkSink, timed: bool = False) -> None:
+    def attach(
+        self,
+        port: int,
+        sink: LinkSink,
+        timed: bool = False,
+        lookahead: Optional[Lookahead] = None,
+    ) -> None:
         if port in self._sinks:
             raise TopologyError(
                 f"node {self.name!r} egress port {port} is already attached"

@@ -27,6 +27,7 @@ from repro import obs as _obs
 from repro.core.transform import GDTransform
 from repro.exceptions import PipelineError
 from repro.net.ethernet import EtherType
+from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 from repro.tofino.constraints import ResourceUsage
 from repro.tofino.counters import NamedCounterSet
@@ -86,6 +87,9 @@ class ZipLineSwitchBase:
             self._transform, identifier_bits
         )
         self._simulator = simulator
+        #: When an edge may hand this program a frame ahead of the clock
+        #: (``None`` without a simulator).
+        self.lookahead = None if simulator is None else Lookahead(simulator)
 
         code = self._transform.code
         self._syndrome_bits = code.m
@@ -121,6 +125,11 @@ class ZipLineSwitchBase:
             digest_engine=digest_engine or DigestEngine(simulator),
             **switch_kwargs,
         )
+        if self.lookahead is not None:
+            # A digest in flight reaches the control plane, which may write
+            # this program; the queue depth it counts against is the
+            # program's own.
+            self.switch.digest_engine.in_flight.watch(self.lookahead)
 
         self._forwarding: Dict[int, int] = {}
         for ingress_port, egress_port in (forwarding or {}).items():
@@ -338,16 +347,25 @@ class ZipLineSwitchBase:
 
     # -- data path ---------------------------------------------------------------------
 
-    def receive(self, frame: bytes, ingress_port: int) -> Optional[bytes]:
+    def receive(
+        self, frame: bytes, ingress_port: int, time: Optional[float] = None
+    ) -> Optional[bytes]:
         """Run one frame through the compiled program.
+
+        ``time`` is the instant the frame reaches the program — the
+        simulator's clock when ``None``; an edge whose
+        :class:`~repro.sim.lookahead.Lookahead` admitted the frame passes
+        its delivery stamp, ahead of the clock.  Table hit metadata, digests,
+        trace spans and the egress hand-off (``time`` plus the pipeline
+        latency) all take their time from it.
 
         Returns the frame the program emitted — handed to the egress port
         through :meth:`TofinoSwitch.transmit` — or ``None`` when it dropped
         the frame.  A frame too short for the header its EtherType announces
         is left to the interpreted :meth:`TofinoSwitch.receive`, whose
-        parser counts it in ``parse_errors`` and drops it.  An ingress port
-        the chassis does not have raises the same :class:`PipelineError` on
-        either path, before anything is counted.
+        parser counts it in ``parse_errors`` and drops it, whatever the
+        time.  An ingress port the chassis does not have raises the same
+        :class:`PipelineError` on either path, before anything is counted.
         """
         length = len(frame)
         ethertype = frame[12:14]
@@ -358,12 +376,12 @@ class ZipLineSwitchBase:
         stats = self._rx_stats.get(ingress_port) or self.switch.port_stats(ingress_port)
         stats.rx_packets += 1
         stats.rx_bytes += length
-        simulator = self._simulator
-        now = simulator.now if simulator is not None else 0.0
+        if time is None:
+            time = self._now()
         pipeline = self._pipeline
         pipeline.packets_processed += 1
         self._parser.packets_parsed += 1
-        out = self._compiled_ingress(frame, ethertype, length, now)
+        out = self._compiled_ingress(frame, ethertype, length, time)
         if out is None:
             pipeline.packets_dropped += 1
             return None
@@ -373,11 +391,13 @@ class ZipLineSwitchBase:
             self._forwarding.get(ingress_port, self._default_egress_port),
             out,
             self._latency,
+            time,
         )
         return out
 
     def receive_batch(
         self, frames: List[bytes], ingress_port: int
     ) -> List[Optional[bytes]]:
-        """:meth:`receive` each frame in arrival order; what each returned."""
+        """:meth:`receive` each frame in arrival order, at the clock; what
+        each returned."""
         return [self.receive(frame, ingress_port) for frame in frames]

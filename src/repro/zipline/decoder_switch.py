@@ -249,7 +249,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             if len(codewords) >= self._identifier_table.size:
                 codewords.clear()
             codeword = codewords[basis] = (basis << m) | self._parity_of_basis(basis)
-        self._crc.record_invocation()
+        self._crc.invocations += 1
         # Steps ➎/➏: syndrome table metadata + the XOR mask.  The interpreted
         # program looks this table up without a timestamp
         # (``lookup(syndrome)``), so the compiled one records the same 0.0.

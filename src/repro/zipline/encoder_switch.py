@@ -222,7 +222,7 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         syndrome = self._remainder(chunk_slice) ^ (
             self._transform.code.prefix_syndrome(prefix) if prefix >> m else prefix
         )
-        self._crc.record_invocation()
+        self._crc.invocations += 1
         # Step ➌: const syndrome→mask table, with hit metadata.
         syndrome_table = self._syndrome_table
         syndrome_table.lookups += 1
@@ -263,7 +263,7 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         self._byte_cells[self._raw_to_uncompressed] += length
         if _obs.TRACER.enabled:
             self._span("encode", now, {"outcome": "miss", "basis": basis})
-        self.switch.digest_engine.emit(LEARN_DIGEST, {"basis": basis})
+        self.switch.digest_engine.emit(LEARN_DIGEST, {"basis": basis}, now)
         return out
 
     # -- control-plane interface ------------------------------------------------------

@@ -9,7 +9,7 @@ links; the run's report carries the totals (``wire.*`` counters,
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import PacketError
 from repro.net.ethernet import ETHERNET_HEADER_BYTES, EtherType
@@ -32,18 +32,26 @@ class LinkTap:
 
     It keeps aggregates only (counts, byte totals, first-arrival times),
     maintained incrementally, so it stays O(1) in memory and builds nothing
-    per frame, whatever the run's metrics mode.
+    per frame, whatever the run's metrics mode.  Given the entry of the
+    edge it sits on (:meth:`attach`), it hands every frame it observed on
+    to that entry itself.
     """
 
     def __init__(self) -> None:
+        self._entry: Optional[Callable[[bytes, float], None]] = None
         self._counts: Dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
         self._payload_bytes: Dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
         self._first_times: Dict[PacketKind, float] = {}
         self._total_frames = 0
         self._total_payload_bytes = 0
 
+    def attach(self, entry: Callable[[bytes, float], None]) -> None:
+        """Hand every frame :meth:`observe` records on to ``entry(frame, time)``."""
+        self._entry = entry
+
     def observe(self, frame_bytes_raw: bytes, time: float) -> None:
-        """Record one frame (raw bytes as transmitted).
+        """Record one frame (raw bytes as transmitted), then hand it to the
+        attached entry, if any.
 
         Classification reads the EtherType straight out of the wire bytes —
         no :class:`~repro.net.ethernet.EthernetFrame` (and its MAC address
@@ -69,6 +77,9 @@ class LinkTap:
         self._total_payload_bytes += payload_bytes
         if kind not in self._first_times:
             self._first_times[kind] = time
+        entry = self._entry
+        if entry is not None:
+            entry(frame_bytes_raw, time)
 
     # -- aggregation ---------------------------------------------------------
 

@@ -112,13 +112,13 @@ class TestDigestEngine:
         engine.subscribe("learn", got.append)
         engine.subscribe("other", got.append)
         scheduled = []
-        schedule_in = simulator.schedule_in
+        schedule_at = simulator.schedule_at
 
-        def recording(delay, callback, **kwargs):
-            scheduled.append((callback, kwargs["description"]))
-            return schedule_in(delay, callback, **kwargs)
+        def recording(time, callback, description=""):
+            scheduled.append((callback, description))
+            return schedule_at(time, callback, description)
 
-        simulator.schedule_in = recording
+        simulator.schedule_at = recording
         for digest_type in ("learn", "other", "learn"):
             engine.emit(digest_type, {"basis": len(scheduled)})
         simulator.run()

@@ -6,7 +6,7 @@ stamp.  Each shape below falls on one side of that rule: a link into the
 decoder (rack fan-in) and a direct encoder → decoder hop (the paper's
 testbed) hand frames over; a reordering link, a control plane whose writes
 are in flight over a lossy control link, and a decoder restart mid-trace
-keep their events.  Whichever side a shape falls on, the report bytes are
+(one of them while frames are on the wire) keep their events.  Whichever side a shape falls on, the report bytes are
 the ones recorded before the rule existed, at any worker count, traced or
 not.
 """
@@ -20,6 +20,7 @@ from repro.core.backends import BACKEND_ENV
 from repro import obs
 from repro.topology import (
     FaultPlan,
+    NodeRestart,
     fan_in_topology,
     fault_storm_topology,
     linear_topology,
@@ -40,6 +41,18 @@ def _thrash(seed):
     return spec
 
 
+def _restart_mid_flight(seed):
+    """A decoder restart while fifty frames are on a 50 µs wire: the ones
+    that land before the resync reaches the decoder are lost."""
+    spec = linear_topology(
+        chunks=200, bases=4, packet_rate=1e6, propagation_us=50.0,
+        scenario="static", control="in-network", seed=seed,
+    )
+    spec.faults = FaultPlan(restarts=(NodeRestart(node="decoder", time=100.5e-6),))
+    validate_spec_faults(spec)
+    return spec
+
+
 SHAPES = {
     "rack-fan-in-static": lambda seed: rack_fan_in_topology(
         racks=2, senders=3, chunks=120, bases=8, scenario="static", seed=seed
@@ -53,6 +66,7 @@ SHAPES = {
     ),
     "fan-in-thrash-control-loss": _thrash,
     "fault-storm": lambda seed: fault_storm_topology(senders=3, chunks=300, seed=seed),
+    "linear-static-restart-mid-flight": _restart_mid_flight,
 }
 
 #: (shape, seed) -> md5 of the exact-mode ``json_text()``.
@@ -67,6 +81,8 @@ GOLDEN = {
     ("fan-in-thrash-control-loss", 4242): "14c0e1414c5c276be6e0f3a0f4a29784",
     ("fault-storm", 2020): "7743b0a05c789ad45f5a3530521ba838",
     ("fault-storm", 4242): "63ef2a38bb3188cedf6cad0fd461a172",
+    ("linear-static-restart-mid-flight", 2020): "6c361b49d8a1c57649cf689bb6ee259e",
+    ("linear-static-restart-mid-flight", 4242): "9f365c66f91e3791c63583973dae2fef",
 }
 
 
@@ -125,6 +141,8 @@ def test_shapes_exercise_what_they_pin():
     storm = counters["fault-storm"]
     assert storm["faults.restarts"] == 1
     assert storm["control.encoder.resync_applied"] > 0
+    mid_flight = counters["linear-static-restart-mid-flight"]
+    assert mid_flight["decoder.unknown_identifier"] > 0
 
 
 if __name__ == "__main__":

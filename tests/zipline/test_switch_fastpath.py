@@ -176,31 +176,47 @@ def _state(switch):
     )
 
 
-def _run_frame(switch, receive, frame, port=0):
-    """``receive(frame, port)`` a microsecond after the previous frame's
-    transmit and digest events ran, then run this one's; its return value."""
+def _run_frame(switch, receive, frame, port=0, ahead=0.0, early=False):
+    """``receive(frame, port)`` ``ahead`` seconds plus a microsecond after
+    the previous frame's transmit and digest events ran, then run this
+    one's; its return value.
+
+    ``early`` makes the call ``ahead`` seconds before that instant instead,
+    passing the instant as the frame's ``time`` — the way an edge hands a
+    program a frame its lookahead admitted.
+    """
     simulator = switch.simulator
+    instant = simulator.now + 1e-6 + ahead
     returned = []
-    simulator.schedule_at(
-        simulator.now + 1e-6, lambda: returned.append(receive(frame, port))
-    )
+    if early:
+        simulator.schedule_at(
+            instant - ahead, lambda: returned.append(receive(frame, port, instant))
+        )
+    else:
+        simulator.schedule_at(instant, lambda: returned.append(receive(frame, port)))
     simulator.run()
+    # A dropped frame taken early leaves the clock short of its instant.
+    simulator.run(until=instant)
     return returned[0]
 
 
-def _drive_twins(compiled, interpreted, frames):
+def _drive_twins(compiled, interpreted, frames, ahead=0.0):
     """Feed ``frames`` to both twins and diff every observable per frame.
 
-    ``compiled`` goes through ``receive``; ``interpreted`` through the
-    underlying ``TofinoSwitch.receive``.  Also asserts which of the two
-    implementations each frame of the compiled switch executed.
+    ``compiled`` goes through ``receive`` — ``ahead`` seconds before each
+    frame's instant, with that instant as its ``time``, when ``ahead`` is
+    set; ``interpreted`` through the underlying ``TofinoSwitch.receive``,
+    at the instant.  Also asserts which of the two implementations each
+    frame of the compiled switch executed.
     """
     compiled_log, interpreted_log = _probe(compiled), _probe(interpreted)
     oracle = _oracle(interpreted)
     reached_pipeline = _count_process_calls(compiled)
     for frame, _well_formed in frames:
-        got = _run_frame(compiled, compiled.receive, frame)
-        want = _run_frame(interpreted, oracle, frame)
+        got = _run_frame(
+            compiled, compiled.receive, frame, ahead=ahead, early=bool(ahead)
+        )
+        want = _run_frame(interpreted, oracle, frame, ahead=ahead)
         assert got == want
         assert compiled_log == interpreted_log
         assert _state(compiled) == _state(interpreted)
@@ -241,15 +257,21 @@ def _decoder(transform=None, simulator=None):
     return switch
 
 
+#: How far ahead of the clock the compiled twin is handed each frame: not
+#: at all, and by more than a pipeline latency.
+AHEAD = [pytest.param(0.0, id="at-clock"), pytest.param(5e-6, id="ahead")]
+
+
 class TestEncoderSwitchFastPath:
+    @pytest.mark.parametrize("ahead", AHEAD)
     @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
-    def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits):
+    def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits, ahead):
         compiled = _encoder(_transform(order, prefix_bits), Simulator())
         interpreted = _encoder(_transform(order, prefix_bits), Simulator())
         frames = _frame_mix(
             compiled.transform, compiled.headers, random.Random(2020), 500
         )
-        _drive_twins(compiled, interpreted, frames)
+        _drive_twins(compiled, interpreted, frames, ahead)
 
     def test_basis_table_entry_metadata_matches(self):
         compiled = _encoder()
@@ -300,12 +322,13 @@ class TestEncoderSwitchFastPath:
 
 
 class TestDecoderSwitchFastPath:
+    @pytest.mark.parametrize("ahead", AHEAD)
     @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
-    def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits):
+    def test_equivalent_over_randomized_frame_mix(self, order, prefix_bits, ahead):
         compiled = _decoder(_transform(order, prefix_bits), Simulator())
         interpreted = _decoder(_transform(order, prefix_bits), Simulator())
         frames = _frame_mix(compiled.transform, compiled.headers, random.Random(7), 500)
-        _drive_twins(compiled, interpreted, frames)
+        _drive_twins(compiled, interpreted, frames, ahead)
 
     @pytest.mark.parametrize(
         "identifier, basis",
