@@ -425,10 +425,7 @@ class EmulatedLink:
         else:
             # A bound-method partial instead of a fresh closure per frame.
             deliver = partial(self._deliver, frame, deliver_at)
-        if lookahead is not None:
-            lookahead.schedule_at(deliver_at, deliver, self._deliver_label)
-        else:
-            simulator.schedule_at(deliver_at, deliver, self._deliver_label)
+        simulator.schedule_at(deliver_at, deliver, self._deliver_label)
 
     def _deliver(self, frame: bytes, deliver_at: float) -> None:
         self.stats.delivered += 1

@@ -17,17 +17,18 @@ program's :class:`Lookahead` to that edge.  The rest is
 :meth:`Lookahead.admits`, asked per frame.
 
 What else can touch a program are the writes of its control plane and of
-the faults aimed at it.  Each such source counts what it has in flight on
-the programs it can write through an :class:`InFlight` — a control-plane
-step, a digest on its way to the control plane, a command parked behind a
-rate limiter or on a control link, an acknowledgement not yet back, a TTL
-poll, a pending restart or eviction storm — and states how soon a write
-it has *not* started yet could land (its reaction latency).
+the faults aimed at it.  Each such source reports what it has in flight
+on the programs it can write through an :class:`InFlight`: the events it
+schedules — a control-plane step, a digest on its way to the control
+plane, a rate limiter's drain, a TTL poll, a restart or eviction storm —
+hold each program until they have run, and the work it tracks itself — a
+command on a control link, an acknowledgement not yet back — is counted.
+It also states how soon a write it has *not* started yet could land (its
+reaction latency).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from math import inf
 from typing import Any, Callable, List
 
@@ -39,59 +40,59 @@ __all__ = ["InFlight", "Lookahead"]
 class Lookahead:
     """Whether an edge may hand one switch program a frame ahead of the clock.
 
-    ``in_flight`` counts the pending events that touch the program: writes
-    of the sources that watch it (:class:`InFlight`) and deliveries its
-    input scheduled because this rule did not hold (:meth:`schedule_at`).
-    ``reaction`` is the smallest delay after which a write no source has
-    started yet could land on it: +inf until a control plane watches it.
+    ``hold`` is the latest instant of a pending event that touches the
+    program: a write a source scheduled (:class:`InFlight`), or a delivery
+    its input scheduled because this rule refused it.  Every event up to
+    ``hold`` has run once the clock is past it.  ``in_flight`` counts the
+    writes sources track without an event of their own.  ``reaction`` is
+    the smallest delay after which a write no source has started yet could
+    land on the program: +inf until a control plane watches it.
     """
 
-    __slots__ = ("simulator", "in_flight", "reaction")
+    __slots__ = ("simulator", "hold", "in_flight", "reaction")
 
     def __init__(self, simulator: Simulator):
         self.simulator = simulator
+        self.hold = -inf
         self.in_flight = 0
         self.reaction = inf
 
     def admits(self, stamp: float) -> bool:
         """True when the program may take a frame stamped ``stamp`` now.
 
-        It may when no event that touches it is pending, ``stamp`` is not
-        before the clock, within the current run's
+        It may when nothing that touches it is pending — ``hold`` is before
+        the clock and ``in_flight`` is zero — and ``stamp`` is not before
+        the clock, within the current run's
         :attr:`~repro.sim.simulator.Simulator.horizon`, and less than
         ``reaction`` ahead of the clock, so no write started between now
         and the stamp lands before it.  An admitted stamp raises
-        :attr:`~repro.sim.simulator.Simulator.latest_stamp`.
+        :attr:`~repro.sim.simulator.Simulator.latest_stamp`.  A refused one
+        raises ``hold``: the caller schedules the delivery as an event at
+        ``stamp``, and nothing overtakes it.
         """
         simulator = self.simulator
-        if self.in_flight or not (
-            0.0 <= stamp - simulator.now < self.reaction and stamp <= simulator.horizon
+        now = simulator.now
+        if (
+            self.in_flight
+            or self.hold >= now
+            or not 0.0 <= stamp - now < self.reaction
+            or stamp > simulator.horizon
         ):
+            if stamp > self.hold:
+                self.hold = stamp
             return False
         if stamp > simulator.latest_stamp:
             simulator.latest_stamp = stamp
         return True
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], Any], description: str = ""
-    ) -> None:
-        """Schedule an event that touches the program, in flight until it runs."""
-        self.simulator.schedule_at(time, partial(self._run, callback), description)
-        self.in_flight += 1
-
-    def _run(self, callback: Callable[[], Any]) -> None:
-        self.in_flight -= 1
-        callback()
-
 
 class InFlight:
-    """What one source of writes has in flight, counted on every program it
-    can write.
+    """What one source of writes has in flight, on every program it can write.
 
-    A source names the programs it can write (:meth:`watch`); an event it
-    schedules through :meth:`schedule_at` / :meth:`schedule_in` counts on
-    each of them until it has run, and :meth:`add` counts work it tracks
-    itself (a frame on a control link, an acknowledgement outstanding).
+    A source names the programs it can write (:meth:`watch`).  An event it
+    schedules through :meth:`schedule_at` / :meth:`schedule_in` holds each
+    of them until it has run; :meth:`add` counts work it tracks itself (a
+    frame on a control link, an acknowledgement outstanding).
     """
 
     __slots__ = ("simulator", "programs")
@@ -116,17 +117,15 @@ class InFlight:
     def schedule_at(
         self, time: float, callback: Callable[[], Any], description: str = ""
     ) -> None:
-        """Schedule ``callback`` at ``time``, in flight until it runs."""
-        self.simulator.schedule_at(time, partial(self._run, callback), description)
-        self.add(1)
+        """Schedule ``callback`` at ``time``, holding every watched program
+        until it has run."""
+        self.simulator.schedule_at(time, callback, description)
+        for program in self.programs:
+            if time > program.hold:
+                program.hold = time
 
     def schedule_in(
         self, delay: float, callback: Callable[[], Any], description: str = ""
     ) -> None:
-        """Schedule ``callback`` ``delay`` seconds from now, in flight until it runs."""
-        self.simulator.schedule_in(delay, partial(self._run, callback), description)
-        self.add(1)
-
-    def _run(self, callback: Callable[[], Any]) -> None:
-        self.add(-1)
-        callback()
+        """Schedule ``callback`` ``delay`` seconds from now (see :meth:`schedule_at`)."""
+        self.schedule_at(self.simulator.now + delay, callback, description)

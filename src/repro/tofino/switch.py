@@ -209,10 +209,7 @@ class TofinoSwitch:
             deliver = partial(sink, frame, deliver_at)
         # A negative latency puts ``deliver_at`` in the past, which
         # ``schedule_at`` rejects.
-        if lookahead is not None:
-            lookahead.schedule_at(deliver_at, deliver, self._tx_labels[port])
-        else:
-            simulator.schedule_at(deliver_at, deliver, self._tx_labels[port])
+        simulator.schedule_at(deliver_at, deliver, description=self._tx_labels[port])
 
     @staticmethod
     def _deliver_traced(sink: PortSink, frame: bytes, deliver_at: float, context) -> None:

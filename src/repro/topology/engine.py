@@ -56,6 +56,7 @@ from repro.replay.metrics import (
     collect_wire_metrics,
 )
 from repro.replay.sources import Pacing, TraceSource, pacing_from_name
+from repro.sim.lookahead import InFlight
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
 from repro.topology.control import ControlChannel
@@ -517,7 +518,9 @@ class TopologyEngine:
             node = self._decoder_nodes.get(restart.node)
             if node is None:
                 continue  # filtered shard: event belongs to another worker
-            node.lookahead.schedule_at(
+            wipe = InFlight(self.simulator)
+            wipe.watch(node.lookahead)
+            wipe.schedule_at(
                 restart.time,
                 partial(self._restart_decoder, restart.node),
                 f"fault:restart:{restart.node}",

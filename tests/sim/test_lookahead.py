@@ -58,19 +58,28 @@ class TestAdmits:
         lookahead.reaction = 1e-3
         assert not _inside_a_run(simulator, lambda: lookahead.admits(2e-3))
 
-    def test_refuses_while_an_event_that_touches_the_program_is_pending(self):
+    def test_a_refused_stamp_holds_the_program_until_its_event_has_run(self):
+        """The caller schedules what the rule refused; nothing overtakes it."""
         simulator = Simulator()
         lookahead = Lookahead(simulator)
-        ran = []
-        lookahead.schedule_at(1.2e-3, lambda: ran.append(lookahead.in_flight))
-        assert lookahead.in_flight == 1
-        assert not _inside_a_run(simulator, lambda: lookahead.admits(1.1e-3))
-        assert ran == [0]  # counted out before its callback runs
-        assert lookahead.in_flight == 0
+        seen = []
+
+        def first():
+            assert not lookahead.admits(2.5e-3)  # past the horizon
+            simulator.schedule_at(2.5e-3, lambda: None)
+            seen.append(lookahead.admits(1.1e-3))  # behind the held delivery
+
+        simulator.schedule_at(1e-3, first)
+        simulator.run(until=2e-3)
+        assert seen == [False]
+        assert lookahead.hold == 2.5e-3
+        simulator.schedule_at(3e-3, lambda: seen.append(lookahead.admits(3.1e-3)))
+        simulator.run()
+        assert seen == [False, True]
 
 
 class TestInFlight:
-    def test_counts_on_every_program_it_watches(self):
+    def test_holds_and_counts_every_program_it_watches(self):
         simulator = Simulator()
         encoder, decoder, other = (Lookahead(simulator) for _ in range(3))
         writes = InFlight(simulator)
@@ -80,17 +89,28 @@ class TestInFlight:
         assert (encoder.reaction, decoder.reaction, other.reaction) == (2e-3, 1e-3, inf)
         writes.schedule_in(1e-3, lambda: None)
         writes.schedule_at(2e-3, lambda: None)
+        writes.schedule_at(1.5e-3, lambda: None)
+        assert (encoder.hold, decoder.hold, other.hold) == (2e-3, 2e-3, -inf)
         writes.add(1)
-        assert (encoder.in_flight, decoder.in_flight, other.in_flight) == (3, 3, 0)
+        assert (encoder.in_flight, decoder.in_flight, other.in_flight) == (1, 1, 0)
+        seen = []
+
+        def check(stamp):
+            seen.append((decoder.admits(stamp), other.admits(stamp)))
+
+        simulator.schedule_at(1.8e-3, lambda: check(1.9e-3))  # held to 2 ms
+        simulator.schedule_at(2.1e-3, lambda: check(2.2e-3))  # still counted
+        simulator.schedule_at(2.3e-3, lambda: writes.add(-1))
+        simulator.schedule_at(2.4e-3, lambda: check(2.5e-3))
         simulator.run()
-        writes.add(-1)
+        assert seen == [(False, True), (False, True), (True, True)]
         assert (encoder.in_flight, decoder.in_flight) == (0, 0)
 
-    def test_a_refused_schedule_counts_nothing(self):
+    def test_a_refused_schedule_holds_nothing(self):
         simulator = Simulator()
         program = Lookahead(simulator)
         writes = InFlight(simulator)
         writes.watch(program)
         with pytest.raises(SimulationError):
             writes.schedule_in(-1.0, lambda: None)
-        assert program.in_flight == 0
+        assert program.hold == -inf
