@@ -225,9 +225,9 @@ class ZipLineControlPlane:
         self.stats = ControlPlaneStats()
         self.events = EventLog()
         digest_engine.subscribe(LEARN_DIGEST, self._on_learn_digest)
-        #: Every step, TTL poll and unacknowledged decoder install of this
-        #: control plane, counted on both switches' lookaheads: all of
-        #: them can end in a write to either table.
+        #: Every step and TTL poll of this control plane holds both
+        #: switches' lookaheads until it has run: each can end in a write
+        #: to either table.
         self.in_flight = None if simulator is None else InFlight(simulator)
         if self.in_flight is not None:
             # A write nothing has started yet begins with a learn digest:
@@ -369,18 +369,13 @@ class ZipLineControlPlane:
         if self._abandon_if_stale(basis, identifier):
             return
         now = self._now()
-        # Until the transport acknowledges or drops the install, its
-        # acknowledgement may start the encoder-side write.
-        self._count_in_flight(1)
 
         def proceed() -> None:
-            self._count_in_flight(-1)
             self._after_table_write(
                 lambda: self._install_encoder_side(basis, identifier)
             )
 
         def dropped() -> None:
-            self._count_in_flight(-1)
             # The install never reached the decoder: roll the allocation
             # back so a later digest for this basis can retry from scratch.
             if self._pool.identifier_for(basis) == identifier:
@@ -423,8 +418,8 @@ class ZipLineControlPlane:
     # -- idle timeout handling ---------------------------------------------------
 
     def _schedule_idle_poll(self) -> None:
-        self.in_flight.schedule_in(
-            self._timings.idle_poll_interval,
+        self.in_flight.schedule_at(
+            self._simulator.now + self._timings.idle_poll_interval,
             self._idle_poll,
             "control-plane idle poll",
         )
@@ -452,11 +447,9 @@ class ZipLineControlPlane:
         if self.in_flight is None:
             callback()
         else:
-            self.in_flight.schedule_in(delay, callback, "control-plane step")
-
-    def _count_in_flight(self, count: int) -> None:
-        if self.in_flight is not None:
-            self.in_flight.add(count)
+            self.in_flight.schedule_at(
+                self._simulator.now + delay, callback, "control-plane step"
+            )
 
     def _after_table_write(self, callback) -> None:
         """Run ``callback`` one (jittered) table-write latency from now."""

@@ -398,8 +398,13 @@ class EmulatedLink:
                 stats.reordered += 1
         deliver_at = done + self.propagation_delay + penalty
 
+        lookahead = self._lookahead
         if tracer.enabled:
-            # One span per wire stage.
+            # One span per wire stage, plus a context capture so the
+            # delivery event (and everything the sink does synchronously —
+            # decode, arrival accounting) is attributed to the chunk that
+            # entered the wire, not whichever chunk is current when the
+            # simulator fires the event.
             if start > now:
                 tracer.span("link.enqueue", self.name, now, start)
             tracer.span(
@@ -410,22 +415,24 @@ class EmulatedLink:
                 args={"bytes": len(frame)},
             )
             tracer.span("link.propagate", self.name, done, deliver_at)
-        lookahead = self._lookahead
-        if lookahead is not None and lookahead.admits(deliver_at):
-            stats.delivered += 1
-            stats.delivered_bytes += length
-            self._sink(frame, deliver_at)
+            if lookahead is None or not lookahead.admits(deliver_at):
+                simulator.schedule_at(
+                    deliver_at,
+                    partial(self._deliver_traced, frame, deliver_at, tracer.context),
+                    self._deliver_label,
+                )
+                return
+        elif lookahead is None or not lookahead.admits(deliver_at):
+            # A bound-method partial instead of a fresh closure per frame —
+            # the link sits on every replayed packet's path.
+            simulator.schedule_at(
+                deliver_at, partial(self._deliver, frame, deliver_at), self._deliver_label
+            )
             return
-        if tracer.enabled:
-            # A context capture, so the delivery event (and everything the
-            # sink does synchronously — decode, arrival accounting) is
-            # attributed to the chunk that entered the wire, not whichever
-            # chunk is current when the simulator fires the event.
-            deliver = partial(self._deliver_traced, frame, deliver_at, tracer.context)
-        else:
-            # A bound-method partial instead of a fresh closure per frame.
-            deliver = partial(self._deliver, frame, deliver_at)
-        simulator.schedule_at(deliver_at, deliver, self._deliver_label)
+        # The receiving program's lookahead admitted the delivery stamp.
+        stats.delivered += 1
+        stats.delivered_bytes += length
+        self._sink(frame, deliver_at)
 
     def _deliver(self, frame: bytes, deliver_at: float) -> None:
         self.stats.delivered += 1

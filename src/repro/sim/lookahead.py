@@ -90,8 +90,8 @@ class InFlight:
     """What one source of writes has in flight, on every program it can write.
 
     A source names the programs it can write (:meth:`watch`).  An event it
-    schedules through :meth:`schedule_at` / :meth:`schedule_in` holds each
-    of them until it has run; :meth:`add` counts work it tracks itself (a
+    schedules through :meth:`schedule_at` holds each of them until it has
+    run; :meth:`add` counts work it tracks itself (a
     frame on a control link, an acknowledgement outstanding).
     """
 
@@ -124,8 +124,3 @@ class InFlight:
             if time > program.hold:
                 program.hold = time
 
-    def schedule_in(
-        self, delay: float, callback: Callable[[], Any], description: str = ""
-    ) -> None:
-        """Schedule ``callback`` ``delay`` seconds from now (see :meth:`schedule_at`)."""
-        self.schedule_at(self.simulator.now + delay, callback, description)

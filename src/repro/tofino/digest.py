@@ -73,7 +73,7 @@ class DigestEngine:
         # Delivery-event descriptions, formatted once per digest type.
         self._labels: Dict[str, str] = {}
         self._undelivered = 0
-        #: Undelivered digests, counted on the programs the subscribers can
+        #: Undelivered digests, holding the programs the subscribers can
         #: write (see :mod:`repro.sim.lookahead`).
         self.in_flight = None if simulator is None else InFlight(simulator)
         self.emitted = 0

@@ -146,8 +146,8 @@ class ControlChannel:
         self._send_epoch = 0
         self._applied_epochs: Dict[Any, int] = {}
         self._drain_label = f"{link.name}:control-drain"
-        #: Commands parked behind the rate limiter and frames on the wire,
-        #: counted on the managed switch's lookahead.
+        #: The drain of commands parked behind the rate limiter holds the
+        #: managed switch's lookahead; frames on the wire are counted on it.
         self.in_flight = InFlight(simulator)
         lookahead = getattr(switch, "lookahead", None)
         if lookahead is not None:
@@ -227,7 +227,9 @@ class ControlChannel:
             return
         self._drain_scheduled = True
         wait = max(0.0, (1.0 - self._tokens) / self.rate)
-        self.in_flight.schedule_in(wait, self._drain, self._drain_label)
+        self.in_flight.schedule_at(
+            self.simulator.now + wait, self._drain, self._drain_label
+        )
 
     def _drain(self) -> None:
         self._drain_scheduled = False

@@ -363,6 +363,10 @@ class TopologyEngine:
                     rate=self.spec.control_rate,
                     queue_capacity=self.spec.control_queue,
                 )
+                # A command's acknowledgement starts the encoder-side
+                # install, so what the channel has in flight is the
+                # encoder's too.
+                channel.in_flight.watch(encoder.lookahead)
                 self.control_channels[node_spec.name] = channel
                 decoder_transport = channel.transport
             self.control_planes[node_spec.name] = ZipLineControlPlane(

@@ -87,7 +87,7 @@ class TestInFlight:
         writes.watch(decoder, reaction=1e-3)
         writes.watch(decoder, reaction=3e-3)  # the smallest reaction stays
         assert (encoder.reaction, decoder.reaction, other.reaction) == (2e-3, 1e-3, inf)
-        writes.schedule_in(1e-3, lambda: None)
+        writes.schedule_at(1e-3, lambda: None)
         writes.schedule_at(2e-3, lambda: None)
         writes.schedule_at(1.5e-3, lambda: None)
         assert (encoder.hold, decoder.hold, other.hold) == (2e-3, 2e-3, -inf)
@@ -112,5 +112,5 @@ class TestInFlight:
         writes = InFlight(simulator)
         writes.watch(program)
         with pytest.raises(SimulationError):
-            writes.schedule_in(-1.0, lambda: None)
+            writes.schedule_at(-1.0, lambda: None)
         assert program.hold == -inf
