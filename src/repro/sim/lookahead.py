@@ -22,9 +22,9 @@ on the programs it can write through an :class:`InFlight`: the events it
 schedules — a control-plane step, a digest on its way to the control
 plane, a rate limiter's drain, a TTL poll, a restart or eviction storm —
 hold each program until they have run, and the work it tracks itself — a
-command on a control link, an acknowledgement not yet back — is counted.
-It also states how soon a write it has *not* started yet could land (its
-reaction latency).
+command on a control link, whose acknowledgement also starts the
+encoder-side install — is counted.  It also states how soon a write it
+has *not* started yet could land (its reaction latency).
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class InFlight:
 
     A source names the programs it can write (:meth:`watch`).  An event it
     schedules through :meth:`schedule_at` holds each of them until it has
-    run; :meth:`add` counts work it tracks itself (a
-    frame on a control link, an acknowledgement outstanding).
+    run; :meth:`add` counts work it tracks itself (a command on a control
+    link).
     """
 
     __slots__ = ("simulator", "programs")
@@ -102,8 +102,8 @@ class InFlight:
         self.programs: List[Lookahead] = []
 
     def watch(self, program: Lookahead, reaction: float = inf) -> None:
-        """Count on ``program`` too; ``reaction`` is how soon a write this
-        source has not started yet could land on it."""
+        """Hold and count on ``program`` too; ``reaction`` is how soon a
+        write this source has not started yet could land on it."""
         if program not in self.programs:
             self.programs.append(program)
         if reaction < program.reaction:

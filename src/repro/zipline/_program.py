@@ -125,11 +125,12 @@ class ZipLineSwitchBase:
             digest_engine=digest_engine or DigestEngine(simulator),
             **switch_kwargs,
         )
-        if self.lookahead is not None:
+        digests = self.switch.digest_engine.in_flight
+        if self.lookahead is not None and digests is not None:
             # A digest in flight reaches the control plane, which may write
             # this program; the queue depth it counts against is the
             # program's own.
-            self.switch.digest_engine.in_flight.watch(self.lookahead)
+            digests.watch(self.lookahead)
 
         self._forwarding: Dict[int, int] = {}
         for ingress_port, egress_port in (forwarding or {}).items():
