@@ -198,13 +198,19 @@ class TestLookaheadRule:
         }
         assert sum(flow.delivered for flow in engine.report().flows) == 2 * self.CHUNKS
 
-    def test_a_program_with_a_write_in_flight_keeps_its_events(self):
+    @pytest.mark.parametrize(
+        "build, label",
+        [(linear_topology, "link0:deliver"), (paper_testbed_topology, "encoder:tx:1")],
+    )
+    def test_a_program_with_a_write_in_flight_keeps_its_events(self, build, label):
         """A dynamic run shorter than the digest latency: every frame meets
-        a learn digest on its way to the control plane."""
-        spec = _spec(chunks=self.CHUNKS, bases=2, packet_rate=1e5, scenario="dynamic")
+        a learn digest on its way to the control plane, on the wire into
+        the decoder and on the direct encoder → decoder hop alike."""
+        spec = build(chunks=self.CHUNKS, bases=2, packet_rate=1e5,
+                     scenario="dynamic", seed=7)
         engine = TopologyEngine(spec)
         labels = _labels(engine)
-        assert labels["link0:deliver"] == self.CHUNKS
+        assert labels[label] == self.CHUNKS
         assert engine.report().metrics.counter("controlplane.mappings_learned") > 0
 
     def test_a_program_with_a_restart_in_flight_keeps_its_events(self):
