@@ -60,6 +60,17 @@ class Simulator:
     component that hands a frame on records the stamp in ``latest_stamp``
     (it may only raise it): a drained run leaves the clock there, where the
     event it saved would have left it.
+
+    **Trains.**  An event's callback may run further events itself, after
+    its own: events that were never pushed on the heap, because each orders
+    before every pending one when its turn comes (the flow injector runs a
+    shard's paced injections this way).  Between two of them it calls
+    :meth:`advance`, which ends the event being executed exactly as
+    :meth:`step` ends one — counted, traced as ``sim.event``, shown to the
+    observers — and moves the clock to the next one's key.  Such a train is
+    a run of consecutive events, not a merged one: every count, trace
+    instant, observer call, ``until`` cut and ``max_events`` cut is the one
+    the same events would give one heap entry at a time.
     """
 
     def __init__(self, start_time: float = 0.0):
@@ -69,6 +80,9 @@ class Simulator:
             )
         self._queue: List[Tuple[float, int, Callable[[], Any], str]] = []
         self._executed_events = 0
+        # The ``executed_events`` count the current run stops at (-inf
+        # outside a run, so nothing advances there).
+        self._limit = -inf
         self._running = False
         self._observers: List[Observer] = []
         self.horizon = -inf
@@ -130,6 +144,22 @@ class Simulator:
             raise SimulationError("event callback must be callable")
         heappush(self._queue, (time, next_sequence(), callback, description))
 
+    def schedule_drawn(
+        self, time: float, sequence: int, callback: Callable[[], Any], description: str = ""
+    ) -> None:
+        """Schedule ``callback`` at the key ``(time, sequence)``, whose
+        ``sequence`` the caller drew earlier with :attr:`next_sequence`.
+
+        The event then orders among the others as it would had it been
+        scheduled at the moment of that draw.  The key must not order
+        before :attr:`current_key`.
+        """
+        if not self.now <= time < inf:
+            raise SimulationError(
+                f"cannot schedule event at {time}s from the current time {self.now}s"
+            )
+        heappush(self._queue, (time, sequence, callback, description))
+
     def schedule_in(
         self, delay: float, callback: Callable[[], Any], description: str = ""
     ) -> None:
@@ -174,6 +204,8 @@ class Simulator:
         self.now = time
         self._position = entry
         callback()
+        # A callback that ran a train (``advance``) leaves the clock on the
+        # last event of it, which ends here.
         self._executed_events += 1
         tracer = _obs.TRACER
         if tracer.enabled:
@@ -181,11 +213,45 @@ class Simulator:
                 "sim.event",
                 "sim",
                 args={"desc": description} if description else None,
-                ts=time,
+                ts=self.now,
             )
         if self._observers:
+            now = self.now
             for observer in self._observers:
-                observer(time, description)
+                observer(now, description)
+        return True
+
+    def advance(self, time: float, sequence: int, description: str) -> bool:
+        """End the event being executed and start the event ``(time,
+        sequence)`` of the same callback's train, without the heap.
+
+        The ending event — labelled ``description`` — is counted, traced
+        and shown to the observers as :meth:`step` would after its
+        callback; then the clock and :attr:`current_key` move to the new
+        key, and the caller runs the new event.  The caller guarantees the
+        key orders after the ending event and before every pending one,
+        and lies within :attr:`horizon`.  Returns ``False``, changing
+        nothing, when the current run's ``max_events`` leaves no room for
+        the new event.
+        """
+        executed = self._executed_events + 1
+        if executed >= self._limit:
+            return False
+        self._executed_events = executed
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            tracer.instant(
+                "sim.event",
+                "sim",
+                args={"desc": description} if description else None,
+                ts=self.now,
+            )
+        if self._observers:
+            now = self.now
+            for observer in self._observers:
+                observer(now, description)
+        self.now = time
+        self._position = (time, sequence)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -210,22 +276,24 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self.horizon = horizon = inf if until is None else until
-        budget = inf if max_events is None else max_events
+        start = self._executed_events
+        # ``advance`` reads the budget here: a train stops where the run
+        # would have.
+        self._limit = limit = inf if max_events is None else start + max_events
         queue = self._queue
         step = self.step
-        executed = 0
         try:
             while queue and queue[0][0] <= horizon:
-                if executed >= budget:
-                    return executed
+                if self._executed_events >= limit:
+                    return self._executed_events - start
                 step()
-                executed += 1
             if until is None:
                 if self.latest_stamp > self.now:
                     self._settle(self.latest_stamp, before=False)
             elif self.now <= until:
                 self._settle(until, before=False)
-            return executed
+            return self._executed_events - start
         finally:
             self._running = False
             self.horizon = -inf
+            self._limit = -inf

@@ -62,6 +62,7 @@ from repro.tofino.digest import DigestEngine
 from repro.topology.control import ControlChannel
 from repro.topology.flows import (
     FlowArrivals,
+    FlowInjector,
     FlowState,
     flow_source,
     flow_source_mac,
@@ -569,8 +570,7 @@ class TopologyEngine:
                 )
             by_name[name].use_source(source, pacing)
         self._schedule_faults()
-        for state in self.flow_states:
-            state.start(self.simulator, self._host_nodes[state.spec.source])
+        FlowInjector(self.simulator, self.flow_states, self.graph).start()
         self.simulator.run(until=until, max_events=max_events)
         if self._snapshotter is not None:
             self._snapshotter.flush()

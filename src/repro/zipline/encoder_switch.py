@@ -25,11 +25,12 @@ drives, plus the per-packet-type counters the paper's statistics rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import obs as _obs
 from repro.controlplane.manager import LEARN_DIGEST
 from repro.core.bits import mask
+from repro.core.crc import lane_remainders, record_tables
 from repro.core.transform import GDTransform
 from repro.net.ethernet import EtherType
 from repro.sim.simulator import Simulator
@@ -47,6 +48,13 @@ from repro.zipline._program import (
 
 __all__ = ["ZipLineEncoderSwitch"]
 
+#: Fewest raw chunks :meth:`ZipLineEncoderSwitch.prime_syndromes` computes
+#: in one pass.  For the order-8 syndrome of 32-byte chunks the byte loop
+#: costs 737 ns per chunk at any count; one ``lane_remainders`` call with
+#: the join costs 851 ns per chunk at 8 chunks, 181 at 64 and 95 at 512,
+#: and 5.4 µs for a single chunk.  16 is the crossover.
+PRIME_THRESHOLD = 16
+
 #: Counter labels, mirroring the packet classifications of Section 5.
 COUNTER_LABELS = [
     "raw_to_uncompressed",
@@ -54,6 +62,26 @@ COUNTER_LABELS = [
     "passthrough_processed",
     "passthrough_other",
 ]
+
+
+class _PrimedRemainders(dict):
+    """Remainders of a train's chunk bytes, keyed by those bytes.
+
+    Bytes that are not among them — a frame that joined the train's
+    encoder from elsewhere — get the byte loop's answer, so a frame can
+    never read another frame's remainder.
+    """
+
+    __slots__ = ("_remainder",)
+
+    def __init__(
+        self, remainder: Callable[[bytes], int], chunks: List[bytes], remainders: bytes
+    ):
+        super().__init__(zip(chunks, remainders))
+        self._remainder = remainder
+
+    def __missing__(self, chunk: bytes) -> int:
+        return self._remainder(chunk)
 
 
 class ZipLineEncoderSwitch(ZipLineSwitchBase):
@@ -120,8 +148,14 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         code = self._transform.code
         headers = self._headers
         self._body_mask = mask(code.n)
-        self._remainder = code.byte_remainder
+        self._remainder = self._byte_remainder = code.byte_remainder
         self._chunk_end = ETHERNET_BYTES + headers.chunk.total_bytes
+        # A remainder lives in a byte lane of ``lane_remainders`` up to m = 8.
+        self._chunk_tables = (
+            record_tables(code.crc_parameter, code.m, headers.chunk.total_bytes)
+            if code.m <= 8
+            else None
+        )
         self._type2_bytes = headers.type2.total_bytes
         self._type3_bytes = headers.type3.total_bytes
         self._type2_pad = headers.type2_padding_bits
@@ -265,6 +299,40 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
             self._span("encode", now, {"outcome": "miss", "basis": basis})
         self.switch.digest_engine.emit(LEARN_DIGEST, {"basis": basis}, now)
         return out
+
+    # -- trains -----------------------------------------------------------------------
+
+    def prime_syndromes(self, frames: Iterable[bytes]) -> None:
+        """Compute the syndromes of the raw chunks among ``frames``, about to
+        arrive, in one bulk pass, until :meth:`drop_primed_syndromes`.
+
+        One :func:`~repro.core.crc.lane_remainders` call over the joined
+        chunk headers — one table per byte position, the way a hardware CRC
+        engine absorbs a whole word per clock — replaces the byte loop of
+        each frame; the ingress then reads a frame's remainder by its chunk
+        bytes.  Below :data:`PRIME_THRESHOLD` chunks, or without a byte
+        lane for the remainder (m > 8), every frame keeps the byte loop.
+        Other frames, and raw ones too short for a chunk header, never
+        reach the syndrome and are left out.
+        """
+        tables = self._chunk_tables
+        if tables is None:
+            return
+        end = self._chunk_end
+        chunks = [
+            frame[ETHERNET_BYTES:end]
+            for frame in frames
+            if frame[12:14] == ETH_RAW and len(frame) >= end
+        ]
+        if len(chunks) < PRIME_THRESHOLD:
+            return
+        self._remainder = _PrimedRemainders(
+            self._byte_remainder, chunks, lane_remainders(tables, b"".join(chunks))
+        ).__getitem__
+
+    def drop_primed_syndromes(self) -> None:
+        """Return every frame to the byte loop (after :meth:`prime_syndromes`)."""
+        self._remainder = self._byte_remainder
 
     # -- control-plane interface ------------------------------------------------------
 

@@ -7,8 +7,9 @@ static rack fan-in cut by ``run(until=t)`` and by ``max_events`` in the
 middle of its injections; a fan-in whose flows all start at the same
 instant, so every injection ties with another flow's and the tie-break
 decides; the thrashing in-network fan-in, whose deliveries and control
-steps fall between injections; and an ``entry_ttl`` spec, whose idle
-polls run between them.  Full runs are pinned at ``workers`` 1 and 2,
+steps fall between injections; two flows whose injections fit between
+the deliveries of one but not of the other; and an ``entry_ttl`` spec,
+whose idle polls run between them.  Full runs are pinned at ``workers`` 1 and 2,
 traced and not; cut runs (one engine, so no worker axis) traced and not.
 """
 
@@ -21,12 +22,14 @@ from repro import obs
 from repro.topology import (
     FaultPlan,
     TopologyEngine,
+    TopologySpec,
     fan_in_topology,
     linear_topology,
     rack_fan_in_topology,
     run_topology,
     validate_spec_faults,
 )
+from repro.topology.spec import FlowSpec, LinkSpec, NodeSpec
 
 
 def _rack(seed):
@@ -67,12 +70,39 @@ def _entry_ttl(ttl, control):
     return build
 
 
+def _near_and_far(seed):
+    """Two flows, one into a forwarder over a 0.1 µs link, one over a 50 µs
+    link into its sink: while a far frame is on the wire the near frames
+    could go in one train, but each near frame's delivery into the
+    forwarder is an event due before the next injection."""
+    hosts = ("near", "far", "near-sink", "far-sink")
+    nodes = [NodeSpec(name=name, kind="host") for name in hosts]
+    nodes.append(NodeSpec(name="hop", kind="forward", default_egress_port=1))
+    links = [
+        LinkSpec(
+            name="short", source=("near", 0), target=("hop", 0), propagation_us=0.1
+        ),
+        LinkSpec(name="out", source=("hop", 1), target=("near-sink", 0), direct=True),
+        LinkSpec(name="long", source=("far", 0), target=("far-sink", 0), propagation_us=50.0),
+    ]
+    flows = [
+        FlowSpec(name="near", source="near", sink="near-sink", chunks=200, bases=4),
+        FlowSpec(
+            name="far", source="far", sink="far-sink", chunks=200, bases=4, start=0.5e-6
+        ),
+    ]
+    return TopologySpec(
+        name="near-and-far", nodes=nodes, links=links, flows=flows, seed=seed
+    )
+
+
 #: Shapes run to completion through ``run_topology``.
 FULL = {
     "rack-static": _rack,
     "equal-start-static": _equal_start("static", "direct"),
     "equal-start-in-network": _equal_start("dynamic", "in-network"),
     "thrash-control-loss": _thrash,
+    "near-and-far": _near_and_far,
 }
 
 #: Shapes cut by ``TopologyEngine.run``: (shape, bound) -> builder and the
@@ -104,6 +134,8 @@ GOLDEN_FULL = {
     ("equal-start-in-network", 4242): "785bd8d2c36f7f761a6892562585235e",
     ("equal-start-static", 2020): "4ab24760aeeab47b97644685da96155a",
     ("equal-start-static", 4242): "5651882b1ceed56d543a673120406583",
+    ("near-and-far", 2020): "f67911495bed50aa9543f5ad01e71213",
+    ("near-and-far", 4242): "8d22e728b69d1986eb3bbc4e5fcf69b9",
     ("rack-static", 2020): "05e04a63a2352c374c3909a2e19d929c",
     ("rack-static", 4242): "b3f3a388698a87bd859466877701d0d2",
     ("thrash-control-loss", 2020): "e36d3e420f13434c87a17c918ee8bf2b",
