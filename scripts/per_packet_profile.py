@@ -14,6 +14,8 @@ interpreter overhead, then confirm with ``benchmarks/stack``.
 
     python scripts/per_packet_profile.py --preset rack-fan-in          # 32,000 chunks, minutes
     python scripts/per_packet_profile.py --preset rack-fan-in --quick  # 2,000 chunks, seconds
+    python scripts/per_packet_profile.py --preset fanin-thrash-learn --quick
+    python scripts/per_packet_profile.py --preset dns-lossy-multihop --quick
 """
 
 from __future__ import annotations
@@ -23,19 +25,59 @@ import sys
 from collections import Counter
 from pathlib import Path
 from types import CodeType
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: preset -> (full-size arguments, ``--quick`` arguments), all static.
-#: ``rack-fan-in`` at full size, streaming, is the benchmark's
-#: ``rack-static-hit`` shape; its quick size is the one
-#: ``tests/topology/test_per_packet_budget.py`` guards in both modes.
-SIZES: Dict[str, Tuple[Dict[str, int], Dict[str, int]]] = {
+def _rack_fan_in(chunks: int, senders: int):
+    from repro.topology import rack_fan_in_topology
+
+    return rack_fan_in_topology(
+        racks=2, senders=senders, chunks=chunks, bases=8, scenario="static", seed=2020
+    )
+
+
+def _fanin_thrash_learn(chunks: int):
+    from repro.topology import FaultPlan, fan_in_topology, validate_spec_faults
+
+    spec = fan_in_topology(
+        senders=4, workload="thrash", chunks=chunks, bases=10, packet_rate=1e5,
+        identifier_bits=5, control="in-network", seed=2020,
+    )
+    spec.faults = FaultPlan(control_loss=0.1)
+    validate_spec_faults(spec)
+    return spec
+
+
+def _dns_lossy_multihop(chunks: int):
+    from repro.topology import linear_topology
+
+    return linear_topology(
+        workload="dns", chunks=chunks, names=400, scenario="dynamic", hops=3,
+        loss=0.01, reorder=0.01, queue_capacity=64, packet_rate=1e5,
+        bandwidth_gbps=0.066, seed=2020,
+    )
+
+
+#: preset -> (full-size spec, ``--quick`` spec).  Each is the benchmark
+#: workload of its name (``benchmarks/stack``) at seed 2020; the full-size
+#: ``rack-fan-in`` run is ``rack-static-hit``, and every quick size is the
+#: one ``tests/topology/test_per_packet_budget.py`` guards.  The two
+#: learning shapes keep events between injections (control steps,
+#: refused deliveries), so each of their injections runs alone.
+PRESETS: Dict[str, Tuple[Callable[[], Any], Callable[[], Any]]] = {
     "rack-fan-in": (
-        dict(racks=2, senders=16, chunks=1000, bases=8),
-        dict(racks=2, senders=4, chunks=250, bases=8),
+        lambda: _rack_fan_in(chunks=1000, senders=16),
+        lambda: _rack_fan_in(chunks=250, senders=4),
+    ),
+    "fanin-thrash-learn": (
+        lambda: _fanin_thrash_learn(chunks=4000),
+        lambda: _fanin_thrash_learn(chunks=500),
+    ),
+    "dns-lossy-multihop": (
+        lambda: _dns_lossy_multihop(chunks=16000),
+        lambda: _dns_lossy_multihop(chunks=2000),
     ),
 }
 
@@ -76,16 +118,14 @@ def function_name(code: CodeType) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--preset", choices=sorted(SIZES), default="rack-fan-in")
+    parser.add_argument("--preset", choices=sorted(PRESETS), default="rack-fan-in")
     parser.add_argument("--quick", action="store_true", help="small inputs")
     parser.add_argument("--top", type=int, default=40, help="rows to print")
     args = parser.parse_args()
 
-    from repro.topology import TopologyEngine, preset_topology
+    from repro.topology import TopologyEngine
 
-    spec = preset_topology(
-        args.preset, scenario="static", seed=2020, **SIZES[args.preset][args.quick]
-    )
+    spec = PRESETS[args.preset][args.quick]()
     for metrics_mode in ("streaming", "exact"):
         engine = TopologyEngine(spec, metrics_mode=metrics_mode)
         calls, bytecodes = profile_run(engine)
@@ -94,9 +134,15 @@ def main() -> int:
             print("the run sent no chunks", file=sys.stderr)
             return 1
 
+        steps = sum(
+            count
+            for code, count in calls.items()
+            if function_name(code) == "repro.sim.simulator:Simulator.step"
+        )
         print(
             f"# {args.preset}, {metrics_mode}: {chunks} chunks, "
-            f"{engine.simulator.executed_events / chunks:.3f} events per chunk"
+            f"{engine.simulator.executed_events / chunks:.3f} events and "
+            f"{steps / chunks:.4f} Simulator.step calls per chunk"
         )
         print(f"{'calls/chunk':>12} {'bytecodes/chunk':>16}  function")
         for code, count in bytecodes.most_common(args.top):

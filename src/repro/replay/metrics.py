@@ -158,12 +158,21 @@ class Distribution:
         self._sorted = None
 
     def extend(self, values: Sequence[Number]) -> None:
-        """Record many samples."""
+        """Record many samples.
+
+        Exact mode takes an ``array('d')`` — what a link's queueing delays
+        and another exact distribution's samples are — as it is, in C; any
+        other sequence is converted sample by sample.  Either way the
+        samples and their order are the same.
+        """
         if self._bounded:
             for value in values:
                 self._add_bounded(value)
             return
-        self._samples.extend(float(value) for value in values)
+        if isinstance(values, array) and values.typecode == "d":
+            self._samples.extend(values)
+        else:
+            self._samples.extend(float(value) for value in values)
         if values:
             self._sorted = None
 

@@ -340,7 +340,6 @@ class FlowInjector:
                 continue
             recorded, frame = timed
             at = state.pacing.inject_at(0, recorded, len(frame))
-            state.fetched = 1
             heap.append((at if at > now else now, next_sequence(), state, frame))
         heapify(heap)
         self._single = len(heap) == 1
@@ -369,10 +368,9 @@ class FlowInjector:
             state.inject_traced(frame, time)
         else:
             state.host.inject(frame, time)
-        backlog = state.backlog
-        if backlog:
-            at, frame = backlog.popleft()
-            if not backlog:
+        if state.backlog:
+            at, frame = state.backlog.popleft()
+            if not state.backlog:
                 state.backlog = None
         else:
             timed = next(state.frames, None)
@@ -380,8 +378,9 @@ class FlowInjector:
                 at = None
             else:
                 recorded, frame = timed
-                at = state.pacing.inject_at(state.fetched, recorded, len(frame))
-                state.fetched += 1
+                # Every frame the flow took is injected by now, so the
+                # count sent is the next one's index.
+                at = state.pacing.inject_at(state.frames_sent, recorded, len(frame))
                 if at < time:
                     at = time
         if at is None:
@@ -395,17 +394,17 @@ class FlowInjector:
             heap[0] = (at, next_sequence(), state, frame)
         else:
             heapreplace(heap, (at, next_sequence(), state, frame))
-        head = heap[0]
-        time = head[0]
-        sequence = head[1]
-        if time <= self._simulator.horizon:
-            queue = self._queue
-            if not queue:
-                return self._train()
+        time, sequence, _state, _frame = heap[0]
+        queue = self._queue
+        if queue:
             first = queue[0]
-            if time < first[0] or (time == first[0] and sequence < first[1]):
-                return self._train()
-        self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
+            if time > first[0] or (time == first[0] and sequence > first[1]):
+                self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
+                return
+        if time <= self._simulator.horizon:
+            self._train()
+        else:
+            self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
 
     def _train(self) -> None:
         """Collect the frames that precede every pending event, then run
@@ -423,6 +422,9 @@ class FlowInjector:
             stop_sequence = 0
         for _time, sequence, state, _frame in heap:
             state.sequence = sequence
+            # Pacing indexes what the flow took from its source: what it
+            # sent, its frame here and the ones a train handed back.
+            state.fetched = state.frames_sent + 1 + len(state.backlog or ())
         # Collect.  A frame whose flow's previous frame is collected but not
         # injected yet has no sequence; it merges on a provisional one, above
         # every sequence drawn so far and in the order the real ones will be

@@ -1,8 +1,10 @@
 """Tests for the metrics registry, distributions and the integrity verdict."""
 
+import json
 import os
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +44,30 @@ class TestDistribution:
         assert dist.summary() == {"count": 0}
         with pytest.raises(ReplayError):
             dist.percentile(50)
+
+    def test_an_array_extends_like_the_equal_list(self):
+        """``extend`` takes an ``array('d')`` in C: the samples, their order
+        (and so the summation order of the mean) and the registry's bytes
+        are those of the equal list, onto existing samples too."""
+        values = [0.1 * index + 1e-17 * (index % 7) for index in range(1000)]
+        shown = []
+        for given in (list(values), array("d", values)):
+            metrics = MetricsRegistry()
+            dist = metrics.distribution("link0.queueing_delay")
+            dist.add(3.0)
+            dist.extend(given)
+            merged = Distribution("merged")
+            merged.merge(dist)
+            shown.append(
+                (
+                    dist.samples,
+                    dist.mean(),
+                    [dist.percentile(q) for q in (0, 1, 50, 99, 100)],
+                    merged.samples,
+                    json.dumps(metrics.as_dict(), sort_keys=True),
+                )
+            )
+        assert shown[0] == shown[1]
 
     def test_percentile_bounds(self):
         dist = Distribution()
