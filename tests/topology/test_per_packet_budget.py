@@ -41,35 +41,84 @@ event schedules its successor itself (no ``_schedule_next``), an arrival
 goes straight to its flow's account (no ``FlowState.record_arrival``),
 the CRC extern's count is a plain attribute (two ``record_invocation``
 calls fewer) and a bounded ``Distribution.add`` is its sketch's, with
-``_bucket_index`` inlined (two calls fewer, streaming only).
+``_bucket_index`` inlined (two calls fewer, streaming only).  25.697
+(exact: 25.657) once one injector per shard runs every paced frame that
+precedes all other pending events inside one event — a train, each frame
+still its own executed event through ``Simulator.advance`` — and primes
+the encoder's syndromes for the whole train with one ``lane_remainders``
+call: ``Simulator.step`` falls from 1.0 to 0.004 calls per chunk (one per
+256-frame train), and ``step``, ``schedule_at``, the injection callback
+and the CRC byte loop give way to ``advance``; exact mode also stopped
+converting every queueing-delay and latency sample on its way into the
+report (``Distribution.extend`` takes an ``array('d')`` whole; two calls
+fewer).
+
+The learning shapes of the benchmark (``fanin-thrash-learn``,
+``dns-lossy-multihop``, at their ``--quick`` sizes, exact mode) always
+have an event due before the next injection, so each injection runs
+alone — the one-frame path.  Their counts were 45.703 and 68.349 before
+trains, and 43.701 and 64.453 after (the ``Distribution.extend`` change).
 """
 
 import sys
 
 import pytest
 
-from repro.topology import TopologyEngine, rack_fan_in_topology
+from repro.sim.simulator import Simulator
+from repro.topology import (
+    FaultPlan,
+    TopologyEngine,
+    fan_in_topology,
+    linear_topology,
+    rack_fan_in_topology,
+    validate_spec_faults,
+)
 
 #: Python-level ``call`` events per chunk the run may spend, per metrics
 #: mode.  Just above today's counts: a new per-frame call — or a per-frame
 #: record only one mode keeps — is a decision, not an accident.
-MAX_CALLS_PER_CHUNK = {"streaming": 28.7, "exact": 30.6}
+MAX_CALLS_PER_CHUNK = {"streaming": 25.75, "exact": 25.7}
+
+#: The same for the one-frame path, on the two learning shapes (exact).
+MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 43.75, "dns-lossy-multihop": 64.5}
 
 
-def _count_python_calls(function) -> int:
-    calls = 0
+def _count_python_calls(function):
+    """Python calls ``function()`` makes, and how many are ``Simulator.step``."""
+    calls = steps = 0
+    step = Simulator.step.__code__
 
-    def profiler(_frame, event, _arg):
-        nonlocal calls
+    def profiler(frame, event, _arg):
+        nonlocal calls, steps
         if event == "call":
             calls += 1
+            if frame.f_code is step:
+                steps += 1
 
     sys.setprofile(profiler)
     try:
         function()
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, steps
+
+
+def _fanin_thrash_learn():
+    spec = fan_in_topology(
+        senders=4, workload="thrash", chunks=500, bases=10, packet_rate=1e5,
+        identifier_bits=5, control="in-network", seed=2020,
+    )
+    spec.faults = FaultPlan(control_loss=0.1)
+    validate_spec_faults(spec)
+    return spec
+
+
+def _dns_lossy_multihop():
+    return linear_topology(
+        workload="dns", chunks=2000, names=400, scenario="dynamic", hops=3,
+        loss=0.01, reorder=0.01, queue_capacity=64, packet_rate=1e5,
+        bandwidth_gbps=0.066, seed=2020,
+    )
 
 
 @pytest.mark.parametrize("metrics_mode", ["streaming", "exact"])
@@ -78,7 +127,7 @@ def test_static_rack_fan_in_stays_within_its_per_chunk_budget(metrics_mode):
         racks=2, senders=4, chunks=250, bases=8, scenario="static", seed=2020
     )
     engine = TopologyEngine(spec, metrics_mode=metrics_mode)
-    calls = _count_python_calls(engine.run)
+    calls, steps = _count_python_calls(engine.run)
     chunks = sum(state.chunks_sent for state in engine.flow_states)
     assert chunks == 2 * 4 * 250
     # The injection only: both switches hand their output on stamped with
@@ -86,4 +135,21 @@ def test_static_rack_fan_in_stays_within_its_per_chunk_budget(metrics_mode):
     # the decoder stamped with its delivery instant (nothing can write the
     # decoder's table before it), and no event is spent on bookkeeping.
     assert engine.simulator.executed_events / chunks == 1.0
+    # Nothing else is pending, so the injections run in trains.
+    assert steps / chunks <= 0.01, steps / chunks
     assert calls / chunks <= MAX_CALLS_PER_CHUNK[metrics_mode], calls / chunks
+
+
+LEARNING_SHAPES = {
+    "fanin-thrash-learn": _fanin_thrash_learn,
+    "dns-lossy-multihop": _dns_lossy_multihop,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LEARNING_SHAPES))
+def test_an_injection_that_runs_alone_stays_within_its_budget(shape):
+    engine = TopologyEngine(LEARNING_SHAPES[shape](), metrics_mode="exact")
+    calls, _steps = _count_python_calls(engine.run)
+    chunks = sum(state.chunks_sent for state in engine.flow_states)
+    assert chunks == 2000
+    assert calls / chunks <= MAX_LEARNING_CALLS_PER_CHUNK[shape], calls / chunks
