@@ -242,8 +242,11 @@ class ZipLineControlPlane:
                     self.in_flight.watch(lookahead, reaction)
                     if digest_engine.in_flight is not None:
                         digest_engine.in_flight.watch(lookahead)
-        if self._entry_ttl is not None and simulator is not None:
-            self._schedule_idle_poll()
+        # The idle poll runs on a fixed grid from construction, and only
+        # while some encoder entry can time out (``_arm_idle_poll``).
+        self._idle_poll_armed = False
+        if simulator is not None:
+            self._next_idle_poll = simulator.now + self._timings.idle_poll_interval
 
     # -- accessors ---------------------------------------------------------
 
@@ -414,18 +417,44 @@ class ZipLineControlPlane:
         self.events.append(
             EncoderMappingInstalled(time=now, identifier=identifier, basis=basis)
         )
+        if self._entry_ttl is not None:
+            self._arm_idle_poll()
 
     # -- idle timeout handling ---------------------------------------------------
 
-    def _schedule_idle_poll(self) -> None:
+    def _timed_entries_remain(self) -> bool:
+        """True while some encoder entry carries a TTL, so can time out."""
+        table = getattr(self._encoder_switch, "mapping_table", None)
+        return table is not None and any(
+            entry.ttl is not None for entry in table.entries()
+        )
+
+    def _arm_idle_poll(self) -> None:
+        """Schedule the next idle poll, if entries time out and none is due.
+
+        Polls keep the phase of the grid they started on: the next one is
+        the first grid instant after now, as if the poll had never paused.
+        """
+        if (
+            self._idle_poll_armed
+            or self._entry_ttl is None
+            or self.in_flight is None
+            or self._encoder_switch is None
+        ):
+            return
+        interval = self._timings.idle_poll_interval
+        now = self._simulator.now
+        while self._next_idle_poll <= now:
+            self._next_idle_poll += interval
+        self._idle_poll_armed = True
         self.in_flight.schedule_at(
-            self._simulator.now + self._timings.idle_poll_interval,
-            self._idle_poll,
-            "control-plane idle poll",
+            self._next_idle_poll, self._idle_poll, "control-plane idle poll"
         )
 
     def _idle_poll(self) -> None:
-        """Recycle mappings whose encoder-side entries report idle timeout."""
+        """Recycle mappings whose encoder-side entries report idle timeout,
+        and poll again one interval later while any entry can still time
+        out — so a run ends once its last entries have expired."""
         now = self._now()
         if self._encoder_switch is not None and hasattr(self._encoder_switch, "expired_bases"):
             for basis in self._encoder_switch.expired_bases(now):
@@ -438,7 +467,10 @@ class ZipLineControlPlane:
                 self.events.append(
                     MappingExpired(time=now, identifier=identifier, basis=basis)
                 )
-        self._schedule_idle_poll()
+        self._idle_poll_armed = False
+        self._next_idle_poll = now + self._timings.idle_poll_interval
+        if self._timed_entries_remain():
+            self._arm_idle_poll()
 
     # -- plumbing ---------------------------------------------------------------------
 
@@ -564,4 +596,6 @@ class ZipLineControlPlane:
                     basis, allocation.identifier, self._entry_ttl
                 )
             count += 1
+        if count:
+            self._arm_idle_poll()
         return count

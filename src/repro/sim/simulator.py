@@ -271,6 +271,11 @@ class Simulator:
         is +inf): pending events may lie before their stamps, so the clock
         cannot move there; ``latest_stamp`` records how far they reached,
         and the run that drains the queue settles the clock there.
+
+        A run without ``until`` ends when its flows have drained and no
+        pending event can deliver a frame: no component keeps an event
+        pending for nothing (a control plane polls for idle entries only
+        while one can still expire).
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
