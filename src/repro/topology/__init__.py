@@ -19,7 +19,7 @@ engine:
   a spec can carry for deterministic fault injection;
 * :mod:`repro.topology.engine` — :class:`TopologyEngine`, which builds
   one spec and runs its N concurrent flows;
-  :mod:`repro.topology.flows` — the per-flow runtime (injection pump,
+  :mod:`repro.topology.flows` — the per-flow runtime (the injector,
   arrival attribution, the one FIFO content matcher);
   :mod:`repro.topology.report` — :class:`TopologyReport` with per-flow
   and per-link attribution, and the one fold that builds it;

@@ -10,8 +10,9 @@ single shared :class:`~repro.sim.simulator.Simulator`:
   link through :func:`~repro.topology.spec.derive_seed`);
 * every flow spec becomes a concurrently-scheduled traffic stream with its
   own :class:`~repro.replay.sources.TraceSource`, pacing, source MAC and
-  derived seed, injected at its source host one pending frame at a time
-  (bounded memory);
+  derived seed, injected at its source host by the engine's one
+  :class:`~repro.topology.flows.FlowInjector` (one pending event for all
+  flows, bounded memory);
 * each encoder's control plane either writes decoder mappings directly
   (``control: direct``) or ships them as in-network control messages over
   a dedicated emulated link with real latency (``control: in-network``).
@@ -26,7 +27,7 @@ in-memory source per flow and explicit static bases — are arguments of
 :meth:`TopologyEngine.run` and the constructor.  Every run, linear or
 not, reports as one :class:`TopologyReport`.
 
-This module is build + run.  The per-flow runtime — injection pump,
+This module is build + run.  The per-flow runtime — the injector,
 arrival attribution, the one FIFO content matcher — lives in
 :mod:`repro.topology.flows`; the report classes and the one fold that
 builds them in :mod:`repro.topology.report` (re-exported here).  The

@@ -2,8 +2,9 @@
 
 A :class:`FlowState` is one flow of a running
 :class:`~repro.topology.engine.TopologyEngine`: its traffic source and
-pacing, the one-pending-frame injection pump, volume counters, and the
-account that verifies its arrivals.
+pacing, volume counters, and the account that verifies its arrivals.  One
+:class:`FlowInjector` per engine — per shard — injects every flow's
+frames, from one pending event, in trains.
 
 **One matcher.**  :class:`FlowAccount` is the repository's only end-to-end
 integrity check: online FIFO content matching, each arrival matched the
@@ -170,8 +171,9 @@ class FlowAccount:
 
 
 class FlowState:
-    """Runtime state of one flow: scheduling identity, the injection pump
-    and volume counters, with verification delegated to its account.
+    """Runtime state of one flow: scheduling identity, its source as the
+    injector reads it, and volume counters, with verification delegated to
+    its account.
 
     ``verified`` gives the flow a :class:`FlowAccount` feeding ``latency``;
     without one it reports ``integrity: None`` and an empty latency.  A
@@ -289,18 +291,19 @@ class FlowInjector:
 
     When the event runs it injects its frame.  When the next frame still
     orders before every pending event and lies within the run's horizon,
-    a **train** follows: the injector collects up to :data:`TRAIN_CAP`
-    such frames, hands each encoder a host feeds directly the ones it will
-    receive, to compute their syndromes in one pass
+    a **train** follows.  The injector collects such frames (the event's
+    own included, at most :data:`TRAIN_CAP`), hands each encoder a host
+    feeds directly the frames it will receive, to compute their syndromes
+    in one pass
     (:meth:`~repro.zipline.encoder_switch.ZipLineEncoderSwitch.prime_syndromes`),
-    then runs them one after another,
-    each as its own event (:meth:`Simulator.advance`).  Before each it
-    checks the pending events again, because the frame before may have
-    scheduled one that comes first (a refused delivery, a digest, a
-    control step), and the run's ``max_events`` may stop it; frames it does
-    not run go back with their keys.  The steps of one injection are
-    written out both in the one-frame path and in the train: a call per
-    frame costs more than the lines.
+    then runs them one after another, each as its own event
+    (:meth:`~repro.sim.simulator.Simulator.advance`).  Before each it checks
+    the pending events again, because the frame before may have scheduled
+    one that comes first (a refused delivery, a digest, a control step),
+    and the run's ``max_events`` may stop it; frames it does not run go
+    back with their keys.  The steps of one injection are written out both
+    in the one-frame path and in the train: a call per frame costs more
+    than the lines.
     """
 
     def __init__(self, simulator: Simulator, flows: List[FlowState], graph: TopologyGraph):

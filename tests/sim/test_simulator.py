@@ -102,6 +102,57 @@ class TestRunControl:
         executed = simulator.run(max_events=10)
         assert executed == 10
 
+    def test_a_drawn_sequence_orders_the_event_where_it_was_drawn(self):
+        simulator = Simulator()
+        order = []
+        drawn = simulator.next_sequence()
+        simulator.schedule_at(1.0, lambda: order.append("scheduled after the draw"))
+        simulator.schedule_drawn(1.0, drawn, lambda: order.append("drawn first"))
+        simulator.run()
+        assert order == ["drawn first", "scheduled after the draw"]
+        with pytest.raises(SimulationError):
+            simulator.schedule_drawn(0.5, simulator.next_sequence(), lambda: None)
+
+    def test_a_train_is_events_counted_traced_and_observed_one_by_one(self):
+        """A callback that runs more events of its own through ``advance``:
+        each is counted and shown to the observers at its own instant, the
+        clock and ``current_key`` move to it, and ``max_events`` stops the
+        train where it would stop one event at a time."""
+
+        def train_run(max_events):
+            simulator = Simulator()
+            seen, keys = [], []
+            simulator.add_observer(lambda time, label: seen.append((time, label)))
+
+            def train():
+                keys.append(simulator.current_key)
+                for time in (1.1, 1.2, 1.3):
+                    sequence = simulator.next_sequence()
+                    if not simulator.advance(time, sequence, "car"):
+                        return
+                    keys.append(simulator.current_key)
+                    assert simulator.now == time
+                    assert simulator.current_key == (time, sequence)
+
+            simulator.schedule_at(1.0, train, "car")
+            simulator.schedule_at(2.0, lambda: None, "after")
+            executed = simulator.run(max_events=max_events)
+            return executed, simulator.executed_events, seen, len(keys)
+
+        assert train_run(None) == (
+            5, 5, [(1.0, "car"), (1.1, "car"), (1.2, "car"), (1.3, "car"), (2.0, "after")], 4
+        )
+        assert train_run(2) == (2, 2, [(1.0, "car"), (1.1, "car")], 2)
+        assert train_run(1) == (1, 1, [(1.0, "car")], 1)
+        # Outside a run nothing advances: ``step`` runs the event alone.
+        simulator = Simulator()
+        refused = []
+        simulator.schedule_at(
+            1.0,
+            lambda: refused.append(simulator.advance(1.5, simulator.next_sequence(), "x")),
+        )
+        assert simulator.step() and refused == [False] and simulator.now == 1.0
+
     def test_the_horizon_is_the_until_of_the_current_run(self):
         simulator = Simulator()
         seen = []

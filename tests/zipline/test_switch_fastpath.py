@@ -30,6 +30,7 @@ from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.mac import MacAddress
 from repro.sim.simulator import Simulator
 from repro.topology.control import apply_switch_command
+from repro.zipline import encoder_switch
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
@@ -272,6 +273,45 @@ class TestEncoderSwitchFastPath:
             compiled.transform, compiled.headers, random.Random(2020), 500
         )
         _drive_twins(compiled, interpreted, frames, ahead)
+
+    @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
+    def test_primed_syndromes_change_nothing(self, order, prefix_bits, monkeypatch):
+        """A train's syndromes come from one bulk pass: primed with half of
+        the mix (the other half, foreign and truncated frames take the byte
+        loop), the compiled switch still diffs clean against the
+        interpreted one."""
+        passes = []
+        bulk = encoder_switch.lane_remainders
+        monkeypatch.setattr(
+            encoder_switch,
+            "lane_remainders",
+            lambda tables, buffer: passes.append(len(buffer)) or bulk(tables, buffer),
+        )
+        compiled = _encoder(_transform(order, prefix_bits), Simulator())
+        interpreted = _encoder(_transform(order, prefix_bits), Simulator())
+        frames = _frame_mix(
+            compiled.transform, compiled.headers, random.Random(2020), 500
+        )
+        compiled.prime_syndromes(frame for frame, _well_formed in frames[::2])
+        assert len(passes) == 1
+        _drive_twins(compiled, interpreted, frames)
+
+    def test_too_few_chunks_keep_the_byte_loop(self, monkeypatch):
+        """Below ``PRIME_THRESHOLD`` raw chunks, or with a syndrome wider
+        than a byte lane, priming makes no bulk pass."""
+        passes = []
+        monkeypatch.setattr(
+            encoder_switch, "lane_remainders", lambda *args: passes.append(args)
+        )
+        switch = _encoder()
+        chunk = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, bytes(32)).to_bytes()
+        switch.prime_syndromes([chunk] * (encoder_switch.PRIME_THRESHOLD - 1))
+        wide = ZipLineEncoderSwitch(transform=GDTransform(order=9))
+        wide_chunk = EthernetFrame(
+            DST, SRC, ETHERTYPE_RAW_CHUNK, bytes(wide.headers.chunk.total_bytes)
+        ).to_bytes()
+        wide.prime_syndromes([wide_chunk] * encoder_switch.PRIME_THRESHOLD)
+        assert passes == []
 
     def test_basis_table_entry_metadata_matches(self):
         compiled = _encoder()
