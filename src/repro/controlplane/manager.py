@@ -423,7 +423,7 @@ class ZipLineControlPlane:
     # -- idle timeout handling ---------------------------------------------------
 
     def _timed_entries_remain(self) -> bool:
-        """True while some encoder entry carries a TTL, so can time out."""
+        """True while some encoder entry carries a TTL, and so can time out."""
         table = getattr(self._encoder_switch, "mapping_table", None)
         return table is not None and any(
             entry.ttl is not None for entry in table.entries()

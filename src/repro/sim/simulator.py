@@ -207,18 +207,8 @@ class Simulator:
         # A callback that ran a train (``advance``) leaves the clock on the
         # last event of it, which ends here.
         self._executed_events += 1
-        tracer = _obs.TRACER
-        if tracer.enabled:
-            tracer.instant(
-                "sim.event",
-                "sim",
-                args={"desc": description} if description else None,
-                ts=self.now,
-            )
-        if self._observers:
-            now = self.now
-            for observer in self._observers:
-                observer(now, description)
+        if _obs.TRACER.enabled or self._observers:
+            self._show(description)
         return True
 
     def advance(self, time: float, sequence: int, description: str) -> bool:
@@ -238,21 +228,26 @@ class Simulator:
         if executed >= self._limit:
             return False
         self._executed_events = executed
+        if _obs.TRACER.enabled or self._observers:
+            self._show(description)
+        self.now = time
+        self._position = (time, sequence)
+        return True
+
+    def _show(self, description: str) -> None:
+        """Trace the event that just ended as ``sim.event`` and show it to
+        the observers, at the clock it left."""
+        now = self.now
         tracer = _obs.TRACER
         if tracer.enabled:
             tracer.instant(
                 "sim.event",
                 "sim",
                 args={"desc": description} if description else None,
-                ts=self.now,
+                ts=now,
             )
-        if self._observers:
-            now = self.now
-            for observer in self._observers:
-                observer(now, description)
-        self.now = time
-        self._position = (time, sequence)
-        return True
+        for observer in self._observers:
+            observer(now, description)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or a cap.

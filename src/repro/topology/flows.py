@@ -492,6 +492,8 @@ class FlowInjector:
                     state.inject_traced(frame, time)
                 else:
                     state.host.inject(frame, time)
+                # The next frame's sequence, drawn even when there is none:
+                # only the order of sequences matters.
                 state.sequence = next_sequence()
                 ran += 1
         finally:
