@@ -57,13 +57,13 @@ __all__ = [
 INJECT = "replay:inject"
 
 #: Most frames one event injects: its own, and the train it collects
-#: before it runs them.  Measured on
-#: ``rack-static-hit`` (``benchmarks/stack/run.py --trace 0``, reference
-#: chunks/s, alternating pairs on a shared 2-CPU host): running and
-#: fetching frame by frame inside one event gained only +0.2 / +2.9 /
-#: +4.7 %; collecting first, then running, +13–18 % without syndrome
-#: priming.  Uncapped collection raised ``peak_rss_mb`` from 27.7 to 34.7
-#: (+25 %); a cap of 64 gave +14 %, and 256 keeps RSS flat (27.73 → 27.86).
+#: before it runs them.  Measured on ``rack-static-hit``
+#: (``benchmarks/stack/run.py --trace 0``, reference chunks/s, alternating
+#: pairs on a shared 2-CPU host): running and fetching frame by frame
+#: inside one event gained only +0.2 / +2.9 / +4.7 %; collecting first,
+#: then running, +13–18 % without syndrome priming.  Uncapped collection
+#: raised ``peak_rss_mb`` from 27.7 to 34.7 (+25 %); a cap of 64 gave
+#: +14 %, and 256 keeps RSS flat (27.73 → 27.86).
 TRAIN_CAP = 256
 
 #: A train entry's frame.
@@ -291,10 +291,10 @@ class FlowInjector:
 
     When the event runs it injects its frame.  When the next frame still
     orders before every pending event and lies within the run's horizon,
-    a **train** follows.  The injector collects such frames (the event's
-    own included, at most :data:`TRAIN_CAP`), hands each encoder a host
-    feeds directly the frames it will receive, to compute their syndromes
-    in one pass
+    a **train** follows.  The injector collects such frames — at most
+    :data:`TRAIN_CAP` per event, the event's own included — hands each
+    encoder a host feeds directly the frames it will receive, to compute
+    their syndromes in one pass
     (:meth:`~repro.zipline.encoder_switch.ZipLineEncoderSwitch.prime_syndromes`),
     then runs them one after another, each as its own event
     (:meth:`~repro.sim.simulator.Simulator.advance`).  Before each it checks
