@@ -6,8 +6,8 @@ rebuilt and asserts both directions of the contract:
 
 * **correctness** — the fast path is bit-identical to the reference,
   called by name (``HammingCode.chunk_to_basis`` per chunk / the
-  interpreted switch pipeline, ``switch.switch.receive``) on every workload
-  it times;
+  interpreted switch program, the test oracle
+  ``tests/zipline/p4_oracle.py``'s ``receive``) on every workload it times;
 * **performance** — machine-independent *speedup ratios* (fast vs reference
   on the same machine, same run) must not regress.  Absolute numbers go
   into the results JSON next to the machine/Python metadata; the committed
@@ -21,7 +21,9 @@ Measured stages:
    reference per-chunk ``chunk_to_basis`` (the pre-PR hot loop);
 2. *switch encode* — the Figure 4 functional scenario (raw-chunk frames
    through ``ZipLineEncoderSwitch``), compiled ``receive`` vs the
-   interpreted pipeline, with byte-identical output asserted;
+   interpreted program of the test oracle, with byte-identical output
+   asserted (run from the repository root, which the oracle is imported
+   from as ``tests.zipline.p4_oracle``);
 3. *backend matrix* — every available codec backend (``pure``, ``numpy``
    when installed) over the same corpus: whole-buffer field split,
    columnar batch split, bulk parity, batch join, whole-buffer batch CRC
@@ -69,6 +71,7 @@ from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 from benchmarks.conftest import RESULTS_DIR, emit_result, environment_info
+from tests.zipline import p4_oracle
 
 #: Scaled down when REPRO_BENCH_SMOKE is set (CI smoke mode).
 SMOKE = bool(int(os.environ.get("REPRO_BENCH_SMOKE", "0")))
@@ -251,11 +254,13 @@ def test_hotpath_trajectory():
         switch = ZipLineEncoderSwitch(transform=GDTransform(order=8), forwarding={0: 1})
         outputs = []
         switch.switch.attach_port(1, lambda frame, _time: outputs.append(frame))
-        receive = switch.receive if compiled else switch.switch.receive
-
         def push_all():
-            for frame in frames:
-                receive(frame, ingress_port=0)
+            if compiled:
+                for frame in frames:
+                    switch.receive(frame, ingress_port=0)
+            else:
+                for frame in frames:
+                    p4_oracle.receive(switch, frame, 0)
 
         return outputs, push_all
 

@@ -349,7 +349,7 @@ def _line_rate_precondition(_scale: None) -> Tuple[float, float, int]:
     programs = figure5_programs()
     figure5(programs)
     encode, decode = (
-        programs[name]._crc.invocations / programs[name].pipeline.packets_processed
+        programs[name].crc_invocations / programs[name].pipeline.packets_processed
         for name in ("encode", "decode")
     )
     return encode, decode, sum(_recirculated_or_duplicated(p) for p in programs.values())
@@ -414,7 +414,7 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("section-5", "§5: line rate needs one CRC-extern pass per chunk and no "
           "recirculation or duplication (encode, decode; Figure 5 probes)", (1, 1, 0),
           "simulated", 0, None, _line_rate_precondition,
-          "`repro.tofino.crc_extern.CrcExtern` invocations; a program recirculates "
+          "each program's `crc_invocations`; a program recirculates "
           "when its `repro.tofino.pipeline.Pipeline` ran more passes than frames "
           "arrived, or it emitted more frames than it received "
           "(`repro.tofino.switch.PortStats`)",

@@ -7,8 +7,8 @@ pair ``(value: int, width: int)`` with the most significant bit first
 (``value`` bit ``width - 1`` is the coefficient of ``x**(width - 1)`` in the
 polynomial view used by CRCs and Hamming codes).  There is no bit-vector
 type: a field is its integer value, and its width travels beside it
-(``GDParts`` fields, ``CrcEngine.compute(value, width)``, the
-``CrcExtern.get`` pairs, the P4 header layouts).
+(``GDParts`` fields, ``CrcEngine.compute(value, width)``, the P4 header
+layouts).
 
 This module holds the width arithmetic those pairs need: masks, byte
 lengths, alignment, and serialisation of a field to big-endian bytes.

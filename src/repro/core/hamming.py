@@ -25,10 +25,9 @@ lives with the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.backends import batch_backend
-from repro.core.bits import mask
 from repro.core.crc import (
     CrcEngine,
     byte_remainder_function,
@@ -206,7 +205,8 @@ class HammingCode:
 
     @property
     def error_masks(self) -> Tuple[int, ...]:
-        """The n-bit XOR masks indexed by syndrome (``error_mask`` sans checks)."""
+        """The n-bit XOR masks indexed by syndrome (step ➌/➍ of Figure 1;
+        :meth:`SyndromeTable.mask_for` without its checks)."""
         return self._error_masks
 
     @property
@@ -291,10 +291,6 @@ class HammingCode:
                 f"error position {position} out of range for n={self._n}"
             )
         return self._crc.compute(1 << position, self._n)
-
-    def error_mask(self, syndrome: int) -> int:
-        """XOR mask matching ``syndrome`` (step ➌/➍ of Figure 1)."""
-        return self._syndrome_table.mask_for(syndrome)
 
     # -- GD transformation (basis / deviation split) -------------------------
 

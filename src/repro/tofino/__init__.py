@@ -1,4 +1,4 @@
-"""Functional model of the Tofino / TNA data plane used by ZipLine."""
+"""The Tofino / TNA chassis and accounting the compiled ZipLine programs run on."""
 
 from repro.tofino.constraints import (
     ALIGNMENT_BITS,
@@ -10,30 +10,11 @@ from repro.tofino.constraints import (
     header_field_padding,
 )
 from repro.tofino.counters import CounterSample, NamedCounterSet
-from repro.tofino.crc_extern import CrcExtern
 from repro.tofino.digest import DigestEngine, DigestMessage
-from repro.tofino.parser import (
-    ACCEPT,
-    Deparser,
-    Header,
-    HeaderType,
-    ParsedPacket,
-    Parser,
-    ParserState,
-)
-from repro.tofino.pipeline import (
-    DEFAULT_PIPELINE_LATENCY,
-    PacketContext,
-    Pipeline,
-    PipelineResult,
-)
+from repro.tofino.parser import HeaderType
+from repro.tofino.pipeline import DEFAULT_PIPELINE_LATENCY, Pipeline
 from repro.tofino.switch import PortStats, TofinoSwitch
-from repro.tofino.tables import (
-    ActionSpec,
-    MatchActionTable,
-    MatchResult,
-    TableEntry,
-)
+from repro.tofino.tables import ActionSpec, MatchActionTable, TableEntry
 
 __all__ = [
     "ALIGNMENT_BITS",
@@ -45,24 +26,14 @@ __all__ = [
     "header_field_padding",
     "CounterSample",
     "NamedCounterSet",
-    "CrcExtern",
     "DigestEngine",
     "DigestMessage",
-    "ACCEPT",
-    "Deparser",
-    "Header",
     "HeaderType",
-    "ParsedPacket",
-    "Parser",
-    "ParserState",
     "DEFAULT_PIPELINE_LATENCY",
-    "PacketContext",
     "Pipeline",
-    "PipelineResult",
     "PortStats",
     "TofinoSwitch",
     "ActionSpec",
     "MatchActionTable",
-    "MatchResult",
     "TableEntry",
 ]

@@ -38,9 +38,9 @@ class NamedCounterSet:
         if len(set(labels)) != len(labels):
             raise ReproError("counter labels must be unique")
         self._indices = {label: index for index, label in enumerate(labels)}
-        #: The cells.  A data plane that resolved a label beforehand
-        #: (:meth:`index`) counts with two increments:
-        #: ``packet_cells[i] += 1`` and ``byte_cells[i] += length``.
+        #: The cells.  The data plane resolves a label once (:meth:`index`)
+        #: and counts with two increments: ``packet_cells[i] += 1`` and
+        #: ``byte_cells[i] += length``.
         self.packet_cells = [0] * len(labels)
         self.byte_cells = [0] * len(labels)
 
@@ -50,14 +50,6 @@ class NamedCounterSet:
         if index is None:
             raise ReproError(f"unknown counter label {label!r}")
         return index
-
-    def count(self, label: str, packet_bytes: int = 0) -> None:
-        """Account one packet under ``label``."""
-        index = self.index(label)
-        if packet_bytes < 0:
-            raise ReproError(f"packet size must be non-negative, got {packet_bytes}")
-        self.packet_cells[index] += 1
-        self.byte_cells[index] += packet_bytes
 
     def read(self, label: str) -> CounterSample:
         """Read the sample for ``label`` (control-plane access)."""

@@ -1,34 +1,28 @@
-"""The match-action pipeline: parser → ingress → deparser.
+"""The accounting record of a compiled Tofino pipeline.
 
-A :class:`Pipeline` binds together the pieces defined elsewhere in this
-package — a :class:`~repro.tofino.parser.Parser`, a user-supplied ingress
-control block, a :class:`~repro.tofino.parser.Deparser`, a
-:class:`~repro.tofino.constraints.ResourceTracker` — and runs packets
-through them the way the Tofino hardware does, while keeping the accounting
-needed by the evaluation:
+A :class:`Pipeline` is what the evaluation reads about the program a
+switch runs, beside the program itself:
 
-* how many passes the pipeline ran and how many packets it dropped (one
-  pass per arriving frame, no recirculation: §5's line-rate precondition);
+* how many passes the pipeline ran, how many packets it dropped and how
+  many of those its parser could not extract a header from (one pass per
+  arriving frame, no recirculation: §5's line-rate precondition);
 * a fixed per-packet pipeline latency (the hardware gives a constant
   port-to-port latency for a compiled program; Figure 5 reads each
-  program's latency off the simulator).
+  program's latency off the simulator);
+* the program's table and stage budget, a
+  :class:`~repro.tofino.constraints.ResourceTracker`.
 
-ZipLine's egress control is empty, so the model has none.  Control blocks
-are plain Python callables ``control(phv)`` operating on a
-:class:`PacketContext` by side effect, the same way P4 controls mutate the
-header vector and intrinsic metadata.
+The program that runs the packets is the ZipLine program
+(:class:`repro.zipline._program.ZipLineSwitchBase`), which counts into this
+record itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
-
 from repro.exceptions import PipelineError
 from repro.tofino.constraints import ResourceTracker
-from repro.tofino.parser import Deparser, ParsedPacket, Parser
 
-__all__ = ["PacketContext", "PipelineResult", "Pipeline", "DEFAULT_PIPELINE_LATENCY"]
+__all__ = ["Pipeline", "DEFAULT_PIPELINE_LATENCY"]
 
 #: Port-to-port latency of a compiled Tofino program, in seconds.  The public
 #: figure for Tofino-class ASICs is well under a microsecond.  In the
@@ -37,133 +31,29 @@ __all__ = ["PacketContext", "PipelineResult", "Pipeline", "DEFAULT_PIPELINE_LATE
 #: calibrated host/NIC cost, the same for all three programs.
 DEFAULT_PIPELINE_LATENCY = 0.6e-6
 
-#: Egress "port" value meaning the packet is dropped.
-DROP_PORT = -1
-
-
-@dataclass
-class PacketContext:
-    """The per-packet state a control block manipulates (PHV + intrinsic metadata)."""
-
-    packet: ParsedPacket
-    ingress_port: int
-    egress_port: int = DROP_PORT
-    drop_flag: bool = False
-    digests: List[Tuple[str, Dict[str, int]]] = field(default_factory=list)
-
-    def drop(self) -> None:
-        """Mark the packet to be dropped."""
-        self.drop_flag = True
-
-    def send_to_port(self, port: int) -> None:
-        """Set the egress port."""
-        if port < 0:
-            raise PipelineError(f"egress port must be non-negative, got {port}")
-        self.egress_port = port
-        self.drop_flag = False
-
-    def emit_digest(self, digest_type: str, data: Dict[str, int]) -> None:
-        """Queue a digest to be sent to the control plane after the pipeline."""
-        self.digests.append((digest_type, dict(data)))
-
-
-class PipelineResult(NamedTuple):
-    """Outcome of pushing one packet through the pipeline.
-
-    Immutable; a named tuple because one is built per packet.
-    """
-
-    egress_port: Optional[int]
-    frame: Optional[bytes]
-    digests: Tuple[Tuple[str, Dict[str, int]], ...]
-    latency: float
-
-    @property
-    def dropped(self) -> bool:
-        """True when the packet was dropped."""
-        return self.egress_port is None
-
 
 class Pipeline:
-    """A single Tofino pipeline bound to a P4-equivalent program.
+    """A single Tofino pipeline: name, latency, resources and pass counters.
 
     Parameters
     ----------
     name:
         Pipeline name for reports.
-    parser / deparser:
-        Packet parsing machinery.
-    ingress:
-        The ingress control block.
     pipeline_latency:
         Constant per-packet latency in seconds.
     """
 
-    def __init__(
-        self,
-        name: str,
-        parser: Parser,
-        ingress: Callable[[PacketContext], None],
-        deparser: Deparser,
-        pipeline_latency: float = DEFAULT_PIPELINE_LATENCY,
-    ):
+    def __init__(self, name: str, pipeline_latency: float = DEFAULT_PIPELINE_LATENCY):
         if pipeline_latency < 0:
             raise PipelineError("pipeline latency cannot be negative")
         self.name = name
-        self._parser = parser
-        self._ingress = ingress
-        self._deparser = deparser
         self.resources = ResourceTracker()
         self._pipeline_latency = pipeline_latency
         self.packets_processed = 0
         self.packets_dropped = 0
         self.parse_errors = 0
 
-    # -- properties -----------------------------------------------------------
-
     @property
     def pipeline_latency(self) -> float:
         """Constant per-packet latency in seconds."""
         return self._pipeline_latency
-
-    @property
-    def parser(self) -> Parser:
-        """The parser bound to this pipeline."""
-        return self._parser
-
-    # -- processing ----------------------------------------------------------------
-
-    def process(self, frame: bytes, ingress_port: int) -> PipelineResult:
-        """Push one frame through parser → ingress → deparser."""
-        if ingress_port < 0:
-            raise PipelineError(f"ingress port must be non-negative, got {ingress_port}")
-        self.packets_processed += 1
-        try:
-            parsed = self._parser.parse(frame)
-        except Exception:
-            # Parse errors drop the packet, they do not crash the switch.
-            self.parse_errors += 1
-            self.packets_dropped += 1
-            return PipelineResult(
-                egress_port=None, frame=None, digests=(), latency=self._pipeline_latency
-            )
-
-        context = PacketContext(packet=parsed, ingress_port=ingress_port)
-        self._ingress(context)
-
-        if context.drop_flag or context.egress_port == DROP_PORT:
-            self.packets_dropped += 1
-            return PipelineResult(
-                egress_port=None,
-                frame=None,
-                digests=tuple(context.digests),
-                latency=self._pipeline_latency,
-            )
-
-        output = self._deparser.emit(context.packet)
-        return PipelineResult(
-            egress_port=context.egress_port,
-            frame=output,
-            digests=tuple(context.digests),
-            latency=self._pipeline_latency,
-        )

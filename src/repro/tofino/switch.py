@@ -1,11 +1,12 @@
-"""The switch chassis: ports, links and the pipeline that processes frames.
+"""The switch chassis: ports, transmit and the digest path.
 
 :class:`TofinoSwitch` models the part of the Wedge100BF-32X that the
-experiments interact with: 32 front-panel 100 GbE ports, a programmable
-pipeline, a digest path towards the control plane, and per-port counters.
-Frames are injected on a port (by a host model or a trace replayer), run
-through the pipeline, and are delivered to whatever is attached to the
-egress port.
+experiments interact with: 32 front-panel 100 GbE ports with per-port
+counters, the :meth:`TofinoSwitch.transmit` that hands a frame to whatever
+is attached to an egress port, a digest path towards the control plane,
+and the accounting record of the pipeline it hosts.  The chassis runs no
+program itself: a ZipLine program (:mod:`repro.zipline`) receives a frame,
+counts it at its ingress port and ends in :meth:`TofinoSwitch.transmit`.
 
 Timing uses the shared discrete-event simulator when one is attached: the
 pipeline latency is added between ingress and delivery.  It rides on the
@@ -29,7 +30,7 @@ from repro.exceptions import PipelineError
 from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
-from repro.tofino.pipeline import Pipeline, PipelineResult
+from repro.tofino.pipeline import Pipeline
 
 __all__ = ["PortStats", "TofinoSwitch"]
 
@@ -50,14 +51,15 @@ class PortStats:
 
 
 class TofinoSwitch:
-    """A programmable switch: ports + pipeline + digest engine.
+    """A programmable switch chassis: ports + digest engine + pipeline record.
 
     Parameters
     ----------
     name:
         Switch name (used in reports and error messages).
     pipeline:
-        The P4-equivalent program to run on every received frame.
+        The accounting record (latency, resources, pass counters) of the
+        program the switch hosts.
     simulator:
         Optional shared simulator; enables latency modelling and timed digest
         delivery.
@@ -135,36 +137,15 @@ class TofinoSwitch:
 
     # -- data path ----------------------------------------------------------------
 
-    def receive(self, frame: bytes, ingress_port: int) -> PipelineResult:
-        """Process a frame arriving on ``ingress_port``.
-
-        Counts the frame, runs the pipeline, emits any digests the program
-        produced, and delivers the output frame to the attached sink (after
-        the pipeline latency when a simulator is attached).
-        """
-        stats = self.port_stats(ingress_port)
-        stats.rx_packets += 1
-        stats.rx_bytes += len(frame)
-
-        result = self.pipeline.process(frame, ingress_port)
-
-        for digest_type, data in result.digests:
-            self.digest_engine.emit(digest_type, data)
-
-        if result.egress_port is not None and result.frame is not None:
-            self.transmit(result.egress_port, result.frame, result.latency)
-        return result
-
     def transmit(
         self, port: int, frame: bytes, latency: float, time: Optional[float] = None
     ) -> None:
         """Deliver ``frame`` on ``port`` ``latency`` after ``time``.
 
         ``time`` is the instant the frame entered the program (the clock
-        when ``None``).  The interpreted :meth:`receive` and the compiled
-        program fast paths both end here.  A timed port's sink is called
-        now with the stamp ``time + latency`` when that is within the
-        simulator's :attr:`~repro.sim.simulator.Simulator.horizon` and no
+        when ``None``); a program's receive ends here.  A timed port's sink
+        is called now with the stamp ``time + latency`` when that is within
+        the simulator's :attr:`~repro.sim.simulator.Simulator.horizon` and no
         earlier frame of the port still waits for its transmit event; so is
         a port into a switch program whose lookahead admits the stamp;
         otherwise a transmit event calls the sink at that instant.  The

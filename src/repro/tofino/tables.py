@@ -1,15 +1,17 @@
 """Match-action tables with idle timeouts, the workhorse of the data plane.
 
 ZipLine stores its basis ↔ identifier mappings in regular match-action
-tables managed by the control plane, and relies on two TNA features the
-model reproduces:
+tables managed by the control plane, and relies on the TNA **per-entry TTL
+/ idle timeout**: the control plane sets a time-to-live on each basis-ID
+entry; entries that are not hit for that long are reported, which is how
+the LRU recycling decides what to evict.
 
-* **const entries** — the syndrome → XOR-mask table is generated offline and
-  compiled into the program (the paper uses a C++/Boost.CRC generator; the
-  reproduction computes the same entries from the Hamming code);
-* **per-entry TTL / idle timeout** — the control plane sets a time-to-live
-  on each basis-ID entry; entries that are not hit for that long are
-  reported, which is how the LRU recycling decides what to evict.
+ZipLine's other table, the syndrome → XOR-mask table, holds const entries
+generated offline (the paper uses a C++/Boost.CRC generator).  The compiled
+program reads those entries as the Hamming code's
+:attr:`~repro.core.hamming.HammingCode.error_masks`, so no
+:class:`MatchActionTable` holds a const entry; the syndrome table appears
+here only as its resource row.
 
 Every table ZipLine builds is exact-match, so that is the only match kind.
 """
@@ -24,7 +26,6 @@ from repro.exceptions import TableError
 __all__ = [
     "ActionSpec",
     "TableEntry",
-    "MatchResult",
     "MatchActionTable",
 ]
 
@@ -55,7 +56,6 @@ class TableEntry:
     action: str
     params: Dict[str, Any] = field(default_factory=dict)
     ttl: Optional[float] = None
-    is_const: bool = False
     installed_at: float = 0.0
     last_hit: Optional[float] = None
     hit_count: int = 0
@@ -72,16 +72,6 @@ class TableEntry:
         return self.idle_since(now) >= self.ttl
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of a table lookup."""
-
-    hit: bool
-    action: str
-    params: Dict[str, Any]
-    entry: Optional[TableEntry] = None
-
-
 class MatchActionTable:
     """A P4 exact-match table with control-plane add/modify/delete.
 
@@ -90,14 +80,15 @@ class MatchActionTable:
     name:
         Table name (appears in error messages and resource reports).
     key_bits:
-        Width of the match key in bits (used only for resource estimation
-        and key validation when keys are integers).
+        Width of the match key in bits, for resource estimation.  The table
+        does not check keys against it: the ZipLine programs validate every
+        key they install with ``ZipLineSwitchBase._check_field``.
     size:
         Maximum number of entries.
     actions:
         The actions entries may reference.
     default_action:
-        Action returned on a miss.
+        The action the program applies on a miss.
     support_idle_timeout:
         Whether entries may carry TTLs (TNA requires declaring this).
     """
@@ -127,7 +118,6 @@ class MatchActionTable:
                 f"table {name!r}: default action {default_action!r} is not declared"
             )
         self._default_action = default_action
-        self._default_params: Dict[str, Any] = {}
         self._entries: Dict[Hashable, TableEntry] = {}
         self.lookups = 0
         self.hits = 0
@@ -163,7 +153,6 @@ class MatchActionTable:
         params: Optional[Dict[str, Any]] = None,
         ttl: Optional[float] = None,
         now: float = 0.0,
-        is_const: bool = False,
     ) -> TableEntry:
         """Install an entry; raises if the table is full or the key exists."""
         spec = self._require_action(action)
@@ -182,28 +171,15 @@ class MatchActionTable:
             action=action,
             params=params,
             ttl=ttl,
-            is_const=is_const,
             installed_at=now,
         )
         return entry
 
-    def add_const_entries(
-        self, rows: Iterator[Tuple[Hashable, str, Dict[str, Any]]], now: float = 0.0
-    ) -> int:
-        """Install compile-time constant entries; returns the count."""
-        count = 0
-        for key, action, params in rows:
-            self.add_entry(key, action, params, now=now, is_const=True)
-            count += 1
-        return count
-
     def modify_entry(
         self, key: Hashable, action: str, params: Optional[Dict[str, Any]] = None
     ) -> TableEntry:
-        """Replace the action/params of an existing (non-const) entry."""
+        """Replace the action/params of an existing entry."""
         entry = self._require_entry(key)
-        if entry.is_const:
-            raise TableError(f"table {self.name!r}: cannot modify const entry {key!r}")
         spec = self._require_action(action)
         params = params or {}
         spec.validate_params(params)
@@ -212,10 +188,8 @@ class MatchActionTable:
         return entry
 
     def delete_entry(self, key: Hashable) -> None:
-        """Remove an entry; const entries cannot be removed."""
-        entry = self._require_entry(key)
-        if entry.is_const:
-            raise TableError(f"table {self.name!r}: cannot delete const entry {key!r}")
+        """Remove an entry."""
+        self._require_entry(key)
         del self._entries[key]
 
     def expired_entries(self, now: float) -> List[TableEntry]:
@@ -223,33 +197,17 @@ class MatchActionTable:
         return [entry for entry in self.entries() if entry.is_expired(now)]
 
     def clear(self) -> None:
-        """Remove every entry but the const ones."""
-        self._entries = {
-            key: entry for key, entry in self._entries.items() if entry.is_const
-        }
+        """Remove every entry."""
+        self._entries = {}
 
     # -- data-plane API ------------------------------------------------------------
 
-    def lookup(self, key: Hashable, now: float = 0.0) -> MatchResult:
-        """Look up ``key``; updates hit metadata on a hit."""
-        self.lookups += 1
-        entry = self._entries.get(key)
-        if entry is None:
-            return MatchResult(
-                hit=False, action=self._default_action, params=dict(self._default_params)
-            )
-        self.hits += 1
-        entry.last_hit = now
-        entry.hit_count += 1
-        return MatchResult(hit=True, action=entry.action, params=dict(entry.params), entry=entry)
-
     def lookup_ref(self, key: Hashable, now: float = 0.0) -> Optional[TableEntry]:
-        """Hit-path lookup returning the live entry without copying params.
+        """Look up ``key``: the live entry on a hit, ``None`` on a miss.
 
-        Same counter and hit-metadata side effects as :meth:`lookup`, but a
-        miss returns ``None`` and a hit returns the :class:`TableEntry`
-        itself — callers on the per-packet fast path read
-        ``entry.params[...]`` directly and must not mutate it.
+        Counts the lookup and, on a hit, updates the entry's hit metadata
+        (``last_hit = now``, ``hit_count``).  Callers on the per-packet path
+        read ``entry.params[...]`` directly and must not mutate it.
         """
         self.lookups += 1
         # Read the dictionary per call: ``clear`` rebinds it.

@@ -1,4 +1,4 @@
-"""What the two ZipLine programs share: one chassis, one parser, one receive.
+"""What the two ZipLine programs share: one chassis, one parse, one receive.
 
 The encoding and the decoding switch are the same P4 skeleton around a
 different ingress control: the same four headers and parse graph, the same
@@ -6,17 +6,15 @@ CRC extern and const syndrome → XOR-mask table, the same static forwarding
 and the same way of handing the frame a program emitted to its egress port.
 :class:`ZipLineSwitchBase` holds that skeleton once.
 
-Each program exists in two forms.  The *interpreted* form is the paper's
-program spelled out over the Tofino model — parser states, header objects,
-table dispatch, deparser — and carries the resource accounting; tests drive
-it directly through ``switch.switch.receive(frame, port)``, which returns a
-:class:`~repro.tofino.pipeline.PipelineResult`.  The *compiled* form is the
-same program reduced to integer arithmetic over the frame bytes, which is
-what the P4 compiler does for the ASIC: what does not depend on the packet
-— counter cells, per-port statistics, const-table rows — is bound when it
-is built.  It keeps every counter, port statistic, table hit-metadata
-update and digest bit-identical, returns only the frame it emitted, and is
-what :meth:`ZipLineSwitchBase.receive` runs.
+Each program is compiled, the way the P4 compiler lays it out for the ASIC:
+the paper's program reduced to integer arithmetic over the frame bytes,
+with what does not depend on the packet — counter cells, per-port
+statistics, the const table's masks, header sizes — bound when it is
+built.  :meth:`ZipLineSwitchBase.receive` runs it and returns only the
+frame it emitted.  The interpreted spelling of the same programs (parse
+graph, header objects, table dispatch, deparser) is the test oracle that
+every counter, port statistic, table entry and digest of the compiled form
+is diffed against.
 """
 
 from __future__ import annotations
@@ -31,17 +29,11 @@ from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 from repro.tofino.constraints import ResourceUsage
 from repro.tofino.counters import NamedCounterSet
-from repro.tofino.crc_extern import CrcExtern
 from repro.tofino.digest import DigestEngine
-from repro.tofino.parser import ACCEPT, Deparser, Header, Parser, ParserState
-from repro.tofino.pipeline import PacketContext, Pipeline
+from repro.tofino.pipeline import Pipeline
 from repro.tofino.switch import TofinoSwitch
-from repro.tofino.tables import ActionSpec, MatchActionTable
-from repro.zipline.headers import (
-    ETHERTYPE_RAW_CHUNK,
-    RAW_CHUNK_ETHERTYPE_BYTES,
-    ZipLineHeaderSet,
-)
+from repro.tofino.tables import MatchActionTable
+from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES, ZipLineHeaderSet
 
 __all__ = [
     "ZipLineSwitchBase",
@@ -62,11 +54,11 @@ ETHERNET_BYTES = 14
 
 
 class ZipLineSwitchBase:
-    """Chassis, parser, shared tables and the receive path of both programs.
+    """Chassis, parse, shared accounting and the receive path of both programs.
 
     Subclasses add their control-plane-managed table (through
-    :meth:`_add_mapping_table`) and the two forms of their ingress control:
-    :meth:`_apply` (interpreted) and :meth:`_compiled_ingress`.
+    :meth:`_add_mapping_table`) and their ingress control,
+    :meth:`_compiled_ingress`.
     """
 
     def __init__(
@@ -93,18 +85,16 @@ class ZipLineSwitchBase:
 
         code = self._transform.code
         self._syndrome_bits = code.m
-        # CRC extern programmed with the Hamming generator polynomial.
-        self._crc = CrcExtern(coeff=code.crc_parameter, width=code.m)
-        self._syndrome_table = self._build_syndrome_table()
+        #: Passes through the CRC extern programmed with the Hamming
+        #: generator polynomial: one per raw chunk encoded and one per
+        #: chunk decoded (the §5 line-rate precondition reads it).
+        self.crc_invocations = 0
         self.counters = NamedCounterSet(counter_labels)
 
-        pipeline = Pipeline(
-            name=f"{name}-pipeline",
-            parser=self._build_parser(),
-            ingress=self._ingress,
-            # At most one of the three ZipLine headers is valid on egress.
-            deparser=Deparser(["ethernet", "chunk", "type2", "type3"]),
-        )
+        pipeline = Pipeline(name=f"{name}-pipeline")
+        # The const syndrome → XOR-mask table (Figure 1 ➌, Figure 2 ➎): a
+        # perfect Hamming code has an entry for every syndrome, read as
+        # ``code.error_masks``.
         pipeline.resources.register(
             ResourceUsage(
                 name="syndrome_mask",
@@ -141,24 +131,18 @@ class ZipLineSwitchBase:
 
         # Compiled-program constants, read once here instead of through
         # property chains per frame: the code's widths, the pipeline's
-        # parser and fixed latency, the counter's cells, the chassis's
-        # per-port statistics, the const table as flat sequences and the
-        # shortest frame each EtherType's header fits in.  A shorter frame
-        # is a parser error, which only the interpreted parser counts.
+        # fixed latency, the counter's cells, the chassis's per-port
+        # statistics, the const table's masks and the shortest frame each
+        # EtherType's header fits in.  A shorter frame is a parser error.
         self._code_bits = code.n
         self._basis_bits = code.k
         self._pipeline = pipeline
-        self._parser = pipeline.parser
         self._latency = pipeline.pipeline_latency
         self._packet_cells = self.counters.packet_cells
         self._byte_cells = self.counters.byte_cells
         self._rx_stats = {
             port: self.switch.port_stats(port) for port in range(self.switch.port_count)
         }
-        self._syndrome_entries = [
-            self._syndrome_table.get_entry(syndrome)
-            for syndrome in range(1 << code.m)
-        ]
         self._flip_masks = code.error_masks
         self._min_frame_bytes = {
             ETH_RAW: ETHERNET_BYTES + headers.chunk.total_bytes,
@@ -167,46 +151,6 @@ class ZipLineSwitchBase:
         }
 
     # -- program construction ---------------------------------------------------
-
-    def _build_parser(self) -> Parser:
-        headers = self._headers
-        states = [
-            ParserState(
-                name="start",
-                extract=("ethernet", headers.ethernet),
-                select_field=("ethernet", "ether_type"),
-                transitions={
-                    ETHERTYPE_RAW_CHUNK: "parse_chunk",
-                    EtherType.ZIPLINE_UNCOMPRESSED: "parse_type2",
-                    EtherType.ZIPLINE_COMPRESSED: "parse_type3",
-                },
-                default=ACCEPT,
-            ),
-            ParserState(name="parse_chunk", extract=("chunk", headers.chunk)),
-            ParserState(name="parse_type2", extract=("type2", headers.type2)),
-            ParserState(name="parse_type3", extract=("type3", headers.type3)),
-        ]
-        return Parser(states, start="start")
-
-    def _build_syndrome_table(self) -> MatchActionTable:
-        """The const-entry syndrome → XOR-mask table (Figure 1 ➌, Figure 2 ➎).
-
-        A perfect Hamming code has an entry for every syndrome: 0 maps to
-        the empty mask and each other value to exactly one bit position.
-        """
-        code = self._transform.code
-        table = MatchActionTable(
-            name="syndrome_mask",
-            key_bits=code.m,
-            size=1 << code.m,
-            actions=[ActionSpec("set_mask", ("flip_mask",)), ActionSpec("NoAction")],
-            default_action="NoAction",
-        )
-        table.add_const_entries(
-            (syndrome, "set_mask", {"flip_mask": code.error_mask(syndrome)})
-            for syndrome in range(1 << code.m)
-        )
-        return table
 
     def _add_mapping_table(
         self, table: MatchActionTable, action_bits: int
@@ -251,31 +195,13 @@ class ZipLineSwitchBase:
         if table.get_entry(key) is not None:
             table.delete_entry(key)
 
-    # -- the interpreted ingress control block ------------------------------------
-
-    def _ingress(self, context: PacketContext) -> None:
-        packet = context.packet
-        frame_bytes = ETHERNET_BYTES + sum(
-            header.header_type.total_bytes
-            for header in packet.headers.values()
-            if header.valid and header.header_type.name != "ethernet_h"
-        ) + len(packet.payload)
-        self._apply(context, packet.header("ethernet"), self._now(), frame_bytes)
-        if not context.drop_flag:
-            context.send_to_port(
-                self._forwarding.get(context.ingress_port, self._default_egress_port)
-            )
-
-    def _apply(
-        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
-    ) -> None:
-        """The program's ingress control over the parsed headers."""
-        raise NotImplementedError
+    # -- the ingress control block ------------------------------------------------
 
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
     ) -> Optional[bytes]:
-        """The same control over the frame bytes: the output, ``None`` to drop.
+        """The program's ingress control over the frame bytes: the output,
+        ``None`` to drop.
 
         Only called with a frame long enough for the header its EtherType
         announces.  Counts the frame and emits its digests itself.
@@ -362,26 +288,27 @@ class ZipLineSwitchBase:
 
         Returns the frame the program emitted — handed to the egress port
         through :meth:`TofinoSwitch.transmit` — or ``None`` when it dropped
-        the frame.  A frame too short for the header its EtherType announces
-        is left to the interpreted :meth:`TofinoSwitch.receive`, whose
-        parser counts it in ``parse_errors`` and drops it, whatever the
-        time.  An ingress port the chassis does not have raises the same
-        :class:`PipelineError` on either path, before anything is counted.
+        the frame.  An ingress port the chassis does not have raises its
+        :class:`PipelineError` before anything is counted.  Every other
+        frame counts one pass at its port and in the pipeline; a frame too
+        short for the header its EtherType announces is a parser error,
+        counted in ``parse_errors`` and dropped, whatever the time.
         """
         length = len(frame)
-        ethertype = frame[12:14]
-        if length < self._min_frame_bytes.get(ethertype, ETHERNET_BYTES):
-            return self.switch.receive(frame, ingress_port).frame
         # PortStats is always truthy: only a port the chassis lacks reaches
         # ``port_stats``, which raises the chassis's out-of-range error.
         stats = self._rx_stats.get(ingress_port) or self.switch.port_stats(ingress_port)
         stats.rx_packets += 1
         stats.rx_bytes += length
-        if time is None:
-            time = self._now()
         pipeline = self._pipeline
         pipeline.packets_processed += 1
-        self._parser.packets_parsed += 1
+        ethertype = frame[12:14]
+        if length < self._min_frame_bytes.get(ethertype, ETHERNET_BYTES):
+            pipeline.parse_errors += 1
+            pipeline.packets_dropped += 1
+            return None
+        if time is None:
+            time = self._now()
         out = self._compiled_ingress(frame, ethertype, length, time)
         if out is None:
             pipeline.packets_dropped += 1

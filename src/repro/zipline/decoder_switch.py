@@ -1,6 +1,6 @@
 """The ZipLine *decoding* switch: the P4-equivalent decompression program.
 
-Implements the Figure 2 workflow on the Tofino model:
+Compiles the Figure 2 workflow onto the Tofino chassis:
 
 1. the parser extracts the Ethernet header and then, depending on the
    EtherType, the type-3 (compressed) or type-2 (uncompressed) ZipLine
@@ -26,8 +26,6 @@ from repro.core.bits import mask
 from repro.core.transform import GDTransform
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
-from repro.tofino.parser import Header
-from repro.tofino.pipeline import PacketContext
 from repro.tofino.tables import ActionSpec, MatchActionTable
 from repro.zipline._program import (
     ETH_RAW,
@@ -36,7 +34,6 @@ from repro.zipline._program import (
     ETHERNET_BYTES,
     ZipLineSwitchBase,
 )
-from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 __all__ = ["ZipLineDecoderSwitch"]
 
@@ -115,54 +112,6 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
 
     # -- the ingress control block ------------------------------------------------------
 
-    def _apply(
-        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
-    ) -> None:
-        packet = context.packet
-        if packet.has_valid("type3"):
-            self._decode_compressed(context, ethernet, now, frame_bytes)
-        elif packet.has_valid("type2"):
-            self._decode_uncompressed(context, ethernet, now, frame_bytes)
-        else:
-            self.counters.count("passthrough_other", frame_bytes)
-
-    def _decode_compressed(
-        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
-    ) -> None:
-        packet = context.packet
-        type3 = packet.header("type3")
-        identifier = type3["identifier"]
-        syndrome = type3["syndrome"]
-        prefix = type3["prefix"] if self._transform.prefix_bits else 0
-
-        lookup = self._identifier_table.lookup(identifier, now=now)
-        if not lookup.hit or lookup.action != "set_basis":
-            # A compressed packet whose mapping is unknown cannot be restored;
-            # the control plane's install ordering should make this impossible.
-            self._count_unknown(identifier, now, frame_bytes)
-            context.drop()
-            return
-        basis = lookup.params["basis"]
-        type3.valid = False
-        self._emit_chunk(packet, ethernet, prefix, basis, syndrome)
-        self.counters.count("compressed_to_raw", frame_bytes)
-        if _obs.TRACER.enabled:
-            self._span("decode", now, {"outcome": "hit", "identifier": identifier})
-
-    def _decode_uncompressed(
-        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
-    ) -> None:
-        packet = context.packet
-        type2 = packet.header("type2")
-        basis = type2["basis"]
-        syndrome = type2["syndrome"]
-        prefix = type2["prefix"] if self._transform.prefix_bits else 0
-        type2.valid = False
-        self._emit_chunk(packet, ethernet, prefix, basis, syndrome)
-        self.counters.count("uncompressed_to_raw", frame_bytes)
-        if _obs.TRACER.enabled:
-            self._span("decode", now, {"outcome": "uncompressed"})
-
     def _count_unknown(self, identifier: int, now: float, frame_bytes: int) -> None:
         self._packet_cells[self._unknown_identifier] += 1
         self._byte_cells[self._unknown_identifier] += frame_bytes
@@ -174,33 +123,6 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
                 args={"outcome": "unknown", "identifier": identifier},
                 ts=now,
             )
-
-    def _emit_chunk(
-        self,
-        packet,
-        ethernet: Header,
-        prefix: int,
-        basis: int,
-        syndrome: int,
-    ) -> None:
-        """Rebuild the original chunk from basis + syndrome (Figure 2 ➌–➐)."""
-        code = self._transform.code
-        # Step ➌/➍: zero-pad the basis and recompute the parity bits with the
-        # same CRC extern the encoder used.
-        parity = self._crc.get([(basis, code.k), (0, code.m)])
-        codeword = (basis << code.m) | parity
-        # Steps ➎/➏: the syndrome mask flips the deviated bit back.
-        result = self._syndrome_table.lookup(syndrome)
-        flip_mask = result.params.get("flip_mask", 0)
-        body = codeword ^ flip_mask
-
-        chunk = Header(self._headers.chunk)
-        if self._transform.prefix_bits:
-            chunk["prefix"] = prefix
-        chunk["body"] = body
-        chunk.valid = True
-        packet.headers["chunk"] = chunk
-        ethernet["ether_type"] = ETHERTYPE_RAW_CHUNK
 
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
@@ -240,26 +162,19 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             self._byte_cells[self._passthrough_other] += length
             return frame
 
-        # Fused Figure 2 ➌–➐.  Steps ➌/➍: parity through the same CRC unit
-        # (fused byte loop, once per distinct basis), keeping the extern's
-        # per-frame accounting.
+        # Fused Figure 2 ➌–➐.  Steps ➌/➍: parity through the same CRC extern
+        # as the encoder's (fused byte loop, once per distinct basis), one
+        # pass per frame.
         codewords = self._codewords
         codeword = codewords.get(basis)
         if codeword is None:
             if len(codewords) >= self._identifier_table.size:
                 codewords.clear()
             codeword = codewords[basis] = (basis << m) | self._parity_of_basis(basis)
-        self._crc.invocations += 1
-        # Steps ➎/➏: syndrome table metadata + the XOR mask.  The interpreted
-        # program looks this table up without a timestamp
-        # (``lookup(syndrome)``), so the compiled one records the same 0.0.
+        self.crc_invocations += 1
+        # Steps ➎/➏: the const syndrome table's XOR mask flips the deviated
+        # bit back.
         syndrome = value & self._syndrome_mask
-        syndrome_table = self._syndrome_table
-        syndrome_table.lookups += 1
-        syndrome_table.hits += 1
-        syndrome_entry = self._syndrome_entries[syndrome]
-        syndrome_entry.last_hit = 0.0
-        syndrome_entry.hit_count += 1
         chunk_value = (prefix << self._code_bits) | (
             codeword ^ self._flip_masks[syndrome]
         )

@@ -1,6 +1,6 @@
 """The ZipLine *encoding* switch: the P4-equivalent compression program.
 
-This module assembles the Figure 1 workflow out of the Tofino primitives
+This module compiles the Figure 1 workflow onto the Tofino chassis
 modelled in :mod:`repro.tofino`:
 
 1. the parser extracts the Ethernet header and, for frames carrying the
@@ -32,11 +32,8 @@ from repro.controlplane.manager import LEARN_DIGEST
 from repro.core.bits import mask
 from repro.core.crc import lane_remainders, record_tables
 from repro.core.transform import GDTransform
-from repro.net.ethernet import EtherType
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
-from repro.tofino.parser import Header
-from repro.tofino.pipeline import PacketContext
 from repro.tofino.tables import ActionSpec, MatchActionTable
 from repro.zipline._program import (
     ETH_RAW,
@@ -168,71 +165,6 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
 
     # -- the ingress control block -----------------------------------------------------
 
-    def _apply(
-        self, context: PacketContext, ethernet: Header, now: float, frame_bytes: int
-    ) -> None:
-        packet = context.packet
-        if packet.has_valid("chunk"):
-            self._encode_chunk(context, ethernet, now, frame_bytes)
-        elif packet.has_valid("type2") or packet.has_valid("type3"):
-            self.counters.count("passthrough_processed", frame_bytes)
-        else:
-            self.counters.count("passthrough_other", frame_bytes)
-
-    def _encode_chunk(
-        self,
-        context: PacketContext,
-        ethernet: Header,
-        now: float,
-        frame_bytes: int,
-    ) -> None:
-        packet = context.packet
-        chunk = packet.header("chunk")
-        body = chunk["body"]
-        prefix = chunk["prefix"] if self._transform.prefix_bits else 0
-
-        # Step ➋: syndrome through the CRC extern.
-        syndrome = self._crc.get((body, self._transform.code.n))
-        # Steps ➌/➍: constant table gives the flip mask, XOR restores the codeword.
-        result = self._syndrome_table.lookup(syndrome, now=now)
-        flip_mask = result.params.get("flip_mask", 0)
-        codeword = body ^ flip_mask
-        # Step ➎: the basis is the message part of the codeword.
-        basis = codeword >> self._syndrome_bits
-
-        chunk.valid = False
-        lookup = self._basis_table.lookup(basis, now=now)
-        if lookup.hit and lookup.action == "set_identifier":
-            identifier = lookup.params["identifier"]
-            type3 = Header(self._headers.type3)
-            if self._transform.prefix_bits:
-                type3["prefix"] = prefix
-            type3["identifier"] = identifier
-            type3["syndrome"] = syndrome
-            type3.valid = True
-            packet.headers["type3"] = type3
-            ethernet["ether_type"] = EtherType.ZIPLINE_COMPRESSED
-            self.counters.count("raw_to_compressed", frame_bytes)
-            if _obs.TRACER.enabled:
-                self._span(
-                    "encode",
-                    now,
-                    {"outcome": "hit", "identifier": identifier, "basis": basis},
-                )
-        else:
-            type2 = Header(self._headers.type2)
-            if self._transform.prefix_bits:
-                type2["prefix"] = prefix
-            type2["basis"] = basis
-            type2["syndrome"] = syndrome
-            type2.valid = True
-            packet.headers["type2"] = type2
-            ethernet["ether_type"] = EtherType.ZIPLINE_UNCOMPRESSED
-            context.emit_digest(LEARN_DIGEST, {"basis": basis})
-            self.counters.count("raw_to_uncompressed", frame_bytes)
-            if _obs.TRACER.enabled:
-                self._span("encode", now, {"outcome": "miss", "basis": basis})
-
     def _compiled_ingress(
         self, frame: bytes, ethertype: bytes, length: int, now: float
     ) -> bytes:
@@ -249,22 +181,16 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         m = self._syndrome_bits
         chunk_value = int.from_bytes(chunk_slice, "big")
         prefix = chunk_value >> self._code_bits
-        # Step ➋: syndrome through the shared CRC byte loop (same unit the
-        # extern reduces with), keeping the extern's accounting.  The
-        # remainder of the chunk's own bytes is syndrome(body) ^ (prefix *
-        # x**n mod g), and x**n ≡ 1 (mod g) for a primitive g of order n.
+        # Step ➋: syndrome through the CRC extern, the shared CRC byte loop.
+        # The remainder of the chunk's own bytes is syndrome(body) ^
+        # (prefix * x**n mod g), and x**n ≡ 1 (mod g) for a primitive g of
+        # order n.
         syndrome = self._remainder(chunk_slice) ^ (
             self._transform.code.prefix_syndrome(prefix) if prefix >> m else prefix
         )
-        self._crc.invocations += 1
-        # Step ➌: const syndrome→mask table, with hit metadata.
-        syndrome_table = self._syndrome_table
-        syndrome_table.lookups += 1
-        syndrome_table.hits += 1
-        entry = self._syndrome_entries[syndrome]
-        entry.last_hit = now
-        entry.hit_count += 1
-        # Steps ➍/➎: flip the deviated bit, keep the message bits.
+        self.crc_invocations += 1
+        # Steps ➌/➍/➎: the const table's mask flips the deviated bit; keep
+        # the message bits.
         basis = ((chunk_value & self._body_mask) ^ self._flip_masks[syndrome]) >> m
 
         lookup = self._basis_table.lookup_ref(basis, now=now)

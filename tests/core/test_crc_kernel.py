@@ -21,7 +21,6 @@ from repro.core.crc import (
 )
 from repro.core.hamming import HammingCode
 from repro.core.transform import GDTransform
-from repro.tofino.crc_extern import CrcExtern
 
 BACKENDS = available_backend_names()
 
@@ -118,14 +117,15 @@ class TestOneBuildPerDistance:
     def test_every_consumer_reads_the_same_cache_entries(self):
         """Byte, lane and record tables of one polynomial: one build each.
 
-        A 32-byte order-8 chunk has 32 byte positions, so the Hamming code,
-        the CRC extern, both batch splits, the bulk parity pass and the batch
-        CRC together need exactly the distances ``0, 8, .. 248`` — the byte
-        table (distance 8) being one of them.
+        A 32-byte order-8 chunk has 32 byte positions, so the Hamming code
+        (whose byte loop is the switch programs' CRC extern), both batch
+        splits, the bulk parity pass and the batch CRC together need exactly
+        the distances ``0, 8, .. 248`` — the byte table (distance 8) being
+        one of them.
         """
         remainder_table.cache_clear()
         code = HammingCode(8)
-        CrcExtern(coeff=code.crc_parameter, width=8).get((1, 255))
+        code.byte_remainder(bytes(32))
         data = bytes(range(256)) * 8
         for name in BACKENDS:
             transform = GDTransform(order=8, backend=name)

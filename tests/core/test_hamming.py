@@ -54,10 +54,10 @@ class TestTable2Syndromes:
 
     def test_syndrome_lookup_table_inverts_the_mapping(self, hamming_7_4):
         for position, syndrome in self.EXPECTED.items():
-            assert hamming_7_4.error_mask(syndrome) == 1 << position
+            assert hamming_7_4.syndrome_table.mask_for(syndrome) == 1 << position
 
     def test_zero_syndrome_has_no_error(self, hamming_7_4):
-        assert hamming_7_4.error_mask(0) == 0
+        assert hamming_7_4.syndrome_table.mask_for(0) == 0
 
     def test_syndrome_equals_crc(self, hamming_7_4):
         for value in range(1 << 7):
@@ -158,7 +158,7 @@ class TestGDSplit:
             neighbour = codeword ^ (1 << position)
             got_basis, syndrome = paper_code.chunk_to_basis(neighbour)
             assert got_basis == basis
-            assert paper_code.error_mask(syndrome) == 1 << position
+            assert paper_code.syndrome_table.mask_for(syndrome) == 1 << position
 
     def test_bases_sharing_chunk_count(self, hamming_7_4):
         assert bases_sharing_chunk(hamming_7_4, 0) == hamming_7_4.n + 1 == 8

@@ -90,7 +90,7 @@ class TestHammingProperties:
         neighbour = codeword ^ (1 << position)
         neighbour_basis, syndrome = code.chunk_to_basis(neighbour)
         assert neighbour_basis == basis
-        assert code.error_mask(syndrome) == 1 << position
+        assert code.syndrome_table.mask_for(syndrome) == 1 << position
 
     @given(
         order=st.sampled_from([3, 4]),

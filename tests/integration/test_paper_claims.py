@@ -148,9 +148,9 @@ class TestLineRatePrecondition:
     @pytest.mark.parametrize("extra", ["pass", "frame"])
     @pytest.mark.parametrize("name", PROGRAMS)
     def test_a_second_pass_or_an_extra_frame_is_counted(self, monkeypatch, name, extra):
-        """A probe pushed through ``name``'s pipeline a second time (a
-        recirculation), or a second frame sent for one received (a
-        duplication), makes that program count."""
+        """A second pipeline pass for one arriving frame (a recirculation:
+        the pass is counted, no frame arrives), or a second frame sent for
+        one received (a duplication), makes that program count."""
         probe = bytes(64)  # an Ethernet frame with no ZipLine header
         real_figure5 = figures.figure5
 
@@ -158,7 +158,7 @@ class TestLineRatePrecondition:
             rtts = real_figure5(programs)
             program = programs[name]
             if extra == "pass":
-                program.pipeline.process(probe, 0)
+                program.pipeline.packets_processed += 1
             else:
                 program.switch.transmit(1, probe, 0.0)
             return rtts

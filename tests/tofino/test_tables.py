@@ -21,17 +21,17 @@ class TestControlPlaneApi:
     def test_add_and_lookup(self):
         table = make_table()
         table.add_entry(0xAB, "set_identifier", {"identifier": 7})
-        result = table.lookup(0xAB)
-        assert result.hit
-        assert result.action == "set_identifier"
-        assert result.params == {"identifier": 7}
+        entry = table.lookup_ref(0xAB)
+        assert entry is table.get_entry(0xAB)
+        assert entry.action == "set_identifier"
+        assert entry.params == {"identifier": 7}
         assert len(table) == 1
 
-    def test_miss_returns_default_action(self):
+    def test_a_miss_returns_none(self):
         table = make_table()
-        result = table.lookup(0x01)
-        assert not result.hit
-        assert result.action == "learn"
+        assert table.lookup_ref(0x01) is None
+        assert table.default_action == "learn"
+        assert (table.lookups, table.hits) == (1, 0)
 
     def test_duplicate_key_rejected(self):
         table = make_table()
@@ -65,33 +65,22 @@ class TestControlPlaneApi:
         table = make_table()
         table.add_entry(1, "set_identifier", {"identifier": 1})
         table.modify_entry(1, "set_identifier", {"identifier": 2})
-        assert table.lookup(1).params["identifier"] == 2
+        assert table.lookup_ref(1).params["identifier"] == 2
         table.delete_entry(1)
-        assert not table.lookup(1).hit
+        assert table.lookup_ref(1) is None
         with pytest.raises(TableError):
             table.delete_entry(1)
 
-    def test_const_entries_are_immutable(self):
-        table = make_table()
-        table.add_const_entries(iter([(5, "set_identifier", {"identifier": 9})]))
-        with pytest.raises(TableError):
-            table.modify_entry(5, "learn")
-        with pytest.raises(TableError):
-            table.delete_entry(5)
-        table.add_entry(6, "learn")
-        table.clear()
-        assert len(table) == 1  # const entries survive clear()
-        assert table.get_entry(5).is_const
-
     def test_the_hit_path_sees_what_clear_left(self):
         """``clear`` rebinds the entry dictionary; ``lookup_ref`` reads it
-        per call, so a cleared entry misses and a const one still hits."""
+        per call, so a cleared entry misses and a later one hits."""
         table = make_table()
-        table.add_const_entries(iter([(5, "set_identifier", {"identifier": 9})]))
         table.add_entry(6, "set_identifier", {"identifier": 1})
         assert table.lookup_ref(6) is not None
         table.clear()
+        assert len(table) == 0
         assert table.lookup_ref(6) is None
+        table.add_entry(5, "set_identifier", {"identifier": 9})
         assert table.lookup_ref(5).params == {"identifier": 9}
         assert (table.lookups, table.hits) == (3, 2)
 
@@ -118,7 +107,7 @@ class TestIdleTimeout:
     def test_hit_refreshes_idle_timer(self):
         table = make_table(idle_timeout=True)
         table.add_entry(1, "learn", ttl=1.0, now=0.0)
-        table.lookup(1, now=0.9)
+        table.lookup_ref(1, now=0.9)
         assert table.expired_entries(now=1.5) == []
         assert table.expired_entries(now=2.0) != []
 
@@ -130,9 +119,10 @@ class TestIdleTimeout:
     def test_hit_statistics(self):
         table = make_table()
         table.add_entry(1, "learn")
-        table.lookup(1)
-        table.lookup(1)
-        table.lookup(2)
+        table.lookup_ref(1)
+        table.lookup_ref(1, now=0.5)
+        table.lookup_ref(2)
         assert table.lookups == 3
         assert table.hits == 2
         assert table.get_entry(1).hit_count == 2
+        assert table.get_entry(1).last_hit == 0.5

@@ -51,13 +51,20 @@ call: ``Simulator.step`` falls from 1.0 to 0.004 calls per chunk (one per
 and the CRC byte loop give way to ``advance``; exact mode also stopped
 converting every queueing-delay and latency sample on its way into the
 report (``Distribution.extend`` takes an ``array('d')`` whole; two calls
-fewer).
+fewer).  Calls stayed at 25.697 (exact: 25.657) when the interpreted P4
+model left ``src/`` for the test oracle: the compiled programs stopped
+writing what only the diff against it read — the parser's
+``packets_parsed`` and the const syndrome table's lookup, hit and
+per-entry hit metadata, no call among them — so bytecodes per chunk fell
+by 82 instead (1,788.7 → 1,706.7 streaming, 1,735.9 → 1,653.9 exact).
 
 The learning shapes of the benchmark (``fanin-thrash-learn``,
 ``dns-lossy-multihop``, at their ``--quick`` sizes, exact mode) always
 have an event due before the next injection, so each injection runs
 alone — the one-frame path.  Their counts were 45.703 and 68.349 before
-trains, and 43.701 and 64.453 after (the ``Distribution.extend`` change).
+trains, and 43.701 and 64.453 after (the ``Distribution.extend`` change);
+one program form left them there, at 82 bytecodes per chunk fewer
+(2,579.4 → 2,497.0 and 3,403.3 → 3,321.1).
 """
 
 import sys

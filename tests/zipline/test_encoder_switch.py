@@ -159,9 +159,16 @@ class TestProgramProperties:
         assert encoder.pipeline.packets_processed == sum(s.rx_packets for s in ports) == 20
         assert sum(s.tx_packets for s in ports) == 20
 
-    def test_syndrome_table_is_fully_populated(self, encoder):
+    def test_syndrome_table_row_has_an_entry_per_syndrome(self, encoder):
         # 2^m const entries: one per syndrome, including the zero syndrome.
-        assert len(encoder._syndrome_table) == 256
+        # The compiled program reads them as the code's error masks.
+        (row,) = [
+            usage
+            for usage in encoder.pipeline.resources._usages
+            if usage.name == "syndrome_mask"
+        ]
+        assert (row.stage, row.entries) == (1, 256)
+        assert len(encoder.transform.code.error_masks) == 256
 
     def test_resources_registered(self):
         """The syndrome table sits in stage 1 and the 32k-entry mapping

@@ -57,9 +57,9 @@ class TestPaperHeaderSet:
         assert headers.type3_padding_bits == 0
 
     def test_header_types_are_byte_aligned(self, headers):
-        assert headers.chunk.total_bits % 8 == 0
-        assert headers.type2.total_bits % 8 == 0
-        assert headers.type3.total_bits % 8 == 0
+        for header in (headers.chunk, headers.type2, headers.type3):
+            bits = sum(width for _name, width in header.fields)
+            assert bits == 8 * header.total_bytes
         assert headers.ethernet.total_bytes == 14
 
     def test_raw_chunk_ethertype_is_experimental(self):

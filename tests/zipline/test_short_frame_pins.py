@@ -51,10 +51,6 @@ def _decoder():
     return program
 
 
-def _crc_invocations(program):
-    return program._crc.invocations
-
-
 def _state(program):
     chassis = program.switch
     pipeline = program.pipeline
@@ -76,7 +72,7 @@ def _state(program):
             pipeline.parse_errors,
         ),
         "digests": (chassis.digest_engine.emitted, chassis.digest_engine.dropped),
-        "crc_invocations": _crc_invocations(program),
+        "crc_invocations": program.crc_invocations,
         "mapping_entries": [
             (
                 entry.key,

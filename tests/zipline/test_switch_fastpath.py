@@ -2,19 +2,20 @@
 
 ``receive`` runs the compiled program — the paper's P4 reduced to integer
 arithmetic over the frame bytes — and returns only the frame it emitted
-(``None`` for a drop).  The interpreted program (parser state machine,
-header objects, table dispatch, deparser) stays in ``src/`` as the oracle
-and is reached by name: ``switch.switch.receive(frame, port)``, whose
-``PipelineResult`` carries the same frame.  Everything else the compiled
-pass no longer returns is read where it lands: the egress port and the
-delivery stamp at the port sinks, the digests at the digest engine.  Every
-observable — emitted bytes, those captures, per-type counters, pipeline
-summaries, CRC extern invocations, match-action table hit counters and
-entry metadata, port statistics — must be identical after each frame
-between a switch driven through ``receive`` and a twin driven through the
-interpreted entry.  These tests feed both the same randomized frame mix
-(raw chunks, type 2/3, foreign EtherTypes, truncated frames) over every
-order and prefix width the header set accepts and diff everything.
+(``None`` for a drop).  The interpreted program (parse graph, header
+objects, table dispatch, deparser) is the oracle in ``p4_oracle.py``,
+reached as ``p4_oracle.receive(program, frame, port)``, which returns the
+same frame.  Everything else the compiled pass does not return is read
+where it lands: the egress port and the delivery stamp at the port sinks,
+the digests at the digest engine.  Every observable — emitted bytes, those
+captures, per-type counters, pipeline summaries, CRC extern invocations,
+mapping-table hit counters and entry metadata, port statistics — must be
+identical after each frame between a switch driven through ``receive`` and
+a twin driven through the oracle.  These tests feed both the same
+randomized frame mix (raw chunks, type 2/3, foreign EtherTypes, truncated
+frames) over every order and prefix width the header set accepts, and
+hypothesis-drawn frame bytes over drawn mapping-table contents at the clock
+and ahead of it, and diff everything.
 """
 
 import random
@@ -31,9 +32,12 @@ from repro.net.mac import MacAddress
 from repro.sim.simulator import Simulator
 from repro.topology.control import apply_switch_command
 from repro.zipline import encoder_switch
+from repro.zipline._program import ETHERNET_BYTES
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
+
+import p4_oracle
 
 DST = MacAddress("02:00:00:00:00:02")
 SRC = MacAddress("02:00:00:00:00:01")
@@ -50,20 +54,6 @@ CONFIGS = [
 
 def _transform(order, prefix_bits):
     return GDTransform(order=order, chunk_bits=(1 << order) - 1 + prefix_bits)
-
-
-def _count_process_calls(switch):
-    """Count the frames that reach the interpreted pipeline of ``switch``."""
-    pipeline = switch.pipeline
-    process = pipeline.process
-    calls = []
-
-    def counting(frame, ingress_port):
-        calls.append(frame)
-        return process(frame, ingress_port)
-
-    pipeline.process = counting
-    return calls
 
 
 def _frame_mix(transform, headers, rng, count):
@@ -90,7 +80,7 @@ def _frame_mix(transform, headers, rng, count):
                 payload += bytes(rng.getrandbits(8) for _ in range(rng.randrange(1, 9)))
             frame = EthernetFrame(DST, SRC, ETHERTYPE_RAW_CHUNK, payload)
         elif roll < 0.6:  # type 2
-            value = rng.getrandbits(headers.type2.total_bits)
+            value = rng.getrandbits(8 * headers.type2.total_bytes)
             frame = EthernetFrame(
                 DST, SRC, EtherType.ZIPLINE_UNCOMPRESSED,
                 value.to_bytes(headers.type2.total_bytes, "big"),
@@ -130,8 +120,8 @@ def _frame_mix(transform, headers, rng, count):
 
 
 def _oracle(switch):
-    """The interpreted twin's receive, reduced to what ``receive`` returns."""
-    return lambda frame, port: switch.switch.receive(frame, port).frame
+    """The interpreted twin's receive: ``p4_oracle.receive`` bound to ``switch``."""
+    return lambda frame, port: p4_oracle.receive(switch, frame, port)
 
 
 def _probe(switch):
@@ -171,8 +161,7 @@ def _state(switch):
         [chassis.port_stats(port) for port in range(chassis.port_count)],
         (pipeline.packets_processed, pipeline.packets_dropped, pipeline.parse_errors),
         (chassis.digest_engine.emitted, chassis.digest_engine.dropped),
-        switch._crc.invocations,
-        _table_state(switch._syndrome_table),
+        switch.crc_invocations,
         _table_state(switch.mapping_table),
     )
 
@@ -206,13 +195,11 @@ def _drive_twins(compiled, interpreted, frames, ahead=0.0):
 
     ``compiled`` goes through ``receive`` — ``ahead`` seconds before each
     frame's instant, with that instant as its ``time``, when ``ahead`` is
-    set; ``interpreted`` through the underlying ``TofinoSwitch.receive``,
-    at the instant.  Also asserts which of the two implementations each
-    frame of the compiled switch executed.
+    set; ``interpreted`` through the oracle, at the instant.  Also asserts
+    that exactly the malformed frames were counted as parse errors.
     """
     compiled_log, interpreted_log = _probe(compiled), _probe(interpreted)
     oracle = _oracle(interpreted)
-    reached_pipeline = _count_process_calls(compiled)
     for frame, _well_formed in frames:
         got = _run_frame(
             compiled, compiled.receive, frame, ahead=ahead, early=bool(ahead)
@@ -223,11 +210,10 @@ def _drive_twins(compiled, interpreted, frames, ahead=0.0):
         assert _state(compiled) == _state(interpreted)
         compiled_log.clear()
         interpreted_log.clear()
-    # Well-formed frames never reach the interpreted pipeline; a frame too
-    # short for its announced header always does (parser error accounting).
+    # A frame too short for its announced header is a parse error; no
+    # well-formed frame is.
     malformed = [frame for frame, well_formed in frames if not well_formed]
     assert malformed and len(malformed) < len(frames)
-    assert reached_pipeline == malformed
     assert compiled.pipeline.parse_errors == len(malformed)
 
 
@@ -326,7 +312,7 @@ class TestEncoderSwitchFastPath:
         ).to_bytes()
         for _ in range(3):
             compiled.receive(frame, 0)
-            interpreted.switch.receive(frame, 0)
+            p4_oracle.receive(interpreted, frame, 0)
         compiled_entry = compiled.mapping_table.get_entry(basis)
         interpreted_entry = interpreted.mapping_table.get_entry(basis)
         assert compiled_entry.hit_count == interpreted_entry.hit_count == 3
@@ -342,7 +328,7 @@ class TestEncoderSwitchFastPath:
             with pytest.raises(PipelineError, match="port .* out of range") as compiled_error:
                 compiled.receive(frame, port)
             with pytest.raises(PipelineError) as interpreted_error:
-                interpreted.switch.receive(frame, port)
+                p4_oracle.receive(interpreted, frame, port)
             assert str(compiled_error.value) == str(interpreted_error.value)
         assert _state(compiled) == _state(interpreted)
         assert compiled.pipeline.packets_processed == 0
@@ -417,7 +403,7 @@ class TestDecoderSwitchFastPath:
         """Full loop: encoder output through the decoder, compiled vs interpreted.
 
         A prefix wider than a byte (264, 272) runs the compiled programs
-        like any other: no frame of the loop reaches ``Pipeline.process``.
+        like any other: no frame of the loop is a parse error.
         """
         rng = random.Random(99)
         transform = GDTransform(order=8, chunk_bits=chunk_bits)
@@ -435,11 +421,8 @@ class TestDecoderSwitchFastPath:
         for compiled in (True, False):
             encoder = ZipLineEncoderSwitch(transform=transform, forwarding={0: 1})
             decoder = ZipLineDecoderSwitch(transform=transform, forwarding={0: 1})
-            reached_pipeline = _count_process_calls(encoder) + _count_process_calls(
-                decoder
-            )
-            encode = encoder.receive if compiled else encoder.switch.receive
-            decode = decoder.receive if compiled else decoder.switch.receive
+            encode = encoder.receive if compiled else _oracle(encoder)
+            decode = decoder.receive if compiled else _oracle(decoder)
             wire = []
             encoder.switch.attach_port(1, lambda frame, _t: wire.append(frame))
             restored = []
@@ -460,8 +443,7 @@ class TestDecoderSwitchFastPath:
                 decode(frame, 0)
             payloads = [frame[14 : 14 + transform.chunk_bytes] for frame in restored]
             assert payloads == chunks, f"compiled={compiled}"
-            if compiled:
-                assert reached_pipeline == []
+            assert encoder.pipeline.parse_errors == decoder.pipeline.parse_errors == 0
             wires.append(wire)
         assert wires[0] == wires[1]
 
@@ -610,7 +592,6 @@ class TestDecoderCodewordMemo:
             switch.switch.attach_port(1, lambda frame, _t, sink=sink: sink.append(frame))
             twins.append((switch, sink))
         (compiled, compiled_sink), (interpreted, interpreted_sink) = twins
-        reached_pipeline = _count_process_calls(compiled)
         oracle = _oracle(interpreted)
         for operation in operations:
             got = self._apply(compiled, compiled.receive, operation)
@@ -619,7 +600,7 @@ class TestDecoderCodewordMemo:
             assert compiled_sink == interpreted_sink
             assert _state(compiled) == _state(interpreted)
             assert len(compiled._codewords) <= 4
-        assert reached_pipeline == []
+        assert compiled.pipeline.parse_errors == 0
 
     def test_memo_overflow_and_recycled_identifier(self):
         """The deterministic core of the property above, spelled out."""
@@ -645,10 +626,120 @@ class TestDecoderCodewordMemo:
             compiled.receive(type3(1), 0)
             assert out[-1][14:46] == code.encode(basis).to_bytes(32, "big")
             assert len(compiled._codewords) <= 4
-            assert compiled._crc.invocations == round_index + 1
+            assert compiled.crc_invocations == round_index + 1
         compiled.mapping_table.clear()
         assert compiled.receive(type3(1), 0) is None
         assert compiled.counters.read("unknown_identifier").packets == 1
+
+
+class TestDrawnFrames:
+    """Hypothesis draws the frames, the mapping table and the time.
+
+    Frame bytes are drawn whole: a runt, an EtherType followed by any
+    number of bytes up to four past its header (so one byte short, exact
+    and with a payload all occur), or a raw chunk one bit off a codeword
+    whose basis the encoder's table may hold.  The mapping table holds a
+    drawn set of entries, and each frame reaches the compiled twin at the
+    clock or ahead of it.  After every frame, everything is diffed against
+    the oracle, and the parse errors are exactly the frames too short for
+    their header.
+    """
+
+    ETHERTYPES = [
+        ETHERTYPE_RAW_CHUNK,
+        EtherType.ZIPLINE_UNCOMPRESSED,
+        EtherType.ZIPLINE_COMPRESSED,
+        EtherType.IPV4,
+    ]
+    HEAD = bytes.fromhex("020000000002020000000001")
+    IDENTIFIER_BITS = 4
+
+    @staticmethod
+    def _header_bytes(program, ethertype):
+        headers = program.headers
+        return {
+            ETHERTYPE_RAW_CHUNK: headers.chunk.total_bytes,
+            EtherType.ZIPLINE_UNCOMPRESSED: headers.type2.total_bytes,
+            EtherType.ZIPLINE_COMPRESSED: headers.type3.total_bytes,
+        }.get(ethertype, 0)
+
+    def _frame(self, data, program):
+        kind = data.draw(st.sampled_from(["bytes", "codeword", "runt"]))
+        if kind == "runt":
+            return data.draw(st.binary(max_size=13))
+        if kind == "codeword":
+            transform = program.transform
+            code = transform.code
+            body = code.encode(data.draw(st.integers(0, 7)))
+            body ^= data.draw(st.sampled_from([0, *(1 << bit for bit in range(code.n))]))
+            prefix = data.draw(st.integers(0, (1 << transform.prefix_bits) - 1))
+            chunk = ((prefix << code.n) | body).to_bytes(transform.chunk_bytes, "big")
+            head = self.HEAD + int(ETHERTYPE_RAW_CHUNK).to_bytes(2, "big")
+            return head + chunk + data.draw(st.binary(max_size=4))
+        ethertype = data.draw(st.sampled_from(self.ETHERTYPES))
+        size = self._header_bytes(program, ethertype)
+        return (
+            self.HEAD
+            + int(ethertype).to_bytes(2, "big")
+            + data.draw(st.binary(max_size=size + 4))
+        )
+
+    def _programs(self, data, encoder):
+        order, prefix_bits = data.draw(
+            st.sampled_from([(3, 1), (3, 9), (5, 17), (8, 1), (8, 9)])
+        )
+        transform = _transform(order, prefix_bits)
+        if encoder:
+            entries = data.draw(
+                st.dictionaries(st.integers(0, 7), st.integers(0, 15), max_size=6)
+            )
+        else:
+            bases = st.one_of(
+                st.integers(0, 7), st.integers(0, (1 << transform.code.k) - 1)
+            )
+            entries = data.draw(
+                st.dictionaries(st.integers(0, 15), bases, max_size=12)
+            )
+        twins = []
+        for _ in range(2):
+            make = ZipLineEncoderSwitch if encoder else ZipLineDecoderSwitch
+            program = make(
+                transform=transform,
+                identifier_bits=self.IDENTIFIER_BITS,
+                forwarding={0: 1},
+                simulator=Simulator(),
+            )
+            for key, value in entries.items():
+                if encoder:
+                    program.install_basis_mapping(key, value)
+                else:
+                    program.install_identifier_mapping(key, value)
+            twins.append(program)
+        return twins
+
+    @pytest.mark.parametrize("encoder", [True, False], ids=["encoder", "decoder"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_drawn_frames_match_the_oracle(self, encoder, data):
+        compiled, interpreted = self._programs(data, encoder)
+        compiled_log, interpreted_log = _probe(compiled), _probe(interpreted)
+        oracle = _oracle(interpreted)
+        short = 0
+        for _ in range(data.draw(st.integers(1, 6))):
+            frame = self._frame(data, compiled)
+            ahead = data.draw(st.sampled_from([0.0, 5e-6]))
+            size = self._header_bytes(compiled, int.from_bytes(frame[12:14], "big"))
+            short += len(frame) < ETHERNET_BYTES + size
+            got = _run_frame(
+                compiled, compiled.receive, frame, ahead=ahead, early=bool(ahead)
+            )
+            want = _run_frame(interpreted, oracle, frame, ahead=ahead)
+            assert got == want
+            assert compiled_log == interpreted_log
+            assert _state(compiled) == _state(interpreted)
+            compiled_log.clear()
+            interpreted_log.clear()
+        assert compiled.pipeline.parse_errors == short
 
 
 class TestReceiveBatch:
