@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail when a definition under ``src/repro`` has no caller outside ``tests/``.
+"""Fail when a definition under ``src/repro`` has no caller outside ``tests/``,
+or a module there imports a name it never uses.
 
 Product code lives in ``src/``; a function, class, method or property
 that nothing in ``src/``, ``examples/``, ``scripts/`` or ``benchmarks/``
@@ -15,6 +16,11 @@ some dead code.
 :data:`ALLOWED` lists the definitions kept without a caller, each with its
 reason — an allow-list that only shrinks: an entry that gains a caller or
 no longer exists fails, so it must be removed.
+
+A module under ``src/repro`` other than a package's ``__init__`` fails
+when it imports a name that its code never reads and its ``__all__`` does
+not list (an ``__init__`` imports to re-export).  Names inside a string
+annotation count as read.
 
     python scripts/check_unreferenced.py   # exit 1 on any finding
 """
@@ -138,6 +144,73 @@ def referenced_names(root: Path) -> Set[str]:
     return names
 
 
+def _annotation_names(annotation: ast.AST) -> Iterator[str]:
+    """Names read by the strings of an annotation (``Optional["Lookahead"]``)."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                tree = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            for child in ast.walk(tree):
+                if isinstance(child, ast.Name):
+                    yield child.id
+
+
+def _annotations(tree: ast.AST) -> Iterator[ast.AST]:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _exported(tree: ast.Module) -> Set[str]:
+    """The names a module's top-level ``__all__`` lists."""
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names.update(
+                child.value
+                for child in ast.walk(node.value)
+                if isinstance(child, ast.Constant) and isinstance(child.value, str)
+            )
+    return names
+
+
+def unused_imports(root: Path) -> List[str]:
+    """``path:line: module imports NAME but never uses it`` per finding."""
+    problems = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for annotation in _annotations(tree):
+            read.update(_annotation_names(annotation))
+        read |= _exported(tree)
+        location = path.relative_to(root).as_posix()
+        module = _module_name(root, path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound != "*" and bound not in read:
+                    problems.append(
+                        f"{location}:{node.lineno}: {module} imports {bound} "
+                        "but never uses it"
+                    )
+    return problems
+
+
 def violations(root: Path) -> List[str]:
     used = referenced_names(root)
     problems: List[str] = []
@@ -160,6 +233,7 @@ def violations(root: Path) -> List[str]:
         for qualified in ALLOWED
         if qualified not in seen
     )
+    problems.extend(unused_imports(root))
     return problems
 
 
@@ -171,7 +245,7 @@ def main() -> int:
         return 1
     print(
         f"every definition under src/repro has a caller outside tests/ "
-        f"({len(ALLOWED)} allow-listed)"
+        f"({len(ALLOWED)} allow-listed), and every import there is used"
     )
     return 0
 

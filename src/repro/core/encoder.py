@@ -17,7 +17,7 @@ paper's three measured configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 

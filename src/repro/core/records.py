@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple, Union
+from typing import Union
 
 from repro.core.bits import align_up, bits_to_bytes_len, int_to_bytes
 from repro.exceptions import CodingError

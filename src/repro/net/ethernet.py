@@ -12,8 +12,7 @@ emulated link's serialisation delay and the Figure 4 packet rates rely on.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 from repro.exceptions import PacketError
 from repro.net.checksum import ethernet_fcs

@@ -9,7 +9,7 @@ latency come from" without opening Perfetto.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 __all__ = ["summarize_events", "format_summary"]
 

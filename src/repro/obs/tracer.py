@@ -34,7 +34,7 @@ filter over ``(flow, chunk)``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 __all__ = ["SPAN", "INSTANT", "COUNTER", "Tracer", "NullTracer"]
 

@@ -15,9 +15,9 @@ learning delay, so the model makes it explicit and configurable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import ControlPlaneError
 from repro.sim.lookahead import InFlight

@@ -90,6 +90,11 @@ def _tree(tmp_path, **extra):
     return _plant(tmp_path, files)
 
 
+#: A script that calls ``Widget.spin`` and each definition the unused-import
+#: cases plant, so only their imports can be findings.
+CALLS = "Widget().spin()\nA()\nf(0)\n"
+
+
 def _findings(root):
     return [problem.split(": ", 1)[1] for problem in unreferenced.violations(root)]
 
@@ -126,17 +131,18 @@ class TestUnreferenced:
         assert _findings(tree(**{where: code})) == []
 
     @pytest.mark.parametrize(
-        "code",
+        "where, code",
         [
-            "'''Widget().spin() would be called from here.'''\n",
-            "# Widget().spin() is what this would call.\n",
-            "from repro.widgets import spin\n",
-            "__all__ = ['spin']\n",
+            ("src/repro/other.py", "'''Widget().spin() would be called from here.'''\n"),
+            ("src/repro/other.py", "# Widget().spin() is what this would call.\n"),
+            # In src/repro the line would also be an unused import.
+            ("examples/other.py", "from repro.widgets import spin\n"),
+            ("src/repro/other.py", "__all__ = ['spin']\n"),
         ],
         ids=["docstring", "comment", "import-line", "all-list"],
     )
-    def test_naming_without_using_does_not_count(self, tree, code):
-        root = tree(**{"src/repro/other.py": code})
+    def test_naming_without_using_does_not_count(self, tree, where, code):
+        root = tree(**{where: code})
         assert [f.split(" ")[0] for f in _findings(root)] == ["repro.widgets.Widget.spin"]
 
     def test_a_property_setter_does_not_use_its_own_property(self, tree):
@@ -171,6 +177,59 @@ class TestUnreferenced:
         )
         (problem,) = unreferenced.violations(tree())
         assert problem == "repro.widgets.gone: allow-listed but does not exist"
+
+    @pytest.mark.parametrize(
+        "code, unused",
+        [
+            ("from typing import Dict, List\n\nX: List[int] = []\n", ["Dict"]),
+            ("import os.path\n", ["os"]),
+            ("import json as codec\n", ["codec"]),
+            ("from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int = 0\n",
+             ["field"]),
+            ("from repro.widgets import build as make, Widget\n\nmake()\n", ["Widget"]),
+        ],
+        ids=["typing-name", "dotted-module", "alias", "dataclass-field", "from-alias"],
+    )
+    def test_a_planted_unused_import_fails(self, tree, code, unused):
+        root = tree(**{"src/repro/other.py": code, "scripts/call.py": CALLS})
+        assert _findings(root) == [
+            f"repro.other imports {name} but never uses it" for name in unused
+        ]
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "from typing import List\n\nX: List[int] = []\n",
+            "from typing import Optional\n\ndef f(x: 'Optional[int]') -> None:\n    pass\n",
+            "from typing import TYPE_CHECKING, Optional\n\nif TYPE_CHECKING:\n"
+            "    from repro.widgets import Widget\n\n"
+            "def f(x: Optional['Widget']) -> None:\n    pass\n",
+            "from repro.widgets import Widget\n\n__all__ = ['Widget']\n",
+            "from __future__ import annotations\n",
+            "import os\n\nos.getcwd()\n",
+        ],
+        ids=["annotation", "string-annotation", "nested-string-annotation",
+             "re-exported", "future", "attribute-base"],
+    )
+    def test_a_used_or_re_exported_import_passes(self, tree, code):
+        root = tree(**{"src/repro/other.py": code, "scripts/call.py": CALLS})
+        assert _findings(root) == []
+
+    def test_a_package_init_may_import_to_re_export(self, tree):
+        root = tree(**{
+            "src/repro/sub/__init__.py": "from repro.widgets import Widget\n",
+            "scripts/call.py": CALLS,
+        })
+        assert _findings(root) == []
+
+    def test_an_unused_import_names_its_file_and_line(self, tree):
+        root = tree(**{
+            "src/repro/other.py": "'''Doc.'''\n\nimport json\n",
+            "scripts/call.py": CALLS,
+        })
+        assert unreferenced.violations(root) == [
+            "src/repro/other.py:3: repro.other imports json but never uses it"
+        ]
 
     def test_each_allow_list_entry_gives_its_reason(self):
         assert len(unreferenced.ALLOWED) <= 2
