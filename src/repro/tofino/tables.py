@@ -10,8 +10,8 @@ ZipLine's other table, the syndrome → XOR-mask table, holds const entries
 generated offline (the paper uses a C++/Boost.CRC generator).  The compiled
 program reads those entries as the Hamming code's
 :attr:`~repro.core.hamming.HammingCode.error_masks`, so no
-:class:`MatchActionTable` holds a const entry; the syndrome table appears
-here only as its resource row.
+:class:`MatchActionTable` holds a const entry; the program accounts the
+syndrome table only as its resource row.
 
 Every table ZipLine builds is exact-match, so that is the only match kind.
 """
