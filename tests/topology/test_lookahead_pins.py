@@ -9,6 +9,15 @@ are in flight over a lossy control link, and a decoder restart mid-trace
 (one of them while frames are on the wire) keep their events.  Whichever side a shape falls on, the report bytes are
 the ones recorded before the rule existed, at any worker count, traced or
 not.
+
+Three multi-hop chains were recorded before the rule was taken hop by hop
+through every link of a chain: the benchmark's lossy, reordering 3-hop
+DNS chain with a 64-frame queue (at 1/8 of its size), a 3-hop chain with
+no impairments, and a dynamic 3-hop chain whose decoder restarts late in
+the run.  Each is also cut, by ``run(until=t)`` while frames are queued on
+its links (the report at the cut is pinned), and by ``max_events``.
+``max_events`` counts events, which the rule exists to save, so where it
+stops a run is not pinned; what the run that resumes the cut reports is.
 """
 
 import hashlib
@@ -23,6 +32,7 @@ from repro.topology import (
     NodeRestart,
     fan_in_topology,
     fault_storm_topology,
+    TopologyEngine,
     linear_topology,
     paper_testbed_topology,
     rack_fan_in_topology,
@@ -53,6 +63,30 @@ def _restart_mid_flight(seed):
     return spec
 
 
+def _lossy_chain(seed):
+    """The benchmark's ``dns-lossy-multihop`` spec at 1/8 of its size."""
+    return linear_topology(
+        workload="dns", chunks=2000, names=400, scenario="dynamic", hops=3,
+        loss=0.01, reorder=0.01, queue_capacity=64, packet_rate=1e5,
+        bandwidth_gbps=0.066, seed=seed,
+    )
+
+
+def _clean_chain(seed):
+    return linear_topology(
+        chunks=400, bases=8, packet_rate=1e5, hops=3, scenario="dynamic", seed=seed
+    )
+
+
+def _late_restart_chain(seed):
+    """The clean chain, its decoder restarted 0.5 ms before the last frame
+    is sent: a write pending for most of the run."""
+    spec = _clean_chain(seed)
+    spec.faults = FaultPlan(restarts=(NodeRestart(node="decoder", time=3.5e-3),))
+    validate_spec_faults(spec)
+    return spec
+
+
 SHAPES = {
     "rack-fan-in-static": lambda seed: rack_fan_in_topology(
         racks=2, senders=3, chunks=120, bases=8, scenario="static", seed=seed
@@ -67,6 +101,9 @@ SHAPES = {
     "fan-in-thrash-control-loss": _thrash,
     "fault-storm": lambda seed: fault_storm_topology(senders=3, chunks=300, seed=seed),
     "linear-static-restart-mid-flight": _restart_mid_flight,
+    "lossy-chain": _lossy_chain,
+    "clean-chain": _clean_chain,
+    "late-restart-chain": _late_restart_chain,
 }
 
 #: (shape, seed) -> md5 of the exact-mode ``json_text()``.
@@ -83,18 +120,71 @@ GOLDEN = {
     ("fault-storm", 4242): "63ef2a38bb3188cedf6cad0fd461a172",
     ("linear-static-restart-mid-flight", 2020): "6c361b49d8a1c57649cf689bb6ee259e",
     ("linear-static-restart-mid-flight", 4242): "9f365c66f91e3791c63583973dae2fef",
+    ("lossy-chain", 2020): "5260d202a70b22178d10fb25bc9dddf8",
+    ("lossy-chain", 4242): "c0be29629f92b1d7063340d03262464e",
+    ("clean-chain", 2020): "d3f2a843f46307ba360117243f6b62ef",
+    ("clean-chain", 4242): "e1c5aec11b904d024dbec63e3b67f222",
+    ("late-restart-chain", 2020): "28afce08a22438b251f7402cb719853d",
+    ("late-restart-chain", 4242): "36758eccff8c13a5252cdf7aeab5c930",
 }
 
 
-def report_md5(shape, seed, workers, traced):
+#: (shape, cut) -> how a run of the shape is cut: ``until`` falls while
+#: frames are queued or in flight on the chain's links; ``max_events``
+#: stops mid-run, and the run is then resumed to the end.
+CUTS = {
+    ("lossy-chain", "until=17.3e-3"): dict(until=17.3e-3),
+    ("lossy-chain", "max_events=4000"): dict(max_events=4000),
+    ("clean-chain", "until=2.0537e-3"): dict(until=2.0537e-3),
+    ("clean-chain", "max_events=900"): dict(max_events=900),
+    ("late-restart-chain", "until=3.52e-3"): dict(until=3.52e-3),
+    ("late-restart-chain", "max_events=900"): dict(max_events=900),
+}
+
+#: (shape, cut, seed) -> md5 of the exact-mode ``json_text()`` at the cut
+#: (``until``) or after the resumed run (``max_events``).
+GOLDEN_CUT = {
+    ("clean-chain", "max_events=900", 2020): "d3f2a843f46307ba360117243f6b62ef",
+    ("clean-chain", "max_events=900", 4242): "e1c5aec11b904d024dbec63e3b67f222",
+    ("clean-chain", "until=2.0537e-3", 2020): "76a2e07a33a7e513cebe78431ab48a02",
+    ("clean-chain", "until=2.0537e-3", 4242): "1356ba38e64a1b05429e6b6bce47c1b6",
+    ("late-restart-chain", "max_events=900", 2020): "28afce08a22438b251f7402cb719853d",
+    ("late-restart-chain", "max_events=900", 4242): "36758eccff8c13a5252cdf7aeab5c930",
+    ("late-restart-chain", "until=3.52e-3", 2020): "614769323d1811d9c84de0ae6173f866",
+    ("late-restart-chain", "until=3.52e-3", 4242): "2d81fdf5608a462edb4b827f0fdd2ca8",
+    ("lossy-chain", "max_events=4000", 2020): "5260d202a70b22178d10fb25bc9dddf8",
+    ("lossy-chain", "max_events=4000", 4242): "c0be29629f92b1d7063340d03262464e",
+    ("lossy-chain", "until=17.3e-3", 2020): "c2db88d32c9dbe80a38c9f61b093a26a",
+    ("lossy-chain", "until=17.3e-3", 4242): "1c0bb5ba45b450b514b14237e366f82e",
+}
+
+
+def _traced(traced, run):
     saved = obs.TRACER
     if traced:
         obs.enable()
     try:
-        report = run_topology(SHAPES[shape](seed), workers=workers)
+        report = run()
     finally:
         obs.TRACER = saved
     return hashlib.md5(report.json_text().encode("utf-8")).hexdigest()
+
+
+def report_md5(shape, seed, workers, traced):
+    return _traced(traced, lambda: run_topology(SHAPES[shape](seed), workers=workers))
+
+
+def cut_md5(shape, cut, seed, traced=False):
+    def run():
+        engine = TopologyEngine(SHAPES[shape](seed))
+        bound = CUTS[(shape, cut)]
+        report = engine.run(**bound)
+        if "max_events" in bound:
+            engine.simulator.run()
+            report = engine.report()
+        return report
+
+    return _traced(traced, run)
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -102,6 +192,12 @@ def report_md5(shape, seed, workers, traced):
 @pytest.mark.parametrize("shape,seed", sorted(GOLDEN))
 def test_report_bytes_match_golden(shape, seed, workers, traced):
     assert report_md5(shape, seed, workers, traced) == GOLDEN[(shape, seed)]
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("shape,cut,seed", sorted(GOLDEN_CUT))
+def test_cut_run_bytes_match_golden(shape, cut, seed, traced):
+    assert cut_md5(shape, cut, seed, traced) == GOLDEN_CUT[(shape, cut, seed)]
 
 
 def _numpy_importable():
@@ -143,8 +239,24 @@ def test_shapes_exercise_what_they_pin():
     assert storm["control.encoder.resync_applied"] > 0
     mid_flight = counters["linear-static-restart-mid-flight"]
     assert mid_flight["decoder.unknown_identifier"] > 0
+    lossy = counters["lossy-chain"]
+    for hop in range(3):
+        assert lossy[f"link{hop}.reordered"] > 0
+        assert lossy[f"link{hop}.dropped_loss"] > 0
+    assert lossy["link0.max_queue_depth"] > 8
+    clean = counters["clean-chain"]
+    assert clean["controlplane.mappings_learned"] > 0
+    assert not any(
+        clean[f"link{hop}.{what}"]
+        for hop in range(3)
+        for what in ("reordered", "dropped_loss", "dropped_queue")
+    )
+    assert counters["late-restart-chain"]["faults.restarts"] == 1
 
 
 if __name__ == "__main__":
     for key in sorted(GOLDEN):
         print(f"    {key!r}: {report_md5(*key, workers=1, traced=False)!r},")
+    for shape, cut in sorted(CUTS):
+        for seed in (2020, 4242):
+            print(f"    {(shape, cut, seed)!r}: {cut_md5(shape, cut, seed)!r},")
