@@ -15,8 +15,9 @@ missing: the wire itself.  It models what a real hop does to a frame —
   for the hand-off into the link when a switch hands the frame on stamped
   with the end of its pipeline latency, ahead of the clock (see
   :attr:`EmulatedLink.queue_depth` for where such a frame is positioned),
-  nor for the delivery into a switch program whose
-  :class:`~repro.sim.lookahead.Lookahead` admits the frame's stamp;
+  nor for the delivery into a receiver — a switch program, the next link
+  of a chain — whose :class:`~repro.sim.lookahead.Lookahead` admits the
+  frame's stamp;
 * **seeded impairments**: loss and reordering drawn from a deterministic
   :class:`ImpairmentModel`, so replays are exactly reproducible.
 
@@ -30,11 +31,12 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import ReplayError, ReproError
@@ -43,6 +45,10 @@ from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 
 __all__ = ["ImpairmentModel", "LinkStats", "EmulatedLink"]
+
+#: How many frames a link keeps after a send found them complete, before
+#: it drops those the clock has passed (see ``EmulatedLink.queue_depth``).
+KEEP_COMPLETE = 256
 
 #: ``sink(frame_bytes, time)`` — same shape as a switch port sink.
 LinkSink = Callable[[bytes, float], None]
@@ -238,21 +244,38 @@ class EmulatedLink:
         self.impairments = impairments
         self.record_delays = record_delays
         self.stats = LinkStats()
-        self._sink = sink
+        self._sink: Optional[LinkSink] = None
+        # Whether the sink is the next link of a chain, which takes the key
+        # of a frame's delivery event along with the frame.
+        self._sink_is_link = False
         self._lookahead: Optional[Lookahead] = None
+        if sink is not None:
+            self.attach(sink)
         self._busy_until = 0.0
         # The latest instant a frame was offered at: offers come in time
         # order, or a frame handed on ahead of the clock was overtaken.
         self._offered_until = 0.0
-        # Completion keys of the frames still queued or being serialised,
-        # oldest first: where an explicit serialisation-done event scheduled
-        # when the frame entered would sit in the simulator's order —
-        # ``(done, sequence)`` for a frame sent at the clock, ``(done,
-        # AHEAD, handoff)`` for one handed on ahead of it, where ``handoff``
-        # is the key of the transmit event the hand-off saved.  A reading's
-        # position takes the same shape: the clock's key itself, ``(stamp,
-        # AHEAD, clock key)`` for a send stamped ahead of it.
-        self._serialising: Deque[Tuple[float, object]] = deque()
+        # The frames still queued or being serialised, oldest first, each
+        # as where an explicit serialisation-done event scheduled when it
+        # entered would sit in the simulator's order, followed by the key of
+        # the event its send runs in (where it entered): ``(done, sequence,
+        # entered)`` for a frame sent at the clock, ``(done, AHEAD,
+        # entered)`` for one handed on ahead of it, whose send runs in the
+        # event the hand-on saved.  A reading's position takes the same
+        # shape: the clock's key itself, ``(stamp, AHEAD, clock key)`` for a
+        # send stamped ahead of it.
+        self._serialising: List[tuple] = []
+        # How many of the oldest of them the latest send found complete: a
+        # send ahead of the clock reads at its own stamp, but the frames it
+        # finds complete stay for readings at the clock, until more than
+        # ``KEEP_COMPLETE`` pile up and those the clock has passed go.
+        self._gone = 0
+        # Deliveries owed to the receiver because the lookahead refused
+        # them, oldest first, behind one event (see ``send``): ``(frame,
+        # deliver_at, saved, tracer context)``, where ``saved`` is the
+        # sequence the delivery's event is keyed by and the key of the event
+        # it was drawn in.
+        self._owed: Deque[Tuple[bytes, float, Tuple[int, tuple], object]] = deque()
         # The event description is constant; format it once, not per frame.
         self._deliver_label = f"{name}:deliver"
         # frame length -> serialisation delay: traffic has a handful of
@@ -264,53 +287,74 @@ class EmulatedLink:
     def attach(self, sink: LinkSink, lookahead: Optional[Lookahead] = None) -> None:
         """Attach (or replace) the receiving end of the link.
 
-        ``lookahead`` is the receiving switch program's, handed over by
+        ``lookahead`` is the receiver's, handed over by
         :meth:`repro.topology.graph.TopologyGraph.wire` when this link is
-        the last hop of the program's only data input and cannot reorder:
-        a frame it admits is handed to ``sink`` as soon as it is sent,
-        stamped with its delivery instant, instead of from a delivery event.
+        the receiver's only data input: a switch program's when the link is
+        the last hop into it, a fresh one when the receiver is the next
+        link of a chain.  A frame it admits is handed to ``sink`` as soon
+        as it is sent, stamped with its delivery instant, instead of from a
+        delivery event (see :meth:`send`).
         """
         if not callable(sink):
             raise ReplayError("link sink must be callable")
         self._sink = sink
+        self._sink_is_link = isinstance(getattr(sink, "__self__", None), EmulatedLink)
         self._lookahead = lookahead
 
     @property
     def queue_depth(self) -> int:
         """Frames currently queued or being serialised.
 
-        A frame leaves the queue when its serialisation completes.  The
-        link spends no event on that: it compares the frame's completion
-        key with the *position* of each reading.  This property and a send
-        at the clock read at the simulator's
-        :attr:`~repro.sim.simulator.Simulator.current_key`.  A send stamped
-        ahead of the clock — a switch handing a frame on with the end of its
-        pipeline latency — reads at its own stamp, where the transmit event
-        it saved would have run, not at the clock's position.
+        A frame counts from the instant it enters the link: one handed in
+        ahead of the clock — by a switch at the end of its pipeline, or by
+        the link upstream at its delivery instant — is not counted before
+        the clock reaches that instant, while it is still in the pipeline
+        or on the wire upstream.  A frame leaves the queue when its
+        serialisation completes.  The link spends no event on that: it
+        compares the frame's completion key with the *position* of each
+        reading.  This property and a send at the clock read at the
+        simulator's :attr:`~repro.sim.simulator.Simulator.current_key`.  A
+        send stamped ahead of the clock — a switch handing a frame on with
+        the end of its pipeline latency, a link upstream handing it on at
+        its delivery instant — reads at its own stamp, where the event it
+        saved would have run, not at the clock's position.
 
         Exact ties — a completion at precisely the reading's instant —
-        resolve the way those events would have run.  At the clock, the
-        frame is gone iff it entered the link before the reading's event
-        was scheduled.  Ahead of the clock, the reading was
-        scheduled by the event that handed it on: a frame sent at the clock
-        entered before that and is gone; a frame itself handed on ahead is
-        gone iff the clock had passed that frame's stamp when the reading
-        was handed on.  One case has no saved event to order by — a frame
+        resolve the way those events would have run: the frame is gone iff
+        it entered the link before the reading's event was scheduled.  At
+        the clock, that is the event being executed.  Ahead of the clock,
+        the reading was scheduled by the event that handed it on: a frame
+        sent at the clock entered before that and is gone; a frame itself
+        handed on ahead is gone iff the clock had passed the event its
+        hand-on saved.  A frame the link upstream hands on — at once, or
+        later from its owed deliveries or a reordered frame's event —
+        comes with the key of the event its upstream send ran in, which is
+        when its delivery event was scheduled (``saved``; see
+        :meth:`send`).  One case has no saved event to order by — a frame
         handed on ahead of the clock, met at its completion instant by a
-        send at the clock, which only happens across a run horizon — and
-        there the frame is still counted.  Between runs, the clock's idle
-        position after an instant follows every completion at it.
+        send at the clock from another source, which only happens across a
+        run horizon — and there the frame is still counted.  Between runs,
+        the clock's idle position after an instant follows every completion
+        at it.
         """
         serialising = self._serialising
-        if serialising:
-            key = self.simulator.current_key
-            while serialising and serialising[0] < key:
-                serialising.popleft()
-        return len(serialising)
+        key = self.simulator.current_key
+        # Completions are strictly increasing, so the frames the reading has
+        # passed are the oldest; sends come in time order, so the frames
+        # yet to enter are the newest: those handed in ahead whose saved
+        # event follows the clock.
+        depth = len(serialising) - bisect_left(serialising, key)
+        for entry in reversed(serialising):
+            if entry[1] != AHEAD or entry[2] < key:
+                break
+            depth -= 1
+        return depth
 
     # -- data path ------------------------------------------------------------
 
-    def send(self, frame: bytes, time: float) -> None:
+    def send(
+        self, frame: bytes, time: float, saved: Optional[Tuple[int, tuple]] = None
+    ) -> None:
         """Offer one frame to the link at simulated ``time``.
 
         Matches the :data:`~repro.tofino.switch.PortSink` signature, so a
@@ -319,12 +363,25 @@ class EmulatedLink:
         an upstream pipeline: the frame enters at that instant, positioned
         as :attr:`queue_depth` describes.  Frames must be offered in time
         order; one offered before an instant the link has already taken a
-        frame at is a :class:`~repro.exceptions.ReplayError`.
+        frame at is a :class:`~repro.exceptions.ReplayError`.  ``saved``
+        comes with a frame the link upstream hands on: the sequence its
+        delivery event is (or would be) keyed by, and the key of the event
+        that sequence was drawn in.  The frame then enters where that
+        delivery event runs, wherever the clock is when it is handed on.
+
+        A frame that survives the wire is handed to the sink at once,
+        stamped with its delivery instant, when the receiver's lookahead
+        admits that stamp and no earlier delivery is still owed to it.  A
+        frame the impairment model delays keeps its own delivery event and
+        holds the receiver until that has run.  Any other frame is owed:
+        the owed deliveries wait in order behind one event, keyed by the
+        sequence drawn for the oldest of them here, which delivers it and
+        hands on every following one the receiver then admits.
         """
         if self._sink is None:
             raise ReplayError(f"link {self.name!r} has no sink attached")
         simulator = self.simulator
-        now = simulator.now
+        clock = now = simulator.now
         ahead = time > now
         if ahead:
             now = time
@@ -350,16 +407,31 @@ class EmulatedLink:
                 )
             return
         # ``queue_depth`` at this send's position.  Completions are strictly
-        # increasing, so at most the head can tie with ``now``, and only a
-        # tie needs the full key.
+        # increasing, so the frames gone by then are the oldest, and a send
+        # never reads before the last one: count on from ``_gone``.  At most
+        # one can tie with ``now``, and only a tie needs the full key.
         serialising = self._serialising
-        while serialising and serialising[0][0] < now:
-            serialising.popleft()
-        if serialising and serialising[0][0] == now:
-            key = simulator.current_key
-            if serialising[0] < ((now, AHEAD, key) if ahead else key):
-                serialising.popleft()
-        depth = len(serialising)
+        gone = self._gone
+        queued = len(serialising)
+        while gone < queued and serialising[gone][0] < now:
+            gone += 1
+        if gone < queued and serialising[gone][0] == now:
+            entry = serialising[gone]
+            if saved is not None:
+                # The reading's event was scheduled while ``saved[1]`` ran.
+                finished = entry[2] < saved[1]
+            else:
+                key = simulator.current_key
+                finished = entry < ((now, AHEAD, key) if ahead else key)
+            if finished:
+                gone += 1
+        if gone > KEEP_COMPLETE:
+            passed = bisect_left(serialising, (clock,), 0, gone)
+            del serialising[:passed]
+            queued -= passed
+            gone -= passed
+        self._gone = gone
+        depth = queued - gone
         if self.queue_capacity is not None and depth >= self.queue_capacity:
             stats.dropped_queue += 1
             if tracer.enabled:
@@ -382,10 +454,16 @@ class EmulatedLink:
         done = start + serialisation
         stats.busy_time += serialisation
         self._busy_until = done
-        sequence = simulator.next_sequence()
-        serialising.append(
-            (done, AHEAD, (time, sequence)) if ahead else (done, sequence)
-        )
+        # The key of the event this send runs in, where the delivery event
+        # it schedules draws its sequence: the upstream's delivery event for
+        # a frame handed on with ``saved``, the transmit event a hand-off
+        # ahead of the clock saved, or the clock's.
+        if ahead:
+            runs_in = (time, simulator.next_sequence() if saved is None else saved[0])
+            serialising.append((done, AHEAD, runs_in))
+        else:
+            runs_in = simulator.current_key if saved is None else (time, saved[0])
+            serialising.append((done, simulator.next_sequence(), runs_in))
         if depth >= stats.max_queue_depth:
             stats.max_queue_depth = depth + 1
         if self.record_delays:
@@ -398,13 +476,8 @@ class EmulatedLink:
                 stats.reordered += 1
         deliver_at = done + self.propagation_delay + penalty
 
-        lookahead = self._lookahead
         if tracer.enabled:
-            # One span per wire stage, plus a context capture so the
-            # delivery event (and everything the sink does synchronously —
-            # decode, arrival accounting) is attributed to the chunk that
-            # entered the wire, not whichever chunk is current when the
-            # simulator fires the event.
+            # One span per wire stage.
             if start > now:
                 tracer.span("link.enqueue", self.name, now, start)
             tracer.span(
@@ -415,35 +488,96 @@ class EmulatedLink:
                 args={"bytes": len(frame)},
             )
             tracer.span("link.propagate", self.name, done, deliver_at)
-            if lookahead is None or not lookahead.admits(deliver_at):
-                simulator.schedule_at(
+
+        lookahead = self._lookahead
+        if penalty or self._owed or lookahead is None or not lookahead.admits(deliver_at):
+            # A context capture, so the delivery made later (and everything
+            # the sink does synchronously — decode, arrival accounting) is
+            # attributed to the chunk that entered the wire, not whichever
+            # chunk is current when it is made.
+            context = tracer.context if tracer.enabled else None
+            owed = self._owed
+            handoff = (simulator.next_sequence(), runs_in)
+            if penalty:
+                # Later frames overtake this one: none may be handed on
+                # before its event has run.
+                if lookahead is not None and deliver_at > lookahead.hold:
+                    lookahead.hold = deliver_at
+                # A bound-method partial instead of a fresh closure per frame.
+                simulator.schedule_drawn(
                     deliver_at,
-                    partial(self._deliver_traced, frame, deliver_at, tracer.context),
+                    handoff[0],
+                    partial(self._deliver, frame, deliver_at, handoff, context),
                     self._deliver_label,
                 )
                 return
-        elif lookahead is None or not lookahead.admits(deliver_at):
-            # A bound-method partial instead of a fresh closure per frame —
-            # the link sits on every replayed packet's path.
-            simulator.schedule_at(
-                deliver_at, partial(self._deliver, frame, deliver_at), self._deliver_label
-            )
+            if not owed:
+                simulator.schedule_drawn(
+                    deliver_at, handoff[0], self._deliver_owed, self._deliver_label
+                )
+            owed.append((frame, deliver_at, handoff, context))
             return
-        # The receiving program's lookahead admitted the delivery stamp.
         stats.delivered += 1
         stats.delivered_bytes += length
-        self._sink(frame, deliver_at)
+        if self._sink_is_link:
+            self._sink(frame, deliver_at, (simulator.next_sequence(), runs_in))
+        else:
+            self._sink(frame, deliver_at)
 
-    def _deliver(self, frame: bytes, deliver_at: float) -> None:
+    def _deliver(self, frame: bytes, deliver_at: float, handoff, context) -> None:
+        """The delivery event of a frame the impairment model delayed."""
         self.stats.delivered += 1
         self.stats.delivered_bytes += len(frame)
-        self._sink(frame, deliver_at)
-
-    def _deliver_traced(self, frame: bytes, deliver_at: float, context) -> None:
         tracer = _obs.TRACER
-        saved = tracer.context
-        tracer.restore_context(context)
+        if tracer.enabled:
+            saved = tracer.context
+            tracer.restore_context(context)
         try:
-            self._deliver(frame, deliver_at)
+            if self._sink_is_link:
+                self._sink(frame, deliver_at, handoff)
+            else:
+                self._sink(frame, deliver_at)
         finally:
-            tracer.restore_context(saved)
+            if tracer.enabled:
+                tracer.restore_context(saved)
+
+    def _deliver_owed(self) -> None:
+        """The event of the oldest delivery owed: make it, then hand on
+        every following one the receiver admits now, and leave the rest
+        behind the event of the next.
+
+        Each delivery is made while it still heads the queue, so a frame
+        the sink sends back into this link queues behind it.
+        """
+        owed = self._owed
+        stats = self.stats
+        sink = self._sink
+        to_link = self._sink_is_link
+        lookahead = self._lookahead
+        tracer = _obs.TRACER
+        traced = tracer.enabled
+        if traced:
+            saved = tracer.context
+        frame, deliver_at, handoff, context = owed[0]
+        try:
+            while True:
+                stats.delivered += 1
+                stats.delivered_bytes += len(frame)
+                if traced:
+                    tracer.restore_context(context)
+                if to_link:
+                    sink(frame, deliver_at, handoff)
+                else:
+                    sink(frame, deliver_at)
+                owed.popleft()
+                if not owed:
+                    return
+                frame, deliver_at, handoff, context = owed[0]
+                if lookahead is None or not lookahead.admits(deliver_at):
+                    self.simulator.schedule_drawn(
+                        deliver_at, handoff[0], self._deliver_owed, self._deliver_label
+                    )
+                    return
+        finally:
+            if traced:
+                tracer.restore_context(saved)

@@ -1,34 +1,41 @@
-"""Conservative lookahead: when a frame may enter a switch program early.
+"""Conservative lookahead: when a frame may reach its receiver early.
 
 A switch program acts on a frame as of the instant the frame reaches it,
-against its tables as they are at that instant.  An edge that knows that
-instant — a link that has worked out a frame's delivery stamp, a switch
-whose pipeline latency is a constant — could call the program at once,
-stamped with it, instead of spending an event to wait for the clock,
-provided nothing the program would see differs.  That is the lookahead
-rule of conservative parallel discrete-event simulation (Chandy and
-Misra, 1979), and :class:`Lookahead` holds it for one program: it is the
-one place the predicate is written down.
+against its tables as they are at that instant; an emulated link queues a
+frame as of the instant it enters.  An edge that knows that instant — a
+link that has worked out a frame's delivery stamp, a switch whose pipeline
+latency is a constant — could call the receiver at once, stamped with it,
+instead of spending an event to wait for the clock, provided nothing the
+receiver would see differs.  That is the lookahead rule of conservative
+parallel discrete-event simulation (Chandy and Misra, 1979), and
+:class:`Lookahead` holds it for one receiver: it is the one place the
+predicate is written down.
 
-The parts of the rule that cannot change during a run — the edge is the
-program's only data input, its last link cannot reorder — are decided
+The part of the rule that cannot change during a run — the edge is the
+receiver's only data input, so frames reach it in stamp order — is decided
 once, when :meth:`repro.topology.graph.TopologyGraph.wire` hands a
-program's :class:`Lookahead` to that edge.  The rest is
-:meth:`Lookahead.admits`, asked per frame.
+receiver's :class:`Lookahead` to that edge: a switch program's own, or, for
+each hop of a chain of links, a fresh one for the link downstream, whose
+only writer is its upstream.  The rest is :meth:`Lookahead.admits`, asked
+per frame, and what the edge itself still owes the receiver: a delivery it
+could not hand on comes first (the link's queue of owed deliveries), and a
+frame its impairment model delays keeps its own event and holds the
+receiver until that has run.
 
 What else can touch a program are the writes of its control plane and of
-the faults aimed at it.  Each such source reports what it has in flight
-on the programs it can write through an :class:`InFlight`: the events it
-schedules — a control-plane step, a digest on its way to the control
-plane, a rate limiter's drain, a TTL poll, a restart or eviction storm —
-hold each program until they have run, and the work it tracks itself — a
-command on a control link, whose acknowledgement also starts the
-encoder-side install — is counted.  It also states how soon a write it
-has *not* started yet could land (its reaction latency).
+the faults aimed at it.  Each such source reports what it has in flight on
+the programs it can write through an :class:`InFlight`: the instant of
+each event it schedules — a control-plane step, a digest on its way to the
+control plane, a rate limiter's drain, a TTL poll, a restart or eviction
+storm — holds each program for frames stamped at or after it, and the work
+it tracks itself — a command on a control link, whose acknowledgement also
+starts the encoder-side install — is counted.  It also states how soon a
+write it has *not* started yet could land (its reaction latency).
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, List
 
@@ -38,48 +45,57 @@ __all__ = ["InFlight", "Lookahead"]
 
 
 class Lookahead:
-    """Whether an edge may hand one switch program a frame ahead of the clock.
+    """Whether an edge may hand one receiver a frame ahead of the clock.
 
-    ``hold`` is the latest instant of a pending event that touches the
-    program: a write a source scheduled (:class:`InFlight`), or a delivery
-    its input scheduled because this rule refused it.  Every event up to
-    ``hold`` has run once the clock is past it.  ``in_flight`` counts the
+    ``writes`` is a min-heap of the instants of pending events that can
+    write the receiver (scheduled through :class:`InFlight`); it is pruned
+    of instants before the clock whenever it is pushed or read, so it only
+    holds what may still be pending.  ``hold`` is the latest stamp of a
+    delivery the receiver's input keeps as its own event while later frames
+    could be handed on — a frame the impairment model delays, a transmit
+    into a direct switch port the rule refused — so nothing is handed on
+    while one of those may still be pending.  ``in_flight`` counts the
     writes sources track without an event of their own.  ``reaction`` is
     the smallest delay after which a write no source has started yet could
-    land on the program: +inf until a control plane watches it.
+    land: +inf until a control plane watches the receiver.
     """
 
-    __slots__ = ("simulator", "hold", "in_flight", "reaction")
+    __slots__ = ("simulator", "writes", "hold", "in_flight", "reaction")
 
     def __init__(self, simulator: Simulator):
         self.simulator = simulator
+        self.writes: List[float] = []
         self.hold = -inf
         self.in_flight = 0
         self.reaction = inf
 
     def admits(self, stamp: float) -> bool:
-        """True when the program may take a frame stamped ``stamp`` now.
+        """True when the receiver may take a frame stamped ``stamp`` now.
 
-        It may when nothing that touches it is pending — ``hold`` is before
-        the clock and ``in_flight`` is zero — and ``stamp`` is not before
-        the clock, within the current run's
-        :attr:`~repro.sim.simulator.Simulator.horizon`, and less than
-        ``reaction`` ahead of the clock, so no write started between now
-        and the stamp lands before it.  An admitted stamp raises
-        :attr:`~repro.sim.simulator.Simulator.latest_stamp`.  A refused one
-        raises ``hold``: the caller schedules the delivery as an event at
-        ``stamp``, and nothing overtakes it.
+        It may when nothing can reach it first: no write tracked in flight,
+        ``hold`` before the clock, and the earliest pending write after
+        ``stamp``.  ``stamp`` must not be before the clock, must lie within
+        the current run's :attr:`~repro.sim.simulator.Simulator.horizon`,
+        and less than ``reaction`` ahead of the clock, so no write started
+        between now and the stamp lands before it.  An admitted stamp
+        raises :attr:`~repro.sim.simulator.Simulator.latest_stamp`.  A
+        refused one changes nothing: the caller keeps the delivery for an
+        event, in order behind anything it still owes the receiver.
         """
         simulator = self.simulator
         now = simulator.now
+        writes = self.writes
+        if writes:
+            while writes and writes[0] < now:
+                heappop(writes)
+            if writes and writes[0] <= stamp:
+                return False
         if (
             self.in_flight
             or self.hold >= now
             or not 0.0 <= stamp - now < self.reaction
             or stamp > simulator.horizon
         ):
-            if stamp > self.hold:
-                self.hold = stamp
             return False
         if stamp > simulator.latest_stamp:
             simulator.latest_stamp = stamp
@@ -90,9 +106,9 @@ class InFlight:
     """What one source of writes has in flight, on every program it can write.
 
     A source names the programs it can write (:meth:`watch`).  An event it
-    schedules through :meth:`schedule_at` holds each of them until it has
-    run; :meth:`add` counts work it tracks itself (a command on a control
-    link).
+    schedules through :meth:`schedule_at` holds each of them, for frames
+    stamped at or after its instant, until it has run; :meth:`add` counts
+    work it tracks itself (a command on a control link).
     """
 
     __slots__ = ("simulator", "programs")
@@ -118,9 +134,13 @@ class InFlight:
         self, time: float, callback: Callable[[], Any], description: str = ""
     ) -> None:
         """Schedule ``callback`` at ``time``, holding every watched program
-        until it has run."""
-        self.simulator.schedule_at(time, callback, description)
+        for frames stamped at or after ``time`` until it has run."""
+        simulator = self.simulator
+        simulator.schedule_at(time, callback, description)
+        now = simulator.now
         for program in self.programs:
-            if time > program.hold:
-                program.hold = time
-
+            writes = program.writes
+            # The instants before the clock: their events have all run.
+            while writes and writes[0] < now:
+                heappop(writes)
+            heappush(writes, time)

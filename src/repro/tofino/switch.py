@@ -173,9 +173,13 @@ class TofinoSwitch:
             sink(frame, deliver_at)
             return
         lookahead = self._lookaheads.get(port)
-        if lookahead is not None and lookahead.admits(deliver_at):
-            sink(frame, deliver_at)
-            return
+        if lookahead is not None:
+            if lookahead.admits(deliver_at):
+                sink(frame, deliver_at)
+                return
+            # No later frame of the port may overtake this one's event.
+            if deliver_at > lookahead.hold:
+                lookahead.hold = deliver_at
         if hold != inf:
             self._holds[port] = deliver_at
         tracer = _obs.TRACER

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TopologyError
+from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.replay imports us back
     from repro.replay.link import EmulatedLink, ImpairmentModel
-    from repro.sim.lookahead import Lookahead
     from repro.topology.spec import TopologySpec
     from repro.zipline.stats import LinkTap
 
@@ -198,15 +198,20 @@ class TopologyGraph:
 
         An edge into a switch program hands the program a frame at once,
         stamped with the instant it arrives there, exactly when no pending
-        or possible event can touch the program before that stamp.  The
-        parts of that rule a run cannot change are decided here, once: the
-        edge must be the program's only data input (so frames reach it in
-        stamp order), and its last link must not reorder.  Such an edge
-        hands the program's :class:`~repro.sim.lookahead.Lookahead` to its
-        last link, or, when it is direct, to the upstream switch's port.
-        The per-frame rest — nothing that touches the program in flight,
-        the stamp within the run's horizon and closer than a new control
-        write could land — is :meth:`~repro.sim.lookahead.Lookahead.admits`.
+        or possible event can touch the program before that stamp; so does
+        each hop of a chain of links into the next.  The part of that rule
+        a run cannot change is decided here, once: the edge must be the
+        program's only data input, so frames reach it in stamp order.  Such
+        an edge hands the program's :class:`~repro.sim.lookahead.Lookahead`
+        to its last link, or, when it is direct, to the upstream switch's
+        port.  A link's only writer is the link upstream of it, so every
+        hop of a chain hands its downstream link a fresh ``Lookahead`` that
+        no source of writes watches.  The per-frame rest — the earliest
+        write pending on the receiver after the stamp, no frame delayed by
+        the impairment model or owed by the link still pending, the stamp
+        within the run's horizon and closer than a new control write could
+        land — is :meth:`~repro.sim.lookahead.Lookahead.admits` and the
+        link's own order (:meth:`~repro.replay.link.EmulatedLink.send`).
         Every other edge into a program, and every edge into a forwarder,
         keeps its delivery or transmit event.
         """
@@ -220,12 +225,8 @@ class TopologyGraph:
             lookahead = target.lookahead if inputs[edge.target] == 1 else None
             if edge.links:
                 for upstream, downstream in zip(edge.links, edge.links[1:]):
-                    upstream.attach(downstream.send)
-                last = edge.links[-1]
-                impairments = last.impairments
-                if impairments is not None and impairments.reorder_probability > 0:
-                    lookahead = None
-                last.attach(sink, lookahead=lookahead)
+                    upstream.attach(downstream.send, Lookahead(self.simulator))
+                edge.links[-1].attach(sink, lookahead=lookahead)
                 entry: LinkSink = edge.links[0].send
                 timed = True
                 lookahead = None

@@ -220,17 +220,19 @@ class TestFiles:
             "control_churn_sweep.json",
             "fanin_topology.json",
             "loss_table_sweep.json",
+            "lossy_chain.json",
             "smoke.json",
         ]
+        #: Topology specs, not experiment matrices: they load through
+        #: repro.topology instead, with this many flows at least.
+        topology_specs = {"fanin_topology.json": 4, "lossy_chain.json": 1}
         experiment_specs = 0
         for path in specs_dir.glob("*.json"):
-            if path.name == "fanin_topology.json":
-                # A topology spec, not an experiment matrix: it loads
-                # through repro.topology instead.
+            if path.name in topology_specs:
                 from repro.topology import TopologySpec
 
                 topo = TopologySpec.from_file(path)
-                assert len(topo.flows) >= 4
+                assert len(topo.flows) >= topology_specs[path.name]
                 continue
             spec = ExperimentSpec.from_file(path)
             assert spec.matrix_size >= 4

@@ -5,13 +5,14 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ReplayError, ReproError
 from repro.net.ethernet import frame_wire_bytes
 from repro.replay import EmulatedLink
 from repro.replay.link import AHEAD, ImpairmentModel, LinkStats
+from repro.sim.lookahead import Lookahead
 from repro.sim.simulator import Simulator
 
 
@@ -694,3 +695,103 @@ class TestMatchesExplicitCompletionEvent:
         assert link.stats.offered == 1
         simulator.run()
         assert [frame for _time, frame in arrivals] == [FRAMES[0]]
+
+
+class RefusingLookahead(Lookahead):
+    """The lookahead rule switched off: every delivery keeps its event."""
+
+    __slots__ = ()
+
+    def admits(self, stamp):
+        return False
+
+
+def run_chain(lookahead, sends, capacities, impairments=None, cuts=()):
+    """Links in series, one per capacity, on the half-second grid: each hop
+    hands frames to the next through ``lookahead(simulator)``, as
+    ``TopologyGraph.wire`` does.  Sends are events at their instants into
+    the first hop; the simulator runs to each of ``cuts``, reading every
+    hop's queue depth, then drains.  Returns everything the links decided.
+    """
+    simulator = Simulator()
+    links = [
+        EmulatedLink(
+            simulator,
+            bandwidth_bps=GRID_BANDWIDTH,
+            propagation_delay=0.5,
+            queue_capacity=capacity,
+            impairments=None if impairments is None else ImpairmentModel(
+                seed=index, **impairments
+            ),
+        )
+        for index, capacity in enumerate(capacities)
+    ]
+    for upstream, downstream in zip(links, links[1:]):
+        upstream.attach(downstream.send, lookahead(simulator))
+    arrivals = []
+    links[-1].attach(lambda frame, time: arrivals.append((time, frame)))
+    for at in sends:
+        simulator.schedule_at(at, partial(links[0].send, FRAMES[0], at))
+    depths = []
+    for cut in cuts:
+        simulator.run(until=cut)
+        depths.append([link.queue_depth for link in links])
+    simulator.run()
+    return dict(
+        arrivals=arrivals,
+        depths=depths,
+        stats=[link.stats.as_dict() for link in links],
+        delays=[list(link.stats.queueing_delays) for link in links],
+    )
+
+
+@st.composite
+def chain_schedules(draw):
+    return dict(
+        sends=sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=40))),
+        capacities=draw(
+            st.lists(st.sampled_from([1, 2, 3, None]), min_size=2, max_size=3)
+        ),
+        impairments=draw(st.sampled_from([
+            None,
+            dict(loss_probability=0.1, reorder_probability=0.2, reorder_delay=1.5),
+        ])),
+        cuts=sorted(set(draw(st.lists(st.integers(1, 120), max_size=6)))),
+    )
+
+
+class TestLinkToLinkHandOn:
+    """A hop hands each frame to the next link at once, stamped with its
+    delivery instant, when the next link's lookahead admits it — and the
+    next link decides exactly what it would have from the delivery event.
+    A frame handed on from an upstream link's owed deliveries (or a
+    reordered frame's event) carries the key of the event its upstream
+    send ran in, so exact ties with a completion downstream resolve as
+    that event would have."""
+
+    @given(schedule=chain_schedules())
+    @example(schedule=dict(sends=[0, 0], capacities=[2, 1], impairments=None, cuts=[1]))
+    @settings(max_examples=150, deadline=None)
+    def test_a_chain_decides_as_one_delivery_event_per_frame_would(self, schedule):
+        """On the half-second grid frames meet completions at exact
+        instants on every hop.  Every drop, delay, arrival and queue depth
+        read at each cut equals the chain's with the rule off.  The frames
+        are of one size, as every ZipLine frame fills the same minimum wire
+        slot (with two sizes, two hand-ons at one instant on different
+        hops can still resolve a downstream tie the other way)."""
+        schedule["sends"] = [at / 2.0 for at in schedule["sends"]]
+        schedule["cuts"] = [cut / 2.0 for cut in schedule["cuts"]]
+        assert run_chain(Lookahead, **schedule) == run_chain(RefusingLookahead, **schedule)
+
+    def test_an_owed_frame_meets_a_completion_as_its_event_would(self):
+        """Two frames at 0 into a two-hop chain, the run cut at 0.5 s: both
+        deliveries from the first hop lie past the cut and are owed.  The
+        first reaches the next link from its event at 1.5 s; the second is
+        handed on from that event, stamped 2.5 s — exactly when the first
+        finishes there.  Its delivery event was scheduled at 0, before the
+        first frame entered, so at that tie the first is still serialising
+        and the second finds the one-frame queue full."""
+        schedule = dict(sends=[0.0, 0.0], capacities=[2, 1], cuts=[0.5])
+        chain = run_chain(Lookahead, **schedule)
+        assert [stats["dropped_queue"] for stats in chain["stats"]] == [0, 1]
+        assert chain == run_chain(RefusingLookahead, **schedule)

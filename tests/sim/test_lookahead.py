@@ -1,4 +1,4 @@
-"""The lookahead predicate and the in-flight counts it reads."""
+"""The lookahead predicate and the pending writes it reads."""
 
 from math import inf
 
@@ -58,28 +58,53 @@ class TestAdmits:
         lookahead.reaction = 1e-3
         assert not _inside_a_run(simulator, lambda: lookahead.admits(2e-3))
 
-    def test_a_refused_stamp_holds_the_program_until_its_event_has_run(self):
-        """The caller schedules what the rule refused; nothing overtakes it."""
+    def test_a_refusal_holds_nothing(self):
+        """The caller keeps what the rule refused behind anything it still
+        owes the receiver; the rule itself holds nothing back."""
         simulator = Simulator()
         lookahead = Lookahead(simulator)
         seen = []
 
         def first():
-            assert not lookahead.admits(2.5e-3)  # past the horizon
-            simulator.schedule_at(2.5e-3, lambda: None)
-            seen.append(lookahead.admits(1.1e-3))  # behind the held delivery
+            seen.append(lookahead.admits(2.5e-3))  # past the horizon
+            seen.append(lookahead.admits(1.1e-3))
 
         simulator.schedule_at(1e-3, first)
         simulator.run(until=2e-3)
-        assert seen == [False]
-        assert lookahead.hold == 2.5e-3
-        simulator.schedule_at(3e-3, lambda: seen.append(lookahead.admits(3.1e-3)))
-        simulator.run()
         assert seen == [False, True]
+        assert (lookahead.hold, lookahead.writes) == (-inf, [])
+
+    def test_hold_refuses_every_stamp_until_the_clock_has_passed_it(self):
+        """A delivery kept as its own event while later frames could
+        overtake it (a reordered frame) holds the receiver for every stamp,
+        before it or not, until the clock is past it."""
+        simulator = Simulator()
+        lookahead = Lookahead(simulator)
+        lookahead.hold = 2e-3
+        seen = []
+        for clock, stamp in ((1e-3, 1.1e-3), (1.5e-3, 2.5e-3), (2e-3, 2.1e-3),
+                             (2.2e-3, 2.3e-3)):
+            simulator.schedule_at(
+                clock, lambda stamp=stamp: seen.append(lookahead.admits(stamp))
+            )
+        simulator.run()
+        assert seen == [False, False, False, True]
+
+
+def _admits_from(simulator, program, checks):
+    """Ask ``program`` about each ``(clock, stamp)`` from an event at
+    ``clock``; run; return the answers in order."""
+    seen = []
+    for clock, stamp in checks:
+        simulator.schedule_at(
+            clock, lambda stamp=stamp: seen.append(program.admits(stamp))
+        )
+    simulator.run()
+    return seen
 
 
 class TestInFlight:
-    def test_holds_and_counts_every_program_it_watches(self):
+    def test_watching_keeps_the_smallest_reaction(self):
         simulator = Simulator()
         encoder, decoder, other = (Lookahead(simulator) for _ in range(3))
         writes = InFlight(simulator)
@@ -87,24 +112,62 @@ class TestInFlight:
         writes.watch(decoder, reaction=1e-3)
         writes.watch(decoder, reaction=3e-3)  # the smallest reaction stays
         assert (encoder.reaction, decoder.reaction, other.reaction) == (2e-3, 1e-3, inf)
-        writes.schedule_at(1e-3, lambda: None)
-        writes.schedule_at(2e-3, lambda: None)
-        writes.schedule_at(1.5e-3, lambda: None)
-        assert (encoder.hold, decoder.hold, other.hold) == (2e-3, 2e-3, -inf)
+        assert writes.programs == [encoder, decoder]
+
+    def test_a_write_pending_at_t_holds_frames_stamped_from_t_on(self):
+        """Only the earliest pending write counts, and only for stamps at
+        or after it: a frame stamped before every pending write reaches the
+        program first whatever those writes do."""
+        simulator = Simulator()
+        program, other = Lookahead(simulator), Lookahead(simulator)
+        writes = InFlight(simulator)
+        writes.watch(program)
+        for instant in (1e-3, 2e-3, 1.5e-3):
+            writes.schedule_at(instant, lambda: None)
+        assert sorted(program.writes) == [1e-3, 1.5e-3, 2e-3]
+        assert other.writes == []
+        checks = [
+            (0.5e-3, 0.9e-3),  # before the earliest write
+            (0.5e-3, 1e-3),  # at it: the write's event runs first
+            (0.5e-3, 1.9e-3),
+            (1e-3, 1.2e-3),  # at the write's own instant, it may not have run
+            (1.2e-3, 1.4e-3),  # the 1 ms write has run; 1.5 ms is next
+            (1.2e-3, 1.5e-3),
+            (2.1e-3, 5e-3),  # every write has run
+        ]
+        assert _admits_from(simulator, program, checks) == [
+            True, False, False, False, True, False, True,
+        ]
+        assert program.writes == []  # read after the last write: pruned
+
+    def test_counted_writes_hold_every_stamp(self):
+        simulator = Simulator()
+        program = Lookahead(simulator)
+        writes = InFlight(simulator)
+        writes.watch(program)
         writes.add(1)
-        assert (encoder.in_flight, decoder.in_flight, other.in_flight) == (1, 1, 0)
-        seen = []
+        assert program.in_flight == 1
+        simulator.schedule_at(1.5e-3, lambda: writes.add(-1))
+        checks = [(1e-3, 1.01e-3), (2e-3, 2.01e-3)]
+        assert _admits_from(simulator, program, checks) == [False, True]
+        assert program.in_flight == 0
 
-        def check(stamp):
-            seen.append((decoder.admits(stamp), other.admits(stamp)))
+    def test_a_program_nobody_asks_holds_only_what_may_be_pending(self):
+        """Writes are pruned when pushed, too: a program whose edges never
+        ask the rule (a fan-in encoder) keeps no history of past writes."""
+        simulator = Simulator()
+        program = Lookahead(simulator)
+        writes = InFlight(simulator)
+        writes.watch(program)
 
-        simulator.schedule_at(1.8e-3, lambda: check(1.9e-3))  # held to 2 ms
-        simulator.schedule_at(2.1e-3, lambda: check(2.2e-3))  # still counted
-        simulator.schedule_at(2.3e-3, lambda: writes.add(-1))
-        simulator.schedule_at(2.4e-3, lambda: check(2.5e-3))
+        def step(count):
+            writes.schedule_at(simulator.now + 0.5e-3, lambda: None)
+            if count:
+                simulator.schedule_in(1e-3, lambda: step(count - 1))
+
+        simulator.schedule_at(0.0, lambda: step(100))
         simulator.run()
-        assert seen == [(False, True), (False, True), (True, True)]
-        assert (encoder.in_flight, decoder.in_flight) == (0, 0)
+        assert len(program.writes) == 1  # the last write only, of 101
 
     def test_a_refused_schedule_holds_nothing(self):
         simulator = Simulator()
@@ -113,4 +176,4 @@ class TestInFlight:
         writes.watch(program)
         with pytest.raises(SimulationError):
             writes.schedule_at(-1.0, lambda: None)
-        assert program.hold == -inf
+        assert program.writes == []

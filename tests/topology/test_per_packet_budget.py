@@ -59,12 +59,25 @@ per-entry hit metadata, no call among them — so bytecodes per chunk fell
 by 82 instead (1,788.7 → 1,706.7 streaming, 1,735.9 → 1,653.9 exact).
 
 The learning shapes of the benchmark (``fanin-thrash-learn``,
-``dns-lossy-multihop``, at their ``--quick`` sizes, exact mode) always
-have an event due before the next injection, so each injection runs
-alone — the one-frame path.  Their counts were 45.703 and 68.349 before
-trains, and 43.701 and 64.453 after (the ``Distribution.extend`` change);
-one program form left them there, at 82 bytecodes per chunk fewer
-(2,579.4 → 2,497.0 and 3,403.3 → 3,321.1).
+``dns-lossy-multihop``, at their ``--quick`` sizes, exact mode) had an
+event due before nearly every injection, so each injection ran alone —
+the one-frame path.  Their counts were 45.703 and 68.349 before trains,
+and 43.701 and 64.453 after (the ``Distribution.extend`` change); one
+program form left them there, at 82 bytecodes per chunk fewer (2,579.4 →
+2,497.0 and 3,403.3 → 3,321.1).  40.902 and 59.353 once the lookahead
+went hop by hop through every link of a chain and a write held a program
+only for frames stamped at or after the earliest pending one
+(``repro.sim.lookahead``): a frame crosses the lossy chain's three links
+into the decoder without a delivery event unless one of them delays it,
+a pending write precedes its stamp or an earlier delivery on the same
+link is still owed, and those wait behind one event per link.  Events
+per chunk fell from 2.810 and 4.772 to 1.990 and 2.451, ``Simulator.step``
+calls to 1.574 and 2.113 — the injections now run in trains between the
+deliveries that are left — and at the benchmark's full size the DNS chain
+went from 4.1145 to 0.997 ``step`` calls per chunk.  Bytecodes per
+chunk rose (2,497.0 → 2,519.4 and 3,321.1 → 3,443.3): the link keeps
+each frame's entry key and its owed deliveries, and the static rack pays
+for that too (1,653.9 → 1,691.0 exact, calls unchanged).
 """
 
 import sys
@@ -86,8 +99,12 @@ from repro.topology import (
 #: record only one mode keeps — is a decision, not an accident.
 MAX_CALLS_PER_CHUNK = {"streaming": 25.75, "exact": 25.7}
 
-#: The same for the one-frame path, on the two learning shapes (exact).
-MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 43.75, "dns-lossy-multihop": 64.5}
+#: The same for the two learning shapes of the benchmark (exact).
+MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 40.95, "dns-lossy-multihop": 59.4}
+
+#: ``Simulator.step`` calls per chunk the DNS chain may spend: its
+#: injections run in trains between the deliveries that keep an event.
+MAX_DNS_STEPS_PER_CHUNK = {"quick": 2.15, "full": 1.1}
 
 
 def _count_python_calls(function):
@@ -120,9 +137,9 @@ def _fanin_thrash_learn():
     return spec
 
 
-def _dns_lossy_multihop():
+def _dns_lossy_multihop(chunks=2000):
     return linear_topology(
-        workload="dns", chunks=2000, names=400, scenario="dynamic", hops=3,
+        workload="dns", chunks=chunks, names=400, scenario="dynamic", hops=3,
         loss=0.01, reorder=0.01, queue_capacity=64, packet_rate=1e5,
         bandwidth_gbps=0.066, seed=2020,
     )
@@ -154,9 +171,29 @@ LEARNING_SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(LEARNING_SHAPES))
-def test_an_injection_that_runs_alone_stays_within_its_budget(shape):
+def test_a_learning_shape_stays_within_its_budget(shape):
     engine = TopologyEngine(LEARNING_SHAPES[shape](), metrics_mode="exact")
-    calls, _steps = _count_python_calls(engine.run)
+    calls, steps = _count_python_calls(engine.run)
     chunks = sum(state.chunks_sent for state in engine.flow_states)
     assert chunks == 2000
     assert calls / chunks <= MAX_LEARNING_CALLS_PER_CHUNK[shape], calls / chunks
+    if shape == "dns-lossy-multihop":
+        assert steps / chunks <= MAX_DNS_STEPS_PER_CHUNK["quick"], steps / chunks
+
+
+def test_the_full_size_lossy_chain_runs_its_injections_in_trains(monkeypatch):
+    """The benchmark's ``dns-lossy-multihop`` spec at full size (16,000
+    chunks): about one ``Simulator.step`` per chunk, down from 4.1145 when
+    every hop but the last spent a delivery event per frame."""
+    steps = 0
+    step = Simulator.step
+
+    def counting(self):
+        nonlocal steps
+        steps += 1
+        return step(self)
+
+    monkeypatch.setattr(Simulator, "step", counting)
+    engine = TopologyEngine(_dns_lossy_multihop(chunks=16000), metrics_mode="exact")
+    engine.run()
+    assert steps / 16000 <= MAX_DNS_STEPS_PER_CHUNK["full"], steps / 16000

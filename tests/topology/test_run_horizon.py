@@ -4,8 +4,9 @@ A switch hands its output on stamped with the end of its pipeline latency
 instead of spending a transmit event on it — into an emulated link, or
 into a host — but never past the horizon of the run: ``run(until=t)``
 reports nothing that happened after ``t``.  An edge into another switch
-program hands the frame over at once too, stamped with its delivery
-instant, exactly when nothing can touch that program before the stamp
+program, and each hop of a chain of links into the next, hands the frame
+over at once too, stamped with its delivery instant, exactly when nothing
+can reach the receiver before the stamp
 (:class:`repro.sim.lookahead.Lookahead`); otherwise it keeps its delivery
 or transmit event.
 """
@@ -163,30 +164,63 @@ def _two_input_encoder_spec(chunks):
                         scenario="static", seed=7)
 
 
-class TestLookaheadRule:
-    """Which edges into a switch program keep their event.
+def _decoder_arrivals(monkeypatch, engine_of):
+    """Run the engine ``engine_of()`` builds, recording ``(clock, stamp)``
+    each time a frame enters the decoder program."""
+    from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 
-    A reordering link, a program with two data inputs, a program with a
-    control write or a restart in flight, and a stamp past ``until`` each
-    keep theirs; every other edge into a program hands the frame over at
-    once, so a static chain spends one event per chunk: its injection.
+    arrivals = []
+    receive = ZipLineDecoderSwitch.receive
+
+    def recording(self, frame, port, time=None):
+        arrivals.append((self.switch.simulator.now, time))
+        return receive(self, frame, port, time)
+
+    monkeypatch.setattr(ZipLineDecoderSwitch, "receive", recording)
+    engine = engine_of()
+    labels = _labels(engine)
+    return engine, labels, arrivals
+
+
+class TestLookaheadRule:
+    """Which deliveries keep their event.
+
+    A program with two data inputs keeps them all.  Otherwise an edge into
+    a switch program, and each hop of a chain of links into the next,
+    hands a frame over at once unless something can reach the receiver
+    first: a frame the impairment model delays (it keeps its own event), a
+    write pending at or before the frame's stamp, a stamp past ``until``
+    or farther ahead than a new control write could land — and then every
+    later frame of the link waits behind it.  A static chain of any length
+    spends one event per chunk: its injection.
     """
 
     CHUNKS = 20
 
-    @pytest.mark.parametrize("build", [linear_topology, paper_testbed_topology])
-    def test_an_edge_the_rule_admits_spends_no_event(self, build):
-        spec = build(chunks=self.CHUNKS, bases=2, packet_rate=1e3,
-                     scenario="static", seed=7)
-        engine = TopologyEngine(spec)
+    @pytest.mark.parametrize(
+        "build, hops",
+        [(linear_topology, 1), (linear_topology, 3), (paper_testbed_topology, None)],
+    )
+    def test_an_edge_the_rule_admits_spends_no_event(self, build, hops):
+        params = dict(chunks=self.CHUNKS, bases=2, packet_rate=1e3,
+                      scenario="static", seed=7)
+        if hops is not None:
+            params["hops"] = hops
+        engine = TopologyEngine(build(**params))
         assert _labels(engine) == {"replay:inject": self.CHUNKS}
         assert engine.report().flows[0].delivered == self.CHUNKS
 
-    def test_a_reordering_link_keeps_its_delivery_events(self):
-        engine = TopologyEngine(_spec(chunks=self.CHUNKS, reorder=0.3))
+    def test_only_a_reordered_frame_keeps_its_delivery_event(self):
+        """On every hop of a reordering chain — into the next link and into
+        the decoder alike — the frames the impairment model delays keep
+        their delivery events, and no other frame does."""
+        engine = TopologyEngine(_spec(chunks=self.CHUNKS, hops=3, reorder=0.3))
         labels = _labels(engine)
-        assert engine.report().metrics.counter("link0.reordered") > 0
-        assert labels == {"replay:inject": self.CHUNKS, "link0:deliver": self.CHUNKS}
+        counters = engine.report().metrics.as_dict()["counters"]
+        for hop in range(3):
+            assert counters[f"link{hop}.reordered"] > 0
+            assert labels[f"link{hop}:deliver"] == counters[f"link{hop}.reordered"]
+        assert engine.report().flows[0].delivered == self.CHUNKS
 
     def test_a_program_with_two_data_inputs_keeps_their_events(self):
         engine = TopologyEngine(_two_input_encoder_spec(self.CHUNKS))
@@ -198,48 +232,74 @@ class TestLookaheadRule:
         }
         assert sum(flow.delivered for flow in engine.report().flows) == 2 * self.CHUNKS
 
-    @pytest.mark.parametrize(
-        "build, label",
-        [(linear_topology, "link0:deliver"), (paper_testbed_topology, "encoder:tx:1")],
-    )
-    def test_a_program_with_a_write_in_flight_keeps_its_events(self, build, label):
-        """A dynamic run shorter than the digest latency: every frame meets
-        a learn digest on its way to the control plane, on the wire into
-        the decoder and on the direct encoder → decoder hop alike."""
+    def test_a_write_pending_at_t_holds_frames_stamped_from_t_on(self, monkeypatch):
+        """A decoder restart pending at T, on a 50 µs wire with a frame
+        sent every millisecond: the one frame on the wire across T keeps
+        its delivery event and reaches the decoder once the restart has
+        run; every other frame, stamped before T or sent after it, is
+        handed over the moment it is sent."""
+        restart = 9.02e-3  # the tenth frame is sent at 9 ms, stamped ~9.05 ms
+
+        def engine_of():
+            spec = _spec(chunks=self.CHUNKS, bases=2, propagation_us=50.0)
+            spec.faults = FaultPlan(restarts=(NodeRestart(node="decoder", time=restart),))
+            return TopologyEngine(spec)
+
+        engine, labels, arrivals = _decoder_arrivals(monkeypatch, engine_of)
+        assert engine.report().metrics.counter("faults.restarts") == 1
+        assert labels["link0:deliver"] == 1
+        assert len(arrivals) == self.CHUNKS
+        # Nothing stamped from T on reaches the decoder before T ...
+        assert all(clock >= restart for clock, stamp in arrivals if stamp >= restart)
+        # ... and only the frame on the wire across T waits for its stamp:
+        # every other one, stamped before T or sent after it, arrives the
+        # moment it is sent, ahead of its stamp.
+        waited = [(clock, stamp) for clock, stamp in arrivals if clock == stamp]
+        assert len(waited) == 1 and waited[0][1] >= restart
+        assert sum(clock < stamp for clock, stamp in arrivals) == self.CHUNKS - 1
+
+    @pytest.mark.parametrize("build", [linear_topology, paper_testbed_topology])
+    def test_a_write_pending_after_every_stamp_holds_nothing(self, build):
+        """A dynamic run shorter than the digest latency: every frame is
+        sent while learn digests are on their way to the control plane,
+        yet each is stamped before the earliest of them lands, so the wire
+        and the direct encoder → decoder hop hand every frame over."""
         spec = build(chunks=self.CHUNKS, bases=2, packet_rate=1e5,
                      scenario="dynamic", seed=7)
         engine = TopologyEngine(spec)
         labels = _labels(engine)
-        assert labels[label] == self.CHUNKS
+        assert labels["digest:zipline_learn_basis"] == self.CHUNKS
+        assert set(labels) == {
+            "replay:inject", "digest:zipline_learn_basis", "control-plane step",
+        }
         assert engine.report().metrics.counter("controlplane.mappings_learned") > 0
 
-    def test_a_program_with_a_restart_in_flight_keeps_its_events(self):
-        """Frames sent before the decoder's restart keep their delivery
-        event; once it has run (and its resync with it), none does."""
-        spec = _spec(chunks=self.CHUNKS, bases=2)
-        restart = 9.5e-3  # between the tenth and eleventh injection
-        spec.faults = FaultPlan(restarts=(NodeRestart(node="decoder", time=restart),))
-        engine = TopologyEngine(spec)
-        times = []
-        engine.simulator.add_observer(
-            lambda time, label: times.append(time) if label == "link0:deliver" else None
-        )
-        report = engine.run()
-        assert report.metrics.counter("faults.restarts") == 1
-        assert len(times) == 10 and max(times) < restart
-
-    @pytest.mark.parametrize("scenario, kept", [("static", True), ("no_table", False)])
+    @pytest.mark.parametrize("scenario", ["static", "no_table"])
     def test_a_stamp_beyond_the_control_planes_reaction_keeps_its_event(
-        self, scenario, kept
+        self, scenario, monkeypatch
     ):
         """A write nothing has started yet can land on the decoder a digest
-        latency plus a processing step (~1.16 ms) after any instant, so
-        with a control plane a 2 ms wire keeps its delivery events even
-        with nothing in flight; without one nothing can write the decoder,
-        and the wire hands every frame over at once."""
-        spec = _spec(chunks=self.CHUNKS, propagation_us=2000.0, scenario=scenario)
-        labels = _labels(TopologyEngine(spec))
-        assert labels.get("link0:deliver", 0) == (self.CHUNKS if kept else 0)
+        latency plus a processing step (~1.16 ms) after any instant.  With
+        a control plane, a 2 ms wire hands no frame over when it is sent;
+        each is owed, and the event of the oldest hands the next one over
+        once it is stamped less than that ahead of the clock — one event
+        for every other frame at a frame per millisecond.  Without one
+        nothing can write the decoder, and the wire hands every frame over
+        at once."""
+
+        def engine_of():
+            return TopologyEngine(
+                _spec(chunks=self.CHUNKS, propagation_us=2000.0, scenario=scenario)
+            )
+
+        engine, labels, arrivals = _decoder_arrivals(monkeypatch, engine_of)
+        if scenario == "no_table":
+            assert labels.get("link0:deliver", 0) == 0
+            return
+        reaction = engine.graph.node("decoder").lookahead.reaction
+        assert 1e-3 < reaction < 2e-3
+        assert labels["link0:deliver"] == self.CHUNKS // 2
+        assert all(stamp - clock < reaction for clock, stamp in arrivals)
 
     def test_a_stamp_past_the_horizon_keeps_its_event(self):
         """A cut while the first frame is on the wire: its delivery is an
