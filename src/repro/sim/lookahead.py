@@ -84,12 +84,6 @@ class Lookahead:
         """
         simulator = self.simulator
         now = simulator.now
-        writes = self.writes
-        if writes:
-            while writes and writes[0] < now:
-                heappop(writes)
-            if writes and writes[0] <= stamp:
-                return False
         if (
             self.in_flight
             or self.hold >= now
@@ -97,6 +91,12 @@ class Lookahead:
             or stamp > simulator.horizon
         ):
             return False
+        writes = self.writes
+        if writes:
+            while writes and writes[0] < now:
+                heappop(writes)
+            if writes and writes[0] <= stamp:
+                return False
         if stamp > simulator.latest_stamp:
             simulator.latest_stamp = stamp
         return True

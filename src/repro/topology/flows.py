@@ -66,6 +66,18 @@ INJECT = "replay:inject"
 #: +14 %, and 256 keeps RSS flat (27.73 → 27.86).
 TRAIN_CAP = 256
 
+#: How many frames an injection event runs one by one, fetching each as
+#: it goes, before it collects the rest as a train.  A train costs a fixed
+#: ~1,100 bytecodes (it re-keys every flow and hands the encoders the
+#: frames to prime), more than a short run between pending events saves,
+#: and a run on a learning shape is mostly that short: on the ``--quick``
+#: shapes (``scripts/per_packet_profile.py``, exact) 1 / 2 / 4 / 8 / 16
+#: read 2,524 / 2,495 / 2,469 / 2,462 / 2,463 bytecodes per chunk on
+#: ``fanin-thrash-learn``, 3,459 / 3,429 / 3,408 / 3,401 / 3,402 on
+#: ``dns-lossy-multihop`` and 1,691 / 1,692 / 1,694 / 1,697 / 1,705 on the
+#: static rack.
+ONE_BY_ONE = 8
+
 #: A train entry's frame.
 _FRAME = itemgetter(2)
 
@@ -289,20 +301,23 @@ class FlowInjector:
     against every other event — and ties between flows break — exactly as
     one event per frame would.
 
-    When the event runs it injects its frame.  When the next frame still
+    When the event runs it injects its frame.  While the next frame still
     orders before every pending event and lies within the run's horizon,
-    a **train** follows.  The injector collects such frames — at most
-    :data:`TRAIN_CAP` per event, the event's own included — hands each
+    it injects that one too, each as its own event
+    (:meth:`~repro.sim.simulator.Simulator.advance`), fetching as it goes;
+    after :data:`ONE_BY_ONE` of them, a **train** follows.  The injector
+    collects such frames — at most :data:`TRAIN_CAP` per event, the event's
+    own and the ones before included — hands each
     encoder a host feeds directly the frames it will receive, to compute
     their syndromes in one pass
     (:meth:`~repro.zipline.encoder_switch.ZipLineEncoderSwitch.prime_syndromes`),
-    then runs them one after another, each as its own event
-    (:meth:`~repro.sim.simulator.Simulator.advance`).  Before each it checks
+    then runs them one after another, each as its own event.  Before each
+    it checks
     the pending events again, because the frame before may have scheduled
     one that comes first (a refused delivery, a digest, a control step),
     and the run's ``max_events`` may stop it; frames it does not run go
     back with their keys.  The steps of one injection are written out both
-    in the one-frame path and in the train: a call per frame costs more
+    in the one-by-one path and in the train: a call per frame costs more
     than the lines.
     """
 
@@ -357,59 +372,69 @@ class FlowInjector:
             self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
 
     def _run(self) -> None:
-        """The injector's event: inject the first frame, then the train that
-        follows it when the next frame precedes every pending event."""
+        """The injector's event: inject the first frame, then each next one
+        that precedes every pending event, as its own event — one by one
+        for the first few, then as a train."""
         heap = self._heap
-        time, _sequence, state, frame = heap[0]
-        state.frames_sent += 1
-        if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
-            state.chunks_sent += 1
-            state.chunk_bytes_sent += len(frame) - 14
-            if state.account is not None:
-                state.account.record_sent(frame, time)
-        if _obs.TRACER.enabled:
-            state.inject_traced(frame, time)
-        else:
-            state.host.inject(frame, time)
-        if state.backlog:
-            at, frame = state.backlog.popleft()
-            if not state.backlog:
-                state.backlog = None
-        else:
-            timed = next(state.frames, None)
-            if timed is None:
-                at = None
-            else:
-                recorded, frame = timed
-                # Every frame the flow took is injected by now, so the
-                # count sent is the next one's index.
-                at = state.pacing.inject_at(state.frames_sent, recorded, len(frame))
-                if at < time:
-                    at = time
-        if at is None:
-            if self._single:
-                heap.clear()
-                return
-            heappop(heap)
-            if not heap:
-                return
-        elif self._single:
-            heap[0] = (at, next_sequence(), state, frame)
-        else:
-            heapreplace(heap, (at, next_sequence(), state, frame))
-        time, sequence, _state, _frame = heap[0]
+        simulator = self._simulator
         queue = self._queue
-        if queue:
-            first = queue[0]
-            if time > first[0] or (time == first[0] and sequence > first[1]):
-                self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
+        time, _sequence, state, frame = heap[0]
+        ran = 1
+        while True:
+            state.frames_sent += 1
+            if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
+                state.chunks_sent += 1
+                state.chunk_bytes_sent += len(frame) - 14
+                if state.account is not None:
+                    state.account.record_sent(frame, time)
+            if _obs.TRACER.enabled:
+                state.inject_traced(frame, time)
+            else:
+                state.host.inject(frame, time)
+            if state.backlog:
+                at, frame = state.backlog.popleft()
+                if not state.backlog:
+                    state.backlog = None
+            else:
+                timed = next(state.frames, None)
+                if timed is None:
+                    at = None
+                else:
+                    recorded, frame = timed
+                    # Every frame the flow took is injected by now, so the
+                    # count sent is the next one's index.
+                    at = state.pacing.inject_at(state.frames_sent, recorded, len(frame))
+                    if at < time:
+                        at = time
+            if at is None:
+                if self._single:
+                    heap.clear()
+                    return
+                heappop(heap)
+                if not heap:
+                    return
+            elif self._single:
+                heap[0] = (at, next_sequence(), state, frame)
+            else:
+                heapreplace(heap, (at, next_sequence(), state, frame))
+            time, sequence, state, frame = heap[0]
+            if queue:
+                first = queue[0]
+                if time > first[0] or (time == first[0] and sequence > first[1]):
+                    simulator.schedule_drawn(time, sequence, self._run, INJECT)
+                    return
+            if time > simulator.horizon or ran >= TRAIN_CAP:
+                simulator.schedule_drawn(time, sequence, self._run, INJECT)
                 return
-        if time <= self._simulator.horizon:
-            self._train()
-        else:
-            self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
+            if ran >= ONE_BY_ONE:
+                self._train(TRAIN_CAP - ran)
+                return
+            if not simulator.advance(time, sequence, INJECT):
+                simulator.schedule_drawn(time, sequence, self._run, INJECT)
+                return
+            ran += 1
 
-    def _train(self) -> None:
+    def _train(self, cap: int) -> None:
         """Collect the frames that precede every pending event, then run
         them, each as its own event."""
         simulator = self._simulator
@@ -435,7 +460,7 @@ class FlowInjector:
         train: List[Tuple[float, FlowState, bytes]] = []
         provisional = _UNDRAWN
         bound = horizon if horizon < stop_time else stop_time
-        for _ in range(TRAIN_CAP - 1):
+        for _ in range(cap):
             time, sequence, state, frame = heap[0]
             if time >= bound and (
                 time > horizon

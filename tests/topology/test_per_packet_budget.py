@@ -64,7 +64,7 @@ event due before nearly every injection, so each injection ran alone —
 the one-frame path.  Their counts were 45.703 and 68.349 before trains,
 and 43.701 and 64.453 after (the ``Distribution.extend`` change); one
 program form left them there, at 82 bytecodes per chunk fewer (2,579.4 →
-2,497.0 and 3,403.3 → 3,321.1).  40.902 and 59.353 once the lookahead
+2,497.0 and 3,403.3 → 3,321.1).  40.312 and 58.525 once the lookahead
 went hop by hop through every link of a chain and a write held a program
 only for frames stamped at or after the earliest pending one
 (``repro.sim.lookahead``): a frame crosses the lossy chain's three links
@@ -72,12 +72,15 @@ into the decoder without a delivery event unless one of them delays it,
 a pending write precedes its stamp or an earlier delivery on the same
 link is still owed, and those wait behind one event per link.  Events
 per chunk fell from 2.810 and 4.772 to 1.990 and 2.451, ``Simulator.step``
-calls to 1.574 and 2.113 — the injections now run in trains between the
-deliveries that are left — and at the benchmark's full size the DNS chain
-went from 4.1145 to 0.997 ``step`` calls per chunk.  Bytecodes per
-chunk rose (2,497.0 → 2,519.4 and 3,321.1 → 3,443.3): the link keeps
-each frame's entry key and its owed deliveries, and the static rack pays
-for that too (1,653.9 → 1,691.0 exact, calls unchanged).
+calls to 1.574 and 2.113 — the injections now run between the deliveries
+that are left, the first ``ONE_BY_ONE`` of a run one by one and the rest
+as a train — and at the benchmark's full size the DNS chain went from
+4.1145 to 0.997 ``step`` calls per chunk.  Bytecodes per chunk:
+2,497.0 → 2,462.1 and 3,321.1 → 3,401.4 (the link keeps each frame's
+entry key and its owed deliveries).  The static rack pays for that too,
+1,653.9 → 1,697.4 bytecodes, and 0.028 calls per chunk more in both modes
+(25.685 exact, 25.725 streaming): the first frames of each train now run
+one by one, their syndromes not primed.
 """
 
 import sys
@@ -100,7 +103,7 @@ from repro.topology import (
 MAX_CALLS_PER_CHUNK = {"streaming": 25.75, "exact": 25.7}
 
 #: The same for the two learning shapes of the benchmark (exact).
-MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 40.95, "dns-lossy-multihop": 59.4}
+MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 40.35, "dns-lossy-multihop": 58.55}
 
 #: ``Simulator.step`` calls per chunk the DNS chain may spend: its
 #: injections run in trains between the deliveries that keep an event.

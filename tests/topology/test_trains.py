@@ -63,15 +63,19 @@ def test_one_frame_per_event_changes_nothing(shape, bound, monkeypatch):
 
 def test_the_grid_hands_frames_back(monkeypatch):
     """Some train of the grid stops at an event a frame before scheduled,
-    and some at the ``max_events`` budget, with frames collected."""
-    handed_back = {"pending event": 0, "max_events": 0}
+    and some at the ``max_events`` budget, with frames collected; and some
+    run of frames injected one by one, before a train, stops at the
+    budget too."""
+    handed_back = {"pending event": 0, "max_events": 0, "one by one": 0}
     requeue = flows.FlowInjector._requeue
     advance = Simulator.advance
+    train = flows.FlowInjector._train
+    in_train = []
 
     def refused(self, time, sequence, description):
         if advance(self, time, sequence, description):
             return True
-        handed_back["max_events"] += 1
+        handed_back["max_events" if in_train else "one by one"] += 1
         return False
 
     def counting(self, rest):
@@ -79,13 +83,20 @@ def test_the_grid_hands_frames_back(monkeypatch):
             handed_back["pending event"] += 1
         requeue(self, rest)
 
+    def training(self, cap):
+        in_train.append(True)
+        try:
+            train(self, cap)
+        finally:
+            in_train.pop()
+
     monkeypatch.setattr(flows.FlowInjector, "_requeue", counting)
+    monkeypatch.setattr(flows.FlowInjector, "_train", training)
     monkeypatch.setattr(Simulator, "advance", refused)
     for shape, bound in GRID:
         spec, cut = _build(shape, bound)
         TopologyEngine(spec).run(**cut)
-    assert handed_back["max_events"] > 0
-    assert handed_back["pending event"] > handed_back["max_events"]
+    assert all(handed_back.values()), handed_back
 
 
 def test_a_static_rack_injects_in_trains(monkeypatch):
