@@ -272,9 +272,9 @@ class EmulatedLink:
         self._gone = 0
         # Deliveries owed to the receiver because the lookahead refused
         # them, oldest first, behind one event (see ``send``): ``(frame,
-        # deliver_at, saved, tracer context)``, where ``saved`` is the
-        # sequence the delivery's event is keyed by and the key of the event
-        # it was drawn in.
+        # deliver_at, handoff, tracer context)``, where ``handoff`` — what a
+        # link receiver takes as ``saved`` — is the sequence the delivery's
+        # event is keyed by and the key of the event it was drawn in.
         self._owed: Deque[Tuple[bytes, float, Tuple[int, tuple], object]] = deque()
         # The event description is constant; format it once, not per frame.
         self._deliver_label = f"{name}:deliver"
@@ -530,7 +530,7 @@ class EmulatedLink:
         self.stats.delivered_bytes += len(frame)
         tracer = _obs.TRACER
         if tracer.enabled:
-            saved = tracer.context
+            outer = tracer.context
             tracer.restore_context(context)
         try:
             if self._sink_is_link:
@@ -539,7 +539,7 @@ class EmulatedLink:
                 self._sink(frame, deliver_at)
         finally:
             if tracer.enabled:
-                tracer.restore_context(saved)
+                tracer.restore_context(outer)
 
     def _deliver_owed(self) -> None:
         """The event of the oldest delivery owed: make it, then hand on
@@ -557,7 +557,7 @@ class EmulatedLink:
         tracer = _obs.TRACER
         traced = tracer.enabled
         if traced:
-            saved = tracer.context
+            outer = tracer.context
         frame, deliver_at, handoff, context = owed[0]
         try:
             while True:
@@ -580,4 +580,4 @@ class EmulatedLink:
                     return
         finally:
             if traced:
-                tracer.restore_context(saved)
+                tracer.restore_context(outer)
