@@ -306,17 +306,16 @@ class FlowInjector:
     it injects that one too, each as its own event
     (:meth:`~repro.sim.simulator.Simulator.advance`), fetching as it goes;
     after :data:`ONE_BY_ONE` of them, a **train** follows.  The injector
-    collects such frames — at most :data:`TRAIN_CAP` per event, the event's
-    own and the ones before included — hands each
-    encoder a host feeds directly the frames it will receive, to compute
-    their syndromes in one pass
+    collects such frames — at most :data:`TRAIN_CAP` per event, the
+    event's own and the ones before included — hands each encoder a host
+    feeds directly the frames it will receive, to compute their syndromes
+    in one pass
     (:meth:`~repro.zipline.encoder_switch.ZipLineEncoderSwitch.prime_syndromes`),
     then runs them one after another, each as its own event.  Before each
-    it checks
-    the pending events again, because the frame before may have scheduled
-    one that comes first (a refused delivery, a digest, a control step),
-    and the run's ``max_events`` may stop it; frames it does not run go
-    back with their keys.  The steps of one injection are written out both
+    frame it checks the pending events again, because the frame before may
+    have scheduled one that comes first (a refused delivery, a digest, a
+    control step), and the run's ``max_events`` may stop it; frames a train
+    does not run go back with their keys.  The steps of one injection are written out both
     in the one-by-one path and in the train: a call per frame costs more
     than the lines.
     """

@@ -110,14 +110,19 @@ def _lookahead_off(monkeypatch):
 
 
 def _run(spec):
-    """The report's md5, and how many delivery events each link spent."""
+    """The report, and how many delivery events each link spent and how
+    many frames it delivered."""
     engine = TopologyEngine(spec)
     events = collections.Counter()
     engine.simulator.add_observer(lambda _time, label: events.update((label,)))
     report = engine.run()
     spent = {link.name: events[f"{link.name}:deliver"] for link in engine.graph.links}
     delivered = {link.name: link.stats.delivered for link in engine.graph.links}
-    return hashlib.md5(report.json_text().encode("utf-8")).hexdigest(), spent, delivered
+    return report, spent, delivered
+
+
+def _md5(report):
+    return hashlib.md5(report.json_text().encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -126,7 +131,7 @@ def test_lookahead_off_prints_the_same_report(shape, seed, monkeypatch):
     on, _, _ = _run(GRID[shape](seed))
     _lookahead_off(monkeypatch)
     off, spent, delivered = _run(GRID[shape](seed))
-    assert on == off
+    assert _md5(on) == _md5(off)
     # Off means off: no link handed a frame on without its event.
     assert spent == delivered
 
@@ -134,9 +139,8 @@ def test_lookahead_off_prints_the_same_report(shape, seed, monkeypatch):
 def test_the_grid_reaches_what_it_is_for():
     """The saturated chains fill their queue and reorder, and the 3-hop one
     hands frames from link to link without events."""
-    _md5, spent, delivered = _run(GRID["linear-3hop-reorder0.01-q64"](7))
-    counters = TopologyEngine(GRID["linear-3hop-reorder0.01-q64"](7)).run()
-    counters = counters.metrics.as_dict()["counters"]
+    report, spent, delivered = _run(GRID["linear-3hop-reorder0.01-q64"](7))
+    counters = report.metrics.as_dict()["counters"]
     assert counters["link0.max_queue_depth"] == 64
     assert counters["link0.dropped_queue"] > 0
     assert sum(counters[f"link{hop}.reordered"] for hop in range(3)) > 0

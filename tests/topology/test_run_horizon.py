@@ -25,6 +25,7 @@ from repro.topology import (
     linear_topology,
     paper_testbed_topology,
 )
+from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 
 
 def _spec(**overrides):
@@ -167,8 +168,6 @@ def _two_input_encoder_spec(chunks):
 def _decoder_arrivals(monkeypatch, engine_of):
     """Run the engine ``engine_of()`` builds, recording ``(clock, stamp)``
     each time a frame enters the decoder program."""
-    from repro.zipline.decoder_switch import ZipLineDecoderSwitch
-
     arrivals = []
     receive = ZipLineDecoderSwitch.receive
 
