@@ -17,6 +17,18 @@ def _inside_a_run(simulator, check, until=None):
     return results[0]
 
 
+def _admits_from(simulator, program, checks):
+    """Ask ``program`` about each ``(clock, stamp)`` from an event at
+    ``clock``; run; return the answers in order."""
+    seen = []
+    for clock, stamp in checks:
+        simulator.schedule_at(
+            clock, lambda stamp=stamp: seen.append(program.admits(stamp))
+        )
+    simulator.run()
+    return seen
+
+
 class TestAdmits:
     def test_admits_a_stamp_ahead_of_the_clock_and_records_it(self):
         simulator = Simulator()
@@ -81,26 +93,8 @@ class TestAdmits:
         simulator = Simulator()
         lookahead = Lookahead(simulator)
         lookahead.hold = 2e-3
-        seen = []
-        for clock, stamp in ((1e-3, 1.1e-3), (1.5e-3, 2.5e-3), (2e-3, 2.1e-3),
-                             (2.2e-3, 2.3e-3)):
-            simulator.schedule_at(
-                clock, lambda stamp=stamp: seen.append(lookahead.admits(stamp))
-            )
-        simulator.run()
-        assert seen == [False, False, False, True]
-
-
-def _admits_from(simulator, program, checks):
-    """Ask ``program`` about each ``(clock, stamp)`` from an event at
-    ``clock``; run; return the answers in order."""
-    seen = []
-    for clock, stamp in checks:
-        simulator.schedule_at(
-            clock, lambda stamp=stamp: seen.append(program.admits(stamp))
-        )
-    simulator.run()
-    return seen
+        checks = [(1e-3, 1.1e-3), (1.5e-3, 2.5e-3), (2e-3, 2.1e-3), (2.2e-3, 2.3e-3)]
+        assert _admits_from(simulator, lookahead, checks) == [False, False, False, True]
 
 
 class TestInFlight:
