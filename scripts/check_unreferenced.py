@@ -9,7 +9,8 @@ code.  The scan is by name: a definition counts as used when its name
 appears anywhere in those trees as an identifier, an attribute or a word
 of a string literal (``getattr(owner, "step")`` and the stack benchmark's
 entry-point tables name methods that way), except at its own ``def``, in
-an ``__all__`` list, in an import line or in a docstring.  Dunders are
+an ``__all__`` list, in an import line, in a docstring or in the literal
+part of an f-string.  Dunders are
 exempt.  A name shared by two definitions hides both, so the scan misses
 some dead code.
 
@@ -103,9 +104,15 @@ def _docstrings(tree: ast.AST) -> Set[int]:
 
 def _skipped(tree: ast.AST) -> Set[int]:
     """Nodes that name a definition without using it: docstrings,
-    ``__all__`` lists and a property's own ``@name.setter`` decorator."""
+    ``__all__`` lists, a property's own ``@name.setter`` decorator and the
+    literal parts of an f-string (``f"{prefix}.raw_payload_bytes"`` builds
+    a counter name; it calls nothing)."""
     ids = _docstrings(tree)
     for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            ids.update(
+                id(part) for part in node.values if isinstance(part, ast.Constant)
+            )
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):

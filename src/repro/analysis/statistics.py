@@ -92,10 +92,6 @@ class MeasurementSummary:
             "max": self.maximum,
         }
 
-    def contains(self, value: float) -> bool:
-        """True when ``value`` falls inside the confidence interval."""
-        return self.mean - self.ci95 <= value <= self.mean + self.ci95
-
 
 def summarize(samples: Sequence[float]) -> MeasurementSummary:
     """Summarise a repeated measurement the way the paper reports numbers."""

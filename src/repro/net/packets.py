@@ -78,16 +78,6 @@ class ZipLinePacketCodec:
         """Wire payload size of a type-2 packet carrying one chunk."""
         return self._layout.t2_padded // 8
 
-    @property
-    def compressed_payload_bytes(self) -> int:
-        """Wire payload size of a type-3 packet carrying one chunk."""
-        return self._layout.t3_padded // 8
-
-    @property
-    def raw_payload_bytes(self) -> int:
-        """Wire payload size of a type-1 packet carrying one chunk."""
-        return self._transform.chunk_bytes
-
     # -- payload -> record --------------------------------------------------------
 
     def unpack_uncompressed(self, payload: bytes) -> UncompressedRecord:

@@ -39,7 +39,7 @@ spec twice yields byte-identical :meth:`TopologyReport.json_text` output.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs as _obs
 from repro.controlplane.idpool import IdentifierPool
@@ -68,7 +68,12 @@ from repro.topology.flows import (
     flow_source,
     flow_source_mac,
 )
-from repro.topology.graph import TopologyGraph, build_link_chain, node_components
+from repro.topology.graph import (
+    TopologyGraph,
+    build_link_chain,
+    decoder_pairing,
+    node_components,
+)
 from repro.topology.nodes import (
     ForwardNode,
     HostNode,
@@ -123,40 +128,32 @@ class TopologyEngine:
         (:class:`~repro.replay.metrics.Distribution` bounded mode), so
         memory is bounded at any scale, latency percentiles become sketch
         estimates and per-link queueing-delay distributions are empty.
-    tap_fallback:
-        When no link is explicitly ``measured: true``, whether to tap the
-        spec's fallback measured link (default true).  Sharded sub-spec
-        runs disable this: the partitioner resolves the fallback against
-        the *full* spec and marks it explicitly, so a shard can never
-        invent a tap the monolithic run would not have.
-    qualify_controlplane:
-        Controls whether control-plane counters are namespaced as
-        ``controlplane.<encoder>`` (true) or plain ``controlplane``
-        (false).  ``None`` (default) qualifies exactly when the engine
-        builds more than one control plane; shard workers receive the
-        full-spec answer so shard-local reports merge without colliding.
     static_bases:
         Bases to preload instead of the ones the flows' workloads or
         traces would yield (the spec cannot carry them).  With a control
         plane they are preloaded whatever the scenario; on a ``no_table``
         graph without encoders they are written straight into the
         decoders; ``no_table`` with an encoder rejects them.
+    shard:
+        The names of the nodes to build — one connected component of
+        ``spec``, as :func:`~repro.topology.sharding.partition_spec` finds
+        them — or ``None`` (default) for every node.  Every decision is
+        still the whole spec's: the shard taps the spec's measured links
+        among its nodes, pairs and names its control planes as the whole
+        spec does, and runs the flows and fault events of its own nodes.
     """
 
     def __init__(
         self,
         spec: TopologySpec,
         metrics_mode: str = "exact",
-        tap_fallback: bool = True,
-        qualify_controlplane: Optional[bool] = None,
         static_bases: Optional[Iterable[int]] = None,
+        shard: Optional[Collection[str]] = None,
     ):
         check_metrics_mode(metrics_mode)
         self.spec = spec
         self.metrics_mode = metrics_mode
         self._streaming = metrics_mode == "streaming"
-        self.tap_fallback = tap_fallback
-        self._qualify_controlplane = qualify_controlplane
         self.simulator = Simulator()
         self.transform = GDTransform(order=spec.order)
         self.graph = TopologyGraph(self.simulator)
@@ -165,6 +162,7 @@ class TopologyEngine:
         self.control_planes: Dict[str, ZipLineControlPlane] = {}
         self.control_channels: Dict[str, ControlChannel] = {}
         self._decoder_owner: Dict[str, str] = {}
+        self._control_plane_owners = 0  # the whole spec's, shard or not
         self._fault_restarts = 0
         self._fault_storm_evicted = 0
         self._fault_resync_installs = 0
@@ -175,7 +173,8 @@ class TopologyEngine:
         self.flow_states: List[FlowState] = []
         self._arrivals = FlowArrivals()
         self._static_bases = None if static_bases is None else list(static_bases)
-        self._build_nodes()
+        self._component_of = node_components(spec).component_of
+        self._build_nodes(None if shard is None else set(shard))
         self._build_links()
         self.graph.wire()
         self._build_control_planes()
@@ -217,9 +216,14 @@ class TopologyEngine:
             highest = max(highest, node_spec.default_egress_port)
         return None if highest < 32 else highest + 1
 
-    def _build_nodes(self) -> None:
+    def _build_nodes(self, members: Optional[Collection[str]]) -> None:
         self._host_macs: Dict[str, MacAddress] = {}
+        hosts = 0
         for node_spec in self.spec.nodes:
+            if node_spec.kind == "host":
+                hosts += 1  # a host's MAC is the whole spec's, shard or not
+            if members is not None and node_spec.name not in members:
+                continue
             routing = dict(
                 forwarding=dict(node_spec.forwarding),
                 default_egress_port=node_spec.default_egress_port,
@@ -227,7 +231,7 @@ class TopologyEngine:
             if node_spec.kind == "host":
                 node = HostNode(node_spec.name)
                 self._host_nodes[node_spec.name] = node
-                self._host_macs[node_spec.name] = _host_mac(len(self._host_macs))
+                self._host_macs[node_spec.name] = _host_mac(hosts - 1)
             elif node_spec.kind == "encoder":
                 node = ZipLineEncoderNode(
                     node_spec.name,
@@ -277,13 +281,10 @@ class TopologyEngine:
         )
 
     def _build_links(self) -> None:
-        measured = (
-            self.spec.measured_links
-            if self.tap_fallback
-            else [link for link in self.spec.links if link.measured]
-        )
-        measured_names = {link.name for link in measured}
+        measured_names = {link.name for link in self.spec.measured_links}
         for link in self.spec.links:
+            if link.source[0] not in self.graph.nodes:
+                continue  # another shard's link
             tap = None
             if link.name in measured_names:
                 tap = LinkTap()
@@ -305,28 +306,19 @@ class TopologyEngine:
     def _build_control_planes(self) -> None:
         if self.spec.scenario == "no_table":
             return
+        pairing = decoder_pairing(self.spec)
         paired: Dict[str, str] = {}
-        for node_spec in self.spec.nodes:
-            if node_spec.kind != "encoder":
-                continue
-            decoder_name = node_spec.decoder
-            if decoder_name is None:
-                if len(self._decoder_nodes) == 1:
-                    decoder_name = next(iter(self._decoder_nodes))
-                elif self._decoder_nodes:
-                    raise TopologyError(
-                        f"node {node_spec.name!r}: multiple decoder nodes exist; "
-                        "set its 'decoder' pairing explicitly"
-                    )
+        for encoder_name, encoder_node in self._encoder_nodes.items():
+            decoder_name = pairing[encoder_name]
             if decoder_name is not None:
                 if decoder_name in paired:
                     raise TopologyError(
                         f"node {decoder_name!r}: paired with both "
-                        f"{paired[decoder_name]!r} and {node_spec.name!r}; a "
+                        f"{paired[decoder_name]!r} and {encoder_name!r}; a "
                         "decoder's identifier table serves one encoder"
                     )
-                paired[decoder_name] = node_spec.name
-            encoder = self._encoder_nodes[node_spec.name].switch
+                paired[decoder_name] = encoder_name
+            encoder = encoder_node.switch
             decoder = (
                 None
                 if decoder_name is None
@@ -348,12 +340,12 @@ class TopologyEngine:
                         seed=derive_seed(
                             self.spec.name,
                             self.spec.seed,
-                            f"control:{node_spec.name}",
+                            f"control:{encoder_name}",
                         ),
                     )
                 control_link = EmulatedLink(
                     simulator=self.simulator,
-                    name=f"control.{node_spec.name}",
+                    name=f"control.{encoder_name}",
                     bandwidth_bps=self.spec.control_bandwidth_gbps * 1e9,
                     propagation_delay=self.spec.control_propagation_us * 1e-6,
                     impairments=impairments,
@@ -369,9 +361,9 @@ class TopologyEngine:
                 # install, so what the channel has in flight is the
                 # encoder's too.
                 channel.in_flight.watch(encoder.lookahead)
-                self.control_channels[node_spec.name] = channel
+                self.control_channels[encoder_name] = channel
                 decoder_transport = channel.transport
-            self.control_planes[node_spec.name] = ZipLineControlPlane(
+            self.control_planes[encoder_name] = ZipLineControlPlane(
                 digest_engine=encoder.digest_engine,
                 encoder_switch=encoder,
                 decoder_switch=decoder,
@@ -384,11 +376,13 @@ class TopologyEngine:
         # Restart/storm fault events resolve their control plane through
         # this pairing (decoder name -> owning encoder name).
         self._decoder_owner = paired
-        if not self._encoder_nodes and (
+        owners = len(pairing)
+        if not pairing and (
             self.spec.scenario == "static" or self._static_bases is not None
         ):
             # An encoder-less graph still takes its static table through a
             # control plane, one per decoder.
+            owners = sum(node.kind == "decoder" for node in self.spec.nodes)
             for name, node in self._decoder_nodes.items():
                 self.control_planes[name] = ZipLineControlPlane(
                     digest_engine=DigestEngine(self.simulator),
@@ -398,11 +392,14 @@ class TopologyEngine:
                     entry_ttl=self.spec.entry_ttl,
                     seed=self.spec.seed,
                 )
+        self._control_plane_owners = owners
 
     def _build_flows(self) -> None:
-        component_of = node_components(self.spec)
+        component_of = self._component_of
         decoder_components = {component_of[name] for name in self._decoder_nodes}
         for index, flow in enumerate(self.spec.flows):
+            if flow.source not in self._host_nodes:
+                continue  # another shard's flow
             seed = self.spec.flow_seed(flow)
             source_mac = flow_source_mac(index)
             sink_mac = self._host_macs[flow.sink]
@@ -439,12 +436,13 @@ class TopologyEngine:
         tables, in flow-declaration order (or the caller's explicit bases
         into every table).
 
-        Scoping the preload per connected component keeps a multi-encoder
+        Scoping the preload per connected component, and deciding where
+        it goes by the whole spec's control planes, keeps a multi-encoder
         spec's dictionaries identical whether the spec runs monolithically
         or partitioned into per-encoder shards; on a single-component spec
         this is exactly the global union.
         """
-        component_of = node_components(self.spec)
+        component_of = self._component_of
         bases_by_component: Dict[int, Dict[int, None]] = {}
         if self._static_bases is not None:
             everywhere = dict.fromkeys(self._static_bases)
@@ -456,12 +454,12 @@ class TopologyEngine:
                 )
                 for basis in state.static_bases():
                     bucket.setdefault(basis, None)
-        if self.control_planes:
+        if self._control_plane_owners:
             for name, control_plane in self.control_planes.items():
                 bucket = bases_by_component.get(component_of[name])
                 if bucket:
                     control_plane.preload_static_mappings(list(bucket))
-        elif self._encoder_nodes:
+        elif any(node.kind == "encoder" for node in self.spec.nodes):
             # An explicit argument must never be silently ignored: with an
             # encoder present, no_table means "no mappings, ever".
             raise TopologyError(
@@ -523,7 +521,7 @@ class TopologyEngine:
         for restart in faults.restarts:
             node = self._decoder_nodes.get(restart.node)
             if node is None:
-                continue  # filtered shard: event belongs to another worker
+                continue  # another shard's node
             wipe = InFlight(self.simulator)
             wipe.watch(node.lookahead)
             wipe.schedule_at(
@@ -636,12 +634,11 @@ class TopologyEngine:
         for name, node in self._forward_nodes.items():
             metrics.merge_counters(name, node.counters())
         collect_link_metrics(metrics, self.graph.links)
-        if self._qualify_controlplane is None:
-            single = len(self.control_planes) == 1
-        else:
-            single = not self._qualify_controlplane
+        # Named per owner whenever the whole spec has several, so shard
+        # reports merge without colliding.
+        qualify = self._control_plane_owners > 1
         for name, control_plane in self.control_planes.items():
-            namespace = "controlplane" if single else f"controlplane.{name}"
+            namespace = f"controlplane.{name}" if qualify else "controlplane"
             metrics.merge_counters(namespace, control_plane.stats.as_dict())
         for name, channel in self.control_channels.items():
             metrics.merge_counters(f"control.{name}", channel.counters())

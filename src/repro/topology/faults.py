@@ -17,16 +17,16 @@ A :class:`FaultPlan` describes everything that goes wrong during a run:
 
 The plan lives inside :class:`~repro.topology.spec.TopologySpec` (the
 ``faults`` key of the JSON form), so faulty scenarios are declarative and
-travel with the spec through sharding: :func:`FaultPlan.events_for`
-restricts the scheduled events to the nodes of one shard while the global
-impairment probabilities are kept, which is what makes a fault run
-byte-identical at any ``--workers N``.
+travel with the spec through sharding: a shard engine is built from the
+whole spec and schedules the restarts and storms of its own nodes, and each
+control link draws its impairments from its own derived-seed stream, which
+is what makes a fault run byte-identical at any ``--workers N``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import TopologyError
 from repro.validation import Validator
@@ -109,20 +109,6 @@ class FaultPlan:
         """True when the plan injects anything at all."""
         return bool(
             self.control_loss or self.control_reorder or self.restarts or self.storms
-        )
-
-    def events_for(self, node_names: Iterable[str]) -> "FaultPlan":
-        """The plan restricted to events touching ``node_names``.
-
-        The global control-link impairment probabilities are kept — each
-        control link draws from its own derived-seed stream, so keeping
-        them in every shard reproduces exactly the monolithic behaviour.
-        """
-        names = set(node_names)
-        return replace(
-            self,
-            restarts=tuple(r for r in self.restarts if r.node in names),
-            storms=tuple(s for s in self.storms if s.node in names),
         )
 
     def as_dict(self) -> Dict[str, Any]:

@@ -12,17 +12,19 @@ shared simulator).  An edge may carry a
 The graph only *describes and wires*; traffic generation, flow bookkeeping
 and reporting live in :class:`~repro.topology.engine.TopologyEngine`.
 
-:func:`node_components` / :func:`components` answer the one graph question
-asked of a *spec* before anything is built: which nodes can exchange traffic
-or control state (the engine scopes static preloads by it, the shard
-partitioner splits along it).
+:func:`node_components` answers the one graph question asked of a *spec*
+before anything is built: which nodes can exchange traffic or control state
+(the engine scopes static preloads by it, the shard partitioner splits
+along it).  :func:`decoder_pairing` is the one rule that pairs an encoder
+with the decoder its control plane writes; both the components and the
+engine's control planes read it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import TopologyError
 from repro.sim.lookahead import Lookahead
@@ -30,12 +32,12 @@ from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # runtime imports stay lazy: repro.replay imports us back
     from repro.replay.link import EmulatedLink, ImpairmentModel
-    from repro.topology.spec import TopologySpec
+    from repro.topology.spec import LinkSpec, TopologySpec
     from repro.zipline.stats import LinkTap
 
 __all__ = [
     "LinkSink", "Node", "TopologyEdge", "TopologyGraph", "build_link_chain",
-    "node_components", "components",
+    "SpecComponents", "decoder_pairing", "node_components",
 ]
 
 #: ``sink(frame_bytes, time)`` — the signature shared by switch port sinks,
@@ -282,18 +284,57 @@ def build_link_chain(
     ]
 
 
-def node_components(spec: "TopologySpec") -> Dict[str, int]:
-    """Map every node name of ``spec`` to its connected-component id.
+def decoder_pairing(spec: "TopologySpec") -> Dict[str, Optional[str]]:
+    """Each encoder's paired decoder, by name: the one pairing rule.
 
-    Components are computed over the undirected union of all links
-    *plus* each encoder's control coupling to its paired decoder
-    (explicit ``decoder:`` pairing, or the implied pairing when the
-    spec has exactly one decoder) — two nodes share a component id
-    exactly when traffic or control state can flow between them.
-    Component ids are dense and ordered by first appearance in the
-    node list, so they are deterministic for a given spec.
+    An encoder pairs with its explicit ``decoder``, else with the spec's
+    only decoder node; with no decoder it stays unpaired (``None``).  An
+    encoder left unpaired among several decoders is a spec error under a
+    scenario that builds control planes, and unpaired under ``no_table``.
+    """
+    decoders = [node.name for node in spec.nodes if node.kind == "decoder"]
+    pairing: Dict[str, Optional[str]] = {}
+    for node in spec.nodes:
+        if node.kind != "encoder":
+            continue
+        decoder = node.decoder
+        if decoder is None and len(decoders) == 1:
+            decoder = decoders[0]
+        elif decoder is None and decoders and spec.scenario != "no_table":
+            raise TopologyError(
+                f"node {node.name!r}: multiple decoder nodes exist; "
+                "set its 'decoder' pairing explicitly"
+            )
+        pairing[node.name] = decoder
+    return pairing
+
+
+class SpecComponents(NamedTuple):
+    """A spec's connected components, from one union-find pass.
+
+    ``component_of`` maps every node name to a dense component id, ordered
+    by first appearance in the node list; ``groups`` holds each
+    component's node names in declaration order.  ``bridge`` is the first
+    link that joined two parts each holding an encoder (``None`` when no
+    link did): the link a per-encoder partition would have to cut.
+    """
+
+    component_of: Dict[str, int]
+    groups: List[List[str]]
+    bridge: Optional["LinkSpec"]
+
+
+def node_components(spec: "TopologySpec") -> SpecComponents:
+    """The connected components of ``spec``.
+
+    Components are computed over the undirected union of all links, then
+    of each encoder's control coupling to its paired decoder
+    (:func:`decoder_pairing`) — two nodes share a component exactly when
+    traffic or control state can flow between them.  Deterministic for a
+    given spec.
     """
     parent = {node.name: node.name for node in spec.nodes}
+    encoders = {node.name: int(node.kind == "encoder") for node in spec.nodes}
 
     def find(name: str) -> str:
         while parent[name] != name:
@@ -301,36 +342,31 @@ def node_components(spec: "TopologySpec") -> Dict[str, int]:
             name = parent[name]
         return name
 
-    def union(a: str, b: str) -> None:
+    def union(a: str, b: str) -> bool:
+        """Join the parts of ``a`` and ``b``; true when both held an encoder."""
         root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_a] = root_b
+        if root_a == root_b:
+            return False
+        parent[root_a] = root_b
+        both = encoders[root_a] > 0 and encoders[root_b] > 0
+        encoders[root_b] += encoders[root_a]
+        return both
 
+    bridge = None
     for link in spec.links:
-        union(link.source[0], link.target[0])
-    decoders = [node for node in spec.nodes if node.kind == "decoder"]
-    for node in spec.nodes:
-        if node.kind != "encoder":
-            continue
-        decoder = node.decoder
-        if decoder is None and len(decoders) == 1:
-            decoder = decoders[0].name
+        if union(link.source[0], link.target[0]) and bridge is None:
+            bridge = link
+    for encoder, decoder in decoder_pairing(spec).items():
         if decoder is not None:
-            union(node.name, decoder)
+            union(encoder, decoder)
     ids: Dict[str, int] = {}
     component_of: Dict[str, int] = {}
+    groups: List[List[str]] = []
     for node in spec.nodes:
         root = find(node.name)
         if root not in ids:
-            ids[root] = len(ids)
+            ids[root] = len(groups)
+            groups.append([])
         component_of[node.name] = ids[root]
-    return component_of
-
-
-def components(spec: "TopologySpec") -> List[List[str]]:
-    """Node names grouped by connected component, in declaration order."""
-    component_of = node_components(spec)
-    groups: Dict[int, List[str]] = {}
-    for node in spec.nodes:
-        groups.setdefault(component_of[node.name], []).append(node.name)
-    return [groups[index] for index in range(len(groups))]
+        groups[ids[root]].append(node.name)
+    return SpecComponents(component_of, groups, bridge)

@@ -221,7 +221,7 @@ def learning_delay(
 def fold_report(
     spec: TopologySpec,
     metrics: MetricsRegistry,
-    flows: Iterable[FlowResult],
+    flows: List[FlowResult],
     wire_payload_bytes: int,
     duration: float,
     first_times: Iterable[Tuple[Optional[float], Optional[float]]],
@@ -230,19 +230,17 @@ def fold_report(
 
     ``metrics`` holds everything collected so far — component counters and
     each flow's ``flow.<name>.*`` counters and latency distribution — but
-    no ``endtoend.latency`` yet.  ``flows`` may arrive in any order (shards
-    finish in any order): they are folded in the flow-declaration order of
-    ``spec``, so the float sums inside ``endtoend.latency`` come out
-    bit-identical however the run was partitioned.  ``first_times`` holds a
+    no ``endtoend.latency`` yet.  ``flows`` come in the flow-declaration
+    order of the whole spec (one engine's own order, or the shard merge's),
+    so the float sums inside ``endtoend.latency`` come out bit-identical
+    however the run was partitioned.  ``first_times`` holds a
     ``(first type-2, first type-3)`` pair per measured link.
     """
-    by_name = {flow.name: flow for flow in flows}
-    ordered = [by_name[flow.name] for flow in spec.flows]
     distributions = metrics.distributions()
     endtoend = metrics.distribution("endtoend.latency")
     totals = dict.fromkeys((entry.name for entry in fields(IntegrityResult)), 0)
     verified = False
-    for flow in ordered:
+    for flow in flows:
         endtoend.merge(distributions[f"flow.{flow.name}.latency"])
         if flow.integrity is not None:
             verified = True
@@ -251,12 +249,12 @@ def fold_report(
     return TopologyReport(
         topology=spec.name,
         scenario=spec.scenario,
-        chunks_sent=sum(flow.chunks_sent for flow in ordered),
-        payload_bytes_sent=sum(flow.payload_bytes_sent for flow in ordered),
+        chunks_sent=sum(flow.chunks_sent for flow in flows),
+        payload_bytes_sent=sum(flow.payload_bytes_sent for flow in flows),
         wire_payload_bytes=wire_payload_bytes,
         duration=duration,
         integrity=IntegrityResult(**totals) if verified else None,
-        flows=ordered,
+        flows=flows,
         metrics=metrics,
         learning_time=learning_delay(first_times),
     )

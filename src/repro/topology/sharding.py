@@ -10,18 +10,20 @@ back into one :class:`~repro.topology.engine.TopologyReport`.
 The determinism contract is the whole point: **same spec + seed ⇒
 byte-identical report JSON at any worker count.**  It holds because
 
-* per-flow and per-link seeds are CRC-derived from the *full spec's* name
-  and seed (shard sub-specs keep both), so a flow's randomness is
-  identical whether it runs in the monolithic engine or a shard;
+* a shard is built from the whole spec plus the names of its nodes
+  (``TopologyEngine(spec, shard=...)``), so every decision it makes is
+  the whole spec's: CRC-derived flow and link seeds, measured links,
+  encoder → decoder pairing, control-plane counter names and which fault
+  events are its own;
 * shards are disjoint connected components — no event in one shard can
   observe another shard's clock, queue or dictionary;
 * the merge and the monolithic engine build their report with the same
-  function (:func:`~repro.topology.report.fold_report`), which folds
-  per-flow latency into ``endtoend.latency`` in flow-declaration order of
-  the *full* spec, so even float summation is bit-identical;
+  function (:func:`~repro.topology.report.fold_report`), fed the flows in
+  the whole spec's declaration order, so even float summation is
+  bit-identical;
 * counters/gauges land in sorted-key JSON, and every shard's namespaces
   are disjoint by construction (control-plane counters are qualified per
-  encoder whenever the full spec has several encoders).
+  owner whenever the whole spec has several).
 
 What cannot shard: two encoders connected by a data link (or sharing a
 decoder) form one component, and a component with more than one encoder
@@ -40,8 +42,8 @@ import sys
 import tempfile
 import traceback
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import TopologyError
@@ -49,9 +51,9 @@ from repro.obs.sinks import JsonLinesSink, merge_segments
 from repro.obs.tracer import Tracer
 from repro.replay.metrics import MetricsRegistry
 from repro.topology.engine import TopologyEngine, check_metrics_mode
-from repro.topology.graph import components, node_components
+from repro.topology.graph import node_components
 from repro.topology.report import TopologyReport, fold_report
-from repro.topology.spec import SPEC_SETTINGS, TopologySpec
+from repro.topology.spec import TopologySpec
 
 __all__ = [
     "PartitionError",
@@ -67,23 +69,22 @@ class PartitionError(TopologyError):
 
 @dataclass(frozen=True)
 class TopologyShard:
-    """One independent subgraph of a spec, ready to simulate on its own.
+    """One independent subgraph of a spec: a connected component.
 
-    ``spec`` is a full, self-validating :class:`TopologySpec` restricted
-    to one connected component; it keeps the parent spec's name, seed and
-    scenario so every derived seed matches the monolithic run.  ``name``
-    identifies the shard in progress and error messages — the component's
-    encoder when it has exactly one, its first node otherwise.
+    ``nodes`` names the component's nodes in declaration order; the shard
+    runs as ``TopologyEngine(spec, shard=nodes)`` on the whole spec.
+    ``name`` identifies the shard in progress and error messages — the
+    component's encoder when it has exactly one, its first node otherwise.
     """
 
     index: int
     name: str
-    spec: TopologySpec
+    nodes: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything a worker process needs to rebuild and run its shard.
+    """Everything a worker process needs to build and run its shard.
 
     ``trace_segment``/``snapshot_interval`` are set only when the parent
     has tracing enabled: the worker then writes its own JSON-lines trace
@@ -91,9 +92,9 @@ class _ShardTask:
     into one time-ordered stream after the run.
     """
 
+    spec: TopologySpec
     shard: TopologyShard
     metrics_mode: str
-    qualify_controlplane: bool
     trace_segment: Optional[str] = None
     snapshot_interval: Optional[float] = None
 
@@ -124,94 +125,37 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
     more than one encoder (the link that merges them) or a flow spans two
     components (the flow).
     """
-    component_of = node_components(spec)
+    parts = node_components(spec)
+    link = parts.bridge
+    if link is not None:
+        raise PartitionError(
+            f"topology {spec.name!r} cannot be partitioned: link "
+            f"{link.name!r} connects two encoder subgraphs "
+            f"({link.source[0]!r} side and {link.target[0]!r} side) — "
+            f"flows sharing an encoder or link must stay in one shard"
+        )
     kind_of = {node.name: node.kind for node in spec.nodes}
-
-    # Name the *link* that first merges two encoder-bearing subgraphs:
-    # replay the link unions and watch encoder counts per set.
-    encoder_count: Dict[str, int] = {
-        node.name: (1 if node.kind == "encoder" else 0) for node in spec.nodes
-    }
-    parent = {node.name: node.name for node in spec.nodes}
-
-    def find(name: str) -> str:
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    for link in spec.links:
-        root_a = find(link.source[0])
-        root_b = find(link.target[0])
-        if root_a == root_b:
-            continue
-        if encoder_count[root_a] and encoder_count[root_b]:
-            raise PartitionError(
-                f"topology {spec.name!r} cannot be partitioned: link "
-                f"{link.name!r} connects two encoder subgraphs "
-                f"({link.source[0]!r} side and {link.target[0]!r} side) — "
-                f"flows sharing an encoder or link must stay in one shard"
-            )
-        parent[root_a] = root_b
-        encoder_count[root_b] += encoder_count[root_a]
-    # Decoder pairings can also merge encoder subgraphs (two encoders
-    # claiming one decoder); there is no link to blame, so name the nodes.
-    for component in components(spec):
-        encoders = [name for name in component if kind_of[name] == "encoder"]
+    shards: List[TopologyShard] = []
+    for index, members in enumerate(parts.groups):
+        encoders = [name for name in members if kind_of[name] == "encoder"]
+        # Decoder pairings can also merge encoder subgraphs (two encoders
+        # claiming one decoder); there is no link to blame, so name the nodes.
         if len(encoders) > 1:
             names = ", ".join(repr(name) for name in encoders)
             raise PartitionError(
                 f"topology {spec.name!r} cannot be partitioned: encoders "
                 f"{names} share a decoder and would land in one shard"
             )
+        name = encoders[0] if encoders else members[0]
+        shards.append(TopologyShard(index, name, tuple(members)))
 
     for flow in spec.flows:
-        if component_of[flow.source] != component_of[flow.sink]:
+        if parts.component_of[flow.source] != parts.component_of[flow.sink]:
             raise PartitionError(
                 f"topology {spec.name!r} cannot be partitioned: flow "
                 f"{flow.name!r} runs from {flow.source!r} to {flow.sink!r}, "
                 f"which sit in different components"
             )
-
-    # Pre-resolve the measured set once, globally, so a shard never falls
-    # back to tapping its own first emulated link when the full spec's
-    # fallback lies in a different shard.
-    measured_names = {link.name for link in spec.measured_links}
-
-    shards: List[TopologyShard] = []
-    for index, component in enumerate(components(spec)):
-        members = set(component)
-        nodes = [node for node in spec.nodes if node.name in members]
-        links = [
-            replace(link, measured=link.name in measured_names)
-            for link in spec.links
-            if link.source[0] in members and link.target[0] in members
-        ]
-        flows = [flow for flow in spec.flows if flow.source in members]
-        sub_spec = TopologySpec(
-            nodes=nodes,
-            links=links,
-            flows=flows,
-            # Restart/storm events follow their node into its shard; the
-            # global control-link impairment probabilities stay (each
-            # control link draws from its own derived-seed stream).
-            faults=(
-                spec.faults.events_for(members)
-                if spec.faults is not None
-                else None
-            ),
-            # Name, seed and every other setting are the parent's, so each
-            # derived seed matches the monolithic run.
-            **{key: getattr(spec, key) for key in SPEC_SETTINGS},
-        )
-        encoders = [name for name in component if kind_of[name] == "encoder"]
-        shards.append(
-            TopologyShard(
-                index=index,
-                name=encoders[0] if len(encoders) == 1 else component[0],
-                spec=sub_spec,
-            )
-        )
     return shards
 
 
@@ -246,7 +190,7 @@ def map_across_workers(
 
 
 def _run_shard(task: _ShardTask) -> _ShardOutcome:
-    """Module-level worker: rebuild the shard's subgraph and simulate it.
+    """Module-level worker: build the shard from the whole spec and simulate it.
 
     Never raises — a crash comes back as an outcome with ``failure`` set,
     so the parent can name the failing shard instead of surfacing a bare
@@ -269,10 +213,7 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
         )
     try:
         engine = TopologyEngine(
-            shard.spec,
-            metrics_mode=task.metrics_mode,
-            tap_fallback=False,
-            qualify_controlplane=task.qualify_controlplane,
+            task.spec, metrics_mode=task.metrics_mode, shard=shard.nodes
         )
         report = engine.run()
         return _ShardOutcome(
@@ -296,11 +237,12 @@ def _merge_outcomes(
     """Fold per-shard reports into one, byte-identical to the monolithic run.
 
     Shard registries are disjoint by construction (control-plane counters
-    are qualified per encoder whenever the full spec has several), so their
+    are qualified per owner whenever the whole spec has several), so their
     union in shard-index order is the registry a monolithic engine would
     have collected — minus each shard's own ``endtoend.latency``, which
-    :func:`~repro.topology.report.fold_report` rebuilds over *all* flows in
-    the full spec's declaration order, exactly as it does for one engine.
+    :func:`~repro.topology.report.fold_report` rebuilds over *all* flows,
+    handed over in the whole spec's declaration order exactly as one
+    engine hands over its own.
     """
     outcomes = sorted(outcomes, key=lambda outcome: outcome.index)
     reports = [outcome.report for outcome in outcomes]
@@ -309,10 +251,11 @@ def _merge_outcomes(
         metrics.absorb(
             report.metrics.select(lambda name: name != "endtoend.latency")
         )
+    by_name = {flow.name: flow for report in reports for flow in report.flows}
     return fold_report(
         spec,
         metrics,
-        (flow for report in reports for flow in report.flows),
+        [by_name[flow.name] for flow in spec.flows],
         wire_payload_bytes=sum(report.wire_payload_bytes for report in reports),
         duration=max((report.duration for report in reports), default=0.0),
         first_times=[
@@ -331,7 +274,7 @@ def run_topology(
 
     ``workers=1`` runs the shards sequentially in-process; ``workers>1``
     fans them across a process pool (:func:`map_across_workers`; the worker
-    rebuilds everything from the picklable shard spec).  Either way the
+    builds its shard from the picklable spec and the shard's node names).  Either way the
     merged report is byte-identical: the worker count only changes
     wall-clock.
 
@@ -355,13 +298,6 @@ def run_topology(
             raise
         return TopologyEngine(spec, metrics_mode=metrics_mode).run()
 
-    # One control plane per encoder — or, on an encoder-less static graph,
-    # per decoder.
-    kinds = [node.kind for node in spec.nodes]
-    control_planes = kinds.count("encoder")
-    if not control_planes and spec.scenario == "static":
-        control_planes = kinds.count("decoder")
-    qualify = control_planes > 1
     with ExitStack() as cleanup:
         # With tracing on, every shard — regardless of worker count —
         # writes a JSON-lines segment into a private temp dir; the segments
@@ -380,9 +316,9 @@ def run_topology(
             ]
         tasks = [
             _ShardTask(
+                spec=spec,
                 shard=shard,
                 metrics_mode=metrics_mode,
-                qualify_controlplane=qualify,
                 trace_segment=segment,
                 snapshot_interval=(
                     parent_tracer.snapshot_interval if parent_tracer.enabled else None

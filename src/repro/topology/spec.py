@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Seq
 
 from repro.exceptions import TopologyError
 from repro.topology.faults import FaultPlan, validate_spec_faults
+from repro.topology.graph import decoder_pairing
 from repro.validation import Validator
 from repro.workloads import WORKLOAD_FACTORIES
 
@@ -424,6 +425,7 @@ class TopologySpec:
                     f"node {node.name!r}",
                     f"pairs with {node.decoder!r}, which is not a decoder node",
                 )
+        decoder_pairing(self)  # refuses an ambiguous pairing at every entry point
 
         seen_links: Dict[str, LinkSpec] = {}
         seen_hop_names: Dict[str, str] = {}

@@ -45,12 +45,13 @@ class TestStatistics:
         expected = 1.96 * standard_deviation(samples) / 10.0
         assert confidence_interval_95(samples) == pytest.approx(expected)
 
-    def test_summary_formatting_and_contains(self):
-        summary = summarize([1.7, 1.8, 1.75, 1.85, 1.72])
+    def test_summary_formatting_and_interval(self):
+        samples = [1.7, 1.8, 1.75, 1.85, 1.72]
+        summary = summarize(samples)
         text = summary.format("ms")
         assert "±" in text and "ms" in text
-        assert summary.contains(summary.mean)
-        assert not summary.contains(summary.mean + 10 * summary.ci95 + 1)
+        assert summary.mean == pytest.approx(1.764)
+        assert summary.ci95 == pytest.approx(confidence_interval_95(samples))
         assert summary.as_dict()["count"] == 5
         assert summary.minimum == 1.7
         assert summary.maximum == 1.85

@@ -28,15 +28,18 @@ def small_codec():
 
 class TestLayouts:
     def test_paper_payload_sizes(self, paper_codec):
-        # 33-byte type-2 payloads (3 % overhead) and 3-byte type-3 payloads.
-        assert paper_codec.raw_payload_bytes == 32
-        assert paper_codec.uncompressed_payload_bytes == 33
-        assert paper_codec.compressed_payload_bytes == 3
-        assert RecordLayout.for_packets(paper_codec.transform, 15).padding_bits == 8
+        # 32-byte chunks, 33-byte type-2 payloads (3 % overhead) and 3-byte
+        # type-3 payloads.
+        layout = RecordLayout.for_packets(paper_codec.transform, 15)
+        assert paper_codec.transform.chunk_bytes == 32
+        assert paper_codec.uncompressed_payload_bytes == layout.t2_padded // 8 == 33
+        assert layout.t3_padded // 8 == 3
+        assert layout.padding_bits == 8
 
     def test_small_codec_layout_is_byte_aligned(self, small_codec):
-        assert small_codec.uncompressed_payload_bytes * 8 >= 16
-        assert small_codec.compressed_payload_bytes >= 1
+        layout = RecordLayout.for_packets(small_codec.transform, 6)
+        assert small_codec.uncompressed_payload_bytes * 8 == layout.t2_padded >= 16
+        assert layout.t3_padded % 8 == 0 and layout.t3_padded >= 8
 
     def test_invalid_identifier_bits(self):
         with pytest.raises(PacketError):

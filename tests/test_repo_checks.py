@@ -124,8 +124,12 @@ class TestUnreferenced:
             ("benchmarks/bench.py", "ENTRY_POINTS = (('repro.widgets', 'Widget.spin'),)\n"),
             ("examples/show.py", "print(getattr(object(), 'spin', None))\n"),
             ("benchmarks/hooks.py", "register = list\nregister([spin])\n"),
+            ("examples/show.py", "print(f'{object().spin()}')\n"),
         ],
-        ids=["call", "attribute", "entry-point-string", "getattr-string", "bare-name"],
+        ids=[
+            "call", "attribute", "entry-point-string", "getattr-string", "bare-name",
+            "f-string-expression",
+        ],
     )
     def test_any_use_outside_tests_counts(self, tree, where, code):
         assert _findings(tree(**{where: code})) == []
@@ -138,8 +142,10 @@ class TestUnreferenced:
             # In src/repro the line would also be an unused import.
             ("examples/other.py", "from repro.widgets import spin\n"),
             ("src/repro/other.py", "__all__ = ['spin']\n"),
+            # A counter name built by an f-string names no definition.
+            ("src/repro/other.py", "NAME = f'{prefix}.spin'\n"),
         ],
-        ids=["docstring", "comment", "import-line", "all-list"],
+        ids=["docstring", "comment", "import-line", "all-list", "f-string-literal"],
     )
     def test_naming_without_using_does_not_count(self, tree, where, code):
         root = tree(**{where: code})

@@ -17,10 +17,12 @@ from repro.topology import (
     EvictionStorm,
     FaultPlan,
     NodeRestart,
+    TopologyEngine,
     TopologySpec,
     fan_in_topology,
     fault_storm_topology,
     load_fault_plan,
+    partition_spec,
     rack_fan_in_topology,
     run_topology,
     validate_spec_faults,
@@ -115,13 +117,32 @@ class TestFaultPlanSpec:
         with pytest.raises(TopologyError, match="unknown"):
             FaultPlan.from_dict({"control_loss": 0.1, "meteor_strike": True})
 
-    def test_events_for_filters_node_scoped_faults(self):
-        plan = faulty_rack_spec().faults
-        shard_view = plan.events_for({"decoder0", "encoder0", "sender0_0"})
-        assert [restart.node for restart in shard_view.restarts] == ["decoder0"]
-        assert shard_view.storms == ()
-        # Probabilistic impairments are per-link and stay global.
-        assert shard_view.control_loss == plan.control_loss
+    def test_a_shard_engine_runs_only_its_own_fault_events(self):
+        # A shard engine is built from the whole spec and its plan: it
+        # schedules the restarts and storms of its own nodes, nothing else.
+        spec = faulty_rack_spec()
+        fired = {}
+        for shard in partition_spec(spec):
+            engine = TopologyEngine(spec, shard=shard.nodes)
+            events = []
+            engine.simulator.add_observer(
+                lambda _time, description, events=events: events.append(description)
+            )
+            counters = engine.run().metrics.as_dict()["counters"]
+            fired[shard.name] = [e for e in events if e.startswith("fault:")]
+            assert counters["faults.restarts"] == fired[shard.name].count(
+                f"fault:restart:decoder{shard.name[-1]}"
+            )
+            # Probabilistic impairments are per control link and stay the
+            # whole plan's in every shard.
+            [channel] = engine.control_channels.values()
+            impairments = channel.link.impairments
+            assert impairments.loss_probability == spec.faults.control_loss
+        assert fired == {
+            "encoder0": ["fault:restart:decoder0"],
+            "encoder1": ["fault:storm:encoder1"],
+            "encoder2": ["fault:restart:decoder2"],
+        }
 
 
 class TestDeterminism:

@@ -104,6 +104,53 @@ class TestWorkerCountEquivalence:
         assert_reports_identical(first, second)
 
 
+    def test_a_shard_without_an_encoder_preloads_as_the_whole_spec_does(self):
+        # Rack A has an encoder and its control plane; chain B is a
+        # decoder with no encoder.  The whole spec has a control plane, so
+        # the static preload goes through it alone and decoder B's table
+        # stays empty — in B's shard too, which holds no control plane.
+        spec = TopologySpec(
+            name="mixed",
+            scenario="static",
+            nodes=[
+                NodeSpec(name="senderA", kind="host"),
+                NodeSpec(name="encoderA", kind="encoder",
+                         forwarding={0: 1}, default_egress_port=1,
+                         decoder="decoderA"),
+                NodeSpec(name="decoderA", kind="decoder",
+                         forwarding={0: 1}, default_egress_port=1),
+                NodeSpec(name="sinkA", kind="host"),
+                NodeSpec(name="senderB", kind="host"),
+                NodeSpec(name="decoderB", kind="decoder",
+                         forwarding={0: 1}, default_egress_port=1),
+                NodeSpec(name="sinkB", kind="host"),
+            ],
+            links=[
+                LinkSpec(name="inA", source=("senderA", 0),
+                         target=("encoderA", 0), direct=True),
+                LinkSpec(name="wireA", source=("encoderA", 1),
+                         target=("decoderA", 0), measured=True),
+                LinkSpec(name="outA", source=("decoderA", 1),
+                         target=("sinkA", 0), direct=True),
+                LinkSpec(name="inB", source=("senderB", 0),
+                         target=("decoderB", 0)),
+                LinkSpec(name="outB", source=("decoderB", 1),
+                         target=("sinkB", 0), direct=True),
+            ],
+            flows=[
+                FlowSpec(name="flowA", source="senderA", sink="sinkA",
+                         chunks=20, bases=2),
+                FlowSpec(name="flowB", source="senderB", sink="sinkB",
+                         chunks=20, bases=2),
+            ],
+        )
+        assert [shard.name for shard in partition_spec(spec)] == [
+            "encoderA", "senderB"
+        ]
+        monolithic = TopologyEngine(spec).run()
+        assert monolithic.metrics.as_dict()["gauges"]["decoderB.dictionary_entries"] == 0
+        assert_reports_identical(monolithic, run_topology(spec, workers=2))
+
 class TestOneFoldIdentity:
     """Monolithic ≡ one shard ≡ N shards, for every golden preset and mode.
 
@@ -171,28 +218,55 @@ class TestPartitioning:
             "encoder0", "encoder1", "encoder2"
         ]
         for rack, shard in enumerate(shards):
-            assert {flow.name for flow in shard.spec.flows} == {
+            assert shard.nodes == (
+                f"sender{rack}_0", f"sender{rack}_1", f"encoder{rack}",
+                f"decoder{rack}", f"sink{rack}",
+            )
+            # The shard engine runs on the whole spec (its name and seed
+            # derive every flow and link seed) and builds only the rack.
+            engine = TopologyEngine(spec, shard=shard.nodes)
+            assert engine.spec is spec
+            assert sorted(engine.graph.nodes) == sorted(shard.nodes)
+            assert [state.spec.name for state in engine.flow_states] == [
                 f"flow{rack}_0", f"flow{rack}_1"
-            }
-            # The shard keeps the full spec's name and seed, so every
-            # CRC-derived flow/link seed matches the monolithic run.
-            assert shard.spec.name == spec.name
-            assert shard.spec.seed == spec.seed
-
-    def test_shard_keeps_only_its_measured_link(self):
-        spec = rack_fan_in_topology(racks=2, senders=2, chunks=50)
-        shards = partition_spec(spec)
-        for rack, shard in enumerate(shards):
-            assert [link.name for link in shard.spec.measured_links] == [
-                f"wire{rack}"
             ]
+            assert [state.seed for state in engine.flow_states] == [
+                spec.flow_seed(flow) for flow in spec.flows
+                if flow.source in shard.nodes
+            ]
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_shard_keeps_only_its_measured_link(self, explicit):
+        # Each shard engine taps exactly the whole spec's measured links
+        # among its nodes — the explicit marks, or without any the spec's
+        # one fallback link, which only the shard holding it may tap.
+        spec = rack_fan_in_topology(racks=2, senders=2, chunks=50)
+        if not explicit:
+            spec.links = [replace(link, measured=False) for link in spec.links]
+        whole = [link.name for link in spec.measured_links]
+        assert whole == (["wire0", "wire1"] if explicit else ["wire0"])
+        taps = []
+        for shard in partition_spec(spec):
+            engine = TopologyEngine(spec, shard=shard.nodes)
+            tapped = [name for name, _tap in engine.measured_taps]
+            assert tapped == [
+                link.name for link in spec.measured_links
+                if link.source[0] in shard.nodes
+            ]
+            taps += tapped
+        assert taps == whole
+        assert_reports_identical(
+            TopologyEngine(spec).run(), run_topology(spec, workers=2)
+        )
 
     def test_single_component_spec_is_one_shard(self):
         spec = fan_in_topology(senders=5, chunks=50)
         shards = partition_spec(spec)
         assert len(shards) == 1
         assert shards[0].name == "encoder"
-        assert len(shards[0].spec.flows) == 5
+        assert shards[0].nodes == tuple(node.name for node in spec.nodes)
+        engine = TopologyEngine(spec, shard=shards[0].nodes)
+        assert len(engine.flow_states) == 5
 
     def _bridged_encoders_spec(self):
         return TopologySpec(
@@ -339,6 +413,55 @@ class TestPartitioning:
         ]
         with pytest.raises(PartitionError, match=r"flow 'flow0_0'"):
             partition_spec(spec)
+
+
+class TestOnePairingRule:
+    """An encoder pairs with its explicit decoder, else the spec's only one.
+
+    One rule decides it for spec validation, the engine and the
+    partitioner, so a spec gets one verdict at every entry point and
+    worker count.
+    """
+
+    MESSAGE = (
+        "node 'encoder0': multiple decoder nodes exist; "
+        "set its 'decoder' pairing explicitly"
+    )
+
+    def _unpaired(self, scenario):
+        data = rack_fan_in_topology(
+            racks=2, senders=2, chunks=20, scenario=scenario
+        ).as_dict()
+        for node in data["nodes"]:
+            node.pop("decoder", None)
+        return data
+
+    @pytest.mark.parametrize("scenario", ["dynamic", "static"])
+    def test_an_unpaired_encoder_among_decoders_gets_one_verdict(self, scenario):
+        data = self._unpaired(scenario)
+        # The engine and the partitioner ask the same rule, so a spec whose
+        # scenario changes after validation is refused the same way.
+        changed = TopologySpec.from_dict(dict(data, scenario="no_table"))
+        changed.scenario = scenario
+        entry_points = {
+            "from_dict": lambda: TopologySpec.from_dict(data),
+            "engine": lambda: TopologyEngine(changed),
+            "workers=1": lambda: run_topology(changed, workers=1),
+            "workers=2": lambda: run_topology(changed, workers=2),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(TopologyError) as caught:
+                call()
+            assert type(caught.value) is TopologyError, name
+            assert str(caught.value) == self.MESSAGE, name
+
+    def test_no_table_takes_the_unpaired_spec(self):
+        # No control plane is built, so no encoder needs a decoder.
+        spec = TopologySpec.from_dict(self._unpaired("no_table"))
+        assert len(partition_spec(spec)) == 2
+        assert_reports_identical(
+            TopologyEngine(spec).run(), run_topology(spec, workers=2)
+        )
 
 
 class TestWorkerCrashReporting:
