@@ -307,17 +307,8 @@ class TopologyEngine:
         if self.spec.scenario == "no_table":
             return
         pairing = decoder_pairing(self.spec)
-        paired: Dict[str, str] = {}
         for encoder_name, encoder_node in self._encoder_nodes.items():
             decoder_name = pairing[encoder_name]
-            if decoder_name is not None:
-                if decoder_name in paired:
-                    raise TopologyError(
-                        f"node {decoder_name!r}: paired with both "
-                        f"{paired[decoder_name]!r} and {encoder_name!r}; a "
-                        "decoder's identifier table serves one encoder"
-                    )
-                paired[decoder_name] = encoder_name
             encoder = encoder_node.switch
             decoder = (
                 None
@@ -373,9 +364,13 @@ class TopologyEngine:
                 seed=self.spec.seed,
                 decoder_transport=decoder_transport,
             )
-        # Restart/storm fault events resolve their control plane through
-        # this pairing (decoder name -> owning encoder name).
-        self._decoder_owner = paired
+        # Restart fault events resolve their control plane through the
+        # pairing (decoder name -> owning encoder name).
+        self._decoder_owner = {
+            decoder: encoder
+            for encoder, decoder in pairing.items()
+            if decoder is not None
+        }
         owners = len(pairing)
         if not pairing and (
             self.spec.scenario == "static" or self._static_bases is not None

@@ -288,24 +288,34 @@ def decoder_pairing(spec: "TopologySpec") -> Dict[str, Optional[str]]:
     """Each encoder's paired decoder, by name: the one pairing rule.
 
     An encoder pairs with its explicit ``decoder``, else with the spec's
-    only decoder node; with no decoder it stays unpaired (``None``).  An
-    encoder left unpaired among several decoders is a spec error under a
-    scenario that builds control planes, and unpaired under ``no_table``.
+    only decoder node; with no decoder it stays unpaired (``None``).  Under
+    a scenario that builds control planes, an encoder left unpaired among
+    several decoders, and a decoder claimed by two encoders (its table
+    serves one control plane), are spec errors; ``no_table`` takes both.
     """
     decoders = [node.name for node in spec.nodes if node.kind == "decoder"]
     pairing: Dict[str, Optional[str]] = {}
+    owner: Dict[Optional[str], str] = {}
     for node in spec.nodes:
         if node.kind != "encoder":
             continue
         decoder = node.decoder
         if decoder is None and len(decoders) == 1:
             decoder = decoders[0]
-        elif decoder is None and decoders and spec.scenario != "no_table":
-            raise TopologyError(
-                f"node {node.name!r}: multiple decoder nodes exist; "
-                "set its 'decoder' pairing explicitly"
-            )
+        if spec.scenario != "no_table":
+            if decoder is None and decoders:
+                raise TopologyError(
+                    f"node {node.name!r}: multiple decoder nodes exist; "
+                    "set its 'decoder' pairing explicitly"
+                )
+            if decoder is not None and decoder in owner:
+                raise TopologyError(
+                    f"node {decoder!r}: paired with both {owner[decoder]!r} and "
+                    f"{node.name!r}; a decoder's identifier table serves one "
+                    "encoder"
+                )
         pairing[node.name] = decoder
+        owner.setdefault(decoder, node.name)
     return pairing
 
 

@@ -415,6 +415,17 @@ class TestPartitioning:
             partition_spec(spec)
 
 
+def _unpaired(nodes):
+    for node in nodes:
+        node.pop("decoder", None)
+
+
+def _one_decoder_for_two(nodes):
+    for node in nodes:
+        if node.get("decoder") == "decoder1":
+            node["decoder"] = "decoder0"
+
+
 class TestOnePairingRule:
     """An encoder pairs with its explicit decoder, else the spec's only one.
 
@@ -423,22 +434,27 @@ class TestOnePairingRule:
     worker count.
     """
 
-    MESSAGE = (
-        "node 'encoder0': multiple decoder nodes exist; "
-        "set its 'decoder' pairing explicitly"
-    )
-
-    def _unpaired(self, scenario):
+    def _data(self, scenario, change):
         data = rack_fan_in_topology(
             racks=2, senders=2, chunks=20, scenario=scenario
         ).as_dict()
-        for node in data["nodes"]:
-            node.pop("decoder", None)
+        change(data["nodes"])
         return data
 
     @pytest.mark.parametrize("scenario", ["dynamic", "static"])
-    def test_an_unpaired_encoder_among_decoders_gets_one_verdict(self, scenario):
-        data = self._unpaired(scenario)
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (_unpaired, "node 'encoder0': multiple decoder nodes exist; "
+                        "set its 'decoder' pairing explicitly"),
+            (_one_decoder_for_two, "node 'decoder0': paired with both "
+                                   "'encoder0' and 'encoder1'; a decoder's "
+                                   "identifier table serves one encoder"),
+        ],
+        ids=["unpaired", "shared"],
+    )
+    def test_a_pairing_gets_one_verdict_everywhere(self, scenario, change, message):
+        data = self._data(scenario, change)
         # The engine and the partitioner ask the same rule, so a spec whose
         # scenario changes after validation is refused the same way.
         changed = TopologySpec.from_dict(dict(data, scenario="no_table"))
@@ -453,15 +469,25 @@ class TestOnePairingRule:
             with pytest.raises(TopologyError) as caught:
                 call()
             assert type(caught.value) is TopologyError, name
-            assert str(caught.value) == self.MESSAGE, name
+            assert str(caught.value) == message, name
 
-    def test_no_table_takes_the_unpaired_spec(self):
+    def test_no_table_takes_an_unpaired_spec(self):
         # No control plane is built, so no encoder needs a decoder.
-        spec = TopologySpec.from_dict(self._unpaired("no_table"))
+        spec = TopologySpec.from_dict(self._data("no_table", _unpaired))
         assert len(partition_spec(spec)) == 2
         assert_reports_identical(
             TopologyEngine(spec).run(), run_topology(spec, workers=2)
         )
+
+    def test_no_table_takes_a_shared_decoder_but_cannot_split_it(self):
+        # The documented exception: one component with two encoders runs
+        # at one worker and is a PartitionError at more.
+        spec = TopologySpec.from_dict(self._data("no_table", _one_decoder_for_two))
+        assert_reports_identical(
+            TopologyEngine(spec).run(), run_topology(spec, workers=1)
+        )
+        with pytest.raises(PartitionError, match=r"share a decoder"):
+            run_topology(spec, workers=2)
 
 
 class TestWorkerCrashReporting:
