@@ -218,10 +218,7 @@ class TopologyEngine:
 
     def _build_nodes(self, members: Optional[Collection[str]]) -> None:
         self._host_macs: Dict[str, MacAddress] = {}
-        hosts = 0
         for node_spec in self.spec.nodes:
-            if node_spec.kind == "host":
-                hosts += 1  # a host's MAC is the whole spec's, shard or not
             if members is not None and node_spec.name not in members:
                 continue
             routing = dict(
@@ -231,7 +228,7 @@ class TopologyEngine:
             if node_spec.kind == "host":
                 node = HostNode(node_spec.name)
                 self._host_nodes[node_spec.name] = node
-                self._host_macs[node_spec.name] = _host_mac(hosts - 1)
+                self._host_macs[node_spec.name] = _host_mac(len(self._host_macs))
             elif node_spec.kind == "encoder":
                 node = ZipLineEncoderNode(
                     node_spec.name,
@@ -392,9 +389,9 @@ class TopologyEngine:
     def _build_flows(self) -> None:
         component_of = self._component_of
         decoder_components = {component_of[name] for name in self._decoder_nodes}
-        for index, flow in enumerate(self.spec.flows):
-            if flow.source not in self._host_nodes:
-                continue  # another shard's flow
+        # A shard's own flows; MACs need only be unique within one engine.
+        own = [flow for flow in self.spec.flows if flow.source in self._host_nodes]
+        for index, flow in enumerate(own):
             seed = self.spec.flow_seed(flow)
             source_mac = flow_source_mac(index)
             sink_mac = self._host_macs[flow.sink]
