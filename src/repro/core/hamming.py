@@ -25,6 +25,7 @@ lives with the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.backends import batch_backend
@@ -42,6 +43,7 @@ from repro.exceptions import CodingError
 __all__ = [
     "HammingCode",
     "SyndromeTable",
+    "hamming_code",
     "hamming_parameters_for_order",
 ]
 
@@ -360,3 +362,15 @@ class HammingCode:
             raise CodingError(
                 f"syndrome {syndrome:#x} does not fit in m={self._m} bits"
             )
+
+
+@lru_cache(maxsize=None)
+def hamming_code(m: int, polynomial: Optional[int] = None) -> HammingCode:
+    """The one :class:`HammingCode` of order ``m`` and generator
+    ``polynomial`` per process.
+
+    A code is immutable after construction, and building one builds its
+    syndrome and byte-lane tables, so every transform that names the same
+    code — workloads, switches, the engine — shares one instance.
+    """
+    return HammingCode(m, polynomial)

@@ -26,7 +26,7 @@ from repro.core.backends import (
     named_backend,
 )
 from repro.core.bits import align_up, bits_to_bytes_len, mask
-from repro.core.hamming import HammingCode
+from repro.core.hamming import HammingCode, hamming_code
 from repro.exceptions import ChunkSizeError, CodingError
 
 __all__ = ["GDParts", "GDTransform", "ChunkLike", "GDFields"]
@@ -126,7 +126,7 @@ class GDTransform:
         polynomial: int | None = None,
         backend: "str | CodecBackend | None" = None,
     ):
-        self._code = HammingCode(order, polynomial)
+        self._code = hamming_code(order, polynomial)
         n = self._code.n
         if chunk_bits is None:
             chunk_bits = align_up(n, 8)

@@ -28,7 +28,6 @@ delay), which the metrics registry folds into the run's report.
 
 from __future__ import annotations
 
-import random
 import sys
 from array import array
 from bisect import bisect_left
@@ -39,9 +38,10 @@ from math import inf
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
-from repro.exceptions import ReplayError, ReproError
+from repro.exceptions import ReplayError
 from repro.net.ethernet import frame_wire_bytes
-from repro.sim.lookahead import Lookahead
+from repro.replay.impairments import ImpairmentModel
+from repro.sim.lookahead import Lookahead, crossing
 from repro.sim.simulator import Simulator
 
 __all__ = ["ImpairmentModel", "LinkStats", "EmulatedLink"]
@@ -58,91 +58,6 @@ LinkSink = Callable[[bytes, float], None]
 #: frame sent and every reading taken at the clock, and below the +inf of
 #: the simulator's idle position after that instant.
 AHEAD = sys.float_info.max
-
-
-class ImpairmentModel:
-    """Seeded stochastic impairments of a link: loss and reordering.
-
-    The replay subsystem needs *reproducible* packet loss and reordering:
-    two runs with the same seed must drop and delay exactly the same
-    packets, and two links in the same topology must not share one RNG
-    stream (or adding a hop would silently change which packets another
-    hop drops).  The seed is therefore part of the constructor signature,
-    and :meth:`fork` derives an independent, equally deterministic stream
-    for each additional link.
-
-    Parameters
-    ----------
-    loss_probability:
-        Per-packet probability of the frame being dropped on the wire.
-    reorder_probability:
-        Per-packet probability of the frame being held back by
-        ``reorder_delay`` seconds after serialisation, letting later
-        frames overtake it.
-    reorder_delay:
-        Extra delivery delay applied to reordered frames.
-    seed:
-        RNG seed.  The decision sequence is fully determined by it.
-    """
-
-    def __init__(
-        self,
-        loss_probability: float = 0.0,
-        reorder_probability: float = 0.0,
-        reorder_delay: float = 10e-6,
-        seed: int = 0,
-    ):
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ReproError(
-                f"loss probability must be within [0, 1], got {loss_probability}"
-            )
-        if not 0.0 <= reorder_probability <= 1.0:
-            raise ReproError(
-                f"reorder probability must be within [0, 1], got {reorder_probability}"
-            )
-        if reorder_delay < 0:
-            raise ReproError(f"reorder delay cannot be negative, got {reorder_delay}")
-        self.loss_probability = loss_probability
-        self.reorder_probability = reorder_probability
-        self.reorder_delay = reorder_delay
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def should_drop(self) -> bool:
-        """Decide the fate of the next frame (advances the RNG stream)."""
-        if self.loss_probability == 0.0:
-            return False
-        return self._rng.random() < self.loss_probability
-
-    def reorder_penalty(self) -> float:
-        """Extra delivery delay for the next frame (0.0 = stays in order)."""
-        if self.reorder_probability == 0.0:
-            return 0.0
-        if self._rng.random() < self.reorder_probability:
-            return self.reorder_delay
-        return 0.0
-
-    def fork(self, index: int) -> "ImpairmentModel":
-        """An independent model with the same parameters for another link.
-
-        The derived seed depends only on ``(seed, index)``, so multi-hop
-        topologies stay reproducible while each hop draws from its own
-        stream.
-        """
-        if index < 0:
-            raise ReproError(f"fork index must be non-negative, got {index}")
-        return ImpairmentModel(
-            loss_probability=self.loss_probability,
-            reorder_probability=self.reorder_probability,
-            reorder_delay=self.reorder_delay,
-            seed=(self.seed * 1_000_003 + index + 1) & 0xFFFFFFFF,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ImpairmentModel(loss={self.loss_probability}, "
-            f"reorder={self.reorder_probability}, seed={self.seed})"
-        )
 
 
 @dataclass
@@ -249,6 +164,7 @@ class EmulatedLink:
         # of a frame's delivery event along with the frame.
         self._sink_is_link = False
         self._lookahead: Optional[Lookahead] = None
+        self._crossing = None
         if sink is not None:
             self.attach(sink)
         self._busy_until = 0.0
@@ -299,6 +215,9 @@ class EmulatedLink:
             raise ReplayError("link sink must be callable")
         self._sink = sink
         self._sink_is_link = isinstance(getattr(sink, "__self__", None), EmulatedLink)
+        # The receiver as a hop that takes a train as lists (``None`` for
+        # the next link of a chain, which takes frames one at a time).
+        self._crossing = None if self._sink_is_link else crossing(sink)
         self._lookahead = lookahead
 
     @property
@@ -443,11 +362,7 @@ class EmulatedLink:
                 )
             return
 
-        serialisation = self._serialisation.get(length)
-        if serialisation is None:
-            serialisation = self._serialisation[length] = (
-                frame_wire_bytes(length) * 8 / self.bandwidth_bps
-            )
+        serialisation = self._serialisation.get(length) or self._serialisation_of(length)
         start = self._busy_until
         if now > start:
             start = now
@@ -523,6 +438,174 @@ class EmulatedLink:
             self._sink(frame, deliver_at, (simulator.next_sequence(), runs_in))
         else:
             self._sink(frame, deliver_at)
+
+    def _serialisation_of(self, length: int) -> float:
+        serialisation = self._serialisation.get(length)
+        if serialisation is None:
+            serialisation = self._serialisation[length] = (
+                frame_wire_bytes(length) * 8 / self.bandwidth_bps
+            )
+        return serialisation
+
+    @property
+    def takes_trains(self) -> bool:
+        """Whether :meth:`reach` may ever take a frame: the receiver takes
+        trains and is this link's only data input, and no frame is
+        reordered (see :func:`repro.sim.lookahead.crossing`)."""
+        impairments = self.impairments
+        return (
+            self._crossing is not None
+            and self._lookahead is not None
+            and not (impairments is not None and impairments.reorder_probability)
+        )
+
+    def reach(
+        self, stamps: List[float], clocks: List[float], size: int, drawn: bool
+    ) -> Tuple[int, float]:
+        """How many leading frames of a list, frame ``i`` handed in at
+        ``stamps[i]`` ahead of its event's clock ``clocks[i]`` and none
+        longer than ``size`` bytes, this link and every hop after it take
+        without an event of their own, as :meth:`send` would take each at
+        its own clock; and the latest stamp those reach.
+
+        A link whose impairment model reorders, that owes its receiver a
+        delivery, whose receiver is the next link of a chain or takes
+        frames one at a time, or that a link upstream already drew for
+        (``drawn``) takes none.  Delivery stamps are bounded from above by
+        serialising every frame back to back, none dropped.  Changes
+        nothing.
+        """
+        lookahead = self._lookahead
+        hop = self._crossing
+        impairments = self.impairments
+        if (
+            drawn
+            or hop is None
+            or lookahead is None
+            or self._owed
+            or (impairments is not None and impairments.reorder_probability)
+            or not stamps
+            or stamps[0] < self._offered_until
+        ):
+            return 0, -inf
+        busy = self._busy_until
+        propagation = self.propagation_delay
+        serialisation = self._serialisation.get(size) or self._serialisation_of(size)
+        delivers = []
+        for stamp, clock in zip(stamps, clocks):
+            if stamp <= clock:
+                break
+            busy = (busy if busy > stamp else stamp) + serialisation
+            delivers.append(busy + propagation)
+        count = lookahead.admitted(delivers, clocks)
+        if not count:
+            return 0, -inf
+        return hop.reach(delivers[:count], clocks[:count], size, True)
+
+    def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:
+        """:meth:`send` a list of frames, frame ``i`` handed in at
+        ``stamps[i]``, in one call, then hand the ones that survive the
+        wire to the receiver as one list.
+
+        Only for a list :meth:`reach` said the link takes: every frame is
+        ahead of its clock and admitted at its delivery stamp, and none is
+        delayed.  Each frame is positioned and its completion tie resolved
+        as :meth:`send` would at its own event: ``keys[i]`` is ``(clock,
+        sequence, draw, trace context)`` of the event frame ``i`` crosses
+        in, ``draw`` the sequence its send takes where :meth:`send` would
+        draw one.  Departures come from one running maximum over the
+        serialisation times, and loss is drawn in the frames' order.
+        """
+        simulator = self.simulator
+        stats = self.stats
+        impairments = self.impairments
+        capacity = self.queue_capacity
+        record_delays = self.record_delays
+        delays = stats.queueing_delays
+        propagation = self.propagation_delay
+        serialising = self._serialising
+        append = serialising.append
+        cache = self._serialisation
+        serialisation_of = self._serialisation_of
+        gone = self._gone
+        busy = self._busy_until
+        busy_time = stats.busy_time
+        max_depth = stats.max_queue_depth
+        latest = simulator.latest_stamp
+        tracer = _obs.TRACER
+        traced = tracer.enabled
+        name = self.name
+        offered_bytes = dropped_loss = dropped_queue = 0
+        out_frames: List[bytes] = []
+        out_stamps: List[float] = []
+        out_keys: List[tuple] = []
+        for frame, now, key in zip(frames, stamps, keys):
+            length = len(frame)
+            offered_bytes += length
+            if traced:
+                tracer.restore_context(key[3])
+            if impairments is not None and impairments.should_drop():
+                dropped_loss += 1
+                if traced:
+                    tracer.instant("link.drop", name, args={"reason": "loss"}, ts=now)
+                continue
+            queued = len(serialising)
+            while gone < queued and serialising[gone][0] < now:
+                gone += 1
+            if (
+                gone < queued
+                and serialising[gone][0] == now
+                and serialising[gone] < (now, AHEAD, key[:2])
+            ):
+                gone += 1
+            if gone > KEEP_COMPLETE:
+                passed = bisect_left(serialising, (key[0],), 0, gone)
+                del serialising[:passed]
+                queued -= passed
+                gone -= passed
+            depth = queued - gone
+            if capacity is not None and depth >= capacity:
+                dropped_queue += 1
+                if traced:
+                    tracer.instant(
+                        "link.drop", name, args={"reason": "queue", "depth": depth}, ts=now
+                    )
+                continue
+            serialisation = cache.get(length) or serialisation_of(length)
+            start = busy if busy > now else now
+            done = start + serialisation
+            busy_time += serialisation
+            busy = done
+            append((done, AHEAD, (now, key[2])))
+            if depth >= max_depth:
+                max_depth = depth + 1
+            if record_delays:
+                delays.append(start - now)
+            deliver_at = done + propagation
+            if traced:
+                if start > now:
+                    tracer.span("link.enqueue", name, now, start)
+                tracer.span("link.serialize", name, start, done, args={"bytes": length})
+                tracer.span("link.propagate", name, done, deliver_at)
+            if deliver_at > latest:
+                latest = deliver_at
+            out_frames.append(frame)
+            out_stamps.append(deliver_at)
+            out_keys.append(key)
+        self._gone = gone
+        self._busy_until = busy
+        self._offered_until = stamps[-1]
+        simulator.latest_stamp = latest
+        stats.offered += len(frames)
+        stats.offered_bytes += offered_bytes
+        stats.dropped_loss += dropped_loss
+        stats.dropped_queue += dropped_queue
+        stats.busy_time = busy_time
+        stats.max_queue_depth = max_depth
+        stats.delivered += len(out_frames)
+        stats.delivered_bytes += sum(map(len, out_frames))
+        if out_frames:
+            self._crossing.cross(out_frames, out_stamps, out_keys)
 
     def _deliver(self, frame: bytes, deliver_at: float, handoff, context) -> None:
         """The delivery event of a frame the impairment model delayed."""

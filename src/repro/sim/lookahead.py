@@ -41,7 +41,7 @@ from typing import Any, Callable, List
 
 from repro.sim.simulator import Simulator
 
-__all__ = ["InFlight", "Lookahead"]
+__all__ = ["InFlight", "Lookahead", "crossing"]
 
 
 class Lookahead:
@@ -100,6 +100,55 @@ class Lookahead:
         if stamp > simulator.latest_stamp:
             simulator.latest_stamp = stamp
         return True
+
+
+    def admitted(self, stamps: List[float], clocks: List[float]) -> int:
+        """How many leading frames of a list :meth:`admits` would take,
+        frame ``i`` stamped ``stamps[i]`` and asked at its own clock
+        ``clocks[i]`` (non-decreasing), with nothing written in between.
+
+        Changes nothing: the edge that hands the frames on raises
+        :attr:`~repro.sim.simulator.Simulator.latest_stamp` itself.
+        """
+        if self.in_flight or not stamps:
+            return 0
+        hold = self.hold
+        reaction = self.reaction
+        horizon = self.simulator.horizon
+        first = clocks[0]
+        # A write before the first clock has run; any other may still be
+        # pending for every frame of the list.
+        write = inf
+        for instant in self.writes:
+            if first <= instant < write:
+                write = instant
+        count = 0
+        for stamp, clock in zip(stamps, clocks):
+            if (
+                hold >= clock
+                or not 0.0 <= stamp - clock < reaction
+                or stamp > horizon
+                or stamp >= write
+            ):
+                break
+            count += 1
+        return count
+
+
+def crossing(sink: Callable[..., Any]) -> Any:
+    """The hop behind ``sink`` that takes a train as lists, or ``None``.
+
+    Such a hop has a true ``takes_trains``, asked once when the sink is
+    attached, ``reach(stamps, clocks, size, drawn)`` — how many leading
+    frames of a list it and every hop after it would take now without an
+    event of their own, and the latest stamp those reach — and
+    ``cross(frames, stamps, keys)``, which takes them.  ``sink`` is its
+    per-frame entry: a method of the hop (a link's ``send``, a tap's
+    ``observe``, a host's ``deliver``) or an entry that carries all three
+    itself (a switch program's ingress port).
+    """
+    hop = getattr(sink, "__self__", sink)
+    return hop if getattr(hop, "takes_trains", False) else None
 
 
 class InFlight:

@@ -234,6 +234,36 @@ class Simulator:
         self._position = (time, sequence)
         return True
 
+    def room(self) -> float:
+        """How many events a train may still run through
+        :meth:`advance_through` after the event being executed: what the
+        current run's ``max_events`` leaves (+inf without a cap; none
+        outside a run), and none while an observer watches, which must see
+        the state each event leaves."""
+        if self._observers:
+            return 0
+        return self._limit - self._executed_events - 1
+
+    def advance_through(
+        self, times: List[float], sequences: List[int], description: str
+    ) -> None:
+        """:meth:`advance` through the keys ``(times[i], sequences[i])`` in
+        turn, in one call: a train whose frames crossed their hops as lists.
+
+        Each key is an event of its own — counted, traced as ``sim.event``
+        and shown to the observers as :meth:`advance` would — and the clock
+        ends on the last.  The caller guarantees what :meth:`advance`
+        asks of each key, and that :meth:`room` leaves space for all of
+        them.
+        """
+        if _obs.TRACER.enabled or self._observers:
+            for time in times:
+                self._show(description)
+                self.now = time
+        self._executed_events += len(times)
+        self.now = times[-1]
+        self._position = (times[-1], sequences[-1])
+
     def _show(self, description: str) -> None:
         """Trace the event that just ended as ``sim.event`` and show it to
         the observers, at the clock it left."""

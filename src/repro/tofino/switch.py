@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import inf
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import PipelineError
-from repro.sim.lookahead import Lookahead
+from repro.sim.lookahead import Lookahead, crossing
 from repro.sim.simulator import Simulator
 from repro.tofino.digest import DigestEngine
 from repro.tofino.pipeline import Pipeline
@@ -91,6 +91,9 @@ class TofinoSwitch:
         # Per port that feeds a switch program as its only data input: the
         # program's lookahead (see ``attach_port``).
         self._lookaheads: Dict[int, Lookahead] = {}
+        # Per attached port, the hop behind its sink that takes a train as
+        # lists (``None`` when it takes frames one at a time).
+        self._crossings: Dict[int, Any] = {}
         self._port_stats: Dict[int, PortStats] = {
             port: PortStats() for port in range(port_count)
         }
@@ -120,6 +123,7 @@ class TofinoSwitch:
         if not callable(sink):
             raise PipelineError("port sink must be callable")
         self._sinks[port] = sink
+        self._crossings[port] = crossing(sink)
         self._holds[port] = -inf if timed else inf
         if lookahead is None:
             self._lookaheads.pop(port, None)
@@ -195,6 +199,82 @@ class TofinoSwitch:
         # A negative latency puts ``deliver_at`` in the past, which
         # ``schedule_at`` rejects.
         simulator.schedule_at(deliver_at, deliver, description=self._tx_labels[port])
+
+    def takes_trains(self, port: int) -> bool:
+        """Whether the sink attached to ``port`` takes a train as lists."""
+        return self._crossings.get(port) is not None
+
+    def reach(
+        self,
+        port: int,
+        latency: float,
+        times: List[float],
+        clocks: List[float],
+        size: int,
+        drawn: bool,
+    ) -> Tuple[int, float]:
+        """How many leading frames of a list :meth:`transmit_batch` would
+        hand on through ``port``, and every hop after it would take, without
+        an event of their own; and the latest stamp those reach.
+
+        Frame ``i`` entered the program at ``times[i]``, in the event at
+        ``clocks[i]``; none is longer than ``size`` bytes; ``drawn`` says a
+        link upstream already took the frames' sequence draws.  Each frame
+        is judged as :meth:`transmit` would judge it at its own clock.
+        Changes nothing.
+        """
+        hop = self._crossings.get(port)
+        simulator = self.simulator
+        if hop is None or simulator is None:
+            return 0, -inf
+        stamps = []
+        hold = self._holds[port]
+        if hold == inf:
+            lookahead = self._lookaheads.get(port)
+            if lookahead is None:
+                return 0, -inf
+            for time in times:
+                stamps.append(time + latency)
+            count = lookahead.admitted(stamps, clocks)
+        else:
+            horizon = simulator.horizon
+            for time, clock in zip(times, clocks):
+                stamp = time + latency
+                if not hold < clock <= stamp <= horizon:
+                    break
+                stamps.append(stamp)
+            count = len(stamps)
+        if not count:
+            return 0, -inf
+        return hop.reach(stamps[:count], clocks[:count], size, drawn)
+
+    def transmit_batch(
+        self,
+        port: int,
+        frames: List[bytes],
+        latency: float,
+        times: List[float],
+        keys: List[tuple],
+    ) -> None:
+        """:meth:`transmit` a list of frames on ``port`` in one call, each
+        ``latency`` after the instant in ``times`` it entered the program.
+
+        Only for a list :meth:`reach` said every hop takes: the port's
+        sink gets the frames as one list, each stamped with the end of its
+        pipeline latency.  ``keys`` travel with the frames (see
+        :func:`repro.topology.crossing.cross`).
+        """
+        stats = self._port_stats[port]
+        stats.tx_packets += len(frames)
+        stats.tx_bytes += sum(map(len, frames))
+        if not frames:
+            return
+        stamps = [time + latency for time in times]
+        simulator = self.simulator
+        latest = max(stamps)
+        if latest > simulator.latest_stamp:
+            simulator.latest_stamp = latest
+        self._crossings[port].cross(frames, stamps, keys)
 
     @staticmethod
     def _deliver_traced(sink: PortSink, frame: bytes, deliver_at: float, context) -> None:

@@ -140,6 +140,13 @@ class MatchActionTable:
         """Iterate over entries (copy-safe)."""
         return iter(list(self._entries.values()))
 
+    def entry_map(self) -> Dict[Hashable, TableEntry]:
+        """The key → entry map itself, for a data path that looks up a
+        list of keys with no write in between: it counts those lookups in
+        :attr:`lookups` and :attr:`hits` and sets a hit entry's
+        ``last_hit`` and ``hit_count`` as :meth:`lookup_ref` does."""
+        return self._entries
+
     def get_entry(self, key: Hashable) -> Optional[TableEntry]:
         """The entry for ``key``, or ``None``."""
         return self._entries.get(key)

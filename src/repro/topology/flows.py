@@ -37,6 +37,7 @@ from repro.replay.sources import (
 )
 from repro.sim.events import next_sequence
 from repro.sim.simulator import Simulator
+from repro.topology.crossing import FIRST_CROSSING, cross
 from repro.topology.graph import TopologyGraph
 from repro.topology.nodes import HostNode, ZipLineEncoderNode
 from repro.topology.report import FlowResult
@@ -219,13 +220,15 @@ class FlowState:
         self.chunk_bytes_sent = 0
         self.delivered = 0
         # What the injector keeps per flow (set by ``FlowInjector.start``):
-        # the source host and the encoder it feeds directly, the source's
+        # the source host, the encoder it feeds directly and the encoder's
+        # port it feeds, the source's
         # frame iterator and how many frames it gave, the frames a train
         # took from it but handed back (stamped; ``None`` when there are
         # none), and the sequence of the flow's next frame while a train
         # runs.
         self.host: Optional[HostNode] = None
         self.encoder: Any = None
+        self.port = 0
         self.frames: Iterator[Tuple[float, bytes]] = iter(())
         self.fetched = 0
         self.backlog: Optional[Deque[Tuple[float, bytes]]] = None
@@ -315,9 +318,12 @@ class FlowInjector:
     frame it checks the pending events again, because the frame before may
     have scheduled one that comes first (a refused delivery, a digest, a
     control step), and the run's ``max_events`` may stop it; frames a train
-    does not run go back with their keys.  The steps of one injection are written out both
-    in the one-by-one path and in the train: a call per frame costs more
-    than the lines.
+    does not run go back with their keys.  The leading part of a train
+    that every hop takes without an event of its own crosses each hop as
+    one list (:func:`~repro.topology.crossing.cross`); the rest runs frame
+    by frame.  The steps of
+    one injection are written out in the one-by-one path, the train and
+    its crossing: a call per frame costs more than the lines.
     """
 
     def __init__(self, simulator: Simulator, flows: List[FlowState], graph: TopologyGraph):
@@ -333,14 +339,18 @@ class FlowInjector:
         #: Every encoder a flow's host feeds by a direct edge, and whether
         #: every flow's host does.
         self._encoders: List[Tuple[Any, bool]] = []
+        #: Whether some flow's frames may cross the hops after its encoder
+        #: as lists (:func:`~repro.topology.crossing.cross`).
+        self._crosses = False
 
     def start(self) -> None:
         """Take every flow's first frame and schedule the first injection."""
         graph = self._graph
         encoders = {
-            edge.source: graph.nodes[edge.target].switch
+            edge.source: (graph.nodes[edge.target].switch, edge.target_port)
             for edge in graph.edges
             if not edge.links
+            and edge.tap is None
             and edge.source_port == 0
             and isinstance(graph.nodes[edge.target], ZipLineEncoderNode)
         }
@@ -348,7 +358,7 @@ class FlowInjector:
         heap = self._heap
         for state in self._flows:
             state.host = graph.nodes[state.spec.source]
-            state.encoder = encoders.get(state.spec.source)
+            state.encoder, state.port = encoders.get(state.spec.source, (None, 0))
             state.pacing.reset()
             state.frames = state.own_frames()
             state.backlog = None
@@ -366,6 +376,11 @@ class FlowInjector:
             for encoder in dict.fromkeys(fed)
             if encoder is not None
         ]
+        self._crosses = any(
+            state.encoder.crosses_from(state.port)
+            for state in self._flows
+            if state.encoder is not None
+        )
         if heap:
             time, sequence = heap[0][0], heap[0][1]
             self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
@@ -498,7 +513,11 @@ class FlowInjector:
         traced = _obs.TRACER.enabled
         ran = 0
         try:
-            for time, state, frame in train:
+            if self._crosses:
+                ran = cross(simulator, train[:FIRST_CROSSING], INJECT)
+                if ran == FIRST_CROSSING:
+                    ran += cross(simulator, train[ran:], INJECT)
+            for time, state, frame in train[ran:]:
                 sequence = state.sequence
                 if queue:
                     first = queue[0]

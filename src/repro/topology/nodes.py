@@ -17,8 +17,10 @@ Four node kinds cover every topology the reproduction builds:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional
+from math import inf
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import obs as _obs
 from repro.exceptions import TopologyError
 from repro.sim.lookahead import Lookahead
 from repro.topology.graph import LinkSink, Node
@@ -44,6 +46,8 @@ class HostNode(Node):
     """
 
     timed_ingress = True
+    #: A host takes a train as one list (:meth:`cross`).
+    takes_trains = True
 
     def __init__(self, name: str = "host"):
         super().__init__(name)
@@ -61,6 +65,31 @@ class HostNode(Node):
         self.delivered += 1
         if self.on_deliver is not None:
             self.on_deliver(frame_bytes, time)
+
+    def reach(
+        self, stamps: List[float], clocks: List[float], size: int, drawn: bool
+    ) -> Tuple[int, float]:
+        """A host takes every frame of a list handed to it (see
+        :func:`repro.sim.lookahead.crossing`), and the latest stamp is its
+        own."""
+        return len(stamps), max(stamps, default=-inf)
+
+    def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:
+        """:meth:`deliver` a list of frames, frame ``i`` at ``stamps[i]``,
+        in one call; ``on_deliver`` still sees each frame, under its own
+        trace context."""
+        self.delivered += len(frames)
+        on_deliver = self.on_deliver
+        if on_deliver is None:
+            return
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            for frame, time, key in zip(frames, stamps, keys):
+                tracer.restore_context(key[3])
+                on_deliver(frame, time)
+            return
+        for frame, time in zip(frames, stamps):
+            on_deliver(frame, time)
 
     # -- source side -----------------------------------------------------------
 
@@ -114,14 +143,26 @@ class _ZipLineSwitchNode(Node):
     def _make_switch(self, name: str, **switch_kwargs):
         raise NotImplementedError
 
+    #: Whether a link or a switch port may hand the program a train as
+    #: lists (:func:`repro.sim.lookahead.crossing`).  Only a train's first
+    #: program is an encoder (:func:`repro.topology.crossing.cross` stops
+    #: before its first table miss): a learn digest further down would hold
+    #: hops the train was already judged by.
+    takes_trains = False
+
     def ingress(self, port: int) -> LinkSink:
         # Bound once per edge.  The program acts as of the sink's ``time``:
         # the clock, or a stamp ahead of it its lookahead admitted.
-        receive = self.switch.receive
+        switch = self.switch
+        receive = switch.receive
 
         def switch_ingress(frame_bytes: bytes, time: float) -> None:
             receive(frame_bytes, port, time)
 
+        if self.takes_trains:
+            switch_ingress.takes_trains = True  # type: ignore[attr-defined]
+            switch_ingress.reach = partial(_reach_port, switch, port)  # type: ignore[attr-defined]
+            switch_ingress.cross = partial(_cross_port, switch, port)  # type: ignore[attr-defined]
         return switch_ingress
 
     def attach(
@@ -135,6 +176,16 @@ class _ZipLineSwitchNode(Node):
         self.switch.switch.attach_port(port, sink, timed=timed, lookahead=lookahead)
 
 
+def _reach_port(switch, port: int, stamps: List[float], clocks, size: int, drawn: bool):
+    """A program's ``reach`` for a list that arrives on ``port``."""
+    return switch.reach([port] * len(stamps), stamps, clocks, size, drawn)
+
+
+def _cross_port(switch, port: int, frames: List[bytes], stamps: List[float], keys) -> None:
+    """A program's ``receive_batch`` for a train that arrives on ``port``."""
+    switch.receive_batch(frames, port, stamps, keys)
+
+
 class ZipLineEncoderNode(_ZipLineSwitchNode):
     """Graph adapter around a :class:`ZipLineEncoderSwitch`."""
 
@@ -146,6 +197,8 @@ class ZipLineEncoderNode(_ZipLineSwitchNode):
 
 class ZipLineDecoderNode(_ZipLineSwitchNode):
     """Graph adapter around a :class:`ZipLineDecoderSwitch`."""
+
+    takes_trains = True
 
     def _make_switch(self, name: str, **switch_kwargs):
         from repro.zipline.decoder_switch import ZipLineDecoderSwitch

@@ -43,6 +43,7 @@ import tempfile
 import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
@@ -84,7 +85,9 @@ class TopologyShard:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """Everything a worker process needs to build and run its shard.
+    """What a worker process needs, beside the whole spec, to build and run
+    its shard; the spec reaches each worker once
+    (:func:`map_across_workers`' ``shared``).
 
     ``trace_segment``/``snapshot_interval`` are set only when the parent
     has tracing enabled: the worker then writes its own JSON-lines trace
@@ -92,7 +95,6 @@ class _ShardTask:
     into one time-ordered stream after the run.
     """
 
-    spec: TopologySpec
     shard: TopologyShard
     metrics_mode: str
     trace_segment: Optional[str] = None
@@ -168,28 +170,55 @@ def partition_spec(spec: TopologySpec) -> List[TopologyShard]:
 WORKERS_PAY_OFF_CHUNKS = 8000
 
 
+#: In a pool worker: the function :func:`map_across_workers` runs on each
+#: task, with what the tasks share already bound, set once by the pool
+#: initializer.
+_WORKER: Optional[Callable[[Any], Any]] = None
+
+
+def _start_worker(function: Callable[[Any], Any]) -> None:
+    global _WORKER
+    _WORKER = function
+
+
+def _run_in_worker(task: Any) -> Any:
+    return _WORKER(task)
+
+
 def map_across_workers(
-    function: Callable[[Any], Any], tasks: Sequence[Any], workers: int
+    function: Callable[..., Any],
+    tasks: Sequence[Any],
+    workers: int,
+    shared: Any = None,
 ) -> Iterator[Any]:
-    """Yield ``function(task)`` for every task, as each one finishes.
+    """Yield ``function(task)`` — ``function(shared, task)`` when ``shared``
+    is given — for every task, as each one finishes.
 
     One worker runs the tasks lazily, in order, in this process; more fan
-    them across a process pool and yield in completion order.  The pool
-    forks on Linux (a measured 5x+ startup win) and uses the platform
-    default elsewhere (macOS frameworks can deadlock in forked children) —
-    spawn-safe as long as ``function`` is module-level and tasks and
-    results pickle.  ``chunksize=1`` keeps the tasks spread across the pool.
+    them across a process pool and yield in completion order.  ``shared``
+    reaches each pool worker once, through the pool initializer, so a
+    task carries only what is its own.  The pool forks on Linux (a
+    measured 5x+ startup win) and uses the platform default elsewhere
+    (macOS frameworks can deadlock in forked children) — spawn-safe as
+    long as ``function`` is module-level and ``shared``, tasks and results
+    pickle.  ``chunksize=1`` keeps the tasks spread across the pool.
     """
     workers = min(workers, len(tasks))
+    if shared is not None:
+        function = partial(function, shared)
     if workers <= 1:
         yield from map(function, tasks)
         return
     method = "fork" if sys.platform == "linux" else None
-    with multiprocessing.get_context(method).Pool(processes=workers) as pool:
-        yield from pool.imap_unordered(function, tasks, chunksize=1)
+    with multiprocessing.get_context(method).Pool(
+        processes=workers,
+        initializer=_start_worker,
+        initargs=(function,),
+    ) as pool:
+        yield from pool.imap_unordered(_run_in_worker, tasks, chunksize=1)
 
 
-def _run_shard(task: _ShardTask) -> _ShardOutcome:
+def _run_shard(spec: TopologySpec, task: _ShardTask) -> _ShardOutcome:
     """Module-level worker: build the shard from the whole spec and simulate it.
 
     Never raises — a crash comes back as an outcome with ``failure`` set,
@@ -213,7 +242,7 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
         )
     try:
         engine = TopologyEngine(
-            task.spec, metrics_mode=task.metrics_mode, shard=shard.nodes
+            spec, metrics_mode=task.metrics_mode, shard=shard.nodes
         )
         report = engine.run()
         return _ShardOutcome(
@@ -316,7 +345,6 @@ def run_topology(
             ]
         tasks = [
             _ShardTask(
-                spec=spec,
                 shard=shard,
                 metrics_mode=metrics_mode,
                 trace_segment=segment,
@@ -340,7 +368,7 @@ def run_topology(
                 f"may be faster than workers={workers} here (same report either way)"
             )
         outcomes: List[_ShardOutcome] = []
-        results = map_across_workers(_run_shard, tasks, workers)
+        results = map_across_workers(_run_shard, tasks, workers, shared=spec)
         # On a failure the pool must be gone before the trace dir is.
         cleanup.callback(results.close)
         for done, outcome in enumerate(results, start=1):

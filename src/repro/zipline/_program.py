@@ -19,7 +19,8 @@ is diffed against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from math import inf
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.core.transform import GDTransform
@@ -208,6 +209,24 @@ class ZipLineSwitchBase:
         """
         raise NotImplementedError
 
+    def _ingress_batch(
+        self,
+        frames: List[bytes],
+        times: List[float],
+        contexts: Optional[List[object]],
+        misses: bool,
+    ) -> List[Optional[bytes]]:
+        """The ingress control over a list, frame ``i`` reaching the program
+        at ``times[i]``: the output of each frame it ran, ``None`` for one
+        dropped.
+
+        Counts every frame's parse error and counter cells itself, and emits
+        its digests; ``contexts[i]`` is the trace context of frame ``i``.
+        With ``misses`` false it stops before the first frame the mapping
+        table would miss, so it runs a leading part of the list only.
+        """
+        raise NotImplementedError
+
     def _now(self) -> float:
         return self._simulator.now if self._simulator is not None else 0.0
 
@@ -324,8 +343,134 @@ class ZipLineSwitchBase:
         return out
 
     def receive_batch(
-        self, frames: List[bytes], ingress_port: int
+        self,
+        frames: List[bytes],
+        ingress_port: int,
+        times: Optional[List[float]] = None,
+        keys: Optional[List[tuple]] = None,
     ) -> List[Optional[bytes]]:
-        """:meth:`receive` each frame in arrival order, at the clock; what
-        each returned."""
-        return [self.receive(frame, ingress_port) for frame in frames]
+        """Run a list of frames arriving on ``ingress_port`` through the
+        compiled program in one call: what :meth:`receive` returns for
+        each, in order.
+
+        The compiled ingress runs over the whole list first, with the
+        table, counter cells and (on the encoder) primed syndromes bound
+        once; port and pipeline statistics are counted once per list.
+        ``times[i]`` is the instant frame ``i`` reaches the program (the
+        clock when ``None``).  Then the outputs leave through the egress
+        port: one :meth:`TofinoSwitch.transmit` each, or — with ``keys``,
+        when the frames are a train every hop after this one takes as
+        lists (:meth:`reach`) — as one list.  An ingress port the chassis
+        does not have raises before anything is counted.
+        """
+        if times is None:
+            times = [self._now()] * len(frames)
+        outs = self.ingress_batch(
+            frames,
+            [ingress_port] * len(frames),
+            times,
+            None if keys is None else [key[3] for key in keys],
+        )
+        if keys is not None:
+            self.hand_on(ingress_port, outs, times, keys)
+            return outs
+        egress = self._forwarding.get(ingress_port, self._default_egress_port)
+        transmit = self.switch.transmit
+        latency = self._latency
+        for out, time in zip(outs, times):
+            if out is not None:
+                transmit(egress, out, latency, time)
+        return outs
+
+    def ingress_batch(
+        self,
+        frames: List[bytes],
+        ports: List[int],
+        times: List[float],
+        contexts: Optional[List[object]] = None,
+        misses: bool = True,
+    ) -> List[Optional[bytes]]:
+        """The compiled ingress over a list, frame ``i`` arriving on
+        ``ports[i]`` at ``times[i]``: the output of each frame, ``None``
+        where the program dropped it, without handing any on.
+
+        Counts each frame at its port and in the pipeline as
+        :meth:`receive` does.  With ``misses`` false it stops before the
+        first frame the mapping table would miss — a learn digest's event
+        must find the frames after it not yet run — so the list it returns
+        may be shorter than ``frames``; ``contexts`` are the frames' trace
+        contexts.
+        """
+        rx_stats = self._rx_stats
+        for port in dict.fromkeys(ports):
+            if port not in rx_stats:
+                self.switch.port_stats(port)  # the chassis's out-of-range error
+        outs = self._ingress_batch(frames, times, contexts, misses)
+        count = len(outs)
+        for frame, port in zip(frames[:count], ports):
+            stats = rx_stats[port]
+            stats.rx_packets += 1
+            stats.rx_bytes += len(frame)
+        pipeline = self._pipeline
+        pipeline.packets_processed += count
+        pipeline.packets_dropped += outs.count(None)
+        return outs
+
+    def reach(
+        self,
+        ports: List[int],
+        times: List[float],
+        clocks: List[float],
+        size: int,
+        drawn: bool,
+    ) -> Tuple[int, float]:
+        """How many leading frames of a list — frame ``i`` arriving on
+        ``ports[i]`` at ``times[i]``, in the event at ``clocks[i]``, none
+        longer than ``size`` bytes — leave through one egress port and
+        cross every hop after this program without an event of their own;
+        and the latest stamp those reach (see :meth:`TofinoSwitch.reach`).
+        Changes nothing.
+        """
+        forwarding = self._forwarding
+        default = self._default_egress_port
+        egress = forwarding.get(ports[0], default) if ports else None
+        if egress is None:
+            return 0, -inf
+        count = len(ports)
+        rx_stats = self._rx_stats
+        for port in dict.fromkeys(ports):
+            if port not in rx_stats or forwarding.get(port, default) != egress:
+                count = min(count, ports.index(port))
+        return self.switch.reach(
+            egress, self._latency, times[:count], clocks[:count], size + self._growth, drawn
+        )
+
+    def crosses_from(self, ingress_port: int) -> bool:
+        """Whether frames arriving on ``ingress_port`` may ever cross the
+        hops after the program as lists: the sink of its egress port takes
+        trains (:func:`repro.sim.lookahead.crossing`)."""
+        egress = self._forwarding.get(ingress_port, self._default_egress_port)
+        return egress is not None and self.switch.takes_trains(egress)
+
+    def hand_on(
+        self,
+        ingress_port: int,
+        outs: List[Optional[bytes]],
+        times: List[float],
+        keys: List[tuple],
+    ) -> None:
+        """Hand what :meth:`ingress_batch` emitted for frames that arrived
+        at ``times`` to the egress port of ``ingress_port`` as one list
+        (:meth:`TofinoSwitch.transmit_batch`); ``keys`` travel with them."""
+        if None in outs:
+            kept = [index for index, out in enumerate(outs) if out is not None]
+            outs = [outs[index] for index in kept]
+            times = [times[index] for index in kept]
+            keys = [keys[index] for index in kept]
+        self.switch.transmit_batch(
+            self._forwarding.get(ingress_port, self._default_egress_port),
+            outs,
+            self._latency,
+            times,
+            keys,
+        )

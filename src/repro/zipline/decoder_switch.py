@@ -19,7 +19,8 @@ Frames that are neither type 2 nor type 3 are forwarded untouched.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from itertools import repeat
+from typing import Dict, List, Optional
 
 from repro import obs as _obs
 from repro.core.bits import mask
@@ -92,6 +93,11 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         self._chunk_bytes = headers.chunk.total_bytes
         self._type2_end = ETHERNET_BYTES + headers.type2.total_bytes
         self._type3_end = ETHERNET_BYTES + headers.type3.total_bytes
+        # The most bytes the program adds to a frame: a type-3 header
+        # leaves as the (longer) raw chunk.
+        self._growth = max(
+            0, headers.chunk.total_bytes - min(headers.type2.total_bytes, headers.type3.total_bytes)
+        )
         self._type2_pad = headers.type2_padding_bits
         self._type3_pad = headers.type3_padding_bits
         self._syndrome_mask = mask(code.m)
@@ -185,6 +191,106 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
             + frame[header_end:]
         )
         return out
+
+    def _ingress_batch(
+        self,
+        frames: List[bytes],
+        times: List[float],
+        contexts: Optional[List[object]],
+        misses: bool,
+    ) -> List[Optional[bytes]]:
+        outs: List[Optional[bytes]] = []
+        append = outs.append
+        min_frame_bytes = self._min_frame_bytes
+        m = self._syndrome_bits
+        identifier_bits = self._identifier_bits
+        code_bits = self._code_bits
+        basis_bits = self._basis_bits
+        type2_end = self._type2_end
+        type3_end = self._type3_end
+        type2_pad = self._type2_pad
+        type3_pad = self._type3_pad
+        syndrome_mask = self._syndrome_mask
+        basis_mask = self._basis_mask
+        identifier_mask = self._identifier_mask
+        chunk_bytes = self._chunk_bytes
+        flip_masks = self._flip_masks
+        codewords = self._codewords
+        table = self._identifier_table
+        entries = table.entry_map()
+        tracer = _obs.TRACER
+        traced = tracer.enabled
+        parse_errors = other = other_bytes = lookups = found = 0
+        compressed = compressed_bytes = uncompressed = uncompressed_bytes = 0
+        for frame, now, context in zip(frames, times, contexts or repeat(None)):
+            ethertype = frame[12:14]
+            length = len(frame)
+            if length < min_frame_bytes.get(ethertype, ETHERNET_BYTES):
+                parse_errors += 1
+                append(None)
+                continue
+            if traced and contexts is not None:
+                tracer.restore_context(context)
+            if ethertype == ETH_TYPE3:
+                header_end = type3_end
+                value = int.from_bytes(frame[ETHERNET_BYTES:type3_end], "big") >> type3_pad
+                identifier = (value >> m) & identifier_mask
+                lookups += 1
+                entry = entries.get(identifier)
+                if entry is not None:
+                    entry.last_hit = now
+                    entry.hit_count += 1
+                    found += 1
+                if entry is None or entry.action != "set_basis":
+                    self._count_unknown(identifier, now, length)
+                    append(None)
+                    continue
+                basis = entry.params["basis"]
+                prefix = value >> (m + identifier_bits)
+                compressed += 1
+                compressed_bytes += length
+                if traced:
+                    self._span("decode", now, {"outcome": "hit", "identifier": identifier})
+            elif ethertype == ETH_TYPE2:
+                header_end = type2_end
+                value = int.from_bytes(frame[ETHERNET_BYTES:type2_end], "big") >> type2_pad
+                basis = (value >> m) & basis_mask
+                prefix = value >> (m + basis_bits)
+                uncompressed += 1
+                uncompressed_bytes += length
+                if traced:
+                    self._span("decode", now, {"outcome": "uncompressed"})
+            else:
+                other += 1
+                other_bytes += length
+                append(frame)
+                continue
+            codeword = codewords.get(basis)
+            if codeword is None:
+                if len(codewords) >= table.size:
+                    codewords.clear()
+                codeword = codewords[basis] = (basis << m) | self._parity_of_basis(basis)
+            chunk_value = (prefix << code_bits) | (codeword ^ flip_masks[value & syndrome_mask])
+            append(
+                frame[:12]
+                + ETH_RAW
+                + chunk_value.to_bytes(chunk_bytes, "big")
+                + frame[header_end:]
+            )
+        table.lookups += lookups
+        table.hits += found
+        self.crc_invocations += compressed + uncompressed
+        self._pipeline.parse_errors += parse_errors
+        packets = self._packet_cells
+        octets = self._byte_cells
+        for cell, count, count_bytes in (
+            (self._compressed_to_raw, compressed, compressed_bytes),
+            (self._uncompressed_to_raw, uncompressed, uncompressed_bytes),
+            (self._passthrough_other, other, other_bytes),
+        ):
+            packets[cell] += count
+            octets[cell] += count_bytes
+        return outs
 
     # -- control-plane interface --------------------------------------------------------
 

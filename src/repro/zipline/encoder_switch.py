@@ -25,6 +25,7 @@ drives, plus the per-packet-type counters the paper's statistics rely on.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro import obs as _obs
@@ -155,6 +156,9 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         )
         self._type2_bytes = headers.type2.total_bytes
         self._type3_bytes = headers.type3.total_bytes
+        # The most bytes the program adds to a frame: a raw chunk leaves as
+        # a type-3 or a (longer) type-2 header.
+        self._growth = max(0, self._type2_bytes - headers.chunk.total_bytes)
         self._type2_pad = headers.type2_padding_bits
         self._type3_pad = headers.type3_padding_bits
         cell = self.counters.index
@@ -226,7 +230,148 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         self.switch.digest_engine.emit(LEARN_DIGEST, {"basis": basis}, now)
         return out
 
+    def _ingress_batch(
+        self,
+        frames: List[bytes],
+        times: List[float],
+        contexts: Optional[List[object]],
+        misses: bool,
+    ) -> List[Optional[bytes]]:
+        outs: List[Optional[bytes]] = []
+        append = outs.append
+        min_frame_bytes = self._min_frame_bytes
+        chunk_end = self._chunk_end
+        m = self._syndrome_bits
+        code_bits = self._code_bits
+        identifier_bits = self._identifier_bits
+        basis_bits = self._basis_bits
+        remainder = self._remainder
+        prefix_syndrome = self._transform.code.prefix_syndrome
+        body_mask = self._body_mask
+        flip_masks = self._flip_masks
+        table = self._basis_table
+        entries = table.entry_map()
+        type2_bytes = self._type2_bytes
+        type3_bytes = self._type3_bytes
+        type2_pad = self._type2_pad
+        type3_pad = self._type3_pad
+        emit = self.switch.digest_engine.emit
+        tracer = _obs.TRACER
+        traced = tracer.enabled
+        parse_errors = processed = processed_bytes = other = other_bytes = 0
+        hits = hit_bytes = learned = learned_bytes = found = 0
+        for frame, now, context in zip(frames, times, contexts or repeat(None)):
+            ethertype = frame[12:14]
+            length = len(frame)
+            if length < min_frame_bytes.get(ethertype, ETHERNET_BYTES):
+                parse_errors += 1
+                append(None)
+                continue
+            if ethertype != ETH_RAW:
+                if ethertype == ETH_TYPE2 or ethertype == ETH_TYPE3:
+                    processed += 1
+                    processed_bytes += length
+                else:
+                    other += 1
+                    other_bytes += length
+                append(frame)
+                continue
+            chunk_slice = frame[ETHERNET_BYTES:chunk_end]
+            chunk_value = int.from_bytes(chunk_slice, "big")
+            prefix = chunk_value >> code_bits
+            syndrome = remainder(chunk_slice) ^ (
+                prefix_syndrome(prefix) if prefix >> m else prefix
+            )
+            basis = ((chunk_value & body_mask) ^ flip_masks[syndrome]) >> m
+            entry = entries.get(basis)
+            if entry is not None and entry.action == "set_identifier":
+                entry.last_hit = now
+                entry.hit_count += 1
+                identifier = entry.params["identifier"]
+                value = (((prefix << identifier_bits) | identifier) << m) | syndrome
+                append(
+                    frame[:12]
+                    + ETH_TYPE3
+                    + (value << type3_pad).to_bytes(type3_bytes, "big")
+                    + frame[chunk_end:]
+                )
+                hits += 1
+                hit_bytes += length
+                if traced:
+                    if contexts is not None:
+                        tracer.restore_context(context)
+                    self._span(
+                        "encode",
+                        now,
+                        {"outcome": "hit", "identifier": identifier, "basis": basis},
+                    )
+                continue
+            if not misses:
+                break
+            if entry is not None:
+                # A table hit the program still treats as a miss.
+                entry.last_hit = now
+                entry.hit_count += 1
+                found += 1
+            value = (((prefix << basis_bits) | basis) << m) | syndrome
+            append(
+                frame[:12]
+                + ETH_TYPE2
+                + (value << type2_pad).to_bytes(type2_bytes, "big")
+                + frame[chunk_end:]
+            )
+            learned += 1
+            learned_bytes += length
+            if traced:
+                if contexts is not None:
+                    tracer.restore_context(context)
+                self._span("encode", now, {"outcome": "miss", "basis": basis})
+            emit(LEARN_DIGEST, {"basis": basis}, now)
+            # Without a simulator the control plane may write at once.
+            entries = table.entry_map()
+        table.lookups += hits + learned
+        table.hits += hits + found
+        self.crc_invocations += hits + learned
+        self._pipeline.parse_errors += parse_errors
+        packets = self._packet_cells
+        octets = self._byte_cells
+        for cell, count, count_bytes in (
+            (self._raw_to_compressed, hits, hit_bytes),
+            (self._raw_to_uncompressed, learned, learned_bytes),
+            (self._passthrough_processed, processed, processed_bytes),
+            (self._passthrough_other, other, other_bytes),
+        ):
+            packets[cell] += count
+            octets[cell] += count_bytes
+        return outs
+
     # -- trains -----------------------------------------------------------------------
+
+    def leading_hits(self, frames: List[bytes]) -> int:
+        """How many leading frames of a list the program would run without
+        a table miss — so without a learn digest — as its tables stand.
+        Changes nothing."""
+        entries = self._basis_table.entry_map()
+        chunk_end = self._chunk_end
+        m = self._syndrome_bits
+        code_bits = self._code_bits
+        remainder = self._remainder
+        prefix_syndrome = self._transform.code.prefix_syndrome
+        for index, frame in enumerate(frames):
+            if frame[12:14] != ETH_RAW or len(frame) < chunk_end:
+                continue
+            chunk_slice = frame[ETHERNET_BYTES:chunk_end]
+            chunk_value = int.from_bytes(chunk_slice, "big")
+            prefix = chunk_value >> code_bits
+            syndrome = remainder(chunk_slice) ^ (
+                prefix_syndrome(prefix) if prefix >> m else prefix
+            )
+            entry = entries.get(
+                ((chunk_value & self._body_mask) ^ self._flip_masks[syndrome]) >> m
+            )
+            if entry is None or entry.action != "set_identifier":
+                return index
+        return len(frames)
 
     def prime_syndromes(self, frames: Iterable[bytes]) -> None:
         """Compute the syndromes of the raw chunks among ``frames``, about to

@@ -9,11 +9,13 @@ links; the run's report carries the totals (``wire.*`` counters,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from math import inf
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import PacketError
 from repro.net.ethernet import ETHERNET_HEADER_BYTES, EtherType
 from repro.net.packets import PacketKind
+from repro.sim.lookahead import crossing
 
 __all__ = ["LinkTap"]
 
@@ -39,6 +41,8 @@ class LinkTap:
 
     def __init__(self) -> None:
         self._entry: Optional[Callable[[bytes, float], None]] = None
+        # The entry as a hop that takes a train as lists, if it does.
+        self._crossing: Any = None
         self._counts: Dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
         self._payload_bytes: Dict[PacketKind, int] = {kind: 0 for kind in PacketKind}
         self._first_times: Dict[PacketKind, float] = {}
@@ -48,6 +52,7 @@ class LinkTap:
     def attach(self, entry: Callable[[bytes, float], None]) -> None:
         """Hand every frame :meth:`observe` records on to ``entry(frame, time)``."""
         self._entry = entry
+        self._crossing = crossing(entry)
 
     def observe(self, frame_bytes_raw: bytes, time: float) -> None:
         """Record one frame (raw bytes as transmitted), then hand it to the
@@ -80,6 +85,46 @@ class LinkTap:
         entry = self._entry
         if entry is not None:
             entry(frame_bytes_raw, time)
+
+    @property
+    def takes_trains(self) -> bool:
+        """Whether the attached entry takes trains (see
+        :func:`repro.sim.lookahead.crossing`)."""
+        return self._crossing is not None
+
+    def reach(
+        self, stamps: List[float], clocks: List[float], size: int, drawn: bool
+    ) -> Tuple[int, float]:
+        """What the attached entry's ``reach`` says of a list (see
+        :func:`repro.sim.lookahead.crossing`): the tap itself takes every frame."""
+        if self._crossing is None:
+            return 0, -inf
+        return self._crossing.reach(stamps, clocks, size, drawn)
+
+    def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:
+        """:meth:`observe` a list of frames, frame ``i`` at ``stamps[i]``,
+        then hand the list to the attached entry as one."""
+        counts = self._counts
+        payload = self._payload_bytes
+        first_times = self._first_times
+        total = 0
+        for frame, time in zip(frames, stamps):
+            ethertype = frame[12:14]
+            if ethertype == _TYPE2_ETHERTYPE:
+                kind = PacketKind.PROCESSED_UNCOMPRESSED
+            elif ethertype == _TYPE3_ETHERTYPE:
+                kind = PacketKind.PROCESSED_COMPRESSED
+            else:
+                kind = PacketKind.RAW
+            payload_bytes = len(frame) - ETHERNET_HEADER_BYTES
+            counts[kind] += 1
+            payload[kind] += payload_bytes
+            total += payload_bytes
+            if kind not in first_times:
+                first_times[kind] = time
+        self._total_frames += len(frames)
+        self._total_payload_bytes += total
+        self._crossing.cross(frames, stamps, keys)
 
     # -- aggregation ---------------------------------------------------------
 

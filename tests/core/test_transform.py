@@ -42,6 +42,16 @@ class TestConfiguration:
         with pytest.raises(CodingError):
             GDTransform(order=4, chunk_bits=14)
 
+    def test_transforms_naming_one_code_share_it(self):
+        """One ``HammingCode`` per order and polynomial per process: its
+        syndrome table is built once, whoever builds a transform."""
+        paper = GDTransform(order=8)
+        assert GDTransform(order=8, chunk_bits=264).code is paper.code
+        assert GDTransform(order=8, polynomial=paper.code.full_polynomial).code is (
+            GDTransform(order=8, polynomial=paper.code.full_polynomial).code
+        )
+        assert GDTransform(order=5).code is not paper.code
+
     def test_repr_mentions_parameters(self, paper_transform):
         assert "order=8" in repr(paper_transform)
         assert "k=247" in repr(paper_transform)

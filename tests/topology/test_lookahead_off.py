@@ -11,8 +11,9 @@ covers every shape the rule decides: chains of one and three hops, in
 order and reordering, with and without a saturated drop-tail queue; the
 paper's direct testbed; rack fan-ins, static and learning, with direct
 and in-network control; a thrashing fan-in over a lossy control link, the
-fault storm, a decoder restart while frames are on a 50 µs wire, and an
-``entry_ttl`` chain whose idle polls are pending for most of the run.
+fault storm, a decoder restart while frames are on a 50 µs wire, a
+static rack whose decoder restarts inside a train, and an ``entry_ttl``
+chain whose idle polls are pending for most of the run.
 """
 
 import collections
@@ -32,6 +33,8 @@ from repro.topology import (
     rack_fan_in_topology,
     validate_spec_faults,
 )
+
+from test_trains import restart_mid_train
 
 
 def _chain(hops, reorder, saturated):
@@ -102,6 +105,7 @@ GRID = {
         chunks=60, bases=4, packet_rate=1e4, scenario="dynamic", entry_ttl=0.5,
         seed=seed,
     ),
+    "rack-static-restart-mid-train": restart_mid_train,
 }
 
 

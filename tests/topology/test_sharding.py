@@ -39,6 +39,7 @@ from repro.topology import (
     rack_fan_in_topology,
     run_topology,
 )
+from repro.topology import sharding
 from repro.topology.sharding import WORKERS_PAY_OFF_CHUNKS
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -488,6 +489,29 @@ class TestOnePairingRule:
         )
         with pytest.raises(PartitionError, match=r"share a decoder"):
             run_topology(spec, workers=2)
+
+
+class TestTheSpecReachesEachWorkerOnce:
+    """A pool gets the whole spec once per worker, through its initializer;
+    a shard's task carries only the shard."""
+
+    def test_a_task_carries_only_its_shard(self, monkeypatch):
+        seen = []
+        mapped = sharding.map_across_workers
+
+        def recording(function, tasks, workers, shared=None):
+            seen.append((tasks, shared))
+            return mapped(function, tasks, workers, shared)
+
+        monkeypatch.setattr(sharding, "map_across_workers", recording)
+        spec = rack_fan_in_topology(racks=64, senders=16, chunks=1, bases=1)
+        one = run_topology(spec, workers=1, metrics_mode="streaming")
+        two = run_topology(spec, workers=2, metrics_mode="streaming")
+        assert_reports_identical(one, two)
+        assert len(pickle.dumps(spec)) > 100_000
+        for tasks, shared in seen:
+            assert shared is spec and len(tasks) == 64
+            assert max(len(pickle.dumps(task)) for task in tasks) < 1024
 
 
 class TestWorkerCrashReporting:

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from repro.core.hamming import HammingCode, hamming_code
 from repro.replay import IntegrityResult
 from repro.topology import (
     FlowSpec,
     TopologyEngine,
     TopologyReport,
     TopologySpec,
+    fan_in_stress_topology,
     fan_in_topology,
     linear_topology,
     paper_testbed_topology,
@@ -217,6 +219,22 @@ class TestWideFanIn:
         assert len(report.flows) == 40
         assert report.integrity.lossless_in_order
         assert report.chunks_sent == 40 * 20
+
+
+class TestOneCodePerProcess:
+    def test_a_wide_fan_in_builds_one_syndrome_table(self, monkeypatch):
+        """Every flow's workload, both switches and the engine name the same
+        code: building a 512-sender engine builds its syndrome table once."""
+        builds = []
+        build = HammingCode._build_syndrome_table
+        monkeypatch.setattr(
+            HammingCode,
+            "_build_syndrome_table",
+            lambda code: builds.append(code.m) or build(code),
+        )
+        hamming_code.cache_clear()
+        TopologyEngine(fan_in_stress_topology(senders=512))
+        assert builds == [8]
 
 
 class TestMisdeliveryDetection:

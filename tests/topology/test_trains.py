@@ -14,10 +14,30 @@ import pytest
 
 from repro import obs
 from repro.sim.simulator import Simulator
-from repro.topology import TopologyEngine, rack_fan_in_topology
+from repro.topology import (
+    FaultPlan,
+    NodeRestart,
+    TopologyEngine,
+    rack_fan_in_topology,
+    validate_spec_faults,
+)
 from repro.topology import flows
 
-from test_train_pins import CUT, FULL
+from test_train_pins import CUT, FULL, _rack
+
+
+def restart_mid_train(seed):
+    """The pinned static rack with ``decoder0`` restarting at 64.1 µs, inside
+    a train: the frames on the rack wire whose delivery would land at or
+    after the restart split the train's crossing and wait for it."""
+    spec = _rack(seed)
+    spec.faults = FaultPlan(restarts=(NodeRestart(node="decoder0", time=64.1e-6),))
+    validate_spec_faults(spec)
+    return spec
+
+
+#: Shapes of the grid beside the pinned ones.
+EXTRA = {"rack-static-restart-mid-train": restart_mid_train}
 
 
 def _observed(spec, cut):
@@ -37,7 +57,7 @@ def _observed(spec, cut):
     return report.json_text(), events, calls, engine.simulator.executed_events
 
 
-GRID = [(shape, {}) for shape in sorted(FULL)] + [
+GRID = [(shape, {}) for shape in sorted({**FULL, **EXTRA})] + [
     (shape, bound) for shape, bound in sorted(CUT)
 ]
 
@@ -46,7 +66,7 @@ def _build(shape, bound):
     if bound:
         build, cut = CUT[(shape, bound)]
         return build(2020), cut
-    return FULL[shape](2020), {}
+    return {**FULL, **EXTRA}[shape](2020), {}
 
 
 @pytest.mark.parametrize("shape,bound", GRID, ids=[f"{s}-{b or 'full'}" for s, b in GRID])
@@ -59,6 +79,53 @@ def test_one_frame_per_event_changes_nothing(shape, bound, monkeypatch):
     assert trained[1] == one_by_one[1]
     assert trained[2] == one_by_one[2]
     assert trained[3] == one_by_one[3]
+
+
+def _crossed(spec, cut, observed):
+    """Report bytes, trace events (each without its ``seq``, as a sorted
+    list) and event count of a run, watched by an observer or not."""
+    tracer = obs.enable()
+    try:
+        engine = TopologyEngine(spec)
+        if observed:
+            engine.simulator.add_observer(lambda time, label: None)
+        report = engine.run(**cut)
+    finally:
+        obs.disable()
+    events = sorted(
+        repr(sorted((key, value) for key, value in event.items() if key != "seq"))
+        for event in tracer.sink.events
+    )
+    return report.json_text(), events, engine.simulator.executed_events
+
+
+@pytest.mark.parametrize("shape,bound", GRID, ids=[f"{s}-{b or 'full'}" for s, b in GRID])
+def test_crossing_a_train_as_lists_changes_nothing(shape, bound):
+    """An observer must see the state each event leaves, so a run it watches
+    runs every train frame by frame; without one, the part of a train that
+    every hop takes crosses each hop as one list.  The report, the event
+    count and every trace event are the same (a crossing emits the events
+    hop by hop, so their ``seq`` order differs)."""
+    spec, cut = _build(shape, bound)
+    assert _crossed(spec, cut, False) == _crossed(spec, cut, True)
+
+
+def test_the_grid_crosses_and_splits(monkeypatch):
+    """The grid crosses trains as lists, and the restart splits a crossing:
+    the frames its write holds run one by one after the others crossed."""
+    crossed = []
+    cross = flows.cross
+
+    def counting(simulator, train, description):
+        ran = cross(simulator, train, description)
+        crossed.append((len(train), ran))
+        return ran
+
+    monkeypatch.setattr(flows, "cross", counting)
+    spec, cut = _build("rack-static-restart-mid-train", {})
+    TopologyEngine(spec).run(**cut)
+    assert sum(ran for _, ran in crossed) > 0
+    assert any(0 < ran < length for length, ran in crossed)
 
 
 def test_the_grid_hands_frames_back(monkeypatch):

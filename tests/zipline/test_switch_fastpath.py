@@ -742,21 +742,106 @@ class TestDrawnFrames:
         assert compiled.pipeline.parse_errors == short
 
 
+def _split(log):
+    """A probe log as its egress hand-offs and its digests, each in order."""
+    tx = [entry for entry in log if entry[0] == "tx"]
+    digests = [entry[1] for entry in log if entry[0] == "digest"]
+    return tx, digests
+
+
+def _batch_twins(make, order, prefix_bits, ahead, count=300):
+    """Three twins of one program over one frame mix, run to the end:
+    through one ``receive_batch`` call, through ``receive`` frame by
+    frame, and through the oracle, each frame in an event at its instant.
+
+    The list arrives in one event at ``T``; frame ``i`` reaches the program
+    at ``T + i * 1e-6`` (``ahead``) or at the clock (``times`` omitted).
+    What each twin returned, its egress hand-offs and digests, and its
+    final state."""
+    transform = _transform(order, prefix_bits)
+    twins = [make(transform, Simulator()) for _ in range(3)]
+    logs = [_probe(twin) for twin in twins]
+    frames = [
+        frame
+        for frame, _ in _frame_mix(transform, twins[0].headers, random.Random(11), count)
+    ]
+    start = 1e-3
+    times = [start + index * 1e-6 for index in range(count)] if ahead else None
+    batched, framed, interpreted = twins
+    returned = [None, [], []]
+
+    def run_batch():
+        returned[0] = batched.receive_batch(frames, 0, times)
+
+    def run_framed():
+        for index, frame in enumerate(frames):
+            time = None if times is None else times[index]
+            returned[1].append(framed.receive(frame, 0, time))
+
+    batched.simulator.schedule_at(start, run_batch)
+    framed.simulator.schedule_at(start, run_framed)
+    oracle = _oracle(interpreted)
+    for index, frame in enumerate(frames):
+        interpreted.simulator.schedule_at(
+            start if times is None else times[index],
+            lambda frame=frame: returned[2].append(oracle(frame, 0)),
+        )
+    for twin in twins:
+        twin.simulator.run()
+    return [
+        (returned[index], _split(logs[index]), _state(twins[index]))
+        for index in range(3)
+    ]
+
+
 class TestReceiveBatch:
-    def test_frames_are_processed_in_arrival_order(self):
-        """``receive_batch`` is ``receive`` once per frame, in order: what
-        it returns and hands out matches the interpreted twin frame by frame."""
-        batched, interpreted = _encoder(), _encoder()
-        batched_log, interpreted_log = _probe(batched), _probe(interpreted)
-        frames = [
-            frame
-            for frame, _ in _frame_mix(
-                batched.transform, batched.headers, random.Random(7), 200
+    """``receive_batch`` runs the compiled ingress over a whole list, then
+    hands the outputs on: what it returns, what leaves each port (stamps
+    included), every digest (emitted and delivered when) and every counter
+    equal frame-by-frame ``receive`` and the oracle, over mixed EtherTypes,
+    runts and table misses, at the clock and ahead of it."""
+
+    @pytest.mark.parametrize("ahead", [False, True], ids=["at-clock", "ahead"])
+    @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
+    @pytest.mark.parametrize("make", [_encoder, _decoder], ids=["encoder", "decoder"])
+    def test_a_list_is_what_receive_gives_frame_by_frame(
+        self, make, order, prefix_bits, ahead
+    ):
+        batched, framed, interpreted = _batch_twins(make, order, prefix_bits, ahead)
+        assert batched == framed == interpreted
+        outs, (tx, digests), state = batched
+        assert None in outs and any(out is not None for out in outs)
+        assert tx
+        if make is _encoder:
+            # Misses, their digests stamped with each frame's own instant.
+            assert digests
+            assert len({message.emitted_at for message in digests}) == (
+                len(digests) if ahead else 1
             )
+        assert state[2][2] > 0  # runts: parse errors
+
+    def test_an_unknown_port_raises_before_anything_is_counted(self):
+        switch, twin = _encoder(), _encoder()
+        frames = [frame for frame, _ in _frame_mix(switch.transform, switch.headers, random.Random(4), 20)]
+        with pytest.raises(PipelineError, match="port .* out of range"):
+            switch.receive_batch(frames, 32)
+        assert _state(switch) == _state(twin)
+        assert switch.receive_batch([], 0) == []
+        assert _state(switch) == _state(twin)
+
+    def test_a_train_stops_before_a_miss(self):
+        """In a train (``misses=False``) the ingress runs the frames before
+        the first one its table misses, and nothing of that one."""
+        switch, twin = _encoder(), _encoder()
+        frames = [frame for frame, _ in _frame_mix(switch.transform, switch.headers, random.Random(5), 200)]
+        outs = switch.ingress_batch(frames, [0] * len(frames), [0.0] * len(frames), misses=False)
+        assert 0 < len(outs) < len(frames)
+        assert switch.leading_hits(frames) == len(outs)
+        assert outs == [p4_oracle.receive(twin, frame, 0) for frame in frames[: len(outs)]]
+        # Everything but the egress, which the ingress leaves to ``hand_on``.
+        got, want = _state(switch), _state(twin)
+        assert got[0] == want[0] and got[2:] == want[2:]
+        assert [(port.rx_packets, port.rx_bytes) for port in got[1]] == [
+            (port.rx_packets, port.rx_bytes) for port in want[1]
         ]
-        oracle = _oracle(interpreted)
-        expected = [oracle(frame, 0) for frame in frames]
-        assert batched.receive_batch(frames, 0) == expected
-        assert None in expected and batched_log == interpreted_log
-        assert _state(batched) == _state(interpreted)
-        assert batched.receive_batch([], 0) == []
+        assert switch.switch.digest_engine.emitted == 0
