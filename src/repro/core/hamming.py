@@ -364,13 +364,14 @@ class HammingCode:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def hamming_code(m: int, polynomial: Optional[int] = None) -> HammingCode:
     """The one :class:`HammingCode` of order ``m`` and generator
     ``polynomial`` per process.
 
     A code is immutable after construction, and building one builds its
     syndrome and byte-lane tables, so every transform that names the same
-    code — workloads, switches, the engine — shares one instance.
+    code — workloads, switches, the engine — shares one instance.  The
+    cache keeps the 32 codes used last: a run names one or two.
     """
     return HammingCode(m, polynomial)

@@ -461,12 +461,12 @@ class EmulatedLink:
 
     def reach(
         self, stamps: List[float], clocks: List[float], size: int, drawn: bool
-    ) -> Tuple[int, float]:
+    ) -> int:
         """How many leading frames of a list, frame ``i`` handed in at
         ``stamps[i]`` ahead of its event's clock ``clocks[i]`` and none
         longer than ``size`` bytes, this link and every hop after it take
         without an event of their own, as :meth:`send` would take each at
-        its own clock; and the latest stamp those reach.
+        its own clock.
 
         A link whose impairment model reorders, that owes its receiver a
         delivery, whose receiver is the next link of a chain or takes
@@ -487,7 +487,7 @@ class EmulatedLink:
             or not stamps
             or stamps[0] < self._offered_until
         ):
-            return 0, -inf
+            return 0
         busy = self._busy_until
         propagation = self.propagation_delay
         serialisation = self._serialisation.get(size) or self._serialisation_of(size)
@@ -499,7 +499,7 @@ class EmulatedLink:
             delivers.append(busy + propagation)
         count = lookahead.admitted(delivers, clocks)
         if not count:
-            return 0, -inf
+            return 0
         return hop.reach(delivers[:count], clocks[:count], size, True)
 
     def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:

@@ -141,7 +141,7 @@ def crossing(sink: Callable[..., Any]) -> Any:
     Such a hop has a true ``takes_trains``, asked once when the sink is
     attached, ``reach(stamps, clocks, size, drawn)`` — how many leading
     frames of a list it and every hop after it would take now without an
-    event of their own, and the latest stamp those reach — and
+    event of their own — and
     ``cross(frames, stamps, keys)``, which takes them.  ``sink`` is its
     per-frame entry: a method of the hop (a link's ``send``, a tap's
     ``observe``, a host's ``deliver``) or an entry that carries all three

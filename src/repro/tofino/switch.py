@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import inf
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs as _obs
 from repro.exceptions import PipelineError
@@ -212,10 +212,10 @@ class TofinoSwitch:
         clocks: List[float],
         size: int,
         drawn: bool,
-    ) -> Tuple[int, float]:
+    ) -> int:
         """How many leading frames of a list :meth:`transmit_batch` would
         hand on through ``port``, and every hop after it would take, without
-        an event of their own; and the latest stamp those reach.
+        an event of their own.
 
         Frame ``i`` entered the program at ``times[i]``, in the event at
         ``clocks[i]``; none is longer than ``size`` bytes; ``drawn`` says a
@@ -226,13 +226,13 @@ class TofinoSwitch:
         hop = self._crossings.get(port)
         simulator = self.simulator
         if hop is None or simulator is None:
-            return 0, -inf
+            return 0
         stamps = []
         hold = self._holds[port]
         if hold == inf:
             lookahead = self._lookaheads.get(port)
             if lookahead is None:
-                return 0, -inf
+                return 0
             for time in times:
                 stamps.append(time + latency)
             count = lookahead.admitted(stamps, clocks)
@@ -245,7 +245,7 @@ class TofinoSwitch:
                 stamps.append(stamp)
             count = len(stamps)
         if not count:
-            return 0, -inf
+            return 0
         return hop.reach(stamps[:count], clocks[:count], size, drawn)
 
     def transmit_batch(

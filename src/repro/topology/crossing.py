@@ -81,7 +81,7 @@ def cross(
         hits = encoder.leading_hits(frames if several else frames[:1])
         reached = min(
             hits if several else len(frames),
-            encoder.reach(ports, clocks, clocks, max(map(len, frames)), False)[0]
+            encoder.reach(ports, clocks, clocks, max(map(len, frames)), False)
             if hits
             else 0,
         )

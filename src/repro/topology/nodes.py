@@ -17,8 +17,7 @@ Four node kinds cover every topology the reproduction builds:
 from __future__ import annotations
 
 from functools import partial
-from math import inf
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro import obs as _obs
 from repro.exceptions import TopologyError
@@ -68,11 +67,10 @@ class HostNode(Node):
 
     def reach(
         self, stamps: List[float], clocks: List[float], size: int, drawn: bool
-    ) -> Tuple[int, float]:
+    ) -> int:
         """A host takes every frame of a list handed to it (see
-        :func:`repro.sim.lookahead.crossing`), and the latest stamp is its
-        own."""
-        return len(stamps), max(stamps, default=-inf)
+        :func:`repro.sim.lookahead.crossing`)."""
+        return len(stamps)
 
     def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:
         """:meth:`deliver` a list of frames, frame ``i`` at ``stamps[i]``,

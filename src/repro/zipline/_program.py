@@ -19,8 +19,7 @@ is diffed against.
 
 from __future__ import annotations
 
-from math import inf
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
 from repro.core.transform import GDTransform
@@ -423,19 +422,18 @@ class ZipLineSwitchBase:
         clocks: List[float],
         size: int,
         drawn: bool,
-    ) -> Tuple[int, float]:
+    ) -> int:
         """How many leading frames of a list — frame ``i`` arriving on
         ``ports[i]`` at ``times[i]``, in the event at ``clocks[i]``, none
         longer than ``size`` bytes — leave through one egress port and
-        cross every hop after this program without an event of their own;
-        and the latest stamp those reach (see :meth:`TofinoSwitch.reach`).
-        Changes nothing.
+        cross every hop after this program without an event of their own
+        (see :meth:`TofinoSwitch.reach`).  Changes nothing.
         """
         forwarding = self._forwarding
         default = self._default_egress_port
         egress = forwarding.get(ports[0], default) if ports else None
         if egress is None:
-            return 0, -inf
+            return 0
         count = len(ports)
         rx_stats = self._rx_stats
         for port in dict.fromkeys(ports):

@@ -9,8 +9,7 @@ links; the run's report carries the totals (``wire.*`` counters,
 
 from __future__ import annotations
 
-from math import inf
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import PacketError
 from repro.net.ethernet import ETHERNET_HEADER_BYTES, EtherType
@@ -94,11 +93,11 @@ class LinkTap:
 
     def reach(
         self, stamps: List[float], clocks: List[float], size: int, drawn: bool
-    ) -> Tuple[int, float]:
+    ) -> int:
         """What the attached entry's ``reach`` says of a list (see
         :func:`repro.sim.lookahead.crossing`): the tap itself takes every frame."""
         if self._crossing is None:
-            return 0, -inf
+            return 0
         return self._crossing.reach(stamps, clocks, size, drawn)
 
     def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:

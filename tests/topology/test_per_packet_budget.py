@@ -81,6 +81,23 @@ entry key and its owed deliveries).  The static rack pays for that too,
 1,653.9 → 1,697.4 bytecodes, and 0.028 calls per chunk more in both modes
 (25.685 exact, 25.725 streaming): the first frames of each train now run
 one by one, their syndromes not primed.
+
+10.873 (exact: 10.833) calls and 1,501.9 (exact: 1,448.2) bytecodes per
+chunk once the leading part of a train that every hop takes at once
+crosses each hop as one list (``repro.topology.crossing``): the encoder's
+compiled ingress over the list, its egress port, the tap, the link, the
+decoder and the host one call each, after each hop judged the list
+(``reach``).  ``advance``, ``HostNode.inject`` and ``deliver``, the two
+``switch_ingress``, ``receive``, ``_compiled_ingress``, ``lookup_ref`` and
+``transmit`` calls, ``LinkTap.observe``, ``EmulatedLink.send`` and
+``Lookahead.admits`` leave the per-frame path; what is left per frame is
+the source (workload, pacing), the flow account's send and arrival and
+the bounded latency sketch.  The rack's two encoders share each train,
+so ``ZipLineEncoderSwitch.leading_hits`` judges both lists for a miss
+first (70 bytecodes per chunk).  The learning shapes cross only where
+their trains do not miss: 40.334 and 58.529 calls (2,467.2 and 3,398.6
+bytecodes); the DNS chain's reordering links take no list, so its
+injector never tries.
 """
 
 import sys
@@ -100,7 +117,12 @@ from repro.topology import (
 #: Python-level ``call`` events per chunk the run may spend, per metrics
 #: mode.  Just above today's counts: a new per-frame call — or a per-frame
 #: record only one mode keeps — is a decision, not an accident.
-MAX_CALLS_PER_CHUNK = {"streaming": 25.75, "exact": 25.7}
+MAX_CALLS_PER_CHUNK = {"streaming": 10.9, "exact": 10.85}
+
+#: Bytecodes per chunk the static rack may spend, per metrics mode: what a
+#: crossing spends per frame is loop bodies, not calls, so calls alone no
+#: longer size it.
+MAX_BYTECODES_PER_CHUNK = {"streaming": 1510.0, "exact": 1456.0}
 
 #: The same for the two learning shapes of the benchmark (exact).
 MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 40.35, "dns-lossy-multihop": 58.55}
@@ -128,6 +150,29 @@ def _count_python_calls(function):
     finally:
         sys.setprofile(None)
     return calls, steps
+
+
+def _count_bytecodes(function):
+    """Bytecodes ``function()`` executes (``sys.settrace`` opcode events)."""
+    executed = 0
+
+    def local(frame, event, _arg):
+        nonlocal executed
+        if event == "opcode":
+            executed += 1
+        return local
+
+    def start(frame, _event, _arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    sys.settrace(start)
+    try:
+        function()
+    finally:
+        sys.settrace(None)
+    return executed
 
 
 def _fanin_thrash_learn():
@@ -165,6 +210,9 @@ def test_static_rack_fan_in_stays_within_its_per_chunk_budget(metrics_mode):
     # Nothing else is pending, so the injections run in trains.
     assert steps / chunks <= 0.01, steps / chunks
     assert calls / chunks <= MAX_CALLS_PER_CHUNK[metrics_mode], calls / chunks
+    twin = TopologyEngine(spec, metrics_mode=metrics_mode)
+    bytecodes = _count_bytecodes(twin.run)
+    assert bytecodes / chunks <= MAX_BYTECODES_PER_CHUNK[metrics_mode], bytecodes / chunks
 
 
 LEARNING_SHAPES = {
