@@ -513,7 +513,7 @@ class FlowInjector:
         traced = _obs.TRACER.enabled
         ran = 0
         try:
-            if self._crosses:
+            if self._crosses and len(train) >= FIRST_CROSSING:
                 ran = cross(simulator, train[:FIRST_CROSSING], INJECT)
                 if ran == FIRST_CROSSING:
                     ran += cross(simulator, train[ran:], INJECT)
