@@ -18,6 +18,7 @@ from repro.topology import (
     FaultPlan,
     NodeRestart,
     TopologyEngine,
+    linear_topology,
     rack_fan_in_topology,
     validate_spec_faults,
 )
@@ -36,8 +37,18 @@ def restart_mid_train(seed):
     return spec
 
 
+def slow_learning_chain(seed):
+    """One flow learning at 1,000 frames/s: a train spans far longer than
+    a learn digest's 0.9 ms, so a miss's digest lands inside it and a
+    crossing must stop before the miss."""
+    return linear_topology(chunks=400, bases=4, packet_rate=1e3, scenario="dynamic", seed=seed)
+
+
 #: Shapes of the grid beside the pinned ones.
-EXTRA = {"rack-static-restart-mid-train": restart_mid_train}
+EXTRA = {
+    "rack-static-restart-mid-train": restart_mid_train,
+    "slow-learning-chain": slow_learning_chain,
+}
 
 
 def _observed(spec, cut):
