@@ -440,11 +440,11 @@ class EmulatedLink:
             self._sink(frame, deliver_at)
 
     def _serialisation_of(self, length: int) -> float:
-        serialisation = self._serialisation.get(length)
-        if serialisation is None:
-            serialisation = self._serialisation[length] = (
-                frame_wire_bytes(length) * 8 / self.bandwidth_bps
-            )
+        """Work out, and keep, the serialisation delay of a frame of
+        ``length`` bytes (callers look in ``_serialisation`` first)."""
+        serialisation = self._serialisation[length] = (
+            frame_wire_bytes(length) * 8 / self.bandwidth_bps
+        )
         return serialisation
 
     @property

@@ -101,7 +101,6 @@ class Lookahead:
             simulator.latest_stamp = stamp
         return True
 
-
     def admitted(self, stamps: List[float], clocks: List[float]) -> int:
         """How many leading frames of a list :meth:`admits` would take,
         frame ``i`` stamped ``stamps[i]`` and asked at its own clock
@@ -141,11 +140,10 @@ def crossing(sink: Callable[..., Any]) -> Any:
     Such a hop has a true ``takes_trains``, asked once when the sink is
     attached, ``reach(stamps, clocks, size, drawn)`` — how many leading
     frames of a list it and every hop after it would take now without an
-    event of their own — and
-    ``cross(frames, stamps, keys)``, which takes them.  ``sink`` is its
-    per-frame entry: a method of the hop (a link's ``send``, a tap's
-    ``observe``, a host's ``deliver``) or an entry that carries all three
-    itself (a switch program's ingress port).
+    event of their own — and ``cross(frames, stamps, keys)``, which takes
+    them.  ``sink`` is its per-frame entry: a method of the hop (a link's
+    ``send``, a tap's ``observe``, a host's ``deliver``) or an entry that
+    carries all three itself (a switch program's ingress port).
     """
     hop = getattr(sink, "__self__", sink)
     return hop if getattr(hop, "takes_trains", False) else None

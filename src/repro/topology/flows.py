@@ -220,12 +220,11 @@ class FlowState:
         self.chunk_bytes_sent = 0
         self.delivered = 0
         # What the injector keeps per flow (set by ``FlowInjector.start``):
-        # the source host, the encoder it feeds directly and the encoder's
-        # port it feeds, the source's
-        # frame iterator and how many frames it gave, the frames a train
-        # took from it but handed back (stamped; ``None`` when there are
-        # none), and the sequence of the flow's next frame while a train
-        # runs.
+        # the source host, the encoder it feeds directly and that encoder's
+        # port, the source's frame iterator and how many frames it gave,
+        # the frames a train took from it but handed back (stamped;
+        # ``None`` when there are none), and the sequence of the flow's
+        # next frame while a train runs.
         self.host: Optional[HostNode] = None
         self.encoder: Any = None
         self.port = 0
@@ -321,9 +320,9 @@ class FlowInjector:
     does not run go back with their keys.  The leading part of a train
     that every hop takes without an event of its own crosses each hop as
     one list (:func:`~repro.topology.crossing.cross`); the rest runs frame
-    by frame.  The steps of
-    one injection are written out in the one-by-one path, the train and
-    its crossing: a call per frame costs more than the lines.
+    by frame.  The steps of one injection are written out in the
+    one-by-one path, the train and its crossing: a call per frame costs
+    more than the lines.
     """
 
     def __init__(self, simulator: Simulator, flows: List[FlowState], graph: TopologyGraph):

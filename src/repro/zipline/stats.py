@@ -18,9 +18,12 @@ from repro.sim.lookahead import crossing
 
 __all__ = ["LinkTap"]
 
-#: EtherType wire bytes, bound once for the per-frame classification below.
-_TYPE2_ETHERTYPE = int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big")
-_TYPE3_ETHERTYPE = int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big")
+#: EtherType wire bytes → packet type, bound once for the per-frame
+#: classification below; any other EtherType is a raw frame.
+_KINDS = {
+    int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big"): PacketKind.PROCESSED_UNCOMPRESSED,
+    int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big"): PacketKind.PROCESSED_COMPRESSED,
+}
 
 
 class LinkTap:
@@ -67,13 +70,7 @@ class LinkTap:
                 f"frame of {len(frame_bytes_raw)} bytes is shorter than an "
                 f"Ethernet header ({ETHERNET_HEADER_BYTES} bytes)"
             )
-        ethertype = frame_bytes_raw[12:14]
-        if ethertype == _TYPE2_ETHERTYPE:
-            kind = PacketKind.PROCESSED_UNCOMPRESSED
-        elif ethertype == _TYPE3_ETHERTYPE:
-            kind = PacketKind.PROCESSED_COMPRESSED
-        else:
-            kind = PacketKind.RAW
+        kind = _KINDS.get(frame_bytes_raw[12:14], PacketKind.RAW)
         payload_bytes = len(frame_bytes_raw) - ETHERNET_HEADER_BYTES
         self._counts[kind] += 1
         self._payload_bytes[kind] += payload_bytes
@@ -107,14 +104,9 @@ class LinkTap:
         payload = self._payload_bytes
         first_times = self._first_times
         total = 0
+        raw = PacketKind.RAW
         for frame, time in zip(frames, stamps):
-            ethertype = frame[12:14]
-            if ethertype == _TYPE2_ETHERTYPE:
-                kind = PacketKind.PROCESSED_UNCOMPRESSED
-            elif ethertype == _TYPE3_ETHERTYPE:
-                kind = PacketKind.PROCESSED_COMPRESSED
-            else:
-                kind = PacketKind.RAW
+            kind = _KINDS.get(frame[12:14], raw)
             payload_bytes = len(frame) - ETHERNET_HEADER_BYTES
             counts[kind] += 1
             payload[kind] += payload_bytes
