@@ -8,6 +8,12 @@ over the shapes ``test_train_pins.py`` pins — including the cuts that land
 inside what is one train by default.  The grid must also reach the train's
 rare paths: frames handed back because a frame before them scheduled an
 event that comes first, and because the run's ``max_events`` ran out.
+
+Those runs are observed, so they run every train frame by frame.  Without
+an observer the part of a train every hop takes crosses each hop as one
+list (``repro.topology.crossing``); the same grid, plus a static rack
+whose decoder restarts inside a train and a chain that learns slower than
+a digest lands, compares that against frame by frame.
 """
 
 import pytest
@@ -122,8 +128,9 @@ def test_crossing_a_train_as_lists_changes_nothing(shape, bound):
 
 
 def test_the_grid_crosses_and_splits(monkeypatch):
-    """The grid crosses trains as lists, and the restart splits a crossing:
-    the frames its write holds run one by one after the others crossed."""
+    """The restart shape crosses trains as lists, and its restart splits a
+    crossing: the frames its write holds run one by one after the others
+    crossed."""
     crossed = []
     cross = flows.cross
 
