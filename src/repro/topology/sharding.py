@@ -86,8 +86,8 @@ class TopologyShard:
 @dataclass(frozen=True)
 class _ShardTask:
     """What a worker process needs, beside the whole spec, to build and run
-    its shard; the spec reaches each worker once
-    (:func:`map_across_workers`' ``shared``).
+    its shard; the spec is bound into the mapped function, so it reaches
+    each pool worker once (:func:`map_across_workers`).
 
     ``trace_segment``/``snapshot_interval`` are set only when the parent
     has tracing enabled: the worker then writes its own JSON-lines trace
@@ -171,8 +171,7 @@ WORKERS_PAY_OFF_CHUNKS = 8000
 
 
 #: In a pool worker: the function :func:`map_across_workers` runs on each
-#: task, with what the tasks share already bound, set once by the pool
-#: initializer.
+#: task, set once by the pool initializer.
 _WORKER: Optional[Callable[[Any], Any]] = None
 
 
@@ -186,26 +185,21 @@ def _run_in_worker(task: Any) -> Any:
 
 
 def map_across_workers(
-    function: Callable[..., Any],
-    tasks: Sequence[Any],
-    workers: int,
-    shared: Any = None,
+    function: Callable[[Any], Any], tasks: Sequence[Any], workers: int
 ) -> Iterator[Any]:
-    """Yield ``function(task)`` — ``function(shared, task)`` when ``shared``
-    is given — for every task, as each one finishes.
+    """Yield ``function(task)`` for every task, as each one finishes.
 
     One worker runs the tasks lazily, in order, in this process; more fan
-    them across a process pool and yield in completion order.  ``shared``
-    reaches each pool worker once, through the pool initializer, so a
-    task carries only what is its own.  The pool forks on Linux (a
-    measured 5x+ startup win) and uses the platform default elsewhere
-    (macOS frameworks can deadlock in forked children) — spawn-safe as
-    long as ``function`` is module-level and ``shared``, tasks and results
+    them across a process pool and yield in completion order.  ``function``
+    reaches each pool worker once, through the pool initializer, so what
+    the tasks share can be bound into it (``functools.partial``) and a task
+    carries only what is its own.  The pool forks on Linux (a measured 5x+
+    startup win) and uses the platform default elsewhere (macOS frameworks
+    can deadlock in forked children) — spawn-safe as long as ``function``
+    is module-level (or a partial of one) and it, the tasks and the results
     pickle.  ``chunksize=1`` keeps the tasks spread across the pool.
     """
     workers = min(workers, len(tasks))
-    if shared is not None:
-        function = partial(function, shared)
     if workers <= 1:
         yield from map(function, tasks)
         return
@@ -368,7 +362,7 @@ def run_topology(
                 f"may be faster than workers={workers} here (same report either way)"
             )
         outcomes: List[_ShardOutcome] = []
-        results = map_across_workers(_run_shard, tasks, workers, shared=spec)
+        results = map_across_workers(partial(_run_shard, spec), tasks, workers)
         # On a failure the pool must be gone before the trace dir is.
         cleanup.callback(results.close)
         for done, outcome in enumerate(results, start=1):

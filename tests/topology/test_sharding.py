@@ -499,9 +499,9 @@ class TestTheSpecReachesEachWorkerOnce:
         seen = []
         mapped = sharding.map_across_workers
 
-        def recording(function, tasks, workers, shared=None):
-            seen.append((tasks, shared))
-            return mapped(function, tasks, workers, shared)
+        def recording(function, tasks, workers):
+            seen.append((function, tasks))
+            return mapped(function, tasks, workers)
 
         monkeypatch.setattr(sharding, "map_across_workers", recording)
         spec = rack_fan_in_topology(racks=64, senders=16, chunks=1, bases=1)
@@ -509,8 +509,8 @@ class TestTheSpecReachesEachWorkerOnce:
         two = run_topology(spec, workers=2, metrics_mode="streaming")
         assert_reports_identical(one, two)
         assert len(pickle.dumps(spec)) > 100_000
-        for tasks, shared in seen:
-            assert shared is spec and len(tasks) == 64
+        for function, tasks in seen:
+            assert function.args[0] is spec and len(tasks) == 64
             assert max(len(pickle.dumps(task)) for task in tasks) < 1024
 
 
