@@ -109,7 +109,6 @@ def cross(
                 [train[at][1].port for at in positions],
                 clocks,
                 [contexts[at] for at in positions],
-                misses=False,
             )
             if len(outs) < len(positions):  # one encoder only: see above
                 count = positions[len(outs)]

@@ -213,15 +213,14 @@ class ZipLineSwitchBase:
         frames: List[bytes],
         times: List[float],
         contexts: Optional[List[object]],
-        misses: bool,
     ) -> List[Optional[bytes]]:
         """The ingress control over a list, frame ``i`` reaching the program
         at ``times[i]``: the output of each frame it ran, ``None`` for one
         dropped.
 
-        Counts every frame's parse error and counter cells itself, and emits
-        its digests; ``contexts[i]`` is the trace context of frame ``i``.
-        With ``misses`` false it stops before the first frame the mapping
+        Counts every frame's parse error and counter cells itself;
+        ``contexts[i]`` is the trace context of frame ``i``.  A program
+        whose miss emits a digest stops before the first frame its mapping
         table would miss, so it runs a leading part of the list only.
         """
         raise NotImplementedError
@@ -345,40 +344,31 @@ class ZipLineSwitchBase:
         self,
         frames: List[bytes],
         ingress_port: int,
-        times: Optional[List[float]] = None,
-        keys: Optional[List[tuple]] = None,
+        times: List[float],
+        keys: List[tuple],
     ) -> List[Optional[bytes]]:
-        """Run a list of frames arriving on ``ingress_port`` through the
-        compiled program in one call: what :meth:`receive` returns for
-        each, in order.
+        """Run a train's list of frames arriving on ``ingress_port`` through
+        the compiled program in one call: what :meth:`receive` returns for
+        each frame it ran, in order.
 
-        The compiled ingress runs over the whole list first, with the
-        table, counter cells and (on the encoder) primed syndromes bound
-        once; port and pipeline statistics are counted once per list.
-        ``times[i]`` is the instant frame ``i`` reaches the program (the
-        clock when ``None``).  Then the outputs leave through the egress
-        port: one :meth:`TofinoSwitch.transmit` each, or — with ``keys``,
-        when the frames are a train every hop after this one takes as
-        lists (:meth:`reach`) — as one list.  An ingress port the chassis
-        does not have raises before anything is counted.
+        Only for a list :meth:`reach` said every hop after the program
+        takes.  ``times[i]`` is the instant frame ``i`` reaches the
+        program; ``keys`` travel with the frames (see
+        :func:`repro.topology.crossing.cross`).  The compiled ingress runs
+        over the list first (:meth:`ingress_batch`: table, counter cells
+        and primed syndromes bound once, port and pipeline statistics once
+        per list), then the outputs leave through the egress port as one
+        list (:meth:`hand_on`).  On the encoder the ingress stops before
+        the first frame its table misses, so the list returned may be
+        shorter than ``frames``; the caller runs the rest through
+        :meth:`receive`.  An ingress port the chassis does not have raises
+        before anything is counted.
         """
-        if times is None:
-            times = [self._now()] * len(frames)
         outs = self.ingress_batch(
-            frames,
-            [ingress_port] * len(frames),
-            times,
-            None if keys is None else [key[3] for key in keys],
+            frames, [ingress_port] * len(frames), times, [key[3] for key in keys]
         )
-        if keys is not None:
-            self.hand_on(ingress_port, outs, times, keys)
-            return outs
-        egress = self._forwarding.get(ingress_port, self._default_egress_port)
-        transmit = self.switch.transmit
-        latency = self._latency
-        for out, time in zip(outs, times):
-            if out is not None:
-                transmit(egress, out, latency, time)
+        ran = len(outs)
+        self.hand_on(ingress_port, outs, times[:ran], keys[:ran])
         return outs
 
     def ingress_batch(
@@ -387,24 +377,23 @@ class ZipLineSwitchBase:
         ports: List[int],
         times: List[float],
         contexts: Optional[List[object]] = None,
-        misses: bool = True,
     ) -> List[Optional[bytes]]:
         """The compiled ingress over a list, frame ``i`` arriving on
         ``ports[i]`` at ``times[i]``: the output of each frame, ``None``
         where the program dropped it, without handing any on.
 
         Counts each frame at its port and in the pipeline as
-        :meth:`receive` does.  With ``misses`` false it stops before the
-        first frame the mapping table would miss — a learn digest's event
-        must find the frames after it not yet run — so the list it returns
-        may be shorter than ``frames``; ``contexts`` are the frames' trace
+        :meth:`receive` does.  The encoder stops before the first frame its
+        mapping table would miss — a learn digest's event must find the
+        frames after it not yet run — so the list it returns may be
+        shorter than ``frames``; ``contexts`` are the frames' trace
         contexts.
         """
         rx_stats = self._rx_stats
         for port in dict.fromkeys(ports):
             if port not in rx_stats:
                 self.switch.port_stats(port)  # the chassis's out-of-range error
-        outs = self._ingress_batch(frames, times, contexts, misses)
+        outs = self._ingress_batch(frames, times, contexts)
         count = len(outs)
         for frame, port in zip(frames[:count], ports):
             stats = rx_stats[port]

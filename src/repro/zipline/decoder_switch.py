@@ -197,7 +197,6 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         frames: List[bytes],
         times: List[float],
         contexts: Optional[List[object]],
-        misses: bool,
     ) -> List[Optional[bytes]]:
         outs: List[Optional[bytes]] = []
         append = outs.append

@@ -235,7 +235,6 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         frames: List[bytes],
         times: List[float],
         contexts: Optional[List[object]],
-        misses: bool,
     ) -> List[Optional[bytes]]:
         outs: List[Optional[bytes]] = []
         append = outs.append
@@ -244,22 +243,18 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         m = self._syndrome_bits
         code_bits = self._code_bits
         identifier_bits = self._identifier_bits
-        basis_bits = self._basis_bits
         remainder = self._remainder
         prefix_syndrome = self._transform.code.prefix_syndrome
         body_mask = self._body_mask
         flip_masks = self._flip_masks
         table = self._basis_table
         entries = table.entry_map()
-        type2_bytes = self._type2_bytes
         type3_bytes = self._type3_bytes
-        type2_pad = self._type2_pad
         type3_pad = self._type3_pad
-        emit = self.switch.digest_engine.emit
         tracer = _obs.TRACER
         traced = tracer.enabled
         parse_errors = processed = processed_bytes = other = other_bytes = 0
-        hits = hit_bytes = learned = learned_bytes = found = 0
+        hits = hit_bytes = 0
         for frame, now, context in zip(frames, times, contexts or repeat(None)):
             ethertype = frame[12:14]
             length = len(frame)
@@ -284,60 +279,38 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
             )
             basis = ((chunk_value & body_mask) ^ flip_masks[syndrome]) >> m
             entry = entries.get(basis)
-            if entry is not None and entry.action == "set_identifier":
-                entry.last_hit = now
-                entry.hit_count += 1
-                identifier = entry.params["identifier"]
-                value = (((prefix << identifier_bits) | identifier) << m) | syndrome
-                append(
-                    frame[:12]
-                    + ETH_TYPE3
-                    + (value << type3_pad).to_bytes(type3_bytes, "big")
-                    + frame[chunk_end:]
-                )
-                hits += 1
-                hit_bytes += length
-                if traced:
-                    if contexts is not None:
-                        tracer.restore_context(context)
-                    self._span(
-                        "encode",
-                        now,
-                        {"outcome": "hit", "identifier": identifier, "basis": basis},
-                    )
-                continue
-            if not misses:
+            if entry is None or entry.action != "set_identifier":
+                # A miss emits a learn digest, whose event must find the
+                # frames after it not yet run: the list stops here.
                 break
-            if entry is not None:
-                # A table hit the program still treats as a miss.
-                entry.last_hit = now
-                entry.hit_count += 1
-                found += 1
-            value = (((prefix << basis_bits) | basis) << m) | syndrome
+            entry.last_hit = now
+            entry.hit_count += 1
+            identifier = entry.params["identifier"]
+            value = (((prefix << identifier_bits) | identifier) << m) | syndrome
             append(
                 frame[:12]
-                + ETH_TYPE2
-                + (value << type2_pad).to_bytes(type2_bytes, "big")
+                + ETH_TYPE3
+                + (value << type3_pad).to_bytes(type3_bytes, "big")
                 + frame[chunk_end:]
             )
-            learned += 1
-            learned_bytes += length
+            hits += 1
+            hit_bytes += length
             if traced:
                 if contexts is not None:
                     tracer.restore_context(context)
-                self._span("encode", now, {"outcome": "miss", "basis": basis})
-            emit(LEARN_DIGEST, {"basis": basis}, now)
-            # Without a simulator the control plane may write at once.
-            entries = table.entry_map()
-        table.lookups += hits + learned
-        table.hits += hits + found
-        self.crc_invocations += hits + learned
+                self._span(
+                    "encode",
+                    now,
+                    {"outcome": "hit", "identifier": identifier, "basis": basis},
+                )
+        table.lookups += hits
+        table.hits += hits
+        self.crc_invocations += hits
         self._pipeline.parse_errors += parse_errors
         packets = self._packet_cells
         octets = self._byte_cells
         for cell, count, count_bytes in (
             (self._raw_to_compressed, hits, hit_bytes),
-            (self._raw_to_uncompressed, learned, learned_bytes),
             (self._passthrough_processed, processed, processed_bytes),
             (self._passthrough_other, other, other_bytes),
         ):

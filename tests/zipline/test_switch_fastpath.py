@@ -124,18 +124,22 @@ def _oracle(switch):
     return lambda frame, port: p4_oracle.receive(switch, frame, port)
 
 
-def _probe(switch):
+def _probe(switch, trains=False):
     """Log what ``switch`` hands out, where it lands.
 
     ``("tx", port, stamp, frame)`` per frame an egress port is handed,
-    captured at a sink on every port; ``("digest", message)`` per learn
-    digest, captured at the digest engine.
+    captured at a sink on every port — one that takes trains as lists
+    with ``trains`` (:class:`_TrainSink`); ``("digest", message)`` per
+    learn digest, captured at the digest engine.
     """
     log = []
     chassis = switch.switch
     for port in range(chassis.port_count):
         chassis.attach_port(
-            port, lambda frame, stamp, port=port: log.append(("tx", port, stamp, frame))
+            port,
+            _TrainSink(log, port, switch.simulator)
+            if trains
+            else lambda frame, stamp, port=port: log.append(("tx", port, stamp, frame)),
         )
     chassis.digest_engine.subscribe(
         LEARN_DIGEST, lambda message: log.append(("digest", message))
@@ -742,64 +746,90 @@ class TestDrawnFrames:
         assert compiled.pipeline.parse_errors == short
 
 
-def _split(log):
-    """A probe log as its egress hand-offs and its digests, each in order."""
-    tx = [entry for entry in log if entry[0] == "tx"]
-    digests = [entry[1] for entry in log if entry[0] == "digest"]
-    return tx, digests
+class _TrainSink:
+    """A port sink that takes trains as lists (``takes_trains``), logging
+    what it is handed as :func:`_probe`'s sinks do.
+
+    A frame handed on alone or in a list is logged in an event at its
+    stamp, where an untimed port's transmit event would log it, so a log
+    reads the same whichever way its frames left the program."""
+
+    takes_trains = True
+
+    def __init__(self, log, port, simulator):
+        self.log, self.port, self.simulator = log, port, simulator
+
+    def __call__(self, frame, stamp):
+        self.log.append(("tx", self.port, stamp, frame))
+
+    def cross(self, frames, stamps, keys):
+        for frame, stamp in zip(frames, stamps):
+            self.simulator.schedule_at(
+                stamp, lambda frame=frame, stamp=stamp: self(frame, stamp)
+            )
 
 
 def _batch_twins(make, order, prefix_bits, ahead, count=300):
     """Three twins of one program over one frame mix, run to the end:
-    through one ``receive_batch`` call, through ``receive`` frame by
-    frame, and through the oracle, each frame in an event at its instant.
+    through ``receive_batch``, through ``receive`` frame by frame, and
+    through the oracle, each frame in an event at its instant.
 
     The list arrives in one event at ``T``; frame ``i`` reaches the program
-    at ``T + i * 1e-6`` (``ahead``) or at the clock (``times`` omitted).
-    What each twin returned, its egress hand-offs and digests, and its
-    final state."""
+    at ``T + i * 1e-6`` (``ahead``) or at ``T``.  Where the encoder's list
+    stops before a miss, that frame runs through ``receive`` and the rest
+    of the list through ``receive_batch`` again, as a train's crossing
+    leaves a miss to run frame by frame.  What each twin returned, its
+    egress hand-offs and digests in the order they landed, and its final
+    state."""
     transform = _transform(order, prefix_bits)
     twins = [make(transform, Simulator()) for _ in range(3)]
-    logs = [_probe(twin) for twin in twins]
+    logs = [_probe(twin, trains=index == 0) for index, twin in enumerate(twins)]
     frames = [
         frame
         for frame, _ in _frame_mix(transform, twins[0].headers, random.Random(11), count)
     ]
     start = 1e-3
-    times = [start + index * 1e-6 for index in range(count)] if ahead else None
+    times = [start + index * 1e-6 if ahead else start for index in range(count)]
+    keys = [(time, index, index, None) for index, time in enumerate(times)]
     batched, framed, interpreted = twins
-    returned = [None, [], []]
+    returned = [[], [], []]
 
     def run_batch():
-        returned[0] = batched.receive_batch(frames, 0, times)
+        at = 0
+        while at < count:
+            outs = batched.receive_batch(frames[at:], 0, times[at:], keys[at:])
+            returned[0].extend(outs)
+            at += len(outs)
+            if at < count:
+                returned[0].append(batched.receive(frames[at], 0, times[at]))
+                at += 1
 
     def run_framed():
-        for index, frame in enumerate(frames):
-            time = None if times is None else times[index]
+        for frame, time in zip(frames, times):
             returned[1].append(framed.receive(frame, 0, time))
 
     batched.simulator.schedule_at(start, run_batch)
     framed.simulator.schedule_at(start, run_framed)
     oracle = _oracle(interpreted)
-    for index, frame in enumerate(frames):
+    for frame, time in zip(frames, times):
         interpreted.simulator.schedule_at(
-            start if times is None else times[index],
-            lambda frame=frame: returned[2].append(oracle(frame, 0)),
+            time, lambda frame=frame: returned[2].append(oracle(frame, 0))
         )
     for twin in twins:
         twin.simulator.run()
     return [
-        (returned[index], _split(logs[index]), _state(twins[index]))
+        (returned[index], logs[index], _state(twins[index]))
         for index in range(3)
     ]
 
 
 class TestReceiveBatch:
-    """``receive_batch`` runs the compiled ingress over a whole list, then
-    hands the outputs on: what it returns, what leaves each port (stamps
-    included), every digest (emitted and delivered when) and every counter
-    equal frame-by-frame ``receive`` and the oracle, over mixed EtherTypes,
-    runts and table misses, at the clock and ahead of it."""
+    """``receive_batch`` runs the compiled ingress over a list, then hands
+    the outputs on as one list: what it returns, what leaves each port
+    (stamps included), every digest (emitted and delivered when), the order
+    all of them land in, and every counter equal frame-by-frame ``receive``
+    and the oracle, over mixed EtherTypes, runts and table misses, at the
+    clock and ahead of it."""
 
     @pytest.mark.parametrize("ahead", [False, True], ids=["at-clock", "ahead"])
     @pytest.mark.parametrize("order, prefix_bits", CONFIGS)
@@ -809,11 +839,12 @@ class TestReceiveBatch:
     ):
         batched, framed, interpreted = _batch_twins(make, order, prefix_bits, ahead)
         assert batched == framed == interpreted
-        outs, (tx, digests), state = batched
+        outs, log, state = batched
         assert None in outs and any(out is not None for out in outs)
-        assert tx
+        assert any(entry[0] == "tx" for entry in log)
         if make is _encoder:
             # Misses, their digests stamped with each frame's own instant.
+            digests = [entry[1] for entry in log if entry[0] == "digest"]
             assert digests
             assert len({message.emitted_at for message in digests}) == (
                 len(digests) if ahead else 1
@@ -823,18 +854,19 @@ class TestReceiveBatch:
     def test_an_unknown_port_raises_before_anything_is_counted(self):
         switch, twin = _encoder(), _encoder()
         frames = [frame for frame, _ in _frame_mix(switch.transform, switch.headers, random.Random(4), 20)]
+        times, keys = [0.0] * len(frames), [(0.0, 0, 0, None)] * len(frames)
         with pytest.raises(PipelineError, match="port .* out of range"):
-            switch.receive_batch(frames, 32)
+            switch.receive_batch(frames, 32, times, keys)
         assert _state(switch) == _state(twin)
-        assert switch.receive_batch([], 0) == []
+        assert switch.receive_batch([], 0, [], []) == []
         assert _state(switch) == _state(twin)
 
     def test_a_train_stops_before_a_miss(self):
-        """In a train (``misses=False``) the ingress runs the frames before
-        the first one its table misses, and nothing of that one."""
+        """The encoder's list ingress runs the frames before the first one
+        its table misses, and nothing of that one."""
         switch, twin = _encoder(), _encoder()
         frames = [frame for frame, _ in _frame_mix(switch.transform, switch.headers, random.Random(5), 200)]
-        outs = switch.ingress_batch(frames, [0] * len(frames), [0.0] * len(frames), misses=False)
+        outs = switch.ingress_batch(frames, [0] * len(frames), [0.0] * len(frames))
         assert 0 < len(outs) < len(frames)
         assert switch.leading_hits(frames) == len(outs)
         assert outs == [p4_oracle.receive(twin, frame, 0) for frame in frames[: len(outs)]]
