@@ -14,6 +14,12 @@ and in-network control; a thrashing fan-in over a lossy control link, the
 fault storm, a decoder restart while frames are on a 50 µs wire, a
 static rack whose decoder restarts inside a train, and an ``entry_ttl``
 chain whose idle polls are pending for most of the run.
+
+A train's crossing (:mod:`repro.topology.crossing`) judges a whole list
+by :meth:`~repro.sim.lookahead.Lookahead.admitted`, the same rule over
+many stamps.  Both runs above attach an observer, and a run an observer
+watches crosses nothing, so over the same grid the run without one,
+whose trains cross, must equal the watched run too.
 """
 
 import collections
@@ -22,6 +28,7 @@ import hashlib
 import pytest
 
 from repro.sim.lookahead import Lookahead
+from repro.topology import flows
 from repro.topology import (
     FaultPlan,
     NodeRestart,
@@ -34,7 +41,7 @@ from repro.topology import (
     validate_spec_faults,
 )
 
-from test_trains import restart_mid_train
+from test_trains import _crossed, restart_mid_train
 
 
 def _chain(hops, reorder, saturated):
@@ -138,6 +145,38 @@ def test_lookahead_off_prints_the_same_report(shape, seed, monkeypatch):
     assert _md5(on) == _md5(off)
     # Off means off: no link handed a frame on without its event.
     assert spent == delivered
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("shape", sorted(GRID))
+def test_crossing_trains_prints_the_same_report(shape, seed):
+    """Report bytes, event count and every trace event (without ``seq``)
+    of the run whose trains cross, and of the run an observer watches."""
+    assert _crossed(GRID[shape](seed), {}, False) == _crossed(GRID[shape](seed), {}, True)
+
+
+def test_the_grid_crosses_trains(monkeypatch):
+    """The static racks and the 50 µs wire cross trains as lists, and the
+    restarts split some crossing: the frames a pending write holds run one
+    by one."""
+    crossed = collections.defaultdict(list)
+    cross = flows.cross
+
+    def counting(simulator, train, description):
+        ran = cross(simulator, train, description)
+        crossed[shape].append((len(train), ran))
+        return ran
+
+    monkeypatch.setattr(flows, "cross", counting)
+    for shape in sorted(GRID):
+        TopologyEngine(GRID[shape](7)).run()
+    for shape in (
+        "rack-static-direct", "rack-static-in-network",
+        "rack-static-restart-mid-train", "restart-on-a-50us-wire",
+    ):
+        assert sum(ran for _, ran in crossed[shape]) > 0, shape
+    for shape in ("rack-static-restart-mid-train", "restart-on-a-50us-wire"):
+        assert any(ran < length for length, ran in crossed[shape]), shape
 
 
 def test_the_grid_reaches_what_it_is_for():

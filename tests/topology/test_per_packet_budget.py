@@ -83,7 +83,7 @@ entry key and its owed deliveries).  The static rack pays for that too,
 one by one, their syndromes not primed.
 
 10.873 (exact: 10.833) calls and 1,494.9 (exact: 1,441.1) bytecodes per
-chunk once the leading part of a train that every hop takes at once
+chunk (Python 3.11) once the leading part of a train that every hop takes at once
 crosses each hop as one list (``repro.topology.crossing``): the encoder's
 compiled ingress over the list, its egress port, the tap, the link, the
 decoder and the host one call each, after each hop judged the list
@@ -98,7 +98,12 @@ first (70 bytecodes per chunk).  The learning shapes' trains are short
 or stop at a miss, so they barely cross: 40.324 and 58.529 calls
 (2,458.9 and 3,393.6 bytecodes; the tap classifies a frame with one
 dict lookup now); the DNS chain's reordering links take no list, so its
-injector never tries.
+injector never tries.  1,494.0 (exact: 1,440.2) bytecodes once the
+encoder's list ingress lost the learning branch no crossing ran (a
+train stops before a miss), and with it the locals it bound per list.
+Calls do not move with the version on this path (10.873 on 3.9 too;
+10.687 on 3.12, which inlines comprehensions), so their bound holds on
+every version; bytecodes do, so theirs is kept per version.
 """
 
 import sys
@@ -120,10 +125,18 @@ from repro.topology import (
 #: record only one mode keeps — is a decision, not an accident.
 MAX_CALLS_PER_CHUNK = {"streaming": 10.9, "exact": 10.85}
 
-#: Bytecodes per chunk the static rack may spend, per metrics mode: what a
-#: crossing spends per frame is loop bodies, not calls, so calls alone no
-#: longer size it.
-MAX_BYTECODES_PER_CHUNK = {"streaming": 1500.0, "exact": 1446.0}
+#: Bytecodes per chunk the static rack may spend, per Python version and
+#: metrics mode: what a crossing spends per frame is loop bodies, not
+#: calls, so calls alone no longer size it.  The opcodes a function
+#: executes differ between versions (3.11 added ``RESUME`` and
+#: ``PRECALL``; 3.12 inlines comprehensions), so a bound holds only on the
+#: version it was measured on: 1,494.0 / 1,440.2 on 3.11, 1,443.1 /
+#: 1,386.3 on 3.9.  None on 3.12: there the first ``sys.settrace`` of a
+#: process counted no opcode at all (3.12.1), so the streaming run read 0.
+MAX_BYTECODES_PER_CHUNK = {
+    (3, 9): {"streaming": 1449.0, "exact": 1392.0},
+    (3, 11): {"streaming": 1500.0, "exact": 1446.0},
+}
 
 #: The same for the two learning shapes of the benchmark (exact).
 MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 40.35, "dns-lossy-multihop": 58.55}
@@ -211,9 +224,11 @@ def test_static_rack_fan_in_stays_within_its_per_chunk_budget(metrics_mode):
     # Nothing else is pending, so the injections run in trains.
     assert steps / chunks <= 0.01, steps / chunks
     assert calls / chunks <= MAX_CALLS_PER_CHUNK[metrics_mode], calls / chunks
-    twin = TopologyEngine(spec, metrics_mode=metrics_mode)
-    bytecodes = _count_bytecodes(twin.run)
-    assert bytecodes / chunks <= MAX_BYTECODES_PER_CHUNK[metrics_mode], bytecodes / chunks
+    bounds = MAX_BYTECODES_PER_CHUNK.get(sys.version_info[:2])
+    if bounds is not None:
+        twin = TopologyEngine(spec, metrics_mode=metrics_mode)
+        bytecodes = _count_bytecodes(twin.run)
+        assert bytecodes / chunks <= bounds[metrics_mode], bytecodes / chunks
 
 
 LEARNING_SHAPES = {
