@@ -65,7 +65,7 @@ def _dns_lossy_multihop(chunks: int):
 #: ``rack-fan-in`` run is ``rack-static-hit``, and every quick size is the
 #: one ``tests/topology/test_per_packet_budget.py`` guards.  The two
 #: learning shapes keep events between injections (control steps,
-#: refused deliveries), so each of their injections runs alone.
+#: refused deliveries), so their trains are short and rarely cross.
 PRESETS: Dict[str, Tuple[Callable[[], Any], Callable[[], Any]]] = {
     "rack-fan-in": (
         lambda: _rack_fan_in(chunks=1000, senders=16),

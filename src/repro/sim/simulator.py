@@ -244,11 +244,10 @@ class Simulator:
             return 0
         return self._limit - self._executed_events - 1
 
-    def advance_through(
-        self, times: List[float], sequences: List[int], description: str
-    ) -> None:
-        """:meth:`advance` through the keys ``(times[i], sequences[i])`` in
-        turn, in one call: a train whose frames crossed their hops as lists.
+    def advance_through(self, keys: List[tuple], description: str) -> None:
+        """:meth:`advance` through the events keyed ``(time, sequence,
+        ...)`` by ``keys``, in turn, in one call: a train whose frames
+        crossed their hops as lists.
 
         Each key is an event of its own — counted, traced as ``sim.event``
         and shown to the observers as :meth:`advance` would — and the clock
@@ -257,12 +256,13 @@ class Simulator:
         them.
         """
         if _obs.TRACER.enabled or self._observers:
-            for time in times:
+            for key in keys:
                 self._show(description)
-                self.now = time
-        self._executed_events += len(times)
-        self.now = times[-1]
-        self._position = (times[-1], sequences[-1])
+                self.now = key[0]
+        self._executed_events += len(keys)
+        last = keys[-1]
+        self.now = last[0]
+        self._position = (last[0], last[1])
 
     def _show(self, description: str) -> None:
         """Trace the event that just ended as ``sim.event`` and show it to

@@ -16,6 +16,7 @@ must see the state each event leaves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro import obs as _obs
@@ -43,7 +44,7 @@ FIRST_CROSSING = 16
 
 def cross(
     simulator: Simulator,
-    train: List[Tuple[float, "FlowState", bytes]],
+    train: List[Tuple[float, int, "FlowState", bytes]],
     description: str,
 ) -> int:
     """Run the longest leading part of ``train`` that crosses every hop
@@ -67,22 +68,24 @@ def cross(
     first frame; each frame's event is labelled ``description``.
     """
     count = max(0, min(len(train), simulator.room()))
-    lists: Dict[Any, List[int]] = {}  # encoder -> train positions of its frames
-    for at, (_time, state, _frame) in enumerate(train[:count]):
-        if state.encoder is None:
+    # encoder -> the train positions, frames, clocks and ports of its frames
+    lists: Dict[Any, Tuple[List[int], List[bytes], List[float], List[int]]] = {}
+    for at, (time, _key, state, frame) in enumerate(train[:count]):
+        encoder = state.encoder
+        if encoder is None:
             count = at
             break
-        lists.setdefault(state.encoder, []).append(at)
-    for encoder, positions in lists.items():
-        frames, clocks, ports = [], [], []
-        for at in positions:
-            time, state, frame = train[at]
-            frames.append(frame)
-            clocks.append(time)
-            ports.append(state.port)
+        got = lists.get(encoder)
+        if got is None:
+            got = lists[encoder] = ([], [], [], [])
+        got[0].append(at)
+        got[1].append(frame)
+        got[2].append(time)
+        got[3].append(state.port)
+    several = len(lists) > 1
+    for encoder, (positions, frames, clocks, ports) in lists.items():
         # A miss ends the crossing: judge the frames before it — with one
         # encoder only whether the first is, the ingress finds the rest.
-        several = len(lists) > 1
         hits = encoder.leading_hits(frames if several else frames[:1])
         reached = min(
             hits if several else len(frames),
@@ -96,41 +99,46 @@ def cross(
     contexts: List[Any] = [None] * count
     if tracer.enabled:
         taken: Dict["FlowState", int] = {}
-        for at, (_time, state, _frame) in enumerate(train[:count]):
+        for at, (_time, _key, state, _frame) in enumerate(train[:count]):
             taken[state] = taken.get(state, state.frames_sent) + 1
             contexts[at] = (state.spec.name, taken[state] - 1)
     crossing = []
-    for encoder, positions in lists.items():
-        positions = [at for at in positions if at < count]
-        if positions:
-            clocks = [train[at][0] for at in positions]
+    for encoder, (positions, frames, clocks, ports) in lists.items():
+        ran = bisect_left(positions, count)
+        if ran:
             outs = encoder.ingress_batch(
-                [train[at][2] for at in positions],
-                [train[at][1].port for at in positions],
-                clocks,
-                [contexts[at] for at in positions],
+                frames[:ran],
+                ports[:ran],
+                clocks[:ran],
+                [contexts[at] for at in positions[:ran]] if tracer.enabled else [None] * ran,
             )
-            if len(outs) < len(positions):  # one encoder only: see above
+            if len(outs) < ran:  # one encoder only: see above
                 count = positions[len(outs)]
-            crossing.append((encoder, train[positions[0]][1].port, outs, clocks, positions))
+            crossing.append((encoder, ports[0], outs, clocks, positions))
     if not count:
         return 0
     keys = []
-    for at, (time, state, frame) in enumerate(train[:count]):
-        keys.append((time, state.sequence, next_sequence(), contexts[at]))
+    for (time, _key, state, frame), context in zip(train, contexts[:count]):
+        keys.append((time, state.sequence, next_sequence(), context))
         state.sequence = next_sequence()
         state.frames_sent += 1
         if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
             state.chunks_sent += 1
             state.chunk_bytes_sent += len(frame) - 14
-            if state.account is not None:
-                state.account.record_sent(frame, time)
+            account = state.account
+            if account is None:
+                pass
+            elif account.pending:
+                account.record_sent(frame, time)
+            else:  # ``FlowAccount.record_sent``'s in-order send
+                account.in_order.append((frame, account.sent, time))
+                account.sent += 1
     if tracer.enabled:  # the ingress left its last frame's context
         tracer.clear_context()
-    simulator.advance_through([key[0] for key in keys], [key[1] for key in keys], description)
+    simulator.advance_through(keys, description)
     try:
         if tracer.enabled:
-            for (time, state, _frame), context in zip(train, contexts[:count]):
+            for (time, _key, state, _frame), context in zip(train, contexts[:count]):
                 tracer.restore_context(context)
                 tracer.instant("flow.inject", state.spec.source, ts=time)
         for encoder, port, outs, clocks, positions in crossing:

@@ -421,7 +421,9 @@ class TopologyEngine:
             self.flow_states.append(state)
             self._arrivals.register(state)
         for name, host in self._host_nodes.items():
-            host.on_deliver = partial(self._arrivals.deliver, name)
+            deliver = partial(self._arrivals.deliver, name)
+            deliver.cross = partial(self._arrivals.cross, name)  # type: ignore[attr-defined]
+            host.on_deliver = deliver
 
     def _preload_static_bases(self) -> None:
         """Install each component's flows' bases into that component's

@@ -18,12 +18,25 @@ a caller that wants them wraps the sink host's
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heapreplace
+from itertools import islice
 from math import inf
 from operator import itemgetter
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import obs as _obs
 from repro.net.mac import MacAddress
@@ -43,7 +56,8 @@ from repro.topology.nodes import HostNode, ZipLineEncoderNode
 from repro.topology.report import FlowResult
 from repro.topology.spec import FlowSpec
 from repro.workloads import WORKLOAD_FACTORIES
-from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES, raw_chunk_payload
+from repro.zipline.encoder_switch import PRIME_THRESHOLD
+from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES
 
 __all__ = [
     "FlowAccount",
@@ -57,34 +71,25 @@ __all__ = [
 #: The description of every injection event.
 INJECT = "replay:inject"
 
-#: Most frames one event injects: its own, and the train it collects
-#: before it runs them.  Measured on ``rack-static-hit``
-#: (``benchmarks/stack/run.py --trace 0``, reference chunks/s, alternating
-#: pairs on a shared 2-CPU host): running and fetching frame by frame
-#: inside one event gained only +0.2 / +2.9 / +4.7 %; collecting first,
-#: then running, +13–18 % without syndrome priming.  Uncapped collection
-#: raised ``peak_rss_mb`` from 27.7 to 34.7 (+25 %); a cap of 64 gave
-#: +14 %, and 256 keeps RSS flat (27.73 → 27.86).
+#: Most frames one event injects: its train, its own frame first.
+#: Measured on ``rack-static-hit`` (``benchmarks/stack/run.py --trace 0``,
+#: reference chunks/s, alternating pairs on a shared 2-CPU host): running
+#: and fetching frame by frame inside one event gained only +0.2 / +2.9 /
+#: +4.7 %; collecting first, then running, +13–18 % without syndrome
+#: priming.  Uncapped collection raised ``peak_rss_mb`` from 27.7 to 34.7
+#: (+25 %); a cap of 64 gave +14 %, and 256 keeps RSS flat (27.73 →
+#: 27.86).
 TRAIN_CAP = 256
 
-#: How many frames an injection event runs one by one, fetching each as
-#: it goes, before it collects the rest as a train.  A train costs a fixed
-#: ~1,100 bytecodes (it re-keys every flow and hands the encoders the
-#: frames to prime), more than a short run between pending events saves,
-#: and a run on a learning shape is mostly that short: on the ``--quick``
-#: shapes (``scripts/per_packet_profile.py``, exact) 1 / 2 / 4 / 8 / 16
-#: read 2,524 / 2,495 / 2,469 / 2,462 / 2,463 bytecodes per chunk on
-#: ``fanin-thrash-learn``, 3,459 / 3,429 / 3,408 / 3,401 / 3,402 on
-#: ``dns-lossy-multihop`` and 1,691 / 1,692 / 1,694 / 1,697 / 1,705 on the
-#: static rack.
-ONE_BY_ONE = 8
-
 #: A train entry's frame.
-_FRAME = itemgetter(2)
+_FRAME = itemgetter(3)
 
-#: Above every sequence number the simulator will ever draw: where a train
-#: starts its provisional ones.
+#: Above every sequence number the simulator will ever draw: the first key
+#: of a frame a train fetches.
 _UNDRAWN = 1 << 62
+
+#: The stop of a train when no event is pending.
+_NOTHING_PENDING = (inf, 0)
 
 
 def flow_source_mac(index: int) -> MacAddress:
@@ -120,14 +125,23 @@ def flow_source(
 class FlowAccount:
     """Online FIFO content matching into a latency distribution.
 
-    Every sent chunk waits in ``pending`` under its payload bytes; an
-    arrival pops the oldest waiting copy of its payload, so memory holds
-    only the chunks currently in flight (plus lost ones), never the whole
-    stream.  An arrival that matches nothing waiting is ``corrupted``; a
-    match older than one already seen is ``out_of_order``.  Matching
-    eagerly loses nothing against a pass over the finished run: the link
-    model never duplicates frames, so an arrival can never need a copy
-    sent *after* it.
+    Every sent chunk waits until it arrives, so memory holds only the
+    chunks currently in flight (plus lost ones), never the whole stream.
+    An arrival takes the oldest waiting copy of its payload; an arrival
+    that matches nothing waiting is ``corrupted``, and a match older than
+    one already seen is ``out_of_order``.  Matching eagerly loses nothing
+    against a pass over the finished run: the link model never duplicates
+    frames, so an arrival can never need a copy sent *after* it.
+
+    The chunks in flight wait in one of two forms, never both at once.
+    While every arrival so far took the oldest chunk in flight, they wait
+    in send order in ``in_order``, as ``(frame, index, sent at)``, and an
+    arrival equal to the oldest of them takes it with one comparison.
+    Any other arrival first moves them into ``pending``, the content
+    index (``payload -> deque of (index, sent at)``, oldest first), and
+    then matches there; sends go to ``pending`` until it empties.  Both
+    forms give the same match, so the verdict and every sample are the
+    same.
 
     ``latency`` receives one sample per match, in arrival order — exact or
     bounded is the caller's retention choice, not the matcher's.
@@ -142,32 +156,101 @@ class FlowAccount:
         self.out_of_order = 0
         self.highest_index = -1
         self.pending: Dict[bytes, Deque[Tuple[int, float]]] = {}
+        self.in_order: Deque[Tuple[bytes, int, float]] = deque()
 
     def record_sent(self, frame_bytes: bytes, now: float) -> None:
-        payload = frame_bytes[14:]
-        queue = self.pending.get(payload)
-        if queue is None:
-            queue = self.pending[payload] = deque()
-        queue.append((self.sent, now))
+        """Account one sent chunk.  The injector writes the in-order send
+        out itself, and calls this only while ``pending`` is not empty."""
+        pending = self.pending
+        if pending:
+            payload = frame_bytes[14:]
+            queue = pending.get(payload)
+            if queue is None:
+                queue = pending[payload] = deque()
+            queue.append((self.sent, now))
+        else:
+            self.in_order.append((frame_bytes, self.sent, now))
         self.sent += 1
 
     def record_arrival(self, frame_bytes: bytes, time: float) -> None:
-        payload = raw_chunk_payload(frame_bytes)
-        if payload is None:
+        """Match one arrival at ``time`` (a frame other than a raw chunk is
+        not counted).  :meth:`record_arrivals` is the same match over a
+        list, written out again: a frame at a time pays no list's cost."""
+        if frame_bytes[12:14] != RAW_CHUNK_ETHERTYPE_BYTES:
             return
         self.received += 1
-        queue = self.pending.get(payload)
-        if not queue:
-            self.corrupted += 1
-            return
-        index, sent_time = queue.popleft()
-        if not queue:
-            del self.pending[payload]
+        in_order = self.in_order
+        if in_order and in_order[0][0] == frame_bytes:
+            # The oldest chunk in flight, so newer than every chunk
+            # matched before: never out of order.
+            _frame, index, sent_time = in_order.popleft()
+        else:
+            if in_order:
+                self._index_in_flight()
+            payload = frame_bytes[14:]
+            queue = self.pending.get(payload)
+            if not queue:
+                self.corrupted += 1
+                return
+            index, sent_time = queue.popleft()
+            if not queue:
+                del self.pending[payload]
+            if index < self.highest_index:
+                self.out_of_order += 1
+                index = self.highest_index  # which stays the highest
         self.matched += 1
-        if index < self.highest_index:
-            self.out_of_order += 1
-        self.highest_index = max(self.highest_index, index)
+        self.highest_index = index
         self.latency.add(time - sent_time)
+
+    def record_arrivals(self, frames: Sequence[bytes], times: Sequence[float]) -> None:
+        """:meth:`record_arrival` ``frames[i]`` at ``times[i]``, in turn;
+        the latency samples go to ``latency`` in one ``extend``, in
+        arrival order."""
+        samples = array("d")
+        in_order = self.in_order
+        pending = self.pending
+        received = self.received
+        matched = self.matched
+        highest = self.highest_index
+        for frame, time in zip(frames, times):
+            if frame[12:14] != RAW_CHUNK_ETHERTYPE_BYTES:
+                continue
+            received += 1
+            if in_order and in_order[0][0] == frame:
+                _frame, highest, sent_time = in_order.popleft()
+            else:
+                if in_order:
+                    self._index_in_flight()
+                payload = frame[14:]
+                queue = pending.get(payload)
+                if not queue:
+                    self.corrupted += 1
+                    continue
+                index, sent_time = queue.popleft()
+                if not queue:
+                    del pending[payload]
+                if index < highest:
+                    self.out_of_order += 1
+                else:
+                    highest = index
+            matched += 1
+            samples.append(time - sent_time)
+        self.received = received
+        self.matched = matched
+        self.highest_index = highest
+        if samples:
+            self.latency.extend(samples)
+
+    def _index_in_flight(self) -> None:
+        """Move the chunks waiting in send order into the content index."""
+        pending = self.pending
+        for frame, index, sent_time in self.in_order:
+            payload = frame[14:]
+            queue = pending.get(payload)
+            if queue is None:
+                queue = pending[payload] = deque()
+            queue.append((index, sent_time))
+        self.in_order.clear()
 
     def integrity(self) -> Optional[IntegrityResult]:
         """The verdict so far (``None`` before any chunk was sent)."""
@@ -221,10 +304,11 @@ class FlowState:
         self.delivered = 0
         # What the injector keeps per flow (set by ``FlowInjector.start``):
         # the source host, the encoder it feeds directly and that encoder's
-        # port, the source's frame iterator and how many frames it gave,
-        # the frames a train took from it but handed back (stamped;
-        # ``None`` when there are none), and the sequence of the flow's
-        # next frame while a train runs.
+        # port, the source's frame iterator and how many frames it gave
+        # (the pacing index of the next), the frames a train took from it
+        # but handed back (stamped; ``None`` when there are none), and the
+        # sequence of the flow's next frame not injected: drawn when the
+        # frame before it was injected.
         self.host: Optional[HostNode] = None
         self.encoder: Any = None
         self.port = 0
@@ -296,33 +380,39 @@ class FlowState:
 class FlowInjector:
     """One shard's injection pump: its flows' next frames behind one event.
 
-    The injector merges every flow's next frame on its ``(time,
-    sequence)`` key and keeps one simulator event at the first of them.
-    A frame's sequence is drawn when its flow's previous frame is injected,
-    as scheduling that frame's own event would draw it, so a frame orders
+    The injector merges every flow's next frame and keeps one simulator
+    event at the first of them.  A frame's sequence is drawn when its
+    flow's previous frame is injected, as scheduling that frame's own
+    event would draw it (``FlowState.sequence``), so a frame orders
     against every other event — and ties between flows break — exactly as
     one event per frame would.
 
-    When the event runs it injects its frame.  While the next frame still
-    orders before every pending event and lies within the run's horizon,
-    it injects that one too, each as its own event
-    (:meth:`~repro.sim.simulator.Simulator.advance`), fetching as it goes;
-    after :data:`ONE_BY_ONE` of them, a **train** follows.  The injector
-    collects such frames — at most :data:`TRAIN_CAP` per event, the
-    event's own and the ones before included — hands each encoder a host
-    feeds directly the frames it will receive, to compute their syndromes
-    in one pass
-    (:meth:`~repro.zipline.encoder_switch.ZipLineEncoderSwitch.prime_syndromes`),
-    then runs them one after another, each as its own event.  Before each
-    frame it checks the pending events again, because the frame before may
-    have scheduled one that comes first (a refused delivery, a digest, a
-    control step), and the run's ``max_events`` may stop it; frames a train
-    does not run go back with their keys.  The leading part of a train
-    that every hop takes without an event of its own crosses each hop as
-    one list (:func:`~repro.topology.crossing.cross`); the rest runs frame
-    by frame.  The steps of one injection are written out in the
-    one-by-one path, the train and its crossing: a call per frame costs
-    more than the lines.
+    The merge orders frames on ``(time, key)``.  A flow's first frame is
+    keyed by its sequence.  A frame a train fetches is keyed before its
+    sequence is drawn, above every sequence the simulator will draw and
+    every key given before it: the order its sequence will be drawn in,
+    since the frame before it runs before any frame fetched after it.  So
+    the keys order the flows' frames as their sequences do, and a train
+    re-keys nothing.
+
+    When the event runs it collects a **train**: its own frame and each
+    next one that precedes every pending event and lies within the run's
+    horizon, at most :data:`TRAIN_CAP`, fetching each collected flow's
+    next frame as it goes; so collecting touches only the flows it
+    collects.  A long enough train's frames go to each encoder a host
+    feeds directly, to compute their syndromes in one pass
+    (:meth:`~repro.zipline.encoder_switch.ZipLineEncoderSwitch.prime_syndromes`).
+    Then the train runs: the event's own frame first, then each next one
+    as its own event (:meth:`~repro.sim.simulator.Simulator.advance`).
+    Before each frame it checks the pending events again, because the
+    frame before may have scheduled one that comes first (a refused
+    delivery, a digest, a control step), and the run's ``max_events`` may
+    stop it; frames a train does not run go back with their keys.  After
+    the event's own frame, the leading part of the train that every hop
+    takes without an event of its own crosses each hop as one list
+    (:func:`~repro.topology.crossing.cross`); the rest runs frame by
+    frame.  The steps of one injection are written out in the train and
+    its crossing: a call per frame costs more than the lines.
     """
 
     def __init__(self, simulator: Simulator, flows: List[FlowState], graph: TopologyGraph):
@@ -332,9 +422,10 @@ class FlowInjector:
         self._queue = simulator._queue
         self._flows = flows
         self._graph = graph
-        #: ``(time, sequence, flow, frame)`` of every flow's next frame.
+        #: ``(time, key, flow, frame)`` of every flow's next frame.
         self._heap: List[Tuple[float, int, FlowState, bytes]] = []
-        self._single = False
+        #: The key of the next frame a train fetches.
+        self._key = _UNDRAWN
         #: Every encoder a flow's host feeds by a direct edge, and whether
         #: every flow's host does.
         self._encoders: List[Tuple[Any, bool]] = []
@@ -361,14 +452,16 @@ class FlowInjector:
             state.pacing.reset()
             state.frames = state.own_frames()
             state.backlog = None
+            state.fetched = 0
             timed = next(state.frames, None)
             if timed is None:
                 continue
             recorded, frame = timed
             at = state.pacing.inject_at(0, recorded, len(frame))
-            heap.append((at if at > now else now, next_sequence(), state, frame))
+            state.fetched = 1
+            state.sequence = next_sequence()
+            heap.append((at if at > now else now, state.sequence, state, frame))
         heapify(heap)
-        self._single = len(heap) == 1
         fed = [state.encoder for state in self._flows]
         self._encoders = [
             (encoder, fed.count(encoder) == len(fed))
@@ -381,107 +474,37 @@ class FlowInjector:
             if state.encoder is not None
         )
         if heap:
-            time, sequence = heap[0][0], heap[0][1]
-            self._simulator.schedule_drawn(time, sequence, self._run, INJECT)
+            time, _key, state, _frame = heap[0]
+            self._simulator.schedule_drawn(time, state.sequence, self._run, INJECT)
 
     def _run(self) -> None:
-        """The injector's event: inject the first frame, then each next one
-        that precedes every pending event, as its own event — one by one
-        for the first few, then as a train."""
-        heap = self._heap
-        simulator = self._simulator
-        queue = self._queue
-        time, _sequence, state, frame = heap[0]
-        ran = 1
-        while True:
-            state.frames_sent += 1
-            if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
-                state.chunks_sent += 1
-                state.chunk_bytes_sent += len(frame) - 14
-                if state.account is not None:
-                    state.account.record_sent(frame, time)
-            if _obs.TRACER.enabled:
-                state.inject_traced(frame, time)
-            else:
-                state.host.inject(frame, time)
-            if state.backlog:
-                at, frame = state.backlog.popleft()
-                if not state.backlog:
-                    state.backlog = None
-            else:
-                timed = next(state.frames, None)
-                if timed is None:
-                    at = None
-                else:
-                    recorded, frame = timed
-                    # Every frame the flow took is injected by now, so the
-                    # count sent is the next one's index.
-                    at = state.pacing.inject_at(state.frames_sent, recorded, len(frame))
-                    if at < time:
-                        at = time
-            if at is None:
-                if self._single:
-                    heap.clear()
-                    return
-                heappop(heap)
-                if not heap:
-                    return
-            elif self._single:
-                heap[0] = (at, next_sequence(), state, frame)
-            else:
-                heapreplace(heap, (at, next_sequence(), state, frame))
-            time, sequence, state, frame = heap[0]
-            if queue:
-                first = queue[0]
-                if time > first[0] or (time == first[0] and sequence > first[1]):
-                    simulator.schedule_drawn(time, sequence, self._run, INJECT)
-                    return
-            if time > simulator.horizon or ran >= TRAIN_CAP:
-                simulator.schedule_drawn(time, sequence, self._run, INJECT)
-                return
-            if ran >= ONE_BY_ONE:
-                self._train(TRAIN_CAP - ran)
-                return
-            if not simulator.advance(time, sequence, INJECT):
-                simulator.schedule_drawn(time, sequence, self._run, INJECT)
-                return
-            ran += 1
-
-    def _train(self, cap: int) -> None:
-        """Collect the frames that precede every pending event, then run
-        them, each as its own event."""
+        """The injector's event: collect the train that starts with the
+        event's own frame, then run it, each frame as its own event."""
         simulator = self._simulator
         heap = self._heap
         queue = self._queue
         horizon = simulator.horizon
-        if queue:
-            first = queue[0]
-            stop_time = first[0]
-            stop_sequence = first[1]
-        else:
-            stop_time = inf
-            stop_sequence = 0
-        for _time, sequence, state, _frame in heap:
-            state.sequence = sequence
-            # Pacing indexes what the flow took from its source: what it
-            # sent, its frame here and the ones a train handed back.
-            state.fetched = state.frames_sent + 1 + len(state.backlog or ())
-        # Collect.  A frame whose flow's previous frame is collected but not
-        # injected yet has no sequence; it merges on a provisional one, above
-        # every sequence drawn so far and in the order the real ones will be
-        # drawn, which is the order their previous frames run in.
-        train: List[Tuple[float, FlowState, bytes]] = []
-        provisional = _UNDRAWN
+        stop = queue[0] if queue else _NOTHING_PENDING
+        stop_time = stop[0]
         bound = horizon if horizon < stop_time else stop_time
-        for _ in range(cap):
-            time, sequence, state, frame = heap[0]
+        # Collect.  A frame keyed at or above ``fetched`` was fetched by
+        # this train, so its sequence is drawn after every pending one.
+        train: List[Tuple[float, int, FlowState, bytes]] = []
+        fetched = key = self._key
+        for _ in range(TRAIN_CAP):
+            entry = heap[0]
+            time = entry[0]
             if time >= bound and (
                 time > horizon
                 or time > stop_time
-                or (time == stop_time and sequence > stop_sequence)
+                or (
+                    time == stop_time
+                    and (entry[1] >= fetched or entry[2].sequence > stop[1])
+                )
             ):
                 break
-            train.append((time, state, frame))
+            train.append(entry)
+            state = entry[2]
             backlog = state.backlog
             if backlog:
                 at, frame = backlog.popleft()
@@ -499,37 +522,49 @@ class FlowInjector:
                 state.fetched += 1
                 if at < time:
                     at = time
-            heapreplace(heap, (at, provisional, state, frame))
-            provisional += 1
-        for encoder, fed_by_all in self._encoders:
-            encoder.prime_syndromes(
-                map(_FRAME, train)
-                if fed_by_all
-                else [frame for _time, state, frame in train if state.encoder is encoder]
-            )
-        # Run.
+            heapreplace(heap, (at, key, state, frame))
+            key += 1
+        self._key = key
+        count = len(train)
+        # Below the threshold ``prime_syndromes`` primes nothing.
+        primed = count >= PRIME_THRESHOLD
+        if primed:
+            for encoder, fed_by_all in self._encoders:
+                encoder.prime_syndromes(
+                    map(_FRAME, train)
+                    if fed_by_all
+                    else [entry[3] for entry in train if entry[2].encoder is encoder]
+                )
+        # Run: the event's own frame, then each next one as its own event.
+        # After the first, the part of the train every hop takes crosses as
+        # lists, unless the first scheduled an event that now comes first.
         advance = simulator.advance
         traced = _obs.TRACER.enabled
+        crossing = self._crosses and count > FIRST_CROSSING
+        frames = iter(train)
         ran = 0
         try:
-            if self._crosses and len(train) >= FIRST_CROSSING:
-                ran = cross(simulator, train[:FIRST_CROSSING], INJECT)
-                if ran == FIRST_CROSSING:
-                    ran += cross(simulator, train[ran:], INJECT)
-            for time, state, frame in train[ran:]:
-                sequence = state.sequence
-                if queue:
-                    first = queue[0]
-                    if time > first[0] or (time == first[0] and sequence > first[1]):
+            for time, _key, state, frame in frames:
+                if ran:
+                    sequence = state.sequence
+                    if queue:
+                        first = queue[0]
+                        if time > first[0] or (time == first[0] and sequence > first[1]):
+                            break
+                    if not advance(time, sequence, INJECT):
                         break
-                if not advance(time, sequence, INJECT):
-                    break
                 state.frames_sent += 1
                 if frame[12:14] == RAW_CHUNK_ETHERTYPE_BYTES:
                     state.chunks_sent += 1
                     state.chunk_bytes_sent += len(frame) - 14
-                    if state.account is not None:
-                        state.account.record_sent(frame, time)
+                    account = state.account
+                    if account is None:
+                        pass
+                    elif account.pending:
+                        account.record_sent(frame, time)
+                    else:  # ``FlowAccount.record_sent``'s in-order send
+                        account.in_order.append((frame, account.sent, time))
+                        account.sent += 1
                 if traced:
                     state.inject_traced(frame, time)
                 else:
@@ -538,37 +573,56 @@ class FlowInjector:
                 # only the order of sequences matters.
                 state.sequence = next_sequence()
                 ran += 1
+                if crossing:
+                    crossing = False
+                    if (queue[0] if queue else _NOTHING_PENDING) is stop:
+                        crossed = cross(simulator, train[1 : 1 + FIRST_CROSSING], INJECT)
+                        if crossed == FIRST_CROSSING:
+                            crossed += cross(simulator, train[1 + crossed :], INJECT)
+                        ran += crossed
+                        next(islice(frames, crossed, crossed), None)  # skip them
         finally:
-            for encoder, _fed_by_all in self._encoders:
-                encoder.drop_primed_syndromes()
-        self._requeue(train[ran:])
+            if primed:
+                for encoder, _fed_by_all in self._encoders:
+                    encoder.drop_primed_syndromes()
+        if ran < count:
+            self._requeue(train[ran:])
         if heap:
-            head = heap[0]
-            simulator.schedule_drawn(head[0], head[1], self._run, INJECT)
+            entry = heap[0]
+            simulator.schedule_drawn(entry[0], entry[2].sequence, self._run, INJECT)
 
-    def _requeue(self, rest: List[Tuple[float, FlowState, bytes]]) -> None:
-        """Give every flow its next frame back on its real key, after a train.
+    def _requeue(self, rest: List[Tuple[float, int, FlowState, bytes]]) -> None:
+        """Give back the frames a train collected but did not run, in
+        order, on their keys.
 
-        ``rest`` are the collected frames the train did not run, in order.
-        A flow's first frame not injected carries the sequence its previous
-        injection drew (``state.sequence``); the ones behind it wait in its
-        backlog, ahead of anything the flow had not collected.
+        A flow's first frame not injected goes back to the merge; the ones
+        behind it — its other frames in ``rest``, then the frame the train
+        fetched after them — wait in its backlog, ahead of anything the
+        flow had not fetched.  The rare path of a train (a frame scheduled
+        an event that comes first, or ``max_events`` ran out), so it reads
+        the whole merge.
         """
-        heads: Dict[FlowState, Tuple[float, bytes]] = {}
+        heads: Dict[FlowState, Tuple[float, int, FlowState, bytes]] = {}
         behind: Dict[FlowState, List[Tuple[float, bytes]]] = {}
-        pending = [(time, state, frame) for time, _sequence, state, frame in self._heap]
-        for time, state, frame in rest + pending:
+        for entry in rest:
+            state = entry[2]
             if state in heads:
-                behind.setdefault(state, []).append((time, frame))
+                behind[state].append((entry[0], entry[3]))
             else:
-                heads[state] = (time, frame)
+                heads[state] = entry
+                behind[state] = []
         heap = self._heap
-        heap.clear()
-        for state, (time, frame) in heads.items():
-            heap.append((time, state.sequence, state, frame))
-            if state in behind:
-                state.backlog = deque(behind[state] + list(state.backlog or ()))
+        merged = list(heads.values())
+        for entry in heap:
+            if entry[2] in heads:
+                behind[entry[2]].append((entry[0], entry[3]))
+            else:
+                merged.append(entry)
+        heap[:] = merged
         heapify(heap)
+        for state, frames in behind.items():
+            if frames:
+                state.backlog = deque(frames + list(state.backlog or ()))
 
 
 class FlowArrivals:
@@ -576,7 +630,8 @@ class FlowArrivals:
 
     Arrivals are attributed by source MAC, which the ZipLine encode/decode
     path preserves; ``deliver`` is the ``on_deliver`` callback of every
-    host (bound to the host's name).
+    host (bound to the host's name), and :meth:`cross` its list form, which
+    :meth:`~repro.topology.nodes.HostNode.cross` calls in its place.
     """
 
     def __init__(self) -> None:
@@ -610,3 +665,30 @@ class FlowArrivals:
             if outcome == "misdelivered":
                 args["flow"] = flow.spec.name
             tracer.instant("flow.arrive", host_name, args=args, ts=time)
+
+    def cross(self, host_name: str, frames: List[bytes], times: List[float]) -> None:
+        """:meth:`deliver` ``frames[i]`` at ``times[i]``, untraced, in one
+        call: each flow's frames are matched as one list (in arrival
+        order, :meth:`FlowAccount.record_arrivals`)."""
+        lists: Dict[bytes, Tuple[List[bytes], List[float]]] = {}
+        for frame, time in zip(frames, times):
+            source = frame[6:12]
+            got = lists.get(source)
+            if got is None:
+                got = lists[source] = ([], [])
+            got[0].append(frame)
+            got[1].append(time)
+        for source, (got, at) in lists.items():
+            flow = self._by_mac.get(source)
+            if flow is None:
+                self.unattributed += len(got)
+            elif flow.spec.sink != host_name:
+                self.misdelivered += len(got)
+            else:
+                flow.delivered += len(got)
+                if flow.account is None:
+                    pass
+                elif len(got) == 1:  # a wide fan-in's list: one frame a flow
+                    flow.account.record_arrival(got[0], at[0])
+                else:
+                    flow.account.record_arrivals(got, at)

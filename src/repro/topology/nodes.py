@@ -74,7 +74,9 @@ class HostNode(Node):
 
     def cross(self, frames: List[bytes], stamps: List[float], keys: List[tuple]) -> None:
         """:meth:`deliver` a list of frames, frame ``i`` at ``stamps[i]``,
-        in one call; ``on_deliver`` still sees each frame, under its own
+        in one call.  An ``on_deliver`` with a ``cross`` of its own (the
+        engine's) takes the whole list from it, untraced; any other still
+        sees each frame, and a traced run shows each frame under its own
         trace context."""
         self.delivered += len(frames)
         on_deliver = self.on_deliver
@@ -85,6 +87,10 @@ class HostNode(Node):
             for frame, time, key in zip(frames, stamps, keys):
                 tracer.restore_context(key[3])
                 on_deliver(frame, time)
+            return
+        take = getattr(on_deliver, "cross", None)
+        if take is not None:
+            take(frames, stamps)
             return
         for frame, time in zip(frames, stamps):
             on_deliver(frame, time)

@@ -19,6 +19,7 @@ is diffed against.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs as _obs
@@ -395,10 +396,11 @@ class ZipLineSwitchBase:
                 self.switch.port_stats(port)  # the chassis's out-of-range error
         outs = self._ingress_batch(frames, times, contexts)
         count = len(outs)
-        for frame, port in zip(frames[:count], ports):
+        # Counted per (port, frame size) in C; the sums are receive's.
+        for (port, size), packets in Counter(zip(ports[:count], map(len, frames))).items():
             stats = rx_stats[port]
-            stats.rx_packets += 1
-            stats.rx_bytes += len(frame)
+            stats.rx_packets += packets
+            stats.rx_bytes += packets * size
         pipeline = self._pipeline
         pipeline.packets_processed += count
         pipeline.packets_dropped += outs.count(None)

@@ -16,8 +16,11 @@ The documented contract of ``Distribution(bounded=True)``:
 import math
 import pickle
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ReplayError
 from repro.replay.metrics import (
@@ -205,3 +208,83 @@ class TestPickleRoundTrip:
         clone.add(5e-4)
         dist.add(5e-4)
         assert clone.summary() == dist.summary()
+
+
+def _bits(value):
+    """A float (or ``None``) as its exact bit pattern."""
+    return None if value is None else struct.pack("<d", value)
+
+
+def _sketch(dist):
+    """Everything a bounded sketch keeps, floats as bit patterns."""
+    return (
+        dist._count,
+        _bits(dist._sum),
+        _bits(dist._min),
+        _bits(dist._max),
+        dist._zero,
+        dict(dist._positive),
+        dict(dist._negative),
+    )
+
+
+#: Samples an ``add`` takes, raises on or wraps: zeros of both signs,
+#: negatives, subnormals, huge values, infinities and NaN, and ints (an
+#: ``int`` too large for a double raises in ``float()``).
+SAMPLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-9, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=2**1024, max_value=2**1030),
+)
+
+
+class TestExtendIsAddPerSample:
+    """A bounded ``extend`` bins its samples in one loop: the sketch it
+    leaves — count, sum, min, max, zeros and every bucket — is bit for bit
+    the one ``add`` leaves sample by sample, the collapse valve included,
+    and a sample ``add`` raises on raises there too, after the same
+    samples."""
+
+    @given(
+        values=st.lists(SAMPLES, max_size=60),
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
+        max_buckets=st.sampled_from([2, 3, 5, DEFAULT_MAX_BUCKETS]),
+        relative_error=st.sampled_from([0.5, 0.1, DEFAULT_RELATIVE_ERROR]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_extend_equals_add_per_sample(self, values, cuts, max_buckets, relative_error):
+        def sketch():
+            return Distribution(
+                "d", bounded=True, relative_error=relative_error, max_buckets=max_buckets
+            )
+
+        added = sketch()
+        added_error = None
+        for value in values:
+            try:
+                added.add(value)
+            except Exception as error:  # noqa: BLE001 - the type is compared
+                added_error = type(error)
+                break
+        extended = sketch()
+        extended_error = None
+        bounds = sorted({0, len(values), *(cut for cut in cuts if cut < len(values))})
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                extended.extend(values[start:stop])
+        except Exception as error:  # noqa: BLE001 - the type is compared
+            extended_error = type(error)
+        assert extended_error is added_error
+        assert _sketch(extended) == _sketch(added)
+
+    def test_the_collapse_valve_leaves_the_same_buckets(self):
+        values = [10.0**exponent for exponent in range(-8, 9)] * 3
+        added = Distribution("a", bounded=True, max_buckets=4)
+        for value in values:
+            added.add(value)
+        extended = Distribution("e", bounded=True, max_buckets=4)
+        extended.extend(values)
+        assert len(extended._positive) == 4
+        assert _sketch(extended) == _sketch(added)

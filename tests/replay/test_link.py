@@ -706,12 +706,13 @@ class RefusingLookahead(Lookahead):
         return False
 
 
-def run_chain(lookahead, sends, capacities, impairments=None, cuts=()):
+def run_chain(lookahead, sends, capacities, impairments=None, cuts=(), sizes=None):
     """Links in series, one per capacity, on the half-second grid: each hop
     hands frames to the next through ``lookahead(simulator)``, as
     ``TopologyGraph.wire`` does.  Sends are events at their instants into
-    the first hop; the simulator runs to each of ``cuts``, reading every
-    hop's queue depth, then drains.  Returns everything the links decided.
+    the first hop, send ``i`` a frame of ``sizes[i]`` bytes (100 without
+    ``sizes``); the simulator runs to each of ``cuts``, reading every hop's
+    queue depth, then drains.  Returns everything the links decided.
     """
     simulator = Simulator()
     links = [
@@ -730,8 +731,8 @@ def run_chain(lookahead, sends, capacities, impairments=None, cuts=()):
         upstream.attach(downstream.send, lookahead(simulator))
     arrivals = []
     links[-1].attach(lambda frame, time: arrivals.append((time, frame)))
-    for at in sends:
-        simulator.schedule_at(at, partial(links[0].send, FRAMES[0], at))
+    for at, size in zip(sends, sizes or [len(FRAMES[0])] * len(sends)):
+        simulator.schedule_at(at, partial(links[0].send, bytes(size), at))
     depths = []
     for cut in cuts:
         simulator.run(until=cut)
@@ -758,6 +759,25 @@ def chain_schedules(draw):
         ])),
         cuts=sorted(set(draw(st.lists(st.integers(1, 120), max_size=6)))),
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: with two frame sizes, two hand-ons at one instant on "
+    "different hops can resolve a downstream completion tie differently from "
+    "the rule switched off (ROADMAP item 20)",
+)
+def test_two_sizes_resolve_a_downstream_tie_as_the_rule_off_would():
+    """Sends at 0, 2, 2 (224 B), 2.5, 5.5 and 5.5 s into links of capacity
+    2, 2 and 1: with the lookahead on the third link delivers four frames,
+    with it off three.  The 224-byte frame's longer serialisation lines two
+    hand-ons up at one instant on different hops."""
+    schedule = dict(
+        sends=[0.0, 2.0, 2.0, 2.5, 5.5, 5.5],
+        sizes=[100, 100, 224, 100, 100, 100],
+        capacities=[2, 2, 1],
+    )
+    assert run_chain(Lookahead, **schedule) == run_chain(RefusingLookahead, **schedule)
 
 
 class TestLinkToLinkHandOn:

@@ -147,36 +147,26 @@ def test_the_grid_crosses_and_splits(monkeypatch):
 
 
 def test_the_grid_hands_frames_back(monkeypatch):
-    """Some train of the grid stops at an event a frame before scheduled,
-    and some at the ``max_events`` budget, with frames collected; and some
-    run of frames injected one by one, before a train, stops at the
-    budget too."""
-    handed_back = {"pending event": 0, "max_events": 0, "one by one": 0}
+    """Some train of the grid stops, with frames collected, at an event a
+    frame before it scheduled, and some at the ``max_events`` budget."""
+    handed_back = {"pending event": 0, "max_events": 0}
     requeue = flows.FlowInjector._requeue
     advance = Simulator.advance
-    train = flows.FlowInjector._train
-    in_train = []
+    refusals = []
 
     def refused(self, time, sequence, description):
         if advance(self, time, sequence, description):
             return True
-        handed_back["max_events" if in_train else "one by one"] += 1
+        refusals.append(True)
         return False
 
     def counting(self, rest):
-        if rest:
-            handed_back["pending event"] += 1
+        assert rest
+        handed_back["max_events" if refusals else "pending event"] += 1
+        refusals.clear()
         requeue(self, rest)
 
-    def training(self, cap):
-        in_train.append(True)
-        try:
-            train(self, cap)
-        finally:
-            in_train.pop()
-
     monkeypatch.setattr(flows.FlowInjector, "_requeue", counting)
-    monkeypatch.setattr(flows.FlowInjector, "_train", training)
     monkeypatch.setattr(Simulator, "advance", refused)
     for shape, bound in GRID:
         spec, cut = _build(shape, bound)
