@@ -166,8 +166,7 @@ class Distribution:
         log = math.log
         ceil = math.ceil
         try:
-            for value in values:
-                value = float(value)
+            for value in map(float, values):
                 count += 1
                 total += value
                 if low is None or value < low:
