@@ -17,6 +17,7 @@ must see the state each event leaves.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro import obs as _obs
@@ -28,6 +29,13 @@ if TYPE_CHECKING:
     from repro.topology.flows import FlowState
 
 __all__ = ["FIRST_CROSSING", "cross"]
+
+#: A train entry's time, flow and frame, and a flow's encoder and its port.
+_TIME = itemgetter(0)
+_STATE = itemgetter(2)
+_FRAME = itemgetter(3)
+_ENCODER = attrgetter("encoder")
+_PORT = attrgetter("port")
 
 #: How many frames a train's first crossing (:func:`cross`) judges before
 #: the rest is judged as one; a shorter train runs frame by frame.  A
@@ -68,31 +76,40 @@ def cross(
     first frame; each frame's event is labelled ``description``.
     """
     count = max(0, min(len(train), simulator.room()))
+    encoders = list(map(_ENCODER, map(_STATE, train[:count])))
+    if None in encoders:
+        count = encoders.index(None)
+        del encoders[count:]
     # encoder -> the train positions, frames, clocks and ports of its frames
     lists: Dict[Any, Tuple[List[int], List[bytes], List[float], List[int]]] = {}
-    for at, (time, _key, state, frame) in enumerate(train[:count]):
-        encoder = state.encoder
-        if encoder is None:
-            count = at
-            break
-        got = lists.get(encoder)
-        if got is None:
-            got = lists[encoder] = ([], [], [], [])
-        got[0].append(at)
-        got[1].append(frame)
-        got[2].append(time)
-        got[3].append(state.port)
-    several = len(lists) > 1
+    distinct = dict.fromkeys(encoders)
+    for encoder in distinct:
+        if len(distinct) == 1:
+            positions = list(range(count))
+            entries = train[:count]
+        else:
+            positions = [at for at, fed in enumerate(encoders) if fed is encoder]
+            entries = list(map(train.__getitem__, positions))
+        lists[encoder] = (
+            positions,
+            list(map(_FRAME, entries)),
+            list(map(_TIME, entries)),
+            list(map(_PORT, map(_STATE, entries))),
+        )
+    first = True
     for encoder, (positions, frames, clocks, ports) in lists.items():
-        # A miss ends the crossing: judge the frames before it — with one
-        # encoder only whether the first is, the ingress finds the rest.
-        hits = encoder.leading_hits(frames if several else frames[:1])
+        # A miss ends the crossing.  The first encoder's ingress runs first
+        # and finds its own (judged here only whether its first frame is
+        # one); every other encoder's frames are judged before any ingress
+        # runs, so none runs past another's miss.
+        hits = encoder.leading_hits(frames[:1] if first else frames)
         reached = min(
-            hits if several else len(frames),
+            len(frames) if first else hits,
             encoder.reach(ports, clocks, clocks, max(map(len, frames)), False)
             if hits
             else 0,
         )
+        first = False
         if reached < len(positions):
             count = min(count, positions[reached])
     tracer = _obs.TRACER
@@ -112,7 +129,7 @@ def cross(
                 clocks[:ran],
                 [contexts[at] for at in positions[:ran]] if tracer.enabled else [None] * ran,
             )
-            if len(outs) < ran:  # one encoder only: see above
+            if len(outs) < ran:  # the first encoder only: see above
                 count = positions[len(outs)]
             crossing.append((encoder, ports[0], outs, clocks, positions))
     if not count:
@@ -126,13 +143,12 @@ def cross(
             state.chunks_sent += 1
             state.chunk_bytes_sent += len(frame) - 14
             account = state.account
-            if account is None:
-                pass
-            elif account.pending:
-                account.record_sent(frame, time)
-            else:  # ``FlowAccount.record_sent``'s in-order send
-                account.in_order.append((frame, account.sent, time))
-                account.sent += 1
+            if account is not None:
+                if account.pending:
+                    account.record_sent(frame, time)
+                else:  # ``FlowAccount.record_sent``'s in-order send
+                    account.in_order.append((frame, account.sent, time))
+                    account.sent += 1
     if tracer.enabled:  # the ingress left its last frame's context
         tracer.clear_context()
     simulator.advance_through(keys, description)

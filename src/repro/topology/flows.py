@@ -202,20 +202,19 @@ class FlowAccount:
         self.highest_index = index
         self.latency.add(time - sent_time)
 
-    def record_arrivals(self, frames: Sequence[bytes], times: Sequence[float]) -> None:
-        """:meth:`record_arrival` ``frames[i]`` at ``times[i]``, in turn;
-        the latency samples go to ``latency`` in one ``extend``, in
+    def record_arrivals(self, arrivals: Sequence[Tuple[bytes, float]]) -> None:
+        """:meth:`record_arrival` each ``(frame, time)`` of ``arrivals`` in
+        turn; the latency samples go to ``latency`` in one ``extend``, in
         arrival order."""
         samples = array("d")
         in_order = self.in_order
         pending = self.pending
-        received = self.received
-        matched = self.matched
         highest = self.highest_index
-        for frame, time in zip(frames, times):
+        others = corrupted = 0
+        for frame, time in arrivals:
             if frame[12:14] != RAW_CHUNK_ETHERTYPE_BYTES:
+                others += 1
                 continue
-            received += 1
             if in_order and in_order[0][0] == frame:
                 _frame, highest, sent_time = in_order.popleft()
             else:
@@ -224,7 +223,7 @@ class FlowAccount:
                 payload = frame[14:]
                 queue = pending.get(payload)
                 if not queue:
-                    self.corrupted += 1
+                    corrupted += 1
                     continue
                 index, sent_time = queue.popleft()
                 if not queue:
@@ -233,10 +232,11 @@ class FlowAccount:
                     self.out_of_order += 1
                 else:
                     highest = index
-            matched += 1
             samples.append(time - sent_time)
-        self.received = received
-        self.matched = matched
+        # Every raw chunk is received; each sample is a match.
+        self.received += len(arrivals) - others
+        self.matched += len(samples)
+        self.corrupted += corrupted
         self.highest_index = highest
         if samples:
             self.latency.extend(samples)
@@ -558,13 +558,12 @@ class FlowInjector:
                     state.chunks_sent += 1
                     state.chunk_bytes_sent += len(frame) - 14
                     account = state.account
-                    if account is None:
-                        pass
-                    elif account.pending:
-                        account.record_sent(frame, time)
-                    else:  # ``FlowAccount.record_sent``'s in-order send
-                        account.in_order.append((frame, account.sent, time))
-                        account.sent += 1
+                    if account is not None:
+                        if account.pending:
+                            account.record_sent(frame, time)
+                        else:  # ``FlowAccount.record_sent``'s in-order send
+                            account.in_order.append((frame, account.sent, time))
+                            account.sent += 1
                 if traced:
                     state.inject_traced(frame, time)
                 else:
@@ -668,27 +667,27 @@ class FlowArrivals:
 
     def cross(self, host_name: str, frames: List[bytes], times: List[float]) -> None:
         """:meth:`deliver` ``frames[i]`` at ``times[i]``, untraced, in one
-        call: each flow's frames are matched as one list (in arrival
-        order, :meth:`FlowAccount.record_arrivals`)."""
-        lists: Dict[bytes, Tuple[List[bytes], List[float]]] = {}
-        for frame, time in zip(frames, times):
-            source = frame[6:12]
+        call: each flow's arrivals are matched as one list, in arrival
+        order (:meth:`FlowAccount.record_arrivals`)."""
+        lists: Dict[bytes, List[Tuple[bytes, float]]] = {}
+        for arrival in zip(frames, times):
+            source = arrival[0][6:12]
             got = lists.get(source)
             if got is None:
-                got = lists[source] = ([], [])
-            got[0].append(frame)
-            got[1].append(time)
-        for source, (got, at) in lists.items():
+                lists[source] = [arrival]
+            else:
+                got.append(arrival)
+        for source, arrivals in lists.items():
             flow = self._by_mac.get(source)
             if flow is None:
-                self.unattributed += len(got)
+                self.unattributed += len(arrivals)
             elif flow.spec.sink != host_name:
-                self.misdelivered += len(got)
+                self.misdelivered += len(arrivals)
             else:
-                flow.delivered += len(got)
-                if flow.account is None:
-                    pass
-                elif len(got) == 1:  # a wide fan-in's list: one frame a flow
-                    flow.account.record_arrival(got[0], at[0])
-                else:
-                    flow.account.record_arrivals(got, at)
+                flow.delivered += len(arrivals)
+                account = flow.account
+                if account is not None:
+                    if len(arrivals) == 1:  # a wide fan-in's list: one frame a flow
+                        account.record_arrival(*arrivals[0])
+                    else:
+                        account.record_arrivals(arrivals)

@@ -9,6 +9,8 @@ links; the run's report carries the totals (``wire.*`` counters,
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import PacketError
@@ -24,6 +26,9 @@ _KINDS = {
     int(EtherType.ZIPLINE_UNCOMPRESSED).to_bytes(2, "big"): PacketKind.PROCESSED_UNCOMPRESSED,
     int(EtherType.ZIPLINE_COMPRESSED).to_bytes(2, "big"): PacketKind.PROCESSED_COMPRESSED,
 }
+
+#: A frame's EtherType wire bytes.
+_ETHERTYPE = itemgetter(slice(12, 14))
 
 
 class LinkTap:
@@ -105,14 +110,18 @@ class LinkTap:
         first_times = self._first_times
         total = 0
         raw = PacketKind.RAW
-        for frame, time in zip(frames, stamps):
-            kind = _KINDS.get(frame[12:14], raw)
-            payload_bytes = len(frame) - ETHERNET_HEADER_BYTES
-            counts[kind] += 1
+        # Counted per (EtherType, size) in C; the sums are observe's.
+        for (ethertype, size), count in Counter(
+            zip(map(_ETHERTYPE, frames), map(len, frames))
+        ).items():
+            kind = _KINDS.get(ethertype, raw)
+            payload_bytes = count * (size - ETHERNET_HEADER_BYTES)
+            counts[kind] += count
             payload[kind] += payload_bytes
             total += payload_bytes
-            if kind not in first_times:
-                first_times[kind] = time
+            if kind not in first_times:  # once a run per kind
+                kinds = [_KINDS.get(frame[12:14], raw) for frame in frames]
+                first_times[kind] = stamps[kinds.index(kind)]
         self._total_frames += len(frames)
         self._total_payload_bytes += total
         self._crossing.cross(frames, stamps, keys)

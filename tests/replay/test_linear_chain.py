@@ -381,6 +381,7 @@ class TestStreamingMode:
         ]
         assert flow.delivered == len(trace)
         assert flow.account.pending == {}
+        assert not flow.account.in_order
 
     def test_links_record_no_queueing_delays(self, trace):
         engine, _report = run(

@@ -164,7 +164,7 @@ def _run(script, bounded):
                     if stop - start == 1:
                         account.record_arrival(frames[start], times[start])
                     else:
-                        account.record_arrivals(frames[start:stop], times[start:stop])
+                        account.record_arrivals(list(zip(frames[start:stop], times[start:stop])))
         assert verdict(account) == reference.verdict()
         assert in_flight(account) == {
             payload: list(queue) for payload, queue in reference.pending.items()
@@ -228,7 +228,7 @@ def test_in_order_arrivals_never_build_the_content_index():
     account = FlowAccount(Distribution("flow.f.latency"))
     for at, payload in enumerate(PAYLOADS * 2):
         account.record_sent(frame(payload), float(at))
-    account.record_arrivals([frame(payload) for payload in PAYLOADS], [10.0] * 4)
+    account.record_arrivals([(frame(payload), 10.0) for payload in PAYLOADS])
     for payload in PAYLOADS:
         account.record_arrival(frame(payload), 11.0)
     assert account.pending == {} and not account.in_order

@@ -105,24 +105,27 @@ Calls do not move with the version on this path (10.873 on 3.9 too;
 10.687 on 3.12, which inlines comprehensions), so their bound holds on
 every version; bytecodes do, so theirs is kept per version.
 
-5.615 (exact: 5.497) calls and 1,290.4 (exact: 1,233.2) bytecodes per
-chunk once a crossing's flow ends took lists too: the sink host hands
-its whole list to the flows in one call, each flow's arrivals are
-matched as one list and its latency samples binned with one ``extend``;
-an arrival equal to the oldest chunk in flight matches it with one
-comparison; the crossing and the train record each send themselves; the
-injection event collects its train from its own frame, so the first
-frames of a train no longer run one by one and all but the event's own
-cross; and the list ingress counts port statistics per (port, size).
-``FlowAccount.record_sent`` and ``record_arrival``, the sketch's
-``_add_bounded`` and ``raw_chunk_payload`` leave the rack's per-frame
-path; what is left per frame is the source.  The learning shapes'
-trains are short, so they pay the collection instead of a one-by-one
-run: 38.304 and 57.522 calls (the thrash shape's sends are in order, so
-they no longer call ``record_sent``; an arrival no longer calls
-``raw_chunk_payload``).  Each count is taken with the collector off,
-after a collection: in the full suite a finalizer of an earlier test's
-garbage used to add 6–10 calls to a learning shape's run.
+5.680 (exact: 5.562) calls and 1,149.4 (exact: 1,096.9) bytecodes per
+chunk (Python 3.11; 1,110.4 / 1,058.8 on 3.9) once a crossing's flow
+ends took lists too: the sink host hands its whole list to the flows in
+one call, each flow's arrivals are matched as one list and its latency
+samples binned with one ``extend``; an arrival equal to the oldest chunk
+in flight matches it with one comparison; the crossing and the train
+record each in-order send themselves; the injection event collects its
+train from its own frame, so the first frames of a train no longer run
+one by one and all but the event's own cross; the crossing gathers each
+encoder's lists in C and judges misses only for encoders after the
+first; and the list ingress and the tap count per (port or EtherType,
+size) with one ``Counter``.  ``FlowAccount.record_sent`` and
+``record_arrival``, the sketch's ``_add_bounded`` and
+``raw_chunk_payload`` leave the rack's per-frame path; what is left per
+frame is the source.  The learning shapes' trains are short, so they pay
+the collection instead of a one-by-one run: 38.304 and 57.522 calls (the
+thrash shape's sends are in order, so they no longer call
+``record_sent``; an arrival no longer calls ``raw_chunk_payload``).
+Each count is taken with the collector off, after a collection: in the
+full suite a finalizer of an earlier test's garbage used to add 6–10
+calls to a learning shape's run.
 """
 
 import gc
@@ -144,19 +147,19 @@ from repro.topology import (
 #: Python-level ``call`` events per chunk the run may spend, per metrics
 #: mode.  Just above today's counts: a new per-frame call — or a per-frame
 #: record only one mode keeps — is a decision, not an accident.
-MAX_CALLS_PER_CHUNK = {"streaming": 5.65, "exact": 5.55}
+MAX_CALLS_PER_CHUNK = {"streaming": 5.70, "exact": 5.58}
 
 #: Bytecodes per chunk the static rack may spend, per Python version and
 #: metrics mode: what a crossing spends per frame is loop bodies, not
 #: calls, so calls alone no longer size it.  The opcodes a function
 #: executes differ between versions (3.11 added ``RESUME`` and
 #: ``PRECALL``; 3.12 inlines comprehensions), so a bound holds only on the
-#: version it was measured on: 1,290.4 / 1,233.2 on 3.11, 1,240.0 /
-#: 1,184.7 on 3.9.  None on 3.12: there the first ``sys.settrace`` of a
+#: version it was measured on: 1,149.4 / 1,096.9 on 3.11, 1,110.4 /
+#: 1,058.8 on 3.9.  None on 3.12: there the first ``sys.settrace`` of a
 #: process counted no opcode at all (3.12.1), so the streaming run read 0.
 MAX_BYTECODES_PER_CHUNK = {
-    (3, 9): {"streaming": 1246.0, "exact": 1190.0},
-    (3, 11): {"streaming": 1296.0, "exact": 1239.0},
+    (3, 9): {"streaming": 1116.0, "exact": 1065.0},
+    (3, 11): {"streaming": 1155.0, "exact": 1103.0},
 }
 
 #: The same for the two learning shapes of the benchmark (exact), at

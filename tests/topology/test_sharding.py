@@ -617,6 +617,7 @@ class TestStreamingMemoryBounds:
         # sketch — no per-chunk container.
         for state in engine.flow_states:
             assert state.account.pending == {}
+            assert not state.account.in_order
             assert state.latency.bounded
             assert not [
                 name for name, value in vars(state).items()
