@@ -112,8 +112,3 @@ class EventLog:
     def of_type(self, event_type: Type[EventT]) -> List[EventT]:
         """Every recorded event of the given type, in order."""
         return [event for event in self._events if isinstance(event, event_type)]
-
-    def clear(self) -> None:
-        """Drop every recorded event."""
-        self._events.clear()
-        self.dropped = 0

@@ -4,8 +4,8 @@ A :class:`TraceSource` streams plain ``(recorded_time, data)`` pairs — the
 timestamp *recorded* with a frame and its raw Ethernet bytes — from a pcap
 file, a :class:`~repro.workloads.traces.ChunkTrace`, or a workload generator,
 without ever materialising the whole trace in memory.  A :class:`Pacing`
-policy then turns recorded timestamps into *injection* times on the
-simulator clock:
+policy then maps that stream to ``(inject_at, frame)`` pairs, *injection*
+times on the simulator clock:
 
 * :class:`RecordedPacing` — replay with the inter-packet gaps of the
   capture (optionally sped up / slowed down), the way the paper replays
@@ -16,12 +16,15 @@ simulator clock:
   link's serialisation delay as the only spacing (a line-rate stress test).
 
 The split keeps the two concerns orthogonal: any source combines with any
-pacing, and the engine's injection pump only ever sees ``(inject_at,
-frame_bytes)`` pairs.
+pacing, and the engine's injection pump only reads the ``(inject_at,
+frame)`` pairs of :meth:`Pacing.paced`.  A policy holds only its
+parameters, so one instance may drive any number of flows and runs.
 """
 
 from __future__ import annotations
 
+from itertools import count, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
@@ -47,6 +50,10 @@ __all__ = [
 
 _DEFAULT_SOURCE_MAC = MacAddress("02:00:00:00:00:01")
 _DEFAULT_DESTINATION_MAC = MacAddress("02:00:00:00:00:02")
+#: A frame with a time: ``(recorded_time, frame)`` or ``(inject_at, frame)``.
+_Timed = Tuple[float, bytes]
+#: The frame of a timed pair.
+_FRAME = itemgetter(1)
 
 
 # ---------------------------------------------------------------------------
@@ -55,19 +62,17 @@ _DEFAULT_DESTINATION_MAC = MacAddress("02:00:00:00:00:02")
 
 
 class Pacing:
-    """Map a frame's position in the trace to its injection time.
+    """Map a trace to injection times on the simulator clock.
 
-    ``inject_at(index, recorded_time, frame_bytes)`` is called once per
-    frame, in trace order, and must return a non-decreasing absolute time
-    in seconds.  Implementations may keep state (the fixed-rate policies
-    do), so one policy instance drives one replay.
+    :meth:`paced` takes the source's ``(recorded_time, frame)`` pairs and
+    yields ``(inject_at, frame)`` pairs, in trace order and with
+    non-decreasing absolute times in seconds.  A policy holds only its
+    parameters and each call starts afresh, so one instance may drive any
+    number of flows and runs.
     """
 
-    def inject_at(self, index: int, recorded_time: float, frame_bytes: int) -> float:
+    def paced(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget any accumulated state so the policy can drive a new run."""
 
 
 class RecordedPacing(Pacing):
@@ -85,22 +90,19 @@ class RecordedPacing(Pacing):
             raise ReplayError(f"start time must be non-negative, got {start}")
         self.speedup = speedup
         self.start = start
-        self._first_recorded: Optional[float] = None
-        self._last_injected = start
 
-    def inject_at(self, index: int, recorded_time: float, frame_bytes: int) -> float:
-        if self._first_recorded is None:
-            self._first_recorded = recorded_time
-        offset = (recorded_time - self._first_recorded) / self.speedup
-        # Captures occasionally carry non-monotonic timestamps; clamp so the
-        # simulator never sees time going backwards.
-        injected = max(self.start + offset, self._last_injected)
-        self._last_injected = injected
-        return injected
-
-    def reset(self) -> None:
-        self._first_recorded = None
-        self._last_injected = self.start
+    def paced(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
+        start = self.start
+        speedup = self.speedup
+        first: Optional[float] = None
+        last = start
+        for recorded, frame in frames:
+            if first is None:
+                first = recorded
+            # Captures occasionally carry non-monotonic timestamps; clamp so
+            # the simulator never sees time going backwards.
+            last = max(start + (recorded - first) / speedup, last)
+            yield last, frame
 
 
 class FixedRatePacing(Pacing):
@@ -108,10 +110,11 @@ class FixedRatePacing(Pacing):
 
     Exactly one of ``packet_rate`` (packets per second) and
     ``bandwidth_bps`` (offered load as wire bits per second, so frame sizes
-    matter) must be given.
+    matter) must be given.  Each time is the one before plus a step, the
+    running sum a traffic generator's clock keeps.
 
     >>> pacing = FixedRatePacing(packet_rate=2.0)
-    >>> [pacing.inject_at(i, 0.0, 64) for i in range(3)]
+    >>> [at for at, _frame in pacing.paced([(0.0, b"a"), (0.0, b"b"), (0.0, b"c")])]
     [0.0, 0.5, 1.0]
     """
 
@@ -134,19 +137,19 @@ class FixedRatePacing(Pacing):
         self.packet_rate = packet_rate
         self.bandwidth_bps = bandwidth_bps
         self.start = start
-        self._next_time = start
 
-    def inject_at(self, index: int, recorded_time: float, frame_bytes: int) -> float:
-        injected = self._next_time
+    def paced(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
         if self.packet_rate is not None:
-            self._next_time = injected + 1.0 / self.packet_rate
-        else:
-            wire_bits = frame_wire_bytes(frame_bytes) * 8
-            self._next_time = injected + wire_bits / self.bandwidth_bps
-        return injected
+            # ``count`` adds its step to the value before, as a running sum.
+            return zip(count(self.start, 1.0 / self.packet_rate), map(_FRAME, frames))
+        return self._by_size(frames)
 
-    def reset(self) -> None:
-        self._next_time = self.start
+    def _by_size(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
+        bandwidth_bps = self.bandwidth_bps
+        at = self.start
+        for _recorded, frame in frames:
+            yield at, frame
+            at = at + frame_wire_bytes(len(frame)) * 8 / bandwidth_bps
 
 
 class BackToBackPacing(Pacing):
@@ -157,8 +160,8 @@ class BackToBackPacing(Pacing):
             raise ReplayError(f"start time must be non-negative, got {start}")
         self.start = start
 
-    def inject_at(self, index: int, recorded_time: float, frame_bytes: int) -> float:
-        return self.start
+    def paced(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
+        return zip(repeat(self.start), map(_FRAME, frames))
 
 
 def pacing_from_name(

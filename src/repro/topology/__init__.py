@@ -57,13 +57,15 @@ from repro.topology.faults import (
     validate_spec_faults,
 )
 from repro.topology.spec import (
-    TOPOLOGY_PRESETS,
     FlowSpec,
     LinkSpec,
     NodeSpec,
     TopologySpec,
     derive_flow_seed,
     derive_seed,
+)
+from repro.topology.presets import (
+    TOPOLOGY_PRESETS,
     fan_in_stress_topology,
     fan_in_topology,
     fault_storm_topology,

@@ -304,16 +304,14 @@ class FlowState:
         self.delivered = 0
         # What the injector keeps per flow (set by ``FlowInjector.start``):
         # the source host, the encoder it feeds directly and that encoder's
-        # port, the source's frame iterator and how many frames it gave
-        # (the pacing index of the next), the frames a train took from it
-        # but handed back (stamped; ``None`` when there are none), and the
-        # sequence of the flow's next frame not injected: drawn when the
-        # frame before it was injected.
+        # port, the source's frames as its pacing times them, the frames a
+        # train took from it but handed back (stamped; ``None`` when there
+        # are none), and the sequence of the flow's next frame not
+        # injected: drawn when the frame before it was injected.
         self.host: Optional[HostNode] = None
         self.encoder: Any = None
         self.port = 0
         self.frames: Iterator[Tuple[float, bytes]] = iter(())
-        self.fetched = 0
         self.backlog: Optional[Deque[Tuple[float, bytes]]] = None
         self.sequence = 0
 
@@ -449,16 +447,12 @@ class FlowInjector:
         for state in self._flows:
             state.host = graph.nodes[state.spec.source]
             state.encoder, state.port = encoders.get(state.spec.source, (None, 0))
-            state.pacing.reset()
-            state.frames = state.own_frames()
+            state.frames = state.pacing.paced(state.own_frames())
             state.backlog = None
-            state.fetched = 0
             timed = next(state.frames, None)
             if timed is None:
                 continue
-            recorded, frame = timed
-            at = state.pacing.inject_at(0, recorded, len(frame))
-            state.fetched = 1
+            at, frame = timed
             state.sequence = next_sequence()
             heap.append((at if at > now else now, state.sequence, state, frame))
         heapify(heap)
@@ -517,9 +511,7 @@ class FlowInjector:
                     if not heap:
                         break
                     continue
-                recorded, frame = timed
-                at = state.pacing.inject_at(state.fetched, recorded, len(frame))
-                state.fetched += 1
+                at, frame = timed
                 if at < time:
                     at = time
             heapreplace(heap, (at, key, state, frame))

@@ -25,7 +25,7 @@ port counts are capped (:data:`MAX_HOPS`, :data:`MAX_PORT`) because the
 engine allocates per hop and per port.
 
 The named shapes (``linear``, ``fan-in``, ``rack-fan-in``, …) live in
-:mod:`repro.topology.presets` and are re-exported here.
+:mod:`repro.topology.presets`.
 """
 
 from __future__ import annotations
@@ -645,17 +645,3 @@ def route_parameters(
         }
         for group in groups
     )
-
-
-# The named shapes moved to their own module; they stay importable from
-# here.  (Imported last: presets builds on the classes above.)
-from repro.topology.presets import (  # noqa: E402
-    TOPOLOGY_PRESETS,
-    fan_in_stress_topology,
-    fan_in_topology,
-    fault_storm_topology,
-    linear_topology,
-    paper_testbed_topology,
-    preset_topology,
-    rack_fan_in_topology,
-)

@@ -151,11 +151,3 @@ class LinkTap:
         type-2 and the first type-3 frame arriving at the receiver.
         """
         return self._first_times.get(kind)
-
-    def clear(self) -> None:
-        """Reset the aggregates."""
-        self._counts = {kind: 0 for kind in PacketKind}
-        self._payload_bytes = {kind: 0 for kind in PacketKind}
-        self._first_times = {}
-        self._total_frames = 0
-        self._total_payload_bytes = 0

@@ -266,8 +266,6 @@ class TestEventLogIsBounded:
         assert (len(log), log.dropped) == (4, 6)
         assert [event.basis for event in log] == [6, 7, 8, 9]
         assert log.of_type(events.DigestReceived)[-1].basis == 9
-        log.clear()
-        assert (len(log), log.dropped) == (0, 0)
 
     def test_the_constant_is_far_above_what_tests_and_examples_read(self):
         engine, _encoder, _decoder, manager = build(simulator=None, identifier_bits=3)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import PacketError, ReplayError
-from repro.net.ethernet import EthernetFrame
+from repro.net.ethernet import EthernetFrame, frame_wire_bytes
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapPacket, write_pcap
 from repro.replay import (
@@ -19,49 +19,87 @@ from repro.workloads import ChunkTrace, SyntheticSensorWorkload
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 
+def times(pacing, recorded=(0.0, 0.0, 0.0), sizes=None):
+    """The injection times ``pacing`` gives frames recorded at ``recorded``
+    (of ``sizes`` bytes, 64 by default)."""
+    sizes = sizes or [64] * len(recorded)
+    paced = list(pacing.paced(zip(recorded, (bytes(size) for size in sizes))))
+    assert [len(frame) for _at, frame in paced] == list(sizes)
+    return [at for at, _frame in paced]
+
+
 class TestRecordedPacing:
     def test_keeps_recorded_gaps(self):
-        pacing = RecordedPacing()
-        assert pacing.inject_at(0, 10.0, 64) == 0.0
-        assert pacing.inject_at(1, 10.5, 64) == pytest.approx(0.5)
-        assert pacing.inject_at(2, 12.0, 64) == pytest.approx(2.0)
+        assert times(RecordedPacing(), [10.0, 10.5, 12.0]) == pytest.approx(
+            [0.0, 0.5, 2.0]
+        )
+        assert times(RecordedPacing(), [10.0])[0] == 0.0
 
     def test_speedup_compresses_time(self):
-        pacing = RecordedPacing(speedup=2.0)
-        pacing.inject_at(0, 0.0, 64)
-        assert pacing.inject_at(1, 1.0, 64) == pytest.approx(0.5)
+        assert times(RecordedPacing(speedup=2.0), [0.0, 1.0])[1] == pytest.approx(0.5)
 
     def test_non_monotonic_timestamps_are_clamped(self):
-        pacing = RecordedPacing()
-        pacing.inject_at(0, 5.0, 64)
-        later = pacing.inject_at(1, 6.0, 64)
-        clamped = pacing.inject_at(2, 4.0, 64)  # goes backwards in the capture
+        # The third frame goes backwards in the capture.
+        _first, later, clamped = times(RecordedPacing(), [5.0, 6.0, 4.0])
         assert clamped == later
 
-    def test_reset_forgets_origin(self):
+    def test_a_second_paced_call_starts_afresh(self):
         pacing = RecordedPacing()
-        pacing.inject_at(0, 100.0, 64)
-        pacing.reset()
-        assert pacing.inject_at(0, 200.0, 64) == 0.0
+        assert times(pacing, [100.0, 101.0]) == [0.0, 1.0]
+        assert times(pacing, [200.0, 201.0]) == [0.0, 1.0]
 
     def test_rejects_bad_speedup(self):
         with pytest.raises(ReplayError):
             RecordedPacing(speedup=0.0)
 
 
+def running_sum(start, steps):
+    """The times a clock that adds each step to the time before reads."""
+    out, at = [], start
+    for step in steps:
+        out.append(at)
+        at = at + step
+    return out
+
+
 class TestFixedRatePacing:
     def test_packet_rate_spacing(self):
-        pacing = FixedRatePacing(packet_rate=1000.0)
-        times = [pacing.inject_at(i, 0.0, 64) for i in range(3)]
-        assert times == pytest.approx([0.0, 1e-3, 2e-3])
+        assert times(FixedRatePacing(packet_rate=1000.0)) == pytest.approx(
+            [0.0, 1e-3, 2e-3]
+        )
 
     def test_bandwidth_spacing_depends_on_frame_size(self):
-        pacing = FixedRatePacing(bandwidth_bps=1e9)
-        first = pacing.inject_at(0, 0.0, 1500)
-        second = pacing.inject_at(1, 0.0, 1500)
+        first, second, third = times(
+            FixedRatePacing(bandwidth_bps=1e9), sizes=[1500, 64, 64]
+        )
         assert first == 0.0
         # 1500 B frame occupies (1500+4+8+12)*8 bits on the wire.
         assert second == pytest.approx(1524 * 8 / 1e9)
+        # A 64 B frame occupies (64+4+8+12)*8.
+        assert third - second == pytest.approx(88 * 8 / 1e9)
+
+    @pytest.mark.parametrize("start", [0, 0.0, 1.5, 1e-3])
+    @pytest.mark.parametrize("rate", [1.0, 3.0, 1e5, 14_880_952.0])
+    def test_times_are_the_running_sum_bit_for_bit(self, rate, start):
+        frames = 3_000
+        sizes = [64 + 7 * (index % 200) for index in range(frames)]
+        cases = [
+            (FixedRatePacing(packet_rate=rate, start=start), [1.0 / rate] * frames),
+            (
+                FixedRatePacing(bandwidth_bps=rate * 1e3, start=start),
+                [frame_wire_bytes(size) * 8 / (rate * 1e3) for size in sizes],
+            ),
+        ]
+        for pacing, steps in cases:
+            got = times(pacing, [0.0] * frames, sizes)
+            expected = running_sum(start, steps)
+            assert got == expected
+            assert [type(at) for at in got] == [type(at) for at in expected]
+
+    def test_a_second_paced_call_starts_afresh(self):
+        pacing = FixedRatePacing(packet_rate=2.0, start=1.0)
+        assert times(pacing) == [1.0, 1.5, 2.0]
+        assert times(pacing) == [1.0, 1.5, 2.0]
 
     def test_exactly_one_mode_required(self):
         with pytest.raises(ReplayError):
@@ -72,9 +110,10 @@ class TestFixedRatePacing:
 
 class TestBackToBackPacing:
     def test_everything_at_start(self):
-        pacing = BackToBackPacing(start=1.5)
-        assert pacing.inject_at(0, 0.0, 64) == 1.5
-        assert pacing.inject_at(9, 42.0, 1500) == 1.5
+        assert times(BackToBackPacing(start=1.5), [0.0, 42.0], [64, 1500]) == [
+            1.5,
+            1.5,
+        ]
 
 
 class TestPacingFromName:

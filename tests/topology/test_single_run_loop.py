@@ -14,7 +14,7 @@ from repro.exceptions import TopologyError
 from repro.experiments import ExperimentSpec, run_scenario
 from repro.net.pcap import PcapPacket, write_pcap
 from repro.replay import ChunkTraceSource, FixedRatePacing, PcapTraceSource
-from repro.topology import TopologyEngine, linear_topology
+from repro.topology import TopologyEngine, fan_in_topology, linear_topology
 from repro.workloads import SyntheticSensorWorkload
 
 from arrival_capture import capture_arrivals
@@ -84,6 +84,31 @@ class TestPerFlowSource:
         assert report.flow("flow0").delivered == CHUNKS
         assert report.integrity.lossless_in_order
         assert "flows.unattributed_frames" not in report.as_dict()["metrics"]["counters"]
+
+    def test_one_pacing_may_drive_every_flow(self):
+        """A pacing holds no clock of its own: one instance shared by two
+        flows paces each as its own instance would."""
+
+        def run(pacings):
+            engine = TopologyEngine(
+                fan_in_topology(senders=2, chunks=50, bases=4, packet_rate=1e5, seed=1)
+            )
+            traces = {
+                name: SyntheticSensorWorkload(
+                    num_chunks=50, distinct_bases=4, seed=seed
+                ).trace()
+                for name, seed in (("flow0", 3), ("flow1", 4))
+            }
+            return engine.run(
+                sources={
+                    name: (ChunkTraceSource(trace), pacings[name])
+                    for name, trace in traces.items()
+                }
+            ).json_text()
+
+        shared = FixedRatePacing(packet_rate=1e5)
+        own = {name: FixedRatePacing(packet_rate=1e5) for name in ("flow0", "flow1")}
+        assert run({"flow0": shared, "flow1": shared}) == run(own)
 
     def test_source_for_unknown_flow_is_rejected(self):
         engine = TopologyEngine(linear_topology(chunks=1))

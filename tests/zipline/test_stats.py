@@ -39,12 +39,6 @@ class TestLinkTap:
         assert tap.first_time_of_kind(PacketKind.PROCESSED_COMPRESSED) == 2.27
         assert tap.first_time_of_kind(PacketKind.RAW) is None
 
-    def test_clear(self):
-        tap = LinkTap()
-        tap.observe(frame_bytes(EtherType.IPV4, 10), time=0.0)
-        tap.clear()
-        assert tap.total_frames() == 0
-
 
 class TestWireMetrics:
     def test_tap_folds_into_the_reports_wire_counters(self):
