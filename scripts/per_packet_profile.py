@@ -12,6 +12,15 @@ whose speed changes from second to second.  They say nothing about the
 cost of one bytecode or of the C calls it makes; use them to find and rank
 interpreter overhead, then confirm with ``benchmarks/stack``.
 
+A second, uncounted run of the same spec then says which gate fired:
+each receiver's lookahead decisions (admitted, or refused for a counted
+write ``in_flight``, a delayed frame's ``hold``, a stamp outside the
+``reaction`` window, past the run's ``horizon`` or at or after a pending
+``write``), per frame and per list a crossing judged, and each link's
+deliveries: handed on at once, owed (and the events that delivered
+them), or delayed past a later frame's reach, each in an event of its
+own.
+
     python scripts/per_packet_profile.py --preset rack-fan-in          # 32,000 chunks, minutes
     python scripts/per_packet_profile.py --preset rack-fan-in --quick  # 2,000 chunks, seconds
     python scripts/per_packet_profile.py --preset fanin-thrash-learn --quick
@@ -25,7 +34,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 from types import CodeType
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -106,6 +115,109 @@ def profile_run(engine) -> Tuple[Counter, Counter]:
     return calls, bytecodes
 
 
+#: The gates of ``Lookahead.admits``, in the order it asks them.
+GATES = ("in_flight", "hold", "reaction", "horizon", "write")
+
+
+def refusal(lookahead, stamp: float, clock: float, first: float) -> Optional[str]:
+    """The first gate that refuses ``stamp`` at ``clock``, or ``None``;
+    ``first`` is the clock from which a pending write still counts."""
+    if lookahead.in_flight:
+        return "in_flight"
+    if lookahead.hold >= clock:
+        return "hold"
+    if not 0.0 <= stamp - clock < lookahead.reaction:
+        return "reaction"
+    if stamp > lookahead.simulator.horizon:
+        return "horizon"
+    if any(first <= write <= stamp for write in lookahead.writes):
+        return "write"
+    return None
+
+
+def gate_run(engine) -> Tuple[Dict[Any, Counter], Dict[Any, Counter]]:
+    """``engine.run()`` with the lookahead and the links' delivery events
+    wrapped: (decisions per lookahead, deliveries per link)."""
+    from repro.replay.link import EmulatedLink
+    from repro.sim.lookahead import Lookahead
+
+    decisions: Dict[Any, Counter] = {}
+    deliveries: Dict[Any, Counter] = {}
+    admits, admitted = Lookahead.admits, Lookahead.admitted
+    deliver, deliver_owed = EmulatedLink._deliver, EmulatedLink._deliver_owed
+
+    def counting_admits(self, stamp):
+        clock = self.simulator.now
+        gate = refusal(self, stamp, clock, clock)
+        verdict = admits(self, stamp)
+        assert verdict == (gate is None), (gate, verdict)
+        decisions.setdefault(self, Counter())[gate or "admitted"] += 1
+        return verdict
+
+    def counting_admitted(self, stamps, clocks):
+        count = admitted(self, stamps, clocks)
+        tally = decisions.setdefault(self, Counter())
+        tally["list admitted"] += count
+        if count < len(stamps):
+            gate = refusal(self, stamps[count], clocks[count], clocks[0])
+            tally[f"list cut: {gate}"] += 1
+        return count
+
+    def counting_deliver(self, *args):
+        deliveries.setdefault(self, Counter())["delayed"] += 1
+        return deliver(self, *args)
+
+    def counting_deliver_owed(self):
+        before = self.stats.delivered
+        try:
+            return deliver_owed(self)
+        finally:
+            tally = deliveries.setdefault(self, Counter())
+            tally["owed events"] += 1
+            tally["owed"] += self.stats.delivered - before
+
+    Lookahead.admits, Lookahead.admitted = counting_admits, counting_admitted
+    EmulatedLink._deliver, EmulatedLink._deliver_owed = counting_deliver, counting_deliver_owed
+    try:
+        engine.run()
+    finally:
+        Lookahead.admits, Lookahead.admitted = admits, admitted
+        EmulatedLink._deliver, EmulatedLink._deliver_owed = deliver, deliver_owed
+    return decisions, deliveries
+
+
+def print_gates(engine, decisions, deliveries) -> None:
+    """One row per receiver that was asked, one per link."""
+    names = {}
+    for node in engine.graph.nodes.values():
+        if getattr(node, "lookahead", None) is not None:
+            names[node.lookahead] = node.name
+    for link in engine.graph.links:
+        downstream = getattr(link._sink, "__self__", None)
+        if link._lookahead is not None and link._lookahead not in names:
+            names[link._lookahead] = f"{getattr(downstream, 'name', '?')} (from {link.name})"
+    columns = ("admitted",) + GATES
+    lists = ("list admitted",) + tuple(f"list cut: {gate}" for gate in GATES)
+    print("# lookahead decisions per receiver: per frame (admits), then per list (admitted)")
+    print(f"{'receiver':<24}" + "".join(f"{column:>10}" for column in columns))
+    for lookahead, tally in decisions.items():
+        print(f"{names.get(lookahead, '?'):<24}"
+              + "".join(f"{tally[column]:>10}" for column in columns))
+    if any(tally[column] for tally in decisions.values() for column in lists):
+        print(f"{'receiver':<24}{'admitted':>10}" + "".join(f"{'cut: ' + gate:>15}" for gate in GATES))
+        for lookahead, tally in decisions.items():
+            print(f"{names.get(lookahead, '?'):<24}{tally['list admitted']:>10}"
+                  + "".join(f"{tally['list cut: ' + gate]:>15}" for gate in GATES))
+    print("# link deliveries: at once, owed (in owed events), delayed (an event each)")
+    print(f"{'link':<24}{'delivered':>10}{'at once':>10}{'owed':>10}{'owed events':>12}{'delayed':>10}")
+    for link in engine.graph.links:
+        tally = deliveries.get(link, Counter())
+        delivered = link.stats.delivered
+        at_once = delivered - tally["owed"] - tally["delayed"]
+        print(f"{link.name:<24}{delivered:>10}{at_once:>10}{tally['owed']:>10}"
+              f"{tally['owed events']:>12}{tally['delayed']:>10}")
+
+
 def function_name(code: CodeType) -> str:
     path = Path(code.co_filename)
     try:
@@ -155,6 +267,9 @@ def main() -> int:
             f"{sum(bytecodes.values()) / chunks:16.1f}  total "
             f"({len(bytecodes)} functions)"
         )
+    # The gates do not depend on the metrics mode: one uncounted run.
+    engine = TopologyEngine(spec)
+    print_gates(engine, *gate_run(engine))
     return 0
 
 

@@ -233,15 +233,19 @@ class ZipLineControlPlane:
             # A write nothing has started yet begins with a learn digest:
             # it reaches this control plane after the digest latency and
             # writes a table one processing step later at the earliest.
-            reaction = digest_engine.delivery_latency + self._timings.least(
-                self._timings.processing_latency
-            )
+            step = self._timings.least(self._timings.processing_latency)
+            reaction = digest_engine.delivery_latency + step
             for switch in (encoder_switch, decoder_switch):
                 lookahead = getattr(switch, "lookahead", None)
                 if lookahead is not None:
                     self.in_flight.watch(lookahead, reaction)
                     if digest_engine.in_flight is not None:
-                        digest_engine.in_flight.watch(lookahead)
+                        # A delivered digest writes the decoder no sooner
+                        # than one processing step later; the encoder's
+                        # digest queue counts down at the delivery itself.
+                        digest_engine.in_flight.watch(
+                            lookahead, after=step if switch is decoder_switch else 0.0
+                        )
         # The idle poll runs on a fixed grid from construction, and only
         # while some encoder entry can time out (``_arm_idle_poll``).
         self._idle_poll_armed = False

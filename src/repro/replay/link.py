@@ -17,7 +17,8 @@ missing: the wire itself.  It models what a real hop does to a frame —
   :attr:`EmulatedLink.queue_depth` for where such a frame is positioned),
   nor for the delivery into a receiver — a switch program, the next link
   of a chain — whose :class:`~repro.sim.lookahead.Lookahead` admits the
-  frame's stamp;
+  frame's stamp, a frame delayed too little for any later one to
+  overtake included;
 * **seeded impairments**: loss and reordering drawn from a deterministic
   :class:`ImpairmentModel`, so replays are exactly reproducible.
 
@@ -197,6 +198,9 @@ class EmulatedLink:
         # frame length -> serialisation delay: traffic has a handful of
         # frame sizes, each worked out (padding, overheads, a division) once.
         self._serialisation: Dict[int, float] = {}
+        # The shortest frame's serialisation: no frame sent after one that
+        # completes at ``done`` completes before ``done`` plus this.
+        self._least_serialisation = frame_wire_bytes(0) * 8 / bandwidth_bps
 
     # -- wiring ---------------------------------------------------------------
 
@@ -291,11 +295,15 @@ class EmulatedLink:
         A frame that survives the wire is handed to the sink at once,
         stamped with its delivery instant, when the receiver's lookahead
         admits that stamp and no earlier delivery is still owed to it.  A
-        frame the impairment model delays keeps its own delivery event and
-        holds the receiver until that has run.  Any other frame is owed:
-        the owed deliveries wait in order behind one event, keyed by the
-        sequence drawn for the oldest of them here, which delivers it and
-        hands on every following one the receiver then admits.
+        frame the impairment model delays past the earliest stamp a later
+        frame could get — its own completion plus the shortest frame's
+        serialisation, plus propagation — keeps its own delivery event and
+        holds the receiver until that has run.  A shorter delay lets no
+        frame overtake, so that frame is handed on, or owed, like any
+        other, at its delayed stamp.  Any other frame is owed: the owed
+        deliveries wait in order behind one event, keyed by the sequence
+        drawn for the oldest of them here, which delivers it and hands on
+        every following one the receiver then admits.
         """
         if self._sink is None:
             raise ReplayError(f"link {self.name!r} has no sink attached")
@@ -389,7 +397,16 @@ class EmulatedLink:
             penalty = impairments.reorder_penalty()
             if penalty > 0.0:
                 stats.reordered += 1
-        deliver_at = done + self.propagation_delay + penalty
+        propagation = self.propagation_delay
+        deliver_at = done + propagation + penalty
+        # Whether a later frame could reach the receiver first: one sent
+        # next completes at ``done + least serialisation`` at the earliest,
+        # and float addition is monotone, so when that plus propagation lies
+        # past this frame's delayed stamp nothing can overtake it.
+        overtaken = (
+            penalty > 0.0
+            and (done + self._least_serialisation) + propagation <= deliver_at
+        )
 
         if tracer.enabled:
             # One span per wire stage.
@@ -405,7 +422,7 @@ class EmulatedLink:
             tracer.span("link.propagate", self.name, done, deliver_at)
 
         lookahead = self._lookahead
-        if penalty or self._owed or lookahead is None or not lookahead.admits(deliver_at):
+        if overtaken or self._owed or lookahead is None or not lookahead.admits(deliver_at):
             # A context capture, so the delivery made later (and everything
             # the sink does synchronously — decode, arrival accounting) is
             # attributed to the chunk that entered the wire, not whichever
@@ -413,8 +430,8 @@ class EmulatedLink:
             context = tracer.context if tracer.enabled else None
             owed = self._owed
             handoff = (simulator.next_sequence(), runs_in)
-            if penalty:
-                # Later frames overtake this one: none may be handed on
+            if overtaken:
+                # Later frames may overtake this one: none may be handed on
                 # before its event has run.
                 if lookahead is not None and deliver_at > lookahead.hold:
                     lookahead.hold = deliver_at
@@ -608,7 +625,8 @@ class EmulatedLink:
             self._crossing.cross(out_frames, out_stamps, out_keys)
 
     def _deliver(self, frame: bytes, deliver_at: float, handoff, context) -> None:
-        """The delivery event of a frame the impairment model delayed."""
+        """The delivery event of a frame the impairment model delayed
+        enough for a later frame to overtake it."""
         self.stats.delivered += 1
         self.stats.delivered_bytes += len(frame)
         tracer = _obs.TRACER

@@ -19,18 +19,25 @@ each hop of a chain of links, a fresh one for the link downstream, whose
 only writer is its upstream.  The rest is :meth:`Lookahead.admits`, asked
 per frame, and what the edge itself still owes the receiver: a delivery it
 could not hand on comes first (the link's queue of owed deliveries), and a
-frame its impairment model delays keeps its own event and holds the
-receiver until that has run.
+frame its impairment model delays far enough for a later frame to
+overtake it keeps its own event and holds the receiver until that has
+run.  A shorter delay lets nothing overtake, so it holds nothing: the
+frame is handed on, or owed, at its delayed stamp like any other.
 
 What else can touch a program are the writes of its control plane and of
 the faults aimed at it.  Each such source reports what it has in flight on
-the programs it can write through an :class:`InFlight`: the instant of
-each event it schedules — a control-plane step, a digest on its way to the
-control plane, a rate limiter's drain, a TTL poll, a restart or eviction
-storm — holds each program for frames stamped at or after it, and the work
-it tracks itself — a command on a control link, whose acknowledgement also
-starts the encoder-side install — is counted.  It also states how soon a
-write it has *not* started yet could land (its reaction latency).
+the programs it can write through an :class:`InFlight`: each event it
+schedules — a control-plane step, a digest on its way to the control
+plane, a rate limiter's drain, a TTL poll, a restart or eviction storm —
+holds each program for frames stamped at or after the first instant that
+event can lead to a write there: its own instant, or a fixed offset
+``after`` later (a learn digest reaches the control plane, which writes
+the decoder one processing step later at the earliest; the encoder's
+digest queue, though, counts down at the delivery itself).  The work a
+source tracks itself — a command on a control link, whose
+acknowledgement also starts the encoder-side install — is counted.  It
+also states how soon a write it has *not* started yet could land (its
+reaction latency).
 """
 
 from __future__ import annotations
@@ -47,14 +54,16 @@ __all__ = ["InFlight", "Lookahead", "crossing"]
 class Lookahead:
     """Whether an edge may hand one receiver a frame ahead of the clock.
 
-    ``writes`` is a min-heap of the instants of pending events that can
-    write the receiver (scheduled through :class:`InFlight`); it is pruned
-    of instants before the clock whenever it is pushed or read, so it only
-    holds what may still be pending.  ``hold`` is the latest stamp of a
-    delivery the receiver's input keeps as its own event while later frames
-    could be handed on — a frame the impairment model delays, a transmit
-    into a direct switch port the rule refused — so nothing is handed on
-    while one of those may still be pending.  ``in_flight`` counts the
+    ``writes`` is a min-heap of the earliest instants at which pending
+    events can write the receiver (scheduled through :class:`InFlight`:
+    each event's instant plus the receiver's offset from that source); it
+    is pruned of instants before the clock whenever it is pushed or read,
+    so it only holds what may still be pending.  ``hold`` is the latest
+    stamp of a delivery the receiver's input keeps as its own event while
+    later frames could be handed on — a frame the impairment model delays
+    far enough to be overtaken, a transmit into a direct switch port the
+    rule refused — so nothing is handed on while one of those may still be
+    pending.  ``in_flight`` counts the
     writes sources track without an event of their own.  ``reaction`` is
     the smallest delay after which a write no source has started yet could
     land: +inf until a control plane watches the receiver.
@@ -154,21 +163,32 @@ class InFlight:
 
     A source names the programs it can write (:meth:`watch`).  An event it
     schedules through :meth:`schedule_at` holds each of them, for frames
-    stamped at or after its instant, until it has run; :meth:`add` counts
-    work it tracks itself (a command on a control link).
+    stamped at or after its instant plus the program's offset ``after``,
+    until then; :meth:`add` counts work it tracks itself (a command on a
+    control link).
     """
 
-    __slots__ = ("simulator", "programs")
+    __slots__ = ("simulator", "programs", "after")
 
     def __init__(self, simulator: Simulator):
         self.simulator = simulator
         self.programs: List[Lookahead] = []
+        #: Per program, how long after one of this source's events the
+        #: first write it can lead to may land on that program.
+        self.after: List[float] = []
 
-    def watch(self, program: Lookahead, reaction: float = inf) -> None:
+    def watch(self, program: Lookahead, reaction: float = inf, after: float = 0.0) -> None:
         """Hold and count on ``program`` too; ``reaction`` is how soon a
-        write this source has not started yet could land on it."""
-        if program not in self.programs:
+        write this source has not started yet could land on it, and
+        ``after`` how soon after one of this source's events a write could
+        (a program watched twice keeps the smaller)."""
+        if program in self.programs:
+            index = self.programs.index(program)
+            if after < self.after[index]:
+                self.after[index] = after
+        else:
             self.programs.append(program)
+            self.after.append(after)
         if reaction < program.reaction:
             program.reaction = reaction
 
@@ -181,13 +201,15 @@ class InFlight:
         self, time: float, callback: Callable[[], Any], description: str = ""
     ) -> None:
         """Schedule ``callback`` at ``time``, holding every watched program
-        for frames stamped at or after ``time`` until it has run."""
+        for frames stamped at or after ``time`` plus its ``after``, until
+        the clock has passed that instant."""
         simulator = self.simulator
         simulator.schedule_at(time, callback, description)
         now = simulator.now
-        for program in self.programs:
+        for program, after in zip(self.programs, self.after):
             writes = program.writes
-            # The instants before the clock: their events have all run.
+            # The instants before the clock: nothing they stood for is
+            # pending any more.
             while writes and writes[0] < now:
                 heappop(writes)
-            heappush(writes, time)
+            heappush(writes, time + after)

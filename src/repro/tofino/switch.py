@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from math import inf
+from operator import add
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs as _obs
@@ -233,8 +235,7 @@ class TofinoSwitch:
             lookahead = self._lookaheads.get(port)
             if lookahead is None:
                 return 0
-            for time in times:
-                stamps.append(time + latency)
+            stamps = list(map(add, times, repeat(latency)))
             count = lookahead.admitted(stamps, clocks)
         else:
             horizon = simulator.horizon
@@ -269,7 +270,9 @@ class TofinoSwitch:
         stats.tx_bytes += sum(map(len, frames))
         if not frames:
             return
-        stamps = [time + latency for time in times]
+        # ``time + latency`` per frame, in C: the same floats ``reach``
+        # judged.
+        stamps = list(map(add, times, repeat(latency)))
         simulator = self.simulator
         latest = max(stamps)
         if latest > simulator.latest_stamp:

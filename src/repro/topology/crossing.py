@@ -82,6 +82,8 @@ def cross(
         del encoders[count:]
     # encoder -> the train positions, frames, clocks and ports of its frames
     lists: Dict[Any, Tuple[List[int], List[bytes], List[float], List[int]]] = {}
+    # encoder -> what its ``leading_hits`` split of its leading frames
+    judged: Dict[Any, list] = {}
     distinct = dict.fromkeys(encoders)
     for encoder in distinct:
         if len(distinct) == 1:
@@ -102,9 +104,9 @@ def cross(
         # and finds its own (judged here only whether its first frame is
         # one); every other encoder's frames are judged before any ingress
         # runs, so none runs past another's miss.
-        hits = encoder.leading_hits(frames[:1] if first else frames)
+        hits = judged[encoder] = encoder.leading_hits(frames[:1] if first else frames)
         reached = min(
-            len(frames) if first else hits,
+            len(frames) if first else len(hits),
             encoder.reach(ports, clocks, clocks, max(map(len, frames)), False)
             if hits
             else 0,
@@ -128,6 +130,7 @@ def cross(
                 ports[:ran],
                 clocks[:ran],
                 [contexts[at] for at in positions[:ran]] if tracer.enabled else [None] * ran,
+                judged[encoder],
             )
             if len(outs) < ran:  # the first encoder only: see above
                 count = positions[len(outs)]

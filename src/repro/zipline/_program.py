@@ -214,6 +214,7 @@ class ZipLineSwitchBase:
         frames: List[bytes],
         times: List[float],
         contexts: Optional[List[object]],
+        splits: Optional[list] = None,
     ) -> List[Optional[bytes]]:
         """The ingress control over a list, frame ``i`` reaching the program
         at ``times[i]``: the output of each frame it ran, ``None`` for one
@@ -223,6 +224,9 @@ class ZipLineSwitchBase:
         ``contexts[i]`` is the trace context of frame ``i``.  A program
         whose miss emits a digest stops before the first frame its mapping
         table would miss, so it runs a leading part of the list only.
+        ``splits`` is what the encoder's ``leading_hits`` worked out for
+        the leading frames (``None`` on the decoder, which judges nothing
+        ahead).
         """
         raise NotImplementedError
 
@@ -378,6 +382,7 @@ class ZipLineSwitchBase:
         ports: List[int],
         times: List[float],
         contexts: Optional[List[object]] = None,
+        splits: Optional[list] = None,
     ) -> List[Optional[bytes]]:
         """The compiled ingress over a list, frame ``i`` arriving on
         ``ports[i]`` at ``times[i]``: the output of each frame, ``None``
@@ -388,13 +393,14 @@ class ZipLineSwitchBase:
         mapping table would miss — a learn digest's event must find the
         frames after it not yet run — so the list it returns may be
         shorter than ``frames``; ``contexts`` are the frames' trace
-        contexts.
+        contexts, and ``splits`` what its ``leading_hits`` returned for the
+        leading frames, taken instead of splitting their chunks again.
         """
         rx_stats = self._rx_stats
         for port in dict.fromkeys(ports):
             if port not in rx_stats:
                 self.switch.port_stats(port)  # the chassis's out-of-range error
-        outs = self._ingress_batch(frames, times, contexts)
+        outs = self._ingress_batch(frames, times, contexts, splits)
         count = len(outs)
         # Counted per (port, frame size) in C; the sums are receive's.
         for (port, size), packets in Counter(zip(ports[:count], map(len, frames))).items():

@@ -197,6 +197,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         frames: List[bytes],
         times: List[float],
         contexts: Optional[List[object]],
+        splits: Optional[list] = None,
     ) -> List[Optional[bytes]]:
         outs: List[Optional[bytes]] = []
         append = outs.append

@@ -25,8 +25,8 @@ drives, plus the per-packet-type counters the paper's statistics rely on.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Callable, Dict, Iterable, List, Optional
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.controlplane.manager import LEARN_DIGEST
@@ -52,6 +52,15 @@ __all__ = ["ZipLineEncoderSwitch"]
 #: the join costs 851 ns per chunk at 8 chunks, 181 at 64 and 95 at 512,
 #: and 5.4 µs for a single chunk.  16 is the crossover.
 PRIME_THRESHOLD = 16
+
+#: Most chunks whose split the per-frame ingress keeps
+#: (``ZipLineEncoderSwitch._splits``) before it drops them all.  1,024
+#: hold every distinct chunk of the benchmark's DNS trace (704 of 16,000).
+SPLITS = 1024
+
+#: A raw chunk's ``(prefix, syndrome, basis)``: what the program computes
+#: of it before the table lookup.
+Split = Tuple[int, int, int]
 
 #: Counter labels, mirroring the packet classifications of Section 5.
 COUNTER_LABELS = [
@@ -148,6 +157,10 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         self._body_mask = mask(code.n)
         self._remainder = self._byte_remainder = code.byte_remainder
         self._chunk_end = ETHERNET_BYTES + headers.chunk.total_bytes
+        # chunk bytes -> (prefix, syndrome, basis).  Keyed by the bytes, so
+        # it is a pure-function memo no table write can make stale; dropped
+        # wholesale when more than ``SPLITS`` distinct chunks come by.
+        self._splits: Dict[bytes, Split] = {}
         # A remainder lives in a byte lane of ``lane_remainders`` up to m = 8.
         self._chunk_tables = (
             record_tables(code.crc_parameter, code.m, headers.chunk.total_bytes)
@@ -183,19 +196,27 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         chunk_end = self._chunk_end
         chunk_slice = frame[ETHERNET_BYTES:chunk_end]
         m = self._syndrome_bits
-        chunk_value = int.from_bytes(chunk_slice, "big")
-        prefix = chunk_value >> self._code_bits
-        # Step ➋: syndrome through the CRC extern, the shared CRC byte loop.
-        # The remainder of the chunk's own bytes is syndrome(body) ^
-        # (prefix * x**n mod g), and x**n ≡ 1 (mod g) for a primitive g of
-        # order n.
-        syndrome = self._remainder(chunk_slice) ^ (
-            self._transform.code.prefix_syndrome(prefix) if prefix >> m else prefix
-        )
+        split = self._splits.get(chunk_slice)
+        if split is None:
+            chunk_value = int.from_bytes(chunk_slice, "big")
+            prefix = chunk_value >> self._code_bits
+            # Step ➋: syndrome through the CRC extern, the shared CRC byte
+            # loop.  The remainder of the chunk's own bytes is
+            # syndrome(body) ^ (prefix * x**n mod g), and x**n ≡ 1 (mod g)
+            # for a primitive g of order n.
+            syndrome = self._remainder(chunk_slice) ^ (
+                self._transform.code.prefix_syndrome(prefix) if prefix >> m else prefix
+            )
+            # Steps ➌/➍/➎: the const table's mask flips the deviated bit;
+            # keep the message bits.
+            basis = ((chunk_value & self._body_mask) ^ self._flip_masks[syndrome]) >> m
+            splits = self._splits
+            if len(splits) >= SPLITS:
+                splits.clear()
+            splits[chunk_slice] = (prefix, syndrome, basis)
+        else:
+            prefix, syndrome, basis = split
         self.crc_invocations += 1
-        # Steps ➌/➍/➎: the const table's mask flips the deviated bit; keep
-        # the message bits.
-        basis = ((chunk_value & self._body_mask) ^ self._flip_masks[syndrome]) >> m
 
         lookup = self._basis_table.lookup_ref(basis, now=now)
         if lookup is not None and lookup.action == "set_identifier":
@@ -235,6 +256,7 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         frames: List[bytes],
         times: List[float],
         contexts: Optional[List[object]],
+        splits: Optional[List[Optional[Split]]] = None,
     ) -> List[Optional[bytes]]:
         outs: List[Optional[bytes]] = []
         append = outs.append
@@ -255,7 +277,9 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
         traced = tracer.enabled
         parse_errors = processed = processed_bytes = other = other_bytes = 0
         hits = hit_bytes = 0
-        for frame, now, context in zip(frames, times, contexts or repeat(None)):
+        for frame, now, context, split in zip(
+            frames, times, contexts or repeat(None), chain(splits or (), repeat(None))
+        ):
             ethertype = frame[12:14]
             length = len(frame)
             if length < min_frame_bytes.get(ethertype, ETHERNET_BYTES):
@@ -271,13 +295,16 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
                     other_bytes += length
                 append(frame)
                 continue
-            chunk_slice = frame[ETHERNET_BYTES:chunk_end]
-            chunk_value = int.from_bytes(chunk_slice, "big")
-            prefix = chunk_value >> code_bits
-            syndrome = remainder(chunk_slice) ^ (
-                prefix_syndrome(prefix) if prefix >> m else prefix
-            )
-            basis = ((chunk_value & body_mask) ^ flip_masks[syndrome]) >> m
+            if split is None:
+                chunk_slice = frame[ETHERNET_BYTES:chunk_end]
+                chunk_value = int.from_bytes(chunk_slice, "big")
+                prefix = chunk_value >> code_bits
+                syndrome = remainder(chunk_slice) ^ (
+                    prefix_syndrome(prefix) if prefix >> m else prefix
+                )
+                basis = ((chunk_value & body_mask) ^ flip_masks[syndrome]) >> m
+            else:
+                prefix, syndrome, basis = split
             entry = entries.get(basis)
             if entry is None or entry.action != "set_identifier":
                 # A miss emits a learn digest, whose event must find the
@@ -320,18 +347,26 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
 
     # -- trains -----------------------------------------------------------------------
 
-    def leading_hits(self, frames: List[bytes]) -> int:
-        """How many leading frames of a list the program would run without
-        a table miss — so without a learn digest — as its tables stand.
-        Changes nothing."""
+    def leading_hits(self, frames: List[bytes]) -> List[Optional[Split]]:
+        """The leading frames of a list the program would run without a
+        table miss — so without a learn digest — as its tables stand: for
+        each, its chunk's ``(prefix, syndrome, basis)``, or ``None`` for a
+        frame that carries no chunk.  Changes nothing; hand the list to
+        :meth:`ingress_batch` with those frames, which then splits none of
+        their chunks again."""
         entries = self._basis_table.entry_map()
         chunk_end = self._chunk_end
         m = self._syndrome_bits
         code_bits = self._code_bits
         remainder = self._remainder
         prefix_syndrome = self._transform.code.prefix_syndrome
-        for index, frame in enumerate(frames):
+        body_mask = self._body_mask
+        flip_masks = self._flip_masks
+        splits: List[Optional[Split]] = []
+        append = splits.append
+        for frame in frames:
             if frame[12:14] != ETH_RAW or len(frame) < chunk_end:
+                append(None)
                 continue
             chunk_slice = frame[ETHERNET_BYTES:chunk_end]
             chunk_value = int.from_bytes(chunk_slice, "big")
@@ -339,12 +374,12 @@ class ZipLineEncoderSwitch(ZipLineSwitchBase):
             syndrome = remainder(chunk_slice) ^ (
                 prefix_syndrome(prefix) if prefix >> m else prefix
             )
-            entry = entries.get(
-                ((chunk_value & self._body_mask) ^ self._flip_masks[syndrome]) >> m
-            )
+            basis = ((chunk_value & body_mask) ^ flip_masks[syndrome]) >> m
+            entry = entries.get(basis)
             if entry is None or entry.action != "set_identifier":
-                return index
-        return len(frames)
+                break
+            append((prefix, syndrome, basis))
+        return splits
 
     def prime_syndromes(self, frames: Iterable[bytes]) -> None:
         """Compute the syndromes of the raw chunks among ``frames``, about to

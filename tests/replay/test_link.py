@@ -255,6 +255,77 @@ class TestImpairments:
         # Nothing lost: reordering only delays.
         assert sorted(order) == list(range(20))
 
+    @staticmethod
+    def _delayed_into_an_admitting_receiver(
+        bandwidth_bps, size=60, delay=10e-6, propagation=0.5e-6
+    ):
+        """One frame of ``size`` bytes, delayed by ``delay``, sent from an
+        event at 0 into a link whose receiver's lookahead admits everything
+        nothing holds: the link, the receiver, the arrivals as ``(clock,
+        stamp)``, the link's delivery events and the frame's completion."""
+        simulator = Simulator()
+        arrivals = []
+        link = EmulatedLink(
+            simulator,
+            bandwidth_bps=bandwidth_bps,
+            propagation_delay=propagation,
+            impairments=ImpairmentModel(reorder_probability=1.0, reorder_delay=delay, seed=1),
+        )
+        receiver = Lookahead(simulator)
+        link.attach(lambda frame, time: arrivals.append((simulator.now, time)), receiver)
+        events = []
+        simulator.add_observer(lambda _time, label: events.append(label))
+        simulator.schedule_at(0.0, lambda: link.send(bytes(size), 0.0))
+        simulator.run()
+        done = frame_wire_bytes(size) * 8 / bandwidth_bps
+        return link, receiver, arrivals, events.count("link:deliver"), done
+
+    def test_a_delay_no_later_frame_can_overtake_holds_nothing(self):
+        """At 66 Mb/s the shortest frame serialises in 10.18 µs, longer
+        than the 10 µs delay: no frame sent later can be delivered first,
+        so the delayed frame reaches the admitting receiver at once, from
+        the send's event, stamped with its delayed instant, and raises no
+        ``hold``.  It still counts as reordered."""
+        link, receiver, arrivals, deliveries, done = self._delayed_into_an_admitting_receiver(66e6)
+        assert arrivals == [(0.0, done + 0.5e-6 + 10e-6)]
+        assert deliveries == 0
+        assert receiver.hold == -math.inf
+        assert link.stats.reordered == 1
+        assert link.stats.delivered == 1
+
+    def test_a_delay_a_later_frame_can_overtake_keeps_its_event(self):
+        """At 100 GbE the shortest frame serialises in 6.7 ns: a later
+        frame could overtake the delayed one, which keeps its own delivery
+        event and holds the receiver until that has run."""
+        link, receiver, arrivals, deliveries, done = self._delayed_into_an_admitting_receiver(100e9)
+        stamp = done + 0.5e-6 + 10e-6
+        assert arrivals == [(stamp, stamp)]
+        assert deliveries == 1
+        assert receiver.hold == stamp
+        assert link.stats.reordered == 1
+
+    def test_the_shortest_frame_decides_not_the_delayed_one(self):
+        """At 30 Mb/s a 200-byte frame serialises in 59.7 µs, longer than
+        its 30 µs delay, but a 60-byte frame sent after it serialises in
+        22.4 µs and could be delivered first: it keeps its event."""
+        _link, receiver, _arrivals, deliveries, done = self._delayed_into_an_admitting_receiver(
+            30e6, size=200, delay=30e-6
+        )
+        assert deliveries == 1
+        assert receiver.hold == done + 0.5e-6 + 30e-6
+
+    def test_a_tie_with_the_earliest_later_delivery_keeps_its_event(self):
+        """Everything a power of two: the shortest frame serialises in
+        exactly the delay, so a later frame could be delivered at the very
+        instant of the delayed one, which therefore keeps its event."""
+        bandwidth_bps = frame_wire_bytes(0) * 8 * 2.0**17
+        _link, receiver, arrivals, deliveries, _done = self._delayed_into_an_admitting_receiver(
+            bandwidth_bps, delay=2.0**-17, propagation=0.0
+        )
+        assert arrivals == [(2.0**-16, 2.0**-16)]
+        assert deliveries == 1
+        assert receiver.hold == 2.0**-16
+
     def test_no_sink_raises(self):
         link = EmulatedLink(Simulator())
         with pytest.raises(ReplayError):

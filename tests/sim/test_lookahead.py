@@ -4,9 +4,12 @@ from math import inf
 
 import pytest
 
+from repro.controlplane.manager import LEARN_DIGEST, ZipLineControlPlane
 from repro.exceptions import SimulationError
 from repro.sim.lookahead import InFlight, Lookahead
 from repro.sim.simulator import Simulator
+from repro.zipline.decoder_switch import ZipLineDecoderSwitch
+from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 
 
 def _inside_a_run(simulator, check, until=None):
@@ -163,6 +166,29 @@ class TestInFlight:
         simulator.run()
         assert len(program.writes) == 1  # the last write only, of 101
 
+    def test_an_offset_holds_a_program_from_the_event_plus_it(self):
+        """Watched with ``after``, a program is held from each event's
+        instant plus that offset; watched without one, from the instant
+        itself.  Watched twice, it keeps the smaller offset."""
+        simulator = Simulator()
+        late, plain, twice = (Lookahead(simulator) for _ in range(3))
+        writes = InFlight(simulator)
+        writes.watch(late, after=0.5e-3)
+        writes.watch(plain)
+        writes.watch(twice, after=0.5e-3)
+        writes.watch(twice, after=0.2e-3)
+        writes.schedule_at(1e-3, lambda: None)
+        assert (late.writes, plain.writes) == ([1e-3 + 0.5e-3], [1e-3])
+        assert twice.writes == [1e-3 + 0.2e-3]
+        seen = []
+        for stamp in (0.9e-3, 1e-3, 1.4e-3, 1.5e-3):
+            simulator.schedule_at(
+                0.5e-3,
+                lambda stamp=stamp: seen.append((late.admits(stamp), plain.admits(stamp))),
+            )
+        simulator.run()
+        assert seen == [(True, True), (True, False), (True, False), (False, False)]
+
     def test_a_refused_schedule_holds_nothing(self):
         simulator = Simulator()
         program = Lookahead(simulator)
@@ -171,3 +197,43 @@ class TestInFlight:
         with pytest.raises(SimulationError):
             writes.schedule_at(-1.0, lambda: None)
         assert program.writes == []
+
+
+class TestALearnDigestHolds:
+    """A learn digest delivered at ``D`` reaches the control plane, which
+    writes a table no sooner than one processing step later.  The encoder's
+    digest queue counts down at ``D`` itself, so the encoder is held from
+    ``D``; the decoder only from ``D`` plus the least processing step."""
+
+    def _decisions(self, program, stamps):
+        simulator = Simulator()
+        encoder = ZipLineEncoderSwitch(simulator=simulator)
+        decoder = ZipLineDecoderSwitch(simulator=simulator)
+        plane = ZipLineControlPlane(
+            digest_engine=encoder.digest_engine,
+            encoder_switch=encoder,
+            decoder_switch=decoder,
+            simulator=simulator,
+        )
+        engine = encoder.digest_engine
+        engine.emit(LEARN_DIGEST, {"basis": 5}, 0.0)
+        delivered = engine.delivery_latency
+        step = plane.timings.least(plane.timings.processing_latency)
+        lookahead = {"encoder": encoder, "decoder": decoder}[program].lookahead
+        return _admits_from(
+            simulator, lookahead, [(0.1e-3, at(delivered, step)) for at in stamps]
+        )
+
+    STAMPS = (
+        lambda d, step: d * 0.999,
+        lambda d, step: d,
+        lambda d, step: d + step * 0.999,
+        lambda d, step: d + step,
+        lambda d, step: d + step * 1.001,
+    )
+
+    def test_the_encoder_is_held_from_the_delivery(self):
+        assert self._decisions("encoder", self.STAMPS) == [True, False, False, False, False]
+
+    def test_the_decoder_is_held_from_the_first_possible_write(self):
+        assert self._decisions("decoder", self.STAMPS) == [True, True, True, False, False]

@@ -9,6 +9,9 @@ anything on early: every delivery over a link is an event of its own.
 Both runs must print the same report, byte for byte, over a grid that
 covers every shape the rule decides: chains of one and three hops, in
 order and reordering, with and without a saturated drop-tail queue; the
+benchmark's lossy DNS chain, and chains whose shortest frame serialises
+in just more, exactly and just less than the reorder delay (a delayed
+frame holds the next hop only when a later one could overtake it); the
 paper's direct testbed; rack fan-ins, static and learning, with direct
 and in-network control; a thrashing fan-in over a lossy control link, the
 fault storm, a decoder restart while frames are on a 50 µs wire, a
@@ -24,6 +27,7 @@ whose trains cross, must equal the watched run too.
 
 import collections
 import hashlib
+import math
 
 import pytest
 
@@ -60,6 +64,23 @@ def _chain(hops, reorder, saturated):
     return build
 
 
+def _dns_chain(bandwidth_gbps, chunks, reorder):
+    """The benchmark's lossy DNS chain: three hops of ``bandwidth_gbps``
+    with 1 % loss, a 10 µs reorder delay and 64-frame queues, fed 100k
+    frames/s (67.2 Mb/s of 84-byte wire slots).  At 67.2 Mb/s the shortest
+    frame serialises in exactly the reorder delay: below it no later frame
+    can overtake a delayed one, above it one can."""
+
+    def build(seed):
+        return linear_topology(
+            workload="dns", chunks=chunks, names=400, scenario="dynamic", hops=3,
+            loss=0.01, reorder=reorder, queue_capacity=64, packet_rate=1e5,
+            bandwidth_gbps=bandwidth_gbps, seed=seed,
+        )
+
+    return build
+
+
 def _thrash(seed):
     spec = fan_in_topology(
         senders=3, workload="thrash", chunks=150, bases=10, packet_rate=1e5,
@@ -68,6 +89,15 @@ def _thrash(seed):
     spec.faults = FaultPlan(control_loss=0.1)
     validate_spec_faults(spec)
     return spec
+
+
+def _thrash_direct(seed):
+    """Recycling under direct control: a recycled identifier leaves the
+    decoder's table at the control plane's first processing step."""
+    return fan_in_topology(
+        senders=3, workload="thrash", chunks=150, bases=10, packet_rate=1e5,
+        identifier_bits=5, seed=seed,
+    )
 
 
 def _restart_on_a_long_wire(seed):
@@ -97,6 +127,12 @@ GRID = {
         for reorder in (0.0, 0.01)
         for queue in ("unbounded", "q64")
     },
+    # The benchmark's chain at 1/8 of its size, then around 67.2 Mb/s.
+    "dns-3hop-66Mbps": _dns_chain(0.066, 2000, 0.01),
+    **{
+        f"dns-3hop-{mbps}Mbps": _dns_chain(mbps / 1000, 600, 0.05)
+        for mbps in (67.1, 67.2, 67.3)
+    },
     "paper-testbed": lambda seed: paper_testbed_topology(
         chunks=300, bases=8, packet_rate=1e5, seed=seed
     ),
@@ -106,6 +142,7 @@ GRID = {
         for control in ("direct", "in-network")
     },
     "fan-in-thrash": _thrash,
+    "fan-in-thrash-direct": _thrash_direct,
     "fault-storm": lambda seed: fault_storm_topology(senders=3, chunks=200, seed=seed),
     "restart-on-a-50us-wire": _restart_on_a_long_wire,
     "entry-ttl-0.5s": lambda seed: linear_topology(
@@ -190,6 +227,22 @@ def test_the_grid_reaches_what_it_is_for():
     assert counters["controlplane.mappings_learned"] > 0
     for name in ("link0", "link1"):
         assert spent[name] < delivered[name] / 2, name
+
+
+@pytest.mark.parametrize(
+    "shape, held",
+    [("dns-3hop-66Mbps", False), ("dns-3hop-67.1Mbps", False), ("dns-3hop-67.3Mbps", True)],
+)
+def test_a_delayed_frame_holds_the_next_hop_only_when_it_can_be_overtaken(shape, held):
+    """Below 67.2 Mb/s no frame sent after a delayed one can be delivered
+    first, so a reordering hop never holds the hop after it; above, the
+    shortest frame serialises in less than the delay, and it does."""
+    engine = TopologyEngine(GRID[shape](7))
+    report = engine.run()
+    counters = report.metrics.as_dict()["counters"]
+    assert all(counters[f"link{hop}.reordered"] > 0 for hop in range(2))
+    holds = [link._lookahead.hold for link in engine.graph.links[:2]]
+    assert all(hold > 0 for hold in holds) if held else holds == [-math.inf] * 2
 
 
 def test_queue_depth_equals_the_lookahead_off_run_at_every_event(monkeypatch):

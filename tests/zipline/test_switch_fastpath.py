@@ -861,6 +861,26 @@ class TestReceiveBatch:
         assert switch.receive_batch([], 0, [], []) == []
         assert _state(switch) == _state(twin)
 
+    def test_the_splits_leading_hits_judged_are_taken_not_split_again(self):
+        """Handed back to the list ingress, what ``leading_hits`` split of
+        each chunk is taken as it is: no chunk reaches the CRC byte loop a
+        second time, and outputs and state equal a twin's that judged
+        nothing ahead."""
+        switch, twin = _encoder(), _encoder()
+        mix = [frame for frame, _ in _frame_mix(switch.transform, switch.headers, random.Random(6), 300)]
+        frames = [frame for frame in mix if switch.leading_hits([frame])]
+        judged = switch.leading_hits(frames)
+        assert len(judged) == len(frames)
+        assert sum(split is not None for split in judged) > 10
+        split_again = []
+        remainder = switch._remainder
+        switch._remainder = lambda chunk: split_again.append(chunk) or remainder(chunk)
+        count = len(frames)
+        outs = switch.ingress_batch(frames, [0] * count, [0.0] * count, None, judged)
+        assert split_again == []
+        assert outs == twin.ingress_batch(frames, [0] * count, [0.0] * count)
+        assert _state(switch) == _state(twin)
+
     def test_a_train_stops_before_a_miss(self):
         """The encoder's list ingress runs the frames before the first one
         its table misses, and nothing of that one."""
@@ -868,7 +888,7 @@ class TestReceiveBatch:
         frames = [frame for frame, _ in _frame_mix(switch.transform, switch.headers, random.Random(5), 200)]
         outs = switch.ingress_batch(frames, [0] * len(frames), [0.0] * len(frames))
         assert 0 < len(outs) < len(frames)
-        assert switch.leading_hits(frames) == len(outs)
+        assert len(switch.leading_hits(frames)) == len(outs)
         assert outs == [p4_oracle.receive(twin, frame, 0) for frame in frames[: len(outs)]]
         # Everything but the egress, which the ingress leaves to ``hand_on``.
         got, want = _state(switch), _state(twin)
