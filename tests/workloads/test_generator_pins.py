@@ -1,8 +1,10 @@
 """Byte pins of the seeded traffic generators.
 
 The pins fix the bytes each generator emits from its RNG draws:
-``iter_chunks()`` of the four cases, and for DNS also ``bases(order=8)``
-(the static scenario's preload order) and the ``packets()`` frames.  A
+``iter_chunks()`` of every case, ``bases()`` (the static scenario's
+preload order) of every generator, and for DNS also the ``packets()``
+frames.  The synthetic cases include the two options the ablation
+bench sets (``locality=0.95``, ``deviation_probability=0.9``).  A
 change to how a generator turns its draws into bytes (hoisted tables,
 packed name prefixes, inlined ``random.choices``) must hold every pin,
 so every topology report golden built on these generators stays where
@@ -14,11 +16,27 @@ import hashlib
 
 import pytest
 
-from repro.workloads import DictionaryThrashWorkload, DnsQueryWorkload
+from repro.workloads import (
+    DictionaryThrashWorkload,
+    DnsQueryWorkload,
+    SyntheticSensorWorkload,
+)
 
 PINNED_CHUNKS = 4000
 
 GENERATORS = {
+    "synthetic": lambda seed: SyntheticSensorWorkload(
+        num_chunks=PINNED_CHUNKS, distinct_bases=40, seed=seed
+    ),
+    "synthetic-local": lambda seed: SyntheticSensorWorkload(
+        num_chunks=PINNED_CHUNKS, distinct_bases=40, locality=0.95, seed=seed
+    ),
+    "synthetic-deviating": lambda seed: SyntheticSensorWorkload(
+        num_chunks=PINNED_CHUNKS,
+        distinct_bases=40,
+        deviation_probability=0.9,
+        seed=seed,
+    ),
     "dns": lambda seed: DnsQueryWorkload(
         num_queries=PINNED_CHUNKS, distinct_names=400, seed=seed
     ),
@@ -38,6 +56,12 @@ GENERATORS = {
 }
 
 PINS = {
+    ("synthetic", 2020): "a5ba0da1b038f5804d662971d9404dc7",
+    ("synthetic-local", 2020): "2a63c8d2ff6940f411464cd58a53e9da",
+    ("synthetic-deviating", 2020): "558fc1d3e30a0c2c9aa4365eb5843a82",
+    ("synthetic", 4242): "5e951ac51ee9009332e8cece0de0fa89",
+    ("synthetic-local", 4242): "84994e1cd27dce739861b4b52349c158",
+    ("synthetic-deviating", 4242): "3ae9ff6030077c49a0b75f43678fb479",
     ("dns", 2020): "9a555a5359aee1e9c8f0b7aed59d5927",
     ("dns-20k-names", 2020): "9826b345b94cbb9756ce498eabab251b",
     ("thrash", 2020): "8275373ef93ad15e7736ea8ea91c78bd",
@@ -80,6 +104,26 @@ PACKETS_PINS = {
 def test_dns_bases_are_pinned(name, seed):
     bases = GENERATORS[name](seed).bases(order=8)
     assert hashlib.md5(repr(bases).encode()).hexdigest() == BASES_PINS[(name, seed)]
+
+
+#: ``repr`` of ``bases()`` of the codeword generators: the preload order.
+CODEWORD_BASES_PINS = {
+    ("synthetic", 2020): "bb6bafd53f34d6b134dfca1a69fde274",
+    ("thrash", 2020): "bd81478b696a3f17fb70ea60d1013ac0",
+    ("thrash-phases", 2020): "597330a3a0fff928d1d58e2ba9288edc",
+    ("synthetic", 4242): "3f62f6b60a30ca2570740e37854b4906",
+    ("thrash", 4242): "48b55969a378b1df9c451822b617ae44",
+    ("thrash-phases", 4242): "30de6e7981a9f390c7023ce439dd024f",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(CODEWORD_BASES_PINS))
+def test_codeword_bases_are_pinned(name, seed):
+    bases = GENERATORS[name](seed).bases()
+    assert (
+        hashlib.md5(repr(bases).encode()).hexdigest()
+        == CODEWORD_BASES_PINS[(name, seed)]
+    )
 
 
 @pytest.mark.parametrize("name,seed", sorted(PACKETS_PINS))
