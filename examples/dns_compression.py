@@ -31,6 +31,7 @@ from repro.core.codec import GDCodec
 from repro.core.engine import compress_bytes
 from repro.net.pcap import PcapPacket, write_pcap
 from repro.workloads import DnsQueryWorkload
+from repro.workloads.dns import RESOLVER_IP
 
 NUM_QUERIES = 20_000
 DISTINCT_NAMES = 300
@@ -47,7 +48,7 @@ def main() -> None:
     print(
         f"DNS workload: {NUM_QUERIES:,} queries of 34 B "
         f"({workload.query_bytes() / 1e6:.2f} MB), {DISTINCT_NAMES} distinct names, "
-        f"resolver {workload.resolver_ip}"
+        f"resolver {RESOLVER_IP}"
     )
 
     # Persist both views of the dataset, like the paper's tooling.

@@ -4,15 +4,22 @@ or a module there imports a name it never uses.
 
 Product code lives in ``src/``; a function, class, method or property
 that nothing in ``src/``, ``examples/``, ``scripts/`` or ``benchmarks/``
-names is either a test oracle (it belongs in a ``tests/`` module) or dead
-code.  The scan is by name: a definition counts as used when its name
-appears anywhere in those trees as an identifier, an attribute or a word
-of a string literal (``getattr(owner, "step")`` and the stack benchmark's
-entry-point tables name methods that way), except at its own ``def``, in
-an ``__all__`` list, in an import line, in a docstring or in the literal
-part of an f-string.  Dunders are
-exempt.  A name shared by two definitions hides both, so the scan misses
-some dead code.
+uses is either a test oracle (it belongs in a ``tests/`` module) or dead
+code.  The scan is by name, and a name counts only where it is used:
+
+* a bare name counts where it is read, not where it is bound (a local
+  variable named ``timings`` calls no ``timings`` method);
+* an attribute counts wherever it is accessed (``obj.step``);
+* a string literal counts only when it is exactly the identifier
+  (``getattr(owner, "step")`` and the stack benchmark's entry-point
+  tuples name methods that way); a word inside a longer string does not.
+
+A method or property (a definition inside a class) counts only through
+an attribute or such a string; a module-level function or class also
+through a bare read.  Nothing counts at its own ``def``, in an
+``__all__`` list, in an import line, in a docstring or in the literal
+part of an f-string.  Dunders are exempt.  A name shared by two
+definitions hides both, so the scan misses some dead code.
 
 :data:`ALLOWED` lists the definitions kept without a caller, each with its
 reason — an allow-list that only shrinks: an entry that gains a caller or
@@ -29,7 +36,6 @@ annotation count as read.
 from __future__ import annotations
 
 import ast
-import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
@@ -51,9 +57,6 @@ ALLOWED: Dict[str, str] = {
     ),
 }
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -65,27 +68,31 @@ def _module_name(root: Path, path: Path) -> str:
     return ".".join(parts)
 
 
-def _definitions(body: List[ast.stmt], prefix: str) -> Iterator[Tuple[str, str, int]]:
-    """``(qualified name, name, line)`` of every function, class and method."""
+def _definitions(
+    body: List[ast.stmt], prefix: str, member: bool = False
+) -> Iterator[Tuple[str, str, int, bool]]:
+    """``(qualified name, name, line, is a class member)`` of every function,
+    class and method."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualified = f"{prefix}.{node.name}"
             if not _is_dunder(node.name):
-                yield qualified, node.name, node.lineno
+                yield qualified, node.name, node.lineno, member
             if isinstance(node, ast.ClassDef):
-                yield from _definitions(node.body, qualified)
+                yield from _definitions(node.body, qualified, member=True)
 
 
-def definitions(root: Path) -> List[Tuple[str, str, str]]:
-    """``(qualified name, name, "path:line")`` for every definition in ``src/repro``."""
+def definitions(root: Path) -> List[Tuple[str, str, str, bool]]:
+    """``(qualified name, name, "path:line", is a class member)`` for every
+    definition in ``src/repro``."""
     found = []
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         module = _module_name(root, path)
         location = path.relative_to(root).as_posix()
         found.extend(
-            (qualified, name, f"{location}:{line}")
-            for qualified, name, line in _definitions(tree.body, module)
+            (qualified, name, f"{location}:{line}", member)
+            for qualified, name, line, member in _definitions(tree.body, module)
         )
     return found
 
@@ -128,10 +135,11 @@ def _skipped(tree: ast.AST) -> Set[int]:
     return ids
 
 
-def referenced_names(root: Path) -> Set[str]:
-    """Every name used in code under :data:`REFERENCE_TREES` (this script's
-    own allow-list excluded)."""
-    names: Set[str] = set()
+def referenced_names(root: Path) -> Tuple[Set[str], Set[str]]:
+    """``(bare reads, attributes and identifier strings)`` of the code under
+    :data:`REFERENCE_TREES` (this script's own allow-list excluded)."""
+    reads: Set[str] = set()
+    members: Set[str] = set()
     own = Path(__file__).name
     for tree_name in REFERENCE_TREES:
         for path in sorted((root / tree_name).rglob("*.py")):
@@ -143,12 +151,17 @@ def referenced_names(root: Path) -> Set[str]:
                 if id(node) in skipped:
                     continue
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    if isinstance(node.ctx, ast.Load):
+                        reads.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.update(_WORD.findall(node.value))
-    return names
+                    members.add(node.attr)
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.isidentifier()
+                ):
+                    members.add(node.value)
+    return reads, members
 
 
 def _annotation_names(annotation: ast.AST) -> Iterator[str]:
@@ -219,12 +232,12 @@ def unused_imports(root: Path) -> List[str]:
 
 
 def violations(root: Path) -> List[str]:
-    used = referenced_names(root)
+    reads, members = referenced_names(root)
     problems: List[str] = []
     seen = set()
-    for qualified, name, location in definitions(root):
+    for qualified, name, location, member in definitions(root):
         seen.add(qualified)
-        if name in used:
+        if name in members or (not member and name in reads):
             if qualified in ALLOWED:
                 problems.append(
                     f"{qualified}: allow-listed but now has a caller — "

@@ -486,7 +486,7 @@ def _cmd_codecs(args: argparse.Namespace) -> int:
                 ["backend", "available", "priority", "default", "crc batch",
                  "detail"],
                 rows,
-                title="codec backends (select with --backend/REPRO_GD_BACKEND)",
+                title="codec backends (select with REPRO_GD_BACKEND)",
             )
         )
         return 0

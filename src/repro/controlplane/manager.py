@@ -259,11 +259,6 @@ class ZipLineControlPlane:
         """The identifier pool."""
         return self._pool
 
-    @property
-    def timings(self) -> ControlPlaneTimings:
-        """The latency model in use."""
-        return self._timings
-
     def _now(self) -> float:
         return self._simulator.now if self._simulator is not None else 0.0
 

@@ -138,17 +138,9 @@ class BatchSplit:
             self._cols = (prefixes, bases, deviations)
         return self._cols
 
-    def prefixes(self) -> List[int]:
-        """The prefix column."""
-        return self.columns()[0]
-
     def bases(self) -> List[int]:
         """The basis column (deduplication units)."""
         return self.native()[1]
-
-    def deviations(self) -> List[int]:
-        """The deviation (syndrome) column."""
-        return self.columns()[2]
 
     def __len__(self) -> int:
         return self.count

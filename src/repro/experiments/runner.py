@@ -358,6 +358,10 @@ class MatrixRunner:
         scenarios = self.spec.expand()
         if not scenarios:
             raise ReproError(f"spec {self.spec.name!r} expands to no scenarios")
+        # Every scenario's topology is validated before the first one runs:
+        # a refused point fails the sweep before any row is reported.
+        for scenario in scenarios:
+            _scenario_spec(scenario)
         results = []
         for result in map_across_workers(run_scenario, scenarios, self.workers):
             if progress is not None:

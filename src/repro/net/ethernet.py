@@ -125,16 +125,6 @@ class EthernetFrame:
         """Size of the payload."""
         return len(self.payload)
 
-    @property
-    def frame_bytes(self) -> int:
-        """Header + payload (no FCS, no padding)."""
-        return ETHERNET_HEADER_BYTES + len(self.payload)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total link occupancy including preamble, padding, FCS and IFG."""
-        return frame_wire_bytes(self.frame_bytes)
-
     # -- serialisation -------------------------------------------------------
 
     def to_bytes(self, include_fcs: bool = False, pad: bool = False) -> bytes:

@@ -46,13 +46,6 @@ class MacAddress:
             return
         raise PacketError(f"unsupported MAC address type {type(value).__name__}")
 
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def octets(self) -> bytes:
-        """The 6 raw bytes."""
-        return self._octets
-
     # -- dunder plumbing ------------------------------------------------------
 
     def __bytes__(self) -> bytes:

@@ -38,11 +38,6 @@ class PcapPacket:
     timestamp: float
     data: bytes
 
-    @property
-    def length(self) -> int:
-        """Captured length in bytes."""
-        return len(self.data)
-
 
 class PcapWriter:
     """Write packets into a classic pcap file.
@@ -94,11 +89,6 @@ class PcapWriter:
         )
         self._handle.write(header)
 
-    @property
-    def nanosecond(self) -> bool:
-        """True when the writer produces the nanosecond-resolution format."""
-        return self._nanosecond
-
     def write(self, timestamp: float, data: bytes) -> None:
         """Append one packet record."""
         if timestamp < 0:
@@ -144,11 +134,6 @@ class PcapReader:
             open(source, "rb") if self._owns_handle else source  # type: ignore[arg-type]
         )
         self._byte_order, self._nanoseconds, self.link_type = self._read_global_header()
-
-    @property
-    def nanosecond(self) -> bool:
-        """True when the file uses the nanosecond-resolution magic."""
-        return self._nanoseconds
 
     def _read_global_header(self) -> Tuple[str, bool, int]:
         raw = self._handle.read(_GLOBAL_HEADER.size)

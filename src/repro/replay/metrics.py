@@ -271,15 +271,6 @@ class Distribution:
         """True when no sample has been recorded."""
         return len(self) == 0
 
-    @property
-    def samples(self) -> List[float]:
-        """A copy of the recorded samples, in insertion order."""
-        if self._bounded:
-            raise ReplayError(
-                f"bounded distribution {self.name!r} retains no samples"
-            )
-        return list(self._samples)
-
     def mean(self) -> float:
         """Arithmetic mean of the samples (exact in both modes)."""
         if self.empty:

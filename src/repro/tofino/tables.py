@@ -117,17 +117,13 @@ class MatchActionTable:
             raise TableError(
                 f"table {name!r}: default action {default_action!r} is not declared"
             )
-        self._default_action = default_action
+        #: Action applied on a miss.
+        self.default_action = default_action
         self._entries: Dict[Hashable, TableEntry] = {}
         self.lookups = 0
         self.hits = 0
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def default_action(self) -> str:
-        """Action applied on a miss."""
-        return self._default_action
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -43,6 +43,7 @@ from repro.topology.faults import FaultPlan, validate_spec_faults
 from repro.topology.graph import decoder_pairing
 from repro.validation import Validator
 from repro.workloads import WORKLOAD_FACTORIES
+from repro.workloads.dns import DNS_CHUNK_ORDER
 
 __all__ = [
     "NodeSpec",
@@ -468,6 +469,17 @@ class TopologySpec:
             if flow.name in seen_flows:
                 raise _check.failure(where, "is declared more than once")
             seen_flows[flow.name] = flow
+            if (
+                flow.trace is None
+                and flow.workload == "dns"
+                and self.order != DNS_CHUNK_ORDER
+            ):
+                # Every chunk would fail the parser: a silent ratio of 0.0.
+                raise _check.failure(
+                    where,
+                    f"workload 'dns' sends 32-byte chunks, which only order "
+                    f"{DNS_CHUNK_ORDER} parses; the spec's order is {self.order}",
+                )
             for label, node_name in (("source", flow.source), ("sink", flow.sink)):
                 if node_name not in by_name:
                     raise _check.failure(

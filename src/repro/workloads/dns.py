@@ -37,10 +37,32 @@ from repro.net.ip import build_udp_packet
 from repro.net.mac import MacAddress
 from repro.workloads.traces import ChunkTrace
 
-__all__ = ["DnsQuery", "DnsQueryWorkload", "PAPER_DNS_QUERY_BYTES"]
+__all__ = [
+    "DNS_CHUNK_ORDER",
+    "DnsQuery",
+    "DnsQueryWorkload",
+    "PAPER_DNS_QUERY_BYTES",
+    "RESOLVER_IP",
+]
 
 #: Size of the filtered queries in the paper's dataset.
 PAPER_DNS_QUERY_BYTES = 34
+
+#: The Hamming order of 32-byte chunks, the size of every DNS chunk: no
+#: other order's parser accepts one.
+DNS_CHUNK_ORDER = 8
+
+#: Skew of the name popularity (1.0–1.2 is typical for DNS).
+ZIPF_EXPONENT = 1.1
+
+#: Fraction of queries using QTYPE AAAA instead of A.
+AAAA_FRACTION = 0.15
+
+#: Addressing of the full packets: the campus resolver, and clients drawn
+#: from 10.20.0.0/16.
+RESOLVER_IP = "10.1.1.53"
+CLIENT_MAC = MacAddress("02:aa:00:00:00:01")
+RESOLVER_MAC = MacAddress("02:aa:00:00:00:53")
 
 #: QTYPE values used by the generator (A dominates, some AAAA).
 _QTYPE_A = 1
@@ -118,42 +140,23 @@ class DnsQueryWorkload:
         on the order of 7 × 10^5 queries; the default is scaled down).
     distinct_names:
         Size of the queried-name pool.
-    zipf_exponent:
-        Skew of the name popularity distribution (1.0–1.2 is typical for
-        DNS).
-    aaaa_fraction:
-        Fraction of queries using QTYPE AAAA instead of A.
     seed:
         RNG seed for deterministic generation.
-    client_subnet / resolver_ip:
-        Addressing used when emitting full packets.
     """
 
     def __init__(
         self,
         num_queries: int = 100_000,
         distinct_names: int = 400,
-        zipf_exponent: float = 1.1,
-        aaaa_fraction: float = 0.15,
         seed: int = 2016,
-        client_subnet: str = "10.20.0.0",
-        resolver_ip: str = "10.1.1.53",
     ):
         if num_queries <= 0:
             raise WorkloadError(f"num_queries must be positive, got {num_queries}")
         if distinct_names <= 0:
             raise WorkloadError(f"distinct_names must be positive, got {distinct_names}")
-        if zipf_exponent <= 0:
-            raise WorkloadError(f"zipf_exponent must be positive, got {zipf_exponent}")
-        if not 0.0 <= aaaa_fraction <= 1.0:
-            raise WorkloadError(f"aaaa_fraction must be within [0, 1], got {aaaa_fraction}")
         self.num_queries = num_queries
         self.distinct_names = distinct_names
-        self.zipf_exponent = zipf_exponent
-        self.aaaa_fraction = aaaa_fraction
         self.seed = seed
-        self.client_subnet = client_subnet
-        self.resolver_ip = resolver_ip
         self._names: Optional[List[str]] = None
         self._prefixes: Optional[bytes] = None
         self._cumulative: Optional[List[float]] = None
@@ -215,7 +218,7 @@ class DnsQueryWorkload:
         """Cumulative Zipf weights over the name pool."""
         if self._cumulative is not None:
             return self._cumulative
-        weights = [1.0 / ((rank + 1) ** self.zipf_exponent) for rank in range(self.distinct_names)]
+        weights = [1.0 / ((rank + 1) ** ZIPF_EXPONENT) for rank in range(self.distinct_names)]
         total = sum(weights)
         cumulative: List[float] = []
         running = 0.0
@@ -237,7 +240,7 @@ class DnsQueryWorkload:
         """
         random_ = rng.random
         getrandbits = rng.getrandbits
-        aaaa_fraction = self.aaaa_fraction
+        aaaa_fraction = AAAA_FRACTION
         cumulative = self._zipf_cumulative()
         # The last entry is the catch-all: the search stops one short of it.
         last = len(cumulative) - 1
@@ -266,11 +269,7 @@ class DnsQueryWorkload:
                 qtype=_QTYPE_AAAA if is_aaaa else _QTYPE_A,
             )
 
-    def queries(self, num_queries: Optional[int] = None) -> List[DnsQuery]:
-        """Eagerly generate a list of queries."""
-        return list(self.iter_queries(num_queries))
-
-    def bases(self, order: int = 8) -> List[int]:
+    def bases(self, order: int = DNS_CHUNK_ORDER) -> List[int]:
         """Distinct bases of the query chunks, in first-appearance order.
 
         The order the control plane's identifier pool would assign them in
@@ -320,31 +319,23 @@ class DnsQueryWorkload:
 
     # -- full packets (pcap realism) ----------------------------------------------------
 
-    def packets(
-        self,
-        num_queries: Optional[int] = None,
-        client_mac: Optional[MacAddress] = None,
-        resolver_mac: Optional[MacAddress] = None,
-    ) -> List[bytes]:
+    def packets(self, num_queries: Optional[int] = None) -> List[bytes]:
         """Full Ethernet/IPv4/UDP/DNS frames, as a campus capture would contain."""
         rng = random.Random(self.seed + 2)
-        client_mac = client_mac or MacAddress("02:aa:00:00:00:01")
-        resolver_mac = resolver_mac or MacAddress("02:aa:00:00:00:53")
-        base_octets = self.client_subnet.split(".")
         frames: List[bytes] = []
         for query in self.iter_queries(num_queries):
-            client_ip = f"{base_octets[0]}.{base_octets[1]}.{rng.randrange(1, 255)}.{rng.randrange(1, 255)}"
+            client_ip = f"10.20.{rng.randrange(1, 255)}.{rng.randrange(1, 255)}"
             packet = build_udp_packet(
                 source_ip=client_ip,
-                destination_ip=self.resolver_ip,
+                destination_ip=RESOLVER_IP,
                 source_port=rng.randrange(1024, 65535),
                 destination_port=_DNS_PORT,
                 payload=query.message(),
                 identification=rng.getrandbits(16),
             )
             frame = EthernetFrame(
-                destination=resolver_mac,
-                source=client_mac,
+                destination=RESOLVER_MAC,
+                source=CLIENT_MAC,
                 ethertype=EtherType.IPV4,
                 payload=packet,
             )

@@ -1,7 +1,7 @@
-"""Trace containers and replay helpers.
+"""Trace containers.
 
 A *chunk trace* is the unit the evaluation replays: an ordered list of
-fixed-size payload chunks (optionally timestamped).  Traces can be converted
+fixed-size payload chunks.  Traces can be converted
 to and from standard pcap files of Ethernet frames (the paper converts its
 datasets "to a pcap trace of Ethernet packets containing the chunks as
 payload"), summarised (volume, distinct bases), and replayed through a
@@ -125,12 +125,6 @@ class ChunkTrace:
             seen.setdefault(transform.split(chunk).basis, None)
         return list(seen)
 
-    def head(self, count: int) -> "ChunkTrace":
-        """A new trace containing only the first ``count`` chunks."""
-        if count <= 0:
-            raise TraceError(f"count must be positive, got {count}")
-        return ChunkTrace(self._chunks[:count], name=f"{self.name}[:{count}]")
-
     # -- pcap round trip --------------------------------------------------------------
 
     def to_frames(
@@ -171,18 +165,3 @@ class ChunkTrace:
             for index, frame in enumerate(self.to_frames(source, destination))
         )
         return write_pcap(path, packets, nanosecond=nanosecond)
-
-    # -- replay helpers -----------------------------------------------------------------
-
-    def timestamps(self, packet_rate: float, start: float = 0.0) -> List[float]:
-        """Constant-rate timestamps for every chunk."""
-        if packet_rate <= 0:
-            raise TraceError(f"packet rate must be positive, got {packet_rate}")
-        interval = 1.0 / packet_rate
-        return [start + index * interval for index in range(len(self._chunks))]
-
-    def duration(self, packet_rate: float) -> float:
-        """Wall-clock length of a constant-rate replay."""
-        if packet_rate <= 0:
-            raise TraceError(f"packet rate must be positive, got {packet_rate}")
-        return len(self._chunks) / packet_rate

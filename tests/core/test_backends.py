@@ -266,9 +266,8 @@ class TestBatchSplitApi:
         fields = transform.split_batch_fields(data)
         assert split.fields() == fields
         assert len(split) == 40
-        assert split.prefixes() == [prefix for prefix, _, _ in fields]
+        assert split.columns() == tuple(map(list, zip(*fields)))
         assert split.bases() == [basis for _, basis, _ in fields]
-        assert split.deviations() == [deviation for _, _, deviation in fields]
         assert split == BatchSplit.from_fields(fields, backend="elsewhere")
         assert "BatchSplit" in repr(split)
 
@@ -308,10 +307,7 @@ class TestNoArrayScalarEscapes:
         codec, data, split = self._batch(backend_name)
         prefixes, bases, deviations = split.native()
         assert type(bases) is list and type(prefixes) is not list
-        views = [
-            split.columns(), split.fields(), split.prefixes(), split.bases(),
-            split.deviations(),
-        ]
+        views = [split.columns(), split.fields(), split.bases()]
         batch = codec.encoder.encode_buffer_batch(data)
         assert {record.record_type.value for record in batch} == {2, 3}
         for record in list(batch) + list(batch.materialize()) + [batch[0], batch[-1]]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, TopologyError
 from repro.experiments import (
     ExperimentSpec,
     MatrixRunner,
@@ -52,6 +52,19 @@ class TestSequentialRun:
         seen = []
         MatrixRunner(_spec(), workers=1).run(progress=seen.append)
         assert sorted(result.index for result in seen) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_dns_point_off_order_8_fails_before_any_row(self, workers):
+        # The order-8 point would run first; the sweep must refuse the
+        # order-9 point before reporting it.
+        spec = _spec(
+            base={"workload": "dns", "chunks": 200, "names": 20, "seed": 2020},
+            axes={"order": [8, 9]},
+        )
+        seen = []
+        with pytest.raises(TopologyError, match=r"flow 'flow0'.*only order 8"):
+            MatrixRunner(spec, workers=workers).run(progress=seen.append)
+        assert seen == []
 
 
 class TestShardedEquivalence:

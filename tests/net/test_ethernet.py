@@ -30,8 +30,7 @@ class TestFrame:
     def test_sizes(self):
         frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"\x00" * 32)
         assert frame.payload_bytes == 32
-        assert frame.frame_bytes == 46
-        assert frame.wire_bytes == frame_wire_bytes(46)
+        assert len(frame.to_bytes()) == 46
 
     def test_minimum_frame_padding(self):
         frame = EthernetFrame(DST, SRC, EtherType.IPV4, b"x")

@@ -8,12 +8,12 @@ from repro.net.mac import BROADCAST, ZERO, MacAddress
 
 class TestConstruction:
     def test_from_string_colon_and_dash(self):
-        assert MacAddress("02:00:00:00:00:01").octets == b"\x02\x00\x00\x00\x00\x01"
+        assert bytes(MacAddress("02:00:00:00:00:01")) == b"\x02\x00\x00\x00\x00\x01"
         assert MacAddress("02-00-00-00-00-01") == MacAddress("02:00:00:00:00:01")
 
     def test_from_bytes_and_int(self):
         address = MacAddress(b"\x02\x00\x00\x00\x00\x01")
-        assert MacAddress(int.from_bytes(address.octets, "big")) == address
+        assert MacAddress(int.from_bytes(bytes(address), "big")) == address
         assert MacAddress(address) == address
 
     def test_invalid_inputs(self):

@@ -133,11 +133,10 @@ class TestBoundedMemory:
                 _nearest_rank(values, percentile), rel=DEFAULT_RELATIVE_ERROR
             )
 
-    def test_samples_access_is_an_error(self):
+    def test_a_bounded_distribution_keeps_no_samples(self):
         bounded = Distribution("nostore", bounded=True)
         bounded.add(1.0)
-        with pytest.raises(ReplayError, match=r"retains no samples"):
-            bounded.samples
+        assert not hasattr(bounded, "_samples")
 
     def test_default_cap_is_generous_but_finite(self):
         assert DEFAULT_MAX_BUCKETS == 4096

@@ -18,7 +18,7 @@ from repro.replay import (
     WorkloadTraceSource,
 )
 from repro.topology import TopologyEngine, linear_topology
-from repro.workloads import DnsQueryWorkload, SyntheticSensorWorkload
+from repro.workloads import ChunkTrace, DnsQueryWorkload, SyntheticSensorWorkload
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
 
 from arrival_capture import capture_arrivals
@@ -436,7 +436,7 @@ class TestStaticBasesContract:
 
     def test_decoder_only_processed_trace_reports_na_ratio(self, trace, tmp_path):
         _encode, _report, encoded = run_captured(
-            ChunkTraceSource(trace.head(50)), shape="encoder-only", scenario="no_table"
+            ChunkTraceSource(ChunkTrace(trace[:50])), shape="encoder-only", scenario="no_table"
         )
         processed = tmp_path / "t2.pcap"
         write_pcap(

@@ -14,6 +14,8 @@ import repro
 from repro.exceptions import ReplayError
 from repro.replay import Distribution, IntegrityResult, MetricsRegistry
 
+from recorded_samples import recorded_samples
+
 
 class TestDistribution:
     def test_percentile_interpolation(self):
@@ -60,10 +62,10 @@ class TestDistribution:
             merged.merge(dist)
             shown.append(
                 (
-                    dist.samples,
+                    recorded_samples(dist),
                     dist.mean(),
                     [dist.percentile(q) for q in (0, 1, 50, 99, 100)],
-                    merged.samples,
+                    recorded_samples(merged),
                     json.dumps(metrics.as_dict(), sort_keys=True),
                 )
             )
@@ -101,7 +103,7 @@ class TestSampleCoercion:
         assert (summary["min"], summary["max"], summary["mean"]) == (stored,) * 3
         assert type(summary["min"]) is float
         if not bounded:
-            (sample,) = dist.samples
+            (sample,) = recorded_samples(dist)
             assert type(sample) is float and sample == stored
 
     @pytest.mark.parametrize(

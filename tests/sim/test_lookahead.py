@@ -4,7 +4,11 @@ from math import inf
 
 import pytest
 
-from repro.controlplane.manager import LEARN_DIGEST, ZipLineControlPlane
+from repro.controlplane.manager import (
+    LEARN_DIGEST,
+    ControlPlaneTimings,
+    ZipLineControlPlane,
+)
 from repro.exceptions import SimulationError
 from repro.sim.lookahead import InFlight, Lookahead
 from repro.sim.simulator import Simulator
@@ -209,16 +213,18 @@ class TestALearnDigestHolds:
         simulator = Simulator()
         encoder = ZipLineEncoderSwitch(simulator=simulator)
         decoder = ZipLineDecoderSwitch(simulator=simulator)
-        plane = ZipLineControlPlane(
+        timings = ControlPlaneTimings()
+        ZipLineControlPlane(
             digest_engine=encoder.digest_engine,
             encoder_switch=encoder,
             decoder_switch=decoder,
             simulator=simulator,
+            timings=timings,
         )
         engine = encoder.digest_engine
         engine.emit(LEARN_DIGEST, {"basis": 5}, 0.0)
         delivered = engine.delivery_latency
-        step = plane.timings.least(plane.timings.processing_latency)
+        step = timings.least(timings.processing_latency)
         lookahead = {"encoder": encoder, "decoder": decoder}[program].lookahead
         return _admits_from(
             simulator, lookahead, [(0.1e-3, at(delivered, step)) for at in stamps]

@@ -121,18 +121,37 @@ class TestUnreferenced:
         [
             ("src/repro/engine.py", "from repro.widgets import build\n\nbuild().spin()\n"),
             ("scripts/tool.py", "def run(widget):\n    return widget.spin()\n"),
-            ("benchmarks/bench.py", "ENTRY_POINTS = (('repro.widgets', 'Widget.spin'),)\n"),
+            ("benchmarks/bench.py",
+             "ENTRY_POINTS = (('widgets', 'repro.widgets', 'Widget', ('spin',)),)\n"),
             ("examples/show.py", "print(getattr(object(), 'spin', None))\n"),
-            ("benchmarks/hooks.py", "register = list\nregister([spin])\n"),
             ("examples/show.py", "print(f'{object().spin()}')\n"),
         ],
         ids=[
-            "call", "attribute", "entry-point-string", "getattr-string", "bare-name",
+            "call", "attribute", "entry-point-string", "getattr-string",
             "f-string-expression",
         ],
     )
     def test_any_use_outside_tests_counts(self, tree, where, code):
         assert _findings(tree(**{where: code})) == []
+
+    def test_a_bare_read_of_a_function_counts(self, tree):
+        # ``build`` is module-level: passing it by name uses it.
+        root = tree(**{
+            "examples/use.py": "from repro.widgets import build\n\nregister = list\n"
+                               "register([build])\n",
+            "scripts/call.py": "Widget().spin()\n",
+        })
+        assert _findings(root) == []
+
+    def test_binding_a_function_s_name_does_not_count(self, tree):
+        root = tree(**{
+            "examples/use.py": "build = None\nfor build in ():\n    pass\n",
+            "examples/colour.py": "Widget().colour\n",
+        })
+        assert sorted(f.split(" ")[0] for f in _findings(root)) == [
+            "repro.widgets.Widget.spin",
+            "repro.widgets.build",
+        ]
 
     @pytest.mark.parametrize(
         "where, code",
@@ -144,8 +163,21 @@ class TestUnreferenced:
             ("src/repro/other.py", "__all__ = ['spin']\n"),
             # A counter name built by an f-string names no definition.
             ("src/repro/other.py", "NAME = f'{prefix}.spin'\n"),
+            # A method is used through an attribute, never a bare name.
+            ("benchmarks/hooks.py", "register = list\nregister([spin])\n"),
+            # A shared word: a local variable and a help string's word.
+            ("scripts/tool.py",
+             "def run(parser):\n"
+             "    parser.add_argument('--turns', help='how many times to spin')\n"
+             "    spin = parser.parse_args().turns\n"
+             "    return spin\n"),
+            # A dotted path is not the identifier.
+            ("benchmarks/bench.py", "TARGETS = ('Widget.spin',)\n"),
         ],
-        ids=["docstring", "comment", "import-line", "all-list", "f-string-literal"],
+        ids=[
+            "docstring", "comment", "import-line", "all-list", "f-string-literal",
+            "bare-name-of-a-method", "local-variable-and-help-word", "dotted-string",
+        ],
     )
     def test_naming_without_using_does_not_count(self, tree, where, code):
         root = tree(**{where: code})

@@ -12,6 +12,8 @@ from repro.replay.metrics import Distribution, IntegrityResult
 from repro.topology.flows import FlowAccount
 from repro.zipline.headers import RAW_CHUNK_ETHERTYPE_BYTES
 
+from recorded_samples import recorded_samples
+
 HEADER = bytes(12) + RAW_CHUNK_ETHERTYPE_BYTES
 
 
@@ -70,7 +72,7 @@ def test_verdict_is_the_same_in_both_retention_settings(bounded):
 
 
 def test_exact_retention_keeps_latencies_in_arrival_order():
-    assert run_script(bounded=False).latency.samples == LATENCIES
+    assert recorded_samples(run_script(bounded=False).latency) == LATENCIES
 
 
 def test_bounded_retention_keeps_the_exact_aggregates():

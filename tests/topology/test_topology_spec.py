@@ -10,6 +10,7 @@ from repro.topology import (
     FlowSpec,
     LinkSpec,
     NodeSpec,
+    TopologyEngine,
     TopologySpec,
     derive_flow_seed,
     derive_seed,
@@ -17,6 +18,7 @@ from repro.topology import (
     linear_topology,
     paper_testbed_topology,
     preset_topology,
+    run_topology,
 )
 
 
@@ -122,6 +124,49 @@ class TestValidationNamesOffender:
         data["nodes"][1]["decoder"] = "b"
         with pytest.raises(TopologyError, match=r"node 'enc'.*'b'.*not a decoder"):
             TopologySpec.from_dict(data)
+
+
+def _dns_dict(order):
+    data = _minimal_dict()
+    data["order"] = order
+    data["flows"][0].update(workload="dns", names=4)
+    return data
+
+
+#: A DNS chunk is 32 bytes, so at any order but 8 every frame would fail
+#: the parser and the run would report a ratio of 0.0.
+REFUSED = r"flow 'f': workload 'dns' sends 32-byte chunks, which only order 8 parses"
+
+
+class TestDnsFlowsRunAtOrder8:
+    """A DNS flow at another order is refused by name at every entry point."""
+
+    def test_from_dict_refuses_the_flow(self):
+        with pytest.raises(TopologyError, match=REFUSED + r"; the spec's order is 9"):
+            TopologySpec.from_dict(_dns_dict(9))
+
+    def test_the_engine_from_a_spec_file_refuses_the_flow(self, tmp_path):
+        path = tmp_path / "dns.json"
+        path.write_text(json.dumps(_dns_dict(7)))
+        with pytest.raises(TopologyError, match=REFUSED):
+            TopologyEngine(TopologySpec.from_file(path))
+
+    def test_a_sharded_run_refuses_the_flow(self):
+        with pytest.raises(TopologyError, match=REFUSED):
+            run_topology(TopologySpec.from_dict(_dns_dict(9)), workers=2)
+
+    def test_the_linear_preset_refuses_the_flow(self):
+        with pytest.raises(TopologyError, match=r"flow 'flow0'.*only order 8"):
+            linear_topology(workload="dns", chunks=200, names=20, order=9)
+
+    def test_order_8_a_trace_or_another_workload_passes(self):
+        TopologySpec.from_dict(_dns_dict(8))
+        traced = _dns_dict(9)
+        traced["flows"][0]["trace"] = "capture.pcap"
+        TopologySpec.from_dict(traced)
+        synthetic = _dns_dict(9)
+        synthetic["flows"][0]["workload"] = "synthetic"
+        TopologySpec.from_dict(synthetic)
 
 
 class TestRoundTrip:

@@ -23,12 +23,6 @@ class TestConfiguration:
             SyntheticSensorWorkload(locality=1.5)
         with pytest.raises(WorkloadError):
             SyntheticSensorWorkload(deviation_probability=-0.1)
-        with pytest.raises(WorkloadError):
-            SyntheticSensorWorkload(noise_fraction=2.0)
-        with pytest.raises(WorkloadError):
-            SyntheticSensorWorkload(num_devices=0)
-        with pytest.raises(WorkloadError):
-            SyntheticSensorWorkload(sample_spread=-1)
 
 
 class TestGeneration:
@@ -58,18 +52,6 @@ class TestGeneration:
         assert len(list(workload.iter_chunks(10))) == 10
         with pytest.raises(WorkloadError):
             list(workload.iter_chunks(0))
-
-    def test_noise_fraction_creates_unclustered_chunks(self):
-        workload = SyntheticSensorWorkload(
-            num_chunks=300, distinct_bases=4, noise_fraction=0.5, seed=2
-        )
-        bases = set(workload.bases())
-        transform = workload.transform
-        outside = [
-            chunk for chunk in workload.chunks()
-            if transform.split(chunk).basis not in bases
-        ]
-        assert len(outside) > 50
 
     def test_trace_integration(self):
         workload = SyntheticSensorWorkload(num_chunks=100, distinct_bases=5)

@@ -36,11 +36,6 @@ class TestConstruction:
         with pytest.raises(TraceError):
             ChunkTrace([b"\x00" * 32, b"\x00" * 16])
 
-    def test_head(self, trace):
-        assert len(trace.head(3)) == 3
-        with pytest.raises(TraceError):
-            trace.head(0)
-
 
 class TestStats:
     def test_distinct_counts(self, trace):
@@ -62,18 +57,6 @@ class TestStats:
 
     def test_stats_as_dict(self, trace):
         assert trace.stats().as_dict()["chunks"] == 11
-
-
-class TestReplayHelpers:
-    def test_timestamps_and_duration(self, trace):
-        stamps = trace.timestamps(packet_rate=1000.0)
-        assert stamps[0] == 0.0
-        assert stamps[1] == pytest.approx(0.001)
-        assert trace.duration(packet_rate=1000.0) == pytest.approx(0.011)
-        with pytest.raises(TraceError):
-            trace.timestamps(0)
-        with pytest.raises(TraceError):
-            trace.duration(0)
 
 
 class TestPcapRoundTrip:
@@ -99,8 +82,8 @@ class TestPcapRoundTrip:
 
         path = tmp_path / "nano.pcap"
         trace.to_pcap(path, packet_rate=1e6, nanosecond=True)
+        assert path.read_bytes()[:4] == (0xA1B23C4D).to_bytes(4, "little")
         with PcapReader(path) as reader:
-            assert reader.nanosecond
             packets = list(reader)
         # 1 Mpkt/s spacing (1 us) survives exactly under nanosecond stamps.
         assert packets[1].timestamp - packets[0].timestamp == pytest.approx(
