@@ -9,7 +9,8 @@ the forward mapping on the encoding switch.
 
 This example sends a burst of identical chunks through the simulated
 two-switch testbed (the ``paper-testbed`` topology), prints the
-control-plane event timeline with timestamps, and repeats the measurement
+control plane's steps — the ``controlplane.*`` instants a recording tracer
+collects — with timestamps, and repeats the measurement
 ten times to report the mean ± 95 % confidence interval next to the paper's
 number.
 
@@ -20,12 +21,8 @@ Run with::
 
 from __future__ import annotations
 
+from repro import obs
 from repro.analysis.statistics import summarize
-from repro.controlplane.events import (
-    DecoderMappingInstalled,
-    DigestReceived,
-    EncoderMappingInstalled,
-)
 from repro.replay import ChunkTraceSource, RecordedPacing
 from repro.topology import TopologyEngine, paper_testbed_topology
 from repro.workloads import ChunkTrace, SyntheticSensorWorkload
@@ -33,31 +30,42 @@ from repro.workloads import ChunkTrace, SyntheticSensorWorkload
 PACKETS = 4_000
 PACKET_RATE = 1.0e6  # packets per second
 
+#: The steps the timeline prints: (instant name, ``side``) → what happened.
+TIMELINE = {
+    ("controlplane.digest", None): "learn digest delivered to the control plane",
+    ("controlplane.install", "decoder"): "identifier → basis entry active in the decoder",
+    ("controlplane.install", "encoder"): "basis → identifier entry active in the encoder",
+}
+
 
 def one_measurement(seed: int, verbose: bool = False) -> float:
     """One run of the paper's experiment; returns the learning delay in ms."""
     chunk = SyntheticSensorWorkload(num_chunks=1, distinct_bases=1, seed=seed).chunks()[0]
     trace = ChunkTrace([chunk] * PACKETS)
     engine = TopologyEngine(paper_testbed_topology(seed=seed))
-    report = engine.run(
-        sources={
-            "flow0": (ChunkTraceSource(trace, recorded_rate=PACKET_RATE), RecordedPacing())
-        }
-    )
-
-    if verbose:
-        control_plane = engine.control_planes["encoder"]
-        # The *first* digest of each kind matters; later digests for the same
+    sources = {
+        "flow0": (ChunkTraceSource(trace, recorded_rate=PACKET_RATE), RecordedPacing())
+    }
+    if not verbose:
+        report = engine.run(sources=sources)
+    else:
+        tracer = obs.enable()
+        try:
+            report = engine.run(sources=sources)
+        finally:
+            obs.disable()
+        # The *first* step of each kind matters; later digests for the same
         # basis are ignored while the install is pending.
-        digest = control_plane.events.of_type(DigestReceived)[0]
-        decoder_install = control_plane.events.of_type(DecoderMappingInstalled)[0]
-        encoder_install = control_plane.events.of_type(EncoderMappingInstalled)[0]
+        first = {}
+        for event in tracer.sink.events:
+            if event["name"].startswith("controlplane."):
+                step = (event["name"], event.get("args", {}).get("side"))
+                first.setdefault(step, event["ts"])
         wire = report.metrics.counter
         print("control-plane timeline (simulated time):")
         print(f"  t = 0.000 ms  first raw chunk enters the encoding switch")
-        print(f"  t = {digest.time * 1e3:6.3f} ms  learn digest delivered to the control plane")
-        print(f"  t = {decoder_install.time * 1e3:6.3f} ms  identifier → basis entry active in the decoder")
-        print(f"  t = {encoder_install.time * 1e3:6.3f} ms  basis → identifier entry active in the encoder")
+        for step, what in TIMELINE.items():
+            print(f"  t = {first[step] * 1e3:6.3f} ms  {what}")
         print(
             f"  packets while learning: {wire('wire.uncompressed_packets'):,} stayed "
             f"uncompressed, {wire('wire.compressed_packets'):,} were compressed afterwards"
@@ -68,7 +76,7 @@ def one_measurement(seed: int, verbose: bool = False) -> float:
 
 
 def main() -> None:
-    print("single run, with the control-plane event timeline:\n")
+    print("single run, with the control-plane timeline:\n")
     first = one_measurement(seed=0, verbose=True)
     print(f"\nmeasured learning delay: {first:.3f} ms\n")
 

@@ -30,6 +30,14 @@ when it imports a name that its code never reads and its ``__all__`` does
 not list (an ``__init__`` imports to re-export).  Names inside a string
 annotation count as read.
 
+An attribute that ``src/repro`` assigns or augments (``self.hits = 0``,
+``self.hits += 1``) fails when no tree reads it, ``tests/`` included: state
+only ever written is waste, while a counter a test asserts on is pinned
+behaviour.  A read is the attribute in a load (``obj.hits``) or the
+identifier string (``getattr(obj, "hits")``), matched by name like the
+rules above, so a read of a same-named attribute elsewhere hides a
+finding.
+
     python scripts/check_unreferenced.py   # exit 1 on any finding
 """
 
@@ -44,6 +52,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Trees whose code counts as a caller.
 REFERENCE_TREES = ("src", "examples", "scripts", "benchmarks")
+
+#: Trees whose code counts as a reader of an attribute.
+READER_TREES = REFERENCE_TREES + ("tests",)
 
 #: qualified name -> why it stays without a caller.
 ALLOWED: Dict[str, str] = {
@@ -135,33 +146,93 @@ def _skipped(tree: ast.AST) -> Set[int]:
     return ids
 
 
-def referenced_names(root: Path) -> Tuple[Set[str], Set[str]]:
-    """``(bare reads, attributes and identifier strings)`` of the code under
-    :data:`REFERENCE_TREES` (this script's own allow-list excluded)."""
-    reads: Set[str] = set()
-    members: Set[str] = set()
+def _scanned(root: Path, trees: Tuple[str, ...]) -> Iterator[ast.AST]:
+    """Every node of the code under ``trees`` that :func:`_skipped` keeps
+    (this script's own allow-list excluded)."""
     own = Path(__file__).name
-    for tree_name in REFERENCE_TREES:
+    for tree_name in trees:
         for path in sorted((root / tree_name).rglob("*.py")):
             if tree_name == "scripts" and path.name == own:
                 continue
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             skipped = _skipped(tree)
-            for node in ast.walk(tree):
-                if id(node) in skipped:
-                    continue
-                if isinstance(node, ast.Name):
-                    if isinstance(node.ctx, ast.Load):
-                        reads.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    members.add(node.attr)
-                elif (
-                    isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and node.value.isidentifier()
-                ):
-                    members.add(node.value)
+            yield from (node for node in ast.walk(tree) if id(node) not in skipped)
+
+
+def _identifier_string(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+    )
+
+
+def referenced_names(root: Path) -> Tuple[Set[str], Set[str]]:
+    """``(bare reads, attributes and identifier strings)`` of the code under
+    :data:`REFERENCE_TREES`."""
+    reads: Set[str] = set()
+    members: Set[str] = set()
+    for node in _scanned(root, REFERENCE_TREES):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
+        elif _identifier_string(node):
+            members.add(node.value)
     return reads, members
+
+
+def attribute_reads(root: Path) -> Set[str]:
+    """Attributes read under :data:`READER_TREES`: loaded, or named by an
+    identifier string."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in _scanned(root, READER_TREES)
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        or _identifier_string(node)
+    }
+
+
+def assigned_attributes(root: Path) -> List[Tuple[str, str, str]]:
+    """``(qualified name, attribute, "path:line")`` of every attribute store
+    under ``src/repro``, qualified by the class (else module) it sits in."""
+    found = []
+
+    def visit(node: ast.AST, owner: str, location: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{owner}.{child.name}", location)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Store)
+                and not _is_dunder(child.attr)
+            ):
+                found.append(
+                    (f"{owner}.{child.attr}", child.attr, f"{location}:{child.lineno}")
+                )
+            visit(child, owner, location)
+
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        visit(tree, _module_name(root, path), path.relative_to(root).as_posix())
+    return found
+
+
+def write_only_attributes(root: Path) -> List[str]:
+    """``path:line: owner.attribute is assigned but never read`` per finding."""
+    read = attribute_reads(root)
+    problems = []
+    seen = set()
+    for qualified, name, location in assigned_attributes(root):
+        if name not in read and qualified not in seen:
+            seen.add(qualified)
+            problems.append(
+                f"{location}: {qualified} is assigned but never read, tests "
+                "included — delete it or read it"
+            )
+    return problems
 
 
 def _annotation_names(annotation: ast.AST) -> Iterator[str]:
@@ -254,6 +325,7 @@ def violations(root: Path) -> List[str]:
         if qualified not in seen
     )
     problems.extend(unused_imports(root))
+    problems.extend(write_only_attributes(root))
     return problems
 
 
@@ -265,7 +337,8 @@ def main() -> int:
         return 1
     print(
         f"every definition under src/repro has a caller outside tests/ "
-        f"({len(ALLOWED)} allow-listed), and every import there is used"
+        f"({len(ALLOWED)} allow-listed), every import there is used and "
+        f"every attribute it assigns is read"
     )
     return 0
 

@@ -1,15 +1,5 @@
 """ZipLine control plane: digest handling, identifier pool, LRU recycling."""
 
-from repro.controlplane.events import (
-    ControlPlaneEvent,
-    DecoderMappingInstalled,
-    DigestIgnored,
-    DigestReceived,
-    EncoderMappingInstalled,
-    EventLog,
-    MappingEvicted,
-    MappingExpired,
-)
 from repro.controlplane.idpool import Allocation, IdentifierPool
 from repro.controlplane.manager import (
     LEARN_DIGEST,
@@ -20,14 +10,6 @@ from repro.controlplane.manager import (
 )
 
 __all__ = [
-    "ControlPlaneEvent",
-    "DecoderMappingInstalled",
-    "DigestIgnored",
-    "DigestReceived",
-    "EncoderMappingInstalled",
-    "EventLog",
-    "MappingEvicted",
-    "MappingExpired",
     "Allocation",
     "IdentifierPool",
     "LEARN_DIGEST",

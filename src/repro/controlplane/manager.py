@@ -26,6 +26,9 @@ does not depend on :mod:`repro.zipline`:
 * decoder switch: ``install_identifier_mapping(identifier, basis)``,
   ``remove_identifier_mapping(identifier)``.
 
+Either may carry a ``name``, which names the trace track of the control
+plane's steps (the encoder's, else the decoder's).
+
 Table mutations are plain command dictionaries (``{"op":
 "install_identifier", ...}``) and :func:`apply_switch_command` is the one
 place that turns one into a method call.  Decoder-side commands travel
@@ -42,15 +45,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Set
 
-from repro.controlplane.events import (
-    DecoderMappingInstalled,
-    DigestIgnored,
-    DigestReceived,
-    EncoderMappingInstalled,
-    EventLog,
-    MappingEvicted,
-    MappingExpired,
-)
+from repro import obs as _obs
+from repro.controlplane import events
 from repro.controlplane.idpool import IdentifierPool
 from repro.core.dictionary import decode_snapshot_key, encode_snapshot_key
 from repro.exceptions import ControlPlaneError
@@ -210,7 +206,6 @@ class ZipLineControlPlane:
     ):
         if identifier_bits <= 0:
             raise ControlPlaneError("identifier_bits must be positive")
-        self._digest_engine = digest_engine
         self._encoder_switch = encoder_switch
         self._decoder_switch = decoder_switch
         if decoder_transport is None and decoder_switch is not None:
@@ -223,7 +218,12 @@ class ZipLineControlPlane:
         self._rng = random.Random(seed)
         self._pending: Set[Hashable] = set()
         self.stats = ControlPlaneStats()
-        self.events = EventLog()
+        served = encoder_switch if encoder_switch is not None else decoder_switch
+        name = getattr(served, "name", None)
+        #: The trace track of this control plane's steps.
+        self._trace = events.EventLog(
+            "controlplane" if name is None else f"controlplane.{name}"
+        )
         digest_engine.subscribe(LEARN_DIGEST, self._on_learn_digest)
         #: Every step and TTL poll of this control plane holds both
         #: switches' lookaheads until it has run: each can end in a write
@@ -293,38 +293,38 @@ class ZipLineControlPlane:
             raise ControlPlaneError("learn digest without a 'basis' field")
         now = self._now()
         self.stats.digests_received += 1
-        self.events.append(DigestReceived(time=now, basis=basis))
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            self._trace.append("controlplane.digest", now, basis=basis)
 
         if self._pool.identifier_for(basis) is not None:
-            self.stats.digests_ignored += 1
-            self.events.append(
-                DigestIgnored(time=now, basis=basis, reason="already mapped")
+            reason = "already mapped"
+        elif basis in self._pending:
+            reason = "install pending"
+        else:
+            self._pending.add(basis)
+            processing = self._timings.jittered(
+                self._timings.processing_latency, self._rng
             )
+            self._after(processing, lambda: self._allocate_and_install(basis))
             return
-        if basis in self._pending:
-            self.stats.digests_ignored += 1
-            self.events.append(
-                DigestIgnored(time=now, basis=basis, reason="install pending")
-            )
-            return
-
-        self._pending.add(basis)
-        processing = self._timings.jittered(self._timings.processing_latency, self._rng)
-        self._after(processing, lambda: self._allocate_and_install(basis))
+        self.stats.digests_ignored += 1
+        if tracer.enabled:
+            self._trace.append("controlplane.ignore", now, basis=basis, reason=reason)
 
     def _allocate_and_install(self, basis: Hashable) -> None:
         """Pick an identifier (recycling if needed) and start the installs."""
         allocation = self._pool.allocate(basis)
-        now = self._now()
         if allocation.recycled:
             self.stats.mappings_recycled += 1
-            self.events.append(
-                MappingEvicted(
-                    time=now,
+            tracer = _obs.TRACER
+            if tracer.enabled:
+                self._trace.append(
+                    "controlplane.evict",
+                    self._now(),
                     identifier=allocation.identifier,
                     basis=allocation.evicted_basis,
                 )
-            )
             self._remove_from_switches(allocation.identifier, allocation.evicted_basis)
 
         self._after_table_write(
@@ -352,9 +352,11 @@ class ZipLineControlPlane:
         """Give up on the in-flight install of ``basis`` under ``identifier``."""
         self._pending.discard(basis)
         self.stats.installs_abandoned += 1
-        self.events.append(
-            MappingEvicted(time=self._now(), identifier=identifier, basis=basis)
-        )
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            self._trace.append(
+                "controlplane.abandon", self._now(), identifier=identifier, basis=basis
+            )
 
     def _install_decoder_side(self, basis: Hashable, identifier: int) -> None:
         """Install the reverse mapping, then schedule the forward mapping.
@@ -370,9 +372,24 @@ class ZipLineControlPlane:
         """
         if self._abandon_if_stale(basis, identifier):
             return
-        now = self._now()
+        if self._decoder_transport is None:
+            # No decoder to write: only the encoder side is installed.
+            self._after_table_write(
+                lambda: self._install_encoder_side(basis, identifier)
+            )
+            return
 
         def proceed() -> None:
+            # The decoder acknowledged the write: its entry is active.
+            tracer = _obs.TRACER
+            if tracer.enabled:
+                self._trace.append(
+                    "controlplane.install",
+                    self._now(),
+                    side="decoder",
+                    identifier=identifier,
+                    basis=basis,
+                )
             self._after_table_write(
                 lambda: self._install_encoder_side(basis, identifier)
             )
@@ -384,23 +401,16 @@ class ZipLineControlPlane:
                 self._pool.release(identifier)
             self._abandon(basis, identifier)
 
-        if self._decoder_transport is not None:
-            self._decoder_transport(
-                {"op": "install_identifier", "identifier": identifier, "basis": basis},
-                on_applied=proceed,
-                on_drop=dropped,
-            )
-        else:
-            proceed()
-        self.events.append(
-            DecoderMappingInstalled(time=now, identifier=identifier, basis=basis)
+        self._decoder_transport(
+            {"op": "install_identifier", "identifier": identifier, "basis": basis},
+            on_applied=proceed,
+            on_drop=dropped,
         )
 
     def _install_encoder_side(self, basis: Hashable, identifier: int) -> None:
         """Install the forward mapping; compression starts after this point."""
         if self._abandon_if_stale(basis, identifier):
             return
-        now = self._now()
         if self._encoder_switch is not None:
             apply_switch_command(
                 self._encoder_switch,
@@ -413,9 +423,15 @@ class ZipLineControlPlane:
             )
         self._pending.discard(basis)
         self.stats.mappings_learned += 1
-        self.events.append(
-            EncoderMappingInstalled(time=now, identifier=identifier, basis=basis)
-        )
+        tracer = _obs.TRACER
+        if tracer.enabled:
+            self._trace.append(
+                "controlplane.install",
+                self._now(),
+                side="encoder",
+                identifier=identifier,
+                basis=basis,
+            )
         if self._entry_ttl is not None:
             self._arm_idle_poll()
 
@@ -455,6 +471,7 @@ class ZipLineControlPlane:
         and poll again one interval later while any entry can still time
         out — so a run ends once its last entries have expired."""
         now = self._now()
+        tracer = _obs.TRACER
         if self._encoder_switch is not None and hasattr(self._encoder_switch, "expired_bases"):
             for basis in self._encoder_switch.expired_bases(now):
                 identifier = self._pool.identifier_for(basis)
@@ -463,9 +480,10 @@ class ZipLineControlPlane:
                 self._pool.release(identifier)
                 self._remove_from_switches(identifier, basis)
                 self.stats.mappings_expired += 1
-                self.events.append(
-                    MappingExpired(time=now, identifier=identifier, basis=basis)
-                )
+                if tracer.enabled:
+                    self._trace.append(
+                        "controlplane.expire", now, identifier=identifier, basis=basis
+                    )
         self._idle_poll_armed = False
         self._next_idle_poll = now + self._timings.idle_poll_interval
         if self._timed_entries_remain():
@@ -528,6 +546,7 @@ class ZipLineControlPlane:
             raise ControlPlaneError(f"eviction count cannot be negative, got {count}")
         evicted = 0
         now = self._now()
+        tracer = _obs.TRACER
         for _ in range(count):
             binding = self._pool.least_recently_used()
             if binding is None:
@@ -536,9 +555,10 @@ class ZipLineControlPlane:
             self._pool.release(identifier)
             self._remove_from_switches(identifier, basis)
             self.stats.storm_evictions += 1
-            self.events.append(
-                MappingEvicted(time=now, identifier=identifier, basis=basis)
-            )
+            if tracer.enabled:
+                self._trace.append(
+                    "controlplane.evict", now, identifier=identifier, basis=basis
+                )
             evicted += 1
         return evicted
 
@@ -548,7 +568,7 @@ class ZipLineControlPlane:
         """Canonical, JSON-serialisable snapshot of the mapping authority.
 
         The pool (the dictionary's own snapshot) and the bases whose
-        installs are in flight.  Event logs, latency state and counters
+        installs are in flight.  Trace instants, latency state and counters
         describe the past, not what a restarted control plane needs.
         """
         return {

@@ -37,7 +37,7 @@ from repro.core.crc import (
     record_tables,
     syndrome_crc,
 )
-from repro.core.polynomials import HammingPolynomial, polynomial_for_order
+from repro.core.polynomials import polynomial_for_order
 from repro.exceptions import CodingError
 
 __all__ = [
@@ -103,22 +103,18 @@ class HammingCode:
     def __init__(self, m: int, polynomial: Optional[int] = None):
         n, k = hamming_parameters_for_order(m)
         if polynomial is None:
-            entry: Optional[HammingPolynomial] = polynomial_for_order(m)
-            polynomial = entry.full_polynomial
-        else:
-            entry = None
-            if polynomial.bit_length() - 1 != m:
-                raise CodingError(
-                    f"polynomial degree {polynomial.bit_length() - 1} does not "
-                    f"match requested order m={m}"
-                )
-            if not polynomial & 1:
-                raise CodingError("generator polynomial must have a non-zero constant term")
+            polynomial = polynomial_for_order(m).full_polynomial
+        elif polynomial.bit_length() - 1 != m:
+            raise CodingError(
+                f"polynomial degree {polynomial.bit_length() - 1} does not "
+                f"match requested order m={m}"
+            )
+        elif not polynomial & 1:
+            raise CodingError("generator polynomial must have a non-zero constant term")
         self._m = m
         self._n = n
         self._k = k
         self._full_polynomial = polynomial
-        self._table_entry = entry
         parameter = polynomial ^ (1 << m)  # leading term stripped (Table 1)
         self._crc = syndrome_crc(parameter, m)
         self._syndrome_table = self._build_syndrome_table()

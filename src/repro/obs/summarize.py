@@ -4,7 +4,8 @@ Given a trace (JSON-lines or Chrome export, via
 :func:`repro.obs.sinks.read_events`), aggregate the complete spans by
 stage name and report count, mean, p50 and p99 duration plus the top-k
 slowest chunks — the quickest way to answer "where did this chunk's
-latency come from" without opening Perfetto.
+latency come from" without opening Perfetto — and count the instants by
+name (drops, arrivals, the control plane's steps).
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ def summarize_events(
     """Aggregate span statistics per stage.
 
     Returns a dict with ``stages`` (one entry per span name, sorted by
-    total duration descending) and overall ``events``/``spans`` counts.
+    total duration descending), ``instants`` (name → count, by name) and
+    overall ``events``/``spans`` counts.
     Each stage entry carries ``count``, ``total_s``, ``mean_s``,
     ``p50_s``, ``p99_s``, ``max_s`` and ``slowest`` — the ``top`` longest
     spans with their track and, when present, ``flow``/``chunk`` identity.
     """
     stages: Dict[str, List[Mapping[str, Any]]] = {}
+    instants: Dict[str, int] = {}
     span_count = 0
     for event in events:
+        if event.get("ph") == "i":
+            name = str(event.get("name", "instant"))
+            instants[name] = instants.get(name, 0) + 1
         if event.get("ph") != "X":
             continue
         span_count += 1
@@ -71,7 +77,12 @@ def summarize_events(
             }
         )
     stage_rows.sort(key=lambda row: (-row["total_s"], row["stage"]))
-    return {"events": len(events), "spans": span_count, "stages": stage_rows}
+    return {
+        "events": len(events),
+        "spans": span_count,
+        "stages": stage_rows,
+        "instants": dict(sorted(instants.items())),
+    }
 
 
 def _fmt_seconds(value: float) -> str:
@@ -89,6 +100,12 @@ def format_summary(summary: Mapping[str, Any]) -> str:
         f"{summary['events']} events, {summary['spans']} spans, "
         f"{len(summary['stages'])} stages"
     )
+    if summary["instants"]:
+        width = max(len("instant"), *map(len, summary["instants"]))
+        lines.append(f"{'instant':<{width}} {'count':>8}")
+        lines.extend(
+            f"{name:<{width}} {count:>8}" for name, count in summary["instants"].items()
+        )
     if not summary["stages"]:
         lines.append("(no spans — was the trace recorded with tracing enabled?)")
         return "\n".join(lines)

@@ -269,23 +269,23 @@ class DnsQueryWorkload:
                 qtype=_QTYPE_AAAA if is_aaaa else _QTYPE_A,
             )
 
-    def bases(self, order: int = DNS_CHUNK_ORDER) -> List[int]:
+    def bases(self) -> List[int]:
         """Distinct bases of the query chunks, in first-appearance order.
 
         The order the control plane's identifier pool would assign them in
         — the contract static-table preloading relies on.  (The synthetic
         workload precomputes its bases; DNS chunks are derived, so the
-        bases are recovered by splitting each chunk.)
+        bases are recovered by splitting each chunk at
+        :data:`DNS_CHUNK_ORDER`, the one order whose chunks are 32 bytes.)
         """
         from repro.core.transform import GDTransform
 
-        transform = GDTransform(order=order)
+        split = GDTransform(order=DNS_CHUNK_ORDER).split
         seen: dict = {}
         # The first chunk carrying a basis is also the first distinct one
         # carrying it, so splitting each distinct chunk once keeps the order.
         for chunk in dict.fromkeys(self.iter_chunks()):
-            if len(chunk) == transform.chunk_bytes:
-                seen.setdefault(transform.split(chunk).basis, None)
+            seen.setdefault(split(chunk).basis, None)
         return list(seen)
 
     def iter_chunks(self, num_queries: Optional[int] = None) -> Iterator[bytes]:

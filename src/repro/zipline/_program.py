@@ -269,6 +269,11 @@ class ZipLineSwitchBase:
     # -- convenience -----------------------------------------------------------------
 
     @property
+    def name(self) -> str:
+        """The switch's name (its chassis's)."""
+        return self.switch.name
+
+    @property
     def transform(self) -> GDTransform:
         """The GD transform the program was built with."""
         return self._transform

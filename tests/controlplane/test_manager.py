@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.controlplane import events
-from repro.controlplane.events import (
-    DecoderMappingInstalled,
-    DigestIgnored,
-    EncoderMappingInstalled,
-    MappingEvicted,
-)
+from repro import obs
 from repro.controlplane.manager import (
     LEARN_DIGEST,
     ControlPlaneTimings,
@@ -16,8 +10,31 @@ from repro.controlplane.manager import (
     apply_switch_command,
 )
 from repro.exceptions import ControlPlaneError
+from repro.obs import EventCollector
 from repro.sim import Simulator
 from repro.tofino.digest import DigestEngine
+
+
+@pytest.fixture()
+def steps():
+    """Record trace events while a test runs; yields a reader of the
+    ``controlplane.*`` instants, filtered by name and by ``args`` values."""
+    before = obs.TRACER
+    tracer = obs.enable(EventCollector())
+
+    def read(name=None, **args):
+        return [
+            event
+            for event in tracer.sink.events
+            if event["name"].startswith("controlplane.")
+            and name in (None, event["name"])
+            and all(event["args"].get(key) == value for key, value in args.items())
+        ]
+
+    try:
+        yield read
+    finally:
+        obs.TRACER = before
 
 
 class FakeEncoderSwitch:
@@ -77,17 +94,19 @@ class TestLearning:
         assert decoder.mappings == {0: 0xAB}
         assert manager.stats.mappings_learned == 1
 
-    def test_decoder_mapping_installed_before_encoder_mapping(self):
+    def test_decoder_mapping_installed_before_encoder_mapping(self, steps):
         simulator = Simulator()
         engine, encoder, decoder, manager = build(simulator=simulator)
         engine.emit(LEARN_DIGEST, {"basis": 7})
         simulator.run()
-        decoder_event = manager.events.of_type(DecoderMappingInstalled)[-1]
-        encoder_event = manager.events.of_type(EncoderMappingInstalled)[-1]
-        assert decoder_event is not None and encoder_event is not None
-        assert decoder_event.time < encoder_event.time
+        (decoder_event,) = steps("controlplane.install", side="decoder")
+        (encoder_event,) = steps("controlplane.install", side="encoder")
+        assert decoder_event["args"] == {"side": "decoder", "identifier": 0, "basis": 7}
+        assert encoder_event["args"] == {"side": "encoder", "identifier": 0, "basis": 7}
+        assert decoder_event["ts"] < encoder_event["ts"]
+        assert decoder_event["seq"] < encoder_event["seq"]
 
-    def test_learning_latency_matches_paper(self):
+    def test_learning_latency_matches_paper(self, steps):
         # digest (0.9 ms) + processing (0.27 ms) + 2 table writes (0.3 ms
         # each) = 1.77 ms end to end, the paper's measured value.
         simulator = Simulator()
@@ -95,10 +114,12 @@ class TestLearning:
         engine, encoder, decoder, manager = build(simulator=simulator, timings=timings)
         engine.emit(LEARN_DIGEST, {"basis": 7})
         simulator.run()
-        event = manager.events.of_type(EncoderMappingInstalled)[-1]
-        assert event.time == pytest.approx(1.77e-3, rel=1e-6)
+        (event,) = steps("controlplane.install", side="encoder")
+        assert event["ts"] == pytest.approx(1.77e-3, rel=1e-6)
+        (digest,) = steps("controlplane.digest")
+        assert digest["ts"] == pytest.approx(0.9e-3, rel=1e-6)
 
-    def test_duplicate_digests_are_ignored(self):
+    def test_duplicate_digests_are_ignored(self, steps):
         simulator = Simulator()
         engine, encoder, decoder, manager = build(simulator=simulator)
         engine.emit(LEARN_DIGEST, {"basis": 7})
@@ -108,8 +129,13 @@ class TestLearning:
         simulator.run()
         assert manager.stats.mappings_learned == 1
         assert manager.stats.digests_ignored == 2
-        reasons = {event.reason for event in manager.events.of_type(DigestIgnored)}
-        assert reasons == {"install pending", "already mapped"}
+        ignored = steps("controlplane.ignore")
+        assert [event["args"]["reason"] for event in ignored] == [
+            "install pending",
+            "already mapped",
+        ]
+        assert all(event["args"]["basis"] == 7 for event in ignored)
+        assert len(steps("controlplane.digest")) == 3
 
     def test_missing_basis_field_rejected(self):
         engine, encoder, decoder, manager = build(simulator=None)
@@ -122,7 +148,7 @@ class TestLearning:
 
 
 class TestRecycling:
-    def test_lru_recycling_removes_mappings_from_both_switches(self):
+    def test_lru_recycling_removes_mappings_from_both_switches(self, steps):
         engine, encoder, decoder, manager = build(simulator=None, identifier_bits=1)
         engine.emit(LEARN_DIGEST, {"basis": 1})
         engine.emit(LEARN_DIGEST, {"basis": 2})
@@ -131,10 +157,11 @@ class TestRecycling:
         assert 1 not in encoder.mappings  # basis 1 was the LRU binding
         assert len(encoder.mappings) == 2
         assert len(decoder.mappings) == 2
-        evicted = manager.events.of_type(MappingEvicted)
-        assert evicted and evicted[0].basis == 1
+        (evicted,) = steps("controlplane.evict")
+        assert evicted["args"] == {"identifier": 0, "basis": 1}
+        assert steps("controlplane.abandon") == []
 
-    def test_idle_timeout_sweep_releases_mappings(self):
+    def test_idle_timeout_sweep_releases_mappings(self, steps):
         simulator = Simulator()
         timings = ControlPlaneTimings(idle_poll_interval=10e-3, jitter_fraction=0.0)
         engine, encoder, decoder, manager = build(
@@ -148,6 +175,9 @@ class TestRecycling:
         assert manager.stats.mappings_expired >= 1
         assert 5 not in encoder.mappings
         assert manager.pool.identifier_for(5) is None
+        (expired,) = steps("controlplane.expire")
+        assert expired["args"] == {"identifier": 0, "basis": 5}
+        assert expired["ts"] == pytest.approx(10e-3)
 
 
 class TestStaticPreload:
@@ -216,10 +246,15 @@ class TestOneDispatcher:
                     offset * 1e-3, lambda b=basis: engine.emit(LEARN_DIGEST, {"basis": b})
                 )
             simulator.schedule_at(4.5e-3, lambda: manager.force_evict(2))
-            simulator.run()
-            manager.resync_decoder()
+            before = obs.TRACER
+            tracer = obs.enable(EventCollector())
+            try:
+                simulator.run()
+                manager.resync_decoder()
+            finally:
+                obs.TRACER = before
             return (
-                list(manager.events),
+                tracer.sink.events,
                 manager.snapshot_state(),
                 manager.stats.as_dict(),
                 encoder.mappings,
@@ -229,6 +264,10 @@ class TestOneDispatcher:
         direct, transported = drive(False), drive(True)
         assert direct == transported
         assert direct[2]["mappings_recycled"] > 0 and direct[2]["storm_evictions"] == 2
+        names = {
+            event["name"] for event in direct[0] if event["name"].startswith("controlplane.")
+        }
+        assert names == {"controlplane.digest", "controlplane.evict", "controlplane.install"}
 
     def test_a_decoder_reached_only_through_a_transport_gets_every_command(self):
         sent = []
@@ -257,19 +296,63 @@ class TestOneDispatcher:
             apply_switch_command(FakeDecoderSwitch(), {"op": "reboot"})
 
 
-class TestEventLogIsBounded:
-    def test_keeps_the_most_recent_events_and_counts_the_rest(self, monkeypatch):
-        monkeypatch.setattr(events, "MAX_EVENTS", 4)
-        log = events.EventLog()
-        for time in range(10):
-            log.append(events.DigestReceived(time=float(time), basis=time))
-        assert (len(log), log.dropped) == (4, 6)
-        assert [event.basis for event in log] == [6, 7, 8, 9]
-        assert log.of_type(events.DigestReceived)[-1].basis == 9
+class TestTraceTrack:
+    def test_the_track_is_named_after_the_switch_served(self, steps):
+        class Named(FakeDecoderSwitch, FakeEncoderSwitch):
+            def __init__(self, name):
+                FakeDecoderSwitch.__init__(self)
+                FakeEncoderSwitch.__init__(self)
+                self.name = name
 
-    def test_the_constant_is_far_above_what_tests_and_examples_read(self):
-        engine, _encoder, _decoder, manager = build(simulator=None, identifier_bits=3)
-        for basis in range(200):
-            engine.emit(LEARN_DIGEST, {"basis": basis % 20})
-        assert manager.events.dropped == 0
-        assert 200 < len(manager.events) < events.MAX_EVENTS // 16
+        tracks = []
+        for encoder, decoder in [
+            (Named("enc"), Named("dec")),
+            (None, Named("dec")),
+            (FakeEncoderSwitch(), FakeDecoderSwitch()),
+        ]:
+            engine = DigestEngine(None)
+            ZipLineControlPlane(engine, encoder_switch=encoder, decoder_switch=decoder)
+            engine.emit(LEARN_DIGEST, {"basis": len(tracks)})
+            tracks.append({event["track"] for event in steps(basis=len(tracks))})
+        assert tracks == [
+            {"controlplane.enc"}, {"controlplane.dec"}, {"controlplane"}
+        ]
+
+    def test_an_install_dropped_on_the_way_is_abandoned_not_evicted(self, steps):
+        engine = DigestEngine(None)
+
+        def lossy(command, on_applied=None, on_drop=None):
+            on_drop()
+
+        manager = ZipLineControlPlane(
+            engine, encoder_switch=FakeEncoderSwitch(), decoder_transport=lossy
+        )
+        engine.emit(LEARN_DIGEST, {"basis": 9})
+        assert manager.stats.installs_abandoned == 1
+        assert [event["name"] for event in steps()] == [
+            "controlplane.digest",
+            "controlplane.abandon",
+        ]
+        assert steps("controlplane.abandon")[0]["args"] == {"identifier": 0, "basis": 9}
+
+    def test_tracing_off_records_nothing_and_learns_the_same(self):
+        def learn():
+            engine, encoder, decoder, manager = build(simulator=None, identifier_bits=1)
+            for basis in (1, 2, 3, 1):
+                engine.emit(LEARN_DIGEST, {"basis": basis})
+            return manager.stats.as_dict(), encoder.mappings, decoder.mappings
+
+        assert not obs.TRACER.enabled
+        untraced = learn()
+        before = obs.TRACER
+        tracer = obs.enable(EventCollector())
+        try:
+            traced = learn()
+        finally:
+            obs.TRACER = before
+        assert traced == untraced
+        # Four digests, two recycles, and each binding installed on both sides.
+        assert [event["name"] for event in tracer.sink.events].count(
+            "controlplane.install"
+        ) == 8
+        assert len(tracer.sink.events) == 4 + 2 + 8

@@ -49,11 +49,23 @@ class TestSummarizeEvents:
         assert slowest[0]["flow"] == "flow0"
         assert slowest[0]["chunk"] == 4
 
+    def test_instants_are_counted_by_name(self):
+        events = _events_with_spans()
+        tracer = Tracer(EventCollector())
+        tracer.instant("controlplane.digest", track="controlplane.encoder")
+        tracer.instant("controlplane.digest", track="controlplane.encoder")
+        events += tracer.sink.events
+        assert summarize_events(events)["instants"] == {
+            "controlplane.digest": 2,
+            "link.drop": 1,
+        }
+
     def test_empty_input(self):
         summary = summarize_events([])
         assert summary["events"] == 0
         assert summary["spans"] == 0
         assert summary["stages"] == []
+        assert summary["instants"] == {}
 
 
 class TestFormatSummary:
@@ -65,6 +77,7 @@ class TestFormatSummary:
             assert column in text
         assert "slowest encode:" in text
         assert "flow=flow0" in text
+        assert "link.drop" in text.splitlines()[2]
 
     def test_renders_empty_summary(self):
         assert "0 events" in format_summary(summarize_events([]))

@@ -95,6 +95,10 @@ def _tree(tmp_path, **extra):
 CALLS = "Widget().spin()\nA()\nf(0)\n"
 
 
+#: A planted class, completed by each write-only-attribute case.
+COUNTER = '"""A planted counter."""\n\n\nclass Counter:\n'
+
+
 def _findings(root):
     return [problem.split(": ", 1)[1] for problem in unreferenced.violations(root)]
 
@@ -268,6 +272,41 @@ class TestUnreferenced:
         assert unreferenced.violations(root) == [
             "src/repro/other.py:3: repro.other imports json but never uses it"
         ]
+
+    @pytest.mark.parametrize(
+        "code, line",
+        [
+            ("    def __init__(self):\n        self.hits = 0\n", 6),
+            ("    hits = 0\n\n    def bump(self):\n        self.hits += 1\n", 8),
+        ],
+        ids=["assigned", "augmented"],
+    )
+    def test_an_attribute_nothing_reads_fails(self, tree, code, line):
+        root = tree(**{
+            "src/repro/counter.py": COUNTER + code,
+            "scripts/call.py": CALLS + "Counter().bump()\n",
+        })
+        assert unreferenced.violations(root) == [
+            f"src/repro/counter.py:{line}: repro.counter.Counter.hits is assigned "
+            "but never read, tests included — delete it or read it"
+        ]
+
+    @pytest.mark.parametrize(
+        "where, code",
+        [
+            ("examples/show.py", "print(Counter().hits)\n"),
+            ("scripts/tool.py", "def hits(counter):\n    return getattr(counter, 'hits')\n"),
+            ("tests/test_counter.py", "def test_hits():\n    assert Counter().hits == 0\n"),
+        ],
+        ids=["attribute", "getattr-string", "test"],
+    )
+    def test_an_attribute_read_anywhere_passes(self, tree, where, code):
+        root = tree(**{
+            "src/repro/counter.py": COUNTER + "    def __init__(self):\n        self.hits = 0\n",
+            "scripts/call.py": CALLS + "Counter()\n",
+            where: code,
+        })
+        assert _findings(root) == []
 
     def test_each_allow_list_entry_gives_its_reason(self):
         assert len(unreferenced.ALLOWED) <= 2

@@ -311,3 +311,65 @@ class TestRateLimiting:
         assert outcomes == ["dropped"]
         assert switch.calls == []
         assert channel.counters()["dropped"] == 1
+
+
+class TestControlPlaneTrack:
+    def test_each_step_instant_counts_what_its_counter_counts(self):
+        """A traced thrashing fan-in over a lossy in-network control link:
+        each ``controlplane.*`` instant count equals its counter."""
+        from collections import Counter
+
+        from repro import obs
+        from repro.obs import EventCollector
+        from repro.topology import (
+            FaultPlan,
+            TopologyEngine,
+            fan_in_topology,
+            validate_spec_faults,
+        )
+
+        spec = fan_in_topology(
+            senders=2, workload="thrash", chunks=400, bases=10, packet_rate=1e5,
+            identifier_bits=3, control="in-network", seed=2020,
+        )
+        spec.faults = FaultPlan(control_loss=0.1)
+        validate_spec_faults(spec)
+        before = obs.TRACER
+        tracer = obs.enable(EventCollector())
+        try:
+            engine = TopologyEngine(spec)
+            engine.run()
+        finally:
+            obs.TRACER = before
+        steps = [
+            event for event in tracer.sink.events
+            if event["name"].startswith("controlplane.")
+        ]
+        assert {event["track"] for event in steps} == {"controlplane.encoder"}
+        counts = Counter(
+            (event["name"], event["args"].get("side")) for event in steps
+        )
+        stats = engine.control_planes["encoder"].stats
+        observed = {
+            "digests_received": counts["controlplane.digest", None],
+            "digests_ignored": counts["controlplane.ignore", None],
+            "mappings_learned": counts["controlplane.install", "encoder"],
+            "mappings_recycled": counts["controlplane.evict", None],
+            "installs_abandoned": counts["controlplane.abandon", None],
+        }
+        assert observed == {name: getattr(stats, name) for name in observed}
+        assert all(observed.values()), observed
+        # Every encoder install follows its decoder's acknowledged write,
+        # recorded when the command is applied on the decoder.
+        assert counts["controlplane.install", "decoder"] >= stats.mappings_learned
+        applied = {
+            (event["args"]["identifier"], event["ts"])
+            for event in tracer.sink.events
+            if event["name"] == "control.apply"
+            and event["args"]["op"] == "install_identifier"
+        }
+        assert all(
+            (event["args"]["identifier"], event["ts"]) in applied
+            for event in steps
+            if event["args"].get("side") == "decoder"
+        )

@@ -234,7 +234,4 @@ def test_the_workload_choice_has_one_map():
         workload, bases = factory(**arguments)
         assert type(workload) is type(direct[name])
         assert list(workload.iter_chunks()) == list(direct[name].iter_chunks())
-        expected = (
-            direct[name].bases(order=8) if name == "dns" else direct[name].bases()
-        )
-        assert list(bases()) == list(expected)
+        assert list(bases()) == list(direct[name].bases())

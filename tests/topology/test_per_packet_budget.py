@@ -153,6 +153,15 @@ frame's serialisation no longer holds the next hop (the DNS chain's
 its delivery plus the least processing step.  The quick DNS chain's
 ``Simulator.step`` calls fell from 2.113 to 1.990 per chunk; at full
 size, 0.997 → 0.513, and the thrash fan-in's 1.050 → 0.875.
+
+33.872 and 53.370 calls (2,256.6 and 3,177.2 bytecodes) once the control
+plane stopped keeping an event log that nothing read: each learn digest,
+ignore, eviction and install used to build a frozen dataclass and append
+it to a 65,536-entry deque (two calls each); it is now a
+``controlplane.*`` trace instant behind ``tracer.enabled``, so an
+untraced run pays one attribute load and one test per step.  The static
+rack does not move (4.659 / 4.545 calls, 1,076.5 / 1,024.0 bytecodes): a
+static preload records no step.
 """
 
 import gc
@@ -190,8 +199,9 @@ MAX_BYTECODES_PER_CHUNK = {
 }
 
 #: The same for the two learning shapes of the benchmark (exact), at
-#: their isolated counts (36.6765 and 55.3845).
-MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 36.69, "dns-lossy-multihop": 55.40}
+#: their isolated counts (33.8715 and 53.3695; 36.6765 and 55.3845 while
+#: the control plane kept an event log).
+MAX_LEARNING_CALLS_PER_CHUNK = {"fanin-thrash-learn": 33.88, "dns-lossy-multihop": 53.38}
 
 #: ``Simulator.step`` calls per chunk the DNS chain may spend at its quick
 #: size: its injections run in trains between the deliveries that keep an

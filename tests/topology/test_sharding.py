@@ -632,28 +632,6 @@ class TestStreamingMemoryBounds:
         latency = report.metrics.distributions()["endtoend.latency"]
         assert latency.bounded and not hasattr(latency, "_samples")
 
-    def test_the_control_plane_event_log_does_not_grow_with_traffic(self, monkeypatch):
-        # A thrashing trace logs ~0.7 control-plane events per chunk and no
-        # report reads them: the log keeps the newest and counts the rest.
-        from repro.controlplane import events
-
-        def run():
-            spec = fan_in_topology(
-                senders=2, workload="thrash", chunks=400, bases=10,
-                packet_rate=1e5, identifier_bits=3, control="in-network",
-            )
-            engine = TopologyEngine(spec, metrics_mode="streaming")
-            return engine.run().json_text(), engine.control_planes["encoder"].events
-
-        unbounded_report, unbounded = run()
-        assert unbounded.dropped == 0 and len(unbounded) > 300
-        monkeypatch.setattr(events, "MAX_EVENTS", 50)
-        bounded_report, bounded = run()
-        assert len(bounded) == 50
-        assert len(bounded) + bounded.dropped == len(unbounded)
-        assert list(bounded) == list(unbounded)[-50:]
-        assert bounded_report == unbounded_report
-
     def test_an_exact_run_keeps_samples_not_frames(self):
         # Exact mode keeps one packed double per latency and per queueing
         # delay (four a chunk over three hops) and no frame: what a

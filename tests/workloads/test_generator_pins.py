@@ -83,7 +83,7 @@ def test_first_chunks_are_pinned(name, seed):
 
 DNS_CASES = sorted(name for name in GENERATORS if name.startswith("dns"))
 
-#: ``repr`` of ``bases(order=8)``: the static scenario's preload order.
+#: ``repr`` of ``bases()``: the static scenario's preload order.
 BASES_PINS = {
     ("dns", 2020): "1eaf655bd8528d880df790b16248b23d",
     ("dns-20k-names", 2020): "1d1f20ca8dd0f346752524bff0e62f1e",
@@ -102,7 +102,7 @@ PACKETS_PINS = {
 
 @pytest.mark.parametrize("name,seed", sorted(BASES_PINS))
 def test_dns_bases_are_pinned(name, seed):
-    bases = GENERATORS[name](seed).bases(order=8)
+    bases = GENERATORS[name](seed).bases()
     assert hashlib.md5(repr(bases).encode()).hexdigest() == BASES_PINS[(name, seed)]
 
 
