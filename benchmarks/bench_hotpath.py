@@ -279,6 +279,8 @@ def test_hotpath_trajectory():
     backend_results = {}
     pure_bases = [basis for _, basis, _ in fast_fields]
     pure_parities = list(fast_transform.code.parities_of_bases(pure_bases))
+    # The batch join reads the basis rows back to back (BatchSplit).
+    pure_rows = b"".join(basis.to_bytes(31, "big") for basis in pure_bases)
     # Whole-buffer batch CRC reference: the switch fast path's chunk CRC
     # (plain remainder over one chunk width), pure fold.
     crc_record_bits = 8 * chunk_bytes
@@ -323,7 +325,7 @@ def test_hotpath_trajectory():
             )
         )
         assert parities == pure_parities, f"backend {name!r} parities diverged"
-        joined = transform.join_batch_to_bytes(prefixes, pure_bases, deviations)
+        joined = transform.join_batch_to_bytes(prefixes, pure_rows, deviations)
         assert joined == data, f"backend {name!r} batch join is not bit-identical"
 
         fields_seconds = _best_seconds(lambda: transform.split_batch_fields(data))
@@ -336,7 +338,7 @@ def test_hotpath_trajectory():
             )
         )
         join_seconds = _best_seconds(
-            lambda: transform.join_batch_to_bytes(prefixes, pure_bases, deviations)
+            lambda: transform.join_batch_to_bytes(prefixes, pure_rows, deviations)
         )
 
         # batch CRC: one whole-buffer call, bit-identical to the pure fold.

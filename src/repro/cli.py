@@ -10,21 +10,16 @@ Exposes the pieces a user reaches for most often without writing Python:
 * ``generate-trace`` — write a synthetic-sensor or DNS chunk trace as a pcap
   file ready to replay;
 * ``replay`` — run a pcap trace through an emulated ZipLine topology
-  (encoder → link(s) → decoder, with optional loss/reordering/queueing)
-  and report compression ratio, latency percentiles and per-component
-  counters; see :mod:`repro.replay`;
-* ``topology`` — run an arbitrary topology graph (declarative JSON spec or
-  a named preset such as the K-sender ``fan-in``) with N concurrent flows
-  and per-flow reporting; see :mod:`repro.topology` and
-  ``docs/topology.md``;
-* ``experiment`` — expand a declarative scenario-matrix spec (JSON/TOML)
-  into a cross-product of replay runs, execute them — optionally sharded
-  across worker processes — and fold the reports into one aggregate table
-  with per-axis group-bys and CSV/JSON export; see :mod:`repro.experiments`
-  and ``docs/experiments.md``;
-* ``trace`` — summarize the trace files the run commands record via their
-  shared ``--trace-out`` / ``--events-out`` / ``--snapshot-interval``
-  observability flags; see ``docs/observability.md``;
+  (encoder → lossy, reordering link(s) → decoder) and report ratio,
+  latency percentiles and counters; see :mod:`repro.replay`;
+* ``topology`` — run a topology graph (JSON spec or a named preset such as
+  the K-sender ``fan-in``) with per-flow reporting; see
+  :mod:`repro.topology` and ``docs/topology.md``;
+* ``experiment`` — run a scenario-matrix spec (JSON/TOML) as replay runs,
+  optionally sharded over worker processes, into one aggregate table; see
+  :mod:`repro.experiments` and ``docs/experiments.md``;
+* ``trace`` — summarize the files the run commands' ``--trace-out`` /
+  ``--events-out`` flags record; see ``docs/observability.md``;
 * ``bench`` — run any of the ``benchmarks/bench_*.py`` files in the CI's
   smoke mode (or ``--full``), or ``--profile`` the :data:`PROFILE_STAGES`
   with cProfile; see ``docs/performance.md``;
@@ -1136,6 +1131,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): that ends the output, not the
+        # command.  Stdout now writes to devnull, so the exit's flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ReproError, OSError) as error:
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 1

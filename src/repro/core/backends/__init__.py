@@ -82,6 +82,9 @@ class BatchSplit:
     that only need one column (deviation histograms, basis dedup scans)
     never pay for the rest.
 
+    A basis is its *row* (``ceil(k / 8)`` big-endian bytes, the dictionary's
+    key) from the split to the join; only :meth:`columns` makes it an ``int``.
+
     Instances compare equal when their materialised fields are equal,
     regardless of which backend produced them — the equality the property
     suite asserts across backends.
@@ -93,23 +96,15 @@ class BatchSplit:
         self,
         count: int,
         backend: str,
-        columns: Callable[[], Tuple[Sequence[int], List[int], Sequence[int]]],
+        columns: Callable[[], Tuple[Sequence[int], List[bytes], Sequence[int]]],
         fields: Optional[List[Tuple[int, int, int]]] = None,
     ):
         self.count = count
         self.backend = backend
         self._fields = fields
         self._columns = columns
-        self._native: Optional[Tuple[Sequence[int], List[int], Sequence[int]]] = None
+        self._native: Optional[Tuple[Sequence[int], List[bytes], Sequence[int]]] = None
         self._cols: Optional[Tuple[List[int], List[int], List[int]]] = None
-
-    @classmethod
-    def from_fields(
-        cls, fields: List[Tuple[int, int, int]], backend: str
-    ) -> "BatchSplit":
-        """Wrap an eagerly computed field list (the pure representation)."""
-        columns = lambda: tuple(map(list, zip(*fields))) or ([], [], [])  # noqa: E731
-        return cls(len(fields), backend, columns, fields)
 
     def fields(self) -> List[Tuple[int, int, int]]:
         """The split as ``(prefix, basis, deviation)`` tuples (cached)."""
@@ -117,10 +112,10 @@ class BatchSplit:
             self._fields = list(zip(*self.columns()))
         return self._fields
 
-    def native(self) -> Tuple[Sequence[int], List[int], Sequence[int]]:
+    def native(self) -> Tuple[Sequence[int], List[bytes], Sequence[int]]:
         """The columns as the producing backend's kernels exchange them: the
-        basis column always a ``list`` of ``int`` (the dictionary reads it
-        key by key), the other two lists from ``pure`` and ndarrays from
+        basis column always a ``list`` of rows (the dictionary reads it key
+        by key), the other two lists from ``pure`` and ndarrays from
         ``numpy`` — those go nowhere but back to a kernel of
         :attr:`backend`; everyone else reads :meth:`columns`."""
         if self._native is None:
@@ -132,14 +127,18 @@ class BatchSplit:
         """The split as three parallel lists of plain ``int`` (cached),
         without the per-chunk tuple zip of :meth:`fields`."""
         if self._cols is None:
-            prefixes, bases, deviations = self.native()
-            if not isinstance(deviations, list):
-                prefixes, deviations = prefixes.tolist(), deviations.tolist()
-            self._cols = (prefixes, bases, deviations)
+            if self._fields is not None:
+                self._cols = tuple(map(list, zip(*self._fields))) or ([], [], [])
+            else:
+                prefixes, rows, deviations = self.native()
+                if not isinstance(deviations, list):
+                    prefixes, deviations = prefixes.tolist(), deviations.tolist()
+                bases = [int.from_bytes(row, "big") for row in rows]
+                self._cols = (prefixes, bases, deviations)
         return self._cols
 
-    def bases(self) -> List[int]:
-        """The basis column (deduplication units)."""
+    def bases(self) -> List[bytes]:
+        """The basis rows (deduplication units, the dictionary's keys)."""
         return self.native()[1]
 
     def __len__(self) -> int:
@@ -233,10 +232,11 @@ class CodecBackend:
         self,
         transform,
         prefixes: Sequence[int],
-        bases: Sequence[int],
+        bases: bytes,
         deviations: Sequence[int],
     ) -> bytes:
-        """Rebuild and serialise every chunk of a resolved batch."""
+        """Rebuild and serialise every chunk of a resolved batch; ``bases``
+        holds the basis rows back to back."""
         raise NotImplementedError
 
     def crc_batch(self, engine, data, record_bits: int) -> List[int]:
@@ -250,7 +250,8 @@ class CodecBackend:
     #: oracle, same signatures).  ``pack_records`` receives the columns of
     #: a batch this backend split (:meth:`BatchSplit.native`), for a layout
     #: inside its :meth:`supports_records` envelope only;
-    #: ``parse_records`` always returns ``keys`` as a list of ``int`` and
+    #: ``parse_records`` always returns ``keys`` as a list (an ``int``
+    #: identifier per type-3 record, a basis row per type-2 record) and
     #: may return the prefix and deviation columns in its own
     #: representation only for a batch whose join it also serves.
     pack_records = staticmethod(wire.pack_records)

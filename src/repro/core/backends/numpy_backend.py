@@ -21,13 +21,16 @@ input buffer:
    are flipped back with a single fancy-indexed XOR scatter.
 3. **Bases** — the corrected codeword rows are shifted right by ``m``
    with two vectorized byte-shifts (or a column drop for ``m == 8``) and
-   sliced to the ``ceil(k / 8)`` basis bytes.
+   sliced to the ``ceil(k / 8)`` basis bytes; one ``tolist`` of their
+   fixed-width void view cuts them into the ``bytes`` rows the dictionary
+   keys on.
 4. **Prefixes** — read from the (at most three) leading bytes with
    ``uint32`` arithmetic.
 
-The decode direction reverses the pipeline: bulk parity recovery through
-the same fold tables, parity OR-in, deviation scatter, vectorized prefix
-embedding, one ``tobytes``.
+The decode direction reverses the pipeline: the resolved basis rows,
+joined, shifted left by ``m`` as a byte matrix, bulk parity recovery
+through the same fold tables, parity OR-in, deviation scatter,
+vectorized prefix embedding, one ``tobytes``.
 
 Eligibility mirrors the pure lane path: orders up to 8 (the syndrome must
 fit one byte lane) and prefixes of at most ~3 leading bytes.  Anything
@@ -43,7 +46,6 @@ import error preserved, when numpy is missing.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend, batch_backend
@@ -164,7 +166,7 @@ class _SplitState:
         self.head_shift = 8 * self.head_bytes - head_span
 
     def split(self, np, transform, data):
-        """The vectorized split: buffer → (prefixes, deviations, basis buf)."""
+        """The vectorized split: buffer → (prefixes, deviations, basis rows)."""
         length = self.chunk_bytes
         total = len(data)
         if total % length:
@@ -202,54 +204,35 @@ class _SplitState:
             if length > 1:
                 shifted[:, 1:] |= rows[:, :-1] << (8 - self.m)
             basis_rows = shifted[:, length - basis_bytes :]
-        return prefixes, deviations, basis_rows.tobytes()
+        return prefixes, deviations, np.ascontiguousarray(basis_rows)
 
 
 class _ParityState:
     """Per-code constants for bulk parity recovery (decode direction)."""
 
-    __slots__ = ("parity_bytes", "fold")
+    __slots__ = ("m", "parity_bytes", "fold")
 
     def __init__(self, np, code):
+        self.m = code.m
         self.parity_bytes = (code.n + 7) // 8
         self.fold = _gather_tables(
             np, record_tables(code.crc_parameter, code.m, self.parity_bytes), code.m
         )
 
-    def rows(self, np, m: int, bases: Sequence[int]):
-        """``basis * x**m`` of every basis as ``(count, parity_bytes)`` rows.
-
-        Real traces repeat a small working set of bases, so an int-keyed
-        dict collapses most serialisations to one probe.
-        """
-        parity_bytes = self.parity_bytes
-        cache: Dict[int, bytes] = {}
-        get = cache.get
-        pieces: List[bytes] = []
-        append = pieces.append
-        for basis in bases:
-            piece = get(basis)
-            if piece is None:
-                piece = cache[basis] = (basis << m).to_bytes(parity_bytes, "big")
-            append(piece)
-        return np.frombuffer(b"".join(pieces), dtype=np.uint8).reshape(
-            len(bases), parity_bytes
-        )
-
-
-def _materialize_bases(basis_buffer: bytes, basis_bytes: int) -> List[int]:
-    """Basis byte rows → basis integers.
-
-    One ``int.from_bytes`` per row, the rows cut by ``struct.iter_unpack``.
-    Converting ``k`` bits costs less than hashing them: collapsing repeated
-    rows through a dict first measured slower even on a trace of 64 bases
-    (docs/performance.md, "tried, not taken").
-    """
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(row, "big")
-        for (row,) in struct.iter_unpack(f"{basis_bytes}s", basis_buffer)
-    ]
+    def shifted(self, np, bases: bytes, count: int):
+        """``basis * x**m`` of ``count`` basis rows, given back to back, as
+        ``(count, parity_bytes)`` rows: a byte-column offset and one
+        vectorized bit shift with carry, the split's basis cut reversed."""
+        rows = np.frombuffer(bases, dtype=np.uint8).reshape(count, -1)
+        width = self.parity_bytes
+        whole, bits = divmod(self.m, 8)
+        wide = np.zeros((count, width), dtype=np.uint8)
+        wide[:, width - whole - rows.shape[1] : width - whole] = rows
+        if bits:
+            carry = wide[:, 1:] >> (8 - bits)
+            wide <<= bits
+            wide[:, :-1] |= carry
+        return wide
 
 
 class _CrcBatchState:
@@ -396,15 +379,15 @@ class NumpyBackend(CodecBackend):
     def split_batch_columns(self, transform, data) -> BatchSplit:
         np = _numpy()[0]
         state = self._split_state(np, transform)
-        prefixes, deviations, basis_buffer = state.split(np, transform, data)
+        prefixes, deviations, basis_rows = state.split(np, transform, data)
         count = len(deviations)
         if prefixes is None:
             prefixes = np.zeros(count, dtype=np.uint32)
 
         # The arrays stay arrays (``pack_records`` below reads them); only
-        # the basis column becomes a list, for the dictionary.
+        # the basis column becomes a list of rows, for the dictionary.
         def columns():
-            bases = _materialize_bases(basis_buffer, state.basis_bytes)
+            bases = basis_rows.view(f"V{state.basis_bytes}")[:, 0].tolist()
             return prefixes, bases, deviations
 
         return BatchSplit(count, self.name, columns)
@@ -422,16 +405,18 @@ class NumpyBackend(CodecBackend):
             return b""
         np = _numpy()[0]
         state = self._parity_state(np, code)
-        return _fold_rows(state.rows(np, code.m, bases), state.fold).tobytes()
+        width = (code.k + 7) // 8
+        rows = b"".join(basis.to_bytes(width, "big") for basis in bases)
+        return _fold_rows(state.shifted(np, rows, len(bases)), state.fold).tobytes()
 
     def join_batch_to_bytes(
         self,
         transform,
         prefixes: Sequence[int],
-        bases: Sequence[int],
+        bases: bytes,
         deviations: Sequence[int],
     ) -> bytes:
-        count = len(bases)
+        count = len(deviations)
         if count == 0:
             return b""
         np = _numpy()[0]
@@ -440,12 +425,12 @@ class NumpyBackend(CodecBackend):
         length = state.chunk_bytes
         parity_bytes = parity_state.parity_bytes
         n = state.n
-        rows = parity_state.rows(np, state.m, bases)
+        rows = parity_state.shifted(np, bases, count)
         # Parity bits are the remainder of basis * x**m — the same fold as
         # the forward syndrome, applied to the zero-padded basis rows.
         parities = _fold_rows(rows, parity_state.fold)
         if parity_bytes == length:
-            chunks = rows.copy()
+            chunks = rows  # a fresh matrix of its own
         else:
             chunks = np.zeros((count, length), dtype=np.uint8)
             chunks[:, length - parity_bytes :] = rows

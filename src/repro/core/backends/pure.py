@@ -9,6 +9,7 @@ accelerated one, and the other backends are property-tested against it.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence, Tuple
 
 from repro.core.backends import BatchSplit, CodecBackend
@@ -83,7 +84,13 @@ class PureBackend(CodecBackend):
             append(
                 (prefix, ((value & body_mask) ^ masks[deviation]) >> m, deviation)
             )
-        return BatchSplit.from_fields(fields, backend=self.name)
+        width = (code.k + 7) // 8
+
+        def columns():
+            prefixes, bases, deviations = tuple(map(list, zip(*fields))) or ([], [], [])
+            return prefixes, [b.to_bytes(width, "big") for b in bases], deviations
+
+        return BatchSplit(len(fields), self.name, columns, fields)
 
     def parities_of_bases(self, code, bases: Sequence[int]) -> Sequence[int]:
         return code.parities_of_bases(bases)
@@ -92,17 +99,21 @@ class PureBackend(CodecBackend):
         self,
         transform,
         prefixes: Sequence[int],
-        bases: Sequence[int],
+        bases: bytes,
         deviations: Sequence[int],
     ) -> bytes:
         """Resolved field columns → concatenated chunks.
 
-        Parity bits for the whole batch through the bulk lane reduction,
-        then one combine + ``to_bytes`` per chunk.  Callers guarantee the
-        field widths (the decoder validates records once per batch).
+        Parity bits of the basis rows for the whole batch through the bulk
+        lane reduction, then one combine + ``to_bytes`` per chunk.  Callers
+        guarantee the field widths (the decoder validates them per batch).
         """
         chunk_bytes = transform.chunk_bytes
         code = transform.code
+        bases = [
+            int.from_bytes(row, "big")
+            for (row,) in struct.iter_unpack(f"{(code.k + 7) // 8}s", bases)
+        ]
         parities = code.parities_of_bases(bases)
         masks = code.error_masks
         m = code.m

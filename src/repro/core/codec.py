@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.backends import batch_backend
+from repro.core.bits import int_to_bytes
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
 from repro.core.decoder import GDDecoder
 from repro.core.encoder import EncoderMode, GDEncoder
@@ -96,7 +97,8 @@ class GDCodec:
         Extra bits added to type-2 payloads to model the hardware container
         alignment (8 in the paper).  Set to 0 for the pure software codec.
     static_bases:
-        Iterable of basis values to preload when ``mode="static"``.
+        Iterable of basis values to preload when ``mode="static"`` (each
+        must fit in ``k`` bits, else :class:`~repro.exceptions.CodingError`).
     eviction_seed:
         Seed for the dictionaries' eviction randomness.  Only the ``random``
         policy draws from it; passing a seed makes ablation runs
@@ -161,8 +163,11 @@ class GDCodec:
             if self._mode is EncoderMode.STATIC:
                 if self._static_bases is None:
                     raise CodingError("static mode requires static_bases")
-                self._encoder_dictionary.preload(iter(self._static_bases))
-                self._decoder_dictionary.preload(iter(self._static_bases))
+                # The dictionaries key on basis rows (BatchSplit).
+                basis_bits = self._transform.basis_bits
+                rows = [int_to_bytes(basis, basis_bits) for basis in self._static_bases]
+                self._encoder_dictionary.preload(iter(rows))
+                self._decoder_dictionary.preload(iter(rows))
 
         self._encoder = GDEncoder(
             self._transform,

@@ -11,11 +11,11 @@ paper), which the :mod:`repro.controlplane` package models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
-from repro.core.dictionary import BasisDictionary
+from repro.core.dictionary import BasisDictionary, restore_row_keyed, row_keyed_snapshot
 from repro.core.records import (
     CompressedRecord,
     GDRecord,
@@ -41,14 +41,7 @@ class DecoderStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view used by the reporting helpers."""
-        return {
-            "records": self.records,
-            "raw_records": self.raw_records,
-            "uncompressed_records": self.uncompressed_records,
-            "compressed_records": self.compressed_records,
-            "output_bits": self.output_bits,
-            "unknown_identifiers": self.unknown_identifiers,
-        }
+        return asdict(self)
 
 
 class GDDecoder:
@@ -59,9 +52,9 @@ class GDDecoder:
     transform:
         Must be configured identically to the encoder's transform.
     dictionary:
-        The identifier → basis mapping.  May be shared with an encoder (the
-        ideal zero-latency model) or kept separate and fed by learning /
-        control-plane installs.
+        The identifier → basis mapping, keyed by basis rows like the
+        encoder's.  May be shared with an encoder (the ideal zero-latency
+        model) or kept separate and fed by learning / external installs.
     learn_from_uncompressed:
         When ``True`` (default), every type-2 record inserts its basis into
         the dictionary, mirroring the deterministic insertion the encoder
@@ -116,13 +109,13 @@ class GDDecoder:
         self,
         tags: "bytes | bytearray",
         prefixes: Sequence[int],
-        keys: Sequence[int],
+        keys: Sequence,
         deviations: Sequence[int],
     ) -> bytes:
         """Decode record columns into the original bytes (the decode kernel).
 
         ``tags[i]`` is the record type of position ``i``; ``keys[i]``
-        carries the identifier for type-3 positions and the basis for
+        carries the identifier for type-3 positions and the basis row for
         type-2 and raw (type-1) positions — a raw chunk rides the batch as
         its own split, which the dictionary ignores and the join, being a
         bijection, restores verbatim.  One
@@ -130,7 +123,7 @@ class GDDecoder:
         learning and identifier resolution, strictly in order — a type-3
         record may reference a basis a type-2 record introduced earlier in
         the same batch; the ``gd.decode`` instants are derived from what it
-        returned and the chunks rebuilt in one
+        returned and the chunks rebuilt from the joined rows in one
         :meth:`GDTransform.join_batch_to_bytes` call.  Callers guarantee
         the fields fit the transform's widths (the container parser masks
         them, :meth:`decode_batch_to_bytes` checks the records), so only
@@ -154,7 +147,7 @@ class GDDecoder:
                 "cannot decode a compressed record without a dictionary"
             )
         resolved = count if unmapped is None else unmapped
-        misfit = self._first_misfit(tags, bases, resolved)
+        misfit, rows = self._joined_rows(tags, bases, resolved)
         tracer = _obs.TRACER
         if tracer.enabled:
             self._trace_batch(
@@ -184,41 +177,46 @@ class GDDecoder:
         stats.uncompressed_records += uncompressed
         stats.compressed_records += count - raw - uncompressed
         stats.output_bits += count * transform.chunk_bits
-        return transform.join_batch_to_bytes(prefixes, bases, deviations)
+        return transform.join_batch_to_bytes(prefixes, rows, deviations)
 
     # -- internals ------------------------------------------------------------
 
-    def _first_misfit(
-        self, tags: "bytes | bytearray", bases: List[int], resolved: int
-    ) -> Optional[int]:
-        """Position of the first dictionary-supplied basis that does not fit.
+    def _joined_rows(
+        self, tags: "bytes | bytearray", bases: List[bytes], resolved: int
+    ) -> Tuple[Optional[int], bytes]:
+        """``(misfit, rows)``: the position of the first dictionary-supplied
+        basis that is not a ``k``-bit row (or ``None``), and the bases joined.
 
         External installs can feed the dictionary, so what it resolved (the
-        type-3 positions below ``resolved``) is re-checked against the basis
-        width — once per batch: when the whole column is plain ``int``
-        within ``[0, 2**k)``, three C-speed passes, no position can be a
-        misfit; only otherwise are they looked at one by one.
+        type-3 positions below ``resolved``) is re-checked — once per batch:
+        when the join succeeds, every row is ``ceil(k / 8)`` bytes and no
+        first byte sets a bit above ``k`` (C-speed passes all), no position
+        can be a misfit; only otherwise are they looked at one by one.
         """
-        basis_width = self._transform.basis_bits
-        if not bases or (
-            set(map(type, bases)) == {int}
-            and min(bases) >= 0
-            and not max(bases) >> basis_width
-        ):
-            return None
+        basis_bits = self._transform.basis_bits
+        width = (basis_bits + 7) // 8
+        top = basis_bits - 8 * (width - 1)  # bits a row's first byte may set
+        try:
+            rows = b"".join(bases)
+        except TypeError:
+            rows = None
+        if rows is not None and set(map(len, bases)) <= {width}:
+            if not rows[::width].translate(None, bytes(range(1 << top))):
+                return None, rows
         for position in range(resolved):
-            if tags[position] == 3:
-                basis = bases[position]
-                if not isinstance(basis, int) or basis < 0 or basis >> basis_width:
-                    return position
-        return None
+            basis = bases[position]
+            if tags[position] == 3 and not (
+                type(basis) is bytes and len(basis) == width and not basis[0] >> top
+            ):
+                return position, rows
+        return None, rows
 
     @staticmethod
     def _trace_batch(
         tracer,
         tags: "bytes | bytearray",
-        keys: Sequence[int],
-        learned: List[Tuple[int, int, Optional[int]]],
+        keys: Sequence,
+        learned: List[Tuple[int, int, Optional[bytes]]],
         stop: int,
     ) -> None:
         """One ``gd.decode`` instant per record before position ``stop``."""
@@ -233,15 +231,16 @@ class GDDecoder:
                     learned_identifier, evicted = learned_at[position]
                     args["learned_identifier"] = learned_identifier
                     if evicted is not None:
-                        args["evicted_basis"] = evicted
+                        args["evicted_basis"] = int.from_bytes(evicted, "big")
             else:
                 continue
             tracer.instant("gd.decode", "gd-decoder", args=args)
 
     def _record_columns(
         self, records: Iterable[GDRecord]
-    ) -> Tuple[bytearray, List[int], List[int], List[int]]:
-        """Record objects → ``(tags, prefixes, keys, deviations)`` columns."""
+    ) -> Tuple[bytearray, List[int], list, List[int]]:
+        """Record objects → ``(tags, prefixes, keys, deviations)`` columns,
+        each type-2 and raw basis as its row."""
         chunk_bits = self._transform.chunk_bits
         split_fields = self._transform.split_fields
         tags = bytearray()
@@ -281,6 +280,11 @@ class GDDecoder:
             deviations.append(record.deviation)
         for record_widths in widths:
             self._check_widths(*record_widths)
+        width = (self._transform.basis_bits + 7) // 8
+        keys = [
+            key if tag == 3 else key.to_bytes(width, "big")
+            for tag, key in zip(tags, keys)
+        ]
         return tags, prefixes, keys, deviations
 
     def _check_widths(
@@ -289,21 +293,15 @@ class GDDecoder:
         basis_bits: Optional[int],
         deviation_bits: int,
     ) -> None:
-        if prefix_bits != self._transform.prefix_bits:
-            raise CodingError(
-                f"record prefix width {prefix_bits} does not match transform "
-                f"prefix width {self._transform.prefix_bits}"
-            )
-        if basis_bits is not None and basis_bits != self._transform.basis_bits:
-            raise CodingError(
-                f"record basis width {basis_bits} does not match transform "
-                f"basis width {self._transform.basis_bits}"
-            )
-        if deviation_bits != self._transform.deviation_bits:
-            raise CodingError(
-                f"record deviation width {deviation_bits} does not match transform "
-                f"deviation width {self._transform.deviation_bits}"
-            )
+        for name, width in zip(
+            ("prefix", "basis", "deviation"), (prefix_bits, basis_bits, deviation_bits)
+        ):
+            expected = getattr(self._transform, f"{name}_bits")
+            if width is not None and width != expected:
+                raise CodingError(
+                    f"record {name} width {width} does not match transform "
+                    f"{name} width {expected}"
+                )
 
     # -- snapshot / restore ----------------------------------------------------
 
@@ -317,7 +315,7 @@ class GDDecoder:
         """
         state: Dict[str, object] = {"stats": self.stats.as_dict()}
         if self._dictionary is not None:
-            state["dictionary"] = self._dictionary.snapshot_state()
+            state["dictionary"] = row_keyed_snapshot(self._dictionary)
         return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -334,13 +332,10 @@ class GDDecoder:
                 raise DictionaryError(
                     "snapshot carries a dictionary but this decoder has none"
                 )
-            self._dictionary.restore_state(state["dictionary"])
+            restore_row_keyed(
+                self._dictionary, state["dictionary"], self._transform.basis_bits
+            )
         stats = state.get("stats", {})
         self.stats = DecoderStats(
-            records=int(stats.get("records", 0)),
-            raw_records=int(stats.get("raw_records", 0)),
-            uncompressed_records=int(stats.get("uncompressed_records", 0)),
-            compressed_records=int(stats.get("compressed_records", 0)),
-            output_bits=int(stats.get("output_bits", 0)),
-            unknown_identifiers=int(stats.get("unknown_identifiers", 0)),
+            **{f.name: int(stats.get(f.name, 0)) for f in fields(DecoderStats)}
         )

@@ -27,7 +27,8 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import DictionaryError
+from repro.core.bits import int_to_bytes
+from repro.exceptions import CodingError, DictionaryError
 
 __all__ = [
     "EvictionPolicy",
@@ -51,10 +52,11 @@ _SNAPSHOT_KEYS = frozenset(
 def encode_snapshot_key(key: Hashable) -> object:
     """Encode a dictionary key into a canonical JSON-serialisable form.
 
-    Bases are plain integers in the GD pipeline, but the same dictionary
-    backs the ``dedup`` codec (bytes keys) and composite ``(prefix, basis)``
-    keys, so all three shapes round-trip.  Tuples and bytes are wrapped in
-    single-key marker objects because JSON has no native encoding for them.
+    Plain integers, the ``dedup`` codec's bytes keys and the control
+    plane's ``(prefix, basis)`` tuples all round-trip; tuples and bytes are
+    wrapped in single-key marker objects because JSON has no native
+    encoding for them.  (The GD pipeline's basis rows are bytes, but its
+    snapshots write each as its ``int``: :func:`row_keyed_snapshot`.)
     """
     if key is None or isinstance(key, (bool, int, float, str)):
         return key
@@ -78,6 +80,22 @@ def decode_snapshot_key(value: object) -> Hashable:
     if isinstance(value, list):
         return tuple(decode_snapshot_key(item) for item in value)
     return value
+
+
+def row_keyed_snapshot(dictionary: "BasisDictionary") -> Dict[str, object]:
+    """The snapshot of a dictionary keyed by basis rows, each written as its int."""
+    state = dictionary.snapshot_state()
+    state["entries"] = [[int.from_bytes(row, "big"), i] for row, i in dictionary.items()]
+    return state
+
+
+def restore_row_keyed(dictionary: "BasisDictionary", state, bits: int) -> None:
+    """Invert :func:`row_keyed_snapshot`, refusing a basis wider than ``bits``."""
+    try:
+        entries = [[int_to_bytes(basis, bits), i] for basis, i in state["entries"]]
+    except (KeyError, TypeError, ValueError, CodingError) as error:
+        raise DictionaryError(f"malformed dictionary snapshot: {error!r}") from None
+    dictionary.restore_state({**state, "entries": entries})
 
 
 class EvictionPolicy(Enum):
@@ -502,12 +520,7 @@ class BasisDictionary:
         :class:`DictionaryError` if the distinct keys exceed the capacity —
         a static table cannot silently drop mappings.
         """
-        distinct = []
-        seen = set()
-        for key in keys:
-            if key not in seen:
-                seen.add(key)
-                distinct.append(key)
+        distinct = list(dict.fromkeys(keys))
         if len(distinct) > self._capacity:
             raise DictionaryError(
                 f"static preload of {len(distinct)} bases exceeds the dictionary "

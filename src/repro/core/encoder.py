@@ -17,16 +17,16 @@ paper's three measured configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.core.backends import BatchSplit, get_backend
-from repro.core.dictionary import BasisDictionary
+from repro.core.dictionary import BasisDictionary, restore_row_keyed, row_keyed_snapshot
 from repro.core.records import CompressedRecord, GDRecord, UncompressedRecord
 from repro.core.transform import ChunkLike, GDTransform
-from repro.core.wire import RecordLayout, pack_records
+from repro.core.wire import RecordLayout
 from repro.exceptions import CodingError, DictionaryError
 
 __all__ = ["EncodedBatch", "EncoderMode", "EncoderStats", "GDEncoder"]
@@ -87,12 +87,7 @@ class EncoderStats:
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view used by the reporting helpers."""
         return {
-            "chunks": self.chunks,
-            "uncompressed_records": self.uncompressed_records,
-            "compressed_records": self.compressed_records,
-            "input_bits": self.input_bits,
-            "output_bits": self.output_bits,
-            "output_padded_bits": self.output_padded_bits,
+            **asdict(self),
             "compression_ratio": self.compression_ratio,
             "unpadded_ratio": self.unpadded_ratio,
         }
@@ -190,10 +185,13 @@ class EncodedBatch:
         """The container body: one tag byte plus the payload per record."""
         split = self._split
         backend = get_backend(split.backend)
-        pack, columns = pack_records, split.columns
-        if backend.supports_records(self._layout):
-            pack, columns = backend.pack_records, split.native
-        return pack(self._layout, self._tags, self._identifiers, *columns())
+        prefixes, bases, deviations = split.native()
+        if not backend.supports_records(self._layout):
+            backend = get_backend("pure")
+            prefixes, _, deviations = split.columns()
+        return backend.pack_records(
+            self._layout, self._tags, self._identifiers, prefixes, bases, deviations
+        )
 
 
 class GDEncoder:
@@ -204,7 +202,8 @@ class GDEncoder:
     transform:
         The GD transformation to apply to each chunk.
     dictionary:
-        The basis dictionary.  Optional for :attr:`EncoderMode.NO_TABLE`.
+        The basis dictionary, keyed by basis rows (:class:`BatchSplit`).
+        Optional for :attr:`EncoderMode.NO_TABLE`.
     mode:
         One of ``no_table``, ``static`` or ``dynamic``.
     identifier_bits:
@@ -291,13 +290,13 @@ class GDEncoder:
     def encode_batch(self, chunks: Iterable[ChunkLike]) -> List[GDRecord]:
         """Encode an iterable of chunks (ints or byte strings).
 
-        Each chunk is validated and split on its own, then the whole batch
-        runs through the dictionary stage of :meth:`encode_buffer_batch`.
+        Each chunk is validated on its own, then the chunks, serialised
+        back to back, go through :meth:`encode_buffer_batch`.
         """
-        split = BatchSplit.from_fields(
-            list(map(self._transform.split_fields, chunks)), backend="pure"
-        )
-        return list(self._encode_columns(split))
+        transform = self._transform
+        size = transform.chunk_bytes
+        data = b"".join(transform._chunk_to_int(c).to_bytes(size, "big") for c in chunks)
+        return list(self.encode_buffer_batch(data))
 
     def encode_chunks(
         self, chunks: "bytes | bytearray | memoryview | Iterable[ChunkLike]"
@@ -395,7 +394,7 @@ class GDEncoder:
                         "chunk_index": chunk_index,
                     }
                     if evicted is not None:
-                        args["evicted_basis"] = evicted
+                        args["evicted_basis"] = int.from_bytes(evicted, "big")
             tracer.instant("gd.encode", "gd-encoder", args=args)
 
     # -- snapshot / restore ----------------------------------------------------
@@ -409,20 +408,9 @@ class GDEncoder:
         configuration itself (transform, mode, widths) is *not* part of the
         snapshot — restore requires an identically configured encoder.
         """
-        stats = self.stats
-        state: Dict[str, object] = {
-            "mode": self._mode.value,
-            "stats": {
-                "chunks": stats.chunks,
-                "uncompressed_records": stats.uncompressed_records,
-                "compressed_records": stats.compressed_records,
-                "input_bits": stats.input_bits,
-                "output_bits": stats.output_bits,
-                "output_padded_bits": stats.output_padded_bits,
-            },
-        }
+        state = {"mode": self._mode.value, "stats": asdict(self.stats)}
         if self._dictionary is not None:
-            state["dictionary"] = self._dictionary.snapshot_state()
+            state["dictionary"] = row_keyed_snapshot(self._dictionary)
         return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -437,13 +425,10 @@ class GDEncoder:
                 raise DictionaryError(
                     "snapshot carries a dictionary but this encoder has none"
                 )
-            self._dictionary.restore_state(state["dictionary"])
+            restore_row_keyed(
+                self._dictionary, state["dictionary"], self._transform.basis_bits
+            )
         stats = state.get("stats", {})
         self.stats = EncoderStats(
-            chunks=int(stats.get("chunks", 0)),
-            uncompressed_records=int(stats.get("uncompressed_records", 0)),
-            compressed_records=int(stats.get("compressed_records", 0)),
-            input_bits=int(stats.get("input_bits", 0)),
-            output_bits=int(stats.get("output_bits", 0)),
-            output_padded_bits=int(stats.get("output_padded_bits", 0)),
+            **{f.name: int(stats.get(f.name, 0)) for f in fields(EncoderStats)}
         )

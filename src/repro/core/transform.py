@@ -336,18 +336,19 @@ class GDTransform:
     def join_batch_to_bytes(
         self,
         prefixes: Sequence[int],
-        bases: Sequence[int],
+        bases: bytes,
         deviations: Sequence[int],
     ) -> bytes:
         """The batch join kernel: field columns → concatenated chunk bytes.
 
-        The inverse of :meth:`split_batch_columns`, with the same dispatch.
+        The inverse of :meth:`split_batch_columns`, with the same dispatch;
+        ``bases`` is the basis rows (:class:`BatchSplit`) back to back.
         Callers guarantee the field widths (the decoder validates them once
         per batch); :meth:`join_fields` remains the checked entry point.
         """
         backend = self.backend_impl
         return batch_backend(
-            backend, len(bases), backend.supports_join, self
+            backend, len(deviations), backend.supports_join, self
         ).join_batch_to_bytes(self, prefixes, bases, deviations)
 
     # -- validation ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.bits import align_up, int_to_bytes
+from repro.core.bits import align_up
 from repro.exceptions import CodingError
 
 __all__ = [
@@ -116,10 +116,11 @@ class RecordLayout:
         return cls(prefix_bits, basis_bits, identifier_bits, deviation_bits, padding_bits)
 
 
-def pack_type2(layout: RecordLayout, prefix: int, basis: int, deviation: int) -> bytes:
-    """One tagged type-2 record, from plain ``int`` fields."""
-    value = ((prefix << layout.basis_bits | basis) << layout.deviation_bits) | deviation
-    return b"\x02" + int_to_bytes(value, layout.t2_padded)
+def pack_type2(layout: RecordLayout, prefix: int, basis: bytes, deviation: int) -> bytes:
+    """One tagged type-2 record, from ``int`` fields and the basis row."""
+    value = prefix << layout.basis_bits | int.from_bytes(basis, "big")
+    value = (value << layout.deviation_bits) | deviation
+    return b"\x02" + value.to_bytes(layout.t2_padded // 8, "big")
 
 
 def pack_records(
@@ -127,14 +128,14 @@ def pack_records(
     tags: bytes,
     identifiers: Sequence[int],
     prefixes: Sequence[int],
-    bases: Sequence[int],
+    bases: Sequence[bytes],
     deviations: Sequence[int],
 ) -> bytes:
     """Field columns → container body (one tag byte plus payload per record).
 
-    ``prefixes``, ``bases`` and ``deviations`` hold one entry per record;
-    ``identifiers`` one per type-3 record, in order.  Byte-identical to
-    concatenating ``bytes([tag]) + record.to_bytes()`` over the equivalent
+    ``prefixes``, ``bases`` (rows) and ``deviations`` hold one entry per
+    record; ``identifiers`` one per type-3 record, in order.  Byte-identical
+    to concatenating ``bytes([tag]) + record.to_bytes()`` over the equivalent
     record objects.  The per-record loop: the ``pure`` backend's packer and
     the reference an accelerated one must match byte for byte.
     """
@@ -155,7 +156,7 @@ def pack_records(
             else:
                 append(pack_type2(layout, prefix, basis, deviation))
     except OverflowError:
-        raise CodingError(f"type-3 record wider than {layout.t3_padded} bits") from None
+        raise CodingError("a record's fields are wider than its layout") from None
     return b"".join(parts)
 
 
@@ -165,15 +166,15 @@ def parse_records(
     offset: int,
     limit: Optional[int] = None,
     streamed: bool = False,
-) -> Tuple[bytearray, List[int], List[int], List[int], int]:
+) -> Tuple[bytearray, List[int], list, List[int], int]:
     """Container body → field columns, as far as ``data`` allows.
 
     Parses complete records from ``data[offset:]`` until ``limit`` records
     are read, the buffer ends or holds only part of the next record ("need
     more bytes": the caller decides whether more can arrive), or — in a
     ``streamed`` container — :data:`END_TAG` is next.  Returns ``(tags,
-    prefixes, keys, deviations, next_offset)``; ``keys[i]`` is the basis of
-    a type-2 record and the identifier of a type-3 record.  Fields are
+    prefixes, keys, deviations, next_offset)``; ``keys[i]`` is the basis row
+    of a type-2 record and the identifier of a type-3 record.  Fields are
     masked to the layout's widths.  An unknown tag raises
     :class:`~repro.exceptions.CodingError`.
     """
@@ -187,11 +188,12 @@ def parse_records(
     prefix_mask = (1 << prefix_bits) - 1
     size2 = layout.t2_padded // 8
     size3 = layout.t3_padded // 8
+    width = (basis_bits + 7) // 8
     total = len(data)
     from_bytes = int.from_bytes
     tags = bytearray()
     prefixes: List[int] = []
-    keys: List[int] = []
+    keys: list = []
     deviations: List[int] = []
     while offset < total and (limit is None or len(tags) < limit):
         tag = data[offset]
@@ -211,7 +213,8 @@ def parse_records(
         tags.append(tag)
         deviations.append(value & deviation_mask)
         value >>= deviation_bits
-        keys.append(value & key_mask)
+        key = value & key_mask
+        keys.append(key if tag == 3 else key.to_bytes(width, "big"))
         prefixes.append((value >> key_bits) & prefix_mask)
         offset = end
     return tags, prefixes, keys, deviations, offset
@@ -219,7 +222,7 @@ def parse_records(
 
 def scan_records(
     layout: RecordLayout, data, offset: int, limit=None, streamed: bool = False
-) -> Tuple[bytes, List[int], int]:
+) -> Tuple[bytes, List[bytes], int]:
     """:func:`parse_records` by *runs* of type-3 records instead of records.
 
     Same stops, masks and :class:`~repro.exceptions.CodingError` as the
@@ -229,7 +232,7 @@ def scan_records(
     next_offset)``: one type-3 sized row per record, back to back, for the
     caller to take apart in one gather — a type-3 record verbatim; a type-2
     record as tag 2, its prefix and its deviation around identifier 0, its
-    basis (wider than a machine word: ``int.from_bytes``) in ``bases``.
+    basis row (wider than a machine word) in ``bases``.
     """
     deviation_bits = layout.deviation_bits
     deviation_mask = (1 << deviation_bits) - 1
@@ -240,11 +243,12 @@ def scan_records(
     stride2 = 1 + layout.t2_padded // 8
     stride3 = 1 + layout.t3_padded // 8
     tagged = 2 << layout.t3_padded
+    width = (layout.basis_bits + 7) // 8
     total = len(data)
     budget = total if limit is None else limit
     from_bytes = int.from_bytes
     rows = []
-    bases: List[int] = []
+    bases: List[bytes] = []
     while offset < total and budget > 0:
         tag = data[offset]
         if tag == 2:
@@ -252,7 +256,7 @@ def scan_records(
             if end > total:
                 break
             value = from_bytes(data[offset + 1 : end], "big")
-            bases.append((value >> deviation_bits) & basis_mask)
+            bases.append(((value >> deviation_bits) & basis_mask).to_bytes(width, "big"))
             row = tagged | ((value >> prefix_shift) & prefix_mask) << row_shift
             rows.append((row | value & deviation_mask).to_bytes(stride3, "big"))
             offset = end

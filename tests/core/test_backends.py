@@ -27,6 +27,7 @@ from repro.core.backends import (
     CodecBackend,
     numpy_backend,
 )
+from repro.core.bits import int_to_bytes
 from repro.core.codec import GDCodec
 from repro.core.decoder import GDDecoder
 from repro.core.dictionary import BasisDictionary, EvictionPolicy
@@ -267,8 +268,10 @@ class TestBatchSplitApi:
         assert split.fields() == fields
         assert len(split) == 40
         assert split.columns() == tuple(map(list, zip(*fields)))
-        assert split.bases() == [basis for _, basis, _ in fields]
-        assert split == BatchSplit.from_fields(fields, backend="elsewhere")
+        # The basis column is rows: ceil(247 / 8) big-endian bytes each.
+        assert split.bases() == [basis.to_bytes(31, "big") for _, basis, _ in fields]
+        elsewhere = BatchSplit(len(fields), "elsewhere", split.native)
+        assert split == elsewhere and elsewhere.fields() == fields
         assert "BatchSplit" in repr(split)
 
 
@@ -307,7 +310,8 @@ class TestNoArrayScalarEscapes:
         codec, data, split = self._batch(backend_name)
         prefixes, bases, deviations = split.native()
         assert type(bases) is list and type(prefixes) is not list
-        views = [split.columns(), split.fields(), split.bases()]
+        assert {type(row) for row in bases} == {bytes} and split.bases() is bases
+        views = [split.columns(), split.fields()]
         batch = codec.encoder.encode_buffer_batch(data)
         assert {record.record_type.value for record in batch} == {2, 3}
         for record in list(batch) + list(batch.materialize()) + [batch[0], batch[-1]]:
@@ -394,9 +398,12 @@ class TestEquivalenceMatrix:
                     backend = transform.backend_impl
                     if not (backend.accelerated and backend.supports_join(transform)):
                         continue
+                    rows = b"".join(
+                        int_to_bytes(basis, transform.basis_bits) for basis in bases
+                    )
                     assert (
                         backend.join_batch_to_bytes(
-                            transform, prefixes, bases, deviations
+                            transform, prefixes, rows, deviations
                         )
                         == data
                     ), (name, order, extra_bits)

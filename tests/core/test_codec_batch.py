@@ -52,6 +52,11 @@ def _sample(codec, count=120, seed=11):
     return clustered_data(codec, bases, count, rng)
 
 
+def _row(record):
+    """A type-2 record's basis as the decoder keys it: its byte row."""
+    return record.basis.to_bytes((record.basis_bits + 7) // 8, "big")
+
+
 def _record_columns(records):
     """Record objects → the decoder's ``(tags, prefixes, keys, deviations)``."""
     tags = bytearray()
@@ -59,7 +64,7 @@ def _record_columns(records):
     for record in records:
         tags.append(int(record.record_type))
         prefixes.append(record.prefix)
-        keys.append(record.identifier if tags[-1] == 3 else record.basis)
+        keys.append(record.identifier if tags[-1] == 3 else _row(record))
         deviations.append(record.deviation)
     return bytes(tags), prefixes, keys, deviations
 
@@ -124,8 +129,8 @@ class TestColumnarDecompress:
         assert stats.uncompressed_records == oracle.stats.uncompressed_records
         assert stats.output_bits == oracle.stats.input_bits
         if decoder.dictionary is not None:
-            assert decoder.dictionary.snapshot() == (
-                oracle.decoder_dictionary.snapshot()
+            assert decoder.snapshot_state()["dictionary"] == (
+                oracle.decoder_dictionary.snapshot_state()
             )
 
     def test_empty_payload_roundtrips(self):
@@ -153,7 +158,7 @@ class TestEncodedBatchContainer:
             (
                 int(record.record_type),
                 record.prefix,
-                getattr(record, "identifier", getattr(record, "basis", None)),
+                record.identifier if record.record_type == 3 else _row(record),
                 record.deviation,
             )
             for record in records

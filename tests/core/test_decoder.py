@@ -141,7 +141,8 @@ class TestEncoderDecoderPairing:
 class TestInstalledBasisGuard:
     """External installs can put anything under an identifier; what the
     dictionary resolves is re-checked against the basis width, once per
-    batch, and the error names the first misfit in record order."""
+    batch, and the error names the first misfit in record order.  A basis
+    is keyed as its row: ``ceil(11 / 8) = 2`` big-endian bytes at order 4."""
 
     def _records(self, transform, identifiers):
         return [
@@ -154,30 +155,32 @@ class TestInstalledBasisGuard:
         ]
 
     @pytest.mark.parametrize(
-        "misfit", [1 << 11, -1, 2.0, b"\x01", (0, 1)], ids=repr
+        "misfit",
+        [b"\x08\x00", b"\xff\xff", b"\x01", b"\x00\x00\x01", 5, -1, 2.0, (0, 1)],
+        ids=repr,
     )
     def test_first_misfit_is_named(self, transform, misfit):
         dictionary = BasisDictionary(64)
-        dictionary.insert_with_identifier(5, 0)
+        dictionary.insert_with_identifier(b"\x00\x05", 0)
         dictionary.insert_with_identifier(misfit, 1)
-        dictionary.insert_with_identifier(1 << 12, 2)  # a later, other misfit
+        dictionary.insert_with_identifier(b"\x10\x00", 2)  # a later, other misfit
         decoder = GDDecoder(transform, dictionary)
         with pytest.raises(CodingError) as raised:
             decoder.decode_batch(self._records(transform, [0, 1, 2, 0]))
         assert str(raised.value) == f"basis {misfit!r} does not fit in 11 bits"
         assert decoder.stats.records == 0
 
-    def test_a_bool_is_an_int_that_fits(self, transform):
+    def test_the_widest_row_fits(self, transform):
         dictionary = BasisDictionary(64)
-        dictionary.insert_with_identifier(True, 0)
+        dictionary.insert_with_identifier(b"\x07\xff", 0)
         decoder = GDDecoder(transform, dictionary)
         assert decoder.decode_batch(self._records(transform, [0])) == [
-            transform.join_fields(0, 1, 0)
+            transform.join_fields(0, (1 << 11) - 1, 0)
         ]
 
     def test_misfit_before_an_unmapped_identifier_wins(self, transform):
         dictionary = BasisDictionary(64)
-        dictionary.insert_with_identifier(1 << 11, 0)
+        dictionary.insert_with_identifier(b"\x08\x00", 0)
         decoder = GDDecoder(transform, dictionary)
         with pytest.raises(CodingError, match="does not fit"):
             decoder.decode_batch(self._records(transform, [0, 9]))

@@ -63,7 +63,7 @@ class TestModes:
         chunk = b"\x12\x34"
         basis = transform.split(chunk).basis
         dictionary = BasisDictionary(16)
-        dictionary.preload(iter([basis]))
+        dictionary.preload(iter([basis.to_bytes(2, "big")]))  # keyed as its row
         encoder = GDEncoder(transform, dictionary, mode="static")
         record = encoder.encode_batch([chunk])[0]
         assert isinstance(record, CompressedRecord)

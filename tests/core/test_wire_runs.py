@@ -97,7 +97,12 @@ def _outcome(reader, layout, data, offset, limit, streamed):
     except CodingError as error:
         return str(error)
     assert type(tags) is bytearray and type(keys) is list
-    assert all(type(key) is int for key in keys)
+    # An identifier per type-3 record, a basis row per type-2 record.
+    width = (layout.basis_bits + 7) // 8
+    assert all(
+        type(key) is int if tag == 3 else type(key) is bytes and len(key) == width
+        for tag, key in zip(tags, keys)
+    )
     plain = [
         column if type(column) is list else column.tolist()
         for column in (prefixes, deviations)

@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.workloads import SyntheticSensorWorkload
 
@@ -642,6 +649,34 @@ class TestObservabilityFlags:
             assert "encode" in output
             assert "p99" in output
             assert "slowest" in output
+
+    def test_a_reader_closing_stdout_ends_the_output(self, tmp_path):
+        """``repro trace summarize events.jsonl | head -1``: the closed pipe
+        ends the output, not the command — exit 0, nothing on stderr (no
+        ``error:`` line, no "Exception ignored" at interpreter exit)."""
+        events = tmp_path / "events.jsonl"
+        # 20,000 distinct instant names: a table far larger than a pipe's
+        # buffer, so the command is still writing when the reader leaves.
+        events.write_text("".join(
+            json.dumps({"name": f"instant.{index}", "ph": "i", "ts": index,
+                        "pid": 0, "tid": 0, "cat": "test", "s": "t"}) + "\n"
+            for index in range(20000)
+        ))
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(repro.__file__).resolve().parents[1]),
+            environment.get("PYTHONPATH"),
+        ]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "summarize", str(events)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=environment,
+        )
+        first = process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=120) == 0, stderr
+        assert first.startswith(b"20000 events")
+        assert stderr == b""
 
     def test_trace_summarize_missing_file_errors(self, tmp_path, capsys):
         assert main(["trace", "summarize", str(tmp_path / "nope.jsonl")]) == 1
