@@ -43,10 +43,12 @@ _NO_HOT = object()
 
 #: What :meth:`BasisDictionary.snapshot_state` writes; anything else (the
 #: ``free`` / ``bound`` of the identifier pool's retired format, say) is
-#: rejected by name rather than ignored.
+#: rejected by name rather than ignored.  Only the ``random`` policy adds
+#: ``rng``, the position of its generator.
 _SNAPSHOT_KEYS = frozenset(
     ("capacity", "policy", "entries", "freed_ids", "next_unused_id", "stats")
 )
+_RANDOM_SNAPSHOT_KEYS = _SNAPSHOT_KEYS | {"rng"}
 
 
 def encode_snapshot_key(key: Hashable) -> object:
@@ -541,12 +543,13 @@ class BasisDictionary:
 
         Entries are emitted in recency order (oldest first), so restoring
         reproduces not just the mapping but every future eviction decision.
-        The identifier allocator (freed list, never-used counter) and the
-        counters are included; the hot-entry cache is derived state and is
+        The identifier allocator (freed list, never-used counter), the
+        counters and, under the ``random`` policy, its generator's position
+        (``rng``) are included; the hot-entry cache is derived state and is
         rebuilt cold on restore, which has no observable effect beyond the
         first lookup taking the slow path.
         """
-        return {
+        state = {
             "capacity": self._capacity,
             "policy": self._policy.value,
             "entries": [
@@ -557,6 +560,10 @@ class BasisDictionary:
             "next_unused_id": self._next_unused_id,
             "stats": asdict(self.stats),
         }
+        if self._policy is EvictionPolicy.RANDOM:
+            version, internal, gauss_next = self._random.getstate()
+            state["rng"] = [version, list(internal), gauss_next]
+        return state
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Replace this dictionary's state with a snapshot's.
@@ -570,7 +577,9 @@ class BasisDictionary:
         """
         if not isinstance(state, dict):
             raise DictionaryError(f"a snapshot is a mapping, got {type(state).__name__}")
-        unknown = sorted(map(str, state.keys() - _SNAPSHOT_KEYS))
+        random_policy = self._policy is EvictionPolicy.RANDOM
+        known = _RANDOM_SNAPSHOT_KEYS if random_policy else _SNAPSHOT_KEYS
+        unknown = sorted(map(str, state.keys() - known))
         if unknown:
             raise DictionaryError(f"snapshot has unknown keys {unknown}")
         if state.get("capacity") != self._capacity:
@@ -596,7 +605,8 @@ class BasisDictionary:
             numbers = [*identifiers, next_unused_id, *asdict(stats).values()]
             if not all(type(number) is int and number >= 0 for number in numbers):
                 raise ValueError("identifiers and counters must be integers >= 0")
-        except (KeyError, TypeError, ValueError) as error:
+            generator = _restored_generator(state["rng"]) if random_policy else None
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise DictionaryError(f"malformed dictionary snapshot: {error!r}") from None
         # Every other method keeps the two maps a bijection
         # (:meth:`resolve_batch` moves a resolved key without probing for
@@ -616,3 +626,24 @@ class BasisDictionary:
         self._hot_key = _NO_HOT
         self._hot_id = -1
         self.stats = stats
+        if generator is not None:
+            self._random = generator
+
+
+def _restored_generator(state: object) -> random.Random:
+    """The ``random`` policy's generator at a snapshot's ``rng`` position.
+
+    ``state`` is :meth:`random.Random.getstate` as a JSON list; whatever
+    :meth:`random.Random.setstate` would refuse, or store and fail on
+    later (a non-integer word, a string ``gauss_next``), raises here.
+    """
+    version, internal, gauss_next = state
+    if type(version) is not int or not isinstance(internal, list):
+        raise ValueError("rng must be [version, [words], gauss_next]")
+    if not all(type(word) is int and 0 <= word < 1 << 32 for word in internal):
+        raise ValueError("rng words must be integers in [0, 2**32)")
+    if gauss_next is not None and type(gauss_next) is not float:
+        raise ValueError("rng gauss_next must be null or a float")
+    generator = random.Random()
+    generator.setstate((version, tuple(internal), gauss_next))
+    return generator

@@ -341,6 +341,25 @@ HOSTILE_SNAPSHOTS = {
     "old-pool-free-and-bound": lambda state: dict(
         _OLD_POOL, free=[0, 1, 2, 3], bound=[[0, "a"]]
     ),
+    "rng-under-lru": _with(rng=[3, [0] * 625, None]),
+}
+
+#: Each case breaks the ``rng`` of a ``random``-policy snapshot (the
+#: position of its generator, ``random.Random.getstate()`` as a list).
+HOSTILE_RNG_STATES = {
+    "no-rng": _without("rng"),
+    "rng-none": _with(rng=None),
+    "rng-a-string": _with(rng="state"),
+    "rng-too-short": _with(rng=[3, [0] * 625]),
+    "rng-version-unknown": lambda state: state["rng"].__setitem__(0, 9),
+    "rng-version-a-string": lambda state: state["rng"].__setitem__(0, "3"),
+    "rng-words-not-a-list": lambda state: state["rng"].__setitem__(1, 7),
+    "rng-too-few-words": lambda state: state["rng"][1].pop(),
+    "rng-word-negative": lambda state: state["rng"][1].__setitem__(0, -1),
+    "rng-word-too-wide": lambda state: state["rng"][1].__setitem__(0, 1 << 32),
+    "rng-word-a-float": lambda state: state["rng"][1].__setitem__(0, 1.0),
+    "rng-index-past-the-end": lambda state: state["rng"][1].__setitem__(-1, 625),
+    "rng-gauss-a-string": lambda state: state["rng"].__setitem__(2, "0.5"),
 }
 
 HOSTILE_PLANE_SNAPSHOTS = {
@@ -386,6 +405,19 @@ class TestHostileSnapshots:
         with pytest.raises(ReproError):
             manager.restore_state(_broken(before, HOSTILE_PLANE_SNAPSHOTS[case]))
         assert manager.snapshot_state() == before
+
+    @pytest.mark.parametrize("case", HOSTILE_RNG_STATES)
+    def test_a_malformed_generator_position_is_a_named_error(self, case):
+        valid = BasisDictionary(4, policy="random", seed=3)
+        for key in "abcdef":
+            valid.insert(key)
+        target = BasisDictionary(4, policy="random", seed=3)
+        target.insert("kept")
+        before = target.snapshot_state()
+        with pytest.raises(ReproError, match="snapshot"):
+            target.restore_state(_broken(valid.snapshot_state(), HOSTILE_RNG_STATES[case]))
+        assert target.snapshot_state() == before
+        assert target.insert("next") == (1, None)
 
     def test_the_unbroken_snapshots_restore(self):
         for kind in (BasisDictionary, IdentifierPool):
