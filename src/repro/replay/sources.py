@@ -10,8 +10,7 @@ times on the simulator clock:
 * :class:`RecordedPacing` — replay with the inter-packet gaps of the
   capture (optionally sped up / slowed down), the way the paper replays
   its converted dataset pcaps;
-* :class:`FixedRatePacing` — a constant rate in packets per second or in
-  offered bits per second of wire occupancy;
+* :class:`FixedRatePacing` — a constant rate in packets per second;
 * :class:`BackToBackPacing` — every frame at t = 0, leaving the emulated
   link's serialisation delay as the only spacing (a line-rate stress test).
 
@@ -29,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from repro.exceptions import PacketError, ReplayError
-from repro.net.ethernet import EthernetFrame, frame_wire_bytes
+from repro.net.ethernet import EthernetFrame
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapReader
 from repro.workloads.traces import ChunkTrace
@@ -106,50 +105,27 @@ class RecordedPacing(Pacing):
 
 
 class FixedRatePacing(Pacing):
-    """Constant-rate injection, in packets per second or bits per second.
+    """Constant-rate injection at ``packet_rate`` packets per second.
 
-    Exactly one of ``packet_rate`` (packets per second) and
-    ``bandwidth_bps`` (offered load as wire bits per second, so frame sizes
-    matter) must be given.  Each time is the one before plus a step, the
-    running sum a traffic generator's clock keeps.
+    Each time is the one before plus ``1 / packet_rate``, the running sum a
+    traffic generator's clock keeps.
 
     >>> pacing = FixedRatePacing(packet_rate=2.0)
     >>> [at for at, _frame in pacing.paced([(0.0, b"a"), (0.0, b"b"), (0.0, b"c")])]
     [0.0, 0.5, 1.0]
     """
 
-    def __init__(
-        self,
-        packet_rate: Optional[float] = None,
-        bandwidth_bps: Optional[float] = None,
-        start: float = 0.0,
-    ):
-        if (packet_rate is None) == (bandwidth_bps is None):
-            raise ReplayError(
-                "exactly one of packet_rate and bandwidth_bps must be given"
-            )
-        if packet_rate is not None and packet_rate <= 0:
+    def __init__(self, packet_rate: float, start: float = 0.0):
+        if packet_rate <= 0:
             raise ReplayError(f"packet rate must be positive, got {packet_rate}")
-        if bandwidth_bps is not None and bandwidth_bps <= 0:
-            raise ReplayError(f"bandwidth must be positive, got {bandwidth_bps}")
         if start < 0:
             raise ReplayError(f"start time must be non-negative, got {start}")
         self.packet_rate = packet_rate
-        self.bandwidth_bps = bandwidth_bps
         self.start = start
 
     def paced(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
-        if self.packet_rate is not None:
-            # ``count`` adds its step to the value before, as a running sum.
-            return zip(count(self.start, 1.0 / self.packet_rate), map(_FRAME, frames))
-        return self._by_size(frames)
-
-    def _by_size(self, frames: Iterable[_Timed]) -> Iterator[_Timed]:
-        bandwidth_bps = self.bandwidth_bps
-        at = self.start
-        for _recorded, frame in frames:
-            yield at, frame
-            at = at + frame_wire_bytes(len(frame)) * 8 / bandwidth_bps
+        # ``count`` adds its step to the value before, as a running sum.
+        return zip(count(self.start, 1.0 / self.packet_rate), map(_FRAME, frames))
 
 
 class BackToBackPacing(Pacing):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import PacketError, ReplayError
-from repro.net.ethernet import EthernetFrame, frame_wire_bytes
+from repro.net.ethernet import EthernetFrame
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapPacket, write_pcap
 from repro.replay import (
@@ -68,44 +68,26 @@ class TestFixedRatePacing:
             [0.0, 1e-3, 2e-3]
         )
 
-    def test_bandwidth_spacing_depends_on_frame_size(self):
-        first, second, third = times(
-            FixedRatePacing(bandwidth_bps=1e9), sizes=[1500, 64, 64]
-        )
-        assert first == 0.0
-        # 1500 B frame occupies (1500+4+8+12)*8 bits on the wire.
-        assert second == pytest.approx(1524 * 8 / 1e9)
-        # A 64 B frame occupies (64+4+8+12)*8.
-        assert third - second == pytest.approx(88 * 8 / 1e9)
-
     @pytest.mark.parametrize("start", [0, 0.0, 1.5, 1e-3])
     @pytest.mark.parametrize("rate", [1.0, 3.0, 1e5, 14_880_952.0])
     def test_times_are_the_running_sum_bit_for_bit(self, rate, start):
         frames = 3_000
         sizes = [64 + 7 * (index % 200) for index in range(frames)]
-        cases = [
-            (FixedRatePacing(packet_rate=rate, start=start), [1.0 / rate] * frames),
-            (
-                FixedRatePacing(bandwidth_bps=rate * 1e3, start=start),
-                [frame_wire_bytes(size) * 8 / (rate * 1e3) for size in sizes],
-            ),
-        ]
-        for pacing, steps in cases:
-            got = times(pacing, [0.0] * frames, sizes)
-            expected = running_sum(start, steps)
-            assert got == expected
-            assert [type(at) for at in got] == [type(at) for at in expected]
+        pacing = FixedRatePacing(packet_rate=rate, start=start)
+        got = times(pacing, [0.0] * frames, sizes)
+        expected = running_sum(start, [1.0 / rate] * frames)
+        assert got == expected
+        assert [type(at) for at in got] == [type(at) for at in expected]
 
     def test_a_second_paced_call_starts_afresh(self):
         pacing = FixedRatePacing(packet_rate=2.0, start=1.0)
         assert times(pacing) == [1.0, 1.5, 2.0]
         assert times(pacing) == [1.0, 1.5, 2.0]
 
-    def test_exactly_one_mode_required(self):
-        with pytest.raises(ReplayError):
-            FixedRatePacing()
-        with pytest.raises(ReplayError):
-            FixedRatePacing(packet_rate=1.0, bandwidth_bps=1.0)
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_a_rate_that_is_not_positive_is_refused(self, rate):
+        with pytest.raises(ReplayError, match="packet rate must be positive"):
+            FixedRatePacing(packet_rate=rate)
 
 
 class TestBackToBackPacing:
