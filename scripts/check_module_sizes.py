@@ -32,11 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LIMIT = 700
 
 #: path relative to the repo root -> the most lines it may have.
-ALLOWED: Dict[str, int] = {
-    # One module per command group once `repro bench --profile` moves to
-    # the tracer's wall-clock mode (ROADMAP item 7(a), "Split `cli.py`").
-    "src/repro/cli.py": 1145,
-}
+ALLOWED: Dict[str, int] = {}
 
 
 def line_count(path: Path) -> int:

@@ -553,56 +553,6 @@ class TestBenchCommand:
         assert main(["bench", "no-such-bench", "--list"]) == 1
         assert "unknown benchmark" in capsys.readouterr().err
 
-    def test_profile_prints_encode_and_decode_tables(self, capsys):
-        assert main(["bench", "--profile", "--profile-chunks", "400"]) == 0
-        output = capsys.readouterr().out
-        assert "=== encode: GDCodec.compress" in output
-        assert "=== decode: decompress_records" in output
-        assert "cumulative" in output
-
-    def test_profile_accepts_named_stages(self, capsys):
-        assert main(
-            ["bench", "--profile", "transform", "switch-encode",
-             "--profile-chunks", "200"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "=== transform: split_batch_fields" in output
-        assert "=== switch-encode:" in output
-        assert "=== encode: GDCodec.compress" not in output
-
-    def test_profile_switch_decode_stage(self, capsys):
-        assert main(
-            ["bench", "--profile", "switch-decode", "--profile-chunks", "200"]
-        ) == 0
-        assert "=== switch-decode:" in capsys.readouterr().out
-
-    def test_profile_batch_stages(self, capsys):
-        assert main(
-            ["bench", "--profile", "crc-batch", "encode-batch", "decode-batch",
-             "--profile-chunks", "200"]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "=== crc-batch: compute_batch" in output
-        assert "=== encode-batch: compress + pack_stream" in output
-        assert "=== decode-batch: columnar decompress_container" in output
-
-    def test_profile_batch_stages_honor_backend_pin(self, capsys):
-        assert main(
-            ["bench", "--profile", "crc-batch", "--profile-chunks", "200",
-             "--backend", "pure"]
-        ) == 0
-        assert "backend pure" in capsys.readouterr().out
-
-    def test_profile_stage_typo_names_offender_and_valid_stages(self, capsys):
-        assert main(["bench", "--profile", "encod"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown profile stage 'encod'" in err
-        # The error lists every registered stage.
-        for stage in ("encode", "decode", "transform", "crc-batch",
-                      "encode-batch", "decode-batch", "switch-encode",
-                      "switch-decode"):
-            assert stage in err
-
 
 class TestObservabilityFlags:
     """The shared --trace-out/--events-out/--snapshot-interval flags."""
