@@ -606,7 +606,7 @@ class BasisDictionary:
             if not all(type(number) is int and number >= 0 for number in numbers):
                 raise ValueError("identifiers and counters must be integers >= 0")
             generator = _restored_generator(state["rng"]) if random_policy else None
-        except (KeyError, TypeError, ValueError, OverflowError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise DictionaryError(f"malformed dictionary snapshot: {error!r}") from None
         # Every other method keeps the two maps a bijection
         # (:meth:`resolve_batch` moves a resolved key without probing for
@@ -638,8 +638,6 @@ def _restored_generator(state: object) -> random.Random:
     later (a non-integer word, a string ``gauss_next``), raises here.
     """
     version, internal, gauss_next = state
-    if type(version) is not int or not isinstance(internal, list):
-        raise ValueError("rng must be [version, [words], gauss_next]")
     if not all(type(word) is int and 0 <= word < 1 << 32 for word in internal):
         raise ValueError("rng words must be integers in [0, 2**32)")
     if gauss_next is not None and type(gauss_next) is not float:
