@@ -17,8 +17,9 @@ code.  The scan is by name, and a name counts only where it is used:
 A method or property (a definition inside a class) counts only through
 an attribute or such a string; a module-level function or class also
 through a bare read.  Nothing counts at its own ``def``, in an
-``__all__`` list, in an import line, in a docstring or in the literal
-part of an f-string.  Dunders are exempt.  A name shared by two
+``__all__`` list, in an import line, in a package's ``lazy_exports(...)``
+table (a re-export resolved on first access, not a use), in a docstring
+or in the literal part of an f-string.  Dunders are exempt.  A name shared by two
 definitions hides both, so the scan misses some dead code.
 
 :data:`ALLOWED` lists the definitions kept without a caller, each with its
@@ -122,11 +123,19 @@ def _docstrings(tree: ast.AST) -> Set[int]:
 
 def _skipped(tree: ast.AST) -> Set[int]:
     """Nodes that name a definition without using it: docstrings,
-    ``__all__`` lists, a property's own ``@name.setter`` decorator and the
-    literal parts of an f-string (``f"{prefix}.raw_payload_bytes"`` builds
-    a counter name; it calls nothing)."""
+    ``__all__`` lists, the arguments of ``lazy_exports(...)``, a property's
+    own ``@name.setter`` decorator and the literal parts of an f-string
+    (``f"{prefix}.raw_payload_bytes"`` builds a counter name; it calls
+    nothing)."""
     ids = _docstrings(tree)
     for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+        ):
+            for argument in (*node.args, *node.keywords):
+                ids.update(id(child) for child in ast.walk(argument))
         if isinstance(node, ast.JoinedStr):
             ids.update(
                 id(part) for part in node.values if isinstance(part, ast.Constant)

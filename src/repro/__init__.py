@@ -24,22 +24,7 @@ Quickstart::
     blob = b"".join(compressor.compress_stream(blocks))
 """
 
-from repro import registry
-from repro.core import (
-    BasisDictionary,
-    CompressionResult,
-    Compressor,
-    CrcEngine,
-    CrcParameters,
-    EncoderMode,
-    EvictionPolicy,
-    GDCodec,
-    GDDecoder,
-    GDEncoder,
-    GDTransform,
-    HammingCode,
-    syndrome_crc,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -60,3 +45,27 @@ __all__ = [
     "syndrome_crc",
     "__version__",
 ]
+
+# The codec layer loads when one of these is first read, so importing a
+# submodule (``repro.topology``, ``repro.workloads``) does not load it.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "BasisDictionary",
+            "CompressionResult",
+            "Compressor",
+            "CrcEngine",
+            "CrcParameters",
+            "EncoderMode",
+            "EvictionPolicy",
+            "GDCodec",
+            "GDDecoder",
+            "GDEncoder",
+            "GDTransform",
+            "HammingCode",
+            "syndrome_crc",
+        ),
+    },
+    submodules=("registry",),
+)

@@ -21,45 +21,7 @@ This subpackage is the paper's primary contribution in library form:
   with (see also :mod:`repro.registry`).
 """
 
-from repro.core.codec import CompressionResult, GDCodec
-from repro.core.crc import (
-    CRC8_ATM,
-    CRC16_CCITT,
-    CRC32_ETHERNET,
-    CrcEngine,
-    CrcParameters,
-    remainder_table,
-    syndrome_crc,
-)
-from repro.core.engine import (
-    Compressor,
-    DedupStreamCompressor,
-    GDStreamCompressor,
-    GzipStreamCompressor,
-    NullStreamCompressor,
-    compress_bytes,
-    compress_file,
-    decompress_bytes,
-    decompress_file,
-)
-from repro.core.decoder import DecoderStats, GDDecoder
-from repro.core.dictionary import BasisDictionary, DictionaryStats, EvictionPolicy
-from repro.core.encoder import EncoderMode, EncoderStats, GDEncoder
-from repro.core.hamming import HammingCode, SyndromeTable
-from repro.core.polynomials import (
-    TABLE_1,
-    HammingPolynomial,
-    polynomial_for_order,
-    supported_orders,
-)
-from repro.core.records import (
-    CompressedRecord,
-    GDRecord,
-    RawRecord,
-    RecordType,
-    UncompressedRecord,
-)
-from repro.core.transform import GDParts, GDTransform
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CompressionResult",
@@ -102,3 +64,50 @@ __all__ = [
     "GDParts",
     "GDTransform",
 ]
+
+# Each name loads its own submodule on first read: importing
+# ``repro.core.transform`` does not load the codec or the engine.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "codec": ("CompressionResult", "GDCodec"),
+        "crc": (
+            "CRC8_ATM",
+            "CRC16_CCITT",
+            "CRC32_ETHERNET",
+            "CrcEngine",
+            "CrcParameters",
+            "remainder_table",
+            "syndrome_crc",
+        ),
+        "engine": (
+            "Compressor",
+            "DedupStreamCompressor",
+            "GDStreamCompressor",
+            "GzipStreamCompressor",
+            "NullStreamCompressor",
+            "compress_bytes",
+            "compress_file",
+            "decompress_bytes",
+            "decompress_file",
+        ),
+        "decoder": ("DecoderStats", "GDDecoder"),
+        "dictionary": ("BasisDictionary", "DictionaryStats", "EvictionPolicy"),
+        "encoder": ("EncoderMode", "EncoderStats", "GDEncoder"),
+        "hamming": ("HammingCode", "SyndromeTable"),
+        "polynomials": (
+            "TABLE_1",
+            "HammingPolynomial",
+            "polynomial_for_order",
+            "supported_orders",
+        ),
+        "records": (
+            "CompressedRecord",
+            "GDRecord",
+            "RawRecord",
+            "RecordType",
+            "UncompressedRecord",
+        ),
+        "transform": ("GDParts", "GDTransform"),
+    },
+)

@@ -1,19 +1,6 @@
 """Layer-2 framing substrate: MAC addresses, Ethernet frames, ZipLine packets, pcap."""
 
-from repro.net.checksum import ethernet_fcs, internet_checksum
-from repro.net.ethernet import (
-    ETHERNET_FCS_BYTES,
-    ETHERNET_HEADER_BYTES,
-    ETHERNET_IFG_BYTES,
-    ETHERNET_MIN_FRAME_BYTES,
-    ETHERNET_PREAMBLE_BYTES,
-    EthernetFrame,
-    EtherType,
-    frame_wire_bytes,
-)
-from repro.net.mac import BROADCAST, ZERO, MacAddress
-from repro.net.packets import PacketKind, ZipLinePacketCodec
-from repro.net.pcap import PcapPacket, PcapReader, PcapWriter, write_pcap
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ethernet_fcs",
@@ -36,3 +23,25 @@ __all__ = [
     "PcapWriter",
     "write_pcap",
 ]
+
+# Each name loads its own submodule on first read: framing a packet
+# does not load the pcap reader and writer.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "checksum": ("ethernet_fcs", "internet_checksum"),
+        "ethernet": (
+            "ETHERNET_FCS_BYTES",
+            "ETHERNET_HEADER_BYTES",
+            "ETHERNET_IFG_BYTES",
+            "ETHERNET_MIN_FRAME_BYTES",
+            "ETHERNET_PREAMBLE_BYTES",
+            "EthernetFrame",
+            "EtherType",
+            "frame_wire_bytes",
+        ),
+        "mac": ("BROADCAST", "ZERO", "MacAddress"),
+        "packets": ("PacketKind", "ZipLinePacketCodec"),
+        "pcap": ("PcapPacket", "PcapReader", "PcapWriter", "write_pcap"),
+    },
+)

@@ -28,17 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.obs.sinks import (
-    EventCollector,
-    JsonLinesSink,
-    event_sort_key,
-    merge_segments,
-    read_events,
-    write_chrome_trace,
-    write_events,
-)
-from repro.obs.snapshot import PeriodicSnapshotter
-from repro.obs.summarize import format_summary, summarize_events
+from repro._lazy import lazy_exports
 from repro.obs.tracer import COUNTER, INSTANT, SPAN, NullTracer, Tracer
 
 __all__ = [
@@ -62,6 +52,25 @@ __all__ = [
     "COUNTER",
 ]
 
+# The sinks, the snapshotter and the summary load when first read: an
+# untraced run reads only TRACER.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "sinks": (
+            "EventCollector",
+            "JsonLinesSink",
+            "event_sort_key",
+            "merge_segments",
+            "read_events",
+            "write_chrome_trace",
+            "write_events",
+        ),
+        "snapshot": ("PeriodicSnapshotter",),
+        "summarize": ("format_summary", "summarize_events"),
+    },
+)
+
 #: The process-wide tracer every instrumented call site reads.
 TRACER: Any = NullTracer()
 
@@ -80,8 +89,12 @@ def enable(
     in a ``finally``.
     """
     global TRACER
+    if sink is None:
+        from repro.obs.sinks import EventCollector
+
+        sink = EventCollector()
     tracer = Tracer(
-        sink if sink is not None else EventCollector(),
+        sink,
         clock=clock,
         shard=shard,
         snapshot_interval=snapshot_interval,

@@ -25,14 +25,15 @@ from __future__ import annotations
 from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.exceptions import PacketError, ReplayError
 from repro.net.ethernet import EthernetFrame
 from repro.net.mac import MacAddress
-from repro.net.pcap import PcapReader
-from repro.workloads.traces import ChunkTrace
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
+
+if TYPE_CHECKING:  # a workload run reads no pcap and holds no trace list
+    from repro.workloads.traces import ChunkTrace
 
 __all__ = [
     "Pacing",
@@ -194,6 +195,8 @@ class PcapTraceSource(TraceSource):
         self.description = f"pcap:{self.path.name}"
 
     def frames(self) -> Iterator[Tuple[float, bytes]]:
+        from repro.net.pcap import PcapReader
+
         with PcapReader(self.path) as reader:
             for packet in reader:
                 yield packet.timestamp, packet.data

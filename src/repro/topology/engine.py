@@ -45,7 +45,6 @@ from repro import obs as _obs
 from repro.controlplane.idpool import IdentifierPool
 from repro.controlplane.manager import ZipLineControlPlane
 from repro.core.transform import GDTransform
-from repro.obs.snapshot import PeriodicSnapshotter
 from repro.exceptions import TopologyError
 from repro.net.mac import MacAddress
 from repro.replay.link import EmulatedLink, ImpairmentModel
@@ -189,6 +188,8 @@ class TopologyEngine:
             # the periodic snapshotter when one was requested.
             tracer.clock = lambda: self.simulator.now
             if tracer.snapshot_interval:
+                from repro.obs.snapshot import PeriodicSnapshotter
+
                 self._snapshotter = PeriodicSnapshotter(
                     tracer.snapshot_interval, tracer, self._snapshot_sample
                 )

@@ -36,11 +36,8 @@ components is likewise rejected by name.  Single-component specs (the
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
-import tempfile
-import traceback
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -48,7 +45,6 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.exceptions import TopologyError
-from repro.obs.sinks import JsonLinesSink, merge_segments
 from repro.obs.tracer import Tracer
 from repro.replay.metrics import MetricsRegistry
 from repro.topology.engine import TopologyEngine, check_metrics_mode
@@ -203,6 +199,8 @@ def map_across_workers(
     if workers <= 1:
         yield from map(function, tasks)
         return
+    import multiprocessing  # a pool's own: one worker runs in this process
+
     method = "fork" if sys.platform == "linux" else None
     with multiprocessing.get_context(method).Pool(
         processes=workers,
@@ -227,6 +225,8 @@ def _run_shard(spec: TopologySpec, task: _ShardTask) -> _ShardOutcome:
     saved_tracer = None
     segment_sink = None
     if task.trace_segment is not None:
+        from repro.obs.sinks import JsonLinesSink
+
         saved_tracer = _obs.TRACER
         segment_sink = JsonLinesSink(task.trace_segment)
         _obs.TRACER = Tracer(
@@ -243,6 +243,8 @@ def _run_shard(spec: TopologySpec, task: _ShardTask) -> _ShardOutcome:
             shard.index, shard.name, report, engine.wire_first_times()
         )
     except Exception:  # noqa: BLE001 — reported by name in the parent
+        import traceback
+
         return _ShardOutcome(
             shard.index, shard.name, failure=traceback.format_exc()
         )
@@ -330,6 +332,8 @@ def run_topology(
         parent_tracer = _obs.TRACER
         segment_paths: List[Optional[str]] = [None] * len(shards)
         if parent_tracer.enabled:
+            import tempfile
+
             trace_dir = cleanup.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-trace-")
             )
@@ -378,8 +382,11 @@ def run_topology(
                     f"{outcome.report.duration * 1e3:.3f} ms simulated"
                 )
         report = _merge_outcomes(spec, outcomes, metrics_mode)
-        for event in merge_segments(
-            [path for path in segment_paths if path and os.path.exists(path)]
-        ):
-            parent_tracer.emit_raw(event)
+        if parent_tracer.enabled:
+            from repro.obs.sinks import merge_segments
+
+            for event in merge_segments(
+                [path for path in segment_paths if path and os.path.exists(path)]
+            ):
+                parent_tracer.emit_raw(event)
         return report

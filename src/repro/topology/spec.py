@@ -42,8 +42,7 @@ from repro.exceptions import TopologyError
 from repro.topology.faults import FaultPlan, validate_spec_faults
 from repro.topology.graph import decoder_pairing
 from repro.validation import Validator
-from repro.workloads import WORKLOAD_FACTORIES
-from repro.workloads.dns import DNS_CHUNK_ORDER
+from repro.workloads import DNS_CHUNK_ORDER, WORKLOAD_FACTORIES
 
 __all__ = [
     "NodeSpec",

@@ -1,11 +1,9 @@
 """Workload generators and trace containers for the evaluation."""
 
-from repro.workloads.dns import DnsQuery, DnsQueryWorkload, PAPER_DNS_QUERY_BYTES
-from repro.workloads.synthetic import PAPER_SYNTHETIC_CHUNKS, SyntheticSensorWorkload
-from repro.workloads.thrash import DictionaryThrashWorkload
-from repro.workloads.traces import ChunkTrace, TraceStats
+from repro._lazy import lazy_exports
 
 __all__ = [
+    "DNS_CHUNK_ORDER",
     "DnsQuery",
     "DnsQueryWorkload",
     "DictionaryThrashWorkload",
@@ -17,8 +15,27 @@ __all__ = [
     "WORKLOAD_FACTORIES",
 ]
 
+# Each generator loads its own module on first read: a synthetic run
+# does not load the DNS name pool, the IP/UDP builder or the pcap writer.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dns": ("DnsQuery", "DnsQueryWorkload", "PAPER_DNS_QUERY_BYTES"),
+        "synthetic": ("PAPER_SYNTHETIC_CHUNKS", "SyntheticSensorWorkload"),
+        "thrash": ("DictionaryThrashWorkload",),
+        "traces": ("ChunkTrace", "TraceStats"),
+    },
+)
+
+#: The Hamming order of 32-byte chunks, the size of every DNS chunk: no
+#: other order's parser accepts one (a topology spec refuses a ``dns``
+#: flow at any other order).
+DNS_CHUNK_ORDER = 8
+
 
 def _synthetic(chunks, bases, names, order, seed):
+    from repro.workloads.synthetic import SyntheticSensorWorkload
+
     workload = SyntheticSensorWorkload(
         num_chunks=chunks, distinct_bases=bases, order=order, seed=seed
     )
@@ -26,12 +43,16 @@ def _synthetic(chunks, bases, names, order, seed):
 
 
 def _dns(chunks, bases, names, order, seed):
+    from repro.workloads.dns import DnsQueryWorkload
+
     # The spec refuses a DNS flow at any order but DNS_CHUNK_ORDER.
     workload = DnsQueryWorkload(num_queries=chunks, distinct_names=names, seed=seed)
     return workload, workload.bases
 
 
 def _thrash(chunks, bases, names, order, seed):
+    from repro.workloads.thrash import DictionaryThrashWorkload
+
     workload = DictionaryThrashWorkload(
         num_chunks=chunks,
         distinct_bases=bases,

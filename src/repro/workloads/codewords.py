@@ -16,11 +16,13 @@ attempt cap, the shared validation, the accessors, :meth:`bases`,
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.core.transform import GDTransform
 from repro.exceptions import WorkloadError
-from repro.workloads.traces import ChunkTrace
+
+if TYPE_CHECKING:  # loaded by trace() only: a run streams chunks
+    from repro.workloads.traces import ChunkTrace
 
 __all__ = ["CodewordWorkload"]
 
@@ -151,4 +153,6 @@ class CodewordWorkload:
         self, num_chunks: Optional[int] = None, name: Optional[str] = None
     ) -> ChunkTrace:
         """A :class:`ChunkTrace` of the chunks (named :attr:`trace_name` by default)."""
+        from repro.workloads.traces import ChunkTrace
+
         return ChunkTrace(self.chunks(num_chunks), name=name or self.trace_name)

@@ -35,6 +35,7 @@ from repro.exceptions import WorkloadError
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.ip import build_udp_packet
 from repro.net.mac import MacAddress
+from repro.workloads import DNS_CHUNK_ORDER
 from repro.workloads.traces import ChunkTrace
 
 __all__ = [
@@ -47,10 +48,6 @@ __all__ = [
 
 #: Size of the filtered queries in the paper's dataset.
 PAPER_DNS_QUERY_BYTES = 34
-
-#: The Hamming order of 32-byte chunks, the size of every DNS chunk: no
-#: other order's parser accepts one.
-DNS_CHUNK_ORDER = 8
 
 #: Skew of the name popularity (1.0–1.2 is typical for DNS).
 ZIPF_EXPONENT = 1.1
