@@ -8,7 +8,7 @@ from pathlib import Path
 from repro import registry
 from repro.analysis.reporting import format_table
 from repro.core.engine import DEFAULT_BLOCK_SIZE, compress_file, decompress_file
-from repro.topology.spec import RUN_PARAMETERS
+from repro.parameters import DEFAULTS
 from repro.workloads import WORKLOAD_FACTORIES
 
 
@@ -143,7 +143,7 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
     # The Figure 3 datasets are cut at the paper's chunk size.
     workload, _bases = WORKLOAD_FACTORIES[args.dataset](
         chunks=args.chunks, bases=args.bases, names=args.names,
-        order=RUN_PARAMETERS["order"].default, seed=args.seed,
+        order=DEFAULTS["order"], seed=args.seed,
     )
     trace = workload.trace()
     count = trace.to_pcap(args.output)

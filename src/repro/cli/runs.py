@@ -2,7 +2,8 @@
 
 All three take the shared observability flags (``--trace-out``,
 ``--events-out``, ``--snapshot-interval``); ``replay`` and ``topology``
-share their report tail, :func:`_run_and_report`.
+share their report tail, :func:`_run_and_report`.  Each handler imports
+the layers it runs: building the parser loads no simulator.
 """
 
 from __future__ import annotations
@@ -11,31 +12,21 @@ import argparse
 import inspect
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
 from repro.analysis.reporting import format_table, save_results_json
 from repro.exceptions import ReproError
-from repro.experiments import ExperimentSpec, MatrixRunner
-from repro.topology import (
-    TopologyEngine,
-    TopologyReport,
-    TopologySpec,
-    linear_topology,
-)
-from repro.topology.spec import (
-    CONTROL_MODES,
-    LINEAR_SHAPES,
-    PACINGS,
-    RUN_PARAMETERS,
-    SCENARIOS,
-)
+from repro.parameters import CONTROL_MODES, DEFAULTS, LINEAR_SHAPES, PACINGS, SCENARIOS
+
+if TYPE_CHECKING:
+    from repro.topology import TopologyReport, TopologySpec
 
 #: ``repro replay``'s run-parameter flags as (parameter, choices, help):
 #: what ``_cmd_replay`` forwards to the chain preset under the parameter's
-#: own name.  :mod:`repro.topology.spec` owns each default; the help quotes
-#: it as ``{default}``, or as ``{short}`` (``100``, ``1e6``) where that
-#: reads better.
+#: own name.  :data:`repro.parameters.DEFAULTS` holds each default; the help
+#: quotes it as ``{default}``, or as ``{short}`` (``100``, ``1e6``) where
+#: that reads better.
 _REPLAY_FLAGS = (
     ("hops", None, "number of emulated links in series (default {default})"),
     ("scenario", SCENARIOS, "dictionary scenario (default: {default})"),
@@ -93,12 +84,12 @@ def add_parsers(subparsers) -> None:
              "'repro topology')",
     )
     for name, choices, text in _REPLAY_FLAGS:
-        default = RUN_PARAMETERS[name].default
+        default = DEFAULTS[name]
         replay.add_argument(
             "--" + name.replace("_", "-"), type=type(default), choices=choices,
             default=default, help=text.format(default=default, short=_short(default)),
         )
-    seed = RUN_PARAMETERS["seed"].default
+    seed = DEFAULTS["seed"]
     replay.add_argument(
         "--seed", type=int, default=seed, help=f"impairment RNG seed (default {seed})"
     )
@@ -153,7 +144,7 @@ def add_parsers(subparsers) -> None:
              "uses fixed-size sketches (bounded memory), auto picks "
              "streaming at 256+ flows (default: auto)",
     )
-    scenario = RUN_PARAMETERS["scenario"].default
+    scenario = DEFAULTS["scenario"]
     topology.add_argument(
         "--scenario", choices=SCENARIOS, default=scenario,
         help=f"dictionary scenario for presets (default: {scenario})",
@@ -357,6 +348,8 @@ def _run_and_report(
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.topology import TopologyEngine, linear_topology
+
     if (args.input is None) == (args.trace is None):
         raise ReproError("give the trace exactly once: positionally or via --trace")
     trace_path = args.trace if args.trace is not None else args.input
@@ -389,7 +382,12 @@ AUTO_STREAMING_FLOWS = 256
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.topology import TOPOLOGY_PRESETS, preset_topology, run_topology
+    from repro.topology import (
+        TOPOLOGY_PRESETS,
+        TopologySpec,
+        preset_topology,
+        run_topology,
+    )
 
     if (args.spec is None) == (args.preset is None):
         raise ReproError(
@@ -455,6 +453,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import ExperimentSpec, MatrixRunner
+
     spec = ExperimentSpec.from_file(args.spec)
     if args.list:
         rows = [

@@ -1,4 +1,8 @@
-"""The tool commands: ``trace``, ``bench`` and ``claims``."""
+"""The tool commands: ``trace``, ``bench`` and ``claims``.
+
+``claims`` loads the models its rows run in its handler: the parser quotes
+the claim ids from :mod:`repro.analysis.claim_ids`.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from pathlib import Path
 from typing import List, Sequence
 
 from repro import obs
-from repro.analysis.figures import CLAIMS, CLAIMS_HEADER, claim_row, select_claims
+from repro.analysis.claim_ids import CLAIM_IDS
 from repro.analysis.reporting import format_table
 from repro.exceptions import ReproError
 
@@ -76,7 +80,7 @@ def add_parsers(subparsers) -> None:
     claims.add_argument(
         "ids", nargs="*", metavar="ID",
         help="claims to compute (default: all): "
-             + ", ".join(claim.id for claim in CLAIMS),
+             + ", ".join(CLAIM_IDS),
     )
     claims.add_argument(
         "--scale", type=int, default=None,
@@ -163,6 +167,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
+    from repro.analysis.figures import CLAIMS_HEADER, claim_row, select_claims
+
     selected = select_claims(args.ids, args.scale)
     print("\n".join(CLAIMS_HEADER), flush=True)
     failed = []

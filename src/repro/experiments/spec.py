@@ -46,16 +46,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
-from repro.topology.spec import (
-    CONTROL_MODES,
-    LINEAR_SHAPES,
-    MAX_PORT,
-    PACINGS,
-    RUN_PARAMETERS,
-    SCENARIOS,
-    WORKLOADS,
-    derive_seed,
-)
+from repro.parameters import CONTROL_MODES, LINEAR_SHAPES, PACINGS, SCENARIOS
+from repro.topology.spec import MAX_PORT, RUN_PARAMETERS, WORKLOADS, derive_seed
 from repro.validation import Validator
 
 __all__ = [

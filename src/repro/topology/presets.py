@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import TopologyError
+from repro.parameters import LINEAR_SHAPES
 from repro.topology.faults import FaultPlan, NodeRestart, validate_spec_faults
 from repro.topology.spec import (
-    LINEAR_SHAPES,
     MAX_PORT,
     FlowSpec,
     LinkSpec,

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import TopologyError
+from repro.parameters import CONTROL_MODES, DEFAULTS, PACINGS, SCENARIOS
 from repro.topology.faults import FaultPlan, validate_spec_faults
 from repro.topology.graph import decoder_pairing
 from repro.validation import Validator
@@ -68,11 +69,6 @@ __all__ = [
 
 NODE_KINDS = ("host", "encoder", "decoder", "forward")
 WORKLOADS = tuple(WORKLOAD_FACTORIES)
-PACINGS = ("recorded", "rate", "back-to-back")
-SCENARIOS = ("no_table", "static", "dynamic")
-CONTROL_MODES = ("direct", "in-network")
-#: What :func:`linear_topology` can put between the sender and the sink.
-LINEAR_SHAPES = ("encoder-link-decoder", "encoder-only", "decoder-only")
 #: The :class:`FlowSpec` fields a preset builder puts on every flow, and the
 #: :class:`LinkSpec` fields it puts on the measured wire (every rack's).
 FLOW_PARAMETERS = (
@@ -222,12 +218,12 @@ class LinkSpec:
     name: str
     source: Tuple[str, int]
     target: Tuple[str, int]
-    bandwidth_gbps: float = 100.0
-    propagation_us: float = 0.5
-    queue_capacity: int = 0  # 0 = unbounded
-    loss: float = 0.0
-    reorder: float = 0.0
-    hops: int = 1
+    bandwidth_gbps: float = DEFAULTS["bandwidth_gbps"]
+    propagation_us: float = DEFAULTS["propagation_us"]
+    queue_capacity: int = DEFAULTS["queue_capacity"]
+    loss: float = DEFAULTS["loss"]
+    reorder: float = DEFAULTS["reorder"]
+    hops: int = DEFAULTS["hops"]
     direct: bool = False
     measured: bool = False
     seed: Optional[int] = None  # None → derived from the spec identity
@@ -290,14 +286,14 @@ class FlowSpec:
     name: str
     source: str
     sink: str
-    workload: str = "synthetic"
-    chunks: int = 1000
-    bases: int = 16
-    names: int = 300
-    trace: Optional[str] = None
-    pacing: str = "rate"
-    packet_rate: float = 1e6
-    speedup: float = 1.0
+    workload: str = DEFAULTS["workload"]
+    chunks: int = DEFAULTS["chunks"]
+    bases: int = DEFAULTS["bases"]
+    names: int = DEFAULTS["names"]
+    trace: Optional[str] = DEFAULTS["trace"]
+    pacing: str = DEFAULTS["pacing"]
+    packet_rate: float = DEFAULTS["packet_rate"]
+    speedup: float = DEFAULTS["speedup"]
     start: float = 0.0
     seed: Optional[int] = None
 
@@ -371,16 +367,16 @@ class TopologySpec:
         nodes: Sequence[NodeSpec],
         links: Sequence[LinkSpec],
         flows: Sequence[FlowSpec],
-        scenario: str = "dynamic",
-        order: int = 8,
-        identifier_bits: int = 15,
-        seed: int = 0,
-        entry_ttl: Optional[float] = None,
-        control: str = "direct",
-        control_bandwidth_gbps: float = 10.0,
-        control_propagation_us: float = 5.0,
-        control_rate: Optional[float] = None,
-        control_queue: Optional[int] = None,
+        scenario: str = DEFAULTS["scenario"],
+        order: int = DEFAULTS["order"],
+        identifier_bits: int = DEFAULTS["identifier_bits"],
+        seed: int = DEFAULTS["seed"],
+        entry_ttl: Optional[float] = DEFAULTS["entry_ttl"],
+        control: str = DEFAULTS["control"],
+        control_bandwidth_gbps: float = DEFAULTS["control_bandwidth_gbps"],
+        control_propagation_us: float = DEFAULTS["control_propagation_us"],
+        control_rate: Optional[float] = DEFAULTS["control_rate"],
+        control_queue: Optional[int] = DEFAULTS["control_queue"],
         faults: Optional[FaultPlan] = None,
     ):
         given = locals()  # the settings by name, for the one table of checks
@@ -606,16 +602,16 @@ class RunParameter(NamedTuple):
 #: What a preset builder, an experiment scenario or a ``repro replay`` flag
 #: may set: the flow's and the wire's parameters, then the spec's settings
 #: (all but ``name``, which each builder defaults itself).  The owner's
-#: field or constructor argument is the only default, its ``_*_CHECKS``
-#: entry the only check; every other module reads them from here.
+#: field or constructor argument, which reads :data:`repro.parameters.DEFAULTS`,
+#: is the only default, its ``_*_CHECKS`` entry the only check; every other
+#: module reads them from here.
 RUN_PARAMETERS: Dict[str, RunParameter] = {
-    name: RunParameter(declared[name].default, checks[name])
-    for owner, checks, names in (
-        (FlowSpec, _FLOW_CHECKS, FLOW_PARAMETERS),
-        (LinkSpec, _LINK_CHECKS, WIRE_PARAMETERS),
-        (TopologySpec, _SPEC_CHECKS, SPEC_SETTINGS[1:]),
+    name: RunParameter(DEFAULTS[name], checks[name])
+    for checks, names in (
+        (_FLOW_CHECKS, FLOW_PARAMETERS),
+        (_LINK_CHECKS, WIRE_PARAMETERS),
+        (_SPEC_CHECKS, SPEC_SETTINGS[1:]),
     )
-    for declared in [inspect.signature(owner).parameters]
     for name in names
 }
 
