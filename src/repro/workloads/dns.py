@@ -177,20 +177,40 @@ class DnsQueryWorkload:
         """
         if self._names is not None:
             return self._names
-        choice = random.Random(self.seed).choice
-        digits = string.digits
+        getrandbits = random.Random(self.seed).getrandbits
+        services, departments, digits = self._SERVICES, self._DEPARTMENTS, string.digits
+        # Each Random.choice(seq) drawn inline: seq[r] for the first
+        # r = getrandbits(len(seq).bit_length()) below len(seq), the
+        # rejection loop of CPython's Random._randbelow.
+        service_count, department_count, digit_count = (
+            len(services), len(departments), len(digits)
+        )
+        service_bits, department_bits, digit_bits = (
+            service_count.bit_length(), department_count.bit_length(), digit_count.bit_length()
+        )
+        count = self.distinct_names
         pool: List[str] = []
         seen = set()
-        while len(pool) < self.distinct_names:
-            service = choice(self._SERVICES)
-            department = choice(self._DEPARTMENTS)
+        while len(pool) < count:
+            drawn = getrandbits(service_bits)
+            while drawn >= service_count:
+                drawn = getrandbits(service_bits)
+            service = services[drawn]
+            drawn = getrandbits(department_bits)
+            while drawn >= department_count:
+                drawn = getrandbits(department_bits)
             # Layout: <service+digits>.<department>.uni.in — pad the host
             # label with digits so the full name is exactly 16 characters.
-            suffix = f".{department}.uni.in"
+            suffix = f".{departments[drawn]}.uni.in"
             # The longest suffix (11) leaves room for the longest service
             # (4), and 16 characters in 4 labels encode to 18 bytes.
-            digits_needed = 16 - len(suffix) - len(service)
-            name = service + "".join([choice(digits) for _ in range(digits_needed)]) + suffix
+            host = service
+            for _ in range(16 - len(suffix) - len(service)):
+                drawn = getrandbits(digit_bits)
+                while drawn >= digit_count:
+                    drawn = getrandbits(digit_bits)
+                host += digits[drawn]
+            name = host + suffix
             if name in seen:
                 continue
             seen.add(name)

@@ -116,17 +116,30 @@ class SyntheticSensorWorkload(CodewordWorkload):
         count = self._count(num_chunks)
         rng = random.Random(self.seed + 1)
         random_ = rng.random
+        getrandbits = rng.getrandbits
         words = self._words()
         chunk_bytes = self.chunk_bytes
         n = self.transform.code.n
         locality = self.locality
         deviation_probability = self.deviation_probability
+        # Random.choice(words) and Random.randrange(n) drawn inline: the
+        # first r = getrandbits(size.bit_length()) below the size, the
+        # rejection loop of CPython's Random._randbelow.
+        population = len(words)
+        word_bits = population.bit_length()
+        position_bits = n.bit_length()
 
         current = rng.choice(words)
         for _ in range(count):
             if random_() >= locality:
-                current = rng.choice(words)
+                drawn = getrandbits(word_bits)
+                while drawn >= population:
+                    drawn = getrandbits(word_bits)
+                current = words[drawn]
             value = current
             if random_() < deviation_probability:
-                value ^= 1 << rng.randrange(n)
+                position = getrandbits(position_bits)
+                while position >= n:
+                    position = getrandbits(position_bits)
+                value ^= 1 << position
             yield value.to_bytes(chunk_bytes, "big")

@@ -98,6 +98,7 @@ class DictionaryThrashWorkload(CodewordWorkload):
         count = self._count(num_chunks)
         rng = random.Random(self.seed + 1)
         random_ = rng.random
+        getrandbits = rng.getrandbits
         words = self._words()
         population = len(words)
         # The running sum of the rank weights (rank 0 is hottest), bisected
@@ -111,6 +112,9 @@ class DictionaryThrashWorkload(CodewordWorkload):
         last = population - 1
         chunk_bytes = self.chunk_bytes
         n = self.transform.code.n
+        # Random.randrange(n) drawn inline: the first getrandbits(bits)
+        # below n, the rejection loop of CPython's Random._randbelow.
+        position_bits = n.bit_length()
         phase_chunks = self.phase_chunks
         deviation_probability = self.deviation_probability
 
@@ -123,5 +127,8 @@ class DictionaryThrashWorkload(CodewordWorkload):
             rank = bisect(cum_weights, random_() * total, 0, last)
             value = words[(rank + rotation) % population]
             if random_() < deviation_probability:
-                value ^= 1 << rng.randrange(n)
+                position = getrandbits(position_bits)
+                while position >= n:
+                    position = getrandbits(position_bits)
+                value ^= 1 << position
             yield value.to_bytes(chunk_bytes, "big")

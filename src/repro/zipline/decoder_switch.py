@@ -33,6 +33,7 @@ from repro.zipline._program import (
     ETH_TYPE2,
     ETH_TYPE3,
     ETHERNET_BYTES,
+    SPLITS,
     ZipLineSwitchBase,
 )
 
@@ -106,10 +107,12 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         self._parity_of_basis = code.parity_of_basis_fast
         # basis -> (basis << m) | parity.  Keyed by the basis *value*, so it
         # is a pure-function memo no table write, ``clear()`` or recycled
-        # identifier can make stale; at most one entry per identifier the
-        # table can hold, dropped wholesale when more distinct bases than
-        # that come by.
+        # identifier can make stale; dropped wholesale when more distinct
+        # bases come by than the table holds identifiers, or than the
+        # encoder keeps splits (``SPLITS``) when the table is smaller: a
+        # working set that thrashes a small table still hits here.
         self._codewords: Dict[int, int] = {}
+        self._codeword_limit = max(SPLITS, self._identifier_table.size)
         cell = self.counters.index
         self._compressed_to_raw = cell("compressed_to_raw")
         self._uncompressed_to_raw = cell("uncompressed_to_raw")
@@ -174,7 +177,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         codewords = self._codewords
         codeword = codewords.get(basis)
         if codeword is None:
-            if len(codewords) >= self._identifier_table.size:
+            if len(codewords) >= self._codeword_limit:
                 codewords.clear()
             codeword = codewords[basis] = (basis << m) | self._parity_of_basis(basis)
         self.crc_invocations += 1
@@ -216,6 +219,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
         chunk_bytes = self._chunk_bytes
         flip_masks = self._flip_masks
         codewords = self._codewords
+        codeword_limit = self._codeword_limit
         table = self._identifier_table
         entries = table.entry_map()
         tracer = _obs.TRACER
@@ -267,7 +271,7 @@ class ZipLineDecoderSwitch(ZipLineSwitchBase):
                 continue
             codeword = codewords.get(basis)
             if codeword is None:
-                if len(codewords) >= table.size:
+                if len(codewords) >= codeword_limit:
                     codewords.clear()
                 codeword = codewords[basis] = (basis << m) | self._parity_of_basis(basis)
             chunk_value = (prefix << code_bits) | (codeword ^ flip_masks[value & syndrome_mask])

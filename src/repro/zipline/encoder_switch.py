@@ -41,6 +41,7 @@ from repro.zipline._program import (
     ETH_TYPE2,
     ETH_TYPE3,
     ETHERNET_BYTES,
+    SPLITS,
     ZipLineSwitchBase,
 )
 
@@ -52,11 +53,6 @@ __all__ = ["ZipLineEncoderSwitch"]
 #: the join costs 851 ns per chunk at 8 chunks, 181 at 64 and 95 at 512,
 #: and 5.4 µs for a single chunk.  16 is the crossover.
 PRIME_THRESHOLD = 16
-
-#: Most chunks whose split the per-frame ingress keeps
-#: (``ZipLineEncoderSwitch._splits``) before it drops them all.  1,024
-#: hold every distinct chunk of the benchmark's DNS trace (704 of 16,000).
-SPLITS = 1024
 
 #: A raw chunk's ``(prefix, syndrome, basis)``: what the program computes
 #: of it before the table lookup.

@@ -32,7 +32,7 @@ from repro.net.mac import MacAddress
 from repro.sim.simulator import Simulator
 from repro.topology.control import apply_switch_command
 from repro.zipline import encoder_switch
-from repro.zipline._program import ETHERNET_BYTES
+from repro.zipline._program import ETHERNET_BYTES, SPLITS
 from repro.zipline.decoder_switch import ZipLineDecoderSwitch
 from repro.zipline.encoder_switch import ZipLineEncoderSwitch
 from repro.zipline.headers import ETHERTYPE_RAW_CHUNK
@@ -516,8 +516,10 @@ class TestForwardingValidation:
 class TestDecoderCodewordMemo:
     """The decoder's ``basis -> codeword`` memo against the interpreted twin.
 
-    ``identifier_bits=2`` bounds the memo at four entries; seven distinct
-    bases overflow it again and again while the identifier table is
+    The memo keeps at least ``SPLITS`` entries; the tests below bound it at
+    four (``_codeword_limit``), so that seven distinct bases over an
+    ``identifier_bits=2`` table overflow it again and again while the
+    identifier table is
     installed into, replaced, removed from, written directly (the way the
     fault plan's decoder restart does) and cleared between frames.  A memo
     keyed by anything but the basis value would hand a recycled identifier
@@ -596,6 +598,7 @@ class TestDecoderCodewordMemo:
             switch.switch.attach_port(1, lambda frame, _t, sink=sink: sink.append(frame))
             twins.append((switch, sink))
         (compiled, compiled_sink), (interpreted, interpreted_sink) = twins
+        compiled._codeword_limit = 4
         oracle = _oracle(interpreted)
         for operation in operations:
             got = self._apply(compiled, compiled.receive, operation)
@@ -611,6 +614,7 @@ class TestDecoderCodewordMemo:
         compiled = ZipLineDecoderSwitch(
             transform=self.TRANSFORM, identifier_bits=2, forwarding={0: 1}
         )
+        compiled._codeword_limit = 4
         out = []
         compiled.switch.attach_port(1, lambda frame, _t: out.append(frame))
         code = self.TRANSFORM.code
@@ -634,6 +638,27 @@ class TestDecoderCodewordMemo:
         compiled.mapping_table.clear()
         assert compiled.receive(type3(1), 0) is None
         assert compiled.counters.read("unknown_identifier").packets == 1
+
+    def test_a_small_table_keeps_splits_codewords(self):
+        """A table of four identifiers recycled through seven bases (a
+        working set that thrashes it) still finds every basis's codeword:
+        the memo holds ``SPLITS`` entries, or one per identifier when the
+        table is larger."""
+        small = ZipLineDecoderSwitch(transform=self.TRANSFORM, identifier_bits=2)
+        large = ZipLineDecoderSwitch(transform=self.TRANSFORM, identifier_bits=11)
+        assert small._codeword_limit == SPLITS
+        assert large._codeword_limit == 2**11 > SPLITS
+        code = self.TRANSFORM.code
+        headers = small.headers
+        for _ in range(3):
+            for basis in self.BASES:
+                small.receive(self._frame(
+                    EtherType.ZIPLINE_UNCOMPRESSED,
+                    [(0, 1), (basis, code.k), (0, code.m)],
+                    headers.type2_padding_bits, headers.type2.total_bytes,
+                ), 0)
+        assert sorted(small._codewords) == sorted(self.BASES)
+        assert small.crc_invocations == 3 * len(self.BASES)
 
 
 class TestDrawnFrames:
