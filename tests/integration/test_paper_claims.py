@@ -17,6 +17,7 @@ import inspect
 import pytest
 
 from repro.analysis import figures
+from repro.analysis.claim_ids import CLAIM_IDS
 from repro.analysis.figures import (
     CLAIMS,
     FIGURE4_FRAME_SIZES,
@@ -49,6 +50,11 @@ def test_claim(claim):
 
 def test_claim_ids_are_unique():
     assert len({claim.id for claim in CLAIMS}) == len(CLAIMS)
+
+
+def test_the_cli_quotes_the_table_s_ids_in_its_order():
+    # ``repro claims --help`` reads the ids from the module that loads no model.
+    assert CLAIM_IDS == tuple(claim.id for claim in CLAIMS)
 
 
 def test_gzip_beats_zipline_on_dns():

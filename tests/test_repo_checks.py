@@ -177,10 +177,15 @@ class TestUnreferenced:
              "    return spin\n"),
             # A dotted path is not the identifier.
             ("benchmarks/bench.py", "TARGETS = ('Widget.spin',)\n"),
+            # A package's lazy re-export table is an import, not a use.
+            ("src/repro/other.py",
+             "__getattr__, __dir__ = lazy_exports(\n"
+             "    __name__, {'widgets': ('spin',)}, submodules=('spin',)\n)\n"),
         ],
         ids=[
             "docstring", "comment", "import-line", "all-list", "f-string-literal",
             "bare-name-of-a-method", "local-variable-and-help-word", "dotted-string",
+            "lazy-exports-table",
         ],
     )
     def test_naming_without_using_does_not_count(self, tree, where, code):

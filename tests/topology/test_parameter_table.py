@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.exceptions import TopologyError
+from repro.parameters import DEFAULTS
 from repro.experiments.spec import (
     DEFAULT_PARAMETERS,
     PARAMETERS,
@@ -174,6 +175,15 @@ def subcommand(name):
         action for action in parser._actions if hasattr(action, "choices") and action.choices
     )
     return subparsers.choices[name]
+
+
+def test_one_table_holds_every_run_parameter_s_default_in_schema_order():
+    # The owners read their defaults from repro.parameters, which the
+    # parser imports without the simulator.
+    assert list(DEFAULTS) == [*FLOW_PARAMETERS, *WIRE_PARAMETERS, *SPEC_SETTINGS[1:]]
+    assert DEFAULTS == OWNER_DEFAULTS
+    for name, value in DEFAULTS.items():
+        assert RUN_PARAMETERS[name].default is value
 
 
 def test_replay_flag_defaults_are_the_owners_defaults():
