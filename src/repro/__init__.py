@@ -28,27 +28,9 @@ from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "BasisDictionary",
-    "CompressionResult",
-    "Compressor",
-    "CrcEngine",
-    "CrcParameters",
-    "EncoderMode",
-    "EvictionPolicy",
-    "GDCodec",
-    "GDDecoder",
-    "GDEncoder",
-    "GDTransform",
-    "HammingCode",
-    "registry",
-    "syndrome_crc",
-    "__version__",
-]
-
 # The codec layer loads when one of these is first read, so importing a
 # submodule (``repro.topology``, ``repro.workloads``) does not load it.
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, _exported = lazy_exports(
     __name__,
     {
         "core": (
@@ -69,3 +51,5 @@ __getattr__, __dir__ = lazy_exports(
     },
     submodules=("registry",),
 )
+
+__all__ = [*_exported, "__version__"]

@@ -20,16 +20,17 @@ def lazy_exports(
     package: str,
     exports: Mapping[str, Sequence[str]],
     submodules: Sequence[str] = (),
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """The ``(__getattr__, __dir__)`` pair of ``package``.
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]], List[str]]:
+    """The ``(__getattr__, __dir__, names)`` of ``package``.
 
     ``exports`` maps a submodule's name, relative to ``package``, to the
     names the package re-exports from it; ``submodules`` names submodules
-    the package exports as attributes themselves.  ``__dir__`` lists the
+    the package exports as attributes themselves.  ``names`` lists both, in
+    that order, for the package's ``__all__``; ``__dir__`` lists the
     package's own globals and every exported name.
     """
     home = {name: module for module, names in exports.items() for name in names}
-    exported = set(home) | set(submodules)
+    exported = [*home, *submodules]
 
     def __getattr__(name: str) -> Any:
         if name in home:
@@ -42,6 +43,6 @@ def lazy_exports(
         return value
 
     def __dir__() -> List[str]:
-        return sorted(set(vars(sys.modules[package])) | exported)
+        return sorted(set(vars(sys.modules[package])).union(exported))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, exported

@@ -23,51 +23,9 @@ This subpackage is the paper's primary contribution in library form:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompressionResult",
-    "GDCodec",
-    "CRC8_ATM",
-    "CRC16_CCITT",
-    "CRC32_ETHERNET",
-    "CrcEngine",
-    "CrcParameters",
-    "remainder_table",
-    "syndrome_crc",
-    "Compressor",
-    "DedupStreamCompressor",
-    "GDStreamCompressor",
-    "GzipStreamCompressor",
-    "NullStreamCompressor",
-    "compress_bytes",
-    "compress_file",
-    "decompress_bytes",
-    "decompress_file",
-    "DecoderStats",
-    "GDDecoder",
-    "BasisDictionary",
-    "DictionaryStats",
-    "EvictionPolicy",
-    "EncoderMode",
-    "EncoderStats",
-    "GDEncoder",
-    "HammingCode",
-    "SyndromeTable",
-    "TABLE_1",
-    "HammingPolynomial",
-    "polynomial_for_order",
-    "supported_orders",
-    "CompressedRecord",
-    "GDRecord",
-    "RawRecord",
-    "RecordType",
-    "UncompressedRecord",
-    "GDParts",
-    "GDTransform",
-]
-
 # Each name loads its own submodule on first read: importing
 # ``repro.core.transform`` does not load the codec or the engine.
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "codec": ("CompressionResult", "GDCodec"),

@@ -2,31 +2,9 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "ethernet_fcs",
-    "internet_checksum",
-    "ETHERNET_FCS_BYTES",
-    "ETHERNET_HEADER_BYTES",
-    "ETHERNET_IFG_BYTES",
-    "ETHERNET_MIN_FRAME_BYTES",
-    "ETHERNET_PREAMBLE_BYTES",
-    "EthernetFrame",
-    "EtherType",
-    "frame_wire_bytes",
-    "BROADCAST",
-    "ZERO",
-    "MacAddress",
-    "PacketKind",
-    "ZipLinePacketCodec",
-    "PcapPacket",
-    "PcapReader",
-    "PcapWriter",
-    "write_pcap",
-]
-
 # Each name loads its own submodule on first read: framing a packet
 # does not load the pcap reader and writer.
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "checksum": ("ethernet_fcs", "internet_checksum"),

@@ -31,30 +31,9 @@ from typing import Any, Callable, Optional
 from repro._lazy import lazy_exports
 from repro.obs.tracer import COUNTER, INSTANT, SPAN, NullTracer, Tracer
 
-__all__ = [
-    "TRACER",
-    "enable",
-    "disable",
-    "Tracer",
-    "NullTracer",
-    "EventCollector",
-    "JsonLinesSink",
-    "PeriodicSnapshotter",
-    "write_events",
-    "write_chrome_trace",
-    "read_events",
-    "merge_segments",
-    "event_sort_key",
-    "summarize_events",
-    "format_summary",
-    "SPAN",
-    "INSTANT",
-    "COUNTER",
-]
-
 # The sinks, the snapshotter and the summary load when first read: an
 # untraced run reads only TRACER.
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, _exported = lazy_exports(
     __name__,
     {
         "sinks": (
@@ -70,6 +49,18 @@ __getattr__, __dir__ = lazy_exports(
         "summarize": ("format_summary", "summarize_events"),
     },
 )
+
+__all__ = [
+    "TRACER",
+    "enable",
+    "disable",
+    "Tracer",
+    "NullTracer",
+    "SPAN",
+    "INSTANT",
+    "COUNTER",
+    *_exported,
+]
 
 #: The process-wide tracer every instrumented call site reads.
 TRACER: Any = NullTracer()

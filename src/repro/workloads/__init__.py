@@ -2,22 +2,9 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DNS_CHUNK_ORDER",
-    "DnsQuery",
-    "DnsQueryWorkload",
-    "DictionaryThrashWorkload",
-    "PAPER_DNS_QUERY_BYTES",
-    "PAPER_SYNTHETIC_CHUNKS",
-    "SyntheticSensorWorkload",
-    "ChunkTrace",
-    "TraceStats",
-    "WORKLOAD_FACTORIES",
-]
-
 # Each generator loads its own module on first read: a synthetic run
 # does not load the DNS name pool, the IP/UDP builder or the pcap writer.
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, _exported = lazy_exports(
     __name__,
     {
         "dns": ("DnsQuery", "DnsQueryWorkload", "PAPER_DNS_QUERY_BYTES"),
@@ -26,6 +13,8 @@ __getattr__, __dir__ = lazy_exports(
         "traces": ("ChunkTrace", "TraceStats"),
     },
 )
+
+__all__ = ["DNS_CHUNK_ORDER", "WORKLOAD_FACTORIES", *_exported]
 
 #: The Hamming order of 32-byte chunks, the size of every DNS chunk: no
 #: other order's parser accepts one (a topology spec refuses a ``dns``

@@ -29,14 +29,16 @@ import string
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.exceptions import WorkloadError
 from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.ip import build_udp_packet
 from repro.net.mac import MacAddress
 from repro.workloads import DNS_CHUNK_ORDER
-from repro.workloads.traces import ChunkTrace
+
+if TYPE_CHECKING:  # loaded by trace() only: a run streams chunks
+    from repro.workloads.traces import ChunkTrace
 
 __all__ = [
     "DNS_CHUNK_ORDER",
@@ -327,6 +329,8 @@ class DnsQueryWorkload:
 
     def trace(self, num_queries: Optional[int] = None, name: str = "dns") -> ChunkTrace:
         """A :class:`ChunkTrace` of the filtered queries."""
+        from repro.workloads.traces import ChunkTrace
+
         return ChunkTrace(self.chunks(num_queries), name=name)
 
     def query_bytes(self, num_queries: Optional[int] = None) -> int:

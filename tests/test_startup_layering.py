@@ -92,6 +92,16 @@ def test_a_synthetic_topology_run_loads_no_codec_pcap_or_pool_layer(statement):
     assert _under(loaded, NOT_IN_A_TOPOLOGY_RUN) == []
 
 
+def test_a_dns_topology_run_loads_no_trace_list_or_pcap_layer():
+    loaded = _loaded_after(
+        "from repro.topology import linear_topology, run_topology\n"
+        "spec = linear_topology(workload='dns', chunks=64, names=8)\n"
+        "assert run_topology(spec, workers=1).chunks_sent"
+    )
+    assert "repro.workloads.dns" in loaded
+    assert _under(loaded, ("repro.workloads.traces", "repro.net.pcap")) == []
+
+
 @pytest.mark.parametrize("command", ["codecs", "codecs --backends", "compress", "decompress"])
 def test_a_codec_command_loads_no_simulator_layer(command, tmp_path):
     data, packed, restored = (tmp_path / name for name in ("data", "data.gdz", "restored"))
